@@ -52,8 +52,8 @@ struct Sizes {
 const PARALLELISMS: [usize; 4] = [1, 2, 4, 8];
 
 /// One measurement: parallelism, elapsed seconds, records per second, and
-/// per-operation latency quantiles (microseconds; zero when the workload
-/// has no per-op timing).
+/// per-operation latency quantiles in microseconds (the operation is one
+/// get, one chased pair, or — for `scan` — one readahead window of pages).
 struct Row {
     par: usize,
     secs: f64,
@@ -156,32 +156,41 @@ fn main() {
     // ------------------------------------------------------------------
     let mut results: Vec<(&str, Vec<Row>)> = Vec::new();
 
-    // scan: chunk-parallel over the page range.
+    // scan: chunk-parallel over the page range. The timed operation is one
+    // readahead window of pages: a worker's chunk split at window
+    // boundaries issues exactly the prefetch batches the unsplit scan would.
     let scan_pages: Vec<u32> = (0..scan_heap.pages().unwrap()).collect();
+    let window = pool.readahead_window().max(1) as usize;
     let mut scan_rows = Vec::new();
     for par in PARALLELISMS {
         cold(&[scan_heap.file_id()]);
         let t0 = Instant::now();
-        let counts = run_chunked(par, &scan_pages, |_, chunk| {
-            let mut n = 0u64;
-            scan_heap
-                .scan_range_with(chunk[0], chunk[chunk.len() - 1] + 1, |_, _| {
-                    n += 1;
-                    true
-                })
-                .map_err(|e| e.to_string())?;
-            Ok::<_, String>(vec![n])
+        let per_window = run_chunked(par, &scan_pages, |_, chunk| {
+            let mut out = Vec::with_capacity(chunk.len().div_ceil(window));
+            for pages in chunk.chunks(window) {
+                let op0 = Instant::now();
+                let mut n = 0u64;
+                scan_heap
+                    .scan_range_with(pages[0], pages[pages.len() - 1] + 1, |_, _| {
+                        n += 1;
+                        true
+                    })
+                    .map_err(|e| e.to_string())?;
+                out.push((n, op0.elapsed().as_nanos() as u64));
+            }
+            Ok::<_, String>(out)
         })
         .unwrap();
         let secs = t0.elapsed().as_secs_f64();
-        let rows: u64 = counts.iter().sum();
+        let rows: u64 = per_window.iter().map(|(n, _)| n).sum();
         assert_eq!(rows, sizes.scan_records as u64);
+        let mut lat: Vec<u64> = per_window.iter().map(|(_, ns)| *ns).collect();
         scan_rows.push(Row {
             par,
             secs,
             per_second: rows as f64 / secs,
-            p50_us: 0.0,
-            p99_us: 0.0,
+            p50_us: percentile_us(&mut lat, 0.50),
+            p99_us: percentile_us(&mut lat, 0.99),
         });
     }
     results.push(("scan", scan_rows));

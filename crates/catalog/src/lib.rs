@@ -556,23 +556,65 @@ impl Catalog {
 
     /// Update an object in place (OID stable), maintaining indexes.
     pub fn update_object(&self, oid: Oid, value: Value) -> Result<()> {
-        let (class, old) = self.get_object(oid)?;
+        let (_, old) = self.get_object(oid)?;
+        self.update_fetched(oid, &old, value)
+    }
+
+    /// [`update_object`](Self::update_object) for a caller that already
+    /// holds the stored image (`old`): no re-fetch, and only indexes whose
+    /// key actually changes are touched, so an update that leaves every
+    /// indexed attribute alone dirties the heap page and nothing else.
+    pub fn update_fetched(&self, oid: Oid, old: &Value, value: Value) -> Result<()> {
+        let class = self.extent_class_of(oid)?;
         let value = self.normalize(&class, value)?;
-        self.index_delete(&class, &old, oid)?;
         let type_id = self.type_id(&class)?;
         let heap = self.sm.open_heap(oid.file);
         heap.update(oid, &Self::encode_object(type_id, &value))?;
-        self.index_insert(&class, &value, oid)?;
+        for info in self.class_indexes(&class) {
+            let (old_key, new_key) = (
+                Self::index_key(&info, old)?,
+                Self::index_key(&info, &value)?,
+            );
+            if old_key == new_key {
+                continue;
+            }
+            if let Some(k) = old_key {
+                self.index_delete_key(&info, &k, oid)?;
+            }
+            if let Some(k) = new_key {
+                self.index_insert_key(&info, &k, oid)?;
+            }
+        }
         Ok(())
     }
 
     /// Delete an object, maintaining indexes.
     pub fn delete_object(&self, oid: Oid) -> Result<()> {
-        let (class, old) = self.get_object(oid)?;
-        self.index_delete(&class, &old, oid)?;
+        let (_, old) = self.get_object(oid)?;
+        self.delete_fetched(oid, &old)
+    }
+
+    /// [`delete_object`](Self::delete_object) for a caller that already
+    /// holds the stored image.
+    pub fn delete_fetched(&self, oid: Oid, old: &Value) -> Result<()> {
+        let class = self.extent_class_of(oid)?;
+        for info in self.class_indexes(&class) {
+            if let Some(k) = Self::index_key(&info, old)? {
+                self.index_delete_key(&info, &k, oid)?;
+            }
+        }
         let heap = self.sm.open_heap(oid.file);
         heap.delete(oid)?;
         Ok(())
+    }
+
+    /// The class whose extent holds `oid`. Objects are stored in the extent
+    /// of their dynamic type, so this is also the class whose indexes cover
+    /// the object.
+    fn extent_class_of(&self, oid: Oid) -> Result<String> {
+        self.class_of_oid(oid).ok_or(CatalogError::Storage(
+            mood_storage::StorageError::DanglingOid(oid),
+        ))
     }
 
     /// Scan one class's own extent (no subclasses).
@@ -619,6 +661,21 @@ impl Catalog {
         Ok(out)
     }
 
+    /// The classes whose extents `FROM EVERY class - minus…` ranges over:
+    /// `class` and its subclasses, less each excluded class and *its*
+    /// subclasses, in scan order.
+    pub fn every_classes(&self, class: &str, minus: &[String]) -> Vec<String> {
+        let mut excluded: HashSet<String> = HashSet::new();
+        for m in minus {
+            excluded.insert(m.clone());
+            excluded.extend(self.subclasses(m));
+        }
+        let mut targets = vec![class.to_string()];
+        targets.extend(self.subclasses(class));
+        targets.retain(|t| !excluded.contains(t));
+        targets
+    }
+
     /// Streaming form of [`extent_every`](Self::extent_every): visits the
     /// class's own extent, then each (non-excluded) subclass extent, in
     /// order, without materializing a combined vector.
@@ -629,22 +686,10 @@ impl Catalog {
         hint: AccessHint,
         visit: &mut dyn FnMut(Oid, Value) -> bool,
     ) -> Result<()> {
-        let mut excluded: HashSet<String> = HashSet::new();
-        for m in minus {
-            excluded.insert(m.clone());
-            for sub in self.subclasses(m) {
-                excluded.insert(sub);
-            }
-        }
-        let mut targets = vec![class.to_string()];
-        targets.extend(self.subclasses(class));
         let mut stopped = false;
-        for t in targets {
+        for t in self.every_classes(class, minus) {
             if stopped {
                 break;
-            }
-            if excluded.contains(&t) {
-                continue;
             }
             self.extent_with(&t, hint, &mut |oid, v| {
                 let more = visit(oid, v);
@@ -962,73 +1007,68 @@ impl Catalog {
         self.inner.read().indexes.values().cloned().collect()
     }
 
+    /// The indexes declared on `class` (each covers that class's own extent).
+    fn class_indexes(&self, class: &str) -> Vec<IndexInfo> {
+        let inner = self.inner.read();
+        inner
+            .indexes
+            .values()
+            .filter(|i| i.class == class)
+            .cloned()
+            .collect()
+    }
+
+    /// The key `value` files under in `info`, or `None` when it is not
+    /// indexed there: nulls are not indexed, and path indexes (dotted
+    /// attribute) are rebuilt, not maintained per object.
+    fn index_key(info: &IndexInfo, value: &Value) -> Result<Option<Vec<u8>>> {
+        match value.field(&info.attribute) {
+            Some(field) if !field.is_null() => {
+                encode_key(field)
+                    .map(Some)
+                    .map_err(|_| CatalogError::NotAtomic {
+                        class: info.class.clone(),
+                        attribute: info.attribute.clone(),
+                    })
+            }
+            _ => Ok(None),
+        }
+    }
+
     fn index_insert(&self, class: &str, value: &Value, oid: Oid) -> Result<()> {
-        let infos: Vec<IndexInfo> = {
-            let inner = self.inner.read();
-            inner
-                .indexes
-                .values()
-                .filter(|i| i.class == class)
-                .cloned()
-                .collect()
-        };
-        for info in infos {
+        for info in self.class_indexes(class) {
             self.index_insert_one(&info, value, oid)?;
         }
         Ok(())
     }
 
     fn index_insert_one(&self, info: &IndexInfo, value: &Value, oid: Oid) -> Result<()> {
-        let Some(field) = value.field(&info.attribute) else {
-            return Ok(());
-        };
-        if field.is_null() {
-            return Ok(()); // nulls are not indexed
+        match Self::index_key(info, value)? {
+            Some(key) => self.index_insert_key(info, &key, oid),
+            None => Ok(()),
         }
-        let key = encode_key(field).map_err(|_| CatalogError::NotAtomic {
-            class: info.class.clone(),
-            attribute: info.attribute.clone(),
-        })?;
+    }
+
+    fn index_insert_key(&self, info: &IndexInfo, key: &[u8], oid: Oid) -> Result<()> {
         match info.kind {
-            IndexKind::BTree => self.sm.open_btree(info.file).insert(&key, oid)?,
+            IndexKind::BTree => self.sm.open_btree(info.file).insert(key, oid)?,
             IndexKind::Hash => self
                 .sm
                 .open_hash(info.file, info.buckets)
-                .insert(&key, oid)?,
+                .insert(key, oid)?,
         }
         Ok(())
     }
 
-    fn index_delete(&self, class: &str, value: &Value, oid: Oid) -> Result<()> {
-        let infos: Vec<IndexInfo> = {
-            let inner = self.inner.read();
-            inner
-                .indexes
-                .values()
-                .filter(|i| i.class == class)
-                .cloned()
-                .collect()
-        };
-        for info in infos {
-            let Some(field) = value.field(&info.attribute) else {
-                continue;
-            };
-            if field.is_null() {
-                continue;
+    fn index_delete_key(&self, info: &IndexInfo, key: &[u8], oid: Oid) -> Result<()> {
+        match info.kind {
+            IndexKind::BTree => {
+                self.sm.open_btree(info.file).delete(key, oid)?;
             }
-            let key = encode_key(field).map_err(|_| CatalogError::NotAtomic {
-                class: info.class.clone(),
-                attribute: info.attribute.clone(),
-            })?;
-            match info.kind {
-                IndexKind::BTree => {
-                    self.sm.open_btree(info.file).delete(&key, oid)?;
-                }
-                IndexKind::Hash => {
-                    self.sm
-                        .open_hash(info.file, info.buckets)
-                        .delete(&key, oid)?;
-                }
+            IndexKind::Hash => {
+                self.sm
+                    .open_hash(info.file, info.buckets)
+                    .delete(key, oid)?;
             }
         }
         Ok(())

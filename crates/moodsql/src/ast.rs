@@ -116,6 +116,31 @@ pub struct SelectStmt {
     pub order_by: Vec<(PathRef, bool)>, // (path, ascending)
 }
 
+impl SelectStmt {
+    /// The target-selection query of `UPDATE/DELETE <class> <var> WHERE p`:
+    /// `SELECT var FROM class var WHERE p`. DML finds its rows by running
+    /// this through the ordinary SELECT pipeline.
+    pub fn dml_target(class: &str, var: &str, where_clause: Option<Expr>) -> SelectStmt {
+        SelectStmt {
+            distinct: false,
+            projection: vec![Expr::Path(PathRef {
+                var: var.to_string(),
+                segments: Vec::new(),
+            })],
+            from: vec![FromItem {
+                class: class.to_string(),
+                every: false,
+                minus: Vec::new(),
+                var: var.to_string(),
+            }],
+            where_clause,
+            group_by: Vec::new(),
+            having: None,
+            order_by: Vec::new(),
+        }
+    }
+}
+
 /// One FROM-clause item: `[EVERY] Class [- Sub - Sub2] var`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FromItem {
@@ -275,7 +300,7 @@ impl Expr {
             },
             Expr::Literal(Lit::Int(i)) => i.to_string(),
             Expr::Literal(Lit::Float(x)) => x.to_string(),
-            Expr::Literal(Lit::Str(s)) => format!("'{s}'"),
+            Expr::Literal(Lit::Str(s)) => format!("'{}'", s.replace('\'', "''")),
             Expr::Literal(Lit::Bool(b)) => if *b { "TRUE" } else { "FALSE" }.to_string(),
             Expr::Literal(Lit::Null) => "NULL".to_string(),
             Expr::Compare { op, left, right } => {
@@ -299,7 +324,13 @@ impl Expr {
             }
             Expr::Not(inner) => format!("NOT ({})", inner.render()),
             Expr::Arith { op, left, right } => {
-                format!("{} {op} {}", left.render(), right.render())
+                // Plan predicates are re-parsed from this text: nested
+                // arithmetic keeps its grouping.
+                let side = |e: &Expr| match e {
+                    Expr::Arith { .. } => format!("({})", e.render()),
+                    _ => e.render(),
+                };
+                format!("{} {op} {}", side(left), side(right))
             }
         }
     }

@@ -306,6 +306,24 @@ impl<'a> Executor<'a> {
         let optimized = optimize(&lowered.spec, &stats, &self.config);
         let mut out = String::new();
         for term in &optimized.terms {
+            if !term.imm_sel_info.is_empty() {
+                out.push_str("-- ImmSelInfo (predicate, selectivity, indexed cost, sequential cost, access):\n");
+                for row in &term.imm_sel_info {
+                    out.push_str(&format!(
+                        "--   {} | {:.3e} | {} | {:.3} | {}\n",
+                        row.predicate,
+                        row.selectivity,
+                        row.indexed_cost
+                            .map_or_else(|| "-".to_string(), |c| format!("{c:.3}")),
+                        row.sequential_cost,
+                        if row.indexed_access {
+                            "Indexed"
+                        } else {
+                            "Sequential"
+                        }
+                    ));
+                }
+            }
             if !term.path_sel_info.is_empty() {
                 out.push_str("-- PathSelInfo (predicate, selectivity, F, F/(1-s)):\n");
                 for row in &term.path_sel_info {
@@ -328,22 +346,70 @@ impl<'a> Executor<'a> {
     // ------------------------------------------------------------------
 
     pub fn run_select(&self, stmt: &SelectStmt) -> Result<QueryResult> {
-        self.trace.lock().expect("trace lock").clear();
-        let metrics = self.catalog.storage().metrics().clone();
-        let lowered = {
-            let _span = self.tracer.span("bind", &metrics);
-            lower(self.catalog, stmt)?
-        };
-        let mut exec_span = self.tracer.span("execute", &metrics);
-        self.mark("FROM");
-        let rows = if lowered.unabsorbed.is_empty() {
-            self.run_optimized(stmt, &lowered)?
-        } else {
-            self.run_nested_loop(stmt, &lowered)?
-        };
+        let lowered = self.bind_fresh(stmt)?;
+        let mut exec_span = self
+            .tracer
+            .span("execute", self.catalog.storage().metrics());
+        let rows = self.bound_rows(stmt, &lowered)?;
         let result = self.finish_select(stmt, rows, None, None, None)?;
         exec_span.set_rows(result.len() as u64);
         Ok(result)
+    }
+
+    /// Start a statement: reset the stage trace and lower it inside a
+    /// `bind` span.
+    fn bind_fresh(&self, stmt: &SelectStmt) -> Result<Lowered> {
+        self.trace.lock().expect("trace lock").clear();
+        let _span = self.tracer.span("bind", self.catalog.storage().metrics());
+        lower(self.catalog, stmt)
+    }
+
+    /// FROM + WHERE of a lowered statement: the variable bindings the later
+    /// clauses (or a DML apply step) consume.
+    fn bound_rows(&self, stmt: &SelectStmt, lowered: &Lowered) -> Result<Vec<Row>> {
+        self.mark("FROM");
+        if lowered.unabsorbed.is_empty() {
+            self.run_optimized(stmt, lowered)
+        } else {
+            self.run_nested_loop(stmt, lowered)
+        }
+    }
+
+    /// The stored objects `UPDATE/DELETE <class> <var> WHERE p` acts on, each
+    /// with the row that binds it to `var`: the target query (see
+    /// [`SelectStmt::dml_target`]) bound, optimized and executed exactly as a
+    /// SELECT would be — index probe when §8.1 picks one, scan + filter
+    /// otherwise — and fully materialized before the caller writes
+    /// anything, so a statement never sees its own updates.
+    pub fn target_rows(
+        &self,
+        class: &str,
+        var: &str,
+        where_clause: Option<&Expr>,
+    ) -> Result<Vec<(Oid, Row)>> {
+        let target = SelectStmt::dml_target(class, var, where_clause.cloned());
+        let lowered = self.bind_fresh(&target)?;
+        let mut exec_span = self
+            .tracer
+            .span("execute", self.catalog.storage().metrics());
+        let rows = self.bound_rows(&target, &lowered)?;
+        // The rows are join bindings: DNF terms that bind different
+        // variables, or a path through a SET-valued reference, bind the same
+        // target more than once. Each object is acted on once.
+        let mut seen: HashSet<Oid> = HashSet::new();
+        let mut targets = Vec::with_capacity(rows.len());
+        for row in rows {
+            let Some(oid) = row.get(var).and_then(|b| b.oid) else {
+                return Err(SqlError::Exec(format!(
+                    "DML target {var} is not a stored object"
+                )));
+            };
+            if seen.insert(oid) {
+                targets.push((oid, row));
+            }
+        }
+        exec_span.set_rows(targets.len() as u64);
+        Ok(targets)
     }
 
     /// Execute with full instrumentation: the `EXPLAIN ANALYZE` statement.
@@ -928,8 +994,8 @@ impl<'a> Executor<'a> {
             Plan::IndSel {
                 class,
                 var,
+                index_kind,
                 predicate,
-                ..
             } => {
                 self.mark("WHERE:SELECT");
                 let prepared = preds.and_then(|m| m.get(predicate.as_str()));
@@ -950,10 +1016,30 @@ impl<'a> Executor<'a> {
                         Some(prev) => oids.into_iter().filter(|o| prev.contains(o)).collect(),
                     });
                 }
+                // A path index covers the class and every subclass, which
+                // may be more extents than the FROM item ranges over: only
+                // members of the item's own range are answers. Attribute
+                // indexes cover exactly the own extent and skip the check.
+                let range = (index_kind == "PATH_INDEX").then(|| {
+                    if var == &lowered.root.var && lowered.root.every {
+                        self.catalog.every_classes(class, &lowered.root.minus)
+                    } else {
+                        vec![class.clone()]
+                    }
+                });
                 let compiled = prepared.and_then(|p| p.compiled());
                 let mut regs = Registers::default();
                 let mut rows = Vec::new();
                 for oid in oid_set.unwrap_or_default() {
+                    if let Some(range) = &range {
+                        if !self
+                            .catalog
+                            .class_of_oid(oid)
+                            .is_some_and(|c| range.contains(&c))
+                        {
+                            continue;
+                        }
+                    }
                     let Ok((_, value)) = self.catalog.get_object(oid) else {
                         continue; // stale index entry (rebuild-on-demand)
                     };

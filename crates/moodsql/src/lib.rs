@@ -39,7 +39,7 @@ use mood_catalog::{Catalog, ClassBuilder, IndexKind, MethodSig};
 use mood_datamodel::Value;
 use mood_funcman::FunctionManager;
 use mood_optimizer::OptimizerConfig;
-use mood_storage::{AccessHint, MetricsRegistry};
+use mood_storage::MetricsRegistry;
 
 /// Plan cache shard count: keeps lock contention low when a session is
 /// shared behind a facade mutex and queried from many threads in turn.
@@ -958,40 +958,13 @@ impl Session {
                 var,
                 where_clause,
             } => {
-                let ex =
-                    Executor::new(&self.catalog, &self.funcman).with_config(self.config.clone());
-                // Stream the scan, collecting only matching OIDs; the
-                // deletes run after the scan finishes.
-                let mut doomed = Vec::new();
-                let mut first_err: Option<SqlError> = None;
-                self.catalog
-                    .extent_with(class, AccessHint::Sequential, &mut |oid, value| {
-                        let mut row = Row::new();
-                        row.insert(
-                            var.clone(),
-                            BoundObj {
-                                oid: Some(oid),
-                                value: std::sync::Arc::new(value),
-                            },
-                        );
-                        match where_clause {
-                            Some(w) => match ex.eval_pred(w, &row) {
-                                Ok(true) => doomed.push(oid),
-                                Ok(false) => {}
-                                Err(e) => {
-                                    first_err = Some(e);
-                                    return false;
-                                }
-                            },
-                            None => doomed.push(oid),
-                        }
-                        true
-                    })?;
-                if let Some(e) = first_err {
-                    return Err(e);
-                }
-                for oid in &doomed {
-                    self.catalog.delete_object(*oid)?;
+                let ex = Executor::new(&self.catalog, &self.funcman)
+                    .with_config(self.config.clone())
+                    .with_tracer(self.tracer.clone());
+                let doomed = ex.target_rows(class, var, where_clause.as_ref())?;
+                self.last_trace = ex.trace();
+                for (oid, row) in &doomed {
+                    self.catalog.delete_fetched(*oid, &row[var].value)?;
                 }
                 Ok(Answer::Done {
                     affected: doomed.len(),
@@ -1003,8 +976,6 @@ impl Session {
                 assignments,
                 where_clause,
             } => {
-                let ex =
-                    Executor::new(&self.catalog, &self.funcman).with_config(self.config.clone());
                 // Validate target attributes up front.
                 let attrs = self.catalog.effective_attributes(class)?;
                 for (a, _) in assignments {
@@ -1014,33 +985,24 @@ impl Session {
                         )));
                     }
                 }
-                let extent = self.catalog.extent(class)?;
-                let mut affected = 0;
-                for (oid, value) in extent {
-                    let mut row = Row::new();
-                    row.insert(
-                        var.clone(),
-                        BoundObj {
-                            oid: Some(oid),
-                            value: std::sync::Arc::new(value.clone()),
-                        },
-                    );
-                    let hit = match where_clause {
-                        Some(w) => ex.eval_pred(w, &row)?,
-                        None => true,
-                    };
-                    if !hit {
-                        continue;
-                    }
-                    let mut new_value = value;
+                let ex = Executor::new(&self.catalog, &self.funcman)
+                    .with_config(self.config.clone())
+                    .with_tracer(self.tracer.clone());
+                let rows = ex.target_rows(class, var, where_clause.as_ref())?;
+                self.last_trace = ex.trace();
+                // Every right-hand side reads the row as it was selected:
+                // the target set is complete before the first write.
+                for (oid, row) in &rows {
+                    let old = &row[var].value;
+                    let mut new_value = Value::clone(old);
                     for (a, e) in assignments {
-                        let v = ex.eval_expr(e, &row)?;
-                        new_value.set_field(a, v);
+                        new_value.set_field(a, ex.eval_expr(e, row)?);
                     }
-                    self.catalog.update_object(oid, new_value)?;
-                    affected += 1;
+                    self.catalog.update_fetched(*oid, old, new_value)?;
                 }
-                Ok(Answer::Done { affected })
+                Ok(Answer::Done {
+                    affected: rows.len(),
+                })
             }
         }
     }

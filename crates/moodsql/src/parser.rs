@@ -119,10 +119,27 @@ impl Parser {
             Some(Tok::Kw(Kw::Explain)) => {
                 self.pos += 1;
                 if self.eat_kw(Kw::Analyze) {
-                    Ok(Statement::ExplainAnalyze(self.select()?))
-                } else {
-                    Ok(Statement::Explain(self.select()?))
+                    return Ok(Statement::ExplainAnalyze(self.select()?));
                 }
+                // EXPLAIN UPDATE/DELETE shows the plan that finds the
+                // statement's target rows.
+                Ok(Statement::Explain(match self.peek() {
+                    Some(Tok::Kw(Kw::Update | Kw::Delete)) => match self.statement()? {
+                        Statement::Update {
+                            class,
+                            var,
+                            where_clause,
+                            ..
+                        }
+                        | Statement::Delete {
+                            class,
+                            var,
+                            where_clause,
+                        } => SelectStmt::dml_target(&class, &var, where_clause),
+                        other => unreachable!("UPDATE/DELETE parsed as {other:?}"),
+                    },
+                    _ => self.select()?,
+                }))
             }
             Some(Tok::Kw(Kw::Show)) => {
                 self.pos += 1;

@@ -49,7 +49,7 @@ impl Const {
                     format!("{x}")
                 }
             }
-            Const::Str(s) => format!("'{s}'"),
+            Const::Str(s) => format!("'{}'", s.replace('\'', "''")),
             Const::Bool(b) => if *b { "TRUE" } else { "FALSE" }.to_string(),
         }
     }
@@ -603,7 +603,14 @@ fn optimize_term(
                         ),
                         selectivity: sel,
                         theta: *theta,
-                        index: view.index(root_class, attribute),
+                        // An attribute index covers its class's own extent
+                        // only: under `FROM EVERY` a probe would miss every
+                        // subclass instance, so it is not offered to §8.1.
+                        index: if spec.every {
+                            None
+                        } else {
+                            view.index(root_class, attribute)
+                        },
                     },
                 ));
             }

@@ -478,3 +478,139 @@ fn path_index_rejects_bad_paths() {
         .execute("CREATE HASH INDEX ON Vehicle(drivetrain.engine.cylinders)")
         .is_err());
 }
+
+// ---------------------------------------------------------------------
+// Index coverage vs. the FROM item's range: an attribute index covers its
+// class's own extent, a path index the class and every subclass. Either
+// way the answer must be the FROM item's extent, filtered.
+// ---------------------------------------------------------------------
+
+/// 2 000 objects in each of Vehicle / Automobile / JapaneseAuto carrying
+/// the same ids, so every key has one instance per class — enough objects
+/// that §8.1 picks the index whenever it is offered one.
+fn build_hierarchy_with_shared_ids() -> Mood {
+    let db = Mood::in_memory_with_pool(4096);
+    db.set_optimizer_config(OptimizerConfig::paper());
+    for ddl in [
+        "CREATE CLASS Company TUPLE (name String(32), location String(32))",
+        "CREATE CLASS Vehicle TUPLE (id Integer, weight Integer, \
+         manufacturer REFERENCE (Company))",
+        "CREATE CLASS Automobile INHERITS FROM Vehicle",
+        "CREATE CLASS JapaneseAuto INHERITS FROM Automobile",
+    ] {
+        db.execute(ddl).unwrap();
+    }
+    let catalog = db.catalog();
+    let companies: Vec<_> = (0..200)
+        .map(|i| {
+            catalog
+                .new_object(
+                    "Company",
+                    Value::tuple(vec![
+                        ("name", Value::string(format!("maker{i}"))),
+                        ("location", Value::string(format!("city{i}"))),
+                    ]),
+                )
+                .unwrap()
+        })
+        .collect();
+    for class in ["Vehicle", "Automobile", "JapaneseAuto"] {
+        for i in 0..2000i32 {
+            catalog
+                .new_object(
+                    class,
+                    Value::tuple(vec![
+                        ("id", Value::Integer(i)),
+                        ("weight", Value::Integer(700 + i % 900)),
+                        ("manufacturer", Value::Ref(companies[i as usize % 200])),
+                    ]),
+                )
+                .unwrap();
+        }
+    }
+    db
+}
+
+fn count(db: &Mood, sql: &str) -> usize {
+    match db.execute(sql).unwrap() {
+        Answer::Rows(r) => r.len(),
+        other => panic!("not rows: {other:?}"),
+    }
+}
+
+#[test]
+fn every_with_indexed_root_predicate_sees_subclass_instances() {
+    let db = build_hierarchy_with_shared_ids();
+    db.execute("CREATE INDEX ON Vehicle(id)").unwrap();
+    db.collect_stats().unwrap();
+    let catalog = db.catalog();
+    // The own-extent query is offered the index and takes it …
+    let own = db
+        .explain("SELECT v FROM Vehicle v WHERE v.id = 1234")
+        .unwrap();
+    assert!(own.contains("INDSEL(Vehicle, v"), "{own}");
+    // … the EVERY query is not: the index knows nothing of subclasses.
+    let every = db
+        .explain("SELECT v FROM EVERY Vehicle v WHERE v.id = 1234")
+        .unwrap();
+    assert!(!every.contains("INDSEL("), "{every}");
+    for key in [0, 7, 1234, 1999, 2000] {
+        let key_v = Value::Integer(key);
+        let want = |minus: &[String]| {
+            catalog
+                .extent_every("Vehicle", minus)
+                .unwrap()
+                .iter()
+                .filter(|(_, v)| v.field("id") == Some(&key_v))
+                .count()
+        };
+        assert_eq!(
+            count(
+                &db,
+                &format!("SELECT v FROM EVERY Vehicle v WHERE v.id = {key}")
+            ),
+            want(&[]),
+            "EVERY Vehicle, id = {key}"
+        );
+        assert_eq!(
+            count(
+                &db,
+                &format!("SELECT v FROM EVERY Vehicle - JapaneseAuto v WHERE v.id = {key}")
+            ),
+            want(&["JapaneseAuto".to_string()]),
+            "EVERY Vehicle - JapaneseAuto, id = {key}"
+        );
+        assert_eq!(
+            count(&db, &format!("SELECT v FROM Vehicle v WHERE v.id = {key}")),
+            usize::from(key < 2000),
+            "own extent, id = {key}"
+        );
+    }
+    assert_eq!(
+        count(&db, "SELECT v FROM EVERY Vehicle v WHERE v.id = 1234"),
+        3
+    );
+}
+
+#[test]
+fn path_index_probe_respects_the_from_items_range() {
+    let db = build_hierarchy_with_shared_ids();
+    let q = |from: &str| format!("SELECT v FROM {from} v WHERE v.manufacturer.location = 'city42'");
+    let froms = [
+        ("Vehicle", 10),
+        ("EVERY Vehicle", 30),
+        ("EVERY Vehicle - JapaneseAuto", 20),
+        ("EVERY Automobile", 20),
+    ];
+    for (from, want) in froms {
+        assert_eq!(count(&db, &q(from)), want, "{from}, traversal plan");
+    }
+    db.execute("CREATE INDEX ON Vehicle(manufacturer.location)")
+        .unwrap();
+    db.collect_stats().unwrap();
+    let plan = db.explain(&q("Vehicle")).unwrap();
+    assert!(plan.contains("PATH_INDEX"), "{plan}");
+    for (from, want) in froms {
+        assert_eq!(count(&db, &q(from)), want, "{from}, path index available");
+    }
+}

@@ -334,6 +334,71 @@ fn spans_cover_the_query_lifecycle() {
     assert_eq!(exec.rows, Some(16), "execute span carries the row count");
 }
 
+/// DML finds its targets through the SELECT pipeline, so it shows up in
+/// the same places: lifecycle + per-operator spans, the registry's
+/// operator totals, and `EXPLAIN` with the dictionary row that says
+/// whether the index was used.
+#[test]
+fn dml_is_observable_like_select() {
+    let db = build_sized(1024, 2048);
+    db.execute("CREATE UNIQUE INDEX ON Vehicle(id)").unwrap();
+    db.collect_stats().unwrap();
+    let indsel_calls = |db: &Mood| {
+        db.engine_metrics()
+            .operators
+            .iter()
+            .find(|(k, _)| k == "INDSEL")
+            .map_or(0, |(_, t)| t.invocations)
+    };
+    for (sql, op) in [
+        (
+            "UPDATE Vehicle v SET weight = 1 WHERE v.id = 77",
+            "op:INDSEL",
+        ),
+        ("DELETE FROM Vehicle v WHERE v.id = 77", "op:INDSEL"),
+        (
+            "UPDATE Vehicle v SET weight = 2 WHERE v.weight = 700",
+            "op:SELECT",
+        ),
+    ] {
+        let plan = db.explain(sql).unwrap();
+        assert!(plan.contains("-- ImmSelInfo"), "{plan}");
+        let (access, node) = if op == "op:INDSEL" {
+            ("| Indexed", "INDSEL(Vehicle, v, BTREE")
+        } else {
+            ("| Sequential", "SELECT(BIND(Vehicle, v)")
+        };
+        assert!(
+            plan.contains(access) && plan.contains(node),
+            "{sql}: {plan}"
+        );
+
+        let ring = RingBuffer::new(64);
+        db.tracer().subscribe(ring.clone());
+        let before = indsel_calls(&db);
+        let Answer::Done { affected } = db.execute(sql).unwrap() else {
+            panic!("{sql}: not a DML acknowledgement")
+        };
+        let names: Vec<String> = ring.records().iter().map(|r| r.name.clone()).collect();
+        for name in ["parse", "bind", "optimize", "execute", op] {
+            assert!(
+                names.iter().any(|n| n == name),
+                "{sql}: no {name} in {names:?}"
+            );
+        }
+        assert_eq!(
+            ring.named("execute")[0].rows,
+            Some(affected as u64),
+            "{sql}: execute span carries the target count"
+        );
+        assert_eq!(
+            indsel_calls(&db) - before,
+            u64::from(op == "op:INDSEL"),
+            "{sql}: operator totals"
+        );
+    }
+}
+
 #[test]
 fn show_metrics_exposes_engine_registry() {
     let db = build(1024);

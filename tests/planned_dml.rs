@@ -1,0 +1,700 @@
+//! Planned DML: `UPDATE`/`DELETE` find their targets through the optimizer's
+//! access path (index probe when §8.1 picks one, scan + filter otherwise).
+//!
+//! The differential suite compares every planned statement against a naive
+//! oracle — walk the extent, interpret the predicate per row — which lives
+//! only here. The count gates pin the access pattern (O(log n) pages for a
+//! keyed statement, no index page dirtied by an update that changes no key),
+//! and the atomicity tests pin the statement-level semantics.
+
+use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
+
+use mood_core::sql::{parse_expr, BoundObj, Executor, Row};
+use mood_core::storage::Oid;
+use mood_core::{Answer, IndexKind, Mood, OptimizerConfig, Value};
+
+const COLORS: [&str; 4] = ["red", "green", "blue", "white"];
+const CITIES: [&str; 3] = ["Munich", "Aichi", "Detroit"];
+
+/// Which secondary indexes `Vehicle(id)` (unique) and `Vehicle(weight)` get.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Indexes {
+    None,
+    BTree,
+    Hash,
+}
+
+/// The §3.1 hierarchy with `n` objects in `Vehicle`'s own extent (ids
+/// `0..n`) and `n / 4` in each subclass extent carrying the *same* ids, so
+/// a statement that leaked into a subclass extent would show.
+fn build(n: i32, indexes: Indexes) -> Mood {
+    let db = Mood::in_memory_with_pool(4096);
+    db.set_optimizer_config(OptimizerConfig::paper());
+    for ddl in [
+        "CREATE CLASS Company TUPLE (name String(32), location String(32))",
+        "CREATE CLASS Vehicle TUPLE (id Integer, weight Integer, color String(16), \
+         manufacturer REFERENCE (Company)) METHODS: lbweight () Float,",
+        "CREATE CLASS Automobile INHERITS FROM Vehicle",
+        "CREATE CLASS JapaneseAuto INHERITS FROM Automobile",
+        "DEFINE METHOD Vehicle::lbweight() RETURNS Float AS 'weight * 2.2075'",
+    ] {
+        db.execute(ddl).unwrap();
+    }
+    let catalog = db.catalog();
+    let companies: Vec<Oid> = CITIES
+        .iter()
+        .enumerate()
+        .map(|(i, city)| {
+            catalog
+                .new_object(
+                    "Company",
+                    Value::tuple(vec![
+                        ("name", Value::string(format!("maker{i}"))),
+                        ("location", Value::string(*city)),
+                    ]),
+                )
+                .unwrap()
+        })
+        .collect();
+    for (class, count) in [
+        ("Vehicle", n),
+        ("Automobile", n / 4),
+        ("JapaneseAuto", n / 4),
+    ] {
+        for i in 0..count {
+            catalog
+                .new_object(
+                    class,
+                    Value::tuple(vec![
+                        ("id", Value::Integer(i)),
+                        ("weight", Value::Integer(700 + (i * 37) % 900)),
+                        ("color", Value::string(COLORS[(i % 4) as usize])),
+                        ("manufacturer", Value::Ref(companies[(i % 3) as usize])),
+                    ]),
+                )
+                .unwrap();
+        }
+    }
+    let kind = match indexes {
+        Indexes::None => None,
+        Indexes::BTree => Some(IndexKind::BTree),
+        Indexes::Hash => Some(IndexKind::Hash),
+    };
+    if let Some(kind) = kind {
+        catalog.create_index("Vehicle", "id", kind, true).unwrap();
+        catalog
+            .create_index("Vehicle", "weight", kind, false)
+            .unwrap();
+    }
+    db.collect_stats().unwrap();
+    db
+}
+
+type Extent = BTreeMap<Oid, Value>;
+
+fn extent(db: &Mood, class: &str) -> Extent {
+    db.catalog().extent(class).unwrap().into_iter().collect()
+}
+
+/// The naive oracle: walk the own extent, interpret `pred` per row.
+fn oracle(db: &Mood, pred: Option<&str>) -> BTreeSet<Oid> {
+    let ex = Executor::new(db.catalog(), db.funcman());
+    let pred = pred.map(|p| parse_expr(p).unwrap());
+    extent(db, "Vehicle")
+        .into_iter()
+        .filter(|(oid, value)| {
+            let mut row = Row::new();
+            row.insert(
+                "v".to_string(),
+                BoundObj {
+                    oid: Some(*oid),
+                    value: Arc::new(value.clone()),
+                },
+            );
+            pred.as_ref().is_none_or(|p| ex.eval_pred(p, &row).unwrap())
+        })
+        .map(|(oid, _)| oid)
+        .collect()
+}
+
+fn all_oids(db: &Mood) -> BTreeSet<Oid> {
+    extent(db, "Vehicle").into_keys().collect()
+}
+
+fn affected(answer: Answer) -> usize {
+    match answer {
+        Answer::Done { affected } => affected,
+        other => panic!("not a DML acknowledgement: {other:?}"),
+    }
+}
+
+fn int(v: &Value, field: &str) -> i32 {
+    match v.field(field) {
+        Some(Value::Integer(i)) => *i,
+        other => panic!("{field} = {other:?}"),
+    }
+}
+
+/// The indexes on `Vehicle` agree with the heap: a stride sample of the
+/// extent plus up to ~256 evenly spaced members of `focus` (the rows a
+/// statement touched) are found under their stored keys, and the B+-trees
+/// hold exactly one entry per object.
+fn assert_indexes_agree(db: &Mood, indexes: Indexes, focus: &BTreeSet<Oid>, ctx: &str) {
+    if indexes == Indexes::None {
+        return;
+    }
+    let cat = db.catalog();
+    let heap = extent(db, "Vehicle");
+    let focus: BTreeSet<Oid> = focus
+        .iter()
+        .step_by((focus.len() / 256).max(1))
+        .copied()
+        .collect();
+    for attr in ["id", "weight"] {
+        for (i, (oid, value)) in heap.iter().enumerate() {
+            if i % 16 != 0 && !focus.contains(oid) {
+                continue;
+            }
+            let key = value.field(attr).unwrap();
+            assert!(
+                cat.index_lookup("Vehicle", attr, key)
+                    .unwrap()
+                    .contains(oid),
+                "{ctx}: {attr} index misses {oid} under its stored key {key}"
+            );
+        }
+        if indexes == Indexes::BTree {
+            let entries = cat.index_range("Vehicle", attr, None, None).unwrap();
+            assert_eq!(entries.len(), heap.len(), "{ctx}: {attr} index entry count");
+        }
+    }
+}
+
+/// A tiny deterministic generator for predicate constants.
+struct Lcg(u64);
+
+impl Lcg {
+    fn below(&mut self, n: i32) -> i32 {
+        self.0 = self
+            .0
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        ((self.0 >> 33) % n as u64) as i32
+    }
+}
+
+/// Generated predicates, one family per shape the binder classifies
+/// differently (`None` = no WHERE clause).
+fn predicates(n: i32, rng: &mut Lcg) -> Vec<Option<String>> {
+    let mut out = vec![None];
+    for _ in 0..2 {
+        let (k, k2) = (rng.below(n), rng.below(n));
+        let w = 700 + rng.below(900);
+        let color = COLORS[rng.below(4) as usize];
+        let city = CITIES[rng.below(3) as usize];
+        out.extend(
+            [
+                // indexed equality (and a key that matches nothing)
+                format!("v.id = {k}"),
+                format!("v.id = {}", n + k),
+                // one-sided ranges, selective and not
+                format!("v.id < {}", rng.below(40)),
+                format!("v.id >= {}", n - rng.below(40)),
+                format!("v.weight > {w}"),
+                // two-sided range, negation
+                format!("v.id BETWEEN {} AND {}", k.min(k2), k.min(k2) + 25),
+                format!("NOT v.weight = {w}"),
+                // un-indexed attribute
+                format!("v.color = '{color}'"),
+                // path expression
+                format!("v.manufacturer.location = '{city}'"),
+                // method call
+                format!("v.lbweight() > {}.5", 1500 + rng.below(2000)),
+                // arithmetic the render → re-parse round trip must keep grouped
+                format!("(v.weight + {k}) * 2 > {}", 2 * w + 2 * k),
+                // DNF with two terms
+                format!("v.id = {k} OR v.weight > {}", w + 300),
+                format!(
+                    "(v.id < {} AND v.color = '{color}') OR v.id = {k2}",
+                    60 + k % 50
+                ),
+                // DNF whose terms bind different variable sets (the second
+                // joins through `manufacturer`) and overlap on low ids
+                format!(
+                    "v.id < {} OR v.manufacturer.location = '{city}'",
+                    30 + k % 200
+                ),
+                // immediate + path + method in one term
+                format!(
+                    "v.id < {} AND v.manufacturer.location = '{city}' AND v.lbweight() > 1600.0",
+                    n / 2
+                ),
+            ]
+            .map(Some),
+        );
+    }
+    out
+}
+
+const SHIFT: i32 = 1_000_000;
+
+/// One differential round inside a transaction that is rolled back: the
+/// planned UPDATE and DELETE must hit exactly the oracle's OID set, leave
+/// heap and indexes agreeing, and ROLLBACK must restore both.
+fn differential_round(db: &Mood, indexes: Indexes, pred: Option<&str>) {
+    let ctx = format!("{indexes:?} / {pred:?}");
+    let where_sql = pred.map_or(String::new(), |p| format!(" WHERE {p}"));
+    let before = extent(db, "Vehicle");
+    let subclasses = (extent(db, "Automobile"), extent(db, "JapaneseAuto"));
+    let expected = oracle(db, pred);
+
+    // UPDATE moves both indexed keys of every target.
+    db.execute("BEGIN").unwrap();
+    let n = affected(
+        db.execute(&format!(
+            "UPDATE Vehicle v SET id = v.id + {SHIFT}, weight = v.weight + 7{where_sql}"
+        ))
+        .unwrap(),
+    );
+    assert_eq!(n, expected.len(), "{ctx}: UPDATE affected count");
+    let after = extent(db, "Vehicle");
+    assert_eq!(after.len(), before.len(), "{ctx}");
+    for (oid, old) in &before {
+        let new = &after[oid];
+        if expected.contains(oid) {
+            assert_eq!(int(new, "id"), int(old, "id") + SHIFT, "{ctx}: {oid}");
+            assert_eq!(int(new, "weight"), int(old, "weight") + 7, "{ctx}: {oid}");
+            if indexes != Indexes::None {
+                let old_key = old.field("id").unwrap();
+                assert!(
+                    db.catalog()
+                        .index_lookup("Vehicle", "id", old_key)
+                        .unwrap()
+                        .is_empty(),
+                    "{ctx}: old key {old_key} still indexed"
+                );
+            }
+        } else {
+            assert_eq!(new, old, "{ctx}: {oid} is not a target but changed");
+        }
+    }
+    assert_indexes_agree(db, indexes, &expected, &format!("{ctx} after UPDATE"));
+    db.execute("ROLLBACK").unwrap();
+    assert_eq!(extent(db, "Vehicle"), before, "{ctx}: ROLLBACK of UPDATE");
+    assert_indexes_agree(
+        db,
+        indexes,
+        &expected,
+        &format!("{ctx} after UPDATE rollback"),
+    );
+
+    // DELETE removes exactly the targets.
+    db.execute("BEGIN").unwrap();
+    let n = affected(
+        db.execute(&format!("DELETE FROM Vehicle v{where_sql}"))
+            .unwrap(),
+    );
+    assert_eq!(n, expected.len(), "{ctx}: DELETE affected count");
+    let survivors: BTreeSet<Oid> = extent(db, "Vehicle").into_keys().collect();
+    let want: BTreeSet<Oid> = before
+        .keys()
+        .filter(|o| !expected.contains(o))
+        .copied()
+        .collect();
+    assert_eq!(survivors, want, "{ctx}: DELETE survivors");
+    if indexes != Indexes::None {
+        for oid in &expected {
+            let key = before[oid].field("id").unwrap();
+            assert!(
+                db.catalog()
+                    .index_lookup("Vehicle", "id", key)
+                    .unwrap()
+                    .is_empty(),
+                "{ctx}: deleted key {key} still indexed"
+            );
+        }
+    }
+    assert_indexes_agree(db, indexes, &expected, &format!("{ctx} after DELETE"));
+    db.execute("ROLLBACK").unwrap();
+    assert_eq!(extent(db, "Vehicle"), before, "{ctx}: ROLLBACK of DELETE");
+    assert_indexes_agree(
+        db,
+        indexes,
+        &expected,
+        &format!("{ctx} after DELETE rollback"),
+    );
+
+    // Own-extent semantics: subclass extents carry the same ids and must
+    // never be touched by DML on the root class.
+    assert_eq!(extent(db, "Automobile"), subclasses.0, "{ctx}");
+    assert_eq!(extent(db, "JapaneseAuto"), subclasses.1, "{ctx}");
+}
+
+fn differential(indexes: Indexes) {
+    const N: i32 = 1200;
+    let db = build(N, indexes);
+    if indexes == Indexes::BTree {
+        // The suite is only worth its name if the index path is on it.
+        let plan = db
+            .explain("UPDATE Vehicle v SET weight = 1 WHERE v.id = 17")
+            .unwrap();
+        assert!(plan.contains("INDSEL(Vehicle, v"), "{plan}");
+    }
+    let mut rng = Lcg(0x5eed ^ indexes as u64);
+    for pred in predicates(N, &mut rng) {
+        differential_round(&db, indexes, pred.as_deref());
+    }
+}
+
+#[test]
+fn planned_dml_matches_oracle_with_btree_indexes() {
+    differential(Indexes::BTree);
+}
+
+#[test]
+fn planned_dml_matches_oracle_with_hash_indexes() {
+    differential(Indexes::Hash);
+}
+
+#[test]
+fn planned_dml_matches_oracle_without_indexes() {
+    differential(Indexes::None);
+}
+
+#[test]
+fn committed_dml_is_applied_and_indexed() {
+    let db = build(2400, Indexes::BTree);
+    let n = affected(
+        db.execute("UPDATE Vehicle v SET weight = 5 WHERE v.id < 10")
+            .unwrap(),
+    );
+    assert_eq!(n, 10);
+    let n = affected(
+        db.execute("DELETE FROM Vehicle v WHERE v.weight = 5")
+            .unwrap(),
+    );
+    assert_eq!(
+        n, 10,
+        "the new weight key is indexed and selects the same rows"
+    );
+    assert_eq!(extent(&db, "Vehicle").len(), 2390);
+    assert_indexes_agree(&db, Indexes::BTree, &all_oids(&db), "after autocommit DML");
+}
+
+#[test]
+fn update_assigning_its_own_selection_key_touches_each_row_once() {
+    let db = build(2400, Indexes::BTree);
+    assert_eq!(
+        affected(
+            db.execute("UPDATE Vehicle v SET id = v.id + 100000 WHERE v.id < 50")
+                .unwrap()
+        ),
+        50
+    );
+    // The classic Halloween shape: an index range scan whose updated rows
+    // move *forward* inside the range being scanned. A streaming probe
+    // would meet them again; the materialized target set cannot.
+    let forward = "UPDATE Vehicle v SET id = v.id + 100000 WHERE v.id >= 102397";
+    let plan = db.explain(forward).unwrap();
+    assert!(plan.contains("INDSEL(Vehicle, v"), "{plan}");
+    assert_eq!(
+        affected(db.execute(forward).unwrap()),
+        0,
+        "nothing that high yet"
+    );
+    let forward = "UPDATE Vehicle v SET id = v.id + 100000 WHERE v.id >= 2397";
+    let plan = db.explain(forward).unwrap();
+    assert!(plan.contains("INDSEL(Vehicle, v"), "{plan}");
+    assert_eq!(affected(db.execute(forward).unwrap()), 3 + 50);
+    let ids: BTreeSet<i32> = extent(&db, "Vehicle")
+        .values()
+        .map(|v| int(v, "id"))
+        .collect();
+    let want: BTreeSet<i32> = (50..2397)
+        .chain(102_397..102_400)
+        .chain(200_000..200_050)
+        .collect();
+    assert_eq!(
+        ids, want,
+        "every selected row moved exactly once per statement"
+    );
+    assert_indexes_agree(
+        &db,
+        Indexes::BTree,
+        &all_oids(&db),
+        "after self-referencing UPDATEs",
+    );
+}
+
+#[test]
+fn multi_row_update_is_atomic_on_unique_violation() {
+    let db = build(2400, Indexes::BTree);
+    // Rows 0 and 1 move to 100000/100001 before row 2 collides with this.
+    db.execute("new Vehicle <100002, 1, 'red'>").unwrap();
+    let failing = "UPDATE Vehicle v SET id = v.id + 100000 WHERE v.id < 50";
+
+    // Autocommit: the failed statement is its own (rolled-back) transaction.
+    let before = extent(&db, "Vehicle");
+    assert!(db.execute(failing).is_err());
+    assert_eq!(
+        extent(&db, "Vehicle"),
+        before,
+        "autocommit UPDATE left rows behind"
+    );
+    assert_indexes_agree(
+        &db,
+        Indexes::BTree,
+        &all_oids(&db),
+        "after failed autocommit UPDATE",
+    );
+
+    // In a transaction: the savepoint undoes just the failed statement.
+    db.execute("BEGIN").unwrap();
+    db.execute("UPDATE Vehicle v SET weight = 1 WHERE v.id = 7")
+        .unwrap();
+    let mid = extent(&db, "Vehicle");
+    assert!(db.execute(failing).is_err());
+    assert_eq!(extent(&db, "Vehicle"), mid, "savepoint left rows behind");
+    db.execute("COMMIT").unwrap();
+    assert_eq!(
+        extent(&db, "Vehicle"),
+        mid,
+        "earlier statement survives the commit"
+    );
+    assert_ne!(mid, before);
+    assert_indexes_agree(
+        &db,
+        Indexes::BTree,
+        &all_oids(&db),
+        "after failed in-transaction UPDATE",
+    );
+}
+
+/// The target query's rows are join bindings, so one object can be bound
+/// more than once: through a SET-valued reference (one binding per matching
+/// member) or by two DNF terms that bind different variables. DML acts on —
+/// and counts — each object once.
+#[test]
+fn target_bound_more_than_once_is_acted_on_once() {
+    let db = build(48, Indexes::None);
+    db.execute(
+        "CREATE CLASS Fleet TUPLE (fid Integer, tag Integer, \
+         cars SET (REFERENCE (Vehicle)), boss REFERENCE (Vehicle))",
+    )
+    .unwrap();
+    let cat = db.catalog();
+    let vehicles: Vec<Oid> = extent(&db, "Vehicle").into_keys().collect();
+    // Fleet i holds vehicles i, i+4, i+8 — all of colour COLORS[i % 4] — so
+    // fleets 0 and 4 bind three times under `f.cars.color = 'red'`.
+    for i in 0..8usize {
+        cat.new_object(
+            "Fleet",
+            Value::tuple(vec![
+                ("fid", Value::Integer(i as i32)),
+                ("tag", Value::Integer(i as i32)),
+                (
+                    "cars",
+                    Value::Set(
+                        [i, i + 4, i + 8]
+                            .iter()
+                            .map(|&j| Value::Ref(vehicles[j]))
+                            .collect(),
+                    ),
+                ),
+                ("boss", Value::Ref(vehicles[i])),
+            ]),
+        )
+        .unwrap();
+    }
+    cat.create_index("Fleet", "tag", IndexKind::BTree, true)
+        .unwrap();
+    db.collect_stats().unwrap();
+    let tags = |db: &Mood| -> BTreeSet<i32> {
+        extent(db, "Fleet")
+            .values()
+            .map(|v| int(v, "tag"))
+            .collect()
+    };
+
+    // Set-valued path, assigning a unique-indexed key: a second apply from
+    // the stale image would re-insert the new key and fail.
+    let n = affected(
+        db.execute("UPDATE Fleet f SET tag = f.tag + 100 WHERE f.cars.color = 'red'")
+            .unwrap(),
+    );
+    assert_eq!(n, 2, "fleets 0 and 4, once each");
+    assert_eq!(tags(&db), BTreeSet::from([100, 1, 2, 3, 104, 5, 6, 7]));
+    for (old, new) in [(0, 100), (4, 104)] {
+        let lookup = |k: i32| cat.index_lookup("Fleet", "tag", &Value::Integer(k)).unwrap();
+        assert!(lookup(old).is_empty(), "old tag {old} still indexed");
+        assert_eq!(lookup(new).len(), 1, "new tag {new} indexed once");
+    }
+
+    // Mixed-variable DNF: fleet 0 satisfies both terms.
+    let overlapping = "f.fid < 2 OR f.boss.color = 'red'";
+    let n = affected(
+        db.execute(&format!(
+            "UPDATE Fleet f SET tag = f.tag + 1000 WHERE {overlapping}"
+        ))
+        .unwrap(),
+    );
+    assert_eq!(n, 3, "fleets 0, 1 and 4");
+    assert_eq!(tags(&db), BTreeSet::from([1100, 1001, 2, 3, 1104, 5, 6, 7]));
+    let n = affected(
+        db.execute(&format!("DELETE FROM Fleet f WHERE {overlapping}"))
+            .unwrap(),
+    );
+    assert_eq!(n, 3);
+    assert_eq!(tags(&db), BTreeSet::from([2, 3, 5, 6, 7]));
+    assert_eq!(
+        cat.index_range("Fleet", "tag", None, None).unwrap().len(),
+        5,
+        "one index entry per surviving fleet"
+    );
+}
+
+/// DML shares the SELECT pipeline's first-use statistics collection: on a
+/// database nobody has analysed, the first statement collects (one
+/// catalog-epoch bump), later ones do not, and the rows are right either
+/// way — statistics only choose the access path.
+#[test]
+fn first_dml_on_an_unanalysed_database_collects_stats_once() {
+    let db = Mood::in_memory_with_pool(1024);
+    db.execute("CREATE CLASS Vehicle TUPLE (id Integer, weight Integer)")
+        .unwrap();
+    let cat = db.catalog();
+    for i in 0..6000 {
+        cat.new_object(
+            "Vehicle",
+            Value::tuple(vec![
+                ("id", Value::Integer(i)),
+                ("weight", Value::Integer(700 + i % 90)),
+            ]),
+        )
+        .unwrap();
+    }
+    db.execute("CREATE UNIQUE INDEX ON Vehicle(id)").unwrap();
+    assert!(cat.stats().class("Vehicle").is_none());
+    let epoch = cat.epoch();
+
+    db.execute("BEGIN").unwrap();
+    let update = "UPDATE Vehicle v SET weight = 1 WHERE v.id = 300";
+    assert_eq!(affected(db.execute(update).unwrap()), 1);
+    assert_eq!(
+        cat.stats().class("Vehicle").map(|c| c.cardinality),
+        Some(6000)
+    );
+    assert_eq!(cat.epoch(), epoch + 1, "collected once");
+    assert_eq!(
+        affected(
+            db.execute("DELETE FROM Vehicle v WHERE v.id < 10")
+                .unwrap()
+        ),
+        10
+    );
+    assert_eq!(cat.epoch(), epoch + 1, "not collected again");
+    db.execute("ROLLBACK").unwrap();
+
+    // The rollback undoes the rows, not the (approximate) statistics.
+    assert_eq!(extent(&db, "Vehicle").len(), 6000);
+    assert_eq!(cat.epoch(), epoch + 1);
+    let plan = db.explain(update).unwrap();
+    assert!(plan.contains("INDSEL(Vehicle, v"), "{plan}");
+}
+
+#[test]
+fn stricter_binding_rejects_unknown_names_before_touching_rows() {
+    let db = build(100, Indexes::None);
+    let before = extent(&db, "Vehicle");
+    assert!(db
+        .execute("DELETE FROM Vehicle v WHERE v.nope = 1")
+        .is_err());
+    assert!(db.execute("UPDATE Vehicle v SET nope = 1").is_err());
+    assert!(db
+        .execute("UPDATE Vehicle v SET weight = 1 WHERE w.id = 1")
+        .is_err());
+    assert_eq!(extent(&db, "Vehicle"), before);
+}
+
+/// Logical page accesses (buffer hits + misses) of one statement.
+fn accesses(db: &Mood, sql: &str) -> u64 {
+    let before = db.metrics().snapshot();
+    assert_eq!(affected(db.execute(sql).unwrap()), 1, "{sql}");
+    let d = db.metrics().snapshot().delta(&before);
+    d.buffer_hits + d.buffer_misses
+}
+
+#[test]
+fn keyed_dml_page_accesses_grow_with_tree_height_not_extent_size() {
+    let mut measured = Vec::new();
+    for n in [2_000, 20_000] {
+        let db = Mood::in_memory_with_pool(8192);
+        db.execute("CREATE CLASS Vehicle TUPLE (id Integer, weight Integer, color String(16))")
+            .unwrap();
+        for i in 0..n {
+            db.catalog()
+                .new_object(
+                    "Vehicle",
+                    Value::tuple(vec![
+                        ("id", Value::Integer(i)),
+                        ("weight", Value::Integer(700 + i % 900)),
+                        ("color", Value::string("red")),
+                    ]),
+                )
+                .unwrap();
+        }
+        db.execute("CREATE UNIQUE INDEX ON Vehicle(id)").unwrap();
+        let stats = db.collect_stats().unwrap();
+        let levels = stats.index("Vehicle", "id").unwrap().levels as u64;
+        let heap_pages = stats.class("Vehicle").unwrap().nbpages;
+        let key = n / 2;
+        let update = accesses(
+            &db,
+            &format!("UPDATE Vehicle v SET weight = 1 WHERE v.id = {key}"),
+        );
+        let delete = accesses(&db, &format!("DELETE FROM Vehicle v WHERE v.id = {key}"));
+        measured.push((n, levels, heap_pages, update, delete));
+    }
+    let (_, l_small, _, u_small, d_small) = measured[0];
+    let (_, l_big, pages_big, u_big, d_big) = measured[1];
+    // An UPDATE descends the tree once (the probe); a DELETE twice (probe,
+    // then entry removal). Ten times the objects may cost that many extra
+    // levels and nothing else.
+    assert!(
+        u_big <= u_small + (l_big - l_small),
+        "UPDATE accesses {u_small} -> {u_big} over levels {l_small} -> {l_big}"
+    );
+    assert!(
+        d_big <= d_small + 2 * (l_big - l_small),
+        "DELETE accesses {d_small} -> {d_big} over levels {l_small} -> {l_big}"
+    );
+    assert!(
+        u_big < 16 && d_big < 24 && pages_big > 100,
+        "{measured:?}: keyed DML must not walk the {pages_big}-page extent"
+    );
+}
+
+#[test]
+fn update_of_unindexed_attribute_dirties_only_the_heap() {
+    let db = build(2400, Indexes::BTree);
+    let cat = db.catalog();
+    cat.drop_index("Vehicle", "weight").unwrap();
+    db.collect_stats().unwrap();
+    let heap_file = cat.class("Vehicle").unwrap().extent.unwrap();
+    db.execute("BEGIN").unwrap();
+    let n = affected(
+        db.execute("UPDATE Vehicle v SET weight = 4242 WHERE v.id = 1234")
+            .unwrap(),
+    );
+    assert_eq!(n, 1);
+    let dirty = db.storage().pool().txn_dirty_pages().unwrap();
+    assert!(!dirty.is_empty());
+    for (file, page, _) in &dirty {
+        assert_eq!(
+            *file, heap_file,
+            "an update that changes no indexed key dirtied {file:?}/{page:?}"
+        );
+    }
+    db.execute("ROLLBACK").unwrap();
+}
