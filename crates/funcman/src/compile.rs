@@ -53,6 +53,18 @@ pub enum StaticKind {
     Unknown,
 }
 
+impl StaticKind {
+    /// The class of a literal or bound parameter value.
+    pub fn of_value(v: &Value) -> StaticKind {
+        match v {
+            Value::Integer(_) | Value::LongInteger(_) | Value::Float(_) => StaticKind::Num,
+            Value::String(_) => StaticKind::Str,
+            Value::Boolean(_) => StaticKind::Bool,
+            _ => StaticKind::Unknown,
+        }
+    }
+}
+
 /// Schema type lookup for path expressions (segments, `self` already
 /// stripped) — enables compile-time comparison checking.
 pub type AttrKindFn<'a> = &'a dyn Fn(&[String]) -> StaticKind;
@@ -109,11 +121,13 @@ impl<'a> CompileOpts<'a> {
     }
 }
 
-/// An operand source: a scratch register or the constant pool.
+/// An operand source: a scratch register, the constant pool, or the
+/// parameter slice bound on the [`Registers`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Src {
     Reg(u16),
     Const(u16),
+    Param(u16),
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -233,13 +247,24 @@ enum Inst {
 }
 
 /// Reusable per-row scratch. One per worker thread / scan chunk: the
-/// register file is allocated once and overwritten per row.
+/// register file is allocated once and overwritten per row. The bound
+/// parameter slice is what [`Src::Param`] operands read — the values one
+/// execution of a shared program supplies in place of pooled constants.
 #[derive(Debug, Default)]
-pub struct Registers {
+pub struct Registers<'p> {
     slots: Vec<Value>,
+    params: &'p [Value],
 }
 
-impl Registers {
+impl<'p> Registers<'p> {
+    /// Scratch for programs that read `params`.
+    pub fn with_params(params: &'p [Value]) -> Registers<'p> {
+        Registers {
+            slots: Vec::new(),
+            params,
+        }
+    }
+
     fn prepare(&mut self, n: u16) {
         if self.slots.len() < n as usize {
             self.slots.resize(n as usize, Value::Null);
@@ -255,6 +280,8 @@ pub struct Program {
     paths: Vec<PathPlan>,
     insts: Vec<Inst>,
     nregs: u16,
+    /// Parameters the program reads: `Src::Param(i)` has `i < nparams`.
+    nparams: u16,
     ret: Src,
 }
 
@@ -277,15 +304,24 @@ impl Program {
         self.consts.len()
     }
 
-    fn value<'v>(&'v self, s: Src, regs: &'v Registers) -> &'v Value {
+    fn value<'v>(&'v self, s: Src, regs: &'v Registers<'_>) -> &'v Value {
         match s {
             Src::Reg(i) => &regs.slots[i as usize],
             Src::Const(i) => &self.consts[i as usize],
+            // In range: `run` checked `nparams` against the bound slice.
+            Src::Param(i) => &regs.params[i as usize],
         }
     }
 
     /// Execute against a context, reusing `regs` as scratch.
-    pub fn run(&self, regs: &mut Registers, ctx: &EvalCtx<'_>) -> Result<Value, Exception> {
+    pub fn run(&self, regs: &mut Registers<'_>, ctx: &EvalCtx<'_>) -> Result<Value, Exception> {
+        if regs.params.len() < self.nparams as usize {
+            return Err(query_err(format!(
+                "unbound parameter ${} ({} bound)",
+                self.nparams,
+                regs.params.len()
+            )));
+        }
         regs.prepare(self.nregs);
         let mut pc = 0usize;
         while pc < self.insts.len() {
@@ -629,6 +665,7 @@ struct Compiler<'o, 'a> {
     paths: Vec<PathPlan>,
     insts: Vec<Inst>,
     next: u16,
+    nparams: u16,
 }
 
 impl Compiler<'_, '_> {
@@ -652,12 +689,7 @@ impl Compiler<'_, '_> {
     /// Static type class of a subexpression, for compile-time checks.
     fn kind_of(&self, e: &Expr) -> StaticKind {
         match e {
-            Expr::Lit(v) => match v {
-                Value::Integer(_) | Value::LongInteger(_) | Value::Float(_) => StaticKind::Num,
-                Value::String(_) => StaticKind::Str,
-                Value::Boolean(_) => StaticKind::Bool,
-                _ => StaticKind::Unknown,
-            },
+            Expr::Lit(v) => StaticKind::of_value(v),
             Expr::Path(p) => {
                 let segs: Vec<String> = if p.first().is_some_and(|s| s == "self") {
                     p[1..].to_vec()
@@ -686,6 +718,7 @@ impl Compiler<'_, '_> {
             }
             Expr::Between(..) => StaticKind::Bool,
             Expr::Call(..) => StaticKind::Unknown,
+            Expr::Param(_, kind) => *kind,
         }
     }
 
@@ -725,6 +758,13 @@ impl Compiler<'_, '_> {
     fn emit(&mut self, e: &Expr) -> Result<Src, Exception> {
         match e {
             Expr::Lit(v) => Ok(Src::Const(self.konst(v))),
+            Expr::Param(i, _) => {
+                if *i == u16::MAX {
+                    return Err(compile_err("too many parameters"));
+                }
+                self.nparams = self.nparams.max(*i + 1);
+                Ok(Src::Param(*i))
+            }
             Expr::Path(p) => {
                 let plan = self.path_plan(p)?;
                 let idx = self.paths.len();
@@ -1009,6 +1049,7 @@ pub fn compile_program(expr: &Expr, opts: &CompileOpts<'_>) -> Result<Program, E
         paths: Vec::new(),
         insts: Vec::new(),
         next: 0,
+        nparams: 0,
     };
     let ret = c.emit(expr)?;
     Ok(Program {
@@ -1017,6 +1058,7 @@ pub fn compile_program(expr: &Expr, opts: &CompileOpts<'_>) -> Result<Program, E
         paths: c.paths,
         insts: c.insts,
         nregs: c.next,
+        nparams: c.nparams,
         ret,
     })
 }
@@ -1034,7 +1076,7 @@ impl CompiledPredicate {
 
     /// True exactly when the program yields `Boolean(true)` (Null and false
     /// both filter out, like `eval_pred`).
-    pub fn matches(&self, regs: &mut Registers, ctx: &EvalCtx<'_>) -> Result<bool, Exception> {
+    pub fn matches(&self, regs: &mut Registers<'_>, ctx: &EvalCtx<'_>) -> Result<bool, Exception> {
         Ok(matches!(self.program.run(regs, ctx)?, Value::Boolean(true)))
     }
 }
@@ -1307,6 +1349,40 @@ mod tests {
         };
         let mut regs = Registers::default();
         assert_eq!(prog.run(&mut regs, &c).unwrap(), Value::Integer(221));
+    }
+
+    #[test]
+    fn parameters_read_the_slice_bound_on_the_registers() {
+        let shaped = Expr::Binary(
+            BinOp::Eq,
+            Box::new(Expr::Path(vec!["self".into(), "weight".into()])),
+            Box::new(Expr::Param(0, StaticKind::Num)),
+        );
+        let prog = compile_program(&shaped, &CompileOpts::sql("v")).unwrap();
+        assert_eq!(prog.const_count(), 0);
+        let v = Value::tuple(vec![("weight", Value::Integer(600))]);
+        // One program, any value: each execution binds its own.
+        for (bound, expect) in [(600, true), (601, false)] {
+            let params = [Value::Integer(bound)];
+            let mut regs = Registers::with_params(&params);
+            let out = prog.run(&mut regs, &ctx(&v, &[])).unwrap();
+            assert_eq!(out, Value::Boolean(expect));
+        }
+        // Nothing bound is an exception, not an index panic.
+        let err = prog
+            .run(&mut Registers::default(), &ctx(&v, &[]))
+            .unwrap_err();
+        assert_eq!(err.kind, ExceptionKind::Query);
+        // The declared class takes part in compile-time checking exactly
+        // as a literal of that class would.
+        let kind_fn = |_: &[String]| StaticKind::Num;
+        let opts = CompileOpts::sql("v").with_attr_kind(&kind_fn);
+        let ill_typed = Expr::Binary(
+            BinOp::Eq,
+            Box::new(Expr::Path(vec!["self".into(), "weight".into()])),
+            Box::new(Expr::Param(0, StaticKind::Str)),
+        );
+        assert!(compile_program(&ill_typed, &opts).is_err());
     }
 
     #[test]

@@ -19,6 +19,7 @@
 
 use mood_datamodel::{Resolver, Value};
 
+use crate::compile::StaticKind;
 use crate::exception::{Exception, ExceptionKind};
 use crate::operand::OperandDataType as Op;
 
@@ -39,6 +40,11 @@ pub enum Expr {
     Between(Box<Expr>, Box<Expr>, Box<Expr>),
     /// `name(args...)` — a call to another method on `self`.
     Call(String, Vec<Expr>),
+    /// The value at this (0-based) index of the parameter slice bound on
+    /// the [`crate::Registers`] a compiled program runs with, and the type
+    /// class every value bound there will have. Like `Between`, no surface
+    /// syntax: MOODSQL lowers its `$n` here.
+    Param(u16, StaticKind),
 }
 
 impl Expr {
@@ -586,6 +592,15 @@ fn eval_ref<'a>(expr: &'a Expr, ctx: &EvalCtx<'a>) -> Result<Ev<'a>, Exception> 
                 (Some(a), Some(b)) => Ev::O(Value::Boolean(a && b)),
                 _ => return Err(Exception::type_error("BETWEEN on incomparable values")),
             }
+        }
+        Expr::Param(i, _) => {
+            return Err(Exception::new(
+                ExceptionKind::UnknownIdentifier,
+                format!(
+                    "parameter ${} is bound only in compiled programs",
+                    *i as u32 + 1
+                ),
+            ))
         }
         Expr::Call(name, args) => {
             let dispatcher = ctx.dispatcher.ok_or_else(|| {

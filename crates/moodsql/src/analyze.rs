@@ -23,6 +23,7 @@ use std::time::Instant;
 use mood_optimizer::{NodeEstimate, Plan, PlanSet};
 use mood_storage::{DiskMetrics, MetricsRegistry, MetricsSnapshot};
 
+use crate::ast::Expr;
 use crate::error::Result;
 use crate::exec::QueryResult;
 
@@ -231,6 +232,9 @@ pub struct AnalyzeReport {
     /// Time spent in PLAN (bind + statistics + optimize + estimates);
     /// zero for a cached execution.
     pub compile_nanos: u64,
+    /// The values the plan's `$n` stood for in this execution (empty for a
+    /// plan prepared from literal text).
+    pub params: Vec<mood_datamodel::Value>,
 }
 
 impl AnalyzeReport {
@@ -254,6 +258,12 @@ impl AnalyzeReport {
     /// Human-readable plan tree with estimate-vs-actual per node.
     pub fn render(&self) -> String {
         let mut out = String::new();
+        if !self.params.is_empty() {
+            let bound: Vec<String> = (1..=self.params.len() as u16)
+                .map(|n| format!("${n}={}", Expr::Param(n).render_with(&self.params)))
+                .collect();
+            out.push_str(&format!("-- params: {}\n", bound.join(", ")));
+        }
         for (i, term) in self.terms.iter().enumerate() {
             if self.terms.len() > 1 {
                 out.push_str(&format!("-- term {} of {}:\n", i + 1, self.terms.len()));

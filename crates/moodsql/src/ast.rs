@@ -1,6 +1,6 @@
 //! MOODSQL abstract syntax.
 
-use mood_datamodel::TypeDescriptor;
+use mood_datamodel::{TypeDescriptor, Value};
 
 /// A parsed statement.
 #[derive(Debug, Clone, PartialEq)]
@@ -17,7 +17,7 @@ pub enum Statement {
     /// `SHOW WAITS` — wait-event rows: where blocked wall-clock went.
     ShowWaits,
     /// `SHOW STATEMENTS` — per-statement aggregated stats (calls, latency
-    /// quantiles, rows, pages, cache hits), keyed by normalized SQL text.
+    /// quantiles, rows, pages, cache hits), keyed by statement shape.
     ShowStatements,
     CreateClass(CreateClass),
     DropClass(String),
@@ -117,6 +117,17 @@ pub struct SelectStmt {
 }
 
 impl SelectStmt {
+    /// The highest parameter number the statement mentions (0 = none).
+    pub fn max_param(&self) -> u16 {
+        self.projection
+            .iter()
+            .chain(&self.where_clause)
+            .chain(&self.having)
+            .map(Expr::max_param)
+            .max()
+            .unwrap_or(0)
+    }
+
     /// The target-selection query of `UPDATE/DELETE <class> <var> WHERE p`:
     /// `SELECT var FROM class var WHERE p`. DML finds its rows by running
     /// this through the ordinary SELECT pipeline.
@@ -260,6 +271,11 @@ pub enum Expr {
         arg: Option<Box<Expr>>,
     },
     Literal(Lit),
+    /// `$n` — the n-th (1-based) value of the parameter vector bound at
+    /// execution. The session's shape scanner puts one wherever the
+    /// statement text had a literal operand of `=`, so one plan serves
+    /// every such value.
+    Param(u16),
     Compare {
         op: CmpOp,
         left: Box<Expr>,
@@ -282,58 +298,87 @@ pub enum Expr {
 
 impl Expr {
     /// Render back to (canonical) MOODSQL text — used for dictionary rows
-    /// and plan labels.
+    /// and plan labels. Parameters render as `$n`.
     pub fn render(&self) -> String {
+        self.render_with(&[])
+    }
+
+    /// [`Expr::render`] with each parameter that `params` binds written as
+    /// the literal it stands for — result column labels read the same
+    /// whether or not the statement ran off a shape plan.
+    pub fn render_with(&self, params: &[Value]) -> String {
+        let r = |e: &Expr| e.render_with(params);
         match self {
             Expr::Path(p) => p.render(),
             Expr::MethodCall { base, method, args } => {
-                let args: Vec<String> = args.iter().map(Expr::render).collect();
-                if base.segments.is_empty() {
-                    format!("{}.{method}({})", base.var, args.join(", "))
-                } else {
-                    format!("{}.{method}({})", base.render(), args.join(", "))
-                }
+                let args: Vec<String> = args.iter().map(r).collect();
+                format!("{}.{method}({})", base.render(), args.join(", "))
             }
             Expr::Agg { func, arg } => match arg {
-                Some(a) => format!("{}({})", func.name(), a.render()),
+                Some(a) => format!("{}({})", func.name(), r(a)),
                 None => format!("{}(*)", func.name()),
             },
             Expr::Literal(Lit::Int(i)) => i.to_string(),
             Expr::Literal(Lit::Float(x)) => x.to_string(),
-            Expr::Literal(Lit::Str(s)) => format!("'{}'", s.replace('\'', "''")),
+            Expr::Literal(Lit::Str(s)) => quote_str(s),
             Expr::Literal(Lit::Bool(b)) => if *b { "TRUE" } else { "FALSE" }.to_string(),
             Expr::Literal(Lit::Null) => "NULL".to_string(),
+            Expr::Param(n) => match (*n as usize).checked_sub(1).and_then(|i| params.get(i)) {
+                Some(Value::Integer(i)) => i.to_string(),
+                Some(Value::LongInteger(i)) => i.to_string(),
+                Some(Value::Float(x)) => x.to_string(),
+                Some(Value::String(s)) => quote_str(s),
+                _ => format!("${n}"),
+            },
             Expr::Compare { op, left, right } => {
-                format!("{} {} {}", left.render(), op.symbol(), right.render())
+                format!("{} {} {}", r(left), op.symbol(), r(right))
             }
             Expr::Between { expr, lo, hi } => {
-                format!(
-                    "{} BETWEEN {} AND {}",
-                    expr.render(),
-                    lo.render(),
-                    hi.render()
-                )
+                format!("{} BETWEEN {} AND {}", r(expr), r(lo), r(hi))
             }
             Expr::And(parts) => {
-                let ps: Vec<String> = parts.iter().map(Expr::render).collect();
+                let ps: Vec<String> = parts.iter().map(r).collect();
                 ps.join(" AND ")
             }
             Expr::Or(parts) => {
-                let ps: Vec<String> = parts.iter().map(Expr::render).collect();
+                let ps: Vec<String> = parts.iter().map(r).collect();
                 format!("({})", ps.join(" OR "))
             }
-            Expr::Not(inner) => format!("NOT ({})", inner.render()),
+            Expr::Not(inner) => format!("NOT ({})", r(inner)),
             Expr::Arith { op, left, right } => {
                 // Plan predicates are re-parsed from this text: nested
                 // arithmetic keeps its grouping.
                 let side = |e: &Expr| match e {
-                    Expr::Arith { .. } => format!("({})", e.render()),
-                    _ => e.render(),
+                    Expr::Arith { .. } => format!("({})", r(e)),
+                    _ => r(e),
                 };
                 format!("{} {op} {}", side(left), side(right))
             }
         }
     }
+
+    /// The highest parameter number the expression mentions (0 = none).
+    pub fn max_param(&self) -> u16 {
+        let of = |es: &[Expr]| es.iter().map(Expr::max_param).max().unwrap_or(0);
+        match self {
+            Expr::Param(n) => *n,
+            Expr::Path(_) | Expr::Literal(_) | Expr::Agg { arg: None, .. } => 0,
+            Expr::MethodCall { args, .. } => of(args),
+            Expr::Agg { arg: Some(a), .. } => a.max_param(),
+            Expr::Compare { left, right, .. } | Expr::Arith { left, right, .. } => {
+                left.max_param().max(right.max_param())
+            }
+            Expr::Between { expr, lo, hi } => {
+                expr.max_param().max(lo.max_param()).max(hi.max_param())
+            }
+            Expr::And(parts) | Expr::Or(parts) => of(parts),
+            Expr::Not(inner) => inner.max_param(),
+        }
+    }
+}
+
+fn quote_str(s: &str) -> String {
+    format!("'{}'", s.replace('\'', "''"))
 }
 
 #[cfg(test)]

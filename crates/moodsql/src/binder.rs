@@ -121,13 +121,15 @@ enum PathShape {
     Opaque,
 }
 
-fn lit_to_const(l: &Lit) -> Option<Const> {
-    Some(match l {
-        Lit::Int(i) => Const::Num(*i as f64),
-        Lit::Float(x) => Const::Num(*x),
-        Lit::Str(s) => Const::Str(s.clone()),
-        Lit::Bool(b) => Const::Bool(*b),
-        Lit::Null => return None,
+/// The optimizer constant a comparison operand stands for, if it is one.
+fn operand_const(e: &Expr) -> Option<Const> {
+    Some(match e {
+        Expr::Literal(Lit::Int(i)) => Const::Num(*i as f64),
+        Expr::Literal(Lit::Float(x)) => Const::Num(*x),
+        Expr::Literal(Lit::Str(s)) => Const::Str(s.clone()),
+        Expr::Literal(Lit::Bool(b)) => Const::Bool(*b),
+        Expr::Param(n) => Const::Param(*n),
+        _ => return None,
     })
 }
 
@@ -250,7 +252,7 @@ fn validate_refs(catalog: &Catalog, e: &Expr, stmt: &SelectStmt) -> Result<()> {
             validate_refs(catalog, left, stmt)?;
             validate_refs(catalog, right, stmt)?;
         }
-        Expr::Agg { arg: None, .. } | Expr::Literal(_) => {}
+        Expr::Agg { arg: None, .. } | Expr::Literal(_) | Expr::Param(_) => {}
     }
     Ok(())
 }
@@ -342,9 +344,9 @@ fn classify_leaf(
 ) -> PredSpec {
     if let Expr::Compare { op, left, right } = e {
         // Normalize constant-on-the-left: `c θ path` ⇒ `path θ' c`.
-        let (path_side, lit_side, op) = match (&**left, &**right) {
-            (Expr::Path(p), Expr::Literal(l)) => (Some(p), Some(l), *op),
-            (Expr::Literal(l), Expr::Path(p)) => {
+        let (path_side, constant, op) = match (&**left, &**right) {
+            (Expr::Path(p), c) => (Some(p), operand_const(c), *op),
+            (c, Expr::Path(p)) => {
                 let flipped = match op {
                     CmpOp::Lt => CmpOp::Gt,
                     CmpOp::Le => CmpOp::Ge,
@@ -352,50 +354,48 @@ fn classify_leaf(
                     CmpOp::Ge => CmpOp::Le,
                     other => *other,
                 };
-                (Some(p), Some(l), flipped)
+                (Some(p), operand_const(c), flipped)
             }
             _ => (None, None, *op),
         };
-        if let (Some(p), Some(l)) = (path_side, lit_side) {
-            if let Some(constant) = lit_to_const(l) {
-                // Resolve the path to root-var coordinates.
-                let (eff_var, mut segs) = if p.var == root.var {
-                    (root.var.clone(), p.segments.clone())
-                } else if let Some(prefix) = rewritten.get(&p.var) {
-                    let mut s = prefix.clone();
-                    s.extend(p.segments.iter().cloned());
-                    (root.var.clone(), s)
-                } else {
-                    (p.var.clone(), p.segments.clone())
-                };
-                if eff_var == root.var && !segs.is_empty() {
-                    match classify_path(catalog, &root.class, &segs) {
-                        PathShape::Immediate => {
-                            return PredSpec::Immediate {
-                                attribute: segs.remove(0),
-                                theta: op.to_theta(),
-                                constant,
-                            };
-                        }
-                        PathShape::PathToAtomic => {
-                            // Preserve the user's variable name for the
-                            // terminal class when the path came from an
-                            // explicit join rewrite.
-                            let terminal_var = rewritten
-                                .iter()
-                                .find(|(_, prefix)| {
-                                    segs.len() == prefix.len() + 1 && segs.starts_with(prefix)
-                                })
-                                .map(|(v, _)| v.clone());
-                            return PredSpec::Path {
-                                path: segs,
-                                theta: op.to_theta(),
-                                constant,
-                                terminal_var,
-                            };
-                        }
-                        _ => {}
+        if let (Some(p), Some(constant)) = (path_side, constant) {
+            // Resolve the path to root-var coordinates.
+            let (eff_var, mut segs) = if p.var == root.var {
+                (root.var.clone(), p.segments.clone())
+            } else if let Some(prefix) = rewritten.get(&p.var) {
+                let mut s = prefix.clone();
+                s.extend(p.segments.iter().cloned());
+                (root.var.clone(), s)
+            } else {
+                (p.var.clone(), p.segments.clone())
+            };
+            if eff_var == root.var && !segs.is_empty() {
+                match classify_path(catalog, &root.class, &segs) {
+                    PathShape::Immediate => {
+                        return PredSpec::Immediate {
+                            attribute: segs.remove(0),
+                            theta: op.to_theta(),
+                            constant,
+                        };
                     }
+                    PathShape::PathToAtomic => {
+                        // Preserve the user's variable name for the
+                        // terminal class when the path came from an
+                        // explicit join rewrite.
+                        let terminal_var = rewritten
+                            .iter()
+                            .find(|(_, prefix)| {
+                                segs.len() == prefix.len() + 1 && segs.starts_with(prefix)
+                            })
+                            .map(|(v, _)| v.clone());
+                        return PredSpec::Path {
+                            path: segs,
+                            theta: op.to_theta(),
+                            constant,
+                            terminal_var,
+                        };
+                    }
+                    _ => {}
                 }
             }
         }
@@ -584,6 +584,32 @@ mod tests {
             &l.spec.terms[0][0],
             PredSpec::Immediate {
                 theta: mood_cost::Theta::Gt,
+                ..
+            }
+        ));
+    }
+
+    #[test]
+    fn parameters_classify_like_literals() {
+        let cat = catalog();
+        let l = lower_sql(
+            &cat,
+            "SELECT v FROM Vehicle v WHERE v.weight = $1 AND $2 = v.drivetrain.engine.cylinders",
+        );
+        let term = &l.spec.terms[0];
+        assert!(matches!(
+            &term[0],
+            PredSpec::Immediate {
+                constant: Const::Param(1),
+                theta: mood_cost::Theta::Eq,
+                ..
+            }
+        ));
+        assert!(matches!(
+            &term[1],
+            PredSpec::Path {
+                constant: Const::Param(2),
+                theta: mood_cost::Theta::Eq,
                 ..
             }
         ));

@@ -88,7 +88,7 @@ pub(crate) struct RowPred {
 
 impl RowPred {
     /// Evaluate against a row; Null filters out, per SQL.
-    pub fn matches(&self, catalog: &Catalog, row: &Row, regs: &mut Registers) -> Result<bool> {
+    pub fn matches(&self, catalog: &Catalog, row: &Row, regs: &mut Registers<'_>) -> Result<bool> {
         let Some(bound) = row.get(&self.var) else {
             return Err(SqlError::Exec(format!(
                 "unbound range variable {}",
@@ -113,7 +113,7 @@ impl RowPred {
         &self,
         resolver: &dyn Resolver,
         value: &Value,
-        regs: &mut Registers,
+        regs: &mut Registers<'_>,
     ) -> Result<bool> {
         let ctx = EvalCtx {
             self_value: value,
@@ -132,7 +132,7 @@ pub(crate) struct RowProg {
 }
 
 impl RowProg {
-    pub fn eval(&self, catalog: &Catalog, row: &Row, regs: &mut Registers) -> Result<Value> {
+    pub fn eval(&self, catalog: &Catalog, row: &Row, regs: &mut Registers<'_>) -> Result<Value> {
         let Some(bound) = row.get(&self.var) else {
             return Err(SqlError::Exec(format!(
                 "unbound range variable {}",
@@ -174,10 +174,17 @@ impl PreparedPred {
         self.slot.get().and_then(|c| c.as_ref())
     }
 
-    /// Compile into the slot (idempotent).
-    pub fn compile(&self, catalog: &Catalog, var_class: &HashMap<String, String>) {
+    /// Compile into the slot (idempotent). `params` are the values bound
+    /// for the execution that triggers compilation; only their type
+    /// classes are read, and those are fixed per shape.
+    pub fn compile(
+        &self,
+        catalog: &Catalog,
+        var_class: &HashMap<String, String>,
+        params: &[Value],
+    ) {
         self.slot
-            .get_or_init(|| compile_pred(catalog, var_class, &self.expr));
+            .get_or_init(|| compile_pred(catalog, var_class, &self.expr, params));
     }
 }
 
@@ -187,8 +194,9 @@ pub(crate) fn compile_pred(
     catalog: &Catalog,
     var_class: &HashMap<String, String>,
     expr: &Expr,
+    params: &[Value],
 ) -> Option<RowPred> {
-    let (var, program) = compile_expr(catalog, var_class, expr)?;
+    let (var, program) = compile_expr(catalog, var_class, expr, params)?;
     Some(RowPred {
         var,
         pred: CompiledPredicate::new(program),
@@ -200,8 +208,9 @@ pub(crate) fn compile_proj(
     catalog: &Catalog,
     var_class: &HashMap<String, String>,
     expr: &Expr,
+    params: &[Value],
 ) -> Option<RowProg> {
-    let (var, prog) = compile_expr(catalog, var_class, expr)?;
+    let (var, prog) = compile_expr(catalog, var_class, expr, params)?;
     Some(RowProg { var, prog })
 }
 
@@ -209,10 +218,11 @@ fn compile_expr(
     catalog: &Catalog,
     var_class: &HashMap<String, String>,
     expr: &Expr,
+    params: &[Value],
 ) -> Option<(String, Program)> {
     let var = find_var(expr)?.to_string();
     let class = var_class.get(&var)?.clone();
-    let lowered = bridge(expr, &var)?;
+    let lowered = bridge(expr, &var, params)?;
     let attr_kind = |segs: &[String]| static_kind_for(catalog, &class, segs);
     let root_slot = |attr: &str| root_slot_for(catalog, &class, attr);
     let opts = CompileOpts::sql(&var)
@@ -227,7 +237,7 @@ fn compile_expr(
 fn find_var(e: &Expr) -> Option<&str> {
     match e {
         Expr::Path(p) => Some(&p.var),
-        Expr::Literal(_) | Expr::Agg { .. } | Expr::MethodCall { .. } => None,
+        Expr::Literal(_) | Expr::Param(_) | Expr::Agg { .. } | Expr::MethodCall { .. } => None,
         Expr::Compare { left, right, .. } | Expr::Arith { left, right, .. } => {
             find_var(left).or_else(|| find_var(right))
         }
@@ -241,7 +251,8 @@ fn find_var(e: &Expr) -> Option<&str> {
 
 /// Lower an AST expression to a funcman [`FExpr`] rooted at `self`. `None`
 /// marks the expression as uncompilable (interpreter fallback).
-fn bridge(e: &Expr, var: &str) -> Option<FExpr> {
+fn bridge(e: &Expr, var: &str, params: &[Value]) -> Option<FExpr> {
+    let lower = |e: &Expr| bridge(e, var, params);
     match e {
         Expr::Path(p) => {
             // A bare range variable evaluates to the bound object's Ref,
@@ -261,9 +272,17 @@ fn bridge(e: &Expr, var: &str) -> Option<FExpr> {
             Lit::Bool(b) => FExpr::Lit(Value::Boolean(*b)),
             Lit::Null => FExpr::Lit(Value::Null),
         }),
+        // The program reads the value from the slice bound at execution;
+        // the value bound now only supplies its (shape-fixed) type class.
+        // An unbound parameter stays interpreted, where it is an error.
+        Expr::Param(n) => {
+            let i = n.checked_sub(1)?;
+            let kind = StaticKind::of_value(params.get(i as usize)?);
+            Some(FExpr::Param(i, kind))
+        }
         Expr::Compare { op, left, right } => {
-            let l = bridge(left, var)?;
-            let r = bridge(right, var)?;
+            let l = lower(left)?;
+            let r = lower(right)?;
             let op = match op {
                 CmpOp::Eq => BinOp::Eq,
                 CmpOp::Ne => BinOp::Ne,
@@ -275,19 +294,19 @@ fn bridge(e: &Expr, var: &str) -> Option<FExpr> {
             Some(FExpr::Binary(op, Box::new(l), Box::new(r)))
         }
         Expr::Between { expr, lo, hi } => Some(FExpr::Between(
-            Box::new(bridge(expr, var)?),
-            Box::new(bridge(lo, var)?),
-            Box::new(bridge(hi, var)?),
+            Box::new(lower(expr)?),
+            Box::new(lower(lo)?),
+            Box::new(lower(hi)?),
         )),
         // Left-deep chains of the same operator: the compiler re-flattens
         // them into the interpreter's n-ary fold, preserving evaluation
         // order and Null bookkeeping.
-        Expr::And(parts) => nary(parts, var, BinOp::And),
-        Expr::Or(parts) => nary(parts, var, BinOp::Or),
-        Expr::Not(inner) => Some(FExpr::Unary(UnOp::Not, Box::new(bridge(inner, var)?))),
+        Expr::And(parts) => nary(parts, var, params, BinOp::And),
+        Expr::Or(parts) => nary(parts, var, params, BinOp::Or),
+        Expr::Not(inner) => Some(FExpr::Unary(UnOp::Not, Box::new(lower(inner)?))),
         Expr::Arith { op, left, right } => {
-            let l = bridge(left, var)?;
-            let r = bridge(right, var)?;
+            let l = lower(left)?;
+            let r = lower(right)?;
             let op = match op {
                 '+' => BinOp::Add,
                 '-' => BinOp::Sub,
@@ -303,11 +322,11 @@ fn bridge(e: &Expr, var: &str) -> Option<FExpr> {
     }
 }
 
-fn nary(parts: &[Expr], var: &str, op: BinOp) -> Option<FExpr> {
+fn nary(parts: &[Expr], var: &str, params: &[Value], op: BinOp) -> Option<FExpr> {
     let mut iter = parts.iter();
-    let mut acc = bridge(iter.next()?, var)?;
+    let mut acc = bridge(iter.next()?, var, params)?;
     for p in iter {
-        acc = FExpr::Binary(op, Box::new(acc), Box::new(bridge(p, var)?));
+        acc = FExpr::Binary(op, Box::new(acc), Box::new(bridge(p, var, params)?));
     }
     Some(acc)
 }

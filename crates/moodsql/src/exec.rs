@@ -70,10 +70,14 @@ impl QueryResult {
 /// A SELECT prepared once — bound, optimized, estimated, its predicates
 /// parsed and (where possible) compiled to register programs — and
 /// re-executable any number of times. The session's plan cache stores
-/// these keyed by normalized SQL text; `epoch` is the catalog epoch the
-/// plan was built under, so any DDL or statistics refresh invalidates it.
+/// these keyed by statement shape (`=`-operand literals lifted out as `$n`),
+/// so one entry runs with whichever values the executor has bound; `epoch`
+/// is the catalog epoch the plan was built under, so any DDL or statistics
+/// refresh invalidates it.
 pub struct PreparedQuery {
     stmt: SelectStmt,
+    /// Parameters the statement reads (`$1..=$nparams`).
+    nparams: u16,
     lowered: Lowered,
     terms: Vec<(PlanSet, Vec<NodeEstimate>)>,
     /// Catalog epoch at preparation; a mismatch means the plan is stale.
@@ -105,8 +109,8 @@ pub struct PreparedQuery {
 impl PreparedQuery {
     /// Lower every predicate (and, for ungrouped queries, every projection
     /// column) to register programs. Idempotent; a no-op when compilation
-    /// is disabled.
-    fn compile_now(&self, catalog: &Catalog) {
+    /// is disabled. `params` supply type classes only (fixed per shape).
+    fn compile_now(&self, catalog: &Catalog, params: &[Value]) {
         if self.compiled.swap(true, AtomicOrdering::Relaxed) {
             return;
         }
@@ -114,7 +118,7 @@ impl PreparedQuery {
             return;
         }
         for p in self.preds.values() {
-            p.compile(catalog, &self.var_class);
+            p.compile(catalog, &self.var_class, params);
         }
         let grouped = !self.stmt.group_by.is_empty()
             || self
@@ -129,7 +133,7 @@ impl PreparedQuery {
                 self.stmt
                     .projection
                     .iter()
-                    .map(|e| compile_proj(catalog, &self.var_class, e))
+                    .map(|e| compile_proj(catalog, &self.var_class, e, params))
                     .collect()
             }
         });
@@ -143,7 +147,7 @@ impl PreparedQuery {
                     .order_by
                     .iter()
                     .map(|(path, _)| {
-                        compile_proj(catalog, &self.var_class, &Expr::Path(path.clone()))
+                        compile_proj(catalog, &self.var_class, &Expr::Path(path.clone()), params)
                     })
                     .collect()
             }
@@ -153,14 +157,14 @@ impl PreparedQuery {
     /// Count one execution; once the count crosses the lazy-compilation
     /// threshold, compile the plan's predicates (charging the work to
     /// `compile_ns` at that point, not at prepare time).
-    fn note_execution(&self, catalog: &Catalog, registry: &MetricsRegistry) {
+    fn note_execution(&self, catalog: &Catalog, registry: &MetricsRegistry, params: &[Value]) {
         let n = self.executions.fetch_add(1, AtomicOrdering::Relaxed) + 1;
         if !self.compile_enabled || self.compiled.load(AtomicOrdering::Relaxed) {
             return;
         }
         if n >= self.compile_threshold.max(1) {
             let start = Instant::now();
-            self.compile_now(catalog);
+            self.compile_now(catalog, params);
             registry.record_compile_ns(start.elapsed().as_nanos() as u64);
         }
     }
@@ -209,6 +213,8 @@ pub struct Executor<'a> {
     pub catalog: &'a Catalog,
     pub funcman: &'a FunctionManager,
     pub config: OptimizerConfig,
+    /// The values `$1, $2, …` stand for in whatever this executor runs.
+    params: &'a [Value],
     trace: std::sync::Mutex<Vec<String>>,
     tracer: Tracer,
 }
@@ -219,6 +225,7 @@ impl<'a> Executor<'a> {
             catalog,
             funcman,
             config: OptimizerConfig::default(),
+            params: &[],
             trace: std::sync::Mutex::new(Vec::new()),
             tracer: Tracer::new(),
         }
@@ -227,6 +234,29 @@ impl<'a> Executor<'a> {
     pub fn with_config(mut self, config: OptimizerConfig) -> Self {
         self.config = config;
         self
+    }
+
+    /// Bind the parameter vector: `$n` evaluates to `params[n - 1]`.
+    pub fn with_params(mut self, params: &'a [Value]) -> Self {
+        self.params = params;
+        self
+    }
+
+    /// The value bound to `$n`.
+    fn param(&self, n: u16) -> Result<&'a Value> {
+        (n as usize)
+            .checked_sub(1)
+            .and_then(|i| self.params.get(i))
+            .ok_or_else(|| unbound_param(n, self.params.len()))
+    }
+
+    /// Every parameter the statement reads must be bound before anything
+    /// runs (an empty extent must not hide the error).
+    fn check_params(&self, nparams: u16) -> Result<()> {
+        if nparams as usize > self.params.len() {
+            return Err(unbound_param(nparams, self.params.len()));
+        }
+        Ok(())
     }
 
     /// Share a tracer: lifecycle and per-operator spans go to its
@@ -263,7 +293,7 @@ impl<'a> Executor<'a> {
         if par <= 1 {
             let mut kept = Vec::new();
             if let Some(pred) = compiled {
-                let mut regs = Registers::default();
+                let mut regs = Registers::with_params(self.params);
                 for row in rows {
                     if pred.matches(self.catalog, &row, &mut regs)? {
                         kept.push(row);
@@ -281,7 +311,7 @@ impl<'a> Executor<'a> {
         run_chunked(par, &rows, |_, chunk| {
             let mut kept = Vec::new();
             if let Some(pred) = compiled {
-                let mut regs = Registers::default();
+                let mut regs = Registers::with_params(self.params);
                 for row in chunk {
                     if pred.matches(self.catalog, row, &mut regs)? {
                         kept.push(row.clone());
@@ -359,6 +389,7 @@ impl<'a> Executor<'a> {
     /// Start a statement: reset the stage trace and lower it inside a
     /// `bind` span.
     fn bind_fresh(&self, stmt: &SelectStmt) -> Result<Lowered> {
+        self.check_params(stmt.max_param())?;
         self.trace.lock().expect("trace lock").clear();
         let _span = self.tracer.span("bind", self.catalog.storage().metrics());
         lower(self.catalog, stmt)
@@ -419,6 +450,7 @@ impl<'a> Executor<'a> {
     /// window, so the report's exclusive deltas plus stage deltas sum
     /// exactly to the statement's total counter delta.
     pub fn analyze(&self, stmt: &SelectStmt) -> Result<AnalyzeReport> {
+        self.check_params(stmt.max_param())?;
         self.trace.lock().expect("trace lock").clear();
         let metrics = self.catalog.storage().metrics().clone();
         let registry = self.catalog.storage().registry().clone();
@@ -505,6 +537,7 @@ impl<'a> Executor<'a> {
             cached: false,
             epoch: self.catalog.epoch(),
             compile_nanos,
+            params: self.params.to_vec(),
         })
     }
 
@@ -512,13 +545,14 @@ impl<'a> Executor<'a> {
     /// PLAN stage is absent — bind/optimize already happened at prepare
     /// time — so the report states `cached` and a zero compile cost.
     pub fn analyze_prepared(&self, pq: &PreparedQuery) -> Result<AnalyzeReport> {
+        self.check_params(pq.nparams)?;
         self.trace.lock().expect("trace lock").clear();
         let metrics = self.catalog.storage().metrics().clone();
         let registry = self.catalog.storage().registry().clone();
         let stages = StageRec::new(metrics.clone());
         let start = Instant::now();
         let before = metrics.snapshot();
-        pq.note_execution(self.catalog, &registry);
+        pq.note_execution(self.catalog, &registry, self.params);
         let mut exec_span = self.tracer.span("execute", &metrics);
         self.mark("FROM");
         let mut terms: Vec<TermReport> = Vec::new();
@@ -558,6 +592,7 @@ impl<'a> Executor<'a> {
             cached: true,
             epoch: pq.epoch,
             compile_nanos: 0,
+            params: self.params.to_vec(),
         })
     }
 
@@ -609,7 +644,7 @@ impl<'a> Executor<'a> {
                 "PROJECT",
                 |r: &QueryResult| r.len() as u64,
                 || {
-                    let columns: Vec<String> = stmt.projection.iter().map(Expr::render).collect();
+                    let columns = self.column_labels(stmt);
                     let mut out_rows = Vec::new();
                     for g in &groups {
                         let mut out = Vec::new();
@@ -639,8 +674,8 @@ impl<'a> Executor<'a> {
                 "PROJECT",
                 |r: &QueryResult| r.len() as u64,
                 || {
-                    let columns: Vec<String> = stmt.projection.iter().map(Expr::render).collect();
-                    let mut regs = Registers::default();
+                    let columns = self.column_labels(stmt);
+                    let mut regs = Registers::with_params(self.params);
                     let mut out_rows = Vec::new();
                     for row in &rows {
                         let mut out = Vec::new();
@@ -702,6 +737,15 @@ impl<'a> Executor<'a> {
         Ok(result)
     }
 
+    /// Result column labels: the projection as written, so a parameter
+    /// reads as the literal it stands for.
+    fn column_labels(&self, stmt: &SelectStmt) -> Vec<String> {
+        stmt.projection
+            .iter()
+            .map(|e| e.render_with(self.params))
+            .collect()
+    }
+
     fn run_optimized(&self, _stmt: &SelectStmt, lowered: &Lowered) -> Result<Vec<Row>> {
         // Ensure statistics exist for the root class; first use collects.
         if self.catalog.stats().class(&lowered.root.class).is_none() {
@@ -745,6 +789,8 @@ impl<'a> Executor<'a> {
     /// first-use statistics collection (which bumps it), so a cached entry
     /// stays valid until the next DDL or statistics refresh.
     pub fn prepare(&self, stmt: &SelectStmt) -> Result<Option<PreparedQuery>> {
+        let nparams = stmt.max_param();
+        self.check_params(nparams)?;
         let metrics = self.catalog.storage().metrics().clone();
         let registry = self.catalog.storage().registry().clone();
         let start = Instant::now();
@@ -795,6 +841,7 @@ impl<'a> Executor<'a> {
         }
         let mut pq = PreparedQuery {
             stmt: stmt.clone(),
+            nparams,
             lowered,
             terms,
             epoch,
@@ -812,7 +859,7 @@ impl<'a> Executor<'a> {
         // inside this compile-time window. Any other threshold defers to
         // `note_execution`, so one-shot statements skip compilation.
         if pq.compile_threshold == 0 {
-            pq.compile_now(self.catalog);
+            pq.compile_now(self.catalog, self.params);
         }
         let compile_nanos = start.elapsed().as_nanos() as u64;
         registry.record_compile_ns(compile_nanos);
@@ -820,14 +867,15 @@ impl<'a> Executor<'a> {
         Ok(Some(pq))
     }
 
-    /// Execute a prepared plan: no parse, no bind, no optimize. Trace
-    /// marks and per-operator registry totals are identical to an
-    /// uncached run of the same plan.
+    /// Execute a prepared plan with this executor's parameters: no parse,
+    /// no bind, no optimize. Trace marks and per-operator registry totals
+    /// are identical to an uncached run of the same plan.
     pub fn run_prepared(&self, pq: &PreparedQuery) -> Result<QueryResult> {
+        self.check_params(pq.nparams)?;
         self.trace.lock().expect("trace lock").clear();
         let metrics = self.catalog.storage().metrics().clone();
         let registry = self.catalog.storage().registry().clone();
-        pq.note_execution(self.catalog, &registry);
+        pq.note_execution(self.catalog, &registry, self.params);
         let mut exec_span = self.tracer.span("execute", &metrics);
         self.mark("FROM");
         let mut all_rows: Vec<Row> = Vec::new();
@@ -1028,7 +1076,7 @@ impl<'a> Executor<'a> {
                     }
                 });
                 let compiled = prepared.and_then(|p| p.compiled());
-                let mut regs = Registers::default();
+                let mut regs = Registers::with_params(self.params);
                 let mut rows = Vec::new();
                 for oid in oid_set.unwrap_or_default() {
                     if let Some(range) = &range {
@@ -1144,7 +1192,7 @@ impl<'a> Executor<'a> {
         let registry = self.catalog.storage().registry().clone();
         let mut rows: Vec<Row> = Vec::new();
         let mut buf: Vec<(Oid, Value)> = Vec::with_capacity(batch);
-        let mut regs = Registers::default();
+        let mut regs = Registers::with_params(self.params);
         let mut first_err: Option<SqlError> = None;
         {
             let mut sink = |oid: Oid, value: Value| {
@@ -1214,8 +1262,13 @@ impl<'a> Executor<'a> {
                 "INDSEL predicate not a comparison: {p:?}"
             )));
         };
-        let (Expr::Path(path), Expr::Literal(lit)) = (&**left, &**right) else {
+        let (Expr::Path(path), key) = (&**left, &**right) else {
             return Err(SqlError::Exec("INDSEL predicate shape".into()));
+        };
+        let key = match key {
+            Expr::Literal(lit) => lit_value(lit),
+            Expr::Param(n) => self.param(*n)?.clone(),
+            _ => return Err(SqlError::Exec("INDSEL predicate shape".into())),
         };
         if path.segments.is_empty() {
             return Err(SqlError::Exec(
@@ -1224,7 +1277,6 @@ impl<'a> Executor<'a> {
         }
         // Dotted join handles both plain attributes and whole-path indexes.
         let attr = &path.segments.join(".");
-        let key = lit_value(lit);
         Ok(match op {
             crate::ast::CmpOp::Eq => self.catalog.index_lookup(class, attr, &key)?,
             crate::ast::CmpOp::Lt => {
@@ -1562,6 +1614,7 @@ impl<'a> Executor<'a> {
     pub fn eval_expr(&self, e: &Expr, row: &Row) -> Result<Value> {
         Ok(match e {
             Expr::Literal(l) => lit_value(l),
+            Expr::Param(n) => self.param(*n)?.clone(),
             Expr::Path(p) => self.eval_path(p, row)?,
             Expr::MethodCall { base, method, args } => {
                 let mut arg_vals = Vec::with_capacity(args.len());
@@ -1936,7 +1989,7 @@ impl<'a> Executor<'a> {
     ) -> Result<()> {
         // Precompute keys (evaluation may deref; do it once per row),
         // through the compiled key programs when the plan has them.
-        let mut regs = Registers::default();
+        let mut regs = Registers::with_params(self.params);
         let mut keyed: Vec<(usize, Vec<Value>)> = Vec::with_capacity(rows.len());
         for (i, row) in rows.iter().enumerate() {
             let mut keys = Vec::with_capacity(order_by.len());
@@ -2236,7 +2289,11 @@ fn dedupe_bindings(rows: &mut Vec<Row>) {
     });
 }
 
-fn lit_value(l: &Lit) -> Value {
+fn unbound_param(n: u16, bound: usize) -> SqlError {
+    SqlError::Bind(format!("unbound parameter ${n} ({bound} bound)"))
+}
+
+pub(crate) fn lit_value(l: &Lit) -> Value {
     match l {
         Lit::Int(i) => {
             if let Ok(v) = i32::try_from(*i) {

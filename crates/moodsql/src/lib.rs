@@ -15,6 +15,7 @@ pub mod cursor;
 pub mod error;
 pub mod exec;
 pub mod parser;
+pub(crate) mod shape;
 pub mod token;
 
 pub use analyze::{
@@ -41,6 +42,8 @@ use mood_funcman::FunctionManager;
 use mood_optimizer::OptimizerConfig;
 use mood_storage::MetricsRegistry;
 
+use shape::Shape;
+
 /// Plan cache shard count: keeps lock contention low when a session is
 /// shared behind a facade mutex and queried from many threads in turn.
 const PLAN_CACHE_SHARDS: usize = 8;
@@ -48,7 +51,9 @@ const PLAN_CACHE_SHARDS: usize = 8;
 /// [`Session::set_plan_cache_capacity`]).
 pub const PLAN_CACHE_CAPACITY: usize = 128;
 
-/// A bounded, sharded LRU of prepared plans keyed by normalized SQL text.
+/// A bounded, sharded LRU of prepared plans keyed by statement shape
+/// ([`Shape::key`]): statements that differ only in layout or in the
+/// literal operands of `=` share one entry.
 ///
 /// Entries carry the catalog epoch they were built under ([`PreparedQuery::
 /// epoch`]); a lookup under a different epoch removes the entry (counted as
@@ -72,16 +77,6 @@ struct CacheShard {
 struct CacheEntry {
     prepared: Arc<PreparedQuery>,
     last_used: u64,
-}
-
-/// A cache consultation's outcome.
-enum Lookup {
-    /// Valid entry found; parse/bind/optimize were all skipped.
-    Hit(Arc<PreparedQuery>),
-    /// Nothing valid cached; the statement was prepared and inserted.
-    Miss(Arc<PreparedQuery>),
-    /// The statement cannot be prepared (nested-loop fallback shape).
-    Uncachable,
 }
 
 impl PlanCache {
@@ -157,58 +152,6 @@ impl PlanCache {
     }
 }
 
-/// Collapse whitespace runs to single spaces outside single-quoted string
-/// literals and trim the ends. Case is preserved — MOODSQL identifiers and
-/// string literals are case-sensitive, so only layout differences fold
-/// onto one cache entry.
-fn normalize_sql(sql: &str) -> String {
-    let mut out = String::with_capacity(sql.len());
-    let mut in_str = false;
-    let mut pending_space = false;
-    for ch in sql.chars() {
-        if in_str {
-            out.push(ch);
-            if ch == '\'' {
-                in_str = false;
-            }
-            continue;
-        }
-        if ch.is_whitespace() {
-            pending_space = !out.is_empty();
-            continue;
-        }
-        if pending_space {
-            out.push(' ');
-            pending_space = false;
-        }
-        if ch == '\'' {
-            in_str = true;
-        }
-        out.push(ch);
-    }
-    out
-}
-
-/// Split a normalized statement into its cache key and whether it is the
-/// instrumented (`EXPLAIN ANALYZE`) form. The prefix is stripped from the
-/// key so the instrumented and plain forms of a SELECT share one cached
-/// plan.
-fn split_analyze(norm: &str) -> (&str, bool) {
-    const PREFIX: &str = "explain analyze ";
-    if norm.len() > PREFIX.len() && norm[..PREFIX.len()].eq_ignore_ascii_case(PREFIX) {
-        (&norm[PREFIX.len()..], true)
-    } else {
-        (norm, false)
-    }
-}
-
-/// Cache key for a statement: normalized text with a leading `EXPLAIN
-/// ANALYZE` stripped.
-fn plan_cache_key(sql: &str) -> String {
-    let norm = normalize_sql(sql);
-    split_analyze(&norm).0.to_string()
-}
-
 /// What a statement produced.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Answer {
@@ -233,7 +176,7 @@ pub struct Session {
     /// The open explicit transaction (`BEGIN` … `COMMIT`/`ROLLBACK`), if
     /// any. Bare DML statements outside one autocommit.
     txn: Option<mood_storage::TxnId>,
-    /// Prepared plans keyed by normalized SQL text (see [`PlanCache`]).
+    /// Prepared plans keyed by statement shape (see [`PlanCache`]).
     plan_cache: PlanCache,
     plan_cache_enabled: bool,
     /// Did the last executed statement run off a cached plan? Set by the
@@ -411,30 +354,29 @@ impl Session {
     }
 
     /// Parse and execute one statement. SELECT and EXPLAIN ANALYZE go
-    /// through the session plan cache (keyed by the normalized statement
-    /// text) unless it is disabled; everything else takes the ordinary
-    /// statement path.
+    /// through the session plan cache (keyed by the statement's shape, see
+    /// [`shape`]) unless it is disabled; everything else takes the ordinary
+    /// statement path. The text is scanned once, here; the cache lookup,
+    /// the parse on a miss and the stats below all work from that scan.
     ///
     /// Every successful non-introspection statement is folded into the
-    /// engine's per-statement stats (`SHOW STATEMENTS`): wall-clock
-    /// elapsed, result/affected rows, page accesses and whether a cached
-    /// plan served it. Statements at or over the session's slow-query
-    /// threshold are additionally captured in the registry's slow-query
-    /// ring with their `EXPLAIN ANALYZE` tree.
+    /// engine's per-statement stats (`SHOW STATEMENTS`), aggregated by
+    /// shape: wall-clock elapsed, result/affected rows, page accesses and
+    /// whether a cached plan served it. Statements at or over the session's
+    /// slow-query threshold are additionally captured in the registry's
+    /// slow-query ring — with the text as written, values included — and
+    /// their `EXPLAIN ANALYZE` tree.
     pub fn execute(&mut self, sql: &str) -> Result<Answer> {
-        let key = plan_cache_key(sql);
+        let shape = Shape::scan(sql)?;
         // Introspection must not perturb the stats it reports.
-        if key
-            .get(..5)
-            .is_some_and(|p| p.eq_ignore_ascii_case("show "))
-        {
-            return self.execute_inner(sql);
+        if shape.is_show() {
+            return self.execute_inner(sql, &shape);
         }
         let registry = self.catalog.storage().registry().clone();
         let before = registry.disk_metrics().snapshot();
         self.last_stmt_cached = false;
         let t0 = Instant::now();
-        let result = self.execute_inner(sql);
+        let result = self.execute_inner(sql, &shape);
         let elapsed_ns = t0.elapsed().as_nanos() as u64;
         if let Ok(answer) = &result {
             let after = registry.disk_metrics().snapshot();
@@ -448,11 +390,17 @@ impl Session {
                 Answer::Created(_) => 1,
                 Answer::Plan(_) => 0,
             };
-            registry.record_statement(&key, elapsed_ns, rows, pages, self.last_stmt_cached);
+            registry.record_statement(&shape.key, elapsed_ns, rows, pages, self.last_stmt_cached);
             if let Some(threshold) = self.slow_query_threshold {
                 if elapsed_ns >= threshold.as_nanos() as u64 {
                     let plan = self.capture_slow_plan(sql, answer);
-                    registry.record_slow_query(key, elapsed_ns, rows, pages, plan);
+                    registry.record_slow_query(
+                        sql.trim().to_string(),
+                        elapsed_ns,
+                        rows,
+                        pages,
+                        plan,
+                    );
                 }
             }
         }
@@ -509,26 +457,9 @@ impl Session {
         None
     }
 
-    fn execute_inner(&mut self, sql: &str) -> Result<Answer> {
-        // Warm fast path: a cached plan needs no AST, so the cache is
-        // consulted on the normalized text before anything is parsed. Only
-        // SELECT / EXPLAIN ANALYZE texts are ever inserted, so a hit fully
-        // classifies the statement.
-        if self.plan_cache_enabled {
-            let norm = normalize_sql(sql);
-            let (key, analyze) = split_analyze(&norm);
-            let registry = self.catalog.storage().registry().clone();
-            if let Some(pq) = self.plan_cache.get(key, self.catalog.epoch(), &registry) {
-                self.last_stmt_cached = true;
-                let ex = Executor::new(&self.catalog, &self.funcman)
-                    .with_config(self.config.clone())
-                    .with_tracer(self.tracer.clone());
-                let answer = if analyze {
-                    Answer::Plan(ex.analyze_prepared(&pq)?.render())
-                } else {
-                    Answer::Rows(ex.run_prepared(&pq)?)
-                };
-                self.last_trace = ex.trace();
+    fn execute_inner(&mut self, sql: &str, shape: &Shape) -> Result<Answer> {
+        if self.plan_cache_enabled && shape.is_select() {
+            if let Some(answer) = self.run_cached(shape)? {
                 return Ok(answer);
             }
         }
@@ -538,71 +469,62 @@ impl Session {
                 .span("parse", self.catalog.storage().metrics());
             parse(sql)?
         };
-        if self.plan_cache_enabled {
-            match &stmt {
-                Statement::Select(s) => return self.run_select_cached(sql, s),
-                Statement::ExplainAnalyze(s) => return self.run_analyze_cached(sql, s),
-                _ => {}
-            }
-        }
         self.execute_statement(&stmt)
     }
 
-    /// Consult the plan cache under the current catalog epoch; on a miss,
-    /// prepare and insert. Counter discipline: hits + misses = cacheable
-    /// lookups; a stale entry adds an invalidation to its miss; statements
-    /// the preparer cannot absorb count nothing (they are not cacheable).
-    fn lookup_or_prepare(&self, key: &str, stmt: &SelectStmt, ex: &Executor<'_>) -> Result<Lookup> {
+    /// Run a SELECT / EXPLAIN ANALYZE off the plan cached for its shape,
+    /// with the statement's own literals bound as the parameters. A hit
+    /// needs no AST: nothing is lexed, parsed, bound or optimized. On a
+    /// miss the *shape text* is parsed, so the plan that gets prepared and
+    /// inserted serves every statement of the shape.
+    ///
+    /// Counter discipline: hits + misses = cacheable lookups; a stale entry
+    /// adds an invalidation to its miss; statements the preparer cannot
+    /// absorb count nothing (they are not cacheable).
+    ///
+    /// `None` hands the statement back to the literal path: its shape text
+    /// does not parse, and the text as written produces the error to show.
+    fn run_cached(&mut self, shape: &Shape) -> Result<Option<Answer>> {
         let registry = self.catalog.storage().registry().clone();
-        let epoch = self.catalog.epoch();
-        if let Some(pq) = self.plan_cache.get(key, epoch, &registry) {
-            return Ok(Lookup::Hit(pq));
-        }
-        match ex.prepare(stmt)? {
-            Some(pq) => {
-                registry.record_plan_cache_miss();
-                let pq = Arc::new(pq);
-                self.plan_cache.insert(key.to_string(), pq.clone(), &registry);
-                Ok(Lookup::Miss(pq))
-            }
-            None => Ok(Lookup::Uncachable),
-        }
-    }
-
-    fn run_select_cached(&mut self, sql: &str, s: &SelectStmt) -> Result<Answer> {
-        let key = plan_cache_key(sql);
         let ex = Executor::new(&self.catalog, &self.funcman)
             .with_config(self.config.clone())
-            .with_tracer(self.tracer.clone());
-        let rows = match self.lookup_or_prepare(&key, s, &ex)? {
-            Lookup::Hit(pq) => {
-                self.last_stmt_cached = true;
-                ex.run_prepared(&pq)?
+            .with_tracer(self.tracer.clone())
+            .with_params(&shape.params);
+        let cached = self
+            .plan_cache
+            .get(&shape.key, self.catalog.epoch(), &registry);
+        self.last_stmt_cached = cached.is_some();
+        let answer = match cached {
+            Some(pq) if shape.analyze => Answer::Plan(ex.analyze_prepared(&pq)?.render()),
+            Some(pq) => Answer::Rows(ex.run_prepared(&pq)?),
+            None => {
+                let parsed = {
+                    let _span = self
+                        .tracer
+                        .span("parse", self.catalog.storage().metrics());
+                    parse(shape.text())
+                };
+                let Ok(Statement::Select(s)) = parsed else {
+                    return Ok(None);
+                };
+                let prepared = ex.prepare(&s)?.map(Arc::new);
+                if let Some(pq) = &prepared {
+                    registry.record_plan_cache_miss();
+                    self.plan_cache
+                        .insert(shape.key.clone(), pq.clone(), &registry);
+                }
+                match prepared {
+                    // A cold EXPLAIN ANALYZE reports the fresh path —
+                    // including the PLAN stage's page accounting — while
+                    // the prepared plan stays cached for the next execution.
+                    _ if shape.analyze => Answer::Plan(ex.analyze(&s)?.render()),
+                    Some(pq) => Answer::Rows(ex.run_prepared(&pq)?),
+                    None => Answer::Rows(ex.run_select(&s)?),
+                }
             }
-            Lookup::Miss(pq) => ex.run_prepared(&pq)?,
-            Lookup::Uncachable => ex.run_select(s)?,
         };
         self.last_trace = ex.trace();
-        Ok(Answer::Rows(rows))
-    }
-
-    fn run_analyze_cached(&mut self, sql: &str, s: &SelectStmt) -> Result<Answer> {
-        let key = plan_cache_key(sql);
-        let ex = Executor::new(&self.catalog, &self.funcman)
-            .with_config(self.config.clone())
-            .with_tracer(self.tracer.clone());
-        let report = match self.lookup_or_prepare(&key, s, &ex)? {
-            Lookup::Hit(pq) => {
-                self.last_stmt_cached = true;
-                ex.analyze_prepared(&pq)?
-            }
-            // A cold EXPLAIN ANALYZE reports the fresh path — including
-            // the PLAN stage's page accounting — while the prepared plan
-            // stays cached for the next execution.
-            Lookup::Miss(_) | Lookup::Uncachable => ex.analyze(s)?,
-        };
-        self.last_trace = ex.trace();
-        Ok(Answer::Plan(report.render()))
+        Ok(Some(answer))
     }
 
     /// Execute a SELECT and wrap the result in a cursor.

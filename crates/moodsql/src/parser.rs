@@ -447,6 +447,10 @@ impl Parser {
                 self.pos += 1;
                 Ok(Expr::Literal(Lit::Str(s)))
             }
+            Some(Tok::Param(n)) => {
+                self.pos += 1;
+                Ok(Expr::Param(n))
+            }
             Some(Tok::Kw(Kw::True)) => {
                 self.pos += 1;
                 Ok(Expr::Literal(Lit::Bool(true)))
@@ -1035,6 +1039,19 @@ mod tests {
         // Still usable as an identifier.
         assert!(parse("SELECT c FROM Cluster c").is_ok());
         assert!(parse("CLUSTER").is_err());
+    }
+
+    #[test]
+    fn parameters_parse_as_operands() {
+        let Statement::Select(s) =
+            parse("SELECT v FROM Vehicle v WHERE v.id = $1 AND $2 = v.weight").unwrap()
+        else {
+            panic!()
+        };
+        let w = s.where_clause.unwrap();
+        assert_eq!(w.render(), "v.id = $1 AND $2 = v.weight");
+        assert_eq!(w.max_param(), 2);
+        assert_eq!(parse_expr("v.id = $1").unwrap().max_param(), 1);
     }
 
     #[test]

@@ -10,6 +10,10 @@ pub enum Tok {
     Int(i64),
     Float(f64),
     Str(String),
+    /// `$n` — the n-th (1-based) bound parameter. Only the session's shape
+    /// scanner writes these; statement text typed by a user never reaches
+    /// the lexer with one.
+    Param(u16),
     Sym(&'static str),
 }
 
@@ -178,6 +182,19 @@ pub fn lex(src: &str) -> Result<Vec<Tok>> {
             }
             continue;
         }
+        if c == '$' {
+            let start = i;
+            i += 1;
+            while i < chars.len() && chars[i].is_ascii_digit() {
+                i += 1;
+            }
+            let text: String = chars[start + 1..i].iter().collect();
+            toks.push(Tok::Param(text.parse().map_err(|_| SqlError::Lex {
+                position: start,
+                message: format!("bad parameter ${text}"),
+            })?));
+            continue;
+        }
         if c == '\'' || c == '"' {
             let quote = c;
             i += 1;
@@ -319,6 +336,14 @@ mod tests {
                 Tok::Sym("<")
             ]
         );
+    }
+
+    #[test]
+    fn parameters_lex_as_one_token() {
+        assert_eq!(lex("v.id = $12").unwrap().last(), Some(&Tok::Param(12)));
+        assert!(matches!(lex("$"), Err(SqlError::Lex { .. })));
+        assert!(matches!(lex("$x"), Err(SqlError::Lex { .. })));
+        assert!(matches!(lex("$99999999"), Err(SqlError::Lex { .. })));
     }
 
     #[test]

@@ -37,6 +37,10 @@ pub enum Const {
     Num(f64),
     Str(String),
     Bool(bool),
+    /// `$n` — a value bound at execution. It stands only where θ is `=` or
+    /// `<>`, whose §8 selectivities (`1/dist`, `1 − 1/dist`) never read the
+    /// constant, so the plan chosen for `$n` is the plan for every value.
+    Param(u16),
 }
 
 impl Const {
@@ -51,6 +55,7 @@ impl Const {
             }
             Const::Str(s) => format!("'{}'", s.replace('\'', "''")),
             Const::Bool(b) => if *b { "TRUE" } else { "FALSE" }.to_string(),
+            Const::Param(n) => format!("${n}"),
         }
     }
 
@@ -964,6 +969,38 @@ mod tests {
             terminal_var: None,
         }]];
         q
+    }
+
+    /// `=` selectivity is `1/dist` whatever the constant, so Example 8.1
+    /// with both constants replaced by parameters gets Example 8.1's plan,
+    /// costs and dictionaries.
+    #[test]
+    fn parameters_plan_like_the_constants_they_stand_for() {
+        let stats = DatabaseStats::paper_example();
+        let literal = example_8_1();
+        let mut shaped = literal.clone();
+        for (n, pred) in shaped.terms[0].iter_mut().enumerate() {
+            let PredSpec::Path { constant, .. } = pred else {
+                unreachable!()
+            };
+            *constant = Const::Param(n as u16 + 1);
+        }
+        let a = optimize(&literal, &stats, &cfg());
+        let b = optimize(&shaped, &stats, &cfg());
+        assert_eq!(a.estimated_cost, b.estimated_cost);
+        let bound = b.terms[0]
+            .plan
+            .to_string()
+            .replace("$1", "'BMW'")
+            .replace("$2", "2");
+        assert_eq!(a.terms[0].plan.to_string(), bound);
+        for (x, y) in a.terms[0]
+            .path_sel_info
+            .iter()
+            .zip(&b.terms[0].path_sel_info)
+        {
+            assert_eq!((x.selectivity, x.rank), (y.selectivity, y.rank));
+        }
     }
 
     #[test]

@@ -181,10 +181,15 @@ struct TxnSlot {
 }
 
 struct ShardState {
+    /// The frames used so far. A frame (and its page of memory) is
+    /// allocated the first time the shard needs one more, up to
+    /// `capacity`: a pool sized above its working set never touches the
+    /// memory it does not use.
     frames: Vec<Frame>,
+    capacity: usize,
     map: HashMap<(FileId, PageId), usize>,
     hand: usize,
-    /// Occupied frames currently marked cold; `evict_one` skips the
+    /// Occupied frames currently marked cold; `claim_frame` skips the
     /// cold-first pass when a fully occupied shard has none.
     cold: usize,
 }
@@ -230,17 +235,8 @@ impl Shard {
     fn new(frames: usize) -> Shard {
         Shard {
             state: Mutex::new(ShardState {
-                frames: (0..frames)
-                    .map(|_| Frame {
-                        key: None,
-                        page: Page::new(),
-                        dirty: false,
-                        pins: 0,
-                        referenced: false,
-                        checked_out: false,
-                        cold: false,
-                    })
-                    .collect(),
+                frames: Vec::new(),
+                capacity: frames,
                 map: HashMap::new(),
                 hand: 0,
                 cold: 0,
@@ -581,7 +577,7 @@ impl BufferPool {
                     break i;
                 }
                 None => {
-                    let i = match self.evict_one(shard, &mut st) {
+                    let i = match self.claim_frame(shard, &mut st) {
                         Ok(i) => i,
                         Err(StorageError::PoolExhausted) => {
                             if st.frames.iter().any(|fr| fr.checked_out) {
@@ -731,7 +727,7 @@ impl BufferPool {
             if st.map.contains_key(&pkey) {
                 continue;
             }
-            let i = match self.evict_one(shard, &mut st) {
+            let i = match self.claim_frame(shard, &mut st) {
                 Ok(i) => i,
                 Err(_) => continue,
             };
@@ -843,7 +839,21 @@ impl BufferPool {
             .is_some_and(|tr| tr.undo.contains_key(&key))
     }
 
-    fn evict_one(&self, shard: &Shard, st: &mut ShardState) -> Result<usize> {
+    /// A frame to load a page into: a new one while the shard is below its
+    /// capacity, a victim's once it is full.
+    fn claim_frame(&self, shard: &Shard, st: &mut ShardState) -> Result<usize> {
+        if st.frames.len() < st.capacity {
+            st.frames.push(Frame {
+                key: None,
+                page: Page::new(),
+                dirty: false,
+                pins: 0,
+                referenced: false,
+                checked_out: false,
+                cold: false,
+            });
+            return Ok(st.frames.len() - 1);
+        }
         // Cold-first pass: free frames and scan-loaded (cold) frames only.
         // Hot frames' reference bits are untouched here, which is what
         // keeps a full-extent sweep from aging the hot set out. When a
@@ -1261,6 +1271,34 @@ mod tests {
             assert_eq!(v as usize, i);
         }
         assert!(pool.resident() <= 2);
+    }
+
+    #[test]
+    fn frames_are_allocated_as_they_are_first_needed() {
+        let (pool, f) = pool(256);
+        let allocated = |pool: &BufferPool| -> usize {
+            pool.shards
+                .iter()
+                .map(|s| s.state.lock().frames.len())
+                .sum()
+        };
+        assert_eq!(allocated(&pool), 0, "an idle pool holds no page memory");
+        let pids: Vec<PageId> = (0..10u8)
+            .map(|i| pool.new_page(f, |p| p.data[0] = i).unwrap().0)
+            .collect();
+        assert_eq!(allocated(&pool), 10);
+        for _ in 0..3 {
+            for pid in &pids {
+                pool.with_page(f, *pid, AccessKind::Random, |_| {}).unwrap();
+            }
+        }
+        assert_eq!(allocated(&pool), 10, "hits allocate nothing");
+        // Past capacity the pool evicts; it never grows beyond it.
+        for _ in 0..600 {
+            pool.new_page(f, |_| {}).unwrap();
+        }
+        assert_eq!(allocated(&pool), 256);
+        assert!(pool.resident() <= 256);
     }
 
     #[test]

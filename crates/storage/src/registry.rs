@@ -119,7 +119,7 @@ pub struct MetricsRegistry {
     /// registry owns it; the storage manager hands clones to the buffer
     /// pool, WAL and lock manager during wiring.
     telemetry: Arc<Telemetry>,
-    /// Per-statement aggregates keyed by normalized SQL text.
+    /// Per-statement aggregates keyed by statement shape.
     statements: StatementStats,
     /// Ring of statements that exceeded the slow-query threshold.
     slow_log: SlowQueryLog,

@@ -14,7 +14,7 @@
 //!   time to exactly one event, so `SHOW WAITS` decomposes wall-clock the
 //!   way PR 3's page accounting decomposes I/O: Σ parts ≤ whole.
 //! * [`StatementStats`] — pg_stat_statements-style per-statement
-//!   aggregates keyed by the session's normalized SQL text, each entry
+//!   aggregates keyed by statement shape (the plan-cache key), each entry
 //!   carrying its own latency histogram for per-statement p99.
 //! * [`SlowQueryLog`] — a bounded ring of statements that exceeded the
 //!   session's slow-query threshold, each with its captured
@@ -414,10 +414,11 @@ impl TelemetrySlot {
     }
 }
 
-/// Aggregated lifetime statistics for one normalized statement text.
+/// Aggregated lifetime statistics for one statement shape.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StatementStat {
-    /// Normalized SQL text (the plan-cache key).
+    /// The statement's shape (the plan-cache key): its text with layout
+    /// folded and the literal operands of `=` replaced by `$n`.
     pub sql: String,
     /// Executions recorded.
     pub calls: u64,
@@ -448,6 +449,30 @@ struct StatementEntry {
 }
 
 impl StatementEntry {
+    fn new() -> StatementEntry {
+        StatementEntry {
+            calls: 0,
+            total_ns: 0,
+            min_ns: u64::MAX,
+            max_ns: 0,
+            rows: 0,
+            pages: 0,
+            cache_hits: 0,
+            buckets: vec![0; NUM_BUCKETS],
+        }
+    }
+
+    fn add(&mut self, elapsed_ns: u64, rows: u64, pages: u64, cached: bool) {
+        self.calls += 1;
+        self.total_ns += elapsed_ns;
+        self.min_ns = self.min_ns.min(elapsed_ns);
+        self.max_ns = self.max_ns.max(elapsed_ns);
+        self.rows += rows;
+        self.pages += pages;
+        self.cache_hits += u64::from(cached);
+        self.buckets[bucket_index(elapsed_ns)] += 1;
+    }
+
     fn p99_ns(&self) -> u64 {
         let rank = ((0.99 * self.calls as f64).ceil() as u64).clamp(1, self.calls.max(1));
         let mut seen = 0u64;
@@ -461,48 +486,41 @@ impl StatementEntry {
     }
 }
 
-/// Bound on distinct tracked statements; at capacity the entry with the
-/// least total time is evicted to admit a new key (hot statements survive).
+/// Bound on distinct tracked statements; at capacity the quarter with the
+/// least total time is evicted in one pass (hot statements survive, and a
+/// stream of new keys pays one scan per `STATEMENT_CAP / 4` of them).
 const STATEMENT_CAP: usize = 256;
 
-/// pg_stat_statements-style per-statement aggregation, keyed by normalized
-/// SQL text. The session records every completed statement here.
+/// pg_stat_statements-style per-statement aggregation, keyed by statement
+/// shape. The session records every completed statement here.
 #[derive(Default)]
 pub struct StatementStats {
     map: Mutex<HashMap<String, StatementEntry>>,
 }
 
 impl StatementStats {
-    /// Fold one completed execution into the keyed aggregate.
-    pub fn record(&self, sql: &str, elapsed_ns: u64, rows: u64, pages: u64, cached: bool) {
+    /// Fold one completed execution into the keyed aggregate. A key seen
+    /// before — every execution of a shape after its first — costs one map
+    /// lookup and allocates nothing.
+    pub fn record(&self, key: &str, elapsed_ns: u64, rows: u64, pages: u64, cached: bool) {
         let mut map = self.map.lock();
-        if !map.contains_key(sql) && map.len() >= STATEMENT_CAP {
-            if let Some(victim) = map
-                .iter()
-                .min_by_key(|(_, e)| e.total_ns)
-                .map(|(k, _)| k.clone())
-            {
-                map.remove(&victim);
-            }
+        if let Some(e) = map.get_mut(key) {
+            e.add(elapsed_ns, rows, pages, cached);
+            return;
         }
-        let e = map.entry(sql.to_string()).or_insert_with(|| StatementEntry {
-            calls: 0,
-            total_ns: 0,
-            min_ns: u64::MAX,
-            max_ns: 0,
-            rows: 0,
-            pages: 0,
-            cache_hits: 0,
-            buckets: vec![0; NUM_BUCKETS],
-        });
-        e.calls += 1;
-        e.total_ns += elapsed_ns;
-        e.min_ns = e.min_ns.min(elapsed_ns);
-        e.max_ns = e.max_ns.max(elapsed_ns);
-        e.rows += rows;
-        e.pages += pages;
-        e.cache_hits += u64::from(cached);
-        e.buckets[bucket_index(elapsed_ns)] += 1;
+        if map.len() >= STATEMENT_CAP {
+            let mut totals: Vec<u64> = map.values().map(|e| e.total_ns).collect();
+            let mut quota = STATEMENT_CAP / 4;
+            let cutoff = *totals.select_nth_unstable(quota - 1).1;
+            map.retain(|_, e| {
+                let evict = quota > 0 && e.total_ns <= cutoff;
+                quota -= usize::from(evict);
+                !evict
+            });
+        }
+        let mut e = StatementEntry::new();
+        e.add(elapsed_ns, rows, pages, cached);
+        map.insert(key.to_string(), e);
     }
 
     /// Every tracked statement, most total time first.
@@ -805,6 +823,11 @@ mod tests {
         }
         let snap = s.snapshot();
         assert!(snap.len() <= STATEMENT_CAP);
+        assert!(
+            snap.len() > STATEMENT_CAP / 2,
+            "eviction takes a quarter, ties included, never the lot: {}",
+            snap.len()
+        );
         assert!(
             snap.iter().any(|e| e.sql == "expensive"),
             "the hot statement must survive eviction"

@@ -43,9 +43,14 @@ pub trait Subscriber: Send + Sync {
     fn on_span(&self, span: &SpanRecord);
 }
 
+/// Names one attachment of a subscriber, for [`Tracer::unsubscribe`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SubscriptionId(u64);
+
 #[derive(Default)]
 struct TracerInner {
-    subscribers: Mutex<Vec<Arc<dyn Subscriber>>>,
+    subscribers: Mutex<Vec<(SubscriptionId, Arc<dyn Subscriber>)>>,
+    next_id: AtomicU64,
     /// Subscriber count mirrored outside the mutex so the hot path can
     /// test "is anyone listening?" with one atomic load.
     active: AtomicUsize,
@@ -66,9 +71,27 @@ impl Tracer {
 
     /// Attach a subscriber; it sees every span *opened* after this call
     /// (a span opened while no subscriber was attached records nothing).
-    pub fn subscribe(&self, sub: Arc<dyn Subscriber>) {
-        self.inner.subscribers.lock().push(sub);
+    /// The returned id detaches it again.
+    pub fn subscribe(&self, sub: Arc<dyn Subscriber>) -> SubscriptionId {
+        let id = SubscriptionId(self.inner.next_id.fetch_add(1, Ordering::Relaxed));
+        self.inner.subscribers.lock().push((id, sub));
         self.inner.active.fetch_add(1, Ordering::Release);
+        id
+    }
+
+    /// Detach the subscriber `id` names; false if it already was. Once the
+    /// last one is gone, spans are inert again and tracing costs one atomic
+    /// load per span, as before anything was attached. A span already open
+    /// still reports to whoever is attached when it closes.
+    pub fn unsubscribe(&self, id: SubscriptionId) -> bool {
+        let mut subscribers = self.inner.subscribers.lock();
+        let before = subscribers.len();
+        subscribers.retain(|(sid, _)| *sid != id);
+        let removed = subscribers.len() < before;
+        if removed {
+            self.inner.active.fetch_sub(1, Ordering::Release);
+        }
+        removed
     }
 
     /// True when at least one subscriber is attached — callers may skip
@@ -127,7 +150,7 @@ impl Tracer {
 
     fn dispatch(&self, record: &SpanRecord) {
         self.inner.depth.fetch_sub(1, Ordering::Relaxed);
-        for sub in self.inner.subscribers.lock().iter() {
+        for (_, sub) in self.inner.subscribers.lock().iter() {
             sub.on_span(record);
         }
     }
@@ -487,6 +510,34 @@ mod tests {
         assert!(!tracer.enabled());
         tracer.subscribe(RingBuffer::new(1));
         assert!(tracer.enabled());
+    }
+
+    #[test]
+    fn unsubscribing_the_last_sink_makes_spans_inert_again() {
+        let tracer = Tracer::new();
+        let metrics = DiskMetrics::new();
+        let (a, b) = (RingBuffer::new(8), RingBuffer::new(8));
+        let id_a = tracer.subscribe(a.clone());
+        let id_b = tracer.subscribe(b.clone());
+        tracer.span("both", &metrics);
+        assert!(tracer.unsubscribe(id_a));
+        assert!(!tracer.unsubscribe(id_a), "already detached");
+        assert!(tracer.enabled(), "b is still attached");
+        tracer.span("only-b", &metrics);
+        assert!(tracer.unsubscribe(id_b));
+        assert!(!tracer.enabled());
+        // Inert: no snapshot taken, no record built, nothing dispatched.
+        metrics.record_read(AccessKind::Sequential);
+        let record = tracer.span("nobody", &metrics).finish();
+        assert_eq!((record.name.as_str(), record.depth), ("", 0));
+        assert_eq!(record.delta, MetricsSnapshot::default());
+        assert_eq!(a.records().len(), 1);
+        assert_eq!(b.records().len(), 2);
+        // Depth bookkeeping stayed balanced: a fresh sink sees depth 0.
+        let c = RingBuffer::new(8);
+        tracer.subscribe(c.clone());
+        tracer.span("again", &metrics);
+        assert_eq!(c.records()[0].depth, 0);
     }
 
     #[test]

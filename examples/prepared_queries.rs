@@ -1,12 +1,14 @@
 //! The query hot path: the session plan cache and compiled predicate
 //! evaluation, on the paper's Vehicle schema (Section 3.1).
 //!
-//! A repeated statement is parsed, bound and optimized exactly once; every
-//! later execution reuses the cached plan and runs its predicates as
-//! compiled register programs (the Function Manager's compile-once
-//! discipline from Section 2, applied to queries). Schema or statistics
-//! changes bump the catalog epoch and invalidate stale plans
-//! automatically.
+//! A statement *shape* is parsed, bound and optimized exactly once: the
+//! literal operands of `=` are parameters of the plan (§8's selectivity
+//! for `A = c` is `1/dist` whatever `c` is), so `… WHERE v.id = 42` and
+//! `… WHERE v.id = 43` run off one cached plan, each with its own key
+//! bound, and its predicates run as compiled register programs (the
+//! Function Manager's compile-once discipline from Section 2, applied to
+//! queries). Schema or statistics changes bump the catalog epoch and
+//! invalidate stale plans automatically.
 //!
 //! ```sh
 //! cargo run -p mood-core --example prepared_queries
@@ -65,36 +67,39 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     db.execute("CREATE INDEX ON Vehicle(id)")?;
     db.collect_stats()?;
 
-    let sql = "SELECT v.id, v.weight FROM EVERY Vehicle v WHERE v.id = 42 ORDER BY v.id";
+    let lookup =
+        |id: i32| format!("SELECT v.id, v.weight FROM Vehicle v WHERE v.id = {id} ORDER BY v.id");
 
-    // First execution: a cache miss — the plan is built, compiled and
-    // cached. EXPLAIN ANALYZE reports the fresh plan with its compile cost.
+    // First execution: a cache miss — the plan is built for the shape
+    // `… WHERE v.id = $1` and cached. EXPLAIN ANALYZE reports the fresh
+    // plan with its compile cost and what `$1` was bound to.
     println!("== first execution (fresh plan) ==");
-    println!("{}", db.explain_analyze(sql)?);
+    println!("{}", db.explain_analyze(&lookup(42))?);
 
-    // Second execution: a hit — no parse, no bind, no optimize.
-    println!("== second execution (cached plan) ==");
-    println!("{}", db.explain_analyze(sql)?);
+    // Another key, same shape: a hit — no parse, no bind, no optimize,
+    // just `$1=43` bound to the plan prepared above.
+    println!("== another key (cached plan) ==");
+    println!("{}", db.explain_analyze(&lookup(43))?);
 
     // DDL bumps the catalog epoch: the cached plan is stale and the next
     // lookup re-prepares (an invalidation + a miss in the counters).
     db.execute("CREATE CLASS Depot TUPLE (name String(16))")?;
     println!("== after DDL (epoch bumped, plan re-prepared) ==");
-    println!("{}", db.explain_analyze(sql)?);
+    println!("{}", db.explain_analyze(&lookup(44))?);
 
-    // The warm path in numbers. (Disabling the cache clears it, so this
-    // comparison runs last.)
+    // The warm path in numbers, every statement a different key.
+    // (Disabling the cache clears it, so this comparison runs last.)
     let n = 2000;
     let t0 = Instant::now();
-    for _ in 0..n {
-        db.execute(sql)?;
+    for i in 0..n {
+        db.execute(&lookup(i))?;
     }
     let warm = t0.elapsed().as_secs_f64() / n as f64 * 1e6;
     db.set_plan_cache_enabled(false);
     db.set_compiled_predicates(false);
     let t0 = Instant::now();
-    for _ in 0..n {
-        db.execute(sql)?;
+    for i in 0..n {
+        db.execute(&lookup(i))?;
     }
     let cold = t0.elapsed().as_secs_f64() / n as f64 * 1e6;
     let m = db.engine_metrics();

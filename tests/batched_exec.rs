@@ -315,28 +315,29 @@ fn plan_cache_capacity_is_configurable_and_reported() {
     db.set_plan_cache_capacity(256);
     assert_eq!(db.plan_cache_capacity(), 256);
     assert_eq!(metric_value(&db, "plan_cache.capacity"), "256");
-    // 200 distinct statements thrash a 128-entry cache (see the
-    // query_cache suite) but fit in 256 with no evictions.
+    // 200 distinct shapes (a range bound is part of the shape) thrash a
+    // 128-entry cache (see the query_cache suite) but fit in 256 with no
+    // evictions.
     let before = db.engine_metrics().plan_cache;
     for i in 0..200 {
-        let sql = format!("SELECT v.id FROM EVERY Vehicle v WHERE v.id = {i} ORDER BY v.id");
+        let sql = format!("SELECT v.id FROM EVERY Vehicle v WHERE v.id < {i} ORDER BY v.id");
         run(&db, &sql).unwrap();
     }
     let after = db.engine_metrics().plan_cache;
     assert_eq!(
         after.evictions, before.evictions,
-        "200 distinct statements fit a 256-plan cache without evicting"
+        "200 distinct shapes fit a 256-plan cache without evicting"
     );
     // Shrinking works too: the same workload must now evict.
     db.set_plan_cache_capacity(8);
     assert_eq!(db.plan_cache_capacity(), 8);
     for i in 0..20 {
-        let sql = format!("SELECT v.weight FROM EVERY Vehicle v WHERE v.id = {i} ORDER BY v.id");
+        let sql = format!("SELECT v.weight FROM EVERY Vehicle v WHERE v.id < {i} ORDER BY v.id");
         run(&db, &sql).unwrap();
     }
     assert!(
         db.engine_metrics().plan_cache.evictions > after.evictions,
-        "20 distinct statements against an 8-plan cache must evict"
+        "20 distinct shapes against an 8-plan cache must evict"
     );
 }
 

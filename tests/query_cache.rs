@@ -8,7 +8,8 @@
 //!   statistics refreshes all invalidate cached plans; answers after the
 //!   bump come from a fresh plan.
 //! * Counters: `plan_cache.{hits,misses,evictions,invalidations}` follow
-//!   hits + misses = cacheable lookups, invalidations ⊆ misses.
+//!   hits + misses = cacheable lookups, invalidations ⊆ misses. Entries are
+//!   per statement *shape* (`tests/shape_cache.rs` covers what a shape is).
 //! * `EXPLAIN ANALYZE` reports `plan: fresh`/`plan: cached` with the epoch.
 
 use proptest::prelude::*;
@@ -197,16 +198,33 @@ fn whitespace_differences_share_one_entry() {
 #[test]
 fn capacity_pressure_evicts_lru() {
     let db = build(16);
+    // A range bound is part of a statement's shape (its selectivity reads
+    // the constant), so these are 200 entries, not one.
     for i in 0..200 {
-        let sql = format!("SELECT v.id FROM EVERY Vehicle v WHERE v.id = {i} ORDER BY v.id");
+        let sql = format!("SELECT v.id FROM EVERY Vehicle v WHERE v.id < {i} ORDER BY v.id");
         run(&db, &sql).unwrap();
     }
     let stats = db.engine_metrics().plan_cache;
     assert!(
         stats.evictions > 0,
-        "200 distinct statements against a 128-plan cache must evict: {stats:?}"
+        "200 distinct shapes against a 128-plan cache must evict: {stats:?}"
     );
     assert_eq!(stats.misses, 200 + stats.invalidations);
+}
+
+#[test]
+fn eq_operands_do_not_multiply_entries() {
+    let db = build(16);
+    let before = db.engine_metrics().plan_cache;
+    for i in 0..200 {
+        let sql = format!("SELECT v.id FROM EVERY Vehicle v WHERE v.id = {i} ORDER BY v.id");
+        let rows = run(&db, &sql).unwrap();
+        assert_eq!(rows.len(), usize::from(i < 16), "key {i}");
+    }
+    let after = db.engine_metrics().plan_cache;
+    assert_eq!(after.misses, before.misses + 1, "one shape, one prepare");
+    assert_eq!(after.hits, before.hits + 199);
+    assert_eq!(after.evictions, before.evictions);
 }
 
 #[test]

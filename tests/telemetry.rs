@@ -160,6 +160,12 @@ fn show_statements_aggregates_cached_and_uncached_runs() {
     for _ in 0..4 {
         db.execute(PATH_QUERY).unwrap();
     }
+    // Statements aggregate by shape: other `=` operands land in the same
+    // row (pg_stat_statements behaviour), other shapes in their own.
+    for cylinders in [4, 6, 8] {
+        db.execute(&PATH_QUERY.replace("= 2", &format!("= {cylinders}")))
+            .unwrap();
+    }
 
     let Answer::Rows(r) = db.execute("SHOW STATEMENTS").unwrap() else {
         panic!("SHOW STATEMENTS must return rows")
@@ -181,20 +187,29 @@ fn show_statements_aggregates_cached_and_uncached_runs() {
     let row = r
         .rows
         .iter()
-        .find(|row| row[0].to_string().contains("cylinders = 2"))
+        .find(|row| row[0].to_string().contains("cylinders = $1"))
         .expect("path query row in SHOW STATEMENTS");
+    assert!(
+        !r.rows
+            .iter()
+            .any(|row| row[0].to_string().contains("cylinders = 2")),
+        "values are not part of the key"
+    );
     let cell = |ix: usize| match &row[ix] {
         Value::LongInteger(n) => *n,
         other => panic!("numeric cell expected, got {other:?}"),
     };
-    assert_eq!(cell(1), 4, "calls");
+    assert_eq!(cell(1), 7, "calls");
     assert!(cell(2) > 0, "total_ns");
     assert!(cell(3) <= cell(4), "min <= max");
     assert!(cell(5) > 0, "p99_ns");
-    assert_eq!(cell(6), 4 * 32, "rows: a quarter of 128 vehicles, 4 runs");
-    // First run compiles, later runs hit the session plan cache.
-    assert!(cell(8) >= 2, "cache_hits, got {}", cell(8));
-    assert!(cell(8) < 4, "first run cannot be a cache hit");
+    assert_eq!(
+        cell(6),
+        7 * 32,
+        "rows: a quarter of 128 vehicles per cylinder count"
+    );
+    // First run prepares, every later run hits the session plan cache.
+    assert_eq!(cell(8), 6, "cache_hits");
 
     // Introspection does not observe itself.
     assert!(
@@ -209,9 +224,9 @@ fn show_statements_aggregates_cached_and_uncached_runs() {
     let stats = db.statement_stats();
     let stat = stats
         .iter()
-        .find(|s| s.sql.contains("cylinders = 2"))
+        .find(|s| s.sql.contains("cylinders = $1"))
         .expect("facade stat");
-    assert_eq!(stat.calls, 4);
+    assert_eq!(stat.calls, 7);
     assert_eq!(stat.p99_ns as i64, cell(5));
 }
 
