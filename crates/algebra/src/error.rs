@@ -14,8 +14,6 @@ pub enum AlgebraError {
     Exception(mood_funcman::Exception),
     /// Catalog or storage failure.
     Catalog(mood_catalog::CatalogError),
-    /// Spill-file I/O failure during an external sort.
-    Io(std::io::Error),
 }
 
 impl fmt::Display for AlgebraError {
@@ -26,18 +24,11 @@ impl fmt::Display for AlgebraError {
             }
             AlgebraError::Exception(e) => write!(f, "exception during evaluation: {e}"),
             AlgebraError::Catalog(e) => write!(f, "{e}"),
-            AlgebraError::Io(e) => write!(f, "spill i/o error: {e}"),
         }
     }
 }
 
 impl std::error::Error for AlgebraError {}
-
-impl From<std::io::Error> for AlgebraError {
-    fn from(e: std::io::Error) -> Self {
-        AlgebraError::Io(e)
-    }
-}
 
 impl From<mood_catalog::CatalogError> for AlgebraError {
     fn from(e: mood_catalog::CatalogError) -> Self {

@@ -9,10 +9,10 @@
 
 use std::collections::{HashMap, HashSet};
 
-use mood_catalog::Catalog;
+use mood_catalog::{Catalog, CatalogError};
 use mood_datamodel::Value;
 use mood_storage::exec::{run_chunked, ExecutionConfig};
-use mood_storage::{AccessHint, FileId, Oid, PageId};
+use mood_storage::{AccessHint, Oid, StorageError};
 
 use crate::collection::{join_return, Collection, Kind, Obj};
 use crate::error::{AlgebraError, Result};
@@ -30,69 +30,36 @@ pub enum JoinRhs<'a> {
     Collection(&'a Collection),
 }
 
-/// Extract the reference OIDs from an attribute value (Reference, or
-/// Set/List of references — the traversable constructors).
-fn ref_oids(v: &Value) -> Vec<Oid> {
-    match v {
-        Value::Ref(oid) => vec![*oid],
-        Value::Set(items) | Value::List(items) => items.iter().filter_map(|i| i.as_oid()).collect(),
+/// The reference OIDs of `l.attr`: a Reference, or a Set/List of references
+/// (the traversable constructors); none when the attribute is absent or
+/// holds anything else.
+fn refs_of(l: &Obj, attr: &str) -> Vec<Oid> {
+    match l.value.field(attr) {
+        Some(Value::Ref(oid)) => vec![*oid],
+        Some(Value::Set(items) | Value::List(items)) => {
+            items.iter().filter_map(|i| i.as_oid()).collect()
+        }
         _ => Vec::new(),
     }
 }
 
-/// The sorted, deduplicated target pages of one probe batch — the run map
-/// the pipelined prefetch (`BufferPool::prefetch_run`) consults as the
-/// probes advance.
-fn batch_pages(batch: &[Obj], attr: &str) -> Vec<(FileId, PageId)> {
-    let mut pages: Vec<(FileId, PageId)> = Vec::new();
-    for l in batch {
-        if let Some(v) = l.value.field(attr) {
-            for oid in ref_oids(v) {
-                pages.push((oid.file, oid.page));
-            }
-        }
-    }
-    pages.sort_unstable();
-    pages.dedup();
-    pages
-}
-
-/// Materialize the objects of any collection (set/list members are
-/// dereferenced).
-pub fn materialize(catalog: &Catalog, c: &Collection) -> Result<Vec<Obj>> {
-    Ok(match c {
-        Collection::Extent(objs) => objs.clone(),
-        Collection::Set(oids) | Collection::List(oids) => {
-            let mut out = Vec::with_capacity(oids.len());
-            for &oid in oids {
-                out.push(deref(catalog, oid)?);
-            }
-            out
-        }
-        Collection::NamedObject(o) => vec![o.clone()],
-        Collection::Empty => Vec::new(),
-    })
-}
-
-/// Chunk-parallel [`materialize`]: set/list members are dereferenced on
-/// worker threads in contiguous chunks, concatenated in input order — the
-/// same object vector the sequential loop builds, with the same number of
-/// page accesses (each identifier dereferenced exactly once).
-pub fn materialize_par(
-    catalog: &Catalog,
-    c: &Collection,
-    exec: ExecutionConfig,
-) -> Result<Vec<Obj>> {
+/// Materialize the objects of any collection. Set/list members are
+/// dereferenced in `exec.parallelism` contiguous chunks concatenated in
+/// input order — each identifier fetched exactly once at any parallelism.
+pub fn materialize(catalog: &Catalog, c: &Collection, exec: ExecutionConfig) -> Result<Vec<Obj>> {
     match c {
-        Collection::Set(oids) | Collection::List(oids) if exec.is_parallel() => {
+        Collection::Extent(objs) => Ok(objs.clone()),
+        Collection::Set(oids) | Collection::List(oids) => {
             run_chunked(exec.parallelism, oids, |_, chunk| {
                 chunk.iter().map(|&oid| deref(catalog, oid)).collect()
             })
         }
-        other => materialize(catalog, other),
+        Collection::NamedObject(o) => Ok(vec![o.clone()]),
+        Collection::Empty => Ok(Vec::new()),
     }
 }
 
+#[derive(Clone)]
 struct Rhs {
     /// Membership filter (None: any object of the right class qualifies).
     allowed: Option<HashSet<Oid>>,
@@ -104,8 +71,8 @@ struct Rhs {
 }
 
 impl Rhs {
-    fn build(_catalog: &Catalog, rhs: &JoinRhs<'_>) -> Result<Rhs> {
-        Ok(match rhs {
+    fn build(rhs: &JoinRhs<'_>) -> Rhs {
+        match rhs {
             JoinRhs::Class(c) => Rhs {
                 allowed: None,
                 cache: HashMap::new(),
@@ -122,9 +89,7 @@ impl Rhs {
                         }
                     }
                 } else {
-                    for oid in col.oids() {
-                        allowed.insert(oid);
-                    }
+                    allowed.extend(col.oids());
                 }
                 Rhs {
                     allowed: Some(allowed),
@@ -132,6 +97,23 @@ impl Rhs {
                     class: None,
                 }
             }
+        }
+    }
+
+    /// The whole right class read by one sequential extent scan — the
+    /// D-side access pattern of backward traversal (§6.2).
+    fn scan_class(catalog: &Catalog, class: &str) -> Result<Rhs> {
+        let mut allowed = HashSet::new();
+        let mut cache = HashMap::new();
+        catalog.extent_with(class, AccessHint::Sequential, &mut |oid, value| {
+            allowed.insert(oid);
+            cache.insert(oid, Obj::stored(oid, value));
+            true
+        })?;
+        Ok(Rhs {
+            allowed: Some(allowed),
+            cache,
+            class: None,
         })
     }
 
@@ -156,9 +138,11 @@ impl Rhs {
                 self.cache.insert(oid, obj.clone());
                 Ok(Some(obj))
             }
-            // Dangling references produce no pair (not an error): deleted
-            // targets simply do not join.
-            Err(mood_catalog::CatalogError::Storage(_)) => Ok(None),
+            // A dangling reference produces no pair (deleted targets simply
+            // do not join). Every other storage failure — a corrupt page,
+            // an I/O error, a deadlock — is the join's error: swallowing it
+            // would silently shorten the result.
+            Err(CatalogError::Storage(StorageError::DanglingOid(_))) => Ok(None),
             Err(e) => Err(e.into()),
         }
     }
@@ -166,229 +150,93 @@ impl Rhs {
 
 /// Execute `Join(left, rhs, method, left.attr = rhs.self)`, returning the
 /// joined pairs in left-collection order.
+///
+/// Every method spreads its per-element work over `exec.parallelism`
+/// contiguous chunks concatenated in chunk order, so the pairs, their
+/// order and the *total* page accesses are the same at every parallelism
+/// (accesses are redistributed across workers, never multiplied); at 1
+/// each chunked step is the plain loop on the caller's thread.
 pub fn join(
     catalog: &Catalog,
     left: &Collection,
     attr: &str,
     rhs: JoinRhs<'_>,
     method: JoinMethod,
-) -> Result<Vec<(Obj, Obj)>> {
-    match method {
-        JoinMethod::ForwardTraversal => forward(catalog, left, attr, rhs),
-        JoinMethod::BackwardTraversal => backward(catalog, left, attr, rhs),
-        JoinMethod::BinaryJoinIndex => indexed(catalog, left, attr, rhs),
-        JoinMethod::HashPartition => hash_partition(catalog, left, attr, rhs),
-    }
-}
-
-/// Chunk-parallel [`join`]: identical pairs in identical order, with the
-/// same *total* page-access counts as the sequential method (the accesses
-/// are redistributed across worker threads, never multiplied — see each
-/// method's strategy below).
-pub fn join_par(
-    catalog: &Catalog,
-    left: &Collection,
-    attr: &str,
-    rhs: JoinRhs<'_>,
-    method: JoinMethod,
     exec: ExecutionConfig,
 ) -> Result<Vec<(Obj, Obj)>> {
-    if !exec.is_parallel() {
-        return join(catalog, left, attr, rhs, method);
-    }
+    let left_objs = materialize(catalog, left, exec)?;
     match method {
-        JoinMethod::ForwardTraversal => forward_par(catalog, left, attr, rhs, exec),
-        JoinMethod::BackwardTraversal => backward_par(catalog, left, attr, rhs, exec),
-        JoinMethod::BinaryJoinIndex => indexed_par(catalog, left, attr, rhs, exec),
-        JoinMethod::HashPartition => hash_partition_par(catalog, left, attr, rhs, exec),
-    }
-}
-
-/// Batched probe-side [`join`]: identical pairs in identical order, but the
-/// forward-traversal probe keeps its target cache for a *batch* of
-/// `exec.batch_size` left objects instead of clearing it per left object —
-/// references shared within a batch fetch their target once. This is an
-/// opt-in variant: the plain [`join`] keeps the paper's worst-case
-/// per-reference fetch pattern that the §6.1 cost formulas (and their
-/// tests) are checked against. Every probed batch is recorded in the
-/// `batch.rows`/`batch.count` counters. Non-forward methods already probe
-/// each distinct target once and are delegated unchanged.
-pub fn join_batched(
-    catalog: &Catalog,
-    left: &Collection,
-    attr: &str,
-    rhs: JoinRhs<'_>,
-    method: JoinMethod,
-    exec: ExecutionConfig,
-) -> Result<Vec<(Obj, Obj)>> {
-    if method != JoinMethod::ForwardTraversal {
-        return join_par(catalog, left, attr, rhs, method, exec);
-    }
-    let batch_size = exec.batch_size.max(1);
-    let registry = catalog.storage().registry().clone();
-    let pool = catalog.storage().pool().clone();
-    let left_objs = materialize_par(catalog, left, exec)?;
-    let template = Rhs::build(catalog, &rhs)?;
-    let probe = |chunk: &[Obj]| -> Result<Vec<(Obj, Obj)>> {
-        let mut rhs = Rhs {
-            allowed: template.allowed.clone(),
-            cache: template.cache.clone(),
-            class: template.class.clone(),
-        };
-        let keep_cache = rhs.allowed.is_some();
-        let mut out = Vec::new();
-        for batch in chunk.chunks(batch_size) {
-            if !keep_cache {
-                rhs.cache.clear();
-            }
-            // Pipelined probe prefetch: at each probe past the last
-            // prefetched run, batch-read the consecutive page run ahead
-            // of it (one readahead window at a time — see
-            // `BufferPool::prefetch_run`). On a clustered heap the chase
-            // becomes one batched read per window; on a scattered heap
-            // the runs degenerate to single pages and nothing is issued.
-            let pages = batch_pages(batch, attr);
-            let mut pf_end: Option<(FileId, u32)> = None;
-            for l in batch {
-                let Some(v) = l.value.field(attr) else {
-                    continue;
-                };
-                for oid in ref_oids(v) {
-                    if pf_end.is_none_or(|(f, end)| f != oid.file || oid.page.0 >= end) {
-                        let n = pool.prefetch_run(&pages, (oid.file, oid.page));
-                        if n > 0 {
-                            pf_end = Some((oid.file, oid.page.0 + n));
-                        }
-                    }
-                    if let Some(r) = rhs.fetch(catalog, oid)? {
-                        out.push((l.clone(), r));
-                    }
-                }
-            }
-            registry.record_batch(batch.len() as u64);
-        }
-        Ok(out)
-    };
-    if exec.is_parallel() {
-        run_chunked(exec.parallelism, &left_objs, |_, chunk| probe(chunk))
-    } else {
-        probe(&left_objs)
+        JoinMethod::ForwardTraversal => forward(catalog, &left_objs, attr, rhs, exec),
+        JoinMethod::BackwardTraversal => backward(catalog, &left_objs, attr, rhs, exec),
+        JoinMethod::BinaryJoinIndex => indexed(catalog, &left_objs, attr, rhs, exec),
+        JoinMethod::HashPartition => hash_partition(catalog, &left_objs, attr, rhs, exec),
     }
 }
 
 /// Forward traversal: for each left object, chase `attr`'s reference(s) and
 /// fetch the target (one random access per reference; §6.1's pattern).
+///
+/// * Class rhs: the pointer fetch is paid per *reference* — the target
+///   cache is cleared between left objects so shared targets are refetched,
+///   matching the paper's worst-case ftc (no page hits for D; the buffer
+///   pool still absorbs repeats when it is large — exactly the effect §6.1
+///   calls out). Left chunks are therefore independent.
+/// * Collection rhs: each distinct qualifying target is fetched once, in
+///   first-encounter order, by one warm-up pass on the caller's thread;
+///   pairs are then emitted from the read-only cache in chunks.
 fn forward(
     catalog: &Catalog,
-    left: &Collection,
-    attr: &str,
-    rhs: JoinRhs<'_>,
-) -> Result<Vec<(Obj, Obj)>> {
-    let mut rhs = Rhs::build(catalog, &rhs)?;
-    // Forward traversal pays the pointer fetch per *reference*: clear the
-    // cache between left objects so shared targets are refetched, matching
-    // the paper's worst-case ftc (no page hits for D). The buffer pool
-    // still absorbs repeats when it is large — exactly the effect §6.1
-    // calls out.
-    let keep_cache = rhs.allowed.is_some();
-    let mut out = Vec::new();
-    for l in materialize(catalog, left)? {
-        if !keep_cache {
-            rhs.cache.clear();
-        }
-        let Some(v) = l.value.field(attr) else {
-            continue;
-        };
-        for oid in ref_oids(v) {
-            if let Some(r) = rhs.fetch(catalog, oid)? {
-                out.push((l.clone(), r));
-            }
-        }
-    }
-    Ok(out)
-}
-
-/// Parallel forward traversal.
-///
-/// * Class rhs: the sequential method clears its target cache between left
-///   objects (every reference pays its fetch), so left chunks are fully
-///   independent — each worker runs the sequential loop with its own `Rhs`
-///   over its chunk. Total fetches: one per reference, same as sequential.
-/// * Collection rhs: the sequential method keeps its cache, fetching each
-///   distinct qualifying target once. The parallel version performs those
-///   fetches in one sequential warm-up pass (first-encounter order — the
-///   exact access sequence of the sequential method), then emits pairs from
-///   the read-only cache on worker threads.
-fn forward_par(
-    catalog: &Catalog,
-    left: &Collection,
-    attr: &str,
-    rhs: JoinRhs<'_>,
-    exec: ExecutionConfig,
-) -> Result<Vec<(Obj, Obj)>> {
-    let left_objs = materialize(catalog, left)?;
-    match &rhs {
-        JoinRhs::Class(class) => {
-            let class = class.to_string();
-            run_chunked(exec.parallelism, &left_objs, |_, chunk| {
-                let mut rhs = Rhs {
-                    allowed: None,
-                    cache: HashMap::new(),
-                    class: Some(class.clone()),
-                };
-                let mut out = Vec::new();
-                for l in chunk {
-                    rhs.cache.clear();
-                    let Some(v) = l.value.field(attr) else {
-                        continue;
-                    };
-                    for oid in ref_oids(v) {
-                        if let Some(r) = rhs.fetch(catalog, oid)? {
-                            out.push((l.clone(), r));
-                        }
-                    }
-                }
-                Ok(out)
-            })
-        }
-        JoinRhs::Collection(_) => {
-            let mut warm = Rhs::build(catalog, &rhs)?;
-            for l in &left_objs {
-                if let Some(v) = l.value.field(attr) {
-                    for oid in ref_oids(v) {
-                        let _ = warm.fetch(catalog, oid)?;
-                    }
-                }
-            }
-            emit_cached_pairs(&left_objs, attr, &warm, exec)
-        }
-    }
-}
-
-/// Emit join pairs for left objects against a fully warmed `Rhs` (every
-/// qualifying target already cached) on worker threads. Purely CPU work —
-/// no page accesses happen here.
-fn emit_cached_pairs(
     left_objs: &[Obj],
     attr: &str,
-    rhs: &Rhs,
+    rhs: JoinRhs<'_>,
     exec: ExecutionConfig,
 ) -> Result<Vec<(Obj, Obj)>> {
+    let template = Rhs::build(&rhs);
+    if template.allowed.is_some() {
+        return emit_warmed_pairs(catalog, left_objs, attr, template, exec);
+    }
+    run_chunked(exec.parallelism, left_objs, |_, chunk| {
+        let mut rhs = template.clone();
+        let mut out = Vec::new();
+        for l in chunk {
+            rhs.cache.clear();
+            for oid in refs_of(l, attr) {
+                if let Some(r) = rhs.fetch(catalog, oid)? {
+                    out.push((l.clone(), r));
+                }
+            }
+        }
+        Ok(out)
+    })
+}
+
+/// Fetch every qualifying target the left objects reference, in
+/// first-encounter order on the caller's thread (the page accesses happen
+/// here, in the order a single loop would issue them), then emit the pairs
+/// from the warmed cache in chunks — pure CPU work.
+fn emit_warmed_pairs(
+    catalog: &Catalog,
+    left_objs: &[Obj],
+    attr: &str,
+    mut rhs: Rhs,
+    exec: ExecutionConfig,
+) -> Result<Vec<(Obj, Obj)>> {
+    for l in left_objs {
+        for oid in refs_of(l, attr) {
+            if !rhs.cache.contains_key(&oid) {
+                rhs.fetch(catalog, oid)?;
+            }
+        }
+    }
     run_chunked(exec.parallelism, left_objs, |_, chunk| {
         let mut out = Vec::new();
         for l in chunk {
-            let Some(v) = l.value.field(attr) else {
-                continue;
-            };
-            for oid in ref_oids(v) {
-                if let Some(allowed) = &rhs.allowed {
-                    if !allowed.contains(&oid) {
-                        continue;
-                    }
+            for oid in refs_of(l, attr) {
+                if rhs.allowed.as_ref().is_some_and(|a| !a.contains(&oid)) {
+                    continue;
                 }
-                // Qualifying targets were cached by the warm-up pass; a
-                // qualifying-but-uncached OID is a dangling reference and
-                // produces no pair, as in the sequential method.
+                // A qualifying target the warm-up could not cache is a
+                // dangling reference: no pair.
                 if let Some(r) = rhs.cache.get(&oid) {
                     out.push((l.clone(), r.clone()));
                 }
@@ -398,172 +246,50 @@ fn emit_cached_pairs(
     })
 }
 
-/// Backward traversal: sequentially scan the *left* class extent and test
-/// every object's reference against the right side (§6.2's pattern: used
-/// when the D-objects are known and C must be found).
+/// Backward traversal (§6.2: the D-objects are known and C must be found):
+/// the right class is read by one sequential extent scan up front — that
+/// scan *is* the method's access pattern, so it stays on the caller's
+/// thread — and the join itself is reference-membership testing against
+/// the materialized map.
 fn backward(
     catalog: &Catalog,
-    left: &Collection,
-    attr: &str,
-    rhs: JoinRhs<'_>,
-) -> Result<Vec<(Obj, Obj)>> {
-    let mut rhs = match rhs {
-        // §6.2's access pattern: the D side is read by one sequential
-        // extent scan up front; the join itself is then pure CPU work
-        // (reference-membership tests against the materialized map).
-        JoinRhs::Class(class) => {
-            let mut allowed = HashSet::new();
-            let mut cache = HashMap::new();
-            catalog.extent_with(class, AccessHint::Sequential, &mut |oid, value| {
-                allowed.insert(oid);
-                cache.insert(oid, Obj::stored(oid, value));
-                true
-            })?;
-            Rhs {
-                allowed: Some(allowed),
-                cache,
-                class: None,
-            }
-        }
-        other => Rhs::build(catalog, &other)?,
-    };
-    let mut out = Vec::new();
-    for l in materialize(catalog, left)? {
-        let Some(v) = l.value.field(attr) else {
-            continue;
-        };
-        for oid in ref_oids(v) {
-            if let Some(r) = rhs.fetch(catalog, oid)? {
-                out.push((l.clone(), r));
-            }
-        }
-    }
-    Ok(out)
-}
-
-/// Parallel backward traversal: the right side is materialized up front by
-/// the same sequential scan the sequential method performs (that scan *is*
-/// the §6.2 access pattern — parallelizing it would change the page-access
-/// ordering); the subsequent reference-membership testing is pure CPU work
-/// and runs on worker threads over left chunks.
-fn backward_par(
-    catalog: &Catalog,
-    left: &Collection,
+    left_objs: &[Obj],
     attr: &str,
     rhs: JoinRhs<'_>,
     exec: ExecutionConfig,
 ) -> Result<Vec<(Obj, Obj)>> {
-    let left_objs = materialize(catalog, left)?;
-    let mut warm = match rhs {
-        JoinRhs::Class(class) => {
-            let mut allowed = HashSet::new();
-            let mut cache = HashMap::new();
-            catalog.extent_with(class, AccessHint::Sequential, &mut |oid, value| {
-                allowed.insert(oid);
-                cache.insert(oid, Obj::stored(oid, value));
-                true
-            })?;
-            Rhs {
-                allowed: Some(allowed),
-                cache,
-                class: None,
-            }
-        }
-        other => Rhs::build(catalog, &other)?,
+    let rhs = match rhs {
+        JoinRhs::Class(class) => Rhs::scan_class(catalog, class)?,
+        other => Rhs::build(&other),
     };
-    // Collection rhs built from a set/list has membership but no cached
-    // objects yet; warm it in first-encounter order (the sequential access
-    // sequence) so emission needs no further page accesses.
-    for l in &left_objs {
-        if let Some(v) = l.value.field(attr) {
-            for oid in ref_oids(v) {
-                let _ = warm.fetch(catalog, oid)?;
-            }
-        }
-    }
-    emit_cached_pairs(&left_objs, attr, &warm, exec)
+    emit_warmed_pairs(catalog, left_objs, attr, rhs, exec)
 }
 
 /// Indexed join through the *binary join index* on (left-class, attr): for
 /// each qualifying right object, probe the index for the left OIDs that
 /// reference it (§6.3's pattern). Requires the index to exist and the left
 /// collection to be a class extent (the index covers the stored extent).
+/// Probes are read-only and each right object is probed exactly once, so
+/// they run in chunks over the right objects.
 fn indexed(
     catalog: &Catalog,
-    left: &Collection,
-    attr: &str,
-    rhs: JoinRhs<'_>,
-) -> Result<Vec<(Obj, Obj)>> {
-    // Identify the left class from the extent's stored objects.
-    let left_objs = materialize(catalog, left)?;
-    let Some(first_oid) = left_objs.iter().find_map(|o| o.oid) else {
-        return Ok(Vec::new());
-    };
-    let (left_class, _) = catalog.get_object(first_oid)?;
-    let left_filter: HashSet<Oid> = left_objs.iter().filter_map(|o| o.oid).collect();
-    let left_by_oid: HashMap<Oid, &Obj> = left_objs
-        .iter()
-        .filter_map(|o| o.oid.map(|id| (id, o)))
-        .collect();
-
-    let right_objs: Vec<Obj> = match rhs {
-        JoinRhs::Collection(c) => materialize(catalog, c)?,
-        JoinRhs::Class(c) => {
-            let mut objs = Vec::new();
-            catalog.extent_with(c, AccessHint::Sequential, &mut |oid, v| {
-                objs.push(Obj::stored(oid, v));
-                true
-            })?;
-            objs
-        }
-    };
-    if catalog.index(&left_class, attr).is_none() {
-        return Err(AlgebraError::NotApplicable {
-            operator: "Join(BINARY_JOIN_INDEX)",
-            detail: format!("no binary join index on {left_class}.{attr}"),
-        });
-    }
-    let mut out = Vec::new();
-    for r in &right_objs {
-        let Some(r_oid) = r.oid else { continue };
-        for l_oid in catalog.index_lookup(&left_class, attr, &Value::Ref(r_oid))? {
-            if left_filter.contains(&l_oid) {
-                out.push(((*left_by_oid[&l_oid]).clone(), r.clone()));
-            }
-        }
-    }
-    // Index probes return right-major order; normalize to left order for
-    // comparability across methods.
-    out.sort_by_key(|(l, _)| l.oid);
-    Ok(out)
-}
-
-/// Parallel indexed join: index probes are read-only, so right objects are
-/// probed on worker threads in contiguous chunks. Each right object is
-/// probed exactly once either way (same index page-access total), the
-/// chunk-ordered concatenation reproduces the sequential right-major pair
-/// order, and the final stable sort by left OID is shared with the
-/// sequential method — identical output.
-fn indexed_par(
-    catalog: &Catalog,
-    left: &Collection,
+    left_objs: &[Obj],
     attr: &str,
     rhs: JoinRhs<'_>,
     exec: ExecutionConfig,
 ) -> Result<Vec<(Obj, Obj)>> {
-    let left_objs = materialize(catalog, left)?;
+    // Identify the left class from the extent's stored objects.
     let Some(first_oid) = left_objs.iter().find_map(|o| o.oid) else {
         return Ok(Vec::new());
     };
     let (left_class, _) = catalog.get_object(first_oid)?;
-    let left_filter: HashSet<Oid> = left_objs.iter().filter_map(|o| o.oid).collect();
     let left_by_oid: HashMap<Oid, &Obj> = left_objs
         .iter()
         .filter_map(|o| o.oid.map(|id| (id, o)))
         .collect();
 
     let right_objs: Vec<Obj> = match rhs {
-        JoinRhs::Collection(c) => materialize(catalog, c)?,
+        JoinRhs::Collection(c) => materialize(catalog, c, exec)?,
         JoinRhs::Class(c) => {
             let mut objs = Vec::new();
             catalog.extent_with(c, AccessHint::Sequential, &mut |oid, v| {
@@ -584,13 +310,15 @@ fn indexed_par(
         for r in chunk {
             let Some(r_oid) = r.oid else { continue };
             for l_oid in catalog.index_lookup(&left_class, attr, &Value::Ref(r_oid))? {
-                if left_filter.contains(&l_oid) {
-                    pairs.push(((*left_by_oid[&l_oid]).clone(), r.clone()));
+                if let Some(l) = left_by_oid.get(&l_oid) {
+                    pairs.push(((*l).clone(), r.clone()));
                 }
             }
         }
         Ok::<_, AlgebraError>(pairs)
     })?;
+    // Index probes return right-major order; normalize to left order for
+    // comparability across methods.
     out.sort_by_key(|(l, _)| l.oid);
     Ok(out)
 }
@@ -598,42 +326,22 @@ fn indexed_par(
 /// Pointer-based hash-partition join (§6.4): partition the left objects on
 /// the pointer field, then chase each *distinct* pointer once and emit all
 /// pairs for that target. Only applicable when `attr` is a plain Reference
-/// (the paper's stated restriction).
+/// (the paper's stated restriction). The sorted distinct keys are probed in
+/// chunks: workers hold disjoint key sets, so each target is still fetched
+/// exactly once.
 fn hash_partition(
     catalog: &Catalog,
-    left: &Collection,
+    left_objs: &[Obj],
     attr: &str,
     rhs: JoinRhs<'_>,
+    exec: ExecutionConfig,
 ) -> Result<Vec<(Obj, Obj)>> {
-    let mut rhs = Rhs::build(catalog, &rhs)?;
-    let left_objs = materialize(catalog, left)?;
-    let partitions = partition_on_ref(&left_objs, attr)?;
-    // Probe phase: each distinct target fetched once.
-    let mut keys: Vec<Oid> = partitions.keys().copied().collect();
-    keys.sort();
-    let mut out = Vec::new();
-    for oid in keys {
-        if let Some(r) = rhs.fetch(catalog, oid)? {
-            for &i in &partitions[&oid] {
-                out.push((left_objs[i].clone(), r.clone()));
-            }
-        }
-    }
-    out.sort_by_key(|(l, _)| l.oid);
-    Ok(out)
-}
-
-/// Partition phase shared by the sequential and parallel hash-partition
-/// join: group left-object indices by referenced OID.
-fn partition_on_ref(left_objs: &[Obj], attr: &str) -> Result<HashMap<Oid, Vec<usize>>> {
+    let template = Rhs::build(&rhs);
     let mut partitions: HashMap<Oid, Vec<usize>> = HashMap::new();
     for (i, l) in left_objs.iter().enumerate() {
-        let Some(v) = l.value.field(attr) else {
-            continue;
-        };
-        match v {
-            Value::Ref(oid) => partitions.entry(*oid).or_default().push(i),
-            Value::Set(_) | Value::List(_) => {
+        match l.value.field(attr) {
+            Some(Value::Ref(oid)) => partitions.entry(*oid).or_default().push(i),
+            Some(Value::Set(_) | Value::List(_)) => {
                 return Err(AlgebraError::NotApplicable {
                     operator: "Join(HASH_PARTITION)",
                     detail: format!(
@@ -645,34 +353,10 @@ fn partition_on_ref(left_objs: &[Obj], attr: &str) -> Result<HashMap<Oid, Vec<us
             _ => {}
         }
     }
-    Ok(partitions)
-}
-
-/// Parallel hash-partition join: the partition phase is shared, then the
-/// *sorted distinct keys* are split into contiguous chunks probed on worker
-/// threads. Workers hold disjoint key sets, so each target is still fetched
-/// exactly once globally (per-worker `Rhs` state never overlaps); the
-/// chunk-ordered concatenation reproduces the sequential key-order pair
-/// stream, and the shared final stable sort by left OID makes the output
-/// identical.
-fn hash_partition_par(
-    catalog: &Catalog,
-    left: &Collection,
-    attr: &str,
-    rhs: JoinRhs<'_>,
-    exec: ExecutionConfig,
-) -> Result<Vec<(Obj, Obj)>> {
-    let base = Rhs::build(catalog, &rhs)?;
-    let left_objs = materialize(catalog, left)?;
-    let partitions = partition_on_ref(&left_objs, attr)?;
     let mut keys: Vec<Oid> = partitions.keys().copied().collect();
     keys.sort();
     let mut out = run_chunked(exec.parallelism, &keys, |_, chunk| {
-        let mut rhs = Rhs {
-            allowed: base.allowed.clone(),
-            cache: base.cache.clone(),
-            class: base.class.clone(),
-        };
+        let mut rhs = template.clone();
         let mut pairs = Vec::new();
         for &oid in chunk {
             if let Some(r) = rhs.fetch(catalog, oid)? {
@@ -790,6 +474,7 @@ mod tests {
                 "drivetrain",
                 JoinRhs::Class("VehicleDriveTrain"),
                 JoinMethod::ForwardTraversal,
+                ExecutionConfig::default(),
             )
             .unwrap();
             assert_eq!(pairs.len(), 20, "every car joins its drivetrain");
@@ -806,6 +491,7 @@ mod tests {
                 "drivetrain",
                 JoinRhs::Class("VehicleDriveTrain"),
                 method,
+                ExecutionConfig::default(),
             )
             .unwrap();
             assert_eq!(pair_ids(&pairs), expected, "{method:?} disagrees");
@@ -824,6 +510,7 @@ mod tests {
             "drivetrain",
             JoinRhs::Collection(&rhs),
             JoinMethod::ForwardTraversal,
+            ExecutionConfig::default(),
         )
         .unwrap();
         assert_eq!(pairs.len(), 4, "cars 0,5,10,15");
@@ -842,6 +529,7 @@ mod tests {
             "drivetrain",
             JoinRhs::Class("VehicleDriveTrain"),
             JoinMethod::HashPartition,
+            ExecutionConfig::default(),
         )
         .unwrap();
         assert_eq!(pairs.len(), 20);
@@ -861,6 +549,7 @@ mod tests {
             "drivetrain",
             JoinRhs::Class("VehicleDriveTrain"),
             JoinMethod::BinaryJoinIndex,
+            ExecutionConfig::default(),
         )
         .unwrap_err();
         assert!(matches!(err, AlgebraError::NotApplicable { .. }));
@@ -877,6 +566,7 @@ mod tests {
             "drivetrain",
             JoinRhs::Class("VehicleDriveTrain"),
             JoinMethod::ForwardTraversal,
+            ExecutionConfig::default(),
         )
         .unwrap();
         assert_eq!(pairs.len(), 16, "4 cars lost their drivetrain");
@@ -896,6 +586,7 @@ mod tests {
             "drivetrain",
             JoinRhs::Class("VehicleDriveTrain"),
             JoinMethod::ForwardTraversal,
+            ExecutionConfig::default(),
         )
         .unwrap();
         assert!(pairs.is_empty());
@@ -926,6 +617,7 @@ mod tests {
             "vehicles",
             JoinRhs::Class("Vehicle"),
             JoinMethod::ForwardTraversal,
+            ExecutionConfig::default(),
         )
         .unwrap();
         assert_eq!(pairs.len(), 2);
@@ -937,6 +629,7 @@ mod tests {
             "vehicles",
             JoinRhs::Class("Vehicle"),
             JoinMethod::HashPartition,
+            ExecutionConfig::default(),
         )
         .unwrap_err();
         assert!(matches!(err, AlgebraError::NotApplicable { .. }));
@@ -952,6 +645,7 @@ mod tests {
             "drivetrain",
             JoinRhs::Class("VehicleDriveTrain"),
             JoinMethod::ForwardTraversal,
+            ExecutionConfig::default(),
         )
         .unwrap();
         let as_extent = pairs_to_collection(pairs.clone(), Kind::Extent, Kind::Extent);

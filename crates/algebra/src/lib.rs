@@ -11,6 +11,13 @@
 //! The four join methods compute identical pairs but with the §6 access
 //! patterns, which the instrumented storage layer exposes for the cost
 //! model benches.
+//!
+//! Every collection operator with per-element work is one function of an
+//! [`ExecutionConfig`]: the input is cut into `parallelism` contiguous
+//! chunks, the chunks run on scoped worker threads and their outputs are
+//! concatenated in chunk order, so results (and page-access totals) are
+//! the same at every parallelism and `parallelism = 1` is the plain loop
+//! on the caller's thread.
 
 pub mod collection;
 pub mod error;
@@ -18,29 +25,18 @@ pub mod join;
 pub mod ops;
 pub mod restructure;
 pub mod setops;
-pub mod traced;
 
 pub use collection::{
     as_extent_return, as_set_list_elements, dupelim_return, join_return, select_return,
     setop_return, unnest_accepts, Collection, Kind, Obj,
 };
 pub use error::{AlgebraError, Result};
-pub use join::{
-    join, join_batched, join_par, materialize, materialize_par, pairs_to_collection, JoinMethod,
-    JoinRhs,
-};
+pub use join::{join, materialize, pairs_to_collection, JoinMethod, JoinRhs};
 pub use mood_storage::exec::ExecutionConfig;
 pub use ops::{
-    bind, bind_class, deref, ind_sel, is_a, obj_id, select, select_compiled,
-    select_compiled_batched, select_compiled_par, select_par, type_id, IndexType, Predicate,
-    SyncPredicate,
+    bind, bind_class, deref, ind_sel, is_a, obj_id, select, type_id, IndexType, Predicate,
 };
 pub use restructure::{
-    as_extent, as_list, as_set, external_merge, flatten, nest, partition, project, project_batched,
-    project_par, sort, sort_external, sort_par, unnest, SortKey,
+    as_extent, as_list, as_set, flatten, nest, partition, project, sort, unnest,
 };
-pub use setops::{
-    difference, difference_par, dup_elim, dup_elim_batched, dup_elim_par, intersection,
-    intersection_par, union, union_par,
-};
-pub use traced::{traced_join, traced_select};
+pub use setops::{difference, dup_elim, intersection, union};

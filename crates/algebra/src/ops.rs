@@ -9,12 +9,9 @@ use mood_storage::{AccessHint, Oid};
 use crate::collection::{Collection, Obj};
 use crate::error::{AlgebraError, Result};
 
-/// A predicate over one object.
-pub type Predicate<'a> = &'a dyn Fn(&Obj) -> Result<bool>;
-
-/// A predicate usable from worker threads (same contract as [`Predicate`],
-/// plus `Sync` so chunks can evaluate it concurrently).
-pub type SyncPredicate<'a> = &'a (dyn Fn(&Obj) -> Result<bool> + Sync);
+/// A predicate over one object. `Sync`, because [`select`] evaluates it
+/// from every worker the [`ExecutionConfig`] asks for.
+pub type Predicate<'a> = &'a (dyn Fn(&Obj) -> Result<bool> + Sync);
 
 /// `ObjId(o)` — the object identifier of `o`.
 pub fn obj_id(o: &Obj) -> Option<Oid> {
@@ -114,55 +111,17 @@ pub fn bind_class(
 
 /// `Select(arg, P)` — keep the elements satisfying `P` (Table 1 return
 /// types). Set/list elements are dereferenced to evaluate the predicate.
-pub fn select(catalog: &Catalog, arg: &Collection, p: Predicate<'_>) -> Result<Collection> {
-    Ok(match arg {
-        Collection::Extent(objs) => {
-            let mut out = Vec::new();
-            for o in objs {
-                if p(o)? {
-                    out.push(o.clone());
-                }
-            }
-            Collection::Extent(out)
-        }
-        Collection::Set(oids) | Collection::List(oids) => {
-            let mut out = Vec::new();
-            for &oid in oids {
-                let o = deref(catalog, oid)?;
-                if p(&o)? {
-                    out.push(oid);
-                }
-            }
-            if matches!(arg, Collection::Set(_)) {
-                Collection::set_from(out)
-            } else {
-                Collection::List(out)
-            }
-        }
-        Collection::NamedObject(obj) => {
-            if p(obj)? {
-                Collection::NamedObject(obj.clone())
-            } else {
-                Collection::Empty
-            }
-        }
-        Collection::Empty => Collection::Empty,
-    })
-}
-
-/// Chunk-parallel [`select`]: the input collection is split into contiguous
-/// chunks filtered on worker threads and concatenated in chunk order, so the
-/// survivors appear in exactly the sequential order (set results go through
-/// the same `set_from` normalization as the sequential operator).
-pub fn select_par(
+///
+/// The input is split into `exec.parallelism` contiguous chunks filtered on
+/// worker threads and concatenated in chunk order, so survivors appear in
+/// input order at every parallelism; at 1 the single chunk runs inline on
+/// the caller's thread, which is the sequential loop.
+pub fn select(
     catalog: &Catalog,
     arg: &Collection,
-    p: SyncPredicate<'_>,
+    p: Predicate<'_>,
     exec: ExecutionConfig,
 ) -> Result<Collection> {
-    if !exec.is_parallel() {
-        return select(catalog, arg, &|o| p(o));
-    }
     Ok(match arg {
         Collection::Extent(objs) => {
             let out = run_chunked(exec.parallelism, objs, |_, chunk| {
@@ -193,235 +152,14 @@ pub fn select_par(
                 Collection::List(out)
             }
         }
-        other => select(catalog, other, &|o| p(o))?,
-    })
-}
-
-/// Dereference through the catalog for compiled path traversal.
-struct CatalogResolver<'a> {
-    catalog: &'a Catalog,
-}
-
-impl mood_datamodel::Resolver for CatalogResolver<'_> {
-    fn resolve(&self, oid: Oid) -> Option<Value> {
-        self.catalog.get_object(oid).ok().map(|(_, v)| v)
-    }
-}
-
-fn compiled_matches(
-    catalog: &Catalog,
-    p: &mood_funcman::CompiledPredicate,
-    regs: &mut mood_funcman::Registers,
-    o: &Obj,
-) -> Result<bool> {
-    let resolver = CatalogResolver { catalog };
-    let ctx = mood_funcman::EvalCtx {
-        self_value: &o.value,
-        args: &[],
-        resolver: Some(&resolver),
-        dispatcher: None,
-    };
-    Ok(p.matches(regs, &ctx)?)
-}
-
-/// [`select`] with a compiled register-program predicate (the Function
-/// Manager's compile-once discipline applied to scans): per-element
-/// evaluation reuses one scratch [`Registers`] instead of re-walking an
-/// expression tree, and path traversal dereferences through the catalog.
-///
-/// [`Registers`]: mood_funcman::Registers
-pub fn select_compiled(
-    catalog: &Catalog,
-    arg: &Collection,
-    p: &mood_funcman::CompiledPredicate,
-) -> Result<Collection> {
-    let mut regs = mood_funcman::Registers::default();
-    Ok(match arg {
-        Collection::Extent(objs) => {
-            let mut out = Vec::new();
-            for o in objs {
-                if compiled_matches(catalog, p, &mut regs, o)? {
-                    out.push(o.clone());
-                }
-            }
-            Collection::Extent(out)
-        }
-        Collection::Set(oids) | Collection::List(oids) => {
-            let mut out = Vec::new();
-            for &oid in oids {
-                let o = deref(catalog, oid)?;
-                if compiled_matches(catalog, p, &mut regs, &o)? {
-                    out.push(oid);
-                }
-            }
-            if matches!(arg, Collection::Set(_)) {
-                Collection::set_from(out)
-            } else {
-                Collection::List(out)
-            }
-        }
         Collection::NamedObject(obj) => {
-            if compiled_matches(catalog, p, &mut regs, obj)? {
+            if p(obj)? {
                 Collection::NamedObject(obj.clone())
             } else {
                 Collection::Empty
             }
         }
         Collection::Empty => Collection::Empty,
-    })
-}
-
-/// Chunk-parallel [`select_compiled`]: programs are immutable and `Sync`,
-/// so workers share the program and each keeps its own scratch registers
-/// (one allocation per chunk, not per element). Chunk order concatenation
-/// preserves the sequential output order exactly.
-pub fn select_compiled_par(
-    catalog: &Catalog,
-    arg: &Collection,
-    p: &mood_funcman::CompiledPredicate,
-    exec: ExecutionConfig,
-) -> Result<Collection> {
-    if !exec.is_parallel() {
-        return select_compiled(catalog, arg, p);
-    }
-    Ok(match arg {
-        Collection::Extent(objs) => {
-            let out = run_chunked(exec.parallelism, objs, |_, chunk| {
-                let mut regs = mood_funcman::Registers::default();
-                let mut keep = Vec::new();
-                for o in chunk {
-                    if compiled_matches(catalog, p, &mut regs, o)? {
-                        keep.push(o.clone());
-                    }
-                }
-                Ok::<_, AlgebraError>(keep)
-            })?;
-            Collection::Extent(out)
-        }
-        Collection::Set(oids) | Collection::List(oids) => {
-            let out = run_chunked(exec.parallelism, oids, |_, chunk| {
-                let mut regs = mood_funcman::Registers::default();
-                let mut keep = Vec::new();
-                for &oid in chunk {
-                    let o = deref(catalog, oid)?;
-                    if compiled_matches(catalog, p, &mut regs, &o)? {
-                        keep.push(oid);
-                    }
-                }
-                Ok::<_, AlgebraError>(keep)
-            })?;
-            if matches!(arg, Collection::Set(_)) {
-                Collection::set_from(out)
-            } else {
-                Collection::List(out)
-            }
-        }
-        other => select_compiled(catalog, other, p)?,
-    })
-}
-
-/// Per-batch deref cache for compiled path traversal: within one batch each
-/// distinct referenced OID is fetched from the catalog once, so predicates
-/// like `v.drivetrain.engine.cylinders = 4` stop re-chasing the same shared
-/// targets row by row. The cache lives for exactly one batch — page-access
-/// totals shrink (that is the point of batching) but never grow.
-struct CachingResolver<'a> {
-    catalog: &'a Catalog,
-    cache: std::cell::RefCell<std::collections::HashMap<Oid, Option<Value>>>,
-}
-
-impl<'a> CachingResolver<'a> {
-    fn new(catalog: &'a Catalog) -> Self {
-        CachingResolver {
-            catalog,
-            cache: std::cell::RefCell::new(std::collections::HashMap::new()),
-        }
-    }
-}
-
-impl mood_datamodel::Resolver for CachingResolver<'_> {
-    fn resolve(&self, oid: Oid) -> Option<Value> {
-        self.cache
-            .borrow_mut()
-            .entry(oid)
-            .or_insert_with(|| self.catalog.get_object(oid).ok().map(|(_, v)| v))
-            .clone()
-    }
-}
-
-/// Evaluate one batch of objects against a compiled predicate: one register
-/// set, one deref cache, one `batch.rows`/`batch.count` sample for the whole
-/// batch. Survivors are appended to `out` in input order.
-fn select_batch<T: Clone>(
-    catalog: &Catalog,
-    p: &mood_funcman::CompiledPredicate,
-    batch: &[(T, &Value)],
-    out: &mut Vec<T>,
-) -> Result<()> {
-    let resolver = CachingResolver::new(catalog);
-    let mut regs = mood_funcman::Registers::default();
-    for (tag, value) in batch {
-        let ctx = mood_funcman::EvalCtx {
-            self_value: value,
-            args: &[],
-            resolver: Some(&resolver),
-            dispatcher: None,
-        };
-        if p.matches(&mut regs, &ctx)? {
-            out.push(tag.clone());
-        }
-    }
-    catalog.storage().registry().record_batch(batch.len() as u64);
-    Ok(())
-}
-
-/// Batched [`select_compiled`]: elements are processed `exec.batch_size` at
-/// a time, each batch sharing one scratch register set and a per-batch deref
-/// cache, so funcman dispatch, register setup and catalog deref amortize
-/// across the batch instead of being paid per row. Output is byte-identical
-/// to [`select_compiled`] at any batch size and parallelism (chunk-order
-/// concatenation, batches inside chunks).
-pub fn select_compiled_batched(
-    catalog: &Catalog,
-    arg: &Collection,
-    p: &mood_funcman::CompiledPredicate,
-    exec: ExecutionConfig,
-) -> Result<Collection> {
-    let batch_size = exec.batch_size.max(1);
-    Ok(match arg {
-        Collection::Extent(objs) => {
-            let out = run_chunked(exec.parallelism, objs, |_, chunk| {
-                let mut keep = Vec::new();
-                for batch in chunk.chunks(batch_size) {
-                    let tagged: Vec<(&Obj, &Value)> =
-                        batch.iter().map(|o| (o, &o.value)).collect();
-                    select_batch(catalog, p, &tagged, &mut keep)?;
-                }
-                Ok::<_, AlgebraError>(keep.into_iter().cloned().collect())
-            })?;
-            Collection::Extent(out)
-        }
-        Collection::Set(oids) | Collection::List(oids) => {
-            let out = run_chunked(exec.parallelism, oids, |_, chunk| {
-                let mut keep = Vec::new();
-                for batch in chunk.chunks(batch_size) {
-                    let objs: Vec<(Oid, Obj)> = batch
-                        .iter()
-                        .map(|&oid| Ok((oid, deref(catalog, oid)?)))
-                        .collect::<Result<_>>()?;
-                    let tagged: Vec<(Oid, &Value)> =
-                        objs.iter().map(|(oid, o)| (*oid, &o.value)).collect();
-                    select_batch(catalog, p, &tagged, &mut keep)?;
-                }
-                Ok::<_, AlgebraError>(keep)
-            })?;
-            if matches!(arg, Collection::Set(_)) {
-                Collection::set_from(out)
-            } else {
-                Collection::List(out)
-            }
-        }
-        other => select_compiled(catalog, other, p)?,
     })
 }
 
@@ -537,13 +275,18 @@ mod tests {
     fn select_on_extent_filters() {
         let (cat, _) = setup();
         let extent = bind_class(&cat, "VehicleEngine", false, &[]).unwrap();
-        let big = select(&cat, &extent, &|o: &Obj| {
-            Ok(o.value
-                .field("size")
-                .and_then(|v| v.as_f64())
-                .unwrap_or(0.0)
-                >= 1500.0)
-        })
+        let big = select(
+            &cat,
+            &extent,
+            &|o: &Obj| {
+                Ok(o.value
+                    .field("size")
+                    .and_then(|v| v.as_f64())
+                    .unwrap_or(0.0)
+                    >= 1500.0)
+            },
+            ExecutionConfig::default(),
+        )
         .unwrap();
         assert_eq!(big.kind(), Some(Kind::Extent));
         assert_eq!(big.len(), 5);
@@ -553,9 +296,12 @@ mod tests {
     fn select_on_set_derefs_and_keeps_kind() {
         let (cat, oids) = setup();
         let set = Collection::set_from(oids.clone());
-        let even = select(&cat, &set, &|o: &Obj| {
-            Ok(matches!(o.value.field("cylinders"), Some(Value::Integer(c)) if *c == 4))
-        })
+        let even = select(
+            &cat,
+            &set,
+            &|o: &Obj| Ok(matches!(o.value.field("cylinders"), Some(Value::Integer(c)) if *c == 4)),
+            ExecutionConfig::default(),
+        )
         .unwrap();
         assert_eq!(even.kind(), Some(Kind::Set));
         assert!(!even.is_empty());
@@ -565,9 +311,9 @@ mod tests {
     fn select_on_named_object() {
         let (cat, oids) = setup();
         let named = Collection::NamedObject(deref(&cat, oids[0]).unwrap());
-        let kept = select(&cat, &named, &|_| Ok(true)).unwrap();
+        let kept = select(&cat, &named, &|_| Ok(true), ExecutionConfig::default()).unwrap();
         assert_eq!(kept.kind(), Some(Kind::NamedObject));
-        let dropped = select(&cat, &named, &|_| Ok(false)).unwrap();
+        let dropped = select(&cat, &named, &|_| Ok(false), ExecutionConfig::default()).unwrap();
         assert_eq!(dropped, Collection::Empty);
     }
 

@@ -1,28 +1,36 @@
 //! Restructuring and conversion operators: `Project`, `Partition`, `Sort`,
 //! `asSet`, `asList`, `asExtent`, `Unnest`, `Nest`, `Flatten`.
 
+use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use mood_catalog::Catalog;
-use mood_datamodel::{decode_value, encode_key, encode_value, Value};
+use mood_datamodel::{encode_key, Value};
 use mood_storage::exec::{run_chunked, ExecutionConfig};
-use mood_storage::spill::SpillFile;
 use mood_storage::Oid;
 
 use crate::collection::{Collection, Obj};
 use crate::error::{AlgebraError, Result};
-use crate::join::{materialize, materialize_par};
+use crate::join::materialize;
 
 /// `Project(aTupleCollection, attribute_list)` — relational-style projection
 /// over an extent / set / list of tuple-type objects (set/list elements are
 /// dereferenced, per the paper). The result is an *extent of tuple values*
 /// (transient objects; MOOD could later make them a dynamic class).
-pub fn project(catalog: &Catalog, arg: &Collection, attributes: &[&str]) -> Result<Collection> {
-    let objs = materialize(catalog, arg)?;
-    let mut out = Vec::with_capacity(objs.len());
-    for o in &objs {
-        out.push(project_one(o, attributes)?);
-    }
+///
+/// Elements are independent: they are projected in `exec.parallelism`
+/// contiguous chunks concatenated in input order, and the first non-tuple
+/// element (in input order) wins as the reported error.
+pub fn project(
+    catalog: &Catalog,
+    arg: &Collection,
+    attributes: &[&str],
+    exec: ExecutionConfig,
+) -> Result<Collection> {
+    let objs = materialize(catalog, arg, exec)?;
+    let out = run_chunked(exec.parallelism, &objs, |_, chunk| {
+        chunk.iter().map(|o| project_one(o, attributes)).collect()
+    })?;
     Ok(Collection::Extent(out))
 }
 
@@ -46,26 +54,6 @@ fn project_one(o: &Obj, attributes: &[&str]) -> Result<Obj> {
     Ok(Obj::transient(Value::Tuple(projected)))
 }
 
-/// Chunk-parallel [`project`]: elements are independent, so the input is
-/// split into contiguous chunks projected on worker threads and concatenated
-/// in chunk order — output identical to the sequential operator. The first
-/// non-tuple element (in input order) still wins as the reported error.
-pub fn project_par(
-    catalog: &Catalog,
-    arg: &Collection,
-    attributes: &[&str],
-    exec: ExecutionConfig,
-) -> Result<Collection> {
-    if !exec.is_parallel() {
-        return project(catalog, arg, attributes);
-    }
-    let objs = materialize_par(catalog, arg, exec)?;
-    let out = run_chunked(exec.parallelism, &objs, |_, chunk| {
-        chunk.iter().map(|o| project_one(o, attributes)).collect()
-    })?;
-    Ok(Collection::Extent(out))
-}
-
 /// `Partition(aTupleCollection, attribute_list)` — groups of objects with
 /// equal values on `attribute_list`; the return value is the set of groups.
 /// Groups are returned in first-appearance order of their key.
@@ -74,7 +62,7 @@ pub fn partition(
     arg: &Collection,
     attributes: &[&str],
 ) -> Result<Vec<Collection>> {
-    let objs = materialize(catalog, arg)?;
+    let objs = materialize(catalog, arg, ExecutionConfig::default())?;
     let mut keys: Vec<Vec<u8>> = Vec::new();
     let mut groups: Vec<Vec<Obj>> = Vec::new();
     for o in objs {
@@ -104,329 +92,79 @@ fn group_key(v: &Value, attributes: &[&str]) -> Result<Vec<u8>> {
     Ok(key)
 }
 
+/// A sort key: the encoded attribute key plus the element's input position.
+/// The index makes every key distinct, so the order is total — equal
+/// attribute keys keep their input order however the runs were formed.
+type SortKey = (Vec<u8>, usize);
+
+/// Elements per heap-built run.
+const RUN: usize = 1024;
+
 /// `Sort(aTupleCollection, sort_method, attribute_list)` — "the only
 /// supported sort_method for the time being is heap sort with merging",
-/// and that is exactly what this is: runs are built through a binary heap
-/// and merged (visible for the cost accounting of ORDER BY in the bench
-/// crate). No duplicate elimination. Sets/lists sort their identifiers by
-/// the dereferenced objects' keys; extents sort the objects.
-pub fn sort(catalog: &Catalog, arg: &Collection, attributes: &[&str]) -> Result<Collection> {
-    let objs = materialize(catalog, arg)?;
-    let keyed = key_objects(objs, attributes)?;
-    let sorted = heapsort_with_merging(keyed);
-    Ok(sorted_to_collection(arg, sorted))
-}
-
-/// Chunk-parallel [`sort`]: contiguous input chunks are key-extracted and
-/// sorted on worker threads, then k-way merged. Because the sort key is
-/// `(attribute key, input index)` — the same total order the sequential
-/// heapsort uses — the merged result is identical to the sequential output,
-/// including the relative order of equal attribute keys.
-pub fn sort_par(
+/// and that is exactly what this is: runs of at most [`RUN`] elements are
+/// built through a binary heap, then k-way merged. No duplicate
+/// elimination. Sets/lists sort their identifiers by the dereferenced
+/// objects' keys; extents sort the objects.
+///
+/// Run formation (key extraction + heap) is spread over `exec.parallelism`
+/// contiguous chunks of the input; the merge is shared. Keys are distinct,
+/// so where the run boundaries fall cannot change the output.
+pub fn sort(
     catalog: &Catalog,
     arg: &Collection,
     attributes: &[&str],
     exec: ExecutionConfig,
 ) -> Result<Collection> {
-    if !exec.is_parallel() {
-        return sort(catalog, arg, attributes);
-    }
-    let objs = materialize_par(catalog, arg, exec)?;
-    let indexed: Vec<(usize, Obj)> = objs.into_iter().enumerate().collect();
-    // Each chunk becomes one pre-sorted run (note the `vec![run]` wrapper:
-    // run_chunked concatenates the per-chunk outputs, so each worker
-    // contributes exactly one element — its run).
-    let runs = run_chunked(exec.parallelism, &indexed, |_, chunk| {
-        let mut run: Vec<(SortKey, Obj)> = chunk
-            .iter()
-            .map(|(i, o)| Ok(((group_key(&o.value, attributes)?, *i), o.clone())))
-            .collect::<Result<_>>()?;
-        run.sort_unstable_by(|(a, _), (b, _)| a.cmp(b));
-        Ok::<_, AlgebraError>(vec![run])
+    let objs = materialize(catalog, arg, exec)?;
+    let positions: Vec<usize> = (0..objs.len()).collect();
+    let runs: Vec<Vec<SortKey>> = run_chunked(exec.parallelism, &positions, |_, chunk| {
+        let mut runs = Vec::with_capacity(chunk.len().div_ceil(RUN));
+        for slice in chunk.chunks(RUN) {
+            let mut heap = BinaryHeap::with_capacity(slice.len());
+            for &i in slice {
+                heap.push(Reverse((group_key(&objs[i].value, attributes)?, i)));
+            }
+            let mut run = Vec::with_capacity(heap.len());
+            while let Some(Reverse(key)) = heap.pop() {
+                run.push(key);
+            }
+            runs.push(run);
+        }
+        Ok::<_, AlgebraError>(runs)
     })?;
-    let sorted = merge_runs(runs);
-    Ok(sorted_to_collection(arg, sorted))
-}
-
-/// A sort key: the encoded attribute key plus the element's input position.
-/// The index makes every key distinct, which is what lets the sequential
-/// heapsort, the parallel chunk-sort-and-merge, and the spilled external
-/// merge agree bit for bit.
-pub type SortKey = (Vec<u8>, usize);
-
-fn key_objects(objs: Vec<Obj>, attributes: &[&str]) -> Result<Vec<(SortKey, Obj)>> {
-    objs.into_iter()
-        .enumerate()
-        .map(|(i, o)| Ok(((group_key(&o.value, attributes)?, i), o)))
-        .collect()
-}
-
-fn sorted_to_collection(arg: &Collection, sorted: Vec<(SortKey, Obj)>) -> Collection {
-    match arg {
+    let mut slots: Vec<Option<Obj>> = objs.into_iter().map(Some).collect();
+    let sorted = merge_runs(runs)
+        .into_iter()
+        .map(|i| slots[i].take().expect("each position is emitted once"));
+    Ok(match arg {
         Collection::Set(_) | Collection::List(_) => {
-            Collection::List(sorted.iter().filter_map(|(_, o)| o.oid).collect())
+            Collection::List(sorted.filter_map(|o| o.oid).collect())
         }
-        _ => Collection::Extent(sorted.into_iter().map(|(_, o)| o).collect()),
-    }
+        _ => Collection::Extent(sorted.collect()),
+    })
 }
 
-/// Heap sort with run merging: build bounded heaps (runs), then k-way merge
-/// — the external-sort structure MOOD used, executed in memory.
-fn heapsort_with_merging(items: Vec<(SortKey, Obj)>) -> Vec<(SortKey, Obj)> {
-    const RUN: usize = 1024;
-    // Phase 1: replacement-selection-style run formation with a heap.
-    let mut runs: Vec<Vec<(SortKey, Obj)>> = Vec::new();
-    let mut iter = items.into_iter().peekable();
-    while iter.peek().is_some() {
-        let mut heap: BinaryHeap<std::cmp::Reverse<HeapItem>> = BinaryHeap::new();
-        for _ in 0..RUN {
-            match iter.next() {
-                Some((k, o)) => heap.push(std::cmp::Reverse(HeapItem { key: k, obj: o })),
-                None => break,
-            }
-        }
-        let mut run = Vec::with_capacity(heap.len());
-        while let Some(std::cmp::Reverse(item)) = heap.pop() {
-            run.push((item.key, item.obj));
-        }
-        runs.push(run);
-    }
-    // Phase 2: k-way merge of the sorted runs.
-    merge_runs(runs)
-}
-
-/// K-way merge of sorted runs through a heap of cursors. Sort keys are
-/// distinct (they embed the input index), so the merge order is total.
-fn merge_runs(runs: Vec<Vec<(SortKey, Obj)>>) -> Vec<(SortKey, Obj)> {
+/// K-way merge of sorted runs through a heap of run heads; yields the input
+/// positions in sorted order.
+fn merge_runs(runs: Vec<Vec<SortKey>>) -> Vec<usize> {
     let total: usize = runs.iter().map(|r| r.len()).sum();
-    let mut cursors: Vec<std::vec::IntoIter<(SortKey, Obj)>> =
+    let mut cursors: Vec<std::vec::IntoIter<SortKey>> =
         runs.into_iter().map(|r| r.into_iter()).collect();
-    let mut heads: BinaryHeap<std::cmp::Reverse<(SortKey, usize)>> = BinaryHeap::new();
-    let mut staged: Vec<Option<Obj>> = vec![None; cursors.len()];
-    for (i, c) in cursors.iter_mut().enumerate() {
-        if let Some((k, o)) = c.next() {
-            staged[i] = Some(o);
-            heads.push(std::cmp::Reverse((k, i)));
+    let mut heads: BinaryHeap<Reverse<(SortKey, usize)>> = BinaryHeap::new();
+    for (run, c) in cursors.iter_mut().enumerate() {
+        if let Some(key) = c.next() {
+            heads.push(Reverse((key, run)));
         }
     }
     let mut out = Vec::with_capacity(total);
-    while let Some(std::cmp::Reverse((k, i))) = heads.pop() {
-        let obj = staged[i].take().expect("staged once");
-        out.push((k, obj));
-        if let Some((k, o)) = cursors[i].next() {
-            staged[i] = Some(o);
-            heads.push(std::cmp::Reverse((k, i)));
+    while let Some(Reverse(((_, position), run))) = heads.pop() {
+        out.push(position);
+        if let Some(key) = cursors[run].next() {
+            heads.push(Reverse((key, run)));
         }
     }
     out
-}
-
-// ---------------------------------------------------------------------
-// External merge sort with spill-to-disk runs
-// ---------------------------------------------------------------------
-
-/// Serialize one `(SortKey, Obj)` sort element as a spill record:
-/// `[u32 key_len][key][u64 index][u32 oid_len][oid?][value]` — the OID (when
-/// present) and the value travel through the datamodel codec.
-fn encode_spill_record(key: &SortKey, obj: &Obj) -> Vec<u8> {
-    let mut out = Vec::with_capacity(key.0.len() + 32);
-    out.extend_from_slice(&(key.0.len() as u32).to_le_bytes());
-    out.extend_from_slice(&key.0);
-    out.extend_from_slice(&(key.1 as u64).to_le_bytes());
-    match obj.oid {
-        Some(oid) => {
-            let enc = encode_value(&Value::Ref(oid));
-            out.extend_from_slice(&(enc.len() as u32).to_le_bytes());
-            out.extend_from_slice(&enc);
-        }
-        None => out.extend_from_slice(&0u32.to_le_bytes()),
-    }
-    out.extend_from_slice(&encode_value(&obj.value));
-    out
-}
-
-fn spill_corrupt(detail: &str) -> AlgebraError {
-    AlgebraError::NotApplicable {
-        operator: "Sort",
-        detail: format!("corrupt spill record: {detail}"),
-    }
-}
-
-fn decode_spill_record(rec: &[u8]) -> Result<(SortKey, Obj)> {
-    let need = |n: usize, at: usize| {
-        if rec.len() < at + n {
-            Err(spill_corrupt("truncated"))
-        } else {
-            Ok(())
-        }
-    };
-    need(4, 0)?;
-    let key_len = u32::from_le_bytes(rec[0..4].try_into().unwrap()) as usize;
-    need(key_len + 8, 4)?;
-    let key = rec[4..4 + key_len].to_vec();
-    let mut at = 4 + key_len;
-    let index = u64::from_le_bytes(rec[at..at + 8].try_into().unwrap()) as usize;
-    at += 8;
-    need(4, at)?;
-    let oid_len = u32::from_le_bytes(rec[at..at + 4].try_into().unwrap()) as usize;
-    at += 4;
-    need(oid_len, at)?;
-    let oid = if oid_len == 0 {
-        None
-    } else {
-        match decode_value(&rec[at..at + oid_len]) {
-            Ok(Value::Ref(oid)) => Some(oid),
-            _ => return Err(spill_corrupt("oid field")),
-        }
-    };
-    at += oid_len;
-    let value = decode_value(&rec[at..]).map_err(|_| spill_corrupt("value field"))?;
-    Ok(((key, index), Obj { oid, value }))
-}
-
-/// `Sort` with spill-to-disk run formation — the external shape of the
-/// paper's "heap sort with merging". The input is consumed in runs of at
-/// most `exec.sort_budget` rows; each run is sorted in memory and written
-/// to a temp file ([`SpillFile`]), then the runs are k-way merged through
-/// the same cursor-heap machinery the in-memory sort uses. Sort keys embed
-/// the input index, so the output is byte-identical to [`sort`] /
-/// [`sort_par`] at any budget. Spill I/O is charged to the shared
-/// [`DiskMetrics`] in page equivalents (writes at run formation, one
-/// sequential batch per run at merge), and each run bumps
-/// `sort.spilled_runs` / `sort.spill_bytes`.
-///
-/// Inputs that fit the budget never touch disk — they take the in-memory
-/// path unchanged.
-///
-/// [`DiskMetrics`]: mood_storage::DiskMetrics
-pub fn sort_external(
-    catalog: &Catalog,
-    arg: &Collection,
-    attributes: &[&str],
-    exec: ExecutionConfig,
-) -> Result<Collection> {
-    let objs = if exec.is_parallel() {
-        materialize_par(catalog, arg, exec)?
-    } else {
-        materialize(catalog, arg)?
-    };
-    let budget = exec.sort_budget.max(2);
-    if objs.len() <= budget {
-        let keyed = key_objects(objs, attributes)?;
-        return Ok(sorted_to_collection(arg, heapsort_with_merging(keyed)));
-    }
-    let sorted = external_merge(catalog, key_objects(objs, attributes)?, budget)?;
-    Ok(sorted_to_collection(arg, sorted))
-}
-
-/// Core of the external sort: spill `items` in sorted runs of at most
-/// `budget` elements, then k-way merge the runs off disk. Memory at merge
-/// time is bounded by one decoded head per run plus the output.
-pub fn external_merge(
-    catalog: &Catalog,
-    items: Vec<(SortKey, Obj)>,
-    budget: usize,
-) -> Result<Vec<(SortKey, Obj)>> {
-    let storage = catalog.storage();
-    let metrics = storage.metrics().clone();
-    let registry = storage.registry().clone();
-    let budget = budget.max(2);
-    let total = items.len();
-    // Run formation: budget-sized gulps, sorted and spilled.
-    let mut files: Vec<SpillFile> = Vec::new();
-    let mut iter = items.into_iter();
-    loop {
-        let mut run: Vec<(SortKey, Obj)> = iter.by_ref().take(budget).collect();
-        if run.is_empty() {
-            break;
-        }
-        run.sort_unstable_by(|(a, _), (b, _)| a.cmp(b));
-        let mut f = SpillFile::create()?;
-        for (k, o) in &run {
-            f.write_record(&encode_spill_record(k, o))?;
-        }
-        registry.record_spilled_run(f.bytes());
-        files.push(f);
-    }
-    // Merge phase: one cursor per run, heads ordered by the same total
-    // order (key, input index) the in-memory merge uses.
-    let mut cursors = Vec::with_capacity(files.len());
-    for f in files {
-        let r = f.into_reader(Some(&metrics))?;
-        r.charge_sequential_read(&metrics);
-        cursors.push(r);
-    }
-    let mut heads: BinaryHeap<std::cmp::Reverse<(SortKey, usize)>> = BinaryHeap::new();
-    let mut staged: Vec<Option<Obj>> = vec![None; cursors.len()];
-    for (i, c) in cursors.iter_mut().enumerate() {
-        if let Some(rec) = c.next_record()? {
-            let (k, o) = decode_spill_record(&rec)?;
-            staged[i] = Some(o);
-            heads.push(std::cmp::Reverse((k, i)));
-        }
-    }
-    let mut out = Vec::with_capacity(total);
-    while let Some(std::cmp::Reverse((k, i))) = heads.pop() {
-        let obj = staged[i].take().expect("staged once");
-        out.push((k, obj));
-        if let Some(rec) = cursors[i].next_record()? {
-            let (k, o) = decode_spill_record(&rec)?;
-            staged[i] = Some(o);
-            heads.push(std::cmp::Reverse((k, i)));
-        }
-    }
-    Ok(out)
-}
-
-/// Batched [`project`]: tuples are projected `exec.batch_size` at a time,
-/// each batch recorded once in the `batch.rows`/`batch.count` counters.
-/// Output is byte-identical to [`project`] / [`project_par`].
-pub fn project_batched(
-    catalog: &Catalog,
-    arg: &Collection,
-    attributes: &[&str],
-    exec: ExecutionConfig,
-) -> Result<Collection> {
-    let batch_size = exec.batch_size.max(1);
-    let registry = catalog.storage().registry().clone();
-    let objs = if exec.is_parallel() {
-        materialize_par(catalog, arg, exec)?
-    } else {
-        materialize(catalog, arg)?
-    };
-    let out = run_chunked(exec.parallelism, &objs, |_, chunk| {
-        let mut projected = Vec::with_capacity(chunk.len());
-        for batch in chunk.chunks(batch_size) {
-            for o in batch {
-                projected.push(project_one(o, attributes)?);
-            }
-            registry.record_batch(batch.len() as u64);
-        }
-        Ok::<_, AlgebraError>(projected)
-    })?;
-    Ok(Collection::Extent(out))
-}
-
-struct HeapItem {
-    key: SortKey,
-    obj: Obj,
-}
-
-impl PartialEq for HeapItem {
-    fn eq(&self, other: &Self) -> bool {
-        self.key == other.key
-    }
-}
-impl Eq for HeapItem {}
-impl PartialOrd for HeapItem {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for HeapItem {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.key.cmp(&other.key)
-    }
 }
 
 /// `asSet(arg)` — Table 5: the object identifiers of the argument.
@@ -442,9 +180,11 @@ pub fn as_list(arg: &Collection) -> Collection {
 /// `asExtent(arg)` — Table 6: dereference a set or list into an extent.
 pub fn as_extent(catalog: &Catalog, arg: &Collection) -> Result<Collection> {
     match arg {
-        Collection::Set(_) | Collection::List(_) => {
-            Ok(Collection::Extent(materialize(catalog, arg)?))
-        }
+        Collection::Set(_) | Collection::List(_) => Ok(Collection::Extent(materialize(
+            catalog,
+            arg,
+            ExecutionConfig::default(),
+        )?)),
         other => Err(AlgebraError::NotApplicable {
             operator: "asExtent",
             detail: format!(
@@ -462,7 +202,7 @@ pub fn as_extent(catalog: &Catalog, arg: &Collection) -> Result<Collection> {
 pub fn unnest(catalog: &Catalog, arg: &Collection, attribute: &str) -> Result<Collection> {
     let objs = match arg {
         Collection::NamedObject(o) => vec![o.clone()],
-        other => materialize(catalog, other)?,
+        other => materialize(catalog, other, ExecutionConfig::default())?,
     };
     let mut out = Vec::new();
     for o in objs {
@@ -505,7 +245,7 @@ pub fn unnest(catalog: &Catalog, arg: &Collection, attribute: &str) -> Result<Co
 /// `Nest(aTupleCollection)` — the inverse of `Unnest`: group on all fields
 /// but `attribute` and collect that field's values into a set.
 pub fn nest(catalog: &Catalog, arg: &Collection, attribute: &str) -> Result<Collection> {
-    let objs = materialize(catalog, arg)?;
+    let objs = materialize(catalog, arg, ExecutionConfig::default())?;
     let mut keys: Vec<Value> = Vec::new();
     let mut groups: Vec<Vec<Value>> = Vec::new();
     let mut shapes: Vec<Vec<(String, Value)>> = Vec::new();
@@ -619,7 +359,7 @@ mod tests {
         emp(&cat, "ali", 30, "db");
         emp(&cat, "veli", 40, "os");
         let extent = crate::ops::bind_class(&cat, "Employee", false, &[]).unwrap();
-        let out = project(&cat, &extent, &["name", "age"]).unwrap();
+        let out = project(&cat, &extent, &["name", "age"], ExecutionConfig::default()).unwrap();
         let Collection::Extent(objs) = &out else {
             panic!()
         };
@@ -637,7 +377,13 @@ mod tests {
     fn project_over_set_derefs() {
         let cat = catalog();
         let a = emp(&cat, "ali", 30, "db");
-        let out = project(&cat, &Collection::set_from(vec![a]), &["dept"]).unwrap();
+        let out = project(
+            &cat,
+            &Collection::set_from(vec![a]),
+            &["dept"],
+            ExecutionConfig::default(),
+        )
+        .unwrap();
         let Collection::Extent(objs) = &out else {
             panic!()
         };
@@ -665,7 +411,7 @@ mod tests {
         emp(&cat, "b", 2, "x");
         emp(&cat, "a", 1, "x"); // duplicate key — must survive
         let extent = crate::ops::bind_class(&cat, "Employee", false, &[]).unwrap();
-        let out = sort(&cat, &extent, &["name"]).unwrap();
+        let out = sort(&cat, &extent, &["name"], ExecutionConfig::default()).unwrap();
         let Collection::Extent(objs) = &out else {
             panic!()
         };
@@ -682,7 +428,7 @@ mod tests {
         let c = emp(&cat, "c", 3, "x");
         let a = emp(&cat, "a", 1, "x");
         let set = Collection::set_from(vec![c, a]);
-        let out = sort(&cat, &set, &["name"]).unwrap();
+        let out = sort(&cat, &set, &["name"], ExecutionConfig::default()).unwrap();
         assert_eq!(out, Collection::List(vec![a, c]));
     }
 
@@ -694,7 +440,7 @@ mod tests {
             emp(&cat, &format!("e{i:05}"), i, "x");
         }
         let extent = crate::ops::bind_class(&cat, "Employee", false, &[]).unwrap();
-        let out = sort(&cat, &extent, &["name"]).unwrap();
+        let out = sort(&cat, &extent, &["name"], ExecutionConfig::default()).unwrap();
         let Collection::Extent(objs) = &out else {
             panic!()
         };

@@ -15,160 +15,67 @@ use crate::error::{AlgebraError, Result};
 /// * Set → not applicable (a set has no duplicates);
 /// * List → list of ordered distinct object identifiers;
 /// * Extent → extent of distinct objects *by deep equality*.
-pub fn dup_elim(catalog: &Catalog, arg: &Collection) -> Result<Collection> {
+///
+/// Chunks of the input (`exec.parallelism` of them) are deduplicated
+/// locally, then the survivors once more across chunk boundaries:
+/// * List: each chunk is sorted and deduplicated, the runs concatenated,
+///   sorted and deduplicated — the same sorted distinct list.
+/// * Extent: each chunk keeps its first occurrences; with more than one
+///   worker a second pass over the survivors, in input order, removes the
+///   duplicates that span chunks. First occurrences are decided in input
+///   order in both passes, so the result does not depend on the chunking.
+pub fn dup_elim(catalog: &Catalog, arg: &Collection, exec: ExecutionConfig) -> Result<Collection> {
     match arg {
         Collection::Set(_) => Err(AlgebraError::NotApplicable {
             operator: "DupElim",
             detail: "sets have no duplicates (Table 3: not applicable)".into(),
         }),
         Collection::List(oids) => {
-            let mut sorted: Vec<Oid> = oids.clone();
-            sorted.sort();
-            sorted.dedup();
-            Ok(Collection::List(sorted))
+            let mut merged: Vec<Oid> = run_chunked(exec.parallelism, oids, |_, chunk| {
+                let mut sorted = chunk.to_vec();
+                sorted.sort();
+                sorted.dedup();
+                Ok::<_, AlgebraError>(sorted)
+            })?;
+            merged.sort();
+            merged.dedup();
+            Ok(Collection::List(merged))
         }
         Collection::Extent(objs) => {
-            // Deep equality is expensive; prune with a cheap shallow pass
-            // (identical OIDs) before the pairwise deep check.
-            let mut kept: Vec<Obj> = Vec::new();
-            let mut seen_oids: HashSet<Oid> = HashSet::new();
-            'outer: for o in objs {
-                if let Some(oid) = o.oid {
-                    if !seen_oids.insert(oid) {
-                        continue; // literally the same object
-                    }
-                }
-                for k in &kept {
-                    if deep_eq(&o.value, &k.value, catalog) {
-                        continue 'outer;
-                    }
-                }
-                kept.push(o.clone());
-            }
-            Ok(Collection::Extent(kept))
+            let survivors = run_chunked(exec.parallelism, objs, |_, chunk| {
+                Ok::<_, AlgebraError>(first_occurrences(catalog, chunk))
+            })?;
+            Ok(Collection::Extent(if exec.is_parallel() {
+                first_occurrences(catalog, &survivors)
+            } else {
+                survivors
+            }))
         }
         Collection::NamedObject(_) | Collection::Empty => Ok(arg.clone()),
     }
 }
 
-/// Chunk-parallel [`dup_elim`].
-///
-/// * List: chunks are sorted and deduplicated on worker threads, then
-///   merged — the merged result is the same sorted distinct list.
-/// * Extent: each chunk removes its *local* duplicates on a worker thread
-///   (deep equality, first occurrence kept); a sequential cross-chunk pass
-///   then re-checks the survivors in input order against everything kept so
-///   far. First occurrences are decided in input order in both passes, so
-///   the result is identical to the sequential operator.
-pub fn dup_elim_par(catalog: &Catalog, arg: &Collection, exec: ExecutionConfig) -> Result<Collection> {
-    if !exec.is_parallel() {
-        return dup_elim(catalog, arg);
+/// The objects of `objs` that are not deep-equal to an earlier one, in
+/// input order.
+fn first_occurrences(catalog: &Catalog, objs: &[Obj]) -> Vec<Obj> {
+    // Deep equality is expensive; prune with a cheap shallow pass
+    // (identical OIDs) before the pairwise deep check.
+    let mut kept: Vec<Obj> = Vec::new();
+    let mut seen_oids: HashSet<Oid> = HashSet::new();
+    'outer: for o in objs {
+        if let Some(oid) = o.oid {
+            if !seen_oids.insert(oid) {
+                continue; // literally the same object
+            }
+        }
+        for k in &kept {
+            if deep_eq(&o.value, &k.value, catalog) {
+                continue 'outer;
+            }
+        }
+        kept.push(o.clone());
     }
-    match arg {
-        Collection::List(oids) => {
-            let chunks: Vec<Vec<Oid>> = run_chunked(exec.parallelism, oids, |_, chunk| {
-                let mut sorted = chunk.to_vec();
-                sorted.sort();
-                sorted.dedup();
-                Ok::<_, AlgebraError>(vec![sorted])
-            })?;
-            let mut merged: Vec<Oid> = Vec::with_capacity(oids.len());
-            for run in chunks {
-                merged.extend(run);
-            }
-            merged.sort();
-            merged.dedup();
-            Ok(Collection::List(merged))
-        }
-        Collection::Extent(objs) => {
-            let survivors: Vec<Obj> = run_chunked(exec.parallelism, objs, |_, chunk| {
-                let mut kept: Vec<Obj> = Vec::new();
-                let mut seen_oids: HashSet<Oid> = HashSet::new();
-                'outer: for o in chunk {
-                    if let Some(oid) = o.oid {
-                        if !seen_oids.insert(oid) {
-                            continue;
-                        }
-                    }
-                    for k in &kept {
-                        if deep_eq(&o.value, &k.value, catalog) {
-                            continue 'outer;
-                        }
-                    }
-                    kept.push(o.clone());
-                }
-                Ok::<_, AlgebraError>(kept)
-            })?;
-            // Cross-chunk pass: survivors arrive in input order; duplicates
-            // spanning chunk boundaries are caught here.
-            let mut kept: Vec<Obj> = Vec::new();
-            let mut seen_oids: HashSet<Oid> = HashSet::new();
-            'outer: for o in survivors {
-                if let Some(oid) = o.oid {
-                    if !seen_oids.insert(oid) {
-                        continue;
-                    }
-                }
-                for k in &kept {
-                    if deep_eq(&o.value, &k.value, catalog) {
-                        continue 'outer;
-                    }
-                }
-                kept.push(o);
-            }
-            Ok(Collection::Extent(kept))
-        }
-        other => dup_elim(catalog, other),
-    }
-}
-
-/// Batched [`dup_elim`]: extent elements are checked `exec.batch_size` at a
-/// time (each batch recorded once in the batch counters); lists batch their
-/// sort-merge the same way. First occurrences are decided in input order
-/// exactly as in the sequential operator, so the output is byte-identical.
-pub fn dup_elim_batched(
-    catalog: &Catalog,
-    arg: &Collection,
-    exec: ExecutionConfig,
-) -> Result<Collection> {
-    let batch_size = exec.batch_size.max(1);
-    let registry = catalog.storage().registry().clone();
-    match arg {
-        Collection::Extent(objs) => {
-            let mut kept: Vec<Obj> = Vec::new();
-            let mut seen_oids: HashSet<Oid> = HashSet::new();
-            for batch in objs.chunks(batch_size) {
-                'outer: for o in batch {
-                    if let Some(oid) = o.oid {
-                        if !seen_oids.insert(oid) {
-                            continue;
-                        }
-                    }
-                    for k in &kept {
-                        if deep_eq(&o.value, &k.value, catalog) {
-                            continue 'outer;
-                        }
-                    }
-                    kept.push(o.clone());
-                }
-                registry.record_batch(batch.len() as u64);
-            }
-            Ok(Collection::Extent(kept))
-        }
-        Collection::List(oids) => {
-            let mut merged: Vec<Oid> = Vec::with_capacity(oids.len());
-            for batch in oids.chunks(batch_size) {
-                let mut sorted = batch.to_vec();
-                sorted.sort();
-                merged.extend(sorted);
-                registry.record_batch(batch.len() as u64);
-            }
-            merged.sort();
-            merged.dedup();
-            Ok(Collection::List(merged))
-        }
-        other => dup_elim(catalog, other),
-    }
+    kept
 }
 
 fn oids_of(arg: &Collection, operator: &'static str) -> Result<Vec<Oid>> {
@@ -190,8 +97,10 @@ fn both_lists(a: &Collection, b: &Collection) -> bool {
 
 /// `Union(arg1, arg2)` — Table 4. Two lists concatenate ("union
 /// corresponds to array concatenation"); any set operand makes the result a
-/// set.
-pub fn union(a: &Collection, b: &Collection) -> Result<Collection> {
+/// set. Pure concatenation — there is no per-element work to spread over
+/// workers; the config is accepted so the three Table 4 operators share one
+/// signature.
+pub fn union(a: &Collection, b: &Collection, _exec: ExecutionConfig) -> Result<Collection> {
     let (xa, xb) = (oids_of(a, "Union")?, oids_of(b, "Union")?);
     if both_lists(a, b) {
         let mut out = xa;
@@ -204,11 +113,11 @@ pub fn union(a: &Collection, b: &Collection) -> Result<Collection> {
     }
 }
 
-/// `Intersection(arg1, arg2)` — Table 4.
-pub fn intersection(a: &Collection, b: &Collection) -> Result<Collection> {
-    let (xa, xb) = (oids_of(a, "Intersection")?, oids_of(b, "Intersection")?);
-    let set_b: HashSet<Oid> = xb.into_iter().collect();
-    let common: Vec<Oid> = xa.into_iter().filter(|o| set_b.contains(o)).collect();
+/// `Intersection(arg1, arg2)` — Table 4. The right operand's membership
+/// set is built once; the left operand is filtered in `exec.parallelism`
+/// contiguous chunks concatenated in input order.
+pub fn intersection(a: &Collection, b: &Collection, exec: ExecutionConfig) -> Result<Collection> {
+    let common = filter_by_membership(a, b, "Intersection", true, exec)?;
     if both_lists(a, b) {
         // List ∩ List keeps the left list's order, deduplicated.
         let mut seen = HashSet::new();
@@ -220,11 +129,10 @@ pub fn intersection(a: &Collection, b: &Collection) -> Result<Collection> {
     }
 }
 
-/// `Difference(arg1, arg2)` — Table 4: objects in `arg1` but not `arg2`.
-pub fn difference(a: &Collection, b: &Collection) -> Result<Collection> {
-    let (xa, xb) = (oids_of(a, "Difference")?, oids_of(b, "Difference")?);
-    let set_b: HashSet<Oid> = xb.into_iter().collect();
-    let rest: Vec<Oid> = xa.into_iter().filter(|o| !set_b.contains(o)).collect();
+/// `Difference(arg1, arg2)` — Table 4: objects in `arg1` but not `arg2`
+/// ([`intersection`]'s strategy with the membership test negated).
+pub fn difference(a: &Collection, b: &Collection, exec: ExecutionConfig) -> Result<Collection> {
+    let rest = filter_by_membership(a, b, "Difference", false, exec)?;
     if both_lists(a, b) {
         Ok(Collection::List(rest))
     } else {
@@ -232,63 +140,23 @@ pub fn difference(a: &Collection, b: &Collection) -> Result<Collection> {
     }
 }
 
-/// Chunk-parallel [`union`]. Union is pure concatenation (plus the shared
-/// `set_from` normalization when either operand is a set), so there is no
-/// per-element work to fan out — it delegates, and exists so every set
-/// operator has a uniform parallel entry point.
-pub fn union_par(a: &Collection, b: &Collection, _exec: ExecutionConfig) -> Result<Collection> {
-    union(a, b)
-}
-
-/// Chunk-parallel [`intersection`]: the right operand's membership set is
-/// built once, then the left operand is filtered in contiguous chunks on
-/// worker threads and concatenated in input order (the order-sensitive
-/// List∩List dedup stays sequential over that concatenation).
-pub fn intersection_par(
+/// The identifiers of `a`, in order, whose membership in `b` equals `keep`.
+fn filter_by_membership(
     a: &Collection,
     b: &Collection,
+    operator: &'static str,
+    keep: bool,
     exec: ExecutionConfig,
-) -> Result<Collection> {
-    if !exec.is_parallel() {
-        return intersection(a, b);
-    }
-    let (xa, xb) = (oids_of(a, "Intersection")?, oids_of(b, "Intersection")?);
+) -> Result<Vec<Oid>> {
+    let (xa, xb) = (oids_of(a, operator)?, oids_of(b, operator)?);
     let set_b: HashSet<Oid> = xb.into_iter().collect();
-    let common = run_chunked(exec.parallelism, &xa, |_, chunk| {
-        Ok::<_, AlgebraError>(chunk.iter().copied().filter(|o| set_b.contains(o)).collect())
-    })?;
-    if both_lists(a, b) {
-        let mut seen = HashSet::new();
-        Ok(Collection::List(
-            common.into_iter().filter(|o| seen.insert(*o)).collect(),
-        ))
-    } else {
-        Ok(Collection::set_from(common))
-    }
-}
-
-/// Chunk-parallel [`difference`]: same strategy as [`intersection_par`]
-/// with the membership test negated.
-pub fn difference_par(a: &Collection, b: &Collection, exec: ExecutionConfig) -> Result<Collection> {
-    if !exec.is_parallel() {
-        return difference(a, b);
-    }
-    let (xa, xb) = (oids_of(a, "Difference")?, oids_of(b, "Difference")?);
-    let set_b: HashSet<Oid> = xb.into_iter().collect();
-    let rest = run_chunked(exec.parallelism, &xa, |_, chunk| {
-        Ok::<_, AlgebraError>(
-            chunk
-                .iter()
-                .copied()
-                .filter(|o| !set_b.contains(o))
-                .collect(),
-        )
-    })?;
-    if both_lists(a, b) {
-        Ok(Collection::List(rest))
-    } else {
-        Ok(Collection::set_from(rest))
-    }
+    run_chunked(exec.parallelism, &xa, |_, chunk| {
+        Ok(chunk
+            .iter()
+            .copied()
+            .filter(|o| set_b.contains(o) == keep)
+            .collect())
+    })
 }
 
 #[cfg(test)]
@@ -322,7 +190,7 @@ mod tests {
     #[test]
     fn dupelim_rejects_sets() {
         let cat = catalog();
-        let err = dup_elim(&cat, &Collection::Set(vec![])).unwrap_err();
+        let err = dup_elim(&cat, &Collection::Set(vec![]), ExecutionConfig::default()).unwrap_err();
         assert!(matches!(err, AlgebraError::NotApplicable { .. }));
     }
 
@@ -331,7 +199,7 @@ mod tests {
         let cat = catalog();
         let (a, b) = (pt(&cat, 1, 1), pt(&cat, 2, 2));
         let list = Collection::List(vec![b, a, b, a, b]);
-        let out = dup_elim(&cat, &list).unwrap();
+        let out = dup_elim(&cat, &list, ExecutionConfig::default()).unwrap();
         assert_eq!(out, Collection::List(vec![a, b]), "ordered distinct oids");
     }
 
@@ -347,7 +215,7 @@ mod tests {
             crate::ops::deref(&cat, b).unwrap(),
             crate::ops::deref(&cat, c).unwrap(),
         ]);
-        let out = dup_elim(&cat, &extent).unwrap();
+        let out = dup_elim(&cat, &extent, ExecutionConfig::default()).unwrap();
         assert_eq!(out.len(), 2, "deep-equal objects collapse");
     }
 
@@ -357,7 +225,7 @@ mod tests {
         let (a, b, c) = (pt(&cat, 1, 0), pt(&cat, 2, 0), pt(&cat, 3, 0));
         let s = Collection::set_from(vec![a, b]);
         let l = Collection::List(vec![b, c]);
-        let out = union(&s, &l).unwrap();
+        let out = union(&s, &l, ExecutionConfig::default()).unwrap();
         assert_eq!(out, Collection::set_from(vec![a, b, c]));
     }
 
@@ -367,7 +235,7 @@ mod tests {
         let (a, b) = (pt(&cat, 1, 0), pt(&cat, 2, 0));
         let l1 = Collection::List(vec![a, b]);
         let l2 = Collection::List(vec![b, a]);
-        let out = union(&l1, &l2).unwrap();
+        let out = union(&l1, &l2, ExecutionConfig::default()).unwrap();
         assert_eq!(
             out,
             Collection::List(vec![a, b, b, a]),
@@ -378,38 +246,48 @@ mod tests {
     #[test]
     fn intersection_and_difference() {
         let cat = catalog();
+        let exec = ExecutionConfig::default();
         let (a, b, c) = (pt(&cat, 1, 0), pt(&cat, 2, 0), pt(&cat, 3, 0));
         let s1 = Collection::set_from(vec![a, b]);
         let s2 = Collection::set_from(vec![b, c]);
         assert_eq!(
-            intersection(&s1, &s2).unwrap(),
+            intersection(&s1, &s2, exec).unwrap(),
             Collection::set_from(vec![b])
         );
-        assert_eq!(difference(&s1, &s2).unwrap(), Collection::set_from(vec![a]));
-        assert_eq!(difference(&s2, &s1).unwrap(), Collection::set_from(vec![c]));
+        assert_eq!(
+            difference(&s1, &s2, exec).unwrap(),
+            Collection::set_from(vec![a])
+        );
+        assert_eq!(
+            difference(&s2, &s1, exec).unwrap(),
+            Collection::set_from(vec![c])
+        );
     }
 
     #[test]
     fn list_list_ops_stay_lists() {
         let cat = catalog();
+        let exec = ExecutionConfig::default();
         let (a, b, c) = (pt(&cat, 1, 0), pt(&cat, 2, 0), pt(&cat, 3, 0));
         let l1 = Collection::List(vec![c, a, b]);
         let l2 = Collection::List(vec![b, c]);
         assert_eq!(
-            intersection(&l1, &l2).unwrap(),
+            intersection(&l1, &l2, exec).unwrap(),
             Collection::List(vec![c, b])
         );
-        assert_eq!(difference(&l1, &l2).unwrap(), Collection::List(vec![a]));
+        assert_eq!(
+            difference(&l1, &l2, exec).unwrap(),
+            Collection::List(vec![a])
+        );
     }
 
     #[test]
     fn extent_operands_rejected() {
-        let cat = catalog();
-        let _ = cat;
+        let exec = ExecutionConfig::default();
         let e = Collection::Extent(vec![]);
         let s = Collection::Set(vec![]);
-        assert!(union(&e, &s).is_err());
-        assert!(intersection(&s, &e).is_err());
-        assert!(difference(&e, &e).is_err());
+        assert!(union(&e, &s, exec).is_err());
+        assert!(intersection(&s, &e, exec).is_err());
+        assert!(difference(&e, &e, exec).is_err());
     }
 }

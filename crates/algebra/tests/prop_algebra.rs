@@ -9,13 +9,17 @@ use std::sync::Arc;
 use proptest::prelude::*;
 
 use mood_algebra::{
-    difference, difference_par, dup_elim, dup_elim_par, intersection, intersection_par, join,
-    join_par, nest, project, project_par, select, select_par, sort, sort_par, union, union_par,
-    unnest, Collection, ExecutionConfig, JoinMethod, JoinRhs, Obj,
+    difference, dup_elim, intersection, join, nest, project, select, sort, union, unnest,
+    Collection, ExecutionConfig, JoinMethod, JoinRhs, Obj,
 };
 use mood_catalog::{Catalog, ClassBuilder};
 use mood_datamodel::{TypeDescriptor, Value};
 use mood_storage::{Oid, StorageManager};
+
+/// Parallelism 1: every chunked step is the plain loop on this thread.
+fn seq() -> ExecutionConfig {
+    ExecutionConfig::with_parallelism(1)
+}
 
 fn catalog_with_items(n: usize) -> (Arc<Catalog>, Vec<Oid>) {
     let sm = Arc::new(StorageManager::in_memory());
@@ -55,13 +59,13 @@ proptest! {
         let sa: HashSet<Oid> = a.oids().into_iter().collect();
         let sb: HashSet<Oid> = b.oids().into_iter().collect();
 
-        let u: HashSet<Oid> = union(&a, &b).unwrap().oids().into_iter().collect();
+        let u: HashSet<Oid> = union(&a, &b, seq()).unwrap().oids().into_iter().collect();
         prop_assert_eq!(&u, &sa.union(&sb).copied().collect::<HashSet<_>>());
 
-        let i: HashSet<Oid> = intersection(&a, &b).unwrap().oids().into_iter().collect();
+        let i: HashSet<Oid> = intersection(&a, &b, seq()).unwrap().oids().into_iter().collect();
         prop_assert_eq!(&i, &sa.intersection(&sb).copied().collect::<HashSet<_>>());
 
-        let d: HashSet<Oid> = difference(&a, &b).unwrap().oids().into_iter().collect();
+        let d: HashSet<Oid> = difference(&a, &b, seq()).unwrap().oids().into_iter().collect();
         prop_assert_eq!(&d, &sa.difference(&sb).copied().collect::<HashSet<_>>());
 
         // De Morgan-ish sanity: |A∪B| = |A| + |B| − |A∩B|.
@@ -79,7 +83,7 @@ proptest! {
                 })
                 .collect(),
         );
-        let sorted = sort(&cat, &extent, &["k"]).unwrap();
+        let sorted = sort(&cat, &extent, &["k"], seq()).unwrap();
         let Collection::Extent(objs) = &sorted else { panic!() };
         prop_assert_eq!(objs.len(), perm.len(), "no elements lost");
         let keys: Vec<i32> = objs
@@ -98,8 +102,8 @@ proptest! {
     fn dup_elim_is_idempotent_on_lists(items in proptest::collection::vec(0usize..10, 0..25)) {
         let (cat, oids) = catalog_with_items(10);
         let list = Collection::List(items.iter().map(|&i| oids[i]).collect());
-        let once = dup_elim(&cat, &list).unwrap();
-        let twice = dup_elim(&cat, &once).unwrap();
+        let once = dup_elim(&cat, &list, seq()).unwrap();
+        let twice = dup_elim(&cat, &once, seq()).unwrap();
         prop_assert_eq!(&once, &twice);
         // Distinct count matches the model.
         let distinct: HashSet<usize> = items.into_iter().collect();
@@ -197,7 +201,7 @@ proptest! {
         let mut outcomes: Vec<Vec<(Oid, Oid)>> = Vec::new();
         for method in JoinMethod::ALL {
             let mut pairs: Vec<(Oid, Oid)> =
-                join(&cat, &left, "d", JoinRhs::Class("D"), method)
+                join(&cat, &left, "d", JoinRhs::Class("D"), method, seq())
                     .unwrap()
                     .into_iter()
                     .map(|(l, r)| (l.oid.unwrap(), r.oid.unwrap()))
@@ -213,18 +217,19 @@ proptest! {
 }
 
 // ----------------------------------------------------------------------
-// Sequential equivalence of the chunk-parallel operators: at every
-// parallelism in {1, 2, 4, 8} the `_par` variant must return a result
-// identical (including element order) to the sequential operator.
+// Parallelism is not observable: at every parallelism in {2, 4, 8} an
+// operator must return a result identical (including element order) to
+// what it returns at parallelism 1, where each chunked step runs as one
+// loop on the calling thread.
 // ----------------------------------------------------------------------
 
-const PAR_LEVELS: [usize; 4] = [1, 2, 4, 8];
+const PAR_LEVELS: [usize; 3] = [2, 4, 8];
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
 
     #[test]
-    fn select_par_equals_select(
+    fn select_is_parallelism_invariant(
         perm in proptest::collection::vec(0usize..30, 0..40),
         modulus in 2i32..5,
     ) {
@@ -242,17 +247,16 @@ proptest! {
             Ok(matches!(o.value.field("k"), Some(Value::Integer(k)) if k % modulus == 0))
         };
         for arg in [&extent, &list] {
-            let seq = select(&cat, arg, &|o| pred(o)).unwrap();
+            let one = select(&cat, arg, &pred, seq()).unwrap();
             for p in PAR_LEVELS {
-                let par =
-                    select_par(&cat, arg, &pred, ExecutionConfig::with_parallelism(p)).unwrap();
-                prop_assert_eq!(&par, &seq, "select parallelism={}", p);
+                let par = select(&cat, arg, &pred, ExecutionConfig::with_parallelism(p)).unwrap();
+                prop_assert_eq!(&par, &one, "select parallelism={}", p);
             }
         }
     }
 
     #[test]
-    fn project_par_equals_project(perm in proptest::collection::vec(0usize..30, 0..40)) {
+    fn project_is_parallelism_invariant(perm in proptest::collection::vec(0usize..30, 0..40)) {
         let (cat, oids) = catalog_with_items(30);
         let extent = Collection::Extent(
             perm.iter()
@@ -262,17 +266,16 @@ proptest! {
                 })
                 .collect(),
         );
-        let seq = project(&cat, &extent, &["grp"]).unwrap();
+        let one = project(&cat, &extent, &["grp"], seq()).unwrap();
         for p in PAR_LEVELS {
             let par =
-                project_par(&cat, &extent, &["grp"], ExecutionConfig::with_parallelism(p))
-                    .unwrap();
-            prop_assert_eq!(&par, &seq, "project parallelism={}", p);
+                project(&cat, &extent, &["grp"], ExecutionConfig::with_parallelism(p)).unwrap();
+            prop_assert_eq!(&par, &one, "project parallelism={}", p);
         }
     }
 
     #[test]
-    fn sort_par_equals_sort(perm in proptest::collection::vec(0usize..30, 0..60)) {
+    fn sort_is_parallelism_invariant(perm in proptest::collection::vec(0usize..30, 0..60)) {
         let (cat, oids) = catalog_with_items(30);
         // Duplicates in `perm` exercise the stability tiebreak: `grp` has
         // only three distinct values, so equal-key runs are long.
@@ -285,17 +288,17 @@ proptest! {
                 .collect(),
         );
         for keys in [&["k"][..], &["grp"][..], &["grp", "k"][..]] {
-            let seq = sort(&cat, &extent, keys).unwrap();
+            let one = sort(&cat, &extent, keys, seq()).unwrap();
             for p in PAR_LEVELS {
                 let par =
-                    sort_par(&cat, &extent, keys, ExecutionConfig::with_parallelism(p)).unwrap();
-                prop_assert_eq!(&par, &seq, "sort {:?} parallelism={}", keys, p);
+                    sort(&cat, &extent, keys, ExecutionConfig::with_parallelism(p)).unwrap();
+                prop_assert_eq!(&par, &one, "sort {:?} parallelism={}", keys, p);
             }
         }
     }
 
     #[test]
-    fn dup_elim_par_equals_dup_elim(items in proptest::collection::vec(0usize..10, 0..40)) {
+    fn dup_elim_is_parallelism_invariant(items in proptest::collection::vec(0usize..10, 0..40)) {
         let (cat, oids) = catalog_with_items(10);
         let list = Collection::List(items.iter().map(|&i| oids[i]).collect());
         let extent = Collection::Extent(
@@ -308,16 +311,16 @@ proptest! {
                 .collect(),
         );
         for arg in [&list, &extent] {
-            let seq = dup_elim(&cat, arg).unwrap();
+            let one = dup_elim(&cat, arg, seq()).unwrap();
             for p in PAR_LEVELS {
-                let par = dup_elim_par(&cat, arg, ExecutionConfig::with_parallelism(p)).unwrap();
-                prop_assert_eq!(&par, &seq, "dup_elim parallelism={}", p);
+                let par = dup_elim(&cat, arg, ExecutionConfig::with_parallelism(p)).unwrap();
+                prop_assert_eq!(&par, &one, "dup_elim parallelism={}", p);
             }
         }
     }
 
     #[test]
-    fn set_ops_par_equal_sequential(
+    fn set_ops_are_parallelism_invariant(
         xs in proptest::collection::vec(0usize..20, 0..25),
         ys in proptest::collection::vec(0usize..20, 0..25),
     ) {
@@ -327,24 +330,19 @@ proptest! {
         let la = Collection::List(xs.iter().map(|&i| oids[i]).collect());
         let lb = Collection::List(ys.iter().map(|&i| oids[i]).collect());
         for (x, y) in [(&a, &b), (&la, &lb)] {
-            let seq_u = union(x, y).unwrap();
-            let seq_i = intersection(x, y).unwrap();
-            let seq_d = difference(x, y).unwrap();
+            let one_u = union(x, y, seq()).unwrap();
+            let one_i = intersection(x, y, seq()).unwrap();
+            let one_d = difference(x, y, seq()).unwrap();
             for p in PAR_LEVELS {
                 let exec = ExecutionConfig::with_parallelism(p);
-                prop_assert_eq!(&union_par(x, y, exec).unwrap(), &seq_u, "union p={}", p);
+                prop_assert_eq!(&union(x, y, exec).unwrap(), &one_u, "union p={}", p);
                 prop_assert_eq!(
-                    &intersection_par(x, y, exec).unwrap(),
-                    &seq_i,
+                    &intersection(x, y, exec).unwrap(),
+                    &one_i,
                     "intersection p={}",
                     p
                 );
-                prop_assert_eq!(
-                    &difference_par(x, y, exec).unwrap(),
-                    &seq_d,
-                    "difference p={}",
-                    p
-                );
+                prop_assert_eq!(&difference(x, y, exec).unwrap(), &one_d, "difference p={}", p);
             }
         }
     }
@@ -354,7 +352,7 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 12, ..ProptestConfig::default() })]
 
     #[test]
-    fn join_par_equals_join_for_every_method(
+    fn join_is_parallelism_invariant_for_every_method(
         n_d in 1usize..10,
         refs in proptest::collection::vec(0usize..10, 1..30),
     ) {
@@ -391,9 +389,9 @@ proptest! {
         let d_set = Collection::set_from(d_oids.clone());
         for method in JoinMethod::ALL {
             for rhs in [JoinRhs::Class("D"), JoinRhs::Collection(&d_set)] {
-                let seq = join(&cat, &left, "d", rhs, method).unwrap();
+                let one = join(&cat, &left, "d", rhs, method, seq()).unwrap();
                 for p in PAR_LEVELS {
-                    let par = join_par(
+                    let par = join(
                         &cat,
                         &left,
                         "d",
@@ -404,7 +402,7 @@ proptest! {
                     .unwrap();
                     prop_assert_eq!(
                         &par,
-                        &seq,
+                        &one,
                         "join {:?} rhs={:?} parallelism={}",
                         method,
                         match rhs { JoinRhs::Class(_) => "class", _ => "collection" },

@@ -9,9 +9,7 @@ use std::time::{Duration, Instant};
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mood_bench::{build_ref_db, measured_join_pages, RefDbSpec};
-use mood_core::algebra::{
-    join, join_par, Collection, ExecutionConfig, JoinMethod, JoinRhs, Obj,
-};
+use mood_core::algebra::{join, Collection, ExecutionConfig, JoinMethod, JoinRhs, Obj};
 use mood_core::PhysicalParams;
 
 fn bench(c: &mut Criterion) {
@@ -47,7 +45,7 @@ fn bench(c: &mut Criterion) {
         }
     }
 
-    // X1b: chunk-parallel hash-partition join vs sequential. The pool is
+    // X1b: hash-partition join at parallelism 2/4/8 vs 1. The pool is
     // sized to hold the working set so the comparison is CPU-bound — the
     // point is wall-clock scaling with *unchanged* page-access totals
     // (expect >1.3x at parallelism 4 on a 4-core runner; on fewer cores
@@ -79,7 +77,7 @@ fn bench(c: &mut Criterion) {
     for par in [1usize, 2, 4, 8] {
         let exec = ExecutionConfig::with_parallelism(par);
         // Warm the pool so every level sees the same cache state.
-        join_par(pcatalog, &pleft, "d", JoinRhs::Class("D"), JoinMethod::HashPartition, exec)
+        join(pcatalog, &pleft, "d", JoinRhs::Class("D"), JoinMethod::HashPartition, exec)
             .expect("join runs");
         let metrics = pdb.metrics();
         metrics.reset();
@@ -87,7 +85,7 @@ fn bench(c: &mut Criterion) {
         const ITERS: usize = 5;
         let t0 = Instant::now();
         for _ in 0..ITERS {
-            join_par(
+            join(
                 pcatalog,
                 &pleft,
                 "d",
@@ -133,9 +131,16 @@ fn bench(c: &mut Criterion) {
                 &left,
                 |b, left| {
                     b.iter(|| {
-                        join(catalog, left, "d", JoinRhs::Class("D"), method)
-                            .expect("join runs")
-                            .len()
+                        join(
+                            catalog,
+                            left,
+                            "d",
+                            JoinRhs::Class("D"),
+                            method,
+                            ExecutionConfig::default(),
+                        )
+                        .expect("join runs")
+                        .len()
                     })
                 },
             );
@@ -151,7 +156,7 @@ fn bench(c: &mut Criterion) {
         let exec = ExecutionConfig::with_parallelism(par);
         pgroup.bench_with_input(BenchmarkId::new("par", par), &pleft, |b, left| {
             b.iter(|| {
-                join_par(
+                join(
                     pcatalog,
                     left,
                     "d",

@@ -1,6 +1,6 @@
 //! Measured-vs-model comparison helpers for the join experiments (X1).
 
-use mood_core::algebra::{join, Collection, JoinMethod, JoinRhs, Obj};
+use mood_core::algebra::{join, Collection, ExecutionConfig, JoinMethod, JoinRhs, Obj};
 use mood_core::cost::{join_cost, ClassInfo, IndexParams, JoinInputs, DEFAULT_CPU_COST};
 use mood_core::{Mood, Oid, PhysicalParams};
 
@@ -42,7 +42,15 @@ pub fn measured_join_pages(
     let metrics = db.metrics();
     metrics.reset();
     let before = metrics.snapshot();
-    let pairs = join(catalog, &left, "d", JoinRhs::Class("D"), method).expect("join runs");
+    let pairs = join(
+        catalog,
+        &left,
+        "d",
+        JoinRhs::Class("D"),
+        method,
+        ExecutionConfig::default(),
+    )
+    .expect("join runs");
     let delta = metrics.snapshot().delta(&before);
     JoinMeasurement {
         method,

@@ -4,7 +4,7 @@
 //! the totals the §5/§6 formulas are compared against.
 
 use mood_bench::{build_ref_db, RefDbSpec};
-use mood_core::algebra::{join_par, Collection, ExecutionConfig, JoinMethod, JoinRhs, Obj};
+use mood_core::algebra::{join, Collection, ExecutionConfig, JoinMethod, JoinRhs, Obj};
 
 fn run_join_at(parallelism: usize) -> (usize, u64, u64, u64) {
     // A fresh database per level (same seed) gives every run an identical
@@ -34,7 +34,7 @@ fn run_join_at(parallelism: usize) -> (usize, u64, u64, u64) {
     let metrics = db.metrics();
     metrics.reset();
     let before = metrics.snapshot();
-    let pairs = join_par(
+    let pairs = join(
         catalog,
         &left,
         "d",
@@ -75,7 +75,7 @@ fn hash_partition_page_totals_invariant_under_parallelism() {
         let run = run_join_at(parallelism);
         assert_eq!(
             run, baseline,
-            "pairs/seq/rnd/idx must match sequential at parallelism {parallelism}"
+            "pairs/seq/rnd/idx must match parallelism 1 at parallelism {parallelism}"
         );
     }
 }

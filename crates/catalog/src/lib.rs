@@ -808,17 +808,22 @@ impl Catalog {
         Ok(info)
     }
 
-    /// Drop an index.
+    /// Drop an index. The statistics forget it in the same call: a plan
+    /// built before the next `collect_stats` must not probe a file that is
+    /// gone.
     pub fn drop_index(&self, class: &str, attribute: &str) -> Result<()> {
-        let info = self
-            .inner
-            .write()
-            .indexes
-            .remove(&(class.to_string(), attribute.to_string()))
-            .ok_or_else(|| CatalogError::UnknownIndex {
-                class: class.to_string(),
-                attribute: attribute.to_string(),
-            })?;
+        let info = {
+            let mut inner = self.inner.write();
+            let info = inner
+                .indexes
+                .remove(&(class.to_string(), attribute.to_string()))
+                .ok_or_else(|| CatalogError::UnknownIndex {
+                    class: class.to_string(),
+                    attribute: attribute.to_string(),
+                })?;
+            inner.stats.remove_index(class, attribute);
+            info
+        };
         self.sm.forget_index(info.file);
         self.sm.pool().discard_file(info.file);
         let _ = self.sm.pool().disk().drop_file(info.file);

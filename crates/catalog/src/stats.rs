@@ -87,6 +87,12 @@ impl DatabaseStats {
             .insert((class.to_string(), attr.to_string()), stats);
     }
 
+    /// Forget the index on `class.attr` (it was dropped).
+    pub fn remove_index(&mut self, class: &str, attr: &str) {
+        self.indexes
+            .remove(&(class.to_string(), attr.to_string()));
+    }
+
     /// Record the clustering factor for the reference edge `class.attr`.
     pub fn set_clustering(&mut self, class: &str, attr: &str, factor: f64) {
         self.clustering

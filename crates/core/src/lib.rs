@@ -244,12 +244,6 @@ impl Mood {
         self.session.lock().set_sort_budget(rows);
     }
 
-    /// Executions before a cached plan compiles its predicates (0 =
-    /// eagerly at prepare). One-shot statements never pay compilation.
-    pub fn set_compile_threshold(&self, threshold: u64) {
-        self.session.lock().set_compile_threshold(threshold);
-    }
-
     /// Toggle the session plan cache (on by default). Disabling clears it.
     pub fn set_plan_cache_enabled(&self, on: bool) {
         self.session.lock().set_plan_cache_enabled(on);

@@ -67,7 +67,7 @@ impl AnalyzeRec {
     }
 }
 
-/// Measured actuals for one coordinator stage (PLAN, FROM fallback,
+/// Measured actuals for one coordinator stage (PLAN, nested-loop FROM,
 /// WHERE:UNION, GROUP BY, HAVING, PROJECT, ORDER BY, DISTINCT).
 #[derive(Debug, Clone)]
 pub struct StageActual {
@@ -79,14 +79,20 @@ pub struct StageActual {
 
 /// Stage recording sink: every statement-level phase outside the plan walk
 /// runs inside one of these windows so the page accounting stays complete.
+/// Creating it opens the statement's own window — the total the stages and
+/// plan nodes must sum to.
 pub(crate) struct StageRec {
     metrics: DiskMetrics,
+    opened: Instant,
+    before: MetricsSnapshot,
     stages: Mutex<Vec<StageActual>>,
 }
 
 impl StageRec {
     pub(crate) fn new(metrics: DiskMetrics) -> Self {
         StageRec {
+            opened: Instant::now(),
+            before: metrics.snapshot(),
             metrics,
             stages: Mutex::new(Vec::new()),
         }
@@ -110,13 +116,19 @@ impl StageRec {
         Ok(out)
     }
 
-    pub(crate) fn into_stages(self) -> Vec<StageActual> {
-        self.stages.into_inner().expect("stage lock")
+    /// Close the statement window: the recorded stages, the counter delta
+    /// and the wall time since creation.
+    pub(crate) fn close(self) -> (Vec<StageActual>, MetricsSnapshot, u64) {
+        (
+            self.stages.into_inner().expect("stage lock"),
+            self.metrics.snapshot().delta(&self.before),
+            self.opened.elapsed().as_nanos() as u64,
+        )
     }
 }
 
-/// Run `f` inside a stage window when recording, or plain when not — lets
-/// the ordinary `SELECT` path share the staged code verbatim.
+/// Run `f` inside a stage window when recording, or plain when not: the
+/// driver's coordinator stages are the same code either way.
 pub(crate) fn staged<T>(
     stages: Option<&StageRec>,
     name: &str,
@@ -137,9 +149,9 @@ pub struct NodeReport {
     pub depth: usize,
     /// The cost model's prediction.
     pub est: NodeEstimate,
-    /// Measured actuals; `None` when the operator was fused into its parent
-    /// (unmaterialized right sides of forward/hash joins — their pages land
-    /// in the join's exclusive delta).
+    /// Measured actuals; `None` when the operator never ran as a node of its
+    /// own (unmaterialized right sides of forward/hash joins, fetched per
+    /// probe — their pages land in the join's exclusive delta).
     pub actual: Option<NodeActual>,
     /// Exclusive counter delta: the node's own page work, children removed.
     pub exclusive: MetricsSnapshot,

@@ -152,9 +152,9 @@ impl RowProg {
 
 /// A plan predicate prepared once at plan time: parsed from the plan's
 /// predicate text, plus a lazily-filled compiled form. The slot stays
-/// empty until the plan's execution count crosses the session's compile
-/// threshold (see [`crate::exec::PreparedQuery`]), so one-shot ad-hoc
-/// statements never pay compilation; once filled it is never recomputed.
+/// empty until the plan's second execution (see
+/// [`crate::exec::PreparedQuery`]), so one-shot ad-hoc statements never
+/// pay compilation; once filled it is never recomputed.
 pub(crate) struct PreparedPred {
     pub expr: Expr,
     slot: OnceLock<Option<RowPred>>,

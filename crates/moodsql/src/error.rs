@@ -15,8 +15,6 @@ pub enum SqlError {
     Exec(String),
     /// Catalog/schema failure.
     Catalog(mood_catalog::CatalogError),
-    /// Algebra operator failure.
-    Algebra(mood_algebra::AlgebraError),
     /// Method invocation failure.
     Exception(mood_funcman::Exception),
 }
@@ -33,7 +31,6 @@ impl fmt::Display for SqlError {
             SqlError::Bind(m) => write!(f, "binding error: {m}"),
             SqlError::Exec(m) => write!(f, "execution error: {m}"),
             SqlError::Catalog(e) => write!(f, "{e}"),
-            SqlError::Algebra(e) => write!(f, "{e}"),
             SqlError::Exception(e) => write!(f, "{e}"),
         }
     }
@@ -44,12 +41,6 @@ impl std::error::Error for SqlError {}
 impl From<mood_catalog::CatalogError> for SqlError {
     fn from(e: mood_catalog::CatalogError) -> Self {
         SqlError::Catalog(e)
-    }
-}
-
-impl From<mood_algebra::AlgebraError> for SqlError {
-    fn from(e: mood_algebra::AlgebraError) -> Self {
-        SqlError::Algebra(e)
     }
 }
 

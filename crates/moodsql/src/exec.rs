@@ -9,18 +9,20 @@
 //! UNION). An execution trace records the stages for the conformance tests.
 
 use std::collections::{BTreeMap, HashMap, HashSet};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering as AtomicOrdering};
+use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
-use mood_catalog::Catalog;
+use mood_catalog::{Catalog, CatalogError};
 use mood_cost::JoinMethod;
 use mood_datamodel::{decode_value, encode_value, Value};
 use mood_funcman::{FunctionManager, OperandDataType, Registers};
-use mood_optimizer::{estimate_plan_set, optimize, NodeEstimate, OptimizerConfig, Plan, PlanSet};
+use mood_optimizer::{estimate_plan_set, optimize, OptimizerConfig, Plan, PlanSet};
 use mood_storage::exec::run_chunked;
 use mood_storage::spill::SpillFile;
-use mood_storage::{AccessHint, FileId, MetricsRegistry, Oid, PageId};
+use mood_storage::{
+    AccessHint, FileId, MetricsRegistry, MetricsSnapshot, Oid, PageId, StorageError,
+};
 use mood_trace::Tracer;
 
 use crate::analyze::{
@@ -67,22 +69,33 @@ impl QueryResult {
     }
 }
 
-/// A SELECT prepared once — bound, optimized, estimated, its predicates
-/// parsed and (where possible) compiled to register programs — and
-/// re-executable any number of times. The session's plan cache stores
-/// these keyed by statement shape (`=`-operand literals lifted out as `$n`),
-/// so one entry runs with whichever values the executor has bound; `epoch`
-/// is the catalog epoch the plan was built under, so any DDL or statistics
+/// Executions of one prepared plan before its predicates, projection
+/// columns and ORDER BY keys are lowered to register programs: the second.
+/// A one-shot statement interprets and never pays the compiler.
+const COMPILE_ON_EXECUTION: u64 = 2;
+
+/// A SELECT prepared once — bound, optimized, its predicates parsed and
+/// (lazily, where possible) compiled to register programs — and
+/// re-executable any number of times. It is the only thing the executor
+/// runs: an uncached statement, `EXPLAIN ANALYZE` and a DML target are
+/// prepared and executed in one call. The session's plan cache stores these
+/// keyed by statement shape (`=`-operand literals lifted out as `$n`), so
+/// one entry runs with whichever values the executor has bound; `epoch` is
+/// the catalog epoch the plan was built under, so any DDL or statistics
 /// refresh invalidates it.
 pub struct PreparedQuery {
     stmt: SelectStmt,
     /// Parameters the statement reads (`$1..=$nparams`).
     nparams: u16,
     lowered: Lowered,
-    terms: Vec<(PlanSet, Vec<NodeEstimate>)>,
+    /// One optimized plan per AND-term of the WHERE clause's DNF. Empty when
+    /// the FROM list holds an extent the optimizer's single-root model
+    /// cannot absorb (`lowered.unabsorbed`): FROM + WHERE then run as the
+    /// nested-loop product with the WHERE clause as residual filter.
+    terms: Vec<PlanSet>,
     /// Catalog epoch at preparation; a mismatch means the plan is stale.
     pub epoch: u64,
-    /// Plan predicate text → pre-parsed form with a lazy compiled slot.
+    /// Plan predicate text → parsed form with a lazy compiled slot.
     preds: HashMap<String, PreparedPred>,
     /// Compiled projection columns (ungrouped queries), index-aligned with
     /// the statement's projection list, filled when compilation runs;
@@ -95,76 +108,51 @@ pub struct PreparedQuery {
     var_class: HashMap<String, String>,
     /// Compilation is enabled at all (`OptimizerConfig::compiled_predicates`).
     compile_enabled: bool,
-    /// Executions before predicates compile (`OptimizerConfig::
-    /// compile_threshold`); 0 compiles eagerly at prepare time.
-    compile_threshold: u64,
     /// Times this plan has been executed (run or analyze).
     executions: AtomicU64,
-    /// Has the lazy compilation pass run (or been skipped as eager)?
-    compiled: AtomicBool,
     /// Wall time spent preparing (EXPLAIN ANALYZE's compile/execute split).
     pub compile_nanos: u64,
 }
 
 impl PreparedQuery {
     /// Lower every predicate (and, for ungrouped queries, every projection
-    /// column) to register programs. Idempotent; a no-op when compilation
-    /// is disabled. `params` supply type classes only (fixed per shape).
-    fn compile_now(&self, catalog: &Catalog, params: &[Value]) {
-        if self.compiled.swap(true, AtomicOrdering::Relaxed) {
-            return;
-        }
-        if !self.compile_enabled {
-            return;
-        }
+    /// column and ORDER BY key) to register programs. `params` supply type
+    /// classes only (fixed per shape).
+    fn compile(&self, catalog: &Catalog, params: &[Value]) {
         for p in self.preds.values() {
             p.compile(catalog, &self.var_class, params);
         }
-        let grouped = !self.stmt.group_by.is_empty()
-            || self
-                .stmt
-                .projection
-                .iter()
-                .any(|e| matches!(e, Expr::Agg { .. }));
+        // Grouped queries project and sort output columns, not bound rows,
+        // and never consult these programs.
+        let grouped = is_grouped(&self.stmt);
+        let prog = |e: &Expr| compile_proj(catalog, &self.var_class, e, params);
         let _ = self.proj.get_or_init(|| {
             if grouped {
                 Vec::new()
             } else {
-                self.stmt
-                    .projection
-                    .iter()
-                    .map(|e| compile_proj(catalog, &self.var_class, e, params))
-                    .collect()
+                self.stmt.projection.iter().map(prog).collect()
             }
         });
-        // Grouped ORDER BY sorts output columns, not bound rows, and never
-        // consults these programs.
         let _ = self.order_progs.get_or_init(|| {
             if grouped {
                 Vec::new()
             } else {
-                self.stmt
-                    .order_by
-                    .iter()
-                    .map(|(path, _)| {
-                        compile_proj(catalog, &self.var_class, &Expr::Path(path.clone()), params)
-                    })
+                let keys = self.stmt.order_by.iter();
+                keys.map(|(path, _)| prog(&Expr::Path(path.clone())))
                     .collect()
             }
         });
     }
 
-    /// Count one execution; once the count crosses the lazy-compilation
-    /// threshold, compile the plan's predicates (charging the work to
-    /// `compile_ns` at that point, not at prepare time).
+    /// Count one execution; the [`COMPILE_ON_EXECUTION`]-th compiles the
+    /// plan, charging the work to `compile_ns` then, not at prepare time.
+    /// The counter hands each execution a distinct number, so exactly one
+    /// of them compiles; the others use whichever slots are already filled.
     fn note_execution(&self, catalog: &Catalog, registry: &MetricsRegistry, params: &[Value]) {
         let n = self.executions.fetch_add(1, AtomicOrdering::Relaxed) + 1;
-        if !self.compile_enabled || self.compiled.load(AtomicOrdering::Relaxed) {
-            return;
-        }
-        if n >= self.compile_threshold.max(1) {
+        if self.compile_enabled && n == COMPILE_ON_EXECUTION {
             let start = Instant::now();
-            self.compile_now(catalog, params);
+            self.compile(catalog, params);
             registry.record_compile_ns(start.elapsed().as_nanos() as u64);
         }
     }
@@ -178,6 +166,24 @@ impl PreparedQuery {
     fn order_cols(&self) -> Option<&[Option<RowProg>]> {
         self.order_progs.get().map(|v| v.as_slice())
     }
+
+    /// The prepared form of a plan predicate. `prepare` parses every
+    /// predicate its plans carry, so a miss is a bug in the plan walk.
+    fn pred(&self, text: &str) -> Result<&PreparedPred> {
+        self.preds
+            .get(text)
+            .ok_or_else(|| SqlError::Exec(format!("plan predicate {text} was not prepared")))
+    }
+}
+
+/// Does the statement aggregate (GROUP BY or an aggregate in the
+/// projection)?
+fn is_grouped(stmt: &SelectStmt) -> bool {
+    !stmt.group_by.is_empty()
+        || stmt
+            .projection
+            .iter()
+            .any(|e| matches!(e, Expr::Agg { .. }))
 }
 
 /// Collect the predicate texts of every Select/IndSel node in a plan.
@@ -275,57 +281,33 @@ impl<'a> Executor<'a> {
         self.trace.lock().expect("trace lock").push(stage.into());
     }
 
-    /// Filter rows by a predicate, in parallel when the execution config
-    /// asks for it. Chunks are concatenated in input order, so survivors
-    /// appear exactly as the sequential loop would emit them; the error
-    /// from the earliest failing row wins either way.
+    /// Filter rows by a predicate. Verdicts are computed over
+    /// `parallelism` contiguous chunks (one chunk, on this thread, at 1) and
+    /// applied in input order, so survivors appear exactly as a single loop
+    /// would emit them and the error from the earliest failing row wins.
     ///
     /// With a compiled form the register program evaluates each row
-    /// (scratch registers are reused per worker, not per row); semantics
-    /// are identical to the interpreter by construction.
+    /// (scratch registers are reused per chunk, not per row); semantics are
+    /// identical to the interpreter by construction.
     fn filter_rows(
         &self,
-        rows: Vec<Row>,
+        mut rows: Vec<Row>,
         expr: &Expr,
-        compiled: Option<&crate::compiled::RowPred>,
+        compiled: Option<&RowPred>,
     ) -> Result<Vec<Row>> {
-        let par = self.config.execution.parallelism;
-        if par <= 1 {
-            let mut kept = Vec::new();
-            if let Some(pred) = compiled {
-                let mut regs = Registers::with_params(self.params);
-                for row in rows {
-                    if pred.matches(self.catalog, &row, &mut regs)? {
-                        kept.push(row);
-                    }
-                }
-            } else {
-                for row in rows {
-                    if self.eval_pred(expr, &row)? {
-                        kept.push(row);
-                    }
-                }
-            }
-            return Ok(kept);
-        }
-        run_chunked(par, &rows, |_, chunk| {
-            let mut kept = Vec::new();
-            if let Some(pred) = compiled {
-                let mut regs = Registers::with_params(self.params);
-                for row in chunk {
-                    if pred.matches(self.catalog, row, &mut regs)? {
-                        kept.push(row.clone());
-                    }
-                }
-            } else {
-                for row in chunk {
-                    if self.eval_pred(expr, row)? {
-                        kept.push(row.clone());
-                    }
-                }
-            }
-            Ok::<_, SqlError>(kept)
-        })
+        let verdicts = run_chunked(self.config.execution.parallelism, &rows, |_, chunk| {
+            let mut regs = Registers::with_params(self.params);
+            chunk
+                .iter()
+                .map(|row| match compiled {
+                    Some(pred) => pred.matches(self.catalog, row, &mut regs),
+                    None => self.eval_pred(expr, row),
+                })
+                .collect::<Result<Vec<bool>>>()
+        })?;
+        let mut verdicts = verdicts.into_iter();
+        rows.retain(|_| verdicts.next().expect("one verdict per row"));
+        Ok(rows)
     }
 
     /// Optimize only: the plan text (the `EXPLAIN` statement), with the
@@ -372,46 +354,147 @@ impl<'a> Executor<'a> {
     }
 
     // ------------------------------------------------------------------
-    // SELECT execution
+    // SELECT execution: prepare, then the one driver
     // ------------------------------------------------------------------
 
-    pub fn run_select(&self, stmt: &SelectStmt) -> Result<QueryResult> {
-        let lowered = self.bind_fresh(stmt)?;
-        let mut exec_span = self
-            .tracer
-            .span("execute", self.catalog.storage().metrics());
-        let rows = self.bound_rows(stmt, &lowered)?;
-        let result = self.finish_select(stmt, rows, None, None, None)?;
-        exec_span.set_rows(result.len() as u64);
-        Ok(result)
-    }
-
-    /// Start a statement: reset the stage trace and lower it inside a
-    /// `bind` span.
-    fn bind_fresh(&self, stmt: &SelectStmt) -> Result<Lowered> {
-        self.check_params(stmt.max_param())?;
-        self.trace.lock().expect("trace lock").clear();
-        let _span = self.tracer.span("bind", self.catalog.storage().metrics());
-        lower(self.catalog, stmt)
-    }
-
-    /// FROM + WHERE of a lowered statement: the variable bindings the later
-    /// clauses (or a DML apply step) consume.
-    fn bound_rows(&self, stmt: &SelectStmt, lowered: &Lowered) -> Result<Vec<Row>> {
-        self.mark("FROM");
+    /// Bind, optimize and pre-parse a SELECT once, producing the plan the
+    /// driver executes and the session cache can re-execute without touching
+    /// the parser or optimizer.
+    ///
+    /// Every Select/IndSel predicate in the plan is parsed here — the only
+    /// place plan predicate text is parsed; register programs for them (and
+    /// for ungrouped projection columns) follow lazily, see
+    /// [`COMPILE_ON_EXECUTION`]. A FROM list the optimizer's single-root
+    /// model cannot absorb gets no plans and runs as a nested-loop product.
+    /// `epoch` is read after any first-use statistics collection (which
+    /// bumps it), so a cached entry stays valid until the next DDL or
+    /// statistics refresh.
+    pub fn prepare_query(&self, stmt: &SelectStmt) -> Result<PreparedQuery> {
+        let nparams = stmt.max_param();
+        self.check_params(nparams)?;
+        let metrics = self.catalog.storage().metrics();
+        let start = Instant::now();
+        let lowered = {
+            let _span = self.tracer.span("bind", metrics);
+            lower(self.catalog, stmt)?
+        };
+        let mut terms: Vec<PlanSet> = Vec::new();
         if lowered.unabsorbed.is_empty() {
-            self.run_optimized(stmt, lowered)
-        } else {
-            self.run_nested_loop(stmt, lowered)
+            // Statistics for the root class must exist; first use collects.
+            let mut stats = self.catalog.stats();
+            if stats.class(&lowered.root.class).is_none() {
+                stats = self.catalog.collect_stats()?;
+            }
+            let _span = self.tracer.span("optimize", metrics);
+            let optimized = optimize(&lowered.spec, &stats, &self.config);
+            terms = optimized.terms.into_iter().map(|t| t.plan).collect();
         }
+        let mut preds: HashMap<String, PreparedPred> = HashMap::new();
+        for set in &terms {
+            for plan in set.temps.iter().map(|(_, p)| p).chain([&set.root]) {
+                let mut texts = Vec::new();
+                plan_predicates(plan, &mut texts);
+                for text in texts {
+                    if !preds.contains_key(text) {
+                        let stripped = text.strip_prefix("__join__ ").unwrap_or(text);
+                        preds.insert(text.to_string(), PreparedPred::new(parse_expr(stripped)?));
+                    }
+                }
+            }
+        }
+        let compile_nanos = start.elapsed().as_nanos() as u64;
+        self.catalog
+            .storage()
+            .registry()
+            .record_compile_ns(compile_nanos);
+        Ok(PreparedQuery {
+            stmt: stmt.clone(),
+            nparams,
+            lowered,
+            terms,
+            epoch: self.catalog.epoch(),
+            preds,
+            proj: OnceLock::new(),
+            order_progs: OnceLock::new(),
+            var_class: stmt
+                .from
+                .iter()
+                .map(|f| (f.var.clone(), f.class.clone()))
+                .collect(),
+            compile_enabled: self.config.compiled_predicates,
+            executions: AtomicU64::new(0),
+            compile_nanos,
+        })
+    }
+
+    /// [`Executor::prepare_query`]. Always `Some` — every SELECT shape has a
+    /// prepared form; the `Option` is the signature existing callers
+    /// destructure.
+    pub fn prepare(&self, stmt: &SelectStmt) -> Result<Option<PreparedQuery>> {
+        self.prepare_query(stmt).map(Some)
+    }
+
+    /// Prepare and execute in one call (cache-off sessions, ad-hoc callers).
+    pub fn run_select(&self, stmt: &SelectStmt) -> Result<QueryResult> {
+        self.run_prepared(&self.prepare_query(stmt)?)
+    }
+
+    /// Execute a prepared plan with this executor's parameters: no parse,
+    /// no bind, no optimize.
+    pub fn run_prepared(&self, pq: &PreparedQuery) -> Result<QueryResult> {
+        Ok(self.execute(pq, None)?.0)
+    }
+
+    /// Execute with full instrumentation: the `EXPLAIN ANALYZE` statement.
+    ///
+    /// Preparation runs inside the `PLAN` stage window, every plan node
+    /// inside a recording window (rows, inclusive counter delta, wall time)
+    /// and every coordinator stage inside a stage window, so the report's
+    /// exclusive deltas plus stage deltas sum exactly to the statement's
+    /// total counter delta.
+    pub fn analyze(&self, stmt: &SelectStmt) -> Result<AnalyzeReport> {
+        let stages = StageRec::new(self.catalog.storage().metrics().clone());
+        let pq = stages.window("PLAN", |_: &_| 0, || self.prepare_query(stmt))?;
+        self.report(&pq, stages, false)
+    }
+
+    /// Execute a prepared (cached) plan with full instrumentation. The
+    /// PLAN stage is absent — bind/optimize already happened at prepare
+    /// time — so the report states `cached` and a zero compile cost.
+    pub fn analyze_prepared(&self, pq: &PreparedQuery) -> Result<AnalyzeReport> {
+        let stages = StageRec::new(self.catalog.storage().metrics().clone());
+        self.report(pq, stages, true)
+    }
+
+    /// Run the driver with recording on and assemble the report over the
+    /// window `stages` has been open for.
+    fn report(&self, pq: &PreparedQuery, stages: StageRec, cached: bool) -> Result<AnalyzeReport> {
+        let (result, terms) = self.execute(pq, Some(&stages))?;
+        let (stages, total, elapsed_nanos) = stages.close();
+        let compile_nanos = stages
+            .iter()
+            .find(|s| s.name == "PLAN")
+            .map_or(0, |s| s.nanos);
+        Ok(AnalyzeReport {
+            total,
+            elapsed_nanos,
+            result,
+            terms,
+            stages,
+            cached,
+            epoch: pq.epoch,
+            compile_nanos,
+            params: self.params.to_vec(),
+        })
     }
 
     /// The stored objects `UPDATE/DELETE <class> <var> WHERE p` acts on, each
     /// with the row that binds it to `var`: the target query (see
-    /// [`SelectStmt::dml_target`]) bound, optimized and executed exactly as a
-    /// SELECT would be — index probe when §8.1 picks one, scan + filter
-    /// otherwise — and fully materialized before the caller writes
-    /// anything, so a statement never sees its own updates.
+    /// [`SelectStmt::dml_target`]) prepared and run through the driver's
+    /// FROM + WHERE half exactly as a SELECT would be — index probe when
+    /// §8.1 picks one, scan + filter otherwise — and fully materialized
+    /// before the caller writes anything, so a statement never sees its own
+    /// updates.
     pub fn target_rows(
         &self,
         class: &str,
@@ -419,11 +502,12 @@ impl<'a> Executor<'a> {
         where_clause: Option<&Expr>,
     ) -> Result<Vec<(Oid, Row)>> {
         let target = SelectStmt::dml_target(class, var, where_clause.cloned());
-        let lowered = self.bind_fresh(&target)?;
+        let pq = self.prepare_query(&target)?;
+        self.start(&pq)?;
         let mut exec_span = self
             .tracer
             .span("execute", self.catalog.storage().metrics());
-        let rows = self.bound_rows(&target, &lowered)?;
+        let (rows, _) = self.bindings(&pq, None)?;
         // The rows are join bindings: DNF terms that bind different
         // variables, or a path through a SET-valued reference, bind the same
         // target more than once. Each object is acted on once.
@@ -443,157 +527,89 @@ impl<'a> Executor<'a> {
         Ok(targets)
     }
 
-    /// Execute with full instrumentation: the `EXPLAIN ANALYZE` statement.
-    ///
-    /// Every plan node runs inside a recording window (rows, inclusive
-    /// counter delta, wall time), every coordinator stage inside a stage
-    /// window, so the report's exclusive deltas plus stage deltas sum
-    /// exactly to the statement's total counter delta.
-    pub fn analyze(&self, stmt: &SelectStmt) -> Result<AnalyzeReport> {
-        self.check_params(stmt.max_param())?;
-        self.trace.lock().expect("trace lock").clear();
-        let metrics = self.catalog.storage().metrics().clone();
-        let registry = self.catalog.storage().registry().clone();
-        let stages = StageRec::new(metrics.clone());
-        let start = Instant::now();
-        let before = metrics.snapshot();
-        // PLAN: bind + statistics + optimize + per-node estimates.
-        let (lowered, planned) = stages.window(
-            "PLAN",
-            |_: &_| 0,
-            || {
-                let lowered = {
-                    let _span = self.tracer.span("bind", &metrics);
-                    lower(self.catalog, stmt)?
-                };
-                if self.catalog.stats().class(&lowered.root.class).is_none() {
-                    self.catalog.collect_stats()?;
-                }
-                let stats = self.catalog.stats();
-                let _span = self.tracer.span("optimize", &metrics);
-                let optimized = optimize(&lowered.spec, &stats, &self.config);
-                let planned: Vec<(PlanSet, _)> = optimized
-                    .terms
-                    .iter()
-                    .map(|t| {
-                        (
-                            t.plan.clone(),
-                            estimate_plan_set(&t.plan, &stats, &self.config),
-                        )
-                    })
-                    .collect();
-                Ok((lowered, planned))
-            },
-        )?;
-        let mut exec_span = self.tracer.span("execute", &metrics);
-        self.mark("FROM");
-        let mut terms: Vec<TermReport> = Vec::new();
-        let mut all_rows: Vec<Row> = Vec::new();
-        if lowered.unabsorbed.is_empty() {
-            for (plan, est) in planned {
-                let rec = AnalyzeRec::new(metrics.clone());
-                let rows = self.exec_term(&plan, &lowered, Some(&rec), None, false)?;
-                all_rows.extend(rows);
-                let actuals = rec.into_nodes();
-                record_operator_totals(&registry, &plan, &actuals);
-                terms.push(TermReport::build(plan, est, actuals));
-            }
-            if terms.len() > 1 {
-                self.mark("WHERE:UNION");
-                all_rows = stages.window(
-                    "WHERE:UNION",
-                    |r: &Vec<Row>| r.len() as u64,
-                    || {
-                        let mut rows = all_rows;
-                        dedupe_bindings(&mut rows);
-                        Ok(rows)
-                    },
-                )?;
-            }
-        } else {
-            // Nested-loop fallback: no per-operator plan, but the FROM
-            // stage window keeps the page accounting complete.
-            all_rows = stages.window(
-                "FROM",
-                |r: &Vec<Row>| r.len() as u64,
-                || self.run_nested_loop(stmt, &lowered),
-            )?;
-        }
-        let result = self.finish_select(stmt, all_rows, Some(&stages), None, None)?;
-        exec_span.set_rows(result.len() as u64);
-        drop(exec_span);
-        let stages = stages.into_stages();
-        let compile_nanos = stages
-            .iter()
-            .find(|s| s.name == "PLAN")
-            .map(|s| s.nanos)
-            .unwrap_or(0);
-        Ok(AnalyzeReport {
-            total: metrics.snapshot().delta(&before),
-            elapsed_nanos: start.elapsed().as_nanos() as u64,
-            result,
-            terms,
-            stages,
-            cached: false,
-            epoch: self.catalog.epoch(),
-            compile_nanos,
-            params: self.params.to_vec(),
-        })
-    }
-
-    /// Execute a prepared (cached) plan with full instrumentation. The
-    /// PLAN stage is absent — bind/optimize already happened at prepare
-    /// time — so the report states `cached` and a zero compile cost.
-    pub fn analyze_prepared(&self, pq: &PreparedQuery) -> Result<AnalyzeReport> {
+    /// Begin one execution of `pq`: every parameter it reads must be bound
+    /// before anything runs (an empty extent must not hide the error), the
+    /// stage trace starts empty, and the execution is counted towards lazy
+    /// compilation.
+    fn start(&self, pq: &PreparedQuery) -> Result<()> {
         self.check_params(pq.nparams)?;
         self.trace.lock().expect("trace lock").clear();
-        let metrics = self.catalog.storage().metrics().clone();
-        let registry = self.catalog.storage().registry().clone();
-        let stages = StageRec::new(metrics.clone());
-        let start = Instant::now();
-        let before = metrics.snapshot();
-        pq.note_execution(self.catalog, &registry, self.params);
-        let mut exec_span = self.tracer.span("execute", &metrics);
+        pq.note_execution(self.catalog, self.catalog.storage().registry(), self.params);
+        Ok(())
+    }
+
+    /// The SELECT driver — the one path every statement takes: FROM + WHERE
+    /// ([`Executor::bindings`]), then the later clauses
+    /// ([`Executor::finish_select`]). `stages` turns recording on (`EXPLAIN
+    /// ANALYZE`): coordinator stages run inside stage windows and the plan
+    /// nodes' actuals come back as per-term reports; without it the same
+    /// code runs and the reports are empty.
+    fn execute(
+        &self,
+        pq: &PreparedQuery,
+        stages: Option<&StageRec>,
+    ) -> Result<(QueryResult, Vec<TermReport>)> {
+        self.start(pq)?;
+        let mut exec_span = self
+            .tracer
+            .span("execute", self.catalog.storage().metrics());
+        let (rows, terms) = self.bindings(pq, stages)?;
+        let result = self.finish_select(&pq.stmt, rows, stages, pq.proj_cols(), pq.order_cols())?;
+        exec_span.set_rows(result.len() as u64);
+        Ok((result, terms))
+    }
+
+    /// FROM + WHERE of a prepared statement: the variable bindings the later
+    /// clauses (or a DML apply step) consume. Each AND-term's plan runs and
+    /// the terms are unioned (Figure 7.2); a FROM list without plans runs as
+    /// the nested-loop product. Per-node actuals are always recorded — the
+    /// registry's per-operator lifetime totals come from every execution —
+    /// and, when `stages` is given, paired with the cost model's estimates
+    /// (computed here, on demand: only a report reads them).
+    fn bindings(
+        &self,
+        pq: &PreparedQuery,
+        stages: Option<&StageRec>,
+    ) -> Result<(Vec<Row>, Vec<TermReport>)> {
         self.mark("FROM");
-        let mut terms: Vec<TermReport> = Vec::new();
-        let mut all_rows: Vec<Row> = Vec::new();
-        for (plan, est) in &pq.terms {
-            let rec = AnalyzeRec::new(metrics.clone());
-            // `fused: false`: EXPLAIN ANALYZE reports per-node actuals, so
-            // the Bind child must execute (and record) separately.
-            let rows = self.exec_term(plan, &pq.lowered, Some(&rec), Some(&pq.preds), false)?;
-            all_rows.extend(rows);
-            let actuals = rec.into_nodes();
-            record_operator_totals(&registry, plan, &actuals);
-            terms.push(TermReport::build(plan.clone(), est.clone(), actuals));
+        if !pq.lowered.unabsorbed.is_empty() {
+            // No per-operator plan; the FROM stage window keeps the page
+            // accounting complete.
+            let rows = staged(
+                stages,
+                "FROM",
+                |r: &Vec<Row>| r.len() as u64,
+                || self.nested_loop(&pq.stmt),
+            )?;
+            return Ok((rows, Vec::new()));
         }
-        if terms.len() > 1 {
+        let storage = self.catalog.storage();
+        let stats = stages.map(|_| self.catalog.stats());
+        let mut reports: Vec<TermReport> = Vec::new();
+        let mut rows: Vec<Row> = Vec::new();
+        for plan in &pq.terms {
+            let rec = AnalyzeRec::new(storage.metrics().clone());
+            rows.extend(self.exec_term(plan, pq, &rec)?);
+            let actuals = rec.into_nodes();
+            record_operator_totals(storage.registry(), plan, &actuals);
+            if let Some(stats) = &stats {
+                let est = estimate_plan_set(plan, stats, &self.config);
+                reports.push(TermReport::build(plan.clone(), est, actuals));
+            }
+        }
+        if pq.terms.len() > 1 {
             self.mark("WHERE:UNION");
-            all_rows = stages.window(
+            rows = staged(
+                stages,
                 "WHERE:UNION",
                 |r: &Vec<Row>| r.len() as u64,
                 || {
-                    let mut rows = all_rows;
                     dedupe_bindings(&mut rows);
                     Ok(rows)
                 },
             )?;
         }
-        let result =
-            self.finish_select(&pq.stmt, all_rows, Some(&stages), pq.proj_cols(), pq.order_cols())?;
-        exec_span.set_rows(result.len() as u64);
-        drop(exec_span);
-        Ok(AnalyzeReport {
-            total: metrics.snapshot().delta(&before),
-            elapsed_nanos: start.elapsed().as_nanos() as u64,
-            result,
-            terms,
-            stages: stages.into_stages(),
-            cached: true,
-            epoch: pq.epoch,
-            compile_nanos: 0,
-            params: self.params.to_vec(),
-        })
+        Ok((rows, reports))
     }
 
     /// GROUP BY / HAVING / projection / ORDER BY / DISTINCT in the Figure
@@ -606,11 +622,7 @@ impl<'a> Executor<'a> {
         proj: Option<&[Option<RowProg>]>,
         order: Option<&[Option<RowProg>]>,
     ) -> Result<QueryResult> {
-        let grouped = !stmt.group_by.is_empty()
-            || stmt
-                .projection
-                .iter()
-                .any(|e| matches!(e, Expr::Agg { .. }));
+        let grouped = is_grouped(stmt);
         let mut result = if grouped {
             self.mark("GROUP BY");
             let groups = staged(
@@ -746,179 +758,23 @@ impl<'a> Executor<'a> {
             .collect()
     }
 
-    fn run_optimized(&self, _stmt: &SelectStmt, lowered: &Lowered) -> Result<Vec<Row>> {
-        // Ensure statistics exist for the root class; first use collects.
-        if self.catalog.stats().class(&lowered.root.class).is_none() {
-            self.catalog.collect_stats()?;
-        }
-        let metrics = self.catalog.storage().metrics().clone();
-        let registry = self.catalog.storage().registry().clone();
-        let optimized = {
-            let _span = self.tracer.span("optimize", &metrics);
-            optimize(&lowered.spec, &self.catalog.stats(), &self.config)
-        };
-        let mut all_rows: Vec<Row> = Vec::new();
-        for term in &optimized.terms {
-            // Ordinary SELECTs record per-node actuals too: the registry's
-            // per-operator lifetime totals come from every execution.
-            let rec = AnalyzeRec::new(metrics.clone());
-            let rows = self.exec_term(&term.plan, lowered, Some(&rec), None, true)?;
-            all_rows.extend(rows);
-            record_operator_totals(&registry, &term.plan, &rec.into_nodes());
-        }
-        if optimized.terms.len() > 1 {
-            self.mark("WHERE:UNION");
-            dedupe_bindings(&mut all_rows);
-        }
-        Ok(all_rows)
-    }
-
-    // ------------------------------------------------------------------
-    // Prepared execution (plan cache)
-    // ------------------------------------------------------------------
-
-    /// Bind, optimize, estimate, and pre-compile a SELECT once, producing
-    /// a plan the session cache can re-execute without touching the parser
-    /// or optimizer. Returns `None` for statements the optimizer's
-    /// single-root model cannot absorb (the nested-loop fallback path) —
-    /// those are executed uncached.
-    ///
-    /// Every Select/IndSel predicate in the plan is pre-parsed, and
-    /// lowered to a register program when the compiling bridge covers it;
-    /// ungrouped projection columns likewise. `epoch` is read after any
-    /// first-use statistics collection (which bumps it), so a cached entry
-    /// stays valid until the next DDL or statistics refresh.
-    pub fn prepare(&self, stmt: &SelectStmt) -> Result<Option<PreparedQuery>> {
-        let nparams = stmt.max_param();
-        self.check_params(nparams)?;
-        let metrics = self.catalog.storage().metrics().clone();
-        let registry = self.catalog.storage().registry().clone();
-        let start = Instant::now();
-        let lowered = {
-            let _span = self.tracer.span("bind", &metrics);
-            lower(self.catalog, stmt)?
-        };
-        if !lowered.unabsorbed.is_empty() {
-            return Ok(None);
-        }
-        if self.catalog.stats().class(&lowered.root.class).is_none() {
-            self.catalog.collect_stats()?;
-        }
-        let stats = self.catalog.stats();
-        let optimized = {
-            let _span = self.tracer.span("optimize", &metrics);
-            optimize(&lowered.spec, &stats, &self.config)
-        };
-        let epoch = self.catalog.epoch();
-        let terms: Vec<(PlanSet, Vec<NodeEstimate>)> = optimized
-            .terms
-            .iter()
-            .map(|t| {
-                (
-                    t.plan.clone(),
-                    estimate_plan_set(&t.plan, &stats, &self.config),
-                )
-            })
-            .collect();
-        let var_class: HashMap<String, String> = stmt
-            .from
-            .iter()
-            .map(|f| (f.var.clone(), f.class.clone()))
-            .collect();
-        let mut preds: HashMap<String, PreparedPred> = HashMap::new();
-        for (set, _) in &terms {
-            for plan in set.temps.iter().map(|(_, p)| p).chain([&set.root]) {
-                let mut texts = Vec::new();
-                plan_predicates(plan, &mut texts);
-                for text in texts {
-                    if preds.contains_key(text) {
-                        continue;
-                    }
-                    let stripped = text.strip_prefix("__join__ ").unwrap_or(text);
-                    preds.insert(text.to_string(), PreparedPred::new(parse_expr(stripped)?));
-                }
-            }
-        }
-        let mut pq = PreparedQuery {
-            stmt: stmt.clone(),
-            nparams,
-            lowered,
-            terms,
-            epoch,
-            preds,
-            proj: OnceLock::new(),
-            order_progs: OnceLock::new(),
-            var_class,
-            compile_enabled: self.config.compiled_predicates,
-            compile_threshold: self.config.compile_threshold,
-            executions: AtomicU64::new(0),
-            compiled: AtomicBool::new(false),
-            compile_nanos: 0,
-        };
-        // Threshold 0 keeps the eager discipline: compile during prepare,
-        // inside this compile-time window. Any other threshold defers to
-        // `note_execution`, so one-shot statements skip compilation.
-        if pq.compile_threshold == 0 {
-            pq.compile_now(self.catalog, self.params);
-        }
-        let compile_nanos = start.elapsed().as_nanos() as u64;
-        registry.record_compile_ns(compile_nanos);
-        pq.compile_nanos = compile_nanos;
-        Ok(Some(pq))
-    }
-
-    /// Execute a prepared plan with this executor's parameters: no parse,
-    /// no bind, no optimize. Trace marks and per-operator registry totals
-    /// are identical to an uncached run of the same plan.
-    pub fn run_prepared(&self, pq: &PreparedQuery) -> Result<QueryResult> {
-        self.check_params(pq.nparams)?;
-        self.trace.lock().expect("trace lock").clear();
-        let metrics = self.catalog.storage().metrics().clone();
-        let registry = self.catalog.storage().registry().clone();
-        pq.note_execution(self.catalog, &registry, self.params);
-        let mut exec_span = self.tracer.span("execute", &metrics);
-        self.mark("FROM");
-        let mut all_rows: Vec<Row> = Vec::new();
-        for (plan, _) in &pq.terms {
-            let rec = AnalyzeRec::new(metrics.clone());
-            let rows = self.exec_term(plan, &pq.lowered, Some(&rec), Some(&pq.preds), true)?;
-            all_rows.extend(rows);
-            record_operator_totals(&registry, plan, &rec.into_nodes());
-        }
-        if pq.terms.len() > 1 {
-            self.mark("WHERE:UNION");
-            dedupe_bindings(&mut all_rows);
-        }
-        let result =
-            self.finish_select(&pq.stmt, all_rows, None, pq.proj_cols(), pq.order_cols())?;
-        exec_span.set_rows(result.len() as u64);
-        Ok(result)
-    }
-
     /// Execute one term's plan set: temps in creation order, then the root.
     /// Node ids follow the shared pre-order scheme over `[temps…, root]`.
-    fn exec_term(
-        &self,
-        set: &PlanSet,
-        lowered: &Lowered,
-        rec: Option<&AnalyzeRec>,
-        preds: Option<&HashMap<String, PreparedPred>>,
-        fused: bool,
-    ) -> Result<Vec<Row>> {
+    fn exec_term(&self, set: &PlanSet, pq: &PreparedQuery, rec: &AnalyzeRec) -> Result<Vec<Row>> {
         let mut temps: HashMap<String, Vec<Row>> = HashMap::new();
         let mut offset = 0usize;
         for (name, plan) in &set.temps {
-            let rows = self.exec_plan_at(plan, offset, lowered, &temps, rec, preds, fused)?;
+            let rows = self.exec_plan_at(plan, offset, pq, &temps, rec)?;
             offset += plan.subtree_size();
             temps.insert(name.clone(), rows);
         }
-        self.exec_plan_at(&set.root, offset, lowered, &temps, rec, preds, fused)
+        self.exec_plan_at(&set.root, offset, pq, &temps, rec)
     }
 
-    /// Fallback for queries the optimizer's single-root model cannot
-    /// absorb: nested-loop product over the FROM extents plus a residual
-    /// WHERE filter.
-    fn run_nested_loop(&self, stmt: &SelectStmt, lowered: &Lowered) -> Result<Vec<Row>> {
+    /// FROM + WHERE for a FROM list the optimizer's single-root model cannot
+    /// absorb: nested-loop product over the FROM extents plus the WHERE
+    /// clause as residual filter.
+    fn nested_loop(&self, stmt: &SelectStmt) -> Result<Vec<Row>> {
         let mut rows: Vec<Row> = vec![Row::new()];
         for item in &stmt.from {
             let extent: Vec<(Oid, Arc<Value>)> = if item.every {
@@ -945,7 +801,6 @@ impl<'a> Executor<'a> {
             }
             rows = next;
         }
-        let _ = lowered;
         if let Some(w) = &stmt.where_clause {
             self.mark("WHERE:SELECT");
             rows = self.filter_rows(rows, w, None)?;
@@ -957,82 +812,88 @@ impl<'a> Executor<'a> {
     // Plan interpretation
     // ------------------------------------------------------------------
 
-    /// Execute the node at pre-order id `nid`, recording rows, the
-    /// inclusive counter delta, and wall time when instrumented.
+    /// Execute the node at pre-order id `nid`, recording its rows, inclusive
+    /// counter delta and wall time.
     ///
     /// Snapshots are taken on this (coordinating) thread: chunk-parallel
     /// operators join their workers before returning, so the window still
     /// covers every page they touch.
-    #[allow(clippy::too_many_arguments)]
     fn exec_plan_at(
         &self,
         plan: &Plan,
         nid: usize,
-        lowered: &Lowered,
+        pq: &PreparedQuery,
         temps: &HashMap<String, Vec<Row>>,
-        rec: Option<&AnalyzeRec>,
-        preds: Option<&HashMap<String, PreparedPred>>,
-        fused: bool,
+        rec: &AnalyzeRec,
     ) -> Result<Vec<Row>> {
-        if rec.is_none() && !self.tracer.enabled() {
-            return self.exec_plan_node(plan, nid, lowered, temps, rec, preds, fused);
-        }
-        let metrics = self.catalog.storage().metrics();
-        let mut span = self.tracer.span(format!("op:{}", op_kind(plan)), metrics);
+        let mut span = self
+            .tracer
+            .span(format!("op:{}", op_kind(plan)), &rec.metrics);
         let start = Instant::now();
-        let before = rec.map(|r| r.metrics.snapshot());
-        let rows = self.exec_plan_node(plan, nid, lowered, temps, rec, preds, fused)?;
+        let before = rec.metrics.snapshot();
+        let rows = self.exec_plan_node(plan, nid, pq, temps, rec)?;
         span.set_rows(rows.len() as u64);
-        if let (Some(r), Some(before)) = (rec, before) {
-            r.record(
-                nid,
-                rows.len() as u64,
-                r.metrics.snapshot().delta(&before),
-                start.elapsed().as_nanos() as u64,
-            );
-        }
+        rec.record(
+            nid,
+            rows.len() as u64,
+            rec.metrics.snapshot().delta(&before),
+            start.elapsed().as_nanos() as u64,
+        );
         Ok(rows)
     }
 
-    #[allow(clippy::too_many_arguments)]
+    /// Stream the extent `BIND(class, var)` ranges over — with its
+    /// subclasses when `var` is an `EVERY` root — into `visit`.
+    fn scan_extent(
+        &self,
+        class: &str,
+        var: &str,
+        lowered: &Lowered,
+        visit: &mut dyn FnMut(Oid, Value) -> bool,
+    ) -> Result<()> {
+        if var == lowered.root.var && lowered.root.every {
+            self.catalog.extent_every_with(
+                class,
+                &lowered.root.minus,
+                AccessHint::Sequential,
+                visit,
+            )?;
+        } else {
+            self.catalog
+                .extent_with(class, AccessHint::Sequential, visit)?;
+        }
+        Ok(())
+    }
+
+    /// The object behind a reference or an index entry. `None` only for a
+    /// dangling OID (a deleted target, a stale index entry); every other
+    /// storage failure — a corrupt page, an I/O error, a deadlock — is the
+    /// statement's error, never a silently shorter result.
+    fn fetch_live(&self, oid: Oid) -> Result<Option<(String, Value)>> {
+        match self.catalog.get_object(oid) {
+            Ok(found) => Ok(Some(found)),
+            Err(CatalogError::Storage(StorageError::DanglingOid(_))) => Ok(None),
+            Err(e) => Err(e.into()),
+        }
+    }
+
     fn exec_plan_node(
         &self,
         plan: &Plan,
         nid: usize,
-        lowered: &Lowered,
+        pq: &PreparedQuery,
         temps: &HashMap<String, Vec<Row>>,
-        rec: Option<&AnalyzeRec>,
-        preds: Option<&HashMap<String, PreparedPred>>,
-        fused: bool,
+        rec: &AnalyzeRec,
     ) -> Result<Vec<Row>> {
         match plan {
             Plan::Bind { class, var } => {
                 // Stream the extent scan straight into rows (no
                 // intermediate (oid, value) vector).
                 let mut rows = Vec::new();
-                let mut push = |oid: Oid, value| {
-                    let mut row = Row::new();
-                    row.insert(
-                        var.clone(),
-                        BoundObj {
-                            oid: Some(oid),
-                            value: Arc::new(value),
-                        },
-                    );
-                    rows.push(row);
+                self.scan_extent(class, var, &pq.lowered, &mut |oid, value| {
+                    rows.push(bind_one(var, oid, value));
                     true
-                };
-                if var == &lowered.root.var && lowered.root.every {
-                    self.catalog.extent_every_with(
-                        class,
-                        &lowered.root.minus,
-                        AccessHint::Sequential,
-                        &mut push,
-                    )?;
-                } else {
-                    self.catalog
-                        .extent_with(class, AccessHint::Sequential, &mut push)?;
-                }
+                })?;
                 Ok(rows)
             }
             Plan::Temp { name } => temps
@@ -1046,18 +907,9 @@ impl<'a> Executor<'a> {
                 predicate,
             } => {
                 self.mark("WHERE:SELECT");
-                let prepared = preds.and_then(|m| m.get(predicate.as_str()));
-                let parsed;
-                let expr = match prepared {
-                    Some(p) => &p.expr,
-                    None => {
-                        parsed = parse_expr(predicate)?;
-                        &parsed
-                    }
-                };
-                let conjuncts = flatten_and(expr);
+                let prepared = pq.pred(predicate)?;
                 let mut oid_set: Option<HashSet<Oid>> = None;
-                for p in &conjuncts {
+                for p in flatten_and(&prepared.expr) {
                     let oids = self.index_probe(class, p)?;
                     oid_set = Some(match oid_set {
                         None => oids.into_iter().collect(),
@@ -1069,13 +921,12 @@ impl<'a> Executor<'a> {
                 // members of the item's own range are answers. Attribute
                 // indexes cover exactly the own extent and skip the check.
                 let range = (index_kind == "PATH_INDEX").then(|| {
-                    if var == &lowered.root.var && lowered.root.every {
-                        self.catalog.every_classes(class, &lowered.root.minus)
+                    if var == &pq.lowered.root.var && pq.lowered.root.every {
+                        self.catalog.every_classes(class, &pq.lowered.root.minus)
                     } else {
                         vec![class.clone()]
                     }
                 });
-                let compiled = prepared.and_then(|p| p.compiled());
                 let mut regs = Registers::with_params(self.params);
                 let mut rows = Vec::new();
                 for oid in oid_set.unwrap_or_default() {
@@ -1088,23 +939,18 @@ impl<'a> Executor<'a> {
                             continue;
                         }
                     }
-                    let Ok((_, value)) = self.catalog.get_object(oid) else {
-                        continue; // stale index entry (rebuild-on-demand)
+                    // A stale index entry (path indexes are rebuilt on
+                    // demand) points at nothing: skip it.
+                    let Some((_, value)) = self.fetch_live(oid)? else {
+                        continue;
                     };
-                    let mut row = Row::new();
-                    row.insert(
-                        var.clone(),
-                        BoundObj {
-                            oid: Some(oid),
-                            value: Arc::new(value),
-                        },
-                    );
-                    // Re-verify: path indexes are rebuilt on demand, so an
-                    // entry may be stale; evaluating the predicate on the
+                    let row = bind_one(var, oid, value);
+                    // Re-verify: an entry may also be stale because the
+                    // object changed; evaluating the predicate on the
                     // fetched object guarantees correct answers regardless.
-                    let keep = match compiled {
+                    let keep = match prepared.compiled() {
                         Some(c) => c.matches(self.catalog, &row, &mut regs)?,
-                        None => self.eval_pred(expr, &row)?,
+                        None => self.eval_pred(&prepared.expr, &row)?,
                     };
                     if keep {
                         rows.push(row);
@@ -1114,32 +960,18 @@ impl<'a> Executor<'a> {
                 Ok(rows)
             }
             Plan::Select { input, predicate } => {
-                // Fused batched scan: a Select directly over a Bind with a
-                // compiled predicate streams the extent in batches and
-                // builds Rows only for survivors. Gated off on analyze
-                // paths, where the Bind node must record its own actuals.
-                if fused {
-                    if let (Plan::Bind { class, var }, Some(pred)) = (
-                        &**input,
-                        preds
-                            .and_then(|m| m.get(predicate.as_str()))
-                            .and_then(|p| p.compiled()),
-                    ) {
-                        if pred.var == *var {
-                            return self.fused_scan_select(class, var, lowered, pred);
-                        }
+                let prepared = pq.pred(predicate)?;
+                // A compiled predicate directly over a Bind reads nothing
+                // but the scanned object: scan and filter run as one
+                // batched pass.
+                if let (Plan::Bind { class, var }, Some(pred)) = (&**input, prepared.compiled()) {
+                    if pred.var == *var {
+                        return self.scan_select(class, var, nid + 1, pq, rec, pred);
                     }
                 }
-                let rows = self.exec_plan_at(input, nid + 1, lowered, temps, rec, preds, fused)?;
+                let rows = self.exec_plan_at(input, nid + 1, pq, temps, rec)?;
                 self.mark("WHERE:SELECT");
-                match preds.and_then(|m| m.get(predicate.as_str())) {
-                    Some(p) => self.filter_rows(rows, &p.expr, p.compiled()),
-                    None => {
-                        let text = predicate.strip_prefix("__join__ ").unwrap_or(predicate);
-                        let expr = parse_expr(text)?;
-                        self.filter_rows(rows, &expr, None)
-                    }
-                }
+                self.filter_rows(rows, &prepared.expr, prepared.compiled())
             }
             Plan::Join {
                 left,
@@ -1147,12 +979,10 @@ impl<'a> Executor<'a> {
                 method,
                 condition,
             } => {
-                let left_rows =
-                    self.exec_plan_at(left, nid + 1, lowered, temps, rec, preds, fused)?;
+                let left_rows = self.exec_plan_at(left, nid + 1, pq, temps, rec)?;
                 let right_nid = nid + 1 + left.subtree_size();
                 let out = self.exec_join(
-                    left_rows, right, right_nid, *method, condition, lowered, temps, rec, preds,
-                    fused,
+                    left_rows, right, right_nid, *method, condition, pq, temps, rec,
                 )?;
                 self.mark("WHERE:JOIN");
                 Ok(out)
@@ -1161,7 +991,7 @@ impl<'a> Executor<'a> {
                 let mut all = Vec::new();
                 let mut kid = nid + 1;
                 for p in inputs {
-                    all.extend(self.exec_plan_at(p, kid, lowered, temps, rec, preds, fused)?);
+                    all.extend(self.exec_plan_at(p, kid, pq, temps, rec)?);
                     kid += p.subtree_size();
                 }
                 self.mark("WHERE:UNION");
@@ -1173,87 +1003,78 @@ impl<'a> Executor<'a> {
         }
     }
 
-    /// The fused scan+select: stream the heap scan into batches of
+    /// Scan + select in one pass: stream the heap scan into batches of
     /// `batch_size` objects and evaluate the compiled predicate per batch
     /// with one register file and one per-batch deref cache, so funcman
     /// dispatch, register setup and catalog dereferences amortize across
     /// the batch. Rows (the per-object `BTreeMap` bindings) are built only
-    /// for survivors. Output is byte-identical to scan-then-filter: same
-    /// objects, same extent order.
-    fn fused_scan_select(
+    /// for survivors. Output is byte-identical to scan-then-filter (same
+    /// objects, same extent order) at every batch size; at 1 it *is* the
+    /// row-at-a-time path.
+    ///
+    /// The `Bind` this absorbs (node `bind_nid`) still reports its own
+    /// actuals: the objects the scan produced, and the pages and time of
+    /// this pass less its predicate batches — which leaves the enclosing
+    /// `Select` exactly the work its predicate did.
+    fn scan_select(
         &self,
         class: &str,
         var: &str,
-        lowered: &Lowered,
+        bind_nid: usize,
+        pq: &PreparedQuery,
+        rec: &AnalyzeRec,
         pred: &RowPred,
     ) -> Result<Vec<Row>> {
         self.mark("WHERE:SELECT");
         let batch = self.config.execution.batch_size.max(1);
-        let registry = self.catalog.storage().registry().clone();
+        let registry = self.catalog.storage().registry();
+        let start = Instant::now();
+        let before = rec.metrics.snapshot();
+        let mut scanned = 0u64;
+        let mut pred_delta = MetricsSnapshot::default();
+        let mut pred_nanos = 0u64;
         let mut rows: Vec<Row> = Vec::new();
-        let mut buf: Vec<(Oid, Value)> = Vec::with_capacity(batch);
         let mut regs = Registers::with_params(self.params);
-        let mut first_err: Option<SqlError> = None;
-        {
-            let mut sink = |oid: Oid, value: Value| {
-                buf.push((oid, value));
-                if buf.len() >= batch {
-                    registry.record_batch(buf.len() as u64);
-                    if let Err(e) = self.eval_scan_batch(pred, var, &mut buf, &mut regs, &mut rows)
-                    {
-                        first_err = Some(e);
-                        return false;
-                    }
+        // One batch: shared registers, fresh deref cache.
+        let mut filter = |buf: &mut Vec<(Oid, Value)>| -> Result<()> {
+            registry.record_batch(buf.len() as u64);
+            scanned += buf.len() as u64;
+            let (pred_start, pred_before) = (Instant::now(), rec.metrics.snapshot());
+            let resolver = CachingResolver::new(self.catalog);
+            for (oid, value) in buf.drain(..) {
+                if pred.matches_value(&resolver, &value, &mut regs)? {
+                    rows.push(bind_one(var, oid, value));
                 }
-                true
-            };
-            if var == lowered.root.var && lowered.root.every {
-                self.catalog.extent_every_with(
-                    class,
-                    &lowered.root.minus,
-                    AccessHint::Sequential,
-                    &mut sink,
-                )?;
-            } else {
-                self.catalog
-                    .extent_with(class, AccessHint::Sequential, &mut sink)?;
             }
-        }
+            pred_delta = pred_delta.plus(&rec.metrics.snapshot().delta(&pred_before));
+            pred_nanos += pred_start.elapsed().as_nanos() as u64;
+            Ok(())
+        };
+        let mut buf: Vec<(Oid, Value)> = Vec::with_capacity(batch);
+        let mut first_err: Option<SqlError> = None;
+        self.scan_extent(class, var, &pq.lowered, &mut |oid, value| {
+            buf.push((oid, value));
+            if buf.len() >= batch {
+                if let Err(e) = filter(&mut buf) {
+                    first_err = Some(e);
+                    return false;
+                }
+            }
+            true
+        })?;
         if let Some(e) = first_err {
             return Err(e);
         }
         if !buf.is_empty() {
-            registry.record_batch(buf.len() as u64);
-            self.eval_scan_batch(pred, var, &mut buf, &mut regs, &mut rows)?;
+            filter(&mut buf)?;
         }
+        rec.record(
+            bind_nid,
+            scanned,
+            rec.metrics.snapshot().delta(&before).delta(&pred_delta),
+            (start.elapsed().as_nanos() as u64).saturating_sub(pred_nanos),
+        );
         Ok(rows)
-    }
-
-    /// Evaluate one scan batch: shared registers, fresh per-batch deref
-    /// cache, Rows constructed for matches only.
-    fn eval_scan_batch(
-        &self,
-        pred: &RowPred,
-        var: &str,
-        buf: &mut Vec<(Oid, Value)>,
-        regs: &mut Registers,
-        rows: &mut Vec<Row>,
-    ) -> Result<()> {
-        let resolver = CachingResolver::new(self.catalog);
-        for (oid, value) in buf.drain(..) {
-            if pred.matches_value(&resolver, &value, regs)? {
-                let mut row = Row::new();
-                row.insert(
-                    var.to_string(),
-                    BoundObj {
-                        oid: Some(oid),
-                        value: Arc::new(value),
-                    },
-                );
-                rows.push(row);
-            }
-        }
-        Ok(())
     }
 
     fn index_probe(&self, class: &str, p: &Expr) -> Result<Vec<Oid>> {
@@ -1316,11 +1137,9 @@ impl<'a> Executor<'a> {
         right_nid: usize,
         method: JoinMethod,
         condition: &str,
-        lowered: &Lowered,
+        pq: &PreparedQuery,
         temps: &HashMap<String, Vec<Row>>,
-        rec: Option<&AnalyzeRec>,
-        preds: Option<&HashMap<String, PreparedPred>>,
-        fused: bool,
+        rec: &AnalyzeRec,
     ) -> Result<Vec<Row>> {
         // Condition shape: "x.attr = y.self".
         let (lhs, rhs) = condition
@@ -1333,33 +1152,22 @@ impl<'a> Executor<'a> {
             .strip_suffix(".self")
             .ok_or_else(|| SqlError::Exec(format!("bad join rhs: {rhs}")))?;
 
-        // Describe the right side.
-        let right_side = match right {
-            Plan::Bind { class, .. } => RightSideImpl::Class {
-                class: class.clone(),
-                filter: None,
+        // Describe the right side: a class (optionally filtered) stays
+        // unmaterialized and is fetched per probe; anything else runs as a
+        // plan node of its own.
+        let class_side = match right {
+            Plan::Bind { class, .. } => Some((class, None)),
+            Plan::Select { input, predicate } => match &**input {
+                Plan::Bind { class, .. } => Some((class, Some(&pq.pred(predicate)?.expr))),
+                _ => None,
             },
-            Plan::Select { input, predicate } => {
-                if let Plan::Bind { class, .. } = &**input {
-                    let filter = match preds.and_then(|m| m.get(predicate.as_str())) {
-                        Some(p) => p.expr.clone(),
-                        None => parse_expr(
-                            predicate.strip_prefix("__join__ ").unwrap_or(predicate),
-                        )?,
-                    };
-                    RightSideImpl::Class {
-                        class: class.clone(),
-                        filter: Some(filter),
-                    }
-                } else {
-                    let rows =
-                        self.exec_plan_at(right, right_nid, lowered, temps, rec, preds, fused)?;
-                    RightSideImpl::Rows(key_rows_by(&rows, y_var))
-                }
-            }
-            other => {
-                let rows = self.exec_plan_at(other, right_nid, lowered, temps, rec, preds, fused)?;
-                RightSideImpl::Rows(key_rows_by(&rows, y_var))
+            _ => None,
+        };
+        let right_side = match class_side {
+            Some((class, filter)) => RightSide::Class { class, filter },
+            None => {
+                let rows = self.exec_plan_at(right, right_nid, pq, temps, rec)?;
+                RightSide::Rows(key_rows_by(&rows, y_var))
             }
         };
 
@@ -1368,23 +1176,16 @@ impl<'a> Executor<'a> {
         let right_side = match (method, right_side) {
             (
                 JoinMethod::BackwardTraversal | JoinMethod::BinaryJoinIndex,
-                RightSideImpl::Class { class, filter },
+                RightSide::Class { class, filter },
             ) => {
                 let start = Instant::now();
-                let before = rec.map(|r| r.metrics.snapshot());
+                let before = rec.metrics.snapshot();
                 let mut map: HashMap<Oid, Vec<Row>> = HashMap::new();
                 let mut first_err: Option<SqlError> = None;
                 self.catalog
-                    .extent_with(&class, AccessHint::Sequential, &mut |oid, value| {
-                        let mut row = Row::new();
-                        row.insert(
-                            y_var.to_string(),
-                            BoundObj {
-                                oid: Some(oid),
-                                value: Arc::new(value),
-                            },
-                        );
-                        if let Some(f) = &filter {
+                    .extent_with(class, AccessHint::Sequential, &mut |oid, value| {
+                        let row = bind_one(y_var, oid, value);
+                        if let Some(f) = filter {
                             match self.eval_pred(f, &row) {
                                 Ok(false) => return true,
                                 Ok(true) => {}
@@ -1400,16 +1201,13 @@ impl<'a> Executor<'a> {
                 if let Some(e) = first_err {
                     return Err(e);
                 }
-                if let (Some(r), Some(before)) = (rec, before) {
-                    let rows: u64 = map.values().map(|v| v.len() as u64).sum();
-                    r.record(
-                        right_nid,
-                        rows,
-                        r.metrics.snapshot().delta(&before),
-                        start.elapsed().as_nanos() as u64,
-                    );
-                }
-                RightSideImpl::Rows(map)
+                rec.record(
+                    right_nid,
+                    map.values().map(|v| v.len() as u64).sum(),
+                    rec.metrics.snapshot().delta(&before),
+                    start.elapsed().as_nanos() as u64,
+                );
+                RightSide::Rows(map)
             }
             (_, rs) => rs,
         };
@@ -1417,7 +1215,7 @@ impl<'a> Executor<'a> {
         let mut out = Vec::new();
         match method {
             JoinMethod::BinaryJoinIndex => {
-                let RightSideImpl::Rows(map) = &right_side else {
+                let RightSide::Rows(map) = &right_side else {
                     unreachable!()
                 };
                 // Left class from the first bound object.
@@ -1477,16 +1275,17 @@ impl<'a> Executor<'a> {
                 out.sort_by_key(|r| r.get(x_var).and_then(|b| b.oid));
             }
             JoinMethod::ForwardTraversal | JoinMethod::BackwardTraversal => {
+                let unmaterialized = matches!(right_side, RightSide::Class { .. });
                 // Feed the affinity tracker: each forward chase over an
                 // unmaterialized right side is one (source class, attr,
                 // target OID) observation in probe order — the actual I/O
                 // pattern `CLUSTER` would improve. Resolved once per join
                 // (a map lookup per row would be waste); `None` when the
                 // tracker is off, so the disabled path costs one bool load.
-                let affinity = self.catalog.storage().affinity().clone();
+                let affinity = self.catalog.storage().affinity();
                 let chase_src: Option<String> = if affinity.is_enabled()
                     && method == JoinMethod::ForwardTraversal
-                    && matches!(right_side, RightSideImpl::Class { .. })
+                    && unmaterialized
                 {
                     left_rows
                         .iter()
@@ -1495,87 +1294,70 @@ impl<'a> Executor<'a> {
                 } else {
                     None
                 };
-                // Batched probe side: process left rows in batches with a
-                // per-batch resolution cache, so a reference shared by many
-                // rows of a batch fetches (and filters) its target once.
-                // Gated off on analyze paths, where per-probe page actuals
-                // must stay faithful to the paper's cost model. Output is
-                // identical either way: same pairs, same order.
-                if fused && matches!(right_side, RightSideImpl::Class { .. }) {
-                    let batch = self.config.execution.batch_size.max(1);
-                    let registry = self.catalog.storage().registry().clone();
-                    let pool = self.catalog.storage().pool().clone();
-                    let mut pages: Vec<(FileId, PageId)> = Vec::new();
-                    for chunk in left_rows.chunks(batch) {
-                        // Pipelined probe prefetch: collect the chunk's
-                        // target pages sorted, then, at each cache-miss
-                        // probe, batch-read the consecutive run ahead of
-                        // it (one readahead window at a time — see
-                        // `BufferPool::prefetch_run`). After `CLUSTER`
-                        // puts targets in probe order the chase becomes
-                        // one batched read per window; on scattered heaps
-                        // runs degenerate to single pages and nothing is
-                        // issued.
-                        if method == JoinMethod::ForwardTraversal {
-                            pages.clear();
-                            for row in chunk {
-                                for oid in self.row_refs(row, x_var, attr)? {
-                                    pages.push((oid.file, oid.page));
-                                }
-                            }
-                            pages.sort_unstable();
-                            pages.dedup();
-                        }
-                        // Exclusive end of the last prefetched run; probes
-                        // inside it skip the re-issue.
-                        let mut pf_end: Option<(FileId, u32)> = None;
-                        let mut cache: HashMap<Oid, Vec<Row>> = HashMap::new();
+                // Pipelined probe prefetch applies to forward chases into
+                // the heap; a materialized right side reads no pages here.
+                let prefetch = method == JoinMethod::ForwardTraversal && unmaterialized;
+                // The probe side runs in batches of `batch_size` left rows
+                // with a per-batch resolution cache, so a reference shared
+                // by many rows of a batch fetches (and filters) its target
+                // once; at batch size 1 every reference pays its own fetch,
+                // the row-at-a-time pattern. Same pairs, same order, at
+                // every batch size.
+                let batch = self.config.execution.batch_size.max(1);
+                let registry = self.catalog.storage().registry();
+                let pool = self.catalog.storage().pool();
+                let mut pages: Vec<(FileId, PageId)> = Vec::new();
+                for chunk in left_rows.chunks(batch) {
+                    // Collect the chunk's target pages sorted, then, at
+                    // each cache-miss probe, batch-read the consecutive
+                    // run ahead of it (one readahead window at a time —
+                    // see `BufferPool::prefetch_run`). After `CLUSTER` puts
+                    // targets in probe order the chase becomes one batched
+                    // read per window; on scattered heaps runs degenerate
+                    // to single pages and nothing is issued.
+                    if prefetch {
+                        pages.clear();
                         for row in chunk {
                             for oid in self.row_refs(row, x_var, attr)? {
-                                if let Some(src) = &chase_src {
-                                    affinity.record_chase(src, attr, oid);
-                                }
-                                let targets = match cache.entry(oid) {
-                                    std::collections::hash_map::Entry::Occupied(e) => e.into_mut(),
-                                    std::collections::hash_map::Entry::Vacant(e) => {
-                                        if method == JoinMethod::ForwardTraversal
-                                            && pf_end.is_none_or(|(f, end)| {
-                                                f != oid.file || oid.page.0 >= end
-                                            })
-                                        {
-                                            let n =
-                                                pool.prefetch_run(&pages, (oid.file, oid.page));
-                                            if n > 0 {
-                                                pf_end = Some((oid.file, oid.page.0 + n));
-                                            }
-                                        }
-                                        let m = right_side.resolve(self, oid, y_var)?;
-                                        e.insert(m)
-                                    }
-                                };
-                                for r in targets.iter() {
-                                    let mut merged = row.clone();
-                                    merged.extend(r.clone());
-                                    out.push(merged);
-                                }
+                                pages.push((oid.file, oid.page));
                             }
                         }
-                        registry.record_batch(chunk.len() as u64);
+                        pages.sort_unstable();
+                        pages.dedup();
                     }
-                } else {
-                    for row in &left_rows {
+                    // Exclusive end of the last prefetched run; probes
+                    // inside it skip the re-issue.
+                    let mut pf_end: Option<(FileId, u32)> = None;
+                    let mut cache: HashMap<Oid, Vec<Row>> = HashMap::new();
+                    for row in chunk {
                         for oid in self.row_refs(row, x_var, attr)? {
                             if let Some(src) = &chase_src {
                                 affinity.record_chase(src, attr, oid);
                             }
-                            let matches = right_side.resolve(self, oid, y_var)?;
-                            for r in matches {
+                            let targets = match cache.entry(oid) {
+                                std::collections::hash_map::Entry::Occupied(e) => e.into_mut(),
+                                std::collections::hash_map::Entry::Vacant(e) => {
+                                    if prefetch
+                                        && pf_end.is_none_or(|(f, end)| {
+                                            f != oid.file || oid.page.0 >= end
+                                        })
+                                    {
+                                        let n = pool.prefetch_run(&pages, (oid.file, oid.page));
+                                        if n > 0 {
+                                            pf_end = Some((oid.file, oid.page.0 + n));
+                                        }
+                                    }
+                                    e.insert(right_side.resolve(self, oid, y_var)?)
+                                }
+                            };
+                            for r in targets.iter() {
                                 let mut merged = row.clone();
-                                merged.extend(r);
+                                merged.extend(r.clone());
                                 out.push(merged);
                             }
                         }
                     }
+                    registry.record_batch(chunk.len() as u64);
                 }
             }
         }
@@ -2119,32 +1901,29 @@ impl<'a> Executor<'a> {
 }
 
 /// The two right-side shapes of `exec_join`.
-enum RightSideImpl {
+enum RightSide<'p> {
     /// Unmaterialized class with an optional residual filter.
-    Class { class: String, filter: Option<Expr> },
+    Class {
+        class: &'p str,
+        filter: Option<&'p Expr>,
+    },
     /// Materialized rows keyed by the right variable's OID.
     Rows(HashMap<Oid, Vec<Row>>),
 }
 
-impl RightSideImpl {
+impl RightSide<'_> {
     fn resolve(&self, ex: &Executor<'_>, oid: Oid, y_var: &str) -> Result<Vec<Row>> {
         match self {
-            RightSideImpl::Rows(map) => Ok(map.get(&oid).cloned().unwrap_or_default()),
-            RightSideImpl::Class { class, filter } => {
-                let Ok((obj_class, value)) = ex.catalog.get_object(oid) else {
-                    return Ok(Vec::new()); // dangling reference: no pair
+            RightSide::Rows(map) => Ok(map.get(&oid).cloned().unwrap_or_default()),
+            RightSide::Class { class, filter } => {
+                // A dangling reference joins nothing: no pair.
+                let Some((obj_class, value)) = ex.fetch_live(oid)? else {
+                    return Ok(Vec::new());
                 };
                 if !ex.catalog.is_subclass(&obj_class, class) {
                     return Ok(Vec::new());
                 }
-                let mut row = Row::new();
-                row.insert(
-                    y_var.to_string(),
-                    BoundObj {
-                        oid: Some(oid),
-                        value: Arc::new(value),
-                    },
-                );
+                let row = bind_one(y_var, oid, value);
                 if let Some(f) = filter {
                     if !ex.eval_pred(f, &row)? {
                         return Ok(Vec::new());
@@ -2154,6 +1933,19 @@ impl RightSideImpl {
             }
         }
     }
+}
+
+/// The row binding one stored object to `var`.
+fn bind_one(var: &str, oid: Oid, value: Value) -> Row {
+    let mut row = Row::new();
+    row.insert(
+        var.to_string(),
+        BoundObj {
+            oid: Some(oid),
+            value: Arc::new(value),
+        },
+    );
+    row
 }
 
 fn spill_err(e: std::io::Error) -> SqlError {

@@ -288,15 +288,6 @@ impl Session {
         self.plan_cache.clear();
     }
 
-    /// Set how many executions a cached plan sees before its predicates
-    /// compile to register programs (default 2; 0 compiles eagerly at
-    /// prepare time). Cached plans carry their threshold, so the cache is
-    /// cleared.
-    pub fn set_compile_threshold(&mut self, threshold: u64) {
-        self.config = self.config.clone().with_compile_threshold(threshold);
-        self.plan_cache.clear();
-    }
-
     /// Set the rows-per-operator-call batch size of the vectorized
     /// execution paths (clamped to ≥ 1).
     pub fn set_batch_size(&mut self, batch_size: usize) {
@@ -478,9 +469,9 @@ impl Session {
     /// miss the *shape text* is parsed, so the plan that gets prepared and
     /// inserted serves every statement of the shape.
     ///
-    /// Counter discipline: hits + misses = cacheable lookups; a stale entry
-    /// adds an invalidation to its miss; statements the preparer cannot
-    /// absorb count nothing (they are not cacheable).
+    /// Counter discipline: hits + misses = lookups — every SELECT shape has
+    /// a prepared form, so every one is cacheable; a stale entry adds an
+    /// invalidation to its miss.
     ///
     /// `None` hands the statement back to the literal path: its shape text
     /// does not parse, and the text as written produces the error to show.
@@ -507,19 +498,17 @@ impl Session {
                 let Ok(Statement::Select(s)) = parsed else {
                     return Ok(None);
                 };
-                let prepared = ex.prepare(&s)?.map(Arc::new);
-                if let Some(pq) = &prepared {
-                    registry.record_plan_cache_miss();
-                    self.plan_cache
-                        .insert(shape.key.clone(), pq.clone(), &registry);
-                }
-                match prepared {
+                let pq = Arc::new(ex.prepare_query(&s)?);
+                registry.record_plan_cache_miss();
+                self.plan_cache
+                    .insert(shape.key.clone(), pq.clone(), &registry);
+                if shape.analyze {
                     // A cold EXPLAIN ANALYZE reports the fresh path —
                     // including the PLAN stage's page accounting — while
                     // the prepared plan stays cached for the next execution.
-                    _ if shape.analyze => Answer::Plan(ex.analyze(&s)?.render()),
-                    Some(pq) => Answer::Rows(ex.run_prepared(&pq)?),
-                    None => Answer::Rows(ex.run_select(&s)?),
+                    Answer::Plan(ex.analyze(&s)?.render())
+                } else {
+                    Answer::Rows(ex.run_prepared(&pq)?)
                 }
             }
         };

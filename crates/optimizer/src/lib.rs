@@ -28,7 +28,7 @@ pub use dnf::{BoolExpr, Negate};
 pub use estimate::{estimate_plan_set, NodeEstimate};
 pub use optimizer::{
     optimize, short_var, Const, ImmSelRow, OptimizedQuery, OptimizerConfig, OtherSelRow,
-    PathSelRow, PredSpec, QuerySpec, TermPlan, DEFAULT_COMPILE_THRESHOLD,
+    PathSelRow, PredSpec, QuerySpec, TermPlan,
 };
 pub use path_order::{objective, optimal_order_exhaustive, order_paths, PathCost};
 pub use plan::{Plan, PlanSet};

@@ -236,16 +236,7 @@ pub struct OptimizerConfig {
     /// (the Function Manager's compile-once discipline applied to queries).
     /// Plan choice is unaffected; only the evaluation strategy changes.
     pub compiled_predicates: bool,
-    /// Executions of a cached plan before its predicates are lowered to
-    /// register programs. One-shot ad-hoc statements interpret their
-    /// predicates and never pay compilation; statements that repeat cross
-    /// the threshold and compile once. `0` compiles eagerly at prepare.
-    pub compile_threshold: u64,
 }
-
-/// Default [`OptimizerConfig::compile_threshold`]: compile on the second
-/// execution of the same cached plan.
-pub const DEFAULT_COMPILE_THRESHOLD: u64 = 2;
 
 impl Default for OptimizerConfig {
     fn default() -> Self {
@@ -254,7 +245,6 @@ impl Default for OptimizerConfig {
             cpu_cost: DEFAULT_CPU_COST,
             execution: ExecutionConfig::default(),
             compiled_predicates: true,
-            compile_threshold: DEFAULT_COMPILE_THRESHOLD,
         }
     }
 }
@@ -266,7 +256,6 @@ impl OptimizerConfig {
             cpu_cost: DEFAULT_CPU_COST,
             execution: ExecutionConfig::default(),
             compiled_predicates: true,
-            compile_threshold: DEFAULT_COMPILE_THRESHOLD,
         }
     }
 
@@ -279,12 +268,6 @@ impl OptimizerConfig {
     /// The same config with compiled predicate/projection evaluation toggled.
     pub fn with_compiled_predicates(mut self, on: bool) -> Self {
         self.compiled_predicates = on;
-        self
-    }
-
-    /// The same config with the given lazy-compilation threshold.
-    pub fn with_compile_threshold(mut self, threshold: u64) -> Self {
-        self.compile_threshold = threshold;
         self
     }
 }

@@ -10,11 +10,9 @@
 //!   `sort.spill_bytes` counters advance, and the `ORDER BY` stage's page
 //!   actuals in `EXPLAIN ANALYZE` land inside the `seqcost_batched` model's
 //!   two-pass window (write pass + read pass over the spilled data pages).
-//! * Lazy compilation: with the default threshold of 2, the first
-//!   execution of a statement runs interpreted (no batches form), the
-//!   second crosses the threshold, compiles, and switches to the batched
-//!   pipeline; compile time is charged exactly once. Threshold 0 restores
-//!   eager compile-at-prepare.
+//! * Lazy compilation: the first execution of a statement runs
+//!   interpreted (no batches form), the second compiles and switches to
+//!   the batched pipeline; compile time is charged exactly once.
 //! * `plan_cache.capacity` is configurable per session and reported by
 //!   `SHOW METRICS`; a raised capacity absorbs a workload that the default
 //!   128-entry cache would thrash on.
@@ -167,10 +165,12 @@ proptest! {
         let baseline = run(&db, &sql);
         db.set_compiled_predicates(true);
         db.set_plan_cache_enabled(true);
-        db.set_compile_threshold(0); // eager: every run takes the batched path
         for batch in [1usize, 7, 1024] {
             db.set_batch_size(batch);
             for par in [1usize, 2, 4, 8] {
+                // Changing a setting empties the plan cache: `cold` prepares
+                // and runs interpreted, `warm` is the plan's second
+                // execution, which compiles and takes the batched path.
                 db.set_parallelism(par);
                 let cold = run(&db, &sql);
                 let warm = run(&db, &sql);
@@ -271,13 +271,13 @@ fn lazy_compilation_defers_until_the_execution_threshold() {
     let m1 = db.engine_metrics();
     assert_eq!(
         m1.batch.count, 0,
-        "execution 1 of 2 stays on the interpreted row-at-a-time path"
+        "execution 1 stays on the interpreted row-at-a-time path"
     );
     assert_eq!(run(&db, sql).unwrap(), first);
     let m2 = db.engine_metrics();
     assert!(
         m2.batch.count > 0,
-        "execution 2 crosses the default threshold and runs batched"
+        "execution 2 compiles and runs batched"
     );
     assert!(
         m2.compile_ns > m1.compile_ns,
@@ -290,18 +290,6 @@ fn lazy_compilation_defers_until_the_execution_threshold() {
         "a compiled plan never pays compile time again"
     );
     assert!(m3.batch.rows > m2.batch.rows, "warm runs keep batching");
-}
-
-#[test]
-fn threshold_zero_compiles_eagerly() {
-    let db = build(64);
-    db.set_compile_threshold(0);
-    let sql = "SELECT v.id FROM EVERY Vehicle v WHERE v.weight > 900 ORDER BY v.id";
-    run(&db, sql).unwrap();
-    assert!(
-        db.engine_metrics().batch.count > 0,
-        "threshold 0 means the very first execution runs batched"
-    );
 }
 
 // ----------------------------------------------------------------------
@@ -348,10 +336,10 @@ fn plan_cache_capacity_is_configurable_and_reported() {
 #[test]
 fn batch_and_spill_counters_surface_in_show_metrics() {
     let db = build(128);
-    db.set_compile_threshold(0);
     db.set_batch_size(32);
     let sql = "SELECT v.id FROM EVERY Vehicle v WHERE v.weight > 700 ORDER BY v.id";
     run(&db, sql).unwrap();
+    run(&db, sql).unwrap(); // the second execution compiles and batches
     let rows: u64 = metric_value(&db, "batch.rows").parse().unwrap();
     let count: u64 = metric_value(&db, "batch.count").parse().unwrap();
     assert!(rows >= 128, "the whole extent streamed through batches: {rows}");

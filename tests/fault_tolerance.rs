@@ -15,8 +15,8 @@ use std::sync::Arc;
 
 use mood_core::{Answer, Mood, Value};
 use mood_storage::{
-    Disk, FaultPlan, FaultyDisk, FileDisk, FileLog, LockMode, Page, RetryDisk, StorageError,
-    StorageManager, PAGE_USABLE,
+    Disk, FaultPlan, FaultyDisk, FileDisk, FileLog, LockMode, MemDisk, MemLog, Page, RetryDisk,
+    StorageError, StorageManager, PAGE_USABLE,
 };
 
 static RUN: AtomicU64 = AtomicU64::new(0);
@@ -448,6 +448,112 @@ fn degraded_mode_refuses_writes_until_healed() {
 // Extended sweeps — every fault point. Run by the CI crash-sweep job
 // with `--ignored`; not gating.
 // ----------------------------------------------------------------------
+
+// ----------------------------------------------------------------------
+// A storage failure is an error, never a shorter answer
+// ----------------------------------------------------------------------
+
+/// A Part → Maker reference graph over an in-memory device wrapped by
+/// `plan`, behind a pool far smaller than the data: every chase and every
+/// index fetch below goes to the device.
+fn open_parts(plan: Arc<FaultPlan>) -> (Mood, PathBuf) {
+    let dir = fresh_dir("readfault");
+    let disk: Arc<dyn Disk> = Arc::new(FaultyDisk::with_plan(MemDisk::new(), plan));
+    let sm = StorageManager::with_parts(disk, Box::new(MemLog::new()), TINY_POOL).unwrap();
+    let db = Mood::open_with_storage(Arc::new(sm), &dir).unwrap();
+    db.execute("CREATE CLASS Maker TUPLE (id Integer, pad String)")
+        .unwrap();
+    db.execute("CREATE CLASS Part TUPLE (id Integer, maker REFERENCE (Maker), pad String)")
+        .unwrap();
+    db.execute("CREATE UNIQUE BTREE INDEX ON Part(id)").unwrap();
+    let pad = Value::string("x".repeat(300));
+    let cat = db.catalog();
+    let makers: Vec<_> = (0..240)
+        .map(|i| {
+            let fields = vec![("id", Value::Integer(i)), ("pad", pad.clone())];
+            cat.new_object("Maker", Value::tuple(fields)).unwrap()
+        })
+        .collect();
+    for i in 0..2400 {
+        let maker = Value::Ref(makers[(i as usize * 7) % makers.len()]);
+        let fields = vec![("id", Value::Integer(i)), ("maker", maker), ("pad", pad.clone())];
+        cat.new_object("Part", Value::tuple(fields)).unwrap();
+    }
+    db.collect_stats().unwrap();
+    (db, dir)
+}
+
+/// Run `read` once cleanly, then once per sampled device operation inside
+/// it with the device dying at that operation: every outcome must be the
+/// clean answer or an error.
+fn assert_read_faults_surface<T: PartialEq + std::fmt::Debug>(
+    what: &str,
+    read: impl Fn(&Mood) -> Result<T, String>,
+) {
+    let dry = FaultPlan::disarmed();
+    let (db, dir) = open_parts(dry.clone());
+    let before = dry.ops();
+    let clean = read(&db).expect("clean run");
+    let ops = dry.ops() - before;
+    drop(db);
+    let _ = std::fs::remove_dir_all(&dir);
+    assert!(ops >= 2, "{what}: the read must hit the device ({ops} ops)");
+
+    let mut errors = 0;
+    for j in (0..ops).step_by((ops as usize / 8).max(1)) {
+        // Seeding replays the dry run's `before` operations, then `j` more
+        // succeed inside the read and the next one fails (and latches).
+        let (db, dir) = open_parts(FaultPlan::fail_after(before + j));
+        match read(&db) {
+            Ok(got) => assert_eq!(got, clean, "{what}: fault at op {j} shortened the answer"),
+            Err(_) => errors += 1,
+        }
+        drop(db);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+    assert!(errors > 0, "{what}: no sampled fault surfaced as an error");
+}
+
+#[test]
+fn read_faults_under_joins_and_index_fetches_are_errors() {
+    let ids = |db: &Mood, sql: &str| -> Result<Vec<Value>, String> {
+        match db.execute(sql).map_err(|e| e.to_string())? {
+            Answer::Rows(r) => Ok(r.rows.into_iter().map(|mut row| row.remove(0)).collect()),
+            other => panic!("not rows: {other:?}"),
+        }
+    };
+    // A forward-traversal join: each chase fetches a Maker by reference.
+    let join_sql = "SELECT p.id FROM Part p WHERE p.id < 64 AND p.maker.id >= 0";
+    // An index-served lookup: the entry's Part is fetched by OID.
+    let indsel_sql = "SELECT p.id FROM Part p WHERE p.id = 1777";
+    {
+        let (db, dir) = open_parts(FaultPlan::disarmed());
+        let plan = db.explain(join_sql).unwrap();
+        assert!(plan.contains("FORWARD_TRAVERSAL"), "{plan}");
+        let plan = db.explain(indsel_sql).unwrap();
+        assert!(plan.contains("INDSEL("), "{plan}");
+        drop(db);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+    assert_read_faults_surface("forward-traversal join", |db| ids(db, join_sql));
+    assert_read_faults_surface("INDSEL fetch", |db| ids(db, indsel_sql));
+    // The algebra's own join resolves references the same way.
+    assert_read_faults_surface("algebra join", |db| {
+        use mood_core::algebra::{bind_class, join, ExecutionConfig, JoinMethod, JoinRhs};
+        let cat = db.catalog();
+        let left = bind_class(cat, "Part", false, &[]).map_err(|e| e.to_string())?;
+        join(
+            cat,
+            &left,
+            "maker",
+            JoinRhs::Class("Maker"),
+            JoinMethod::ForwardTraversal,
+            ExecutionConfig::default(),
+        )
+        .map(|pairs| pairs.len())
+        .map_err(|e| e.to_string())
+    });
+}
 
 #[test]
 #[ignore = "exhaustive sweep; run with --ignored in the CI crash-sweep job"]

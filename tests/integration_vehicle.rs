@@ -325,7 +325,7 @@ fn order_by_descending_weight() {
 fn all_join_methods_give_same_answer() {
     // Force each join method through the algebra layer directly and check
     // agreement with the SQL answer.
-    use mood_core::algebra::{bind_class, join, JoinMethod, JoinRhs};
+    use mood_core::algebra::{bind_class, join, ExecutionConfig, JoinMethod, JoinRhs};
     let (db, rows) = build();
     let catalog = db.catalog();
     let sql_count = ids(db
@@ -344,6 +344,7 @@ fn all_join_methods_give_same_answer() {
             "drivetrain",
             JoinRhs::Class("VehicleDriveTrain"),
             method,
+            ExecutionConfig::default(),
         )
         .unwrap();
         let manual = pairs

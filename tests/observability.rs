@@ -220,6 +220,55 @@ fn accounting_invariant_holds_for_every_predicate_constant() {
     }
 }
 
+/// `EXPLAIN ANALYZE` measures the execution statements actually get. A warm
+/// plan's compiled `Select(Bind)` runs as the batched scan under analyze
+/// too — the batch counter moves exactly as under the plain statement — and
+/// the `Bind` it absorbs still reports what the scan produced, with the
+/// page accounting exact at every parallelism.
+#[test]
+fn analyze_of_a_warm_plan_runs_the_batched_scan() {
+    let db = build_sized(4, 1024);
+    let stmt = select_stmt("SELECT v.id FROM Vehicle v WHERE v.weight > 900");
+    let batches = || db.engine_metrics().batch.count;
+    for parallelism in [1usize, 2, 4, 8] {
+        let ex = Executor::new(db.catalog(), db.funcman())
+            .with_config(OptimizerConfig::paper().with_parallelism(parallelism));
+        let pq = ex.prepare(&stmt).unwrap().expect("every SELECT prepares");
+        let b0 = batches();
+        let cold = ex.run_prepared(&pq).unwrap();
+        assert_eq!(batches(), b0, "execution 1 interprets row at a time");
+        let warm = ex.run_prepared(&pq).unwrap();
+        let plain = batches() - b0;
+        assert!(plain > 0, "execution 2 compiles and scans in batches");
+        assert_eq!(warm, cold);
+
+        let b1 = batches();
+        let report = ex.analyze_prepared(&pq).unwrap();
+        assert_eq!(
+            batches() - b1,
+            plain,
+            "analyze must run the batched scan (parallelism {parallelism})"
+        );
+        assert_eq!(report.result, warm);
+        let nodes = &report.terms[0].nodes;
+        assert!(nodes[0].est.label.starts_with("SELECT("), "{}", nodes[0].est.label);
+        assert_eq!(nodes[0].actual.expect("SELECT actuals").rows, warm.len() as u64);
+        assert!(nodes[1].est.label.starts_with("BIND("), "{}", nodes[1].est.label);
+        let bind = nodes[1].actual.expect("the absorbed BIND reports actuals");
+        assert_eq!(bind.rows, 1024, "the scan produced the whole extent");
+        assert!(
+            nodes[1].exclusive.total_reads() > 0 && nodes[0].exclusive.total_reads() == 0,
+            "the scan's pages are the BIND's; this predicate dereferences nothing"
+        );
+        let (acc, total) = (report.accounted(), report.total);
+        assert_eq!(
+            (acc.seq_pages, acc.rnd_pages, acc.idx_pages, acc.writes),
+            (total.seq_pages, total.rnd_pages, total.idx_pages, total.writes),
+            "page accounting must telescope exactly at parallelism {parallelism}"
+        );
+    }
+}
+
 // ----------------------------------------------------------------------
 // Estimate-vs-actual sanity on the vehicle dataset
 // ----------------------------------------------------------------------

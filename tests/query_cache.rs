@@ -14,6 +14,7 @@
 
 use proptest::prelude::*;
 
+use mood_core::sql::{parse, Executor, Statement};
 use mood_core::{Answer, Mood, OptimizerConfig, Value};
 
 /// The Section 3.1 Vehicle schema with a deterministic population (the
@@ -266,17 +267,26 @@ fn create_index_invalidates_cached_plans() {
 
 #[test]
 fn drop_index_invalidates_plans_that_use_it() {
-    let db = build(64);
-    db.execute("CREATE INDEX ON Vehicle(weight)").unwrap();
+    // Large enough that the §8.1 inequality picks the index for a
+    // unique-key equality: the warm plan really is index-served.
+    let db = build(4096);
+    let sql = "SELECT v.weight FROM Vehicle v WHERE v.id = 777";
+    let scanned = run(&db, sql).unwrap();
+    db.execute("CREATE UNIQUE INDEX ON Vehicle(id)").unwrap();
     db.collect_stats().unwrap();
-    let sql = "SELECT v.id FROM EVERY Vehicle v WHERE v.weight = 940 ORDER BY v.id";
-    let with_index = run(&db, sql).unwrap();
-    assert_eq!(run(&db, sql).unwrap(), with_index); // warm: cached, index-served
-    // Drop through the catalog (no DROP INDEX statement surface): a stale
-    // cached plan would probe a vanished index and fail or miss rows.
-    db.catalog().drop_index("Vehicle", "weight").unwrap();
-    let after_drop = run(&db, sql).unwrap();
-    assert_eq!(after_drop, with_index, "fresh plan after drop agrees");
+    assert!(db.explain(sql).unwrap().contains("INDSEL("));
+    assert_eq!(run(&db, sql).unwrap(), scanned);
+    assert_eq!(run(&db, sql).unwrap(), scanned); // warm: cached, index-served
+    // Drop through the catalog (no DROP INDEX statement surface) and do
+    // *not* refresh the statistics: neither the cached plan nor a plan
+    // built now may probe the vanished index.
+    db.catalog().drop_index("Vehicle", "id").unwrap();
+    assert!(
+        !db.explain(sql).unwrap().contains("INDSEL("),
+        "the statistics must forget a dropped index at once"
+    );
+    assert_eq!(run(&db, sql).unwrap(), scanned, "fresh plan after drop agrees");
+    assert_eq!(run(&db, "SELECT v.weight FROM Vehicle v WHERE v.id = 778").unwrap().len(), 1);
 }
 
 #[test]
@@ -359,4 +369,60 @@ fn cached_run_preserves_trace_and_answers() {
     assert_eq!(cold, warm);
     assert_eq!(cold_trace, warm_trace, "cached execution replays the same stages");
     assert_eq!(cold.len(), 16, "quarter of 64 vehicles have 2 cylinders");
+}
+
+// ----------------------------------------------------------------------
+// A FROM list the optimizer cannot absorb is a plan like any other
+// ----------------------------------------------------------------------
+
+/// Two extents with no reference between them run as a nested-loop product:
+/// prepared, cached, analyzed and accounted like every other SELECT.
+#[test]
+fn nested_loop_from_lists_are_cached_and_analyzed_like_any_select() {
+    let db = build(24);
+    // One shape (the `=` operand is a parameter), three keys.
+    let q = |cyl: i32| {
+        format!(
+            "SELECT v.id, e.size FROM Vehicle v, VehicleEngine e \
+             WHERE v.id < 3 AND e.cylinders = {cyl} ORDER BY v.id"
+        )
+    };
+    db.set_plan_cache_enabled(false);
+    let reference = run(&db, &q(4)).unwrap();
+    assert_eq!(reference.len(), 3 * 4, "3 vehicles x 4 four-cylinder engines");
+    db.set_plan_cache_enabled(true);
+
+    let before = db.engine_metrics().plan_cache;
+    assert_eq!(run(&db, &q(4)).unwrap(), reference, "cold");
+    assert_eq!(run(&db, &q(4)).unwrap(), reference, "warm");
+    assert_eq!(run(&db, &q(6)).unwrap().len(), reference.len(), "another key");
+    let after = db.engine_metrics().plan_cache;
+    assert_eq!(
+        (after.misses - before.misses, after.hits - before.hits),
+        (1, 2),
+        "one cacheable shape: a miss, then hits"
+    );
+
+    let Statement::Select(stmt) = parse(&q(4)).unwrap() else {
+        panic!("not a select")
+    };
+    let analyzed = Executor::new(db.catalog(), db.funcman())
+        .analyze(&stmt)
+        .unwrap();
+    assert_eq!(analyzed.result, reference, "instrumented run");
+    let report = db.explain_analyze(&q(4)).unwrap();
+    assert!(report.contains("plan: cached (epoch"), "{report}");
+    assert!(report.contains("--   FROM: rows=12"), "{report}");
+    assert!(report.contains("-- total: rows=12"), "{report}");
+
+    let Answer::Rows(stats) = db.execute("SHOW STATEMENTS").unwrap() else {
+        panic!("SHOW STATEMENTS must return rows")
+    };
+    let row = stats
+        .rows
+        .iter()
+        .find(|row| row[0].to_string().contains("FROM Vehicle v, VehicleEngine e"))
+        .expect("the nested-loop shape has a SHOW STATEMENTS row");
+    assert_eq!(row[1], Value::LongInteger(5), "calls: 1 uncached + 3 + EXPLAIN ANALYZE");
+    assert_eq!(row[8], Value::LongInteger(3), "cache_hits");
 }
