@@ -31,7 +31,10 @@ use std::sync::Arc;
 
 use parking_lot::RwLock;
 
-use mood_datamodel::{decode_value, encode_key, encode_value, Resolver, TypeDescriptor, Value};
+use mood_datamodel::{
+    decode_fields, encode_key, encode_value, encode_value_into, FieldSet, Resolver, TypeDescriptor,
+    Value,
+};
 use mood_storage::{AccessHint, FileId, Oid, StorageManager};
 
 /// Kind of a secondary index.
@@ -502,16 +505,21 @@ impl Catalog {
 
     fn encode_object(type_id: TypeId, value: &Value) -> Vec<u8> {
         let mut bytes = type_id.to_le_bytes().to_vec();
-        bytes.extend_from_slice(&encode_value(value));
+        encode_value_into(&mut bytes, value);
         bytes
     }
 
-    fn decode_object(bytes: &[u8]) -> Result<(TypeId, Value)> {
-        if bytes.len() < 4 {
-            return Err(CatalogError::Corrupt("object record too short".into()));
-        }
-        let type_id = u32::from_le_bytes(bytes[0..4].try_into().expect("checked"));
-        Ok((type_id, decode_value(&bytes[4..])?))
+    /// Decode the stored record of `oid`, materializing the fields `fields`
+    /// names. Bytes that do not decode are an error naming the object.
+    fn decode_object(oid: Oid, bytes: &[u8], fields: &FieldSet) -> Result<(TypeId, Value)> {
+        let unreadable = |why: &dyn std::fmt::Display| {
+            CatalogError::Corrupt(format!("object {oid}: {why}"))
+        };
+        let Some((type_id, value)) = bytes.split_first_chunk::<4>() else {
+            return Err(unreadable(&"record too short"));
+        };
+        let value = decode_fields(value, fields).map_err(|e| unreadable(&e))?;
+        Ok((u32::from_le_bytes(*type_id), value))
     }
 
     /// Create an object in `class`'s extent: the MOODSQL
@@ -538,6 +546,12 @@ impl Catalog {
     /// name (from the stored type id, so subclass instances report their
     /// *dynamic* type — late binding needs this) and the value.
     pub fn get_object(&self, oid: Oid) -> Result<(String, Value)> {
+        self.get_object_fields(oid, &FieldSet::All)
+    }
+
+    /// [`get_object`](Self::get_object) decoding only the fields the caller
+    /// reads: the same heap access, a smaller value.
+    pub fn get_object_fields(&self, oid: Oid, fields: &FieldSet) -> Result<(String, Value)> {
         let class = self
             .inner
             .read()
@@ -548,7 +562,7 @@ impl Catalog {
                 mood_storage::StorageError::DanglingOid(oid),
             ))?;
         let heap = self.sm.open_heap(oid.file);
-        let (type_id, value) = Self::decode_object(&heap.get(oid)?)?;
+        let (type_id, value) = Self::decode_object(oid, &heap.get(oid)?, fields)?;
         // Prefer the stored (dynamic) type name when it resolves.
         let name = self.type_name(type_id).unwrap_or(class);
         Ok((name, value))
@@ -638,15 +652,33 @@ impl Catalog {
         hint: AccessHint,
         visit: &mut dyn FnMut(Oid, Value) -> bool,
     ) -> Result<()> {
+        self.extent_fields_with(class, &FieldSet::All, hint, visit)
+    }
+
+    /// [`extent_with`](Self::extent_with) decoding only the fields the
+    /// caller reads. A record that does not decode ends the scan with an
+    /// error: skipping it would silently shorten every answer over the
+    /// extent.
+    pub fn extent_fields_with(
+        &self,
+        class: &str,
+        fields: &FieldSet,
+        hint: AccessHint,
+        visit: &mut dyn FnMut(Oid, Value) -> bool,
+    ) -> Result<()> {
         let file = self.extent_file(class)?;
         let heap = self.sm.open_heap(file);
+        let mut unreadable = None;
         heap.scan_hint_with(hint, |oid, bytes| {
-            match Self::decode_object(bytes) {
+            match Self::decode_object(oid, bytes, fields) {
                 Ok((_, v)) => visit(oid, v),
-                Err(_) => true,
+                Err(e) => {
+                    unreadable = Some(e);
+                    false
+                }
             }
         })?;
-        Ok(())
+        unreadable.map_or(Ok(()), Err)
     }
 
     /// Scan an extent including subclass extents (`FROM EVERY C`), with an
@@ -686,12 +718,25 @@ impl Catalog {
         hint: AccessHint,
         visit: &mut dyn FnMut(Oid, Value) -> bool,
     ) -> Result<()> {
+        self.extent_every_fields_with(class, minus, &FieldSet::All, hint, visit)
+    }
+
+    /// [`extent_every_with`](Self::extent_every_with) decoding only the
+    /// fields the caller reads.
+    pub fn extent_every_fields_with(
+        &self,
+        class: &str,
+        minus: &[String],
+        fields: &FieldSet,
+        hint: AccessHint,
+        visit: &mut dyn FnMut(Oid, Value) -> bool,
+    ) -> Result<()> {
         let mut stopped = false;
         for t in self.every_classes(class, minus) {
             if stopped {
                 break;
             }
-            self.extent_with(&t, hint, &mut |oid, v| {
+            self.extent_fields_with(&t, fields, hint, &mut |oid, v| {
                 let more = visit(oid, v);
                 stopped = !more;
                 more
@@ -1359,8 +1404,8 @@ impl Catalog {
         // 2. Order by chased target OID — physical OIDs order by
         // (file, page, slot), so ascending targets are ascending target
         // pages. Nulls go last; ties keep the old storage order.
-        let chase_target = |bytes: &[u8]| -> Option<Oid> {
-            let (_, v) = Self::decode_object(bytes).ok()?;
+        let chase_target = |oid: Oid, bytes: &[u8]| -> Option<Oid> {
+            let (_, v) = Self::decode_object(oid, bytes, &FieldSet::All).ok()?;
             match v.field(&attr)? {
                 Value::Ref(o) if !o.is_null() => Some(*o),
                 Value::Set(items) | Value::List(items) => {
@@ -1370,7 +1415,7 @@ impl Catalog {
             }
         };
         records.sort_by_cached_key(|(oid, bytes)| {
-            let t = chase_target(bytes);
+            let t = chase_target(*oid, bytes);
             (t.is_none(), t, *oid)
         });
 
@@ -1397,7 +1442,7 @@ impl Catalog {
             let h = self.sm.open_heap(file);
             let mut updates: Vec<(Oid, Vec<u8>)> = Vec::new();
             h.scan_hint_with(AccessHint::Sequential, |oid, bytes| {
-                if let Ok((tid, v)) = Self::decode_object(bytes) {
+                if let Ok((tid, v)) = Self::decode_object(oid, bytes, &FieldSet::All) {
                     if let Some(nv) = remap_refs(&v, old_file, &map) {
                         updates.push((oid, Self::encode_object(tid, &nv)));
                     }
@@ -1463,7 +1508,7 @@ impl Catalog {
         // publish it (catalog stats + metrics gauge).
         let targets: Vec<Oid> = records
             .iter()
-            .filter_map(|(_, bytes)| chase_target(bytes))
+            .filter_map(|(oid, bytes)| chase_target(*oid, bytes))
             .collect();
         let factor = chase_locality(targets.iter().copied());
         {

@@ -6,7 +6,7 @@
 //! MoodView without consulting the schema first — exactly the buffer-area
 //! protocol Section 9.4 describes.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{BufMut, BytesMut};
 use mood_storage::Oid;
 
 use crate::types::{BasicType, TypeDescriptor};
@@ -56,19 +56,59 @@ const D_SET: u8 = 22;
 const D_LIST: u8 = 23;
 const D_REFERENCE: u8 = 24;
 
+/// Which fields of a stored object's top-level tuple a reader
+/// materializes. A statement that reads `v.id` and `v.weight` decodes
+/// those two and steps over the rest by their encoded length.
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
+pub enum FieldSet {
+    /// Every field: the whole object.
+    #[default]
+    All,
+    /// The named fields only, kept sorted (the rendering is deterministic).
+    Only(Vec<String>),
+}
+
+impl FieldSet {
+    /// No field at all: the reader still walks (and so validates) the
+    /// record but materializes an empty tuple.
+    pub const NONE: FieldSet = FieldSet::Only(Vec::new());
+
+    /// Add one field; `All` already holds it.
+    pub fn insert(&mut self, name: &str) {
+        if let FieldSet::Only(names) = self {
+            if let Err(at) = names.binary_search_by(|n| n.as_str().cmp(name)) {
+                names.insert(at, name.to_string());
+            }
+        }
+    }
+
+    fn wants(&self, name: &[u8]) -> bool {
+        match self {
+            FieldSet::All => true,
+            FieldSet::Only(names) => names.iter().any(|n| n.as_bytes() == name),
+        }
+    }
+}
+
+impl std::fmt::Display for FieldSet {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            FieldSet::All => write!(f, "*"),
+            FieldSet::Only(names) => write!(f, "{{{}}}", names.join(", ")),
+        }
+    }
+}
+
 /// Serialize a value to bytes.
 pub fn encode_value(v: &Value) -> Vec<u8> {
-    let mut buf = BytesMut::new();
-    write_value(&mut buf, v);
-    buf.to_vec()
+    let mut buf = Vec::new();
+    encode_value_into(&mut buf, v);
+    buf
 }
 
-fn write_str(buf: &mut BytesMut, s: &str) {
-    buf.put_u32_le(s.len() as u32);
-    buf.put_slice(s.as_bytes());
-}
-
-fn write_value(buf: &mut BytesMut, v: &Value) {
+/// Append a value's encoding to `buf` — the form for callers that build a
+/// larger record or key out of several values.
+pub fn encode_value_into(buf: &mut Vec<u8>, v: &Value) {
     match v {
         Value::Integer(i) => {
             buf.put_u8(T_INTEGER);
@@ -99,21 +139,21 @@ fn write_value(buf: &mut BytesMut, v: &Value) {
             buf.put_u32_le(fields.len() as u32);
             for (n, fv) in fields {
                 write_str(buf, n);
-                write_value(buf, fv);
+                encode_value_into(buf, fv);
             }
         }
         Value::Set(items) => {
             buf.put_u8(T_SET);
             buf.put_u32_le(items.len() as u32);
             for it in items {
-                write_value(buf, it);
+                encode_value_into(buf, it);
             }
         }
         Value::List(items) => {
             buf.put_u8(T_LIST);
             buf.put_u32_le(items.len() as u32);
             for it in items {
-                write_value(buf, it);
+                encode_value_into(buf, it);
             }
         }
         Value::Ref(oid) => {
@@ -124,72 +164,120 @@ fn write_value(buf: &mut BytesMut, v: &Value) {
     }
 }
 
+fn write_str(buf: &mut impl BufMut, s: &str) {
+    buf.put_u32_le(s.len() as u32);
+    buf.put_slice(s.as_bytes());
+}
+
 /// Deserialize a value from bytes (must consume them exactly to round-trip;
 /// trailing bytes are tolerated for embedded use).
 pub fn decode_value(bytes: &[u8]) -> Result<Value, CodecError> {
-    let mut buf = Bytes::copy_from_slice(bytes);
-    read_value(&mut buf)
+    decode_fields(bytes, &FieldSet::All)
 }
 
-fn need(buf: &Bytes, n: usize) -> Result<(), CodecError> {
-    if buf.remaining() < n {
-        Err(CodecError::Truncated)
-    } else {
-        Ok(())
+/// Deserialize a value, materializing only the fields of its top-level
+/// tuple that `fields` names, in stored order. Fields outside the set —
+/// whatever they nest — are stepped over by their encoded length: no
+/// allocation, but every tag and length is still checked, so a damaged
+/// record is an error under any field set. A value that is not a tuple
+/// decodes whole.
+pub fn decode_fields(bytes: &[u8], fields: &FieldSet) -> Result<Value, CodecError> {
+    read_value(&mut Reader { rest: bytes }, fields)
+}
+
+/// A read cursor over borrowed bytes. Every length read from the input is
+/// checked against what is left before anything is sliced or allocated.
+struct Reader<'a> {
+    rest: &'a [u8],
+}
+
+impl<'a> Reader<'a> {
+    fn take(&mut self, n: usize) -> Result<&'a [u8], CodecError> {
+        if n > self.rest.len() {
+            return Err(CodecError::Truncated);
+        }
+        let (head, tail) = self.rest.split_at(n);
+        self.rest = tail;
+        Ok(head)
+    }
+
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], CodecError> {
+        Ok(self.take(N)?.try_into().expect("take returned N bytes"))
+    }
+
+    fn u8(&mut self) -> Result<u8, CodecError> {
+        Ok(self.array::<1>()?[0])
+    }
+
+    fn u32(&mut self) -> Result<u32, CodecError> {
+        Ok(u32::from_le_bytes(self.array()?))
+    }
+
+    /// An element count, and the capacity to reserve for it: never more
+    /// elements than the remaining bytes could encode at `min_encoded`
+    /// bytes each, so a garbage count cannot size an allocation.
+    fn count(&mut self, min_encoded: usize) -> Result<(usize, usize), CodecError> {
+        let n = self.u32()? as usize;
+        Ok((n, n.min(self.rest.len() / min_encoded)))
+    }
+
+    /// A length-prefixed string's bytes, unvalidated.
+    fn str_bytes(&mut self) -> Result<&'a [u8], CodecError> {
+        let len = self.u32()? as usize;
+        self.take(len)
+    }
+
+    fn string(&mut self) -> Result<String, CodecError> {
+        utf8(self.str_bytes()?)
     }
 }
 
-fn read_str(buf: &mut Bytes) -> Result<String, CodecError> {
-    need(buf, 4)?;
-    let len = buf.get_u32_le() as usize;
-    need(buf, len)?;
-    let raw = buf.split_to(len);
-    String::from_utf8(raw.to_vec()).map_err(|_| CodecError::BadUtf8)
+fn utf8(raw: &[u8]) -> Result<String, CodecError> {
+    std::str::from_utf8(raw)
+        .map(str::to_owned)
+        .map_err(|_| CodecError::BadUtf8)
 }
 
-fn read_value(buf: &mut Bytes) -> Result<Value, CodecError> {
-    need(buf, 1)?;
-    let tag = buf.get_u8();
+/// Smallest encodings: a tuple field is a length-prefixed name plus a tag;
+/// a collection item is at least a tag.
+const MIN_FIELD: usize = 5;
+const MIN_ITEM: usize = 1;
+
+fn read_value(r: &mut Reader<'_>, fields: &FieldSet) -> Result<Value, CodecError> {
+    let tag = r.u8()?;
     Ok(match tag {
-        T_INTEGER => {
-            need(buf, 4)?;
-            Value::Integer(buf.get_i32_le())
-        }
-        T_FLOAT => {
-            need(buf, 8)?;
-            Value::Float(buf.get_f64_le())
-        }
-        T_LONG => {
-            need(buf, 8)?;
-            Value::LongInteger(buf.get_i64_le())
-        }
-        T_STRING => Value::String(read_str(buf)?),
+        T_INTEGER => Value::Integer(i32::from_le_bytes(r.array()?)),
+        T_FLOAT => Value::Float(f64::from_le_bytes(r.array()?)),
+        T_LONG => Value::LongInteger(i64::from_le_bytes(r.array()?)),
+        T_STRING => Value::String(r.string()?),
         T_CHAR => {
-            need(buf, 4)?;
-            let c = buf.get_u32_le();
+            let c = r.u32()?;
             Value::Char(char::from_u32(c).ok_or(CodecError::BadChar(c))?)
         }
-        T_BOOL => {
-            need(buf, 1)?;
-            Value::Boolean(buf.get_u8() != 0)
-        }
+        T_BOOL => Value::Boolean(r.u8()? != 0),
         T_TUPLE => {
-            need(buf, 4)?;
-            let n = buf.get_u32_le() as usize;
-            let mut fields = Vec::with_capacity(n.min(1024));
+            let (n, fit) = r.count(MIN_FIELD)?;
+            let mut out = Vec::with_capacity(match fields {
+                FieldSet::All => fit,
+                FieldSet::Only(names) => fit.min(names.len()),
+            });
             for _ in 0..n {
-                let name = read_str(buf)?;
-                let v = read_value(buf)?;
-                fields.push((name, v));
+                let name = r.str_bytes()?;
+                if fields.wants(name) {
+                    // The set prunes the object's own fields, not what
+                    // they hold.
+                    out.push((utf8(name)?, read_value(r, &FieldSet::All)?));
+                } else {
+                    skip_value(r)?;
+                }
             }
-            Value::Tuple(fields)
+            Value::Tuple(out)
         }
         T_SET | T_LIST => {
-            need(buf, 4)?;
-            let n = buf.get_u32_le() as usize;
-            let mut items = Vec::with_capacity(n.min(1024));
+            let (n, fit) = r.count(MIN_ITEM)?;
+            let mut items = Vec::with_capacity(fit);
             for _ in 0..n {
-                items.push(read_value(buf)?);
+                items.push(read_value(r, &FieldSet::All)?);
             }
             if tag == T_SET {
                 Value::Set(items)
@@ -198,13 +286,38 @@ fn read_value(buf: &mut Bytes) -> Result<Value, CodecError> {
             }
         }
         T_REF => {
-            need(buf, Oid::ENCODED_LEN)?;
-            let raw = buf.split_to(Oid::ENCODED_LEN);
-            Value::Ref(Oid::from_bytes(&raw).ok_or(CodecError::Truncated)?)
+            Value::Ref(Oid::from_bytes(r.take(Oid::ENCODED_LEN)?).ok_or(CodecError::Truncated)?)
         }
         T_NULL => Value::Null,
         t => return Err(CodecError::BadTag(t)),
     })
+}
+
+/// Step over one encoded value without building it.
+fn skip_value(r: &mut Reader<'_>) -> Result<(), CodecError> {
+    let tag = r.u8()?;
+    match tag {
+        T_INTEGER | T_CHAR => r.take(4).map(drop),
+        T_FLOAT | T_LONG => r.take(8).map(drop),
+        T_BOOL => r.take(1).map(drop),
+        T_STRING => r.str_bytes().map(drop),
+        T_TUPLE => {
+            for _ in 0..r.u32()? {
+                r.str_bytes()?;
+                skip_value(r)?;
+            }
+            Ok(())
+        }
+        T_SET | T_LIST => {
+            for _ in 0..r.u32()? {
+                skip_value(r)?;
+            }
+            Ok(())
+        }
+        T_REF => r.take(Oid::ENCODED_LEN).map(drop),
+        T_NULL => Ok(()),
+        t => Err(CodecError::BadTag(t)),
+    }
 }
 
 /// Serialize a type descriptor.
@@ -245,18 +358,14 @@ fn write_type(buf: &mut BytesMut, t: &TypeDescriptor) {
 
 /// Deserialize a type descriptor.
 pub fn decode_type(bytes: &[u8]) -> Result<TypeDescriptor, CodecError> {
-    let mut buf = Bytes::copy_from_slice(bytes);
-    read_type(&mut buf)
+    read_type(&mut Reader { rest: bytes })
 }
 
-fn read_type(buf: &mut Bytes) -> Result<TypeDescriptor, CodecError> {
-    need(buf, 1)?;
-    let tag = buf.get_u8();
+fn read_type(r: &mut Reader<'_>) -> Result<TypeDescriptor, CodecError> {
+    let tag = r.u8()?;
     Ok(match tag {
         D_BASIC => {
-            need(buf, 1)?;
-            let b = buf.get_u8();
-            let basic = match b {
+            let basic = match r.u8()? {
                 0 => BasicType::Integer,
                 1 => BasicType::Float,
                 2 => BasicType::LongInteger,
@@ -268,18 +377,17 @@ fn read_type(buf: &mut Bytes) -> Result<TypeDescriptor, CodecError> {
             TypeDescriptor::Basic(basic)
         }
         D_TUPLE => {
-            need(buf, 4)?;
-            let n = buf.get_u32_le() as usize;
-            let mut fields = Vec::with_capacity(n.min(1024));
+            let (n, fit) = r.count(MIN_FIELD)?;
+            let mut fields = Vec::with_capacity(fit);
             for _ in 0..n {
-                let name = read_str(buf)?;
-                fields.push((name, read_type(buf)?));
+                let name = r.string()?;
+                fields.push((name, read_type(r)?));
             }
             TypeDescriptor::Tuple(fields)
         }
-        D_SET => TypeDescriptor::Set(Box::new(read_type(buf)?)),
-        D_LIST => TypeDescriptor::List(Box::new(read_type(buf)?)),
-        D_REFERENCE => TypeDescriptor::Reference(read_str(buf)?),
+        D_SET => TypeDescriptor::Set(Box::new(read_type(r)?)),
+        D_LIST => TypeDescriptor::List(Box::new(read_type(r)?)),
+        D_REFERENCE => TypeDescriptor::Reference(r.string()?),
         t => return Err(CodecError::BadTag(t)),
     })
 }

@@ -18,7 +18,10 @@ pub mod keys;
 pub mod types;
 pub mod value;
 
-pub use codec::{decode_type, decode_value, encode_type, encode_value, CodecError};
+pub use codec::{
+    decode_fields, decode_type, decode_value, encode_type, encode_value, encode_value_into,
+    CodecError, FieldSet,
+};
 pub use deep::{deep_eq, Resolver};
 pub use keys::{encode_key, NotAtomic};
 pub use types::{BasicType, TypeDescriptor};

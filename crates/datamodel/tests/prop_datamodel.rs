@@ -1,10 +1,68 @@
-//! Property tests: value codec round-trip for arbitrary value trees, and
-//! order preservation of the index-key encoding.
+//! Property tests: value codec round-trip for arbitrary value trees, the
+//! field-set reader against the full decode, damaged input, and order
+//! preservation of the index-key encoding.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 
 use proptest::prelude::*;
 
-use mood_datamodel::{decode_value, encode_key, encode_value, Value};
+use mood_datamodel::{decode_fields, decode_value, encode_key, encode_value, FieldSet, Value};
 use mood_storage::{FileId, Oid, PageId, SlotId};
+
+thread_local! {
+    /// Largest single allocation this thread has requested since the last
+    /// reset (each test runs on its own thread).
+    static LARGEST: Cell<usize> = const { Cell::new(0) };
+}
+
+/// The system allocator, noting the largest request per thread.
+struct NoteLargest;
+
+fn note(size: usize) {
+    // The slot has no destructor, but a thread may allocate while it is
+    // being torn down: then there is nothing to note.
+    let _ = LARGEST.try_with(|l| l.set(l.get().max(size)));
+}
+
+// SAFETY: every call is forwarded unchanged to `System`, which upholds the
+// `GlobalAlloc` contract; `note` only writes a thread-local integer.
+unsafe impl GlobalAlloc for NoteLargest {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        note(layout.size());
+        // SAFETY: the caller's obligations are passed through as they are.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System` with this layout.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        note(new_size);
+        // SAFETY: `ptr` came from `System` with this layout.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: NoteLargest = NoteLargest;
+
+/// Decode damaged bytes under `fields`: any outcome but a panic is fine, and
+/// no allocation may be sized by a length field alone — at most one element
+/// slot per input byte, however large a count the bytes claim.
+fn decode_damaged(bytes: &[u8], fields: &FieldSet) {
+    LARGEST.with(|l| l.set(0));
+    let _ = decode_fields(bytes, fields);
+    let largest = LARGEST.with(Cell::get);
+    let bound = bytes.len().max(1) * std::mem::size_of::<(String, Value)>();
+    assert!(
+        largest <= bound,
+        "a {}-byte input caused a {largest}-byte allocation under {fields}",
+        bytes.len()
+    );
+}
 
 fn arb_oid() -> impl Strategy<Value = Oid> {
     (any::<u16>(), any::<u16>(), any::<u8>(), any::<u8>()).prop_map(|(f, p, s, u)| {
@@ -40,6 +98,24 @@ fn arb_value() -> impl Strategy<Value = Value> {
     })
 }
 
+/// A stored object: a tuple whose fields hold arbitrary value trees
+/// (names may repeat; the reader must not care).
+fn arb_object() -> impl Strategy<Value = Vec<(String, Value)>> {
+    proptest::collection::vec(("[a-e]{1,2}", arb_value()), 0..7)
+}
+
+/// The field set naming the fields `mask` picks, plus one no object has.
+fn subset(fields: &[(String, Value)], mask: u8) -> FieldSet {
+    let mut set = FieldSet::NONE;
+    set.insert("absent");
+    for (i, (name, _)) in fields.iter().enumerate() {
+        if mask >> (i % 8) & 1 == 1 {
+            set.insert(name);
+        }
+    }
+    set
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
 
@@ -47,17 +123,53 @@ proptest! {
     fn codec_roundtrips_arbitrary_values(v in arb_value()) {
         let bytes = encode_value(&v);
         let back = decode_value(&bytes).unwrap();
-        prop_assert_eq!(back, v);
+        prop_assert_eq!(&back, &v);
+        // The whole-object field set is that same decode; a set of names
+        // prunes tuples only, so any other value comes back whole.
+        prop_assert_eq!(decode_fields(&bytes, &FieldSet::All).unwrap(), back);
+        if !matches!(v, Value::Tuple(_)) {
+            prop_assert_eq!(decode_fields(&bytes, &FieldSet::NONE).unwrap(), v);
+        }
     }
 
+    /// Pruned decode == the full tuple filtered to the set, in stored
+    /// order; whatever a skipped field nests (tuples, sets, lists, refs) is
+    /// stepped over whole, so the fields after it still line up.
     #[test]
-    fn codec_rejects_truncation(v in arb_value()) {
-        let bytes = encode_value(&v);
-        if bytes.len() > 1 {
-            // Truncating anywhere strictly inside must not panic; it either
-            // errors or (for container prefixes) cannot equal the original.
-            let cut = bytes.len() / 2;
-            let _ = decode_value(&bytes[..cut]);
+    fn pruned_decode_is_the_filtered_tuple(fields in arb_object(), mask in any::<u8>()) {
+        let bytes = encode_value(&Value::Tuple(fields.clone()));
+        let set = subset(&fields, mask);
+        let FieldSet::Only(names) = &set else { unreachable!() };
+        let kept: Vec<(String, Value)> =
+            fields.into_iter().filter(|(n, _)| names.contains(n)).collect();
+        prop_assert_eq!(decode_fields(&bytes, &set).unwrap(), Value::Tuple(kept));
+        prop_assert_eq!(decode_fields(&bytes, &FieldSet::NONE).unwrap(), Value::Tuple(vec![]));
+    }
+
+    /// Every prefix truncation and a handful of byte flips, decoded whole
+    /// and pruned: an error or a value, never a panic or an allocation
+    /// sized by a garbage count.
+    #[test]
+    fn damaged_bytes_end_in_an_error_or_a_value(
+        fields in arb_object(),
+        mask in any::<u8>(),
+        flips in proptest::collection::vec((any::<u16>(), 1u16..256), 1..6),
+    ) {
+        let bytes = encode_value(&Value::Tuple(fields.clone()));
+        let sets = [FieldSet::All, FieldSet::NONE, subset(&fields, mask)];
+        for cut in 0..bytes.len() {
+            for set in &sets {
+                decode_damaged(&bytes[..cut], set);
+                // A tuple cut short is never mistaken for a whole one.
+                prop_assert!(decode_fields(&bytes[..cut], set).is_err());
+            }
+        }
+        let mut flipped = bytes.clone();
+        for (at, bits) in flips {
+            flipped[at as usize % bytes.len()] ^= bits as u8;
+            for set in &sets {
+                decode_damaged(&flipped, set);
+            }
         }
     }
 

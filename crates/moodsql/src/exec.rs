@@ -15,7 +15,7 @@ use std::time::Instant;
 
 use mood_catalog::{Catalog, CatalogError};
 use mood_cost::JoinMethod;
-use mood_datamodel::{decode_value, encode_value, Value};
+use mood_datamodel::{decode_value, encode_value_into, FieldSet, Value};
 use mood_funcman::{FunctionManager, OperandDataType, Registers};
 use mood_optimizer::{estimate_plan_set, optimize, OptimizerConfig, Plan, PlanSet};
 use mood_storage::exec::run_chunked;
@@ -34,6 +34,7 @@ use crate::binder::{lower, Lowered};
 use crate::compiled::{compile_proj, CachingResolver, PreparedPred, RowPred, RowProg};
 use crate::error::{Result, SqlError};
 use crate::parser::parse_expr;
+use crate::readset::ReadSets;
 
 /// One variable binding set: range variable → bound object.
 pub type Row = BTreeMap<String, BoundObj>;
@@ -97,6 +98,9 @@ pub struct PreparedQuery {
     pub epoch: u64,
     /// Plan predicate text → parsed form with a lazy compiled slot.
     preds: HashMap<String, PreparedPred>,
+    /// Range variable → the fields of its object the statement reads; every
+    /// place the driver binds the variable decodes exactly these.
+    reads: ReadSets,
     /// Compiled projection columns (ungrouped queries), index-aligned with
     /// the statement's projection list, filled when compilation runs;
     /// unfilled (or `None` per column) falls back to the interpreter.
@@ -208,6 +212,41 @@ fn plan_predicates<'p>(plan: &'p Plan, out: &mut Vec<&'p str>) {
         }
         Plan::Bind { .. } | Plan::Temp { .. } => {}
     }
+}
+
+/// Parse every Select/IndSel predicate the plans carry — the only place
+/// plan predicate text is parsed.
+fn parse_plan_predicates<'p>(
+    plans: impl IntoIterator<Item = &'p PlanSet>,
+) -> Result<HashMap<String, PreparedPred>> {
+    let mut preds: HashMap<String, PreparedPred> = HashMap::new();
+    for set in plans {
+        for plan in set.temps.iter().map(|(_, p)| p).chain([&set.root]) {
+            let mut texts = Vec::new();
+            plan_predicates(plan, &mut texts);
+            for text in texts {
+                if !preds.contains_key(text) {
+                    let stripped = text.strip_prefix("__join__ ").unwrap_or(text);
+                    preds.insert(text.to_string(), PreparedPred::new(parse_expr(stripped)?));
+                }
+            }
+        }
+    }
+    Ok(preds)
+}
+
+/// The parts `(x, attr, y)` of a plan join condition `x.attr = y.self`.
+pub(crate) fn join_condition(condition: &str) -> Result<(&str, &str, &str)> {
+    let (lhs, rhs) = condition
+        .split_once(" = ")
+        .ok_or_else(|| SqlError::Exec(format!("unsupported join condition: {condition}")))?;
+    let (x_var, attr) = lhs
+        .split_once('.')
+        .ok_or_else(|| SqlError::Exec(format!("bad join lhs: {lhs}")))?;
+    let y_var = rhs
+        .strip_suffix(".self")
+        .ok_or_else(|| SqlError::Exec(format!("bad join rhs: {rhs}")))?;
+    Ok((x_var, attr, y_var))
 }
 
 /// The executor.
@@ -350,6 +389,9 @@ impl<'a> Executor<'a> {
             out.push_str(&term.plan.to_string());
             out.push('\n');
         }
+        let plans = || optimized.terms.iter().map(|t| &t.plan);
+        let preds = parse_plan_predicates(plans())?;
+        out.push_str(&ReadSets::collect(stmt, &lowered, plans(), &preds)?.to_string());
         Ok(out)
     }
 
@@ -361,11 +403,12 @@ impl<'a> Executor<'a> {
     /// driver executes and the session cache can re-execute without touching
     /// the parser or optimizer.
     ///
-    /// Every Select/IndSel predicate in the plan is parsed here — the only
-    /// place plan predicate text is parsed; register programs for them (and
-    /// for ungrouped projection columns) follow lazily, see
-    /// [`COMPILE_ON_EXECUTION`]. A FROM list the optimizer's single-root
-    /// model cannot absorb gets no plans and runs as a nested-loop product.
+    /// Every Select/IndSel predicate in the plan is parsed here and each
+    /// range variable's read set derived from what the driver will evaluate;
+    /// register programs for the predicates (and for ungrouped projection
+    /// columns) follow lazily, see [`COMPILE_ON_EXECUTION`]. A FROM list the
+    /// optimizer's single-root model cannot absorb gets no plans and runs as
+    /// a nested-loop product.
     /// `epoch` is read after any first-use statistics collection (which
     /// bumps it), so a cached entry stays valid until the next DDL or
     /// statistics refresh.
@@ -389,19 +432,8 @@ impl<'a> Executor<'a> {
             let optimized = optimize(&lowered.spec, &stats, &self.config);
             terms = optimized.terms.into_iter().map(|t| t.plan).collect();
         }
-        let mut preds: HashMap<String, PreparedPred> = HashMap::new();
-        for set in &terms {
-            for plan in set.temps.iter().map(|(_, p)| p).chain([&set.root]) {
-                let mut texts = Vec::new();
-                plan_predicates(plan, &mut texts);
-                for text in texts {
-                    if !preds.contains_key(text) {
-                        let stripped = text.strip_prefix("__join__ ").unwrap_or(text);
-                        preds.insert(text.to_string(), PreparedPred::new(parse_expr(stripped)?));
-                    }
-                }
-            }
-        }
+        let preds = parse_plan_predicates(&terms)?;
+        let reads = ReadSets::collect(stmt, &lowered, &terms, &preds)?;
         let compile_nanos = start.elapsed().as_nanos() as u64;
         self.catalog
             .storage()
@@ -414,6 +446,7 @@ impl<'a> Executor<'a> {
             terms,
             epoch: self.catalog.epoch(),
             preds,
+            reads,
             proj: OnceLock::new(),
             order_progs: OnceLock::new(),
             var_class: stmt
@@ -740,7 +773,10 @@ impl<'a> Executor<'a> {
             staged(stages, "DISTINCT", |n: &u64| *n, || {
                 let mut seen = HashSet::new();
                 result.rows.retain(|r| {
-                    let key: Vec<u8> = r.iter().flat_map(encode_value).collect();
+                    let mut key = Vec::new();
+                    for v in r {
+                        encode_value_into(&mut key, v);
+                    }
                     seen.insert(key)
                 });
                 Ok(result.rows.len() as u64)
@@ -843,34 +879,38 @@ impl<'a> Executor<'a> {
     }
 
     /// Stream the extent `BIND(class, var)` ranges over — with its
-    /// subclasses when `var` is an `EVERY` root — into `visit`.
+    /// subclasses when `var` is an `EVERY` root — into `visit`, each object
+    /// decoded to `var`'s read set.
     fn scan_extent(
         &self,
         class: &str,
         var: &str,
-        lowered: &Lowered,
+        pq: &PreparedQuery,
         visit: &mut dyn FnMut(Oid, Value) -> bool,
     ) -> Result<()> {
-        if var == lowered.root.var && lowered.root.every {
-            self.catalog.extent_every_with(
+        let (root, fields) = (&pq.lowered.root, pq.reads.of(var));
+        if var == root.var && root.every {
+            self.catalog.extent_every_fields_with(
                 class,
-                &lowered.root.minus,
+                &root.minus,
+                fields,
                 AccessHint::Sequential,
                 visit,
             )?;
         } else {
             self.catalog
-                .extent_with(class, AccessHint::Sequential, visit)?;
+                .extent_fields_with(class, fields, AccessHint::Sequential, visit)?;
         }
         Ok(())
     }
 
-    /// The object behind a reference or an index entry. `None` only for a
+    /// The object behind a reference or an index entry, decoded to `fields`
+    /// (the read set of the variable it binds). `None` only for a
     /// dangling OID (a deleted target, a stale index entry); every other
     /// storage failure — a corrupt page, an I/O error, a deadlock — is the
     /// statement's error, never a silently shorter result.
-    fn fetch_live(&self, oid: Oid) -> Result<Option<(String, Value)>> {
-        match self.catalog.get_object(oid) {
+    fn fetch_live(&self, oid: Oid, fields: &FieldSet) -> Result<Option<(String, Value)>> {
+        match self.catalog.get_object_fields(oid, fields) {
             Ok(found) => Ok(Some(found)),
             Err(CatalogError::Storage(StorageError::DanglingOid(_))) => Ok(None),
             Err(e) => Err(e.into()),
@@ -890,7 +930,7 @@ impl<'a> Executor<'a> {
                 // Stream the extent scan straight into rows (no
                 // intermediate (oid, value) vector).
                 let mut rows = Vec::new();
-                self.scan_extent(class, var, &pq.lowered, &mut |oid, value| {
+                self.scan_extent(class, var, pq, &mut |oid, value| {
                     rows.push(bind_one(var, oid, value));
                     true
                 })?;
@@ -941,7 +981,7 @@ impl<'a> Executor<'a> {
                     }
                     // A stale index entry (path indexes are rebuilt on
                     // demand) points at nothing: skip it.
-                    let Some((_, value)) = self.fetch_live(oid)? else {
+                    let Some((_, value)) = self.fetch_live(oid, pq.reads.of(var))? else {
                         continue;
                     };
                     let row = bind_one(var, oid, value);
@@ -1052,7 +1092,7 @@ impl<'a> Executor<'a> {
         };
         let mut buf: Vec<(Oid, Value)> = Vec::with_capacity(batch);
         let mut first_err: Option<SqlError> = None;
-        self.scan_extent(class, var, &pq.lowered, &mut |oid, value| {
+        self.scan_extent(class, var, pq, &mut |oid, value| {
             buf.push((oid, value));
             if buf.len() >= batch {
                 if let Err(e) = filter(&mut buf) {
@@ -1141,16 +1181,7 @@ impl<'a> Executor<'a> {
         temps: &HashMap<String, Vec<Row>>,
         rec: &AnalyzeRec,
     ) -> Result<Vec<Row>> {
-        // Condition shape: "x.attr = y.self".
-        let (lhs, rhs) = condition
-            .split_once(" = ")
-            .ok_or_else(|| SqlError::Exec(format!("unsupported join condition: {condition}")))?;
-        let (x_var, attr) = lhs
-            .split_once('.')
-            .ok_or_else(|| SqlError::Exec(format!("bad join lhs: {lhs}")))?;
-        let y_var = rhs
-            .strip_suffix(".self")
-            .ok_or_else(|| SqlError::Exec(format!("bad join rhs: {rhs}")))?;
+        let (x_var, attr, y_var) = join_condition(condition)?;
 
         // Describe the right side: a class (optionally filtered) stays
         // unmaterialized and is fetched per probe; anything else runs as a
@@ -1163,8 +1194,13 @@ impl<'a> Executor<'a> {
             },
             _ => None,
         };
+        let y_fields = pq.reads.of(y_var);
         let right_side = match class_side {
-            Some((class, filter)) => RightSide::Class { class, filter },
+            Some((class, filter)) => RightSide::Class {
+                class,
+                filter,
+                fields: y_fields,
+            },
             None => {
                 let rows = self.exec_plan_at(right, right_nid, pq, temps, rec)?;
                 RightSide::Rows(key_rows_by(&rows, y_var))
@@ -1176,28 +1212,29 @@ impl<'a> Executor<'a> {
         let right_side = match (method, right_side) {
             (
                 JoinMethod::BackwardTraversal | JoinMethod::BinaryJoinIndex,
-                RightSide::Class { class, filter },
+                RightSide::Class { class, filter, .. },
             ) => {
                 let start = Instant::now();
                 let before = rec.metrics.snapshot();
                 let mut map: HashMap<Oid, Vec<Row>> = HashMap::new();
                 let mut first_err: Option<SqlError> = None;
-                self.catalog
-                    .extent_with(class, AccessHint::Sequential, &mut |oid, value| {
-                        let row = bind_one(y_var, oid, value);
-                        if let Some(f) = filter {
-                            match self.eval_pred(f, &row) {
-                                Ok(false) => return true,
-                                Ok(true) => {}
-                                Err(e) => {
-                                    first_err = Some(e);
-                                    return false;
-                                }
+                let mut bind = |oid, value| {
+                    let row = bind_one(y_var, oid, value);
+                    if let Some(f) = filter {
+                        match self.eval_pred(f, &row) {
+                            Ok(false) => return true,
+                            Ok(true) => {}
+                            Err(e) => {
+                                first_err = Some(e);
+                                return false;
                             }
                         }
-                        map.entry(oid).or_default().push(row);
-                        true
-                    })?;
+                    }
+                    map.entry(oid).or_default().push(row);
+                    true
+                };
+                self.catalog
+                    .extent_fields_with(class, y_fields, AccessHint::Sequential, &mut bind)?;
                 if let Some(e) = first_err {
                     return Err(e);
                 }
@@ -1218,11 +1255,15 @@ impl<'a> Executor<'a> {
                 let RightSide::Rows(map) = &right_side else {
                     unreachable!()
                 };
-                // Left class from the first bound object.
+                // Left class from the first bound object (its stored type;
+                // nothing of the value is read).
                 let left_class = left_rows
                     .iter()
                     .find_map(|r| r.get(x_var).and_then(|b| b.oid))
-                    .map(|oid| self.catalog.get_object(oid).map(|(c, _)| c))
+                    .map(|oid| {
+                        let stored = self.catalog.get_object_fields(oid, &FieldSet::NONE);
+                        stored.map(|(c, _)| c)
+                    })
                     .transpose()?;
                 let Some(left_class) = left_class else {
                     return Ok(out);
@@ -1416,7 +1457,23 @@ impl<'a> Executor<'a> {
                         base.render()
                     )));
                 };
-                self.funcman.invoke(oid, method, &arg_vals)?
+                // The variable itself as receiver: the row already holds
+                // the object, whole (the read set of a method receiver is
+                // `All`), so the call runs on it instead of fetching it a
+                // second time. An object lives in the extent of its dynamic
+                // class, which is where late binding starts.
+                let scanned = if base.segments.is_empty() {
+                    self.catalog.class_of_oid(oid).zip(row.get(&base.var))
+                } else {
+                    None
+                };
+                match scanned {
+                    Some((class, bound)) => {
+                        self.funcman
+                            .invoke_on(&class, &bound.value, method, &arg_vals)?
+                    }
+                    None => self.funcman.invoke(oid, method, &arg_vals)?,
+                }
             }
             Expr::Agg { .. } => {
                 return Err(SqlError::Exec("aggregate outside GROUP BY context".into()))
@@ -1579,11 +1636,7 @@ impl<'a> Executor<'a> {
         let mut index: HashMap<Vec<u8>, usize> = HashMap::new();
         let mut groups: Vec<Vec<Row>> = Vec::new();
         for row in rows {
-            let mut key = Vec::new();
-            for g in group_by {
-                key.extend(encode_value(&self.eval_path(g, row)?));
-                key.push(0xFE);
-            }
+            let key = self.group_key(group_by, row)?;
             let next = groups.len();
             let gi = *index.entry(key).or_insert(next);
             if gi == next {
@@ -1592,6 +1645,16 @@ impl<'a> Executor<'a> {
             groups[gi].push(row.clone());
         }
         Ok(groups)
+    }
+
+    /// A row's encoded GROUP BY key: each path's value, `0xFE`-terminated.
+    fn group_key(&self, group_by: &[PathRef], row: &Row) -> Result<Vec<u8>> {
+        let mut key = Vec::new();
+        for g in group_by {
+            encode_value_into(&mut key, &self.eval_path(g, row)?);
+            key.push(0xFE);
+        }
+        Ok(key)
     }
 
     /// Partitioned hash aggregation: rows are hash-partitioned by group
@@ -1619,19 +1682,17 @@ impl<'a> Executor<'a> {
             .clamp(2, 64);
         let mut files: Vec<Option<SpillFile>> = Vec::new();
         files.resize_with(parts, || None);
+        let mut record = Vec::new();
         for (i, row) in rows.iter().enumerate() {
-            let mut key = Vec::new();
-            for g in group_by {
-                key.extend(encode_value(&self.eval_path(g, row)?));
-                key.push(0xFE);
-            }
+            let key = self.group_key(group_by, row)?;
             let p = (fnv1a(&key) as usize) % parts;
             let f = match &mut files[p] {
                 Some(f) => f,
                 slot => slot.insert(SpillFile::create().map_err(spill_err)?),
             };
-            f.write_record(&encode_group_record(&key, i, row))
-                .map_err(spill_err)?;
+            record.clear();
+            encode_group_record(&mut record, &key, i, row);
+            f.write_record(&record).map_err(spill_err)?;
         }
         let mut keyed_groups: Vec<(usize, Vec<Row>)> = Vec::new();
         for f in files.into_iter().flatten() {
@@ -1841,6 +1902,7 @@ impl<'a> Executor<'a> {
         };
         // Run formation: gulp `budget` rows, sort in memory, spill.
         let mut readers = Vec::new();
+        let mut record = Vec::new();
         let mut iter = keyed.into_iter();
         loop {
             let mut run: Vec<(usize, Vec<Value>)> = iter.by_ref().take(budget).collect();
@@ -1850,8 +1912,9 @@ impl<'a> Executor<'a> {
             run.sort_unstable_by(|(ia, a), (ib, b)| key_cmp(a, *ia, b, *ib));
             let mut f = SpillFile::create().map_err(spill_err)?;
             for (i, keys) in &run {
-                f.write_record(&encode_sort_record(keys, *i, &rows[*i]))
-                    .map_err(spill_err)?;
+                record.clear();
+                encode_sort_record(&mut record, keys, *i, &rows[*i]);
+                f.write_record(&record).map_err(spill_err)?;
             }
             registry.record_spilled_run(f.bytes());
             let r = f.into_reader(Some(&metrics)).map_err(spill_err)?;
@@ -1902,10 +1965,12 @@ impl<'a> Executor<'a> {
 
 /// The two right-side shapes of `exec_join`.
 enum RightSide<'p> {
-    /// Unmaterialized class with an optional residual filter.
+    /// Unmaterialized class with an optional residual filter; probes
+    /// decode `fields`, the right variable's read set.
     Class {
         class: &'p str,
         filter: Option<&'p Expr>,
+        fields: &'p FieldSet,
     },
     /// Materialized rows keyed by the right variable's OID.
     Rows(HashMap<Oid, Vec<Row>>),
@@ -1915,9 +1980,13 @@ impl RightSide<'_> {
     fn resolve(&self, ex: &Executor<'_>, oid: Oid, y_var: &str) -> Result<Vec<Row>> {
         match self {
             RightSide::Rows(map) => Ok(map.get(&oid).cloned().unwrap_or_default()),
-            RightSide::Class { class, filter } => {
+            RightSide::Class {
+                class,
+                filter,
+                fields,
+            } => {
                 // A dangling reference joins nothing: no pair.
-                let Some((obj_class, value)) = ex.fetch_live(oid)? else {
+                let Some((obj_class, value)) = ex.fetch_live(oid, fields)? else {
                     return Ok(Vec::new());
                 };
                 if !ex.catalog.is_subclass(&obj_class, class) {
@@ -1972,27 +2041,35 @@ fn take_chunk<'a>(rec: &'a [u8], at: &mut usize) -> Result<&'a [u8]> {
     Ok(&rec[len_end..end])
 }
 
-/// One external-sort spill record: `[index u64][nkeys u32][key chunk…]
-/// [nvars u32][(name chunk)(oid chunk, empty = None)(value chunk)…]`.
+/// Append a value as one chunk, encoded in place behind its length.
+fn put_value(out: &mut Vec<u8>, v: &Value) {
+    let at = out.len();
+    out.extend([0u8; 4]);
+    encode_value_into(out, v);
+    let len = (out.len() - at - 4) as u32;
+    out[at..at + 4].copy_from_slice(&len.to_le_bytes());
+}
+
+/// Append one external-sort spill record: `[index u64][nkeys u32][key
+/// chunk…][nvars u32][(name chunk)(oid chunk, empty = None)(value chunk)…]`.
 /// Every `Value` is framed with its own length so the codec stays
-/// self-delimiting inside the record.
-fn encode_sort_record(keys: &[Value], index: usize, row: &Row) -> Vec<u8> {
-    let mut out = Vec::new();
+/// self-delimiting inside the record. A bound value is as wide as its
+/// variable's read set, so that is what a spilled row costs.
+fn encode_sort_record(out: &mut Vec<u8>, keys: &[Value], index: usize, row: &Row) {
     out.extend((index as u64).to_le_bytes());
     out.extend((keys.len() as u32).to_le_bytes());
     for k in keys {
-        put_chunk(&mut out, &encode_value(k));
+        put_value(out, k);
     }
     out.extend((row.len() as u32).to_le_bytes());
     for (name, bound) in row {
-        put_chunk(&mut out, name.as_bytes());
+        put_chunk(out, name.as_bytes());
         match bound.oid {
-            Some(oid) => put_chunk(&mut out, &encode_value(&Value::Ref(oid))),
+            Some(oid) => put_value(out, &Value::Ref(oid)),
             None => out.extend(0u32.to_le_bytes()),
         }
-        put_chunk(&mut out, &encode_value(&bound.value));
+        put_value(out, &bound.value);
     }
-    out
 }
 
 fn decode_sort_record(rec: &[u8]) -> Result<(usize, Vec<Value>, Row)> {
@@ -2045,14 +2122,12 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     h
 }
 
-/// One aggregation spill record: `[key chunk][sort record with no keys]`
+/// Append one aggregation spill record: `[key chunk][sort record with no keys]`
 /// — the group key travels with the row so the read-back pass never
 /// re-evaluates GROUP BY paths (which could deref through the catalog).
-fn encode_group_record(key: &[u8], index: usize, row: &Row) -> Vec<u8> {
-    let mut out = Vec::new();
-    put_chunk(&mut out, key);
-    out.extend(encode_sort_record(&[], index, row));
-    out
+fn encode_group_record(out: &mut Vec<u8>, key: &[u8], index: usize, row: &Row) {
+    put_chunk(out, key);
+    encode_sort_record(out, &[], index, row);
 }
 
 fn decode_group_record(rec: &[u8]) -> Result<(Vec<u8>, usize, Row)> {

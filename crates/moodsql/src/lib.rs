@@ -15,6 +15,7 @@ pub mod cursor;
 pub mod error;
 pub mod exec;
 pub mod parser;
+pub(crate) mod readset;
 pub(crate) mod shape;
 pub mod token;
 

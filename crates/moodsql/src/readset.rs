@@ -1,0 +1,181 @@
+//! Read sets: for each range variable of a prepared statement, the
+//! attributes of its object that the statement can read.
+//!
+//! The driver decodes nothing else when it binds the variable (scan, index
+//! fetch, join probe), so a statement that reads `v.id` and `v.weight`
+//! carries two-field tuples through its joins, groups, sort keys and spill
+//! records instead of whole objects.
+//!
+//! Both evaluators look attributes up by name and read a name missing from
+//! a tuple as NULL (the schema-evolution rule), so an incomplete set would
+//! be a silently wrong answer, not an error. Completeness is therefore by
+//! construction: the collector walks the very expressions the driver
+//! evaluates — the parsed plan predicates, the join conditions, and the
+//! statement's projection, GROUP BY, HAVING and ORDER BY — with an
+//! exhaustive match over [`Expr`], and whatever cannot be enumerated as
+//! attribute reads (a bare variable, a method invoked on the variable, a
+//! FROM list run as a nested loop) widens the variable to
+//! [`FieldSet::All`]. Rows and evaluators key variables by name, and so do
+//! the sets: same-named variables of different DNF terms share one set.
+
+use std::collections::{BTreeMap, HashMap};
+
+use mood_datamodel::FieldSet;
+use mood_optimizer::{Plan, PlanSet};
+
+use crate::ast::{Expr, PathRef, SelectStmt};
+use crate::binder::Lowered;
+use crate::compiled::PreparedPred;
+use crate::error::Result;
+use crate::exec::join_condition;
+
+/// Range variable → the fields of its object the statement reads.
+#[derive(Debug, Default)]
+pub(crate) struct ReadSets(BTreeMap<String, FieldSet>);
+
+impl ReadSets {
+    /// The read sets of `stmt` executed through `plans` (one per AND-term)
+    /// whose predicates parsed to `preds`.
+    pub fn collect<'p>(
+        stmt: &SelectStmt,
+        lowered: &Lowered,
+        plans: impl IntoIterator<Item = &'p PlanSet>,
+        preds: &HashMap<String, PreparedPred>,
+    ) -> Result<ReadSets> {
+        let mut sets = ReadSets::default();
+        if !lowered.unabsorbed.is_empty() {
+            // The nested loop binds whole objects and filters them with the
+            // WHERE clause as written.
+            for item in &stmt.from {
+                sets.widen(&item.var);
+            }
+            return Ok(sets);
+        }
+        for set in plans {
+            for plan in set.temps.iter().map(|(_, p)| p).chain([&set.root]) {
+                sets.plan(plan)?;
+            }
+        }
+        for pred in preds.values() {
+            sets.expr(&pred.expr);
+        }
+        for e in stmt.projection.iter().chain(&stmt.having) {
+            sets.expr(e);
+        }
+        let order_keys = stmt.order_by.iter().map(|(p, _)| p);
+        for p in stmt.group_by.iter().chain(order_keys) {
+            sets.path(p);
+        }
+        Ok(sets)
+    }
+
+    /// What binding `var` must decode. A variable the collector never met
+    /// gets the whole object.
+    pub fn of(&self, var: &str) -> &FieldSet {
+        self.0.get(var).unwrap_or(&FieldSet::All)
+    }
+
+    fn widen(&mut self, var: &str) {
+        self.0.insert(var.to_string(), FieldSet::All);
+    }
+
+    fn read(&mut self, var: &str, attr: &str) {
+        match self.0.get_mut(var) {
+            Some(set) => set.insert(attr),
+            None => {
+                self.0
+                    .insert(var.to_string(), FieldSet::Only(vec![attr.to_string()]));
+            }
+        }
+    }
+
+    /// The variables a plan binds, and what its joins read of them: the
+    /// chased attribute of the referencing side (the referenced side joins
+    /// on its OID, which is no field).
+    fn plan(&mut self, plan: &Plan) -> Result<()> {
+        match plan {
+            Plan::Bind { var, .. } | Plan::IndSel { var, .. } => {
+                self.0.entry(var.clone()).or_insert(FieldSet::NONE);
+            }
+            Plan::Join {
+                left,
+                right,
+                condition,
+                ..
+            } => {
+                let (x_var, attr, _) = join_condition(condition)?;
+                self.read(x_var, attr);
+                self.plan(left)?;
+                self.plan(right)?;
+            }
+            Plan::Union { inputs } => {
+                for p in inputs {
+                    self.plan(p)?;
+                }
+            }
+            Plan::Select { input, .. }
+            | Plan::Project { input, .. }
+            | Plan::Sort { input, .. }
+            | Plan::Partition { input, .. } => self.plan(input)?,
+            Plan::Temp { .. } => {}
+        }
+        Ok(())
+    }
+
+    /// A path reads its first attribute off the bound object (the rest is
+    /// reached through references, which fetch whole objects); a bare
+    /// variable stands for the whole object.
+    fn path(&mut self, p: &PathRef) {
+        match p.segments.first() {
+            Some(attr) => self.read(&p.var, attr),
+            None => self.widen(&p.var),
+        }
+    }
+
+    fn expr(&mut self, e: &Expr) {
+        match e {
+            Expr::Path(p) => self.path(p),
+            // A method body reads whatever it likes of its receiver: the
+            // variable itself must be whole; a receiver reached through a
+            // path is fetched whole by the call.
+            Expr::MethodCall { base, args, .. } => {
+                self.path(base);
+                for a in args {
+                    self.expr(a);
+                }
+            }
+            Expr::Agg { arg, .. } => {
+                if let Some(a) = arg {
+                    self.expr(a);
+                }
+            }
+            Expr::Literal(_) | Expr::Param(_) => {}
+            Expr::Compare { left, right, .. } | Expr::Arith { left, right, .. } => {
+                self.expr(left);
+                self.expr(right);
+            }
+            Expr::Between { expr, lo, hi } => {
+                self.expr(expr);
+                self.expr(lo);
+                self.expr(hi);
+            }
+            Expr::And(parts) | Expr::Or(parts) => {
+                for p in parts {
+                    self.expr(p);
+                }
+            }
+            Expr::Not(inner) => self.expr(inner),
+        }
+    }
+}
+
+/// One `EXPLAIN` comment line per range variable: `-- Reads: v {id, weight}`
+/// or `-- Reads: v *`.
+impl std::fmt::Display for ReadSets {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        for (var, fields) in &self.0 {
+            writeln!(f, "-- Reads: {var} {fields}")?;
+        }
+        Ok(())
+    }
+}

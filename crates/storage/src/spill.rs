@@ -13,7 +13,7 @@
 //! for ORDER BY/GROUP BY and the `seqcost_batched` model estimate them.
 
 use std::fs::{File, OpenOptions};
-use std::io::{BufReader, BufWriter, Read, Write};
+use std::io::{BufReader, BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -33,12 +33,22 @@ pub fn pages_for_bytes(bytes: u64) -> u64 {
     bytes.div_ceil(PAGE_SIZE as u64)
 }
 
+/// Unlinks a spill file when dropped. Writer and reader both hold one
+/// *after* their file handle, so the handle closes first.
+struct Unlink(PathBuf);
+
+impl Drop for Unlink {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_file(&self.0);
+    }
+}
+
 /// A spilled run being written: length-prefixed records through a buffered
 /// writer. Finish with [`SpillFile::into_reader`]; dropping unread deletes
 /// the file.
 pub struct SpillFile {
     writer: BufWriter<File>,
-    path: PathBuf,
+    _unlink: Unlink,
     bytes: u64,
     records: u64,
 }
@@ -54,7 +64,7 @@ impl SpillFile {
             .open(&path)?;
         Ok(SpillFile {
             writer: BufWriter::new(file),
-            path,
+            _unlink: Unlink(path),
             bytes: 0,
             records: 0,
         })
@@ -81,37 +91,29 @@ impl SpillFile {
         self.records
     }
 
-    /// Flush, charge the run's pages as writes to `metrics`, and reopen
-    /// the file for reading from the start.
-    pub fn into_reader(mut self, metrics: Option<&DiskMetrics>) -> std::io::Result<SpillReader> {
-        self.writer.flush()?;
+    /// Flush, charge the run's pages as writes to `metrics`, and rewind
+    /// the file for reading from the start. The one handle (and the
+    /// unlink-on-drop duty) moves to the reader: nothing stays open behind.
+    pub fn into_reader(self, metrics: Option<&DiskMetrics>) -> std::io::Result<SpillReader> {
+        let SpillFile {
+            writer,
+            _unlink,
+            bytes,
+            records,
+        } = self;
+        let mut file = writer.into_inner().map_err(|e| e.into_error())?;
         if let Some(m) = metrics {
-            for _ in 0..pages_for_bytes(self.bytes) {
+            for _ in 0..pages_for_bytes(bytes) {
                 m.record_write();
             }
         }
-        let file = File::open(&self.path)?;
-        // Hand ownership of the path (and thus unlink-on-drop) to the
-        // reader; forget self so its Drop does not unlink early. The
-        // BufWriter is taken out first so the file handle closes cleanly.
-        let path = std::mem::replace(&mut self.path, PathBuf::new());
-        let bytes = self.bytes;
-        let records = self.records;
-        std::mem::forget(self);
+        file.seek(SeekFrom::Start(0))?;
         Ok(SpillReader {
             reader: BufReader::new(file),
-            path,
+            _unlink,
             bytes,
             remaining: records,
         })
-    }
-}
-
-impl Drop for SpillFile {
-    fn drop(&mut self) {
-        if !self.path.as_os_str().is_empty() {
-            let _ = std::fs::remove_file(&self.path);
-        }
     }
 }
 
@@ -119,7 +121,7 @@ impl Drop for SpillFile {
 /// unlinked when the reader drops.
 pub struct SpillReader {
     reader: BufReader<File>,
-    path: PathBuf,
+    _unlink: Unlink,
     bytes: u64,
     remaining: u64,
 }
@@ -149,12 +151,6 @@ impl SpillReader {
         if pages > 0 {
             metrics.record_sequential_batch(pages);
         }
-    }
-}
-
-impl Drop for SpillReader {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_file(&self.path);
     }
 }
 
@@ -190,7 +186,7 @@ mod tests {
     fn files_are_deleted_on_drop() {
         let mut f = SpillFile::create().unwrap();
         f.write_record(b"x").unwrap();
-        let path = f.path.clone();
+        let path = f._unlink.0.clone();
         assert!(path.exists());
         drop(f);
         assert!(!path.exists(), "writer drop unlinks");
@@ -198,7 +194,7 @@ mod tests {
         let mut f = SpillFile::create().unwrap();
         f.write_record(b"y").unwrap();
         let r = f.into_reader(None).unwrap();
-        let path = r.path.clone();
+        let path = r._unlink.0.clone();
         assert!(path.exists());
         drop(r);
         assert!(!path.exists(), "reader drop unlinks");

@@ -1,0 +1,891 @@
+//! Read-set-pruned decode: a statement's scans, fetches and spills carry
+//! only the attributes it reads — and every answer stays what it was.
+//!
+//! * **Differential** — a corpus covering every way the driver binds an
+//!   object (scan, batched scan+select, index fetch with re-verification,
+//!   the four join methods, backward materialisation, the nested loop,
+//!   DML targets) runs against a naive oracle that walks *whole* objects
+//!   from `catalog.extent()` through `eval_expr`; cached and uncached, at
+//!   parallelism 1/2/4 and batch size 1/1024. A read set that misses an
+//!   attribute would not fail loudly — a name absent from a tuple reads as
+//!   NULL — so this suite is what checks completeness.
+//! * **Exact sets** — `EXPLAIN`'s `-- Reads:` lines for each statement,
+//!   and the widening rules (bare variable, DML target, unabsorbed FROM
+//!   list, method on the variable itself → `*`).
+//! * **Schema evolution** — an attribute inside the read set but absent
+//!   from an older stored record still reads NULL.
+//! * **Damaged records** — a record that does not decode is the
+//!   statement's error, not a silently shorter answer.
+//! * **Counts, not clocks** — spilled bytes per row sit below the mean
+//!   stored record, and a method on the scanned variable touches the heap
+//!   once per object, not twice.
+//!
+//! The decoder's own properties (pruned == filtered full decode, nested
+//! values skipped whole, truncations and byte flips never panic or
+//! over-allocate) live with the codec in
+//! `crates/datamodel/tests/prop_datamodel.rs`.
+
+use std::collections::{BTreeMap, HashSet};
+use std::sync::Arc;
+
+use mood_core::datamodel::{encode_value, encode_value_into};
+use mood_core::sql::ast::AggFunc;
+use mood_core::sql::{parse, parse_expr, BoundObj, Executor, Expr, Row, SelectStmt, Statement};
+use mood_core::storage::Oid;
+use mood_core::{Answer, DatabaseStats, IndexKind, Mood, OptimizerConfig, TypeDescriptor, Value};
+
+const COLORS: [&str; 4] = ["red", "green", "blue", "white"];
+const N: i32 = 120;
+/// Enough objects for §8.1 to prefer an index probe to the scan.
+const N_INDEXED: i32 = 400;
+
+/// What steers the optimizer on top of the common population.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Fixture {
+    /// Collected statistics, no index: scans, forward and backward
+    /// traversal.
+    Plain,
+    /// Attribute indexes on `Vehicle(id)`/`Vehicle(weight)` and a path
+    /// index on `Vehicle(drivetrain.engine.size)`: both `INDSEL`s.
+    Indexed,
+    /// Indexes on the reference attributes: the binary join index.
+    Bji,
+    /// The paper's Table 13–15 statistics injected: hash partitioning.
+    PaperStats,
+}
+
+/// The §3.1 hierarchy: `N` objects in `Vehicle`'s own extent (`N_INDEXED`
+/// under `Indexed`) and a quarter as many in each subclass extent, a
+/// 100-byte `pad` nobody reads, every eleventh drivetrain reference NULL.
+fn build(fixture: Fixture) -> Mood {
+    let db = Mood::in_memory_with_pool(4096);
+    db.set_optimizer_config(OptimizerConfig::paper());
+    for ddl in [
+        "CREATE CLASS Company TUPLE (name String(32), location String(32))",
+        "CREATE CLASS VehicleEngine TUPLE (size Integer, cylinders Integer, pad String(64)) \
+         METHODS: power () Integer,",
+        "CREATE CLASS VehicleDriveTrain TUPLE (engine REFERENCE (VehicleEngine), \
+         transmission String(32))",
+        "CREATE CLASS Vehicle TUPLE (id Integer, weight Integer, color String(16), \
+         pad String(128), drivetrain REFERENCE (VehicleDriveTrain), \
+         company REFERENCE (Company)) METHODS: lbweight () Float,",
+        "CREATE CLASS Automobile INHERITS FROM Vehicle",
+        "CREATE CLASS JapaneseAuto INHERITS FROM Automobile",
+        "DEFINE METHOD Vehicle::lbweight() RETURNS Float AS 'weight * 2.2075'",
+        "DEFINE METHOD VehicleEngine::power() RETURNS Integer AS 'size * cylinders'",
+    ] {
+        db.execute(ddl).unwrap();
+    }
+    let c = db.catalog();
+    let companies: Vec<Oid> = (0..5)
+        .map(|i| {
+            let name = Value::string(format!("maker{i}"));
+            let location = Value::string(["Munich", "Aichi", "Detroit"][i % 3]);
+            c.new_object(
+                "Company",
+                Value::tuple(vec![("name", name), ("location", location)]),
+            )
+            .unwrap()
+        })
+        .collect();
+    let engines: Vec<Oid> = (0..64)
+        .map(|i| {
+            c.new_object(
+                "VehicleEngine",
+                Value::tuple(vec![
+                    ("size", Value::Integer(1000 + i * 10)),
+                    ("cylinders", Value::Integer(2 + (i % 4) * 2)),
+                    ("pad", Value::string("e".repeat(40))),
+                ]),
+            )
+            .unwrap()
+        })
+        .collect();
+    let trains: Vec<Oid> = (0..128)
+        .map(|i| {
+            let gear = if i % 2 == 0 { "AUTOMATIC" } else { "MANUAL" };
+            c.new_object(
+                "VehicleDriveTrain",
+                Value::tuple(vec![
+                    ("engine", Value::Ref(engines[i % 64])),
+                    ("transmission", Value::string(gear)),
+                ]),
+            )
+            .unwrap()
+        })
+        .collect();
+    let n = if fixture == Fixture::Indexed {
+        N_INDEXED
+    } else {
+        N
+    };
+    for (class, count, base) in [
+        ("Vehicle", n, 0),
+        ("Automobile", n / 4, 10_000),
+        ("JapaneseAuto", n / 4, 20_000),
+    ] {
+        for i in 0..count {
+            let train = if i % 11 == 10 {
+                Value::Null
+            } else {
+                Value::Ref(trains[(i as usize * 7) % 128])
+            };
+            c.new_object(
+                class,
+                Value::tuple(vec![
+                    ("id", Value::Integer(base + i)),
+                    ("weight", Value::Integer(700 + (i * 37) % 900)),
+                    ("color", Value::string(COLORS[(i % 4) as usize])),
+                    ("pad", Value::string("p".repeat(100))),
+                    ("drivetrain", train),
+                    ("company", Value::Ref(companies[(i % 5) as usize])),
+                ]),
+            )
+            .unwrap();
+        }
+    }
+    match fixture {
+        Fixture::Plain | Fixture::PaperStats => {}
+        Fixture::Indexed => {
+            c.create_index("Vehicle", "id", IndexKind::BTree, true)
+                .unwrap();
+            c.create_index("Vehicle", "weight", IndexKind::BTree, false)
+                .unwrap();
+            db.execute("CREATE INDEX ON Vehicle(drivetrain.engine.size)")
+                .unwrap();
+        }
+        Fixture::Bji => {
+            c.create_index("Vehicle", "drivetrain", IndexKind::BTree, false)
+                .unwrap();
+            c.create_index("VehicleDriveTrain", "engine", IndexKind::BTree, false)
+                .unwrap();
+        }
+    }
+    if fixture == Fixture::PaperStats {
+        c.set_stats(DatabaseStats::paper_example());
+    } else {
+        db.collect_stats().unwrap();
+    }
+    db
+}
+
+// ----------------------------------------------------------------------
+// The naive oracle: whole objects, nested loops, `eval_expr`
+// ----------------------------------------------------------------------
+
+fn select_stmt(sql: &str) -> SelectStmt {
+    match parse(sql).unwrap() {
+        Statement::Select(s) => s,
+        other => panic!("not a SELECT: {other:?}"),
+    }
+}
+
+fn bound(oid: Oid, value: &Value) -> BoundObj {
+    BoundObj {
+        oid: Some(oid),
+        value: Arc::new(value.clone()),
+    }
+}
+
+fn is_agg(e: &Expr) -> bool {
+    matches!(e, Expr::Agg { .. })
+}
+
+/// Group-aware evaluation: aggregates over the group, comparisons and
+/// connectives of those, anything else on the group's first row.
+fn eval_group(ex: &Executor<'_>, e: &Expr, group: &[Row]) -> Value {
+    match e {
+        Expr::Agg { func, arg } => {
+            let Some(arg) = arg else {
+                return Value::Integer(group.len() as i32);
+            };
+            let nums: Vec<f64> = group
+                .iter()
+                .map(|r| ex.eval_expr(arg, r).unwrap())
+                .filter(|v| !v.is_null())
+                .map(|v| v.as_f64().expect("numeric aggregate argument"))
+                .collect();
+            let fold = |f: fn(f64, f64) -> f64| nums.iter().copied().reduce(f).map(Value::Float);
+            match func {
+                AggFunc::Count => Value::Integer(nums.len() as i32),
+                AggFunc::Sum => Value::Float(nums.iter().sum()),
+                AggFunc::Avg if nums.is_empty() => Value::Null,
+                AggFunc::Avg => Value::Float(nums.iter().sum::<f64>() / nums.len() as f64),
+                AggFunc::Min => fold(f64::min).unwrap_or(Value::Null),
+                AggFunc::Max => fold(f64::max).unwrap_or(Value::Null),
+            }
+        }
+        Expr::Compare { op, left, right } => {
+            let (l, r) = (eval_group(ex, left, group), eval_group(ex, right, group));
+            if l.is_null() || r.is_null() {
+                return Value::Boolean(false);
+            }
+            let ord = l.compare(&r).expect("comparable HAVING operands");
+            Value::Boolean(match op.symbol() {
+                "=" => ord.is_eq(),
+                "<>" => ord.is_ne(),
+                "<" => ord.is_lt(),
+                "<=" => ord.is_le(),
+                ">" => ord.is_gt(),
+                _ => ord.is_ge(),
+            })
+        }
+        Expr::And(parts) => Value::Boolean(
+            parts
+                .iter()
+                .all(|p| eval_group(ex, p, group) == Value::Boolean(true)),
+        ),
+        other => ex.eval_expr(other, &group[0]).unwrap(),
+    }
+}
+
+fn cmp_keys(a: &[Value], b: &[Value], asc: &[bool]) -> std::cmp::Ordering {
+    for ((x, y), asc) in a.iter().zip(b).zip(asc) {
+        let ord = x.compare(y).unwrap_or(std::cmp::Ordering::Equal);
+        let ord = if *asc { ord } else { ord.reverse() };
+        if ord.is_ne() {
+            return ord;
+        }
+    }
+    std::cmp::Ordering::Equal
+}
+
+/// Evaluate a SELECT the slow, obvious way.
+fn oracle(db: &Mood, sql: &str) -> Vec<Vec<Value>> {
+    let stmt = select_stmt(sql);
+    let catalog = db.catalog();
+    let ex = Executor::new(catalog, db.funcman());
+    let mut rows = vec![Row::new()];
+    for item in &stmt.from {
+        let extent = if item.every {
+            catalog.extent_every(&item.class, &item.minus)
+        } else {
+            catalog.extent(&item.class)
+        }
+        .unwrap();
+        let mut next = Vec::new();
+        for row in &rows {
+            for (oid, value) in &extent {
+                let mut r = row.clone();
+                r.insert(item.var.clone(), bound(*oid, value));
+                next.push(r);
+            }
+        }
+        rows = next;
+    }
+    if let Some(w) = &stmt.where_clause {
+        rows.retain(|r| ex.eval_pred(w, r).unwrap());
+    }
+    let asc: Vec<bool> = stmt.order_by.iter().map(|(_, asc)| *asc).collect();
+    let grouped = !stmt.group_by.is_empty() || stmt.projection.iter().any(is_agg);
+    let mut out: Vec<Vec<Value>> = if grouped {
+        let mut index: BTreeMap<Vec<u8>, usize> = BTreeMap::new();
+        let mut groups: Vec<Vec<Row>> = Vec::new();
+        for row in rows {
+            let mut key = Vec::new();
+            for g in &stmt.group_by {
+                encode_value_into(
+                    &mut key,
+                    &ex.eval_expr(&Expr::Path(g.clone()), &row).unwrap(),
+                );
+            }
+            let at = *index.entry(key).or_insert(groups.len());
+            if at == groups.len() {
+                groups.push(Vec::new());
+            }
+            groups[at].push(row);
+        }
+        if let Some(h) = &stmt.having {
+            groups.retain(|g| eval_group(&ex, h, g) == Value::Boolean(true));
+        }
+        let mut out: Vec<Vec<Value>> = groups
+            .iter()
+            .map(|g| {
+                stmt.projection
+                    .iter()
+                    .map(|p| eval_group(&ex, p, g))
+                    .collect()
+            })
+            .collect();
+        // Grouped ORDER BY names output columns.
+        let cols: Vec<usize> = stmt
+            .order_by
+            .iter()
+            .map(|(p, _)| {
+                let label = p.render();
+                let at = stmt.projection.iter().position(|e| e.render() == label);
+                at.expect("grouped ORDER BY key is projected")
+            })
+            .collect();
+        let keys = |r: &Vec<Value>| cols.iter().map(|&c| r[c].clone()).collect::<Vec<_>>();
+        out.sort_by(|a, b| cmp_keys(&keys(a), &keys(b), &asc));
+        out
+    } else {
+        let keys = |r: &Row| -> Vec<Value> {
+            let key = |(p, _): &(_, bool)| ex.eval_expr(&Expr::Path(Clone::clone(p)), r).unwrap();
+            stmt.order_by.iter().map(key).collect()
+        };
+        rows.sort_by(|a, b| cmp_keys(&keys(a), &keys(b), &asc));
+        rows.iter()
+            .map(|r| {
+                let cell = |p| ex.eval_expr(p, r).unwrap();
+                stmt.projection.iter().map(cell).collect()
+            })
+            .collect()
+    };
+    if stmt.distinct {
+        let mut seen = HashSet::new();
+        out.retain(|r| seen.insert(row_bytes(r)));
+    }
+    out
+}
+
+fn row_bytes(row: &[Value]) -> Vec<u8> {
+    let mut key = Vec::new();
+    for v in row {
+        encode_value_into(&mut key, v);
+    }
+    key
+}
+
+fn same_cell(a: &Value, b: &Value) -> bool {
+    match (a, b) {
+        // Aggregates may be summed in another order than the oracle's.
+        (Value::Float(x), Value::Float(y)) => (x - y).abs() <= 1e-9 * x.abs().max(y.abs()).max(1.0),
+        _ => a == b,
+    }
+}
+
+/// Same answer: in order when the statement orders (every ORDER BY in the
+/// corpus is total), as a multiset otherwise.
+fn assert_same(expected: &[Vec<Value>], got: &[Vec<Value>], ordered: bool, ctx: &str) {
+    let (mut expected, mut got) = (expected.to_vec(), got.to_vec());
+    if !ordered {
+        expected.sort_by_key(|r| row_bytes(r));
+        got.sort_by_key(|r| row_bytes(r));
+    }
+    let same = expected.len() == got.len()
+        && expected
+            .iter()
+            .zip(&got)
+            .all(|(a, b)| a.len() == b.len() && a.iter().zip(b).all(|(x, y)| same_cell(x, y)));
+    assert!(
+        same,
+        "{ctx}\n expected {} rows: {:?}\n got {} rows: {:?}",
+        expected.len(),
+        &expected[..expected.len().min(6)],
+        got.len(),
+        &got[..got.len().min(6)]
+    );
+}
+
+fn run(db: &Mood, sql: &str) -> Vec<Vec<Value>> {
+    match db.execute(sql) {
+        Ok(Answer::Rows(r)) => r.rows,
+        other => panic!("{sql}: {other:?}"),
+    }
+}
+
+/// Every execution setting the driver's binding sites differ under.
+/// Changing a setting empties the plan cache, so with the cache on the
+/// three runs are: prepared + interpreted, cached + compiled (batched
+/// scan), cached again.
+fn check_everywhere(db: &Mood, corpus: &[&str]) {
+    let expected: Vec<Vec<Vec<Value>>> = corpus.iter().map(|sql| oracle(db, sql)).collect();
+    for cached in [false, true] {
+        for parallelism in [1, 2, 4] {
+            for batch in [1, 1024] {
+                db.set_plan_cache_enabled(cached);
+                db.set_parallelism(parallelism);
+                db.set_batch_size(batch);
+                for (sql, want) in corpus.iter().zip(&expected) {
+                    let ordered = !select_stmt(sql).order_by.is_empty();
+                    for pass in 0..if cached { 3 } else { 1 } {
+                        let ctx = format!(
+                            "{sql}\n (cached {cached}, pass {pass}, parallelism \
+                             {parallelism}, batch {batch})"
+                        );
+                        assert_same(want, &run(db, sql), ordered, &ctx);
+                    }
+                }
+            }
+        }
+    }
+    db.set_plan_cache_enabled(true);
+    db.set_parallelism(1);
+    db.set_batch_size(1024);
+}
+
+/// The `-- Reads:` lines of a statement's `EXPLAIN`, e.g. `v {id, weight}`.
+fn reads(db: &Mood, sql: &str) -> Vec<String> {
+    let plan = db.explain(sql).unwrap();
+    plan.lines()
+        .filter_map(|l| l.strip_prefix("-- Reads: "))
+        .map(str::to_string)
+        .collect()
+}
+
+/// Statements over the `Plain` fixture with the exact read set of each.
+const PLAIN: &[(&str, &[&str])] = &[
+    // Immediate predicates, a two-sided range, ORDER BY.
+    (
+        "SELECT v.id, v.weight FROM Vehicle v WHERE v.weight >= 1000 AND v.weight < 1100 \
+         ORDER BY v.weight, v.id",
+        &["v {id, weight}"],
+    ),
+    (
+        "SELECT v.id FROM Vehicle v WHERE v.weight BETWEEN 900 AND 1200 AND v.color <> 'red'",
+        &["v {color, id, weight}"],
+    ),
+    // DNF: each term its own plan, a different attribute mix per term.
+    (
+        "SELECT v.id FROM Vehicle v WHERE (v.weight < 760 AND v.color = 'red') OR \
+         (v.weight > 1500 AND v.color = 'blue') OR v.id = 7",
+        &["v {color, id, weight}"],
+    ),
+    (
+        "SELECT v.id FROM Vehicle v WHERE NOT (v.weight > 900) OR v.color = 'white'",
+        &["v {color, id, weight}"],
+    ),
+    // Paths: two and three hops.
+    (
+        "SELECT v.id FROM Vehicle v WHERE v.drivetrain.transmission = 'MANUAL'",
+        &["d {transmission}", "v {drivetrain, id}"],
+    ),
+    (
+        "SELECT v.id, v.color FROM Vehicle v WHERE v.drivetrain.engine.cylinders = 2",
+        &["d {engine}", "e {cylinders}", "v {color, drivetrain, id}"],
+    ),
+    (
+        "SELECT v.id FROM Vehicle v WHERE v.weight < 900 AND v.drivetrain.engine.cylinders = 2",
+        &["d {engine}", "e {cylinders}", "v {drivetrain, id, weight}"],
+    ),
+    // Two paths: the first becomes the temporary T1.
+    (
+        "SELECT v.id FROM Vehicle v WHERE v.company.name = 'maker1' AND \
+         v.drivetrain.engine.cylinders = 2",
+        &[
+            "c {name}",
+            "d {engine}",
+            "e {cylinders}",
+            "v {company, drivetrain, id}",
+        ],
+    ),
+    // A path in the projection is chased through the resolver: only its
+    // first attribute is read off the bound object.
+    (
+        "SELECT v.id, v.drivetrain.transmission FROM Vehicle v WHERE v.weight > 1400 \
+         ORDER BY v.id",
+        &["v {drivetrain, id, weight}"],
+    ),
+    // The hierarchy and the minus operator.
+    (
+        "SELECT v.id, v.weight FROM EVERY Vehicle - JapaneseAuto v WHERE v.weight > 1400",
+        &["v {id, weight}"],
+    ),
+    (
+        "SELECT DISTINCT v.color FROM EVERY Vehicle - JapaneseAuto v",
+        &["v {color}"],
+    ),
+    // GROUP BY / HAVING / aggregates.
+    (
+        "SELECT v.color, COUNT(*), AVG(v.weight) FROM Vehicle v GROUP BY v.color \
+         HAVING COUNT(*) > 1 ORDER BY v.color",
+        &["v {color, weight}"],
+    ),
+    (
+        "SELECT v.color, MAX(v.weight), MIN(v.id) FROM EVERY Vehicle v WHERE v.weight > 800 \
+         GROUP BY v.color HAVING AVG(v.weight) > 900 ORDER BY v.color",
+        &["v {color, id, weight}"],
+    ),
+    ("SELECT COUNT(*) FROM Vehicle v", &["v {}"]),
+    // ORDER BY on an attribute that is not projected.
+    (
+        "SELECT v.id FROM EVERY Vehicle v ORDER BY v.weight DESC, v.id",
+        &["v {id, weight}"],
+    ),
+    // `=` operands become `$n`: the two texts share one cached plan.
+    (
+        "SELECT v.id, v.weight FROM Vehicle v WHERE v.color = 'red' AND v.weight > 1200",
+        &["v {color, id, weight}"],
+    ),
+    (
+        "SELECT v.id, v.weight FROM Vehicle v WHERE v.color = 'blue' AND v.weight > 1200",
+        &["v {color, id, weight}"],
+    ),
+    // Arithmetic.
+    (
+        "SELECT v.id, v.weight * 2 + 1 FROM Vehicle v WHERE v.id + 1 < 10",
+        &["v {id, weight}"],
+    ),
+    // A range variable joined explicitly: `e` appears bare in the join.
+    (
+        "SELECT v.id, e.size FROM Vehicle v, VehicleEngine e WHERE v.drivetrain.engine = e \
+         AND e.cylinders > 4",
+        &["d {engine}", "e *", "v {drivetrain, id}"],
+    ),
+    // Widening: a FROM list the optimizer cannot absorb is a nested loop.
+    (
+        "SELECT v.id, c.name FROM Vehicle v, Company c WHERE v.weight > 1500 AND \
+         c.name = 'maker1'",
+        &["c *", "v *"],
+    ),
+    // Widening: a method on the variable reads what its body likes.
+    (
+        "SELECT v.id FROM Vehicle v WHERE v.lbweight() > 3000.0",
+        &["v *"],
+    ),
+    (
+        "SELECT v.id, v.lbweight() FROM Vehicle v WHERE v.id < 5",
+        &["v *"],
+    ),
+    // … but a receiver reached through a path is fetched by the call.
+    (
+        "SELECT v.id FROM Vehicle v WHERE v.id < 10 AND v.drivetrain.engine.power() > 6000",
+        &["v {drivetrain, id}"],
+    ),
+    // Widening: the bare variable.
+    ("SELECT v FROM Vehicle v WHERE v.weight < 800", &["v *"]),
+];
+
+#[test]
+fn plain_corpus_matches_the_oracle_and_reads_exactly_what_it_names() {
+    let db = build(Fixture::Plain);
+    for (sql, want) in PLAIN {
+        assert_eq!(reads(&db, sql), *want, "{sql}");
+    }
+    // The join methods this fixture is here for.
+    let plan = db.explain(PLAIN[5].0).unwrap();
+    assert!(plan.contains("BACKWARD_TRAVERSAL"), "{plan}");
+    let plan = db.explain(PLAIN[6].0).unwrap();
+    assert!(plan.contains("FORWARD_TRAVERSAL"), "{plan}");
+    let corpus: Vec<&str> = PLAIN.iter().map(|(sql, _)| *sql).collect();
+    check_everywhere(&db, &corpus);
+}
+
+#[test]
+fn dml_targets_read_the_whole_object() {
+    let db = build(Fixture::Plain);
+    for sql in [
+        "UPDATE Vehicle v SET weight = 1 WHERE v.id = 17",
+        "DELETE FROM Vehicle v WHERE v.weight < 760",
+        "DELETE FROM Vehicle v",
+    ] {
+        assert_eq!(reads(&db, sql), ["v *"], "{sql}");
+    }
+}
+
+/// The paths of the plain corpus again, under plans that join differently.
+const PATHS: [&str; 4] = [
+    "SELECT v.id FROM Vehicle v WHERE v.drivetrain.transmission = 'MANUAL'",
+    "SELECT v.id, v.color FROM Vehicle v WHERE v.drivetrain.engine.cylinders = 2",
+    "SELECT v.id, v.weight FROM Vehicle v WHERE v.company.name = 'maker1' AND \
+     v.drivetrain.engine.cylinders = 2 ORDER BY v.weight, v.id",
+    "SELECT v.id, e.size FROM Vehicle v, VehicleEngine e WHERE v.drivetrain.engine = e \
+     AND e.cylinders > 4",
+];
+
+#[test]
+fn binary_join_index_plans_match_the_oracle() {
+    let db = build(Fixture::Bji);
+    let plan = db.explain(PATHS[1]).unwrap();
+    assert!(plan.contains("BINARY_JOIN_INDEX"), "{plan}");
+    assert_eq!(
+        reads(&db, PATHS[1]),
+        ["d {engine}", "e {cylinders}", "v {color, drivetrain, id}"]
+    );
+    check_everywhere(&db, &PATHS);
+}
+
+#[test]
+fn hash_partition_plans_match_the_oracle() {
+    let db = build(Fixture::PaperStats);
+    for sql in &PATHS[1..3] {
+        let plan = db.explain(sql).unwrap();
+        assert!(plan.contains("HASH_PARTITION"), "{plan}");
+    }
+    assert_eq!(
+        reads(&db, PATHS[2]),
+        [
+            "c {name}",
+            "d {engine}",
+            "e {cylinders}",
+            "v {company, drivetrain, id, weight}"
+        ]
+    );
+    check_everywhere(&db, &PATHS);
+}
+
+#[test]
+fn index_fetches_reverify_on_the_pruned_object() {
+    let db = build(Fixture::Indexed);
+    let by_id = "SELECT v.color FROM Vehicle v WHERE v.id = 17";
+    let by_weight =
+        "SELECT v.id, v.color FROM Vehicle v WHERE v.weight = 737 AND v.color = 'green'";
+    let by_path = "SELECT v.id FROM Vehicle v WHERE v.drivetrain.engine.size = 1050";
+    for (sql, kind, want) in [
+        (by_id, "BTREE", "v {color, id}"),
+        (by_weight, "BTREE", "v {color, id, weight}"),
+        (by_path, "PATH_INDEX", "v {drivetrain, id}"),
+    ] {
+        let plan = db.explain(sql).unwrap();
+        assert!(
+            plan.contains(&format!("INDSEL(Vehicle, v, {kind}")),
+            "{plan}"
+        );
+        assert_eq!(reads(&db, sql), [want], "{sql}");
+    }
+    let corpus = [
+        by_id,
+        "SELECT v.color FROM Vehicle v WHERE v.id = 23",
+        by_weight,
+        "SELECT v.id, v.color FROM Vehicle v WHERE v.weight = 774 AND v.color = 'green'",
+        "SELECT v.id FROM Vehicle v WHERE v.weight >= 1500 ORDER BY v.id",
+        by_path,
+        "SELECT v.id, v.weight FROM EVERY Vehicle v WHERE v.drivetrain.engine.size = 1050 \
+         ORDER BY v.id",
+    ];
+    check_everywhere(&db, &corpus);
+
+    // Make the path index stale (it is rebuilt on demand, not on update):
+    // the engine stops matching, and only re-verification on the fetched —
+    // pruned — object keeps its vehicles out.
+    assert!(!run(&db, by_path).is_empty());
+    let catalog = db.catalog();
+    let (engine, mut value) = catalog
+        .extent("VehicleEngine")
+        .unwrap()
+        .into_iter()
+        .find(|(_, v)| v.field("size") == Some(&Value::Integer(1050)))
+        .unwrap();
+    value.set_field("size", Value::Integer(1051));
+    catalog.update_object(engine, value).unwrap();
+    assert!(db.explain(by_path).unwrap().contains("PATH_INDEX"));
+    check_everywhere(&db, &corpus);
+    assert!(run(&db, by_path).is_empty());
+}
+
+// ----------------------------------------------------------------------
+// UPDATE / DELETE against the oracle
+// ----------------------------------------------------------------------
+
+type Extent = BTreeMap<Oid, Value>;
+
+fn extent(db: &Mood, class: &str) -> Extent {
+    db.catalog().extent(class).unwrap().into_iter().collect()
+}
+
+/// What the own extent must look like after `UPDATE Vehicle v SET … WHERE
+/// pred` (no assignments: `DELETE`): every attribute the statement does not
+/// assign survives, which a pruned target image would lose.
+fn expected_after(db: &Mood, assignments: &[(&str, &str)], pred: &str) -> Extent {
+    let ex = Executor::new(db.catalog(), db.funcman());
+    let pred = parse_expr(pred).unwrap();
+    let mut after = Extent::new();
+    for (oid, value) in extent(db, "Vehicle") {
+        let mut row = Row::new();
+        row.insert("v".to_string(), bound(oid, &value));
+        if !ex.eval_pred(&pred, &row).unwrap() {
+            after.insert(oid, value);
+        } else if !assignments.is_empty() {
+            let mut new = value.clone();
+            for (attr, e) in assignments {
+                new.set_field(attr, ex.eval_expr(&parse_expr(e).unwrap(), &row).unwrap());
+            }
+            after.insert(oid, new);
+        }
+    }
+    after
+}
+
+#[test]
+fn dml_matches_the_oracle_and_keeps_whole_objects() {
+    let updates: [(&[(&str, &str)], &str); 4] = [
+        (&[("weight", "v.weight + 5")], "v.color = 'red'"),
+        (&[("color", "'black'"), ("weight", "1")], "v.id = 17"),
+        (&[("weight", "0")], "v.drivetrain.engine.cylinders = 2"),
+        (&[], "v.weight < 760 OR v.id = 3"),
+    ];
+    for fixture in [Fixture::Plain, Fixture::Indexed] {
+        for cached in [false, true] {
+            let db = build(fixture);
+            db.set_plan_cache_enabled(cached);
+            for (assignments, pred) in updates {
+                let want = expected_after(&db, assignments, pred);
+                let sets: Vec<String> = assignments
+                    .iter()
+                    .map(|(a, e)| format!("{a} = {e}"))
+                    .collect();
+                let sql = if sets.is_empty() {
+                    format!("DELETE FROM Vehicle v WHERE {pred}")
+                } else {
+                    format!("UPDATE Vehicle v SET {} WHERE {pred}", sets.join(", "))
+                };
+                db.execute(&sql).unwrap();
+                assert_eq!(extent(&db, "Vehicle"), want, "{fixture:?}: {sql}");
+            }
+            // The indexes were maintained from whole images.
+            check_everywhere(
+                &db,
+                &[
+                    "SELECT v.id, v.color FROM Vehicle v WHERE v.weight = 1",
+                    "SELECT v.id FROM Vehicle v WHERE v.weight < 800 ORDER BY v.id",
+                    "SELECT v.weight FROM Vehicle v WHERE v.id = 17",
+                ],
+            );
+        }
+    }
+}
+
+// ----------------------------------------------------------------------
+// Schema evolution: in the read set, absent from the record → NULL
+// ----------------------------------------------------------------------
+
+#[test]
+fn an_attribute_newer_than_the_record_reads_null() {
+    let db = build(Fixture::Plain);
+    db.catalog()
+        .add_attribute("Vehicle", "price", TypeDescriptor::integer())
+        .unwrap();
+    let priced = db
+        .catalog()
+        .new_object(
+            "Vehicle",
+            Value::tuple(vec![
+                ("id", Value::Integer(999)),
+                ("price", Value::Integer(3)),
+            ]),
+        )
+        .unwrap();
+    let projected = "SELECT v.id, v.price FROM Vehicle v WHERE v.id < 3 ORDER BY v.id";
+    assert_eq!(reads(&db, projected), ["v {id, price}"]);
+    let by_price = "SELECT v.id FROM Vehicle v WHERE v.price = 3";
+    assert_eq!(reads(&db, by_price), ["v {id, price}"]);
+    // Three passes: interpreted, compiled, cached.
+    for _ in 0..3 {
+        assert_eq!(
+            run(&db, projected),
+            (0..3)
+                .map(|i| vec![Value::Integer(i), Value::Null])
+                .collect::<Vec<_>>()
+        );
+        assert_eq!(run(&db, by_price), [[Value::Integer(999)]]);
+        assert_eq!(
+            run(&db, "SELECT COUNT(v.price), COUNT(*) FROM Vehicle v"),
+            [[Value::Integer(1), Value::Integer(N + 1)]]
+        );
+    }
+    let (_, stored) = db.catalog().get_object(priced).unwrap();
+    assert_eq!(stored.field("price"), Some(&Value::Integer(3)));
+}
+
+// ----------------------------------------------------------------------
+// A record that does not decode is an error, not a shorter answer
+// ----------------------------------------------------------------------
+
+#[derive(Debug, Clone, Copy)]
+enum Damage {
+    /// The last field is `company`, a reference (tag byte + 14 OID bytes):
+    /// its tag becomes one no value has.
+    BadTag,
+    /// Cut inside the 100-byte `pad` string: its length runs off the end.
+    CutOff,
+}
+
+/// Append a copy of a `Vehicle` record, damaged, to the extent behind the
+/// catalog's back.
+fn plant(db: &Mood, damage: Damage) {
+    let catalog = db.catalog();
+    let mut record = catalog.type_id("Vehicle").unwrap().to_le_bytes().to_vec();
+    let (_, sample) = catalog.extent("Vehicle").unwrap().swap_remove(0);
+    encode_value_into(&mut record, &sample);
+    match damage {
+        Damage::BadTag => {
+            let at = record.len() - 15;
+            record[at] = 200;
+        }
+        Damage::CutOff => record.truncate(record.len() - 60),
+    }
+    let file = catalog.class("Vehicle").unwrap().extent.unwrap();
+    db.storage().open_heap(file).insert(&record).unwrap();
+}
+
+#[test]
+fn an_undecodable_record_fails_the_statement() {
+    for damage in [Damage::BadTag, Damage::CutOff] {
+        let what = format!("{damage:?}");
+        let db = build(Fixture::Plain);
+        assert_eq!(run(&db, "SELECT v.id FROM Vehicle v").len(), N as usize);
+        plant(&db, damage);
+        // Whole and pruned, interpreted and batched: the damage sits in
+        // fields none of these statements reads.
+        for sql in [
+            "SELECT v FROM Vehicle v",
+            "SELECT v.id FROM Vehicle v",
+            "SELECT v.id FROM Vehicle v WHERE v.weight > 0",
+            "SELECT v.id FROM Vehicle v WHERE v.weight > 0",
+        ] {
+            let err = db.execute(sql).expect_err(&what).to_string();
+            assert!(err.contains("object"), "{what}: {sql}: {err}");
+        }
+        assert!(db.catalog().extent("Vehicle").is_err(), "{what}: extent()");
+        assert!(
+            db.catalog().collect_stats().is_err(),
+            "{what}: collect_stats"
+        );
+        // The other extents are as readable as before.
+        assert_eq!(run(&db, "SELECT e.size FROM VehicleEngine e").len(), 64);
+    }
+}
+
+// ----------------------------------------------------------------------
+// Count gates
+// ----------------------------------------------------------------------
+
+#[test]
+fn a_spilled_row_is_narrower_than_a_stored_one() {
+    let db = build(Fixture::Plain);
+    let everyone = db.catalog().extent_every("Vehicle", &[]).unwrap();
+    let stored: usize = everyone
+        .iter()
+        .map(|(_, v)| encode_value(v).len() + 4)
+        .sum();
+    let rows = everyone.len() as u64;
+    let sql = "SELECT v.id FROM EVERY Vehicle v ORDER BY v.weight, v.id";
+    let in_memory = run(&db, sql);
+    db.set_sort_budget(16);
+    let before = db.engine_metrics().batch;
+    assert_eq!(run(&db, sql), in_memory);
+    let after = db.engine_metrics().batch;
+    assert!(after.spilled_runs - before.spilled_runs >= rows / 16);
+    let spilled = after.spill_bytes - before.spill_bytes;
+    // A spilled record carries the sort keys, the OID and `{id, weight}`;
+    // a stored one also carries the colour, the pad and two references.
+    assert!(
+        spilled / rows < stored as u64 / rows,
+        "{} spilled bytes per row against {} stored",
+        spilled / rows,
+        stored as u64 / rows
+    );
+}
+
+#[test]
+fn a_method_on_the_scanned_variable_does_not_fetch_it_again() {
+    let db = build(Fixture::Plain);
+    let accesses = |sql: &str| {
+        let before = db.metrics().snapshot();
+        let rows = run(&db, sql);
+        let d = db.metrics().snapshot().delta(&before);
+        (rows, d.buffer_hits + d.buffer_misses)
+    };
+    // First executions: both interpreted, both one scan of the own extent.
+    let (plain, scan) = accesses("SELECT v.id FROM Vehicle v WHERE v.weight * 2.2075 > 3000.0");
+    let (method, with_call) = accesses("SELECT v.id FROM Vehicle v WHERE v.lbweight() > 3000.0");
+    assert_eq!(method, plain);
+    assert!(!method.is_empty() && method.len() < N as usize);
+    assert_eq!(
+        with_call, scan,
+        "the method runs on the object the scan decoded: no second heap access per object"
+    );
+    assert!(scan < N as u64, "a scan touches pages, not objects");
+}
