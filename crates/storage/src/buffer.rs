@@ -163,6 +163,7 @@ struct StmtEntry {
 /// place that sees every page write, so it captures before-images here:
 /// the redo-only WAL can replay committed work after a crash but cannot
 /// undo a live transaction — that takes these images.
+#[derive(Default)]
 struct TxnTracker {
     undo: HashMap<(FileId, PageId), UndoEntry>,
     /// Statement-level savepoint: captured per page while a statement runs
@@ -1039,10 +1040,18 @@ impl BufferPool {
         while slot.is_some() {
             self.txn.free.wait(&mut slot);
         }
-        *slot = Some(TxnTracker {
-            undo: HashMap::new(),
-            stmt: None,
-        });
+        *slot = Some(TxnTracker::default());
+    }
+
+    /// Claim the transaction slot if it is free — how a checkpoint keeps
+    /// every writer out while it flushes and truncates the log.
+    pub fn try_txn_begin(&self) -> bool {
+        let mut slot = self.txn.tracker.lock();
+        if slot.is_some() {
+            return false;
+        }
+        *slot = Some(TxnTracker::default());
+        true
     }
 
     /// Is a transaction currently open?
@@ -1050,22 +1059,22 @@ impl BufferPool {
         self.txn.tracker.lock().is_some()
     }
 
-    /// Current images of every page the open transaction dirtied, in
-    /// deterministic (file, page) order — what the committer logs as
-    /// after-images. Pages of files dropped mid-transaction are skipped.
-    pub fn txn_dirty_pages(&self) -> Result<Vec<(FileId, PageId, Page)>> {
-        let keys = {
-            let slot = self.txn.tracker.lock();
-            match slot.as_ref() {
-                Some(tr) => {
-                    let mut keys: Vec<_> = tr.undo.keys().copied().collect();
-                    keys.sort();
-                    keys
-                }
-                None => return Ok(Vec::new()),
-            }
+    /// Visit every page the open transaction dirtied, in deterministic
+    /// (file, page) order, as `(file, page, before, after)`: its bytes at
+    /// the transaction's first write (the undo image) and its bytes now —
+    /// the two the committer diffs into a redo record. One page is copied
+    /// at a time, so a bulk transaction costs no more memory here than a
+    /// small one. Pages of files dropped mid-transaction are skipped.
+    /// `visit` runs under the transaction mutex and must not touch the pool.
+    pub fn txn_dirty_pages(
+        &self,
+        mut visit: impl FnMut(FileId, PageId, &Page, &Page),
+    ) -> Result<()> {
+        let mut keys: Vec<_> = match self.txn.tracker.lock().as_ref() {
+            Some(tr) => tr.undo.keys().copied().collect(),
+            None => return Ok(()),
         };
-        let mut out = Vec::with_capacity(keys.len());
+        keys.sort();
         for key in keys {
             let shard = &self.shards[self.shard_index(key)];
             let mut st = self.lock_shard(shard);
@@ -1079,22 +1088,26 @@ impl BufferPool {
                 }
             };
             drop(st);
-            match resident {
-                Some(page) => out.push((key.0, key.1, page)),
+            let after = match resident {
+                Some(page) => page,
                 None => {
                     // Evicted (steal mode only). The disk holds the latest
                     // image; read it back for the log.
                     let mut p = Page::new();
                     match self.read_page_checked(key.0, key.1, &mut p) {
-                        Ok(()) => out.push((key.0, key.1, p)),
+                        Ok(()) => p,
                         Err(StorageError::UnknownFile(_))
-                        | Err(StorageError::PageOutOfRange { .. }) => {}
+                        | Err(StorageError::PageOutOfRange { .. }) => continue,
                         Err(e) => return Err(e),
                     }
                 }
+            };
+            let slot = self.txn.tracker.lock();
+            if let Some(e) = slot.as_ref().and_then(|tr| tr.undo.get(&key)) {
+                visit(key.0, key.1, &e.before, &after);
             }
         }
-        Ok(out)
+        Ok(())
     }
 
     /// Close the transaction slot after a successful commit: drop the undo

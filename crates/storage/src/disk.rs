@@ -6,7 +6,7 @@
 //! durability and recovery tests. A fault-injection wrapper simulates I/O
 //! failures for error-path tests.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::PathBuf;
@@ -169,6 +169,9 @@ impl Disk for MemDisk {
 pub struct FileDisk {
     dir: PathBuf,
     handles: Mutex<HashMap<FileId, File>>,
+    /// Files written or extended since the last [`Disk::sync`]: the only
+    /// ones it has to fsync.
+    unsynced: Mutex<HashSet<FileId>>,
     next_file: AtomicU64,
 }
 
@@ -196,6 +199,7 @@ impl FileDisk {
         Ok(FileDisk {
             dir,
             handles: Mutex::new(handles),
+            unsynced: Mutex::new(HashSet::new()),
             next_file: AtomicU64::new(max_id as u64 + 1),
         })
     }
@@ -214,6 +218,7 @@ impl Disk for FileDisk {
             .create_new(true)
             .open(self.path(id))?;
         self.handles.lock().insert(id, file);
+        self.unsynced.lock().insert(id);
         Ok(id)
     }
 
@@ -222,6 +227,7 @@ impl Disk for FileDisk {
         if removed.is_none() {
             return Err(StorageError::UnknownFile(file));
         }
+        self.unsynced.lock().remove(&file);
         std::fs::remove_file(self.path(file))?;
         Ok(())
     }
@@ -240,6 +246,7 @@ impl Disk for FileDisk {
         let len = f.metadata()?.len();
         f.seek(SeekFrom::Start(len))?;
         f.write_all(&[0u8; PAGE_SIZE])?;
+        self.unsynced.lock().insert(file);
         Ok(PageId((len / PAGE_SIZE as u64) as u32))
     }
 
@@ -296,13 +303,20 @@ impl Disk for FileDisk {
         }
         f.seek(SeekFrom::Start(page.0 as u64 * PAGE_SIZE as u64))?;
         f.write_all(&data.data[..])?;
+        self.unsynced.lock().insert(file);
         Ok(())
     }
 
     fn sync(&self) -> Result<()> {
-        for f in self.handles.lock().values() {
-            f.sync_all()?;
+        let handles = self.handles.lock();
+        let mut unsynced = self.unsynced.lock();
+        for id in unsynced.iter() {
+            if let Some(f) = handles.get(id) {
+                f.sync_all()?;
+            }
         }
+        // Only now: a failed fsync above leaves every file to be retried.
+        unsynced.clear();
         Ok(())
     }
 

@@ -293,6 +293,16 @@ impl<L: LogStore> LogStore for FaultyLog<L> {
             _ => Err(StorageError::Io("injected log truncate fault".into())),
         }
     }
+    fn truncate_to(&self, len: u64) -> Result<()> {
+        match self.plan.next() {
+            Fault::None | Fault::BitFlip => self.inner.truncate_to(len),
+            _ => Err(StorageError::Io("injected log truncate fault".into())),
+        }
+    }
+    /// A length the store keeps in memory: no I/O, so no fault point.
+    fn len(&self) -> Result<u64> {
+        self.inner.len()
+    }
 }
 
 #[cfg(test)]

@@ -87,7 +87,7 @@ pub struct StorageManager {
     affinity: Arc<AffinityTracker>,
     /// Durable managers (file-backed or harness-supplied) run the full
     /// no-steal + redo-WAL protocol: dirty pages of an open transaction
-    /// stay pinned, commits log after-images and force the log. In-memory
+    /// stay pinned, commits log redo records and force the log. In-memory
     /// managers keep only the live-rollback bookkeeping — there is nothing
     /// to recover after a "crash", so they skip the log traffic entirely.
     durable: bool,
@@ -157,8 +157,9 @@ impl StorageManager {
         let pool = Arc::new(BufferPool::new_no_steal(disk, frames, metrics.clone()));
         let locks = Arc::new(LockManager::default());
         let wal = Arc::new(wal);
-        // Checksum failures on durable managers repair from the redo log's
-        // last committed after-image instead of failing the query.
+        // Checksum failures on durable managers repair from the redo log
+        // (the page's last image plus its later committed deltas) instead
+        // of failing the query.
         {
             let wal = wal.clone();
             pool.set_repairer(Box::new(move |file, page| {
@@ -280,13 +281,16 @@ impl StorageManager {
     /// Flush all dirty pages and truncate the log (checkpoint). Refused
     /// while a transaction is open: the flush would skip its pinned pages,
     /// and truncating the log underneath them would lose the last committed
-    /// images a crash-recovery would need.
+    /// images a crash-recovery would need. The checkpoint holds the writer
+    /// slot itself meanwhile, so no commit can land between the flush and
+    /// the truncation (its delta records would outlive their base images).
     pub fn checkpoint(&self) -> Result<()> {
-        if self.pool.txn_active() {
+        if !self.pool.try_txn_begin() {
             return Err(StorageError::TxnActive);
         }
-        self.pool.flush_all()?;
-        self.wal.checkpoint()
+        let out = self.pool.flush_all().and_then(|()| self.wal.checkpoint());
+        self.pool.txn_end();
+        out
     }
 
     /// Is this manager running the durable (logged, no-steal) protocol?
@@ -312,13 +316,14 @@ impl StorageManager {
         self.pool.txn_active()
     }
 
-    /// Commit: log the after-image of every page the transaction dirtied,
-    /// append the commit record, and force the log — only then are the
-    /// pages unpinned (they reach disk lazily afterwards). Read-only
-    /// transactions skip the log entirely. If the log cannot take the
-    /// commit durably, the transaction rolls back, an abort record is
-    /// appended best-effort (recovery treats the *last* marker as the
-    /// truth), and the error surfaces.
+    /// Commit: stage a redo record for every page the transaction dirtied
+    /// (the diff of its transaction-start and current bytes, or a full
+    /// image — see [`wal`]), then append them with the commit marker and
+    /// force the log, once — only then are the pages unpinned (they reach
+    /// disk lazily afterwards). Read-only transactions skip the log
+    /// entirely. If the log cannot take the commit durably, the transaction
+    /// rolls back, an abort record is appended best-effort (recovery treats
+    /// the *last* marker as the truth), and the error surfaces.
     pub fn txn_commit(&self, txn: TxnId) -> Result<()> {
         if !self.durable {
             self.pool.txn_end();
@@ -326,12 +331,13 @@ impl StorageManager {
             return Ok(());
         }
         let result = (|| {
-            let pages = self.pool.txn_dirty_pages()?;
-            if pages.is_empty() {
+            let mut dirtied = false;
+            self.pool.txn_dirty_pages(|file, page, before, after| {
+                dirtied = true;
+                self.wal.log_page(txn, file, page, before, after);
+            })?;
+            if !dirtied {
                 return Ok(());
-            }
-            for (file, page, image) in &pages {
-                self.wal.log_page_write(txn, *file, *page, image)?;
             }
             self.wal.commit(txn)
         })();
@@ -359,17 +365,13 @@ impl StorageManager {
         out
     }
 
-    /// Roll back: restore every dirtied page's before-image in the pool and
-    /// note the abort in the log (best-effort — recovery ignores the
-    /// transaction anyway, since no commit record exists).
+    /// Roll back: restore every dirtied page's before-image in the pool.
+    /// The log never hears of it: a transaction's records are appended at
+    /// its commit, so one that rolls back has none to disown.
     pub fn txn_rollback(&self, txn: TxnId) -> Result<()> {
         let result = self.pool.txn_rollback();
         self.locks.release_all(txn);
-        let had_writes = result?;
-        if self.durable && had_writes {
-            let _ = self.wal.abort(txn);
-        }
-        Ok(())
+        result.map(|_| ())
     }
 
     /// Statement-level savepoint inside an explicit transaction; see
@@ -447,6 +449,42 @@ mod tests {
         let heap = sm.open_heap(fid);
         assert_eq!(heap.get(oid).unwrap(), b"committed");
         assert_eq!(heap.count().unwrap(), 1, "uncommitted insert must vanish");
+    }
+
+    #[test]
+    fn a_commit_after_a_torn_tail_survives_the_next_recovery() {
+        // No checkpoint anywhere: `with_parts` alone must leave the log in
+        // a state where the next commit is reachable by the next recovery.
+        let disk = Arc::new(MemDisk::new());
+        let log = Arc::new(MemLog::new());
+        let reopen = || StorageManager::with_parts(disk.clone(), Box::new(log.clone()), 16);
+        let (fid, first);
+        {
+            let sm = reopen().unwrap();
+            let t = sm.txn_begin();
+            let heap = sm.create_heap().unwrap();
+            fid = heap.file_id();
+            first = heap.insert(b"before the tear").unwrap();
+            sm.txn_commit(t).unwrap();
+            let t = sm.txn_begin();
+            heap.insert(b"torn away").unwrap();
+            sm.txn_commit(t).unwrap();
+        }
+        log.tear(3); // the second commit's marker is incomplete
+        let second;
+        {
+            let sm = reopen().unwrap();
+            let heap = sm.open_heap(fid);
+            assert_eq!(heap.count().unwrap(), 1, "the torn commit is gone");
+            let t = sm.txn_begin();
+            second = heap.insert(b"after the tear").unwrap();
+            sm.txn_commit(t).unwrap();
+        }
+        let sm = reopen().unwrap();
+        let heap = sm.open_heap(fid);
+        assert_eq!(heap.get(first).unwrap(), b"before the tear");
+        assert_eq!(heap.get(second).unwrap(), b"after the tear");
+        assert_eq!(heap.count().unwrap(), 2);
     }
 
     #[test]

@@ -131,7 +131,7 @@ pub struct MetricsRegistry {
 pub struct EngineMetrics {
     /// Page/buffer counters (process totals across all threads).
     pub disk: MetricsSnapshot,
-    /// WAL appends / forces / recovered page images.
+    /// WAL appends / forces / pages rebuilt by recovery.
     pub wal: WalStats,
     /// Nanoseconds threads spent blocked on buffer-pool shard locks and
     /// condvars (pool contention, not transaction serialization).

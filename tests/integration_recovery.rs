@@ -55,12 +55,12 @@ fn committed_transactions_replay_after_crash() {
     let t1 = wal.begin();
     let mut p = mood_storage::Page::new();
     p.data[0..4].copy_from_slice(&777u32.to_le_bytes());
-    wal.log_page_write(t1, f, PageId(0), &p).unwrap();
+    wal.log_page(t1, f, PageId(0), &mood_storage::Page::new(), &p);
     wal.commit(t1).unwrap();
     let t2 = wal.begin();
     let mut q = mood_storage::Page::new();
     q.data[0..4].copy_from_slice(&666u32.to_le_bytes());
-    wal.log_page_write(t2, f, PageId(0), &q).unwrap();
+    wal.log_page(t2, f, PageId(0), &p, &q);
     // no commit for t2 — crash here.
 
     let restored = wal.recover(&disk).unwrap();
@@ -223,12 +223,22 @@ fn torn_log_tail_is_tolerated() {
     let f = disk.create_file().unwrap();
     disk.allocate_page(f).unwrap();
     let t = wal.begin();
-    wal.log_page_write(t, f, PageId(0), &mood_storage::Page::new())
-        .unwrap();
+    wal.log_page(
+        t,
+        f,
+        PageId(0),
+        &mood_storage::Page::new(),
+        &mood_storage::Page::new(),
+    );
     wal.commit(t).unwrap();
     let t2 = wal.begin();
-    wal.log_page_write(t2, f, PageId(0), &mood_storage::Page::new())
-        .unwrap();
+    wal.log_page(
+        t2,
+        f,
+        PageId(0),
+        &mood_storage::Page::new(),
+        &mood_storage::Page::new(),
+    );
     wal.commit(t2).unwrap();
     log.tear(3); // torn commit record for t2
     assert_eq!(wal.recover(&disk).unwrap(), 1, "t1 only");
