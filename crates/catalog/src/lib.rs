@@ -1393,19 +1393,24 @@ impl Catalog {
             }
         };
 
-        // 1. Snapshot the extent in storage order.
+        // 1. Snapshot the extent in storage order, decoded: a record that
+        // does not decode fails the pass here, like any other scan, before
+        // anything is written.
         let heap = self.sm.open_heap(old_file);
         let mut records: Vec<(Oid, Vec<u8>)> = Vec::new();
         heap.scan_hint_with(AccessHint::Sequential, |oid, bytes| {
             records.push((oid, bytes.to_vec()));
             true
         })?;
+        let decoded: Vec<(TypeId, Value)> = records
+            .iter()
+            .map(|(oid, bytes)| Self::decode_object(*oid, bytes, &FieldSet::All))
+            .collect::<Result<_>>()?;
 
         // 2. Order by chased target OID — physical OIDs order by
         // (file, page, slot), so ascending targets are ascending target
         // pages. Nulls go last; ties keep the old storage order.
-        let chase_target = |oid: Oid, bytes: &[u8]| -> Option<Oid> {
-            let (_, v) = Self::decode_object(oid, bytes, &FieldSet::All).ok()?;
+        let chase_target = |v: &Value| -> Option<Oid> {
             match v.field(&attr)? {
                 Value::Ref(o) if !o.is_null() => Some(*o),
                 Value::Set(items) | Value::List(items) => {
@@ -1414,43 +1419,57 @@ impl Catalog {
                 _ => None,
             }
         };
-        records.sort_by_cached_key(|(oid, bytes)| {
-            let t = chase_target(*oid, bytes);
-            (t.is_none(), t, *oid)
-        });
+        let targets: Vec<Option<Oid>> = decoded.iter().map(|(_, v)| chase_target(v)).collect();
+        let mut order: Vec<usize> = (0..records.len()).collect();
+        order.sort_by_key(|&i| (targets[i].is_none(), targets[i], records[i].0));
 
-        // 3. Copy into a fresh heap in clustered order, building the
+        // 3. Find every stored reference to an object about to move, in
+        // every other extent — again failing on a record that does not
+        // decode, not leaving its references pointing at the old file.
+        let mut referrers: Vec<(FileId, Oid, TypeId, Value)> = Vec::new();
+        for cname in self.class_names() {
+            let Ok(file) = self.extent_file(&cname) else {
+                continue;
+            };
+            if file == old_file {
+                continue;
+            }
+            let mut unreadable = None;
+            let h = self.sm.open_heap(file);
+            h.scan_hint_with(AccessHint::Sequential, |oid, bytes| {
+                match Self::decode_object(oid, bytes, &FieldSet::All) {
+                    Ok((tid, v)) if refers_into(&v, old_file) => {
+                        referrers.push((file, oid, tid, v))
+                    }
+                    Ok(_) => {}
+                    Err(e) => unreadable = Some(e),
+                }
+                unreadable.is_none()
+            })?;
+            unreadable.map_or(Ok(()), Err)?;
+        }
+
+        // 4. Copy into a fresh heap in clustered order, building the
         // old-OID → new-OID map.
         let new_heap = self.sm.create_heap()?;
         let new_file = new_heap.file_id();
         let mut map: HashMap<Oid, Oid> = HashMap::with_capacity(records.len());
-        for (old_oid, bytes) in &records {
-            let new_oid = new_heap.insert(bytes)?;
-            map.insert(*old_oid, new_oid);
+        for &i in &order {
+            let (old_oid, bytes) = &records[i];
+            map.insert(*old_oid, new_heap.insert(bytes)?);
         }
         let moved = map.len() as u64;
 
-        // 4. Rewrite every stored reference to a moved object, in every
-        // extent (the fresh one first: it still holds self-references by
-        // old OID). Oid encoding is fixed-size, so every rewrite is an
-        // in-place update and no OID shifts under us mid-pass.
-        for cname in self.class_names() {
-            let Ok(cfile) = self.extent_file(&cname) else {
-                continue;
-            };
-            let file = if cfile == old_file { new_file } else { cfile };
-            let h = self.sm.open_heap(file);
-            let mut updates: Vec<(Oid, Vec<u8>)> = Vec::new();
-            h.scan_hint_with(AccessHint::Sequential, |oid, bytes| {
-                if let Ok((tid, v)) = Self::decode_object(oid, bytes, &FieldSet::All) {
-                    if let Some(nv) = remap_refs(&v, old_file, &map) {
-                        updates.push((oid, Self::encode_object(tid, &nv)));
-                    }
-                }
-                true
-            })?;
-            for (oid, bytes) in updates {
-                h.update(oid, &bytes)?;
+        // Rewrite the references: the copies' own (self-references still
+        // name old OIDs), then the other extents'. Oid encoding is
+        // fixed-size, so every rewrite is an in-place update and no OID
+        // shifts under us mid-pass.
+        let own = records.iter().zip(decoded);
+        let own = own.map(|((old_oid, _), (tid, v))| (new_file, map[old_oid], tid, v));
+        for (file, oid, tid, v) in own.chain(referrers) {
+            if let Some(nv) = remap_refs(&v, old_file, &map) {
+                let bytes = Self::encode_object(tid, &nv);
+                self.sm.open_heap(file).update(oid, &bytes)?;
             }
         }
 
@@ -1506,11 +1525,7 @@ impl Catalog {
 
         // 7. Refresh the edge's clustering factor from the new layout and
         // publish it (catalog stats + metrics gauge).
-        let targets: Vec<Oid> = records
-            .iter()
-            .filter_map(|(oid, bytes)| chase_target(*oid, bytes))
-            .collect();
-        let factor = chase_locality(targets.iter().copied());
+        let factor = chase_locality(order.iter().filter_map(|&i| targets[i]));
         {
             let mut inner = self.inner.write();
             inner.stats.set_clustering(class, &attr, factor);
@@ -1681,6 +1696,16 @@ fn chase_locality(targets: impl Iterator<Item = Oid>) -> f64 {
         0.0
     } else {
         local as f64 / chases as f64
+    }
+}
+
+/// Does `value` hold a `Ref` into `file`?
+fn refers_into(value: &Value, file: FileId) -> bool {
+    match value {
+        Value::Ref(o) => o.file == file,
+        Value::Tuple(fields) => fields.iter().any(|(_, v)| refers_into(v, file)),
+        Value::Set(items) | Value::List(items) => items.iter().any(|v| refers_into(v, file)),
+        _ => false,
     }
 }
 
@@ -2298,6 +2323,54 @@ mod cluster_tests {
             .cluster_factors
             .iter()
             .any(|(k, f)| k == "Vehicle.manufacturer" && *f > 0.9));
+    }
+
+    /// A record that does not decode fails `CLUSTER` like any other scan —
+    /// whether it sits in the extent being moved or in one that refers to
+    /// it — and nothing has been written by then.
+    #[test]
+    fn cluster_fails_on_an_undecodable_record_before_writing_anything() {
+        for damaged_class in ["Vehicle", "Garage"] {
+            let (cat, _companies, vehicles) = clustered_fixture();
+            cat.create_index("Vehicle", "id", IndexKind::BTree, false)
+                .unwrap();
+            let file = |class: &str| cat.class(class).unwrap().extent.unwrap();
+            let mut record = cat.type_id(damaged_class).unwrap().to_le_bytes().to_vec();
+            record.extend([200, 1, 2, 3]); // no such value tag
+            let bad = cat.storage().open_heap(file(damaged_class)).insert(&record).unwrap();
+            let old_file = file("Vehicle");
+            let index_file = cat.index("Vehicle", "id").unwrap().file;
+            let epoch = cat.epoch();
+
+            let err = cat.cluster_class("Vehicle", Some("manufacturer")).unwrap_err();
+            assert!(
+                matches!(&err, CatalogError::Corrupt(m) if m.contains(&bad.to_string())),
+                "{damaged_class}: {err}"
+            );
+            // Same extent file, same index file, nothing queued for
+            // dropping, no plan invalidated; every sound object is where
+            // it was and the garage still points at it.
+            assert_eq!(file("Vehicle"), old_file, "{damaged_class}");
+            assert_eq!(cat.index("Vehicle", "id").unwrap().file, index_file);
+            assert_eq!((cat.pending_drop_count(), cat.epoch()), (0, epoch));
+            for (i, oid) in vehicles.iter().enumerate() {
+                let (_, v) = cat.get_object(*oid).unwrap();
+                assert_eq!(v.field("id"), Some(&Value::Integer(i as i32)));
+                let hits = cat.index_lookup("Vehicle", "id", &Value::Integer(i as i32));
+                assert_eq!(hits.unwrap(), vec![*oid]);
+            }
+            let heap = cat.storage().open_heap(file("Garage"));
+            let mut parked = Vec::new();
+            heap.scan_with(|oid, bytes| {
+                if oid != bad {
+                    let (_, g) = Catalog::decode_object(oid, bytes, &FieldSet::All).unwrap();
+                    parked.push(g.field("parked").unwrap().as_oid().unwrap());
+                }
+                true
+            })
+            .unwrap();
+            assert_eq!(parked, vehicles, "{damaged_class}: references untouched");
+        }
     }
 
     #[test]

@@ -71,16 +71,18 @@ impl AnalyzeRec {
 /// WHERE:UNION, GROUP BY, HAVING, PROJECT, ORDER BY, DISTINCT).
 #[derive(Debug, Clone)]
 pub struct StageActual {
-    pub name: String,
+    pub name: &'static str,
     pub rows: u64,
     pub delta: MetricsSnapshot,
     pub nanos: u64,
 }
 
 /// Stage recording sink: every statement-level phase outside the plan walk
-/// runs inside one of these windows so the page accounting stays complete.
-/// Creating it opens the statement's own window — the total the stages and
-/// plan nodes must sum to.
+/// is accounted to a stage so the page accounting stays complete — PLAN as
+/// a window here, the clauses after WHERE by the statement's tail, which
+/// accumulates its stage windows across batches and hands them over at the
+/// end. Creating it opens the statement's own window — the total the stages
+/// and plan nodes must sum to.
 pub(crate) struct StageRec {
     metrics: DiskMetrics,
     opened: Instant,
@@ -100,7 +102,7 @@ impl StageRec {
 
     pub(crate) fn window<T>(
         &self,
-        name: &str,
+        name: &'static str,
         rows_of: impl FnOnce(&T) -> u64,
         f: impl FnOnce() -> Result<T>,
     ) -> Result<T> {
@@ -108,12 +110,17 @@ impl StageRec {
         let before = self.metrics.snapshot();
         let out = f()?;
         self.stages.lock().expect("stage lock").push(StageActual {
-            name: name.to_string(),
+            name,
             rows: rows_of(&out),
             delta: self.metrics.snapshot().delta(&before),
             nanos: start.elapsed().as_nanos() as u64,
         });
         Ok(out)
+    }
+
+    /// Append stage rows measured elsewhere (the tail's).
+    pub(crate) fn extend(&self, stages: impl IntoIterator<Item = StageActual>) {
+        self.stages.lock().expect("stage lock").extend(stages);
     }
 
     /// Close the statement window: the recorded stages, the counter delta
@@ -124,20 +131,6 @@ impl StageRec {
             self.metrics.snapshot().delta(&self.before),
             self.opened.elapsed().as_nanos() as u64,
         )
-    }
-}
-
-/// Run `f` inside a stage window when recording, or plain when not: the
-/// driver's coordinator stages are the same code either way.
-pub(crate) fn staged<T>(
-    stages: Option<&StageRec>,
-    name: &str,
-    rows_of: impl FnOnce(&T) -> u64,
-    f: impl FnOnce() -> Result<T>,
-) -> Result<T> {
-    match stages {
-        None => f(),
-        Some(s) => s.window(name, rows_of, f),
     }
 }
 

@@ -244,6 +244,18 @@ impl CmpOp {
         }
     }
 
+    /// Does `left op right` hold, given how the operands compare?
+    pub fn holds(self, ord: std::cmp::Ordering) -> bool {
+        match self {
+            CmpOp::Eq => ord.is_eq(),
+            CmpOp::Ne => ord.is_ne(),
+            CmpOp::Lt => ord.is_lt(),
+            CmpOp::Le => ord.is_le(),
+            CmpOp::Gt => ord.is_gt(),
+            CmpOp::Ge => ord.is_ge(),
+        }
+    }
+
     pub fn to_theta(self) -> mood_cost::Theta {
         match self {
             CmpOp::Eq => mood_cost::Theta::Eq,

@@ -80,6 +80,37 @@ pub(crate) fn sql_err(e: Exception) -> SqlError {
     }
 }
 
+/// What an expression is evaluated against: one scanned object bound to a
+/// single range variable (a scan batch hands these out without building a
+/// [`Row`]), or a full binding row. Compiled programs run on either; the
+/// interpreter needs the `Row`.
+#[derive(Clone, Copy)]
+pub(crate) enum RowView<'r> {
+    Object { var: &'r str, value: &'r Value },
+    Row(&'r Row),
+}
+
+impl<'r> RowView<'r> {
+    /// The value bound to `var`.
+    fn bound(self, var: &str) -> Result<&'r Value> {
+        match self {
+            RowView::Object { var: v, value } if v == var => Some(value),
+            RowView::Object { .. } => None,
+            RowView::Row(row) => row.get(var).map(|b| &*b.value),
+        }
+        .ok_or_else(|| SqlError::Exec(format!("unbound range variable {var}")))
+    }
+}
+
+fn eval_ctx<'c>(value: &'c Value, resolver: &'c dyn Resolver) -> EvalCtx<'c> {
+    EvalCtx {
+        self_value: value,
+        args: &[],
+        resolver: Some(resolver),
+        dispatcher: None,
+    }
+}
+
 /// A compiled predicate bound to the range variable it reads.
 pub(crate) struct RowPred {
     pub var: String,
@@ -87,65 +118,34 @@ pub(crate) struct RowPred {
 }
 
 impl RowPred {
-    /// Evaluate against a row; Null filters out, per SQL.
-    pub fn matches(&self, catalog: &Catalog, row: &Row, regs: &mut Registers<'_>) -> Result<bool> {
-        let Some(bound) = row.get(&self.var) else {
-            return Err(SqlError::Exec(format!(
-                "unbound range variable {}",
-                self.var
-            )));
-        };
-        let resolver = CatalogResolver { catalog };
-        let ctx = EvalCtx {
-            self_value: &bound.value,
-            args: &[],
-            resolver: Some(&resolver),
-            dispatcher: None,
-        };
-        self.pred.matches(regs, &ctx).map_err(sql_err)
-    }
-
-    /// Evaluate directly against an object value — the fused scan path,
-    /// which skips `Row` construction for filtered-out objects. Semantics
-    /// are identical to [`RowPred::matches`]; the caller supplies the
-    /// resolver so a batch can share one deref cache.
-    pub fn matches_value(
+    /// Evaluate against a view; Null filters out, per SQL. The caller
+    /// supplies the resolver so a batch can share one deref cache.
+    pub fn matches(
         &self,
         resolver: &dyn Resolver,
-        value: &Value,
+        view: RowView<'_>,
         regs: &mut Registers<'_>,
     ) -> Result<bool> {
-        let ctx = EvalCtx {
-            self_value: value,
-            args: &[],
-            resolver: Some(resolver),
-            dispatcher: None,
-        };
+        let ctx = eval_ctx(view.bound(&self.var)?, resolver);
         self.pred.matches(regs, &ctx).map_err(sql_err)
     }
 }
 
-/// A compiled projection column bound to its range variable.
+/// A compiled value expression (projection column, sort or group key,
+/// aggregate argument) bound to its range variable.
 pub(crate) struct RowProg {
     pub var: String,
     prog: Program,
 }
 
 impl RowProg {
-    pub fn eval(&self, catalog: &Catalog, row: &Row, regs: &mut Registers<'_>) -> Result<Value> {
-        let Some(bound) = row.get(&self.var) else {
-            return Err(SqlError::Exec(format!(
-                "unbound range variable {}",
-                self.var
-            )));
-        };
-        let resolver = CatalogResolver { catalog };
-        let ctx = EvalCtx {
-            self_value: &bound.value,
-            args: &[],
-            resolver: Some(&resolver),
-            dispatcher: None,
-        };
+    pub fn eval(
+        &self,
+        resolver: &dyn Resolver,
+        view: RowView<'_>,
+        regs: &mut Registers<'_>,
+    ) -> Result<Value> {
+        let ctx = eval_ctx(view.bound(&self.var)?, resolver);
         self.prog.run(regs, &ctx).map_err(sql_err)
     }
 }

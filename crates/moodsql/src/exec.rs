@@ -2,11 +2,17 @@
 //!
 //! The executor follows the optimizer's access plan (so join methods and
 //! path orders actually determine the I/O pattern — what the benches
-//! measure against the §6 cost model), evaluates predicates with run-time
-//! type checking through `OperandDataType`, and applies the clause order of
-//! Figure 7.1 (FROM → WHERE → GROUP BY/HAVING → projection → ORDER BY) with
-//! the operator order of Figure 7.2 inside WHERE (SELECT → JOIN → PROJECT →
-//! UNION). An execution trace records the stages for the conformance tests.
+//! measure against the §6 cost model) and evaluates predicates with
+//! run-time type checking through `OperandDataType`. This module is FROM
+//! and WHERE: every AND-term's plan runs with the operator order of Figure
+//! 7.2 (SELECT → JOIN → PROJECT → UNION), each plan node pushing its output
+//! into a [`Sink`] — a row vector between operators, and at a term's root
+//! the statement's [`Tail`] (`tail.rs`), which applies the later clauses
+//! of Figure 7.1 (GROUP BY/HAVING → projection → ORDER BY) to the stream
+//! batch by batch. A single-variable scan at the root hands the tail the
+//! objects it decoded; [`Row`]s are the currency of joins and of the
+//! interpreter. An execution trace records the stages for the conformance
+//! tests.
 
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
@@ -15,26 +21,28 @@ use std::time::Instant;
 
 use mood_catalog::{Catalog, CatalogError};
 use mood_cost::JoinMethod;
-use mood_datamodel::{decode_value, encode_value_into, FieldSet, Value};
+use mood_datamodel::{FieldSet, Value};
 use mood_funcman::{FunctionManager, OperandDataType, Registers};
 use mood_optimizer::{estimate_plan_set, optimize, OptimizerConfig, Plan, PlanSet};
 use mood_storage::exec::run_chunked;
-use mood_storage::spill::SpillFile;
 use mood_storage::{
-    AccessHint, FileId, MetricsRegistry, MetricsSnapshot, Oid, PageId, StorageError,
+    AccessHint, DiskMetrics, FileId, MetricsRegistry, MetricsSnapshot, Oid, PageId, StorageError,
 };
 use mood_trace::Tracer;
 
 use crate::analyze::{
-    op_kind, record_operator_totals, render_estimates, staged, AnalyzeRec, AnalyzeReport, StageRec,
+    op_kind, record_operator_totals, render_estimates, AnalyzeRec, AnalyzeReport, StageRec,
     TermReport,
 };
-use crate::ast::{AggFunc, Expr, Lit, PathRef, SelectStmt};
+use crate::ast::{Expr, Lit, PathRef, SelectStmt};
 use crate::binder::{lower, Lowered};
-use crate::compiled::{compile_proj, CachingResolver, PreparedPred, RowPred, RowProg};
+use crate::compiled::{
+    compile_proj, CachingResolver, CatalogResolver, PreparedPred, RowPred, RowProg, RowView,
+};
 use crate::error::{Result, SqlError};
 use crate::parser::parse_expr;
 use crate::readset::ReadSets;
+use crate::tail::{group_operands, operand_input, Sink, Tail};
 
 /// One variable binding set: range variable → bound object.
 pub type Row = BTreeMap<String, BoundObj>;
@@ -85,7 +93,7 @@ const COMPILE_ON_EXECUTION: u64 = 2;
 /// the catalog epoch the plan was built under, so any DDL or statistics
 /// refresh invalidates it.
 pub struct PreparedQuery {
-    stmt: SelectStmt,
+    pub(crate) stmt: SelectStmt,
     /// Parameters the statement reads (`$1..=$nparams`).
     nparams: u16,
     lowered: Lowered,
@@ -93,7 +101,7 @@ pub struct PreparedQuery {
     /// the FROM list holds an extent the optimizer's single-root model
     /// cannot absorb (`lowered.unabsorbed`): FROM + WHERE then run as the
     /// nested-loop product with the WHERE clause as residual filter.
-    terms: Vec<PlanSet>,
+    pub(crate) terms: Vec<PlanSet>,
     /// Catalog epoch at preparation; a mismatch means the plan is stale.
     pub epoch: u64,
     /// Plan predicate text → parsed form with a lazy compiled slot.
@@ -101,13 +109,12 @@ pub struct PreparedQuery {
     /// Range variable → the fields of its object the statement reads; every
     /// place the driver binds the variable decodes exactly these.
     reads: ReadSets,
-    /// Compiled projection columns (ungrouped queries), index-aligned with
-    /// the statement's projection list, filled when compilation runs;
-    /// unfilled (or `None` per column) falls back to the interpreter.
-    proj: OnceLock<Vec<Option<RowProg>>>,
-    /// Compiled ORDER BY key expressions, index-aligned with the ORDER BY
-    /// list; same fallback rules as `proj`.
-    order_progs: OnceLock<Vec<Option<RowProg>>>,
+    /// The ORDER BY and GROUP BY keys as the expressions the tail evaluates.
+    pub(crate) order_keys: Vec<Expr>,
+    pub(crate) group_keys: Vec<Expr>,
+    /// The tail's compiled expressions, filled when compilation runs;
+    /// unfilled (or `None` per expression) falls back to the interpreter.
+    pub(crate) progs: OnceLock<TailProgs>,
     /// Range variable → class, for the lazy compilation pass.
     var_class: HashMap<String, String>,
     /// Compilation is enabled at all (`OptimizerConfig::compiled_predicates`).
@@ -118,32 +125,40 @@ pub struct PreparedQuery {
     pub compile_nanos: u64,
 }
 
+/// The register programs of a statement's tail, each list index-aligned
+/// with the expressions it compiles.
+pub(crate) struct TailProgs {
+    /// Ungrouped: the projection columns. Grouped: what each group-level
+    /// operand of SELECT/HAVING evaluates per row ([`group_operands`]).
+    pub cols: Vec<Option<RowProg>>,
+    /// ORDER BY keys (ungrouped statements sort bound rows; grouped ones
+    /// sort output columns and compile nothing here).
+    pub order: Vec<Option<RowProg>>,
+    /// GROUP BY keys.
+    pub group: Vec<Option<RowProg>>,
+}
+
 impl PreparedQuery {
-    /// Lower every predicate (and, for ungrouped queries, every projection
-    /// column and ORDER BY key) to register programs. `params` supply type
-    /// classes only (fixed per shape).
+    /// Lower every predicate and every expression the tail evaluates per
+    /// row to register programs. `params` supply type classes only (fixed
+    /// per shape).
     fn compile(&self, catalog: &Catalog, params: &[Value]) {
         for p in self.preds.values() {
             p.compile(catalog, &self.var_class, params);
         }
-        // Grouped queries project and sort output columns, not bound rows,
-        // and never consult these programs.
-        let grouped = is_grouped(&self.stmt);
         let prog = |e: &Expr| compile_proj(catalog, &self.var_class, e, params);
-        let _ = self.proj.get_or_init(|| {
-            if grouped {
-                Vec::new()
+        let _ = self.progs.get_or_init(|| {
+            let (cols, order) = if is_grouped(&self.stmt) {
+                let inputs = group_operands(&self.stmt).into_iter().map(operand_input);
+                (inputs.map(|e| e.and_then(prog)).collect(), Vec::new())
             } else {
-                self.stmt.projection.iter().map(prog).collect()
-            }
-        });
-        let _ = self.order_progs.get_or_init(|| {
-            if grouped {
-                Vec::new()
-            } else {
-                let keys = self.stmt.order_by.iter();
-                keys.map(|(path, _)| prog(&Expr::Path(path.clone())))
-                    .collect()
+                let cols = self.stmt.projection.iter().map(prog).collect();
+                (cols, self.order_keys.iter().map(prog).collect())
+            };
+            TailProgs {
+                cols,
+                order,
+                group: self.group_keys.iter().map(prog).collect(),
             }
         });
     }
@@ -161,16 +176,6 @@ impl PreparedQuery {
         }
     }
 
-    /// The compiled projection columns, if the compilation pass has run.
-    fn proj_cols(&self) -> Option<&[Option<RowProg>]> {
-        self.proj.get().map(|v| v.as_slice())
-    }
-
-    /// The compiled ORDER BY key programs, if the compilation pass has run.
-    fn order_cols(&self) -> Option<&[Option<RowProg>]> {
-        self.order_progs.get().map(|v| v.as_slice())
-    }
-
     /// The prepared form of a plan predicate. `prepare` parses every
     /// predicate its plans carry, so a miss is a bug in the plan walk.
     fn pred(&self, text: &str) -> Result<&PreparedPred> {
@@ -182,7 +187,7 @@ impl PreparedQuery {
 
 /// Does the statement aggregate (GROUP BY or an aggregate in the
 /// projection)?
-fn is_grouped(stmt: &SelectStmt) -> bool {
+pub(crate) fn is_grouped(stmt: &SelectStmt) -> bool {
     !stmt.group_by.is_empty()
         || stmt
             .projection
@@ -316,8 +321,19 @@ impl<'a> Executor<'a> {
         self.trace.lock().expect("trace lock").clone()
     }
 
-    fn mark(&self, stage: impl Into<String>) {
+    pub(crate) fn mark(&self, stage: &str) {
         self.trace.lock().expect("trace lock").push(stage.into());
+    }
+
+    /// The bound parameter values.
+    pub(crate) fn params(&self) -> &'a [Value] {
+        self.params
+    }
+
+    /// Scratch registers for compiled programs reading this executor's
+    /// parameters.
+    pub(crate) fn registers(&self) -> Registers<'a> {
+        Registers::with_params(self.params)
     }
 
     /// Filter rows by a predicate. Verdicts are computed over
@@ -335,11 +351,12 @@ impl<'a> Executor<'a> {
         compiled: Option<&RowPred>,
     ) -> Result<Vec<Row>> {
         let verdicts = run_chunked(self.config.execution.parallelism, &rows, |_, chunk| {
-            let mut regs = Registers::with_params(self.params);
+            let mut regs = self.registers();
+            let resolver = CatalogResolver { catalog: self.catalog };
             chunk
                 .iter()
                 .map(|row| match compiled {
-                    Some(pred) => pred.matches(self.catalog, row, &mut regs),
+                    Some(pred) => pred.matches(&resolver, RowView::Row(row), &mut regs),
                     None => self.eval_pred(expr, row),
                 })
                 .collect::<Result<Vec<bool>>>()
@@ -447,8 +464,9 @@ impl<'a> Executor<'a> {
             epoch: self.catalog.epoch(),
             preds,
             reads,
-            proj: OnceLock::new(),
-            order_progs: OnceLock::new(),
+            order_keys: path_exprs(stmt.order_by.iter().map(|(p, _)| p)),
+            group_keys: path_exprs(&stmt.group_by),
+            progs: OnceLock::new(),
             var_class: stmt
                 .from
                 .iter()
@@ -525,9 +543,9 @@ impl<'a> Executor<'a> {
     /// with the row that binds it to `var`: the target query (see
     /// [`SelectStmt::dml_target`]) prepared and run through the driver's
     /// FROM + WHERE half exactly as a SELECT would be — index probe when
-    /// §8.1 picks one, scan + filter otherwise — and fully materialized
-    /// before the caller writes anything, so a statement never sees its own
-    /// updates.
+    /// §8.1 picks one, scan + filter otherwise — into a collecting sink, so
+    /// the set is complete before the caller writes anything and a
+    /// statement never sees its own updates.
     pub fn target_rows(
         &self,
         class: &str,
@@ -540,24 +558,14 @@ impl<'a> Executor<'a> {
         let mut exec_span = self
             .tracer
             .span("execute", self.catalog.storage().metrics());
-        let (rows, _) = self.bindings(&pq, None)?;
-        // The rows are join bindings: DNF terms that bind different
-        // variables, or a path through a SET-valued reference, bind the same
-        // target more than once. Each object is acted on once.
-        let mut seen: HashSet<Oid> = HashSet::new();
-        let mut targets = Vec::with_capacity(rows.len());
-        for row in rows {
-            let Some(oid) = row.get(var).and_then(|b| b.oid) else {
-                return Err(SqlError::Exec(format!(
-                    "DML target {var} is not a stored object"
-                )));
-            };
-            if seen.insert(oid) {
-                targets.push((oid, row));
-            }
-        }
-        exec_span.set_rows(targets.len() as u64);
-        Ok(targets)
+        let mut targets = Targets {
+            var,
+            seen: HashSet::new(),
+            rows: Vec::new(),
+        };
+        self.feed(&pq, false, &mut targets)?;
+        exec_span.set_rows(targets.rows.len() as u64);
+        Ok(targets.rows)
     }
 
     /// Begin one execution of `pq`: every parameter it reads must be bound
@@ -572,9 +580,9 @@ impl<'a> Executor<'a> {
     }
 
     /// The SELECT driver — the one path every statement takes: FROM + WHERE
-    /// ([`Executor::bindings`]), then the later clauses
-    /// ([`Executor::finish_select`]). `stages` turns recording on (`EXPLAIN
-    /// ANALYZE`): coordinator stages run inside stage windows and the plan
+    /// ([`Executor::feed`]) push into the statement's [`Tail`], which
+    /// applies the later clauses to the stream. `stages` turns recording on
+    /// (`EXPLAIN ANALYZE`): the tail's stage rows land there and the plan
     /// nodes' actuals come back as per-term reports; without it the same
     /// code runs and the reports are empty.
     fn execute(
@@ -586,43 +594,36 @@ impl<'a> Executor<'a> {
         let mut exec_span = self
             .tracer
             .span("execute", self.catalog.storage().metrics());
-        let (rows, terms) = self.bindings(pq, stages)?;
-        let result = self.finish_select(&pq.stmt, rows, stages, pq.proj_cols(), pq.order_cols())?;
+        let mut tail = Tail::new(self, pq);
+        let terms = self.feed(pq, stages.is_some(), &mut tail)?;
+        let result = tail.finish(stages)?;
         exec_span.set_rows(result.len() as u64);
         Ok((result, terms))
     }
 
-    /// FROM + WHERE of a prepared statement: the variable bindings the later
-    /// clauses (or a DML apply step) consume. Each AND-term's plan runs and
-    /// the terms are unioned (Figure 7.2); a FROM list without plans runs as
-    /// the nested-loop product. Per-node actuals are always recorded — the
-    /// registry's per-operator lifetime totals come from every execution —
-    /// and, when `stages` is given, paired with the cost model's estimates
-    /// (computed here, on demand: only a report reads them).
-    fn bindings(
+    /// FROM + WHERE of a prepared statement, pushed into `sink`: each
+    /// AND-term's plan runs in turn and the sink sees their union (Figure
+    /// 7.2; a FROM list without plans runs as the nested-loop product).
+    /// Per-node actuals are always recorded — the registry's per-operator
+    /// lifetime totals come from every execution — and, for a `report`,
+    /// paired with the cost model's estimates (computed here, on demand).
+    fn feed(
         &self,
         pq: &PreparedQuery,
-        stages: Option<&StageRec>,
-    ) -> Result<(Vec<Row>, Vec<TermReport>)> {
+        report: bool,
+        sink: &mut dyn Sink,
+    ) -> Result<Vec<TermReport>> {
         self.mark("FROM");
-        if !pq.lowered.unabsorbed.is_empty() {
-            // No per-operator plan; the FROM stage window keeps the page
-            // accounting complete.
-            let rows = staged(
-                stages,
-                "FROM",
-                |r: &Vec<Row>| r.len() as u64,
-                || self.nested_loop(&pq.stmt),
-            )?;
-            return Ok((rows, Vec::new()));
+        if pq.terms.is_empty() {
+            self.nested_loop(&pq.stmt, sink)?;
+            return Ok(Vec::new());
         }
         let storage = self.catalog.storage();
-        let stats = stages.map(|_| self.catalog.stats());
+        let stats = report.then(|| self.catalog.stats());
         let mut reports: Vec<TermReport> = Vec::new();
-        let mut rows: Vec<Row> = Vec::new();
         for plan in &pq.terms {
             let rec = AnalyzeRec::new(storage.metrics().clone());
-            rows.extend(self.exec_term(plan, pq, &rec)?);
+            self.exec_term(plan, pq, &rec, sink)?;
             let actuals = rec.into_nodes();
             record_operator_totals(storage.registry(), plan, &actuals);
             if let Some(stats) = &stats {
@@ -632,224 +633,97 @@ impl<'a> Executor<'a> {
         }
         if pq.terms.len() > 1 {
             self.mark("WHERE:UNION");
-            rows = staged(
-                stages,
-                "WHERE:UNION",
-                |r: &Vec<Row>| r.len() as u64,
-                || {
-                    dedupe_bindings(&mut rows);
-                    Ok(rows)
-                },
-            )?;
         }
-        Ok((rows, reports))
+        Ok(reports)
     }
 
-    /// GROUP BY / HAVING / projection / ORDER BY / DISTINCT in the Figure
-    /// 7.1 clause order, optionally inside stage recording windows.
-    fn finish_select(
+    /// Execute one term's plan set: temps in creation order, then the root
+    /// into `sink`. Node ids follow the shared pre-order scheme over
+    /// `[temps…, root]`.
+    fn exec_term(
         &self,
-        stmt: &SelectStmt,
-        mut rows: Vec<Row>,
-        stages: Option<&StageRec>,
-        proj: Option<&[Option<RowProg>]>,
-        order: Option<&[Option<RowProg>]>,
-    ) -> Result<QueryResult> {
-        let grouped = is_grouped(stmt);
-        let mut result = if grouped {
-            self.mark("GROUP BY");
-            let groups = staged(
-                stages,
-                "GROUP BY",
-                |g: &Vec<Vec<Row>>| g.len() as u64,
-                || self.group_rows(&rows, &stmt.group_by),
-            )?;
-            let groups = if let Some(h) = &stmt.having {
-                self.mark("HAVING");
-                staged(
-                    stages,
-                    "HAVING",
-                    |g: &Vec<Vec<Row>>| g.len() as u64,
-                    || {
-                        let mut kept = Vec::new();
-                        for g in groups {
-                            if self.eval_group_pred(h, &g)? {
-                                kept.push(g);
-                            }
-                        }
-                        Ok(kept)
-                    },
-                )?
-            } else {
-                groups
-            };
-            self.mark("PROJECT");
-            staged(
-                stages,
-                "PROJECT",
-                |r: &QueryResult| r.len() as u64,
-                || {
-                    let columns = self.column_labels(stmt);
-                    let mut out_rows = Vec::new();
-                    for g in &groups {
-                        let mut out = Vec::new();
-                        for p in &stmt.projection {
-                            out.push(self.eval_group_expr(p, g)?);
-                        }
-                        out_rows.push(out);
-                    }
-                    Ok(QueryResult {
-                        columns,
-                        rows: out_rows,
-                    })
-                },
-            )?
-        } else {
-            // ORDER BY applies to the bound rows pre-projection.
-            if !stmt.order_by.is_empty() {
-                self.mark("ORDER BY");
-                let n = rows.len() as u64;
-                staged(stages, "ORDER BY", move |_: &()| n, || {
-                    self.sort_rows(&mut rows, &stmt.order_by, order)
-                })?;
-            }
-            self.mark("PROJECT");
-            staged(
-                stages,
-                "PROJECT",
-                |r: &QueryResult| r.len() as u64,
-                || {
-                    let columns = self.column_labels(stmt);
-                    let mut regs = Registers::with_params(self.params);
-                    let mut out_rows = Vec::new();
-                    for row in &rows {
-                        let mut out = Vec::new();
-                        for (i, p) in stmt.projection.iter().enumerate() {
-                            let compiled =
-                                proj.and_then(|cols| cols.get(i)).and_then(|c| c.as_ref());
-                            out.push(match compiled {
-                                Some(c) => c.eval(self.catalog, row, &mut regs)?,
-                                None => self.eval_expr(p, row)?,
-                            });
-                        }
-                        out_rows.push(out);
-                    }
-                    Ok(QueryResult {
-                        columns,
-                        rows: out_rows,
-                    })
-                },
-            )?
-        };
-        // Grouped ORDER BY sorts output rows by matching columns.
-        if grouped && !stmt.order_by.is_empty() {
-            self.mark("ORDER BY");
-            let n = result.len() as u64;
-            staged(stages, "ORDER BY", move |_: &()| n, || {
-                let keys: Vec<usize> = stmt
-                    .order_by
-                    .iter()
-                    .filter_map(|(p, _)| result.columns.iter().position(|c| *c == p.render()))
-                    .collect();
-                let dirs: Vec<bool> = stmt.order_by.iter().map(|(_, asc)| *asc).collect();
-                result.rows.sort_by(|a, b| {
-                    for (ki, &col) in keys.iter().enumerate() {
-                        let ord = a[col].compare(&b[col]).unwrap_or(std::cmp::Ordering::Equal);
-                        let ord = if dirs.get(ki).copied().unwrap_or(true) {
-                            ord
-                        } else {
-                            ord.reverse()
-                        };
-                        if ord != std::cmp::Ordering::Equal {
-                            return ord;
-                        }
-                    }
-                    std::cmp::Ordering::Equal
-                });
-                Ok(())
-            })?;
-        }
-        if stmt.distinct {
-            staged(stages, "DISTINCT", |n: &u64| *n, || {
-                let mut seen = HashSet::new();
-                result.rows.retain(|r| {
-                    let mut key = Vec::new();
-                    for v in r {
-                        encode_value_into(&mut key, v);
-                    }
-                    seen.insert(key)
-                });
-                Ok(result.rows.len() as u64)
-            })?;
-        }
-        Ok(result)
-    }
-
-    /// Result column labels: the projection as written, so a parameter
-    /// reads as the literal it stands for.
-    fn column_labels(&self, stmt: &SelectStmt) -> Vec<String> {
-        stmt.projection
-            .iter()
-            .map(|e| e.render_with(self.params))
-            .collect()
-    }
-
-    /// Execute one term's plan set: temps in creation order, then the root.
-    /// Node ids follow the shared pre-order scheme over `[temps…, root]`.
-    fn exec_term(&self, set: &PlanSet, pq: &PreparedQuery, rec: &AnalyzeRec) -> Result<Vec<Row>> {
+        set: &PlanSet,
+        pq: &PreparedQuery,
+        rec: &AnalyzeRec,
+        sink: &mut dyn Sink,
+    ) -> Result<()> {
         let mut temps: HashMap<String, Vec<Row>> = HashMap::new();
         let mut offset = 0usize;
         for (name, plan) in &set.temps {
-            let rows = self.exec_plan_at(plan, offset, pq, &temps, rec)?;
+            let rows = self.rows_of(plan, offset, pq, &temps, rec)?;
             offset += plan.subtree_size();
             temps.insert(name.clone(), rows);
         }
-        self.exec_plan_at(&set.root, offset, pq, &temps, rec)
+        self.exec_plan_at(&set.root, offset, pq, &temps, rec, sink)
     }
 
     /// FROM + WHERE for a FROM list the optimizer's single-root model cannot
-    /// absorb: nested-loop product over the FROM extents plus the WHERE
-    /// clause as residual filter.
-    fn nested_loop(&self, stmt: &SelectStmt) -> Result<Vec<Row>> {
-        let mut rows: Vec<Row> = vec![Row::new()];
-        for item in &stmt.from {
-            let extent: Vec<(Oid, Arc<Value>)> = if item.every {
+    /// absorb: the nested-loop product over the FROM extents, formed and
+    /// filtered by the WHERE clause `batch_size` rows at a time. There is no
+    /// per-operator plan; the FROM stage window keeps the page accounting
+    /// complete.
+    fn nested_loop(&self, stmt: &SelectStmt, sink: &mut dyn Sink) -> Result<()> {
+        let metrics = self.catalog.storage().metrics();
+        let window = Window::open(metrics, sink);
+        let extent = |item: &crate::ast::FromItem| -> Result<Vec<(Oid, Arc<Value>)>> {
+            let extent = if item.every {
                 self.catalog.extent_every(&item.class, &item.minus)?
             } else {
                 self.catalog.extent(&item.class)?
-            }
-            .into_iter()
-            .map(|(o, v)| (o, Arc::new(v)))
-            .collect();
-            let mut next = Vec::with_capacity(rows.len() * extent.len());
-            for row in &rows {
-                for (oid, value) in &extent {
-                    let mut r = row.clone();
-                    r.insert(
-                        item.var.clone(),
-                        BoundObj {
-                            oid: Some(*oid),
-                            value: value.clone(),
-                        },
-                    );
-                    next.push(r);
+            };
+            Ok(extent.into_iter().map(|(o, v)| (o, Arc::new(v))).collect())
+        };
+        let bind = |row: &Row, item: &crate::ast::FromItem, oid: Oid, value: &Arc<Value>| {
+            let mut r = row.clone();
+            let value = value.clone();
+            r.insert(item.var.clone(), BoundObj { oid: Some(oid), value });
+            r
+        };
+        let Some((last, outer_items)) = stmt.from.split_last() else {
+            return Ok(());
+        };
+        let mut outer: Vec<Row> = vec![Row::new()];
+        for item in outer_items {
+            let extent = extent(item)?;
+            let pairs = outer.iter().flat_map(|row| extent.iter().map(move |e| (row, e)));
+            outer = pairs.map(|(row, (oid, v))| bind(row, item, *oid, v)).collect();
+        }
+        if stmt.where_clause.is_some() {
+            self.mark("WHERE:SELECT");
+        }
+        let batch = self.config.execution.batch_size.max(1);
+        let mut produced = 0u64;
+        let mut flush = |rows: Vec<Row>| -> Result<()> {
+            let rows = match &stmt.where_clause {
+                Some(w) => self.filter_rows(rows, w, None)?,
+                None => rows,
+            };
+            produced += rows.len() as u64;
+            sink.push_rows(rows)
+        };
+        let inner = extent(last)?;
+        let mut buf: Vec<Row> = Vec::new();
+        for row in &outer {
+            for (oid, value) in &inner {
+                buf.push(bind(row, last, *oid, value));
+                if buf.len() >= batch {
+                    flush(std::mem::take(&mut buf))?;
                 }
             }
-            rows = next;
         }
-        if let Some(w) = &stmt.where_clause {
-            self.mark("WHERE:SELECT");
-            rows = self.filter_rows(rows, w, None)?;
-        }
-        Ok(rows)
+        flush(buf)?;
+        let (delta, nanos) = window.close(metrics, sink);
+        sink.record_from(produced, delta, nanos);
+        Ok(())
     }
 
     // ------------------------------------------------------------------
     // Plan interpretation
     // ------------------------------------------------------------------
 
-    /// Execute the node at pre-order id `nid`, recording its rows, inclusive
-    /// counter delta and wall time.
+    /// Execute the node at pre-order id `nid` into `sink`, recording its
+    /// rows, inclusive counter delta and wall time — less what the sink
+    /// accounted to stages of its own while the node fed it.
     ///
     /// Snapshots are taken on this (coordinating) thread: chunk-parallel
     /// operators join their workers before returning, so the window still
@@ -861,20 +735,30 @@ impl<'a> Executor<'a> {
         pq: &PreparedQuery,
         temps: &HashMap<String, Vec<Row>>,
         rec: &AnalyzeRec,
-    ) -> Result<Vec<Row>> {
+        sink: &mut dyn Sink,
+    ) -> Result<()> {
         let mut span = self
             .tracer
             .span(format!("op:{}", op_kind(plan)), &rec.metrics);
-        let start = Instant::now();
-        let before = rec.metrics.snapshot();
-        let rows = self.exec_plan_node(plan, nid, pq, temps, rec)?;
-        span.set_rows(rows.len() as u64);
-        rec.record(
-            nid,
-            rows.len() as u64,
-            rec.metrics.snapshot().delta(&before),
-            start.elapsed().as_nanos() as u64,
-        );
+        let window = Window::open(&rec.metrics, sink);
+        let rows = self.exec_plan_node(plan, nid, pq, temps, rec, sink)?;
+        span.set_rows(rows);
+        let (delta, nanos) = window.close(&rec.metrics, sink);
+        rec.record(nid, rows, delta, nanos);
+        Ok(())
+    }
+
+    /// The rows of a node that feeds another operator.
+    fn rows_of(
+        &self,
+        plan: &Plan,
+        nid: usize,
+        pq: &PreparedQuery,
+        temps: &HashMap<String, Vec<Row>>,
+        rec: &AnalyzeRec,
+    ) -> Result<Vec<Row>> {
+        let mut rows = Vec::new();
+        self.exec_plan_at(plan, nid, pq, temps, rec, &mut rows)?;
         Ok(rows)
     }
 
@@ -917,6 +801,7 @@ impl<'a> Executor<'a> {
         }
     }
 
+    /// Run one node into `sink`; the number of rows it produced.
     fn exec_plan_node(
         &self,
         plan: &Plan,
@@ -924,22 +809,14 @@ impl<'a> Executor<'a> {
         pq: &PreparedQuery,
         temps: &HashMap<String, Vec<Row>>,
         rec: &AnalyzeRec,
-    ) -> Result<Vec<Row>> {
-        match plan {
-            Plan::Bind { class, var } => {
-                // Stream the extent scan straight into rows (no
-                // intermediate (oid, value) vector).
-                let mut rows = Vec::new();
-                self.scan_extent(class, var, pq, &mut |oid, value| {
-                    rows.push(bind_one(var, oid, value));
-                    true
-                })?;
-                Ok(rows)
-            }
+        sink: &mut dyn Sink,
+    ) -> Result<u64> {
+        let rows = match plan {
+            Plan::Bind { class, var } => return self.scan(class, var, pq, rec, None, sink),
             Plan::Temp { name } => temps
                 .get(name)
                 .cloned()
-                .ok_or_else(|| SqlError::Exec(format!("unknown temporary {name}"))),
+                .ok_or_else(|| SqlError::Exec(format!("unknown temporary {name}")))?,
             Plan::IndSel {
                 class,
                 var,
@@ -967,7 +844,8 @@ impl<'a> Executor<'a> {
                         vec![class.clone()]
                     }
                 });
-                let mut regs = Registers::with_params(self.params);
+                let mut regs = self.registers();
+                let resolver = CatalogResolver { catalog: self.catalog };
                 let mut rows = Vec::new();
                 for oid in oid_set.unwrap_or_default() {
                     if let Some(range) = &range {
@@ -989,7 +867,7 @@ impl<'a> Executor<'a> {
                     // object changed; evaluating the predicate on the
                     // fetched object guarantees correct answers regardless.
                     let keep = match prepared.compiled() {
-                        Some(c) => c.matches(self.catalog, &row, &mut regs)?,
+                        Some(c) => c.matches(&resolver, RowView::Row(&row), &mut regs)?,
                         None => self.eval_pred(&prepared.expr, &row)?,
                     };
                     if keep {
@@ -997,7 +875,7 @@ impl<'a> Executor<'a> {
                     }
                 }
                 rows.sort_by_key(|r| r.get(var).and_then(|b| b.oid));
-                Ok(rows)
+                rows
             }
             Plan::Select { input, predicate } => {
                 let prepared = pq.pred(predicate)?;
@@ -1006,12 +884,13 @@ impl<'a> Executor<'a> {
                 // batched pass.
                 if let (Plan::Bind { class, var }, Some(pred)) = (&**input, prepared.compiled()) {
                     if pred.var == *var {
-                        return self.scan_select(class, var, nid + 1, pq, rec, pred);
+                        self.mark("WHERE:SELECT");
+                        return self.scan(class, var, pq, rec, Some((pred, nid + 1)), sink);
                     }
                 }
-                let rows = self.exec_plan_at(input, nid + 1, pq, temps, rec)?;
+                let rows = self.rows_of(input, nid + 1, pq, temps, rec)?;
                 self.mark("WHERE:SELECT");
-                self.filter_rows(rows, &prepared.expr, prepared.compiled())
+                self.filter_rows(rows, &prepared.expr, prepared.compiled())?
             }
             Plan::Join {
                 left,
@@ -1019,102 +898,113 @@ impl<'a> Executor<'a> {
                 method,
                 condition,
             } => {
-                let left_rows = self.exec_plan_at(left, nid + 1, pq, temps, rec)?;
+                let left_rows = self.rows_of(left, nid + 1, pq, temps, rec)?;
                 let right_nid = nid + 1 + left.subtree_size();
                 let out = self.exec_join(
                     left_rows, right, right_nid, *method, condition, pq, temps, rec,
                 )?;
                 self.mark("WHERE:JOIN");
-                Ok(out)
+                out
             }
             Plan::Union { inputs } => {
                 let mut all = Vec::new();
                 let mut kid = nid + 1;
                 for p in inputs {
-                    all.extend(self.exec_plan_at(p, kid, pq, temps, rec)?);
+                    self.exec_plan_at(p, kid, pq, temps, rec, &mut all)?;
                     kid += p.subtree_size();
                 }
                 self.mark("WHERE:UNION");
-                Ok(all)
+                all
             }
-            other => Err(SqlError::Exec(format!(
-                "plan node {other:?} is handled at the statement level"
-            ))),
-        }
+            other => {
+                return Err(SqlError::Exec(format!(
+                    "plan node {other:?} is handled at the statement level"
+                )))
+            }
+        };
+        let n = rows.len() as u64;
+        sink.push_rows(rows)?;
+        Ok(n)
     }
 
-    /// Scan + select in one pass: stream the heap scan into batches of
-    /// `batch_size` objects and evaluate the compiled predicate per batch
-    /// with one register file and one per-batch deref cache, so funcman
-    /// dispatch, register setup and catalog dereferences amortize across
-    /// the batch. Rows (the per-object `BTreeMap` bindings) are built only
-    /// for survivors. Output is byte-identical to scan-then-filter (same
-    /// objects, same extent order) at every batch size; at 1 it *is* the
-    /// row-at-a-time path.
+    /// `BIND(class, var)` — alone, or with the compiled predicate of the
+    /// `SELECT` directly over it — streamed into `sink` in batches of
+    /// `batch_size` objects; the number of objects let through. A predicate
+    /// runs per batch with one register file and one per-batch deref cache,
+    /// so funcman dispatch, register setup and catalog dereferences amortize
+    /// across the batch, and nothing is built for an object it rejects.
+    /// Output is byte-identical to scan-then-filter (same objects, same
+    /// extent order) at every batch size; at 1 it *is* the row-at-a-time
+    /// path.
     ///
-    /// The `Bind` this absorbs (node `bind_nid`) still reports its own
+    /// A `Bind` absorbed this way (node `filter.1`) still reports its own
     /// actuals: the objects the scan produced, and the pages and time of
-    /// this pass less its predicate batches — which leaves the enclosing
-    /// `Select` exactly the work its predicate did.
-    fn scan_select(
+    /// this pass less its predicate batches and the sink's stage windows —
+    /// which leaves the enclosing `Select` exactly the work its predicate
+    /// did.
+    fn scan(
         &self,
         class: &str,
         var: &str,
-        bind_nid: usize,
         pq: &PreparedQuery,
         rec: &AnalyzeRec,
-        pred: &RowPred,
-    ) -> Result<Vec<Row>> {
-        self.mark("WHERE:SELECT");
+        filter: Option<(&RowPred, usize)>,
+        sink: &mut dyn Sink,
+    ) -> Result<u64> {
         let batch = self.config.execution.batch_size.max(1);
         let registry = self.catalog.storage().registry();
-        let start = Instant::now();
-        let before = rec.metrics.snapshot();
-        let mut scanned = 0u64;
+        let window = Window::open(&rec.metrics, sink);
+        let (mut scanned, mut kept) = (0u64, 0u64);
         let mut pred_delta = MetricsSnapshot::default();
         let mut pred_nanos = 0u64;
-        let mut rows: Vec<Row> = Vec::new();
-        let mut regs = Registers::with_params(self.params);
+        let mut regs = self.registers();
         // One batch: shared registers, fresh deref cache.
-        let mut filter = |buf: &mut Vec<(Oid, Value)>| -> Result<()> {
-            registry.record_batch(buf.len() as u64);
+        let mut flush = |buf: &mut Vec<(Oid, Value)>| -> Result<()> {
             scanned += buf.len() as u64;
-            let (pred_start, pred_before) = (Instant::now(), rec.metrics.snapshot());
-            let resolver = CachingResolver::new(self.catalog);
-            for (oid, value) in buf.drain(..) {
-                if pred.matches_value(&resolver, &value, &mut regs)? {
-                    rows.push(bind_one(var, oid, value));
-                }
+            if let Some((pred, _)) = filter {
+                registry.record_batch(buf.len() as u64);
+                let (pred_start, pred_before) = (Instant::now(), rec.metrics.snapshot());
+                let resolver = CachingResolver::new(self.catalog);
+                let mut failed = None;
+                buf.retain(|(_, value)| {
+                    if failed.is_some() {
+                        return false;
+                    }
+                    let view = RowView::Object { var, value };
+                    pred.matches(&resolver, view, &mut regs).unwrap_or_else(|e| {
+                        failed = Some(e);
+                        false
+                    })
+                });
+                failed.map_or(Ok(()), Err)?;
+                pred_delta = pred_delta.plus(&rec.metrics.snapshot().delta(&pred_before));
+                pred_nanos += pred_start.elapsed().as_nanos() as u64;
             }
-            pred_delta = pred_delta.plus(&rec.metrics.snapshot().delta(&pred_before));
-            pred_nanos += pred_start.elapsed().as_nanos() as u64;
-            Ok(())
+            kept += buf.len() as u64;
+            sink.push_objects(var, buf)
         };
         let mut buf: Vec<(Oid, Value)> = Vec::with_capacity(batch);
         let mut first_err: Option<SqlError> = None;
         self.scan_extent(class, var, pq, &mut |oid, value| {
             buf.push((oid, value));
             if buf.len() >= batch {
-                if let Err(e) = filter(&mut buf) {
+                if let Err(e) = flush(&mut buf) {
                     first_err = Some(e);
                     return false;
                 }
             }
             true
         })?;
-        if let Some(e) = first_err {
-            return Err(e);
-        }
+        first_err.map_or(Ok(()), Err)?;
         if !buf.is_empty() {
-            filter(&mut buf)?;
+            flush(&mut buf)?;
         }
-        rec.record(
-            bind_nid,
-            scanned,
-            rec.metrics.snapshot().delta(&before).delta(&pred_delta),
-            (start.elapsed().as_nanos() as u64).saturating_sub(pred_nanos),
-        );
-        Ok(rows)
+        if let Some((_, bind_nid)) = filter {
+            let (delta, nanos) = window.close(&rec.metrics, sink);
+            let nanos = nanos.saturating_sub(pred_nanos);
+            rec.record(bind_nid, scanned, delta.delta(&pred_delta), nanos);
+        }
+        Ok(kept)
     }
 
     fn index_probe(&self, class: &str, p: &Expr) -> Result<Vec<Oid>> {
@@ -1202,7 +1092,7 @@ impl<'a> Executor<'a> {
                 fields: y_fields,
             },
             None => {
-                let rows = self.exec_plan_at(right, right_nid, pq, temps, rec)?;
+                let rows = self.rows_of(right, right_nid, pq, temps, rec)?;
                 RightSide::Rows(key_rows_by(&rows, y_var))
             }
         };
@@ -1485,14 +1375,7 @@ impl<'a> Executor<'a> {
                     return Ok(Value::Null);
                 }
                 match l.compare(&r) {
-                    Some(ord) => Value::Boolean(match op {
-                        crate::ast::CmpOp::Eq => ord == std::cmp::Ordering::Equal,
-                        crate::ast::CmpOp::Ne => ord != std::cmp::Ordering::Equal,
-                        crate::ast::CmpOp::Lt => ord == std::cmp::Ordering::Less,
-                        crate::ast::CmpOp::Le => ord != std::cmp::Ordering::Greater,
-                        crate::ast::CmpOp::Gt => ord == std::cmp::Ordering::Greater,
-                        crate::ast::CmpOp::Ge => ord != std::cmp::Ordering::Less,
-                    }),
+                    Some(ord) => Value::Boolean(op.holds(ord)),
                     None => return Err(SqlError::Exec(format!("cannot compare {l} with {r}"))),
                 }
             }
@@ -1614,350 +1497,63 @@ impl<'a> Executor<'a> {
     pub fn eval_pred(&self, e: &Expr, row: &Row) -> Result<bool> {
         Ok(matches!(self.eval_expr(e, row)?, Value::Boolean(true)))
     }
+}
 
-    // ------------------------------------------------------------------
-    // Grouping and aggregates
-    // ------------------------------------------------------------------
+/// A recording window over a plan node (or the nested-loop FROM stage)
+/// that feeds a sink: the page delta and time since it opened, less what
+/// the sink accounted to stages of its own meanwhile.
+struct Window {
+    start: Instant,
+    before: MetricsSnapshot,
+    spent: (MetricsSnapshot, u64),
+}
 
-    /// Group rows by their encoded GROUP BY key. Groups are emitted in
-    /// first-appearance order, rows within a group in input order; the
-    /// hash lookup replaces a linear key scan without changing either.
-    ///
-    /// Past the buffer budget (`sort_budget`, shared with ORDER BY), the
-    /// aggregation partitions to disk instead of holding every row.
-    fn group_rows(&self, rows: &[Row], group_by: &[PathRef]) -> Result<Vec<Vec<Row>>> {
-        if group_by.is_empty() {
-            return Ok(vec![rows.to_vec()]);
+impl Window {
+    fn open(metrics: &DiskMetrics, sink: &dyn Sink) -> Window {
+        Window {
+            start: Instant::now(),
+            before: metrics.snapshot(),
+            spent: sink.spent(),
         }
-        let budget = self.config.execution.sort_budget.max(2);
-        if rows.len() > budget {
-            return self.group_rows_spilled(rows, group_by, budget);
-        }
-        let mut index: HashMap<Vec<u8>, usize> = HashMap::new();
-        let mut groups: Vec<Vec<Row>> = Vec::new();
+    }
+
+    fn close(&self, metrics: &DiskMetrics, sink: &dyn Sink) -> (MetricsSnapshot, u64) {
+        let (delta, nanos) = sink.spent();
+        let (delta, nanos) = (delta.delta(&self.spent.0), nanos - self.spent.1);
+        (
+            metrics.snapshot().delta(&self.before).delta(&delta),
+            (self.start.elapsed().as_nanos() as u64).saturating_sub(nanos),
+        )
+    }
+}
+
+/// The collecting sink of a DML target query: the rows binding `var`, one
+/// per stored object. Join bindings — DNF terms that bind different
+/// variables, or a path through a SET-valued reference — bind the same
+/// target more than once; each object is acted on once.
+struct Targets<'v> {
+    var: &'v str,
+    seen: HashSet<Oid>,
+    rows: Vec<(Oid, Row)>,
+}
+
+impl Sink for Targets<'_> {
+    fn push_objects(&mut self, var: &str, items: &mut Vec<(Oid, Value)>) -> Result<()> {
+        let rows = items.drain(..).map(|(oid, value)| bind_one(var, oid, value));
+        self.push_rows(rows.collect())
+    }
+
+    fn push_rows(&mut self, rows: Vec<Row>) -> Result<()> {
         for row in rows {
-            let key = self.group_key(group_by, row)?;
-            let next = groups.len();
-            let gi = *index.entry(key).or_insert(next);
-            if gi == next {
-                groups.push(Vec::new());
-            }
-            groups[gi].push(row.clone());
-        }
-        Ok(groups)
-    }
-
-    /// A row's encoded GROUP BY key: each path's value, `0xFE`-terminated.
-    fn group_key(&self, group_by: &[PathRef], row: &Row) -> Result<Vec<u8>> {
-        let mut key = Vec::new();
-        for g in group_by {
-            encode_value_into(&mut key, &self.eval_path(g, row)?);
-            key.push(0xFE);
-        }
-        Ok(key)
-    }
-
-    /// Partitioned hash aggregation: rows are hash-partitioned by group
-    /// key into spill files (charged to the disk metrics like sort runs,
-    /// counted in `agg.spilled_partitions`), then each partition is
-    /// grouped in memory — equal keys always land in one partition, so
-    /// no group spans files. Records carry the row's original index;
-    /// partition files preserve input order, so the first record of a
-    /// group holds its globally-first index, and sorting the assembled
-    /// groups by that index restores first-appearance order exactly.
-    /// Output is byte-identical to the in-memory path.
-    fn group_rows_spilled(
-        &self,
-        rows: &[Row],
-        group_by: &[PathRef],
-        budget: usize,
-    ) -> Result<Vec<Vec<Row>>> {
-        let sm = self.catalog.storage();
-        let registry = sm.registry().clone();
-        let metrics = sm.metrics().clone();
-        let parts = rows
-            .len()
-            .div_ceil(budget)
-            .next_power_of_two()
-            .clamp(2, 64);
-        let mut files: Vec<Option<SpillFile>> = Vec::new();
-        files.resize_with(parts, || None);
-        let mut record = Vec::new();
-        for (i, row) in rows.iter().enumerate() {
-            let key = self.group_key(group_by, row)?;
-            let p = (fnv1a(&key) as usize) % parts;
-            let f = match &mut files[p] {
-                Some(f) => f,
-                slot => slot.insert(SpillFile::create().map_err(spill_err)?),
-            };
-            record.clear();
-            encode_group_record(&mut record, &key, i, row);
-            f.write_record(&record).map_err(spill_err)?;
-        }
-        let mut keyed_groups: Vec<(usize, Vec<Row>)> = Vec::new();
-        for f in files.into_iter().flatten() {
-            registry.record_agg_spilled_partition();
-            let mut r = f.into_reader(Some(&metrics)).map_err(spill_err)?;
-            r.charge_sequential_read(&metrics);
-            let mut index: HashMap<Vec<u8>, usize> = HashMap::new();
-            let mut local: Vec<(usize, Vec<Row>)> = Vec::new();
-            while let Some(rec) = r.next_record().map_err(spill_err)? {
-                let (key, idx, row) = decode_group_record(&rec)?;
-                let next = local.len();
-                let gi = *index.entry(key).or_insert(next);
-                if gi == next {
-                    local.push((idx, Vec::new()));
-                }
-                local[gi].1.push(row);
-            }
-            keyed_groups.extend(local);
-        }
-        keyed_groups.sort_by_key(|(first, _)| *first);
-        Ok(keyed_groups.into_iter().map(|(_, g)| g).collect())
-    }
-
-    fn eval_group_expr(&self, e: &Expr, group: &[Row]) -> Result<Value> {
-        match e {
-            Expr::Agg { func, arg } => self.eval_agg(*func, arg.as_deref(), group),
-            other => {
-                let Some(first) = group.first() else {
-                    return Ok(Value::Null);
-                };
-                self.eval_expr(other, first)
-            }
-        }
-    }
-
-    fn eval_group_pred(&self, e: &Expr, group: &[Row]) -> Result<bool> {
-        // HAVING predicates may mix aggregates and group keys: evaluate
-        // comparisons with group-aware operands.
-        match e {
-            Expr::And(parts) => {
-                for p in parts {
-                    if !self.eval_group_pred(p, group)? {
-                        return Ok(false);
-                    }
-                }
-                Ok(true)
-            }
-            Expr::Or(parts) => {
-                for p in parts {
-                    if self.eval_group_pred(p, group)? {
-                        return Ok(true);
-                    }
-                }
-                Ok(false)
-            }
-            Expr::Not(inner) => Ok(!self.eval_group_pred(inner, group)?),
-            Expr::Compare { op, left, right } => {
-                let l = self.eval_group_expr(left, group)?;
-                let r = self.eval_group_expr(right, group)?;
-                if l.is_null() || r.is_null() {
-                    return Ok(false);
-                }
-                let Some(ord) = l.compare(&r) else {
-                    return Err(SqlError::Exec(format!("cannot compare {l} with {r}")));
-                };
-                Ok(match op {
-                    crate::ast::CmpOp::Eq => ord == std::cmp::Ordering::Equal,
-                    crate::ast::CmpOp::Ne => ord != std::cmp::Ordering::Equal,
-                    crate::ast::CmpOp::Lt => ord == std::cmp::Ordering::Less,
-                    crate::ast::CmpOp::Le => ord != std::cmp::Ordering::Greater,
-                    crate::ast::CmpOp::Gt => ord == std::cmp::Ordering::Greater,
-                    crate::ast::CmpOp::Ge => ord != std::cmp::Ordering::Less,
-                })
-            }
-            other => {
-                let Some(first) = group.first() else {
-                    return Ok(false);
-                };
-                self.eval_pred(other, first)
-            }
-        }
-    }
-
-    fn eval_agg(&self, func: AggFunc, arg: Option<&Expr>, group: &[Row]) -> Result<Value> {
-        if func == AggFunc::Count && arg.is_none() {
-            return Ok(Value::Integer(group.len() as i32));
-        }
-        let arg =
-            arg.ok_or_else(|| SqlError::Exec(format!("{}() requires an argument", func.name())))?;
-        let mut nums = Vec::new();
-        let mut count = 0usize;
-        for row in group {
-            let v = self.eval_expr(arg, row)?;
-            if v.is_null() {
-                continue;
-            }
-            count += 1;
-            if let Some(x) = v.as_f64() {
-                nums.push(x);
-            } else if func != AggFunc::Count {
+            let Some(oid) = row.get(self.var).and_then(|b| b.oid) else {
                 return Err(SqlError::Exec(format!(
-                    "{}() over non-numeric value {v}",
-                    func.name()
+                    "DML target {} is not a stored object",
+                    self.var
                 )));
+            };
+            if self.seen.insert(oid) {
+                self.rows.push((oid, row));
             }
-        }
-        Ok(match func {
-            AggFunc::Count => Value::Integer(count as i32),
-            AggFunc::Sum => Value::Float(nums.iter().sum()),
-            AggFunc::Avg => {
-                if nums.is_empty() {
-                    Value::Null
-                } else {
-                    Value::Float(nums.iter().sum::<f64>() / nums.len() as f64)
-                }
-            }
-            AggFunc::Min => nums
-                .iter()
-                .copied()
-                .fold(None::<f64>, |acc, x| Some(acc.map_or(x, |a| a.min(x))))
-                .map(Value::Float)
-                .unwrap_or(Value::Null),
-            AggFunc::Max => nums
-                .iter()
-                .copied()
-                .fold(None::<f64>, |acc, x| Some(acc.map_or(x, |a| a.max(x))))
-                .map(Value::Float)
-                .unwrap_or(Value::Null),
-        })
-    }
-
-    fn sort_rows(
-        &self,
-        rows: &mut [Row],
-        order_by: &[(PathRef, bool)],
-        order: Option<&[Option<RowProg>]>,
-    ) -> Result<()> {
-        // Precompute keys (evaluation may deref; do it once per row),
-        // through the compiled key programs when the plan has them.
-        let mut regs = Registers::with_params(self.params);
-        let mut keyed: Vec<(usize, Vec<Value>)> = Vec::with_capacity(rows.len());
-        for (i, row) in rows.iter().enumerate() {
-            let mut keys = Vec::with_capacity(order_by.len());
-            for (k, (p, _)) in order_by.iter().enumerate() {
-                let compiled = order.and_then(|cols| cols.get(k)).and_then(|c| c.as_ref());
-                keys.push(match compiled {
-                    Some(c) => c.eval(self.catalog, row, &mut regs)?,
-                    None => self.eval_path(p, row)?,
-                });
-            }
-            keyed.push((i, keys));
-        }
-        // Past the buffer budget, sort externally: runs of at most
-        // `sort_budget` rows spilled to temp files and k-way merged.
-        let budget = self.config.execution.sort_budget.max(2);
-        if keyed.len() > budget {
-            return self.sort_rows_spilled(rows, keyed, order_by, budget);
-        }
-        keyed.sort_by(|(_, a), (_, b)| {
-            for (k, (_, asc)) in order_by.iter().enumerate() {
-                let ord = a[k].compare(&b[k]).unwrap_or(std::cmp::Ordering::Equal);
-                let ord = if *asc { ord } else { ord.reverse() };
-                if ord != std::cmp::Ordering::Equal {
-                    return ord;
-                }
-            }
-            std::cmp::Ordering::Equal
-        });
-        // Permute in place by moving rows out (indices are unique), not by
-        // cloning the whole slice twice.
-        let mut permuted: Vec<Row> = keyed
-            .iter()
-            .map(|(i, _)| std::mem::take(&mut rows[*i]))
-            .collect();
-        for (dst, src) in rows.iter_mut().zip(permuted.drain(..)) {
-            *dst = src;
-        }
-        Ok(())
-    }
-
-    /// External merge sort for ORDER BY: sorted runs of at most `budget`
-    /// rows are serialized through the storage layer's temp-file spill
-    /// facility (charged to the disk metrics in page equivalents, counted
-    /// in the `sort.*` registry counters), then k-way merged comparing
-    /// decoded keys with the same comparator. The input's original index
-    /// breaks ties, which makes the total order identical to the stable
-    /// in-memory sort — output is byte-identical to the non-spilled path.
-    fn sort_rows_spilled(
-        &self,
-        rows: &mut [Row],
-        keyed: Vec<(usize, Vec<Value>)>,
-        order_by: &[(PathRef, bool)],
-        budget: usize,
-    ) -> Result<()> {
-        let sm = self.catalog.storage();
-        let registry = sm.registry().clone();
-        let metrics = sm.metrics().clone();
-        let key_cmp = |a: &[Value], ia: usize, b: &[Value], ib: usize| {
-            for (k, (_, asc)) in order_by.iter().enumerate() {
-                let ord = a[k].compare(&b[k]).unwrap_or(std::cmp::Ordering::Equal);
-                let ord = if *asc { ord } else { ord.reverse() };
-                if ord != std::cmp::Ordering::Equal {
-                    return ord;
-                }
-            }
-            ia.cmp(&ib)
-        };
-        // Run formation: gulp `budget` rows, sort in memory, spill.
-        let mut readers = Vec::new();
-        let mut record = Vec::new();
-        let mut iter = keyed.into_iter();
-        loop {
-            let mut run: Vec<(usize, Vec<Value>)> = iter.by_ref().take(budget).collect();
-            if run.is_empty() {
-                break;
-            }
-            run.sort_unstable_by(|(ia, a), (ib, b)| key_cmp(a, *ia, b, *ib));
-            let mut f = SpillFile::create().map_err(spill_err)?;
-            for (i, keys) in &run {
-                record.clear();
-                encode_sort_record(&mut record, keys, *i, &rows[*i]);
-                f.write_record(&record).map_err(spill_err)?;
-            }
-            registry.record_spilled_run(f.bytes());
-            let r = f.into_reader(Some(&metrics)).map_err(spill_err)?;
-            r.charge_sequential_read(&metrics);
-            readers.push(r);
-        }
-        // K-way merge over decoded run heads (linear min-scan; the run
-        // count is input/budget, small by construction).
-        let mut heads: Vec<Option<(usize, Vec<Value>, Row)>> = Vec::with_capacity(readers.len());
-        for r in &mut readers {
-            heads.push(next_sort_record(r)?);
-        }
-        let mut out: Vec<Row> = Vec::with_capacity(rows.len());
-        loop {
-            let mut best: Option<usize> = None;
-            for ri in 0..heads.len() {
-                let Some((idx, keys, _)) = &heads[ri] else {
-                    continue;
-                };
-                match best {
-                    None => best = Some(ri),
-                    Some(b) => {
-                        let (bidx, bkeys, _) = heads[b].as_ref().expect("best head present");
-                        if key_cmp(keys, *idx, bkeys, *bidx) == std::cmp::Ordering::Less {
-                            best = Some(ri);
-                        }
-                    }
-                }
-            }
-            let Some(b) = best else { break };
-            let (_, _, row) = heads[b].take().expect("winning head present");
-            out.push(row);
-            heads[b] = next_sort_record(&mut readers[b])?;
-        }
-        if out.len() != rows.len() {
-            return Err(SqlError::Exec(format!(
-                "external sort row count mismatch: {} in, {} out",
-                rows.len(),
-                out.len()
-            )));
-        }
-        for (dst, src) in rows.iter_mut().zip(out) {
-            *dst = src;
         }
         Ok(())
     }
@@ -2005,7 +1601,7 @@ impl RightSide<'_> {
 }
 
 /// The row binding one stored object to `var`.
-fn bind_one(var: &str, oid: Oid, value: Value) -> Row {
+pub(crate) fn bind_one(var: &str, oid: Oid, value: Value) -> Row {
     let mut row = Row::new();
     row.insert(
         var.to_string(),
@@ -2017,143 +1613,9 @@ fn bind_one(var: &str, oid: Oid, value: Value) -> Row {
     row
 }
 
-fn spill_err(e: std::io::Error) -> SqlError {
-    SqlError::Exec(format!("sort spill i/o: {e}"))
-}
-
-fn spill_corrupt() -> SqlError {
-    SqlError::Exec("sort spill record corrupt".into())
-}
-
-/// Append a length-prefixed byte chunk (the spill records' framing).
-fn put_chunk(out: &mut Vec<u8>, b: &[u8]) {
-    out.extend((b.len() as u32).to_le_bytes());
-    out.extend(b);
-}
-
-/// Read back one length-prefixed chunk, advancing `at`.
-fn take_chunk<'a>(rec: &'a [u8], at: &mut usize) -> Result<&'a [u8]> {
-    let len_end = at.checked_add(4).filter(|e| *e <= rec.len()).ok_or_else(spill_corrupt)?;
-    let len =
-        u32::from_le_bytes(rec[*at..len_end].try_into().expect("4-byte slice")) as usize;
-    let end = len_end.checked_add(len).filter(|e| *e <= rec.len()).ok_or_else(spill_corrupt)?;
-    *at = end;
-    Ok(&rec[len_end..end])
-}
-
-/// Append a value as one chunk, encoded in place behind its length.
-fn put_value(out: &mut Vec<u8>, v: &Value) {
-    let at = out.len();
-    out.extend([0u8; 4]);
-    encode_value_into(out, v);
-    let len = (out.len() - at - 4) as u32;
-    out[at..at + 4].copy_from_slice(&len.to_le_bytes());
-}
-
-/// Append one external-sort spill record: `[index u64][nkeys u32][key
-/// chunk…][nvars u32][(name chunk)(oid chunk, empty = None)(value chunk)…]`.
-/// Every `Value` is framed with its own length so the codec stays
-/// self-delimiting inside the record. A bound value is as wide as its
-/// variable's read set, so that is what a spilled row costs.
-fn encode_sort_record(out: &mut Vec<u8>, keys: &[Value], index: usize, row: &Row) {
-    out.extend((index as u64).to_le_bytes());
-    out.extend((keys.len() as u32).to_le_bytes());
-    for k in keys {
-        put_value(out, k);
-    }
-    out.extend((row.len() as u32).to_le_bytes());
-    for (name, bound) in row {
-        put_chunk(out, name.as_bytes());
-        match bound.oid {
-            Some(oid) => put_value(out, &Value::Ref(oid)),
-            None => out.extend(0u32.to_le_bytes()),
-        }
-        put_value(out, &bound.value);
-    }
-}
-
-fn decode_sort_record(rec: &[u8]) -> Result<(usize, Vec<Value>, Row)> {
-    let mut at = 0usize;
-    if rec.len() < 12 {
-        return Err(spill_corrupt());
-    }
-    let index = u64::from_le_bytes(rec[..8].try_into().expect("8-byte slice")) as usize;
-    at += 8;
-    let nkeys =
-        u32::from_le_bytes(rec[at..at + 4].try_into().expect("4-byte slice")) as usize;
-    at += 4;
-    let mut keys = Vec::with_capacity(nkeys);
-    for _ in 0..nkeys {
-        let chunk = take_chunk(rec, &mut at)?;
-        keys.push(decode_value(chunk).map_err(|_| spill_corrupt())?);
-    }
-    let nvars_end = at.checked_add(4).filter(|e| *e <= rec.len()).ok_or_else(spill_corrupt)?;
-    let nvars =
-        u32::from_le_bytes(rec[at..nvars_end].try_into().expect("4-byte slice")) as usize;
-    at = nvars_end;
-    let mut row = Row::new();
-    for _ in 0..nvars {
-        let name = String::from_utf8(take_chunk(rec, &mut at)?.to_vec())
-            .map_err(|_| spill_corrupt())?;
-        let oid_chunk = take_chunk(rec, &mut at)?;
-        let oid = if oid_chunk.is_empty() {
-            None
-        } else {
-            match decode_value(oid_chunk).map_err(|_| spill_corrupt())? {
-                Value::Ref(oid) => Some(oid),
-                _ => return Err(spill_corrupt()),
-            }
-        };
-        let value = decode_value(take_chunk(rec, &mut at)?).map_err(|_| spill_corrupt())?;
-        row.insert(name, BoundObj { oid, value: Arc::new(value) });
-    }
-    Ok((index, keys, row))
-}
-
-/// FNV-1a over a group key: the partition hash. Any stable hash works
-/// (equal keys must collide onto one partition); FNV keeps it dependency-
-/// free and deterministic across runs.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0100_0000_01b3);
-    }
-    h
-}
-
-/// Append one aggregation spill record: `[key chunk][sort record with no keys]`
-/// — the group key travels with the row so the read-back pass never
-/// re-evaluates GROUP BY paths (which could deref through the catalog).
-fn encode_group_record(out: &mut Vec<u8>, key: &[u8], index: usize, row: &Row) {
-    put_chunk(out, key);
-    encode_sort_record(out, &[], index, row);
-}
-
-fn decode_group_record(rec: &[u8]) -> Result<(Vec<u8>, usize, Row)> {
-    let mut at = 0usize;
-    let key = take_chunk(rec, &mut at)?.to_vec();
-    let (index, _, row) = decode_sort_record(&rec[at..])?;
-    Ok((key, index, row))
-}
-
-/// The next decoded record of a spill run, or `None` at end of run.
-fn next_sort_record(
-    r: &mut mood_storage::spill::SpillReader,
-) -> Result<Option<(usize, Vec<Value>, Row)>> {
-    match r.next_record().map_err(spill_err)? {
-        Some(rec) => decode_sort_record(&rec).map(Some),
-        None => Ok(None),
-    }
-}
-
-/// Set semantics over variable bindings: dedupe by OID signature.
-fn dedupe_bindings(rows: &mut Vec<Row>) {
-    let mut seen = HashSet::new();
-    rows.retain(|row| {
-        let sig: Vec<(String, Option<Oid>)> = row.iter().map(|(k, v)| (k.clone(), v.oid)).collect();
-        seen.insert(format!("{sig:?}"))
-    });
+/// ORDER BY / GROUP BY keys as the expressions they evaluate.
+fn path_exprs<'p>(paths: impl IntoIterator<Item = &'p PathRef>) -> Vec<Expr> {
+    paths.into_iter().cloned().map(Expr::Path).collect()
 }
 
 fn unbound_param(n: u16, bound: usize) -> SqlError {

@@ -17,6 +17,7 @@ pub mod exec;
 pub mod parser;
 pub(crate) mod readset;
 pub(crate) mod shape;
+pub(crate) mod tail;
 pub mod token;
 
 pub use analyze::{

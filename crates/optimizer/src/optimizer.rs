@@ -259,9 +259,10 @@ impl OptimizerConfig {
         }
     }
 
-    /// The same config with the given operator parallelism.
+    /// The same config with the given operator parallelism (clamped to at
+    /// least 1); batch size and sort budget stay as they were.
     pub fn with_parallelism(mut self, parallelism: usize) -> Self {
-        self.execution = ExecutionConfig::with_parallelism(parallelism);
+        self.execution.parallelism = parallelism.max(1);
         self
     }
 

@@ -117,7 +117,13 @@ where
             .enumerate()
             .map(|(i, r)| {
                 let f = &f;
-                scope.spawn(move || f(i, &items[r]))
+                scope.spawn(move || {
+                    let out = f(i, &items[r]);
+                    // The worker ends here: its page counts move to the
+                    // metrics' retired block instead of staying registered.
+                    crate::metrics::retire_thread();
+                    out
+                })
             })
             .collect();
         handles

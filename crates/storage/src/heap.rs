@@ -15,8 +15,8 @@ use parking_lot::Mutex;
 use crate::buffer::BufferPool;
 use crate::error::{Result, StorageError};
 use crate::metrics::{AccessHint, AccessKind};
-use crate::oid::{FileId, Oid, PageId, SlotId};
-use crate::page::{SlotContent, SlottedPage, MAX_RECORD};
+use crate::oid::{FileId, Oid, PageId};
+use crate::page::{Page, SlotContent, SlottedPage, MAX_RECORD};
 
 const TAG_NORMAL: u8 = 0;
 const TAG_MOVED_IN: u8 = 1;
@@ -341,6 +341,8 @@ impl HeapFile {
             AccessHint::Sequential => self.pool.readahead_window(),
             AccessHint::Random => 0,
         };
+        // One page-sized buffer for the whole scan.
+        let mut copy = Page::new();
         'pages: for pnum in start..end {
             let pid = PageId(pnum);
             if window > 0 && (pnum - start).is_multiple_of(window) {
@@ -349,25 +351,12 @@ impl HeapFile {
                 // fetched on demand below, where real errors surface.
                 self.pool.prefetch_sequential(self.file, pid, span);
             }
-            // Materialize the page's live slots, then resolve forwards
-            // outside the page callback (no pool re-entrancy).
-            let entries: Vec<(SlotId, u32, bool, Option<Vec<u8>>)> =
-                self.pool
-                    .with_page(self.file, pid, kind, |p| {
-                        SlottedPage::live_slots(p)
-                            .into_iter()
-                            .map(|(slot, stamp, is_fwd)| {
-                                let bytes = match SlottedPage::get_any(p, slot) {
-                                    Ok(SlotContent::Record(b)) => Some(b),
-                                    Ok(SlotContent::Forward(b)) => Some(b),
-                                    _ => None,
-                                };
-                                (slot, stamp, is_fwd, bytes)
-                            })
-                            .collect()
-                    })?;
-            for (slot, stamp, is_fwd, bytes) in entries {
-                let Some(bytes) = bytes else { continue };
+            // Copy the page's used bytes out once, then visit its records
+            // — and resolve forwards — outside the page callback, so the
+            // visitor may re-enter the pool.
+            self.pool
+                .with_page(self.file, pid, kind, |p| SlottedPage::copy_used(p, &mut copy))?;
+            for (slot, stamp, is_fwd, bytes) in SlottedPage::live_records(&copy) {
                 let oid = Oid::new(self.file, pid, slot, stamp);
                 if is_fwd {
                     let record = self.get_kind(oid, AccessKind::Random)?;

@@ -10,9 +10,10 @@
 //! reproduction compare measured access patterns against the paper's cost
 //! formulas on equal footing.
 
+use std::cell::RefCell;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 use std::thread::ThreadId;
 
 use parking_lot::Mutex;
@@ -177,10 +178,61 @@ impl AccessHint {
 /// per-thread counts — parallel execution redistributes accesses between
 /// threads but must never change the totals the cost model is checked
 /// against.
+///
+/// A thread finds its own block without a lock: the registry is locked
+/// only the first time a thread records (per instance, per [`reset`]),
+/// after which the block sits in a thread-local. A pool worker folds its
+/// block into the one *retired* block when its chunk returns
+/// ([`retire_thread`]), so the registry holds the threads that are alive,
+/// not every thread that ever ran.
+///
+/// [`reset`]: DiskMetrics::reset
 #[derive(Debug, Default, Clone)]
 pub struct DiskMetrics {
-    inner: Arc<Counters>,
-    per_thread: Arc<Mutex<HashMap<ThreadId, Arc<Counters>>>>,
+    shared: Arc<Shared>,
+}
+
+#[derive(Debug, Default)]
+struct Shared {
+    totals: Counters,
+    /// Bumped by `reset`: a thread-local block is good for one generation.
+    generation: AtomicU64,
+    registry: Mutex<Registry>,
+}
+
+#[derive(Debug, Default)]
+struct Registry {
+    live: HashMap<ThreadId, Arc<Counters>>,
+    /// The summed counts of workers that have finished.
+    retired: MetricsSnapshot,
+}
+
+/// The calling thread's block in one `DiskMetrics` instance.
+struct Block {
+    shared: Weak<Shared>,
+    generation: u64,
+    counters: Arc<Counters>,
+}
+
+thread_local! {
+    static BLOCKS: RefCell<Vec<Block>> = const { RefCell::new(Vec::new()) };
+}
+
+/// Fold the calling thread's counts into the retired block of every
+/// instance it recorded to, and forget the thread there: what a pool
+/// worker does when its chunk returns.
+pub(crate) fn retire_thread() {
+    let id = std::thread::current().id();
+    for block in BLOCKS.take() {
+        let Some(shared) = block.shared.upgrade() else {
+            continue;
+        };
+        let mut registry = shared.registry.lock();
+        if let Some(counters) = registry.live.remove(&id) {
+            let counts = DiskMetrics::snapshot_of(&counters);
+            registry.retired = registry.retired.plus(&counts);
+        }
+    }
 }
 
 #[derive(Debug, Default)]
@@ -249,12 +301,30 @@ impl DiskMetrics {
         Self::default()
     }
 
-    /// The counter block attributed to the calling thread, creating it on
-    /// first use. The lock is held only for the map lookup; the atomic bumps
-    /// happen outside it.
-    fn thread_counters(&self) -> Arc<Counters> {
-        let id = std::thread::current().id();
-        self.per_thread.lock().entry(id).or_default().clone()
+    /// Run `bump` on the counter block attributed to the calling thread.
+    /// A thread that has recorded before (since the last reset) finds its
+    /// block in the thread-local list; only the first access registers it,
+    /// under the lock, dropping the blocks of instances that are gone.
+    fn on_thread(&self, bump: impl FnOnce(&Counters)) {
+        let me = Arc::as_ptr(&self.shared);
+        // A validity stamp, not a publication: the blocks themselves are
+        // handed out under the registry lock.
+        let generation = self.shared.generation.load(Ordering::SeqCst);
+        BLOCKS.with_borrow_mut(|blocks| {
+            let mine = |b: &Block| b.shared.as_ptr() == me;
+            if let Some(b) = blocks.iter().find(|b| mine(b) && b.generation == generation) {
+                return bump(&b.counters);
+            }
+            blocks.retain(|b| !mine(b) && b.shared.strong_count() > 0);
+            let id = std::thread::current().id();
+            let counters = self.shared.registry.lock().live.entry(id).or_default().clone();
+            bump(&counters);
+            blocks.push(Block {
+                shared: Arc::downgrade(&self.shared),
+                generation,
+                counters,
+            });
+        })
     }
 
     fn bump_read(c: &Counters, kind: AccessKind) {
@@ -280,76 +350,83 @@ impl DiskMetrics {
     }
 
     pub fn record_read(&self, kind: AccessKind) {
-        Self::bump_read(&self.inner, kind);
-        Self::bump_read(&self.thread_counters(), kind);
+        Self::bump_read(&self.shared.totals, kind);
+        self.on_thread(|c| Self::bump_read(c, kind));
     }
 
     /// One contiguous readahead batch of `pages` sequential pages: counts
     /// the pages as sequential reads and the batch itself once — the cost
     /// model charges one seek + latency per batch, not per page run.
     pub fn record_sequential_batch(&self, pages: u64) {
-        self.inner.seq_pages.fetch_add(pages, Ordering::Relaxed);
-        self.inner.seq_batches.fetch_add(1, Ordering::Relaxed);
-        let tc = self.thread_counters();
-        tc.seq_pages.fetch_add(pages, Ordering::Relaxed);
-        tc.seq_batches.fetch_add(1, Ordering::Relaxed);
+        let bump = |c: &Counters| {
+            c.seq_pages.fetch_add(pages, Ordering::Relaxed);
+            c.seq_batches.fetch_add(1, Ordering::Relaxed);
+        };
+        bump(&self.shared.totals);
+        self.on_thread(bump);
+    }
+
+    /// Count one event in the totals and in the calling thread's block.
+    fn bump(&self, field: impl Fn(&Counters) -> &AtomicU64) {
+        field(&self.shared.totals).fetch_add(1, Ordering::Relaxed);
+        self.on_thread(|c| {
+            field(c).fetch_add(1, Ordering::Relaxed);
+        });
     }
 
     pub fn record_write(&self) {
-        self.inner.writes.fetch_add(1, Ordering::Relaxed);
-        self.thread_counters().writes.fetch_add(1, Ordering::Relaxed);
+        self.bump(|c| &c.writes);
     }
 
     pub fn record_buffer_hit(&self) {
-        self.inner.buffer_hits.fetch_add(1, Ordering::Relaxed);
-        self.thread_counters()
-            .buffer_hits
-            .fetch_add(1, Ordering::Relaxed);
+        self.bump(|c| &c.buffer_hits);
     }
 
     pub fn record_buffer_miss(&self) {
-        self.inner.buffer_misses.fetch_add(1, Ordering::Relaxed);
-        self.thread_counters()
-            .buffer_misses
-            .fetch_add(1, Ordering::Relaxed);
+        self.bump(|c| &c.buffer_misses);
     }
 
     pub fn record_buffer_eviction(&self) {
-        self.inner.buffer_evictions.fetch_add(1, Ordering::Relaxed);
-        self.thread_counters()
-            .buffer_evictions
-            .fetch_add(1, Ordering::Relaxed);
+        self.bump(|c| &c.buffer_evictions);
     }
 
     pub fn snapshot(&self) -> MetricsSnapshot {
-        Self::snapshot_of(&self.inner)
+        Self::snapshot_of(&self.shared.totals)
     }
 
-    /// Per-thread view of the counters, ordered by thread id for stable
-    /// output. Summing the snapshots componentwise reproduces
-    /// [`DiskMetrics::snapshot`] (for accesses recorded since the last
-    /// [`DiskMetrics::reset`]).
-    pub fn per_thread_snapshot(&self) -> Vec<(ThreadId, MetricsSnapshot)> {
-        let mut out: Vec<(ThreadId, MetricsSnapshot)> = self
-            .per_thread
-            .lock()
-            .iter()
-            .map(|(id, c)| (*id, Self::snapshot_of(c)))
-            .collect();
+    /// Per-thread view of the counters: the threads still registered,
+    /// ordered by thread id for stable output, then — under `None` — the
+    /// summed counts of the pool workers that have finished. Summing the
+    /// snapshots componentwise reproduces [`DiskMetrics::snapshot`] (for
+    /// accesses recorded since the last [`DiskMetrics::reset`]).
+    pub fn per_thread_snapshot(&self) -> Vec<(Option<ThreadId>, MetricsSnapshot)> {
+        let registry = self.shared.registry.lock();
+        let live = registry.live.iter();
+        let mut out: Vec<_> = live.map(|(id, c)| (Some(*id), Self::snapshot_of(c))).collect();
         out.sort_by_key(|(id, _)| format!("{id:?}"));
+        if registry.retired != MetricsSnapshot::default() {
+            out.push((None, registry.retired));
+        }
         out
     }
 
     pub fn reset(&self) {
-        self.inner.seq_pages.store(0, Ordering::Relaxed);
-        self.inner.seq_batches.store(0, Ordering::Relaxed);
-        self.inner.rnd_pages.store(0, Ordering::Relaxed);
-        self.inner.idx_pages.store(0, Ordering::Relaxed);
-        self.inner.writes.store(0, Ordering::Relaxed);
-        self.inner.buffer_hits.store(0, Ordering::Relaxed);
-        self.inner.buffer_misses.store(0, Ordering::Relaxed);
-        self.inner.buffer_evictions.store(0, Ordering::Relaxed);
-        self.per_thread.lock().clear();
+        let mut registry = self.shared.registry.lock();
+        *registry = Registry::default();
+        self.shared.generation.fetch_add(1, Ordering::SeqCst);
+        let totals = &self.shared.totals;
+        for counter in [
+            &totals.seq_pages,
+            &totals.seq_batches,
+            &totals.rnd_pages,
+            &totals.idx_pages,
+            &totals.writes,
+            &totals.buffer_hits,
+            &totals.buffer_misses,
+            &totals.buffer_evictions,
+        ] {
+            counter.store(0, Ordering::Relaxed);
+        }
     }
 }
 
@@ -396,6 +473,36 @@ mod tests {
         assert_eq!(per.iter().map(|(_, s)| s.writes).sum::<u64>(), total.writes);
         m.reset();
         assert!(m.per_thread_snapshot().is_empty());
+    }
+
+    #[test]
+    fn finished_pool_workers_fold_into_one_retired_block() {
+        let m = DiskMetrics::new();
+        m.record_read(AccessKind::Sequential);
+        let items: Vec<u32> = (0..64).collect();
+        for _ in 0..1000 {
+            crate::exec::run_chunked(4, &items, |_, chunk| {
+                for _ in chunk {
+                    m.record_read(AccessKind::Random);
+                    m.record_buffer_hit();
+                }
+                Ok::<Vec<()>, ()>(Vec::new())
+            })
+            .unwrap();
+        }
+        let per = m.per_thread_snapshot();
+        assert_eq!(per.len(), 2, "this thread + the retired workers, not 4 000 entries");
+        assert_eq!(per[1].0, None, "finished workers are summed under no thread id");
+        assert_eq!(per[1].1.rnd_pages, 64_000);
+        let total = m.snapshot();
+        let sum = per.iter().fold(MetricsSnapshot::default(), |acc, (_, s)| acc.plus(s));
+        assert_eq!(sum, total, "live + retired blocks sum exactly to the totals");
+        // A thread keeps recording to its block across a reset.
+        m.reset();
+        assert!(m.per_thread_snapshot().is_empty());
+        m.record_write();
+        assert_eq!(m.per_thread_snapshot().len(), 1);
+        assert_eq!(m.per_thread_snapshot()[0].1, m.snapshot());
     }
 
     #[test]

@@ -228,6 +228,12 @@ impl SlottedPage {
                 max: MAX_RECORD,
             });
         }
+        // An all-zero page was allocated but never written (a crash between
+        // the two): it holds nothing, and inserting into it as it is would
+        // leave `free_start` short of the slot directory.
+        if Self::free_end(page) == 0 {
+            Self::init(page);
+        }
         let alloc = record.len().max(crate::oid::Oid::ENCODED_LEN);
         let reuse = Self::find_free_slot(page);
         let need = alloc + if reuse.is_some() { 0 } else { SLOT_BYTES };
@@ -404,16 +410,35 @@ impl SlottedPage {
         page.set_u16(4, end as u16);
     }
 
-    /// Iterator over live slots: (slot, stamp, is_forward).
-    pub fn live_slots(page: &Page) -> Vec<(SlotId, u32, bool)> {
-        let mut out = Vec::new();
-        for i in 0..Self::slot_count(page) {
-            let (_, len, unique) = Self::slot_entry(page, i);
-            if len != LEN_FREE {
-                out.push((SlotId(i), unique, len == LEN_FORWARD));
-            }
-        }
-        out
+    /// The live slots with their bytes borrowed from the page: `(slot,
+    /// stamp, is_forward, bytes)` — a record's payload, or a forwarding
+    /// stub's serialized OID.
+    pub fn live_records(page: &Page) -> impl Iterator<Item = (SlotId, u32, bool, &[u8])> {
+        (0..Self::slot_count(page)).filter_map(move |i| {
+            let (off, len, unique) = Self::slot_entry(page, i);
+            let n = match len {
+                LEN_FREE => return None,
+                LEN_FORWARD => crate::oid::Oid::ENCODED_LEN,
+                n => n as usize,
+            };
+            let bytes = &page.data[off as usize..off as usize + n];
+            Some((SlotId(i), unique, len == LEN_FORWARD, bytes))
+        })
+    }
+
+    /// Copy what a reader of `src`'s slots needs — the header and slot
+    /// directory, and the records from the lowest live one up — into `dst`,
+    /// skipping the free gap between them. Both bounds come from the slot
+    /// directory itself, the one thing [`SlottedPage::live_records`] reads.
+    pub fn copy_used(src: &Page, dst: &mut Page) {
+        let slots = Self::slot_count(src);
+        let dir_end = (HEADER + slots as usize * SLOT_BYTES).min(PAGE_USABLE);
+        let live = (0..slots).map(|i| Self::slot_entry(src, i));
+        let lowest = live.filter(|(_, len, _)| *len != LEN_FREE).map(|(off, _, _)| off);
+        let lowest = lowest.min().map_or(PAGE_USABLE, usize::from);
+        let heap_start = lowest.clamp(dir_end, PAGE_USABLE);
+        dst.data[..dir_end].copy_from_slice(&src.data[..dir_end]);
+        dst.data[heap_start..PAGE_USABLE].copy_from_slice(&src.data[heap_start..PAGE_USABLE]);
     }
 }
 
@@ -598,15 +623,36 @@ mod tests {
     }
 
     #[test]
-    fn live_slots_reports_forwards() {
+    fn inserting_into_a_never_written_page_initializes_it() {
+        let mut p = Page::new();
+        let (slot, unique) = SlottedPage::insert(&mut p, b"first").unwrap();
+        assert_eq!(SlottedPage::free_start(&p), HEADER + SLOT_BYTES);
+        assert_eq!(
+            SlottedPage::get(&p, slot, unique).unwrap(),
+            SlotContent::Record(b"first".to_vec())
+        );
+        let mut reference = fresh();
+        SlottedPage::insert(&mut reference, b"first").unwrap();
+        assert_eq!(p.data[..], reference.data[..]);
+    }
+
+    #[test]
+    fn live_records_reports_forwards_and_borrows_payloads() {
         let mut p = fresh();
         let (s1, _) = SlottedPage::insert(&mut p, b"a").unwrap();
         let (s2, _) = SlottedPage::insert(&mut p, b"b").unwrap();
+        let (s3, stamp3) = SlottedPage::insert(&mut p, b"a longer record").unwrap();
         SlottedPage::delete(&mut p, s1).unwrap();
-        SlottedPage::make_forward(&mut p, s2, &crate::oid::Oid::NULL.to_bytes()).unwrap();
-        let live = SlottedPage::live_slots(&p);
-        assert_eq!(live.len(), 1);
-        assert_eq!(live[0].0, s2);
-        assert!(live[0].2, "slot is a forward");
+        let target = crate::oid::Oid::NULL.to_bytes();
+        SlottedPage::make_forward(&mut p, s2, &target).unwrap();
+        // A reader works from a copy of the used ranges alone.
+        let mut copy = fresh();
+        SlottedPage::copy_used(&p, &mut copy);
+        for page in [&p, &copy] {
+            let live: Vec<_> = SlottedPage::live_records(page).collect();
+            assert_eq!(live.len(), 2);
+            assert_eq!((live[0].0, live[0].2, live[0].3), (s2, true, &target[..]));
+            assert_eq!(live[1], (s3, stamp3, false, &b"a longer record"[..]));
+        }
     }
 }

@@ -48,4 +48,27 @@ fn spill_cycles_leak_no_descriptor_and_no_file() {
     drop(unread);
     assert_eq!(open_fds(), before);
     assert_eq!(spill_files(), 0);
+
+    // A statement that fails mid-stream drops what it holds at that point:
+    // partition files still being written, sorted runs already turned into
+    // readers and partly consumed. All of it goes at once.
+    let mut partitions: Vec<Option<SpillFile>> = Vec::new();
+    partitions.resize_with(64, || None);
+    for i in 0..200u32 {
+        let slot = &mut partitions[(i * 7) as usize % 64];
+        let file = match slot {
+            Some(f) => f,
+            None => slot.insert(SpillFile::create().unwrap()),
+        };
+        file.write_record(&i.to_le_bytes()).unwrap();
+    }
+    let mut runs = Vec::new();
+    for part in partitions.iter_mut().take(8) {
+        let mut run = part.take().unwrap().into_reader(None).unwrap();
+        run.next_record().unwrap();
+        runs.push(run);
+    }
+    assert_eq!((open_fds(), spill_files()), (before + 64, 64));
+    drop((partitions, runs));
+    assert_eq!((open_fds(), spill_files()), (before, 0));
 }

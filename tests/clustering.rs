@@ -439,9 +439,15 @@ fn group_by_spill_is_identical_and_counts_partitions() {
     assert_eq!(in_memory.len(), 4, "grades 0..4 each form a group");
     assert_eq!(metric_value(&db, "agg.spilled_partitions"), "0");
 
-    // 300 rows against a 32-row budget: grouping hash-partitions to temp
-    // files and re-groups partition by partition.
+    // The budget counts groups, not rows: 300 rows in 4 groups fit 32.
     db.set_sort_budget(32);
+    assert_eq!(run(&db, sql).unwrap(), in_memory);
+    assert_eq!(metric_value(&db, "agg.spilled_partitions"), "0");
+
+    // 4 groups against a 2-group budget: the rows of the other two groups
+    // hash-partition to temp files and are aggregated partition by
+    // partition.
+    db.set_sort_budget(2);
     let spilled = run(&db, sql).unwrap();
     assert_eq!(spilled, in_memory, "spilled GROUP BY must be byte-identical");
     let parts: u64 = metric_value(&db, "agg.spilled_partitions")
@@ -465,7 +471,8 @@ fn group_by_spill_preserves_first_appearance_order() {
         "first group is the first tag seen"
     );
     assert_eq!(in_memory.rows[1][0], Value::String("t3".into()));
-    db.set_sort_budget(32);
+    // 7 groups against a 2-group budget: five of them spill.
+    db.set_sort_budget(2);
     let spilled = run(&db, sql).unwrap();
     assert_eq!(
         spilled, in_memory,

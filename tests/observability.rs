@@ -269,6 +269,69 @@ fn analyze_of_a_warm_plan_runs_the_batched_scan() {
     }
 }
 
+/// The clauses after WHERE consume the plan's output as it streams, so
+/// their stage windows open *inside* the feeding node's window — and are
+/// subtracted from it. With a sort that spills runs, an aggregation that
+/// spills partitions, a projection that dereferences (pages of its own)
+/// and DISTINCT, on the interpreted and the compiled execution: every
+/// page is still accounted to exactly one node or one stage.
+#[test]
+fn streamed_stages_telescope_with_spills_and_groups() {
+    let db = build_sized(4, 1024);
+    for (sql, stages, rows) in [
+        (
+            "SELECT v.id, v.drivetrain.transmission FROM Vehicle v WHERE v.weight > 900 \
+             ORDER BY v.weight DESC, v.id",
+            &["ORDER BY", "PROJECT"][..],
+            817,
+        ),
+        (
+            "SELECT v.id, COUNT(*), MAX(v.weight) FROM Vehicle v GROUP BY v.id \
+             HAVING COUNT(*) > 0 ORDER BY v.id",
+            &["GROUP BY", "HAVING", "PROJECT", "ORDER BY"][..],
+            1024,
+        ),
+        (
+            "SELECT DISTINCT v.drivetrain.engine.cylinders FROM EVERY Vehicle v \
+             WHERE v.weight < 1000 OR v.id < 100",
+            &["WHERE:UNION", "PROJECT", "DISTINCT"][..],
+            4,
+        ),
+    ] {
+        let stmt = select_stmt(sql);
+        for parallelism in [1usize, 2, 4, 8] {
+            let config = OptimizerConfig::paper().with_parallelism(parallelism);
+            let config = OptimizerConfig {
+                execution: config.execution.with_sort_budget(64).with_batch_size(100),
+                ..config
+            };
+            let ex = Executor::new(db.catalog(), db.funcman()).with_config(config);
+            let pq = ex.prepare(&stmt).unwrap().expect("every SELECT prepares");
+            let spilled = |m: &mood_core::EngineMetrics| m.batch.spilled_runs + m.agg_spilled_partitions;
+            let before = spilled(&db.engine_metrics());
+            for execution in ["interpreted", "compiled"] {
+                let ctx = format!("{sql} ({execution}, parallelism {parallelism})");
+                let report = ex.analyze_prepared(&pq).unwrap();
+                assert_eq!(report.result.len(), rows, "{ctx}");
+                let names: Vec<&str> = report.stages.iter().map(|s| s.name).collect();
+                assert_eq!(names, stages, "{ctx}");
+                let (acc, total) = (report.accounted(), report.total);
+                assert!(total.total_reads() > 0, "{ctx}: the tiny pool forces page traffic");
+                assert_eq!(
+                    (acc.seq_pages, acc.rnd_pages, acc.idx_pages, acc.writes),
+                    (total.seq_pages, total.rnd_pages, total.idx_pages, total.writes),
+                    "{ctx}: page accounting must telescope exactly"
+                );
+                let out = report.stages.last().expect("stages");
+                assert_eq!(out.rows, rows as u64, "{ctx}: the last stage emits the result");
+            }
+            if !sql.contains("DISTINCT") {
+                assert!(spilled(&db.engine_metrics()) > before, "{sql}: budget 64 must spill");
+            }
+        }
+    }
+}
+
 // ----------------------------------------------------------------------
 // Estimate-vs-actual sanity on the vehicle dataset
 // ----------------------------------------------------------------------
