@@ -1,5 +1,5 @@
-//! X5 — Function Manager costs (§2): native vs interpreted invocation,
-//! first-call load, and the latency of adding a function while the server
+//! X5 — Function Manager costs (§2): native vs source-defined (compiled at
+//! definition) invocation, first-call load, and the latency of adding a function while the server
 //! is live ("the only cost is the preprocessing and compilation of the
 //! added functions for once").
 
@@ -13,7 +13,7 @@ fn setup() -> (Mood, mood_core::Oid) {
     let db = Mood::in_memory();
     db.execute("CREATE CLASS Vehicle TUPLE (weight Integer)")
         .unwrap();
-    db.execute("DEFINE METHOD Vehicle::lb_interp() RETURNS Float AS 'weight * 2.2075'")
+    db.execute("DEFINE METHOD Vehicle::lb_source() RETURNS Float AS 'weight * 2.2075'")
         .unwrap();
     db.register_native_method(
         "Vehicle",
@@ -69,10 +69,10 @@ fn bench(c: &mut Criterion) {
                 .expect("native method runs")
         })
     });
-    group.bench_function("invoke_interpreted", |b| {
+    group.bench_function("invoke_source_defined", |b| {
         b.iter(|| {
-            db.invoke(oid, "lb_interp", &[])
-                .expect("interpreted method runs")
+            db.invoke(oid, "lb_source", &[])
+                .expect("source-defined method runs")
         })
     });
     group.bench_function("define_method_live", |b| {
@@ -90,7 +90,7 @@ fn bench(c: &mut Criterion) {
     });
     group.bench_function("query_with_method_predicate", |b| {
         b.iter(|| {
-            db.query("SELECT v FROM Vehicle v WHERE v.lb_interp() > 100.0")
+            db.query("SELECT v FROM Vehicle v WHERE v.lb_source() > 100.0")
                 .expect("runs")
                 .len()
         })

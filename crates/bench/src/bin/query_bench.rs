@@ -1,5 +1,5 @@
-//! `query_bench` — query hot-path throughput with the plan cache and
-//! compiled predicate evaluation on vs off, written to `BENCH_query.json`.
+//! `query_bench` — query hot-path throughput with the plan cache on vs
+//! off, written to `BENCH_query.json`.
 //!
 //! ```sh
 //! cargo run --release -p mood-bench --bin query_bench            # full
@@ -7,7 +7,9 @@
 //! cargo run -p mood-bench --bin query_bench -- --out path.json
 //! ```
 //!
-//! Six workloads over an indexed Section 3.1 Vehicle schema:
+//! Five workloads over an indexed Section 3.1 Vehicle schema (compiled
+//! whole-extent scans are moodbench's `analytic_scan`, not a row here: with
+//! one evaluator there is no interpreted side to hold them against):
 //!
 //! * **point** — the same index-served point lookup repeated: execution is
 //!   one B+-tree probe, so parse/bind/optimize dominate the cold path and
@@ -16,11 +18,6 @@
 //!   (`drivetrain.engine.cylinders`): planning additionally enumerates
 //!   path-expression strategies — the paper's expensive optimization —
 //!   so caching pays off even more (gated at ≥2×);
-//! * **scan** — a third-selectivity local predicate over the whole
-//!   extent, no index applies: execution dominates, so the win comes from
-//!   the batched pipeline — the fused scan+select streams the extent in
-//!   batches through the compiled predicate, and the ORDER BY keys and
-//!   projection run compiled too (gated at ≥1.5×);
 //! * **path_scan** — a whole-extent pointer traversal into a fat target
 //!   class over a latency-charged disk (see [`build_chase`]): cold is the
 //!   unclustered layout, where the optimizer's clustering factor of ~0
@@ -30,20 +27,19 @@
 //!   in traversal order — the refreshed clustering factor flips the plan
 //!   to forward traversal, whose batched probe prefetch coalesces the now
 //!   consecutive target pages into readahead-window batches (plus the
-//!   plan cache and compiled predicates) — the adaptive-clustering
-//!   headline number (gated at ≥2×);
+//!   plan cache) — the adaptive-clustering headline number (gated at
+//!   ≥2×);
 //! * **param_point** — 251 point lookups that differ only in the operand
 //!   of `=`: one statement shape, so after the first every text runs off
 //!   the same prepared plan with its own key bound (gated at ≥1.5×);
 //! * **adhoc** — 251 distinct statement *shapes* (a range bound is part of
 //!   the shape), so the cache misses by design: measures that the overhead
-//!   of a lookup miss plus prepare-and-insert stays small. Lazy compilation
-//!   keeps one-shot statements off the compiler, so warm must stay within
-//!   5% of cold (gated at ≥0.95×).
+//!   of a lookup miss plus prepare-and-insert stays small: warm must stay
+//!   within 5% of cold (gated at ≥0.95×).
 //!
-//! Cold = plan cache and compiled predicates disabled (the statement is
-//! parsed, bound and optimized every time, predicates interpreted).
-//! Warm = both enabled after one priming execution. Every workload
+//! Cold = plan cache disabled (the statement is parsed, bound, optimized
+//! and its expressions compiled every time). Warm = enabled, after one
+//! priming execution. Every workload
 //! asserts warm and cold answers are identical before timings count, and
 //! each measurement is the best of `REPS` repetitions to damp scheduler
 //! noise.
@@ -117,7 +113,7 @@ fn main() {
     // 0.0 = report-only).
     // The lookups range over `Vehicle`'s own extent: an attribute index
     // covers exactly that, and under `FROM EVERY` §8.1 is not offered it.
-    let repeated: [(&str, String, f64); 3] = [
+    let repeated: [(&str, String, f64); 2] = [
         (
             "point",
             "SELECT v.id, v.weight FROM Vehicle v WHERE v.id = 17 ORDER BY v.id".into(),
@@ -130,29 +126,15 @@ fn main() {
                 .into(),
             2.0,
         ),
-        (
-            "scan",
-            "SELECT v.id, v.weight FROM EVERY Vehicle v \
-             WHERE v.weight > 800 AND v.weight <= 1180 ORDER BY v.id"
-                .into(),
-            1.5,
-        ),
     ];
 
     let mut results: Vec<(&str, f64, Measure)> = Vec::new();
     let mut failures: Vec<String> = Vec::new();
 
     for (name, sql, gate) in &repeated {
-        // Scan-shaped workloads fetch many objects per run; keep their
-        // iteration count bounded so the full bench stays quick.
-        let iters = if name.ends_with("scan") {
-            sizes.iters.min(60)
-        } else {
-            sizes.iters
-        };
         let mut best: Option<Measure> = None;
         for _ in 0..REPS {
-            let m = measure(&db, sql, iters);
+            let m = measure(&db, sql, sizes.iters);
             if best.as_ref().is_none_or(|b| m.speedup > b.speedup) {
                 best = Some(m);
             }
@@ -170,9 +152,8 @@ fn main() {
 
     // path_scan: the adaptive-clustering workload. Cold runs the
     // traversal query over a deliberately scattered layout with planning
-    // repeated and predicates interpreted; warm runs it after `CLUSTER`
-    // rewrote the source extent in traversal order with the plan cache
-    // and compiled predicates back on. Cold repetitions all happen first
+    // repeated; warm runs it after `CLUSTER` rewrote the source extent in
+    // traversal order with the plan cache back on. Cold repetitions all happen first
     // (the reorganization is one-way — there is no "de-cluster").
     {
         let (db2, disk, chase_dir, sql) = build_chase(sizes.smoke);
@@ -181,7 +162,6 @@ fn main() {
         let iters = sizes.iters.clamp(5, 30);
 
         db2.set_plan_cache_enabled(false);
-        db2.set_compiled_predicates(false);
         disk.arm();
         if std::env::var_os("CHASE_EXPLAIN").is_some() {
             if let Answer::Plan(t) = db2.execute(&format!("EXPLAIN ANALYZE {sql}")).unwrap() {
@@ -211,7 +191,6 @@ fn main() {
         // Refresh statistics so the optimizer sees the post-reorganization
         // clustering factor — what flips the plan to forward traversal.
         db2.collect_stats().unwrap();
-        db2.set_compiled_predicates(true);
         db2.set_plan_cache_enabled(true);
         if std::env::var_os("CHASE_EXPLAIN").is_some() {
             if let Answer::Plan(t) = db2.execute(&format!("EXPLAIN ANALYZE {sql}")).unwrap() {
@@ -378,7 +357,6 @@ fn main() {
 /// answers agree.
 fn measure(db: &Mood, sql: &str, iters: usize) -> Measure {
     db.set_plan_cache_enabled(false);
-    db.set_compiled_predicates(false);
     let cold_answer = run(db, sql);
     let mut cold_lat = Vec::with_capacity(iters);
     let t0 = Instant::now();
@@ -389,7 +367,6 @@ fn measure(db: &Mood, sql: &str, iters: usize) -> Measure {
     }
     let cold_secs = t0.elapsed().as_secs_f64();
 
-    db.set_compiled_predicates(true);
     db.set_plan_cache_enabled(true);
     let warm_answer = run(db, sql);
     assert_eq!(warm_answer, cold_answer, "warm != cold on {sql}");
@@ -436,7 +413,6 @@ fn adhoc_text(i: usize) -> String {
 /// cache), asserting the answers agree text by text.
 fn measure_stream(db: &Mood, iters: usize, text: fn(usize) -> String) -> Measure {
     db.set_plan_cache_enabled(false);
-    db.set_compiled_predicates(false);
     let mut answers = Vec::with_capacity(iters);
     let mut cold_lat = Vec::with_capacity(iters);
     let t0 = Instant::now();
@@ -447,7 +423,6 @@ fn measure_stream(db: &Mood, iters: usize, text: fn(usize) -> String) -> Measure
     }
     let cold_secs = t0.elapsed().as_secs_f64();
 
-    db.set_compiled_predicates(true);
     db.set_plan_cache_enabled(true);
     db.clear_plan_cache();
     let mut warm_lat = Vec::with_capacity(iters);

@@ -260,13 +260,6 @@ impl Mood {
         self.session.lock().plan_cache_capacity()
     }
 
-    /// Toggle compiled predicate/projection evaluation (on by default);
-    /// clears the plan cache either way, since cached plans embed their
-    /// compiled programs.
-    pub fn set_compiled_predicates(&self, on: bool) {
-        self.session.lock().set_compiled_predicates(on);
-    }
-
     /// Drop every cached plan (the cache counters are untouched).
     pub fn clear_plan_cache(&self) {
         self.session.lock().clear_plan_cache();

@@ -1,23 +1,27 @@
-//! Compiled predicate and projection evaluation: register programs.
+//! The one evaluator: register programs.
 //!
 //! The paper's Function Manager compiles method bodies once at definition
-//! time and re-executes the compiled form per call (Section 2). This module
-//! is the reproduction-era analogue for the *query* hot path: an [`Expr`]
-//! tree is lowered once into a flat register program — constants live in a
-//! preallocated pool (no per-row `String` clones), attribute accesses carry
-//! resolved slot offsets (verified against the field name, so schema
-//! evolution stays correct), And/Or short-circuit through forward jumps,
-//! and provably ill-typed comparisons are rejected at compile time so the
-//! caller can fall back to the interpreter instead of failing per row.
+//! time and re-executes the compiled form per call (Section 2). Everything
+//! the engine evaluates per object goes the same way: an [`Expr`] tree — a
+//! method body, or an expression of a MOODSQL statement — is lowered once
+//! into a flat register program and only the program ever runs. Constants
+//! live in a preallocated pool (no per-row `String` clones), a path's root
+//! is bound at compile time to `self` or to an argument slot (a method
+//! parameter, a statement's range variable), And/Or short-circuit through
+//! forward jumps, method calls go out through the context's dispatcher.
+//! Nothing is checked statically: an ill-typed comparison raises when (and
+//! only when) a row reaches it, so it is an empty answer over an empty
+//! extent. What the compiler does refuse is an expression past its `u16`
+//! register, constant, path or parameter limits — a `CompileError`.
 //!
-//! Two semantic modes cover the two evaluators in the system:
+//! Two semantic modes, one per language:
 //!
-//! * [`Mode::Sql`] mirrors MOODSQL's `Executor::eval_expr` exactly —
-//!   comparisons through `Value::compare` with Null propagation, n-ary
-//!   And/Or folds that error on non-Boolean parts, missing tuple fields
-//!   reading as Null (schema evolution).
-//! * [`Mode::Body`] mirrors the method-body interpreter in [`crate::expr`]
-//!   — `OperandDataType` comparisons, binary And/Or truth tables, missing
+//! * [`Mode::Sql`] is MOODSQL — comparisons through `Value::compare` with
+//!   Null propagation, n-ary And/Or folds that error on non-Boolean parts,
+//!   missing tuple fields reading as Null (schema evolution), an unbound
+//!   range variable an error for whatever reads it.
+//! * [`Mode::Body`] is the method-body language of [`crate::expr`] —
+//!   `OperandDataType` comparisons, binary And/Or truth tables, missing
 //!   fields raising `UnknownIdentifier`.
 //!
 //! Programs are immutable and `Sync`; per-row scratch lives in a
@@ -29,74 +33,49 @@ use std::cmp::Ordering;
 use mood_datamodel::Value;
 
 use crate::exception::{Exception, ExceptionKind};
-use crate::expr::{BinOp, EvalCtx, Expr, UnOp};
+use crate::expr::{Arg, BinOp, EvalCtx, Expr, Receiver, UnOp};
 use crate::operand::OperandDataType as Op;
 
-/// Which evaluator's semantics the program reproduces.
+/// Which language's semantics the program has.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Mode {
-    /// MOODSQL `eval_expr` semantics (`Value::compare`, n-ary And/Or,
-    /// missing tuple field → Null).
+    /// MOODSQL (`Value::compare`, n-ary And/Or, missing tuple field →
+    /// Null).
     Sql,
-    /// Method-body interpreter semantics (`OperandDataType`, binary
-    /// And/Or, missing field → `UnknownIdentifier`).
+    /// The method-body language (`OperandDataType`, binary And/Or, missing
+    /// field → `UnknownIdentifier`).
     Body,
 }
-
-/// Static type classes for compile-time checking. Derived from literals and
-/// (optionally) schema attribute types; `Unknown` never rejects.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StaticKind {
-    Num,
-    Str,
-    Bool,
-    Unknown,
-}
-
-impl StaticKind {
-    /// The class of a literal or bound parameter value.
-    pub fn of_value(v: &Value) -> StaticKind {
-        match v {
-            Value::Integer(_) | Value::LongInteger(_) | Value::Float(_) => StaticKind::Num,
-            Value::String(_) => StaticKind::Str,
-            Value::Boolean(_) => StaticKind::Bool,
-            _ => StaticKind::Unknown,
-        }
-    }
-}
-
-/// Schema type lookup for path expressions (segments, `self` already
-/// stripped) — enables compile-time comparison checking.
-pub type AttrKindFn<'a> = &'a dyn Fn(&[String]) -> StaticKind;
-
-/// Resolved slot offset of a root attribute in the stored tuple.
-pub type RootSlotFn<'a> = &'a dyn Fn(&str) -> Option<u16>;
 
 /// Compilation options.
 pub struct CompileOpts<'a> {
     pub mode: Mode,
-    /// Parameter names in signature order (Body mode): paths rooted at a
-    /// parameter bind to its slot at compile time.
+    /// The names of the argument slots, in slot order: a method's
+    /// parameters in signature order (Body), the range variables an
+    /// expression reads (Sql). A path rooted at one binds to its slot of
+    /// [`EvalCtx::args`] at compile time; slots shadow `self` and its
+    /// attributes.
     pub params: &'a [String],
-    /// Schema type lookup — enables compile-time comparison checking.
-    pub attr_kind: Option<AttrKindFn<'a>>,
-    /// Slot offset lookup. Used as a verified hint: the evaluator checks
-    /// the field name at the slot and falls back to a scan, so stale
-    /// offsets cost nothing but time.
-    pub root_slot: Option<RootSlotFn<'a>>,
-    /// Range-variable label for Sql-mode error messages (`no attribute a
-    /// on x (path x.a, ...)`).
+    /// What `self` is called in Sql-mode error messages (`no attribute a on
+    /// x (path x.a, ...)`).
     pub label: &'a str,
 }
 
 impl<'a> CompileOpts<'a> {
+    /// MOODSQL semantics over `self` alone, known to messages as `label`.
     pub fn sql(label: &'a str) -> CompileOpts<'a> {
         CompileOpts {
             mode: Mode::Sql,
             params: &[],
-            attr_kind: None,
-            root_slot: None,
             label,
+        }
+    }
+
+    /// MOODSQL semantics over range variables, one argument slot each.
+    pub fn sql_over(vars: &'a [String]) -> CompileOpts<'a> {
+        CompileOpts {
+            params: vars,
+            ..CompileOpts::sql("self")
         }
     }
 
@@ -104,20 +83,8 @@ impl<'a> CompileOpts<'a> {
         CompileOpts {
             mode: Mode::Body,
             params,
-            attr_kind: None,
-            root_slot: None,
             label: "self",
         }
-    }
-
-    pub fn with_attr_kind(mut self, f: AttrKindFn<'a>) -> Self {
-        self.attr_kind = Some(f);
-        self
-    }
-
-    pub fn with_root_slot(mut self, f: RootSlotFn<'a>) -> Self {
-        self.root_slot = Some(f);
-        self
     }
 }
 
@@ -181,16 +148,9 @@ fn cmp_kind(op: BinOp) -> Option<CmpKind> {
 enum PathRoot {
     /// The receiver / bound object.
     SelfVal,
-    /// A named parameter, bound to its signature slot at compile time.
+    /// A named argument slot — a method parameter, a range variable —
+    /// bound at compile time.
     Arg(u16),
-}
-
-/// One path segment: the attribute name plus an optional verified slot
-/// offset into the stored tuple.
-#[derive(Debug, Clone)]
-struct Seg {
-    name: String,
-    slot: Option<u16>,
 }
 
 /// A pre-resolved attribute path.
@@ -200,13 +160,26 @@ struct PathPlan {
     /// The path started with a bare identifier (Body mode: a missing root
     /// attribute is an *unknown identifier*, not a missing attribute).
     root_ident: bool,
-    segs: Vec<Seg>,
+    /// The attribute names after the root.
+    segs: Vec<String>,
     /// Original root token, for unknown-identifier messages.
     root_name: String,
-    /// Range-variable label (Sql-mode error messages).
+    /// What the root is called in Sql-mode error messages: the range
+    /// variable, or `self`'s label.
     label: String,
     /// Rendered path text (Sql-mode error messages).
     rendered: String,
+}
+
+/// What a [`Inst::Call`] dispatches on.
+#[derive(Debug, Clone, Copy)]
+enum CallOn {
+    /// `self` (the body language).
+    Myself,
+    /// The object bound to an argument slot: it is at hand, with its OID.
+    Slot(u16),
+    /// The reference a path ended at.
+    Ref(Src),
 }
 
 #[derive(Debug, Clone)]
@@ -215,8 +188,8 @@ enum Inst {
     Path { dst: u16, plan: u16 },
     /// Copy a value into a register.
     Set { dst: u16, src: Src },
-    /// Raise unless the value is atomic (the interpreter's operand check,
-    /// kept in evaluation order).
+    /// Raise unless the value is atomic (the body language's operand
+    /// check, kept in evaluation order).
     Atomic { src: Src },
     /// `Value::compare` with Null propagation (MOODSQL comparison).
     CmpSql { dst: u16, kind: CmpKind, lhs: Src, rhs: Src },
@@ -227,9 +200,9 @@ enum Inst {
     BetweenSql { dst: u16, v: Src, lo: Src, hi: Src },
     /// Method-body `BETWEEN` via `OperandDataType::compare_values`.
     BetweenBody { dst: u16, v: Src, lo: Src, hi: Src },
-    /// Arithmetic through `OperandDataType` (both evaluators share it).
+    /// Arithmetic through `OperandDataType` (the same in both modes).
     Arith { dst: u16, op: char, lhs: Src, rhs: Src },
-    /// Unary minus (`0 - x` like the interpreter).
+    /// Unary minus (`0 - x`).
     Neg { dst: u16, src: Src },
     NotSql { dst: u16, src: Src },
     NotBody { dst: u16, src: Src },
@@ -242,8 +215,11 @@ enum Inst {
     OrBody { acc: u16, rhs: Src },
     JumpIfFalse { src: Src, target: u32 },
     JumpIfTrue { src: Src, target: u32 },
-    /// Method dispatch (Body mode only).
-    Call { dst: u16, name: String, args: Vec<Src> },
+    /// Method dispatch through the context's dispatcher. `base` is the
+    /// receiver as written, for the no-stored-receiver message.
+    Call { dst: u16, on: CallOn, name: String, args: Vec<Src>, base: String },
+    /// Fail with this message.
+    Raise { message: String },
 }
 
 /// Reusable per-row scratch. One per worker thread / scan chunk: the
@@ -490,18 +466,42 @@ impl Program {
                         continue;
                     }
                 }
-                Inst::Call { dst, name, args } => {
+                Inst::Call {
+                    dst,
+                    on,
+                    name,
+                    args,
+                    base,
+                } => {
                     let dispatcher = ctx.dispatcher.ok_or_else(|| {
                         Exception::new(
                             ExceptionKind::MissingFunction,
                             format!("method call {name}() outside a dispatching context"),
                         )
                     })?;
+                    // The receiver must be a stored object: a bound one is
+                    // dispatched on as it is, a reference by its OID.
+                    let receiver = match on {
+                        CallOn::Myself => Some(Receiver::Myself),
+                        CallOn::Slot(i) => match ctx.args.get(*i as usize) {
+                            Some(Arg::Object(oid, value)) => {
+                                Some(Receiver::Object { oid: *oid, value })
+                            }
+                            _ => None,
+                        },
+                        CallOn::Ref(src) => self.value(*src, regs).as_oid().map(Receiver::Ref),
+                    };
+                    let receiver = receiver.ok_or_else(|| {
+                        query_err(format!(
+                            "method {name}() needs a stored receiver ({base} unresolved)"
+                        ))
+                    })?;
                     let vals: Vec<Value> =
                         args.iter().map(|a| self.value(*a, regs).clone()).collect();
-                    let out = dispatcher(name, &vals)?;
+                    let out = dispatcher(receiver, name, &vals)?;
                     regs.slots[*dst as usize] = out;
                 }
+                Inst::Raise { message } => return Err(query_err(message.clone())),
             }
             pc += 1;
         }
@@ -527,12 +527,20 @@ impl Program {
         let mut cur = match plan.root {
             PathRoot::SelfVal => Cur::B(ctx.self_value),
             PathRoot::Arg(i) => match ctx.args.get(i as usize) {
-                Some((_, v)) => Cur::B(v),
-                None => {
-                    return Err(Exception::new(
-                        ExceptionKind::UnknownIdentifier,
-                        format!("unknown identifier {}", plan.root_name),
-                    ))
+                Some(Arg::Value(v)) => Cur::B(v),
+                // A stored object read whole is its reference.
+                Some(Arg::Object(oid, _)) if plan.segs.is_empty() => return Ok(Value::Ref(*oid)),
+                Some(Arg::Object(_, v)) => Cur::B(v),
+                Some(Arg::Unbound) | None => {
+                    return Err(match self.mode {
+                        Mode::Sql => {
+                            query_err(format!("unbound range variable {}", plan.root_name))
+                        }
+                        Mode::Body => Exception::new(
+                            ExceptionKind::UnknownIdentifier,
+                            format!("unknown identifier {}", plan.root_name),
+                        ),
+                    })
                 }
             },
         };
@@ -554,21 +562,17 @@ impl Program {
             }
             cur = match cur {
                 Cur::B(v) => match v {
-                    Value::Tuple(fields) => match field_index(fields, &seg.name, seg.slot) {
-                        Some(idx) => Cur::B(&fields[idx].1),
-                        None => return self.missing_field(plan, i, v),
+                    Value::Tuple(fields) => match fields.iter().find(|(n, _)| n == seg) {
+                        Some((_, field)) => Cur::B(field),
+                        None => return self.missing_field(plan, i),
                     },
                     other => return self.not_navigable(plan, i, other),
                 },
                 Cur::O(v) => match v {
-                    Value::Tuple(mut fields) => {
-                        match field_index(&fields, &seg.name, seg.slot) {
-                            Some(idx) => Cur::O(fields.swap_remove(idx).1),
-                            None => {
-                                return self.missing_field(plan, i, &Value::Tuple(fields))
-                            }
-                        }
-                    }
+                    Value::Tuple(mut fields) => match fields.iter().position(|(n, _)| n == seg) {
+                        Some(idx) => Cur::O(fields.swap_remove(idx).1),
+                        None => return self.missing_field(plan, i),
+                    },
                     other => return self.not_navigable(plan, i, &other),
                 },
             };
@@ -579,14 +583,10 @@ impl Program {
         })
     }
 
-    /// Tuple has no such field. Sql: reads as Null (schema evolution, like
-    /// the MOODSQL interpreter). Body: unknown identifier.
-    fn missing_field(
-        &self,
-        plan: &PathPlan,
-        seg_i: usize,
-        _value: &Value,
-    ) -> Result<Value, Exception> {
+    /// Tuple has no such field. Sql: reads as Null (schema evolution: an
+    /// object stored before the attribute was added). Body: unknown
+    /// identifier.
+    fn missing_field(&self, plan: &PathPlan, seg_i: usize) -> Result<Value, Exception> {
         match self.mode {
             Mode::Sql => Ok(Value::Null),
             Mode::Body => Err(Exception::new(
@@ -594,7 +594,7 @@ impl Program {
                 if seg_i == 0 && plan.root_ident {
                     format!("unknown identifier {}", plan.root_name)
                 } else {
-                    format!("no attribute {}", plan.segs[seg_i].name)
+                    format!("no attribute {}", plan.segs[seg_i])
                 },
             )),
         }
@@ -602,7 +602,7 @@ impl Program {
 
     /// Field access on a non-tuple, non-reference value.
     fn not_navigable(&self, plan: &PathPlan, seg_i: usize, value: &Value) -> Result<Value, Exception> {
-        let seg = &plan.segs[seg_i].name;
+        let seg = &plan.segs[seg_i];
         match self.mode {
             Mode::Sql => Err(query_err(format!(
                 "no attribute {seg} on {} (path {}, value {value})",
@@ -610,8 +610,8 @@ impl Program {
             ))),
             Mode::Body => {
                 if seg_i == 0 && plan.root_ident {
-                    // The interpreter's root lookup is `self.field(name)`,
-                    // which reports any miss as an unknown identifier.
+                    // A bare identifier that is no attribute of `self` —
+                    // whatever `self` is — is an unknown identifier.
                     Err(Exception::new(
                         ExceptionKind::UnknownIdentifier,
                         format!("unknown identifier {}", plan.root_name),
@@ -624,16 +624,6 @@ impl Program {
             }
         }
     }
-}
-
-fn field_index(fields: &[(String, Value)], name: &str, slot: Option<u16>) -> Option<usize> {
-    if let Some(s) = slot {
-        let s = s as usize;
-        if fields.get(s).is_some_and(|(n, _)| n == name) {
-            return Some(s);
-        }
-    }
-    fields.iter().position(|(n, _)| n == name)
 }
 
 /// Body-mode AND truth table (the lhs-false short circuit already jumped).
@@ -678,70 +668,15 @@ impl Compiler<'_, '_> {
         Ok(r)
     }
 
-    fn konst(&mut self, v: &Value) -> u16 {
-        if let Some(i) = self.consts.iter().position(|c| c == v) {
-            return i as u16;
-        }
-        self.consts.push(v.clone());
-        (self.consts.len() - 1) as u16
-    }
-
-    /// Static type class of a subexpression, for compile-time checks.
-    fn kind_of(&self, e: &Expr) -> StaticKind {
-        match e {
-            Expr::Lit(v) => StaticKind::of_value(v),
-            Expr::Path(p) => {
-                let segs: Vec<String> = if p.first().is_some_and(|s| s == "self") {
-                    p[1..].to_vec()
-                } else {
-                    p.clone()
-                };
-                self.opts
-                    .attr_kind
-                    .map(|f| f(&segs))
-                    .unwrap_or(StaticKind::Unknown)
+    fn konst(&mut self, v: &Value) -> Result<u16, Exception> {
+        let at = match self.consts.iter().position(|c| c == v) {
+            Some(at) => at,
+            None => {
+                self.consts.push(v.clone());
+                self.consts.len() - 1
             }
-            Expr::Unary(UnOp::Neg, _) => StaticKind::Num,
-            Expr::Unary(UnOp::Not, _) => StaticKind::Bool,
-            Expr::Binary(op, l, r) => {
-                if cmp_kind(*op).is_some() || matches!(op, BinOp::And | BinOp::Or) {
-                    StaticKind::Bool
-                } else if *op == BinOp::Add {
-                    match (self.kind_of(l), self.kind_of(r)) {
-                        (StaticKind::Str, _) | (_, StaticKind::Str) => StaticKind::Str,
-                        (StaticKind::Num, StaticKind::Num) => StaticKind::Num,
-                        _ => StaticKind::Unknown,
-                    }
-                } else {
-                    StaticKind::Num
-                }
-            }
-            Expr::Between(..) => StaticKind::Bool,
-            Expr::Call(..) => StaticKind::Unknown,
-            Expr::Param(_, kind) => *kind,
-        }
-    }
-
-    /// Reject comparisons that are provably ill-typed: both sides known and
-    /// of different classes. The caller falls back to the interpreter, so
-    /// the per-row error stays byte-identical.
-    fn check_comparable(&self, l: &Expr, r: &Expr) -> Result<(), Exception> {
-        let (lk, rk) = (self.kind_of(l), self.kind_of(r));
-        if lk != StaticKind::Unknown && rk != StaticKind::Unknown && lk != rk {
-            return Err(compile_err(format!(
-                "comparison between {lk:?} and {rk:?} can never succeed"
-            )));
-        }
-        Ok(())
-    }
-
-    fn check_boolean_part(&self, e: &Expr, ctx: &str) -> Result<(), Exception> {
-        match self.kind_of(e) {
-            StaticKind::Num | StaticKind::Str => Err(compile_err(format!(
-                "{ctx} over a non-Boolean operand"
-            ))),
-            _ => Ok(()),
-        }
+        };
+        u16::try_from(at).map_err(|_| compile_err("too many constants"))
     }
 
     fn flatten<'e>(op: BinOp, e: &'e Expr, out: &mut Vec<&'e Expr>) {
@@ -757,8 +692,15 @@ impl Compiler<'_, '_> {
 
     fn emit(&mut self, e: &Expr) -> Result<Src, Exception> {
         match e {
-            Expr::Lit(v) => Ok(Src::Const(self.konst(v))),
-            Expr::Param(i, _) => {
+            Expr::Lit(v) => Ok(Src::Const(self.konst(v)?)),
+            Expr::Raise(message) => {
+                self.insts.push(Inst::Raise {
+                    message: message.clone(),
+                });
+                // Never read: the instruction does not fall through.
+                Ok(Src::Reg(self.alloc()?))
+            }
+            Expr::Param(i) => {
                 if *i == u16::MAX {
                     return Err(compile_err("too many parameters"));
                 }
@@ -767,16 +709,11 @@ impl Compiler<'_, '_> {
             }
             Expr::Path(p) => {
                 let plan = self.path_plan(p)?;
-                let idx = self.paths.len();
-                if idx > u16::MAX as usize {
-                    return Err(compile_err("too many paths"));
-                }
+                let idx =
+                    u16::try_from(self.paths.len()).map_err(|_| compile_err("too many paths"))?;
                 self.paths.push(plan);
                 let dst = self.alloc()?;
-                self.insts.push(Inst::Path {
-                    dst,
-                    plan: idx as u16,
-                });
+                self.insts.push(Inst::Path { dst, plan: idx });
                 Ok(Src::Reg(dst))
             }
             Expr::Unary(UnOp::Neg, inner) => {
@@ -786,7 +723,6 @@ impl Compiler<'_, '_> {
                 Ok(Src::Reg(dst))
             }
             Expr::Unary(UnOp::Not, inner) => {
-                self.check_boolean_part(inner, "NOT")?;
                 let src = self.emit(inner)?;
                 let dst = self.alloc()?;
                 self.insts.push(match self.opts.mode {
@@ -801,7 +737,6 @@ impl Compiler<'_, '_> {
             },
             Expr::Binary(op, lhs, rhs) => {
                 if let Some(kind) = cmp_kind(*op) {
-                    self.check_comparable(lhs, rhs)?;
                     match self.opts.mode {
                         Mode::Sql => {
                             let l = self.emit(lhs)?;
@@ -841,11 +776,10 @@ impl Compiler<'_, '_> {
                             return Err(compile_err(format!("unsupported operator {other:?}")))
                         }
                     };
-                    self.check_arith(ch, lhs, rhs)?;
                     let l = self.emit(lhs)?;
                     if self.opts.mode == Mode::Body {
-                        // The interpreter materializes the left operand
-                        // before evaluating the right: keep error order.
+                        // The body language checks the left operand before
+                        // it evaluates the right: keep that error order.
                         self.insts.push(Inst::Atomic { src: l });
                     }
                     let r = self.emit(rhs)?;
@@ -860,8 +794,6 @@ impl Compiler<'_, '_> {
                 }
             }
             Expr::Between(v, lo, hi) => {
-                self.check_comparable(v, lo)?;
-                self.check_comparable(v, hi)?;
                 let vs = self.emit(v)?;
                 let ls = self.emit(lo)?;
                 let hs = self.emit(hi)?;
@@ -882,52 +814,48 @@ impl Compiler<'_, '_> {
                 });
                 Ok(Src::Reg(dst))
             }
-            Expr::Call(name, args) => {
-                if self.opts.mode == Mode::Sql {
-                    return Err(compile_err("method calls are not compiled in SQL predicates"));
-                }
+            Expr::Call(receiver, name, args) => {
+                // Arguments first, then the receiver: the order their
+                // errors surface in.
                 let mut srcs = Vec::with_capacity(args.len());
                 for a in args {
                     srcs.push(self.emit(a)?);
                 }
+                let (on, base) = match receiver.as_deref() {
+                    None => (CallOn::Myself, "self".to_string()),
+                    Some(path @ Expr::Path(p)) => {
+                        let slot = match p.as_slice() {
+                            [var] => self.slot_of(var)?,
+                            _ => None,
+                        };
+                        let on = match slot {
+                            Some(i) => CallOn::Slot(i),
+                            None => CallOn::Ref(self.emit(path)?),
+                        };
+                        (on, p.join("."))
+                    }
+                    Some(_) => return Err(compile_err("a method's receiver must be a path")),
+                };
                 let dst = self.alloc()?;
                 self.insts.push(Inst::Call {
                     dst,
+                    on,
                     name: name.clone(),
                     args: srcs,
+                    base,
                 });
                 Ok(Src::Reg(dst))
             }
         }
     }
 
-    fn check_arith(&self, op: char, lhs: &Expr, rhs: &Expr) -> Result<(), Exception> {
-        let (lk, rk) = (self.kind_of(lhs), self.kind_of(rhs));
-        let bad = |k: StaticKind| k == StaticKind::Bool || (op != '+' && k == StaticKind::Str);
-        if bad(lk) || bad(rk) {
-            return Err(compile_err(format!("operator {op} over a non-numeric operand")));
-        }
-        if op == '+'
-            && lk != StaticKind::Unknown
-            && rk != StaticKind::Unknown
-            && (lk == StaticKind::Str) != (rk == StaticKind::Str)
-        {
-            return Err(compile_err("mixed string/numeric addition"));
-        }
-        Ok(())
-    }
-
-    /// Sql-mode n-ary And/Or: fold over the flattened part list with a
-    /// sticky-Null accumulator and a short-circuit jump, exactly like the
-    /// MOODSQL interpreter's loop.
+    /// Sql-mode n-ary And/Or: fold over the flattened part list, in order,
+    /// with a sticky-Null accumulator and a short-circuit jump.
     fn emit_sql_fold(&mut self, op: BinOp, lhs: &Expr, rhs: &Expr) -> Result<Src, Exception> {
         let mut parts = Vec::new();
         Self::flatten(op, lhs, &mut parts);
         Self::flatten(op, rhs, &mut parts);
-        for p in &parts {
-            self.check_boolean_part(p, if op == BinOp::And { "AND" } else { "OR" })?;
-        }
-        let init = self.konst(&Value::Boolean(op == BinOp::And));
+        let init = self.konst(&Value::Boolean(op == BinOp::And))?;
         let acc = self.alloc()?;
         self.insts.push(Inst::Set {
             dst: acc,
@@ -953,11 +881,9 @@ impl Compiler<'_, '_> {
         Ok(Src::Reg(acc))
     }
 
-    /// Body-mode binary And/Or with the interpreter's short circuit and
+    /// Body-mode binary And/Or: short circuit on the left operand,
     /// atomicity checks in evaluation order.
     fn emit_body_logic(&mut self, op: BinOp, lhs: &Expr, rhs: &Expr) -> Result<Src, Exception> {
-        self.check_boolean_part(lhs, "logic")?;
-        self.check_boolean_part(rhs, "logic")?;
         let l = self.emit(lhs)?;
         self.insts.push(Inst::Atomic { src: l });
         let acc = self.alloc()?;
@@ -989,59 +915,50 @@ impl Compiler<'_, '_> {
         Ok(Src::Reg(acc))
     }
 
-    fn path_plan(&self, p: &[String]) -> Result<PathPlan, Exception> {
-        if p.is_empty() {
-            return Err(compile_err("empty path"));
+    /// The argument slot `name` is bound to, if it names one.
+    fn slot_of(&self, name: &str) -> Result<Option<u16>, Exception> {
+        match self.opts.params.iter().position(|n| n == name) {
+            Some(i) => u16::try_from(i)
+                .map(Some)
+                .map_err(|_| compile_err("too many parameters")),
+            None => Ok(None),
         }
-        let root_name = p[0].clone();
-        let (root, root_ident, segs): (PathRoot, bool, &[String]) = if p[0] == "self" {
-            (PathRoot::SelfVal, false, &p[1..])
-        } else if let Some(i) = self.opts.params.iter().position(|n| *n == p[0]) {
-            if i > u16::MAX as usize {
-                return Err(compile_err("too many parameters"));
-            }
-            (PathRoot::Arg(i as u16), false, &p[1..])
+    }
+
+    fn path_plan(&self, p: &[String]) -> Result<PathPlan, Exception> {
+        let Some(first) = p.first() else {
+            return Err(compile_err("empty path"));
+        };
+        let (root, root_ident, segs, label) = if let Some(i) = self.slot_of(first)? {
+            (PathRoot::Arg(i), false, &p[1..], first.as_str())
+        } else if first == "self" {
+            (PathRoot::SelfVal, false, &p[1..], self.opts.label)
         } else {
             // A bare identifier: a root attribute of self.
-            (PathRoot::SelfVal, true, p)
+            (PathRoot::SelfVal, true, p, self.opts.label)
         };
-        let segs: Vec<Seg> = segs
-            .iter()
-            .enumerate()
-            .map(|(i, name)| Seg {
-                name: name.clone(),
-                slot: if i == 0 && root == PathRoot::SelfVal {
-                    self.opts.root_slot.and_then(|f| f(name))
-                } else {
-                    None
-                },
-            })
-            .collect();
-        let rendered = match root {
-            PathRoot::SelfVal if !root_ident => {
-                let mut s = self.opts.label.to_string();
-                for seg in &segs {
-                    s.push('.');
-                    s.push_str(&seg.name);
-                }
-                s
-            }
-            _ => p.join("."),
+        let rendered = if root_ident {
+            p.join(".")
+        } else {
+            std::iter::once(label)
+                .chain(segs.iter().map(String::as_str))
+                .collect::<Vec<_>>()
+                .join(".")
         };
         Ok(PathPlan {
             root,
             root_ident,
-            segs,
-            root_name,
-            label: self.opts.label.to_string(),
+            segs: segs.to_vec(),
+            root_name: first.clone(),
+            label: label.to_string(),
             rendered,
         })
     }
 }
 
 /// Lower an expression tree into a register program, or fail with a
-/// `CompileError` exception (unsupported construct, provable type error) so
-/// the caller can fall back to interpretation.
+/// `CompileError` exception: the expression is past one of the compiler's
+/// `u16` limits.
 pub fn compile_program(expr: &Expr, opts: &CompileOpts<'_>) -> Result<Program, Exception> {
     let mut c = Compiler {
         opts,
@@ -1075,36 +992,19 @@ impl CompiledPredicate {
     }
 
     /// True exactly when the program yields `Boolean(true)` (Null and false
-    /// both filter out, like `eval_pred`).
+    /// both filter out, per SQL).
     pub fn matches(&self, regs: &mut Registers<'_>, ctx: &EvalCtx<'_>) -> Result<bool, Exception> {
         Ok(matches!(self.program.run(regs, ctx)?, Value::Boolean(true)))
-    }
-}
-
-/// A compiled projection: one program per output column, with `None`
-/// marking columns the caller evaluates through the interpreter.
-#[derive(Debug, Clone, Default)]
-pub struct CompiledProjection {
-    pub columns: Vec<Option<Program>>,
-}
-
-impl CompiledProjection {
-    pub fn column(&self, i: usize) -> Option<&Program> {
-        self.columns.get(i).and_then(|c| c.as_ref())
-    }
-
-    /// True when at least one column compiled.
-    pub fn any(&self) -> bool {
-        self.columns.iter().any(|c| c.is_some())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::expr::{compile, eval};
+    use crate::expr::compile;
+    use crate::expr::oracle::eval;
 
-    fn ctx<'c>(v: &'c Value, args: &'c [(String, Value)]) -> EvalCtx<'c> {
+    fn ctx<'c>(v: &'c Value, args: &'c [Arg<'c>]) -> EvalCtx<'c> {
         EvalCtx {
             self_value: v,
             args,
@@ -1114,21 +1014,19 @@ mod tests {
     }
 
     /// Compile in Body mode and check the program agrees with the
-    /// interpreter on the same context.
-    fn assert_agrees(src: &str, v: &Value, args: &[(String, Value)]) {
+    /// reference evaluator on the same context.
+    fn assert_agrees(src: &str, v: &Value, args: &[(&str, Value)]) {
         let expr = compile(src).unwrap();
-        let names: Vec<String> = args.iter().map(|(n, _)| n.clone()).collect();
-        let opts = CompileOpts::body(&names);
-        let prog = compile_program(&expr, &opts).unwrap();
-        let c = ctx(v, args);
-        let mut regs = Registers::default();
-        let compiled = prog.run(&mut regs, &c);
-        let interpreted = eval(&expr, &c);
-        assert_eq!(compiled, interpreted, "divergence on {src}");
+        let names: Vec<String> = args.iter().map(|(n, _)| n.to_string()).collect();
+        let prog = compile_program(&expr, &CompileOpts::body(&names)).unwrap();
+        let slots: Vec<Arg<'_>> = args.iter().map(|(_, v)| Arg::Value(v)).collect();
+        let c = ctx(v, &slots);
+        let compiled = prog.run(&mut Registers::default(), &c);
+        assert_eq!(compiled, eval(&expr, &names, &c), "divergence on {src}");
     }
 
     #[test]
-    fn body_mode_agrees_with_interpreter() {
+    fn body_mode_agrees_with_the_reference() {
         let v = Value::tuple(vec![
             ("weight", Value::Integer(1000)),
             ("name", Value::string("BMW")),
@@ -1153,21 +1051,25 @@ mod tests {
     }
 
     #[test]
-    fn body_mode_errors_match_interpreter() {
+    fn body_mode_errors_match_the_reference() {
+        // Nothing is rejected statically: every one of these compiles and
+        // raises what the reference raises, when it is run.
         let v = Value::tuple(vec![("weight", Value::Integer(10))]);
-        for src in ["nonexistent + 1", "weight && true", "1 / 0"] {
+        for src in [
+            "nonexistent + 1",
+            "weight && true",
+            "1 / 0",
+            "5 > 'abc'",
+            "!weight",
+            "weight + 'kg'",
+        ] {
+            assert_agrees(src, &v, &[]);
             let expr = compile(src).unwrap();
-            let opts = CompileOpts::body(&[]);
-            match compile_program(&expr, &opts) {
-                Ok(prog) => {
-                    let c = ctx(&v, &[]);
-                    let mut regs = Registers::default();
-                    assert_eq!(prog.run(&mut regs, &c), eval(&expr, &c), "on {src}");
-                }
-                // A compile-time rejection is fine: the caller falls back
-                // to the interpreter (which raises the same error per row).
-                Err(e) => assert_eq!(e.kind, ExceptionKind::CompileError, "on {src}"),
-            }
+            let prog = compile_program(&expr, &CompileOpts::body(&[])).unwrap();
+            assert!(
+                prog.run(&mut Registers::default(), &ctx(&v, &[])).is_err(),
+                "on {src}"
+            );
         }
     }
 
@@ -1177,8 +1079,15 @@ mod tests {
             ("weight", Value::Integer(10)),
             ("factor", Value::Integer(99)),
         ]);
-        let args = vec![("factor".to_string(), Value::Integer(2))];
-        assert_agrees("weight * factor", &v, &args);
+        assert_agrees("weight * factor", &v, &[("factor", Value::Integer(2))]);
+        // A declared parameter nothing was passed for.
+        let expr = compile("weight * factor").unwrap();
+        let names = ["factor".to_string()];
+        let prog = compile_program(&expr, &CompileOpts::body(&names)).unwrap();
+        let e = prog
+            .run(&mut Registers::default(), &ctx(&v, &[]))
+            .unwrap_err();
+        assert_eq!(e.kind, ExceptionKind::UnknownIdentifier);
     }
 
     #[test]
@@ -1201,22 +1110,25 @@ mod tests {
     }
 
     #[test]
-    fn provable_type_mismatch_is_a_compile_error() {
-        let expr = compile("5 > 'abc'").unwrap();
-        let e = compile_program(&expr, &CompileOpts::body(&[])).unwrap_err();
-        assert_eq!(e.kind, ExceptionKind::CompileError);
-        // With a schema hint, path-vs-literal mismatches are caught too.
-        let expr = compile("name > 5").unwrap();
-        let kind_fn = |segs: &[String]| {
-            if segs == ["name"] {
-                StaticKind::Str
-            } else {
-                StaticKind::Unknown
-            }
-        };
-        let opts = CompileOpts::body(&[]).with_attr_kind(&kind_fn);
-        let e = compile_program(&expr, &opts).unwrap_err();
-        assert_eq!(e.kind, ExceptionKind::CompileError);
+    fn an_ill_typed_comparison_raises_only_when_a_row_reaches_it() {
+        // `x.n > 'abc'` over an integer attribute can never succeed; it is
+        // still a program, and what it raises is the per-row text.
+        let expr = Expr::Binary(
+            BinOp::Gt,
+            Box::new(Expr::Path(vec!["self".into(), "n".into()])),
+            Box::new(Expr::Lit(Value::string("abc"))),
+        );
+        let prog = compile_program(&expr, &CompileOpts::sql("x")).unwrap();
+        let v = Value::tuple(vec![("n", Value::Integer(5))]);
+        let e = prog
+            .run(&mut Registers::default(), &ctx(&v, &[]))
+            .unwrap_err();
+        assert_eq!(e.kind, ExceptionKind::Query);
+        assert_eq!(e.message, "cannot compare 5 with 'abc'");
+        // A NULL never reaches the comparison.
+        let v = Value::tuple(vec![("n", Value::Null)]);
+        let out = prog.run(&mut Registers::default(), &ctx(&v, &[]));
+        assert_eq!(out.unwrap(), Value::Null);
     }
 
     #[test]
@@ -1242,7 +1154,7 @@ mod tests {
     }
 
     #[test]
-    fn sql_mode_and_error_matches_executor_text() {
+    fn sql_mode_and_error_text() {
         let expr = Expr::Binary(
             BinOp::And,
             Box::new(Expr::Path(vec!["self".into(), "n".into()])),
@@ -1286,24 +1198,19 @@ mod tests {
     }
 
     #[test]
-    fn slot_hints_resolve_and_survive_reordering() {
+    fn fields_are_found_by_name_whatever_their_order() {
         let expr = compile("b == 2").unwrap();
-        let slot_fn = |name: &str| if name == "b" { Some(1u16) } else { None };
-        let opts = CompileOpts::body(&[]).with_root_slot(&slot_fn);
-        let prog = compile_program(&expr, &opts).unwrap();
+        let prog = compile_program(&expr, &CompileOpts::body(&[])).unwrap();
         let mut regs = Registers::default();
-        // Hint correct: field at slot 1.
-        let v = Value::tuple(vec![("a", Value::Integer(1)), ("b", Value::Integer(2))]);
-        assert_eq!(
-            prog.run(&mut regs, &ctx(&v, &[])).unwrap(),
-            Value::Boolean(true)
-        );
-        // Hint stale (fields reordered): name check falls back to the scan.
-        let v = Value::tuple(vec![("b", Value::Integer(2)), ("a", Value::Integer(1))]);
-        assert_eq!(
-            prog.run(&mut regs, &ctx(&v, &[])).unwrap(),
-            Value::Boolean(true)
-        );
+        for fields in [
+            vec![("a", Value::Integer(1)), ("b", Value::Integer(2))],
+            vec![("b", Value::Integer(2)), ("a", Value::Integer(1))],
+            vec![("b", Value::Integer(2))],
+        ] {
+            let v = Value::tuple(fields);
+            let out = prog.run(&mut regs, &ctx(&v, &[]));
+            assert_eq!(out.unwrap(), Value::Boolean(true));
+        }
     }
 
     #[test]
@@ -1327,17 +1234,15 @@ mod tests {
         };
         let mut regs = Registers::default();
         assert_eq!(prog.run(&mut regs, &c).unwrap(), Value::Integer(12));
-        assert_eq!(prog.run(&mut regs, &c), eval(&expr, &c));
+        assert_eq!(prog.run(&mut regs, &c), eval(&expr, &[], &c));
     }
 
     #[test]
-    fn calls_dispatch_in_body_mode_only() {
+    fn calls_dispatch_on_self_in_either_mode() {
         let expr = compile("lbweight() + 1").unwrap();
-        let e = compile_program(&expr, &CompileOpts::sql("x")).unwrap_err();
-        assert_eq!(e.kind, ExceptionKind::CompileError);
-        let prog = compile_program(&expr, &CompileOpts::body(&[])).unwrap();
         let v = Value::tuple(vec![("weight", Value::Integer(100))]);
-        let dispatch = |name: &str, _args: &[Value]| -> Result<Value, Exception> {
+        let dispatch = |on: Receiver<'_>, name: &str, _args: &[Value]| {
+            assert!(matches!(on, Receiver::Myself));
             assert_eq!(name, "lbweight");
             Ok(Value::Integer(220))
         };
@@ -1347,8 +1252,123 @@ mod tests {
             resolver: None,
             dispatcher: Some(&dispatch),
         };
-        let mut regs = Registers::default();
-        assert_eq!(prog.run(&mut regs, &c).unwrap(), Value::Integer(221));
+        for opts in [CompileOpts::body(&[]), CompileOpts::sql("x")] {
+            let prog = compile_program(&expr, &opts).unwrap();
+            let out = prog.run(&mut Registers::default(), &c);
+            assert_eq!(out.unwrap(), Value::Integer(221));
+        }
+    }
+
+    /// `v.id < w.id`, `v`, `v.m(w.id)` and `w.boss.m()` over the range
+    /// variables `[v, w]`.
+    #[test]
+    fn range_variables_are_argument_slots() {
+        use mood_storage::{FileId, Oid, PageId, SlotId};
+        let oid = |n| Oid::new(FileId(1), PageId(0), SlotId(n), 1);
+        let vars = ["v".to_string(), "w".to_string()];
+        let opts = CompileOpts::sql_over(&vars);
+        let path = |segs: &[&str]| Expr::Path(segs.iter().map(|s| s.to_string()).collect());
+        let run = |e: &Expr, args: &[Arg<'_>]| {
+            let called = |on: Receiver<'_>, name: &str, args: &[Value]| {
+                assert_eq!(name, "m");
+                Ok(match on {
+                    // The bound object is handed over with its value.
+                    Receiver::Object { oid, value } => {
+                        assert_eq!(value.field("id"), Some(&Value::Integer(1)));
+                        Value::List(vec![Value::Ref(oid), args[0].clone()])
+                    }
+                    Receiver::Ref(oid) => Value::Ref(oid),
+                    Receiver::Myself => unreachable!(),
+                })
+            };
+            let c = EvalCtx {
+                self_value: &Value::Null,
+                args,
+                resolver: None,
+                dispatcher: Some(&called),
+            };
+            compile_program(e, &opts)
+                .unwrap()
+                .run(&mut Registers::default(), &c)
+        };
+        let (v, w) = (
+            Value::tuple(vec![("id", Value::Integer(1))]),
+            Value::tuple(vec![
+                ("id", Value::Integer(2)),
+                ("boss", Value::Ref(oid(9))),
+            ]),
+        );
+        let both = [Arg::Object(oid(1), &v), Arg::Object(oid(2), &w)];
+        let less = Expr::Binary(
+            BinOp::Lt,
+            Box::new(path(&["v", "id"])),
+            Box::new(path(&["w", "id"])),
+        );
+        assert_eq!(run(&less, &both).unwrap(), Value::Boolean(true));
+        // A stored object read whole is its reference; a transient one its
+        // value; an unbound one an error — only for what reads it.
+        assert_eq!(run(&path(&["v"]), &both).unwrap(), Value::Ref(oid(1)));
+        let transient = [Arg::Value(&v), Arg::Unbound];
+        assert_eq!(run(&path(&["v"]), &transient).unwrap(), v);
+        let e = run(&less, &transient).unwrap_err();
+        assert_eq!(
+            (e.kind, e.message.as_str()),
+            (ExceptionKind::Query, "unbound range variable w")
+        );
+        let skipped = Expr::Binary(
+            BinOp::And,
+            Box::new(Expr::Lit(Value::Boolean(false))),
+            Box::new(less),
+        );
+        assert_eq!(run(&skipped, &transient).unwrap(), Value::Boolean(false));
+        // Methods: on the variable (no fetch: the dispatcher gets the bound
+        // value), with an argument, and on a reference at a path's end.
+        let on_var = Expr::Call(
+            Some(Box::new(path(&["v"]))),
+            "m".into(),
+            vec![path(&["w", "id"])],
+        );
+        assert_eq!(
+            run(&on_var, &both).unwrap(),
+            Value::List(vec![Value::Ref(oid(1)), Value::Integer(2)])
+        );
+        let on_ref = Expr::Call(Some(Box::new(path(&["w", "boss"]))), "m".into(), vec![]);
+        assert_eq!(run(&on_ref, &both).unwrap(), Value::Ref(oid(9)));
+        // No stored receiver: a transient binding, a non-reference value.
+        let e = run(&on_var, &[Arg::Value(&v), both[1]]).unwrap_err();
+        assert_eq!(
+            e.message,
+            "method m() needs a stored receiver (v unresolved)"
+        );
+        let on_int = Expr::Call(Some(Box::new(path(&["w", "id"]))), "m".into(), vec![]);
+        let e = run(&on_int, &both).unwrap_err();
+        assert_eq!(
+            e.message,
+            "method m() needs a stored receiver (w.id unresolved)"
+        );
+        // An attribute of a non-tuple names the variable it was read off.
+        let e = run(&path(&["w", "id", "x"]), &both).unwrap_err();
+        assert_eq!(e.message, "no attribute x on w (path w.id.x, value 2)");
+    }
+
+    #[test]
+    fn raise_fails_only_when_reached() {
+        let guarded = |guard: bool| {
+            let e = Expr::Binary(
+                BinOp::And,
+                Box::new(Expr::Lit(Value::Boolean(guard))),
+                Box::new(Expr::Raise("aggregate outside GROUP BY context".into())),
+            );
+            compile_program(&e, &CompileOpts::sql("x"))
+                .unwrap()
+                .run(&mut Registers::default(), &ctx(&Value::Null, &[]))
+        };
+        assert_eq!(guarded(false).unwrap(), Value::Boolean(false));
+        let e = guarded(true).unwrap_err();
+        assert_eq!(
+            (e.kind, e.message.as_str()),
+            (ExceptionKind::Query, "aggregate outside GROUP BY context")
+        );
     }
 
     #[test]
@@ -1356,7 +1376,7 @@ mod tests {
         let shaped = Expr::Binary(
             BinOp::Eq,
             Box::new(Expr::Path(vec!["self".into(), "weight".into()])),
-            Box::new(Expr::Param(0, StaticKind::Num)),
+            Box::new(Expr::Param(0)),
         );
         let prog = compile_program(&shaped, &CompileOpts::sql("v")).unwrap();
         assert_eq!(prog.const_count(), 0);
@@ -1373,16 +1393,20 @@ mod tests {
             .run(&mut Registers::default(), &ctx(&v, &[]))
             .unwrap_err();
         assert_eq!(err.kind, ExceptionKind::Query);
-        // The declared class takes part in compile-time checking exactly
-        // as a literal of that class would.
-        let kind_fn = |_: &[String]| StaticKind::Num;
-        let opts = CompileOpts::sql("v").with_attr_kind(&kind_fn);
-        let ill_typed = Expr::Binary(
-            BinOp::Eq,
-            Box::new(Expr::Path(vec!["self".into(), "weight".into()])),
-            Box::new(Expr::Param(0, StaticKind::Str)),
-        );
-        assert!(compile_program(&ill_typed, &opts).is_err());
+    }
+
+    #[test]
+    fn an_expression_past_the_register_limit_is_a_compile_error() {
+        // 70 000 path arguments: one register each.
+        let args = vec![Expr::Path(vec!["self".into(), "n".into()]); 70_000];
+        let call = Expr::Call(None, "m".into(), args);
+        for opts in [CompileOpts::body(&[]), CompileOpts::sql("x")] {
+            let e = compile_program(&call, &opts).unwrap_err();
+            assert_eq!(e.kind, ExceptionKind::CompileError);
+        }
+        // So is a parameter index the `u16` operand cannot address.
+        let e = compile_program(&Expr::Param(u16::MAX), &CompileOpts::sql("x")).unwrap_err();
+        assert_eq!(e.kind, ExceptionKind::CompileError);
     }
 
     #[test]

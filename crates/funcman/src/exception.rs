@@ -39,9 +39,8 @@ pub enum ExceptionKind {
     Signal,
     /// Errors bubbled up from the catalog/storage layers.
     System,
-    /// Raised by Sql-mode compiled programs: the message carries the query
-    /// engine's own error text verbatim, so MOODSQL can re-wrap it as an
-    /// execution error identical to its interpreter's.
+    /// Raised by Sql-mode compiled programs: the message is MOODSQL's own
+    /// error text, which the SQL layer re-wraps as an execution error.
     Query,
 }
 

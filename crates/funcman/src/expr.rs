@@ -1,4 +1,5 @@
-//! The method-body language: a C++-flavored expression interpreter.
+//! The method-body language: a C++-flavored expression syntax, and the
+//! expression tree both compilers' front ends produce.
 //!
 //! MOOD method bodies are C++ source, pre-processed and compiled once when
 //! the function is added (Section 2). Shipping a C++ compiler is out of
@@ -10,18 +11,21 @@
 //!                                  ^^^^^^^^^^^^^^^^ this part
 //! ```
 //!
-//! "Compilation" is parsing to an AST at definition time — errors surface
-//! when the function is *added*, not when it is called, exactly like the
-//! paper's compile step. Evaluation is run-time type checked through
-//! [`crate::operand::OperandDataType`]. Identifier resolution: parameters shadow attributes;
-//! `self.a`, bare `a` and dotted paths `a.b.c` (dereferencing through the
-//! resolver) all work.
+//! [`compile`] parses a body to an [`Expr`] and [`crate::compile`] lowers
+//! that to the register program the Function Manager runs — both when the
+//! function is *added*, so errors surface then, not when it is called,
+//! exactly like the paper's compile step. MOODSQL lowers its own expressions
+//! to the same tree (the variants without surface syntax are its). Nothing
+//! here evaluates an `Expr`: the tree walker at the end of this file is the
+//! tests' reference for what a program must compute. Evaluation is run-time
+//! type checked through [`crate::operand::OperandDataType`]. Identifier
+//! resolution: parameters shadow attributes; `self.a`, bare `a` and dotted
+//! paths `a.b.c` (dereferencing through the resolver) all work.
 
 use mood_datamodel::{Resolver, Value};
+use mood_storage::Oid;
 
-use crate::compile::StaticKind;
 use crate::exception::{Exception, ExceptionKind};
-use crate::operand::OperandDataType as Op;
 
 /// Parsed expression AST.
 #[derive(Debug, Clone, PartialEq)]
@@ -38,13 +42,17 @@ pub enum Expr {
     /// constructed by embedders (MOODSQL lowers its `BETWEEN` here so the
     /// compiler can preserve its evaluate-all-operands semantics).
     Between(Box<Expr>, Box<Expr>, Box<Expr>),
-    /// `name(args...)` — a call to another method on `self`.
-    Call(String, Vec<Expr>),
+    /// `name(args...)` — a call to another method on `self`, or, with a
+    /// receiver path (no surface syntax: MOODSQL lowers `v.m()` and
+    /// `v.a.m()` here), on the stored object the path names or ends at.
+    Call(Option<Box<Expr>>, String, Vec<Expr>),
     /// The value at this (0-based) index of the parameter slice bound on
-    /// the [`crate::Registers`] a compiled program runs with, and the type
-    /// class every value bound there will have. Like `Between`, no surface
-    /// syntax: MOODSQL lowers its `$n` here.
-    Param(u16, StaticKind),
+    /// the [`crate::Registers`] a compiled program runs with. Like
+    /// `Between`, no surface syntax: MOODSQL lowers its `$n` here.
+    Param(u16),
+    /// Fails with this message when (and only when) it is evaluated — what
+    /// MOODSQL lowers an aggregate call outside a grouping context to.
+    Raise(String),
 }
 
 impl Expr {
@@ -80,20 +88,6 @@ pub enum BinOp {
     Le,
     Gt,
     Ge,
-}
-
-impl BinOp {
-    pub(crate) fn cmp_symbol(&self) -> Option<&'static str> {
-        Some(match self {
-            BinOp::Eq => "=",
-            BinOp::Ne => "<>",
-            BinOp::Lt => "<",
-            BinOp::Le => "<=",
-            BinOp::Gt => ">",
-            BinOp::Ge => ">=",
-            _ => return None,
-        })
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -351,7 +345,7 @@ impl Parser {
                             self.expect_sym(",")?;
                         }
                     }
-                    return Ok(Expr::Call(name, args));
+                    return Ok(Expr::Call(None, name, args));
                 }
                 let mut path = vec![name];
                 while self.eat_sym(".") {
@@ -400,41 +394,95 @@ pub fn compile(source: &str) -> Result<Expr, Exception> {
     Ok(e)
 }
 
-/// Dispatcher for `Call` nodes: invoke `method` with `args` on the current
-/// self object. The Function Manager supplies this, closing the loop for
-/// methods that call other methods.
-pub type Dispatcher<'a> = &'a dyn Fn(&str, &[Value]) -> Result<Value, Exception>;
+/// What a `Call` dispatches on.
+#[derive(Debug, Clone, Copy)]
+pub enum Receiver<'r> {
+    /// The context's `self`: a method body calling a sibling method.
+    Myself,
+    /// A stored object at hand (a bound range variable): nothing to fetch.
+    Object { oid: Oid, value: &'r Value },
+    /// A reference reached at the end of a path: the callee fetches it.
+    Ref(Oid),
+}
+
+/// Dispatcher for `Call` nodes: invoke `method` with `args` on the
+/// receiver. The Function Manager supplies this for bodies (closing the
+/// loop for methods that call other methods), the MOODSQL executor for
+/// statements.
+pub type Dispatcher<'a> = &'a dyn Fn(Receiver<'_>, &str, &[Value]) -> Result<Value, Exception>;
+
+/// One argument slot of an evaluation: a method parameter (by signature
+/// position) or a statement's range variable. Names are bound to slots when
+/// the program is compiled, so a call passes values, not names.
+#[derive(Debug, Clone, Copy)]
+pub enum Arg<'a> {
+    /// A plain value: a method argument, or a binding no stored object
+    /// backs.
+    Value(&'a Value),
+    /// A stored object bound with its identity. Read as a whole it is its
+    /// reference; a path into it starts from the value.
+    Object(Oid, &'a Value),
+    /// Nothing bound (a range variable the current row does not carry):
+    /// an error for whatever reads the slot.
+    Unbound,
+}
 
 /// Evaluation context for one invocation.
 pub struct EvalCtx<'a> {
     /// The receiver object's value.
     pub self_value: &'a Value,
-    /// Named arguments in signature order.
-    pub args: &'a [(String, Value)],
+    /// Argument slots, in the order the program was compiled over.
+    pub args: &'a [Arg<'a>],
     /// Dereferencing for path traversal (None: paths through Refs fail).
     pub resolver: Option<&'a dyn Resolver>,
     /// Method-call dispatcher (None: `Call` nodes fail).
     pub dispatcher: Option<Dispatcher<'a>>,
 }
 
-impl<'a> EvalCtx<'a> {
-    fn lookup_root(&self, name: &str) -> Option<Value> {
-        if name == "self" {
-            return Some(self.self_value.clone());
-        }
-        if let Some((_, v)) = self.args.iter().find(|(n, _)| n == name) {
-            return Some(v.clone());
-        }
-        self.self_value.field(name).cloned()
+/// The reference evaluator: a tree walker over [`Expr`] with the method-body
+/// semantics. Nothing in the engine calls it — bodies run as
+/// [`crate::compile::Mode::Body`] programs — it is what the tests hold
+/// those programs against.
+#[cfg(test)]
+pub(crate) mod oracle {
+    use super::*;
+    use crate::operand::OperandDataType as Op;
+
+    fn cmp_symbol(op: BinOp) -> Option<&'static str> {
+        Some(match op {
+            BinOp::Eq => "=",
+            BinOp::Ne => "<>",
+            BinOp::Lt => "<",
+            BinOp::Le => "<=",
+            BinOp::Gt => ">",
+            BinOp::Ge => ">=",
+            _ => return None,
+        })
     }
 
-    fn step(&self, base: &Value, seg: &str) -> Result<Value, Exception> {
+    /// Parameters (by the names the caller knows them under) shadow `self`
+    /// and attributes.
+    fn lookup_root(ctx: &EvalCtx<'_>, params: &[String], name: &str) -> Option<Value> {
+        if let Some(i) = params.iter().position(|n| n == name) {
+            return match ctx.args.get(i)? {
+                Arg::Value(v) => Some((*v).clone()),
+                Arg::Object(oid, _) => Some(Value::Ref(*oid)),
+                Arg::Unbound => None,
+            };
+        }
+        if name == "self" {
+            return Some(ctx.self_value.clone());
+        }
+        ctx.self_value.field(name).cloned()
+    }
+
+    fn step(ctx: &EvalCtx<'_>, base: &Value, seg: &str) -> Result<Value, Exception> {
         let mut cur = base.clone();
         // Dereference as many times as needed to reach a tuple.
         loop {
             match cur {
                 Value::Ref(oid) => {
-                    let resolver = self.resolver.ok_or_else(|| {
+                    let resolver = ctx.resolver.ok_or_else(|| {
                         Exception::type_error("path traverses a reference but no resolver given")
                     })?;
                     cur = resolver.resolve(oid).ok_or_else(|| {
@@ -458,249 +506,209 @@ impl<'a> EvalCtx<'a> {
             }
         }
     }
-}
 
-/// A borrowed-or-owned evaluation result: literals and attribute roots come
-/// back borrowed so the interpreter stops allocating a fresh `Value` per
-/// evaluation (per row, under a scan) for constants.
-enum Ev<'a> {
-    B(&'a Value),
-    O(Value),
-}
-
-impl<'a> Ev<'a> {
-    fn get(&self) -> &Value {
-        match self {
-            Ev::B(v) => v,
-            Ev::O(v) => v,
+    fn and_values(l: &Value, r: &Value) -> Result<Value, Exception> {
+        match (l, r) {
+            (Value::Boolean(false), _) | (_, Value::Boolean(false)) => Ok(Value::Boolean(false)),
+            (Value::Null, _) | (_, Value::Null) => Ok(Value::Null),
+            (Value::Boolean(a), Value::Boolean(b)) => Ok(Value::Boolean(*a && *b)),
+            _ => Err(Exception::type_error("AND needs Boolean operands")),
         }
     }
 
-    fn into_value(self) -> Value {
-        match self {
-            Ev::B(v) => v.clone(),
-            Ev::O(v) => v,
+    fn or_values(l: &Value, r: &Value) -> Result<Value, Exception> {
+        match (l, r) {
+            (Value::Boolean(true), _) | (_, Value::Boolean(true)) => Ok(Value::Boolean(true)),
+            (Value::Null, _) | (_, Value::Null) => Ok(Value::Null),
+            (Value::Boolean(a), Value::Boolean(b)) => Ok(Value::Boolean(*a || *b)),
+            _ => Err(Exception::type_error("OR needs Boolean operands")),
         }
     }
-}
 
-/// AND truth table of [`Op::and`] on borrowed values (callers have already
-/// handled the definite-false left short-circuit and atomicity).
-fn and_values(l: &Value, r: &Value) -> Result<Value, Exception> {
-    match (l, r) {
-        (Value::Boolean(false), _) | (_, Value::Boolean(false)) => Ok(Value::Boolean(false)),
-        (Value::Null, _) | (_, Value::Null) => Ok(Value::Null),
-        (Value::Boolean(a), Value::Boolean(b)) => Ok(Value::Boolean(*a && *b)),
-        _ => Err(Exception::type_error("AND needs Boolean operands")),
-    }
-}
-
-/// OR truth table of [`Op::or`] on borrowed values.
-fn or_values(l: &Value, r: &Value) -> Result<Value, Exception> {
-    match (l, r) {
-        (Value::Boolean(true), _) | (_, Value::Boolean(true)) => Ok(Value::Boolean(true)),
-        (Value::Null, _) | (_, Value::Null) => Ok(Value::Null),
-        (Value::Boolean(a), Value::Boolean(b)) => Ok(Value::Boolean(*a || *b)),
-        _ => Err(Exception::type_error("OR needs Boolean operands")),
-    }
-}
-
-/// Evaluate a compiled body.
-pub fn eval(expr: &Expr, ctx: &EvalCtx<'_>) -> Result<Value, Exception> {
-    eval_ref(expr, ctx).map(Ev::into_value)
-}
-
-fn eval_ref<'a>(expr: &'a Expr, ctx: &EvalCtx<'a>) -> Result<Ev<'a>, Exception> {
-    Ok(match expr {
-        Expr::Lit(v) => Ev::B(v),
-        Expr::Path(path) => {
-            let mut cur = ctx.lookup_root(&path[0]).ok_or_else(|| {
-                Exception::new(
+    /// Evaluate a parsed body; `params` names the slots of `ctx.args`.
+    pub fn eval(expr: &Expr, params: &[String], ctx: &EvalCtx<'_>) -> Result<Value, Exception> {
+        let eval = |e: &Expr| eval(e, params, ctx);
+        Ok(match expr {
+            Expr::Lit(v) => v.clone(),
+            Expr::Path(path) => {
+                let mut cur = lookup_root(ctx, params, &path[0]).ok_or_else(|| {
+                    Exception::new(
+                        ExceptionKind::UnknownIdentifier,
+                        format!("unknown identifier {}", path[0]),
+                    )
+                })?;
+                for seg in &path[1..] {
+                    cur = step(ctx, &cur, seg)?;
+                }
+                // A terminal Ref is fine (reference-valued result).
+                cur
+            }
+            Expr::Unary(op, inner) => {
+                let v = Op::from_value(&eval(inner)?)?;
+                match op {
+                    UnOp::Neg => v.neg()?.into_value(),
+                    UnOp::Not => v.not()?.into_value(),
+                }
+            }
+            // Short-circuit AND/OR before evaluating the right side.
+            Expr::Binary(op @ (BinOp::And | BinOp::Or), lhs, rhs) => {
+                let l = eval(lhs)?;
+                Op::ensure_atomic(&l)?;
+                if l == Value::Boolean(*op == BinOp::Or) {
+                    return Ok(l);
+                }
+                let r = eval(rhs)?;
+                Op::ensure_atomic(&r)?;
+                if *op == BinOp::And {
+                    and_values(&l, &r)?
+                } else {
+                    or_values(&l, &r)?
+                }
+            }
+            Expr::Binary(op, lhs, rhs) => {
+                if let Some(sym) = cmp_symbol(*op) {
+                    let l = eval(lhs)?;
+                    Op::ensure_atomic(&l)?;
+                    let r = eval(rhs)?;
+                    Op::ensure_atomic(&r)?;
+                    return Op::cmp_op_values(sym, &l, &r);
+                }
+                let l = Op::from_value(&eval(lhs)?)?;
+                let r = Op::from_value(&eval(rhs)?)?;
+                match op {
+                    BinOp::Add => l.add(&r)?,
+                    BinOp::Sub => l.sub(&r)?,
+                    BinOp::Mul => l.mul(&r)?,
+                    BinOp::Div => l.div(&r)?,
+                    BinOp::Rem => l.rem(&r)?,
+                    other => unreachable!("comparison {other:?} handled above"),
+                }
+                .into_value()
+            }
+            Expr::Between(v, lo, hi) => {
+                let (v, lo, hi) = (eval(v)?, eval(lo)?, eval(hi)?);
+                if v.is_null() || lo.is_null() || hi.is_null() {
+                    return Ok(Value::Null);
+                }
+                let ge = Op::compare_values(&v, &lo)?.map(|o| o != std::cmp::Ordering::Less);
+                let le = Op::compare_values(&v, &hi)?.map(|o| o != std::cmp::Ordering::Greater);
+                match (ge, le) {
+                    (Some(a), Some(b)) => Value::Boolean(a && b),
+                    _ => return Err(Exception::type_error("BETWEEN on incomparable values")),
+                }
+            }
+            Expr::Param(i) => {
+                return Err(Exception::new(
                     ExceptionKind::UnknownIdentifier,
-                    format!("unknown identifier {}", path[0]),
-                )
-            })?;
-            for seg in &path[1..] {
-                cur = ctx.step(&cur, seg)?;
+                    format!(
+                        "parameter ${} is bound only in compiled programs",
+                        *i as u32 + 1
+                    ),
+                ))
             }
-            // A terminal Ref is fine (reference-valued result).
-            Ev::O(cur)
-        }
-        Expr::Unary(op, inner) => {
-            let v = Op::from_value(eval_ref(inner, ctx)?.get())?;
-            match op {
-                UnOp::Neg => Ev::O(v.neg()?.into_value()),
-                UnOp::Not => Ev::O(v.not()?.into_value()),
+            Expr::Raise(message) => {
+                return Err(Exception::new(ExceptionKind::Query, message.clone()))
             }
-        }
-        Expr::Binary(op, lhs, rhs) => {
-            // Short-circuit AND/OR before evaluating the right side — the
-            // optimizer's predicate-ordering heuristic depends on this.
-            if *op == BinOp::And {
-                let l = eval_ref(lhs, ctx)?;
-                Op::ensure_atomic(l.get())?;
-                if matches!(l.get(), Value::Boolean(false)) {
-                    return Ok(Ev::O(Value::Boolean(false)));
-                }
-                let r = eval_ref(rhs, ctx)?;
-                Op::ensure_atomic(r.get())?;
-                return Ok(Ev::O(and_values(l.get(), r.get())?));
+            Expr::Call(receiver, name, args) => {
+                assert!(receiver.is_none(), "the body language calls on self");
+                let dispatcher = ctx.dispatcher.ok_or_else(|| {
+                    Exception::new(
+                        ExceptionKind::MissingFunction,
+                        format!("method call {name}() outside a dispatching context"),
+                    )
+                })?;
+                let vals = args.iter().map(eval).collect::<Result<Vec<_>, _>>()?;
+                dispatcher(Receiver::Myself, name, &vals)?
             }
-            if *op == BinOp::Or {
-                let l = eval_ref(lhs, ctx)?;
-                Op::ensure_atomic(l.get())?;
-                if matches!(l.get(), Value::Boolean(true)) {
-                    return Ok(Ev::O(Value::Boolean(true)));
-                }
-                let r = eval_ref(rhs, ctx)?;
-                Op::ensure_atomic(r.get())?;
-                return Ok(Ev::O(or_values(l.get(), r.get())?));
-            }
-            if let Some(sym) = op.cmp_symbol() {
-                // Comparisons run entirely on borrowed values: a string
-                // attribute against a string constant no longer clones
-                // either side per row.
-                let l = eval_ref(lhs, ctx)?;
-                Op::ensure_atomic(l.get())?;
-                let r = eval_ref(rhs, ctx)?;
-                Op::ensure_atomic(r.get())?;
-                return Ok(Ev::O(Op::cmp_op_values(sym, l.get(), r.get())?));
-            }
-            let l = Op::from_value(eval_ref(lhs, ctx)?.get())?;
-            let r = Op::from_value(eval_ref(rhs, ctx)?.get())?;
-            let out = match op {
-                BinOp::Add => l.add(&r)?,
-                BinOp::Sub => l.sub(&r)?,
-                BinOp::Mul => l.mul(&r)?,
-                BinOp::Div => l.div(&r)?,
-                BinOp::Rem => l.rem(&r)?,
-                other => unreachable!("comparison {other:?} handled above"),
-            };
-            Ev::O(out.into_value())
-        }
-        Expr::Between(v, lo, hi) => {
-            let v = eval_ref(v, ctx)?;
-            let lo = eval_ref(lo, ctx)?;
-            let hi = eval_ref(hi, ctx)?;
-            let (v, lo, hi) = (v.get(), lo.get(), hi.get());
-            if v.is_null() || lo.is_null() || hi.is_null() {
-                return Ok(Ev::O(Value::Null));
-            }
-            let ge = Op::compare_values(v, lo)?.map(|o| o != std::cmp::Ordering::Less);
-            let le = Op::compare_values(v, hi)?.map(|o| o != std::cmp::Ordering::Greater);
-            match (ge, le) {
-                (Some(a), Some(b)) => Ev::O(Value::Boolean(a && b)),
-                _ => return Err(Exception::type_error("BETWEEN on incomparable values")),
-            }
-        }
-        Expr::Param(i, _) => {
-            return Err(Exception::new(
-                ExceptionKind::UnknownIdentifier,
-                format!(
-                    "parameter ${} is bound only in compiled programs",
-                    *i as u32 + 1
-                ),
-            ))
-        }
-        Expr::Call(name, args) => {
-            let dispatcher = ctx.dispatcher.ok_or_else(|| {
-                Exception::new(
-                    ExceptionKind::MissingFunction,
-                    format!("method call {name}() outside a dispatching context"),
-                )
-            })?;
-            let mut vals = Vec::with_capacity(args.len());
-            for a in args {
-                vals.push(eval_ref(a, ctx)?.into_value());
-            }
-            Ev::O(dispatcher(name, &vals)?)
-        }
-    })
+        })
+    }
 }
 
 #[cfg(test)]
 mod tests {
+    use super::oracle::eval;
     use super::*;
+    use crate::compile::{compile_program, CompileOpts, Registers};
 
-    fn ctx_with<'a>(self_value: &'a Value, args: &'a [(String, Value)]) -> EvalCtx<'a> {
-        EvalCtx {
+    /// Compile `src` as a method body over `params`, run the program, and
+    /// hold it against the reference evaluator.
+    fn run_in(src: &str, params: &[(&str, Value)], ctx: &EvalCtx<'_>) -> Result<Value, Exception> {
+        let body = compile(src).unwrap();
+        let names: Vec<String> = params.iter().map(|(n, _)| n.to_string()).collect();
+        let program = compile_program(&body, &CompileOpts::body(&names)).unwrap();
+        let out = program.run(&mut Registers::default(), ctx);
+        assert_eq!(
+            out,
+            eval(&body, &names, ctx),
+            "program and reference differ on {src}"
+        );
+        out
+    }
+
+    fn run(src: &str, self_value: &Value, params: &[(&str, Value)]) -> Result<Value, Exception> {
+        let args: Vec<Arg<'_>> = params.iter().map(|(_, v)| Arg::Value(v)).collect();
+        let ctx = EvalCtx {
             self_value,
-            args,
+            args: &args,
             resolver: None,
             dispatcher: None,
-        }
+        };
+        run_in(src, params, &ctx)
     }
 
     #[test]
     fn lbweight_body_from_the_paper() {
         // int Vehicle::lbweight() { return weight*2.2075; }
-        let body = compile("{ return weight * 2.2075; }").unwrap();
         let vehicle = Value::tuple(vec![("weight", Value::Integer(1000))]);
-        let out = eval(&body, &ctx_with(&vehicle, &[])).unwrap();
+        let out = run("{ return weight * 2.2075; }", &vehicle, &[]).unwrap();
         assert_eq!(out, Value::Float(2207.5));
     }
 
     #[test]
     fn bare_expression_and_return_forms() {
         for src in ["weight + 1", "return weight + 1;", "{ return weight + 1; }"] {
-            let body = compile(src).unwrap();
             let v = Value::tuple(vec![("weight", Value::Integer(9))]);
-            assert_eq!(eval(&body, &ctx_with(&v, &[])).unwrap(), Value::Integer(10));
+            assert_eq!(run(src, &v, &[]).unwrap(), Value::Integer(10));
         }
     }
 
     #[test]
     fn parameters_shadow_attributes() {
-        let body = compile("weight * factor").unwrap();
         let v = Value::tuple(vec![
             ("weight", Value::Integer(10)),
             ("factor", Value::Integer(99)),
         ]);
-        let args = vec![("factor".to_string(), Value::Integer(2))];
-        assert_eq!(
-            eval(&body, &ctx_with(&v, &args)).unwrap(),
-            Value::Integer(20)
-        );
+        let out = run("weight * factor", &v, &[("factor", Value::Integer(2))]);
+        assert_eq!(out.unwrap(), Value::Integer(20));
     }
 
     #[test]
     fn precedence_matches_c() {
-        let body = compile("2 + 3 * 4 - 6 / 2").unwrap();
         let v = Value::Tuple(vec![]);
-        assert_eq!(eval(&body, &ctx_with(&v, &[])).unwrap(), Value::Integer(11));
-        let body = compile("(2 + 3) * 4").unwrap();
-        assert_eq!(eval(&body, &ctx_with(&v, &[])).unwrap(), Value::Integer(20));
+        assert_eq!(
+            run("2 + 3 * 4 - 6 / 2", &v, &[]).unwrap(),
+            Value::Integer(11)
+        );
+        assert_eq!(run("(2 + 3) * 4", &v, &[]).unwrap(), Value::Integer(20));
     }
 
     #[test]
     fn booleans_and_comparisons() {
-        let body = compile("weight > 500 && weight <= 1500 || false").unwrap();
         let v = Value::tuple(vec![("weight", Value::Integer(1000))]);
-        assert_eq!(
-            eval(&body, &ctx_with(&v, &[])).unwrap(),
-            Value::Boolean(true)
-        );
-        let body = compile("!(weight == 1000)").unwrap();
-        assert_eq!(
-            eval(&body, &ctx_with(&v, &[])).unwrap(),
-            Value::Boolean(false)
-        );
+        let out = run("weight > 500 && weight <= 1500 || false", &v, &[]);
+        assert_eq!(out.unwrap(), Value::Boolean(true));
+        let out = run("!(weight == 1000)", &v, &[]);
+        assert_eq!(out.unwrap(), Value::Boolean(false));
     }
 
     #[test]
     fn short_circuit_avoids_rhs_errors() {
         // RHS would divide by zero; short-circuit must skip it.
-        let body = compile("false && (1/0 == 1)").unwrap();
         let v = Value::Tuple(vec![]);
-        assert_eq!(
-            eval(&body, &ctx_with(&v, &[])).unwrap(),
-            Value::Boolean(false)
-        );
-        let body = compile("true || (1/0 == 1)").unwrap();
-        assert_eq!(
-            eval(&body, &ctx_with(&v, &[])).unwrap(),
-            Value::Boolean(true)
-        );
+        let out = run("false && (1/0 == 1)", &v, &[]);
+        assert_eq!(out.unwrap(), Value::Boolean(false));
+        let out = run("true || (1/0 == 1)", &v, &[]);
+        assert_eq!(out.unwrap(), Value::Boolean(true));
     }
 
     #[test]
@@ -714,29 +722,25 @@ mod tests {
             Value::tuple(vec![("cylinders", Value::Integer(6))]),
         );
         let car = Value::tuple(vec![("engine", Value::Ref(engine_oid))]);
-        let body = compile("self.engine.cylinders * 2").unwrap();
         let ctx = EvalCtx {
             self_value: &car,
             args: &[],
             resolver: Some(&store),
             dispatcher: None,
         };
-        assert_eq!(eval(&body, &ctx).unwrap(), Value::Integer(12));
+        let out = run_in("self.engine.cylinders * 2", &[], &ctx);
+        assert_eq!(out.unwrap(), Value::Integer(12));
     }
 
     #[test]
     fn null_path_yields_null() {
         let car = Value::tuple(vec![("engine", Value::Null)]);
-        let body = compile("engine.cylinders").unwrap();
-        let ctx = ctx_with(&car, &[]);
-        assert_eq!(eval(&body, &ctx).unwrap(), Value::Null);
+        assert_eq!(run("engine.cylinders", &car, &[]).unwrap(), Value::Null);
     }
 
     #[test]
     fn unknown_identifier_is_an_exception() {
-        let body = compile("nonexistent + 1").unwrap();
-        let v = Value::Tuple(vec![]);
-        let e = eval(&body, &ctx_with(&v, &[])).unwrap_err();
+        let e = run("nonexistent + 1", &Value::Tuple(vec![]), &[]).unwrap_err();
         assert_eq!(e.kind, ExceptionKind::UnknownIdentifier);
     }
 
@@ -751,24 +755,18 @@ mod tests {
 
     #[test]
     fn string_literals_and_equality() {
-        let body = compile("name == \"BMW\"").unwrap();
         let v = Value::tuple(vec![("name", Value::string("BMW"))]);
-        assert_eq!(
-            eval(&body, &ctx_with(&v, &[])).unwrap(),
-            Value::Boolean(true)
-        );
-        let body = compile("name == 'Audi'").unwrap();
-        assert_eq!(
-            eval(&body, &ctx_with(&v, &[])).unwrap(),
-            Value::Boolean(false)
-        );
+        let out = run("name == \"BMW\"", &v, &[]);
+        assert_eq!(out.unwrap(), Value::Boolean(true));
+        let out = run("name == 'Audi'", &v, &[]);
+        assert_eq!(out.unwrap(), Value::Boolean(false));
     }
 
     #[test]
     fn method_calls_go_through_dispatcher() {
-        let body = compile("lbweight() + 1").unwrap();
         let v = Value::tuple(vec![("weight", Value::Integer(100))]);
-        let dispatch = |name: &str, _args: &[Value]| -> Result<Value, Exception> {
+        let dispatch = |on: Receiver<'_>, name: &str, _args: &[Value]| {
+            assert!(matches!(on, Receiver::Myself));
             assert_eq!(name, "lbweight");
             Ok(Value::Integer(220))
         };
@@ -778,19 +776,16 @@ mod tests {
             resolver: None,
             dispatcher: Some(&dispatch),
         };
-        assert_eq!(eval(&body, &ctx).unwrap(), Value::Integer(221));
+        let out = run_in("lbweight() + 1", &[], &ctx);
+        assert_eq!(out.unwrap(), Value::Integer(221));
         // Without a dispatcher it raises.
-        let e = eval(&body, &ctx_with(&v, &[])).unwrap_err();
+        let e = run("lbweight() + 1", &v, &[]).unwrap_err();
         assert_eq!(e.kind, ExceptionKind::MissingFunction);
     }
 
     #[test]
     fn big_int_literals_become_long() {
-        let body = compile("5000000000").unwrap();
-        let v = Value::Tuple(vec![]);
-        assert_eq!(
-            eval(&body, &ctx_with(&v, &[])).unwrap(),
-            Value::LongInteger(5_000_000_000)
-        );
+        let out = run("5000000000", &Value::Tuple(vec![]), &[]);
+        assert_eq!(out.unwrap(), Value::LongInteger(5_000_000_000));
     }
 }

@@ -7,9 +7,11 @@
 //! signatures for late binding. The reproduction keeps every architectural
 //! property:
 //!
-//! * bodies are "compiled" when added (native Rust closures play the role
-//!   of pre-compiled C++ object code; run-time-defined bodies compile
-//!   through [`crate::expr::compile`]) — the server never restarts;
+//! * bodies are compiled when added (native Rust closures play the role
+//!   of pre-compiled C++ object code; run-time-defined bodies are parsed by
+//!   [`crate::expr::compile`] and lowered to a register program by
+//!   [`crate::compile`]) and only the compiled form ever runs — the server
+//!   never restarts;
 //! * each class has a shared-object unit; redefining a function takes an
 //!   exclusive lock on it ("the shared library of the class will be
 //!   unavailable only during the time it takes to write the new function");
@@ -31,33 +33,29 @@ use mood_catalog::{Catalog, MethodSig};
 use mood_datamodel::{Resolver, Value};
 use mood_storage::Oid;
 
+use crate::compile::{compile_program, CompileOpts, Program, Registers};
 use crate::exception::{catch, Exception, ExceptionKind};
-use crate::expr::{compile, eval, EvalCtx, Expr};
+use crate::expr::{compile, Arg, EvalCtx, Receiver};
 
 /// A native method body — the stand-in for compiled C++ object code.
 pub type NativeFn =
     Arc<dyn Fn(&Value, &[Value], &dyn Resolver) -> Result<Value, Exception> + Send + Sync>;
 
 /// A compiled method body.
-#[derive(Clone)]
 pub enum MethodBody {
     /// Pre-compiled (registered from Rust).
     Native(NativeFn),
-    /// Compiled at definition time from source.
-    Interpreted { source: String, compiled: Expr },
-}
-
-/// One entry in a class's shared object file.
-#[derive(Clone)]
-struct CompiledFunction {
-    body: MethodBody,
+    /// Compiled at definition time from source: the text as given
+    /// (MoodView's method editor reads it back) and the program an
+    /// invocation runs, its parameter names bound to argument slots.
+    Source { source: String, program: Program },
 }
 
 /// The per-class shared object: compiled functions plus the set currently
-/// loaded in memory.
+/// loaded in memory. A body is shared, not copied, by the calls running it.
 #[derive(Default)]
 struct SharedObject {
-    functions: HashMap<String, CompiledFunction>,
+    functions: HashMap<String, Arc<MethodBody>>,
     loaded: HashSet<String>,
 }
 
@@ -116,21 +114,23 @@ impl FunctionManager {
     }
 
     /// Define (or redefine) a method from source at run time — the paper's
-    /// headline capability. Compile errors surface here, not at call time.
+    /// headline capability. The body is parsed and lowered to its program
+    /// here: compile errors surface now, not at call time.
     pub fn define_source(
         &self,
         class: &str,
         sig: MethodSig,
         source: &str,
     ) -> Result<(), Exception> {
-        let compiled = compile(source)?;
+        let params: Vec<String> = sig.params.iter().map(|(n, _)| n.clone()).collect();
+        let program = compile_program(&compile(source)?, &CompileOpts::body(&params))?;
         self.stats.compilations.fetch_add(1, Ordering::Relaxed);
         self.install(
             class,
             sig,
-            MethodBody::Interpreted {
+            MethodBody::Source {
                 source: source.to_string(),
-                compiled,
+                program,
             },
         )
     }
@@ -144,9 +144,7 @@ impl FunctionManager {
         // while the new function is written.
         let mut guard = so.write();
         guard.loaded.remove(&sig.name); // a redefinition must reload
-        guard
-            .functions
-            .insert(sig.name.clone(), CompiledFunction { body });
+        guard.functions.insert(sig.name.clone(), Arc::new(body));
         drop(guard);
         self.catalog
             .add_method(class, sig)
@@ -172,15 +170,34 @@ impl FunctionManager {
         Ok(())
     }
 
-    /// The source text of an interpreted method (MoodView's method editor
-    /// reads this back).
+    /// The source text of a source-defined method (MoodView's method
+    /// editor reads this back).
     pub fn method_source(&self, class: &str, method: &str) -> Option<String> {
         let so = self.shared_object(class);
         let guard = so.read();
-        match &guard.functions.get(method)?.body {
-            MethodBody::Interpreted { source, .. } => Some(source.clone()),
+        match &**guard.functions.get(method)? {
+            MethodBody::Source { source, .. } => Some(source.clone()),
             MethodBody::Native(_) => None,
         }
+    }
+
+    /// `method`'s body out of a class's shared object, loading it on first
+    /// use since the scope began (the dld load). Calls of a loaded method
+    /// share the read lock — they are blocked only while a redefinition
+    /// holds the object — and only the first takes the write lock.
+    fn load(&self, so: &RwLock<SharedObject>, method: &str) -> Option<Arc<MethodBody>> {
+        {
+            let guard = so.read();
+            if guard.loaded.contains(method) {
+                return guard.functions.get(method).cloned();
+            }
+        }
+        let mut guard = so.write();
+        let body = guard.functions.get(method).cloned()?;
+        if guard.loaded.insert(method.to_string()) {
+            self.stats.loads.fetch_add(1, Ordering::Relaxed);
+        }
+        Some(body)
     }
 
     /// Invoke `method` on the object `oid` with `args`.
@@ -230,46 +247,33 @@ impl FunctionManager {
                 ));
             }
         }
-        let so = self.shared_object(&defining);
-        let func = {
-            // Shared lock: readers are only blocked while a writer holds
-            // the object during redefinition.
-            let mut guard = so.write();
-            let Some(f) = guard.functions.get(method).cloned() else {
-                return Err(Exception::new(
-                    ExceptionKind::MissingFunction,
-                    format!(
-                        "signature {} found in catalog but {defining}'s shared object has no body",
-                        sig.signature_for(&defining)
-                    ),
-                ));
-            };
-            if guard.loaded.insert(method.to_string()) {
-                // First call since scope start: the dld load.
-                self.stats.loads.fetch_add(1, Ordering::Relaxed);
-            }
-            f
+        let Some(body) = self.load(&self.shared_object(&defining), method) else {
+            return Err(Exception::new(
+                ExceptionKind::MissingFunction,
+                format!(
+                    "signature {} found in catalog but {defining}'s shared object has no body",
+                    sig.signature_for(&defining)
+                ),
+            ));
         };
-        let named_args: Vec<(String, Value)> = sig
-            .params
-            .iter()
-            .map(|(n, _)| n.clone())
-            .zip(args.iter().cloned())
-            .collect();
-        match &func.body {
+        match &*body {
             MethodBody::Native(f) => {
                 let cat: &Catalog = &self.catalog;
                 catch(AssertUnwindSafe(|| f(receiver, args, cat)))
             }
-            MethodBody::Interpreted { compiled, .. } => {
-                let dispatcher = |m: &str, a: &[Value]| self.invoke_on(class, receiver, m, a);
+            MethodBody::Source { program, .. } => {
+                // A body calls its siblings on its own receiver.
+                let dispatcher =
+                    |_: Receiver<'_>, m: &str, a: &[Value]| self.invoke_on(class, receiver, m, a);
+                let slots: Vec<Arg<'_>> = args.iter().map(Arg::Value).collect();
                 let ctx = EvalCtx {
                     self_value: receiver,
-                    args: &named_args,
+                    args: &slots,
                     resolver: Some(self.catalog.as_ref() as &dyn Resolver),
                     dispatcher: Some(&dispatcher),
                 };
-                let result = catch(AssertUnwindSafe(|| eval(compiled, &ctx)))?;
+                let run = || program.run(&mut Registers::default(), &ctx);
+                let result = catch(AssertUnwindSafe(run))?;
                 if !result.matches(&sig.return_type) {
                     return Err(Exception::type_error(format!(
                         "{} returned {result}, expected {}",
@@ -327,7 +331,7 @@ mod tests {
     }
 
     #[test]
-    fn interpreted_method_roundtrip() {
+    fn source_defined_method_roundtrip() {
         let (cat, fm) = setup();
         fm.define_source("Vehicle", lbweight_sig(), "{ return weight * 2.2075; }")
             .unwrap();
@@ -441,7 +445,7 @@ mod tests {
     }
 
     #[test]
-    fn return_type_checked_for_interpreted_bodies() {
+    fn return_type_checked_for_source_defined_bodies() {
         let (cat, fm) = setup();
         fm.define_source(
             "Vehicle",
@@ -458,11 +462,44 @@ mod tests {
 
     #[test]
     fn compile_error_at_definition_time_not_call_time() {
-        let (_, fm) = setup();
+        let (cat, fm) = setup();
         let e = fm
             .define_source("Vehicle", lbweight_sig(), "weight *")
             .unwrap_err();
         assert_eq!(e.kind, ExceptionKind::CompileError);
+        // The program is built at definition too: a body past the
+        // compiler's register limit is refused here, and never installed.
+        let huge = format!("m({})", vec!["weight"; 70_000].join(", "));
+        let e = fm
+            .define_source("Vehicle", lbweight_sig(), &huge)
+            .unwrap_err();
+        assert_eq!(e.kind, ExceptionKind::CompileError);
+        assert!(cat.class("Vehicle").unwrap().method("lbweight").is_none());
+    }
+
+    #[test]
+    fn parallel_invocations_of_a_loaded_method_record_one_load() {
+        let (cat, fm) = setup();
+        fm.register_native(
+            "Vehicle",
+            MethodSig::new("weight_of", TypeDescriptor::integer(), vec![]),
+            Arc::new(|recv, _args, _res| Ok(recv.field("weight").cloned().unwrap_or(Value::Null))),
+        )
+        .unwrap();
+        let oid = cat
+            .new_object("Vehicle", Value::tuple(vec![("weight", Value::Integer(7))]))
+            .unwrap();
+        std::thread::scope(|s| {
+            for _ in 0..4 {
+                s.spawn(|| {
+                    for _ in 0..10_000 {
+                        assert_eq!(fm.invoke(oid, "weight_of", &[]).unwrap(), Value::Integer(7));
+                    }
+                });
+            }
+        });
+        assert_eq!(fm.stats().loads.load(Ordering::Relaxed), 1);
+        assert_eq!(fm.stats().invocations.load(Ordering::Relaxed), 40_000);
     }
 
     #[test]

@@ -1,78 +1,78 @@
-//! Bridge from MOODSQL AST expressions to the Function Manager's compiled
-//! register programs.
+//! MOODSQL expressions as the Function Manager's register programs — the
+//! only way a statement evaluates one.
 //!
 //! The paper compiles method bodies once at definition time (Section 2);
-//! this module applies the same discipline to the query hot path. A WHERE
-//! predicate or projection column that references exactly one range
-//! variable is lowered into a [`Program`] (Sql mode, so semantics — Null
-//! propagation, n-ary And/Or folds, schema-evolution Nulls, error texts —
-//! are byte-identical to `Executor::eval_expr`). Anything the bridge cannot
-//! express (method calls, aggregates, multi-variable predicates, bare
-//! range variables) returns `None` and the executor falls back to the
-//! interpreter, so compilation is a pure fast path, never a behavior
-//! change.
+//! the SQL layer holds its expressions to the same rule. Every expression
+//! the driver evaluates per object — a plan predicate, a join's right-side
+//! filter, a projection column, a sort or group key, an aggregate's
+//! argument, the right-hand side of `UPDATE … SET` — is a
+//! [`PreparedExpr`]: the AST, and the Sql-mode [`Program`] it is lowered to
+//! the first time it is evaluated (a plan whose predicate never meets a row
+//! never compiles it). The program is compiled over the range variables the
+//! expression reads, one argument slot each: an attribute path starts from
+//! the slot's value, the variable alone is the slot's reference, a method
+//! on it dispatches on the bound object without fetching it again. A view
+//! that does not bind a variable leaves its slot unbound, which is an error
+//! for whatever reads it.
+//!
+//! There is no fallback: what the compiler cannot lower (an expression past
+//! its `u16` limits) is the statement's error.
 
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::sync::OnceLock;
+use std::time::Instant;
 
-use mood_catalog::Catalog;
-use mood_datamodel::{BasicType, Resolver, TypeDescriptor, Value};
-use mood_storage::Oid;
+use mood_catalog::{Catalog, CatalogError};
+use mood_datamodel::{Resolver, Value};
 use mood_funcman::expr::{BinOp, UnOp};
 use mood_funcman::{
-    compile_program, CompileOpts, CompiledPredicate, EvalCtx, Exception, ExceptionKind, Expr as FExpr,
-    Program, Registers, StaticKind,
+    compile_program, Arg, CompileOpts, EvalCtx, Exception, ExceptionKind, Expr as FExpr, Program,
+    Receiver, Registers,
 };
+use mood_storage::{Oid, StorageError};
 
-use crate::ast::{CmpOp, Expr, Lit};
+use crate::ast::{CmpOp, Expr, PathRef};
 use crate::error::{Result, SqlError};
-use crate::exec::Row;
+use crate::exec::{lit_value, Executor, Row};
 
-/// Dereference through the catalog during compiled path traversal — the
-/// same lookups `Executor::eval_path` performs via `catalog.get_object`.
-pub(crate) struct CatalogResolver<'a> {
-    pub catalog: &'a Catalog,
-}
-
-impl Resolver for CatalogResolver<'_> {
-    fn resolve(&self, oid: Oid) -> Option<Value> {
-        self.catalog.get_object(oid).ok().map(|(_, v)| v)
-    }
-}
-
-/// A [`CatalogResolver`] with a per-batch memo: path predicates over a
-/// batch of rows often dereference the same shared sub-objects, so each
-/// distinct OID hits the catalog once per batch instead of once per row.
-pub(crate) struct CachingResolver<'a> {
+/// Dereferences through the catalog for a batch of evaluations, each
+/// distinct OID fetched once: path expressions over a batch often reach
+/// the same shared sub-objects.
+///
+/// A reference to nothing resolves to `None` — the program then raises its
+/// dangling-reference exception. Any other storage failure (an I/O error, a
+/// checksum mismatch, a deadlock-victim abort) also resolves to `None`, but
+/// is kept: it, not the program's exception, is the statement's error (the
+/// rule of `Executor::fetch_live`).
+struct CachingResolver<'a> {
     catalog: &'a Catalog,
     cache: RefCell<HashMap<Oid, Option<Value>>>,
-}
-
-impl<'a> CachingResolver<'a> {
-    pub fn new(catalog: &'a Catalog) -> CachingResolver<'a> {
-        CachingResolver {
-            catalog,
-            cache: RefCell::new(HashMap::new()),
-        }
-    }
+    fault: RefCell<Option<CatalogError>>,
 }
 
 impl Resolver for CachingResolver<'_> {
     fn resolve(&self, oid: Oid) -> Option<Value> {
+        let fetch = || match self.catalog.get_object(oid) {
+            Ok((_, value)) => Some(value),
+            Err(CatalogError::Storage(StorageError::DanglingOid(_))) => None,
+            Err(e) => {
+                self.fault.borrow_mut().get_or_insert(e);
+                None
+            }
+        };
         self.cache
             .borrow_mut()
             .entry(oid)
-            .or_insert_with(|| self.catalog.get_object(oid).ok().map(|(_, v)| v))
+            .or_insert_with(fetch)
             .clone()
     }
 }
 
-/// Map a program exception back onto the interpreter's error surface:
-/// `Query` carries `eval_expr`'s own message text verbatim (re-wrapped as
-/// an execution error), everything else surfaces as a method exception —
-/// exactly what `?` on a funcman call produces in the interpreted path.
-pub(crate) fn sql_err(e: Exception) -> SqlError {
+/// Map a program exception onto the statement's error surface: `Query`
+/// carries MOODSQL's own message text (an execution error), everything else
+/// surfaces as the method or operand exception it is.
+fn sql_err(e: Exception) -> SqlError {
     if e.kind == ExceptionKind::Query {
         SqlError::Exec(e.message)
     } else {
@@ -82,207 +82,174 @@ pub(crate) fn sql_err(e: Exception) -> SqlError {
 
 /// What an expression is evaluated against: one scanned object bound to a
 /// single range variable (a scan batch hands these out without building a
-/// [`Row`]), or a full binding row. Compiled programs run on either; the
-/// interpreter needs the `Row`.
+/// [`Row`]), or a full binding row.
 #[derive(Clone, Copy)]
 pub(crate) enum RowView<'r> {
-    Object { var: &'r str, value: &'r Value },
+    Object {
+        var: &'r str,
+        oid: Oid,
+        value: &'r Value,
+    },
     Row(&'r Row),
 }
 
 impl<'r> RowView<'r> {
-    /// The value bound to `var`.
-    fn bound(self, var: &str) -> Result<&'r Value> {
+    /// The argument slot of `var`.
+    fn arg(self, var: &str) -> Arg<'r> {
         match self {
-            RowView::Object { var: v, value } if v == var => Some(value),
-            RowView::Object { .. } => None,
-            RowView::Row(row) => row.get(var).map(|b| &*b.value),
+            RowView::Object { var: v, oid, value } if v == var => Arg::Object(oid, value),
+            RowView::Object { .. } => Arg::Unbound,
+            RowView::Row(row) => match row.get(var) {
+                Some(bound) => match bound.oid {
+                    Some(oid) => Arg::Object(oid, &bound.value),
+                    None => Arg::Value(&bound.value),
+                },
+                None => Arg::Unbound,
+            },
         }
-        .ok_or_else(|| SqlError::Exec(format!("unbound range variable {var}")))
     }
 }
 
-fn eval_ctx<'c>(value: &'c Value, resolver: &'c dyn Resolver) -> EvalCtx<'c> {
-    EvalCtx {
-        self_value: value,
-        args: &[],
-        resolver: Some(resolver),
-        dispatcher: None,
-    }
-}
-
-/// A compiled predicate bound to the range variable it reads.
-pub(crate) struct RowPred {
-    pub var: String,
-    pred: CompiledPredicate,
-}
-
-impl RowPred {
-    /// Evaluate against a view; Null filters out, per SQL. The caller
-    /// supplies the resolver so a batch can share one deref cache.
-    pub fn matches(
-        &self,
-        resolver: &dyn Resolver,
-        view: RowView<'_>,
-        regs: &mut Registers<'_>,
-    ) -> Result<bool> {
-        let ctx = eval_ctx(view.bound(&self.var)?, resolver);
-        self.pred.matches(regs, &ctx).map_err(sql_err)
-    }
-}
-
-/// A compiled value expression (projection column, sort or group key,
-/// aggregate argument) bound to its range variable.
-pub(crate) struct RowProg {
-    pub var: String,
+/// A compiled expression with the range variables its argument slots stand
+/// for.
+struct RowProg {
+    vars: Vec<String>,
     prog: Program,
 }
 
-impl RowProg {
-    pub fn eval(
-        &self,
-        resolver: &dyn Resolver,
-        view: RowView<'_>,
-        regs: &mut Registers<'_>,
-    ) -> Result<Value> {
-        let ctx = eval_ctx(view.bound(&self.var)?, resolver);
-        self.prog.run(regs, &ctx).map_err(sql_err)
-    }
-}
-
-/// A plan predicate prepared once at plan time: parsed from the plan's
-/// predicate text, plus a lazily-filled compiled form. The slot stays
-/// empty until the plan's second execution (see
-/// [`crate::exec::PreparedQuery`]), so one-shot ad-hoc statements never
-/// pay compilation; once filled it is never recomputed.
-pub(crate) struct PreparedPred {
+/// An expression the driver evaluates per object: parsed (or taken from the
+/// statement) at prepare time, compiled the first time it is evaluated,
+/// never again.
+pub(crate) struct PreparedExpr {
     pub expr: Expr,
-    slot: OnceLock<Option<RowPred>>,
+    slot: OnceLock<std::result::Result<RowProg, String>>,
 }
 
-impl PreparedPred {
-    pub fn new(expr: Expr) -> PreparedPred {
-        PreparedPred {
+impl PreparedExpr {
+    pub fn new(expr: Expr) -> PreparedExpr {
+        PreparedExpr {
             expr,
             slot: OnceLock::new(),
         }
     }
 
-    /// The compiled form, if compilation has run and the bridge covered
-    /// the expression.
-    pub fn compiled(&self) -> Option<&RowPred> {
-        self.slot.get().and_then(|c| c.as_ref())
-    }
-
-    /// Compile into the slot (idempotent). `params` are the values bound
-    /// for the execution that triggers compilation; only their type
-    /// classes are read, and those are fixed per shape.
-    pub fn compile(
-        &self,
-        catalog: &Catalog,
-        var_class: &HashMap<String, String>,
-        params: &[Value],
-    ) {
-        self.slot
-            .get_or_init(|| compile_pred(catalog, var_class, &self.expr, params));
-    }
-}
-
-/// Compile a WHERE expression into a [`RowPred`], or `None` if any part
-/// falls outside the compilable subset.
-pub(crate) fn compile_pred(
-    catalog: &Catalog,
-    var_class: &HashMap<String, String>,
-    expr: &Expr,
-    params: &[Value],
-) -> Option<RowPred> {
-    let (var, program) = compile_expr(catalog, var_class, expr, params)?;
-    Some(RowPred {
-        var,
-        pred: CompiledPredicate::new(program),
-    })
-}
-
-/// Compile a projection column into a [`RowProg`], or `None`.
-pub(crate) fn compile_proj(
-    catalog: &Catalog,
-    var_class: &HashMap<String, String>,
-    expr: &Expr,
-    params: &[Value],
-) -> Option<RowProg> {
-    let (var, prog) = compile_expr(catalog, var_class, expr, params)?;
-    Some(RowProg { var, prog })
-}
-
-fn compile_expr(
-    catalog: &Catalog,
-    var_class: &HashMap<String, String>,
-    expr: &Expr,
-    params: &[Value],
-) -> Option<(String, Program)> {
-    let var = find_var(expr)?.to_string();
-    let class = var_class.get(&var)?.clone();
-    let lowered = bridge(expr, &var, params)?;
-    let attr_kind = |segs: &[String]| static_kind_for(catalog, &class, segs);
-    let root_slot = |attr: &str| root_slot_for(catalog, &class, attr);
-    let opts = CompileOpts::sql(&var)
-        .with_attr_kind(&attr_kind)
-        .with_root_slot(&root_slot);
-    let program = compile_program(&lowered, &opts).ok()?;
-    Some((var, program))
-}
-
-/// The first range variable an expression reads. The bridge then verifies
-/// every other path reads the same one.
-fn find_var(e: &Expr) -> Option<&str> {
-    match e {
-        Expr::Path(p) => Some(&p.var),
-        Expr::Literal(_) | Expr::Param(_) | Expr::Agg { .. } | Expr::MethodCall { .. } => None,
-        Expr::Compare { left, right, .. } | Expr::Arith { left, right, .. } => {
-            find_var(left).or_else(|| find_var(right))
+    /// The program, compiled now if this is its first use; the time goes to
+    /// the registry's `compile.ns`.
+    fn compiled(&self, catalog: &Catalog) -> Result<&RowProg> {
+        let compile = || {
+            let start = Instant::now();
+            let prog = compile(&self.expr).map_err(|e| e.message);
+            let registry = catalog.storage().registry();
+            registry.record_compile_ns(start.elapsed().as_nanos() as u64);
+            prog
+        };
+        match self.slot.get_or_init(compile) {
+            Ok(prog) => Ok(prog),
+            Err(message) => Err(SqlError::Exec(message.clone())),
         }
-        Expr::Between { expr, lo, hi } => find_var(expr)
-            .or_else(|| find_var(lo))
-            .or_else(|| find_var(hi)),
-        Expr::And(parts) | Expr::Or(parts) => parts.iter().find_map(find_var),
-        Expr::Not(inner) => find_var(inner),
     }
 }
 
-/// Lower an AST expression to a funcman [`FExpr`] rooted at `self`. `None`
-/// marks the expression as uncompilable (interpreter fallback).
-fn bridge(e: &Expr, var: &str, params: &[Value]) -> Option<FExpr> {
-    let lower = |e: &Expr| bridge(e, var, params);
-    match e {
-        Expr::Path(p) => {
-            // A bare range variable evaluates to the bound object's Ref,
-            // which a program running against the tuple value cannot see.
-            if p.var != var || p.segments.is_empty() {
-                return None;
+/// What a run of evaluations shares: the executor (catalog, Function
+/// Manager, bound parameters), one register file, one dereference cache.
+pub(crate) struct Scratch<'e, 'a> {
+    ex: &'e Executor<'a>,
+    regs: Registers<'a>,
+    resolver: CachingResolver<'e>,
+}
+
+impl<'e, 'a> Scratch<'e, 'a> {
+    pub fn new(ex: &'e Executor<'a>) -> Scratch<'e, 'a> {
+        Scratch {
+            ex,
+            regs: Registers::with_params(ex.params()),
+            resolver: CachingResolver {
+                catalog: ex.catalog,
+                cache: RefCell::default(),
+                fault: RefCell::default(),
+            },
+        }
+    }
+
+    pub fn executor(&self) -> &'e Executor<'a> {
+        self.ex
+    }
+
+    /// A new batch begins: what the last one dereferenced is forgotten.
+    pub fn next_batch(&mut self) {
+        self.resolver.cache.get_mut().clear();
+    }
+
+    pub fn eval(&mut self, e: &PreparedExpr, view: RowView<'_>) -> Result<Value> {
+        let RowProg { vars, prog } = e.compiled(self.ex.catalog)?;
+        let (one, many);
+        let args: &[Arg<'_>] = match vars.as_slice() {
+            [] => &[],
+            [var] => {
+                one = [view.arg(var)];
+                &one
             }
-            let mut segs = Vec::with_capacity(p.segments.len() + 1);
-            segs.push("self".to_string());
-            segs.extend(p.segments.iter().cloned());
-            Some(FExpr::Path(segs))
+            vars => {
+                many = vars.iter().map(|v| view.arg(v)).collect::<Vec<_>>();
+                &many
+            }
+        };
+        let ex = self.ex;
+        let dispatch =
+            |on: Receiver<'_>, method: &str, args: &[Value]| ex.dispatch(on, method, args);
+        let ctx = EvalCtx {
+            self_value: &Value::Null,
+            args,
+            resolver: Some(&self.resolver),
+            dispatcher: Some(&dispatch),
+        };
+        prog.run(&mut self.regs, &ctx).map_err(|e| {
+            // A storage failure under a dereference outranks what the
+            // program made of the missing object.
+            match self.resolver.fault.take() {
+                Some(fault) => fault.into(),
+                None => sql_err(e),
+            }
+        })
+    }
+
+    /// Predicate evaluation: Null (unknown) filters out, per SQL.
+    pub fn matches(&mut self, e: &PreparedExpr, view: RowView<'_>) -> Result<bool> {
+        Ok(matches!(self.eval(e, view)?, Value::Boolean(true)))
+    }
+}
+
+fn compile(expr: &Expr) -> std::result::Result<RowProg, Exception> {
+    let mut vars = Vec::new();
+    let lowered = bridge(expr, &mut vars)?;
+    let prog = compile_program(&lowered, &CompileOpts::sql_over(&vars))?;
+    Ok(RowProg { vars, prog })
+}
+
+/// Lower an AST expression to a funcman [`FExpr`] whose paths are rooted at
+/// range variables, collecting those (in order of first appearance) in
+/// `vars`.
+fn bridge(e: &Expr, vars: &mut Vec<String>) -> std::result::Result<FExpr, Exception> {
+    fn path(p: &PathRef, vars: &mut Vec<String>) -> FExpr {
+        if !vars.contains(&p.var) {
+            vars.push(p.var.clone());
         }
-        Expr::Literal(l) => Some(match l {
-            Lit::Int(i) => FExpr::int(*i),
-            Lit::Float(x) => FExpr::Lit(Value::Float(*x)),
-            Lit::Str(s) => FExpr::Lit(Value::String(s.clone())),
-            Lit::Bool(b) => FExpr::Lit(Value::Boolean(*b)),
-            Lit::Null => FExpr::Lit(Value::Null),
-        }),
-        // The program reads the value from the slice bound at execution;
-        // the value bound now only supplies its (shape-fixed) type class.
-        // An unbound parameter stays interpreted, where it is an error.
-        Expr::Param(n) => {
-            let i = n.checked_sub(1)?;
-            let kind = StaticKind::of_value(params.get(i as usize)?);
-            Some(FExpr::Param(i, kind))
-        }
+        FExpr::Path(
+            std::iter::once(&p.var)
+                .chain(&p.segments)
+                .cloned()
+                .collect(),
+        )
+    }
+    let binary = |op, l, r| FExpr::Binary(op, Box::new(l), Box::new(r));
+    Ok(match e {
+        Expr::Path(p) => path(p, vars),
+        Expr::Literal(l) => FExpr::Lit(lit_value(l)),
+        Expr::Param(n) => match n.checked_sub(1) {
+            Some(i) => FExpr::Param(i),
+            None => FExpr::Raise("unbound parameter $0".into()),
+        },
         Expr::Compare { op, left, right } => {
-            let l = lower(left)?;
-            let r = lower(right)?;
             let op = match op {
                 CmpOp::Eq => BinOp::Eq,
                 CmpOp::Ne => BinOp::Ne,
@@ -291,83 +258,72 @@ fn bridge(e: &Expr, var: &str, params: &[Value]) -> Option<FExpr> {
                 CmpOp::Gt => BinOp::Gt,
                 CmpOp::Ge => BinOp::Ge,
             };
-            Some(FExpr::Binary(op, Box::new(l), Box::new(r)))
+            binary(op, bridge(left, vars)?, bridge(right, vars)?)
         }
-        Expr::Between { expr, lo, hi } => Some(FExpr::Between(
-            Box::new(lower(expr)?),
-            Box::new(lower(lo)?),
-            Box::new(lower(hi)?),
-        )),
-        // Left-deep chains of the same operator: the compiler re-flattens
-        // them into the interpreter's n-ary fold, preserving evaluation
-        // order and Null bookkeeping.
-        Expr::And(parts) => nary(parts, var, params, BinOp::And),
-        Expr::Or(parts) => nary(parts, var, params, BinOp::Or),
-        Expr::Not(inner) => Some(FExpr::Unary(UnOp::Not, Box::new(lower(inner)?))),
+        Expr::Between { expr, lo, hi } => FExpr::Between(
+            Box::new(bridge(expr, vars)?),
+            Box::new(bridge(lo, vars)?),
+            Box::new(bridge(hi, vars)?),
+        ),
+        Expr::And(parts) => nary(parts, vars, BinOp::And)?,
+        Expr::Or(parts) => nary(parts, vars, BinOp::Or)?,
+        Expr::Not(inner) => FExpr::Unary(UnOp::Not, Box::new(bridge(inner, vars)?)),
         Expr::Arith { op, left, right } => {
-            let l = lower(left)?;
-            let r = lower(right)?;
             let op = match op {
                 '+' => BinOp::Add,
                 '-' => BinOp::Sub,
                 '*' => BinOp::Mul,
                 '/' => BinOp::Div,
                 '%' => BinOp::Rem,
-                _ => return None,
+                other => {
+                    return Err(Exception::new(
+                        ExceptionKind::Query,
+                        format!("unknown operator {other}"),
+                    ))
+                }
             };
-            Some(FExpr::Binary(op, Box::new(l), Box::new(r)))
+            binary(op, bridge(left, vars)?, bridge(right, vars)?)
         }
-        // Late-bound dispatch and grouped evaluation stay interpreted.
-        Expr::MethodCall { .. } | Expr::Agg { .. } => None,
-    }
+        Expr::MethodCall { base, method, args } => {
+            let args = args.iter().map(|a| bridge(a, vars));
+            let args = args.collect::<std::result::Result<_, _>>()?;
+            FExpr::Call(Some(Box::new(path(base, vars))), method.clone(), args)
+        }
+        // Grouped statements evaluate an aggregate's argument per row and
+        // the call itself per group; met anywhere else it fails the row
+        // that reaches it.
+        Expr::Agg { .. } => FExpr::Raise("aggregate outside GROUP BY context".into()),
+    })
 }
 
-fn nary(parts: &[Expr], var: &str, params: &[Value], op: BinOp) -> Option<FExpr> {
-    let mut iter = parts.iter();
-    let mut acc = bridge(iter.next()?, var, params)?;
-    for p in iter {
-        acc = FExpr::Binary(op, Box::new(acc), Box::new(bridge(p, var, params)?));
-    }
-    Some(acc)
-}
-
-/// Static type class of a path's tail, walked through the schema. Any
-/// uncertainty (unknown class, reference-valued tail, collection) reports
-/// `Unknown`, which never rejects a comparison at compile time.
-fn static_kind_for(catalog: &Catalog, class: &str, segs: &[String]) -> StaticKind {
-    let mut cur = class.to_string();
-    for (i, seg) in segs.iter().enumerate() {
-        let Ok(attrs) = catalog.effective_attributes(&cur) else {
-            return StaticKind::Unknown;
-        };
-        let Some(attr) = attrs.iter().find(|a| a.name == *seg) else {
-            return StaticKind::Unknown;
-        };
-        if i + 1 == segs.len() {
-            return match &attr.ty {
-                TypeDescriptor::Basic(b) => match b {
-                    BasicType::Integer | BasicType::LongInteger | BasicType::Float => {
-                        StaticKind::Num
-                    }
-                    BasicType::String | BasicType::Char => StaticKind::Str,
-                    BasicType::Boolean => StaticKind::Bool,
-                },
-                _ => StaticKind::Unknown,
-            };
-        }
-        match attr.ty.referenced_class() {
-            Some(target) => cur = target.to_string(),
-            None => return StaticKind::Unknown,
+/// An n-ary connective as a balanced tree of binary ones (the compiler
+/// flattens it back into one in-order fold, so the shape only bounds the
+/// recursion depth).
+fn nary(
+    parts: &[Expr],
+    vars: &mut Vec<String>,
+    op: BinOp,
+) -> std::result::Result<FExpr, Exception> {
+    fn half(
+        parts: &[Expr],
+        vars: &mut Vec<String>,
+        op: BinOp,
+    ) -> std::result::Result<FExpr, Exception> {
+        match parts {
+            [only] => bridge(only, vars),
+            _ => nary(parts, vars, op),
         }
     }
-    StaticKind::Unknown
-}
-
-/// Slot offset of a root attribute in the class's effective attribute
-/// order — the order `NewObject` stores tuple fields in. The program
-/// verifies the name at the slot, so a mismatch only costs a scan.
-fn root_slot_for(catalog: &Catalog, class: &str, attr: &str) -> Option<u16> {
-    let attrs = catalog.effective_attributes(class).ok()?;
-    let idx = attrs.iter().position(|a| a.name == attr)?;
-    u16::try_from(idx).ok()
+    // The connective's identity: alone it is the empty connective, beside
+    // a single part it keeps that part's Boolean check.
+    let identity = FExpr::Lit(Value::Boolean(op == BinOp::And));
+    let (left, right) = match parts {
+        [] => return Ok(identity),
+        [only] => (bridge(only, vars)?, identity),
+        _ => {
+            let (left, right) = parts.split_at(parts.len() / 2);
+            (half(left, vars, op)?, half(right, vars, op)?)
+        }
+    };
+    Ok(FExpr::Binary(op, Box::new(left), Box::new(right)))
 }

@@ -2,31 +2,30 @@
 //!
 //! The executor follows the optimizer's access plan (so join methods and
 //! path orders actually determine the I/O pattern — what the benches
-//! measure against the §6 cost model) and evaluates predicates with
-//! run-time type checking through `OperandDataType`. This module is FROM
-//! and WHERE: every AND-term's plan runs with the operator order of Figure
-//! 7.2 (SELECT → JOIN → PROJECT → UNION), each plan node pushing its output
+//! measure against the §6 cost model) and evaluates every expression as the
+//! register program it is compiled to at first use (`compiled.rs`; run-time
+//! type checked through `OperandDataType`). This module is FROM and WHERE:
+//! every AND-term's plan runs with the operator order of Figure 7.2
+//! (SELECT → JOIN → PROJECT → UNION), each plan node pushing its output
 //! into a [`Sink`] — a row vector between operators, and at a term's root
 //! the statement's [`Tail`] (`tail.rs`), which applies the later clauses
 //! of Figure 7.1 (GROUP BY/HAVING → projection → ORDER BY) to the stream
 //! batch by batch. A single-variable scan at the root hands the tail the
-//! objects it decoded; [`Row`]s are the currency of joins and of the
-//! interpreter. An execution trace records the stages for the conformance
-//! tests.
+//! objects it decoded; [`Row`]s are the currency of joins. An execution
+//! trace records the stages for the conformance tests.
 
 use std::collections::{BTreeMap, HashMap, HashSet};
-use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use std::time::Instant;
 
 use mood_catalog::{Catalog, CatalogError};
 use mood_cost::JoinMethod;
 use mood_datamodel::{FieldSet, Value};
-use mood_funcman::{FunctionManager, OperandDataType, Registers};
+use mood_funcman::{Exception, ExceptionKind, FunctionManager, Receiver};
 use mood_optimizer::{estimate_plan_set, optimize, OptimizerConfig, Plan, PlanSet};
 use mood_storage::exec::run_chunked;
 use mood_storage::{
-    AccessHint, DiskMetrics, FileId, MetricsRegistry, MetricsSnapshot, Oid, PageId, StorageError,
+    AccessHint, DiskMetrics, FileId, MetricsSnapshot, Oid, PageId, StorageError,
 };
 use mood_trace::Tracer;
 
@@ -36,9 +35,7 @@ use crate::analyze::{
 };
 use crate::ast::{Expr, Lit, PathRef, SelectStmt};
 use crate::binder::{lower, Lowered};
-use crate::compiled::{
-    compile_proj, CachingResolver, CatalogResolver, PreparedPred, RowPred, RowProg, RowView,
-};
+use crate::compiled::{PreparedExpr, RowView, Scratch};
 use crate::error::{Result, SqlError};
 use crate::parser::parse_expr;
 use crate::readset::ReadSets;
@@ -78,13 +75,8 @@ impl QueryResult {
     }
 }
 
-/// Executions of one prepared plan before its predicates, projection
-/// columns and ORDER BY keys are lowered to register programs: the second.
-/// A one-shot statement interprets and never pays the compiler.
-const COMPILE_ON_EXECUTION: u64 = 2;
-
-/// A SELECT prepared once — bound, optimized, its predicates parsed and
-/// (lazily, where possible) compiled to register programs — and
+/// A SELECT prepared once — bound, optimized, its predicates parsed, every
+/// expression it evaluates ready to compile at first use — and
 /// re-executable any number of times. It is the only thing the executor
 /// runs: an uncached statement, `EXPLAIN ANALYZE` and a DML target are
 /// prepared and executed in one call. The session's plan cache stores these
@@ -104,81 +96,29 @@ pub struct PreparedQuery {
     pub(crate) terms: Vec<PlanSet>,
     /// Catalog epoch at preparation; a mismatch means the plan is stale.
     pub epoch: u64,
-    /// Plan predicate text → parsed form with a lazy compiled slot.
-    preds: HashMap<String, PreparedPred>,
+    /// Plan predicate text → the predicate.
+    preds: HashMap<String, PreparedExpr>,
+    /// The WHERE clause as written: what filters the nested-loop product
+    /// of a statement without plans.
+    residual: Option<PreparedExpr>,
     /// Range variable → the fields of its object the statement reads; every
     /// place the driver binds the variable decodes exactly these.
     reads: ReadSets,
-    /// The ORDER BY and GROUP BY keys as the expressions the tail evaluates.
-    pub(crate) order_keys: Vec<Expr>,
-    pub(crate) group_keys: Vec<Expr>,
-    /// The tail's compiled expressions, filled when compilation runs;
-    /// unfilled (or `None` per expression) falls back to the interpreter.
-    pub(crate) progs: OnceLock<TailProgs>,
-    /// Range variable → class, for the lazy compilation pass.
-    var_class: HashMap<String, String>,
-    /// Compilation is enabled at all (`OptimizerConfig::compiled_predicates`).
-    compile_enabled: bool,
-    /// Times this plan has been executed (run or analyze).
-    executions: AtomicU64,
+    /// What the tail evaluates per binding. Ungrouped: the projection
+    /// columns. Grouped: the per-row input of each group-level operand of
+    /// SELECT/HAVING that has one ([`group_operands`], [`operand_input`]).
+    pub(crate) cols: Vec<PreparedExpr>,
+    /// The ORDER BY and GROUP BY keys.
+    pub(crate) order_keys: Vec<PreparedExpr>,
+    pub(crate) group_keys: Vec<PreparedExpr>,
     /// Wall time spent preparing (EXPLAIN ANALYZE's compile/execute split).
     pub compile_nanos: u64,
 }
 
-/// The register programs of a statement's tail, each list index-aligned
-/// with the expressions it compiles.
-pub(crate) struct TailProgs {
-    /// Ungrouped: the projection columns. Grouped: what each group-level
-    /// operand of SELECT/HAVING evaluates per row ([`group_operands`]).
-    pub cols: Vec<Option<RowProg>>,
-    /// ORDER BY keys (ungrouped statements sort bound rows; grouped ones
-    /// sort output columns and compile nothing here).
-    pub order: Vec<Option<RowProg>>,
-    /// GROUP BY keys.
-    pub group: Vec<Option<RowProg>>,
-}
-
 impl PreparedQuery {
-    /// Lower every predicate and every expression the tail evaluates per
-    /// row to register programs. `params` supply type classes only (fixed
-    /// per shape).
-    fn compile(&self, catalog: &Catalog, params: &[Value]) {
-        for p in self.preds.values() {
-            p.compile(catalog, &self.var_class, params);
-        }
-        let prog = |e: &Expr| compile_proj(catalog, &self.var_class, e, params);
-        let _ = self.progs.get_or_init(|| {
-            let (cols, order) = if is_grouped(&self.stmt) {
-                let inputs = group_operands(&self.stmt).into_iter().map(operand_input);
-                (inputs.map(|e| e.and_then(prog)).collect(), Vec::new())
-            } else {
-                let cols = self.stmt.projection.iter().map(prog).collect();
-                (cols, self.order_keys.iter().map(prog).collect())
-            };
-            TailProgs {
-                cols,
-                order,
-                group: self.group_keys.iter().map(prog).collect(),
-            }
-        });
-    }
-
-    /// Count one execution; the [`COMPILE_ON_EXECUTION`]-th compiles the
-    /// plan, charging the work to `compile_ns` then, not at prepare time.
-    /// The counter hands each execution a distinct number, so exactly one
-    /// of them compiles; the others use whichever slots are already filled.
-    fn note_execution(&self, catalog: &Catalog, registry: &MetricsRegistry, params: &[Value]) {
-        let n = self.executions.fetch_add(1, AtomicOrdering::Relaxed) + 1;
-        if self.compile_enabled && n == COMPILE_ON_EXECUTION {
-            let start = Instant::now();
-            self.compile(catalog, params);
-            registry.record_compile_ns(start.elapsed().as_nanos() as u64);
-        }
-    }
-
     /// The prepared form of a plan predicate. `prepare` parses every
     /// predicate its plans carry, so a miss is a bug in the plan walk.
-    fn pred(&self, text: &str) -> Result<&PreparedPred> {
+    fn pred(&self, text: &str) -> Result<&PreparedExpr> {
         self.preds
             .get(text)
             .ok_or_else(|| SqlError::Exec(format!("plan predicate {text} was not prepared")))
@@ -223,8 +163,8 @@ fn plan_predicates<'p>(plan: &'p Plan, out: &mut Vec<&'p str>) {
 /// plan predicate text is parsed.
 fn parse_plan_predicates<'p>(
     plans: impl IntoIterator<Item = &'p PlanSet>,
-) -> Result<HashMap<String, PreparedPred>> {
-    let mut preds: HashMap<String, PreparedPred> = HashMap::new();
+) -> Result<HashMap<String, PreparedExpr>> {
+    let mut preds: HashMap<String, PreparedExpr> = HashMap::new();
     for set in plans {
         for plan in set.temps.iter().map(|(_, p)| p).chain([&set.root]) {
             let mut texts = Vec::new();
@@ -232,7 +172,7 @@ fn parse_plan_predicates<'p>(
             for text in texts {
                 if !preds.contains_key(text) {
                     let stripped = text.strip_prefix("__join__ ").unwrap_or(text);
-                    preds.insert(text.to_string(), PreparedPred::new(parse_expr(stripped)?));
+                    preds.insert(text.to_string(), PreparedExpr::new(parse_expr(stripped)?));
                 }
             }
         }
@@ -302,7 +242,7 @@ impl<'a> Executor<'a> {
 
     /// Every parameter the statement reads must be bound before anything
     /// runs (an empty extent must not hide the error).
-    fn check_params(&self, nparams: u16) -> Result<()> {
+    pub(crate) fn check_params(&self, nparams: u16) -> Result<()> {
         if nparams as usize > self.params.len() {
             return Err(unbound_param(nparams, self.params.len()));
         }
@@ -330,35 +270,41 @@ impl<'a> Executor<'a> {
         self.params
     }
 
-    /// Scratch registers for compiled programs reading this executor's
-    /// parameters.
-    pub(crate) fn registers(&self) -> Registers<'a> {
-        Registers::with_params(self.params)
+    /// A method call out of a compiled expression. A bound object is
+    /// dispatched on as it is — it lives in the extent of its dynamic class,
+    /// which is where late binding starts, and the row holds it whole (the
+    /// read set of a method receiver is `All`) — a reference through the
+    /// Function Manager's fetch.
+    pub(crate) fn dispatch(
+        &self,
+        on: Receiver<'_>,
+        method: &str,
+        args: &[Value],
+    ) -> std::result::Result<Value, Exception> {
+        match on {
+            Receiver::Object { oid, value } => match self.catalog.class_of_oid(oid) {
+                Some(class) => self.funcman.invoke_on(&class, value, method, args),
+                None => self.funcman.invoke(oid, method, args),
+            },
+            Receiver::Ref(oid) => self.funcman.invoke(oid, method, args),
+            Receiver::Myself => Err(Exception::new(
+                ExceptionKind::MissingFunction,
+                format!("method call {method}() without a receiver"),
+            )),
+        }
     }
 
     /// Filter rows by a predicate. Verdicts are computed over
     /// `parallelism` contiguous chunks (one chunk, on this thread, at 1) and
     /// applied in input order, so survivors appear exactly as a single loop
     /// would emit them and the error from the earliest failing row wins.
-    ///
-    /// With a compiled form the register program evaluates each row
-    /// (scratch registers are reused per chunk, not per row); semantics are
-    /// identical to the interpreter by construction.
-    fn filter_rows(
-        &self,
-        mut rows: Vec<Row>,
-        expr: &Expr,
-        compiled: Option<&RowPred>,
-    ) -> Result<Vec<Row>> {
+    /// Registers and the dereference cache are per chunk, not per row.
+    fn filter_rows(&self, mut rows: Vec<Row>, pred: &PreparedExpr) -> Result<Vec<Row>> {
         let verdicts = run_chunked(self.config.execution.parallelism, &rows, |_, chunk| {
-            let mut regs = self.registers();
-            let resolver = CatalogResolver { catalog: self.catalog };
+            let mut scratch = Scratch::new(self);
             chunk
                 .iter()
-                .map(|row| match compiled {
-                    Some(pred) => pred.matches(&resolver, RowView::Row(row), &mut regs),
-                    None => self.eval_pred(expr, row),
-                })
+                .map(|row| scratch.matches(pred, RowView::Row(row)))
                 .collect::<Result<Vec<bool>>>()
         })?;
         let mut verdicts = verdicts.into_iter();
@@ -422,10 +368,11 @@ impl<'a> Executor<'a> {
     ///
     /// Every Select/IndSel predicate in the plan is parsed here and each
     /// range variable's read set derived from what the driver will evaluate;
-    /// register programs for the predicates (and for ungrouped projection
-    /// columns) follow lazily, see [`COMPILE_ON_EXECUTION`]. A FROM list the
-    /// optimizer's single-root model cannot absorb gets no plans and runs as
-    /// a nested-loop product.
+    /// the register program of a predicate or of a tail expression follows
+    /// when it is first evaluated (and is charged to `compile.ns` then, not
+    /// here). A FROM list the optimizer's single-root model cannot absorb
+    /// gets no plans and runs as a nested-loop product; its WHERE clause is
+    /// its one predicate.
     /// `epoch` is read after any first-use statistics collection (which
     /// bumps it), so a cached entry stays valid until the next DDL or
     /// statistics refresh.
@@ -451,6 +398,17 @@ impl<'a> Executor<'a> {
         }
         let preds = parse_plan_predicates(&terms)?;
         let reads = ReadSets::collect(stmt, &lowered, &terms, &preds)?;
+        let prepared = |e: &Expr| PreparedExpr::new(e.clone());
+        let cols = if is_grouped(stmt) {
+            let inputs = group_operands(stmt).into_iter().filter_map(operand_input);
+            inputs.map(prepared).collect()
+        } else {
+            stmt.projection.iter().map(prepared).collect()
+        };
+        let residual = match &stmt.where_clause {
+            Some(w) if terms.is_empty() => Some(prepared(w)),
+            _ => None,
+        };
         let compile_nanos = start.elapsed().as_nanos() as u64;
         self.catalog
             .storage()
@@ -463,17 +421,11 @@ impl<'a> Executor<'a> {
             terms,
             epoch: self.catalog.epoch(),
             preds,
+            residual,
             reads,
+            cols,
             order_keys: path_exprs(stmt.order_by.iter().map(|(p, _)| p)),
             group_keys: path_exprs(&stmt.group_by),
-            progs: OnceLock::new(),
-            var_class: stmt
-                .from
-                .iter()
-                .map(|f| (f.var.clone(), f.class.clone()))
-                .collect(),
-            compile_enabled: self.config.compiled_predicates,
-            executions: AtomicU64::new(0),
             compile_nanos,
         })
     }
@@ -569,13 +521,11 @@ impl<'a> Executor<'a> {
     }
 
     /// Begin one execution of `pq`: every parameter it reads must be bound
-    /// before anything runs (an empty extent must not hide the error), the
-    /// stage trace starts empty, and the execution is counted towards lazy
-    /// compilation.
+    /// before anything runs (an empty extent must not hide the error), and
+    /// the stage trace starts empty.
     fn start(&self, pq: &PreparedQuery) -> Result<()> {
         self.check_params(pq.nparams)?;
         self.trace.lock().expect("trace lock").clear();
-        pq.note_execution(self.catalog, self.catalog.storage().registry(), self.params);
         Ok(())
     }
 
@@ -615,7 +565,7 @@ impl<'a> Executor<'a> {
     ) -> Result<Vec<TermReport>> {
         self.mark("FROM");
         if pq.terms.is_empty() {
-            self.nested_loop(&pq.stmt, sink)?;
+            self.nested_loop(pq, sink)?;
             return Ok(Vec::new());
         }
         let storage = self.catalog.storage();
@@ -662,7 +612,8 @@ impl<'a> Executor<'a> {
     /// filtered by the WHERE clause `batch_size` rows at a time. There is no
     /// per-operator plan; the FROM stage window keeps the page accounting
     /// complete.
-    fn nested_loop(&self, stmt: &SelectStmt, sink: &mut dyn Sink) -> Result<()> {
+    fn nested_loop(&self, pq: &PreparedQuery, sink: &mut dyn Sink) -> Result<()> {
+        let (stmt, filter) = (&pq.stmt, &pq.residual);
         let metrics = self.catalog.storage().metrics();
         let window = Window::open(metrics, sink);
         let extent = |item: &crate::ast::FromItem| -> Result<Vec<(Oid, Arc<Value>)>> {
@@ -688,14 +639,14 @@ impl<'a> Executor<'a> {
             let pairs = outer.iter().flat_map(|row| extent.iter().map(move |e| (row, e)));
             outer = pairs.map(|(row, (oid, v))| bind(row, item, *oid, v)).collect();
         }
-        if stmt.where_clause.is_some() {
+        if filter.is_some() {
             self.mark("WHERE:SELECT");
         }
         let batch = self.config.execution.batch_size.max(1);
         let mut produced = 0u64;
         let mut flush = |rows: Vec<Row>| -> Result<()> {
-            let rows = match &stmt.where_clause {
-                Some(w) => self.filter_rows(rows, w, None)?,
+            let rows = match filter {
+                Some(w) => self.filter_rows(rows, w)?,
                 None => rows,
             };
             produced += rows.len() as u64;
@@ -844,8 +795,7 @@ impl<'a> Executor<'a> {
                         vec![class.clone()]
                     }
                 });
-                let mut regs = self.registers();
-                let resolver = CatalogResolver { catalog: self.catalog };
+                let mut scratch = Scratch::new(self);
                 let mut rows = Vec::new();
                 for oid in oid_set.unwrap_or_default() {
                     if let Some(range) = &range {
@@ -862,35 +812,32 @@ impl<'a> Executor<'a> {
                     let Some((_, value)) = self.fetch_live(oid, pq.reads.of(var))? else {
                         continue;
                     };
-                    let row = bind_one(var, oid, value);
                     // Re-verify: an entry may also be stale because the
                     // object changed; evaluating the predicate on the
                     // fetched object guarantees correct answers regardless.
-                    let keep = match prepared.compiled() {
-                        Some(c) => c.matches(&resolver, RowView::Row(&row), &mut regs)?,
-                        None => self.eval_pred(&prepared.expr, &row)?,
+                    let view = RowView::Object {
+                        var,
+                        oid,
+                        value: &value,
                     };
-                    if keep {
-                        rows.push(row);
+                    if scratch.matches(prepared, view)? {
+                        rows.push(bind_one(var, oid, value));
                     }
                 }
                 rows.sort_by_key(|r| r.get(var).and_then(|b| b.oid));
                 rows
             }
             Plan::Select { input, predicate } => {
-                let prepared = pq.pred(predicate)?;
-                // A compiled predicate directly over a Bind reads nothing
-                // but the scanned object: scan and filter run as one
-                // batched pass.
-                if let (Plan::Bind { class, var }, Some(pred)) = (&**input, prepared.compiled()) {
-                    if pred.var == *var {
-                        self.mark("WHERE:SELECT");
-                        return self.scan(class, var, pq, rec, Some((pred, nid + 1)), sink);
-                    }
+                let pred = pq.pred(predicate)?;
+                // Directly over a Bind nothing but the scanned object is
+                // bound: scan and filter run as one batched pass.
+                if let Plan::Bind { class, var } = &**input {
+                    self.mark("WHERE:SELECT");
+                    return self.scan(class, var, pq, rec, Some((pred, nid + 1)), sink);
                 }
                 let rows = self.rows_of(input, nid + 1, pq, temps, rec)?;
                 self.mark("WHERE:SELECT");
-                self.filter_rows(rows, &prepared.expr, prepared.compiled())?
+                self.filter_rows(rows, pred)?
             }
             Plan::Join {
                 left,
@@ -927,8 +874,8 @@ impl<'a> Executor<'a> {
         Ok(n)
     }
 
-    /// `BIND(class, var)` — alone, or with the compiled predicate of the
-    /// `SELECT` directly over it — streamed into `sink` in batches of
+    /// `BIND(class, var)` — alone, or with the predicate of the `SELECT`
+    /// directly over it — streamed into `sink` in batches of
     /// `batch_size` objects; the number of objects let through. A predicate
     /// runs per batch with one register file and one per-batch deref cache,
     /// so funcman dispatch, register setup and catalog dereferences amortize
@@ -948,7 +895,7 @@ impl<'a> Executor<'a> {
         var: &str,
         pq: &PreparedQuery,
         rec: &AnalyzeRec,
-        filter: Option<(&RowPred, usize)>,
+        filter: Option<(&PreparedExpr, usize)>,
         sink: &mut dyn Sink,
     ) -> Result<u64> {
         let batch = self.config.execution.batch_size.max(1);
@@ -957,21 +904,21 @@ impl<'a> Executor<'a> {
         let (mut scanned, mut kept) = (0u64, 0u64);
         let mut pred_delta = MetricsSnapshot::default();
         let mut pred_nanos = 0u64;
-        let mut regs = self.registers();
+        let mut scratch = Scratch::new(self);
         // One batch: shared registers, fresh deref cache.
         let mut flush = |buf: &mut Vec<(Oid, Value)>| -> Result<()> {
             scanned += buf.len() as u64;
             if let Some((pred, _)) = filter {
                 registry.record_batch(buf.len() as u64);
                 let (pred_start, pred_before) = (Instant::now(), rec.metrics.snapshot());
-                let resolver = CachingResolver::new(self.catalog);
+                scratch.next_batch();
                 let mut failed = None;
-                buf.retain(|(_, value)| {
+                buf.retain(|(oid, value)| {
                     if failed.is_some() {
                         return false;
                     }
-                    let view = RowView::Object { var, value };
-                    pred.matches(&resolver, view, &mut regs).unwrap_or_else(|e| {
+                    let view = RowView::Object { var, oid: *oid, value };
+                    scratch.matches(pred, view).unwrap_or_else(|e| {
                         failed = Some(e);
                         false
                     })
@@ -1079,7 +1026,7 @@ impl<'a> Executor<'a> {
         let class_side = match right {
             Plan::Bind { class, .. } => Some((class, None)),
             Plan::Select { input, predicate } => match &**input {
-                Plan::Bind { class, .. } => Some((class, Some(&pq.pred(predicate)?.expr))),
+                Plan::Bind { class, .. } => Some((class, Some(pq.pred(predicate)?))),
                 _ => None,
             },
             _ => None,
@@ -1108,19 +1055,16 @@ impl<'a> Executor<'a> {
                 let before = rec.metrics.snapshot();
                 let mut map: HashMap<Oid, Vec<Row>> = HashMap::new();
                 let mut first_err: Option<SqlError> = None;
+                let mut scratch = Scratch::new(self);
                 let mut bind = |oid, value| {
-                    let row = bind_one(y_var, oid, value);
-                    if let Some(f) = filter {
-                        match self.eval_pred(f, &row) {
-                            Ok(false) => return true,
-                            Ok(true) => {}
-                            Err(e) => {
-                                first_err = Some(e);
-                                return false;
-                            }
+                    match right_side_row(&mut scratch, filter, y_var, oid, value) {
+                        Ok(Some(row)) => map.entry(oid).or_default().push(row),
+                        Ok(None) => {}
+                        Err(e) => {
+                            first_err = Some(e);
+                            return false;
                         }
                     }
-                    map.entry(oid).or_default().push(row);
                     true
                 };
                 self.catalog
@@ -1140,6 +1084,7 @@ impl<'a> Executor<'a> {
         };
 
         let mut out = Vec::new();
+        let mut scratch = Scratch::new(self);
         match method {
             JoinMethod::BinaryJoinIndex => {
                 let RightSide::Rows(map) = &right_side else {
@@ -1194,7 +1139,7 @@ impl<'a> Executor<'a> {
                     }
                 }
                 for (oid, members) in partitions {
-                    let matches = right_side.resolve(self, oid, y_var)?;
+                    let matches = right_side.resolve(&mut scratch, oid, y_var)?;
                     for r in matches {
                         for &i in &members {
                             let mut merged = left_rows[i].clone();
@@ -1239,6 +1184,7 @@ impl<'a> Executor<'a> {
                 let pool = self.catalog.storage().pool();
                 let mut pages: Vec<(FileId, PageId)> = Vec::new();
                 for chunk in left_rows.chunks(batch) {
+                    scratch.next_batch();
                     // Collect the chunk's target pages sorted, then, at
                     // each cache-miss probe, batch-read the consecutive
                     // run ahead of it (one readahead window at a time —
@@ -1278,7 +1224,7 @@ impl<'a> Executor<'a> {
                                             pf_end = Some((oid.file, oid.page.0 + n));
                                         }
                                     }
-                                    e.insert(right_side.resolve(self, oid, y_var)?)
+                                    e.insert(right_side.resolve(&mut scratch, oid, y_var)?)
                                 }
                             };
                             for r in targets.iter() {
@@ -1317,185 +1263,6 @@ impl<'a> Executor<'a> {
             }
             _ => Vec::new(),
         })
-    }
-
-    // ------------------------------------------------------------------
-    // Expression evaluation
-    // ------------------------------------------------------------------
-
-    /// Evaluate an expression against a row.
-    pub fn eval_expr(&self, e: &Expr, row: &Row) -> Result<Value> {
-        Ok(match e {
-            Expr::Literal(l) => lit_value(l),
-            Expr::Param(n) => self.param(*n)?.clone(),
-            Expr::Path(p) => self.eval_path(p, row)?,
-            Expr::MethodCall { base, method, args } => {
-                let mut arg_vals = Vec::with_capacity(args.len());
-                for a in args {
-                    arg_vals.push(self.eval_expr(a, row)?);
-                }
-                // Resolve the receiver: the path must end at a stored
-                // object (a Ref or the variable itself).
-                let receiver_oid = if base.segments.is_empty() {
-                    row.get(&base.var).and_then(|b| b.oid)
-                } else {
-                    self.eval_path(base, row)?.as_oid()
-                };
-                let Some(oid) = receiver_oid else {
-                    return Err(SqlError::Exec(format!(
-                        "method {method}() needs a stored receiver ({} unresolved)",
-                        base.render()
-                    )));
-                };
-                // The variable itself as receiver: the row already holds
-                // the object, whole (the read set of a method receiver is
-                // `All`), so the call runs on it instead of fetching it a
-                // second time. An object lives in the extent of its dynamic
-                // class, which is where late binding starts.
-                let scanned = if base.segments.is_empty() {
-                    self.catalog.class_of_oid(oid).zip(row.get(&base.var))
-                } else {
-                    None
-                };
-                match scanned {
-                    Some((class, bound)) => {
-                        self.funcman
-                            .invoke_on(&class, &bound.value, method, &arg_vals)?
-                    }
-                    None => self.funcman.invoke(oid, method, &arg_vals)?,
-                }
-            }
-            Expr::Agg { .. } => {
-                return Err(SqlError::Exec("aggregate outside GROUP BY context".into()))
-            }
-            Expr::Compare { op, left, right } => {
-                let l = self.eval_expr(left, row)?;
-                let r = self.eval_expr(right, row)?;
-                if l.is_null() || r.is_null() {
-                    return Ok(Value::Null);
-                }
-                match l.compare(&r) {
-                    Some(ord) => Value::Boolean(op.holds(ord)),
-                    None => return Err(SqlError::Exec(format!("cannot compare {l} with {r}"))),
-                }
-            }
-            Expr::Between { expr, lo, hi } => {
-                let v = self.eval_expr(expr, row)?;
-                let lo = self.eval_expr(lo, row)?;
-                let hi = self.eval_expr(hi, row)?;
-                if v.is_null() || lo.is_null() || hi.is_null() {
-                    return Ok(Value::Null);
-                }
-                let ge = v.compare(&lo).map(|o| o != std::cmp::Ordering::Less);
-                let le = v.compare(&hi).map(|o| o != std::cmp::Ordering::Greater);
-                match (ge, le) {
-                    (Some(a), Some(b)) => Value::Boolean(a && b),
-                    _ => return Err(SqlError::Exec("BETWEEN on incomparable values".into())),
-                }
-            }
-            Expr::And(parts) => {
-                let mut saw_null = false;
-                for p in parts {
-                    match self.eval_expr(p, row)? {
-                        Value::Boolean(false) => return Ok(Value::Boolean(false)),
-                        Value::Boolean(true) => {}
-                        Value::Null => saw_null = true,
-                        other => {
-                            return Err(SqlError::Exec(format!("AND over non-Boolean {other}")))
-                        }
-                    }
-                }
-                if saw_null {
-                    Value::Null
-                } else {
-                    Value::Boolean(true)
-                }
-            }
-            Expr::Or(parts) => {
-                let mut saw_null = false;
-                for p in parts {
-                    match self.eval_expr(p, row)? {
-                        Value::Boolean(true) => return Ok(Value::Boolean(true)),
-                        Value::Boolean(false) => {}
-                        Value::Null => saw_null = true,
-                        other => {
-                            return Err(SqlError::Exec(format!("OR over non-Boolean {other}")))
-                        }
-                    }
-                }
-                if saw_null {
-                    Value::Null
-                } else {
-                    Value::Boolean(false)
-                }
-            }
-            Expr::Not(inner) => match self.eval_expr(inner, row)? {
-                Value::Boolean(b) => Value::Boolean(!b),
-                Value::Null => Value::Null,
-                other => return Err(SqlError::Exec(format!("NOT over non-Boolean {other}"))),
-            },
-            Expr::Arith { op, left, right } => {
-                let l = OperandDataType::from_value(&self.eval_expr(left, row)?)?;
-                let r = OperandDataType::from_value(&self.eval_expr(right, row)?)?;
-                let out = match op {
-                    '+' => l.add(&r)?,
-                    '-' => l.sub(&r)?,
-                    '*' => l.mul(&r)?,
-                    '/' => l.div(&r)?,
-                    '%' => l.rem(&r)?,
-                    other => return Err(SqlError::Exec(format!("unknown operator {other}"))),
-                };
-                out.into_value()
-            }
-        })
-    }
-
-    /// Evaluate a path against a row, dereferencing through the catalog.
-    fn eval_path(&self, p: &PathRef, row: &Row) -> Result<Value> {
-        let Some(bound) = row.get(&p.var) else {
-            return Err(SqlError::Exec(format!("unbound range variable {}", p.var)));
-        };
-        if p.segments.is_empty() {
-            return Ok(match bound.oid {
-                Some(oid) => Value::Ref(oid),
-                None => (*bound.value).clone(),
-            });
-        }
-        let mut cur = (*bound.value).clone();
-        for seg in &p.segments {
-            loop {
-                match cur {
-                    Value::Ref(oid) => {
-                        let (_, v) = self.catalog.get_object(oid)?;
-                        cur = v;
-                    }
-                    Value::Null => return Ok(Value::Null),
-                    _ => break,
-                }
-            }
-            cur = match cur.field(seg) {
-                Some(v) => v.clone(),
-                // Schema evolution: objects stored before an attribute was
-                // added read it as NULL (the binder already validated that
-                // the attribute exists in the schema).
-                None => match &cur {
-                    Value::Tuple(_) => Value::Null,
-                    other => {
-                        return Err(SqlError::Exec(format!(
-                            "no attribute {seg} on {} (path {}, value {other})",
-                            p.var,
-                            p.render()
-                        )))
-                    }
-                },
-            };
-        }
-        Ok(cur)
-    }
-
-    /// Predicate evaluation: Null (unknown) filters out, per SQL.
-    pub fn eval_pred(&self, e: &Expr, row: &Row) -> Result<bool> {
-        Ok(matches!(self.eval_expr(e, row)?, Value::Boolean(true)))
     }
 }
 
@@ -1565,7 +1332,7 @@ enum RightSide<'p> {
     /// decode `fields`, the right variable's read set.
     Class {
         class: &'p str,
-        filter: Option<&'p Expr>,
+        filter: Option<&'p PreparedExpr>,
         fields: &'p FieldSet,
     },
     /// Materialized rows keyed by the right variable's OID.
@@ -1573,7 +1340,8 @@ enum RightSide<'p> {
 }
 
 impl RightSide<'_> {
-    fn resolve(&self, ex: &Executor<'_>, oid: Oid, y_var: &str) -> Result<Vec<Row>> {
+    fn resolve(&self, scratch: &mut Scratch<'_, '_>, oid: Oid, y_var: &str) -> Result<Vec<Row>> {
+        let ex = scratch.executor();
         match self {
             RightSide::Rows(map) => Ok(map.get(&oid).cloned().unwrap_or_default()),
             RightSide::Class {
@@ -1588,16 +1356,29 @@ impl RightSide<'_> {
                 if !ex.catalog.is_subclass(&obj_class, class) {
                     return Ok(Vec::new());
                 }
-                let row = bind_one(y_var, oid, value);
-                if let Some(f) = filter {
-                    if !ex.eval_pred(f, &row)? {
-                        return Ok(Vec::new());
-                    }
-                }
-                Ok(vec![row])
+                let row = right_side_row(scratch, *filter, y_var, oid, value)?;
+                Ok(row.into_iter().collect())
             }
         }
     }
+}
+
+/// The row binding a join's right-side object to `y_var`, if it passes the
+/// right side's filter.
+fn right_side_row(
+    scratch: &mut Scratch<'_, '_>,
+    filter: Option<&PreparedExpr>,
+    y_var: &str,
+    oid: Oid,
+    value: Value,
+) -> Result<Option<Row>> {
+    if let Some(f) = filter {
+        let value = &value;
+        if !scratch.matches(f, RowView::Object { var: y_var, oid, value })? {
+            return Ok(None);
+        }
+    }
+    Ok(Some(bind_one(y_var, oid, value)))
 }
 
 /// The row binding one stored object to `var`.
@@ -1614,8 +1395,9 @@ pub(crate) fn bind_one(var: &str, oid: Oid, value: Value) -> Row {
 }
 
 /// ORDER BY / GROUP BY keys as the expressions they evaluate.
-fn path_exprs<'p>(paths: impl IntoIterator<Item = &'p PathRef>) -> Vec<Expr> {
-    paths.into_iter().cloned().map(Expr::Path).collect()
+fn path_exprs<'p>(paths: impl IntoIterator<Item = &'p PathRef>) -> Vec<PreparedExpr> {
+    let exprs = paths.into_iter().cloned().map(Expr::Path);
+    exprs.map(PreparedExpr::new).collect()
 }
 
 fn unbound_param(n: u16, bound: usize) -> SqlError {

@@ -44,6 +44,7 @@ use mood_funcman::FunctionManager;
 use mood_optimizer::OptimizerConfig;
 use mood_storage::MetricsRegistry;
 
+use compiled::{PreparedExpr, RowView, Scratch};
 use shape::Shape;
 
 /// Plan cache shard count: keeps lock contention low when a session is
@@ -281,13 +282,6 @@ impl Session {
         if !on {
             self.plan_cache.clear();
         }
-    }
-
-    /// Toggle compiled predicate/projection evaluation (on by default).
-    /// Cached plans embed their compiled programs, so the cache is cleared.
-    pub fn set_compiled_predicates(&mut self, on: bool) {
-        self.config = self.config.clone().with_compiled_predicates(on);
-        self.plan_cache.clear();
     }
 
     /// Set the rows-per-operator-call batch size of the vectorized
@@ -905,11 +899,17 @@ impl Session {
                 self.last_trace = ex.trace();
                 // Every right-hand side reads the row as it was selected:
                 // the target set is complete before the first write.
+                let rhs = assignments.iter().map(|(_, e)| PreparedExpr::new(e.clone()));
+                let rhs: Vec<PreparedExpr> = rhs.collect();
+                let nparams = assignments.iter().map(|(_, e)| e.max_param()).max();
+                let nparams = nparams.unwrap_or(0);
+                let mut scratch = Scratch::new(&ex);
                 for (oid, row) in &rows {
+                    ex.check_params(nparams)?;
                     let old = &row[var].value;
                     let mut new_value = Value::clone(old);
-                    for (a, e) in assignments {
-                        new_value.set_field(a, ex.eval_expr(e, row)?);
+                    for ((a, _), e) in assignments.iter().zip(&rhs) {
+                        new_value.set_field(a, scratch.eval(e, RowView::Row(row))?);
                     }
                     self.catalog.update_fetched(*oid, old, new_value)?;
                 }

@@ -6,9 +6,10 @@
 //! carries two-field tuples through its joins, groups, sort keys and spill
 //! records instead of whole objects.
 //!
-//! Both evaluators look attributes up by name and read a name missing from
-//! a tuple as NULL (the schema-evolution rule), so an incomplete set would
-//! be a silently wrong answer, not an error. Completeness is therefore by
+//! A compiled expression looks attributes up by name and reads a name
+//! missing from a tuple as NULL (the schema-evolution rule), so an
+//! incomplete set would be a silently wrong answer, not an error.
+//! Completeness is therefore by
 //! construction: the collector walks the very expressions the driver
 //! evaluates — the parsed plan predicates, the join conditions, and the
 //! statement's projection, GROUP BY, HAVING and ORDER BY — with an
@@ -25,7 +26,7 @@ use mood_optimizer::{Plan, PlanSet};
 
 use crate::ast::{Expr, PathRef, SelectStmt};
 use crate::binder::Lowered;
-use crate::compiled::PreparedPred;
+use crate::compiled::PreparedExpr;
 use crate::error::Result;
 use crate::exec::join_condition;
 
@@ -40,7 +41,7 @@ impl ReadSets {
         stmt: &SelectStmt,
         lowered: &Lowered,
         plans: impl IntoIterator<Item = &'p PlanSet>,
-        preds: &HashMap<String, PreparedPred>,
+        preds: &HashMap<String, PreparedExpr>,
     ) -> Result<ReadSets> {
         let mut sets = ReadSets::default();
         if !lowered.unabsorbed.is_empty() {

@@ -4,9 +4,8 @@
 //! The driver builds a [`Tail`] per execution and every term's root
 //! operator pushes its bindings into it batch by batch ([`Sink`]) — a
 //! single-variable scan as the `(Oid, Value)` batch it decoded (no [`Row`]
-//! is built when every program the tail runs is compiled), anything else
-//! as rows. Each clause keeps what it needs of the stream, never the
-//! stream:
+//! is built), anything else as rows. Each clause keeps what it needs of the
+//! stream, never the stream:
 //!
 //! * **WHERE:UNION** (several DNF terms) — the bound-OID tuples let through.
 //! * **Project** — nothing; **Distinct** — the encoded output tuples.
@@ -34,16 +33,15 @@
 use std::collections::{HashMap, HashSet};
 use std::time::Instant;
 
-use mood_datamodel::{decode_value, encode_value_into, Resolver, Value};
-use mood_funcman::Registers;
+use mood_datamodel::{decode_value, encode_value_into, Value};
 use mood_storage::spill::{SpillFile, SpillReader};
 use mood_storage::{DiskMetrics, MetricsSnapshot, Oid};
 
 use crate::analyze::{StageActual, StageRec};
 use crate::ast::{Expr, SelectStmt};
-use crate::compiled::{CachingResolver, RowProg, RowView};
+use crate::compiled::{PreparedExpr, RowView, Scratch};
 use crate::error::{Result, SqlError};
-use crate::exec::{bind_one, Executor, PreparedQuery, QueryResult, Row, TailProgs};
+use crate::exec::{bind_one, Executor, PreparedQuery, QueryResult, Row};
 
 /// Where a plan node's output goes: the statement's tail, a DML target
 /// collector, or — for a node feeding a join — a plain row vector.
@@ -130,61 +128,6 @@ impl Clock {
     }
 }
 
-// ----------------------------------------------------------------------
-// Expressions over a view
-// ----------------------------------------------------------------------
-
-/// An expression the tail evaluates per record, with its compiled form
-/// when the plan has one.
-#[derive(Clone, Copy)]
-struct Col<'e> {
-    expr: &'e Expr,
-    prog: Option<&'e RowProg>,
-}
-
-/// Expressions with their index-aligned programs (none before the plan
-/// compiles).
-#[derive(Clone, Copy, Default)]
-struct Cols<'e> {
-    exprs: &'e [Expr],
-    progs: &'e [Option<RowProg>],
-}
-
-impl<'e> Cols<'e> {
-    fn iter(self) -> impl Iterator<Item = Col<'e>> {
-        let prog = move |i: usize| self.progs.get(i).and_then(|p| p.as_ref());
-        let exprs = self.exprs.iter().enumerate();
-        exprs.map(move |(i, expr)| Col {
-            expr,
-            prog: prog(i),
-        })
-    }
-}
-
-/// Is every one of `cols` compiled, over `var`?
-fn compiled_over<'c>(mut cols: impl Iterator<Item = Col<'c>>, var: &str) -> bool {
-    cols.all(|c| c.prog.is_some_and(|p| p.var == var))
-}
-
-/// What evaluating a [`Col`] needs besides the record.
-struct Ctx<'t, 'a> {
-    ex: &'t Executor<'a>,
-    regs: &'t mut Registers<'a>,
-    resolver: &'t dyn Resolver,
-}
-
-impl Ctx<'_, '_> {
-    fn eval(&mut self, col: Col<'_>, view: RowView<'_>) -> Result<Value> {
-        match (col.prog, view) {
-            (Some(prog), _) => prog.eval(self.resolver, view, self.regs),
-            (None, RowView::Row(row)) => self.ex.eval_expr(col.expr, row),
-            (None, RowView::Object { .. }) => Err(SqlError::Exec(
-                "uncompiled expression over an object batch".into(),
-            )),
-        }
-    }
-}
-
 /// One pushed batch: scanned objects of one variable, or binding rows.
 #[derive(Clone, Copy)]
 enum Batch<'b> {
@@ -204,6 +147,7 @@ impl<'b> Batch<'b> {
         (0..self.len()).map(move |i| match self {
             Batch::Objects(var, items) => RowView::Object {
                 var,
+                oid: items[i].0,
                 value: &items[i].1,
             },
             Batch::Rows(rows) => RowView::Row(&rows[i]),
@@ -345,9 +289,9 @@ type Group = (usize, Vec<Cell>);
 #[derive(Default)]
 struct Aggregator<'e> {
     operands: Vec<&'e Expr>,
-    keys: Cols<'e>,
+    keys: &'e [PreparedExpr],
     /// What each operand evaluates per row, index-aligned with `operands`.
-    inputs: Vec<Option<Col<'e>>>,
+    inputs: Vec<Option<&'e PreparedExpr>>,
     /// Output columns a (grouped) ORDER BY's keys name.
     sort_columns: Vec<usize>,
     budget: usize,
@@ -362,9 +306,9 @@ struct Aggregator<'e> {
 }
 
 impl Aggregator<'_> {
-    fn add(&mut self, ctx: &mut Ctx<'_, '_>, view: RowView<'_>) -> Result<()> {
+    fn add(&mut self, ctx: &mut Scratch<'_, '_>, view: RowView<'_>) -> Result<()> {
         self.key.clear();
-        for k in self.keys.iter() {
+        for k in self.keys {
             encode_value_into(&mut self.key, &ctx.eval(k, view)?);
             self.key.push(0xFE);
         }
@@ -375,7 +319,7 @@ impl Aggregator<'_> {
                 let mut cells = Vec::with_capacity(self.operands.len());
                 for (operand, input) in self.operands.iter().zip(&self.inputs) {
                     cells.push(match (empty_cell(operand), input) {
-                        (Cell::First(_), Some(e)) => Cell::First(ctx.eval(*e, view)?),
+                        (Cell::First(_), Some(e)) => Cell::First(ctx.eval(e, view)?),
                         (cell, _) => cell,
                     });
                 }
@@ -389,7 +333,7 @@ impl Aggregator<'_> {
                 // `[key len u32][key][input index u64][List(inputs)]`.
                 let mut inputs = Vec::with_capacity(self.inputs.len());
                 for input in self.inputs.iter().flatten() {
-                    inputs.push(ctx.eval(*input, view)?);
+                    inputs.push(ctx.eval(input, view)?);
                 }
                 self.record.clear();
                 self.record.extend((self.key.len() as u32).to_le_bytes());
@@ -410,7 +354,7 @@ impl Aggregator<'_> {
             if let Cell::Acc(acc) = cell {
                 match input {
                     None => acc.count += 1,
-                    Some(e) => acc.add(&ctx.eval(*e, view)?),
+                    Some(e) => acc.add(&ctx.eval(e, view)?),
                 }
             }
         }
@@ -420,7 +364,7 @@ impl Aggregator<'_> {
     /// The groups held in memory. Aggregates without GROUP BY form one
     /// group even over no input.
     fn take_memory(&mut self) -> Vec<Group> {
-        if self.keys.exprs.is_empty() && self.groups.is_empty() {
+        if self.keys.is_empty() && self.groups.is_empty() {
             self.groups
                 .push(self.operands.iter().map(|o| empty_cell(o)).collect());
         }
@@ -699,13 +643,16 @@ impl Union {
 pub(crate) struct Tail<'e, 'a> {
     ex: &'e Executor<'a>,
     stmt: &'e SelectStmt,
-    regs: Registers<'a>,
+    /// Registers and a per-batch dereference cache for everything the tail
+    /// evaluates: a sub-object shared by many records of a batch is fetched
+    /// once.
+    scratch: Scratch<'e, 'a>,
     clock: Clock,
     batch: usize,
     union: Option<Union>,
     /// Ungrouped: the projection and the ORDER BY keys.
-    cols: Cols<'e>,
-    keys: Cols<'e>,
+    cols: &'e [PreparedExpr],
+    keys: &'e [PreparedExpr],
     /// Grouped: the aggregation the bindings go through first.
     agg: Option<Aggregator<'e>>,
     sort: Option<Sorter>,
@@ -715,33 +662,28 @@ pub(crate) struct Tail<'e, 'a> {
 
 impl<'e, 'a> Tail<'e, 'a> {
     pub fn new(ex: &'e Executor<'a>, pq: &'e PreparedQuery) -> Tail<'e, 'a> {
-        static UNCOMPILED: TailProgs = TailProgs {
-            cols: Vec::new(),
-            order: Vec::new(),
-            group: Vec::new(),
-        };
-        let (stmt, progs) = (&pq.stmt, pq.progs.get().unwrap_or(&UNCOMPILED));
+        let stmt = &pq.stmt;
         let budget = ex.config.execution.sort_budget.max(2);
         let mut asc: Vec<bool> = stmt.order_by.iter().map(|(_, asc)| *asc).collect();
         let agg = crate::exec::is_grouped(stmt).then(|| {
             let operands = group_operands(stmt);
-            let input = |(i, operand): (usize, &&'e Expr)| {
-                let prog = progs.cols.get(i).and_then(|p| p.as_ref());
-                operand_input(operand).map(|expr| Col { expr, prog })
-            };
+            // `pq.cols` holds the inputs of the operands that have one, in
+            // operand order.
+            let mut inputs = pq.cols.iter();
+            let mut input = |operand: &&Expr| operand_input(operand).and_then(|_| inputs.next());
             // A grouped ORDER BY sorts output rows by the columns its keys
             // name; a key naming no column is skipped.
             let label = |e: &Expr| e.render_with(ex.params());
-            let column = |p: &Expr| stmt.projection.iter().position(|e| label(e) == p.render());
+            let column = |key: &PreparedExpr| {
+                let key = key.expr.render();
+                stmt.projection.iter().position(|e| label(e) == key)
+            };
             let sort_columns: Vec<usize> = pq.order_keys.iter().filter_map(column).collect();
             asc.truncate(sort_columns.len());
             Aggregator {
-                inputs: operands.iter().enumerate().map(input).collect(),
+                inputs: operands.iter().map(&mut input).collect(),
                 operands,
-                keys: Cols {
-                    exprs: &pq.group_keys,
-                    progs: &progs.group,
-                },
+                keys: &pq.group_keys,
                 sort_columns,
                 budget,
                 ..Aggregator::default()
@@ -772,7 +714,7 @@ impl<'e, 'a> Tail<'e, 'a> {
         Tail {
             ex,
             stmt,
-            regs: ex.registers(),
+            scratch: Scratch::new(ex),
             clock: Clock {
                 metrics: ex.catalog.storage().metrics().clone(),
                 stages,
@@ -780,14 +722,8 @@ impl<'e, 'a> Tail<'e, 'a> {
             },
             batch: ex.config.execution.batch_size.max(1),
             union: (pq.terms.len() > 1).then(Union::default),
-            cols: Cols {
-                exprs: &stmt.projection,
-                progs: &progs.cols,
-            },
-            keys: Cols {
-                exprs: &pq.order_keys,
-                progs: &progs.order,
-            },
+            cols: &pq.cols,
+            keys: &pq.order_keys,
             agg,
             sort: (!stmt.order_by.is_empty()).then(|| Sorter {
                 asc,
@@ -800,18 +736,11 @@ impl<'e, 'a> Tail<'e, 'a> {
     }
 
     fn consume(&mut self, batch: Batch<'_>) -> Result<()> {
-        // One deref cache per batch: a sub-object shared by many records is
-        // fetched once.
-        let resolver = CachingResolver::new(self.ex.catalog);
-        let mut ctx = Ctx {
-            ex: self.ex,
-            regs: &mut self.regs,
-            resolver: &resolver,
-        };
+        self.scratch.next_batch();
         if let Some(agg) = &mut self.agg {
             let window = self.clock.start();
             for view in batch.views() {
-                agg.add(&mut ctx, view)?;
+                agg.add(&mut self.scratch, view)?;
             }
             self.clock.stop("GROUP BY", window, 0);
             return Ok(());
@@ -819,12 +748,12 @@ impl<'e, 'a> Tail<'e, 'a> {
         // Each record becomes its sort keys followed by its projected row,
         // both evaluated while the object is at hand.
         let window = self.clock.start();
-        let width = self.keys.exprs.len() + self.cols.exprs.len();
+        let width = self.keys.len() + self.cols.len();
         let mut rows: Vec<Vec<Value>> = Vec::with_capacity(batch.len());
         for view in batch.views() {
             let mut vals = Vec::with_capacity(width);
-            for col in self.keys.iter().chain(self.cols.iter()) {
-                vals.push(ctx.eval(col, view)?);
+            for col in self.keys.iter().chain(self.cols) {
+                vals.push(self.scratch.eval(col, view)?);
             }
             rows.push(vals);
         }
@@ -960,21 +889,6 @@ impl<'e, 'a> Tail<'e, 'a> {
 
 impl Sink for Tail<'_, '_> {
     fn push_objects(&mut self, var: &str, items: &mut Vec<(Oid, Value)>) -> Result<()> {
-        // Objects are consumed as they are when every program the tail runs
-        // per record is compiled, and over `var`; otherwise as rows.
-        let compiled = match &self.agg {
-            Some(agg) => compiled_over(
-                agg.keys.iter().chain(agg.inputs.iter().flatten().copied()),
-                var,
-            ),
-            None => compiled_over(self.cols.iter().chain(self.keys.iter()), var),
-        };
-        if !compiled {
-            let rows = items
-                .drain(..)
-                .map(|(oid, value)| bind_one(var, oid, value));
-            return self.push_rows(rows.collect());
-        }
         if let Some(union) = &mut self.union {
             let window = self.clock.start();
             let id = union.var_id(var);

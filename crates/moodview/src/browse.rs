@@ -322,8 +322,9 @@ mod tests {
 }
 
 /// The method-presentation card of Figure 9.2(a): name, return type,
-/// parameters, applicable classes, and the body source when the method is
-/// interpreted (the method editor reads it back from the Function Manager).
+/// parameters, applicable classes, and the body source when the method was
+/// defined from source (the method editor reads it back from the Function
+/// Manager).
 pub fn render_method_card(
     catalog: &Catalog,
     funcman: &mood_funcman::FunctionManager,

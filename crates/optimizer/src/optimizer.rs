@@ -232,10 +232,6 @@ pub struct OptimizerConfig {
     pub params: PhysicalParams,
     pub cpu_cost: f64,
     pub execution: ExecutionConfig,
-    /// Lower WHERE predicates and projections into flat register programs
-    /// (the Function Manager's compile-once discipline applied to queries).
-    /// Plan choice is unaffected; only the evaluation strategy changes.
-    pub compiled_predicates: bool,
 }
 
 impl Default for OptimizerConfig {
@@ -244,7 +240,6 @@ impl Default for OptimizerConfig {
             params: Disk::salzberg_1988(),
             cpu_cost: DEFAULT_CPU_COST,
             execution: ExecutionConfig::default(),
-            compiled_predicates: true,
         }
     }
 }
@@ -255,7 +250,6 @@ impl OptimizerConfig {
             params: Disk::paper_calibrated(),
             cpu_cost: DEFAULT_CPU_COST,
             execution: ExecutionConfig::default(),
-            compiled_predicates: true,
         }
     }
 
@@ -263,12 +257,6 @@ impl OptimizerConfig {
     /// least 1); batch size and sort budget stay as they were.
     pub fn with_parallelism(mut self, parallelism: usize) -> Self {
         self.execution.parallelism = parallelism.max(1);
-        self
-    }
-
-    /// The same config with compiled predicate/projection evaluation toggled.
-    pub fn with_compiled_predicates(mut self, on: bool) -> Self {
-        self.compiled_predicates = on;
         self
     }
 }

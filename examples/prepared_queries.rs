@@ -96,7 +96,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
     let warm = t0.elapsed().as_secs_f64() / n as f64 * 1e6;
     db.set_plan_cache_enabled(false);
-    db.set_compiled_predicates(false);
     let t0 = Instant::now();
     for i in 0..n {
         db.execute(&lookup(i))?;

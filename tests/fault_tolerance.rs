@@ -624,6 +624,33 @@ fn read_faults_under_joins_and_index_fetches_are_errors() {
     }
     assert_read_faults_surface("forward-traversal join", |db| ids(db, join_sql));
     assert_read_faults_surface("INDSEL fetch", |db| ids(db, indsel_sql));
+    // Paths that are not planned as joins are dereferenced by the compiled
+    // expression itself — under arithmetic in a predicate (one fused scan),
+    // in the projection (the tail). A device that dies under such a
+    // dereference is the statement's error as the device reported it, not a
+    // "dangling reference" the program made of the missing object.
+    let scan_sql = "SELECT p.id FROM Part p WHERE p.id < 64 AND p.maker.id + 0 >= 0";
+    let tail_sql = "SELECT p.maker.id FROM Part p WHERE p.id < 64";
+    {
+        let (db, dir) = open_parts(FaultPlan::disarmed());
+        for sql in [scan_sql, tail_sql] {
+            let plan = db.explain(sql).unwrap();
+            assert!(!plan.contains("JOIN("), "{plan}");
+        }
+        drop(db);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+    for (what, sql) in [
+        ("path in a scan predicate", scan_sql),
+        ("path in the projection", tail_sql),
+    ] {
+        // Twice, so the fault also lands in a cached plan's execution.
+        assert_read_faults_surface(what, |db| {
+            let device_error = |e: &String| assert!(e.contains("injected fault"), "{what}: {e}");
+            ids(db, sql).inspect_err(device_error)?;
+            ids(db, sql).inspect_err(device_error)
+        });
+    }
     // The algebra's own join resolves references the same way.
     assert_read_faults_surface("algebra join", |db| {
         use mood_core::algebra::{bind_class, join, ExecutionConfig, JoinMethod, JoinRhs};

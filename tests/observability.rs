@@ -220,9 +220,10 @@ fn accounting_invariant_holds_for_every_predicate_constant() {
     }
 }
 
-/// `EXPLAIN ANALYZE` measures the execution statements actually get. A warm
-/// plan's compiled `Select(Bind)` runs as the batched scan under analyze
-/// too — the batch counter moves exactly as under the plain statement — and
+/// `EXPLAIN ANALYZE` measures the execution statements actually get. A
+/// plan's `Select(Bind)` runs as the batched scan from its first execution
+/// on, and under analyze too — the batch counter moves exactly as under the
+/// plain statement — and
 /// the `Bind` it absorbs still reports what the scan produced, with the
 /// page accounting exact at every parallelism.
 #[test]
@@ -236,10 +237,10 @@ fn analyze_of_a_warm_plan_runs_the_batched_scan() {
         let pq = ex.prepare(&stmt).unwrap().expect("every SELECT prepares");
         let b0 = batches();
         let cold = ex.run_prepared(&pq).unwrap();
-        assert_eq!(batches(), b0, "execution 1 interprets row at a time");
-        let warm = ex.run_prepared(&pq).unwrap();
         let plain = batches() - b0;
-        assert!(plain > 0, "execution 2 compiles and scans in batches");
+        assert!(plain > 0, "execution 1 compiles and scans in batches");
+        let warm = ex.run_prepared(&pq).unwrap();
+        assert_eq!(batches() - b0, 2 * plain, "and so does every later one");
         assert_eq!(warm, cold);
 
         let b1 = batches();
@@ -273,7 +274,7 @@ fn analyze_of_a_warm_plan_runs_the_batched_scan() {
 /// their stage windows open *inside* the feeding node's window — and are
 /// subtracted from it. With a sort that spills runs, an aggregation that
 /// spills partitions, a projection that dereferences (pages of its own)
-/// and DISTINCT, on the interpreted and the compiled execution: every
+/// and DISTINCT, on a plan's first execution and on its next: every
 /// page is still accounted to exactly one node or one stage.
 #[test]
 fn streamed_stages_telescope_with_spills_and_groups() {
@@ -309,7 +310,7 @@ fn streamed_stages_telescope_with_spills_and_groups() {
             let pq = ex.prepare(&stmt).unwrap().expect("every SELECT prepares");
             let spilled = |m: &mood_core::EngineMetrics| m.batch.spilled_runs + m.agg_spilled_partitions;
             let before = spilled(&db.engine_metrics());
-            for execution in ["interpreted", "compiled"] {
+            for execution in ["first", "repeated"] {
                 let ctx = format!("{sql} ({execution}, parallelism {parallelism})");
                 let report = ex.analyze_prepared(&pq).unwrap();
                 assert_eq!(report.result.len(), rows, "{ctx}");

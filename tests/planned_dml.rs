@@ -2,15 +2,14 @@
 //! access path (index probe when §8.1 picks one, scan + filter otherwise).
 //!
 //! The differential suite compares every planned statement against a naive
-//! oracle — walk the extent, interpret the predicate per row — which lives
-//! only here. The count gates pin the access pattern (O(log n) pages for a
+//! oracle — walk the extent, interpret the predicate per row with
+//! `support/oracle.rs`' tree walker. The count gates pin the access pattern (O(log n) pages for a
 //! keyed statement, no index page dirtied by an update that changes no key),
 //! and the atomicity tests pin the statement-level semantics.
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::Arc;
 
-use mood_core::sql::{parse_expr, BoundObj, Executor, Row};
+use mood_core::sql::{parse_expr, Row};
 use mood_core::storage::Oid;
 use mood_core::{Answer, IndexKind, Mood, OptimizerConfig, Value};
 
@@ -91,6 +90,10 @@ fn build(n: i32, indexes: Indexes) -> Mood {
     db
 }
 
+#[path = "support/oracle.rs"]
+mod support;
+use support::{bound, eval_expr, eval_pred, Env};
+
 type Extent = BTreeMap<Oid, Value>;
 
 fn extent(db: &Mood, class: &str) -> Extent {
@@ -99,20 +102,13 @@ fn extent(db: &Mood, class: &str) -> Extent {
 
 /// The naive oracle: walk the own extent, interpret `pred` per row.
 fn oracle(db: &Mood, pred: Option<&str>) -> BTreeSet<Oid> {
-    let ex = Executor::new(db.catalog(), db.funcman());
     let pred = pred.map(|p| parse_expr(p).unwrap());
     extent(db, "Vehicle")
         .into_iter()
         .filter(|(oid, value)| {
-            let mut row = Row::new();
-            row.insert(
-                "v".to_string(),
-                BoundObj {
-                    oid: Some(*oid),
-                    value: Arc::new(value.clone()),
-                },
-            );
-            pred.as_ref().is_none_or(|p| ex.eval_pred(p, &row).unwrap())
+            let row = Row::from([("v".to_string(), bound(*oid, value))]);
+            pred.as_ref()
+                .is_none_or(|p| eval_pred(Env::of(db), p, &row).unwrap())
         })
         .map(|(oid, _)| oid)
         .collect()
@@ -360,6 +356,59 @@ fn planned_dml_matches_oracle_with_hash_indexes() {
 #[test]
 fn planned_dml_matches_oracle_without_indexes() {
     differential(Indexes::None);
+}
+
+/// `UPDATE … SET` right-hand sides are programs like any other expression:
+/// arithmetic over the old value, a method with an argument on the target,
+/// a path out of it — every one evaluated against the row as selected,
+/// exactly as the oracle's tree walker has it, whichever way the targets
+/// were found.
+#[test]
+fn update_right_hand_sides_match_the_oracle() {
+    let sets: [(&str, &str); 2] = [
+        ("weight", "v.weight * 2 + v.bonus(3)"),
+        ("color", "v.manufacturer.location"),
+    ];
+    let set_sql: Vec<String> = sets.iter().map(|(a, e)| format!("{a} = {e}")).collect();
+    for indexes in [Indexes::None, Indexes::BTree] {
+        let db = build(400, indexes);
+        db.execute("DEFINE METHOD Vehicle::bonus(n Integer) RETURNS Integer AS 'id % 7 + n'")
+            .unwrap();
+        for pred in [
+            "v.id = 17",
+            "v.id < 40 OR v.color = 'red'",
+            "v.lbweight() > 3000.0",
+        ] {
+            let ctx = format!("{indexes:?} / {pred}");
+            let before = extent(&db, "Vehicle");
+            let targets = oracle(&db, Some(pred));
+            let mut want = before.clone();
+            for oid in &targets {
+                let row = Row::from([("v".to_string(), bound(*oid, &before[oid]))]);
+                for (attr, e) in sets {
+                    let value = eval_expr(Env::of(&db), &parse_expr(e).unwrap(), &row);
+                    want.get_mut(oid).unwrap().set_field(attr, value.unwrap());
+                }
+            }
+            // Twice: nothing about a first execution differs from the next.
+            for _ in 0..2 {
+                db.execute("BEGIN").unwrap();
+                let sql = format!("UPDATE Vehicle v SET {} WHERE {pred}", set_sql.join(", "));
+                assert_eq!(affected(db.execute(&sql).unwrap()), targets.len(), "{ctx}");
+                assert_eq!(extent(&db, "Vehicle"), want, "{ctx}");
+                db.execute("ROLLBACK").unwrap();
+                assert_eq!(extent(&db, "Vehicle"), before, "{ctx}: ROLLBACK");
+            }
+        }
+        // A right-hand side that raises on one target fails the statement
+        // with that exception and changes nothing.
+        let before = extent(&db, "Vehicle");
+        let err = db
+            .execute("UPDATE Vehicle v SET weight = 1000 / (v.bonus(0) - 3) WHERE v.id < 20")
+            .expect_err("id 3 divides by zero");
+        assert_eq!(err.to_string(), "DivisionByZero: division by zero");
+        assert_eq!(extent(&db, "Vehicle"), before);
+    }
 }
 
 #[test]

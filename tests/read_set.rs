@@ -3,10 +3,12 @@
 //!
 //! * **Differential** — a corpus covering every way the driver binds an
 //!   object (scan, batched scan+select, index fetch with re-verification,
-//!   the four join methods, backward materialisation, the nested loop,
-//!   DML targets) runs against a naive oracle that walks *whole* objects
-//!   from `catalog.extent()` through `eval_expr`; cached and uncached, at
-//!   parallelism 1/2/4 and batch size 1/1024. A read set that misses an
+//!   the four join methods — each with a filter on its right side —
+//!   backward materialisation, the nested loop, DML targets) and every
+//!   shape of expression (methods, bare variables, several variables) runs
+//!   against a naive oracle that walks *whole* objects
+//!   from `catalog.extent()` through its tree-walking `eval_expr`; cached
+//!   and uncached, at parallelism 1/2/4/8 and batch size 1/7/1024. A read set that misses an
 //!   attribute would not fail loudly — a name absent from a tuple reads as
 //!   NULL — so this suite is what checks completeness.
 //! * **Exact sets** — `EXPLAIN`'s `-- Reads:` lines for each statement,
@@ -28,7 +30,7 @@
 use std::collections::BTreeMap;
 
 use mood_core::datamodel::{encode_value, encode_value_into};
-use mood_core::sql::{parse_expr, Executor, Row};
+use mood_core::sql::{parse_expr, Row};
 use mood_core::storage::Oid;
 use mood_core::{Answer, DatabaseStats, IndexKind, Mood, OptimizerConfig, TypeDescriptor, Value};
 
@@ -70,6 +72,7 @@ fn build(fixture: Fixture) -> Mood {
         "CREATE CLASS Automobile INHERITS FROM Vehicle",
         "CREATE CLASS JapaneseAuto INHERITS FROM Automobile",
         "DEFINE METHOD Vehicle::lbweight() RETURNS Float AS 'weight * 2.2075'",
+        "DEFINE METHOD Vehicle::scaled(f Integer) RETURNS Integer AS 'weight * f'",
         "DEFINE METHOD VehicleEngine::power() RETURNS Integer AS 'size * cylinders'",
     ] {
         db.execute(ddl).unwrap();
@@ -173,7 +176,7 @@ fn build(fixture: Fixture) -> Mood {
 
 #[path = "support/oracle.rs"]
 mod oracle;
-use oracle::{bound, oracle, row_bytes, select_stmt};
+use oracle::{bound, eval_expr, eval_pred, oracle, row_bytes, select_stmt, Env};
 
 fn same_cell(a: &Value, b: &Value) -> bool {
     match (a, b) {
@@ -215,13 +218,13 @@ fn run(db: &Mood, sql: &str) -> Vec<Vec<Value>> {
 
 /// Every execution setting the driver's binding sites differ under.
 /// Changing a setting empties the plan cache, so with the cache on the
-/// three runs are: prepared + interpreted, cached + compiled (batched
-/// scan), cached again.
+/// three runs are: prepared (every expression compiles at its first
+/// evaluation), cached, cached again.
 fn check_everywhere(db: &Mood, corpus: &[&str]) {
     let expected: Vec<Vec<Vec<Value>>> = corpus.iter().map(|sql| oracle(db, sql)).collect();
     for cached in [false, true] {
-        for parallelism in [1, 2, 4] {
-            for batch in [1, 1024] {
+        for parallelism in [1, 2, 4, 8] {
+            for batch in [1, 7, 1024] {
                 db.set_plan_cache_enabled(cached);
                 db.set_parallelism(parallelism);
                 db.set_batch_size(batch);
@@ -373,6 +376,27 @@ const PLAIN: &[(&str, &[&str])] = &[
     ),
     // Widening: the bare variable.
     ("SELECT v FROM Vehicle v WHERE v.weight < 800", &["v *"]),
+    // Methods with arguments and inside arithmetic run on the scanned
+    // object like any other.
+    (
+        "SELECT v.id, v.scaled(v.id) - v.lbweight() * 2 FROM Vehicle v WHERE v.scaled(2) > 2500 \
+         ORDER BY v.id",
+        &["v *"],
+    ),
+    // A comparison between two variables a join binds, both also read
+    // bare: a program over two slots.
+    (
+        "SELECT v.id, v, e FROM Vehicle v, VehicleEngine e WHERE v.drivetrain.engine = e AND \
+         e.cylinders > 4 AND v.weight > e.size + 200 ORDER BY v.id",
+        &["d {engine}", "e *", "v *"],
+    ),
+    // The same shapes in the nested loop: `k` is not absorbed, so
+    // `v.company = c` is a comparison of two references.
+    (
+        "SELECT v.id, c.name, k FROM Vehicle v, Company c, Company k WHERE v.company = c AND \
+         k.name = 'maker1' AND c.location = k.location AND v.id < 30 ORDER BY v.id, c.name",
+        &["c *", "k *", "v *"],
+    ),
 ];
 
 #[test]
@@ -506,18 +530,18 @@ fn extent(db: &Mood, class: &str) -> Extent {
 /// pred` (no assignments: `DELETE`): every attribute the statement does not
 /// assign survives, which a pruned target image would lose.
 fn expected_after(db: &Mood, assignments: &[(&str, &str)], pred: &str) -> Extent {
-    let ex = Executor::new(db.catalog(), db.funcman());
+    let env = Env::of(db);
     let pred = parse_expr(pred).unwrap();
     let mut after = Extent::new();
     for (oid, value) in extent(db, "Vehicle") {
         let mut row = Row::new();
         row.insert("v".to_string(), bound(oid, &value));
-        if !ex.eval_pred(&pred, &row).unwrap() {
+        if !eval_pred(env, &pred, &row).unwrap() {
             after.insert(oid, value);
         } else if !assignments.is_empty() {
             let mut new = value.clone();
             for (attr, e) in assignments {
-                new.set_field(attr, ex.eval_expr(&parse_expr(e).unwrap(), &row).unwrap());
+                new.set_field(attr, eval_expr(env, &parse_expr(e).unwrap(), &row).unwrap());
             }
             after.insert(oid, new);
         }
@@ -588,7 +612,7 @@ fn an_attribute_newer_than_the_record_reads_null() {
     assert_eq!(reads(&db, projected), ["v {id, price}"]);
     let by_price = "SELECT v.id FROM Vehicle v WHERE v.price = 3";
     assert_eq!(reads(&db, by_price), ["v {id, price}"]);
-    // Three passes: interpreted, compiled, cached.
+    // Three passes: prepared and compiled, then cached twice.
     for _ in 0..3 {
         assert_eq!(
             run(&db, projected),
@@ -644,8 +668,8 @@ fn an_undecodable_record_fails_the_statement() {
         let db = build(Fixture::Plain);
         assert_eq!(run(&db, "SELECT v.id FROM Vehicle v").len(), N as usize);
         plant(&db, damage);
-        // Whole and pruned, interpreted and batched: the damage sits in
-        // fields none of these statements reads.
+        // Whole and pruned, first and repeated execution: the damage sits
+        // in fields none of these statements reads.
         for sql in [
             "SELECT v FROM Vehicle v",
             "SELECT v.id FROM Vehicle v",
@@ -705,7 +729,7 @@ fn a_method_on_the_scanned_variable_does_not_fetch_it_again() {
         let d = db.metrics().snapshot().delta(&before);
         (rows, d.buffer_hits + d.buffer_misses)
     };
-    // First executions: both interpreted, both one scan of the own extent.
+    // First executions: both one batched scan of the own extent.
     let (plain, scan) = accesses("SELECT v.id FROM Vehicle v WHERE v.weight * 2.2075 > 3000.0");
     let (method, with_call) = accesses("SELECT v.id FROM Vehicle v WHERE v.lbweight() > 3000.0");
     assert_eq!(method, plain);

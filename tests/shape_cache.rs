@@ -2,9 +2,9 @@
 //! parameters of its plan, so one prepared plan serves every key.
 //!
 //! * Differential: for generated and pinned statements, answers with the
-//!   cache on — first execution (miss), a same-shape sibling with other
-//!   `=` operands (hit, interpreted), and again (hit, compiled) — are
-//!   byte-identical to the cache-off answers at parallelism 1/2/4.
+//!   cache on — first execution (miss: the programs compile over `$n`), a
+//!   same-shape sibling with other `=` operands (hit: the same programs,
+//!   other values bound), and both again — are byte-identical to the cache-off answers at parallelism 1/2/4.
 //! * Plan equality: the plan a shape runs with is the plan the literal
 //!   text gets, node for node, once `$n` is read as the bound value.
 //! * What a shape is: only bare-`=` operands are lifted (range and BETWEEN
@@ -329,13 +329,13 @@ proptest! {
             let want_a = literal_answer(db, &sql_a);
             let want_b = literal_answer(db, &sql_b);
             let before = db.engine_metrics().plan_cache;
-            // Miss (prepares the shape, runs interpreted), then the sibling
-            // off the same plan (second execution: compiles), then both
-            // again (compiled).
+            // Miss (prepares the shape; its programs compile as they first
+            // run, over `$n`), then the sibling off the same plan and the
+            // same programs, then both again.
             prop_assert_eq!(&rows(db, &sql_a), &want_a, "miss, par {}: {}", par, sql_a);
             prop_assert_eq!(&rows(db, &sql_b), &want_b, "first hit, par {}: {}", par, sql_b);
-            prop_assert_eq!(&rows(db, &sql_a), &want_a, "compiled, par {}: {}", par, sql_a);
-            prop_assert_eq!(&rows(db, &sql_b), &want_b, "compiled, par {}: {}", par, sql_b);
+            prop_assert_eq!(&rows(db, &sql_a), &want_a, "again, par {}: {}", par, sql_a);
+            prop_assert_eq!(&rows(db, &sql_b), &want_b, "again, par {}: {}", par, sql_b);
             let after = db.engine_metrics().plan_cache;
             prop_assert_eq!(after.misses, before.misses + 1, "one shape: {} / {}", sql_a, sql_b);
             prop_assert_eq!(after.hits, before.hits + 3);

@@ -88,7 +88,7 @@ fn a_failed_statement_returns_its_error_and_leaves_no_spill_behind() {
             "DivisionByZero: division by zero",
         ),
     ];
-    for pass in ["interpreted", "compiled"] {
+    for pass in ["first", "repeated"] {
         for (sql, want) in failing {
             let err = db.execute(sql).expect_err(sql).to_string();
             assert_eq!(err, want, "{sql} ({pass})");
@@ -124,7 +124,7 @@ fn a_failed_statement_returns_its_error_and_leaves_no_spill_behind() {
         "SELECT p.id, COUNT(*) FROM Part p GROUP BY p.id",
         "SELECT DISTINCT p.color FROM Part p WHERE p.weight > 0 ORDER BY p.id",
     ] {
-        for pass in ["interpreted", "compiled"] {
+        for pass in ["first", "repeated"] {
             let err = db.execute(sql).expect_err(sql).to_string();
             assert!(
                 err.contains(&format!("object {bad}")),

@@ -86,13 +86,14 @@ fn readings(n: i32) -> Mood {
 }
 
 /// The peak of an `ORDER BY` over the whole extent with a budget of
-/// `budget` records, on the plan's compiled execution. DISTINCT after the
+/// `budget` records: the larger of the plan's first execution (which also
+/// prepares it and compiles its programs) and its next. DISTINCT after the
 /// sort keeps the answer at 8 rows, so the peak is the sort's own.
 fn sort_peak(db: &Mood, budget: usize) -> isize {
     db.set_sort_budget(budget);
     let sql = "SELECT DISTINCT r.tag FROM Reading r ORDER BY r.k, r.id";
-    peak_and_answer(db, sql, 8);
-    peak_and_answer(db, sql, 8).0
+    let first = peak_and_answer(db, sql, 8).0;
+    first.max(peak_and_answer(db, sql, 8).0)
 }
 
 #[test]
@@ -121,13 +122,15 @@ fn distinct_holds_a_few_batches_and_its_set() {
     let n = 50_000;
     let db = readings(n);
     let sql = "SELECT DISTINCT r.tag FROM Reading r";
-    // Interpreted (rows are built, a batch at a time), then compiled
-    // (object batches as scanned).
-    for (execution, limit) in [("first", 2_000_000), ("second", 400_000)] {
+    // Object batches as scanned, from the first execution on: no `Row` is
+    // built.
+    for execution in ["first", "second"] {
         let (peak, _) = peak_and_answer(&db, sql, 8);
         // A batch is 1 024 objects of one string field: ~150 KB with the
-        // rows projected from it, ~900 KB bound as `Row`s. All 50 000 held
-        // at once would be 7 MB and 40 MB.
-        assert!(peak < limit, "{execution} execution peaked at {peak} bytes");
+        // rows projected from it. All 50 000 held at once would be 7 MB.
+        assert!(
+            peak < 400_000,
+            "{execution} execution peaked at {peak} bytes"
+        );
     }
 }
