@@ -7,7 +7,9 @@
 //! into a flat register program and only the program ever runs. Constants
 //! live in a preallocated pool (no per-row `String` clones), a path's root
 //! is bound at compile time to `self` or to an argument slot (a method
-//! parameter, a statement's range variable), And/Or short-circuit through
+//! parameter, a statement's range variable), each step remembers where the
+//! last tuple had its attribute (checked against the name, so any other
+//! shape only costs the search), And/Or short-circuit through
 //! forward jumps, method calls go out through the context's dispatcher.
 //! Nothing is checked statically: an ill-typed comparison raises when (and
 //! only when) a row reaches it, so it is an empty answer over an empty
@@ -29,6 +31,7 @@
 //! allocation per worker, not one per row.
 
 use std::cmp::Ordering;
+use std::sync::atomic::{AtomicU16, Ordering::Relaxed};
 
 use mood_datamodel::Value;
 
@@ -153,6 +156,45 @@ enum PathRoot {
     Arg(u16),
 }
 
+/// One step of a path: the attribute's name, and the position the last
+/// tuple had it at. That position is tried first, so over tuples of one
+/// shape — a scan's, whole or pruned to the read set — a step is one name
+/// comparison however wide the tuple; any other shape costs the search
+/// by name and moves the guess.
+#[derive(Debug)]
+struct Seg {
+    name: String,
+    at: AtomicU16,
+}
+
+impl Seg {
+    fn new(name: &str) -> Seg {
+        Seg {
+            name: name.to_string(),
+            at: AtomicU16::new(0),
+        }
+    }
+
+    fn find(&self, fields: &[(String, Value)]) -> Option<usize> {
+        let at = self.at.load(Relaxed) as usize;
+        if fields.get(at).is_some_and(|(n, _)| *n == self.name) {
+            return Some(at);
+        }
+        let found = fields.iter().position(|(n, _)| *n == self.name)?;
+        self.at.store(u16::try_from(found).unwrap_or(0), Relaxed);
+        Some(found)
+    }
+}
+
+impl Clone for Seg {
+    fn clone(&self) -> Seg {
+        Seg {
+            name: self.name.clone(),
+            at: AtomicU16::new(self.at.load(Relaxed)),
+        }
+    }
+}
+
 /// A pre-resolved attribute path.
 #[derive(Debug, Clone)]
 struct PathPlan {
@@ -160,8 +202,8 @@ struct PathPlan {
     /// The path started with a bare identifier (Body mode: a missing root
     /// attribute is an *unknown identifier*, not a missing attribute).
     root_ident: bool,
-    /// The attribute names after the root.
-    segs: Vec<String>,
+    /// The attributes after the root.
+    segs: Vec<Seg>,
     /// Original root token, for unknown-identifier messages.
     root_name: String,
     /// What the root is called in Sql-mode error messages: the range
@@ -215,11 +257,21 @@ enum Inst {
     OrBody { acc: u16, rhs: Src },
     JumpIfFalse { src: Src, target: u32 },
     JumpIfTrue { src: Src, target: u32 },
-    /// Method dispatch through the context's dispatcher. `base` is the
-    /// receiver as written, for the no-stored-receiver message.
-    Call { dst: u16, on: CallOn, name: String, args: Vec<Src>, base: String },
-    /// Fail with this message.
-    Raise { message: String },
+    /// Method dispatch through the context's dispatcher. The payload is
+    /// boxed so the instructions a predicate is made of stay 16 bytes.
+    Call { dst: u16, call: Box<Call> },
+    /// Fail with the message at `consts[message]`.
+    Raise { message: u16 },
+}
+
+/// What an [`Inst::Call`] invokes. `base` is the receiver as written, for
+/// the no-stored-receiver message.
+#[derive(Debug, Clone)]
+struct Call {
+    on: CallOn,
+    name: String,
+    args: Vec<Src>,
+    base: String,
 }
 
 /// Reusable per-row scratch. One per worker thread / scan chunk: the
@@ -466,13 +518,13 @@ impl Program {
                         continue;
                     }
                 }
-                Inst::Call {
-                    dst,
-                    on,
-                    name,
-                    args,
-                    base,
-                } => {
+                Inst::Call { dst, call } => {
+                    let Call {
+                        on,
+                        name,
+                        args,
+                        base,
+                    } = &**call;
                     let dispatcher = ctx.dispatcher.ok_or_else(|| {
                         Exception::new(
                             ExceptionKind::MissingFunction,
@@ -501,7 +553,12 @@ impl Program {
                     let out = dispatcher(receiver, name, &vals)?;
                     regs.slots[*dst as usize] = out;
                 }
-                Inst::Raise { message } => return Err(query_err(message.clone())),
+                Inst::Raise { message } => {
+                    let Value::String(text) = &self.consts[*message as usize] else {
+                        unreachable!("Raise indexes a string constant")
+                    };
+                    return Err(query_err(text.clone()));
+                }
             }
             pc += 1;
         }
@@ -562,15 +619,15 @@ impl Program {
             }
             cur = match cur {
                 Cur::B(v) => match v {
-                    Value::Tuple(fields) => match fields.iter().find(|(n, _)| n == seg) {
-                        Some((_, field)) => Cur::B(field),
+                    Value::Tuple(fields) => match seg.find(fields) {
+                        Some(at) => Cur::B(&fields[at].1),
                         None => return self.missing_field(plan, i),
                     },
                     other => return self.not_navigable(plan, i, other),
                 },
                 Cur::O(v) => match v {
-                    Value::Tuple(mut fields) => match fields.iter().position(|(n, _)| n == seg) {
-                        Some(idx) => Cur::O(fields.swap_remove(idx).1),
+                    Value::Tuple(mut fields) => match seg.find(&fields) {
+                        Some(at) => Cur::O(fields.swap_remove(at).1),
                         None => return self.missing_field(plan, i),
                     },
                     other => return self.not_navigable(plan, i, &other),
@@ -594,7 +651,7 @@ impl Program {
                 if seg_i == 0 && plan.root_ident {
                     format!("unknown identifier {}", plan.root_name)
                 } else {
-                    format!("no attribute {}", plan.segs[seg_i])
+                    format!("no attribute {}", plan.segs[seg_i].name)
                 },
             )),
         }
@@ -602,7 +659,7 @@ impl Program {
 
     /// Field access on a non-tuple, non-reference value.
     fn not_navigable(&self, plan: &PathPlan, seg_i: usize, value: &Value) -> Result<Value, Exception> {
-        let seg = &plan.segs[seg_i];
+        let seg = &plan.segs[seg_i].name;
         match self.mode {
             Mode::Sql => Err(query_err(format!(
                 "no attribute {seg} on {} (path {}, value {value})",
@@ -694,9 +751,8 @@ impl Compiler<'_, '_> {
         match e {
             Expr::Lit(v) => Ok(Src::Const(self.konst(v)?)),
             Expr::Raise(message) => {
-                self.insts.push(Inst::Raise {
-                    message: message.clone(),
-                });
+                let message = self.konst(&Value::String(message.clone()))?;
+                self.insts.push(Inst::Raise { message });
                 // Never read: the instruction does not fall through.
                 Ok(Src::Reg(self.alloc()?))
             }
@@ -837,13 +893,13 @@ impl Compiler<'_, '_> {
                     Some(_) => return Err(compile_err("a method's receiver must be a path")),
                 };
                 let dst = self.alloc()?;
-                self.insts.push(Inst::Call {
-                    dst,
+                let call = Box::new(Call {
                     on,
                     name: name.clone(),
                     args: srcs,
                     base,
                 });
+                self.insts.push(Inst::Call { dst, call });
                 Ok(Src::Reg(dst))
             }
         }
@@ -948,7 +1004,7 @@ impl Compiler<'_, '_> {
         Ok(PathPlan {
             root,
             root_ident,
-            segs: segs.to_vec(),
+            segs: segs.iter().map(|name| Seg::new(name)).collect(),
             root_name: first.clone(),
             label: label.to_string(),
             rendered,
@@ -1023,6 +1079,11 @@ mod tests {
         let c = ctx(v, &slots);
         let compiled = prog.run(&mut Registers::default(), &c);
         assert_eq!(compiled, eval(&expr, &names, &c), "divergence on {src}");
+    }
+
+    #[test]
+    fn instructions_stay_small() {
+        assert!(std::mem::size_of::<Inst>() <= 16);
     }
 
     #[test]
@@ -1211,6 +1272,27 @@ mod tests {
             let out = prog.run(&mut regs, &ctx(&v, &[]));
             assert_eq!(out.unwrap(), Value::Boolean(true));
         }
+    }
+
+    #[test]
+    fn remembered_field_positions_survive_other_shapes() {
+        let prog = compile_program(&compile("b == 2").unwrap(), &CompileOpts::body(&[])).unwrap();
+        let mut regs = Registers::default();
+        let shapes = [
+            vec![("a", Value::Integer(1)), ("b", Value::Integer(2))],
+            // Reordered, pruned, widened, and the first shape again: the
+            // position the last tuple had `b` at is only ever a guess.
+            vec![("b", Value::Integer(2)), ("a", Value::Integer(1))],
+            vec![("b", Value::Integer(2))],
+            vec![("a", Value::Integer(2)), ("c", Value::Integer(2)), ("b", Value::Integer(2))],
+            vec![("a", Value::Integer(1)), ("b", Value::Integer(2))],
+        ];
+        for fields in shapes {
+            let v = Value::tuple(fields);
+            assert_eq!(prog.run(&mut regs, &ctx(&v, &[])), Ok(Value::Boolean(true)), "on {v}");
+        }
+        let v = Value::tuple(vec![("a", Value::Integer(2)), ("c", Value::Integer(2))]);
+        assert!(prog.run(&mut regs, &ctx(&v, &[])).is_err(), "b is nowhere in {v}");
     }
 
     #[test]

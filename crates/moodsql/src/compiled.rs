@@ -156,6 +156,8 @@ pub(crate) struct Scratch<'e, 'a> {
     ex: &'e Executor<'a>,
     regs: Registers<'a>,
     resolver: CachingResolver<'e>,
+    /// Rows since the cache was last cleared, for [`Scratch::next_row`].
+    rows: usize,
 }
 
 impl<'e, 'a> Scratch<'e, 'a> {
@@ -168,6 +170,7 @@ impl<'e, 'a> Scratch<'e, 'a> {
                 cache: RefCell::default(),
                 fault: RefCell::default(),
             },
+            rows: 0,
         }
     }
 
@@ -178,6 +181,17 @@ impl<'e, 'a> Scratch<'e, 'a> {
     /// A new batch begins: what the last one dereferenced is forgotten.
     pub fn next_batch(&mut self) {
         self.resolver.cache.get_mut().clear();
+        self.rows = 0;
+    }
+
+    /// A row begins where the input is not cut into batches (a row list, a
+    /// right-side build, an index's candidates): every `batch_size` of them
+    /// is a batch, so the cache is bounded as it is under a scan.
+    pub fn next_row(&mut self) {
+        if self.rows >= self.ex.config.execution.batch_size.max(1) {
+            self.next_batch();
+        }
+        self.rows += 1;
     }
 
     pub fn eval(&mut self, e: &PreparedExpr, view: RowView<'_>) -> Result<Value> {

@@ -298,13 +298,16 @@ impl<'a> Executor<'a> {
     /// `parallelism` contiguous chunks (one chunk, on this thread, at 1) and
     /// applied in input order, so survivors appear exactly as a single loop
     /// would emit them and the error from the earliest failing row wins.
-    /// Registers and the dereference cache are per chunk, not per row.
+    /// Registers are per chunk, the dereference cache per `batch_size` rows.
     fn filter_rows(&self, mut rows: Vec<Row>, pred: &PreparedExpr) -> Result<Vec<Row>> {
         let verdicts = run_chunked(self.config.execution.parallelism, &rows, |_, chunk| {
             let mut scratch = Scratch::new(self);
             chunk
                 .iter()
-                .map(|row| scratch.matches(pred, RowView::Row(row)))
+                .map(|row| {
+                    scratch.next_row();
+                    scratch.matches(pred, RowView::Row(row))
+                })
                 .collect::<Result<Vec<bool>>>()
         })?;
         let mut verdicts = verdicts.into_iter();
@@ -820,6 +823,7 @@ impl<'a> Executor<'a> {
                         oid,
                         value: &value,
                     };
+                    scratch.next_row();
                     if scratch.matches(prepared, view)? {
                         rows.push(bind_one(var, oid, value));
                     }
@@ -1057,6 +1061,7 @@ impl<'a> Executor<'a> {
                 let mut first_err: Option<SqlError> = None;
                 let mut scratch = Scratch::new(self);
                 let mut bind = |oid, value| {
+                    scratch.next_row();
                     match right_side_row(&mut scratch, filter, y_var, oid, value) {
                         Ok(Some(row)) => map.entry(oid).or_default().push(row),
                         Ok(None) => {}
@@ -1139,6 +1144,7 @@ impl<'a> Executor<'a> {
                     }
                 }
                 for (oid, members) in partitions {
+                    scratch.next_row();
                     let matches = right_side.resolve(&mut scratch, oid, y_var)?;
                     for r in matches {
                         for &i in &members {

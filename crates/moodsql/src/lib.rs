@@ -903,9 +903,14 @@ impl Session {
                 let rhs: Vec<PreparedExpr> = rhs.collect();
                 let nparams = assignments.iter().map(|(_, e)| e.max_param()).max();
                 let nparams = nparams.unwrap_or(0);
+                if !rows.is_empty() {
+                    ex.check_params(nparams)?;
+                }
                 let mut scratch = Scratch::new(&ex);
                 for (oid, row) in &rows {
-                    ex.check_params(nparams)?;
+                    // The last row's write may be what this row's paths
+                    // reach: dereferences read the objects as they are now.
+                    scratch.next_batch();
                     let old = &row[var].value;
                     let mut new_value = Value::clone(old);
                     for ((a, _), e) in assignments.iter().zip(&rhs) {

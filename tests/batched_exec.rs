@@ -338,6 +338,37 @@ fn a_plan_that_evaluates_nothing_compiles_nothing() {
     assert_eq!(db.engine_metrics().compile_ns, before, "nothing compiled");
 }
 
+/// Where rows do not come in scan batches (here a selection over a join's
+/// output) the dereference cache still lives for `batch_size` rows, no
+/// longer: one batch fetches each object its paths reach once, a batch of
+/// one fetches them for every row.
+#[test]
+fn the_dereference_cache_lasts_a_batch_where_rows_are_not_scanned() {
+    let db = build(64);
+    let sql = "SELECT v.id FROM Vehicle v WHERE v.drivetrain.transmission = 'MANUAL' \
+               AND v.drivetrain.engine.cylinders + v.drivetrain.engine.size > 5 ORDER BY v.id";
+    let plan = db.explain(sql).unwrap();
+    assert!(plan.contains("\nSELECT(\n  JOIN("), "{plan}");
+    let accesses = |batch: usize| {
+        db.set_batch_size(batch);
+        let before = db.metrics().snapshot();
+        let rows = run(&db, sql).unwrap();
+        let d = db.metrics().snapshot().delta(&before);
+        (rows, d.buffer_hits + d.buffer_misses)
+    };
+    // The join hands the selection 32 rows, each reaching one of 8
+    // drivetrains and, through it, one of 8 engines.
+    let (rows, one_batch) = accesses(1024);
+    let (same_rows, row_at_a_time) = accesses(1);
+    assert_eq!(rows.rows.len(), 32);
+    assert_eq!(same_rows, rows);
+    assert_eq!(
+        row_at_a_time - one_batch,
+        2 * 32 - 16,
+        "{row_at_a_time} accesses a row at a time, {one_batch} in one batch"
+    );
+}
+
 // ----------------------------------------------------------------------
 // Plan cache capacity: configurable, reported, and effective
 // ----------------------------------------------------------------------

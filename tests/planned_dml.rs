@@ -411,6 +411,69 @@ fn update_right_hand_sides_match_the_oracle() {
     }
 }
 
+/// A right-hand side whose path reaches another target of the same
+/// statement: the row's own attributes are read as selected, what a path
+/// dereferences is read as it is when the row's turn comes (targets are
+/// written in OID order) — so a boss rewritten earlier in the statement is
+/// seen rewritten, whether or not an earlier row already dereferenced it.
+#[test]
+fn update_path_reaching_an_earlier_target_reads_it_as_written() {
+    // A chain and a fan: 1 → 2 → 3 → 0, 4 → 2, 5 → 1, 6 → 5; 0 has no boss.
+    const BOSS: [usize; 7] = [0, 2, 3, 0, 2, 1, 5];
+    let staff = || {
+        let db = Mood::in_memory();
+        db.execute("CREATE CLASS Emp TUPLE (id Integer, salary Integer, boss REFERENCE (Emp))")
+            .unwrap();
+        let catalog = db.catalog();
+        let emp = |id: i32| {
+            let fields = vec![
+                ("id", Value::Integer(id)),
+                ("salary", Value::Integer(10 * id)),
+                ("boss", Value::Null),
+            ];
+            catalog.new_object("Emp", Value::tuple(fields)).unwrap()
+        };
+        let oids: Vec<Oid> = (0..BOSS.len() as i32).map(emp).collect();
+        for (i, boss) in BOSS.iter().enumerate().skip(1) {
+            let mut v = catalog.get_object(oids[i]).unwrap().1;
+            v.set_field("boss", Value::Ref(oids[*boss]));
+            catalog.update_object(oids[i], v).unwrap();
+        }
+        db
+    };
+    for (rhs, pred) in [
+        ("e.boss.salary + 1", "e.id > 0"),
+        ("e.boss.boss.salary + e.salary", "e.id > 0 AND e.id <> 3"),
+    ] {
+        // The statement replayed on a twin: one target at a time in OID
+        // order, each right-hand side interpreted against the database as
+        // the rows before it left it.
+        let model = staff();
+        let selected = extent(&model, "Emp");
+        let (rhs_expr, pred_expr) = (parse_expr(rhs).unwrap(), parse_expr(pred).unwrap());
+        let mut targets = 0;
+        for (oid, old) in &selected {
+            let row = Row::from([("e".to_string(), bound(*oid, old))]);
+            if !eval_pred(Env::of(&model), &pred_expr, &row).unwrap() {
+                continue;
+            }
+            targets += 1;
+            let mut new = old.clone();
+            new.set_field("salary", eval_expr(Env::of(&model), &rhs_expr, &row).unwrap());
+            model.catalog().update_object(*oid, new).unwrap();
+        }
+        let want = extent(&model, "Emp");
+        for batch in [1, 7, 1024] {
+            let db = staff();
+            db.set_batch_size(batch);
+            assert_eq!(extent(&db, "Emp"), selected, "the twins start equal");
+            let sql = format!("UPDATE Emp e SET salary = {rhs} WHERE {pred}");
+            assert_eq!(affected(db.execute(&sql).unwrap()), targets, "{sql}");
+            assert_eq!(extent(&db, "Emp"), want, "{sql} at batch {batch}");
+        }
+    }
+}
+
 #[test]
 fn committed_dml_is_applied_and_indexed() {
     let db = build(2400, Indexes::BTree);
