@@ -183,12 +183,14 @@ pub fn ind_sel(
     constant: &Value,
 ) -> Result<Collection> {
     use mood_cost::Theta;
-    let oids = match theta {
-        Theta::Eq => catalog.index_lookup(class, attribute, constant)?,
-        Theta::Lt => catalog.index_range(class, attribute, None, Some((constant, false)))?,
-        Theta::Le => catalog.index_range(class, attribute, None, Some((constant, true)))?,
-        Theta::Gt => catalog.index_range(class, attribute, Some((constant, false)), None)?,
-        Theta::Ge => catalog.index_range(class, attribute, Some((constant, true)), None)?,
+    // One interval per θ; `=` is `[c, c]`.
+    let (at, below) = (Some((constant, true)), Some((constant, false)));
+    let (lo, hi) = match theta {
+        Theta::Eq => (at, at),
+        Theta::Lt => (None, below),
+        Theta::Le => (None, at),
+        Theta::Gt => (below, None),
+        Theta::Ge => (at, None),
         Theta::Ne => {
             return Err(AlgebraError::NotApplicable {
                 operator: "IndSel",
@@ -196,6 +198,7 @@ pub fn ind_sel(
             })
         }
     };
+    let oids = catalog.index_range(class, attribute, lo, hi)?;
     Ok(Collection::set_from(oids))
 }
 

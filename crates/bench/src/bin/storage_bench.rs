@@ -24,6 +24,13 @@
 //! target extent sequentially and stay on hot pages). Gated: clustered
 //! must beat unclustered ≥2× at parallelism 8 on full runs.
 //!
+//! And **index_range**, one thread over a resident pool with no injected
+//! latency — the CPU cost of the index access path itself: entries per
+//! second through `BTree::range_scan` for a 48-entry and a 10 000-entry
+//! interval, and objects per second fetching an interval's OIDs through
+//! `HeapFile::get_batch_with` against `get` called one by one. Reported,
+//! not gated.
+//!
 //! Page reads go through a latency-injecting in-memory disk (a seek delay
 //! per positioning plus a transfer delay per page — the SEQCOST/RNDCOST
 //! shape). That models the regime the paper's cost model assumes, where
@@ -37,7 +44,7 @@ use std::time::{Duration, Instant};
 
 use mood_bench::LatencyDisk;
 use mood_storage::exec::run_chunked;
-use mood_storage::{BufferPool, DiskMetrics, FileId, HeapFile, Oid};
+use mood_storage::{BTree, BufferPool, DiskMetrics, FileId, HeapFile, MemDisk, Oid};
 
 struct Sizes {
     pool_frames: usize,
@@ -325,6 +332,8 @@ fn main() {
         results.push((name, rows));
     }
 
+    let index_range = index_range_rows(smoke);
+
     // ------------------------------------------------------------------
     // Report.
     // ------------------------------------------------------------------
@@ -379,6 +388,13 @@ fn main() {
         }
     }
     json.push_str("  },\n");
+    json.push_str("  \"index_range\": {\n");
+    for (i, (name, per_second)) in index_range.iter().enumerate() {
+        let comma = if i + 1 < index_range.len() { "," } else { "" };
+        json.push_str(&format!("    \"{name}\": {per_second:.0}{comma}\n"));
+        println!("index_range {name}: {per_second:.0}");
+    }
+    json.push_str("  },\n");
     // The clustering gate: clustered over unclustered throughput at
     // parallelism 8. Full runs demand the real 2x; smoke runs (tiny
     // extents, shared runners) assert half of it.
@@ -413,6 +429,80 @@ fn main() {
         );
         std::process::exit(1);
     }
+}
+
+/// The index access path warm and single-threaded: `(row, items per
+/// second)`. Keys are in heap order (a clustered index), nine records a
+/// page; each measurement repeats until it has run for a fifth of a second.
+fn index_range_rows(smoke: bool) -> Vec<(String, f64)> {
+    let (entries, long) = if smoke {
+        (4_000u64, 1_000u64)
+    } else {
+        (40_000, 10_000)
+    };
+    let pool = Arc::new(BufferPool::new(
+        Arc::new(MemDisk::new()),
+        8192,
+        DiskMetrics::new(),
+    ));
+    let heap = HeapFile::create(pool.clone()).unwrap();
+    let tree = BTree::create(pool, true).unwrap();
+    for i in 0..entries {
+        let oid = heap.insert(&mid_record(i as u32)).unwrap();
+        tree.insert(&i.to_be_bytes(), oid).unwrap();
+    }
+    // Items per second of `pass` (which returns how many it handled).
+    let rate = |pass: &mut dyn FnMut(u64) -> u64| {
+        let (t0, mut items, mut round) = (Instant::now(), 0u64, 0u64);
+        while t0.elapsed() < Duration::from_millis(200) {
+            items += pass(round);
+            round += 1;
+        }
+        items as f64 / t0.elapsed().as_secs_f64()
+    };
+    let mut oids = Vec::new();
+    let mut rows = Vec::new();
+    for len in [48, long] {
+        let per_second = rate(&mut |round| {
+            let lo = (round * 7919) % (entries - len);
+            oids.clear();
+            tree.range_scan(
+                Some(&lo.to_be_bytes()),
+                true,
+                Some(&(lo + len).to_be_bytes()),
+                false,
+                |_, oid| {
+                    oids.push(oid);
+                    true
+                },
+            )
+            .unwrap();
+            assert_eq!(oids.len() as u64, len);
+            len
+        });
+        rows.push((format!("walk_{len}_entries_per_s"), per_second));
+    }
+    // `oids` now holds a long interval's, in key order; the fetch sorts.
+    oids.sort();
+    let mut bytes = 0usize;
+    let batched = rate(&mut |_| {
+        heap.get_batch_with(&oids, |_, record| {
+            bytes += std::hint::black_box(record).map_or(0, <[u8]>::len);
+            true
+        })
+        .unwrap();
+        oids.len() as u64
+    });
+    let one_by_one = rate(&mut |_| {
+        for oid in &oids {
+            bytes += std::hint::black_box(heap.get(*oid).unwrap()).len();
+        }
+        oids.len() as u64
+    });
+    assert!(bytes > 0);
+    rows.push(("fetch_batched_objects_per_s".to_string(), batched));
+    rows.push(("fetch_one_by_one_objects_per_s".to_string(), one_by_one));
+    rows
 }
 
 /// ~3 KB payload so each record fills most of a page (1 record/page-ish):

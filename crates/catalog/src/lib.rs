@@ -568,6 +568,44 @@ impl Catalog {
         Ok((name, value))
     }
 
+    /// Fetch the objects behind `oids`, each decoded to `fields`, in the
+    /// order given. The extent's heap is opened once per run of OIDs of one
+    /// file and each of its pages accessed once per run of OIDs on it — sort
+    /// the OIDs first ([`mood_storage::HeapFile::get_batch_with`]) — and the
+    /// value is decoded from the page's bytes. An OID that names nothing (a
+    /// deleted object, a reused slot, no extent) is skipped, as index entries
+    /// may be stale; bytes that do not decode, or a storage failure, are the
+    /// call's error.
+    pub fn fetch_fields_with(
+        &self,
+        oids: &[Oid],
+        fields: &FieldSet,
+        visit: &mut dyn FnMut(Oid, Value),
+    ) -> Result<()> {
+        let mut rest = oids;
+        while let Some(first) = rest.first() {
+            let run = rest.iter().take_while(|o| o.file == first.file).count();
+            let (same_file, tail) = rest.split_at(run);
+            rest = tail;
+            if !self.inner.read().extent_class.contains_key(&first.file) {
+                continue;
+            }
+            let mut unreadable = None;
+            self.sm
+                .open_heap(first.file)
+                .get_batch_with(same_file, |oid, record| {
+                    match record.map(|bytes| Self::decode_object(oid, bytes, fields)) {
+                        Some(Ok((_, value))) => visit(oid, value),
+                        Some(Err(e)) => unreadable = Some(e),
+                        None => {}
+                    }
+                    unreadable.is_none()
+                })?;
+            unreadable.map_or(Ok(()), Err)?;
+        }
+        Ok(())
+    }
+
     /// Update an object in place (OID stable), maintaining indexes.
     pub fn update_object(&self, oid: Oid, value: Value) -> Result<()> {
         let (_, old) = self.get_object(oid)?;
@@ -1124,25 +1162,14 @@ impl Catalog {
         Ok(())
     }
 
-    /// Equality probe through an index.
+    /// Equality probe through an index: the interval `[key, key]`.
     pub fn index_lookup(&self, class: &str, attribute: &str, key: &Value) -> Result<Vec<Oid>> {
-        let info = self
-            .index(class, attribute)
-            .ok_or_else(|| CatalogError::UnknownIndex {
-                class: class.to_string(),
-                attribute: attribute.to_string(),
-            })?;
-        let k = encode_key(key).map_err(|_| CatalogError::NotAtomic {
-            class: class.to_string(),
-            attribute: attribute.to_string(),
-        })?;
-        Ok(match info.kind {
-            IndexKind::BTree => self.sm.open_btree(info.file).lookup(&k)?,
-            IndexKind::Hash => self.sm.open_hash(info.file, info.buckets).lookup(&k)?,
-        })
+        self.index_range(class, attribute, Some((key, true)), Some((key, true)))
     }
 
-    /// Range probe (B+-tree indexes only; `None` bound = unbounded).
+    /// The OIDs an index files under the keys between `lo` and `hi` (each
+    /// `(value, inclusive)`; `None` = unbounded), keys ascending. A hash
+    /// index serves only the interval that is one key.
     pub fn index_range(
         &self,
         class: &str,
@@ -1156,32 +1183,67 @@ impl Catalog {
                 class: class.to_string(),
                 attribute: attribute.to_string(),
             })?;
-        if info.kind != IndexKind::BTree {
-            return Err(CatalogError::UnknownIndex {
-                class: class.to_string(),
-                attribute: format!("{attribute} (hash index cannot range-scan)"),
-            });
-        }
-        let enc = |v: &Value| {
-            encode_key(v).map_err(|_| CatalogError::NotAtomic {
-                class: class.to_string(),
-                attribute: attribute.to_string(),
-            })
+        let enc = |bound: Option<(&Value, bool)>| match bound {
+            Some((v, inclusive)) => Self::index_bound(&info, v).map(|k| Some((k, inclusive))),
+            None => Ok(None),
         };
-        let lo_k = lo.map(|(v, inc)| enc(v).map(|k| (k, inc))).transpose()?;
-        let hi_k = hi.map(|(v, inc)| enc(v).map(|k| (k, inc))).transpose()?;
+        let (lo, hi) = (enc(lo)?, enc(hi)?);
         let mut out = Vec::new();
-        self.sm.open_btree(info.file).range_scan(
-            lo_k.as_ref().map(|(k, _)| k.as_slice()),
-            lo_k.as_ref().map(|(_, inc)| *inc).unwrap_or(true),
-            hi_k.as_ref().map(|(k, _)| k.as_slice()),
-            hi_k.as_ref().map(|(_, inc)| *inc).unwrap_or(true),
-            |_, oid| {
-                out.push(oid);
-                true
-            },
-        )?;
+        fn bound(b: &Option<(Vec<u8>, bool)>) -> Option<(&[u8], bool)> {
+            b.as_ref().map(|(k, inclusive)| (k.as_slice(), *inclusive))
+        }
+        self.index_interval_with(&info, bound(&lo), bound(&hi), &mut |oid| {
+            out.push(oid);
+            true
+        })?;
         Ok(out)
+    }
+
+    /// The key bytes `value` stands for as a bound on `info`'s keys.
+    pub fn index_bound(info: &IndexInfo, value: &Value) -> Result<Vec<u8>> {
+        encode_key(value).map_err(|_| CatalogError::NotAtomic {
+            class: info.class.clone(),
+            attribute: info.attribute.clone(),
+        })
+    }
+
+    /// The one index walk: visit the OID of every entry of `info` whose
+    /// encoded key lies between `lo` and `hi` (each `(key bytes, inclusive)`;
+    /// `None` = unbounded), keys ascending, until `visit` returns
+    /// `false`. `=` is the interval `[k, k]` — the only one a hash index
+    /// serves. The visitor runs on the pinned leaf and must not touch the
+    /// buffer pool ([`mood_storage::BTree::range_scan`]).
+    pub fn index_interval_with(
+        &self,
+        info: &IndexInfo,
+        lo: Option<(&[u8], bool)>,
+        hi: Option<(&[u8], bool)>,
+        visit: &mut dyn FnMut(Oid) -> bool,
+    ) -> Result<()> {
+        match (info.kind, lo, hi) {
+            (IndexKind::BTree, ..) => self.sm.open_btree(info.file).range_scan(
+                lo.map(|(k, _)| k),
+                lo.is_none_or(|(_, inclusive)| inclusive),
+                hi.map(|(k, _)| k),
+                hi.is_none_or(|(_, inclusive)| inclusive),
+                |_, oid| visit(oid),
+            )?,
+            (IndexKind::Hash, Some((k, true)), Some((k_hi, true))) if k == k_hi => {
+                let hits = self.sm.open_hash(info.file, info.buckets).lookup(k)?;
+                for oid in hits {
+                    if !visit(oid) {
+                        break;
+                    }
+                }
+            }
+            (IndexKind::Hash, ..) => {
+                return Err(CatalogError::UnknownIndex {
+                    class: info.class.clone(),
+                    attribute: format!("{} (hash index cannot range-scan)", info.attribute),
+                })
+            }
+        }
+        Ok(())
     }
 
     // ------------------------------------------------------------------
@@ -1955,10 +2017,58 @@ mod tests {
                 .unwrap(),
             vec![bmw]
         );
-        // Hash indexes refuse range scans.
+        // Hash indexes refuse range scans: one key is the only interval
+        // they serve.
         assert!(cat
             .index_range("Company", "name", None, Some((&Value::string("M"), true)))
             .is_err());
+        let (bmw_key, bmx_key) = (Value::string("BMW"), Value::string("BMX"));
+        let at = |k| Some((k, true));
+        assert!(cat
+            .index_range("Company", "name", at(&bmw_key), at(&bmx_key))
+            .is_err());
+        assert_eq!(
+            cat.index_range("Company", "name", at(&bmw_key), at(&bmw_key))
+                .unwrap(),
+            [bmw]
+        );
+    }
+
+    #[test]
+    fn batched_fetch_decodes_the_read_set_and_skips_what_is_gone() {
+        let cat = vehicle_catalog();
+        let vehicle = |class: &str, id: i32| {
+            let fields = vec![
+                ("id", Value::Integer(id)),
+                ("weight", Value::Integer(id * 10)),
+            ];
+            cat.new_object(class, Value::tuple(fields)).unwrap()
+        };
+        let mut oids: Vec<Oid> = (0..40).map(|i| vehicle("Vehicle", i)).collect();
+        oids.extend((40..50).map(|i| vehicle("Automobile", i)));
+        cat.delete_object(oids[7]).unwrap();
+        let nowhere = Oid::new(FileId(9_999), oids[0].page, oids[0].slot, 1);
+        let mut asked = oids.clone();
+        asked.push(nowhere);
+        asked.sort();
+        let only_id = FieldSet::Only(vec!["id".to_string()]);
+        let mut got = Vec::new();
+        cat.fetch_fields_with(&asked, &only_id, &mut |oid, v| got.push((oid, v)))
+            .unwrap();
+        // In the order asked, across both extents, less the deleted object
+        // and the OID of no extent; only `id` decoded.
+        let live: Vec<Oid> = asked
+            .iter()
+            .copied()
+            .filter(|o| *o != oids[7] && *o != nowhere)
+            .collect();
+        assert_eq!(got.iter().map(|(o, _)| *o).collect::<Vec<_>>(), live);
+        for (oid, value) in &got {
+            let (_, whole) = cat.get_object(*oid).unwrap();
+            assert_eq!(value.field("id"), whole.field("id"));
+            assert_eq!(value.field("weight"), None);
+            assert_eq!(cat.get_object_fields(*oid, &only_id).unwrap().1, *value);
+        }
     }
 
     #[test]

@@ -29,6 +29,6 @@ pub use joincost::{
 };
 pub use mood_storage::PhysicalParams;
 pub use selectivity::{
-    atomic_selectivity, between_selectivity, fref, path_selectivity, Domain, PathHop,
-    PathPredicate, Theta,
+    atomic_selectivity, between_selectivity, bounds_selectivity, fref, path_selectivity, Domain,
+    PathHop, PathPredicate, Theta,
 };

@@ -83,6 +83,36 @@ pub fn atomic_selectivity(theta: Theta, constant: Option<f64>, dom: &Domain) -> 
     sel.clamp(0.0, 1.0)
 }
 
+/// Selectivity of several range bounds `s.A θ_i c_i` (θ one of `<`, `<=`,
+/// `>`, `>=`) on one attribute, taken together: they describe one interval.
+///
+/// With `s_lo` the tightest lower bound's selectivity and `s_hi` the
+/// tightest upper one's (1 for an open side), the two tails the bounds cut
+/// off are disjoint under the uniform assumption, so the interval keeps
+/// `s_lo + s_hi − 1` — `(c2 − c1)/(max − min)` for bounds inside the domain,
+/// the paper's `BETWEEN` — floored at one object of the `cardinality`. A
+/// bound alone keeps its own selectivity, and without order statistics (a
+/// string key: every bound is the ½ guess) the bounds multiply as independent
+/// predicates do.
+pub fn bounds_selectivity(bounds: &[(Theta, Option<f64>)], dom: &Domain, cardinality: f64) -> f64 {
+    let (mut s_lo, mut s_hi, mut product) = (1.0f64, 1.0f64, 1.0);
+    for &(theta, constant) in bounds {
+        let s = atomic_selectivity(theta, constant, dom);
+        product *= s;
+        match theta {
+            Theta::Gt | Theta::Ge => s_lo = s_lo.min(s),
+            Theta::Lt | Theta::Le => s_hi = s_hi.min(s),
+            Theta::Eq | Theta::Ne => {}
+        }
+    }
+    let ordered = matches!((dom.min, dom.max), (Some(min), Some(max)) if max > min)
+        && bounds.iter().all(|(_, constant)| constant.is_some());
+    if bounds.len() < 2 || !ordered {
+        return product;
+    }
+    (s_lo + s_hi - 1.0).max(1.0 / cardinality.max(1.0)).min(1.0)
+}
+
 /// Selectivity of `s.A BETWEEN c1 AND c2` → `(c2 − c1)/(max − min)`.
 pub fn between_selectivity(c1: f64, c2: f64, dom: &Domain) -> f64 {
     match (dom.min, dom.max) {
@@ -179,6 +209,44 @@ mod tests {
         assert_eq!(atomic_selectivity(Theta::Lt, Some(25.0), &dom), 0.25);
         // BETWEEN 10 and 60 → 50/100.
         assert_eq!(between_selectivity(10.0, 60.0, &dom), 0.5);
+    }
+
+    #[test]
+    fn bounds_on_one_attribute_are_one_interval() {
+        let dom = Domain {
+            dist: 100.0,
+            max: Some(100.0),
+            min: Some(0.0),
+        };
+        let (ge, lt) = ((Theta::Ge, Some(10.0)), (Theta::Lt, Some(60.0)));
+        // Inside the domain: the paper's BETWEEN.
+        let s = bounds_selectivity(&[ge, lt], &dom, 1e6);
+        assert!((s - between_selectivity(10.0, 60.0, &dom)).abs() < 1e-12);
+        // The tightest bound of each side counts; order does not.
+        let redundant = [lt, (Theta::Ge, Some(5.0)), ge, (Theta::Le, Some(90.0))];
+        assert!((bounds_selectivity(&redundant, &dom, 1e6) - s).abs() < 1e-12);
+        // A bound outside the domain cuts nothing off.
+        let s = bounds_selectivity(&[(Theta::Gt, Some(-50.0)), lt], &dom, 1e6);
+        assert!((s - 0.6).abs() < 1e-12);
+        // Empty and inverted intervals are floored at one object.
+        let inverted = [(Theta::Ge, Some(60.0)), (Theta::Lt, Some(10.0))];
+        assert_eq!(bounds_selectivity(&inverted, &dom, 200.0), 1.0 / 200.0);
+        // One bound alone is what it always was.
+        assert_eq!(bounds_selectivity(&[lt], &dom, 1e6), 0.6);
+        assert_eq!(
+            bounds_selectivity(&[(Theta::Gt, Some(500.0))], &dom, 1e6),
+            0.0
+        );
+        // No order statistics: independent ½ guesses.
+        let opaque = Domain {
+            dist: 50.0,
+            max: None,
+            min: None,
+        };
+        assert_eq!(
+            bounds_selectivity(&[(Theta::Ge, None), (Theta::Lt, None)], &opaque, 1e6),
+            0.25
+        );
     }
 
     #[test]

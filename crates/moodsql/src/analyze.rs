@@ -333,32 +333,70 @@ pub fn misestimation(est_rows: f64, actual_rows: u64) -> f64 {
     (e / a).max(a / e)
 }
 
-/// Short operator kind for spans and registry totals.
-pub(crate) fn op_kind(plan: &Plan) -> String {
+/// A plan node's span name, `op:<KIND>`. Names are constants — a span
+/// opened on the hot path must cost nothing while no subscriber listens.
+pub(crate) fn op_span(plan: &Plan) -> &'static str {
+    use mood_cost::JoinMethod;
     match plan {
-        Plan::Bind { .. } => "BIND".into(),
-        Plan::Temp { .. } => "TEMP".into(),
-        Plan::Select { .. } => "SELECT".into(),
-        Plan::IndSel { .. } => "INDSEL".into(),
-        Plan::Join { method, .. } => format!("JOIN({})", method.plan_name()),
-        Plan::Project { .. } => "PROJECT".into(),
-        Plan::Sort { .. } => "SORT".into(),
-        Plan::Partition { .. } => "PARTITION".into(),
-        Plan::Union { .. } => "UNION".into(),
+        Plan::Bind { .. } => "op:BIND",
+        Plan::Temp { .. } => "op:TEMP",
+        Plan::Select { .. } => "op:SELECT",
+        Plan::IndSel { .. } => "op:INDSEL",
+        Plan::Join { method, .. } => match method {
+            JoinMethod::ForwardTraversal => "op:JOIN(FORWARD_TRAVERSAL)",
+            JoinMethod::BackwardTraversal => "op:JOIN(BACKWARD_TRAVERSAL)",
+            JoinMethod::BinaryJoinIndex => "op:JOIN(BINARY_JOIN_INDEX)",
+            JoinMethod::HashPartition => "op:JOIN(HASH_PARTITION)",
+        },
+        Plan::Project { .. } => "op:PROJECT",
+        Plan::Sort { .. } => "op:SORT",
+        Plan::Partition { .. } => "op:PARTITION",
+        Plan::Union { .. } => "op:UNION",
+    }
+}
+
+/// Short operator kind for the registry totals: the span name's `<KIND>`.
+pub(crate) fn op_kind(plan: &Plan) -> &'static str {
+    &op_span(plan)["op:".len()..]
+}
+
+/// The constants of a term's plan that folding its actuals into the
+/// operator totals needs, per node in the shared pre-order id order:
+/// operator kind and direct children. Built once, at prepare.
+pub(crate) struct NodeTable {
+    kinds: Vec<&'static str>,
+    kids: Vec<Vec<usize>>,
+}
+
+impl NodeTable {
+    pub(crate) fn of(set: &PlanSet) -> NodeTable {
+        fn walk(p: &Plan, out: &mut Vec<&'static str>) {
+            out.push(op_kind(p));
+            for c in p.children() {
+                walk(c, out);
+            }
+        }
+        let mut kinds = Vec::new();
+        for (_, p) in &set.temps {
+            walk(p, &mut kinds);
+        }
+        walk(&set.root, &mut kinds);
+        NodeTable {
+            kinds,
+            kids: children_ids(set),
+        }
     }
 }
 
 /// Fold one term's measured nodes into the engine-wide operator totals.
 pub(crate) fn record_operator_totals(
     registry: &MetricsRegistry,
-    set: &PlanSet,
+    nodes: &NodeTable,
     actuals: &HashMap<usize, NodeActual>,
 ) {
-    let kinds = node_kinds(set);
-    let kids = children_ids(set);
-    for (id, kind) in kinds.iter().enumerate() {
+    for (id, kind) in nodes.kinds.iter().enumerate() {
         if let Some(a) = actuals.get(&id) {
-            let ex = exclusive_of(id, &kids, actuals);
+            let ex = exclusive_of(id, &nodes.kids, actuals);
             registry.record_operator(kind, a.rows, pages(&ex), a.nanos);
         }
     }
@@ -405,21 +443,6 @@ pub(crate) fn children_ids(set: &PlanSet) -> Vec<Vec<usize>> {
         offset += p.subtree_size();
     }
     walk(&set.root, offset, &mut out);
-    out
-}
-
-fn node_kinds(set: &PlanSet) -> Vec<String> {
-    fn walk(p: &Plan, out: &mut Vec<String>) {
-        out.push(op_kind(p));
-        for c in p.children() {
-            walk(c, out);
-        }
-    }
-    let mut out = Vec::new();
-    for (_, p) in &set.temps {
-        walk(p, &mut out);
-    }
-    walk(&set.root, &mut out);
     out
 }
 
@@ -549,9 +572,8 @@ mod tests {
     #[test]
     fn op_kinds_name_join_methods() {
         let set = sample_set();
-        let kinds = node_kinds(&set);
         assert_eq!(
-            kinds,
+            NodeTable::of(&set).kinds,
             vec!["JOIN(FORWARD_TRAVERSAL)", "BIND", "SELECT", "BIND", "SELECT", "TEMP"]
         );
     }

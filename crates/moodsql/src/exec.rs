@@ -11,9 +11,13 @@
 //! the statement's [`Tail`] (`tail.rs`), which applies the later clauses
 //! of Figure 7.1 (GROUP BY/HAVING → projection → ORDER BY) to the stream
 //! batch by batch. A single-variable scan at the root hands the tail the
-//! objects it decoded; [`Row`]s are the currency of joins. An execution
-//! trace records the stages for the conformance tests.
+//! objects it decoded, and so does an index selection: one leaf-chain walk
+//! per indexed attribute over the interval its bounds merge into, the
+//! interval's OIDs sorted, then fetched a page at a time, re-verified and
+//! pushed `batch_size` objects at a time. [`Row`]s are the currency of
+//! joins. An execution trace records the stages for the conformance tests.
 
+use std::cmp::Ordering;
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::Arc;
 use std::time::Instant;
@@ -30,10 +34,10 @@ use mood_storage::{
 use mood_trace::Tracer;
 
 use crate::analyze::{
-    op_kind, record_operator_totals, render_estimates, AnalyzeRec, AnalyzeReport, StageRec,
-    TermReport,
+    op_span, record_operator_totals, render_estimates, AnalyzeRec, AnalyzeReport, NodeTable,
+    StageRec, TermReport,
 };
-use crate::ast::{Expr, Lit, PathRef, SelectStmt};
+use crate::ast::{CmpOp, Expr, Lit, PathRef, SelectStmt};
 use crate::binder::{lower, Lowered};
 use crate::compiled::{PreparedExpr, RowView, Scratch};
 use crate::error::{Result, SqlError};
@@ -96,8 +100,12 @@ pub struct PreparedQuery {
     pub(crate) terms: Vec<PlanSet>,
     /// Catalog epoch at preparation; a mismatch means the plan is stale.
     pub epoch: u64,
+    /// Per term, its nodes' operator kinds and children: what folding an
+    /// execution's actuals into the operator totals reads.
+    nodes: Vec<NodeTable>,
     /// Plan predicate text → the predicate.
     preds: HashMap<String, PreparedExpr>,
+    index_bounds: IndexBounds,
     /// The WHERE clause as written: what filters the nested-loop product
     /// of a statement without plans.
     residual: Option<PreparedExpr>,
@@ -123,6 +131,85 @@ impl PreparedQuery {
             .get(text)
             .ok_or_else(|| SqlError::Exec(format!("plan predicate {text} was not prepared")))
     }
+
+    /// The bounds of an INDSEL predicate, by indexed attribute.
+    fn bounds(&self, text: &str) -> Result<&[AttrBounds]> {
+        let bounds = self.index_bounds.get(text).map(Vec::as_slice);
+        bounds.ok_or_else(|| SqlError::Exec(format!("INDSEL predicate {text} was not prepared")))
+    }
+}
+
+/// INDSEL predicate text → per indexed attribute, the bounds on it.
+type IndexBounds = HashMap<String, Vec<AttrBounds>>;
+
+/// Every bound an INDSEL predicate puts on one indexed attribute (a dotted
+/// path for a path index), in the order written.
+struct AttrBounds {
+    attr: String,
+    ops: Vec<(CmpOp, Operand)>,
+}
+
+/// The constant side of a bound.
+enum Operand {
+    Value(Value),
+    Param(u16),
+}
+
+/// Group an INDSEL predicate's conjuncts `var.attr θ constant` by attribute.
+fn attr_bounds(predicate: &Expr) -> Result<Vec<AttrBounds>> {
+    let mut out: Vec<AttrBounds> = Vec::new();
+    for p in flatten_and(predicate) {
+        let Expr::Compare { op, left, right } = p else {
+            return Err(SqlError::Exec(format!(
+                "INDSEL predicate not a comparison: {p:?}"
+            )));
+        };
+        let shape = || SqlError::Exec("INDSEL predicate shape".into());
+        let Expr::Path(path) = &**left else {
+            return Err(shape());
+        };
+        let operand = match &**right {
+            Expr::Literal(lit) => Operand::Value(lit_value(lit)),
+            Expr::Param(n) => Operand::Param(*n),
+            _ => return Err(shape()),
+        };
+        if path.segments.is_empty() {
+            return Err(SqlError::Exec(
+                "INDSEL predicate must target an attribute".into(),
+            ));
+        }
+        if *op == CmpOp::Ne {
+            return Err(SqlError::Exec("<> cannot be index-served".into()));
+        }
+        // Dotted join handles both plain attributes and whole-path indexes.
+        let attr = path.segments.join(".");
+        match out.iter_mut().find(|b| b.attr == attr) {
+            Some(b) => b.ops.push((*op, operand)),
+            None => out.push(AttrBounds {
+                attr,
+                ops: vec![(*op, operand)],
+            }),
+        }
+    }
+    Ok(out)
+}
+
+/// The OIDs in both of two ascending lists.
+fn intersect_sorted(a: &[Oid], b: &[Oid]) -> Vec<Oid> {
+    let (mut i, mut j) = (0, 0);
+    let mut out = Vec::new();
+    while let (Some(x), Some(y)) = (a.get(i), b.get(j)) {
+        match x.cmp(y) {
+            Ordering::Less => i += 1,
+            Ordering::Greater => j += 1,
+            Ordering::Equal => {
+                out.push(*x);
+                i += 1;
+                j += 1;
+            }
+        }
+    }
+    out
 }
 
 /// Does the statement aggregate (GROUP BY or an aggregate in the
@@ -135,14 +222,15 @@ pub(crate) fn is_grouped(stmt: &SelectStmt) -> bool {
             .any(|e| matches!(e, Expr::Agg { .. }))
 }
 
-/// Collect the predicate texts of every Select/IndSel node in a plan.
-fn plan_predicates<'p>(plan: &'p Plan, out: &mut Vec<&'p str>) {
+/// Collect the predicate texts of every Select/IndSel node in a plan, each
+/// with whether an IndSel carries it.
+fn plan_predicates<'p>(plan: &'p Plan, out: &mut Vec<(&'p str, bool)>) {
     match plan {
         Plan::Select { input, predicate } => {
-            out.push(predicate);
+            out.push((predicate, false));
             plan_predicates(input, out);
         }
-        Plan::IndSel { predicate, .. } => out.push(predicate),
+        Plan::IndSel { predicate, .. } => out.push((predicate, true)),
         Plan::Join { left, right, .. } => {
             plan_predicates(left, out);
             plan_predicates(right, out);
@@ -160,24 +248,29 @@ fn plan_predicates<'p>(plan: &'p Plan, out: &mut Vec<&'p str>) {
 }
 
 /// Parse every Select/IndSel predicate the plans carry — the only place
-/// plan predicate text is parsed.
+/// plan predicate text is parsed — and sort each IndSel's into the bounds
+/// it puts on each indexed attribute.
 fn parse_plan_predicates<'p>(
     plans: impl IntoIterator<Item = &'p PlanSet>,
-) -> Result<HashMap<String, PreparedExpr>> {
+) -> Result<(HashMap<String, PreparedExpr>, IndexBounds)> {
     let mut preds: HashMap<String, PreparedExpr> = HashMap::new();
+    let mut index_bounds = IndexBounds::new();
     for set in plans {
         for plan in set.temps.iter().map(|(_, p)| p).chain([&set.root]) {
             let mut texts = Vec::new();
             plan_predicates(plan, &mut texts);
-            for text in texts {
+            for (text, indsel) in texts {
                 if !preds.contains_key(text) {
                     let stripped = text.strip_prefix("__join__ ").unwrap_or(text);
                     preds.insert(text.to_string(), PreparedExpr::new(parse_expr(stripped)?));
                 }
+                if indsel && !index_bounds.contains_key(text) {
+                    index_bounds.insert(text.to_string(), attr_bounds(&preds[text].expr)?);
+                }
             }
         }
     }
-    Ok(preds)
+    Ok((preds, index_bounds))
 }
 
 /// The parts `(x, attr, y)` of a plan join condition `x.attr = y.self`.
@@ -356,7 +449,7 @@ impl<'a> Executor<'a> {
             out.push('\n');
         }
         let plans = || optimized.terms.iter().map(|t| &t.plan);
-        let preds = parse_plan_predicates(plans())?;
+        let (preds, _) = parse_plan_predicates(plans())?;
         out.push_str(&ReadSets::collect(stmt, &lowered, plans(), &preds)?.to_string());
         Ok(out)
     }
@@ -399,7 +492,7 @@ impl<'a> Executor<'a> {
             let optimized = optimize(&lowered.spec, &stats, &self.config);
             terms = optimized.terms.into_iter().map(|t| t.plan).collect();
         }
-        let preds = parse_plan_predicates(&terms)?;
+        let (preds, index_bounds) = parse_plan_predicates(&terms)?;
         let reads = ReadSets::collect(stmt, &lowered, &terms, &preds)?;
         let prepared = |e: &Expr| PreparedExpr::new(e.clone());
         let cols = if is_grouped(stmt) {
@@ -421,9 +514,11 @@ impl<'a> Executor<'a> {
             stmt: stmt.clone(),
             nparams,
             lowered,
+            nodes: terms.iter().map(NodeTable::of).collect(),
             terms,
             epoch: self.catalog.epoch(),
             preds,
+            index_bounds,
             residual,
             reads,
             cols,
@@ -574,11 +669,11 @@ impl<'a> Executor<'a> {
         let storage = self.catalog.storage();
         let stats = report.then(|| self.catalog.stats());
         let mut reports: Vec<TermReport> = Vec::new();
-        for plan in &pq.terms {
+        for (plan, nodes) in pq.terms.iter().zip(&pq.nodes) {
             let rec = AnalyzeRec::new(storage.metrics().clone());
             self.exec_term(plan, pq, &rec, sink)?;
             let actuals = rec.into_nodes();
-            record_operator_totals(storage.registry(), plan, &actuals);
+            record_operator_totals(storage.registry(), nodes, &actuals);
             if let Some(stats) = &stats {
                 let est = estimate_plan_set(plan, stats, &self.config);
                 reports.push(TermReport::build(plan.clone(), est, actuals));
@@ -691,9 +786,7 @@ impl<'a> Executor<'a> {
         rec: &AnalyzeRec,
         sink: &mut dyn Sink,
     ) -> Result<()> {
-        let mut span = self
-            .tracer
-            .span(format!("op:{}", op_kind(plan)), &rec.metrics);
+        let mut span = self.tracer.span(op_span(plan), &rec.metrics);
         let window = Window::open(&rec.metrics, sink);
         let rows = self.exec_plan_node(plan, nid, pq, temps, rec, sink)?;
         span.set_rows(rows);
@@ -742,11 +835,11 @@ impl<'a> Executor<'a> {
         Ok(())
     }
 
-    /// The object behind a reference or an index entry, decoded to `fields`
-    /// (the read set of the variable it binds). `None` only for a
-    /// dangling OID (a deleted target, a stale index entry); every other
-    /// storage failure — a corrupt page, an I/O error, a deadlock — is the
-    /// statement's error, never a silently shorter result.
+    /// The object behind a reference, decoded to `fields` (the read set of
+    /// the variable it binds). `None` only for a dangling OID (a deleted
+    /// target); every other storage failure — a corrupt page, an I/O error,
+    /// a deadlock — is the statement's error, never a silently shorter
+    /// result.
     fn fetch_live(&self, oid: Oid, fields: &FieldSet) -> Result<Option<(String, Value)>> {
         match self.catalog.get_object_fields(oid, fields) {
             Ok(found) => Ok(Some(found)),
@@ -777,59 +870,8 @@ impl<'a> Executor<'a> {
                 index_kind,
                 predicate,
             } => {
-                self.mark("WHERE:SELECT");
-                let prepared = pq.pred(predicate)?;
-                let mut oid_set: Option<HashSet<Oid>> = None;
-                for p in flatten_and(&prepared.expr) {
-                    let oids = self.index_probe(class, p)?;
-                    oid_set = Some(match oid_set {
-                        None => oids.into_iter().collect(),
-                        Some(prev) => oids.into_iter().filter(|o| prev.contains(o)).collect(),
-                    });
-                }
-                // A path index covers the class and every subclass, which
-                // may be more extents than the FROM item ranges over: only
-                // members of the item's own range are answers. Attribute
-                // indexes cover exactly the own extent and skip the check.
-                let range = (index_kind == "PATH_INDEX").then(|| {
-                    if var == &pq.lowered.root.var && pq.lowered.root.every {
-                        self.catalog.every_classes(class, &pq.lowered.root.minus)
-                    } else {
-                        vec![class.clone()]
-                    }
-                });
-                let mut scratch = Scratch::new(self);
-                let mut rows = Vec::new();
-                for oid in oid_set.unwrap_or_default() {
-                    if let Some(range) = &range {
-                        if !self
-                            .catalog
-                            .class_of_oid(oid)
-                            .is_some_and(|c| range.contains(&c))
-                        {
-                            continue;
-                        }
-                    }
-                    // A stale index entry (path indexes are rebuilt on
-                    // demand) points at nothing: skip it.
-                    let Some((_, value)) = self.fetch_live(oid, pq.reads.of(var))? else {
-                        continue;
-                    };
-                    // Re-verify: an entry may also be stale because the
-                    // object changed; evaluating the predicate on the
-                    // fetched object guarantees correct answers regardless.
-                    let view = RowView::Object {
-                        var,
-                        oid,
-                        value: &value,
-                    };
-                    scratch.next_row();
-                    if scratch.matches(prepared, view)? {
-                        rows.push(bind_one(var, oid, value));
-                    }
-                }
-                rows.sort_by_key(|r| r.get(var).and_then(|b| b.oid));
-                rows
+                let path_index = index_kind == "PATH_INDEX";
+                return self.index_select(class, var, path_index, predicate, pq, sink);
             }
             Plan::Select { input, predicate } => {
                 let pred = pq.pred(predicate)?;
@@ -915,19 +957,7 @@ impl<'a> Executor<'a> {
             if let Some((pred, _)) = filter {
                 registry.record_batch(buf.len() as u64);
                 let (pred_start, pred_before) = (Instant::now(), rec.metrics.snapshot());
-                scratch.next_batch();
-                let mut failed = None;
-                buf.retain(|(oid, value)| {
-                    if failed.is_some() {
-                        return false;
-                    }
-                    let view = RowView::Object { var, oid: *oid, value };
-                    scratch.matches(pred, view).unwrap_or_else(|e| {
-                        failed = Some(e);
-                        false
-                    })
-                });
-                failed.map_or(Ok(()), Err)?;
+                retain_matching(&mut scratch, pred, var, buf)?;
                 pred_delta = pred_delta.plus(&rec.metrics.snapshot().delta(&pred_before));
                 pred_nanos += pred_start.elapsed().as_nanos() as u64;
             }
@@ -958,49 +988,127 @@ impl<'a> Executor<'a> {
         Ok(kept)
     }
 
-    fn index_probe(&self, class: &str, p: &Expr) -> Result<Vec<Oid>> {
-        let Expr::Compare { op, left, right } = p else {
-            return Err(SqlError::Exec(format!(
-                "INDSEL predicate not a comparison: {p:?}"
-            )));
-        };
-        let (Expr::Path(path), key) = (&**left, &**right) else {
-            return Err(SqlError::Exec("INDSEL predicate shape".into()));
-        };
-        let key = match key {
-            Expr::Literal(lit) => lit_value(lit),
-            Expr::Param(n) => self.param(*n)?.clone(),
-            _ => return Err(SqlError::Exec("INDSEL predicate shape".into())),
-        };
-        if path.segments.is_empty() {
-            return Err(SqlError::Exec(
-                "INDSEL predicate must target an attribute".into(),
-            ));
+    /// `INDSEL(class, var, …, predicate)` streamed into `sink`; the number
+    /// of objects let through, in ascending OID order.
+    ///
+    /// One leaf-chain walk per indexed attribute yields the interval's OIDs
+    /// (several attributes intersect), which are sorted — 16 bytes each, the
+    /// only thing held for the whole interval — so that the fetch visits
+    /// each heap page once and the output order does not depend on the key
+    /// order. They are then fetched, re-verified and pushed `batch_size` at
+    /// a time: an entry may be stale because its object changed or is gone,
+    /// and evaluating the predicate on the fetched object guarantees correct
+    /// answers regardless.
+    fn index_select(
+        &self,
+        class: &str,
+        var: &str,
+        path_index: bool,
+        predicate: &str,
+        pq: &PreparedQuery,
+        sink: &mut dyn Sink,
+    ) -> Result<u64> {
+        self.mark("WHERE:SELECT");
+        let prepared = pq.pred(predicate)?;
+        let mut oids: Option<Vec<Oid>> = None;
+        for bounds in pq.bounds(predicate)? {
+            let hits = self.interval_oids(class, bounds)?;
+            oids = Some(match oids {
+                None => hits,
+                Some(prev) => intersect_sorted(&prev, &hits),
+            });
         }
-        // Dotted join handles both plain attributes and whole-path indexes.
-        let attr = &path.segments.join(".");
-        Ok(match op {
-            crate::ast::CmpOp::Eq => self.catalog.index_lookup(class, attr, &key)?,
-            crate::ast::CmpOp::Lt => {
-                self.catalog
-                    .index_range(class, attr, None, Some((&key, false)))?
+        let mut oids = oids.unwrap_or_default();
+        // A path index covers the class and every subclass, which may be
+        // more extents than the FROM item ranges over: only members of the
+        // item's own range are answers. Attribute indexes cover exactly the
+        // own extent and skip the check.
+        if path_index {
+            let root = &pq.lowered.root;
+            let range = if var == root.var && root.every {
+                self.catalog.every_classes(class, &root.minus)
+            } else {
+                vec![class.to_string()]
+            };
+            let extent = |c: &String| self.catalog.class(c).ok()?.extent;
+            let files: Vec<FileId> = range.iter().filter_map(extent).collect();
+            oids.retain(|oid| files.contains(&oid.file));
+        }
+        let batch = self.config.execution.batch_size.max(1);
+        let fields = pq.reads.of(var);
+        let mut scratch = Scratch::new(self);
+        let mut buf: Vec<(Oid, Value)> = Vec::with_capacity(batch.min(oids.len()));
+        let mut kept = 0u64;
+        for chunk in oids.chunks(batch) {
+            // A stale entry (path indexes are rebuilt on demand) points at
+            // nothing and is skipped; any other storage failure is the
+            // statement's error.
+            self.catalog
+                .fetch_fields_with(chunk, fields, &mut |oid, value| buf.push((oid, value)))?;
+            retain_matching(&mut scratch, prepared, var, &mut buf)?;
+            kept += buf.len() as u64;
+            sink.push_objects(var, &mut buf)?;
+        }
+        Ok(kept)
+    }
+
+    /// The OIDs, ascending, the index on `class.attr` files under the keys
+    /// every bound of `bounds` admits: the bounds merge into one interval —
+    /// the greatest lower and the least upper one, `=` being both, compared
+    /// as encoded keys at run time so `$n` bounds work — walked once. An
+    /// interval that holds nothing finds nothing.
+    fn interval_oids(&self, class: &str, bounds: &AttrBounds) -> Result<Vec<Oid>> {
+        let info = self.catalog.index(class, &bounds.attr);
+        let info = info.ok_or_else(|| CatalogError::UnknownIndex {
+            class: class.to_string(),
+            attribute: bounds.attr.clone(),
+        })?;
+        let encode = |(_, operand): &(CmpOp, Operand)| {
+            let value = match operand {
+                Operand::Value(v) => v,
+                Operand::Param(n) => self.param(*n)?,
+            };
+            Ok(Catalog::index_bound(&info, value)?)
+        };
+        let keys: Vec<Vec<u8>> = bounds.ops.iter().map(encode).collect::<Result<_>>()?;
+        type Bound<'k> = Option<(&'k [u8], bool)>;
+        // The tighter of two bounds on one side; on equal keys the exclusive.
+        fn tighten<'k>(side: &mut Bound<'k>, new: (&'k [u8], bool), tighter: Ordering) {
+            let replace = side.is_none_or(|old| match new.0.cmp(old.0) {
+                Ordering::Equal => !new.1,
+                other => other == tighter,
+            });
+            if replace {
+                *side = Some(new);
             }
-            crate::ast::CmpOp::Le => {
-                self.catalog
-                    .index_range(class, attr, None, Some((&key, true)))?
+        }
+        let (mut lo, mut hi): (Bound<'_>, Bound<'_>) = (None, None);
+        for ((op, _), key) in bounds.ops.iter().zip(&keys) {
+            let (lower, upper, inclusive) = match op {
+                CmpOp::Eq => (true, true, true),
+                CmpOp::Gt => (true, false, false),
+                CmpOp::Ge => (true, false, true),
+                CmpOp::Lt => (false, true, false),
+                CmpOp::Le => (false, true, true),
+                CmpOp::Ne => return Err(SqlError::Exec("<> cannot be index-served".into())),
+            };
+            if lower {
+                tighten(&mut lo, (key, inclusive), Ordering::Greater);
             }
-            crate::ast::CmpOp::Gt => {
-                self.catalog
-                    .index_range(class, attr, Some((&key, false)), None)?
+            if upper {
+                tighten(&mut hi, (key, inclusive), Ordering::Less);
             }
-            crate::ast::CmpOp::Ge => {
-                self.catalog
-                    .index_range(class, attr, Some((&key, true)), None)?
-            }
-            crate::ast::CmpOp::Ne => {
-                return Err(SqlError::Exec("<> cannot be index-served".into()))
-            }
-        })
+        }
+        let mut oids = Vec::new();
+        self.catalog
+            .index_interval_with(&info, lo, hi, &mut |oid| {
+                oids.push(oid);
+                true
+            })?;
+        // A path index files one object under every value its path reaches.
+        oids.sort_unstable();
+        oids.dedup();
+        Ok(oids)
     }
 
     /// Execute one implicit join following the plan's method.
@@ -1367,6 +1475,34 @@ impl RightSide<'_> {
             }
         }
     }
+}
+
+/// One batch through a predicate: the objects of `buf`, bound to `var`, that
+/// it rejects are dropped (shared registers, a fresh dereference cache); the
+/// first evaluation error ends the batch.
+fn retain_matching(
+    scratch: &mut Scratch<'_, '_>,
+    pred: &PreparedExpr,
+    var: &str,
+    buf: &mut Vec<(Oid, Value)>,
+) -> Result<()> {
+    scratch.next_batch();
+    let mut failed = None;
+    buf.retain(|(oid, value)| {
+        if failed.is_some() {
+            return false;
+        }
+        let view = RowView::Object {
+            var,
+            oid: *oid,
+            value,
+        };
+        scratch.matches(pred, view).unwrap_or_else(|e| {
+            failed = Some(e);
+            false
+        })
+    });
+    failed.map_or(Ok(()), Err)
 }
 
 /// The row binding a join's right-side object to `y_var`, if it passes the

@@ -18,7 +18,8 @@
 
 use mood_catalog::DatabaseStats;
 use mood_cost::{
-    atomic_selectivity, fref, indcost, join_cost, join_pages, o_overlap, rndcost, rngxcost,
+    atomic_selectivity, bounds_selectivity, fref, indcost, join_cost, join_pages, o_overlap,
+    rndcost, rngxcost,
     seqcost_batched, IndexParams, JoinInputs, PathHop, PathPredicate, Theta,
 };
 
@@ -319,12 +320,33 @@ impl Estimator<'_> {
     fn indsel_estimate(&self, class: &str, index_kind: &str, predicate: &str) -> (f64, f64) {
         let mut sel = 1.0;
         let mut probe = 0.0;
+        // The range bounds on one attribute are one interval: the row the
+        // optimizer made of them, one selectivity and one leaf-chain walk.
+        let bound =
+            |p: &ParsedConjunct| p.path.len() == 1 && !matches!(p.theta, Theta::Eq | Theta::Ne);
+        let mut groups: Vec<Vec<ParsedConjunct>> = Vec::new();
         for conjunct in predicate.split(" AND ") {
             let Some(p) = parse_conjunct(conjunct) else {
                 sel *= 0.5;
                 continue;
             };
-            let s = self.path_pred_selectivity(class, &p.path, p.theta, p.constant);
+            let interval = |g: &&mut Vec<ParsedConjunct>| {
+                bound(&p) && bound(&g[0]) && g[0].path == p.path
+            };
+            match groups.iter_mut().find(interval) {
+                Some(g) => g.push(p),
+                None => groups.push(vec![p]),
+            }
+        }
+        for group in &groups {
+            let p = &group[0];
+            let s = if group.len() > 1 {
+                let bounds: Vec<_> = group.iter().map(|q| (q.theta, q.constant)).collect();
+                let dom = self.view.domain(class, &p.path[0]);
+                bounds_selectivity(&bounds, &dom, self.view.class_info(class).cardinality)
+            } else {
+                self.path_pred_selectivity(class, &p.path, p.theta, p.constant)
+            };
             sel *= s;
             let key = p.path.join(".");
             let ix = if index_kind == "PATH_INDEX" {

@@ -19,8 +19,8 @@
 
 use mood_catalog::DatabaseStats;
 use mood_cost::{
-    atomic_selectivity, best_join_method, o_overlap, path_forward_cost_clustered,
-    path_selectivity, seqcost,
+    atomic_selectivity, best_join_method, bounds_selectivity, o_overlap,
+    path_forward_cost_clustered, path_selectivity, seqcost,
     ClassInfo, Domain, IndexParams, JoinInputs, JoinMethod, PathHop, PathPredicate, PhysicalParams,
     Theta, DEFAULT_CPU_COST,
 };
@@ -557,7 +557,16 @@ fn optimize_term(
     let root_info = view.class_info(root_class);
 
     // ---- classify ----
-    let mut imm: Vec<(&PredSpec, AtomicPredicate)> = Vec::new();
+    // ImmSelInfo rows in the making. The range bounds (`<`, `<=`, `>`, `>=`)
+    // on one indexed attribute describe one interval — one leaf-chain walk,
+    // so one `RNGXCOST(fract)` — and share a row; `bounds` holds what the
+    // row's interval selectivity is computed from.
+    struct ImmRow<'p> {
+        attribute: &'p str,
+        bounds: Vec<(Theta, Option<f64>)>,
+        pred: AtomicPredicate,
+    }
+    let mut imm: Vec<ImmRow<'_>> = Vec::new();
     let mut paths: Vec<&PredSpec> = Vec::new();
     let mut others: Vec<&PredSpec> = Vec::new();
     for p in term {
@@ -568,28 +577,45 @@ fn optimize_term(
                 constant,
             } => {
                 let dom = view.domain(root_class, attribute);
-                let sel = atomic_selectivity(*theta, constant.as_num(), &dom);
-                imm.push((
-                    p,
-                    AtomicPredicate {
-                        text: format!(
-                            "{}.{attribute} {} {}",
-                            spec.root_var,
-                            theta.symbol(),
-                            constant.render()
-                        ),
-                        selectivity: sel,
-                        theta: *theta,
-                        // An attribute index covers its class's own extent
-                        // only: under `FROM EVERY` a probe would miss every
-                        // subclass instance, so it is not offered to §8.1.
-                        index: if spec.every {
-                            None
-                        } else {
-                            view.index(root_class, attribute)
-                        },
+                let text = format!(
+                    "{}.{attribute} {} {}",
+                    spec.root_var,
+                    theta.symbol(),
+                    constant.render()
+                );
+                // An attribute index covers its class's own extent only:
+                // under `FROM EVERY` a probe would miss every subclass
+                // instance, so it is not offered to §8.1.
+                let index = if spec.every {
+                    None
+                } else {
+                    view.index(root_class, attribute)
+                };
+                let bound = !matches!(theta, Theta::Eq | Theta::Ne) && index.is_some();
+                let interval = imm
+                    .iter_mut()
+                    .find(|row| bound && !row.bounds.is_empty() && row.attribute == attribute);
+                if let Some(row) = interval {
+                    row.bounds.push((*theta, constant.as_num()));
+                    row.pred.text = format!("{} AND {text}", row.pred.text);
+                    row.pred.selectivity =
+                        bounds_selectivity(&row.bounds, &dom, root_info.cardinality);
+                    continue;
+                }
+                imm.push(ImmRow {
+                    attribute,
+                    bounds: if bound {
+                        vec![(*theta, constant.as_num())]
+                    } else {
+                        Vec::new()
                     },
-                ));
+                    pred: AtomicPredicate {
+                        text,
+                        selectivity: atomic_selectivity(*theta, constant.as_num(), &dom),
+                        theta: *theta,
+                        index,
+                    },
+                });
             }
             PredSpec::Path { .. } => paths.push(p),
             PredSpec::Other { .. } => others.push(p),
@@ -597,7 +623,7 @@ fn optimize_term(
     }
 
     // ---- §8.1: immediate selections ----
-    let atomic_preds: Vec<AtomicPredicate> = imm.iter().map(|(_, a)| a.clone()).collect();
+    let atomic_preds: Vec<AtomicPredicate> = imm.into_iter().map(|row| row.pred).collect();
     let atomic_plan = plan_atomic_selections(
         &cfg.params,
         &atomic_preds,
@@ -1137,6 +1163,66 @@ mod tests {
         // And the unselective cylinders predicate on the same class would
         // NOT use an index even if one existed: the crossover the §8.1
         // inequality encodes (checked in the bench X2).
+    }
+
+    #[test]
+    fn bounds_on_one_indexed_attribute_share_one_row_and_one_indsel() {
+        let mut stats = DatabaseStats::paper_example();
+        let serial = mood_catalog::AttrStats {
+            notnull: 1.0,
+            dist: 1_000,
+            max: Some(1_000.0),
+            min: Some(0.0),
+        };
+        stats.set_attr("VehicleEngine", "serial", serial);
+        stats.set_index(
+            "VehicleEngine",
+            "serial",
+            mood_storage::BTreeStats {
+                levels: 3,
+                leaves: 500,
+                keysize: 9,
+                unique: false,
+                entries: 10_000,
+                order: 100,
+            },
+        );
+        let bound = |theta, c: f64| PredSpec::Immediate {
+            attribute: "serial".into(),
+            theta,
+            constant: Const::Num(c),
+        };
+        let mut q = QuerySpec::new("e", "VehicleEngine");
+        q.terms = vec![vec![
+            bound(Theta::Ge, 100.0),
+            PredSpec::Immediate {
+                attribute: "cylinders".into(),
+                theta: Theta::Eq,
+                constant: Const::Num(4.0),
+            },
+            bound(Theta::Lt, 102.0),
+        ]];
+        let out = optimize(&q, &stats, &cfg());
+        let rows = &out.terms[0].imm_sel_info;
+        assert_eq!(rows.len(), 2, "the two bounds are one row: {rows:?}");
+        assert_eq!(rows[0].predicate, "e.serial >= 100 AND e.serial < 102");
+        // (1000 − 100)/1000 + 102/1000 − 1: each half alone keeps half the
+        // extent or more and would scan.
+        assert!((rows[0].selectivity - 0.002).abs() < 1e-9, "{rows:?}");
+        assert!(rows[0].indexed_access && !rows[1].indexed_access);
+        let root = out.terms[0].plan.root.to_string();
+        let indsel = "INDSEL(VehicleEngine, e, BTREE, e.serial >= 100 AND e.serial < 102)";
+        assert!(root.contains(indsel), "{root}");
+        assert_eq!(root.matches("INDSEL(").count(), 1, "{root}");
+        // The estimate prices the same interval, once.
+        let est = crate::estimate_plan_set(&out.terms[0].plan, &stats, &cfg());
+        let node = est.iter().find(|e| e.label.starts_with("INDSEL(")).unwrap();
+        assert!((node.selectivity.unwrap() - 0.002).abs() < 1e-9, "{node:?}");
+        // Under FROM EVERY no attribute index is offered: two rows, a scan.
+        q.every = true;
+        let out = optimize(&q, &stats, &cfg());
+        assert_eq!(out.terms[0].imm_sel_info.len(), 3);
+        assert!(!out.terms[0].plan.root.to_string().contains("INDSEL("));
     }
 
     #[test]

@@ -2,9 +2,15 @@
 //!
 //! Keys are byte strings in a byte-comparable encoding (the data-model layer
 //! provides the encoding); payloads are OIDs. Non-unique indexes store one
-//! entry per (key, oid) pair, kept sorted, so duplicates enumerate in OID
-//! order. Deletion is lazy (no rebalancing), which ESM-era storage managers
+//! entry per (key, oid) pair, sorted within a leaf; a run of duplicates that
+//! outgrows its leaf continues on the right siblings in arrival order, so a
+//! key's entries enumerate in OID order leaf by leaf, not across leaves.
+//! Deletion is lazy (no rebalancing), which ESM-era storage managers
 //! also did; the tree never loses search correctness, only space.
+//!
+//! Readers — [`BTree::lookup`] is the interval `[k, k]` of the one walk,
+//! [`BTree::range_scan`] — search every node in place on its pinned page;
+//! only writers decode a node (`Node::read`) to rebuild it.
 //!
 //! Page 0 of the index file is a metadata page carrying the root pointer and
 //! the statistics the cost model's Table 9 needs: `level(I)`, `leaves(I)`,
@@ -189,6 +195,30 @@ impl Meta {
             key_bytes: u64::from_le_bytes(page.data[25..33].try_into().unwrap()),
         })
     }
+}
+
+/// The child an internal node (on `p`) routes `key` to: the first whose
+/// separator is not below it — the leftmost subtree that can hold the key —
+/// or the leftmost child for no key at all. Searched in place:
+/// `children[0..=count]` come first on the page, then the keys.
+fn route(p: &Page, key: Option<&[u8]>) -> PageId {
+    let count = u16::from_le_bytes([p.data[1], p.data[2]]) as usize;
+    let mut idx = 0;
+    if let Some(key) = key {
+        let mut off = NODE_HEADER + (count + 1) * 4;
+        idx = count;
+        for i in 0..count {
+            let klen = u16::from_le_bytes([p.data[off], p.data[off + 1]]) as usize;
+            off += 2;
+            if &p.data[off..off + klen] >= key {
+                idx = i;
+                break;
+            }
+            off += klen;
+        }
+    }
+    let at = NODE_HEADER + idx * 4;
+    PageId(u32::from_le_bytes(p.data[at..at + 4].try_into().unwrap()))
 }
 
 /// A B+-tree index over byte-encoded keys.
@@ -384,100 +414,49 @@ impl BTree {
     /// keys may straddle a split whose separator equals the key, so readers
     /// must start at the left sibling and walk `next` pointers.
     fn descend_left(&self, key: &[u8]) -> Result<PageId> {
-        let meta = self.load_meta()?;
-        let mut pid = meta.root;
+        let mut pid = self.load_meta()?.root;
         loop {
-            match self.load_node(pid)? {
-                Node::Leaf { .. } => return Ok(pid),
-                Node::Internal { keys, children } => {
-                    let idx = keys.partition_point(|k| k.as_slice() < key);
-                    pid = children[idx];
-                }
-            }
-        }
-    }
-
-    /// All OIDs stored under exactly `key`.
-    ///
-    /// The equality probe is the executor's hot path (every warm point
-    /// lookup lands here), so nodes are searched in place on the pinned
-    /// page: no per-entry key copies, no decoded-node allocation. Only the
-    /// matching OIDs are materialized.
-    pub fn lookup(&self, key: &[u8]) -> Result<Vec<Oid>> {
-        enum Step {
-            Child(PageId),
-            /// Leaf scanned; `true` = a key past the target was seen, so
-            /// the duplicate run cannot continue on the next leaf.
-            Leaf(bool, Option<PageId>),
-        }
-        let meta = self.load_meta()?;
-        let mut pid = meta.root;
-        let mut out = Vec::new();
-        loop {
-            let step = self
+            let child = self
                 .pool
-                .with_page(self.file, pid, AccessKind::Index, |p| {
-                    let count = u16::from_le_bytes([p.data[1], p.data[2]]) as usize;
-                    match p.data[0] {
-                        TAG_INTERNAL => {
-                            // children[0..=count] first, then the keys.
-                            let mut off = NODE_HEADER + (count + 1) * 4;
-                            let mut idx = count;
-                            for i in 0..count {
-                                let klen =
-                                    u16::from_le_bytes([p.data[off], p.data[off + 1]]) as usize;
-                                off += 2;
-                                if &p.data[off..off + klen] >= key {
-                                    idx = i;
-                                    break;
-                                }
-                                off += klen;
-                            }
-                            let at = NODE_HEADER + idx * 4;
-                            Ok(Step::Child(PageId(u32::from_le_bytes(
-                                p.data[at..at + 4].try_into().unwrap(),
-                            ))))
-                        }
-                        TAG_LEAF => {
-                            let next_raw = u32::from_le_bytes(p.data[3..7].try_into().unwrap());
-                            let next = (next_raw != NO_PAGE).then_some(PageId(next_raw));
-                            let mut off = NODE_HEADER;
-                            for _ in 0..count {
-                                let klen =
-                                    u16::from_le_bytes([p.data[off], p.data[off + 1]]) as usize;
-                                off += 2;
-                                let k = &p.data[off..off + klen];
-                                off += klen;
-                                if k > key {
-                                    return Ok(Step::Leaf(true, next));
-                                }
-                                if k == key {
-                                    let oid = Oid::from_bytes(
-                                        &p.data[off..off + Oid::ENCODED_LEN],
-                                    )
-                                    .ok_or(StorageError::Corrupt("bad OID in leaf".into()))?;
-                                    out.push(oid);
-                                }
-                                off += Oid::ENCODED_LEN;
-                            }
-                            Ok(Step::Leaf(false, next))
-                        }
-                        t => Err(StorageError::Corrupt(format!("unexpected node tag {t}"))),
-                    }
+                .with_page(self.file, pid, AccessKind::Index, |p| match p.data[0] {
+                    TAG_INTERNAL => Ok(Some(route(p, Some(key)))),
+                    TAG_LEAF => Ok(None),
+                    t => Err(StorageError::Corrupt(format!("unexpected node tag {t}"))),
                 })?
                 .map_err(|e| e.locate(self.file, pid))?;
-            match step {
-                Step::Child(c) => pid = c,
-                // A duplicate run may continue on the right sibling when
-                // this leaf ended while still at the target key.
-                Step::Leaf(false, Some(n)) => pid = n,
-                Step::Leaf(..) => return Ok(out),
+            match child {
+                Some(c) => pid = c,
+                None => return Ok(pid),
             }
         }
     }
 
-    /// Range scan over `[lo, hi]` with per-bound inclusivity; `None` means
-    /// unbounded. The visitor returns `false` to stop.
+    /// All OIDs stored under exactly `key`: the interval `[key, key]`.
+    pub fn lookup(&self, key: &[u8]) -> Result<Vec<Oid>> {
+        let mut out = Vec::new();
+        self.range_scan(Some(key), true, Some(key), true, |_, oid| {
+            out.push(oid);
+            true
+        })?;
+        Ok(out)
+    }
+
+    /// Visit the entries whose keys lie between `lo` and `hi` (each bound
+    /// inclusive or not; `None` means unbounded), keys ascending. The
+    /// visitor returns `false` to stop. An interval that holds nothing — `lo`
+    /// above `hi` included — visits nothing.
+    ///
+    /// This is the one index walk — the executor's hot path, under every
+    /// point lookup and every range: one descent to the leftmost leaf that
+    /// can hold `lo`, then the leaf chain, every node searched in place on
+    /// its pinned page (no decoded node, no per-entry key copy; the last
+    /// access of the descent is the first leaf's). The visitor therefore
+    /// runs inside a pool callback and **must not re-enter the buffer pool**
+    /// (the pool asserts it): it may copy the key or the OID out, nothing
+    /// more. Between two leaves no page is pinned, so a writer may split the
+    /// leaf just left or the one ahead; splits move entries to the right
+    /// only, so every entry present for the whole walk is still visited
+    /// exactly once.
     pub fn range_scan(
         &self,
         lo: Option<&[u8]>,
@@ -486,55 +465,54 @@ impl BTree {
         hi_inclusive: bool,
         mut visit: impl FnMut(&[u8], Oid) -> bool,
     ) -> Result<()> {
-        let mut pid = match lo {
-            Some(k) => self.descend_left(k)?,
-            None => {
-                let meta = self.load_meta()?;
-                let mut pid = meta.root;
-                loop {
-                    match self.load_node(pid)? {
-                        Node::Leaf { .. } => break pid,
-                        Node::Internal { children, .. } => pid = children[0],
-                    }
-                }
-            }
-        };
+        enum Step {
+            Page(PageId),
+            Done,
+        }
+        let mut pid = self.load_meta()?.root;
         loop {
-            let Node::Leaf { entries, next } = self.load_node(pid)? else {
-                return Err(StorageError::CorruptAt {
-                    file: self.file,
-                    page: pid,
-                    detail: "descend ended on internal node".into(),
-                });
-            };
-            for (k, oid) in &entries {
-                if let Some(lo) = lo {
-                    let below = if lo_inclusive {
-                        k.as_slice() < lo
-                    } else {
-                        k.as_slice() <= lo
-                    };
-                    if below {
+            let on_page = |p: &Page| -> Result<Step> {
+                let count = u16::from_le_bytes([p.data[1], p.data[2]]) as usize;
+                match p.data[0] {
+                    TAG_INTERNAL => return Ok(Step::Page(route(p, lo))),
+                    TAG_LEAF => {}
+                    t => return Err(StorageError::Corrupt(format!("unexpected node tag {t}"))),
+                }
+                let mut off = NODE_HEADER;
+                for _ in 0..count {
+                    let klen = u16::from_le_bytes([p.data[off], p.data[off + 1]]) as usize;
+                    off += 2;
+                    let k = &p.data[off..off + klen];
+                    off += klen;
+                    let at = off;
+                    off += Oid::ENCODED_LEN;
+                    if lo.is_some_and(|lo| if lo_inclusive { k < lo } else { k <= lo }) {
                         continue;
                     }
-                }
-                if let Some(hi) = hi {
-                    let above = if hi_inclusive {
-                        k.as_slice() > hi
-                    } else {
-                        k.as_slice() >= hi
-                    };
-                    if above {
-                        return Ok(());
+                    if hi.is_some_and(|hi| if hi_inclusive { k > hi } else { k >= hi }) {
+                        return Ok(Step::Done);
+                    }
+                    let oid = Oid::from_bytes(&p.data[at..at + Oid::ENCODED_LEN])
+                        .ok_or(StorageError::Corrupt("bad OID in leaf".into()))?;
+                    if !visit(k, oid) {
+                        return Ok(Step::Done);
                     }
                 }
-                if !visit(k, *oid) {
-                    return Ok(());
-                }
-            }
-            match next {
-                Some(n) => pid = n,
-                None => return Ok(()),
+                // The interval may continue on the right sibling.
+                let next = u32::from_le_bytes(p.data[3..7].try_into().unwrap());
+                Ok(if next == NO_PAGE {
+                    Step::Done
+                } else {
+                    Step::Page(PageId(next))
+                })
+            };
+            let step = self
+                .pool
+                .with_page(self.file, pid, AccessKind::Index, on_page)?
+                .map_err(|e| e.locate(self.file, pid))?;
+            match step {
+                Step::Page(next) => pid = next,
+                Step::Done => return Ok(()),
             }
         }
     }

@@ -57,8 +57,13 @@ pub trait Disk: Send + Sync {
 }
 
 /// In-memory disk. The default substrate for tests and benches.
+///
+/// A page holds no memory until it is first written: allocated and never
+/// written it reads as zeros, which is what the file-backed disk gives. A
+/// database that fits its buffer pool and is never flushed therefore lives
+/// once, in the pool, not twice.
 pub struct MemDisk {
-    state: Mutex<HashMap<FileId, Vec<Page>>>,
+    state: Mutex<HashMap<FileId, Vec<Option<Page>>>>,
     next_file: AtomicU64,
 }
 
@@ -103,7 +108,7 @@ impl Disk for MemDisk {
     fn allocate_page(&self, file: FileId) -> Result<PageId> {
         let mut st = self.state.lock();
         let pages = st.get_mut(&file).ok_or(StorageError::UnknownFile(file))?;
-        pages.push(Page::new());
+        pages.push(None);
         Ok(PageId(pages.len() as u32 - 1))
     }
 
@@ -117,7 +122,7 @@ impl Disk for MemDisk {
                 page,
                 pages: pages.len() as u32,
             })?;
-        buf.data.copy_from_slice(&p.data[..]);
+        read_stored(p, buf);
         Ok(())
     }
 
@@ -134,7 +139,7 @@ impl Disk for MemDisk {
                     page: pid,
                     pages: pages.len() as u32,
                 })?;
-            buf.data.copy_from_slice(&p.data[..]);
+            read_stored(p, buf);
         }
         Ok(())
     }
@@ -150,7 +155,10 @@ impl Disk for MemDisk {
                 page,
                 pages: n,
             })?;
-        p.data.copy_from_slice(&data.data[..]);
+        match p {
+            Some(stored) => stored.data.copy_from_slice(&data.data[..]),
+            None => *p = Some(data.clone()),
+        }
         Ok(())
     }
 
@@ -162,6 +170,14 @@ impl Disk for MemDisk {
         let mut v: Vec<_> = self.state.lock().keys().copied().collect();
         v.sort();
         v
+    }
+}
+
+/// Copy a [`MemDisk`] page out: zeros for one never written.
+fn read_stored(stored: &Option<Page>, buf: &mut Page) {
+    match stored {
+        Some(p) => buf.data.copy_from_slice(&p.data[..]),
+        None => buf.data.fill(0),
     }
 }
 

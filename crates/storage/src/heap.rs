@@ -7,6 +7,11 @@
 //! the new home is tagged `TAG_MOVED_IN` so sequential scans skip it and
 //! instead reach it through the stub — which is exactly the extra random
 //! access the cost model charges for forwarded objects.
+//!
+//! Reads by OID go through one borrowed read of the pinned page
+//! (`read_run`): [`HeapFile::get`] copies the record out once, and
+//! [`HeapFile::get_batch_with`] hands a visitor the records of many OIDs
+//! with one pool access per run of OIDs on the same page.
 
 use std::sync::Arc;
 
@@ -127,35 +132,106 @@ impl HeapFile {
     }
 
     fn get_kind(&self, oid: Oid, kind: AccessKind) -> Result<Vec<u8>> {
-        self.check_file(oid)?;
-        let content = self
-            .pool
-            .with_page(self.file, oid.page, kind, |p| {
-                SlottedPage::get(p, oid.slot, oid.unique)
-            })?
-            .map_err(|_| StorageError::DanglingOid(oid))?;
-        match content {
-            SlotContent::Record(bytes) => Ok(bytes[1..].to_vec()),
-            SlotContent::Forward(fwd) => {
-                let target = Oid::from_bytes(&fwd).ok_or(StorageError::CorruptAt {
-                    file: self.file,
-                    page: oid.page,
-                    detail: "bad forwarding address".into(),
-                })?;
-                // Forwarded access always pays an extra random page fetch.
-                let content = self
-                    .pool
-                    .with_page(self.file, target.page, AccessKind::Random, |p| {
-                        SlottedPage::get(p, target.slot, target.unique)
-                    })?
-                    .map_err(|_| StorageError::DanglingOid(oid))?;
-                match content {
-                    SlotContent::Record(bytes) => Ok(bytes[1..].to_vec()),
-                    _ => Err(StorageError::DanglingOid(oid)),
-                }
-            }
-            SlotContent::Free => Err(StorageError::DanglingOid(oid)),
+        let mut out = None;
+        self.read_run(&[oid], kind, &mut |_, record| {
+            out = record.map(<[u8]>::to_vec);
+            true
+        })?;
+        out.ok_or(StorageError::DanglingOid(oid))
+    }
+
+    /// Fetch many records by OID, each borrowed from its page: `visit` gets
+    /// every OID of `oids` in order, with its payload or `None` where
+    /// [`get`](Self::get) would answer [`StorageError::DanglingOid`] (a
+    /// deleted slot, a stale stamp, an OID of another file), and returns
+    /// `false` to stop. Any other failure ends the call.
+    ///
+    /// Consecutive OIDs of one page are served by one pool access (a random
+    /// one, as `get`'s is), so callers sort by (page, slot) first — `Oid`'s
+    /// own order. The visitor runs while the page is pinned and must not
+    /// re-enter the buffer pool. A forwarded record is followed after its
+    /// page is released and costs, as it does in `get`, the access to its
+    /// new home; the OIDs behind it on the page take a fresh access.
+    pub fn get_batch_with(
+        &self,
+        oids: &[Oid],
+        mut visit: impl FnMut(Oid, Option<&[u8]>) -> bool,
+    ) -> Result<()> {
+        self.read_run(oids, AccessKind::Random, &mut visit)
+    }
+
+    /// The one borrowed record read behind `get`, the batched fetch and the
+    /// scan's forward resolution.
+    fn read_run(
+        &self,
+        oids: &[Oid],
+        kind: AccessKind,
+        visit: &mut dyn FnMut(Oid, Option<&[u8]>) -> bool,
+    ) -> Result<()> {
+        enum Step {
+            /// The visitor has seen everything before this index.
+            Next(usize),
+            /// The OID at this index is a forwarding stub to the second.
+            Forward(usize, Oid),
+            Stop,
         }
+        let mut at = 0;
+        while let Some(&first) = oids.get(at) {
+            if first.file != self.file {
+                if !visit(first, None) {
+                    return Ok(());
+                }
+                at += 1;
+                continue;
+            }
+            let on_page = |p: &Page| -> Result<Step> {
+                let mut i = at;
+                while let Some(&oid) = oids.get(i) {
+                    if (oid.file, oid.page) != (first.file, first.page) {
+                        break;
+                    }
+                    let record = match SlottedPage::get(p, oid.slot, oid.unique) {
+                        Ok(SlotContent::Record(bytes)) => bytes.get(1..),
+                        Ok(SlotContent::Forward(fwd)) => {
+                            let target = Oid::from_bytes(fwd).ok_or(StorageError::CorruptAt {
+                                file: self.file,
+                                page: oid.page,
+                                detail: "bad forwarding address".into(),
+                            })?;
+                            return Ok(Step::Forward(i, target));
+                        }
+                        Ok(SlotContent::Free) | Err(_) => None,
+                    };
+                    if !visit(oid, record) {
+                        return Ok(Step::Stop);
+                    }
+                    i += 1;
+                }
+                Ok(Step::Next(i))
+            };
+            let step = self
+                .pool
+                .with_page(self.file, first.page, kind, on_page)??;
+            at = match step {
+                Step::Next(i) => i,
+                Step::Stop => return Ok(()),
+                Step::Forward(i, target) => {
+                    // Forwarded access always pays an extra random page fetch.
+                    let at_home = |p: &Page| match SlottedPage::get(p, target.slot, target.unique) {
+                        Ok(SlotContent::Record(bytes)) => visit(oids[i], bytes.get(1..)),
+                        _ => visit(oids[i], None),
+                    };
+                    let more =
+                        self.pool
+                            .with_page(self.file, target.page, AccessKind::Random, at_home)?;
+                    if !more {
+                        return Ok(());
+                    }
+                    i + 1
+                }
+            };
+        }
+        Ok(())
     }
 
     /// Update a record in place, relocating with a forwarding stub when the
@@ -186,7 +262,7 @@ impl HeapFile {
                 |p| match SlottedPage::get(p, oid.slot, oid.unique) {
                     Err(_) | Ok(SlotContent::Free) => Err(StorageError::DanglingOid(oid)),
                     Ok(SlotContent::Forward(fwd)) => {
-                        let target = Oid::from_bytes(&fwd).ok_or(StorageError::CorruptAt {
+                        let target = Oid::from_bytes(fwd).ok_or(StorageError::CorruptAt {
                             file: oid.file,
                             page: oid.page,
                             detail: "bad forwarding address".into(),
@@ -257,8 +333,9 @@ impl HeapFile {
                 |p| match SlottedPage::get(p, oid.slot, oid.unique) {
                     Err(_) | Ok(SlotContent::Free) => Err(StorageError::DanglingOid(oid)),
                     Ok(SlotContent::Forward(bytes)) => {
+                        let target = Oid::from_bytes(bytes);
                         SlottedPage::delete(p, oid.slot)?;
-                        Ok(Oid::from_bytes(&bytes))
+                        Ok(target)
                     }
                     Ok(SlotContent::Record(_)) => {
                         SlottedPage::delete(p, oid.slot)?;
@@ -556,6 +633,107 @@ mod tests {
             .unwrap();
         }
         assert_eq!(halves, full, "range partitions concatenate to the scan");
+    }
+
+    /// A heap on a pool that counts accesses, with three pages of records.
+    fn counted_heap() -> (HeapFile, DiskMetrics, Vec<Oid>) {
+        let metrics = DiskMetrics::new();
+        let pool = Arc::new(BufferPool::new(
+            Arc::new(MemDisk::new()),
+            64,
+            metrics.clone(),
+        ));
+        let h = HeapFile::create(pool).unwrap();
+        let mut oids = Vec::new();
+        while h.pages().unwrap() < 4 {
+            oids.push(h.insert(&vec![oids.len() as u8; 300]).unwrap());
+        }
+        oids.retain(|o| o.page.0 < 3);
+        (h, metrics, oids)
+    }
+
+    /// The batched fetch of `oids` with the pool accesses it made.
+    fn batch(h: &HeapFile, metrics: &DiskMetrics, oids: &[Oid]) -> (Vec<Option<Vec<u8>>>, u64) {
+        let before = metrics.snapshot();
+        let mut got = Vec::new();
+        h.get_batch_with(oids, |oid, record| {
+            assert_eq!(oid, oids[got.len()], "visited in the order given");
+            got.push(record.map(<[u8]>::to_vec));
+            true
+        })
+        .unwrap();
+        let d = metrics.snapshot().delta(&before);
+        (got, d.buffer_hits + d.buffer_misses)
+    }
+
+    /// What `get`, called one by one, says about the same OIDs.
+    fn one_by_one(h: &HeapFile, oids: &[Oid]) -> Vec<Option<Vec<u8>>> {
+        oids.iter()
+            .map(|oid| match h.get(*oid) {
+                Ok(record) => Some(record),
+                Err(StorageError::DanglingOid(o)) => {
+                    assert_eq!(o, *oid);
+                    None
+                }
+                Err(e) => panic!("{oid}: {e}"),
+            })
+            .collect()
+    }
+
+    #[test]
+    fn batched_fetch_reads_each_page_once() {
+        let (h, metrics, oids) = counted_heap();
+        assert!(oids.iter().filter(|o| o.page.0 == 0).count() > 5);
+        // Many slots of one page: one access.
+        let first_page: Vec<Oid> = oids.iter().copied().filter(|o| o.page.0 == 0).collect();
+        let (got, accesses) = batch(&h, &metrics, &first_page);
+        assert_eq!(got, one_by_one(&h, &first_page));
+        assert_eq!(accesses, 1);
+        // OIDs across pages, sorted: one access per distinct page.
+        let (got, accesses) = batch(&h, &metrics, &oids);
+        assert_eq!(got, one_by_one(&h, &oids));
+        assert!(got.iter().all(Option::is_some));
+        assert_eq!(accesses, 3);
+        // Nothing to fetch: nothing touched.
+        assert_eq!(batch(&h, &metrics, &[]), (Vec::new(), 0));
+    }
+
+    #[test]
+    fn batched_fetch_answers_what_get_answers() {
+        let (h, metrics, mut oids) = counted_heap();
+        // A stale stamp (the slot reused), a deleted slot, another file's OID.
+        let reused = oids[2];
+        h.delete(reused).unwrap();
+        let fresh = h.insert(&[9u8; 300]).unwrap();
+        assert_eq!((fresh.page, fresh.slot), (reused.page, reused.slot));
+        assert_ne!(fresh.unique, reused.unique);
+        let deleted = oids[1];
+        h.delete(deleted).unwrap();
+        let elsewhere = Oid::new(FileId(h.file_id().0 + 7), PageId(0), oids[0].slot, 1);
+        // A record that outgrew its page: reached through its stub.
+        let forwarded = oids[4];
+        h.update(forwarded, &vec![7u8; 3000]).unwrap();
+        oids.extend([fresh, elsewhere]);
+        oids.sort();
+        let (got, accesses) = batch(&h, &metrics, &oids);
+        assert_eq!(got, one_by_one(&h, &oids));
+        let at = |oid: Oid| oids.iter().position(|o| *o == oid).unwrap();
+        for gone in [deleted, reused, elsewhere] {
+            assert_eq!(got[at(gone)], None, "{gone}");
+        }
+        assert_eq!(got[at(fresh)], Some(vec![9u8; 300]));
+        assert_eq!(got[at(forwarded)], Some(vec![7u8; 3000]));
+        // Three pages, the forwarded record's new home, and its page again
+        // for the OIDs behind the stub.
+        assert_eq!(accesses, 5);
+        // An early stop is honoured, also on a forwarded record.
+        let mut seen = 0;
+        h.get_batch_with(&oids, |oid, _| {
+            seen += 1;
+            oid != forwarded
+        })
+        .unwrap();
+        assert_eq!(seen, at(forwarded) + 1);
     }
 
     #[test]

@@ -111,13 +111,13 @@ impl Page {
     }
 }
 
-/// What a slot currently holds.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum SlotContent {
+/// What a slot currently holds, borrowed from the page.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SlotContent<'p> {
     /// A live record (payload bytes).
-    Record(Vec<u8>),
+    Record(&'p [u8]),
     /// The record moved; follow the forwarding bytes (a serialized OID).
-    Forward(Vec<u8>),
+    Forward(&'p [u8]),
     /// The slot is free.
     Free,
 }
@@ -277,7 +277,7 @@ impl SlottedPage {
     }
 
     /// Read the content of a slot, validating the unique stamp.
-    pub fn get(page: &Page, slot: SlotId, unique: u32) -> Result<SlotContent> {
+    pub fn get(page: &Page, slot: SlotId, unique: u32) -> Result<SlotContent<'_>> {
         let content = Self::get_any(page, slot)?;
         let (_, len, stamp) = Self::slot_entry(page, slot.0);
         if len != LEN_FREE && stamp != unique {
@@ -290,7 +290,7 @@ impl SlottedPage {
     }
 
     /// Read a slot without checking the stamp (used by sequential scans).
-    pub fn get_any(page: &Page, slot: SlotId) -> Result<SlotContent> {
+    pub fn get_any(page: &Page, slot: SlotId) -> Result<SlotContent<'_>> {
         if slot.0 >= Self::slot_count(page) {
             return Err(StorageError::Corrupt(format!(
                 "slot {} beyond directory",
@@ -301,9 +301,9 @@ impl SlottedPage {
         Ok(match len {
             LEN_FREE => SlotContent::Free,
             LEN_FORWARD => SlotContent::Forward(
-                page.data[off as usize..off as usize + crate::oid::Oid::ENCODED_LEN].to_vec(),
+                &page.data[off as usize..off as usize + crate::oid::Oid::ENCODED_LEN],
             ),
-            n => SlotContent::Record(page.data[off as usize..off as usize + n as usize].to_vec()),
+            n => SlotContent::Record(&page.data[off as usize..off as usize + n as usize]),
         })
     }
 
@@ -458,7 +458,7 @@ mod tests {
         let (s, u) = SlottedPage::insert(&mut p, b"hello").unwrap();
         assert_eq!(
             SlottedPage::get(&p, s, u).unwrap(),
-            SlotContent::Record(b"hello".to_vec())
+            SlotContent::Record(b"hello")
         );
     }
 
@@ -474,7 +474,7 @@ mod tests {
         for ((s, u), rec) in ids {
             assert_eq!(
                 SlottedPage::get(&p, s, u).unwrap(),
-                SlotContent::Record(rec)
+                SlotContent::Record(&rec)
             );
         }
     }
@@ -533,14 +533,14 @@ mod tests {
         let (s, u) = SlottedPage::insert(&mut p, &rec).unwrap();
         assert_eq!(
             SlottedPage::get(&p, s, u).unwrap(),
-            SlotContent::Record(rec.clone())
+            SlotContent::Record(&rec)
         );
         // Survivors intact after the compaction that insert triggered.
         for (i, (s, u)) in slots.iter().enumerate() {
             if i % 2 == 1 {
                 assert_eq!(
                     SlottedPage::get(&p, *s, *u).unwrap(),
-                    SlotContent::Record(rec.clone())
+                    SlotContent::Record(&rec)
                 );
             }
         }
@@ -553,12 +553,12 @@ mod tests {
         assert!(SlottedPage::try_update(&mut p, s, b"sh").unwrap());
         assert_eq!(
             SlottedPage::get(&p, s, u).unwrap(),
-            SlotContent::Record(b"sh".to_vec())
+            SlotContent::Record(b"sh")
         );
         assert!(SlottedPage::try_update(&mut p, s, &[9u8; 200]).unwrap());
         assert_eq!(
             SlottedPage::get(&p, s, u).unwrap(),
-            SlotContent::Record(vec![9u8; 200])
+            SlotContent::Record(&[9u8; 200])
         );
     }
 
@@ -582,7 +582,7 @@ mod tests {
         let target = Oid::new(FileId(3), PageId(9), SlotId(1), 5);
         SlottedPage::make_forward(&mut p, s, &target.to_bytes()).unwrap();
         match SlottedPage::get(&p, s, u).unwrap() {
-            SlotContent::Forward(bytes) => assert_eq!(Oid::from_bytes(&bytes), Some(target)),
+            SlotContent::Forward(bytes) => assert_eq!(Oid::from_bytes(bytes), Some(target)),
             other => panic!("expected forward, got {other:?}"),
         }
     }
@@ -629,7 +629,7 @@ mod tests {
         assert_eq!(SlottedPage::free_start(&p), HEADER + SLOT_BYTES);
         assert_eq!(
             SlottedPage::get(&p, slot, unique).unwrap(),
-            SlotContent::Record(b"first".to_vec())
+            SlotContent::Record(b"first")
         );
         let mut reference = fresh();
         SlottedPage::insert(&mut reference, b"first").unwrap();

@@ -600,7 +600,11 @@ impl MetricsRegistry {
     pub fn record_operator(&self, name: &str, rows: u64, pages: u64, nanos: u64) {
         self.telemetry.record_hist(HistFamily::Operator, nanos);
         let mut ops = self.operators.lock();
-        let t = ops.entry(name.to_string()).or_default();
+        // The name is copied only the first time an operator kind is seen.
+        if !ops.contains_key(name) {
+            ops.insert(name.to_string(), OperatorTotals::default());
+        }
+        let t = ops.get_mut(name).expect("inserted above");
         t.invocations += 1;
         t.rows += rows;
         t.pages += pages;

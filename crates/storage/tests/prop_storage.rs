@@ -2,7 +2,8 @@
 //! checked against an in-memory model under randomized operation sequences.
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::ops::Bound;
+use std::sync::{Arc, Barrier};
 
 use proptest::prelude::*;
 
@@ -27,7 +28,88 @@ enum TreeOp {
     Insert(u16, u8),
     Delete(u16),
     Lookup(u16),
-    Range(u16, u16),
+    Range(Interval),
+}
+
+/// An interval over `u16` keys as `BTree::range_scan` takes it — each bound
+/// open, inclusive or exclusive, and nothing says `lo <= hi` — with the
+/// number of entries after which the visitor stops.
+#[derive(Debug, Clone, Copy)]
+struct Interval {
+    lo: Bound<u16>,
+    hi: Bound<u16>,
+    stop_after: usize,
+}
+
+fn interval() -> impl Strategy<Value = Interval> {
+    // A narrow key domain now and then, so both bounds meet entries, each
+    // other (`[k, k]`, `(k, k)`) and the wrong way round.
+    (any::<u16>(), any::<u16>(), any::<u8>(), any::<u8>()).prop_map(|(a, b, shape, stop)| {
+        let (a, b) = if shape & 64 == 0 {
+            (a, b)
+        } else {
+            (a % 16, b % 16)
+        };
+        let bound = |k: u16, bits: u8| match bits % 4 {
+            0 => Bound::Unbounded,
+            1 => Bound::Excluded(k),
+            _ => Bound::Included(k),
+        };
+        Interval {
+            lo: bound(a, shape),
+            hi: bound(b, shape >> 2),
+            stop_after: if stop < 128 {
+                usize::MAX
+            } else {
+                stop as usize - 127
+            },
+        }
+    })
+}
+
+impl Interval {
+    fn holds(&self, k: u16) -> bool {
+        let above = match self.lo {
+            Bound::Unbounded => true,
+            Bound::Included(lo) => k >= lo,
+            Bound::Excluded(lo) => k > lo,
+        };
+        let below = match self.hi {
+            Bound::Unbounded => true,
+            Bound::Included(hi) => k <= hi,
+            Bound::Excluded(hi) => k < hi,
+        };
+        above && below
+    }
+
+    /// What a walk should visit: the entries of `model` (sorted) inside
+    /// the interval, cut at the visitor's stop.
+    fn of<V: Copy>(&self, model: &[(u16, V)]) -> Vec<(u16, V)> {
+        let inside = model.iter().filter(|(k, _)| self.holds(*k));
+        inside.take(self.stop_after).copied().collect()
+    }
+}
+
+/// The entries a walk of `iv` visits.
+fn walk(tree: &BTree, iv: Interval) -> Vec<(u16, Oid)> {
+    let key = |b: &Bound<u16>| match b {
+        Bound::Unbounded => None,
+        Bound::Included(k) | Bound::Excluded(k) => Some(k.to_be_bytes()),
+    };
+    let (lo, hi) = (key(&iv.lo), key(&iv.hi));
+    let mut got = Vec::new();
+    tree.range_scan(
+        lo.as_ref().map(|k| k.as_slice()),
+        !matches!(iv.lo, Bound::Excluded(_)),
+        hi.as_ref().map(|k| k.as_slice()),
+        !matches!(iv.hi, Bound::Excluded(_)),
+        |k, oid| {
+            got.push((u16::from_be_bytes(k.try_into().unwrap()), oid));
+            got.len() < iv.stop_after
+        },
+    )
+    .unwrap();
+    got
 }
 
 fn tree_op() -> impl Strategy<Value = TreeOp> {
@@ -35,7 +117,7 @@ fn tree_op() -> impl Strategy<Value = TreeOp> {
         (any::<u16>(), any::<u8>()).prop_map(|(k, v)| TreeOp::Insert(k, v)),
         any::<u16>().prop_map(TreeOp::Delete),
         any::<u16>().prop_map(TreeOp::Lookup),
-        (any::<u16>(), any::<u16>()).prop_map(|(a, b)| TreeOp::Range(a.min(b), a.max(b))),
+        interval().prop_map(TreeOp::Range),
     ]
 }
 
@@ -82,21 +164,10 @@ proptest! {
                         None => prop_assert!(got.is_empty()),
                     }
                 }
-                TreeOp::Range(lo, hi) => {
-                    let mut got = Vec::new();
-                    tree.range_scan(
-                        Some(&lo.to_be_bytes()),
-                        true,
-                        Some(&hi.to_be_bytes()),
-                        true,
-                        |k, _| {
-                            got.push(u16::from_be_bytes(k.try_into().unwrap()));
-                            true
-                        },
-                    )
-                    .unwrap();
-                    let want: Vec<u16> = model.range(lo..=hi).map(|(k, _)| *k).collect();
-                    prop_assert_eq!(got, want);
+                TreeOp::Range(iv) => {
+                    let entries = model.iter().map(|(k, v)| (*k, oid_for(*k, *v)));
+                    let entries: Vec<(u16, Oid)> = entries.collect();
+                    prop_assert_eq!(walk(&tree, iv), iv.of(&entries), "{:?}", iv);
                 }
             }
             prop_assert_eq!(tree.len().unwrap(), model.len() as u64);
@@ -111,6 +182,123 @@ proptest! {
         let want: Vec<u16> = model.keys().copied().collect();
         prop_assert_eq!(scanned, want);
     }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
+
+    /// A few keys with hundreds of entries each: a run of duplicates spans
+    /// leaves (one holds ≈ 220 of these), the separators between them equal
+    /// the key, and every interval still sees exactly its entries, once
+    /// each, keys ascending. (Within a run the order is the leaves': a key's
+    /// entries are in OID order leaf by leaf, not across them.)
+    #[test]
+    fn duplicate_runs_spanning_leaves_are_walked_whole(
+        entries in proptest::collection::vec((0u16..6, any::<u16>()), 400..1600),
+        intervals in proptest::collection::vec(interval(), 1..12),
+    ) {
+        let tree = BTree::create(pool(64), false).unwrap();
+        let dup = |k: u16, n: u16| Oid::new(
+            mood_storage::FileId(1),
+            mood_storage::PageId(n as u32),
+            mood_storage::SlotId(k),
+            1,
+        );
+        let mut model: Vec<(u16, Oid)> = entries.iter().map(|&(k, n)| (k, dup(k, n))).collect();
+        model.sort();
+        model.dedup();
+        // In arrival order, not sorted: splits land inside the runs.
+        let mut inserted = std::collections::HashSet::new();
+        for &(k, n) in &entries {
+            if inserted.insert((k, n)) {
+                tree.insert(&k.to_be_bytes(), dup(k, n)).unwrap();
+            }
+        }
+        prop_assert!(tree.stats().unwrap().leaves > 2);
+        for k in 0..6u16 {
+            let run: Vec<Oid> = model.iter().filter(|(m, _)| *m == k).map(|(_, o)| *o).collect();
+            let mut found = tree.lookup(&k.to_be_bytes()).unwrap();
+            found.sort();
+            prop_assert_eq!(found, run);
+        }
+        for iv in intervals {
+            // Bounds among the six keys and just past them.
+            let near = |b: Bound<u16>| match b {
+                Bound::Included(k) => Bound::Included(k % 8),
+                Bound::Excluded(k) => Bound::Excluded(k % 8),
+                Bound::Unbounded => Bound::Unbounded,
+            };
+            let iv = Interval { lo: near(iv.lo), hi: near(iv.hi), ..iv };
+            let (mut got, want) = (walk(&tree, iv), iv.of(&model));
+            let keys = |entries: &[(u16, Oid)]| entries.iter().map(|(k, _)| *k).collect::<Vec<_>>();
+            prop_assert_eq!(keys(&got), keys(&want), "{:?}", iv);
+            got.sort();
+            if iv.stop_after == usize::MAX {
+                prop_assert_eq!(got, want, "{:?}", iv);
+            } else {
+                // Which entries of the last run came first is the leaves' say.
+                prop_assert!(got.windows(2).all(|w| w[0] != w[1]), "{:?}: an entry twice", iv);
+                prop_assert!(got.iter().all(|e| model.binary_search(e).is_ok()), "{:?}", iv);
+            }
+        }
+    }
+}
+
+/// A walk interleaved with inserts that split the leaves under it: between
+/// two leaves the walker pins nothing, so the writer's splits land on the
+/// leaf just left, the one ahead and the ones in between. Every key there
+/// before the walk (the even ones; nothing is deleted) is seen exactly once
+/// and in order; a key inserted meanwhile at most once.
+#[test]
+fn a_walk_under_concurrent_splits_sees_every_old_key_once() {
+    let tree = Arc::new(BTree::create(pool(256), true).unwrap());
+    let olds: Vec<u16> = (0..4000).map(|i| i * 2).collect();
+    for k in &olds {
+        tree.insert(&k.to_be_bytes(), oid_for(*k, 0)).unwrap();
+    }
+    let start = Arc::new(Barrier::new(2));
+    let writer = {
+        let (tree, start) = (tree.clone(), start.clone());
+        std::thread::spawn(move || {
+            start.wait();
+            // Odd keys from both ends towards the middle: every leaf splits.
+            for i in 0..2000u16 {
+                for k in [i * 2 + 1, 7999 - i * 2] {
+                    tree.insert(&k.to_be_bytes(), oid_for(k, 1)).unwrap();
+                }
+            }
+        })
+    };
+    start.wait();
+    let mut walks = 0;
+    while !writer.is_finished() || walks < 3 {
+        let mut seen: Vec<u16> = Vec::new();
+        tree.range_scan(
+            Some(&100u16.to_be_bytes()),
+            true,
+            Some(&7900u16.to_be_bytes()),
+            false,
+            |k, _| {
+                seen.push(u16::from_be_bytes(k.try_into().unwrap()));
+                true
+            },
+        )
+        .unwrap();
+        assert!(
+            seen.windows(2).all(|w| w[0] < w[1]),
+            "ascending, nothing twice"
+        );
+        let old_seen: Vec<u16> = seen.iter().copied().filter(|k| k % 2 == 0).collect();
+        let old_want: Vec<u16> = olds
+            .iter()
+            .copied()
+            .filter(|k| (100..7900).contains(k))
+            .collect();
+        assert_eq!(old_seen, old_want, "walk {walks}");
+        walks += 1;
+    }
+    writer.join().unwrap();
+    assert_eq!(tree.len().unwrap(), 8000);
 }
 
 // ---------------------------------------------------------------------

@@ -15,8 +15,8 @@ use std::sync::Arc;
 
 use mood_core::{Answer, Mood, Value};
 use mood_storage::{
-    Disk, FaultPlan, FaultyDisk, FileDisk, FileLog, LockMode, MemDisk, MemLog, Page, RetryDisk,
-    StorageError, StorageManager, PAGE_USABLE,
+    Disk, FaultPlan, FaultyDisk, FileDisk, FileId, FileLog, LockMode, MemDisk, MemLog, Page,
+    PageId, RetryDisk, StorageError, StorageManager, PAGE_USABLE,
 };
 
 static RUN: AtomicU64 = AtomicU64::new(0);
@@ -624,6 +624,16 @@ fn read_faults_under_joins_and_index_fetches_are_errors() {
     }
     assert_read_faults_surface("forward-traversal join", |db| ids(db, join_sql));
     assert_read_faults_surface("INDSEL fetch", |db| ids(db, indsel_sql));
+    // An index range: one leaf-chain walk, then the interval's Parts fetched
+    // page by page — and the same under a range-keyed UPDATE, whose target
+    // set is complete before anything is written.
+    assert_read_faults_surface("INDSEL range", |db| ids(db, RANGE_SQL));
+    assert_read_faults_surface("range-keyed UPDATE", |db| {
+        match db.execute(RANGE_UPDATE).map_err(|e| e.to_string())? {
+            Answer::Done { affected } => Ok(affected),
+            other => panic!("not a count: {other:?}"),
+        }
+    });
     // Paths that are not planned as joins are dereferenced by the compiled
     // expression itself — under arithmetic in a predicate (one fused scan),
     // in the projection (the tail). A device that dies under such a
@@ -667,6 +677,84 @@ fn read_faults_under_joins_and_index_fetches_are_errors() {
         .map(|pairs| pairs.len())
         .map_err(|e| e.to_string())
     });
+}
+
+const RANGE_SQL: &str = "SELECT p.id FROM Part p WHERE p.id >= 1200 AND p.id < 1206";
+const RANGE_UPDATE: &str = "UPDATE Part p SET pad = 'y' WHERE p.id >= 1200 AND p.id < 1206";
+
+/// Flip one byte of a page on the device, behind the pool and without a
+/// checksum restamp or a log image to repair it from.
+fn corrupt_on_device(db: &Mood, file: FileId, page: PageId) {
+    let pool = db.storage().pool();
+    pool.flush_all().unwrap();
+    let mut image = Page::new();
+    pool.disk().read_page(file, page, &mut image).unwrap();
+    image.data[100] ^= 0x40;
+    pool.disk().write_page(file, page, &image).unwrap();
+    pool.discard_file(file);
+}
+
+#[test]
+fn a_damaged_page_under_an_index_range_is_an_error_and_a_dangling_entry_is_not() {
+    let ids = |db: &Mood| -> Result<Vec<Value>, String> {
+        match db.execute(RANGE_SQL).map_err(|e| e.to_string())? {
+            Answer::Rows(r) => Ok(r.rows.into_iter().map(|mut row| row.remove(0)).collect()),
+            other => panic!("not rows: {other:?}"),
+        }
+    };
+    let update = |db: &Mood| db.execute(RANGE_UPDATE).map_err(|e| e.to_string());
+    let clean: Vec<Value> = (1200..1206).map(Value::Integer).collect();
+    let hits = |db: &Mood| {
+        let (lo, hi) = (Value::Integer(1200), Value::Integer(1206));
+        let range = (Some((&lo, true)), Some((&hi, false)));
+        db.catalog()
+            .index_range("Part", "id", range.0, range.1)
+            .unwrap()
+    };
+    // A checksum mismatch on a leaf the walk crosses, or on a heap page the
+    // batched fetch reads, fails the statement — a SELECT or an UPDATE's
+    // target query alike.
+    for damage_heap in [false, true] {
+        let (db, dir) = open_parts(FaultPlan::disarmed());
+        for sql in [RANGE_SQL, RANGE_UPDATE] {
+            let plan = db.explain(sql).unwrap();
+            let one_interval = "INDSEL(Part, p, BTREE, p.id >= 1200 AND p.id < 1206)";
+            assert!(plan.contains(one_interval), "{plan}");
+        }
+        assert_eq!(ids(&db).unwrap(), clean);
+        if damage_heap {
+            let oid = hits(&db)[3];
+            corrupt_on_device(&db, oid.file, oid.page);
+        } else {
+            let index = db.catalog().index("Part", "id").unwrap().file;
+            let disk = db.storage().pool().disk().clone();
+            db.storage().pool().flush_all().unwrap();
+            let mut image = Page::new();
+            // Every leaf: whichever holds the interval is among them.
+            for page in 1..disk.page_count(index).unwrap() {
+                disk.read_page(index, PageId(page), &mut image).unwrap();
+                if image.data[0] == 1 {
+                    corrupt_on_device(&db, index, PageId(page));
+                }
+            }
+        }
+        for outcome in [ids(&db).map(|_| ()), update(&db).map(|_| ())] {
+            let err = outcome.expect_err("a damaged page is not an answer");
+            assert!(err.contains("checksum"), "{err}");
+        }
+        drop(db);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+    // An entry whose object is gone is skipped, as it always was.
+    let (db, dir) = open_parts(FaultPlan::disarmed());
+    let gone = hits(&db)[2];
+    db.storage().open_heap(gone.file).delete(gone).unwrap();
+    let mut left = clean.clone();
+    left.remove(2);
+    assert_eq!(ids(&db).unwrap(), left);
+    assert!(matches!(update(&db).unwrap(), Answer::Done { affected: 5 }));
+    drop(db);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

@@ -333,6 +333,87 @@ fn streamed_stages_telescope_with_spills_and_groups() {
     }
 }
 
+/// An `INDSEL` pushes into the tail while it runs, batch by batch, like a
+/// scan: what the tail's stages read and take (a projection that
+/// dereferences, a sort, an aggregation) is theirs, the leaf walk and the
+/// fetch are the node's, and together they are the statement — exactly for
+/// pages, and for time with nothing counted twice.
+#[test]
+fn an_index_range_feeding_the_tail_telescopes() {
+    let db = build_sized(4, 4096);
+    db.execute("CREATE INDEX ON Vehicle(id)").unwrap();
+    db.collect_stats().unwrap();
+    for (sql, stages, rows) in [
+        (
+            "SELECT v.weight, COUNT(*) FROM Vehicle v WHERE v.id >= 1000 AND v.id < 1010 \
+             GROUP BY v.weight ORDER BY v.weight",
+            &["GROUP BY", "PROJECT", "ORDER BY"][..],
+            10,
+        ),
+        (
+            "SELECT v.id, v.drivetrain.transmission FROM Vehicle v WHERE v.id BETWEEN 2000 \
+             AND 2009 ORDER BY v.weight DESC, v.id",
+            &["ORDER BY", "PROJECT"][..],
+            10,
+        ),
+    ] {
+        let plan = db.explain(sql).unwrap();
+        assert_eq!(
+            plan.matches("INDSEL(Vehicle, v, BTREE, ").count(),
+            1,
+            "{plan}"
+        );
+        let stmt = select_stmt(sql);
+        for parallelism in [1usize, 2, 4, 8] {
+            let config = OptimizerConfig::paper().with_parallelism(parallelism);
+            let config = OptimizerConfig {
+                execution: config.execution.with_batch_size(3),
+                ..config
+            };
+            let ex = Executor::new(db.catalog(), db.funcman()).with_config(config);
+            let pq = ex.prepare(&stmt).unwrap().expect("every SELECT prepares");
+            for execution in ["first", "repeated"] {
+                let ctx = format!("{sql} ({execution}, parallelism {parallelism})");
+                let report = ex.analyze_prepared(&pq).unwrap();
+                assert_eq!(report.result.len(), rows, "{ctx}");
+                let names: Vec<&str> = report.stages.iter().map(|s| s.name).collect();
+                assert_eq!(names, stages, "{ctx}");
+                let node = &report.terms[0].nodes[0];
+                assert!(node.est.label.starts_with("INDSEL("), "{ctx}");
+                let actual = node.actual.expect("INDSEL records actuals");
+                assert_eq!(actual.rows, 10, "{ctx}");
+                assert!(
+                    node.exclusive.idx_pages > 0,
+                    "{ctx}: the walk reads index pages"
+                );
+                assert!(
+                    node.exclusive.rnd_pages > 0,
+                    "{ctx}: the fetch reads heap pages"
+                );
+                let (acc, total) = (report.accounted(), report.total);
+                assert_eq!(
+                    (acc.seq_pages, acc.rnd_pages, acc.idx_pages, acc.writes),
+                    (
+                        total.seq_pages,
+                        total.rnd_pages,
+                        total.idx_pages,
+                        total.writes
+                    ),
+                    "{ctx}: page accounting must telescope exactly"
+                );
+                let staged: u64 = report.stages.iter().map(|s| s.nanos).sum();
+                assert!(actual.nanos > 0 && staged > 0, "{ctx}");
+                assert!(
+                    actual.nanos + staged <= report.elapsed_nanos,
+                    "{ctx}: node {} ns + stages {staged} ns exceed the statement's {} ns",
+                    actual.nanos,
+                    report.elapsed_nanos
+                );
+            }
+        }
+    }
+}
+
 // ----------------------------------------------------------------------
 // Estimate-vs-actual sanity on the vehicle dataset
 // ----------------------------------------------------------------------

@@ -517,6 +517,310 @@ fn index_fetches_reverify_on_the_pruned_object() {
 }
 
 // ----------------------------------------------------------------------
+// An index never changes an answer
+// ----------------------------------------------------------------------
+
+/// Twin classes holding the same objects in the same order: `Item` indexed
+/// (B+-trees on an Integer with NULLs, negatives and duplicates, on a Float
+/// and on a String, none in extent order) and `ItemTwin` not. `pad` sets
+/// how many objects share a page, so how soon §8.1 prefers an index.
+fn build_twins(n: i32, pad: usize) -> Mood {
+    let db = Mood::in_memory_with_pool(4096);
+    db.set_optimizer_config(OptimizerConfig::paper());
+    for class in ["Item", "ItemTwin"] {
+        db.execute(&format!(
+            "CREATE CLASS {class} TUPLE (id Integer, ratio Float, tag String(16), grp Integer, \
+             pad String(2048))"
+        ))
+        .unwrap();
+        for i in 0..n {
+            let id = match i % 13 {
+                5 => Value::Null,
+                // Every thirteenth key a second time.
+                6 => Value::Integer((i - 13) * 37 % n - 40),
+                _ => Value::Integer(i * 37 % n - 40),
+            };
+            let object = Value::tuple(vec![
+                ("id", id),
+                ("ratio", Value::Float((i * 11 % n) as f64 * 0.25 - 10.0)),
+                ("tag", Value::string(format!("t{:04}", i * 7 % n))),
+                ("grp", Value::Integer(i % 5)),
+                ("pad", Value::string("p".repeat(pad))),
+            ]);
+            db.catalog().new_object(class, object).unwrap();
+        }
+    }
+    for attr in ["id", "ratio", "tag"] {
+        let c = db.catalog();
+        c.create_index("Item", attr, IndexKind::BTree, false)
+            .unwrap();
+    }
+    db.collect_stats().unwrap();
+    db
+}
+
+/// Every shape of bound an index can be asked to serve, and the tails that
+/// consume what it finds. `{a}`/`{b}` are an interval of about a dozen ids
+/// inside the domain.
+fn range_corpus(n: i32) -> Vec<String> {
+    let (a, b) = (n / 3 - 40, n / 3 - 28);
+    let select = |what: &str, pred: &str| format!("SELECT {what} FROM Item k WHERE {pred}");
+    let mut corpus: Vec<String> = [
+        // One-sided, each way, inclusive and exclusive.
+        format!("k.id < {}", -28),
+        format!("k.id <= {}", -28),
+        format!("k.id > {}", n - 52),
+        format!("k.id >= {}", n - 52),
+        // Two-sided: every inclusivity, BETWEEN, the constant on the left.
+        format!("k.id >= {a} AND k.id < {b}"),
+        format!("k.id > {a} AND k.id <= {b}"),
+        format!("k.id BETWEEN {a} AND {b}"),
+        format!("{a} <= k.id AND {b} > k.id"),
+        // Empty, degenerate, redundant.
+        format!("k.id >= {b} AND k.id < {a}"),
+        format!("k.id > {a} AND k.id < {a}"),
+        format!("k.id >= {a} AND k.id <= {a}"),
+        format!(
+            "k.id >= {a} AND k.id >= {} AND k.id < {b} AND k.id <= {}",
+            a + 3,
+            b + 5
+        ),
+        // A fractional bound on an Integer key; bounds outside the domain.
+        format!("k.id > {}.5 AND k.id < {}.5", a, b),
+        "k.id >= -100000 AND k.id < -30".to_string(),
+        format!("k.id > {} AND k.id <= 100000", n - 50),
+        "k.id > 100000".to_string(),
+        // Negative keys; NULL keys match no bound.
+        "k.id >= -40 AND k.id < -31".to_string(),
+        // A range plus a residual conjunct; `<>` and NOT.
+        format!("k.id >= {a} AND k.id < {b} AND k.grp = 2"),
+        format!("k.id >= {a} AND k.id < {b} AND k.id <> {}", a + 4),
+        format!("NOT (k.id < {a} OR k.id >= {b})"),
+        // Ranges under OR: one INDSEL per DNF term.
+        format!(
+            "(k.id >= {a} AND k.id < {}) OR (k.id >= {} AND k.id < {b})",
+            a + 4,
+            b - 3
+        ),
+        format!("(k.id >= {a} AND k.id < {b}) OR k.ratio < -9.0"),
+        // An `=` (lifted to `$n` in a cached plan) beside a range, on the
+        // same key and on another indexed one.
+        format!("k.id = {} AND k.id >= {a} AND k.id < {b}", a + 2),
+        format!("k.id = {} AND k.id > {b}", a + 2),
+        format!("k.ratio = 2.5 AND k.id >= -40 AND k.id < {n}"),
+        // Two indexed attributes bounded at once: their OID lists intersect.
+        format!(
+            "k.id >= {a} AND k.id < {} AND k.ratio >= -10.0 AND k.ratio < 40.0",
+            b + 20
+        ),
+        // Float and String keys.
+        "k.ratio >= -2.5 AND k.ratio <= 1.75".to_string(),
+        "k.ratio BETWEEN 3.1 AND 5.9".to_string(),
+        "k.ratio > 7 AND k.ratio < 9".to_string(),
+        "k.tag >= 't0010' AND k.tag < 't0021'".to_string(),
+        "k.tag < 't0007'".to_string(),
+        "k.tag > 't0003' AND k.tag <= 't0003'".to_string(),
+    ]
+    .iter()
+    .map(|pred| select("k.id, k.tag", pred))
+    .collect();
+    // Tails over an interval.
+    let interval = format!("k.id >= {a} AND k.id < {}", b + 18);
+    corpus.extend([
+        select("k.tag, k.id", &format!("{interval} ORDER BY k.tag DESC")),
+        select(
+            "k.grp, COUNT(*), AVG(k.ratio)",
+            &format!("{interval} GROUP BY k.grp"),
+        ),
+        select(
+            "k.grp, MAX(k.id)",
+            &format!("{interval} GROUP BY k.grp HAVING COUNT(*) > 2 ORDER BY k.grp"),
+        ),
+        select("DISTINCT k.grp", &interval),
+        select("COUNT(*), MIN(k.ratio)", &interval),
+        select("k", &format!("k.id >= {a} AND k.id <= {}", a + 2)),
+    ]);
+    corpus
+}
+
+/// The engine's answer to `sql`, in its order, is exactly `want`.
+fn assert_exactly(want: &[Vec<Value>], got: &[Vec<Value>], ctx: &str) {
+    let same = want.len() == got.len()
+        && (want.iter().zip(got))
+            .all(|(a, b)| a.len() == b.len() && a.iter().zip(b).all(|(x, y)| same_cell(x, y)));
+    assert!(
+        same,
+        "{ctx}\n expected {} rows: {want:?}\n got {} rows: {got:?}",
+        want.len(),
+        got.len()
+    );
+}
+
+fn twin(sql: &str) -> String {
+    sql.replace("Item k", "ItemTwin k")
+}
+
+/// A bare `k` is a reference into its own extent: compare what it names.
+fn deref_refs(db: &Mood, rows: Vec<Vec<Value>>) -> Vec<Vec<Value>> {
+    let deref = |v: Value| match v {
+        Value::Ref(oid) => db.catalog().get_object(oid).unwrap().1,
+        other => other,
+    };
+    rows.into_iter()
+        .map(|r| r.into_iter().map(deref).collect())
+        .collect()
+}
+
+#[test]
+fn an_index_never_changes_an_answer() {
+    // Sixty objects on a dozen pages: a scan beats fetching an interval's
+    // dozen objects one by one. One object a page over 700: an index wins
+    // below a few dozen objects.
+    for (n, pad, indexed) in [(61, 600, false), (701, 2040, true)] {
+        let db = build_twins(n, pad);
+        let corpus = range_corpus(n);
+        assert!(corpus.len() >= 30);
+        for sql in &corpus {
+            let plan = db.explain(sql).unwrap();
+            let where_clause = sql.split(" WHERE ").nth(1).unwrap();
+            let numeric = !where_clause.contains("k.tag");
+            let two_sided = where_clause.contains(">") && where_clause.contains("<") && numeric;
+            let terms = plan
+                .lines()
+                .filter(|l| l.starts_with("-- Node estimates"))
+                .count();
+            let indsels = plan.matches("INDSEL(Item, k, BTREE, ").count();
+            if !indexed
+                && where_clause == format!("k.id >= {} AND k.id < {}", n / 3 - 40, n / 3 - 28)
+            {
+                assert_eq!(indsels, 0, "{sql}\n{plan}");
+            } else if indexed
+                && two_sided
+                && !where_clause.contains("100000")
+                && !where_clause.contains("-9.0")
+            {
+                // Each term's bounds are one interval, one ImmSelInfo row,
+                // one INDSEL — never a scan, never two probes.
+                assert_eq!(indsels, terms, "{sql}\n{plan}");
+                let mut bounds = plan.lines().filter(|l| {
+                    l.starts_with("--   k.") && l.contains(['<', '>']) && !l.contains("<>")
+                });
+                assert!(
+                    bounds.all(|row| row.ends_with("| Indexed")),
+                    "{sql}\n{plan}"
+                );
+            }
+            assert_eq!(
+                db.explain(&twin(sql)).unwrap().matches("INDSEL(").count(),
+                0
+            );
+        }
+        let expected: Vec<_> = corpus
+            .iter()
+            .map(|sql| deref_refs(&db, oracle(&db, sql)))
+            .collect();
+        for (sql, want) in corpus.iter().zip(&expected) {
+            let twin_want = deref_refs(&db, oracle(&db, &twin(sql)));
+            assert_exactly(want, &twin_want, &format!("the twins differ: {sql}"));
+        }
+        for cached in [false, true] {
+            for parallelism in [1, 2, 4, 8] {
+                for batch in [1, 7, 1024] {
+                    db.set_plan_cache_enabled(cached);
+                    db.set_parallelism(parallelism);
+                    db.set_batch_size(batch);
+                    for (sql, want) in corpus.iter().zip(&expected) {
+                        for pass in 0..if cached { 2 } else { 1 } {
+                            let ctx = format!(
+                                "{sql}\n (n {n}, cached {cached}, pass {pass}, parallelism \
+                                 {parallelism}, batch {batch})"
+                            );
+                            let got = deref_refs(&db, run(&db, sql));
+                            let unindexed = deref_refs(&db, run(&db, &twin(sql)));
+                            assert_exactly(&unindexed, &got, &format!("the twins differ: {ctx}"));
+                            // A union emits term by term, the oracle in
+                            // extent order.
+                            if sql.contains(" OR ") {
+                                assert_same(want, &got, false, &ctx);
+                            } else {
+                                assert_exactly(want, &got, &ctx);
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        db.set_plan_cache_enabled(true);
+        db.set_parallelism(1);
+        db.set_batch_size(1024);
+
+        // Keyed DML: the same statement on both twins leaves the same
+        // extents, and touches what the predicate names.
+        let (a, b) = (n / 3 - 40, n / 3 - 28);
+        for (dml, pred) in [
+            (
+                "UPDATE {} k SET grp = 9",
+                format!("k.id >= {a} AND k.id < {b}"),
+            ),
+            (
+                "UPDATE {} k SET id = k.id + 1000",
+                format!("k.id BETWEEN {} AND {}", a + 2, a + 5),
+            ),
+            (
+                "DELETE FROM {} k",
+                format!("k.id > {} AND k.id <= {b}", b - 4),
+            ),
+            (
+                "DELETE FROM {} k",
+                "k.ratio >= 0.0 AND k.ratio < 1.0 AND k.id < 100000".to_string(),
+            ),
+        ] {
+            let count = format!("SELECT COUNT(*) FROM ItemTwin k WHERE {pred}");
+            let Value::Integer(matching) = oracle(&db, &count)[0][0] else {
+                panic!()
+            };
+            if dml.starts_with("DELETE") || dml.contains("grp") {
+                let plan = db.explain(&format!("{} WHERE {pred}", dml.replace("{}", "Item")));
+                assert_eq!(
+                    plan.unwrap().contains("INDSEL(Item, k, BTREE, "),
+                    indexed,
+                    "{dml} {pred}"
+                );
+            }
+            for class in ["Item", "ItemTwin"] {
+                let sql = format!("{} WHERE {pred}", dml.replace("{}", class));
+                match db.execute(&sql) {
+                    Ok(Answer::Done { affected }) => assert_eq!(affected as i32, matching, "{sql}"),
+                    other => panic!("{sql}: {other:?}"),
+                }
+            }
+            let values = |class: &str| -> Vec<Value> {
+                db.catalog()
+                    .extent(class)
+                    .unwrap()
+                    .into_iter()
+                    .map(|(_, v)| v)
+                    .collect()
+            };
+            assert_eq!(values("Item"), values("ItemTwin"), "{dml} {pred}");
+            // The indexes followed: ranges over the moved and removed keys.
+            for sql in [
+                format!(
+                    "SELECT k.id, k.grp FROM Item k WHERE k.id >= {a} AND k.id < {}",
+                    b + 4
+                ),
+                "SELECT k.id FROM Item k WHERE k.id >= 1000 AND k.id < 2000".to_string(),
+                "SELECT k.id FROM Item k WHERE k.ratio >= -0.5 AND k.ratio <= 1.5".to_string(),
+            ] {
+                let want = oracle(&db, &sql);
+                assert_exactly(&want, &run(&db, &sql), &sql);
+                assert_exactly(&want, &run(&db, &twin(&sql)), &twin(&sql));
+            }
+        }
+    }
+}
+
+// ----------------------------------------------------------------------
 // UPDATE / DELETE against the oracle
 // ----------------------------------------------------------------------
 
