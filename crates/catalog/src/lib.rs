@@ -35,7 +35,7 @@ use mood_datamodel::{
     decode_fields, encode_key, encode_value, encode_value_into, FieldSet, Resolver, TypeDescriptor,
     Value,
 };
-use mood_storage::{AccessHint, FileId, Oid, StorageManager};
+use mood_storage::{AccessHint, FileId, Metric, Oid, StorageManager};
 
 /// Kind of a secondary index.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -1594,7 +1594,8 @@ impl Catalog {
         }
         let registry = self.sm.registry();
         registry.set_cluster_factor(&format!("{class}.{attr}"), factor);
-        registry.record_cluster_pass(moved);
+        registry.add(Metric::ClusterPasses, 1);
+        registry.add(Metric::ClusterMovedObjects, moved);
         self.sm.affinity().reset_edge(class, &attr);
         self.bump_epoch();
         Ok(ClusterReport {

@@ -27,12 +27,11 @@ fn main() {
         };
         let snap = db.metrics().snapshot();
         println!(
-            "{label}: {} rows, pages seq={} rnd={} idx={}, threads recorded={}",
+            "{label}: {} rows, pages seq={} rnd={} idx={}",
             rows.len(),
             snap.seq_pages,
             snap.rnd_pages,
-            snap.idx_pages,
-            db.metrics().per_thread_snapshot().len()
+            snap.idx_pages
         );
         rows
     };

@@ -21,9 +21,10 @@ impl std::fmt::Display for NotAtomic {
 impl std::error::Error for NotAtomic {}
 
 /// Encode an `f64` preserving IEEE total order (-inf < ... < +inf; NaN
-/// sorts above +inf).
+/// sorts above +inf). `-0.0` is encoded as `0.0`: the two compare equal, so
+/// an index must find either under either.
 fn encode_f64(x: f64) -> [u8; 8] {
-    let bits = x.to_bits();
+    let bits = if x == 0.0 { 0.0f64 } else { x }.to_bits();
     let flipped = if bits & (1 << 63) != 0 {
         !bits
     } else {
@@ -115,14 +116,12 @@ mod tests {
             for &b in &vals {
                 let expect = a.partial_cmp(&b).unwrap();
                 let got = key(&Value::Float(a)).cmp(&key(&Value::Float(b)));
-                // -0.0 and 0.0 encode differently but compare Equal; accept
-                // either order for that single pair.
-                if a == b && a == 0.0 {
-                    continue;
-                }
                 assert_eq!(got, expect, "{a} vs {b}");
             }
         }
+        // The two zeros are one key, so an equality probe finds both.
+        assert_eq!(key(&Value::Float(-0.0)), key(&Value::Float(0.0)));
+        assert_eq!(key(&Value::Float(-0.0)), key(&Value::Integer(0)));
     }
 
     #[test]

@@ -30,7 +30,7 @@ use mood_funcman::{
     compile_program, Arg, CompileOpts, EvalCtx, Exception, ExceptionKind, Expr as FExpr, Program,
     Receiver, Registers,
 };
-use mood_storage::{Oid, StorageError};
+use mood_storage::{Metric, Oid, StorageError};
 
 use crate::ast::{CmpOp, Expr, PathRef};
 use crate::error::{Result, SqlError};
@@ -140,7 +140,7 @@ impl PreparedExpr {
             let start = Instant::now();
             let prog = compile(&self.expr).map_err(|e| e.message);
             let registry = catalog.storage().registry();
-            registry.record_compile_ns(start.elapsed().as_nanos() as u64);
+            registry.add(Metric::CompileNs, start.elapsed().as_nanos() as u64);
             prog
         };
         match self.slot.get_or_init(compile) {

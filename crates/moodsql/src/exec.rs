@@ -29,7 +29,7 @@ use mood_funcman::{Exception, ExceptionKind, FunctionManager, Receiver};
 use mood_optimizer::{estimate_plan_set, optimize, OptimizerConfig, Plan, PlanSet};
 use mood_storage::exec::run_chunked;
 use mood_storage::{
-    AccessHint, DiskMetrics, FileId, MetricsSnapshot, Oid, PageId, StorageError,
+    AccessHint, DiskMetrics, FileId, Metric, MetricsSnapshot, Oid, PageId, StorageError,
 };
 use mood_trace::Tracer;
 
@@ -509,7 +509,7 @@ impl<'a> Executor<'a> {
         self.catalog
             .storage()
             .registry()
-            .record_compile_ns(compile_nanos);
+            .add(Metric::CompileNs, compile_nanos);
         Ok(PreparedQuery {
             stmt: stmt.clone(),
             nparams,
@@ -955,7 +955,8 @@ impl<'a> Executor<'a> {
         let mut flush = |buf: &mut Vec<(Oid, Value)>| -> Result<()> {
             scanned += buf.len() as u64;
             if let Some((pred, _)) = filter {
-                registry.record_batch(buf.len() as u64);
+                registry.add(Metric::BatchRows, buf.len() as u64);
+                registry.add(Metric::BatchCount, 1);
                 let (pred_start, pred_before) = (Instant::now(), rec.metrics.snapshot());
                 retain_matching(&mut scratch, pred, var, buf)?;
                 pred_delta = pred_delta.plus(&rec.metrics.snapshot().delta(&pred_before));
@@ -1348,7 +1349,8 @@ impl<'a> Executor<'a> {
                             }
                         }
                     }
-                    registry.record_batch(chunk.len() as u64);
+                    registry.add(Metric::BatchRows, chunk.len() as u64);
+                    registry.add(Metric::BatchCount, 1);
                 }
             }
         }

@@ -42,7 +42,7 @@ use mood_catalog::{Catalog, ClassBuilder, IndexKind, MethodSig};
 use mood_datamodel::Value;
 use mood_funcman::FunctionManager;
 use mood_optimizer::OptimizerConfig;
-use mood_storage::MetricsRegistry;
+use mood_storage::{Metric, MetricsRegistry};
 
 use compiled::{PreparedExpr, RowView, Scratch};
 use shape::Shape;
@@ -110,7 +110,7 @@ impl PlanCache {
         let stale = match shard.map.get_mut(key) {
             Some(entry) if entry.prepared.epoch == epoch => {
                 entry.last_used = tick;
-                registry.record_plan_cache_hit();
+                registry.add(Metric::PlanCacheHits, 1);
                 return Some(entry.prepared.clone());
             }
             Some(_) => true,
@@ -118,7 +118,7 @@ impl PlanCache {
         };
         if stale {
             shard.map.remove(key);
-            registry.record_plan_cache_invalidation();
+            registry.add(Metric::PlanCacheInvalidations, 1);
         }
         None
     }
@@ -135,7 +135,7 @@ impl PlanCache {
                 .map(|(k, _)| k.clone());
             if let Some(victim) = victim {
                 shard.map.remove(&victim);
-                registry.record_plan_cache_eviction();
+                registry.add(Metric::PlanCacheEvictions, 1);
             }
         }
         shard.map.insert(
@@ -205,7 +205,7 @@ impl Session {
         catalog
             .storage()
             .registry()
-            .set_plan_cache_capacity(PLAN_CACHE_CAPACITY as u64);
+            .set(Metric::PlanCacheCapacity, PLAN_CACHE_CAPACITY as u64);
         Session {
             catalog,
             funcman,
@@ -306,7 +306,7 @@ impl Session {
         self.catalog
             .storage()
             .registry()
-            .set_plan_cache_capacity(self.plan_cache.capacity as u64);
+            .set(Metric::PlanCacheCapacity, self.plan_cache.capacity as u64);
     }
 
     /// The plan cache's total capacity across shards.
@@ -495,7 +495,7 @@ impl Session {
                     return Ok(None);
                 };
                 let pq = Arc::new(ex.prepare_query(&s)?);
-                registry.record_plan_cache_miss();
+                registry.add(Metric::PlanCacheMisses, 1);
                 self.plan_cache
                     .insert(shape.key.clone(), pq.clone(), &registry);
                 if shape.analyze {

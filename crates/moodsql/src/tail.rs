@@ -35,7 +35,7 @@ use std::time::Instant;
 
 use mood_datamodel::{decode_value, encode_value_into, Value};
 use mood_storage::spill::{SpillFile, SpillReader};
-use mood_storage::{DiskMetrics, MetricsSnapshot, Oid};
+use mood_storage::{DiskMetrics, Metric, MetricsSnapshot, Oid};
 
 use crate::analyze::{StageActual, StageRec};
 use crate::ast::{Expr, SelectStmt};
@@ -381,7 +381,7 @@ impl Aggregator<'_> {
             return Ok(None);
         };
         let sm = ex.catalog.storage();
-        sm.registry().record_agg_spilled_partition();
+        sm.registry().add(Metric::AggSpilledPartitions, 1);
         let mut reader = file.into_reader(Some(sm.metrics())).map_err(spill_err)?;
         reader.charge_sequential_read(sm.metrics());
         let mut index: HashMap<Vec<u8>, usize> = HashMap::new();
@@ -554,7 +554,8 @@ impl Sorter {
             encode_value_into(&mut record, &Value::List(vals));
             file.write_record(&record).map_err(spill_err)?;
         }
-        sm.registry().record_spilled_run(file.bytes());
+        sm.registry().add(Metric::SortSpilledRuns, 1);
+        sm.registry().add(Metric::SortSpillBytes, file.bytes());
         let reader = file.into_reader(Some(sm.metrics())).map_err(spill_err)?;
         reader.charge_sequential_read(sm.metrics());
         self.runs.push(reader);

@@ -48,10 +48,10 @@ use parking_lot::{Condvar, Mutex, MutexGuard};
 
 use crate::disk::Disk;
 use crate::error::{Result, StorageError};
-use crate::metrics::{AccessKind, DiskMetrics, MetricsSnapshot};
+use crate::metrics::{AccessKind, DiskMetrics};
 use crate::oid::{FileId, PageId};
 use crate::page::Page;
-use crate::telemetry::{HistFamily, Telemetry, TelemetrySlot, WaitEvent};
+use crate::telemetry::{HistFamily, WaitEvent};
 
 /// Supplies a known-good image of a page (typically the last committed
 /// after-image in the WAL) when a disk read fails checksum verification.
@@ -129,7 +129,11 @@ const MAX_READAHEAD: usize = 8;
 
 struct Frame {
     key: Option<(FileId, PageId)>,
-    page: Page,
+    /// The cached bytes. `None` only while the page is lent out (a callback
+    /// or a disk read holds it outside the shard lock, `checked_out` set)
+    /// and in a frame never loaded: checking a page out moves it, so an
+    /// access allocates nothing.
+    page: Option<Page>,
     dirty: bool,
     pins: u32,
     referenced: bool,
@@ -140,6 +144,12 @@ struct Frame {
     /// random/index access: evicted preferentially, so scans recycle their
     /// own frames instead of flushing the hot set.
     cold: bool,
+}
+
+impl Frame {
+    fn page(&mut self) -> &mut Page {
+        self.page.as_mut().expect("a loaded frame that is not checked out holds its page")
+    }
 }
 
 /// A page's state captured at its first write inside a transaction (or
@@ -195,41 +205,9 @@ struct ShardState {
     cold: usize,
 }
 
-/// Per-shard slice of the pool's accounting, mirroring the
-/// [`MetricsSnapshot`] fields the pool records. Summing all shards'
-/// snapshots componentwise reproduces exactly what the pool contributed to
-/// the shared [`DiskMetrics`].
-#[derive(Debug, Default)]
-struct ShardCounters {
-    seq_pages: AtomicU64,
-    seq_batches: AtomicU64,
-    rnd_pages: AtomicU64,
-    idx_pages: AtomicU64,
-    writes: AtomicU64,
-    buffer_hits: AtomicU64,
-    buffer_misses: AtomicU64,
-    buffer_evictions: AtomicU64,
-}
-
-impl ShardCounters {
-    fn snapshot(&self) -> MetricsSnapshot {
-        MetricsSnapshot {
-            seq_pages: self.seq_pages.load(Ordering::Relaxed),
-            seq_batches: self.seq_batches.load(Ordering::Relaxed),
-            rnd_pages: self.rnd_pages.load(Ordering::Relaxed),
-            idx_pages: self.idx_pages.load(Ordering::Relaxed),
-            writes: self.writes.load(Ordering::Relaxed),
-            buffer_hits: self.buffer_hits.load(Ordering::Relaxed),
-            buffer_misses: self.buffer_misses.load(Ordering::Relaxed),
-            buffer_evictions: self.buffer_evictions.load(Ordering::Relaxed),
-        }
-    }
-}
-
 struct Shard {
     state: Mutex<ShardState>,
     returned: Condvar,
-    counters: ShardCounters,
 }
 
 impl Shard {
@@ -243,7 +221,6 @@ impl Shard {
                 cold: 0,
             }),
             returned: Condvar::new(),
-            counters: ShardCounters::default(),
         }
     }
 }
@@ -253,6 +230,9 @@ pub struct BufferPool {
     disk: Arc<dyn Disk>,
     shards: Vec<Shard>,
     txn: TxnSlot,
+    /// Page/buffer counters, latency histograms and wait events: the
+    /// handle the pool was built with, shared with its storage manager's
+    /// WAL, lock manager and metrics registry.
     metrics: DiskMetrics,
     capacity: usize,
     /// No-steal discipline: pages dirtied by the open transaction are
@@ -260,10 +240,6 @@ pub struct BufferPool {
     /// Durable (file-backed) managers set this; in-memory ones don't need
     /// it — their rollback path rewrites before-images through the disk.
     no_steal: bool,
-    /// Nanoseconds threads spent blocked on shard locks and on the
-    /// `returned` condvars (pool contention; the single-writer transaction
-    /// gate is deliberate serialization and is not counted).
-    wait_ns: Arc<AtomicU64>,
     /// Readahead window in pages; 0 disables prefetching (tiny pools).
     readahead: u32,
     /// Degraded-mode flag + repair counter, shared with the storage
@@ -272,9 +248,6 @@ pub struct BufferPool {
     /// WAL-backed single-page repair hook; installed by the storage
     /// manager after recovery (plain pools read pages as-is).
     repairer: Mutex<Option<PageRepairer>>,
-    /// Late-bound telemetry sink (latency histograms + wait events); set
-    /// by the storage manager, empty on bare pools.
-    telemetry: TelemetrySlot,
 }
 
 thread_local! {
@@ -314,19 +287,10 @@ impl BufferPool {
             metrics,
             capacity,
             no_steal: false,
-            wait_ns: Arc::new(AtomicU64::new(0)),
             readahead: if window < 2 { 0 } else { window },
             health: Arc::new(PoolHealth::default()),
             repairer: Mutex::new(None),
-            telemetry: TelemetrySlot::new(),
         }
-    }
-
-    /// Wire the shared telemetry sink (wait events + disk latency
-    /// histograms). Called by the storage manager; bare pools record only
-    /// the legacy `wait_ns` counter.
-    pub fn set_telemetry(&self, telemetry: Arc<Telemetry>) {
-        self.telemetry.set(telemetry);
     }
 
     /// Like [`BufferPool::new`], but with the no-steal discipline: pages
@@ -369,15 +333,12 @@ impl BufferPool {
     }
 
     /// Total nanoseconds threads have spent blocked on shard locks or
-    /// waiting for checked-out pages to come back.
+    /// waiting for checked-out pages to come back: the `buffer_shard` and
+    /// `buffer_checkout` wait events (pool contention; the single-writer
+    /// transaction gate is deliberate serialization and is not counted).
     pub fn wait_ns(&self) -> u64 {
-        self.wait_ns.load(Ordering::Relaxed)
-    }
-
-    /// Shared handle to the wait counter (the metrics registry surfaces it
-    /// as `buffer.wait_ns`).
-    pub fn wait_counter(&self) -> Arc<AtomicU64> {
-        self.wait_ns.clone()
+        let t = self.metrics.telemetry();
+        t.wait(WaitEvent::BufferShard).total_ns + t.wait(WaitEvent::BufferCheckout).total_ns
     }
 
     /// Shared fault-tolerance state: degraded flag + page-repair counter.
@@ -401,9 +362,8 @@ impl BufferPool {
     fn read_page_checked(&self, file: FileId, page: PageId, buf: &mut Page) -> Result<()> {
         let t0 = Instant::now();
         self.disk.read_page(file, page, buf)?;
-        if let Some(t) = self.telemetry.get() {
-            t.record_hist(HistFamily::DiskRead, t0.elapsed().as_nanos() as u64);
-        }
+        let t = self.metrics.telemetry();
+        t.record_hist(HistFamily::DiskRead, t0.elapsed().as_nanos() as u64);
         if let Err((expected, actual)) = buf.verify_checksum() {
             let repaired = self
                 .repairer
@@ -441,16 +401,9 @@ impl BufferPool {
             self.health
                 .mark_degraded(&format!("page write-back failed: {e}"));
         });
-        if let Some(t) = self.telemetry.get() {
-            t.record_hist(HistFamily::DiskWrite, t0.elapsed().as_nanos() as u64);
-        }
+        let t = self.metrics.telemetry();
+        t.record_hist(HistFamily::DiskWrite, t0.elapsed().as_nanos() as u64);
         result
-    }
-
-    /// Per-shard accounting snapshots, in shard order. Componentwise sums
-    /// equal exactly what this pool recorded into its [`DiskMetrics`].
-    pub fn shard_snapshots(&self) -> Vec<MetricsSnapshot> {
-        self.shards.iter().map(|s| s.counters.snapshot()).collect()
     }
 
     fn shard_index(&self, key: (FileId, PageId)) -> usize {
@@ -461,65 +414,26 @@ impl BufferPool {
         (key.1 .0 as usize + (key.0 .0 as usize).wrapping_mul(0x9E37)) % n
     }
 
-    /// Lock a shard, charging contended acquisitions to the wait counter
-    /// and the `buffer_shard` wait event.
+    /// Lock a shard, charging contended acquisitions to the `buffer_shard`
+    /// wait event.
     fn lock_shard<'a>(&self, shard: &'a Shard) -> MutexGuard<'a, ShardState> {
         if let Some(g) = shard.state.try_lock() {
             return g;
         }
         let t0 = Instant::now();
         let g = shard.state.lock();
-        let waited = t0.elapsed().as_nanos() as u64;
-        self.wait_ns.fetch_add(waited, Ordering::Relaxed);
-        if let Some(t) = self.telemetry.get() {
-            t.record_wait(WaitEvent::BufferShard, waited);
-        }
+        let t = self.metrics.telemetry();
+        t.record_wait(WaitEvent::BufferShard, t0.elapsed().as_nanos() as u64);
         g
     }
 
-    /// Wait on a shard's `returned` condvar, charging the wait counter and
-    /// the `buffer_checkout` wait event.
+    /// Wait on a shard's `returned` condvar, charging the `buffer_checkout`
+    /// wait event.
     fn wait_returned(&self, shard: &Shard, st: &mut MutexGuard<'_, ShardState>) {
         let t0 = Instant::now();
         shard.returned.wait(st);
-        let waited = t0.elapsed().as_nanos() as u64;
-        self.wait_ns.fetch_add(waited, Ordering::Relaxed);
-        if let Some(t) = self.telemetry.get() {
-            t.record_wait(WaitEvent::BufferCheckout, waited);
-        }
-    }
-
-    fn record_read(&self, shard: &Shard, kind: AccessKind) {
-        self.metrics.record_read(kind);
-        let field = match kind {
-            AccessKind::Sequential => &shard.counters.seq_pages,
-            AccessKind::Random => &shard.counters.rnd_pages,
-            AccessKind::Index => &shard.counters.idx_pages,
-        };
-        field.fetch_add(1, Ordering::Relaxed);
-    }
-
-    fn record_write(&self, shard: &Shard) {
-        self.metrics.record_write();
-        shard.counters.writes.fetch_add(1, Ordering::Relaxed);
-    }
-
-    fn record_hit(&self, shard: &Shard) {
-        self.metrics.record_buffer_hit();
-        shard.counters.buffer_hits.fetch_add(1, Ordering::Relaxed);
-    }
-
-    fn record_miss(&self, shard: &Shard) {
-        self.metrics.record_buffer_miss();
-        shard.counters.buffer_misses.fetch_add(1, Ordering::Relaxed);
-    }
-
-    fn record_eviction(&self, shard: &Shard) {
-        self.metrics.record_buffer_eviction();
-        shard
-            .counters
-            .buffer_evictions
-            .fetch_add(1, Ordering::Relaxed);
+        let t = self.metrics.telemetry();
+        t.record_wait(WaitEvent::BufferCheckout, t0.elapsed().as_nanos() as u64);
     }
 
     /// Read access to a page.
@@ -568,7 +482,7 @@ impl BufferPool {
                     self.wait_returned(shard, &mut st);
                 }
                 Some(i) => {
-                    self.record_hit(shard);
+                    self.metrics.record_buffer_hit();
                     // A random/index hit promotes a scan-loaded frame into
                     // the hot set; sequential re-reads leave it cold.
                     if kind != AccessKind::Sequential && st.frames[i].cold {
@@ -578,7 +492,7 @@ impl BufferPool {
                     break i;
                 }
                 None => {
-                    let i = match self.claim_frame(shard, &mut st) {
+                    let i = match self.claim_frame(&mut st) {
                         Ok(i) => i,
                         Err(StorageError::PoolExhausted) => {
                             if st.frames.iter().any(|fr| fr.checked_out) {
@@ -598,8 +512,8 @@ impl BufferPool {
                         }
                         Err(e) => return Err(e),
                     };
-                    self.record_miss(shard);
-                    self.record_read(shard, kind);
+                    self.metrics.record_buffer_miss();
+                    self.metrics.record_read(kind);
                     // Reserve the frame and publish it before reading: the
                     // map entry plus `checked_out` makes same-page accessors
                     // wait on the condvar and keeps eviction off the frame,
@@ -609,11 +523,12 @@ impl BufferPool {
                     st.frames[i].referenced = true;
                     st.frames[i].checked_out = true;
                     st.map.insert(key, i);
-                    let mut buf = std::mem::take(&mut st.frames[i].page);
+                    // A frame never loaded gets its page here, once.
+                    let mut buf = st.frames[i].page.take().unwrap_or_default();
                     drop(st);
                     let read = self.read_page_checked(file, page, &mut buf);
                     st = self.lock_shard(shard);
-                    st.frames[i].page = buf;
+                    st.frames[i].page = Some(buf);
                     st.frames[i].checked_out = false;
                     if let Err(e) = read {
                         // Unpublish the reservation; woken waiters retry
@@ -647,14 +562,14 @@ impl BufferPool {
                     tr.undo.insert(
                         key,
                         UndoEntry {
-                            before: st.frames[idx].page.clone(),
+                            before: st.frames[idx].page().clone(),
                             was_dirty: st.frames[idx].dirty,
                         },
                     );
                 }
                 if let Some(stmt) = tr.stmt.as_mut() {
                     stmt.entry(key).or_insert_with(|| StmtEntry {
-                        before: st.frames[idx].page.clone(),
+                        before: st.frames[idx].page().clone(),
                         was_dirty: st.frames[idx].dirty,
                         fresh_in_txn: fresh,
                     });
@@ -666,13 +581,13 @@ impl BufferPool {
         st.frames[idx].checked_out = true;
         // Temporarily move the page out so the callback runs without the
         // shard lock; `checked_out` makes same-page accessors wait above.
-        let mut owned = std::mem::take(&mut st.frames[idx].page);
+        let mut owned = st.frames[idx].page.take().expect("a loaded frame holds its page");
         drop(st);
         IN_CALLBACK.with(|c| c.set(true));
         let result = f(&mut owned);
         IN_CALLBACK.with(|c| c.set(false));
         let mut st = self.lock_shard(shard);
-        st.frames[idx].page = owned;
+        st.frames[idx].page = Some(owned);
         st.frames[idx].pins -= 1;
         st.frames[idx].checked_out = false;
         drop(st);
@@ -718,8 +633,9 @@ impl BufferPool {
             return 0;
         }
         let end = total.min(start.0.saturating_add(window));
-        // Reservation pass: (page, frame index, the frame's taken buffer).
-        let mut reserved: Vec<(PageId, usize, Page)> = Vec::new();
+        // Reservation pass: (page, frame index), and each frame's page
+        // moved out to read into.
+        let (mut reserved, mut bufs): (Vec<(PageId, usize)>, Vec<Page>) = (Vec::new(), Vec::new());
         for p in start.0..end {
             let pid = PageId(p);
             let pkey = (file, pid);
@@ -728,7 +644,7 @@ impl BufferPool {
             if st.map.contains_key(&pkey) {
                 continue;
             }
-            let i = match self.claim_frame(shard, &mut st) {
+            let i = match self.claim_frame(&mut st) {
                 Ok(i) => i,
                 Err(_) => continue,
             };
@@ -737,8 +653,8 @@ impl BufferPool {
             st.frames[i].referenced = true;
             st.frames[i].checked_out = true;
             st.map.insert(pkey, i);
-            let buf = std::mem::take(&mut st.frames[i].page);
-            reserved.push((pid, i, buf));
+            reserved.push((pid, i));
+            bufs.push(st.frames[i].page.take().unwrap_or_default());
         }
         let mut installed = 0u32;
         let mut run_start = 0usize;
@@ -748,45 +664,33 @@ impl BufferPool {
             {
                 run_end += 1;
             }
-            let first = reserved[run_start].0;
-            let run = &mut reserved[run_start..run_end];
-            let mut bufs: Vec<Page> = run.iter_mut().map(|(_, _, b)| std::mem::take(b)).collect();
+            // `bufs` starts at this run: earlier runs' pages went home.
+            let run = &mut bufs[..run_end - run_start];
             // A checksum mismatch anywhere in the batch fails the whole
             // run: the reservations are released and the scan's on-demand
             // reads (which verify and repair per page) take over.
-            let ok = self.disk.read_pages(file, first, &mut bufs).is_ok()
-                && bufs.iter().all(|b| b.verify_checksum().is_ok());
-            for ((_, _, slot), buf) in run.iter_mut().zip(bufs) {
-                *slot = buf;
-            }
+            let ok = self.disk.read_pages(file, reserved[run_start].0, run).is_ok()
+                && run.iter().all(|b| b.verify_checksum().is_ok());
             if ok {
-                // Process totals: run-length sequential pages, one batch.
-                // Shard slices: each page counts against its own shard; the
-                // batch is attributed to the first page's shard — both sums
-                // telescope.
                 self.metrics.record_sequential_batch(run.len() as u64);
-                self.shards[self.shard_index((file, first))]
-                    .counters
-                    .seq_batches
-                    .fetch_add(1, Ordering::Relaxed);
             }
-            for (pid, i, buf) in run.iter_mut() {
-                let pkey = (file, *pid);
+            let pages = bufs.drain(..run_end - run_start);
+            for (&(pid, i), buf) in reserved[run_start..run_end].iter().zip(pages) {
+                let pkey = (file, pid);
                 let shard = &self.shards[self.shard_index(pkey)];
                 let mut st = self.lock_shard(shard);
-                st.frames[*i].page = std::mem::take(buf);
-                st.frames[*i].checked_out = false;
+                st.frames[i].page = Some(buf);
+                st.frames[i].checked_out = false;
                 if ok {
-                    st.frames[*i].cold = true;
+                    st.frames[i].cold = true;
                     st.cold += 1;
-                    shard.counters.seq_pages.fetch_add(1, Ordering::Relaxed);
                     installed += 1;
                 } else {
                     // Failed batch: release the reservation; woken waiters
                     // fall back to on-demand reads.
                     st.map.remove(&pkey);
-                    st.frames[*i].key = None;
-                    st.frames[*i].referenced = false;
+                    st.frames[i].key = None;
+                    st.frames[i].referenced = false;
                 }
                 drop(st);
                 shard.returned.notify_all();
@@ -842,11 +746,11 @@ impl BufferPool {
 
     /// A frame to load a page into: a new one while the shard is below its
     /// capacity, a victim's once it is full.
-    fn claim_frame(&self, shard: &Shard, st: &mut ShardState) -> Result<usize> {
+    fn claim_frame(&self, st: &mut ShardState) -> Result<usize> {
         if st.frames.len() < st.capacity {
             st.frames.push(Frame {
                 key: None,
-                page: Page::new(),
+                page: None,
                 dirty: false,
                 pins: 0,
                 referenced: false,
@@ -861,18 +765,18 @@ impl BufferPool {
         // fully occupied shard has no cold frames the pass cannot succeed,
         // so it is skipped (`st.cold` tracks exactly this).
         if st.cold > 0 || st.map.len() < st.frames.len() {
-            if let Some(i) = self.sweep(shard, st, true)? {
+            if let Some(i) = self.sweep(st, true)? {
                 return Ok(i);
             }
         }
         // Classic two-pass clock over everything (first pass clears bits).
-        if let Some(i) = self.sweep(shard, st, false)? {
+        if let Some(i) = self.sweep(st, false)? {
             return Ok(i);
         }
         Err(StorageError::PoolExhausted)
     }
 
-    fn sweep(&self, shard: &Shard, st: &mut ShardState, cold_only: bool) -> Result<Option<usize>> {
+    fn sweep(&self, st: &mut ShardState, cold_only: bool) -> Result<Option<usize>> {
         for _ in 0..(2 * st.frames.len() + 1) {
             let i = st.hand;
             st.hand = (st.hand + 1) % st.frames.len();
@@ -897,12 +801,12 @@ impl BufferPool {
             }
             if let Some(key) = st.frames[i].key {
                 if st.frames[i].dirty {
-                    self.record_write(shard);
+                    self.metrics.record_write();
                     // Write back *before* detaching the frame, so an I/O
                     // error leaves the page mapped and dirty — the caller
                     // can surface or swallow the error without the pool
                     // losing its only up-to-date copy.
-                    self.write_back(key, &mut st.frames[i].page)?;
+                    self.write_back(key, st.frames[i].page())?;
                     st.frames[i].dirty = false;
                 }
                 if st.frames[i].cold {
@@ -911,7 +815,7 @@ impl BufferPool {
                 }
                 st.frames[i].key = None;
                 st.map.remove(&key);
-                self.record_eviction(shard);
+                self.metrics.record_buffer_eviction();
             }
             return Ok(Some(i));
         }
@@ -934,17 +838,16 @@ impl BufferPool {
                     if self.is_txn_pinned(key) {
                         continue;
                     }
-                    self.record_write(shard);
-                    self.write_back(key, &mut st.frames[i].page)?;
+                    self.metrics.record_write();
+                    self.write_back(key, st.frames[i].page())?;
                     st.frames[i].dirty = false;
                 }
             }
         }
         let t0 = Instant::now();
         let result = self.disk.sync();
-        if let Some(t) = self.telemetry.get() {
-            t.record_hist(HistFamily::DiskFsync, t0.elapsed().as_nanos() as u64);
-        }
+        let t = self.metrics.telemetry();
+        t.record_hist(HistFamily::DiskFsync, t0.elapsed().as_nanos() as u64);
         result
     }
 
@@ -962,10 +865,10 @@ impl BufferPool {
                         }
                         Some(i) => {
                             if st.frames[i].dirty {
-                                self.record_write(shard);
+                                self.metrics.record_write();
                                 // Best-effort write-back; a failing disk
                                 // loses the frame (and degrades the pool).
-                                let _ = self.write_back(key, &mut st.frames[i].page);
+                                let _ = self.write_back(key, st.frames[i].page());
                             }
                             st.map.remove(&key);
                             st.frames[i].key = None;
@@ -1083,7 +986,7 @@ impl BufferPool {
                     Some(i) if st.frames[i].checked_out => {
                         self.wait_returned(shard, &mut st);
                     }
-                    Some(i) => break Some(st.frames[i].page.clone()),
+                    Some(i) => break Some(st.frames[i].page().clone()),
                     None => break None,
                 }
             };
@@ -1215,7 +1118,7 @@ impl BufferPool {
                     self.wait_returned(shard, &mut st);
                 }
                 Some(i) => {
-                    st.frames[i].page = before;
+                    st.frames[i].page = Some(before);
                     // Under no-steal the disk still holds the pre-txn bytes,
                     // so a clean capture restores clean. In steal mode the
                     // uncommitted version may have been flushed — force a
@@ -1224,7 +1127,7 @@ impl BufferPool {
                     return Ok(());
                 }
                 None => {
-                    self.record_write(shard);
+                    self.metrics.record_write();
                     before.stamp_checksum();
                     return match self.disk.write_page(key.0, key.1, &before) {
                         Ok(()) => Ok(()),
@@ -1523,27 +1426,6 @@ mod tests {
             .map(|p| pool.shard_index((f, PageId(p))))
             .collect();
         assert_eq!(hit.len(), n, "N consecutive pages cover all N shards");
-    }
-
-    #[test]
-    fn shard_counters_sum_to_pool_totals() {
-        let (pool, f) = pool(8);
-        let mut pids = Vec::new();
-        for i in 0..32u8 {
-            let (pid, _) = pool.new_page(f, |p| p.data[0] = i).unwrap();
-            pids.push(pid);
-        }
-        for pid in &pids {
-            pool.with_page(f, *pid, AccessKind::Sequential, |_| {})
-                .unwrap();
-        }
-        pool.flush_all().unwrap();
-        let total = pool.metrics().snapshot();
-        let sum = pool
-            .shard_snapshots()
-            .into_iter()
-            .fold(MetricsSnapshot::default(), |acc, s| acc.plus(&s));
-        assert_eq!(sum, total, "per-shard slices must telescope exactly");
     }
 
     #[test]

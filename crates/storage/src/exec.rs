@@ -117,13 +117,7 @@ where
             .enumerate()
             .map(|(i, r)| {
                 let f = &f;
-                scope.spawn(move || {
-                    let out = f(i, &items[r]);
-                    // The worker ends here: its page counts move to the
-                    // metrics' retired block instead of staying registered.
-                    crate::metrics::retire_thread();
-                    out
-                })
+                scope.spawn(move || f(i, &items[r]))
             })
             .collect();
         handles

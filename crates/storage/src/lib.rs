@@ -54,23 +54,27 @@ pub use metrics::{AccessHint, AccessKind, DiskMetrics, MetricsSnapshot, Physical
 pub use oid::{FileId, Oid, PageId, SlotId};
 pub use page::{Page, SlottedPage, PAGE_SIZE, PAGE_USABLE};
 pub use registry::{
-    BatchStats, ClusterStats, EngineMetrics, MetricsRegistry, OperatorTotals, PlanCacheStats,
+    BatchStats, ClusterStats, EngineMetrics, Metric, MetricKind, MetricsRegistry,
+    OperatorTotals, PlanCacheStats,
 };
 pub use spill::{SpillFile, SpillReader};
 pub use telemetry::{
     HistFamily, HistogramSnapshot, LatencyHistogram, SlowQuery, SlowQueryLog, StatementStat,
-    StatementStats, Telemetry, TelemetrySlot, WaitEvent, WaitSnapshot,
+    StatementStats, Telemetry, WaitEvent, WaitSnapshot,
 };
 pub use wal::{FileLog, LogStore, MemLog, TxnId, Wal, WalStats};
 
 use std::collections::HashMap;
 use std::sync::Arc;
+use std::time::Duration;
 
 use parking_lot::Mutex;
 
 /// Everything a MOOD kernel instance needs from its storage layer, wired
-/// together: a disk, a buffer pool, a lock manager, a WAL and the shared
-/// metrics. This is the handle the catalog and algebra layers hold.
+/// together: a disk, a buffer pool, a lock manager, a WAL and the metrics
+/// registry over them, all recording through the one [`DiskMetrics`]
+/// handle the pool is built with. This is the handle the catalog and
+/// algebra layers hold.
 ///
 /// Index handles are cached per file id so every caller shares one
 /// [`BTree`]/[`HashIndex`] instance — and therefore its writer lock.
@@ -78,7 +82,6 @@ pub struct StorageManager {
     pool: Arc<BufferPool>,
     locks: Arc<LockManager>,
     wal: Arc<Wal>,
-    metrics: DiskMetrics,
     registry: Arc<MetricsRegistry>,
     btrees: Mutex<HashMap<FileId, Arc<BTree>>>,
     hashes: Mutex<HashMap<FileId, Arc<HashIndex>>>,
@@ -103,31 +106,9 @@ impl StorageManager {
     /// this small to reproduce the paper's no-buffer-hit worst cases.
     pub fn in_memory_with_pool(frames: usize) -> Self {
         let metrics = DiskMetrics::new();
-        let disk: Arc<dyn Disk> = Arc::new(MemDisk::new());
-        let pool = Arc::new(BufferPool::new(disk, frames, metrics.clone()));
-        let locks = Arc::new(LockManager::default());
-        let wal = Arc::new(Wal::new(Box::new(MemLog::new())));
-        let registry = Arc::new(MetricsRegistry::new(
-            metrics.clone(),
-            wal.clone(),
-            locks.clone(),
-            pool.wait_counter(),
-        ));
-        registry.attach_health(pool.health());
-        pool.set_telemetry(registry.telemetry().clone());
-        wal.set_telemetry(registry.telemetry().clone());
-        locks.set_telemetry(registry.telemetry().clone());
-        StorageManager {
-            pool,
-            locks,
-            wal,
-            metrics,
-            registry,
-            btrees: Mutex::new(HashMap::new()),
-            hashes: Mutex::new(HashMap::new()),
-            affinity: Arc::new(AffinityTracker::new()),
-            durable: false,
-        }
+        let wal = Wal::new(Box::new(MemLog::new()), metrics.clone());
+        let pool = BufferPool::new(Arc::new(MemDisk::new()), frames, metrics);
+        Self::assemble(pool, Arc::new(wal), false)
     }
 
     /// A file-backed storage manager rooted at `dir` (pages under
@@ -152,47 +133,36 @@ impl StorageManager {
         frames: usize,
     ) -> Result<Self> {
         let metrics = DiskMetrics::new();
-        let wal = Wal::new(log);
+        let wal = Arc::new(Wal::new(log, metrics.clone()));
         wal.recover(&*disk)?;
-        let pool = Arc::new(BufferPool::new_no_steal(disk, frames, metrics.clone()));
-        let locks = Arc::new(LockManager::default());
-        let wal = Arc::new(wal);
+        let pool = BufferPool::new_no_steal(disk, frames, metrics);
         // Checksum failures on durable managers repair from the redo log
         // (the page's last image plus its later committed deltas) instead
         // of failing the query.
-        {
-            let wal = wal.clone();
-            pool.set_repairer(Box::new(move |file, page| {
-                wal.latest_committed_image(file, page)
-            }));
-        }
-        let registry = Arc::new(MetricsRegistry::new(
-            metrics.clone(),
-            wal.clone(),
-            locks.clone(),
-            pool.wait_counter(),
-        ));
-        registry.attach_health(pool.health());
-        pool.set_telemetry(registry.telemetry().clone());
-        wal.set_telemetry(registry.telemetry().clone());
-        locks.set_telemetry(registry.telemetry().clone());
-        // Surface retry counters when some layer of the disk stack is a
-        // RetryDisk (the harness composes wrappers; discovery keeps the
-        // manager agnostic to the stacking order).
-        if let Some(stats) = pool.disk().retry_stats() {
-            registry.attach_retry_stats(stats);
-        }
-        Ok(StorageManager {
+        let redo = wal.clone();
+        pool.set_repairer(Box::new(move |file, page| redo.latest_committed_image(file, page)));
+        Ok(Self::assemble(pool, wal, true))
+    }
+
+    /// The one wiring both constructors share: a lock manager and the
+    /// metrics registry over the pool, all recording through the pool's
+    /// metrics handle (which the WAL was built with too).
+    fn assemble(pool: BufferPool, wal: Arc<Wal>, durable: bool) -> Self {
+        let pool = Arc::new(pool);
+        // 200 ms: the backstop for waits no deadlock cycle explains.
+        let locks = LockManager::new(Duration::from_millis(200), pool.metrics().clone());
+        let locks = Arc::new(locks);
+        let registry = MetricsRegistry::new(pool.clone(), wal.clone(), locks.clone());
+        StorageManager {
             pool,
             locks,
             wal,
-            metrics,
-            registry,
+            registry: Arc::new(registry),
             btrees: Mutex::new(HashMap::new()),
             hashes: Mutex::new(HashMap::new()),
             affinity: Arc::new(AffinityTracker::new()),
-            durable: true,
-        })
+            durable,
+        }
     }
 
     pub fn pool(&self) -> &Arc<BufferPool> {
@@ -208,7 +178,7 @@ impl StorageManager {
     }
 
     pub fn metrics(&self) -> &DiskMetrics {
-        &self.metrics
+        self.pool.metrics()
     }
 
     /// The engine-wide metrics registry (disk + WAL + locks + operators).

@@ -23,12 +23,11 @@ use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
-use std::sync::Arc;
-
 use parking_lot::{Condvar, Mutex};
 
 use crate::error::{Result, StorageError};
-use crate::telemetry::{HistFamily, Telemetry, TelemetrySlot, WaitEvent};
+use crate::metrics::DiskMetrics;
+use crate::telemetry::{HistFamily, WaitEvent};
 
 /// Lock modes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -80,13 +79,13 @@ pub struct LockManager {
     waits: AtomicU64,
     wait_timeouts: AtomicU64,
     deadlocks: AtomicU64,
-    /// Late-bound telemetry sink (acquire latency + queue wait events);
-    /// set by the storage manager, empty on bare managers.
-    telemetry: TelemetrySlot,
+    /// Where acquire latency and queue waits are recorded: the storage
+    /// manager's one handle (a fresh one for a bare manager).
+    metrics: DiskMetrics,
 }
 
 impl LockManager {
-    pub fn new(timeout: Duration) -> Self {
+    pub fn new(timeout: Duration, metrics: DiskMetrics) -> Self {
         LockManager {
             table: Mutex::new(LockTable::default()),
             released: Condvar::new(),
@@ -94,13 +93,8 @@ impl LockManager {
             waits: AtomicU64::new(0),
             wait_timeouts: AtomicU64::new(0),
             deadlocks: AtomicU64::new(0),
-            telemetry: TelemetrySlot::new(),
+            metrics,
         }
-    }
-
-    /// Wire the shared telemetry sink (called by the storage manager).
-    pub fn set_telemetry(&self, telemetry: Arc<Telemetry>) {
-        self.telemetry.set(telemetry);
     }
 
     /// Number of times an acquire had to block on an incompatible holder.
@@ -174,9 +168,8 @@ impl LockManager {
     pub fn acquire(&self, owner: OwnerId, resource: &str, mode: LockMode) -> Result<()> {
         let t0 = Instant::now();
         let result = self.acquire_inner(owner, resource, mode);
-        if let Some(t) = self.telemetry.get() {
-            t.record_hist(HistFamily::LockAcquire, t0.elapsed().as_nanos() as u64);
-        }
+        let t = self.metrics.telemetry();
+        t.record_hist(HistFamily::LockAcquire, t0.elapsed().as_nanos() as u64);
         result
     }
 
@@ -221,9 +214,8 @@ impl LockManager {
             self.waits.fetch_add(1, Ordering::Relaxed);
             let wait_start = Instant::now();
             let timed_out = self.released.wait_until(&mut table, deadline).timed_out();
-            if let Some(t) = self.telemetry.get() {
-                t.record_wait(WaitEvent::LockQueue, wait_start.elapsed().as_nanos() as u64);
-            }
+            let t = self.metrics.telemetry();
+            t.record_wait(WaitEvent::LockQueue, wait_start.elapsed().as_nanos() as u64);
             if let Some(state) = table.resources.get_mut(resource) {
                 state.waiters -= 1;
             }
@@ -276,12 +268,6 @@ impl LockManager {
     }
 }
 
-impl Default for LockManager {
-    fn default() -> Self {
-        LockManager::new(Duration::from_millis(200))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -289,7 +275,7 @@ mod tests {
 
     #[test]
     fn shared_locks_coexist() {
-        let lm = LockManager::default();
+        let lm = LockManager::new(Duration::from_millis(200), DiskMetrics::new());
         lm.acquire(1, "extent:Vehicle", LockMode::Shared).unwrap();
         lm.acquire(2, "extent:Vehicle", LockMode::Shared).unwrap();
         assert_eq!(lm.held(1, "extent:Vehicle"), Some(LockMode::Shared));
@@ -298,7 +284,7 @@ mod tests {
 
     #[test]
     fn exclusive_excludes_and_times_out() {
-        let lm = LockManager::new(Duration::from_millis(30));
+        let lm = LockManager::new(Duration::from_millis(30), DiskMetrics::new());
         lm.acquire(1, "so:Vehicle", LockMode::Exclusive).unwrap();
         let err = lm.acquire(2, "so:Vehicle", LockMode::Shared).unwrap_err();
         assert!(matches!(err, StorageError::LockTimeout { .. }));
@@ -306,7 +292,7 @@ mod tests {
 
     #[test]
     fn release_unblocks_waiter() {
-        let lm = Arc::new(LockManager::new(Duration::from_secs(5)));
+        let lm = Arc::new(LockManager::new(Duration::from_secs(5), DiskMetrics::new()));
         lm.acquire(1, "r", LockMode::Exclusive).unwrap();
         let lm2 = lm.clone();
         let t = std::thread::spawn(move || lm2.acquire(2, "r", LockMode::Exclusive));
@@ -318,7 +304,7 @@ mod tests {
 
     #[test]
     fn reacquire_upgrades_when_sole_holder() {
-        let lm = LockManager::default();
+        let lm = LockManager::new(Duration::from_millis(200), DiskMetrics::new());
         lm.acquire(1, "r", LockMode::Shared).unwrap();
         lm.acquire(1, "r", LockMode::Exclusive).unwrap();
         assert_eq!(lm.held(1, "r"), Some(LockMode::Exclusive));
@@ -326,7 +312,7 @@ mod tests {
 
     #[test]
     fn upgrade_blocked_by_other_reader() {
-        let lm = LockManager::new(Duration::from_millis(30));
+        let lm = LockManager::new(Duration::from_millis(30), DiskMetrics::new());
         lm.acquire(1, "r", LockMode::Shared).unwrap();
         lm.acquire(2, "r", LockMode::Shared).unwrap();
         assert!(lm.acquire(1, "r", LockMode::Exclusive).is_err());
@@ -334,7 +320,7 @@ mod tests {
 
     #[test]
     fn release_all_clears_owner() {
-        let lm = LockManager::default();
+        let lm = LockManager::new(Duration::from_millis(200), DiskMetrics::new());
         lm.acquire(1, "a", LockMode::Shared).unwrap();
         lm.acquire(1, "b", LockMode::Exclusive).unwrap();
         lm.release_all(1);
@@ -346,7 +332,7 @@ mod tests {
 
     #[test]
     fn wait_and_timeout_counters_tick() {
-        let lm = LockManager::new(Duration::from_millis(20));
+        let lm = LockManager::new(Duration::from_millis(20), DiskMetrics::new());
         lm.acquire(1, "r", LockMode::Exclusive).unwrap();
         assert_eq!(lm.wait_count(), 0);
         assert!(lm.acquire(2, "r", LockMode::Shared).is_err());
@@ -358,7 +344,7 @@ mod tests {
     fn deadlock_cycle_aborts_youngest_waiter() {
         // Timeouts are 30s: if these returns relied on the backstop the
         // test would blow past any sane runtime — success proves detection.
-        let lm = Arc::new(LockManager::new(Duration::from_secs(30)));
+        let lm = Arc::new(LockManager::new(Duration::from_secs(30), DiskMetrics::new()));
         lm.acquire(1, "A", LockMode::Exclusive).unwrap();
         let lm2 = lm.clone();
         let t = std::thread::spawn(move || {
@@ -389,7 +375,7 @@ mod tests {
 
     #[test]
     fn acquirer_aborts_itself_when_it_is_the_youngest() {
-        let lm = Arc::new(LockManager::new(Duration::from_secs(30)));
+        let lm = Arc::new(LockManager::new(Duration::from_secs(30), DiskMetrics::new()));
         lm.acquire(9, "A", LockMode::Exclusive).unwrap();
         let lm2 = lm.clone();
         let t = std::thread::spawn(move || {
@@ -411,7 +397,7 @@ mod tests {
 
     #[test]
     fn shared_upgrade_deadlock_is_detected() {
-        let lm = Arc::new(LockManager::new(Duration::from_secs(30)));
+        let lm = Arc::new(LockManager::new(Duration::from_secs(30), DiskMetrics::new()));
         lm.acquire(1, "r", LockMode::Shared).unwrap();
         lm.acquire(2, "r", LockMode::Shared).unwrap();
         let lm2 = lm.clone();
@@ -434,7 +420,7 @@ mod tests {
 
     #[test]
     fn concurrent_writers_serialize() {
-        let lm = Arc::new(LockManager::new(Duration::from_secs(5)));
+        let lm = Arc::new(LockManager::new(Duration::from_secs(5), DiskMetrics::new()));
         let counter = Arc::new(Mutex::new(0i32));
         let mut handles = Vec::new();
         for owner in 0..8u64 {

@@ -10,15 +10,11 @@
 //! reproduction compare measured access patterns against the paper's cost
 //! formulas on equal footing.
 
-use std::cell::RefCell;
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Weak};
-use std::thread::ThreadId;
-
-use parking_lot::Mutex;
+use std::sync::Arc;
 
 use crate::page::PAGE_SIZE;
+use crate::telemetry::Telemetry;
 
 /// Physical disk parameters — the paper's Table 10.
 ///
@@ -170,73 +166,23 @@ impl AccessHint {
     }
 }
 
-/// Shared counters. Cloning shares the underlying counters (Arc).
+/// The storage layer's one event sink. Cloning shares it (Arc).
 ///
-/// Besides the process-wide totals, every access is also attributed to the
-/// recording thread, so parallel operators can report how page work was
-/// distributed across their workers. The totals are always the sum of the
-/// per-thread counts — parallel execution redistributes accesses between
-/// threads but must never change the totals the cost model is checked
-/// against.
+/// It holds the process-wide page/buffer totals the cost model is checked
+/// against — every access counted once, here, whichever thread made it —
+/// and the latency histograms and wait events ([`Telemetry`]). A buffer
+/// pool is built with one ([`BufferPool::new`]); a storage manager hands
+/// the pool's to its WAL and lock manager when it constructs them, so one
+/// handle carries every event of one engine.
 ///
-/// A thread finds its own block without a lock: the registry is locked
-/// only the first time a thread records (per instance, per [`reset`]),
-/// after which the block sits in a thread-local. A pool worker folds its
-/// block into the one *retired* block when its chunk returns
-/// ([`retire_thread`]), so the registry holds the threads that are alive,
-/// not every thread that ever ran.
-///
-/// [`reset`]: DiskMetrics::reset
-#[derive(Debug, Default, Clone)]
+/// [`BufferPool::new`]: crate::BufferPool::new
+#[derive(Default, Clone)]
 pub struct DiskMetrics {
     shared: Arc<Shared>,
 }
 
-#[derive(Debug, Default)]
+#[derive(Default)]
 struct Shared {
-    totals: Counters,
-    /// Bumped by `reset`: a thread-local block is good for one generation.
-    generation: AtomicU64,
-    registry: Mutex<Registry>,
-}
-
-#[derive(Debug, Default)]
-struct Registry {
-    live: HashMap<ThreadId, Arc<Counters>>,
-    /// The summed counts of workers that have finished.
-    retired: MetricsSnapshot,
-}
-
-/// The calling thread's block in one `DiskMetrics` instance.
-struct Block {
-    shared: Weak<Shared>,
-    generation: u64,
-    counters: Arc<Counters>,
-}
-
-thread_local! {
-    static BLOCKS: RefCell<Vec<Block>> = const { RefCell::new(Vec::new()) };
-}
-
-/// Fold the calling thread's counts into the retired block of every
-/// instance it recorded to, and forget the thread there: what a pool
-/// worker does when its chunk returns.
-pub(crate) fn retire_thread() {
-    let id = std::thread::current().id();
-    for block in BLOCKS.take() {
-        let Some(shared) = block.shared.upgrade() else {
-            continue;
-        };
-        let mut registry = shared.registry.lock();
-        if let Some(counters) = registry.live.remove(&id) {
-            let counts = DiskMetrics::snapshot_of(&counters);
-            registry.retired = registry.retired.plus(&counts);
-        }
-    }
-}
-
-#[derive(Debug, Default)]
-struct Counters {
     seq_pages: AtomicU64,
     seq_batches: AtomicU64,
     rnd_pages: AtomicU64,
@@ -245,6 +191,7 @@ struct Counters {
     buffer_hits: AtomicU64,
     buffer_misses: AtomicU64,
     buffer_evictions: AtomicU64,
+    telemetry: Telemetry,
 }
 
 /// A point-in-time copy of the counters (or a delta between two points).
@@ -301,130 +248,82 @@ impl DiskMetrics {
         Self::default()
     }
 
-    /// Run `bump` on the counter block attributed to the calling thread.
-    /// A thread that has recorded before (since the last reset) finds its
-    /// block in the thread-local list; only the first access registers it,
-    /// under the lock, dropping the blocks of instances that are gone.
-    fn on_thread(&self, bump: impl FnOnce(&Counters)) {
-        let me = Arc::as_ptr(&self.shared);
-        // A validity stamp, not a publication: the blocks themselves are
-        // handed out under the registry lock.
-        let generation = self.shared.generation.load(Ordering::SeqCst);
-        BLOCKS.with_borrow_mut(|blocks| {
-            let mine = |b: &Block| b.shared.as_ptr() == me;
-            if let Some(b) = blocks.iter().find(|b| mine(b) && b.generation == generation) {
-                return bump(&b.counters);
-            }
-            blocks.retain(|b| !mine(b) && b.shared.strong_count() > 0);
-            let id = std::thread::current().id();
-            let counters = self.shared.registry.lock().live.entry(id).or_default().clone();
-            bump(&counters);
-            blocks.push(Block {
-                shared: Arc::downgrade(&self.shared),
-                generation,
-                counters,
-            });
-        })
-    }
-
-    fn bump_read(c: &Counters, kind: AccessKind) {
-        let field = match kind {
-            AccessKind::Sequential => &c.seq_pages,
-            AccessKind::Random => &c.rnd_pages,
-            AccessKind::Index => &c.idx_pages,
-        };
-        field.fetch_add(1, Ordering::Relaxed);
-    }
-
-    fn snapshot_of(c: &Counters) -> MetricsSnapshot {
-        MetricsSnapshot {
-            seq_pages: c.seq_pages.load(Ordering::Relaxed),
-            seq_batches: c.seq_batches.load(Ordering::Relaxed),
-            rnd_pages: c.rnd_pages.load(Ordering::Relaxed),
-            idx_pages: c.idx_pages.load(Ordering::Relaxed),
-            writes: c.writes.load(Ordering::Relaxed),
-            buffer_hits: c.buffer_hits.load(Ordering::Relaxed),
-            buffer_misses: c.buffer_misses.load(Ordering::Relaxed),
-            buffer_evictions: c.buffer_evictions.load(Ordering::Relaxed),
-        }
+    fn bump(counter: &AtomicU64, n: u64) {
+        counter.fetch_add(n, Ordering::Relaxed);
     }
 
     pub fn record_read(&self, kind: AccessKind) {
-        Self::bump_read(&self.shared.totals, kind);
-        self.on_thread(|c| Self::bump_read(c, kind));
+        let s = &self.shared;
+        let counter = match kind {
+            AccessKind::Sequential => &s.seq_pages,
+            AccessKind::Random => &s.rnd_pages,
+            AccessKind::Index => &s.idx_pages,
+        };
+        Self::bump(counter, 1);
     }
 
     /// One contiguous readahead batch of `pages` sequential pages: counts
     /// the pages as sequential reads and the batch itself once — the cost
     /// model charges one seek + latency per batch, not per page run.
     pub fn record_sequential_batch(&self, pages: u64) {
-        let bump = |c: &Counters| {
-            c.seq_pages.fetch_add(pages, Ordering::Relaxed);
-            c.seq_batches.fetch_add(1, Ordering::Relaxed);
-        };
-        bump(&self.shared.totals);
-        self.on_thread(bump);
-    }
-
-    /// Count one event in the totals and in the calling thread's block.
-    fn bump(&self, field: impl Fn(&Counters) -> &AtomicU64) {
-        field(&self.shared.totals).fetch_add(1, Ordering::Relaxed);
-        self.on_thread(|c| {
-            field(c).fetch_add(1, Ordering::Relaxed);
-        });
+        Self::bump(&self.shared.seq_pages, pages);
+        Self::bump(&self.shared.seq_batches, 1);
     }
 
     pub fn record_write(&self) {
-        self.bump(|c| &c.writes);
+        Self::bump(&self.shared.writes, 1);
     }
 
     pub fn record_buffer_hit(&self) {
-        self.bump(|c| &c.buffer_hits);
+        Self::bump(&self.shared.buffer_hits, 1);
     }
 
     pub fn record_buffer_miss(&self) {
-        self.bump(|c| &c.buffer_misses);
+        Self::bump(&self.shared.buffer_misses, 1);
     }
 
     pub fn record_buffer_eviction(&self) {
-        self.bump(|c| &c.buffer_evictions);
+        Self::bump(&self.shared.buffer_evictions, 1);
+    }
+
+    /// The latency histograms and wait events recorded through this handle.
+    pub fn telemetry(&self) -> &Telemetry {
+        &self.shared.telemetry
+    }
+
+    fn counters(&self) -> [&AtomicU64; 8] {
+        let s = &self.shared;
+        [
+            &s.seq_pages,
+            &s.seq_batches,
+            &s.rnd_pages,
+            &s.idx_pages,
+            &s.writes,
+            &s.buffer_hits,
+            &s.buffer_misses,
+            &s.buffer_evictions,
+        ]
     }
 
     pub fn snapshot(&self) -> MetricsSnapshot {
-        Self::snapshot_of(&self.shared.totals)
-    }
-
-    /// Per-thread view of the counters: the threads still registered,
-    /// ordered by thread id for stable output, then — under `None` — the
-    /// summed counts of the pool workers that have finished. Summing the
-    /// snapshots componentwise reproduces [`DiskMetrics::snapshot`] (for
-    /// accesses recorded since the last [`DiskMetrics::reset`]).
-    pub fn per_thread_snapshot(&self) -> Vec<(Option<ThreadId>, MetricsSnapshot)> {
-        let registry = self.shared.registry.lock();
-        let live = registry.live.iter();
-        let mut out: Vec<_> = live.map(|(id, c)| (Some(*id), Self::snapshot_of(c))).collect();
-        out.sort_by_key(|(id, _)| format!("{id:?}"));
-        if registry.retired != MetricsSnapshot::default() {
-            out.push((None, registry.retired));
+        let [seq_pages, seq_batches, rnd_pages, idx_pages, writes, hits, misses, evictions] =
+            self.counters().map(|c| c.load(Ordering::Relaxed));
+        MetricsSnapshot {
+            seq_pages,
+            seq_batches,
+            rnd_pages,
+            idx_pages,
+            writes,
+            buffer_hits: hits,
+            buffer_misses: misses,
+            buffer_evictions: evictions,
         }
-        out
     }
 
+    /// Zero the page/buffer counters (the histograms and wait events are
+    /// lifetime totals and stay).
     pub fn reset(&self) {
-        let mut registry = self.shared.registry.lock();
-        *registry = Registry::default();
-        self.shared.generation.fetch_add(1, Ordering::SeqCst);
-        let totals = &self.shared.totals;
-        for counter in [
-            &totals.seq_pages,
-            &totals.seq_batches,
-            &totals.rnd_pages,
-            &totals.idx_pages,
-            &totals.writes,
-            &totals.buffer_hits,
-            &totals.buffer_misses,
-            &totals.buffer_evictions,
-        ] {
+        for counter in self.counters() {
             counter.store(0, Ordering::Relaxed);
         }
     }
@@ -450,59 +349,6 @@ mod tests {
         assert_eq!(s.total_reads(), 4);
         m.reset();
         assert_eq!(m.snapshot(), MetricsSnapshot::default());
-    }
-
-    #[test]
-    fn per_thread_counts_sum_to_totals() {
-        let m = DiskMetrics::new();
-        m.record_read(AccessKind::Sequential);
-        std::thread::scope(|s| {
-            for _ in 0..3 {
-                let m = m.clone();
-                s.spawn(move || {
-                    m.record_read(AccessKind::Random);
-                    m.record_write();
-                });
-            }
-        });
-        let per = m.per_thread_snapshot();
-        assert_eq!(per.len(), 4, "main + 3 workers");
-        let total = m.snapshot();
-        assert_eq!(per.iter().map(|(_, s)| s.seq_pages).sum::<u64>(), total.seq_pages);
-        assert_eq!(per.iter().map(|(_, s)| s.rnd_pages).sum::<u64>(), total.rnd_pages);
-        assert_eq!(per.iter().map(|(_, s)| s.writes).sum::<u64>(), total.writes);
-        m.reset();
-        assert!(m.per_thread_snapshot().is_empty());
-    }
-
-    #[test]
-    fn finished_pool_workers_fold_into_one_retired_block() {
-        let m = DiskMetrics::new();
-        m.record_read(AccessKind::Sequential);
-        let items: Vec<u32> = (0..64).collect();
-        for _ in 0..1000 {
-            crate::exec::run_chunked(4, &items, |_, chunk| {
-                for _ in chunk {
-                    m.record_read(AccessKind::Random);
-                    m.record_buffer_hit();
-                }
-                Ok::<Vec<()>, ()>(Vec::new())
-            })
-            .unwrap();
-        }
-        let per = m.per_thread_snapshot();
-        assert_eq!(per.len(), 2, "this thread + the retired workers, not 4 000 entries");
-        assert_eq!(per[1].0, None, "finished workers are summed under no thread id");
-        assert_eq!(per[1].1.rnd_pages, 64_000);
-        let total = m.snapshot();
-        let sum = per.iter().fold(MetricsSnapshot::default(), |acc, (_, s)| acc.plus(s));
-        assert_eq!(sum, total, "live + retired blocks sum exactly to the totals");
-        // A thread keeps recording to its block across a reset.
-        m.reset();
-        assert!(m.per_thread_snapshot().is_empty());
-        m.record_write();
-        assert_eq!(m.per_thread_snapshot().len(), 1);
-        assert_eq!(m.per_thread_snapshot()[0].1, m.snapshot());
     }
 
     #[test]

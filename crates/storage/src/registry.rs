@@ -1,22 +1,25 @@
 //! Process-wide engine metrics registry.
 //!
-//! One aggregation point over the counters the storage layer already keeps
-//! scattered across its components: the shared [`DiskMetrics`] page/buffer
-//! counters, the WAL's append/force/recovery counts, the lock manager's
-//! wait statistics, and per-operator execution totals reported by the query
-//! layer. `SHOW METRICS` and `Mood::engine_metrics()` render a snapshot of
-//! this registry; because [`DiskMetrics`] already attributes every access to
-//! its recording thread, the totals here are exact under parallel execution
-//! (totals are always the sum of the per-thread counts).
+//! One place to read every engine counter. The storage layer's events are
+//! recorded once, where they happen, through the [`DiskMetrics`] handle the
+//! buffer pool was built with (page/buffer totals, latency histograms, wait
+//! events); the registry reads them — with the WAL's, the lock manager's,
+//! the pool's health and the disk stack's retry counters — when it takes a
+//! snapshot. The layers above record their scalars here ([`Metric`]), with
+//! per-operator totals and clustering factors. `SHOW METRICS` and
+//! `Mood::engine_metrics()` render a snapshot in three formats
+//! ([`EngineMetrics::rows`], [`to_json`](EngineMetrics::to_json),
+//! [`to_prometheus`](EngineMetrics::to_prometheus)), each walking the same
+//! ordered list of scalars and then the same four structured families.
 
 use std::collections::BTreeMap;
+use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use crate::buffer::PoolHealth;
-use crate::disk::RetryStats;
+use crate::buffer::BufferPool;
 use crate::lock::LockManager;
 use crate::metrics::{DiskMetrics, MetricsSnapshot};
 use crate::telemetry::{
@@ -80,45 +83,92 @@ pub struct ClusterStats {
     pub moved_objects: u64,
 }
 
+/// How an exported scalar behaves over time: its Prometheus `# TYPE`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum MetricKind {
+    /// Only ever grows (between restarts).
+    Counter,
+    /// A level that may go either way.
+    Gauge,
+}
+
+/// Declares the registry's own scalars, one line each: the variant, its
+/// exported name, its kind, and the [`EngineMetrics`] field a snapshot
+/// puts it in. The declaration order is the export order.
+macro_rules! registry_scalars {
+    ($($metric:ident => $name:literal, $kind:ident, $($field:ident).+;)+) => {
+        /// A scalar the layers above storage record in the registry, through
+        /// [`MetricsRegistry::add`] (a counter) or [`MetricsRegistry::set`]
+        /// (a gauge).
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        pub enum Metric {
+            $($metric),+
+        }
+
+        impl Metric {
+            /// Every registry scalar, in export order.
+            pub const ALL: [Metric; [$($name),+].len()] = [$(Metric::$metric),+];
+
+            /// The exported name (`SHOW METRICS` row, JSON key).
+            pub fn name(self) -> &'static str {
+                match self {
+                    $(Metric::$metric => $name),+
+                }
+            }
+
+            pub fn kind(self) -> MetricKind {
+                match self {
+                    $(Metric::$metric => MetricKind::$kind),+
+                }
+            }
+        }
+
+        impl EngineMetrics {
+            fn get(&self, metric: Metric) -> u64 {
+                match metric {
+                    $(Metric::$metric => self.$($field).+),+
+                }
+            }
+
+            fn slot(&mut self, metric: Metric) -> &mut u64 {
+                match metric {
+                    $(Metric::$metric => &mut self.$($field).+),+
+                }
+            }
+        }
+    };
+}
+
+registry_scalars! {
+    PlanCacheHits => "plan_cache.hits", Counter, plan_cache.hits;
+    PlanCacheMisses => "plan_cache.misses", Counter, plan_cache.misses;
+    PlanCacheEvictions => "plan_cache.evictions", Counter, plan_cache.evictions;
+    PlanCacheInvalidations => "plan_cache.invalidations", Counter, plan_cache.invalidations;
+    PlanCacheCapacity => "plan_cache.capacity", Gauge, plan_cache.capacity;
+    CompileNs => "compile.ns", Counter, compile_ns;
+    BatchRows => "batch.rows", Counter, batch.rows;
+    BatchCount => "batch.count", Counter, batch.count;
+    SortSpilledRuns => "sort.spilled_runs", Counter, batch.spilled_runs;
+    SortSpillBytes => "sort.spill_bytes", Counter, batch.spill_bytes;
+    AggSpilledPartitions => "agg.spilled_partitions", Counter, agg_spilled_partitions;
+    ClusterPasses => "cluster.passes", Counter, cluster.passes;
+    ClusterMovedObjects => "cluster.moved_objects", Counter, cluster.moved_objects;
+}
+
 /// Aggregates engine-wide counters; owned by the [`StorageManager`] and
 /// shared with the query layer.
 ///
 /// [`StorageManager`]: crate::StorageManager
 pub struct MetricsRegistry {
-    metrics: DiskMetrics,
+    pool: Arc<BufferPool>,
     wal: Arc<Wal>,
     locks: Arc<LockManager>,
-    /// The buffer pool's contention counter (nanoseconds blocked on shard
-    /// locks / checked-out pages) — shared with the pool that bumps it.
-    buffer_wait_ns: Arc<AtomicU64>,
-    /// Degraded flag + page-repair counter; attached by the storage
-    /// manager (absent on bare registries, which then report healthy).
-    health: Mutex<Option<Arc<PoolHealth>>>,
-    /// RetryDisk counters, when the disk stack has a retry layer.
-    retry: Mutex<Option<Arc<RetryStats>>>,
+    /// The [`Metric`] scalars, indexed by variant.
+    scalars: [AtomicU64; Metric::ALL.len()],
     operators: Mutex<BTreeMap<String, OperatorTotals>>,
-    plan_cache_hits: AtomicU64,
-    plan_cache_misses: AtomicU64,
-    plan_cache_evictions: AtomicU64,
-    plan_cache_invalidations: AtomicU64,
-    plan_cache_capacity: AtomicU64,
-    batch_rows: AtomicU64,
-    batch_count: AtomicU64,
-    sort_spilled_runs: AtomicU64,
-    sort_spill_bytes: AtomicU64,
-    agg_spilled_partitions: AtomicU64,
-    cluster_passes: AtomicU64,
-    cluster_moved: AtomicU64,
     /// Per-class clustering factor gauges (last value wins), keyed by
     /// class name. Set after `CLUSTER` / `ANALYZE` recomputes the factor.
     cluster_factors: Mutex<BTreeMap<String, f64>>,
-    /// Nanoseconds spent lowering predicates/projections to register
-    /// programs and binding/optimizing cacheable plans.
-    compile_ns: AtomicU64,
-    /// The shared telemetry sink (latency histograms + wait events). The
-    /// registry owns it; the storage manager hands clones to the buffer
-    /// pool, WAL and lock manager during wiring.
-    telemetry: Arc<Telemetry>,
     /// Per-statement aggregates keyed by statement shape.
     statements: StatementStats,
     /// Ring of statements that exceeded the slow-query threshold.
@@ -134,7 +184,8 @@ pub struct EngineMetrics {
     /// WAL appends / forces / pages rebuilt by recovery.
     pub wal: WalStats,
     /// Nanoseconds threads spent blocked on buffer-pool shard locks and
-    /// condvars (pool contention, not transaction serialization).
+    /// condvars (pool contention, not transaction serialization): the
+    /// `buffer_shard` and `buffer_checkout` wait events together.
     pub buffer_wait_ns: u64,
     /// Times a lock acquire had to block.
     pub lock_waits: u64,
@@ -178,6 +229,28 @@ pub struct EngineMetrics {
     pub histograms: Vec<(String, HistogramSnapshot)>,
 }
 
+/// One exported scalar's value.
+#[derive(Debug, Clone, Copy)]
+enum Value<'a> {
+    Count(u64),
+    /// A ratio in `[0, 1]`, shown with four decimals.
+    Ratio(f64),
+    /// A yes/no state and, when yes, why: a quoted string in JSON, 0/1 in
+    /// Prometheus.
+    Flag(bool, &'a str),
+}
+
+impl fmt::Display for Value<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match *self {
+            Value::Count(n) => write!(f, "{n}"),
+            Value::Ratio(r) => write!(f, "{r:.4}"),
+            Value::Flag(false, _) => f.write_str("no"),
+            Value::Flag(true, reason) => write!(f, "yes ({reason})"),
+        }
+    }
+}
+
 impl EngineMetrics {
     /// Buffer-pool hit ratio in `[0, 1]`; 0 when the pool is untouched.
     pub fn buffer_hit_ratio(&self) -> f64 {
@@ -189,94 +262,68 @@ impl EngineMetrics {
         }
     }
 
-    /// Flatten into `(metric, value)` rows for tabular display. Stable
-    /// order: disk, buffer, wal, locks, then operators alphabetically.
-    pub fn rows(&self) -> Vec<(String, String)> {
-        let mut out: Vec<(String, String)> = vec![
-            ("disk.seq_pages", self.disk.seq_pages.to_string()),
-            ("disk.rnd_pages", self.disk.rnd_pages.to_string()),
-            ("disk.idx_pages", self.disk.idx_pages.to_string()),
-            ("disk.writes", self.disk.writes.to_string()),
-            ("buffer.hits", self.disk.buffer_hits.to_string()),
-            ("buffer.misses", self.disk.buffer_misses.to_string()),
-            ("buffer.evictions", self.disk.buffer_evictions.to_string()),
-            ("buffer.hit_ratio", format!("{:.4}", self.buffer_hit_ratio())),
-            ("buffer.wait_ns", self.buffer_wait_ns.to_string()),
-            ("wal.appends", self.wal.appends.to_string()),
-            ("wal.fsyncs", self.wal.forces.to_string()),
-            ("wal.recovered_pages", self.wal.recovered.to_string()),
-            ("lock.waits", self.lock_waits.to_string()),
-            ("lock.timeouts", self.lock_timeouts.to_string()),
-            ("lock.deadlocks", self.lock_deadlocks.to_string()),
-            ("page.repairs", self.page_repairs.to_string()),
-            ("io.retries", self.io_retries.to_string()),
-            ("io.gave_up", self.io_gave_up.to_string()),
-            (
-                "storage.degraded",
-                if self.degraded {
-                    format!("yes ({})", self.degraded_reason)
-                } else {
-                    "no".to_string()
-                },
-            ),
-            ("plan_cache.hits", self.plan_cache.hits.to_string()),
-            ("plan_cache.misses", self.plan_cache.misses.to_string()),
-            ("plan_cache.evictions", self.plan_cache.evictions.to_string()),
-            (
-                "plan_cache.invalidations",
-                self.plan_cache.invalidations.to_string(),
-            ),
-            ("plan_cache.capacity", self.plan_cache.capacity.to_string()),
-            ("compile.ns", self.compile_ns.to_string()),
-            ("batch.rows", self.batch.rows.to_string()),
-            ("batch.count", self.batch.count.to_string()),
-            ("sort.spilled_runs", self.batch.spilled_runs.to_string()),
-            ("sort.spill_bytes", self.batch.spill_bytes.to_string()),
-            (
-                "agg.spilled_partitions",
-                self.agg_spilled_partitions.to_string(),
-            ),
-            ("cluster.passes", self.cluster.passes.to_string()),
-            ("cluster.moved_objects", self.cluster.moved_objects.to_string()),
-        ]
-        .into_iter()
-        .map(|(k, v)| (k.to_string(), v))
-        .collect();
-        for (class, factor) in &self.cluster_factors {
-            out.push((format!("cluster.factor.{class}"), format!("{factor:.4}")));
-        }
-        for (name, t) in &self.operators {
-            out.push((
-                format!("operator.{name}"),
-                format!(
-                    "calls={} rows={} pages={} time={:.3}ms",
-                    t.invocations,
-                    t.rows,
-                    t.pages,
-                    t.nanos as f64 / 1e6
-                ),
-            ));
-        }
-        for w in &self.waits {
-            out.push((
-                format!("wait.{}", w.event),
-                format!("count={} time_ns={}", w.count, w.total_ns),
-            ));
-        }
-        for (family, h) in &self.histograms {
-            out.push((
-                format!("hist.{family}"),
-                format!(
-                    "count={} p50_ns={} p95_ns={} p99_ns={} max_ns={}",
-                    h.count,
-                    h.p50(),
-                    h.p95(),
-                    h.p99(),
-                    h.max
-                ),
-            ));
-        }
+    /// The one ordered list of scalars every export walks: the storage
+    /// layer's, then the registry's own ([`Metric::ALL`]). The structured
+    /// families (clustering factors, operators, waits, histograms) follow
+    /// it in every format, in that order.
+    fn scalars(&self) -> Vec<(&'static str, MetricKind, Value<'_>)> {
+        use MetricKind::{Counter, Gauge};
+        let (d, n) = (&self.disk, Value::Count);
+        let mut out = vec![
+            ("disk.seq_pages", Counter, n(d.seq_pages)),
+            ("disk.rnd_pages", Counter, n(d.rnd_pages)),
+            ("disk.idx_pages", Counter, n(d.idx_pages)),
+            ("disk.writes", Counter, n(d.writes)),
+            ("buffer.hits", Counter, n(d.buffer_hits)),
+            ("buffer.misses", Counter, n(d.buffer_misses)),
+            ("buffer.evictions", Counter, n(d.buffer_evictions)),
+            ("buffer.hit_ratio", Gauge, Value::Ratio(self.buffer_hit_ratio())),
+            ("buffer.wait_ns", Counter, n(self.buffer_wait_ns)),
+            ("wal.appends", Counter, n(self.wal.appends)),
+            ("wal.fsyncs", Counter, n(self.wal.forces)),
+            ("wal.recovered_pages", Counter, n(self.wal.recovered)),
+            ("lock.waits", Counter, n(self.lock_waits)),
+            ("lock.timeouts", Counter, n(self.lock_timeouts)),
+            ("lock.deadlocks", Counter, n(self.lock_deadlocks)),
+            ("page.repairs", Counter, n(self.page_repairs)),
+            ("io.retries", Counter, n(self.io_retries)),
+            ("io.gave_up", Counter, n(self.io_gave_up)),
+            ("storage.degraded", Gauge, Value::Flag(self.degraded, &self.degraded_reason)),
+        ];
+        out.extend(Metric::ALL.map(|m| (m.name(), m.kind(), n(self.get(m)))));
         out
+    }
+
+    /// Flatten into `(metric, value)` rows for tabular display. Stable
+    /// order: the scalars, then clustering factors, operators, waits and
+    /// histograms.
+    pub fn rows(&self) -> Vec<(String, String)> {
+        let scalars = self.scalars().into_iter();
+        let scalars = scalars.map(|(name, _, value)| (name.to_string(), value.to_string()));
+        let factors = self.cluster_factors.iter().map(|(class, factor)| {
+            (format!("cluster.factor.{class}"), format!("{factor:.4}"))
+        });
+        let operators = self.operators.iter().map(|(name, t)| {
+            let (calls, rows, pages, ms) = (t.invocations, t.rows, t.pages, t.nanos as f64 / 1e6);
+            let v = format!("calls={calls} rows={rows} pages={pages} time={ms:.3}ms");
+            (format!("operator.{name}"), v)
+        });
+        let waits = self.waits.iter().map(|w| {
+            let v = format!("count={} time_ns={}", w.count, w.total_ns);
+            (format!("wait.{}", w.event), v)
+        });
+        let histograms = self.histograms.iter().map(|(family, h)| {
+            let v = format!(
+                "count={} p50_ns={} p95_ns={} p99_ns={} max_ns={}",
+                h.count,
+                h.p50(),
+                h.p95(),
+                h.p99(),
+                h.max
+            );
+            (format!("hist.{family}"), v)
+        });
+        scalars.chain(factors).chain(operators).chain(waits).chain(histograms).collect()
     }
 
     /// A named histogram family from the snapshot, if present.
@@ -303,174 +350,108 @@ impl EngineMetrics {
     /// name, operators / waits / histograms as structured arrays (histogram
     /// buckets are sparse `[index, count]` pairs).
     pub fn to_json(&self) -> String {
-        let mut s = String::with_capacity(4096);
-        s.push_str("{\"counters\":{");
-        let mut first = true;
-        for (k, v) in self.scalar_rows() {
-            if !first {
-                s.push(',');
-            }
-            first = false;
-            // Numeric values stay numbers; the rest are strings.
-            if v.parse::<u64>().is_ok() || v.parse::<f64>().is_ok() {
-                s.push_str(&format!("\"{}\":{}", json_escape(&k), v));
-            } else {
-                s.push_str(&format!("\"{}\":\"{}\"", json_escape(&k), json_escape(&v)));
-            }
-        }
-        s.push_str("},\"cluster_factors\":[");
-        for (i, (class, factor)) in self.cluster_factors.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&format!(
-                "{{\"class\":\"{}\",\"factor\":{factor}}}",
-                json_escape(class)
-            ));
-        }
-        s.push_str("],\"operators\":[");
-        for (i, (name, t)) in self.operators.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&format!(
+        let counters = self.scalars().into_iter().map(|(name, _, value)| match value {
+            Value::Flag(..) => format!("\"{name}\":\"{}\"", json_escape(&value.to_string())),
+            _ => format!("\"{name}\":{value}"),
+        });
+        let factors = self.cluster_factors.iter().map(|(class, factor)| {
+            format!("{{\"class\":\"{}\",\"factor\":{factor}}}", json_escape(class))
+        });
+        let operators = self.operators.iter().map(|(name, t)| {
+            format!(
                 "{{\"name\":\"{}\",\"calls\":{},\"rows\":{},\"pages\":{},\"time_ns\":{}}}",
                 json_escape(name),
                 t.invocations,
                 t.rows,
                 t.pages,
                 t.nanos
-            ));
-        }
-        s.push_str("],\"waits\":[");
-        for (i, w) in self.waits.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&format!(
-                "{{\"event\":\"{}\",\"count\":{},\"time_ns\":{}}}",
-                w.event, w.count, w.total_ns
-            ));
-        }
-        s.push_str("],\"histograms\":[");
-        for (i, (family, h)) in self.histograms.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&format!(
-                "{{\"family\":\"{}\",\"count\":{},\"sum_ns\":{},\"max_ns\":{},\
-                 \"p50_ns\":{},\"p95_ns\":{},\"p99_ns\":{},\"buckets\":[",
-                family,
+            )
+        });
+        let waits = self.waits.iter().map(|w| {
+            let (e, count, ns) = (w.event, w.count, w.total_ns);
+            format!("{{\"event\":\"{e}\",\"count\":{count},\"time_ns\":{ns}}}")
+        });
+        let histograms = self.histograms.iter().map(|(family, h)| {
+            let buckets = h.nonzero_buckets().into_iter().map(|(ix, n)| format!("[{ix},{n}]"));
+            format!(
+                "{{\"family\":\"{family}\",\"count\":{},\"sum_ns\":{},\"max_ns\":{},\
+                 \"p50_ns\":{},\"p95_ns\":{},\"p99_ns\":{},\"buckets\":[{}]}}",
                 h.count,
                 h.sum,
                 h.max,
                 h.p50(),
                 h.p95(),
-                h.p99()
-            ));
-            for (j, (ix, n)) in h.nonzero_buckets().iter().enumerate() {
-                if j > 0 {
-                    s.push(',');
-                }
-                s.push_str(&format!("[{ix},{n}]"));
-            }
-            s.push_str("]}");
-        }
-        s.push_str("]}");
-        s
+                h.p99(),
+                join(buckets)
+            )
+        });
+        format!(
+            "{{\"counters\":{{{}}},\"cluster_factors\":[{}],\"operators\":[{}],\"waits\":[{}],\
+             \"histograms\":[{}]}}",
+            join(counters),
+            join(factors),
+            join(operators),
+            join(waits),
+            join(histograms)
+        )
     }
 
     /// Render the snapshot in the Prometheus text exposition format. Row
-    /// names map to `mood_`-prefixed metric names with dots as underscores;
-    /// operators / waits / histogram families become labelled series, and
-    /// each histogram additionally exports p50/p95/p99 as `quantile`
-    /// labels (summary-style).
+    /// names map to `mood_`-prefixed metric names with dots as underscores,
+    /// each typed by its declared [`MetricKind`]; operators / waits / histogram
+    /// families become labelled series, and each histogram additionally
+    /// exports p50/p95/p99 as `quantile` labels (summary-style).
     pub fn to_prometheus(&self) -> String {
         let mut s = String::with_capacity(4096);
-        for (k, v) in self.scalar_rows() {
-            let name = format!("mood_{}", k.replace('.', "_"));
-            if k == "storage.degraded" {
-                s.push_str(&format!("# TYPE {name} gauge\n"));
-                s.push_str(&format!(
-                    "{name} {}\n",
-                    u64::from(v != "no")
-                ));
-                continue;
-            }
-            let kind = if k == "buffer.hit_ratio" || k == "plan_cache.capacity" {
-                "gauge"
-            } else {
-                "counter"
+        for (name, kind, value) in self.scalars() {
+            let name = format!("mood_{}", name.replace('.', "_"));
+            let kind = match kind {
+                MetricKind::Counter => "counter",
+                MetricKind::Gauge => "gauge",
             };
-            s.push_str(&format!("# TYPE {name} {kind}\n{name} {v}\n"));
+            let value = match value {
+                Value::Flag(on, _) => u64::from(on).to_string(),
+                _ => value.to_string(),
+            };
+            s.push_str(&format!("# TYPE {name} {kind}\n{name} {value}\n"));
         }
         s.push_str("# TYPE mood_cluster_factor gauge\n");
         for (class, factor) in &self.cluster_factors {
-            s.push_str(&format!(
-                "mood_cluster_factor{{class=\"{}\"}} {factor}\n",
-                prom_escape(class)
-            ));
+            let class = prom_escape(class);
+            s.push_str(&format!("mood_cluster_factor{{class=\"{class}\"}} {factor}\n"));
         }
-        s.push_str("# TYPE mood_operator_calls counter\n");
-        s.push_str("# TYPE mood_operator_rows counter\n");
-        s.push_str("# TYPE mood_operator_pages counter\n");
-        s.push_str("# TYPE mood_operator_time_ns counter\n");
+        let series = ["calls", "rows", "pages", "time_ns"];
+        for field in series {
+            s.push_str(&format!("# TYPE mood_operator_{field} counter\n"));
+        }
         for (name, t) in &self.operators {
-            let label = prom_escape(name);
-            s.push_str(&format!(
-                "mood_operator_calls{{op=\"{label}\"}} {}\n",
-                t.invocations
-            ));
-            s.push_str(&format!("mood_operator_rows{{op=\"{label}\"}} {}\n", t.rows));
-            s.push_str(&format!("mood_operator_pages{{op=\"{label}\"}} {}\n", t.pages));
-            s.push_str(&format!(
-                "mood_operator_time_ns{{op=\"{label}\"}} {}\n",
-                t.nanos
-            ));
+            let op = prom_escape(name);
+            for (field, v) in series.iter().zip([t.invocations, t.rows, t.pages, t.nanos]) {
+                s.push_str(&format!("mood_operator_{field}{{op=\"{op}\"}} {v}\n"));
+            }
         }
-        s.push_str("# TYPE mood_wait_count counter\n");
-        s.push_str("# TYPE mood_wait_time_ns counter\n");
+        s.push_str("# TYPE mood_wait_count counter\n# TYPE mood_wait_time_ns counter\n");
         for w in &self.waits {
-            s.push_str(&format!(
-                "mood_wait_count{{event=\"{}\"}} {}\n",
-                w.event, w.count
-            ));
-            s.push_str(&format!(
-                "mood_wait_time_ns{{event=\"{}\"}} {}\n",
-                w.event, w.total_ns
-            ));
+            let e = w.event;
+            s.push_str(&format!("mood_wait_count{{event=\"{e}\"}} {}\n", w.count));
+            s.push_str(&format!("mood_wait_time_ns{{event=\"{e}\"}} {}\n", w.total_ns));
         }
         s.push_str("# TYPE mood_latency_ns summary\n");
         for (family, h) in &self.histograms {
             for (q, v) in [(0.5, h.p50()), (0.95, h.p95()), (0.99, h.p99())] {
-                s.push_str(&format!(
-                    "mood_latency_ns{{family=\"{family}\",quantile=\"{q}\"}} {v}\n"
-                ));
+                let labels = format!("family=\"{family}\",quantile=\"{q}\"");
+                s.push_str(&format!("mood_latency_ns{{{labels}}} {v}\n"));
             }
-            s.push_str(&format!("mood_latency_ns_sum{{family=\"{family}\"}} {}\n", h.sum));
-            s.push_str(&format!(
-                "mood_latency_ns_count{{family=\"{family}\"}} {}\n",
-                h.count
-            ));
-            s.push_str(&format!("mood_latency_ns_max{{family=\"{family}\"}} {}\n", h.max));
+            for (name, v) in [("sum", h.sum), ("count", h.count), ("max", h.max)] {
+                s.push_str(&format!("mood_latency_ns_{name}{{family=\"{family}\"}} {v}\n"));
+            }
         }
         s
     }
+}
 
-    /// The scalar (non-structured) rows: everything `rows()` emits except
-    /// operators, waits and histograms, which the exports structure
-    /// separately.
-    fn scalar_rows(&self) -> Vec<(String, String)> {
-        self.rows()
-            .into_iter()
-            .filter(|(k, _)| {
-                !k.starts_with("operator.")
-                    && !k.starts_with("wait.")
-                    && !k.starts_with("hist.")
-                    && !k.starts_with("cluster.factor.")
-            })
-            .collect()
-    }
+fn join(items: impl Iterator<Item = String>) -> String {
+    items.collect::<Vec<_>>().join(",")
 }
 
 fn json_escape(s: &str) -> String {
@@ -494,44 +475,36 @@ fn prom_escape(s: &str) -> String {
 }
 
 impl MetricsRegistry {
-    pub fn new(
-        metrics: DiskMetrics,
-        wal: Arc<Wal>,
-        locks: Arc<LockManager>,
-        buffer_wait_ns: Arc<AtomicU64>,
-    ) -> Self {
+    /// The registry over a storage manager's components. Everything the
+    /// pool, WAL and lock manager record — through the pool's
+    /// [`DiskMetrics`] handle, which the other two were built with — is
+    /// read back at [`snapshot`](Self::snapshot).
+    pub fn new(pool: Arc<BufferPool>, wal: Arc<Wal>, locks: Arc<LockManager>) -> Self {
         MetricsRegistry {
-            metrics,
+            pool,
             wal,
             locks,
-            buffer_wait_ns,
-            health: Mutex::new(None),
-            retry: Mutex::new(None),
+            scalars: std::array::from_fn(|_| AtomicU64::new(0)),
             operators: Mutex::new(BTreeMap::new()),
-            plan_cache_hits: AtomicU64::new(0),
-            plan_cache_misses: AtomicU64::new(0),
-            plan_cache_evictions: AtomicU64::new(0),
-            plan_cache_invalidations: AtomicU64::new(0),
-            plan_cache_capacity: AtomicU64::new(0),
-            batch_rows: AtomicU64::new(0),
-            batch_count: AtomicU64::new(0),
-            sort_spilled_runs: AtomicU64::new(0),
-            sort_spill_bytes: AtomicU64::new(0),
-            agg_spilled_partitions: AtomicU64::new(0),
-            cluster_passes: AtomicU64::new(0),
-            cluster_moved: AtomicU64::new(0),
             cluster_factors: Mutex::new(BTreeMap::new()),
-            compile_ns: AtomicU64::new(0),
-            telemetry: Arc::new(Telemetry::new()),
             statements: StatementStats::default(),
             slow_log: SlowQueryLog::default(),
         }
     }
 
-    /// The shared telemetry sink (histograms + wait events). Components
-    /// that record into it hold a clone of this Arc.
-    pub fn telemetry(&self) -> &Arc<Telemetry> {
-        &self.telemetry
+    /// Add `n` to a counter.
+    pub fn add(&self, metric: Metric, n: u64) {
+        self.scalars[metric as usize].fetch_add(n, Ordering::Relaxed);
+    }
+
+    /// Publish a gauge's current value.
+    pub fn set(&self, metric: Metric, value: u64) {
+        self.scalars[metric as usize].store(value, Ordering::Relaxed);
+    }
+
+    /// The latency histograms and wait events (the pool's handle's).
+    pub fn telemetry(&self) -> &Telemetry {
+        self.pool.metrics().telemetry()
     }
 
     /// Per-statement aggregates (`SHOW STATEMENTS`).
@@ -544,16 +517,6 @@ impl MetricsRegistry {
         self.slow_log.entries()
     }
 
-    /// Slow-query captures evicted by ring overflow.
-    pub fn slow_queries_dropped(&self) -> u64 {
-        self.slow_log.dropped()
-    }
-
-    /// Change the slow-query ring's retention bound.
-    pub fn set_slow_log_capacity(&self, capacity: usize) {
-        self.slow_log.set_capacity(capacity);
-    }
-
     /// Fold one completed statement into the per-statement aggregates and
     /// the statement-latency histogram.
     pub fn record_statement(
@@ -564,7 +527,7 @@ impl MetricsRegistry {
         pages: u64,
         cached: bool,
     ) {
-        self.telemetry.record_hist(HistFamily::Statement, elapsed_ns);
+        self.telemetry().record_hist(HistFamily::Statement, elapsed_ns);
         self.statements.record(sql, elapsed_ns, rows, pages, cached);
     }
 
@@ -582,23 +545,13 @@ impl MetricsRegistry {
 
     /// The shared disk-metrics handle this registry reads from.
     pub fn disk_metrics(&self) -> &DiskMetrics {
-        &self.metrics
-    }
-
-    /// Attach the pool's fault-tolerance state (degraded flag, repairs).
-    pub fn attach_health(&self, health: Arc<PoolHealth>) {
-        *self.health.lock() = Some(health);
-    }
-
-    /// Attach a RetryDisk's counters discovered in the disk stack.
-    pub fn attach_retry_stats(&self, stats: Arc<RetryStats>) {
-        *self.retry.lock() = Some(stats);
+        self.pool.metrics()
     }
 
     /// Fold one operator execution into the lifetime totals (and the
     /// operator-latency histogram).
     pub fn record_operator(&self, name: &str, rows: u64, pages: u64, nanos: u64) {
-        self.telemetry.record_hist(HistFamily::Operator, nanos);
+        self.telemetry().record_hist(HistFamily::Operator, nanos);
         let mut ops = self.operators.lock();
         // The name is copied only the first time an operator kind is seen.
         if !ops.contains_key(name) {
@@ -611,60 +564,6 @@ impl MetricsRegistry {
         t.nanos += nanos;
     }
 
-    /// A plan-cache lookup served from the cache.
-    pub fn record_plan_cache_hit(&self) {
-        self.plan_cache_hits.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A cacheable statement that had to be compiled fresh.
-    pub fn record_plan_cache_miss(&self) {
-        self.plan_cache_misses.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// An entry dropped to make room (LRU capacity eviction).
-    pub fn record_plan_cache_eviction(&self) {
-        self.plan_cache_evictions.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// An entry dropped because the catalog epoch moved past it.
-    pub fn record_plan_cache_invalidation(&self) {
-        self.plan_cache_invalidations.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Add plan/predicate compilation time to the lifetime total.
-    pub fn record_compile_ns(&self, ns: u64) {
-        self.compile_ns.fetch_add(ns, Ordering::Relaxed);
-    }
-
-    /// Publish the plan cache's configured entry capacity (a gauge).
-    pub fn set_plan_cache_capacity(&self, capacity: u64) {
-        self.plan_cache_capacity.store(capacity, Ordering::Relaxed);
-    }
-
-    /// One flushed operator batch of `rows` rows (`rows >= 1`).
-    pub fn record_batch(&self, rows: u64) {
-        self.batch_rows.fetch_add(rows, Ordering::Relaxed);
-        self.batch_count.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// One sorted run of `bytes` bytes spilled to a temp file.
-    pub fn record_spilled_run(&self, bytes: u64) {
-        self.sort_spilled_runs.fetch_add(1, Ordering::Relaxed);
-        self.sort_spill_bytes.fetch_add(bytes, Ordering::Relaxed);
-    }
-
-    /// One hash-aggregation partition spilled to a temp file (the bytes
-    /// are folded into `sort.spill_bytes` by the shared spill facility).
-    pub fn record_agg_spilled_partition(&self) {
-        self.agg_spilled_partitions.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// One completed `CLUSTER` pass that rewrote `moved` objects.
-    pub fn record_cluster_pass(&self, moved: u64) {
-        self.cluster_passes.fetch_add(1, Ordering::Relaxed);
-        self.cluster_moved.fetch_add(moved, Ordering::Relaxed);
-    }
-
     /// Publish a class's clustering factor gauge (last value wins).
     pub fn set_cluster_factor(&self, class: &str, factor: f64) {
         self.cluster_factors
@@ -674,61 +573,39 @@ impl MetricsRegistry {
 
     /// Snapshot every counter the registry aggregates.
     pub fn snapshot(&self) -> EngineMetrics {
-        let (page_repairs, degraded, degraded_reason) = match self.health.lock().as_ref() {
-            Some(h) => (h.page_repairs(), h.is_degraded(), h.reason()),
-            None => (0, false, String::new()),
-        };
-        let (io_retries, io_gave_up, backoff_ns) = match self.retry.lock().as_ref() {
-            Some(r) => (r.retries(), r.gave_up(), r.backoff_ns()),
-            None => (0, 0, 0),
-        };
-        // RetryDisk keeps its own backoff clock (it predates the telemetry
-        // wiring in the disk stack); fold it into the wait-event row here.
-        let mut waits = self.telemetry.wait_snapshots();
-        if let Some(w) = waits
-            .iter_mut()
-            .find(|w| w.event == WaitEvent::DiskRetryBackoff.name())
-        {
-            w.count += io_retries;
-            w.total_ns += backoff_ns;
-        }
-        EngineMetrics {
-            disk: self.metrics.snapshot(),
+        let health = self.pool.health();
+        let retry = self.pool.disk().retry_stats();
+        let (io_retries, io_gave_up, backoff_ns) =
+            retry.map_or((0, 0, 0), |r| (r.retries(), r.gave_up(), r.backoff_ns()));
+        let telemetry = self.telemetry();
+        // RetryDisk keeps its own backoff clock (the disk stack is built
+        // before any metrics handle); fold it into the wait-event row here.
+        let mut waits = telemetry.wait_snapshots();
+        let backoff = &mut waits[WaitEvent::DiskRetryBackoff as usize];
+        backoff.count += io_retries;
+        backoff.total_ns += backoff_ns;
+        let buffer_wait_ns = [WaitEvent::BufferShard, WaitEvent::BufferCheckout]
+            .iter()
+            .map(|e| waits[*e as usize].total_ns)
+            .sum();
+        let mut m = EngineMetrics {
+            disk: self.pool.metrics().snapshot(),
             wal: self.wal.stats(),
-            buffer_wait_ns: self.buffer_wait_ns.load(Ordering::Relaxed),
+            buffer_wait_ns,
             lock_waits: self.locks.wait_count(),
             lock_timeouts: self.locks.timeout_count(),
             lock_deadlocks: self.locks.deadlock_count(),
-            page_repairs,
+            page_repairs: health.page_repairs(),
             io_retries,
             io_gave_up,
-            degraded,
-            degraded_reason,
-            plan_cache: PlanCacheStats {
-                hits: self.plan_cache_hits.load(Ordering::Relaxed),
-                misses: self.plan_cache_misses.load(Ordering::Relaxed),
-                evictions: self.plan_cache_evictions.load(Ordering::Relaxed),
-                invalidations: self.plan_cache_invalidations.load(Ordering::Relaxed),
-                capacity: self.plan_cache_capacity.load(Ordering::Relaxed),
-            },
-            batch: BatchStats {
-                rows: self.batch_rows.load(Ordering::Relaxed),
-                count: self.batch_count.load(Ordering::Relaxed),
-                spilled_runs: self.sort_spilled_runs.load(Ordering::Relaxed),
-                spill_bytes: self.sort_spill_bytes.load(Ordering::Relaxed),
-            },
-            agg_spilled_partitions: self.agg_spilled_partitions.load(Ordering::Relaxed),
-            cluster: ClusterStats {
-                passes: self.cluster_passes.load(Ordering::Relaxed),
-                moved_objects: self.cluster_moved.load(Ordering::Relaxed),
-            },
+            degraded: health.is_degraded(),
+            degraded_reason: health.reason(),
             cluster_factors: self
                 .cluster_factors
                 .lock()
                 .iter()
                 .map(|(k, v)| (k.clone(), *v))
                 .collect(),
-            compile_ns: self.compile_ns.load(Ordering::Relaxed),
             operators: self
                 .operators
                 .lock()
@@ -736,29 +613,49 @@ impl MetricsRegistry {
                 .map(|(k, v)| (k.clone(), *v))
                 .collect(),
             waits,
-            histograms: self
-                .telemetry
+            histograms: telemetry
                 .hist_snapshots()
                 .into_iter()
                 .map(|(name, h)| (name.to_string(), h))
                 .collect(),
+            ..EngineMetrics::default()
+        };
+        for metric in Metric::ALL {
+            *m.slot(metric) = self.scalars[metric as usize].load(Ordering::Relaxed);
         }
+        m
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use std::time::Duration;
+
     use super::*;
+    use crate::disk::{Disk, MemDisk, RetryDisk, RetryStats};
     use crate::metrics::AccessKind;
     use crate::wal::MemLog;
 
+    /// A registry over a bare pool on `disk`, its WAL and lock manager
+    /// built with the pool's handle as a storage manager builds them.
+    fn registry_over(disk: Arc<dyn Disk>) -> MetricsRegistry {
+        let metrics = DiskMetrics::new();
+        let wal = Wal::new(Box::new(MemLog::new()), metrics.clone());
+        let locks = LockManager::new(Duration::from_millis(200), metrics.clone());
+        let pool = BufferPool::new(disk, 4, metrics);
+        MetricsRegistry::new(Arc::new(pool), Arc::new(wal), Arc::new(locks))
+    }
+
     fn registry() -> MetricsRegistry {
-        MetricsRegistry::new(
-            DiskMetrics::new(),
-            Arc::new(Wal::new(Box::new(MemLog::new()))),
-            Arc::new(LockManager::default()),
-            Arc::new(AtomicU64::new(0)),
-        )
+        registry_over(Arc::new(MemDisk::new()))
+    }
+
+    /// A registry whose disk stack has a retry layer, and that layer's
+    /// counters.
+    fn registry_with_retries() -> (MetricsRegistry, Arc<RetryStats>) {
+        let disk = RetryDisk::new(MemDisk::new());
+        let stats = disk.stats();
+        (registry_over(Arc::new(disk)), stats)
     }
 
     #[test]
@@ -781,14 +678,14 @@ mod tests {
     #[test]
     fn plan_cache_counters_accumulate() {
         let r = registry();
-        r.record_plan_cache_miss();
-        r.record_plan_cache_miss();
-        r.record_plan_cache_hit();
-        r.record_plan_cache_eviction();
-        r.record_plan_cache_invalidation();
-        r.record_compile_ns(1_500);
-        r.record_compile_ns(500);
-        r.set_plan_cache_capacity(128);
+        r.add(Metric::PlanCacheMisses, 1);
+        r.add(Metric::PlanCacheMisses, 1);
+        r.add(Metric::PlanCacheHits, 1);
+        r.add(Metric::PlanCacheEvictions, 1);
+        r.add(Metric::PlanCacheInvalidations, 1);
+        r.add(Metric::CompileNs, 1_500);
+        r.add(Metric::CompileNs, 500);
+        r.set(Metric::PlanCacheCapacity, 128);
         let snap = r.snapshot();
         assert_eq!(
             snap.plan_cache,
@@ -819,11 +716,14 @@ mod tests {
         let r = registry();
         // Discipline: rows >= count (every batch holds >= 1 row), and
         // spilled_runs > 0 whenever spill_bytes > 0.
-        r.record_batch(1024);
-        r.record_batch(7);
-        r.record_batch(1);
-        r.record_spilled_run(4096);
-        r.record_spilled_run(512);
+        for rows in [1024, 7, 1] {
+            r.add(Metric::BatchRows, rows);
+            r.add(Metric::BatchCount, 1);
+        }
+        for bytes in [4096, 512] {
+            r.add(Metric::SortSpilledRuns, 1);
+            r.add(Metric::SortSpillBytes, bytes);
+        }
         let snap = r.snapshot();
         assert_eq!(
             snap.batch,
@@ -872,10 +772,12 @@ mod tests {
         assert_eq!(snap.agg_spilled_partitions, 0);
         assert!(snap.cluster_factors.is_empty());
         // Discipline: moved_objects > 0 implies passes > 0.
-        r.record_cluster_pass(120);
-        r.record_cluster_pass(0);
-        r.record_agg_spilled_partition();
-        r.record_agg_spilled_partition();
+        for moved in [120, 0] {
+            r.add(Metric::ClusterPasses, 1);
+            r.add(Metric::ClusterMovedObjects, moved);
+        }
+        r.add(Metric::AggSpilledPartitions, 1);
+        r.add(Metric::AggSpilledPartitions, 1);
         r.set_cluster_factor("Employee", 0.93);
         r.set_cluster_factor("Dept", 1.7); // clamped into [0,1]
         r.set_cluster_factor("Employee", 0.95); // last value wins
@@ -921,22 +823,18 @@ mod tests {
 
     #[test]
     fn fault_tolerance_rows_render() {
-        let r = registry();
-        // Bare registry: healthy defaults.
+        let (r, retry) = registry_with_retries();
+        // Untouched: healthy defaults.
         let snap = r.snapshot();
         assert!(!snap.degraded);
         assert_eq!((snap.page_repairs, snap.io_retries, snap.io_gave_up), (0, 0, 0));
         let rows = snap.rows();
         assert!(rows.iter().any(|(k, v)| k == "storage.degraded" && v == "no"));
         assert!(rows.iter().any(|(k, v)| k == "lock.deadlocks" && v == "0"));
-        // Attached health/retry handles feed through.
-        let health = Arc::new(PoolHealth::default());
-        health.mark_degraded("disk on fire");
-        r.attach_health(health);
-        let retry = Arc::new(RetryStats::default());
+        // The pool's health and the retry layer's counters feed through.
+        r.pool.health().mark_degraded("disk on fire");
         retry.io_retries.fetch_add(3, Ordering::Relaxed);
         retry.io_gave_up.fetch_add(1, Ordering::Relaxed);
-        r.attach_retry_stats(retry);
         let snap = r.snapshot();
         assert!(snap.degraded);
         assert_eq!((snap.io_retries, snap.io_gave_up), (3, 1));
@@ -990,11 +888,9 @@ mod tests {
 
     #[test]
     fn retry_backoff_merges_into_wait_event() {
-        let r = registry();
-        let retry = Arc::new(RetryStats::default());
+        let (r, retry) = registry_with_retries();
         retry.io_retries.fetch_add(4, Ordering::Relaxed);
         retry.add_backoff_ns(7_000_000);
-        r.attach_retry_stats(retry);
         let snap = r.snapshot();
         let w = snap.wait("disk_retry_backoff").unwrap();
         assert_eq!((w.count, w.total_ns), (4, 7_000_000));

@@ -20,16 +20,15 @@
 //!   session's slow-query threshold, each with its captured
 //!   `EXPLAIN ANALYZE` tree.
 //!
-//! One [`Telemetry`] instance is shared by the buffer pool, WAL, lock
-//! manager and the metrics registry, exactly like the [`DiskMetrics`]
-//! handle — and with the same discipline: a snapshot's bucket counts always
-//! sum to its observation count, no matter how many threads recorded.
+//! One [`Telemetry`] lives inside the [`DiskMetrics`] handle the buffer
+//! pool, WAL and lock manager are constructed with, so every component
+//! records into it directly; a snapshot's bucket counts always sum to its
+//! observation count, no matter how many threads recorded.
 //!
 //! [`DiskMetrics`]: crate::metrics::DiskMetrics
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 use parking_lot::Mutex;
 
@@ -188,13 +187,13 @@ impl HistogramSnapshot {
         self.quantile(0.99)
     }
 
-    /// Mean observation in nanoseconds (0 when empty).
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.count as f64
-        }
+    /// Fold one observation in: for a histogram whose writers the caller
+    /// already serializes (a statement's own, under the statements lock).
+    pub fn record(&mut self, value: u64) {
+        self.buckets[bucket_index(value)] += 1;
+        self.count += 1;
+        self.sum += value;
+        self.max = self.max.max(value);
     }
 
     /// Sparse `(bucket index, count)` pairs — the export wire format.
@@ -246,16 +245,6 @@ impl WaitEvent {
             WaitEvent::WalFsync => "wal_fsync",
         }
     }
-
-    fn ix(self) -> usize {
-        match self {
-            WaitEvent::BufferShard => 0,
-            WaitEvent::BufferCheckout => 1,
-            WaitEvent::LockQueue => 2,
-            WaitEvent::DiskRetryBackoff => 3,
-            WaitEvent::WalFsync => 4,
-        }
-    }
 }
 
 /// The latency-histogram families the engine maintains.
@@ -300,18 +289,6 @@ impl HistFamily {
             HistFamily::LockAcquire => "lock_acquire",
         }
     }
-
-    fn ix(self) -> usize {
-        match self {
-            HistFamily::Statement => 0,
-            HistFamily::Operator => 1,
-            HistFamily::DiskRead => 2,
-            HistFamily::DiskWrite => 3,
-            HistFamily::DiskFsync => 4,
-            HistFamily::WalAppend => 5,
-            HistFamily::LockAcquire => 6,
-        }
-    }
 }
 
 /// One wait-event row: how often the event fired and the total blocked
@@ -351,66 +328,45 @@ impl Telemetry {
     /// Record one observation (nanoseconds) into a histogram family.
     #[inline]
     pub fn record_hist(&self, family: HistFamily, nanos: u64) {
-        self.hists[family.ix()].record(nanos);
+        self.hists[family as usize].record(nanos);
     }
 
     /// Charge blocked time to a wait event.
     #[inline]
     pub fn record_wait(&self, event: WaitEvent, nanos: u64) {
-        self.wait_count[event.ix()].fetch_add(1, Ordering::Relaxed);
-        self.wait_ns[event.ix()].fetch_add(nanos, Ordering::Relaxed);
+        self.wait_count[event as usize].fetch_add(1, Ordering::Relaxed);
+        self.wait_ns[event as usize].fetch_add(nanos, Ordering::Relaxed);
     }
 
     pub fn hist_snapshot(&self, family: HistFamily) -> HistogramSnapshot {
-        self.hists[family.ix()].snapshot()
+        self.hists[family as usize].snapshot()
     }
 
     /// All histogram families, in [`HistFamily::ALL`] order.
     pub fn hist_snapshots(&self) -> Vec<(&'static str, HistogramSnapshot)> {
         HistFamily::ALL
             .iter()
-            .map(|f| (f.name(), self.hists[f.ix()].snapshot()))
+            .map(|f| (f.name(), self.hists[*f as usize].snapshot()))
             .collect()
+    }
+
+    /// One wait event's count and blocked time.
+    pub fn wait(&self, event: WaitEvent) -> WaitSnapshot {
+        WaitSnapshot {
+            event: event.name(),
+            count: self.wait_count[event as usize].load(Ordering::Relaxed),
+            total_ns: self.wait_ns[event as usize].load(Ordering::Relaxed),
+        }
     }
 
     /// All wait events, in [`WaitEvent::ALL`] order.
     pub fn wait_snapshots(&self) -> Vec<WaitSnapshot> {
-        WaitEvent::ALL
-            .iter()
-            .map(|e| WaitSnapshot {
-                event: e.name(),
-                count: self.wait_count[e.ix()].load(Ordering::Relaxed),
-                total_ns: self.wait_ns[e.ix()].load(Ordering::Relaxed),
-            })
-            .collect()
+        WaitEvent::ALL.iter().map(|e| self.wait(*e)).collect()
     }
 
     /// Total blocked nanoseconds across every wait event.
     pub fn total_wait_ns(&self) -> u64 {
         self.wait_ns.iter().map(|n| n.load(Ordering::Relaxed)).sum()
-    }
-}
-
-/// A shareable late-bound `Arc<Telemetry>` slot. Components are constructed
-/// before the registry that owns the shared instance, so they carry one of
-/// these and the storage manager fills it in during wiring; an unset slot
-/// records nothing.
-#[derive(Default)]
-pub struct TelemetrySlot(Mutex<Option<Arc<Telemetry>>>);
-
-impl TelemetrySlot {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    pub fn set(&self, telemetry: Arc<Telemetry>) {
-        *self.0.lock() = Some(telemetry);
-    }
-
-    /// The shared instance, if wired (cheap clone of the Arc).
-    #[inline]
-    pub fn get(&self) -> Option<Arc<Telemetry>> {
-        self.0.lock().clone()
     }
 }
 
@@ -436,53 +392,32 @@ pub struct StatementStat {
 }
 
 struct StatementEntry {
-    calls: u64,
-    total_ns: u64,
+    /// The statement's own latencies: its calls (`count`), total (`sum`),
+    /// max and p99. The map mutex already serializes writers.
+    latency: HistogramSnapshot,
     min_ns: u64,
-    max_ns: u64,
     rows: u64,
     pages: u64,
     cache_hits: u64,
-    /// Per-statement latency buckets (same layout as [`LatencyHistogram`];
-    /// plain u64s — the map mutex already serializes writers).
-    buckets: Vec<u64>,
 }
 
 impl StatementEntry {
     fn new() -> StatementEntry {
         StatementEntry {
-            calls: 0,
-            total_ns: 0,
+            latency: HistogramSnapshot::default(),
             min_ns: u64::MAX,
-            max_ns: 0,
             rows: 0,
             pages: 0,
             cache_hits: 0,
-            buckets: vec![0; NUM_BUCKETS],
         }
     }
 
     fn add(&mut self, elapsed_ns: u64, rows: u64, pages: u64, cached: bool) {
-        self.calls += 1;
-        self.total_ns += elapsed_ns;
+        self.latency.record(elapsed_ns);
         self.min_ns = self.min_ns.min(elapsed_ns);
-        self.max_ns = self.max_ns.max(elapsed_ns);
         self.rows += rows;
         self.pages += pages;
         self.cache_hits += u64::from(cached);
-        self.buckets[bucket_index(elapsed_ns)] += 1;
-    }
-
-    fn p99_ns(&self) -> u64 {
-        let rank = ((0.99 * self.calls as f64).ceil() as u64).clamp(1, self.calls.max(1));
-        let mut seen = 0u64;
-        for (ix, &n) in self.buckets.iter().enumerate() {
-            seen += n;
-            if seen >= rank {
-                return bucket_upper(ix).min(self.max_ns);
-            }
-        }
-        self.max_ns
     }
 }
 
@@ -509,11 +444,11 @@ impl StatementStats {
             return;
         }
         if map.len() >= STATEMENT_CAP {
-            let mut totals: Vec<u64> = map.values().map(|e| e.total_ns).collect();
+            let mut totals: Vec<u64> = map.values().map(|e| e.latency.sum).collect();
             let mut quota = STATEMENT_CAP / 4;
             let cutoff = *totals.select_nth_unstable(quota - 1).1;
             map.retain(|_, e| {
-                let evict = quota > 0 && e.total_ns <= cutoff;
+                let evict = quota > 0 && e.latency.sum <= cutoff;
                 quota -= usize::from(evict);
                 !evict
             });
@@ -530,11 +465,11 @@ impl StatementStats {
             .iter()
             .map(|(sql, e)| StatementStat {
                 sql: sql.clone(),
-                calls: e.calls,
-                total_ns: e.total_ns,
+                calls: e.latency.count,
+                total_ns: e.latency.sum,
                 min_ns: if e.min_ns == u64::MAX { 0 } else { e.min_ns },
-                max_ns: e.max_ns,
-                p99_ns: e.p99_ns(),
+                max_ns: e.latency.max,
+                p99_ns: e.latency.p99(),
                 rows: e.rows,
                 pages: e.pages,
                 cache_hits: e.cache_hits,
@@ -542,10 +477,6 @@ impl StatementStats {
             .collect();
         out.sort_by(|a, b| b.total_ns.cmp(&a.total_ns).then(a.sql.cmp(&b.sql)));
         out
-    }
-
-    pub fn clear(&self) {
-        self.map.lock().clear();
     }
 }
 
@@ -637,10 +568,6 @@ impl SlowQueryLog {
     /// Entries evicted by overflow over the log's lifetime.
     pub fn dropped(&self) -> u64 {
         self.dropped.load(Ordering::Relaxed)
-    }
-
-    pub fn clear(&self) {
-        self.entries.lock().clear();
     }
 }
 

@@ -47,9 +47,10 @@ use parking_lot::Mutex;
 
 use crate::disk::Disk;
 use crate::error::{Result, StorageError};
+use crate::metrics::DiskMetrics;
 use crate::oid::{FileId, PageId};
 use crate::page::{Page, PAGE_USABLE};
-use crate::telemetry::{HistFamily, Telemetry, TelemetrySlot, WaitEvent};
+use crate::telemetry::{HistFamily, WaitEvent};
 
 const KIND_PAGE_IMAGE: u8 = 1;
 const KIND_COMMIT: u8 = 2;
@@ -397,9 +398,11 @@ struct Record<'a> {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WalStats {
     /// Appends handed to the store: one per commit (its page records and
-    /// marker together) and one per abort marker.
+    /// marker together) and one per abort marker — the `wal_append`
+    /// histogram's count.
     pub appends: u64,
-    /// Forces (fsyncs) of the log to stable storage.
+    /// Forces (fsyncs) of the log to stable storage — the `wal_fsync` wait
+    /// event's count.
     pub forces: u64,
     /// Pages rebuilt by `recover` over this Wal's lifetime.
     pub recovered: u64,
@@ -451,38 +454,30 @@ impl CommitState {
 pub struct Wal {
     store: Box<dyn LogStore>,
     next_txn: AtomicU64,
-    appends: AtomicU64,
-    forces: AtomicU64,
     recovered: AtomicU64,
     commit: Mutex<CommitState>,
-    /// Late-bound telemetry sink (append latency, fsync waits); set by the
-    /// storage manager, empty on bare logs.
-    telemetry: TelemetrySlot,
+    /// Where append latency and fsync waits are recorded: the storage
+    /// manager's one handle (a fresh one for a bare log).
+    metrics: DiskMetrics,
 }
 
 impl Wal {
-    pub fn new(store: Box<dyn LogStore>) -> Self {
+    pub fn new(store: Box<dyn LogStore>, metrics: DiskMetrics) -> Self {
         Wal {
             store,
             next_txn: AtomicU64::new(1),
-            appends: AtomicU64::new(0),
-            forces: AtomicU64::new(0),
             recovered: AtomicU64::new(0),
             commit: Mutex::new(CommitState::default()),
-            telemetry: TelemetrySlot::new(),
+            metrics,
         }
-    }
-
-    /// Wire the shared telemetry sink (called by the storage manager).
-    pub fn set_telemetry(&self, telemetry: std::sync::Arc<Telemetry>) {
-        self.telemetry.set(telemetry);
     }
 
     /// Lifetime counters (appends, forces, pages rebuilt).
     pub fn stats(&self) -> WalStats {
+        let t = self.metrics.telemetry();
         WalStats {
-            appends: self.appends.load(Ordering::Relaxed),
-            forces: self.forces.load(Ordering::Relaxed),
+            appends: t.hist_snapshot(HistFamily::WalAppend).count,
+            forces: t.wait(WaitEvent::WalFsync).count,
             recovered: self.recovered.load(Ordering::Relaxed),
         }
     }
@@ -520,9 +515,8 @@ impl Wal {
     fn timed_append(&self, bytes: &[u8]) -> Result<()> {
         let t0 = std::time::Instant::now();
         let result = self.store.append(bytes);
-        if let Some(t) = self.telemetry.get() {
-            t.record_hist(HistFamily::WalAppend, t0.elapsed().as_nanos() as u64);
-        }
+        let t = self.metrics.telemetry();
+        t.record_hist(HistFamily::WalAppend, t0.elapsed().as_nanos() as u64);
         result
     }
 
@@ -534,14 +528,11 @@ impl Wal {
         let st = &mut *self.commit.lock();
         st.stage_for(txn);
         frame(&mut st.buf, txn, |_| Some(KIND_COMMIT));
-        self.appends.fetch_add(1, Ordering::Relaxed);
         let result = self.timed_append(&st.buf).and_then(|()| {
-            self.forces.fetch_add(1, Ordering::Relaxed);
             let t0 = std::time::Instant::now();
             let forced = self.store.force();
-            if let Some(t) = self.telemetry.get() {
-                t.record_wait(WaitEvent::WalFsync, t0.elapsed().as_nanos() as u64);
-            }
+            let t = self.metrics.telemetry();
+            t.record_wait(WaitEvent::WalFsync, t0.elapsed().as_nanos() as u64);
             forced
         });
         match result {
@@ -562,7 +553,6 @@ impl Wal {
         if st.txn == txn {
             st.unstage();
         }
-        self.appends.fetch_add(1, Ordering::Relaxed);
         let mut marker = Vec::with_capacity(17);
         frame(&mut marker, txn, |_| Some(KIND_ABORT));
         self.timed_append(&marker)
@@ -770,7 +760,7 @@ mod tests {
 
     #[test]
     fn committed_txn_is_replayed() {
-        let wal = Wal::new(Box::new(MemLog::new()));
+        let wal = Wal::new(Box::new(MemLog::new()), DiskMetrics::new());
         let disk = MemDisk::new();
         let f = disk.create_file().unwrap();
         disk.allocate_page(f).unwrap();
@@ -787,7 +777,7 @@ mod tests {
 
     #[test]
     fn uncommitted_txn_never_reaches_the_store() {
-        let wal = Wal::new(Box::new(MemLog::new()));
+        let wal = Wal::new(Box::new(MemLog::new()), DiskMetrics::new());
         let disk = MemDisk::new();
         let f = disk.create_file().unwrap();
         disk.allocate_page(f).unwrap();
@@ -810,7 +800,7 @@ mod tests {
 
     #[test]
     fn aborted_txn_is_ignored() {
-        let wal = Wal::new(Box::new(MemLog::new()));
+        let wal = Wal::new(Box::new(MemLog::new()), DiskMetrics::new());
         let disk = MemDisk::new();
         let f = disk.create_file().unwrap();
         disk.allocate_page(f).unwrap();
@@ -822,7 +812,7 @@ mod tests {
 
     #[test]
     fn first_touch_is_an_image_and_later_commits_are_deltas_replayed_in_order() {
-        let wal = Wal::new(Box::new(MemLog::new()));
+        let wal = Wal::new(Box::new(MemLog::new()), DiskMetrics::new());
         let disk = MemDisk::new();
         let f = disk.create_file().unwrap();
         disk.allocate_page(f).unwrap();
@@ -859,7 +849,7 @@ mod tests {
     fn recovery_builds_on_the_logged_image_not_the_disk_copy() {
         // The disk copy is half old, half new — a torn write-back of the
         // second state. The log alone decides what the page becomes.
-        let wal = Wal::new(Box::new(MemLog::new()));
+        let wal = Wal::new(Box::new(MemLog::new()), DiskMetrics::new());
         let disk = MemDisk::new();
         let f = disk.create_file().unwrap();
         disk.allocate_page(f).unwrap();
@@ -890,7 +880,7 @@ mod tests {
         let wal = Wal::new(Box::new(crate::fault::FaultyLog::new(
             mem.clone(),
             plan.clone(),
-        )));
+        )), DiskMetrics::new());
         let disk = MemDisk::new();
         let f = disk.create_file().unwrap();
         disk.allocate_page(f).unwrap();
@@ -926,7 +916,7 @@ mod tests {
     fn a_write_outside_any_transaction_forces_a_new_image() {
         // Bulk loads write pages outside transactions: those bytes are in
         // no record, so a delta over them would replay onto the wrong base.
-        let wal = Wal::new(Box::new(MemLog::new()));
+        let wal = Wal::new(Box::new(MemLog::new()), DiskMetrics::new());
         let disk = MemDisk::new();
         let f = disk.create_file().unwrap();
         disk.allocate_page(f).unwrap();
@@ -953,7 +943,7 @@ mod tests {
     #[test]
     fn torn_tail_is_cut_so_the_next_commit_is_not_hidden() {
         let log = Arc::new(MemLog::new());
-        let wal = Wal::new(Box::new(Shared(log.clone())));
+        let wal = Wal::new(Box::new(Shared(log.clone())), DiskMetrics::new());
         let disk = MemDisk::new();
         let f = disk.create_file().unwrap();
         disk.allocate_page(f).unwrap();
@@ -990,7 +980,7 @@ mod tests {
 
     #[test]
     fn recovery_recreates_missing_pages() {
-        let wal = Wal::new(Box::new(MemLog::new()));
+        let wal = Wal::new(Box::new(MemLog::new()), DiskMetrics::new());
         let disk = MemDisk::new();
         let f = disk.create_file().unwrap();
         // Log writes to page 3 of a file that only has 0 pages on the
@@ -1004,7 +994,7 @@ mod tests {
 
     #[test]
     fn checkpoint_truncates_and_ends_every_base() {
-        let wal = Wal::new(Box::new(MemLog::new()));
+        let wal = Wal::new(Box::new(MemLog::new()), DiskMetrics::new());
         let s1 = page_with(1);
         let t = wal.begin();
         wal.log_page(t, FileId(1), PageId(0), &Page::new(), &s1);
@@ -1022,7 +1012,7 @@ mod tests {
     fn abort_after_commit_overrides_it() {
         // The live system appends an abort when a commit's force fails
         // ambiguously; recovery must honour the later marker.
-        let wal = Wal::new(Box::new(MemLog::new()));
+        let wal = Wal::new(Box::new(MemLog::new()), DiskMetrics::new());
         let disk = MemDisk::new();
         let f = disk.create_file().unwrap();
         disk.allocate_page(f).unwrap();
@@ -1050,7 +1040,7 @@ mod tests {
             Some(KIND_PAGE_IMAGE)
         });
         log.append(&rec).unwrap();
-        let wal = Wal::new(Box::new(log));
+        let wal = Wal::new(Box::new(log), DiskMetrics::new());
         wal.commit(1).unwrap();
         let disk = MemDisk::new();
         match wal.recover(&disk) {
@@ -1069,7 +1059,7 @@ mod tests {
             Some(KIND_PAGE_DELTA)
         });
         log.append(&rec).unwrap();
-        let wal = Wal::new(Box::new(log));
+        let wal = Wal::new(Box::new(log), DiskMetrics::new());
         wal.commit(1).unwrap();
         assert!(matches!(
             wal.recover(&MemDisk::new()),
@@ -1083,12 +1073,12 @@ mod tests {
         let disk = MemDisk::new();
         let f = disk.create_file().unwrap();
         {
-            let wal = Wal::new(Box::new(log.clone()));
+            let wal = Wal::new(Box::new(log.clone()), DiskMetrics::new());
             let t = wal.begin();
             wal.log_page(t, f, PageId(2), &Page::new(), &page_with(0x5A));
             wal.commit(t).unwrap();
         }
-        let wal = Wal::new(Box::new(log));
+        let wal = Wal::new(Box::new(log), DiskMetrics::new());
         assert_eq!(wal.recover(&disk).unwrap(), 1);
         let snap = |d: &MemDisk| -> Vec<Vec<u8>> {
             (0..d.page_count(f).unwrap())
@@ -1104,7 +1094,7 @@ mod tests {
 
     #[test]
     fn stats_count_appends_forces_and_recovered() {
-        let wal = Wal::new(Box::new(MemLog::new()));
+        let wal = Wal::new(Box::new(MemLog::new()), DiskMetrics::new());
         let disk = MemDisk::new();
         let f = disk.create_file().unwrap();
         disk.allocate_page(f).unwrap();
@@ -1125,7 +1115,7 @@ mod tests {
 
     #[test]
     fn latest_committed_image_is_the_image_plus_its_committed_deltas() {
-        let wal = Wal::new(Box::new(MemLog::new()));
+        let wal = Wal::new(Box::new(MemLog::new()), DiskMetrics::new());
         let key = (FileId(1), PageId(0));
         let s1 = page_with(1);
         let s2 = patched(&s1, 100, b"two");
@@ -1164,13 +1154,13 @@ mod tests {
     fn file_log_roundtrip() {
         let path = temp_log("roundtrip");
         {
-            let wal = Wal::new(Box::new(FileLog::open(&path).unwrap()));
+            let wal = Wal::new(Box::new(FileLog::open(&path).unwrap()), DiskMetrics::new());
             let t = wal.begin();
             wal.log_page(t, FileId(1), PageId(0), &Page::new(), &page_with(0x42));
             wal.commit(t).unwrap();
         }
         {
-            let wal = Wal::new(Box::new(FileLog::open(&path).unwrap()));
+            let wal = Wal::new(Box::new(FileLog::open(&path).unwrap()), DiskMetrics::new());
             let disk = MemDisk::new();
             assert_eq!(wal.recover(&disk).unwrap(), 1);
         }
@@ -1193,7 +1183,7 @@ mod tests {
                 0,
                 "nothing is allocated before the first append"
             );
-            let wal = Wal::new(Box::new(log));
+            let wal = Wal::new(Box::new(log), DiskMetrics::new());
             let t = wal.begin();
             wal.log_page(t, f, PageId(0), &Page::new(), &s1);
             wal.commit(t).unwrap();
@@ -1209,7 +1199,7 @@ mod tests {
             assert_eq!(log.len().unwrap(), EXTENT);
             assert!(log.read_all().unwrap().ends_with(&[0u8; 64]));
             // ...recovery can, and cuts it off before anything appends.
-            let wal = Wal::new(Box::new(log));
+            let wal = Wal::new(Box::new(log), DiskMetrics::new());
             assert_eq!(wal.recover(&disk).unwrap(), 1);
             assert!((wal.size().unwrap() as u64) < EXTENT);
             assert_eq!(file_len(), wal.size().unwrap() as u64);
@@ -1219,7 +1209,7 @@ mod tests {
         }
         {
             // Both generations are there for the next recovery.
-            let wal = Wal::new(Box::new(FileLog::open(&path).unwrap()));
+            let wal = Wal::new(Box::new(FileLog::open(&path).unwrap()), DiskMetrics::new());
             assert_eq!(
                 kinds(&*wal.store),
                 [KIND_PAGE_IMAGE, KIND_COMMIT, KIND_PAGE_IMAGE, KIND_COMMIT]

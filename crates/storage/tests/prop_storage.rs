@@ -380,7 +380,7 @@ proptest! {
     ) {
         use mood_storage::{MemLog, Page, PageId, Wal, Disk};
         let disk = MemDisk::new();
-        let wal = Wal::new(Box::new(MemLog::new()));
+        let wal = Wal::new(Box::new(MemLog::new()), DiskMetrics::new());
         let f = disk.create_file().unwrap();
         for _ in 0..4 {
             disk.allocate_page(f).unwrap();
@@ -760,7 +760,7 @@ fn run_schedule(schedule: &[Txn], cut: usize) {
         }
         let torn = MemLog::new();
         torn.append(&bytes[..cut]).unwrap();
-        let wal = Wal::new(Box::new(torn));
+        let wal = Wal::new(Box::new(torn), DiskMetrics::new());
         let snapshot = || -> Image {
             (0..PAGES)
                 .map(|p| {

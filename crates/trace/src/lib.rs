@@ -11,8 +11,9 @@
 //!
 //! Spans are intentionally synchronous and coordinator-side: parallel
 //! operators still run their workers freely, and because [`DiskMetrics`]
-//! totals are always the sum of the per-thread counts, a span's delta is
-//! exact no matter how the work was distributed across threads.
+//! counts every access once in process-wide totals, whichever thread made
+//! it, a span's delta is exact no matter how the work was distributed
+//! across threads.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;

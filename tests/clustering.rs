@@ -32,7 +32,7 @@ use proptest::prelude::*;
 
 use mood_core::{Answer, Mood, OptimizerConfig, Value};
 use mood_storage::{
-    Disk, FaultPlan, FaultyDisk, FaultyLog, FileDisk, FileLog, StorageManager, Wal,
+    Disk, DiskMetrics, FaultPlan, FaultyDisk, FaultyLog, FileDisk, FileLog, StorageManager, Wal,
 };
 
 // ----------------------------------------------------------------------
@@ -601,7 +601,8 @@ fn pages_snapshot(dir: &Path) -> BTreeMap<String, Vec<u8>> {
 fn check_recovery_idempotent(dir: &Path) {
     let recover = || {
         let disk = FileDisk::open(dir.join("pages")).unwrap();
-        let wal = Wal::new(Box::new(FileLog::open(dir.join("wal.log")).unwrap()));
+        let log = FileLog::open(dir.join("wal.log")).unwrap();
+        let wal = Wal::new(Box::new(log), DiskMetrics::new());
         wal.recover(&disk).unwrap();
     };
     recover();

@@ -29,7 +29,7 @@ use std::sync::Arc;
 
 use mood_core::{Mood, Value};
 use mood_storage::{
-    Disk, FaultPlan, FaultyDisk, FaultyLog, FileDisk, FileLog, StorageManager, Wal,
+    Disk, DiskMetrics, FaultPlan, FaultyDisk, FaultyLog, FileDisk, FileLog, StorageManager, Wal,
 };
 
 /// Committed ledger contents: account id -> balance.
@@ -286,7 +286,8 @@ fn pages_snapshot(dir: &Path) -> BTreeMap<String, Vec<u8>> {
 fn check_recovery_idempotent(dir: &Path) {
     let recover = || {
         let disk = FileDisk::open(dir.join("pages")).unwrap();
-        let wal = Wal::new(Box::new(FileLog::open(dir.join("wal.log")).unwrap()));
+        let log = FileLog::open(dir.join("wal.log")).unwrap();
+        let wal = Wal::new(Box::new(log), DiskMetrics::new());
         wal.recover(&disk).unwrap();
     };
     recover();

@@ -47,7 +47,7 @@ fn committed_transactions_replay_after_crash() {
     // The redo-log protocol at the storage level: log page images, crash
     // before flushing the pool, recover from the WAL.
     let disk = MemDisk::new();
-    let wal = Wal::new(Box::new(MemLog::new()));
+    let wal = Wal::new(Box::new(MemLog::new()), DiskMetrics::new());
     let f = disk.create_file().unwrap();
     disk.allocate_page(f).unwrap();
 
@@ -111,7 +111,7 @@ fn injected_io_faults_surface_and_heal() {
 fn lock_manager_protects_concurrent_method_redefinition() {
     // The Section 2 scenario: the class's shared object is locked while a
     // function is rewritten; readers block rather than see a torn state.
-    let lm = Arc::new(LockManager::new(Duration::from_secs(5)));
+    let lm = Arc::new(LockManager::new(Duration::from_secs(5), DiskMetrics::new()));
     let writers_done = Arc::new(std::sync::atomic::AtomicBool::new(false));
     let lm2 = lm.clone();
     let done2 = writers_done.clone();
@@ -218,7 +218,7 @@ fn torn_log_tail_is_tolerated() {
             self.0.truncate()
         }
     }
-    let wal = Wal::new(Box::new(Shared(log.clone())));
+    let wal = Wal::new(Box::new(Shared(log.clone())), DiskMetrics::new());
     let disk = MemDisk::new();
     let f = disk.create_file().unwrap();
     disk.allocate_page(f).unwrap();

@@ -522,7 +522,8 @@ fn index_fetches_reverify_on_the_pruned_object() {
 
 /// Twin classes holding the same objects in the same order: `Item` indexed
 /// (B+-trees on an Integer with NULLs, negatives and duplicates, on a Float
-/// and on a String, none in extent order) and `ItemTwin` not. `pad` sets
+/// holding both `0.0` and `-0.0`, and on a String, none in extent order)
+/// and `ItemTwin` not. `pad` sets
 /// how many objects share a page, so how soon §8.1 prefers an index.
 fn build_twins(n: i32, pad: usize) -> Mood {
     let db = Mood::in_memory_with_pool(4096);
@@ -540,9 +541,11 @@ fn build_twins(n: i32, pad: usize) -> Mood {
                 6 => Value::Integer((i - 13) * 37 % n - 40),
                 _ => Value::Integer(i * 37 % n - 40),
             };
+            // -0.0 equals the 0.0 another object holds.
+            let ratio = if i == 7 { -0.0 } else { (i * 11 % n) as f64 * 0.25 - 10.0 };
             let object = Value::tuple(vec![
                 ("id", id),
-                ("ratio", Value::Float((i * 11 % n) as f64 * 0.25 - 10.0)),
+                ("ratio", Value::Float(ratio)),
                 ("tag", Value::string(format!("t{:04}", i * 7 % n))),
                 ("grp", Value::Integer(i % 5)),
                 ("pad", Value::string("p".repeat(pad))),
@@ -617,6 +620,10 @@ fn range_corpus(n: i32) -> Vec<String> {
         "k.ratio >= -2.5 AND k.ratio <= 1.75".to_string(),
         "k.ratio BETWEEN 3.1 AND 5.9".to_string(),
         "k.ratio > 7 AND k.ratio < 9".to_string(),
+        // The two zeros are one key.
+        "k.ratio = 0.0".to_string(),
+        "k.ratio >= 0.0".to_string(),
+        "k.ratio <= -0.0".to_string(),
         "k.tag >= 't0010' AND k.tag < 't0021'".to_string(),
         "k.tag < 't0007'".to_string(),
         "k.tag > 't0003' AND k.tag <= 't0003'".to_string(),

@@ -1,6 +1,8 @@
 //! The streaming tail's memory is bounded by what each clause keeps, not by
 //! the number of rows that flow through it — measured, with a counting
-//! allocator, as the peak of live heap bytes while a statement runs.
+//! allocator, as the peak of live heap bytes while a statement runs. The
+//! same allocator pins what every statement stands on: a buffer-pool hit
+//! allocates nothing.
 //!
 //! The allocator counts per thread and the statements run at parallelism
 //! 1, so tests running beside each other do not see one another.
@@ -133,4 +135,21 @@ fn distinct_holds_a_few_batches_and_its_set() {
             "{execution} execution peaked at {peak} bytes"
         );
     }
+}
+
+#[test]
+fn a_resident_page_hit_allocates_nothing() {
+    use mood_core::storage::{AccessKind, BufferPool, Disk, DiskMetrics, MemDisk};
+    let disk = std::sync::Arc::new(MemDisk::new());
+    let file = disk.create_file().unwrap();
+    let pool = BufferPool::new(disk, 8, DiskMetrics::new());
+    let (page, _) = pool.new_page(file, |p| p.data[0] = 7).unwrap();
+    // A checkout moves the frame's page out and back: no placeholder page
+    // is allocated in its place, for a read or a write.
+    let base = LIVE.with(Cell::get);
+    PEAK.with(|p| p.set(base));
+    let read = pool.with_page(file, page, AccessKind::Random, |p| p.data[0]);
+    pool.with_page_mut(file, page, AccessKind::Random, |p| p.data[1] = 8).unwrap();
+    assert_eq!(read.unwrap(), 7);
+    assert_eq!(PEAK.with(Cell::get) - base, 0, "a buffer hit allocated");
 }
