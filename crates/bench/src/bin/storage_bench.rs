@@ -10,7 +10,9 @@
 //! Three workloads over one shared sharded buffer pool:
 //!
 //! * **scan** — chunk-parallel full heap scan (`scan_range_with`, so each
-//!   worker gets readahead batches on its own page range);
+//!   worker gets readahead batches on its own page range). Its rows report
+//!   the device read calls, and at parallelism 1 those must be one per
+//!   readahead window, `⌈pages/window⌉`;
 //! * **point-get** — random record fetches by OID;
 //! * **join** — OID-chase: fetch a left record, decode the reference it
 //!   stores, fetch the referenced right record (the forward-traversal join's
@@ -58,15 +60,17 @@ struct Sizes {
 
 const PARALLELISMS: [usize; 4] = [1, 2, 4, 8];
 
-/// One measurement: parallelism, elapsed seconds, records per second, and
+/// One measurement: parallelism, elapsed seconds, records per second,
 /// per-operation latency quantiles in microseconds (the operation is one
-/// get, one chased pair, or — for `scan` — one readahead window of pages).
+/// get, one chased pair, or — for `scan` — one readahead window of pages),
+/// and the device read calls it made.
 struct Row {
     par: usize,
     secs: f64,
     per_second: f64,
     p50_us: f64,
     p99_us: f64,
+    read_calls: u64,
 }
 
 /// Nearest-rank percentile over raw per-op latencies (sorts in place).
@@ -171,6 +175,7 @@ fn main() {
     let mut scan_rows = Vec::new();
     for par in PARALLELISMS {
         cold(&[scan_heap.file_id()]);
+        let (calls0, _) = disk.read_counts();
         let t0 = Instant::now();
         let per_window = run_chunked(par, &scan_pages, |_, chunk| {
             let mut out = Vec::with_capacity(chunk.len().div_ceil(window));
@@ -189,8 +194,13 @@ fn main() {
         })
         .unwrap();
         let secs = t0.elapsed().as_secs_f64();
+        let read_calls = disk.read_counts().0 - calls0;
         let rows: u64 = per_window.iter().map(|(n, _)| n).sum();
         assert_eq!(rows, sizes.scan_records as u64);
+        if par == 1 {
+            // One device call per readahead window, and nothing else.
+            assert_eq!(read_calls, scan_pages.len().div_ceil(window) as u64);
+        }
         let mut lat: Vec<u64> = per_window.iter().map(|(_, ns)| *ns).collect();
         scan_rows.push(Row {
             par,
@@ -198,6 +208,7 @@ fn main() {
             per_second: rows as f64 / secs,
             p50_us: percentile_us(&mut lat, 0.50),
             p99_us: percentile_us(&mut lat, 0.99),
+            read_calls,
         });
     }
     results.push(("scan", scan_rows));
@@ -206,6 +217,7 @@ fn main() {
     let mut get_rows = Vec::new();
     for par in PARALLELISMS {
         cold(&[right_heap.file_id()]);
+        let (calls0, _) = disk.read_counts();
         let t0 = Instant::now();
         let mut lat: Vec<u64> = run_chunked(par, &point_oids, |_, chunk| {
             let mut lat = Vec::with_capacity(chunk.len());
@@ -225,6 +237,7 @@ fn main() {
             per_second: point_oids.len() as f64 / secs,
             p50_us: percentile_us(&mut lat, 0.50),
             p99_us: percentile_us(&mut lat, 0.99),
+            read_calls: disk.read_counts().0 - calls0,
         });
     }
     results.push(("point_get", get_rows));
@@ -234,6 +247,7 @@ fn main() {
     let mut join_rows = Vec::new();
     for par in PARALLELISMS {
         cold(&[left_heap.file_id(), right_heap.file_id()]);
+        let (calls0, _) = disk.read_counts();
         let t0 = Instant::now();
         let mut lat: Vec<u64> = run_chunked(par, &left_oids, |_, chunk| {
             let mut lat = Vec::with_capacity(chunk.len());
@@ -255,6 +269,7 @@ fn main() {
             per_second: left_oids.len() as f64 / secs,
             p50_us: percentile_us(&mut lat, 0.50),
             p99_us: percentile_us(&mut lat, 0.99),
+            read_calls: disk.read_counts().0 - calls0,
         });
     }
     results.push(("join", join_rows));
@@ -274,7 +289,7 @@ fn main() {
     ));
     let chase_metrics = DiskMetrics::new();
     let chase_pool = Arc::new(BufferPool::new(
-        chase_disk,
+        chase_disk.clone(),
         sizes.chase_pool_frames,
         chase_metrics,
     ));
@@ -306,6 +321,7 @@ fn main() {
         for par in PARALLELISMS {
             chase_pool.discard_file(heap.file_id());
             chase_pool.discard_file(target_heap.file_id());
+            let (calls0, _) = chase_disk.read_counts();
             let t0 = Instant::now();
             let mut lat: Vec<u64> = run_chunked(par, lefts, |_, chunk| {
                 let mut lat = Vec::with_capacity(chunk.len());
@@ -327,6 +343,7 @@ fn main() {
                 per_second: lefts.len() as f64 / secs,
                 p50_us: percentile_us(&mut lat, 0.50),
                 p99_us: percentile_us(&mut lat, 0.99),
+                read_calls: chase_disk.read_counts().0 - calls0,
             });
         }
         results.push((name, rows));
@@ -362,8 +379,8 @@ fn main() {
         for r in rows {
             json.push_str(&format!(
                 "      \"p{}\": {{\"seconds\": {:.6}, \"per_second\": {:.1}, \
-                 \"p50_us\": {:.1}, \"p99_us\": {:.1}}},\n",
-                r.par, r.secs, r.per_second, r.p50_us, r.p99_us
+                 \"p50_us\": {:.1}, \"p99_us\": {:.1}, \"read_calls\": {}}},\n",
+                r.par, r.secs, r.per_second, r.p50_us, r.p99_us, r.read_calls
             ));
         }
         let speedup = rows[3].per_second / rows[0].per_second;
@@ -375,13 +392,14 @@ fn main() {
         });
         println!(
             "{name:>9}: p1 {:8.0}/s  p2 {:8.0}/s  p4 {:8.0}/s  p8 {:8.0}/s  speedup {speedup:.2}x  \
-             p8 op p50 {:.0}us p99 {:.0}us",
+             p8 op p50 {:.0}us p99 {:.0}us  p1 read calls {}",
             rows[0].per_second,
             rows[1].per_second,
             rows[2].per_second,
             rows[3].per_second,
             rows[3].p50_us,
-            rows[3].p99_us
+            rows[3].p99_us,
+            rows[0].read_calls
         );
         if matches!(*name, "scan" | "join") && !sizes.smoke && speedup < 2.0 {
             ok = false;

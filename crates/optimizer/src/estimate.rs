@@ -22,13 +22,10 @@ use mood_cost::{
     rndcost, rngxcost,
     seqcost_batched, IndexParams, JoinInputs, PathHop, PathPredicate, Theta,
 };
+use mood_storage::READAHEAD_WINDOW;
 
 use crate::optimizer::{OptimizerConfig, StatsView};
 use crate::plan::{Plan, PlanSet};
-
-/// Pages per readahead run assumed by the batched sequential-cost model:
-/// the executor's heap scans issue one seek per run of this many pages.
-const READAHEAD_RUN: u32 = 8;
 
 /// Fallback objects-per-page density when a subtree has no extent to
 /// derive one from (matches the paper example's 20 000 rows / 2 000 pages).
@@ -138,15 +135,16 @@ impl Estimator<'_> {
         let (label, rows, selectivity, cost, pages) = match plan {
             Plan::Bind { class, var } => {
                 let info = self.view.class_info(class);
-                // Batched model: the scan seeks once per readahead run of
-                // pages rather than once per extent, so the cost amortizes
-                // seek+rotation across each run. Pages stay `nbpages` —
-                // batching changes when pages are fetched, not how many.
+                // Batched model: the scan positions once per readahead
+                // window of pages (one device call each, the pool's
+                // `READAHEAD_WINDOW`), so the cost amortizes seek+rotation
+                // across each window. Pages stay `nbpages` — batching
+                // changes when pages are fetched, not how many.
                 (
                     format!("BIND({class}, {var})"),
                     info.cardinality,
                     None,
-                    seqcost_batched(&self.cfg.params, info.nbpages, READAHEAD_RUN),
+                    seqcost_batched(&self.cfg.params, info.nbpages, READAHEAD_WINDOW),
                     info.nbpages,
                 )
             }
@@ -382,7 +380,7 @@ impl Estimator<'_> {
     /// touches no pages. Above it, rows spill to sorted runs and are merged
     /// back: one sequential write pass plus one sequential read pass over
     /// the data, both costed with the batched sequential model (one seek
-    /// per readahead run, matching the temp-file facility's page charging).
+    /// per readahead window).
     fn spill_estimate(&self, input: &Plan, rows: f64) -> (f64, f64) {
         if rows <= self.cfg.execution.sort_budget as f64 {
             return (0.0, 0.0);
@@ -392,7 +390,7 @@ impl Estimator<'_> {
             .unwrap_or(DEFAULT_ROWS_PER_PAGE)
             .max(1.0);
         let data_pages = (rows / density).ceil();
-        let pass = seqcost_batched(&self.cfg.params, data_pages, READAHEAD_RUN);
+        let pass = seqcost_batched(&self.cfg.params, data_pages, READAHEAD_WINDOW);
         (2.0 * pass, 2.0 * data_pages)
     }
 

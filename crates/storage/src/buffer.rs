@@ -48,7 +48,7 @@ use parking_lot::{Condvar, Mutex, MutexGuard};
 
 use crate::disk::Disk;
 use crate::error::{Result, StorageError};
-use crate::metrics::{AccessKind, DiskMetrics};
+use crate::metrics::{AccessKind, DiskMetrics, PhysicalParams};
 use crate::oid::{FileId, PageId};
 use crate::page::Page;
 use crate::telemetry::{HistFamily, WaitEvent};
@@ -123,9 +123,12 @@ impl PoolHealth {
     }
 }
 
-/// Largest readahead batch (pages); the effective window is also capped at
-/// half the smallest shard so prefetched pages cannot thrash tiny pools.
-const MAX_READAHEAD: usize = 8;
+/// Pages per sequential read window: the pool's readahead window and the
+/// run length `k` the cost model's `seqcost_batched(b, k)` charges one
+/// positioning delay per. Half a 64-frame shard; a pool whose smallest
+/// shard is smaller gets half that shard instead (and none below 2 pages),
+/// so prefetched pages cannot thrash tiny pools.
+pub const READAHEAD_WINDOW: u32 = 32;
 
 struct Frame {
     key: Option<(FileId, PageId)>,
@@ -240,7 +243,8 @@ pub struct BufferPool {
     /// Durable (file-backed) managers set this; in-memory ones don't need
     /// it — their rollback path rewrites before-images through the disk.
     no_steal: bool,
-    /// Readahead window in pages; 0 disables prefetching (tiny pools).
+    /// Readahead window in pages: [`READAHEAD_WINDOW`], less in a pool of
+    /// small shards, 0 (no prefetching) in a tiny one.
     readahead: u32,
     /// Degraded-mode flag + repair counter, shared with the storage
     /// manager and the metrics registry.
@@ -276,7 +280,7 @@ impl BufferPool {
         // Prefetching into a shard smaller than twice the window would let
         // the readahead itself evict pages it just loaded; gate on the
         // smallest shard and disable entirely below 2 pages.
-        let window = (base / 2).min(MAX_READAHEAD) as u32;
+        let window = (base / 2).min(READAHEAD_WINDOW as usize) as u32;
         BufferPool {
             disk,
             shards,
@@ -301,13 +305,6 @@ impl BufferPool {
         let mut pool = Self::new(disk, capacity, metrics);
         pool.no_steal = true;
         pool
-    }
-
-    /// Override the readahead window (0 disables prefetching). Benches use
-    /// this to compare batched and unbatched scans on one pool size.
-    pub fn with_readahead(mut self, window: u32) -> Self {
-        self.readahead = window;
-        self
     }
 
     pub fn metrics(&self) -> &DiskMetrics {
@@ -606,37 +603,32 @@ impl BufferPool {
         Ok((pid, r))
     }
 
-    /// Prefetch up to `max` pages of `file` starting at `start`, reading
-    /// each maximal run of non-resident pages as **one** contiguous disk
-    /// batch (recorded via `record_sequential_batch`). Every missing page's
-    /// frame is *reserved* — published in its shard map marked checked out —
-    /// before the disk is touched, so a concurrent load-dirty-evict of the
-    /// same page cannot slip between the batch read and the install: writers
-    /// wait on the shard condvar for the fill instead, and the batch can
-    /// never put a stale image over a newer committed one.
+    /// Prefetch one readahead window — up to `max` pages of `file` from
+    /// `start` — in **one** [`Disk::read_pages`] call from its first to its
+    /// last missing page (one `record_sequential_batch`). Every missing
+    /// page's frame is *reserved* — published in its shard map, checked out
+    /// — before the disk is touched, so a concurrent load-dirty-evict of the
+    /// page waits for the fill instead of slipping under a stale install.
     ///
-    /// Readahead is strictly best-effort: pages already resident, pages
-    /// whose shard cannot free a frame, and runs whose batch read fails are
-    /// skipped (their reservations released), never surfaced as errors —
-    /// the scan's on-demand reads report anything real. Returns the number
-    /// of pages installed.
+    /// Pages not reserved (resident, or their shard has no free frame) are
+    /// read through into throwaway buffers while the gap is one a second
+    /// positioning would cost more than ([`PhysicalParams::bridge_pages`]);
+    /// a longer gap splits the call. A bridged page is never installed and
+    /// its checksum never consulted — the resident frame, dirty or clean,
+    /// stays authoritative — but counts as a sequential page read, so seq +
+    /// rnd + idx pages stay what the device transferred.
+    ///
+    /// Best-effort: a call whose read fails, or one of whose reserved pages
+    /// fails its checksum, releases its reservations without an error; the
+    /// scan's on-demand reads verify, repair or surface the error. The
+    /// span is not clamped to the file (no `page_count` per window): one
+    /// past the end is such a failed call. Returns the pages installed.
     pub fn prefetch_sequential(&self, file: FileId, start: PageId, max: u32) -> u32 {
         let window = self.readahead.min(max);
-        if window == 0 {
-            return 0;
-        }
-        let total = match self.disk.page_count(file) {
-            Ok(n) => n,
-            Err(_) => return 0,
-        };
-        if start.0 >= total {
-            return 0;
-        }
-        let end = total.min(start.0.saturating_add(window));
-        // Reservation pass: (page, frame index), and each frame's page
-        // moved out to read into.
-        let (mut reserved, mut bufs): (Vec<(PageId, usize)>, Vec<Page>) = (Vec::new(), Vec::new());
-        for p in start.0..end {
+        // Reservation pass: each missing page, its frame, and the frame's
+        // page moved out to read into.
+        let mut reserved: Vec<(PageId, usize, Page)> = Vec::new();
+        for p in start.0..start.0.saturating_add(window) {
             let pid = PageId(p);
             let pkey = (file, pid);
             let shard = &self.shards[self.shard_index(pkey)];
@@ -653,49 +645,65 @@ impl BufferPool {
             st.frames[i].referenced = true;
             st.frames[i].checked_out = true;
             st.map.insert(pkey, i);
-            reserved.push((pid, i));
-            bufs.push(st.frames[i].page.take().unwrap_or_default());
+            reserved.push((pid, i, st.frames[i].page.take().unwrap_or_default()));
         }
+        let bridge = PhysicalParams::default().bridge_pages();
+        let mut pending = reserved.into_iter().peekable();
         let mut installed = 0u32;
-        let mut run_start = 0usize;
-        while run_start < reserved.len() {
-            let mut run_end = run_start + 1;
-            while run_end < reserved.len() && reserved[run_end].0 .0 == reserved[run_end - 1].0 .0 + 1
-            {
-                run_end += 1;
+        while let Some(first) = pending.next() {
+            let mut last = first.0 .0;
+            let mut call = vec![first];
+            while let Some(next) = pending.next_if(|(pid, ..)| pid.0 - last - 1 <= bridge) {
+                last = next.0 .0;
+                call.push(next);
             }
-            // `bufs` starts at this run: earlier runs' pages went home.
-            let run = &mut bufs[..run_end - run_start];
-            // A checksum mismatch anywhere in the batch fails the whole
-            // run: the reservations are released and the scan's on-demand
-            // reads (which verify and repair per page) take over.
-            let ok = self.disk.read_pages(file, reserved[run_start].0, run).is_ok()
-                && run.iter().all(|b| b.verify_checksum().is_ok());
+            installed += self.read_span(file, call);
+        }
+        installed
+    }
+
+    /// One device call over the reserved pages `call` (in page order) and
+    /// the gaps between them; then install every reserved page, or release
+    /// them all if the read or any installed page's checksum failed.
+    fn read_span(&self, file: FileId, call: Vec<(PageId, usize, Page)>) -> u32 {
+        let lo = call[0].0 .0;
+        let mut bufs: Vec<Page> = Vec::new();
+        let mut frames = Vec::with_capacity(call.len());
+        for (pid, i, buf) in call {
+            bufs.resize_with((pid.0 - lo) as usize, Page::new);
+            bufs.push(buf);
+            frames.push((pid, i));
+        }
+        let read = self.disk.read_pages(file, PageId(lo), &mut bufs).is_ok();
+        if read {
+            self.metrics.record_sequential_batch(bufs.len() as u64);
+        }
+        let ok = read
+            && frames
+                .iter()
+                .all(|(pid, _)| bufs[(pid.0 - lo) as usize].verify_checksum().is_ok());
+        let mut bufs = bufs.into_iter().zip(lo..);
+        let mut installed = 0u32;
+        for (pid, i) in frames {
+            let buf = bufs.find_map(|(buf, p)| (p == pid.0).then_some(buf));
+            let pkey = (file, pid);
+            let shard = &self.shards[self.shard_index(pkey)];
+            let mut st = self.lock_shard(shard);
+            st.frames[i].page = buf;
+            st.frames[i].checked_out = false;
             if ok {
-                self.metrics.record_sequential_batch(run.len() as u64);
+                st.frames[i].cold = true;
+                st.cold += 1;
+                installed += 1;
+            } else {
+                // Failed call: release the reservation; woken waiters fall
+                // back to on-demand reads.
+                st.map.remove(&pkey);
+                st.frames[i].key = None;
+                st.frames[i].referenced = false;
             }
-            let pages = bufs.drain(..run_end - run_start);
-            for (&(pid, i), buf) in reserved[run_start..run_end].iter().zip(pages) {
-                let pkey = (file, pid);
-                let shard = &self.shards[self.shard_index(pkey)];
-                let mut st = self.lock_shard(shard);
-                st.frames[i].page = Some(buf);
-                st.frames[i].checked_out = false;
-                if ok {
-                    st.frames[i].cold = true;
-                    st.cold += 1;
-                    installed += 1;
-                } else {
-                    // Failed batch: release the reservation; woken waiters
-                    // fall back to on-demand reads.
-                    st.map.remove(&pkey);
-                    st.frames[i].key = None;
-                    st.frames[i].referenced = false;
-                }
-                drop(st);
-                shard.returned.notify_all();
-            }
-            run_start = run_end;
+            drop(st);
+            shard.returned.notify_all();
         }
         installed
     }
@@ -1527,23 +1535,115 @@ mod tests {
         assert_eq!(d2.seq_pages, d.seq_pages, "no second physical read");
     }
 
-    #[test]
-    fn prefetch_skips_resident_pages_and_splits_runs() {
-        let disk = Arc::new(MemDisk::new());
-        let pool = BufferPool::new(disk.clone(), 64, DiskMetrics::new());
-        let f = disk.create_file().unwrap();
-        for _ in 0..16 {
-            disk.allocate_page(f).unwrap();
+    /// A 256-frame pool (four 64-frame shards: 32-page windows) over a file
+    /// of `pages` allocated pages, with `resident` loaded by random reads.
+    fn windowed(pages: u32, resident: impl IntoIterator<Item = u32>) -> (BufferPool, FileId) {
+        let (pool, f) = pool(256);
+        assert_eq!((pool.readahead_window(), READAHEAD_WINDOW), (32, 32));
+        for _ in 0..pages {
+            pool.disk().allocate_page(f).unwrap();
         }
-        // Make page 2 resident: the window [0, 8) splits into two runs.
-        pool.with_page(f, PageId(2), AccessKind::Random, |_| {})
-            .unwrap();
+        for p in resident {
+            pool.with_page(f, PageId(p), AccessKind::Random, |_| {}).unwrap();
+        }
+        (pool, f)
+    }
+
+    /// `(pages installed, device calls, pages transferred)` of one window.
+    fn prefetch_counts(pool: &BufferPool, f: FileId, start: u32) -> (u32, u64, u64) {
         let before = pool.metrics().snapshot();
-        let got = pool.prefetch_sequential(f, PageId(0), 8);
+        let got = pool.prefetch_sequential(f, PageId(start), READAHEAD_WINDOW);
         let d = pool.metrics().snapshot().delta(&before);
-        assert_eq!(got as u64, d.seq_pages);
-        assert_eq!(d.seq_batches, 2, "resident page splits the run in two");
+        (got, d.seq_batches, d.seq_pages)
+    }
+
+    #[test]
+    fn prefetch_bridges_a_short_gap_and_splits_a_long_one() {
+        let bridge = PhysicalParams::default().bridge_pages();
+        assert_eq!(bridge, 8);
+        // Page 2 and pages 10..18 (a gap of 8) resident: one call reads
+        // through both gaps, and installs only the 23 missing pages.
+        let (pool, f) = windowed(64, [2].into_iter().chain(10..10 + bridge));
+        assert_eq!(prefetch_counts(&pool, f, 0), (23, 1, 32));
         assert_eq!(pool.frames_holding(f, PageId(2)), 1, "no double frame");
+        // Pages 40..49 (a gap of 9) resident: the window splits in two.
+        let (pool, f) = windowed(64, 40..40 + bridge + 1);
+        assert_eq!(prefetch_counts(&pool, f, 32), (23, 2, 23));
+        // Resident pages at the window's edges are not read at all.
+        let (pool, f) = windowed(64, [0, 1, 31]);
+        assert_eq!(prefetch_counts(&pool, f, 0), (29, 1, 29));
+        // A wholly resident window makes no call.
+        let (pool, f) = windowed(64, 0..32);
+        assert_eq!(prefetch_counts(&pool, f, 0), (0, 0, 0));
+    }
+
+    #[test]
+    fn a_bridged_dirty_page_keeps_its_bytes_and_dirty_flag() {
+        let (pool, f) = windowed(32, []);
+        pool.with_page_mut(f, PageId(5), AccessKind::Random, |p| p.data[0] = 7)
+            .unwrap();
+        // The disk still holds page 5's zeros; the call reads them through.
+        assert_eq!(prefetch_counts(&pool, f, 0), (31, 1, 32));
+        let key = (f, PageId(5));
+        {
+            let mut st = pool.shards[pool.shard_index(key)].state.lock();
+            let i = st.map[&key];
+            assert!(st.frames[i].dirty, "the bridged read must not clean the frame");
+            assert_eq!(st.frames[i].page().data[0], 7);
+        }
+        pool.flush_all().unwrap();
+        let mut raw = Page::new();
+        pool.disk().read_page(f, PageId(5), &mut raw).unwrap();
+        assert_eq!(raw.data[0], 7, "the frame's bytes reach the disk");
+    }
+
+    /// Flip a byte of `page`'s stored (stamped) image behind the pool.
+    fn damage_on_disk(pool: &BufferPool, f: FileId, page: u32) {
+        let mut raw = Page::new();
+        pool.disk().read_page(f, PageId(page), &mut raw).unwrap();
+        raw.data[0] ^= 0xFF;
+        pool.disk().write_page(f, PageId(page), &raw).unwrap();
+        assert!(raw.verify_checksum().is_err());
+    }
+
+    #[test]
+    fn a_bridged_page_that_fails_its_checksum_does_not_fail_the_window() {
+        let (pool, f) = windowed(32, []);
+        pool.with_page_mut(f, PageId(5), AccessKind::Random, |p| p.data[0] = 7)
+            .unwrap();
+        pool.flush_all().unwrap();
+        damage_on_disk(&pool, f, 5);
+        assert_eq!(prefetch_counts(&pool, f, 0), (31, 1, 32));
+        let v = pool.with_page(f, PageId(5), AccessKind::Random, |p| p.data[0]);
+        assert_eq!(v.unwrap(), 7, "the resident frame stays authoritative");
+    }
+
+    #[test]
+    fn an_installed_page_that_fails_releases_the_whole_window() {
+        let (pool, f) = pool(256);
+        for i in 0..32u8 {
+            pool.new_page(f, |p| p.data[0] = i).unwrap();
+        }
+        pool.discard_file(f);
+        damage_on_disk(&pool, f, 9);
+        // The device transferred the window; nothing is installed.
+        assert_eq!(prefetch_counts(&pool, f, 0), (0, 1, 32));
+        assert_eq!(pool.resident(), 0, "every reservation is released");
+        // On-demand reads take over: clean pages load, the damaged one is
+        // the error.
+        let v = pool.with_page(f, PageId(8), AccessKind::Sequential, |p| p.data[0]);
+        assert_eq!(v.unwrap(), 8);
+        assert!(matches!(
+            pool.with_page(f, PageId(9), AccessKind::Sequential, |_| {}),
+            Err(StorageError::PageCorrupt { page: PageId(9), .. })
+        ));
+    }
+
+    #[test]
+    fn a_window_past_the_end_of_the_file_is_a_failed_call() {
+        let (pool, f) = windowed(20, []);
+        assert_eq!(prefetch_counts(&pool, f, 0), (0, 0, 0));
+        assert_eq!(pool.resident(), 0, "every reservation is released");
     }
 
     #[test]

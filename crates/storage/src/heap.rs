@@ -370,9 +370,8 @@ impl HeapFile {
     }
 
     /// Streaming scan; the visitor returns `false` to stop early.
-    pub fn scan_with(&self, mut visit: impl FnMut(Oid, &[u8]) -> bool) -> Result<()> {
-        let pages = self.pages()?;
-        self.scan_pages(0, pages, AccessHint::Sequential, &mut visit)
+    pub fn scan_with(&self, visit: impl FnMut(Oid, &[u8]) -> bool) -> Result<()> {
+        self.scan_hint_with(AccessHint::Sequential, visit)
     }
 
     /// Streaming scan with an explicit access hint. `Sequential` is the
@@ -389,22 +388,24 @@ impl HeapFile {
         self.scan_pages(0, pages, hint, &mut visit)
     }
 
-    /// Streaming scan over pages `[start, end)` — the unit the chunk-parallel
-    /// executor hands one thread.
+    /// Streaming scan over pages `[start, end)` (clamped to the file) — the
+    /// unit the chunk-parallel executor hands one thread.
     pub fn scan_range_with(
         &self,
         start: u32,
         end: u32,
         mut visit: impl FnMut(Oid, &[u8]) -> bool,
     ) -> Result<()> {
+        let end = end.min(self.pages()?);
         self.scan_pages(start, end, AccessHint::Sequential, &mut visit)
     }
 
-    /// Pages `[start, end)` in order. Sequential scans are read with
-    /// readahead: at each window boundary the pool prefetches the next K
-    /// pages as one contiguous disk batch (`record_sequential_batch`),
-    /// which is the physical behavior SEQCOST's one-seek-per-run term
-    /// models.
+    /// Pages `[start, end)` in order; `end` is at most [`pages`](Self::pages)
+    /// (readahead windows are not clamped to the file again). Sequential
+    /// scans are read with readahead: at each window boundary the pool
+    /// prefetches the next `READAHEAD_WINDOW` pages in one device call
+    /// (`record_sequential_batch`), which is the physical behavior
+    /// SEQCOST's one-seek-per-run term models.
     fn scan_pages(
         &self,
         start: u32,
@@ -412,7 +413,6 @@ impl HeapFile {
         hint: AccessHint,
         visit: &mut dyn FnMut(Oid, &[u8]) -> bool,
     ) -> Result<()> {
-        let end = end.min(self.pages()?);
         let kind = hint.kind();
         let window = match hint {
             AccessHint::Sequential => self.pool.readahead_window(),

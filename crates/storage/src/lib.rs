@@ -42,7 +42,7 @@ pub mod wal;
 
 pub use affinity::{AffinityEdge, AffinityTracker};
 pub use btree::{BTree, BTreeStats};
-pub use buffer::{BufferPool, PageRepairer, PoolHealth};
+pub use buffer::{BufferPool, PageRepairer, PoolHealth, READAHEAD_WINDOW};
 pub use disk::{Disk, FaultyDisk, FileDisk, MemDisk, RetryDisk, RetryStats};
 pub use error::{Result, StorageError};
 pub use exec::{chunk_ranges, run_chunked, ExecutionConfig};

@@ -105,6 +105,14 @@ impl PhysicalParams {
         (pages / k).ceil() * (self.seek + self.rot) + pages * self.ebt
     }
 
+    /// The longest gap of unwanted pages one sequential read should carry
+    /// rather than split into two reads: the largest `g` with
+    /// `g·ebt < s + r` (transferring the gap is cheaper than positioning
+    /// again). 8 pages under the Table 10 defaults.
+    pub fn bridge_pages(&self) -> u32 {
+        (((self.seek + self.rot) / self.ebt).ceil() as u32).saturating_sub(1)
+    }
+
     /// Modelled time for a recorded access pattern.
     pub fn time(&self, snapshot: &MetricsSnapshot) -> f64 {
         // Each sequential *batch* pays one seek + latency; individual pages
@@ -386,6 +394,15 @@ mod tests {
         let nbpg_c = 2000.0 * (1.0 - (1.0 - 1.0 / 2000.0_f64).powi(20000));
         let f2 = p.rnd_cost(nbpg_c) + p.rnd_cost(20000.0);
         assert!((f2 - 520.825).abs() < 1e-6, "calibrated F2 = {f2}");
+    }
+
+    #[test]
+    fn a_gap_is_bridged_while_transferring_it_beats_a_second_positioning() {
+        let p = PhysicalParams::default();
+        let g = p.bridge_pages();
+        assert_eq!(g, 8);
+        assert!(g as f64 * p.ebt < p.seek + p.rot);
+        assert!((g + 1) as f64 * p.ebt >= p.seek + p.rot);
     }
 
     #[test]

@@ -219,111 +219,138 @@ fn btree_hot_set_survives_full_extent_sweep() {
     assert_eq!(after.buffer_misses, 0);
 }
 
-/// Regression for the readahead stale-install race: a prefetch batch read
-/// runs with no locks held, so without frame reservation another thread
-/// could load the same page, dirty it, and have it evicted (written back)
+/// A disk whose batch reads complete and then hold the call open until the
+/// test opens the gate: the caller sits on already-fetched (potentially
+/// stale) bytes for a controlled interval another thread races into.
+struct GatedDisk {
+    inner: MemDisk,
+    gate_open: AtomicBool,
+    batch_entered: AtomicBool,
+}
+
+impl Disk for GatedDisk {
+    fn create_file(&self) -> StorageResult<FileId> {
+        self.inner.create_file()
+    }
+    fn drop_file(&self, file: FileId) -> StorageResult<()> {
+        self.inner.drop_file(file)
+    }
+    fn page_count(&self, file: FileId) -> StorageResult<u32> {
+        self.inner.page_count(file)
+    }
+    fn allocate_page(&self, file: FileId) -> StorageResult<PageId> {
+        self.inner.allocate_page(file)
+    }
+    fn read_page(&self, file: FileId, page: PageId, buf: &mut Page) -> StorageResult<()> {
+        self.inner.read_page(file, page, buf)
+    }
+    fn read_pages(&self, file: FileId, start: PageId, bufs: &mut [Page]) -> StorageResult<()> {
+        let r = self.inner.read_pages(file, start, bufs);
+        self.batch_entered.store(true, Ordering::SeqCst);
+        while !self.gate_open.load(Ordering::SeqCst) {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        r
+    }
+    fn write_page(&self, file: FileId, page: PageId, data: &Page) -> StorageResult<()> {
+        self.inner.write_page(file, page, data)
+    }
+    fn sync(&self) -> StorageResult<()> {
+        self.inner.sync()
+    }
+    fn files(&self) -> Vec<FileId> {
+        self.inner.files()
+    }
+}
+
+/// Regression for the readahead stale-install race: a prefetch read runs
+/// with no locks held, so without frame reservation another thread could
+/// load the same page, dirty it, and have it evicted (written back)
 /// mid-read — after which installing the prefetched buffer would publish
 /// the stale pre-update image as clean and lose the committed write. The
-/// pool now reserves every window page (published in the shard map, marked
-/// checked out) *before* the read; concurrent writers wait for the fill.
-///
-/// The gated disk completes the underlying batch read first and then holds
-/// the call open, stretching the read-to-install window to a controlled
-/// interval the writer thread races into.
+/// pool reserves every missing window page (published in the shard map,
+/// marked checked out) *before* the read; concurrent writers wait for the
+/// fill. A resident page the window's one call reads through (a bridged
+/// gap) is never installed, so its writer need not wait at all.
 #[test]
 fn prefetch_cannot_clobber_concurrent_update() {
-    struct GatedDisk {
-        inner: MemDisk,
-        gate_open: AtomicBool,
-        batch_entered: AtomicBool,
-    }
-    impl Disk for GatedDisk {
-        fn create_file(&self) -> StorageResult<FileId> {
-            self.inner.create_file()
-        }
-        fn drop_file(&self, file: FileId) -> StorageResult<()> {
-            self.inner.drop_file(file)
-        }
-        fn page_count(&self, file: FileId) -> StorageResult<u32> {
-            self.inner.page_count(file)
-        }
-        fn allocate_page(&self, file: FileId) -> StorageResult<PageId> {
-            self.inner.allocate_page(file)
-        }
-        fn read_page(&self, file: FileId, page: PageId, buf: &mut Page) -> StorageResult<()> {
-            self.inner.read_page(file, page, buf)
-        }
-        fn read_pages(&self, file: FileId, start: PageId, bufs: &mut [Page]) -> StorageResult<()> {
-            // Read first, then stall: the caller sits on already-fetched
-            // (potentially stale) bytes until the test opens the gate.
-            let r = self.inner.read_pages(file, start, bufs);
-            self.batch_entered.store(true, Ordering::SeqCst);
-            while !self.gate_open.load(Ordering::SeqCst) {
-                std::thread::sleep(Duration::from_millis(1));
-            }
-            r
-        }
-        fn write_page(&self, file: FileId, page: PageId, data: &Page) -> StorageResult<()> {
-            self.inner.write_page(file, page, data)
-        }
-        fn sync(&self) -> StorageResult<()> {
-            self.inner.sync()
-        }
-        fn files(&self) -> Vec<FileId> {
-            self.inner.files()
-        }
-    }
+    // 16 frames = 4 shards x 4, readahead window 2: the updated page is one
+    // the window reserves.
+    clobber_race(16, 0, false);
+    // 256 frames = 4 shards x 64, 32-page windows: the updated page is
+    // resident, inside the gap the window's one call reads through.
+    clobber_race(256, 5, true);
+}
 
+/// Prefetch the window at page 0 of a `frames`-frame pool while a writer
+/// updates `page` (loaded beforehand when `resident`) and then evicts it
+/// with reads of every other page of its shard.
+fn clobber_race(frames: usize, page: u32, resident: bool) {
     let disk = Arc::new(GatedDisk {
         inner: MemDisk::new(),
         gate_open: AtomicBool::new(false),
         batch_entered: AtomicBool::new(false),
     });
-    // 16 frames = 4 shards x 4, readahead window 2: small enough that the
-    // writer's sweep below evicts its dirtied page under the old design.
-    let pool = Arc::new(BufferPool::new(disk.clone(), 16, DiskMetrics::new()));
+    let metrics = DiskMetrics::new();
+    let pool = Arc::new(BufferPool::new(disk.clone(), frames, metrics.clone()));
     let f = disk.create_file().unwrap();
-    for _ in 0..32 {
+    let pages = 32 + 2 * frames as u32;
+    for _ in 0..pages {
         disk.allocate_page(f).unwrap();
     }
-    assert!(pool.readahead_window() >= 2);
+    let window = pool.readahead_window();
+    assert!(window >= 2 && page < window);
+    if resident {
+        pool.with_page(f, PageId(page), AccessKind::Random, |_| {})
+            .unwrap();
+    }
+    let before = metrics.snapshot();
 
     std::thread::scope(|s| {
         let prefetcher = {
             let pool = pool.clone();
-            s.spawn(move || pool.prefetch_sequential(f, PageId(0), 8))
+            s.spawn(move || pool.prefetch_sequential(f, PageId(0), window))
         };
         while !disk.batch_entered.load(Ordering::SeqCst) {
             std::thread::sleep(Duration::from_millis(1));
         }
-        // The batch covering page 0 has been read but not installed. A
-        // writer must wait on the reservation rather than load its own
-        // copy, dirty it, and have it written back behind the reader.
+        // The window has been read but not installed. A writer of a
+        // reserved page must wait on the reservation rather than load its
+        // own copy, dirty it, and have it written back behind the reader; a
+        // writer of a bridged page goes ahead on the resident frame.
         let writer = {
             let pool = pool.clone();
             s.spawn(move || {
-                pool.with_page_mut(f, PageId(0), AccessKind::Random, |p| p.data[0] = 99)
+                pool.with_page_mut(f, PageId(page), AccessKind::Random, |p| p.data[0] = 99)
                     .unwrap();
-                // Eviction pressure on page 0's shard: under the old
-                // check-at-install design this flushed the update to disk
-                // and let the stale batch image replace it.
-                for p in (4..32u32).filter(|p| p % 4 == 0) {
+                // Eviction pressure on the page's shard (4 shards, pages
+                // round-robin): the update is flushed to disk, and a stale
+                // install would replace it.
+                for p in (window..pages).filter(|p| p % 4 == page % 4) {
                     pool.with_page(f, PageId(p), AccessKind::Random, |_| {})
                         .unwrap();
                 }
             })
         };
-        // Let the writer run (it blocks on the checked-out page), then
-        // release the install.
-        std::thread::sleep(Duration::from_millis(50));
-        disk.gate_open.store(true, Ordering::SeqCst);
-        prefetcher.join().unwrap();
-        writer.join().unwrap();
+        if resident {
+            writer.join().unwrap();
+            disk.gate_open.store(true, Ordering::SeqCst);
+        } else {
+            // Let the writer run (it blocks on the checked-out page), then
+            // release the install.
+            std::thread::sleep(Duration::from_millis(50));
+            disk.gate_open.store(true, Ordering::SeqCst);
+            writer.join().unwrap();
+        }
+        let installed = prefetcher.join().unwrap();
+        assert_eq!(installed, window - u32::from(resident));
     });
 
+    let d = metrics.snapshot().delta(&before);
+    assert_eq!((d.seq_batches, d.seq_pages), (1, window as u64), "one call per window");
     let v = pool
-        .with_page(f, PageId(0), AccessKind::Random, |p| p.data[0])
+        .with_page(f, PageId(page), AccessKind::Random, |p| p.data[0])
         .unwrap();
     assert_eq!(v, 99, "prefetch install clobbered a concurrent update");
-    assert!(pool.frames_holding(f, PageId(0)) <= 1);
+    assert!(pool.frames_holding(f, PageId(page)) <= 1);
 }

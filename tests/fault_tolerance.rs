@@ -544,9 +544,15 @@ fn degraded_mode_refuses_writes_until_healed() {
 /// `plan`, behind a pool far smaller than the data: every chase and every
 /// index fetch below goes to the device.
 fn open_parts(plan: Arc<FaultPlan>) -> (Mood, PathBuf) {
+    open_parts_pooled(plan, TINY_POOL)
+}
+
+/// [`open_parts`] behind a pool of `frames`; a pool that could hold the
+/// data starts cold, so reads still go to the device.
+fn open_parts_pooled(plan: Arc<FaultPlan>, frames: usize) -> (Mood, PathBuf) {
     let dir = fresh_dir("readfault");
     let disk: Arc<dyn Disk> = Arc::new(FaultyDisk::with_plan(MemDisk::new(), plan));
-    let sm = StorageManager::with_parts(disk, Box::new(MemLog::new()), TINY_POOL).unwrap();
+    let sm = StorageManager::with_parts(disk, Box::new(MemLog::new()), frames).unwrap();
     let db = Mood::open_with_storage(Arc::new(sm), &dir).unwrap();
     db.execute("CREATE CLASS Maker TUPLE (id Integer, pad String)")
         .unwrap();
@@ -567,6 +573,13 @@ fn open_parts(plan: Arc<FaultPlan>) -> (Mood, PathBuf) {
         cat.new_object("Part", Value::tuple(fields)).unwrap();
     }
     db.collect_stats().unwrap();
+    if frames > TINY_POOL {
+        let pool = db.storage().pool();
+        pool.flush_all().unwrap();
+        for file in pool.disk().files() {
+            pool.discard_file(file);
+        }
+    }
     (db, dir)
 }
 
@@ -577,8 +590,17 @@ fn assert_read_faults_surface<T: PartialEq + std::fmt::Debug>(
     what: &str,
     read: impl Fn(&Mood) -> Result<T, String>,
 ) {
+    assert_read_faults_surface_pooled(TINY_POOL, what, read)
+}
+
+/// [`assert_read_faults_surface`] behind a pool of `frames`.
+fn assert_read_faults_surface_pooled<T: PartialEq + std::fmt::Debug>(
+    frames: usize,
+    what: &str,
+    read: impl Fn(&Mood) -> Result<T, String>,
+) {
     let dry = FaultPlan::disarmed();
-    let (db, dir) = open_parts(dry.clone());
+    let (db, dir) = open_parts_pooled(dry.clone(), frames);
     let before = dry.ops();
     let clean = read(&db).expect("clean run");
     let ops = dry.ops() - before;
@@ -590,7 +612,7 @@ fn assert_read_faults_surface<T: PartialEq + std::fmt::Debug>(
     for j in (0..ops).step_by((ops as usize / 8).max(1)) {
         // Seeding replays the dry run's `before` operations, then `j` more
         // succeed inside the read and the next one fails (and latches).
-        let (db, dir) = open_parts(FaultPlan::fail_after(before + j));
+        let (db, dir) = open_parts_pooled(FaultPlan::fail_after(before + j), frames);
         match read(&db) {
             Ok(got) => assert_eq!(got, clean, "{what}: fault at op {j} shortened the answer"),
             Err(_) => errors += 1,
@@ -677,6 +699,66 @@ fn read_faults_under_joins_and_index_fetches_are_errors() {
         .map(|pairs| pairs.len())
         .map_err(|e| e.to_string())
     });
+}
+
+/// The same guarantee where reads come in whole windows: a 256-frame pool
+/// (32-page windows) read cold, so an extent scan, a backward traversal's
+/// materialised extent and a forward chase each read through
+/// `prefetch_sequential`, one device call per window. A device error inside
+/// a window, or a checksum mismatch on a page one installs, is the
+/// statement's error or a WAL repair — never a shorter answer.
+#[test]
+fn read_faults_inside_a_readahead_window_are_errors() {
+    const POOL: usize = 256;
+    let ids = |db: &Mood, sql: &str| -> Result<Vec<Value>, String> {
+        match db.execute(sql).map_err(|e| e.to_string())? {
+            Answer::Rows(r) => Ok(r.rows.into_iter().map(|mut row| row.remove(0)).collect()),
+            other => panic!("not rows: {other:?}"),
+        }
+    };
+    // (what, statement, plan operator, the class whose pages it sweeps, an
+    // id on a page the sweep reads).
+    let cases = [
+        ("extent scan", "SELECT p.id FROM Part p WHERE p.pad <> 'q'", "BIND(Part", "Part", 1000),
+        (
+            "backward-traversal materialisation",
+            "SELECT p.id FROM Part p WHERE p.maker.id = 63",
+            "BACKWARD_TRAVERSAL",
+            "Part",
+            1000,
+        ),
+        (
+            "forward chase",
+            "SELECT p.id FROM Part p WHERE p.id < 64 AND p.maker.id >= 0",
+            "FORWARD_TRAVERSAL",
+            "Maker",
+            63,
+        ),
+    ];
+    for (what, sql, operator, class, id) in cases {
+        let (db, dir) = open_parts_pooled(FaultPlan::disarmed(), POOL);
+        assert_eq!(db.storage().pool().readahead_window(), 32);
+        let plan = db.explain(sql).unwrap();
+        assert!(plan.contains(operator), "{what}: {plan}");
+        let metrics = db.storage().pool().metrics().clone();
+        let before = metrics.snapshot();
+        let clean = ids(&db, sql).unwrap();
+        let windows = metrics.snapshot().delta(&before).seq_batches;
+        assert!(windows >= 1, "{what}: the cold read goes through readahead windows");
+        assert!(!clean.is_empty());
+        // A page a window installs fails its checksum on the device.
+        let extent = db.catalog().extent(class).unwrap();
+        let has_id = |v: &Value| v.field("id") == Some(&Value::Integer(id));
+        let (oid, _) = extent.into_iter().find(|(_, v)| has_id(v)).unwrap();
+        corrupt_on_device(&db, oid.file, oid.page);
+        match ids(&db, sql) {
+            Ok(got) => assert_eq!(got, clean, "{what}: a damaged page shortened the answer"),
+            Err(e) => assert!(e.contains("checksum"), "{what}: {e}"),
+        }
+        drop(db);
+        let _ = std::fs::remove_dir_all(&dir);
+        assert_read_faults_surface_pooled(POOL, what, |db| ids(db, sql));
+    }
 }
 
 const RANGE_SQL: &str = "SELECT p.id FROM Part p WHERE p.id >= 1200 AND p.id < 1206";
