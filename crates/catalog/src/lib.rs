@@ -14,12 +14,14 @@
 //! * the statistics of Table 8/9, collectable by scan or injectable for the
 //!   paper's worked examples ([`stats`]).
 
+mod cluster;
 pub mod error;
 pub mod hierarchy;
 pub mod persist;
 pub mod schema;
 pub mod stats;
 
+pub use cluster::ClusterReport;
 pub use error::{CatalogError, Result};
 pub use persist::{CatalogRoot, CatalogStore};
 pub use schema::{AttributeDef, ClassBuilder, ClassDef, ClassKind, MethodSig, TypeId};
@@ -35,7 +37,9 @@ use mood_datamodel::{
     decode_fields, encode_key, encode_value, encode_value_into, FieldSet, Resolver, TypeDescriptor,
     Value,
 };
-use mood_storage::{AccessHint, FileId, Metric, Oid, StorageManager};
+use mood_storage::{AccessHint, FileId, Oid, StorageManager};
+
+use cluster::chase_locality;
 
 /// Kind of a secondary index.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -1389,430 +1393,6 @@ impl Catalog {
         self.bump_epoch();
         Ok(stats)
     }
-
-    // ------------------------------------------------------------------
-    // Adaptive clustering (Darmont-style heap reorganization)
-    // ------------------------------------------------------------------
-
-    /// Rewrite `class`'s own extent in referencing-traversal order: objects
-    /// are sorted by the target OID of the reference attribute `by` (the
-    /// hottest affinity edge, or the first reference attribute, when `by`
-    /// is `None`), so a forward join that chases that reference visits the
-    /// target extent in page order — sequential reads instead of random
-    /// chases.
-    ///
-    /// The reorganization allocates a fresh heap file, copies every object
-    /// in clustered order, rewrites all references to the moved objects
-    /// (every extent, including self-references), rebuilds every index
-    /// whose keys or payloads name the moved OIDs (attribute indexes on
-    /// the class, reference-keyed BJIs, path indexes), renames named
-    /// objects, and swaps the class's extent pointer — all through the
-    /// buffer pool, so the surrounding transaction's WAL protocol makes
-    /// the whole pass atomic. Replaced files are queued on the pending-
-    /// drop list and only physically dropped by
-    /// [`Catalog::reap_pending_drops`] after commit; a crash or rollback
-    /// before then leaves the old layout fully intact.
-    pub fn cluster_class(&self, class: &str, by: Option<&str>) -> Result<ClusterReport> {
-        let old_file = self.extent_file(class)?;
-        let attrs = self.effective_attributes(class)?;
-        let attr = match by {
-            Some(a) => {
-                let def = attrs.iter().find(|x| x.name == a).ok_or_else(|| {
-                    CatalogError::UnknownAttribute {
-                        class: class.to_string(),
-                        attribute: a.to_string(),
-                    }
-                })?;
-                if def.ty.referenced_class().is_none() {
-                    return Err(CatalogError::TypeMismatch {
-                        class: class.to_string(),
-                        detail: format!("CLUSTER BY {a}: not a reference attribute"),
-                    });
-                }
-                a.to_string()
-            }
-            None => {
-                // Prefer the hottest disordered traversal edge observed by
-                // the affinity tracker; fall back to declaration order.
-                let observed = self
-                    .sm
-                    .affinity()
-                    .snapshot()
-                    .into_iter()
-                    .find(|e| e.class == class && attrs.iter().any(|x| x.name == e.attr))
-                    .map(|e| e.attr);
-                match observed {
-                    Some(a) => a,
-                    None => attrs
-                        .iter()
-                        .find(|x| x.ty.referenced_class().is_some())
-                        .map(|x| x.name.clone())
-                        .ok_or_else(|| CatalogError::TypeMismatch {
-                            class: class.to_string(),
-                            detail: "CLUSTER: class has no reference attribute".into(),
-                        })?,
-                }
-            }
-        };
-
-        // 1. Snapshot the extent in storage order, decoded: a record that
-        // does not decode fails the pass here, like any other scan, before
-        // anything is written.
-        let heap = self.sm.open_heap(old_file);
-        let mut records: Vec<(Oid, Vec<u8>)> = Vec::new();
-        heap.scan_hint_with(AccessHint::Sequential, |oid, bytes| {
-            records.push((oid, bytes.to_vec()));
-            true
-        })?;
-        let decoded: Vec<(TypeId, Value)> = records
-            .iter()
-            .map(|(oid, bytes)| Self::decode_object(*oid, bytes, &FieldSet::All))
-            .collect::<Result<_>>()?;
-
-        // 2. Order by chased target OID — physical OIDs order by
-        // (file, page, slot), so ascending targets are ascending target
-        // pages. Nulls go last; ties keep the old storage order.
-        let chase_target = |v: &Value| -> Option<Oid> {
-            match v.field(&attr)? {
-                Value::Ref(o) if !o.is_null() => Some(*o),
-                Value::Set(items) | Value::List(items) => {
-                    items.iter().filter_map(|i| i.as_oid()).min()
-                }
-                _ => None,
-            }
-        };
-        let targets: Vec<Option<Oid>> = decoded.iter().map(|(_, v)| chase_target(v)).collect();
-        let mut order: Vec<usize> = (0..records.len()).collect();
-        order.sort_by_key(|&i| (targets[i].is_none(), targets[i], records[i].0));
-
-        // 3. Find every stored reference to an object about to move, in
-        // every other extent — again failing on a record that does not
-        // decode, not leaving its references pointing at the old file.
-        let mut referrers: Vec<(FileId, Oid, TypeId, Value)> = Vec::new();
-        for cname in self.class_names() {
-            let Ok(file) = self.extent_file(&cname) else {
-                continue;
-            };
-            if file == old_file {
-                continue;
-            }
-            let mut unreadable = None;
-            let h = self.sm.open_heap(file);
-            h.scan_hint_with(AccessHint::Sequential, |oid, bytes| {
-                match Self::decode_object(oid, bytes, &FieldSet::All) {
-                    Ok((tid, v)) if refers_into(&v, old_file) => {
-                        referrers.push((file, oid, tid, v))
-                    }
-                    Ok(_) => {}
-                    Err(e) => unreadable = Some(e),
-                }
-                unreadable.is_none()
-            })?;
-            unreadable.map_or(Ok(()), Err)?;
-        }
-
-        // 4. Copy into a fresh heap in clustered order, building the
-        // old-OID → new-OID map.
-        let new_heap = self.sm.create_heap()?;
-        let new_file = new_heap.file_id();
-        let mut map: HashMap<Oid, Oid> = HashMap::with_capacity(records.len());
-        for &i in &order {
-            let (old_oid, bytes) = &records[i];
-            map.insert(*old_oid, new_heap.insert(bytes)?);
-        }
-        let moved = map.len() as u64;
-
-        // Rewrite the references: the copies' own (self-references still
-        // name old OIDs), then the other extents'. Oid encoding is
-        // fixed-size, so every rewrite is an in-place update and no OID
-        // shifts under us mid-pass.
-        let own = records.iter().zip(decoded);
-        let own = own.map(|((old_oid, _), (tid, v))| (new_file, map[old_oid], tid, v));
-        for (file, oid, tid, v) in own.chain(referrers) {
-            if let Some(nv) = remap_refs(&v, old_file, &map) {
-                let bytes = Self::encode_object(tid, &nv);
-                self.sm.open_heap(file).update(oid, &bytes)?;
-            }
-        }
-
-        // 5. Swap the extent pointer (persisted), fix the reverse map and
-        // named objects, queue the old file for post-commit dropping.
-        {
-            let mut inner = self.inner.write();
-            let mut def = inner
-                .classes
-                .get(class)
-                .cloned()
-                .ok_or_else(|| CatalogError::UnknownClass(class.to_string()))?;
-            def.extent = Some(new_file);
-            inner.classes.insert(class.to_string(), def.clone());
-            inner.extent_class.remove(&old_file);
-            inner.extent_class.insert(new_file, class.to_string());
-            inner.store.save_class(&def)?;
-            for oid in inner.named.values_mut() {
-                if let Some(n) = map.get(oid) {
-                    *oid = *n;
-                }
-            }
-            inner.pending_drops.push(old_file);
-        }
-
-        // 6. Rebuild every index whose keys or payloads name moved OIDs:
-        // all indexes on the class itself (payloads), reference-keyed
-        // indexes (BJIs — their keys encode OIDs of any class), and path
-        // indexes (payloads are root OIDs, keys traverse references).
-        for info in self.indexes() {
-            let is_path = info.attribute.contains('.');
-            let ref_keyed = !is_path
-                && self
-                    .effective_attributes(&info.class)
-                    .ok()
-                    .and_then(|a| {
-                        a.iter()
-                            .find(|x| x.name == info.attribute)
-                            .map(|x| !x.ty.is_atomic())
-                    })
-                    .unwrap_or(false);
-            if info.class != class && !is_path && !ref_keyed {
-                continue;
-            }
-            if is_path {
-                let segs: Vec<String> =
-                    info.attribute.split('.').map(String::from).collect();
-                self.rebuild_path_index_deferred(&info.class, &segs)?;
-            } else {
-                self.rebuild_attr_index(&info)?;
-            }
-        }
-
-        // 7. Refresh the edge's clustering factor from the new layout and
-        // publish it (catalog stats + metrics gauge).
-        let factor = chase_locality(order.iter().filter_map(|&i| targets[i]));
-        {
-            let mut inner = self.inner.write();
-            inner.stats.set_clustering(class, &attr, factor);
-        }
-        let registry = self.sm.registry();
-        registry.set_cluster_factor(&format!("{class}.{attr}"), factor);
-        registry.add(Metric::ClusterPasses, 1);
-        registry.add(Metric::ClusterMovedObjects, moved);
-        self.sm.affinity().reset_edge(class, &attr);
-        self.bump_epoch();
-        Ok(ClusterReport {
-            attr,
-            moved,
-            factor,
-        })
-    }
-
-    /// Rebuild an attribute index into a fresh file, deferring the old
-    /// file's physical drop to [`Catalog::reap_pending_drops`].
-    fn rebuild_attr_index(&self, info: &IndexInfo) -> Result<()> {
-        let new_file = match info.kind {
-            IndexKind::BTree => self.sm.create_btree(info.unique)?.file_id(),
-            IndexKind::Hash => self.sm.create_hash(info.buckets)?.file_id(),
-        };
-        {
-            let mut inner = self.inner.write();
-            let old = inner
-                .indexes
-                .get_mut(&(info.class.clone(), info.attribute.clone()))
-                .map(|i| std::mem::replace(&mut i.file, new_file));
-            if let Some(old) = old {
-                inner.pending_drops.push(old);
-            }
-        }
-        let mut rebuilt = info.clone();
-        rebuilt.file = new_file;
-        let mut first_err: Option<CatalogError> = None;
-        self.extent_with(&info.class, AccessHint::Sequential, &mut |oid, value| {
-            match self.index_insert_one(&rebuilt, &value, oid) {
-                Ok(()) => true,
-                Err(e) => {
-                    first_err = Some(e);
-                    false
-                }
-            }
-        })?;
-        if let Some(e) = first_err {
-            return Err(e);
-        }
-        Ok(())
-    }
-
-    /// [`Catalog::rebuild_path_index`] variant that defers the old file's
-    /// drop (used inside the clustering transaction, where an eager drop
-    /// would not survive a rollback).
-    fn rebuild_path_index_deferred(&self, class: &str, path: &[String]) -> Result<()> {
-        let dotted = path.join(".");
-        let info = self
-            .index(class, &dotted)
-            .ok_or_else(|| CatalogError::UnknownIndex {
-                class: class.to_string(),
-                attribute: dotted.clone(),
-            })?;
-        self.rebuild_attr_index(&IndexInfo {
-            attribute: dotted.clone(),
-            ..info
-        })
-        .and_then(|()| {
-            // rebuild_attr_index indexed nothing (a dotted attribute never
-            // matches a tuple field); traverse the path into the new file.
-            let fresh = self
-                .index(class, &dotted)
-                .ok_or_else(|| CatalogError::UnknownIndex {
-                    class: class.to_string(),
-                    attribute: dotted.clone(),
-                })?;
-            let tree = self.sm.open_btree(fresh.file);
-            let mut first_err: Option<CatalogError> = None;
-            self.extent_every_with(class, &[], AccessHint::Sequential, &mut |root, value| {
-                let res = (|| -> Result<()> {
-                    for terminal in self.traverse_path(&value, path)? {
-                        if terminal.is_null() {
-                            continue;
-                        }
-                        let key =
-                            encode_key(&terminal).map_err(|_| CatalogError::NotAtomic {
-                                class: class.to_string(),
-                                attribute: dotted.clone(),
-                            })?;
-                        tree.insert(&key, root)?;
-                    }
-                    Ok(())
-                })();
-                match res {
-                    Ok(()) => true,
-                    Err(e) => {
-                        first_err = Some(e);
-                        false
-                    }
-                }
-            })?;
-            match first_err {
-                Some(e) => Err(e),
-                None => Ok(()),
-            }
-        })
-    }
-
-    /// Physically drop the files replaced by a committed reorganization.
-    /// Call after the surrounding transaction commits; a no-op otherwise.
-    ///
-    /// The WAL may still carry committed page images for the files about
-    /// to disappear, and recovery cannot replay onto a dropped file id —
-    /// so the log is checkpointed (flushed and truncated) first. If the
-    /// checkpoint fails the files stay queued for a later reap: an
-    /// unreclaimed extent is a leak, an unrecoverable log is corruption.
-    pub fn reap_pending_drops(&self) {
-        let files: Vec<FileId> = std::mem::take(&mut self.inner.write().pending_drops);
-        if files.is_empty() {
-            return;
-        }
-        if self.sm.checkpoint().is_err() {
-            self.inner.write().pending_drops.extend(files);
-            return;
-        }
-        for f in files {
-            self.sm.forget_index(f);
-            self.sm.pool().discard_file(f);
-            let _ = self.sm.pool().disk().drop_file(f);
-        }
-    }
-
-    /// Files currently queued for post-commit dropping (tests/telemetry).
-    pub fn pending_drop_count(&self) -> usize {
-        self.inner.read().pending_drops.len()
-    }
-}
-
-/// Report of one [`Catalog::cluster_class`] pass.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ClusterReport {
-    /// The reference attribute the extent was ordered by.
-    pub attr: String,
-    /// Objects rewritten into the new extent.
-    pub moved: u64,
-    /// Clustering factor of the reorganized edge, measured on the new
-    /// layout: the fraction of consecutive chases landing on the same or
-    /// the next target page.
-    pub factor: f64,
-}
-
-/// Fraction of consecutive chase targets on the same or the next page —
-/// the clustering factor `cf` the cost model discounts chase terms by.
-fn chase_locality(targets: impl Iterator<Item = Oid>) -> f64 {
-    let mut prev: Option<(u32, u32)> = None;
-    let mut chases = 0u64;
-    let mut local = 0u64;
-    for t in targets {
-        let page = (t.file.0, t.page.0);
-        if let Some((pf, pp)) = prev {
-            chases += 1;
-            if pf == page.0 && (page.1 == pp || page.1 == pp + 1) {
-                local += 1;
-            }
-        }
-        prev = Some(page);
-    }
-    if chases == 0 {
-        0.0
-    } else {
-        local as f64 / chases as f64
-    }
-}
-
-/// Does `value` hold a `Ref` into `file`?
-fn refers_into(value: &Value, file: FileId) -> bool {
-    match value {
-        Value::Ref(o) => o.file == file,
-        Value::Tuple(fields) => fields.iter().any(|(_, v)| refers_into(v, file)),
-        Value::Set(items) | Value::List(items) => items.iter().any(|v| refers_into(v, file)),
-        _ => false,
-    }
-}
-
-/// Rewrite every `Ref` into `old_file` through `map`; `None` when the
-/// value holds no moved reference (so callers skip the heap update).
-fn remap_refs(value: &Value, old_file: FileId, map: &HashMap<Oid, Oid>) -> Option<Value> {
-    match value {
-        Value::Ref(o) if o.file == old_file => map.get(o).map(|n| Value::Ref(*n)),
-        Value::Tuple(fields) => {
-            let mut changed = false;
-            let out: Vec<(String, Value)> = fields
-                .iter()
-                .map(|(n, v)| match remap_refs(v, old_file, map) {
-                    Some(nv) => {
-                        changed = true;
-                        (n.clone(), nv)
-                    }
-                    None => (n.clone(), v.clone()),
-                })
-                .collect();
-            changed.then_some(Value::Tuple(out))
-        }
-        Value::Set(items) | Value::List(items) => {
-            let mut changed = false;
-            let out: Vec<Value> = items
-                .iter()
-                .map(|v| match remap_refs(v, old_file, map) {
-                    Some(nv) => {
-                        changed = true;
-                        nv
-                    }
-                    None => v.clone(),
-                })
-                .collect();
-            if !changed {
-                return None;
-            }
-            Some(match value {
-                Value::Set(_) => Value::Set(out),
-                _ => Value::List(out),
-            })
-        }
-        _ => None,
-    }
 }
 
 /// Deep-equality resolution through the catalog's extents.
@@ -2281,300 +1861,4 @@ mod tests {
 }
 
 #[cfg(test)]
-mod cluster_tests {
-    use super::*;
-
-    /// Companies, vehicles referencing them in shuffled order, a garage
-    /// referencing vehicles — plus one index of every flavor.
-    fn clustered_fixture() -> (Catalog, Vec<Oid>, Vec<Oid>) {
-        let sm = Arc::new(StorageManager::in_memory());
-        let cat = Catalog::create(sm).unwrap();
-        cat.define_class(
-            ClassBuilder::class("Company")
-                .attribute("name", TypeDescriptor::string()),
-        )
-        .unwrap();
-        cat.define_class(
-            ClassBuilder::class("Vehicle")
-                .attribute("id", TypeDescriptor::integer())
-                .attribute("manufacturer", TypeDescriptor::reference("Company")),
-        )
-        .unwrap();
-        cat.define_class(
-            ClassBuilder::class("Garage")
-                .attribute("spot", TypeDescriptor::integer())
-                .attribute("parked", TypeDescriptor::reference("Vehicle")),
-        )
-        .unwrap();
-        let mut companies = Vec::new();
-        for i in 0..40 {
-            // Pad the payload so the Company extent spans several pages —
-            // otherwise every chase lands on one page and locality is
-            // trivially 1 regardless of layout.
-            let name = format!("co{i:02}{}", "x".repeat(300));
-            companies.push(
-                cat.new_object("Company", Value::tuple(vec![("name", Value::string(name))]))
-                    .unwrap(),
-            );
-        }
-        // Shuffled referencing order: vehicle i references company
-        // (i * 17) % 40 — maximally disordered chases.
-        let mut vehicles = Vec::new();
-        for i in 0..40i32 {
-            let target = companies[(i as usize * 17) % 40];
-            vehicles.push(
-                cat.new_object(
-                    "Vehicle",
-                    Value::tuple(vec![
-                        ("id", Value::Integer(i)),
-                        ("manufacturer", Value::Ref(target)),
-                    ]),
-                )
-                .unwrap(),
-            );
-        }
-        for (i, v) in vehicles.iter().enumerate() {
-            cat.new_object(
-                "Garage",
-                Value::tuple(vec![
-                    ("spot", Value::Integer(i as i32)),
-                    ("parked", Value::Ref(*v)),
-                ]),
-            )
-            .unwrap();
-        }
-        (cat, companies, vehicles)
-    }
-
-    #[test]
-    fn cluster_reorders_extent_and_remaps_everything() {
-        let (cat, _companies, vehicles) = clustered_fixture();
-        cat.create_index("Vehicle", "id", IndexKind::BTree, false)
-            .unwrap();
-        cat.create_index("Vehicle", "manufacturer", IndexKind::Hash, false)
-            .unwrap();
-        cat.name_object("flagship", vehicles[7]);
-
-        let before: Vec<(i32, String)> = cat
-            .extent("Vehicle")
-            .unwrap()
-            .iter()
-            .map(|(_, v)| {
-                let id = match v.field("id").unwrap() {
-                    Value::Integer(i) => *i,
-                    _ => panic!(),
-                };
-                let mfr = v.field("manufacturer").unwrap().as_oid().unwrap();
-                let (_, c) = cat.get_object(mfr).unwrap();
-                (id, c.field("name").unwrap().to_string())
-            })
-            .collect();
-
-        let report = cat.cluster_class("Vehicle", Some("manufacturer")).unwrap();
-        assert_eq!(report.attr, "manufacturer");
-        assert_eq!(report.moved, 40);
-        assert!(
-            report.factor > 0.9,
-            "sorted chases should be near-perfectly local, got {}",
-            report.factor
-        );
-
-        // Same objects, now ordered by manufacturer name (companies were
-        // created in name order, so OID order == name order).
-        let after: Vec<(i32, String)> = cat
-            .extent("Vehicle")
-            .unwrap()
-            .iter()
-            .map(|(_, v)| {
-                let id = match v.field("id").unwrap() {
-                    Value::Integer(i) => *i,
-                    _ => panic!(),
-                };
-                let mfr = v.field("manufacturer").unwrap().as_oid().unwrap();
-                let (_, c) = cat.get_object(mfr).unwrap();
-                (id, c.field("name").unwrap().to_string())
-            })
-            .collect();
-        let mut sorted = before.clone();
-        sorted.sort_by(|a, b| a.1.cmp(&b.1).then(a.0.cmp(&b.0)));
-        assert_eq!(after, sorted, "extent is in referencing-traversal order");
-
-        // Old OIDs are dead; the garage's rewritten refs resolve.
-        assert!(cat.get_object(vehicles[0]).is_err());
-        for (_, g) in cat.extent("Garage").unwrap() {
-            let parked = g.field("parked").unwrap().as_oid().unwrap();
-            let (class, _) = cat.get_object(parked).unwrap();
-            assert_eq!(class, "Vehicle");
-        }
-
-        // Indexes were rebuilt onto the new OIDs.
-        let hits = cat
-            .index_lookup("Vehicle", "id", &Value::Integer(7))
-            .unwrap();
-        assert_eq!(hits.len(), 1);
-        let (_, v) = cat.get_object(hits[0]).unwrap();
-        assert_eq!(v.field("id"), Some(&Value::Integer(7)));
-
-        // Named object follows its target.
-        let flagship = cat.named_object("flagship").unwrap();
-        let (_, v) = cat.get_object(flagship).unwrap();
-        assert_eq!(v.field("id"), Some(&Value::Integer(7)));
-
-        // Old files are only queued, not dropped, until reap.
-        assert!(cat.pending_drop_count() > 0);
-        cat.reap_pending_drops();
-        assert_eq!(cat.pending_drop_count(), 0);
-
-        // Catalog stats carry the factor; the metrics gauge is published.
-        assert!(cat.stats().clustering("Vehicle", "manufacturer") > 0.9);
-        let snap = cat.storage().registry().snapshot();
-        assert_eq!(snap.cluster.passes, 1);
-        assert_eq!(snap.cluster.moved_objects, 40);
-        assert!(snap
-            .cluster_factors
-            .iter()
-            .any(|(k, f)| k == "Vehicle.manufacturer" && *f > 0.9));
-    }
-
-    /// A record that does not decode fails `CLUSTER` like any other scan —
-    /// whether it sits in the extent being moved or in one that refers to
-    /// it — and nothing has been written by then.
-    #[test]
-    fn cluster_fails_on_an_undecodable_record_before_writing_anything() {
-        for damaged_class in ["Vehicle", "Garage"] {
-            let (cat, _companies, vehicles) = clustered_fixture();
-            cat.create_index("Vehicle", "id", IndexKind::BTree, false)
-                .unwrap();
-            let file = |class: &str| cat.class(class).unwrap().extent.unwrap();
-            let mut record = cat.type_id(damaged_class).unwrap().to_le_bytes().to_vec();
-            record.extend([200, 1, 2, 3]); // no such value tag
-            let bad = cat.storage().open_heap(file(damaged_class)).insert(&record).unwrap();
-            let old_file = file("Vehicle");
-            let index_file = cat.index("Vehicle", "id").unwrap().file;
-            let epoch = cat.epoch();
-
-            let err = cat.cluster_class("Vehicle", Some("manufacturer")).unwrap_err();
-            assert!(
-                matches!(&err, CatalogError::Corrupt(m) if m.contains(&bad.to_string())),
-                "{damaged_class}: {err}"
-            );
-            // Same extent file, same index file, nothing queued for
-            // dropping, no plan invalidated; every sound object is where
-            // it was and the garage still points at it.
-            assert_eq!(file("Vehicle"), old_file, "{damaged_class}");
-            assert_eq!(cat.index("Vehicle", "id").unwrap().file, index_file);
-            assert_eq!((cat.pending_drop_count(), cat.epoch()), (0, epoch));
-            for (i, oid) in vehicles.iter().enumerate() {
-                let (_, v) = cat.get_object(*oid).unwrap();
-                assert_eq!(v.field("id"), Some(&Value::Integer(i as i32)));
-                let hits = cat.index_lookup("Vehicle", "id", &Value::Integer(i as i32));
-                assert_eq!(hits.unwrap(), vec![*oid]);
-            }
-            let heap = cat.storage().open_heap(file("Garage"));
-            let mut parked = Vec::new();
-            heap.scan_with(|oid, bytes| {
-                if oid != bad {
-                    let (_, g) = Catalog::decode_object(oid, bytes, &FieldSet::All).unwrap();
-                    parked.push(g.field("parked").unwrap().as_oid().unwrap());
-                }
-                true
-            })
-            .unwrap();
-            assert_eq!(parked, vehicles, "{damaged_class}: references untouched");
-        }
-    }
-
-    #[test]
-    fn cluster_defaults_to_first_reference_attribute() {
-        let (cat, _, _) = clustered_fixture();
-        let report = cat.cluster_class("Vehicle", None).unwrap();
-        assert_eq!(report.attr, "manufacturer");
-        assert!(cat.cluster_class("Company", None).is_err(), "no ref attr");
-        assert!(cat
-            .cluster_class("Vehicle", Some("id"))
-            .is_err(), "BY must name a reference");
-        assert!(cat.cluster_class("Nope", None).is_err());
-    }
-
-    #[test]
-    fn cluster_prefers_hottest_affinity_edge() {
-        let (cat, _, vehicles) = clustered_fixture();
-        let tracker = cat.storage().affinity().clone();
-        tracker.set_enabled(true);
-        // Garage.parked is the only observed edge, and Garage's extent has
-        // a reference attribute, so CLUSTER Garage picks it without BY.
-        for v in &vehicles {
-            tracker.record_chase("Garage", "parked", *v);
-        }
-        let report = cat.cluster_class("Garage", None).unwrap();
-        assert_eq!(report.attr, "parked");
-        // The reorganization resets the edge so the auto-trigger doesn't
-        // immediately re-fire.
-        assert!(tracker
-            .snapshot()
-            .iter()
-            .all(|e| e.attr != "parked" || e.chases == 0));
-    }
-
-    #[test]
-    fn collect_stats_measures_clustering_factor() {
-        let (cat, _, _) = clustered_fixture();
-        let stats = cat.collect_stats().unwrap();
-        let shuffled = stats.clustering("Vehicle", "manufacturer");
-        assert!(
-            shuffled < 0.5,
-            "shuffled refs should read disordered, got {shuffled}"
-        );
-        // Garage was filled in vehicle order: perfectly local already.
-        assert!(stats.clustering("Garage", "parked") > 0.9);
-        cat.cluster_class("Vehicle", Some("manufacturer")).unwrap();
-        let stats = cat.collect_stats().unwrap();
-        assert!(
-            stats.clustering("Vehicle", "manufacturer") > 0.9,
-            "clustered extent should measure local"
-        );
-    }
-
-    #[test]
-    fn cluster_survives_empty_and_self_referencing_extents() {
-        let sm = Arc::new(StorageManager::in_memory());
-        let cat = Catalog::create(sm).unwrap();
-        cat.define_class(
-            ClassBuilder::class("Emp")
-                .attribute("id", TypeDescriptor::integer())
-                .attribute("boss", TypeDescriptor::reference("Emp")),
-        )
-        .unwrap();
-        // Empty extent: trivial pass.
-        let report = cat.cluster_class("Emp", Some("boss")).unwrap();
-        assert_eq!(report.moved, 0);
-        // Self-referencing chain: e0 <- e1 <- e2 ... each boss is the
-        // previously created employee.
-        let mut prev: Option<Oid> = None;
-        let mut all = Vec::new();
-        for i in 0..10i32 {
-            let boss = prev.map(Value::Ref).unwrap_or(Value::Null);
-            let o = cat
-                .new_object(
-                    "Emp",
-                    Value::tuple(vec![("id", Value::Integer(i)), ("boss", boss)]),
-                )
-                .unwrap();
-            prev = Some(o);
-            all.push(o);
-        }
-        let report = cat.cluster_class("Emp", Some("boss")).unwrap();
-        assert_eq!(report.moved, 10);
-        // Every boss reference still resolves to the right employee.
-        for (_, v) in cat.extent("Emp").unwrap() {
-            if let Some(Value::Ref(b)) = v.field("boss") {
-                let (_, boss) = cat.get_object(*b).unwrap();
-                let my_id = match v.field("id").unwrap() {
-                    Value::Integer(i) => *i,
-                    _ => panic!(),
-                };
-                assert_eq!(boss.field("id"), Some(&Value::Integer(my_id - 1)));
-            }
-        }
-    }
-}
+mod cluster_tests;
