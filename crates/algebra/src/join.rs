@@ -403,7 +403,7 @@ pub fn pairs_to_collection(pairs: Vec<(Obj, Obj)>, k1: Kind, k2: Kind) -> Collec
 mod tests {
     use super::*;
     use crate::ops::bind_class;
-    use mood_catalog::{ClassBuilder, IndexKind};
+    use mood_catalog::ClassBuilder;
     use mood_datamodel::TypeDescriptor;
     use mood_storage::StorageManager;
     use std::sync::Arc;
@@ -464,8 +464,7 @@ mod tests {
     #[test]
     fn all_methods_agree_on_class_rhs() {
         let (cat, _, _) = setup();
-        cat.create_index("Vehicle", "drivetrain", IndexKind::BTree, false)
-            .unwrap();
+        cat.create_index("Vehicle", "drivetrain", false).unwrap();
         let left = bind_class(&cat, "Vehicle", false, &[]).unwrap();
         let expected = {
             let pairs = join(

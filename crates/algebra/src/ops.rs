@@ -206,7 +206,7 @@ pub fn ind_sel(
 mod tests {
     use super::*;
     use crate::collection::Kind;
-    use mood_catalog::{ClassBuilder, IndexKind};
+    use mood_catalog::ClassBuilder;
     use mood_datamodel::TypeDescriptor;
     use mood_storage::StorageManager;
     use std::sync::Arc;
@@ -331,8 +331,7 @@ mod tests {
     #[test]
     fn ind_sel_equality_and_range() {
         let (cat, _) = setup();
-        cat.create_index("VehicleEngine", "cylinders", IndexKind::BTree, false)
-            .unwrap();
+        cat.create_index("VehicleEngine", "cylinders", false).unwrap();
         let eq = ind_sel(
             &cat,
             "VehicleEngine",

@@ -102,7 +102,7 @@ const RUN: usize = 1024;
 
 /// `Sort(aTupleCollection, sort_method, attribute_list)` — "the only
 /// supported sort_method for the time being is heap sort with merging",
-/// and that is exactly what this is: runs of at most [`RUN`] elements are
+/// and that is exactly what this is: runs of at most `RUN` (1 024) elements are
 /// built through a binary heap, then k-way merged. No duplicate
 /// elimination. Sets/lists sort their identifiers by the dereferenced
 /// objects' keys; extents sort the objects.

@@ -28,8 +28,7 @@ fn fixture() -> (Arc<Catalog>, Vec<Oid>, Vec<Oid>) {
             .attribute("d", TypeDescriptor::reference("D")),
     )
     .unwrap();
-    cat.create_index("C", "d", mood_catalog::IndexKind::BTree, false)
-        .unwrap();
+    cat.create_index("C", "d", false).unwrap();
     let d_oids: Vec<Oid> = (0..3)
         .map(|i| {
             cat.new_object("D", Value::tuple(vec![("id", Value::Integer(i))]))

@@ -180,7 +180,7 @@ proptest! {
                 .attribute("d", TypeDescriptor::reference("D")),
         )
         .unwrap();
-        cat.create_index("C", "d", mood_catalog::IndexKind::BTree, false).unwrap();
+        cat.create_index("C", "d", false).unwrap();
         let d_oids: Vec<Oid> = (0..n_d)
             .map(|i| {
                 cat.new_object("D", Value::tuple(vec![("id", Value::Integer(i as i32))]))
@@ -368,7 +368,7 @@ proptest! {
                 .attribute("d", TypeDescriptor::reference("D")),
         )
         .unwrap();
-        cat.create_index("C", "d", mood_catalog::IndexKind::BTree, false).unwrap();
+        cat.create_index("C", "d", false).unwrap();
         let d_oids: Vec<Oid> = (0..n_d)
             .map(|i| {
                 cat.new_object("D", Value::tuple(vec![("id", Value::Integer(i as i32))]))

@@ -14,7 +14,7 @@ use mood_core::algebra::{
 };
 use mood_core::cost::{
     best_join_method, c_approx, cardenas, fref, o_overlap, path_forward_cost, path_selectivity,
-    yao, ClassInfo, JoinInputs, JoinMethod, PathHop, PathPredicate, DEFAULT_CPU_COST,
+    yao, ClassInfo, JoinInputs, JoinMethod, PathHop, PathPredicate,
 };
 use mood_core::{DatabaseStats, Mood, OptimizerConfig, PhysicalParams};
 
@@ -316,7 +316,6 @@ fn table_17() {
             totref: hop.totref,
             index: None,
             d_already_accessed: false,
-            cpu_cost: DEFAULT_CPU_COST,
             c_in_memory: false,
             d_in_memory: false,
             clustering: 0.0,
@@ -368,7 +367,7 @@ fn figure_arch() {
        |                       shared objects, dld-style lazy load, locking,
        |                       OperandDataType, Exception)
   ESM substrate (mood-storage: pages, buffer pool, heap files w/ forwarding,
-                 B+-tree & hash indexes, lock manager, WAL, disk metrics)
+                 B+-tree indexes, lock manager, WAL, disk metrics)
 "#
     );
     // Figure 2.2: show the actual catalog files of a live database.

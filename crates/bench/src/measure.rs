@@ -1,7 +1,7 @@
 //! Measured-vs-model comparison helpers for the join experiments (X1).
 
 use mood_core::algebra::{join, Collection, ExecutionConfig, JoinMethod, JoinRhs, Obj};
-use mood_core::cost::{join_cost, ClassInfo, IndexParams, JoinInputs, DEFAULT_CPU_COST};
+use mood_core::cost::{join_cost, ClassInfo, IndexParams, JoinInputs, CPU_COST};
 use mood_core::{Mood, Oid, PhysicalParams};
 
 /// One measured join execution.
@@ -88,7 +88,7 @@ pub fn model_join_cost(
         // D extent scan + hash probes (left side is already in memory).
         return Some(
             mood_core::cost::seqcost(params, d.nbpages as f64)
-                + k_c as f64 * r.fan * DEFAULT_CPU_COST,
+                + k_c as f64 * r.fan * CPU_COST,
         );
     }
     if method == JoinMethod::BinaryJoinIndex {
@@ -116,7 +116,6 @@ pub fn model_join_cost(
         totref: r.totref as f64,
         index,
         d_already_accessed: false,
-        cpu_cost: DEFAULT_CPU_COST,
         // The measured harness hands the k_c objects to the join already
         // materialized.
         c_in_memory: true,

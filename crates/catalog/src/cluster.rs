@@ -9,15 +9,17 @@ use std::collections::HashMap;
 use mood_datamodel::{encode_key, FieldSet, Value};
 use mood_storage::{AccessHint, FileId, Metric, Oid};
 
-use crate::{Catalog, CatalogError, IndexInfo, IndexKind, Result, TypeId};
+use crate::{Catalog, CatalogError, IndexInfo, Result, TypeId};
 
 impl Catalog {
     /// Rewrite `class`'s own extent in referencing-traversal order: objects
-    /// are sorted by the target OID of the reference attribute `by` (the
-    /// hottest affinity edge, or the first reference attribute, when `by`
-    /// is `None`), so a forward join that chases that reference visits the
-    /// target extent in page order — sequential reads instead of random
-    /// chases.
+    /// are sorted by the target OID of the reference attribute `by`, so a
+    /// forward join that chases that reference visits the target extent in
+    /// page order — sequential reads instead of random chases. Without
+    /// `by`, the edge is the class's reference attribute with the lowest
+    /// clustering factor `cf` in the statistics (`collect_stats` measures
+    /// every edge, each pass refreshes its own; ties go to declaration
+    /// order), or the first reference attribute when none was measured.
     ///
     /// The reorganization allocates a fresh heap file, copies every object
     /// in clustered order, rewrites all references to the moved objects
@@ -50,26 +52,20 @@ impl Catalog {
                 a.to_string()
             }
             None => {
-                // Prefer the hottest disordered traversal edge observed by
-                // the affinity tracker; fall back to declaration order.
-                let observed = self
-                    .sm
-                    .affinity()
-                    .snapshot()
-                    .into_iter()
-                    .find(|e| e.class == class && attrs.iter().any(|x| x.name == e.attr))
-                    .map(|e| e.attr);
-                match observed {
-                    Some(a) => a,
-                    None => attrs
-                        .iter()
-                        .find(|x| x.ty.referenced_class().is_some())
-                        .map(|x| x.name.clone())
-                        .ok_or_else(|| CatalogError::TypeMismatch {
-                            class: class.to_string(),
-                            detail: "CLUSTER: class has no reference attribute".into(),
-                        })?,
-                }
+                let inner = self.inner.read();
+                let refs = attrs.iter().filter(|x| x.ty.referenced_class().is_some());
+                let most_disordered = refs
+                    .clone()
+                    .filter_map(|x| Some((inner.stats.measured_clustering(class, &x.name)?, x)))
+                    .min_by(|a, b| a.0.total_cmp(&b.0))
+                    .map(|(_, x)| x);
+                most_disordered
+                    .or_else(|| refs.clone().next())
+                    .map(|x| x.name.clone())
+                    .ok_or_else(|| CatalogError::TypeMismatch {
+                        class: class.to_string(),
+                        detail: "CLUSTER: class has no reference attribute".into(),
+                    })?
             }
         };
 
@@ -214,7 +210,6 @@ impl Catalog {
         registry.set_cluster_factor(&format!("{class}.{attr}"), factor);
         registry.add(Metric::ClusterPasses, 1);
         registry.add(Metric::ClusterMovedObjects, moved);
-        self.sm.affinity().reset_edge(class, &attr);
         self.bump_epoch();
         Ok(ClusterReport {
             attr,
@@ -226,10 +221,7 @@ impl Catalog {
     /// Rebuild an attribute index into a fresh file, deferring the old
     /// file's physical drop to [`Catalog::reap_pending_drops`].
     fn rebuild_attr_index(&self, info: &IndexInfo) -> Result<()> {
-        let new_file = match info.kind {
-            IndexKind::BTree => self.sm.create_btree(info.unique)?.file_id(),
-            IndexKind::Hash => self.sm.create_hash(info.buckets)?.file_id(),
-        };
+        let new_file = self.sm.create_btree(info.unique)?.file_id();
         {
             let mut inner = self.inner.write();
             let old = inner

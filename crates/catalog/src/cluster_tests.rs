@@ -1,7 +1,11 @@
+#![cfg(test)]
+//! Unit tests of `cluster.rs`: a crate-root module, so the suite names
+//! them `cluster_tests::…`.
+
 use super::*;
 
 /// Companies, vehicles referencing them in shuffled order, a garage
-/// referencing vehicles — plus one index of every flavor.
+/// referencing vehicles.
 fn clustered_fixture() -> (Catalog, Vec<Oid>, Vec<Oid>) {
     let sm = Arc::new(StorageManager::in_memory());
     let cat = Catalog::create(sm).unwrap();
@@ -64,11 +68,10 @@ fn clustered_fixture() -> (Catalog, Vec<Oid>, Vec<Oid>) {
 
 #[test]
 fn cluster_reorders_extent_and_remaps_everything() {
-    let (cat, _companies, vehicles) = clustered_fixture();
-    cat.create_index("Vehicle", "id", IndexKind::BTree, false)
-        .unwrap();
-    cat.create_index("Vehicle", "manufacturer", IndexKind::Hash, false)
-        .unwrap();
+    let (cat, companies, vehicles) = clustered_fixture();
+    cat.create_index("Vehicle", "id", false).unwrap();
+    // A reference-keyed index (a BJI): its keys name moved OIDs too.
+    cat.create_index("Vehicle", "manufacturer", false).unwrap();
     cat.name_object("flagship", vehicles[7]);
 
     let before: Vec<(i32, String)> = cat
@@ -130,6 +133,9 @@ fn cluster_reorders_extent_and_remaps_everything() {
     assert_eq!(hits.len(), 1);
     let (_, v) = cat.get_object(hits[0]).unwrap();
     assert_eq!(v.field("id"), Some(&Value::Integer(7)));
+    let hits = cat.index_lookup("Vehicle", "manufacturer", &Value::Ref(companies[0]));
+    let (_, v) = cat.get_object(hits.unwrap()[0]).unwrap();
+    assert_eq!(v.field("id"), Some(&Value::Integer(0)));
 
     // Named object follows its target.
     let flagship = cat.named_object("flagship").unwrap();
@@ -159,8 +165,7 @@ fn cluster_reorders_extent_and_remaps_everything() {
 fn cluster_fails_on_an_undecodable_record_before_writing_anything() {
     for damaged_class in ["Vehicle", "Garage"] {
         let (cat, _companies, vehicles) = clustered_fixture();
-        cat.create_index("Vehicle", "id", IndexKind::BTree, false)
-            .unwrap();
+        cat.create_index("Vehicle", "id", false).unwrap();
         let file = |class: &str| cat.class(class).unwrap().extent.unwrap();
         let mut record = cat.type_id(damaged_class).unwrap().to_le_bytes().to_vec();
         record.extend([200, 1, 2, 3]); // no such value tag
@@ -212,24 +217,38 @@ fn cluster_defaults_to_first_reference_attribute() {
     assert!(cat.cluster_class("Nope", None).is_err());
 }
 
-#[test]
-fn cluster_prefers_hottest_affinity_edge() {
-    let (cat, _, vehicles) = clustered_fixture();
-    let tracker = cat.storage().affinity().clone();
-    tracker.set_enabled(true);
-    // Garage.parked is the only observed edge, and Garage's extent has
-    // a reference attribute, so CLUSTER Garage picks it without BY.
-    for v in &vehicles {
-        tracker.record_chase("Garage", "parked", *v);
+/// The fixture's companies referenced twice: `origin` follows the Company
+/// extent, `carrier` (declared second) is scattered.
+fn two_edge_fixture() -> Catalog {
+    let (cat, companies, _) = clustered_fixture();
+    cat.define_class(
+        ClassBuilder::class("Shipment")
+            .attribute("origin", TypeDescriptor::reference("Company"))
+            .attribute("carrier", TypeDescriptor::reference("Company")),
+    )
+    .unwrap();
+    for i in 0..40 {
+        let origin = Value::Ref(companies[i]);
+        let carrier = Value::Ref(companies[i * 17 % 40]);
+        let fields = vec![("origin", origin), ("carrier", carrier)];
+        cat.new_object("Shipment", Value::tuple(fields)).unwrap();
     }
-    let report = cat.cluster_class("Garage", None).unwrap();
-    assert_eq!(report.attr, "parked");
-    // The reorganization resets the edge so the auto-trigger doesn't
-    // immediately re-fire.
-    assert!(tracker
-        .snapshot()
-        .iter()
-        .all(|e| e.attr != "parked" || e.chases == 0));
+    cat
+}
+
+#[test]
+fn cluster_without_by_picks_the_most_disordered_measured_edge() {
+    let cat = two_edge_fixture();
+    let stats = cat.collect_stats().unwrap();
+    assert!(stats.clustering("Shipment", "origin") > 0.9);
+    assert!(stats.clustering("Shipment", "carrier") < 0.5);
+    let report = cat.cluster_class("Shipment", None).unwrap();
+    assert_eq!(report.attr, "carrier");
+    assert!(cat.stats().clustering("Shipment", "carrier") > 0.9);
+    // Ordering by carrier scattered origin; once measured, it is next.
+    let stats = cat.collect_stats().unwrap();
+    assert!(stats.clustering("Shipment", "origin") < 0.5);
+    assert_eq!(cat.cluster_class("Shipment", None).unwrap().attr, "origin");
 }
 
 #[test]

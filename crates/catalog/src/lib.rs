@@ -10,7 +10,7 @@
 //!   computation and late-binding method resolution ([`hierarchy`]);
 //! * class extents: object CRUD with type checking and OID stability
 //!   ([`Catalog::new_object`] etc.);
-//! * secondary indexes (B+-tree and hash) with automatic maintenance;
+//! * secondary B+-tree indexes with automatic maintenance;
 //! * the statistics of Table 8/9, collectable by scan or injectable for the
 //!   paper's worked examples ([`stats`]).
 
@@ -41,23 +41,13 @@ use mood_storage::{AccessHint, FileId, Oid, StorageManager};
 
 use cluster::chase_locality;
 
-/// Kind of a secondary index.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum IndexKind {
-    BTree,
-    Hash,
-}
-
-/// A registered secondary index on (class, attribute).
+/// A registered secondary index on (class, attribute): a B+-tree.
 #[derive(Debug, Clone)]
 pub struct IndexInfo {
     pub class: String,
     pub attribute: String,
-    pub kind: IndexKind,
     pub unique: bool,
     pub file: FileId,
-    /// Bucket count (hash indexes only).
-    pub buckets: u32,
 }
 
 struct Inner {
@@ -89,8 +79,6 @@ pub struct Catalog {
     /// re-probe indexes at execution time, so they stay correct across DML).
     epoch: AtomicU64,
 }
-
-const DEFAULT_HASH_BUCKETS: u32 = 64;
 
 impl Catalog {
     /// Create a fresh catalog on `sm`.
@@ -540,8 +528,7 @@ impl Catalog {
 
     /// The (static) class owning an OID's extent file — a map lookup, no
     /// heap access. Subclass instances report the extent's class, not
-    /// their dynamic type; affinity tracking wants exactly that (the
-    /// extent is what `CLUSTER` reorganizes).
+    /// their dynamic type.
     pub fn class_of_oid(&self, oid: Oid) -> Option<String> {
         self.inner.read().extent_class.get(&oid.file).cloned()
     }
@@ -814,13 +801,7 @@ impl Catalog {
     /// Create a secondary index on an atomic attribute (or on a Reference
     /// attribute, which yields the paper's *binary join index*), and build
     /// it from the current extent.
-    pub fn create_index(
-        &self,
-        class: &str,
-        attribute: &str,
-        kind: IndexKind,
-        unique: bool,
-    ) -> Result<IndexInfo> {
+    pub fn create_index(&self, class: &str, attribute: &str, unique: bool) -> Result<IndexInfo> {
         let attrs = self.effective_attributes(class)?;
         let attr = attrs.iter().find(|a| a.name == attribute).ok_or_else(|| {
             CatalogError::UnknownAttribute {
@@ -846,29 +827,11 @@ impl Catalog {
                 });
             }
         }
-        let info = match kind {
-            IndexKind::BTree => {
-                let tree = self.sm.create_btree(unique)?;
-                IndexInfo {
-                    class: class.to_string(),
-                    attribute: attribute.to_string(),
-                    kind,
-                    unique,
-                    file: tree.file_id(),
-                    buckets: 0,
-                }
-            }
-            IndexKind::Hash => {
-                let h = self.sm.create_hash(DEFAULT_HASH_BUCKETS)?;
-                IndexInfo {
-                    class: class.to_string(),
-                    attribute: attribute.to_string(),
-                    kind,
-                    unique,
-                    file: h.file_id(),
-                    buckets: DEFAULT_HASH_BUCKETS,
-                }
-            }
+        let info = IndexInfo {
+            class: class.to_string(),
+            attribute: attribute.to_string(),
+            unique,
+            file: self.sm.create_btree(unique)?.file_id(),
         };
         self.inner
             .write()
@@ -985,10 +948,8 @@ impl Catalog {
         let info = IndexInfo {
             class: class.to_string(),
             attribute: dotted.clone(),
-            kind: IndexKind::BTree,
             unique: false,
             file: tree.file_id(),
-            buckets: 0,
         };
         self.inner
             .write()
@@ -1142,27 +1103,11 @@ impl Catalog {
     }
 
     fn index_insert_key(&self, info: &IndexInfo, key: &[u8], oid: Oid) -> Result<()> {
-        match info.kind {
-            IndexKind::BTree => self.sm.open_btree(info.file).insert(key, oid)?,
-            IndexKind::Hash => self
-                .sm
-                .open_hash(info.file, info.buckets)
-                .insert(key, oid)?,
-        }
-        Ok(())
+        Ok(self.sm.open_btree(info.file).insert(key, oid)?)
     }
 
     fn index_delete_key(&self, info: &IndexInfo, key: &[u8], oid: Oid) -> Result<()> {
-        match info.kind {
-            IndexKind::BTree => {
-                self.sm.open_btree(info.file).delete(key, oid)?;
-            }
-            IndexKind::Hash => {
-                self.sm
-                    .open_hash(info.file, info.buckets)
-                    .delete(key, oid)?;
-            }
-        }
+        self.sm.open_btree(info.file).delete(key, oid)?;
         Ok(())
     }
 
@@ -1172,8 +1117,7 @@ impl Catalog {
     }
 
     /// The OIDs an index files under the keys between `lo` and `hi` (each
-    /// `(value, inclusive)`; `None` = unbounded), keys ascending. A hash
-    /// index serves only the interval that is one key.
+    /// `(value, inclusive)`; `None` = unbounded), keys ascending.
     pub fn index_range(
         &self,
         class: &str,
@@ -1214,9 +1158,9 @@ impl Catalog {
     /// The one index walk: visit the OID of every entry of `info` whose
     /// encoded key lies between `lo` and `hi` (each `(key bytes, inclusive)`;
     /// `None` = unbounded), keys ascending, until `visit` returns
-    /// `false`. `=` is the interval `[k, k]` — the only one a hash index
-    /// serves. The visitor runs on the pinned leaf and must not touch the
-    /// buffer pool ([`mood_storage::BTree::range_scan`]).
+    /// `false`. `=` is the interval `[k, k]`. The visitor runs on the
+    /// pinned leaf and must not touch the buffer pool
+    /// ([`mood_storage::BTree::range_scan`]).
     pub fn index_interval_with(
         &self,
         info: &IndexInfo,
@@ -1224,29 +1168,13 @@ impl Catalog {
         hi: Option<(&[u8], bool)>,
         visit: &mut dyn FnMut(Oid) -> bool,
     ) -> Result<()> {
-        match (info.kind, lo, hi) {
-            (IndexKind::BTree, ..) => self.sm.open_btree(info.file).range_scan(
-                lo.map(|(k, _)| k),
-                lo.is_none_or(|(_, inclusive)| inclusive),
-                hi.map(|(k, _)| k),
-                hi.is_none_or(|(_, inclusive)| inclusive),
-                |_, oid| visit(oid),
-            )?,
-            (IndexKind::Hash, Some((k, true)), Some((k_hi, true))) if k == k_hi => {
-                let hits = self.sm.open_hash(info.file, info.buckets).lookup(k)?;
-                for oid in hits {
-                    if !visit(oid) {
-                        break;
-                    }
-                }
-            }
-            (IndexKind::Hash, ..) => {
-                return Err(CatalogError::UnknownIndex {
-                    class: info.class.clone(),
-                    attribute: format!("{} (hash index cannot range-scan)", info.attribute),
-                })
-            }
-        }
+        self.sm.open_btree(info.file).range_scan(
+            lo.map(|(k, _)| k),
+            lo.is_none_or(|(_, inclusive)| inclusive),
+            hi.map(|(k, _)| k),
+            hi.is_none_or(|(_, inclusive)| inclusive),
+            |_, oid| visit(oid),
+        )?;
         Ok(())
     }
 
@@ -1267,7 +1195,7 @@ impl Catalog {
     }
 
     /// Recompute statistics for every class by scanning extents: the
-    /// Table 8 parameters plus Table 9 for every B+-tree index.
+    /// Table 8 parameters plus Table 9 for every index.
     pub fn collect_stats(&self) -> Result<DatabaseStats> {
         let classes = self.class_names();
         let mut stats = DatabaseStats::new();
@@ -1380,10 +1308,8 @@ impl Catalog {
         }
         // Table 9: B+-tree index statistics.
         for info in self.indexes() {
-            if info.kind == IndexKind::BTree {
-                let s = self.sm.open_btree(info.file).stats()?;
-                stats.set_index(&info.class, &info.attribute, s);
-            }
+            let s = self.sm.open_btree(info.file).stats()?;
+            stats.set_index(&info.class, &info.attribute, s);
         }
         // Publish the measured clustering factors as metrics gauges.
         for (c, a, f) in stats.clustering_edges() {
@@ -1527,8 +1453,7 @@ mod tests {
     #[test]
     fn btree_index_lookup_and_maintenance() {
         let cat = vehicle_catalog();
-        cat.create_index("Vehicle", "weight", IndexKind::BTree, false)
-            .unwrap();
+        cat.create_index("Vehicle", "weight", false).unwrap();
         let oids: Vec<_> = (0..50)
             .map(|i| {
                 cat.new_object(
@@ -1578,44 +1503,6 @@ mod tests {
     }
 
     #[test]
-    fn hash_index_lookup() {
-        let cat = vehicle_catalog();
-        cat.create_index("Company", "name", IndexKind::Hash, false)
-            .unwrap();
-        let bmw = cat
-            .new_object(
-                "Company",
-                Value::tuple(vec![("name", Value::string("BMW"))]),
-            )
-            .unwrap();
-        cat.new_object(
-            "Company",
-            Value::tuple(vec![("name", Value::string("Toyota"))]),
-        )
-        .unwrap();
-        assert_eq!(
-            cat.index_lookup("Company", "name", &Value::string("BMW"))
-                .unwrap(),
-            vec![bmw]
-        );
-        // Hash indexes refuse range scans: one key is the only interval
-        // they serve.
-        assert!(cat
-            .index_range("Company", "name", None, Some((&Value::string("M"), true)))
-            .is_err());
-        let (bmw_key, bmx_key) = (Value::string("BMW"), Value::string("BMX"));
-        let at = |k| Some((k, true));
-        assert!(cat
-            .index_range("Company", "name", at(&bmw_key), at(&bmx_key))
-            .is_err());
-        assert_eq!(
-            cat.index_range("Company", "name", at(&bmw_key), at(&bmw_key))
-                .unwrap(),
-            [bmw]
-        );
-    }
-
-    #[test]
     fn batched_fetch_decodes_the_read_set_and_skips_what_is_gone() {
         let cat = vehicle_catalog();
         let vehicle = |class: &str, id: i32| {
@@ -1659,8 +1546,7 @@ mod tests {
             cat.new_object("Vehicle", Value::tuple(vec![("id", Value::Integer(i))]))
                 .unwrap();
         }
-        cat.create_index("Vehicle", "id", IndexKind::BTree, true)
-            .unwrap();
+        cat.create_index("Vehicle", "id", true).unwrap();
         assert_eq!(
             cat.index_lookup("Vehicle", "id", &Value::Integer(7))
                 .unwrap()
@@ -1678,8 +1564,7 @@ mod tests {
                 Value::tuple(vec![("name", Value::string("BMW"))]),
             )
             .unwrap();
-        cat.create_index("Vehicle", "manufacturer", IndexKind::BTree, false)
-            .unwrap();
+        cat.create_index("Vehicle", "manufacturer", false).unwrap();
         let car = cat
             .new_object(
                 "Vehicle",
@@ -1822,8 +1707,7 @@ mod tests {
             )
             .unwrap();
         }
-        cat.create_index("Vehicle", "weight", IndexKind::BTree, false)
-            .unwrap();
+        cat.create_index("Vehicle", "weight", false).unwrap();
         let stats = cat.collect_stats().unwrap();
         let v = stats.class("Vehicle").unwrap();
         assert_eq!(v.cardinality, 10);
@@ -1860,5 +1744,4 @@ mod tests {
     }
 }
 
-#[cfg(test)]
 mod cluster_tests;

@@ -218,6 +218,25 @@ pub struct CatalogRoot {
     pub funcs: FileId,
 }
 
+impl CatalogRoot {
+    /// The root as stored: the three file ids, little-endian.
+    pub fn to_bytes(&self) -> [u8; 12] {
+        let mut out = [0; 12];
+        for (i, f) in [self.types, self.attrs, self.funcs].iter().enumerate() {
+            out[4 * i..4 * i + 4].copy_from_slice(&f.0.to_le_bytes());
+        }
+        out
+    }
+
+    /// The root [`to_bytes`](Self::to_bytes) wrote, or `None` when `bytes`
+    /// are not 12 long.
+    pub fn from_bytes(bytes: &[u8]) -> Option<CatalogRoot> {
+        let b: &[u8; 12] = bytes.try_into().ok()?;
+        let file = |i: usize| FileId(u32::from_le_bytes([b[i], b[i + 1], b[i + 2], b[i + 3]]));
+        Some(CatalogRoot { types: file(0), attrs: file(4), funcs: file(8) })
+    }
+}
+
 impl CatalogStore {
     /// Create the three catalog files.
     pub fn create(sm: &StorageManager) -> Result<CatalogStore> {

@@ -101,10 +101,14 @@ impl DatabaseStats {
 
     /// Clustering factor of the edge `class.attr`; 0 when never measured.
     pub fn clustering(&self, class: &str, attr: &str) -> f64 {
+        self.measured_clustering(class, attr).unwrap_or(0.0)
+    }
+
+    /// Clustering factor of the edge `class.attr`, if it was measured.
+    pub fn measured_clustering(&self, class: &str, attr: &str) -> Option<f64> {
         self.clustering
             .get(&(class.to_string(), attr.to_string()))
             .copied()
-            .unwrap_or(0.0)
     }
 
     /// Every measured clustering edge as `(class, attr, factor)`, sorted.

@@ -31,7 +31,7 @@ pub use mood_storage as storage;
 pub use mood_trace as trace;
 pub use mood_view as view;
 
-pub use mood_catalog::{Catalog, CatalogRoot, ClassBuilder, DatabaseStats, IndexKind, MethodSig};
+pub use mood_catalog::{Catalog, CatalogRoot, ClassBuilder, DatabaseStats, MethodSig};
 pub use mood_datamodel::{TypeDescriptor, Value};
 pub use mood_funcman::{Exception, FunctionManager, NativeFn};
 pub use mood_optimizer::OptimizerConfig;
@@ -50,6 +50,9 @@ pub enum MoodError {
     Storage(mood_storage::StorageError),
     Exception(Exception),
     Io(String),
+    /// `catalog.root` is not 12 bytes: opening refuses to bootstrap a new
+    /// catalog over the classes the real root names.
+    CorruptRoot { path: std::path::PathBuf, len: usize },
 }
 
 impl std::fmt::Display for MoodError {
@@ -60,6 +63,9 @@ impl std::fmt::Display for MoodError {
             MoodError::Storage(e) => write!(f, "{e}"),
             MoodError::Exception(e) => write!(f, "{e}"),
             MoodError::Io(m) => write!(f, "I/O: {m}"),
+            MoodError::CorruptRoot { path, len } => {
+                write!(f, "{}: {len} bytes, a catalog root is 12", path.display())
+            }
         }
     }
 }
@@ -123,6 +129,10 @@ impl Mood {
     /// manager rooted at `dir` (see [`StorageManager::with_parts`]) — the
     /// crash-simulation harness uses this to interpose fault-injecting
     /// disk/log wrappers while the real bytes live underneath.
+    ///
+    /// Only a missing `catalog.root` means a new database: one that cannot
+    /// be read is [`MoodError::Io`], one of the wrong length
+    /// [`MoodError::CorruptRoot`] — both before anything is written.
     pub fn open_with_storage(
         sm: Arc<StorageManager>,
         dir: impl AsRef<std::path::Path>,
@@ -130,12 +140,12 @@ impl Mood {
         let dir = dir.as_ref();
         let root_file = dir.join("catalog.root");
         let root = match std::fs::read(&root_file) {
-            Ok(bytes) if bytes.len() == 12 => Some(CatalogRoot {
-                types: mood_storage::FileId(u32::from_le_bytes(bytes[0..4].try_into().unwrap())),
-                attrs: mood_storage::FileId(u32::from_le_bytes(bytes[4..8].try_into().unwrap())),
-                funcs: mood_storage::FileId(u32::from_le_bytes(bytes[8..12].try_into().unwrap())),
-            }),
-            _ => None,
+            Ok(b) => match CatalogRoot::from_bytes(&b) {
+                Some(root) => Some(root),
+                None => return Err(MoodError::CorruptRoot { path: root_file, len: b.len() }),
+            },
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => None,
+            Err(e) => return Err(MoodError::Io(format!("{}: {e}", root_file.display()))),
         };
         // Bootstrap is itself a transaction: creating the catalog heaps
         // either commits whole or leaves no trace for the next open.
@@ -151,11 +161,7 @@ impl Mood {
             }
         };
         if root.is_none() {
-            let r = db.catalog.root();
-            let mut bytes = Vec::with_capacity(12);
-            bytes.extend_from_slice(&r.types.0.to_le_bytes());
-            bytes.extend_from_slice(&r.attrs.0.to_le_bytes());
-            bytes.extend_from_slice(&r.funcs.0.to_le_bytes());
+            let bytes = db.catalog.root().to_bytes();
             write_durably(&root_file, &bytes).map_err(|e| MoodError::Io(e.to_string()))?;
         }
         // Recovery replayed straight onto the disk image; flush + sync it
@@ -220,7 +226,7 @@ impl Mood {
     }
 
     /// Use a specific optimizer configuration (physical disk parameters,
-    /// CPU cost). Applied in place so an open transaction survives.
+    /// execution settings). Applied in place so an open transaction survives.
     pub fn set_optimizer_config(&self, config: OptimizerConfig) {
         self.session.lock().set_config(config);
     }
@@ -270,15 +276,6 @@ impl Mood {
     /// statement shape allows. `None` (the default) disables capture.
     pub fn set_slow_query_threshold(&self, threshold: Option<std::time::Duration>) {
         self.session.lock().set_slow_query_threshold(threshold);
-    }
-
-    /// Arm (or, with `None`, disarm) the adaptive clustering trigger:
-    /// with a threshold set, the affinity tracker records forward-chase
-    /// targets, and at each statement boundary a traversal edge with at
-    /// least `min_chases` observations and poor page locality gets its
-    /// class reorganized automatically (`CLUSTER` without the DDL).
-    pub fn set_auto_cluster(&self, min_chases: Option<u64>) {
-        self.session.lock().set_auto_cluster(min_chases);
     }
 
     /// Per-statement aggregated stats, most total time first (the data
@@ -387,13 +384,16 @@ impl Mood {
     }
 }
 
-/// Write a small control file so it survives a crash: write, fsync the
-/// file, then fsync the containing directory (the entry itself).
+/// Write a small control file so a crash leaves either no file or all of
+/// it: write a temporary beside it, fsync that, rename it over `path`, then
+/// fsync the containing directory (the entry itself).
 fn write_durably(path: &std::path::Path, bytes: &[u8]) -> std::io::Result<()> {
     use std::io::Write;
-    let mut f = std::fs::File::create(path)?;
+    let tmp = path.with_extension("tmp");
+    let mut f = std::fs::File::create(&tmp)?;
     f.write_all(bytes)?;
     f.sync_all()?;
+    std::fs::rename(&tmp, path)?;
     if let Some(dir) = path.parent() {
         if !dir.as_os_str().is_empty() {
             std::fs::File::open(dir)?.sync_all()?;
@@ -471,6 +471,32 @@ mod tests {
             assert_eq!(cur.len(), 1);
             assert_eq!(cur.next().unwrap()[0], Value::string("Tansel Okay"));
         }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_short_catalog_root_refuses_to_open_and_is_left_as_found() {
+        let dir = std::env::temp_dir().join(format!("mood-core-root-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        {
+            let db = Mood::open(&dir).unwrap();
+            db.execute("CREATE CLASS Part TUPLE (id Integer)").unwrap();
+            for i in 0..10 {
+                db.execute(&format!("new Part <{i}>")).unwrap();
+            }
+        }
+        let root_file = dir.join("catalog.root");
+        let root = std::fs::read(&root_file).unwrap();
+        assert_eq!(root.len(), 12);
+        std::fs::write(&root_file, &root[..5]).unwrap();
+        let err = Mood::open(&dir).err().expect("a 5-byte root must not open");
+        assert!(matches!(err, MoodError::CorruptRoot { len: 5, .. }), "{err}");
+        assert!(err.to_string().contains("catalog.root"), "{err}");
+        assert_eq!(std::fs::read(&root_file).unwrap(), &root[..5], "root left as found");
+        std::fs::write(&root_file, &root).unwrap();
+        let db = Mood::open(&dir).unwrap();
+        assert_eq!(db.query("SELECT p.id FROM Part p").unwrap().len(), 10);
+        drop(db);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -19,7 +19,7 @@ pub struct ClassInfo {
 
 /// CPU cost per in-memory comparison (the `CPUCOST` constant of §6.2).
 /// A 1994-era machine did on the order of 10⁶–10⁷ comparisons per second.
-pub const DEFAULT_CPU_COST: f64 = 1e-6;
+pub const CPU_COST: f64 = 1e-6;
 
 /// The four implicit-join strategies of Section 6 / 8.3.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -104,7 +104,6 @@ pub fn forward_traversal_cost_in_memory(p: &PhysicalParams, k_c: f64, fan: f64) 
 ///
 /// `btc = SEQCOST(nbpages(C)) + k_c·fan·k_d·CPUCOST
 ///        + (0 if D already accessed else SEQCOST(nbpages(D)))`
-#[allow(clippy::too_many_arguments)]
 pub fn backward_traversal_cost(
     p: &PhysicalParams,
     k_c: f64,
@@ -112,11 +111,10 @@ pub fn backward_traversal_cost(
     c: &ClassInfo,
     d: &ClassInfo,
     fan: f64,
-    cpu_cost: f64,
     d_already_accessed: bool,
 ) -> f64 {
     seqcost(p, c.nbpages)
-        + k_c * fan * k_d * cpu_cost
+        + k_c * fan * k_d * CPU_COST
         + if d_already_accessed {
             0.0
         } else {
@@ -182,7 +180,6 @@ pub struct JoinInputs {
     /// Binary join index on the reference attribute, if one exists.
     pub index: Option<IndexParams>,
     pub d_already_accessed: bool,
-    pub cpu_cost: f64,
     /// The `k_c` source objects are a temporary collection already in
     /// memory (a prior operator's output) rather than a stored extent.
     pub c_in_memory: bool,
@@ -218,7 +215,6 @@ pub fn join_cost(p: &PhysicalParams, m: JoinMethod, j: &JoinInputs) -> Option<f6
             &j.c,
             &j.d,
             j.fan,
-            j.cpu_cost,
             j.d_already_accessed || j.d_in_memory,
         ),
         JoinMethod::BinaryJoinIndex => {
@@ -464,7 +460,6 @@ mod tests {
             &vehicle(),
             &engine(),
             1.0,
-            DEFAULT_CPU_COST,
             false,
         );
         let without = backward_traversal_cost(
@@ -474,7 +469,6 @@ mod tests {
             &vehicle(),
             &engine(),
             1.0,
-            DEFAULT_CPU_COST,
             true,
         );
         assert!((with - without - seqcost(&p, engine().nbpages)).abs() < 1e-9);
@@ -495,7 +489,6 @@ mod tests {
             totref: 10_000.0,
             index: None,
             d_already_accessed: false,
-            cpu_cost: DEFAULT_CPU_COST,
             c_in_memory: false,
             d_in_memory: false,
             clustering: 0.0,
@@ -523,7 +516,6 @@ mod tests {
             totref: 10_000.0,
             index: None,
             d_already_accessed: false,
-            cpu_cost: DEFAULT_CPU_COST,
             clustering: 0.0,
         };
         let ftc = join_cost(&p, JoinMethod::ForwardTraversal, &j).unwrap();
@@ -543,7 +535,6 @@ mod tests {
             totref: 10_000.0,
             index: None,
             d_already_accessed: false,
-            cpu_cost: DEFAULT_CPU_COST,
             c_in_memory: false,
             d_in_memory: false,
             clustering: 0.0,
@@ -571,7 +562,6 @@ mod tests {
             totref: 10_000.0,
             index: None,
             d_already_accessed: false,
-            cpu_cost: DEFAULT_CPU_COST,
             c_in_memory: false,
             d_in_memory: false,
             clustering: 0.0,
@@ -646,7 +636,6 @@ mod tests {
             totref: 10_000.0,
             index: None,
             d_already_accessed: false,
-            cpu_cost: DEFAULT_CPU_COST,
             c_in_memory: true,
             d_in_memory: false,
             clustering: 0.0,

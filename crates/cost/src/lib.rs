@@ -25,7 +25,7 @@ pub use joincost::{
     backward_traversal_cost, best_join_method, binary_join_index_cost, chase_cost, chase_pages,
     forward_traversal_cost, forward_traversal_cost_clustered, forward_traversal_cost_in_memory,
     hash_partition_cost, hash_partition_cost_in_memory, join_cost, join_pages, path_forward_cost,
-    path_forward_cost_clustered, ClassInfo, JoinInputs, JoinMethod, DEFAULT_CPU_COST,
+    path_forward_cost_clustered, ClassInfo, JoinInputs, JoinMethod, CPU_COST,
 };
 pub use mood_storage::PhysicalParams;
 pub use selectivity::{

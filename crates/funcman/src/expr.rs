@@ -11,7 +11,7 @@
 //!                                  ^^^^^^^^^^^^^^^^ this part
 //! ```
 //!
-//! [`compile`] parses a body to an [`Expr`] and [`crate::compile`] lowers
+//! [`compile`] parses a body to an [`Expr`] and [`crate::compile`](mod@crate::compile) lowers
 //! that to the register program the Function Manager runs — both when the
 //! function is *added*, so errors surface then, not when it is called,
 //! exactly like the paper's compile step. MOODSQL lowers its own expressions

@@ -13,7 +13,7 @@
 //! * [`exception`] — the `Exception` class and panic capture;
 //! * [`expr`] — the method-body expression language (its parser, and the
 //!   expression tree MOODSQL lowers to as well);
-//! * [`compile`] — the tree lowered to a register program, and the
+//! * [`compile`](mod@compile) — the tree lowered to a register program, and the
 //!   program's execution: the only thing that evaluates an expression;
 //! * [`manager`] — signatures, shared objects, dynamic linking, invocation
 //!   with late binding.

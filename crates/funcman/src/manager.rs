@@ -10,7 +10,7 @@
 //! * bodies are compiled when added (native Rust closures play the role
 //!   of pre-compiled C++ object code; run-time-defined bodies are parsed by
 //!   [`crate::expr::compile`] and lowered to a register program by
-//!   [`crate::compile`]) and only the compiled form ever runs — the server
+//!   [`crate::compile`](mod@crate::compile)) and only the compiled form ever runs — the server
 //!   never restarts;
 //! * each class has a shared-object unit; redefining a function takes an
 //!   exclusive lock on it ("the shared library of the class will be

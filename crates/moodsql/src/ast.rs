@@ -32,7 +32,6 @@ pub enum Statement {
         class: String,
         attribute: String,
         unique: bool,
-        hash: bool,
     },
     /// `DEFINE METHOD Class::name(p Type, …) RETURNS Type AS '…body…'`.
     DefineMethod {
@@ -61,8 +60,9 @@ pub enum Statement {
     },
     /// `CLUSTER Class [BY attr]` — rewrite the class's heap extent in
     /// referencing-traversal order of the given reference attribute
-    /// (default: the hottest affinity edge, else the first reference
-    /// attribute), updating the OID map and every index atomically.
+    /// (default: the one with the lowest measured clustering factor, else
+    /// the first reference attribute), updating the OID map and every
+    /// index atomically.
     Cluster {
         class: String,
         attr: Option<String>,

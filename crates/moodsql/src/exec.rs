@@ -7,8 +7,8 @@
 //! type checked through `OperandDataType`). This module is FROM and WHERE:
 //! every AND-term's plan runs with the operator order of Figure 7.2
 //! (SELECT → JOIN → PROJECT → UNION), each plan node pushing its output
-//! into a [`Sink`] — a row vector between operators, and at a term's root
-//! the statement's [`Tail`] (`tail.rs`), which applies the later clauses
+//! into a `Sink` — a row vector between operators, and at a term's root
+//! the statement's `Tail` (`tail.rs`), which applies the later clauses
 //! of Figure 7.1 (GROUP BY/HAVING → projection → ORDER BY) to the stream
 //! batch by batch. A single-variable scan at the root hands the tail the
 //! objects it decoded, and so does an index selection: one leaf-chain walk
@@ -1267,24 +1267,6 @@ impl<'a> Executor<'a> {
             }
             JoinMethod::ForwardTraversal | JoinMethod::BackwardTraversal => {
                 let unmaterialized = matches!(right_side, RightSide::Class { .. });
-                // Feed the affinity tracker: each forward chase over an
-                // unmaterialized right side is one (source class, attr,
-                // target OID) observation in probe order — the actual I/O
-                // pattern `CLUSTER` would improve. Resolved once per join
-                // (a map lookup per row would be waste); `None` when the
-                // tracker is off, so the disabled path costs one bool load.
-                let affinity = self.catalog.storage().affinity();
-                let chase_src: Option<String> = if affinity.is_enabled()
-                    && method == JoinMethod::ForwardTraversal
-                    && unmaterialized
-                {
-                    left_rows
-                        .iter()
-                        .find_map(|r| r.get(x_var).and_then(|b| b.oid))
-                        .and_then(|o| self.catalog.class_of_oid(o))
-                } else {
-                    None
-                };
                 // Pipelined probe prefetch applies to forward chases into
                 // the heap; a materialized right side reads no pages here.
                 let prefetch = method == JoinMethod::ForwardTraversal && unmaterialized;
@@ -1323,9 +1305,6 @@ impl<'a> Executor<'a> {
                     let mut cache: HashMap<Oid, Vec<Row>> = HashMap::new();
                     for row in chunk {
                         for oid in self.row_refs(row, x_var, attr)? {
-                            if let Some(src) = &chase_src {
-                                affinity.record_chase(src, attr, oid);
-                            }
                             let targets = match cache.entry(oid) {
                                 std::collections::hash_map::Entry::Occupied(e) => e.into_mut(),
                                 std::collections::hash_map::Entry::Vacant(e) => {

@@ -38,7 +38,7 @@ use std::hash::{Hash, Hasher};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use mood_catalog::{Catalog, ClassBuilder, IndexKind, MethodSig};
+use mood_catalog::{Catalog, ClassBuilder, MethodSig};
 use mood_datamodel::Value;
 use mood_funcman::FunctionManager;
 use mood_optimizer::OptimizerConfig;
@@ -189,16 +189,7 @@ pub struct Session {
     /// registry's slow-query log (with their EXPLAIN ANALYZE tree where the
     /// shape allows). `None` (the default) disables capture.
     slow_query_threshold: Option<Duration>,
-    /// Auto-clustering trigger: when `Some(min_chases)`, each statement
-    /// boundary outside an explicit transaction consults the affinity
-    /// tracker for a hot, disordered edge and runs `CLUSTER` on its source
-    /// class. `None` (the default) never reorganizes on its own.
-    auto_cluster_min_chases: Option<u64>,
 }
-
-/// Locality below which an edge is considered disordered enough to be worth
-/// reorganizing (auto-clustering trigger; manual `CLUSTER` has no gate).
-const AUTO_CLUSTER_MAX_LOCALITY: f64 = 0.5;
 
 impl Session {
     pub fn new(catalog: Arc<Catalog>, funcman: Arc<FunctionManager>) -> Session {
@@ -217,26 +208,7 @@ impl Session {
             plan_cache_enabled: true,
             last_stmt_cached: false,
             slow_query_threshold: None,
-            auto_cluster_min_chases: None,
         }
-    }
-
-    /// Enable traversal-affinity tracking and arm the auto-clustering
-    /// trigger: once an edge accumulates `min_chases` observed chases at
-    /// poor locality, the session reorganizes its source class at the next
-    /// statement boundary (outside explicit transactions). `None` disarms
-    /// the trigger and turns tracking off.
-    pub fn set_auto_cluster(&mut self, min_chases: Option<u64>) {
-        self.auto_cluster_min_chases = min_chases;
-        self.catalog
-            .storage()
-            .affinity()
-            .set_enabled(min_chases.is_some());
-    }
-
-    /// The armed auto-clustering threshold, if any.
-    pub fn auto_cluster(&self) -> Option<u64> {
-        self.auto_cluster_min_chases
     }
 
     /// Capture statements at or above `threshold` in the engine's
@@ -342,7 +314,7 @@ impl Session {
 
     /// Parse and execute one statement. SELECT and EXPLAIN ANALYZE go
     /// through the session plan cache (keyed by the statement's shape, see
-    /// [`shape`]) unless it is disabled; everything else takes the ordinary
+    /// `shape.rs`) unless it is disabled; everything else takes the ordinary
     /// statement path. The text is scanned once, here; the cache lookup,
     /// the parse on a miss and the stats below all work from that scan.
     ///
@@ -391,42 +363,7 @@ impl Session {
                 }
             }
         }
-        if result.is_ok() {
-            self.maybe_auto_cluster();
-        }
         result
-    }
-
-    /// Statement-boundary auto-clustering check: with the trigger armed and
-    /// no explicit transaction open, reorganize the hottest disordered
-    /// affinity edge. Best-effort — a failed reorganization never becomes
-    /// the triggering statement's error, and its edge is reset so it does
-    /// not retry on every subsequent statement.
-    fn maybe_auto_cluster(&mut self) {
-        let Some(min_chases) = self.auto_cluster_min_chases else {
-            return;
-        };
-        if self.txn.is_some() {
-            return;
-        }
-        let Some(edge) = self
-            .catalog
-            .storage()
-            .affinity()
-            .candidate(min_chases, AUTO_CLUSTER_MAX_LOCALITY)
-        else {
-            return;
-        };
-        let stmt = Statement::Cluster {
-            class: edge.class.clone(),
-            attr: Some(edge.attr.clone()),
-        };
-        if self.execute_statement(&stmt).is_err() {
-            self.catalog
-                .storage()
-                .affinity()
-                .reset_edge(&edge.class, &edge.attr);
-        }
     }
 
     /// The `EXPLAIN ANALYZE` tree for a slow statement. EXPLAIN-shaped
@@ -821,23 +758,12 @@ impl Session {
                 class,
                 attribute,
                 unique,
-                hash,
             } => {
                 if attribute.contains('.') {
-                    if *hash {
-                        return Err(SqlError::Exec(
-                            "path indexes are B+-trees (range-capable); HASH not supported".into(),
-                        ));
-                    }
                     let path: Vec<String> = attribute.split('.').map(str::to_string).collect();
                     self.catalog.create_path_index(class, &path)?;
                 } else {
-                    let kind = if *hash {
-                        IndexKind::Hash
-                    } else {
-                        IndexKind::BTree
-                    };
-                    self.catalog.create_index(class, attribute, kind, *unique)?;
+                    self.catalog.create_index(class, attribute, *unique)?;
                 }
                 Ok(Answer::Done { affected: 0 })
             }

@@ -527,14 +527,9 @@ impl Parser {
         if self.eat_kw(Kw::Class) {
             return self.create_class();
         }
-        // CREATE [UNIQUE] [HASH|BTREE] INDEX ON Class(attribute)
+        // CREATE [UNIQUE] [BTREE] INDEX ON Class(attribute)
         let unique = self.eat_kw(Kw::Unique);
-        let hash = if self.eat_kw(Kw::Hash) {
-            true
-        } else {
-            self.eat_kw(Kw::Btree);
-            false
-        };
+        self.eat_kw(Kw::Btree);
         self.expect_kw(Kw::Index)?;
         self.expect_kw(Kw::On)?;
         let class = self.ident()?;
@@ -550,7 +545,6 @@ impl Parser {
             class,
             attribute,
             unique,
-            hash,
         })
     }
 
@@ -1000,24 +994,19 @@ mod tests {
     fn create_index_variants() {
         assert!(matches!(
             parse("CREATE INDEX ON Vehicle(weight)").unwrap(),
-            Statement::CreateIndex {
-                unique: false,
-                hash: false,
-                ..
-            }
+            Statement::CreateIndex { unique: false, .. }
         ));
         assert!(matches!(
             parse("CREATE UNIQUE BTREE INDEX ON Vehicle(id)").unwrap(),
-            Statement::CreateIndex {
-                unique: true,
-                hash: false,
-                ..
-            }
+            Statement::CreateIndex { unique: true, .. }
         ));
-        assert!(matches!(
-            parse("CREATE HASH INDEX ON Company(name)").unwrap(),
-            Statement::CreateIndex { hash: true, .. }
-        ));
+    }
+
+    #[test]
+    fn a_hash_index_is_a_parse_error() {
+        for sql in ["CREATE HASH INDEX ON C(a)", "CREATE UNIQUE HASH INDEX ON C(a)"] {
+            assert!(matches!(parse(sql), Err(SqlError::Parse { .. })), "{sql}");
+        }
     }
 
     #[test]

@@ -42,7 +42,6 @@ pub enum Kw {
     Index,
     On,
     Unique,
-    Hash,
     Btree,
     Reference,
     Set,
@@ -94,7 +93,6 @@ impl Kw {
             "INDEX" => Kw::Index,
             "ON" => Kw::On,
             "UNIQUE" => Kw::Unique,
-            "HASH" => Kw::Hash,
             "BTREE" => Kw::Btree,
             "REFERENCE" => Kw::Reference,
             "SET" => Kw::Set,

@@ -440,7 +440,6 @@ impl Estimator<'_> {
             totref: hop.totref,
             index: self.view.index(&from_class, &attr),
             d_already_accessed: false,
-            cpu_cost: self.cfg.cpu_cost,
             c_in_memory: !matches!(left, Plan::Bind { .. }),
             d_in_memory: matches!(right, Plan::Temp { .. }),
             clustering: self.view.stats.clustering(&from_class, &attr),

@@ -22,7 +22,7 @@ use mood_cost::{
     atomic_selectivity, best_join_method, bounds_selectivity, o_overlap,
     path_forward_cost_clustered, path_selectivity, seqcost,
     ClassInfo, Domain, IndexParams, JoinInputs, JoinMethod, PathHop, PathPredicate, PhysicalParams,
-    Theta, DEFAULT_CPU_COST,
+    Theta,
 };
 use mood_storage::ExecutionConfig;
 use mood_storage::PhysicalParams as Disk;
@@ -230,7 +230,6 @@ const OTHER_SELECTIVITY: f64 = 0.5;
 #[derive(Debug, Clone)]
 pub struct OptimizerConfig {
     pub params: PhysicalParams,
-    pub cpu_cost: f64,
     pub execution: ExecutionConfig,
 }
 
@@ -238,7 +237,6 @@ impl Default for OptimizerConfig {
     fn default() -> Self {
         OptimizerConfig {
             params: Disk::salzberg_1988(),
-            cpu_cost: DEFAULT_CPU_COST,
             execution: ExecutionConfig::default(),
         }
     }
@@ -248,7 +246,6 @@ impl OptimizerConfig {
     pub fn paper() -> Self {
         OptimizerConfig {
             params: Disk::paper_calibrated(),
-            cpu_cost: DEFAULT_CPU_COST,
             execution: ExecutionConfig::default(),
         }
     }
@@ -410,7 +407,6 @@ impl ChainState<'_> {
             totref: edge.hop.totref,
             index: self.view.index(&edge.from_class, &edge.attribute),
             d_already_accessed: right.accessed,
-            cpu_cost: self.cfg.cpu_cost,
             c_in_memory: left.in_memory,
             d_in_memory: right.in_memory,
             clustering: self

@@ -16,20 +16,17 @@
 //! * [`heap`] — heap files of records with physical OIDs and ESM-style
 //!   forwarding;
 //! * [`btree`] — a disk-resident B+-tree exposing the Table 9 statistics;
-//! * [`hash`] — a static hash index with overflow chaining;
 //! * [`lock`] — a shared/exclusive lock manager with timeout deadlock
 //!   resolution;
 //! * [`wal`] — a redo-only write-ahead log with crash recovery;
 //! * [`metrics`] — access counters plus the Table 10 physical disk model.
 
-pub mod affinity;
 pub mod btree;
 pub mod buffer;
 pub mod disk;
 pub mod error;
 pub mod exec;
 pub mod fault;
-pub mod hash;
 pub mod heap;
 pub mod lock;
 pub mod metrics;
@@ -40,14 +37,12 @@ pub mod spill;
 pub mod telemetry;
 pub mod wal;
 
-pub use affinity::{AffinityEdge, AffinityTracker};
 pub use btree::{BTree, BTreeStats};
 pub use buffer::{BufferPool, PageRepairer, PoolHealth, READAHEAD_WINDOW};
 pub use disk::{Disk, FaultyDisk, FileDisk, MemDisk, RetryDisk, RetryStats};
 pub use error::{Result, StorageError};
 pub use exec::{chunk_ranges, run_chunked, ExecutionConfig};
 pub use fault::{Fault, FaultPlan, FaultyLog};
-pub use hash::HashIndex;
 pub use heap::HeapFile;
 pub use lock::{LockManager, LockMode, OwnerId};
 pub use metrics::{AccessHint, AccessKind, DiskMetrics, MetricsSnapshot, PhysicalParams};
@@ -76,18 +71,14 @@ use parking_lot::Mutex;
 /// handle the pool is built with. This is the handle the catalog and
 /// algebra layers hold.
 ///
-/// Index handles are cached per file id so every caller shares one
-/// [`BTree`]/[`HashIndex`] instance — and therefore its writer lock.
+/// B+-tree handles are cached per file id so every caller shares one
+/// [`BTree`] instance — and therefore its writer lock.
 pub struct StorageManager {
     pool: Arc<BufferPool>,
     locks: Arc<LockManager>,
     wal: Arc<Wal>,
     registry: Arc<MetricsRegistry>,
     btrees: Mutex<HashMap<FileId, Arc<BTree>>>,
-    hashes: Mutex<HashMap<FileId, Arc<HashIndex>>>,
-    /// Traversal-affinity recorder feeding the adaptive clusterer; shared
-    /// with the query layer, which records forward-chase observations.
-    affinity: Arc<AffinityTracker>,
     /// Durable managers (file-backed or harness-supplied) run the full
     /// no-steal + redo-WAL protocol: dirty pages of an open transaction
     /// stay pinned, commits log redo records and force the log. In-memory
@@ -159,8 +150,6 @@ impl StorageManager {
             wal,
             registry: Arc::new(registry),
             btrees: Mutex::new(HashMap::new()),
-            hashes: Mutex::new(HashMap::new()),
-            affinity: Arc::new(AffinityTracker::new()),
             durable,
         }
     }
@@ -184,13 +173,6 @@ impl StorageManager {
     /// The engine-wide metrics registry (disk + WAL + locks + operators).
     pub fn registry(&self) -> &Arc<MetricsRegistry> {
         &self.registry
-    }
-
-    /// The traversal-affinity recorder (disabled until a session turns
-    /// tracking on). Join/path execution records forward chases here; the
-    /// adaptive clusterer reads the hottest disordered edges back.
-    pub fn affinity(&self) -> &Arc<AffinityTracker> {
-        &self.affinity
     }
 
     /// Fault-tolerance state: degraded (read-only) flag and page-repair
@@ -226,26 +208,9 @@ impl StorageManager {
             .clone()
     }
 
-    /// Create a hash index with the given bucket count (handle cached).
-    pub fn create_hash(&self, buckets: u32) -> Result<Arc<HashIndex>> {
-        let h = Arc::new(HashIndex::create(self.pool.clone(), buckets)?);
-        self.hashes.lock().insert(h.file_id(), h.clone());
-        Ok(h)
-    }
-
-    /// Open an existing hash index; all callers share one handle.
-    pub fn open_hash(&self, file: FileId, buckets: u32) -> Arc<HashIndex> {
-        self.hashes
-            .lock()
-            .entry(file)
-            .or_insert_with(|| Arc::new(HashIndex::open(self.pool.clone(), file, buckets)))
-            .clone()
-    }
-
     /// Drop a cached index handle (call when the index file is deleted).
     pub fn forget_index(&self, file: FileId) {
         self.btrees.lock().remove(&file);
-        self.hashes.lock().remove(&file);
     }
 
     /// Flush all dirty pages and truncate the log (checkpoint). Refused
@@ -375,10 +340,6 @@ mod tests {
         let idx = sm.create_btree(false).unwrap();
         idx.insert(b"key", oid).unwrap();
         assert_eq!(idx.lookup(b"key").unwrap(), vec![oid]);
-
-        let h = sm.create_hash(16).unwrap();
-        h.insert(b"key", oid).unwrap();
-        assert_eq!(h.lookup(b"key").unwrap(), vec![oid]);
 
         assert!(sm.metrics().snapshot().total_reads() > 0);
         sm.checkpoint().unwrap();

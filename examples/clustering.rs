@@ -1,7 +1,8 @@
 //! Adaptive object clustering end-to-end: a scattered reference layout,
 //! the page cost of chasing it, `CLUSTER … BY …` rewriting the heap in
 //! traversal order, the clustering-aware cost estimates (`cf=` in
-//! EXPLAIN ANALYZE), and the affinity-tracked automatic trigger.
+//! EXPLAIN ANALYZE), and `CLUSTER` without `BY` picking the edge
+//! `collect_stats` measured as the most disordered.
 //!
 //! ```sh
 //! cargo run -p mood-core --example clustering
@@ -87,9 +88,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     // ------------------------------------------------------------------
-    // The adaptive trigger: arm it, run a traversal-heavy workload over a
-    // second scattered class, and the affinity tracker reorganizes the
-    // hot, disordered edge on its own — no CLUSTER statement issued.
+    // A second scattered class, clustered without naming the edge:
+    // `collect_stats` measures every reference edge's clustering factor,
+    // and `CLUSTER WorkOrder` reorganizes the one with the lowest.
     // ------------------------------------------------------------------
     db.execute(
         "CREATE CLASS WorkOrder TUPLE (seq Integer, engine REFERENCE (Engine), \
@@ -107,12 +108,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             ]),
         )?;
     }
-    db.collect_stats()?;
-    db.set_auto_cluster(Some(48));
+    let cf = db.collect_stats()?.clustering("WorkOrder", "engine");
+    println!("\nWorkOrder.engine measured cf = {cf:.3}");
+    db.execute("CLUSTER WorkOrder")?;
+    let cf = db.catalog().stats().clustering("WorkOrder", "engine");
+    println!("CLUSTER WorkOrder reorganized WorkOrder.engine: cf = {cf:.3}");
     // A source-selective path predicate forward-traverses the reference
-    // (few restricted sources against a big target extent); every run
-    // feeds its chases to the tracker until the edge crosses the
-    // threshold, at which point the session reorganizes WorkOrder itself.
+    // (few restricted sources against a big target extent).
     for _ in 0..8 {
         db.execute(
             "SELECT w.seq FROM WorkOrder w WHERE w.seq < 8 AND w.engine.cylinders = 4",
@@ -125,7 +127,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .find(|(k, _)| k == "cluster.passes")
         .map(|(_, v)| v)
         .unwrap_or_default();
-    println!("\nauto-cluster armed; cluster.passes = {passes}");
+    println!("cluster.passes = {passes}");
     Ok(())
 }
 

@@ -1,6 +1,6 @@
-//! Adaptive object clustering: the `CLUSTER` statement, the affinity
-//! tracker's automatic trigger, clustering-aware cost estimates, the
-//! GROUP BY spill path, and the mid-reorganization crash schedule.
+//! Adaptive object clustering: the `CLUSTER` statement, clustering-aware
+//! cost estimates, the GROUP BY spill path, and the mid-reorganization
+//! crash schedule.
 //!
 //! * Logical transparency: for randomly generated select/point/path/sort
 //!   queries, results are byte-identical before and after `CLUSTER` at
@@ -9,8 +9,6 @@
 //!   `cluster.*` counters and the per-class factor gauge through
 //!   `SHOW METRICS` / JSON / Prometheus, and is refused inside an
 //!   explicit transaction (it is DDL-like: it autocommits).
-//! * The armed auto-trigger reorganizes a hot, disordered traversal edge
-//!   on its own after enough forward chases accumulate.
 //! * After `CLUSTER`, `EXPLAIN ANALYZE` prints the clustering factor
 //!   (`cf=`) on the join estimate and the traversal's page actuals land
 //!   within the clustering-aware estimate's window.
@@ -342,48 +340,6 @@ fn cluster_is_refused_inside_an_explicit_transaction() {
     }
     let after = run(&db, "SELECT w.seq, w.part.size FROM Widget w ORDER BY w.seq").unwrap();
     assert_eq!(before, after);
-}
-
-// ----------------------------------------------------------------------
-// The affinity-tracked automatic trigger
-// ----------------------------------------------------------------------
-
-#[test]
-fn auto_trigger_reorganizes_a_hot_disordered_edge() {
-    let db = build_chase();
-    assert_eq!(metric_value(&db, "cluster.passes"), "0");
-    db.set_auto_cluster(Some(48));
-    // Each run forward-chases 8 scattered references; the edge crosses
-    // the 48-chase threshold with near-zero locality and the session
-    // reorganizes Source by itself at a statement boundary.
-    let expect = run(&db, CHASE).unwrap();
-    for _ in 0..7 {
-        run(&db, CHASE).unwrap();
-    }
-    let passes: u64 = metric_value(&db, "cluster.passes").parse().unwrap();
-    assert!(passes >= 1, "auto-trigger must have fired, passes={passes}");
-    let moved: u64 = metric_value(&db, "cluster.moved_objects").parse().unwrap();
-    assert!(moved > 0, "the trigger's pass rewrote the scattered extent");
-    // Answers are untouched, and a disarmed trigger never fires again.
-    assert_eq!(run(&db, CHASE).unwrap(), expect);
-    db.set_auto_cluster(None);
-    let frozen: u64 = metric_value(&db, "cluster.passes").parse().unwrap();
-    for _ in 0..16 {
-        run(&db, CHASE).unwrap();
-    }
-    let after: u64 = metric_value(&db, "cluster.passes").parse().unwrap();
-    assert_eq!(after, frozen, "a disarmed trigger must not fire");
-}
-
-#[test]
-fn disarmed_tracker_records_nothing() {
-    let db = build_chase();
-    // No set_auto_cluster: the tracker stays disabled, chases cost one
-    // atomic load, and no reorganization ever happens.
-    for _ in 0..8 {
-        run(&db, CHASE).unwrap();
-    }
-    assert_eq!(metric_value(&db, "cluster.passes"), "0");
 }
 
 // ----------------------------------------------------------------------

@@ -474,7 +474,7 @@ fn path_index_rejects_bad_paths() {
     assert!(db
         .execute("CREATE INDEX ON Vehicle(nope.engine.cylinders)")
         .is_err());
-    // Hash path indexes are rejected.
+    // There is no hash index: `HASH` does not parse.
     assert!(db
         .execute("CREATE HASH INDEX ON Vehicle(drivetrain.engine.cylinders)")
         .is_err());

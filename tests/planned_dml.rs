@@ -11,17 +11,16 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use mood_core::sql::{parse_expr, Row};
 use mood_core::storage::Oid;
-use mood_core::{Answer, IndexKind, Mood, OptimizerConfig, Value};
+use mood_core::{Answer, Mood, OptimizerConfig, Value};
 
 const COLORS: [&str; 4] = ["red", "green", "blue", "white"];
 const CITIES: [&str; 3] = ["Munich", "Aichi", "Detroit"];
 
-/// Which secondary indexes `Vehicle(id)` (unique) and `Vehicle(weight)` get.
+/// Whether `Vehicle(id)` (unique) and `Vehicle(weight)` get B+-tree indexes.
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum Indexes {
     None,
     BTree,
-    Hash,
 }
 
 /// The §3.1 hierarchy with `n` objects in `Vehicle`'s own extent (ids
@@ -75,16 +74,9 @@ fn build(n: i32, indexes: Indexes) -> Mood {
                 .unwrap();
         }
     }
-    let kind = match indexes {
-        Indexes::None => None,
-        Indexes::BTree => Some(IndexKind::BTree),
-        Indexes::Hash => Some(IndexKind::Hash),
-    };
-    if let Some(kind) = kind {
-        catalog.create_index("Vehicle", "id", kind, true).unwrap();
-        catalog
-            .create_index("Vehicle", "weight", kind, false)
-            .unwrap();
+    if indexes == Indexes::BTree {
+        catalog.create_index("Vehicle", "id", true).unwrap();
+        catalog.create_index("Vehicle", "weight", false).unwrap();
     }
     db.collect_stats().unwrap();
     db
@@ -160,10 +152,8 @@ fn assert_indexes_agree(db: &Mood, indexes: Indexes, focus: &BTreeSet<Oid>, ctx:
                 "{ctx}: {attr} index misses {oid} under its stored key {key}"
             );
         }
-        if indexes == Indexes::BTree {
-            let entries = cat.index_range("Vehicle", attr, None, None).unwrap();
-            assert_eq!(entries.len(), heap.len(), "{ctx}: {attr} index entry count");
-        }
+        let entries = cat.index_range("Vehicle", attr, None, None).unwrap();
+        assert_eq!(entries.len(), heap.len(), "{ctx}: {attr} index entry count");
     }
 }
 
@@ -346,11 +336,6 @@ fn differential(indexes: Indexes) {
 #[test]
 fn planned_dml_matches_oracle_with_btree_indexes() {
     differential(Indexes::BTree);
-}
-
-#[test]
-fn planned_dml_matches_oracle_with_hash_indexes() {
-    differential(Indexes::Hash);
 }
 
 #[test]
@@ -619,8 +604,7 @@ fn target_bound_more_than_once_is_acted_on_once() {
         )
         .unwrap();
     }
-    cat.create_index("Fleet", "tag", IndexKind::BTree, true)
-        .unwrap();
+    cat.create_index("Fleet", "tag", true).unwrap();
     db.collect_stats().unwrap();
     let tags = |db: &Mood| -> BTreeSet<i32> {
         extent(db, "Fleet")

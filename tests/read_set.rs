@@ -32,7 +32,7 @@ use std::collections::BTreeMap;
 use mood_core::datamodel::{encode_value, encode_value_into};
 use mood_core::sql::{parse_expr, Row};
 use mood_core::storage::Oid;
-use mood_core::{Answer, DatabaseStats, IndexKind, Mood, OptimizerConfig, TypeDescriptor, Value};
+use mood_core::{Answer, DatabaseStats, Mood, OptimizerConfig, TypeDescriptor, Value};
 
 const COLORS: [&str; 4] = ["red", "green", "blue", "white"];
 const N: i32 = 120;
@@ -148,18 +148,14 @@ fn build(fixture: Fixture) -> Mood {
     match fixture {
         Fixture::Plain | Fixture::PaperStats => {}
         Fixture::Indexed => {
-            c.create_index("Vehicle", "id", IndexKind::BTree, true)
-                .unwrap();
-            c.create_index("Vehicle", "weight", IndexKind::BTree, false)
-                .unwrap();
+            c.create_index("Vehicle", "id", true).unwrap();
+            c.create_index("Vehicle", "weight", false).unwrap();
             db.execute("CREATE INDEX ON Vehicle(drivetrain.engine.size)")
                 .unwrap();
         }
         Fixture::Bji => {
-            c.create_index("Vehicle", "drivetrain", IndexKind::BTree, false)
-                .unwrap();
-            c.create_index("VehicleDriveTrain", "engine", IndexKind::BTree, false)
-                .unwrap();
+            c.create_index("Vehicle", "drivetrain", false).unwrap();
+            c.create_index("VehicleDriveTrain", "engine", false).unwrap();
         }
     }
     if fixture == Fixture::PaperStats {
@@ -555,8 +551,7 @@ fn build_twins(n: i32, pad: usize) -> Mood {
     }
     for attr in ["id", "ratio", "tag"] {
         let c = db.catalog();
-        c.create_index("Item", attr, IndexKind::BTree, false)
-            .unwrap();
+        c.create_index("Item", attr, false).unwrap();
     }
     db.collect_stats().unwrap();
     db
