@@ -1266,10 +1266,10 @@ impl<'a> Executor<'a> {
                 out.sort_by_key(|r| r.get(x_var).and_then(|b| b.oid));
             }
             JoinMethod::ForwardTraversal | JoinMethod::BackwardTraversal => {
-                let unmaterialized = matches!(right_side, RightSide::Class { .. });
                 // Pipelined probe prefetch applies to forward chases into
                 // the heap; a materialized right side reads no pages here.
-                let prefetch = method == JoinMethod::ForwardTraversal && unmaterialized;
+                let prefetch = method == JoinMethod::ForwardTraversal
+                    && matches!(right_side, RightSide::Class { .. });
                 // The probe side runs in batches of `batch_size` left rows
                 // with a per-batch resolution cache, so a reference shared
                 // by many rows of a batch fetches (and filters) its target
