@@ -6,35 +6,64 @@
 //! (C-object, D-object) where C's reference attribute `A` points at the
 //! D-object — but with different access patterns, which the storage-layer
 //! metrics expose and the benches compare against the §6 cost formulas.
+//!
+//! [`join_pairs`] is the one implementation of each method. It sees the left
+//! side as the objects its items bind to the join's left variable and hands
+//! back `(left index, right member)` pairs; MOODSQL's executor builds binding
+//! rows from them and [`join`] builds object pairs. A join runs on the
+//! caller's thread whatever the [`ExecutionConfig`]'s parallelism: its probe
+//! cache and page prefetch are per batch, and splitting a batch across
+//! workers would fetch a shared target once per worker.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::hash_map::Entry;
+use std::collections::{BTreeMap, HashMap};
 
 use mood_catalog::{Catalog, CatalogError};
-use mood_datamodel::Value;
+use mood_datamodel::{FieldSet, Value};
 use mood_storage::exec::{run_chunked, ExecutionConfig};
-use mood_storage::{AccessHint, Oid, StorageError};
+use mood_storage::{AccessHint, FileId, Metric, Oid, PageId, StorageError};
 
 use crate::collection::{join_return, Collection, Kind, Obj};
-use crate::error::{AlgebraError, Result};
+use crate::error::Result;
 use crate::ops::deref;
 
 pub use mood_cost::JoinMethod;
 
-/// The right-hand side of an implicit join: either a whole class (the
-/// executor fetches referenced objects directly by pointer — the common
-/// `BIND(Class, d)` plan leaf) or a materialized collection (a prior
-/// operator's output; membership is enforced).
+/// The right-hand side of [`join`]: either a whole class (referenced objects
+/// are fetched directly by pointer — the common `BIND(Class, d)` plan leaf)
+/// or a materialized collection (a prior operator's output; membership is
+/// enforced).
 #[derive(Debug, Clone, Copy)]
 pub enum JoinRhs<'a> {
     Class(&'a str),
     Collection(&'a Collection),
 }
 
-/// The reference OIDs of `l.attr`: a Reference, or a Set/List of references
-/// (the traversable constructors); none when the attribute is absent or
-/// holds anything else.
-fn refs_of(l: &Obj, attr: &str) -> Vec<Oid> {
-    match l.value.field(attr) {
+/// The object a left item binds to the join's left variable: its OID (none
+/// for a transient object) and its value. An item that binds nothing there
+/// is `(None, &Value::Null)` and joins nothing.
+pub type LeftObj<'v> = (Option<Oid>, &'v Value);
+
+/// What a stored right object becomes: the caller's member, or `None` when
+/// the right side's filter rejects it.
+pub type Bind<'b, R, E> = dyn FnMut(Oid, Value) -> std::result::Result<Option<R>, E> + 'b;
+
+/// The right-hand side of an implicit join as [`join_pairs`] reads it.
+pub enum JoinRight<'a, R> {
+    /// A class left unmaterialized: a probe fetches the referenced object
+    /// decoded to `fields` (the right variable's read set) and keeps it when
+    /// it is of the class or a subclass and the caller's `bind` admits it.
+    Class { class: &'a str, fields: &'a FieldSet },
+    /// Materialized members keyed by OID (an OID may carry several); a
+    /// reference to anything else joins nothing.
+    Members(HashMap<Oid, Vec<R>>),
+}
+
+/// The reference OIDs of `value.attr`: a Reference, or a Set/List of
+/// references (the traversable constructors, flattened); none when the
+/// attribute is absent or holds anything else.
+fn refs_of(value: &Value, attr: &str) -> Vec<Oid> {
+    match value.field(attr) {
         Some(Value::Ref(oid)) => vec![*oid],
         Some(Value::Set(items) | Value::List(items)) => {
             items.iter().filter_map(|i| i.as_oid()).collect()
@@ -59,103 +88,249 @@ pub fn materialize(catalog: &Catalog, c: &Collection, exec: ExecutionConfig) -> 
     }
 }
 
-#[derive(Clone)]
-struct Rhs {
-    /// Membership filter (None: any object of the right class qualifies).
-    allowed: Option<HashSet<Oid>>,
-    /// Pre-materialized right objects (avoids refetching what a previous
-    /// operator already produced).
-    cache: HashMap<Oid, Obj>,
-    /// Right class for the unmaterialized case.
-    class: Option<String>,
+/// Whether `method` reads a class right side by one extent scan before it
+/// probes: backward traversal (the D-side scan of §6.2) and the binary join
+/// index (which probes once per right object).
+pub fn materializes_class(method: JoinMethod) -> bool {
+    matches!(
+        method,
+        JoinMethod::BackwardTraversal | JoinMethod::BinaryJoinIndex
+    )
 }
 
-impl Rhs {
-    fn build(rhs: &JoinRhs<'_>) -> Rhs {
-        match rhs {
-            JoinRhs::Class(c) => Rhs {
-                allowed: None,
-                cache: HashMap::new(),
-                class: Some(c.to_string()),
-            },
-            JoinRhs::Collection(col) => {
-                let mut allowed = HashSet::new();
-                let mut cache = HashMap::new();
-                if let Collection::Extent(objs) = col {
-                    for o in objs {
-                        if let Some(oid) = o.oid {
-                            allowed.insert(oid);
-                            cache.insert(oid, o.clone());
-                        }
-                    }
-                } else {
-                    allowed.extend(col.oids());
-                }
-                Rhs {
-                    allowed: Some(allowed),
-                    cache,
-                    class: None,
-                }
-            }
-        }
-    }
-
-    /// The whole right class read by one sequential extent scan — the
-    /// D-side access pattern of backward traversal (§6.2).
-    fn scan_class(catalog: &Catalog, class: &str) -> Result<Rhs> {
-        let mut allowed = HashSet::new();
-        let mut cache = HashMap::new();
-        catalog.extent_with(class, AccessHint::Sequential, &mut |oid, value| {
-            allowed.insert(oid);
-            cache.insert(oid, Obj::stored(oid, value));
+/// A class right side read by one sequential scan of its extent, each object
+/// decoded to `fields` and kept as the member `bind` makes of it.
+pub fn scan_class<R, E: From<CatalogError>>(
+    catalog: &Catalog,
+    class: &str,
+    fields: &FieldSet,
+    bind: &mut Bind<'_, R, E>,
+) -> std::result::Result<HashMap<Oid, Vec<R>>, E> {
+    let mut members: HashMap<Oid, Vec<R>> = HashMap::new();
+    let mut failed = None;
+    let mut visit = |oid, value| match bind(oid, value) {
+        Ok(member) => {
+            members.entry(oid).or_default().extend(member);
             true
-        })?;
-        Ok(Rhs {
-            allowed: Some(allowed),
-            cache,
-            class: None,
-        })
-    }
+        }
+        Err(e) => {
+            failed = Some(e);
+            false
+        }
+    };
+    catalog.extent_fields_with(class, fields, AccessHint::Sequential, &mut visit)?;
+    failed.map_or(Ok(members), Err)
+}
 
-    /// Resolve one referenced OID to a right-side object if it qualifies.
-    fn fetch(&mut self, catalog: &Catalog, oid: Oid) -> Result<Option<Obj>> {
-        if let Some(allowed) = &self.allowed {
-            if !allowed.contains(&oid) {
-                return Ok(None);
-            }
+/// Materialized right members keyed by the OID `oid_of` reads off each; a
+/// member without one joins nothing.
+pub fn members_by_oid<R>(
+    items: impl IntoIterator<Item = R>,
+    oid_of: impl Fn(&R) -> Option<Oid>,
+) -> HashMap<Oid, Vec<R>> {
+    let mut members: HashMap<Oid, Vec<R>> = HashMap::new();
+    for item in items {
+        if let Some(oid) = oid_of(&item) {
+            members.entry(oid).or_default().push(item);
         }
-        if let Some(obj) = self.cache.get(&oid) {
-            return Ok(Some(obj.clone()));
+    }
+    members
+}
+
+/// Execute `Join(left, right, method, left.attr = right.self)`: the pairs
+/// `(index into left, right member)`, in left order for the traversals and
+/// in left-OID order (a stable sort) for the hash partition and the index.
+///
+/// Forward and backward traversal probe in batches of `batch_size` left
+/// items and count them in `batch.rows` / `batch.count`. A class right side
+/// is scanned up front where [`materializes_class`] says so, and probed per
+/// reference otherwise.
+pub fn join_pairs<R: Clone, E: From<CatalogError>>(
+    catalog: &Catalog,
+    left: &[LeftObj<'_>],
+    attr: &str,
+    right: JoinRight<'_, R>,
+    method: JoinMethod,
+    batch_size: usize,
+    bind: &mut Bind<'_, R, E>,
+) -> std::result::Result<Vec<(usize, R)>, E> {
+    let right = match right {
+        JoinRight::Class { class, fields } if materializes_class(method) => {
+            JoinRight::Members(scan_class(catalog, class, fields, bind)?)
         }
-        match catalog.get_object(oid) {
-            Ok((class, value)) => {
-                if let Some(want) = &self.class {
-                    if !catalog.is_subclass(&class, want) {
-                        return Ok(None);
-                    }
-                }
-                let obj = Obj::stored(oid, value);
-                self.cache.insert(oid, obj.clone());
-                Ok(Some(obj))
-            }
-            // A dangling reference produces no pair (deleted targets simply
-            // do not join). Every other storage failure — a corrupt page,
-            // an I/O error, a deadlock — is the join's error: swallowing it
-            // would silently shorten the result.
-            Err(CatalogError::Storage(StorageError::DanglingOid(_))) => Ok(None),
-            Err(e) => Err(e.into()),
+        right => right,
+    };
+    match (method, &right) {
+        (JoinMethod::BinaryJoinIndex, JoinRight::Members(members)) => {
+            indexed(catalog, left, attr, members)
         }
+        (JoinMethod::HashPartition, _) => hash_partition(catalog, left, attr, &right, bind),
+        _ => probe(catalog, left, attr, &right, batch_size, bind),
     }
 }
 
-/// Execute `Join(left, rhs, method, left.attr = rhs.self)`, returning the
-/// joined pairs in left-collection order.
+/// The object behind a reference into class right side `class`, as the
+/// member `bind` makes of it. A dangling reference, or one to an object of
+/// another class, joins nothing; every other storage failure — a corrupt
+/// page, an I/O error, a deadlock — is the join's error, never a shorter
+/// result.
+fn fetch<R, E: From<CatalogError>>(
+    catalog: &Catalog,
+    (class, fields): (&str, &FieldSet),
+    oid: Oid,
+    bind: &mut Bind<'_, R, E>,
+) -> std::result::Result<Option<R>, E> {
+    match catalog.get_object_fields(oid, fields) {
+        Ok((found, value)) if catalog.is_subclass(&found, class) => bind(oid, value),
+        Ok(_) | Err(CatalogError::Storage(StorageError::DanglingOid(_))) => Ok(None),
+        Err(e) => Err(e.into()),
+    }
+}
+
+/// The members of a materialized right side that `oid` joins.
+fn members_of<R>(members: &HashMap<Oid, Vec<R>>, oid: Oid) -> &[R] {
+    members.get(&oid).map_or(&[], Vec::as_slice)
+}
+
+/// Forward and backward traversal (§6.1, §6.2): the left items in batches of
+/// `batch_size`, each reference chased into the right side.
 ///
-/// Every method spreads its per-element work over `exec.parallelism`
-/// contiguous chunks concatenated in chunk order, so the pairs, their
-/// order and the *total* page accesses are the same at every parallelism
-/// (accesses are redistributed across workers, never multiplied); at 1
-/// each chunked step is the plain loop on the caller's thread.
+/// A class right side is probed through a per-batch target cache, so a
+/// target shared by many items of a batch is fetched (and filtered) once; at
+/// batch size 1 every reference pays its own fetch, the paper's pattern.
+/// Before each cache miss the consecutive run of the batch's target pages
+/// ahead of it is read in one call (`BufferPool::prefetch_run`, one
+/// readahead window at a time): after `CLUSTER` puts targets in probe order
+/// the chase becomes one batched read per window, and on a scattered heap
+/// runs degenerate to single pages and nothing is issued.
+fn probe<R: Clone, E: From<CatalogError>>(
+    catalog: &Catalog,
+    left: &[LeftObj<'_>],
+    attr: &str,
+    right: &JoinRight<'_, R>,
+    batch_size: usize,
+    bind: &mut Bind<'_, R, E>,
+) -> std::result::Result<Vec<(usize, R)>, E> {
+    let batch_size = batch_size.max(1);
+    let storage = catalog.storage();
+    let (registry, pool) = (storage.registry(), storage.pool());
+    let mut out = Vec::new();
+    let mut pages: Vec<(FileId, PageId)> = Vec::new();
+    for (b, chunk) in left.chunks(batch_size).enumerate() {
+        if let JoinRight::Class { .. } = right {
+            pages.clear();
+            let refs = chunk.iter().flat_map(|(_, value)| refs_of(value, attr));
+            pages.extend(refs.map(|oid| (oid.file, oid.page)));
+            pages.sort_unstable();
+            pages.dedup();
+        }
+        // Exclusive end of the last prefetched run; probes inside it skip
+        // the re-issue.
+        let mut pf_end: Option<(FileId, u32)> = None;
+        let mut cache: HashMap<Oid, Option<R>> = HashMap::new();
+        for (i, (_, value)) in chunk.iter().enumerate() {
+            for oid in refs_of(value, attr) {
+                let targets = match right {
+                    JoinRight::Members(members) => members_of(members, oid),
+                    JoinRight::Class { class, fields } => match cache.entry(oid) {
+                        Entry::Occupied(e) => e.into_mut().as_slice(),
+                        Entry::Vacant(e) => {
+                            if pf_end.is_none_or(|(f, end)| f != oid.file || oid.page.0 >= end) {
+                                let n = pool.prefetch_run(&pages, (oid.file, oid.page));
+                                if n > 0 {
+                                    pf_end = Some((oid.file, oid.page.0 + n));
+                                }
+                            }
+                            e.insert(fetch(catalog, (class, fields), oid, bind)?).as_slice()
+                        }
+                    },
+                };
+                let at = b * batch_size + i;
+                out.extend(targets.iter().map(|r| (at, r.clone())));
+            }
+        }
+        registry.add(Metric::BatchRows, chunk.len() as u64);
+        registry.add(Metric::BatchCount, 1);
+    }
+    Ok(out)
+}
+
+/// Pointer-based hash-partition join (§6.4): the left items partitioned on
+/// the references they hold, then each *distinct* target chased once, in
+/// OID order, and paired with its whole partition. Set- and list-valued
+/// references are flattened: each member reference is a partition key
+/// (DESIGN.md §4c; the paper restricts the method to a plain Reference).
+fn hash_partition<R: Clone, E: From<CatalogError>>(
+    catalog: &Catalog,
+    left: &[LeftObj<'_>],
+    attr: &str,
+    right: &JoinRight<'_, R>,
+    bind: &mut Bind<'_, R, E>,
+) -> std::result::Result<Vec<(usize, R)>, E> {
+    let mut partitions: BTreeMap<Oid, Vec<usize>> = BTreeMap::new();
+    for (i, (_, value)) in left.iter().enumerate() {
+        for oid in refs_of(value, attr) {
+            partitions.entry(oid).or_default().push(i);
+        }
+    }
+    let mut out = Vec::new();
+    for (oid, items) in partitions {
+        let fetched;
+        let targets = match right {
+            JoinRight::Members(members) => members_of(members, oid),
+            JoinRight::Class { class, fields } => {
+                fetched = fetch(catalog, (class, fields), oid, bind)?;
+                fetched.as_slice()
+            }
+        };
+        for r in targets {
+            out.extend(items.iter().map(|&i| (i, r.clone())));
+        }
+    }
+    out.sort_by_key(|&(i, _)| left[i].0);
+    Ok(out)
+}
+
+/// Indexed join through the *binary join index* on (left class, `attr`)
+/// (§6.3): each right member's OID, ascending, probed once for the left
+/// objects that reference it. The left class is the stored type of the
+/// first left object, and the index covers that class's own extent; a
+/// missing index is the catalog's `UnknownIndex` error at the first probe.
+fn indexed<R: Clone, E: From<CatalogError>>(
+    catalog: &Catalog,
+    left: &[LeftObj<'_>],
+    attr: &str,
+    members: &HashMap<Oid, Vec<R>>,
+) -> std::result::Result<Vec<(usize, R)>, E> {
+    let Some(first) = left.iter().find_map(|(oid, _)| *oid) else {
+        return Ok(Vec::new());
+    };
+    let (left_class, _) = catalog.get_object_fields(first, &FieldSet::NONE)?;
+    let mut by_oid: HashMap<Oid, Vec<usize>> = HashMap::new();
+    for (i, (oid, _)) in left.iter().enumerate() {
+        if let Some(oid) = oid {
+            by_oid.entry(*oid).or_default().push(i);
+        }
+    }
+    let mut keys: Vec<&Oid> = members.keys().collect();
+    keys.sort();
+    let mut out = Vec::new();
+    for key in keys {
+        for l_oid in catalog.index_lookup(&left_class, attr, &Value::Ref(*key))? {
+            for &i in by_oid.get(&l_oid).into_iter().flatten() {
+                out.extend(members[key].iter().map(|r| (i, r.clone())));
+            }
+        }
+    }
+    out.sort_by_key(|&(i, _)| left[i].0);
+    Ok(out)
+}
+
+/// `Join(left, rhs, method, left.attr = rhs.self)` over collections: the
+/// joined object pairs, ordered as [`join_pairs`] orders them. A class rhs
+/// is decoded whole; a collection rhs is materialized first. The
+/// [`ExecutionConfig`] supplies the probe batch size and the parallelism of
+/// the two materializations; the join itself is sequential.
 pub fn join(
     catalog: &Catalog,
     left: &Collection,
@@ -165,210 +340,23 @@ pub fn join(
     exec: ExecutionConfig,
 ) -> Result<Vec<(Obj, Obj)>> {
     let left_objs = materialize(catalog, left, exec)?;
-    match method {
-        JoinMethod::ForwardTraversal => forward(catalog, &left_objs, attr, rhs, exec),
-        JoinMethod::BackwardTraversal => backward(catalog, &left_objs, attr, rhs, exec),
-        JoinMethod::BinaryJoinIndex => indexed(catalog, &left_objs, attr, rhs, exec),
-        JoinMethod::HashPartition => hash_partition(catalog, &left_objs, attr, rhs, exec),
-    }
-}
-
-/// Forward traversal: for each left object, chase `attr`'s reference(s) and
-/// fetch the target (one random access per reference; §6.1's pattern).
-///
-/// * Class rhs: the pointer fetch is paid per *reference* — the target
-///   cache is cleared between left objects so shared targets are refetched,
-///   matching the paper's worst-case ftc (no page hits for D; the buffer
-///   pool still absorbs repeats when it is large — exactly the effect §6.1
-///   calls out). Left chunks are therefore independent.
-/// * Collection rhs: each distinct qualifying target is fetched once, in
-///   first-encounter order, by one warm-up pass on the caller's thread;
-///   pairs are then emitted from the read-only cache in chunks.
-fn forward(
-    catalog: &Catalog,
-    left_objs: &[Obj],
-    attr: &str,
-    rhs: JoinRhs<'_>,
-    exec: ExecutionConfig,
-) -> Result<Vec<(Obj, Obj)>> {
-    let template = Rhs::build(&rhs);
-    if template.allowed.is_some() {
-        return emit_warmed_pairs(catalog, left_objs, attr, template, exec);
-    }
-    run_chunked(exec.parallelism, left_objs, |_, chunk| {
-        let mut rhs = template.clone();
-        let mut out = Vec::new();
-        for l in chunk {
-            rhs.cache.clear();
-            for oid in refs_of(l, attr) {
-                if let Some(r) = rhs.fetch(catalog, oid)? {
-                    out.push((l.clone(), r));
-                }
-            }
-        }
-        Ok(out)
-    })
-}
-
-/// Fetch every qualifying target the left objects reference, in
-/// first-encounter order on the caller's thread (the page accesses happen
-/// here, in the order a single loop would issue them), then emit the pairs
-/// from the warmed cache in chunks — pure CPU work.
-fn emit_warmed_pairs(
-    catalog: &Catalog,
-    left_objs: &[Obj],
-    attr: &str,
-    mut rhs: Rhs,
-    exec: ExecutionConfig,
-) -> Result<Vec<(Obj, Obj)>> {
-    for l in left_objs {
-        for oid in refs_of(l, attr) {
-            if !rhs.cache.contains_key(&oid) {
-                rhs.fetch(catalog, oid)?;
-            }
-        }
-    }
-    run_chunked(exec.parallelism, left_objs, |_, chunk| {
-        let mut out = Vec::new();
-        for l in chunk {
-            for oid in refs_of(l, attr) {
-                if rhs.allowed.as_ref().is_some_and(|a| !a.contains(&oid)) {
-                    continue;
-                }
-                // A qualifying target the warm-up could not cache is a
-                // dangling reference: no pair.
-                if let Some(r) = rhs.cache.get(&oid) {
-                    out.push((l.clone(), r.clone()));
-                }
-            }
-        }
-        Ok(out)
-    })
-}
-
-/// Backward traversal (§6.2: the D-objects are known and C must be found):
-/// the right class is read by one sequential extent scan up front — that
-/// scan *is* the method's access pattern, so it stays on the caller's
-/// thread — and the join itself is reference-membership testing against
-/// the materialized map.
-fn backward(
-    catalog: &Catalog,
-    left_objs: &[Obj],
-    attr: &str,
-    rhs: JoinRhs<'_>,
-    exec: ExecutionConfig,
-) -> Result<Vec<(Obj, Obj)>> {
-    let rhs = match rhs {
-        JoinRhs::Class(class) => Rhs::scan_class(catalog, class)?,
-        other => Rhs::build(&other),
-    };
-    emit_warmed_pairs(catalog, left_objs, attr, rhs, exec)
-}
-
-/// Indexed join through the *binary join index* on (left-class, attr): for
-/// each qualifying right object, probe the index for the left OIDs that
-/// reference it (§6.3's pattern). Requires the index to exist and the left
-/// collection to be a class extent (the index covers the stored extent).
-/// Probes are read-only and each right object is probed exactly once, so
-/// they run in chunks over the right objects.
-fn indexed(
-    catalog: &Catalog,
-    left_objs: &[Obj],
-    attr: &str,
-    rhs: JoinRhs<'_>,
-    exec: ExecutionConfig,
-) -> Result<Vec<(Obj, Obj)>> {
-    // Identify the left class from the extent's stored objects.
-    let Some(first_oid) = left_objs.iter().find_map(|o| o.oid) else {
-        return Ok(Vec::new());
-    };
-    let (left_class, _) = catalog.get_object(first_oid)?;
-    let left_by_oid: HashMap<Oid, &Obj> = left_objs
-        .iter()
-        .filter_map(|o| o.oid.map(|id| (id, o)))
-        .collect();
-
-    let right_objs: Vec<Obj> = match rhs {
-        JoinRhs::Collection(c) => materialize(catalog, c, exec)?,
-        JoinRhs::Class(c) => {
-            let mut objs = Vec::new();
-            catalog.extent_with(c, AccessHint::Sequential, &mut |oid, v| {
-                objs.push(Obj::stored(oid, v));
-                true
-            })?;
-            objs
+    let all = FieldSet::All;
+    let right = match rhs {
+        JoinRhs::Class(class) => JoinRight::Class {
+            class,
+            fields: &all,
+        },
+        JoinRhs::Collection(c) => {
+            JoinRight::Members(members_by_oid(materialize(catalog, c, exec)?, |o| o.oid))
         }
     };
-    if catalog.index(&left_class, attr).is_none() {
-        return Err(AlgebraError::NotApplicable {
-            operator: "Join(BINARY_JOIN_INDEX)",
-            detail: format!("no binary join index on {left_class}.{attr}"),
-        });
-    }
-    let mut out = run_chunked(exec.parallelism, &right_objs, |_, chunk| {
-        let mut pairs = Vec::new();
-        for r in chunk {
-            let Some(r_oid) = r.oid else { continue };
-            for l_oid in catalog.index_lookup(&left_class, attr, &Value::Ref(r_oid))? {
-                if let Some(l) = left_by_oid.get(&l_oid) {
-                    pairs.push(((*l).clone(), r.clone()));
-                }
-            }
-        }
-        Ok::<_, AlgebraError>(pairs)
-    })?;
-    // Index probes return right-major order; normalize to left order for
-    // comparability across methods.
-    out.sort_by_key(|(l, _)| l.oid);
-    Ok(out)
-}
-
-/// Pointer-based hash-partition join (§6.4): partition the left objects on
-/// the pointer field, then chase each *distinct* pointer once and emit all
-/// pairs for that target. Only applicable when `attr` is a plain Reference
-/// (the paper's stated restriction). The sorted distinct keys are probed in
-/// chunks: workers hold disjoint key sets, so each target is still fetched
-/// exactly once.
-fn hash_partition(
-    catalog: &Catalog,
-    left_objs: &[Obj],
-    attr: &str,
-    rhs: JoinRhs<'_>,
-    exec: ExecutionConfig,
-) -> Result<Vec<(Obj, Obj)>> {
-    let template = Rhs::build(&rhs);
-    let mut partitions: HashMap<Oid, Vec<usize>> = HashMap::new();
-    for (i, l) in left_objs.iter().enumerate() {
-        match l.value.field(attr) {
-            Some(Value::Ref(oid)) => partitions.entry(*oid).or_default().push(i),
-            Some(Value::Set(_) | Value::List(_)) => {
-                return Err(AlgebraError::NotApplicable {
-                    operator: "Join(HASH_PARTITION)",
-                    detail: format!(
-                        "{attr} is a collection of references; hash-partition join \
-                         applies only when the constructor of the attribute is Reference"
-                    ),
-                })
-            }
-            _ => {}
-        }
-    }
-    let mut keys: Vec<Oid> = partitions.keys().copied().collect();
-    keys.sort();
-    let mut out = run_chunked(exec.parallelism, &keys, |_, chunk| {
-        let mut rhs = template.clone();
-        let mut pairs = Vec::new();
-        for &oid in chunk {
-            if let Some(r) = rhs.fetch(catalog, oid)? {
-                for &i in &partitions[&oid] {
-                    pairs.push((left_objs[i].clone(), r.clone()));
-                }
-            }
-        }
-        Ok::<_, AlgebraError>(pairs)
-    })?;
-    out.sort_by_key(|(l, _)| l.oid);
-    Ok(out)
+    let probes: Vec<LeftObj<'_>> = left_objs.iter().map(|o| (o.oid, &o.value)).collect();
+    let mut bind = |oid, value| -> Result<_> { Ok(Some(Obj::stored(oid, value))) };
+    let pairs = join_pairs(catalog, &probes, attr, right, method, exec.batch_size, &mut bind)?;
+    Ok(pairs
+        .into_iter()
+        .map(|(i, r)| (left_objs[i].clone(), r))
+        .collect())
 }
 
 /// Wrap joined pairs as a collection with the Table 2 return kind.
@@ -402,6 +390,7 @@ pub fn pairs_to_collection(pairs: Vec<(Obj, Obj)>, k1: Kind, k2: Kind) -> Collec
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::AlgebraError;
     use crate::ops::bind_class;
     use mood_catalog::ClassBuilder;
     use mood_datamodel::TypeDescriptor;
@@ -551,7 +540,10 @@ mod tests {
             ExecutionConfig::default(),
         )
         .unwrap_err();
-        assert!(matches!(err, AlgebraError::NotApplicable { .. }));
+        assert!(
+            matches!(err, AlgebraError::Catalog(CatalogError::UnknownIndex { .. })),
+            "{err}"
+        );
     }
 
     #[test]
@@ -592,7 +584,7 @@ mod tests {
     }
 
     #[test]
-    fn set_valued_references_join_forward_but_not_hash() {
+    fn set_valued_references_join_one_pair_per_member() {
         let (cat, _, _) = setup();
         cat.define_class(ClassBuilder::class("Fleet").attribute(
             "vehicles",
@@ -610,28 +602,27 @@ mod tests {
             )
             .unwrap();
         let left = Collection::set_from(vec![fleet]);
-        let pairs = join(
-            &cat,
-            &left,
-            "vehicles",
-            JoinRhs::Class("Vehicle"),
+        // Hash partition flattens the set as the traversals do (the paper
+        // restricts it to a plain Reference; the optimizer may pick it for
+        // a set-valued edge).
+        for method in [
             JoinMethod::ForwardTraversal,
-            ExecutionConfig::default(),
-        )
-        .unwrap();
-        assert_eq!(pairs.len(), 2);
-        // The paper: hash-partition "can only be applied when constructor
-        // of attribute A is Reference".
-        let err = join(
-            &cat,
-            &left,
-            "vehicles",
-            JoinRhs::Class("Vehicle"),
+            JoinMethod::BackwardTraversal,
             JoinMethod::HashPartition,
-            ExecutionConfig::default(),
-        )
-        .unwrap_err();
-        assert!(matches!(err, AlgebraError::NotApplicable { .. }));
+        ] {
+            let pairs = join(
+                &cat,
+                &left,
+                "vehicles",
+                JoinRhs::Class("Vehicle"),
+                method,
+                ExecutionConfig::default(),
+            )
+            .unwrap();
+            let ids: Vec<_> = pairs.iter().map(|(l, r)| (l.oid, r.oid)).collect();
+            let want = vec![(Some(fleet), Some(cars[0].0)), (Some(fleet), Some(cars[1].0))];
+            assert_eq!(ids, want, "{method:?}");
+        }
     }
 
     #[test]

@@ -10,14 +10,16 @@
 //!
 //! The four join methods compute identical pairs but with the §6 access
 //! patterns, which the instrumented storage layer exposes for the cost
-//! model benches.
+//! model benches. [`join_pairs`] is their only implementation: MOODSQL's
+//! executor runs it over binding rows, [`join()`] over collections.
 //!
-//! Every collection operator with per-element work is one function of an
-//! [`ExecutionConfig`]: the input is cut into `parallelism` contiguous
-//! chunks, the chunks run on scoped worker threads and their outputs are
-//! concatenated in chunk order, so results (and page-access totals) are
-//! the same at every parallelism and `parallelism = 1` is the plain loop
-//! on the caller's thread.
+//! Every other collection operator with per-element work is one function
+//! of an [`ExecutionConfig`]: the input is cut into `parallelism`
+//! contiguous chunks, the chunks run on scoped worker threads and their
+//! outputs are concatenated in chunk order, so results (and page-access
+//! totals) are the same at every parallelism and `parallelism = 1` is the
+//! plain loop on the caller's thread. Joins, like `union`, ignore the
+//! parallelism.
 
 pub mod collection;
 pub mod error;
@@ -31,7 +33,10 @@ pub use collection::{
     setop_return, unnest_accepts, Collection, Kind, Obj,
 };
 pub use error::{AlgebraError, Result};
-pub use join::{join, materialize, pairs_to_collection, JoinMethod, JoinRhs};
+pub use join::{
+    join, join_pairs, materialize, materializes_class, members_by_oid, pairs_to_collection,
+    scan_class, Bind, JoinMethod, JoinRhs, JoinRight, LeftObj,
+};
 pub use mood_storage::exec::ExecutionConfig;
 pub use ops::{
     bind, bind_class, deref, ind_sel, is_a, obj_id, select, type_id, IndexType, Predicate,

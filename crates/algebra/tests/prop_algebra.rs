@@ -1,7 +1,8 @@
 //! Property tests for the algebra's laws: set operators form a Boolean
 //! algebra over OID sets, Sort orders without losing elements, DupElim is
-//! idempotent, Nest inverts Unnest, and the four join methods agree on
-//! randomized databases.
+//! idempotent, Nest inverts Unnest, every chunked operator is the same at
+//! every parallelism, and the four join methods agree with each other and
+//! with a model on randomized databases at every probe batch size.
 
 use std::collections::HashSet;
 use std::sync::Arc;
@@ -9,11 +10,12 @@ use std::sync::Arc;
 use proptest::prelude::*;
 
 use mood_algebra::{
-    difference, dup_elim, intersection, join, nest, project, select, sort, union, unnest,
-    Collection, ExecutionConfig, JoinMethod, JoinRhs, Obj,
+    difference, dup_elim, intersection, join, join_pairs, members_by_oid, nest, project, select,
+    sort, union, unnest, Collection, ExecutionConfig, JoinMethod, JoinRhs, JoinRight, LeftObj,
+    Obj,
 };
 use mood_catalog::{Catalog, ClassBuilder};
-use mood_datamodel::{TypeDescriptor, Value};
+use mood_datamodel::{FieldSet, TypeDescriptor, Value};
 use mood_storage::{Oid, StorageManager};
 
 /// Parallelism 1: every chunked step is the plain loop on this thread.
@@ -348,67 +350,161 @@ proptest! {
     }
 }
 
+// ----------------------------------------------------------------------
+// The one join implementation against a model: every method × right side
+// (class, filtered class, materialized members) × probe batch size ×
+// Reference/Set/List attribute, with a dangling and a foreign-class target
+// among the references.
+// ----------------------------------------------------------------------
+
+/// Which D objects a right side admits, by their position in creation order.
+#[derive(Debug, Clone, Copy)]
+enum Side {
+    Class,
+    /// Even positions only, through the caller's filter.
+    Filtered,
+    /// Positions not divisible by 3, materialized up front.
+    Members,
+}
+
+/// The references a stored value holds in `attr`, flattened.
+fn stored_targets(value: &Value, attr: &str) -> Vec<Oid> {
+    match value.field(attr) {
+        Some(Value::Ref(oid)) => vec![*oid],
+        Some(Value::Set(items) | Value::List(items)) => {
+            items.iter().filter_map(Value::as_oid).collect()
+        }
+        _ => Vec::new(),
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 12, ..ProptestConfig::default() })]
 
     #[test]
-    fn join_is_parallelism_invariant_for_every_method(
+    fn join_methods_match_the_model_at_every_batch_size(
         n_d in 1usize..10,
-        refs in proptest::collection::vec(0usize..10, 1..30),
+        items in proptest::collection::vec(proptest::collection::vec(0usize..12, 0..4), 1..30),
     ) {
         let sm = Arc::new(StorageManager::in_memory());
         let cat = Arc::new(Catalog::create(sm).unwrap());
-        cat.define_class(
-            ClassBuilder::class("D").attribute("id", TypeDescriptor::integer()),
-        )
-        .unwrap();
+        for class in ["D", "E"] {
+            let id = ClassBuilder::class(class).attribute("id", TypeDescriptor::integer());
+            cat.define_class(id).unwrap();
+        }
+        let d_ref = || TypeDescriptor::reference("D");
         cat.define_class(
             ClassBuilder::class("C")
                 .attribute("id", TypeDescriptor::integer())
-                .attribute("d", TypeDescriptor::reference("D")),
+                .attribute("d", d_ref())
+                .attribute("ds", TypeDescriptor::set_of(d_ref()))
+                .attribute("dl", TypeDescriptor::list_of(d_ref())),
         )
         .unwrap();
         cat.create_index("C", "d", false).unwrap();
-        let d_oids: Vec<Oid> = (0..n_d)
-            .map(|i| {
-                cat.new_object("D", Value::tuple(vec![("id", Value::Integer(i as i32))]))
-                    .unwrap()
-            })
-            .collect();
-        for (i, &r) in refs.iter().enumerate() {
-            cat.new_object(
-                "C",
-                Value::tuple(vec![
-                    ("id", Value::Integer(i as i32)),
-                    ("d", Value::Ref(d_oids[r % n_d])),
-                ]),
-            )
-            .unwrap();
-        }
-        let left = mood_algebra::bind_class(&cat, "C", false, &[]).unwrap();
-        let d_set = Collection::set_from(d_oids.clone());
-        for method in JoinMethod::ALL {
-            for rhs in [JoinRhs::Class("D"), JoinRhs::Collection(&d_set)] {
-                let one = join(&cat, &left, "d", rhs, method, seq()).unwrap();
-                for p in PAR_LEVELS {
-                    let par = join(
-                        &cat,
-                        &left,
-                        "d",
-                        rhs,
-                        method,
-                        ExecutionConfig::with_parallelism(p),
-                    )
-                    .unwrap();
-                    prop_assert_eq!(
-                        &par,
-                        &one,
-                        "join {:?} rhs={:?} parallelism={}",
-                        method,
-                        match rhs { JoinRhs::Class(_) => "class", _ => "collection" },
-                        p
-                    );
+        let new = |class: &str, i: usize| {
+            cat.new_object(class, Value::tuple(vec![("id", Value::Integer(i as i32))]))
+                .unwrap()
+        };
+        let d_oids: Vec<Oid> = (0..n_d).map(|i| new("D", i)).collect();
+        let dangling = new("D", n_d);
+        cat.delete_object(dangling).unwrap();
+        let foreign = new("E", 0);
+        // Reference 10 is the deleted D, 11 the E; the rest wrap onto D.
+        let target = |r: usize| match r {
+            10 => dangling,
+            11 => foreign,
+            r => d_oids[r % n_d],
+        };
+        for (i, refs) in items.iter().enumerate() {
+            let list: Vec<Value> = refs.iter().map(|&r| Value::Ref(target(r))).collect();
+            let mut set: Vec<Value> = Vec::new();
+            for v in &list {
+                if !set.contains(v) {
+                    set.push(v.clone());
                 }
+            }
+            let d = list.first().cloned().unwrap_or(Value::Null);
+            let fields = vec![
+                ("id", Value::Integer(i as i32)),
+                ("d", d),
+                ("ds", Value::Set(set)),
+                ("dl", Value::List(list)),
+            ];
+            cat.new_object("C", Value::tuple(fields)).unwrap();
+        }
+        let Collection::Extent(objs) = mood_algebra::bind_class(&cat, "C", false, &[]).unwrap()
+        else {
+            panic!("a class binds an extent")
+        };
+        let left: Vec<LeftObj<'_>> = objs.iter().map(|o| (o.oid, &o.value)).collect();
+        let position = |oid: Oid| d_oids.iter().position(|&d| d == oid);
+        let all = FieldSet::All;
+        let metrics = cat.storage().metrics();
+        for attr in ["d", "ds", "dl"] {
+            for side in [Side::Class, Side::Filtered, Side::Members] {
+                let admits = |oid: Oid| match (side, position(oid)) {
+                    (_, None) => false,
+                    (Side::Class, Some(_)) => true,
+                    (Side::Filtered, Some(p)) => p % 2 == 0,
+                    (Side::Members, Some(p)) => p % 3 != 0,
+                };
+                // The model: left order and reference order for the
+                // traversals; by left OID, then target OID, for the others.
+                let mut in_left_order: Vec<(Oid, Oid)> = Vec::new();
+                let mut by_oid: Vec<(Oid, Oid)> = Vec::new();
+                for o in &objs {
+                    let l = o.oid.unwrap();
+                    let mut targets = stored_targets(&o.value, attr);
+                    targets.retain(|&t| admits(t));
+                    in_left_order.extend(targets.iter().map(|&t| (l, t)));
+                    targets.sort();
+                    by_oid.extend(targets.into_iter().map(|t| (l, t)));
+                }
+                by_oid.sort_by_key(|&(l, _)| l);
+                let mut hash_pages = Vec::new();
+                for method in JoinMethod::ALL {
+                    // A binary join index exists on the Reference attribute
+                    // only: the catalog indexes no collection attribute.
+                    if method == JoinMethod::BinaryJoinIndex && attr != "d" {
+                        continue;
+                    }
+                    let want = match method {
+                        JoinMethod::ForwardTraversal | JoinMethod::BackwardTraversal => {
+                            &in_left_order
+                        }
+                        JoinMethod::BinaryJoinIndex | JoinMethod::HashPartition => &by_oid,
+                    };
+                    for batch in [1usize, 7, 1024] {
+                        let right = match side {
+                            Side::Members => {
+                                let members = d_oids.iter().copied().filter(|&d| admits(d));
+                                JoinRight::Members(members_by_oid(members, |&d| Some(d)))
+                            }
+                            _ => JoinRight::Class { class: "D", fields: &all },
+                        };
+                        let mut bind = |oid: Oid, _: Value| -> mood_algebra::Result<Option<Oid>> {
+                            Ok(admits(oid).then_some(oid))
+                        };
+                        let before = metrics.snapshot();
+                        let pairs =
+                            join_pairs(&cat, &left, attr, right, method, batch, &mut bind)
+                                .unwrap();
+                        let delta = metrics.snapshot().delta(&before);
+                        let got: Vec<(Oid, Oid)> =
+                            pairs.into_iter().map(|(i, r)| (objs[i].oid.unwrap(), r)).collect();
+                        prop_assert_eq!(
+                            &got, want, "{:?} over {} ({:?}, batch {})", method, attr, side, batch
+                        );
+                        if method == JoinMethod::HashPartition {
+                            hash_pages.push(delta.buffer_hits + delta.buffer_misses);
+                        }
+                    }
+                }
+                prop_assert!(
+                    hash_pages.windows(2).all(|w| w[0] == w[1]),
+                    "hash partition pages over {} ({:?}): {:?}", attr, side, hash_pages
+                );
             }
         }
     }

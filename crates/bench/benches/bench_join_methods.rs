@@ -5,7 +5,7 @@
 //! pointers chased); the scan-based methods win for large k_c; the binary
 //! join index sits between; backward traversal pays the full D scan.
 
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mood_bench::{build_ref_db, measured_join_pages, RefDbSpec};
@@ -45,72 +45,6 @@ fn bench(c: &mut Criterion) {
         }
     }
 
-    // X1b: hash-partition join at parallelism 2/4/8 vs 1. The pool is
-    // sized to hold the working set so the comparison is CPU-bound — the
-    // point is wall-clock scaling with *unchanged* page-access totals
-    // (expect >1.3x at parallelism 4 on a 4-core runner; on fewer cores
-    // the wall-clock column flattens but the page columns stay equal).
-    let par_spec = RefDbSpec {
-        n_c: 4000,
-        n_d: 8000,
-        pool_frames: 8192,
-        join_index: false,
-        ..Default::default()
-    };
-    let (pdb, pc_oids, _) = build_ref_db(&par_spec);
-    let pcatalog = pdb.catalog();
-    let pleft = Collection::Extent(
-        pc_oids
-            .iter()
-            .map(|&oid| {
-                let (_, v) = pcatalog.get_object(oid).unwrap();
-                Obj::stored(oid, v)
-            })
-            .collect::<Vec<_>>(),
-    );
-    println!("\n# X1b: hash-partition join, parallel vs sequential (n_c=4000, n_d=8000)");
-    println!(
-        "{:>4} {:>10} {:>6} {:>6} {:>6} {:>8}",
-        "par", "wall(ms)", "seq", "rnd", "idx", "speedup"
-    );
-    let mut base_ms = f64::NAN;
-    for par in [1usize, 2, 4, 8] {
-        let exec = ExecutionConfig::with_parallelism(par);
-        // Warm the pool so every level sees the same cache state.
-        join(pcatalog, &pleft, "d", JoinRhs::Class("D"), JoinMethod::HashPartition, exec)
-            .expect("join runs");
-        let metrics = pdb.metrics();
-        metrics.reset();
-        let before = metrics.snapshot();
-        const ITERS: usize = 5;
-        let t0 = Instant::now();
-        for _ in 0..ITERS {
-            join(
-                pcatalog,
-                &pleft,
-                "d",
-                JoinRhs::Class("D"),
-                JoinMethod::HashPartition,
-                exec,
-            )
-            .expect("join runs");
-        }
-        let ms = t0.elapsed().as_secs_f64() * 1e3 / ITERS as f64;
-        let delta = metrics.snapshot().delta(&before);
-        if par == 1 {
-            base_ms = ms;
-        }
-        println!(
-            "{:>4} {:>10.2} {:>6} {:>6} {:>6} {:>7.2}x",
-            par,
-            ms,
-            delta.seq_pages / ITERS as u64,
-            delta.rnd_pages / ITERS as u64,
-            delta.idx_pages / ITERS as u64,
-            base_ms / ms
-        );
-    }
-
     let mut group = c.benchmark_group("join_methods");
     group
         .sample_size(10)
@@ -147,29 +81,6 @@ fn bench(c: &mut Criterion) {
         }
     }
     group.finish();
-
-    let mut pgroup = c.benchmark_group("hash_partition_parallelism");
-    pgroup
-        .sample_size(10)
-        .measurement_time(Duration::from_secs(2));
-    for par in [1usize, 2, 4, 8] {
-        let exec = ExecutionConfig::with_parallelism(par);
-        pgroup.bench_with_input(BenchmarkId::new("par", par), &pleft, |b, left| {
-            b.iter(|| {
-                join(
-                    pcatalog,
-                    left,
-                    "d",
-                    JoinRhs::Class("D"),
-                    JoinMethod::HashPartition,
-                    exec,
-                )
-                .expect("join runs")
-                .len()
-            })
-        });
-    }
-    pgroup.finish();
 }
 
 criterion_group!(benches, bench);

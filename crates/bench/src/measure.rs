@@ -39,6 +39,9 @@ pub fn measured_join_pages(
         })
         .collect();
     let left = Collection::Extent(subset);
+    // Write back what building the database left dirty: in a small pool
+    // the first measured join would otherwise pay for evicting it.
+    db.checkpoint().expect("checkpoint");
     let metrics = db.metrics();
     metrics.reset();
     let before = metrics.snapshot();

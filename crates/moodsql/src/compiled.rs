@@ -44,7 +44,7 @@ use crate::exec::{lit_value, Executor, Row};
 /// dangling-reference exception. Any other storage failure (an I/O error, a
 /// checksum mismatch, a deadlock-victim abort) also resolves to `None`, but
 /// is kept: it, not the program's exception, is the statement's error (the
-/// rule of `Executor::fetch_live`).
+/// rule a join's reference chase follows).
 struct CachingResolver<'a> {
     catalog: &'a Catalog,
     cache: RefCell<HashMap<Oid, Option<Value>>>,
@@ -172,10 +172,6 @@ impl<'e, 'a> Scratch<'e, 'a> {
             },
             rows: 0,
         }
-    }
-
-    pub fn executor(&self) -> &'e Executor<'a> {
-        self.ex
     }
 
     /// A new batch begins: what the last one dereferenced is forgotten.

@@ -22,15 +22,15 @@ use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::Arc;
 use std::time::Instant;
 
+use mood_algebra::{
+    join_pairs, materializes_class, members_by_oid, scan_class, JoinMethod, JoinRight, LeftObj,
+};
 use mood_catalog::{Catalog, CatalogError};
-use mood_cost::JoinMethod;
-use mood_datamodel::{FieldSet, Value};
+use mood_datamodel::Value;
 use mood_funcman::{Exception, ExceptionKind, FunctionManager, Receiver};
 use mood_optimizer::{estimate_plan_set, optimize, OptimizerConfig, Plan, PlanSet};
 use mood_storage::exec::run_chunked;
-use mood_storage::{
-    AccessHint, DiskMetrics, FileId, Metric, MetricsSnapshot, Oid, PageId, StorageError,
-};
+use mood_storage::{AccessHint, DiskMetrics, FileId, Metric, MetricsSnapshot, Oid};
 use mood_trace::Tracer;
 
 use crate::analyze::{
@@ -835,19 +835,6 @@ impl<'a> Executor<'a> {
         Ok(())
     }
 
-    /// The object behind a reference, decoded to `fields` (the read set of
-    /// the variable it binds). `None` only for a dangling OID (a deleted
-    /// target); every other storage failure — a corrupt page, an I/O error,
-    /// a deadlock — is the statement's error, never a silently shorter
-    /// result.
-    fn fetch_live(&self, oid: Oid, fields: &FieldSet) -> Result<Option<(String, Value)>> {
-        match self.catalog.get_object_fields(oid, fields) {
-            Ok(found) => Ok(Some(found)),
-            Err(CatalogError::Storage(StorageError::DanglingOid(_))) => Ok(None),
-            Err(e) => Err(e.into()),
-        }
-    }
-
     /// Run one node into `sink`; the number of rows it produced.
     fn exec_plan_node(
         &self,
@@ -1112,13 +1099,18 @@ impl<'a> Executor<'a> {
         Ok(oids)
     }
 
-    /// Execute one implicit join following the plan's method.
+    /// Execute one implicit join following the plan's method: the join is
+    /// `mood_algebra::join_pairs` over the objects the left rows bind to the
+    /// join's left variable, and each pair it hands back becomes the left
+    /// row merged with the right member's binding.
     ///
-    /// `right_nid` is the right child's pre-order id. When the right side
-    /// stays unmaterialized (a Class fetched per probe), no actuals are
-    /// recorded for it and its pages land in the join's exclusive delta;
-    /// upfront materialization (backward traversal / BJI) gets its own
-    /// recording window so the child still reports rows and pages.
+    /// `right_nid` is the right child's pre-order id. A class right side
+    /// (optionally filtered, by a program over this join's registers) that
+    /// the method probes stays unmaterialized: no actuals are recorded for
+    /// it and its pages land in the join's exclusive delta. One the method
+    /// scans up front (backward traversal, the binary join index) gets its
+    /// own recording window, as does any other right plan, so the child
+    /// still reports rows and pages.
     #[allow(clippy::too_many_arguments)]
     fn exec_join(
         &self,
@@ -1132,10 +1124,6 @@ impl<'a> Executor<'a> {
         rec: &AnalyzeRec,
     ) -> Result<Vec<Row>> {
         let (x_var, attr, y_var) = join_condition(condition)?;
-
-        // Describe the right side: a class (optionally filtered) stays
-        // unmaterialized and is fetched per probe; anything else runs as a
-        // plan node of its own.
         let class_side = match right {
             Plan::Bind { class, .. } => Some((class, None)),
             Plan::Select { input, predicate } => match &**input {
@@ -1144,220 +1132,50 @@ impl<'a> Executor<'a> {
             },
             _ => None,
         };
-        let y_fields = pq.reads.of(y_var);
-        let right_side = match class_side {
-            Some((class, filter)) => RightSide::Class {
-                class,
-                filter,
-                fields: y_fields,
-            },
-            None => {
-                let rows = self.rows_of(right, right_nid, pq, temps, rec)?;
-                RightSide::Rows(key_rows_by(&rows, y_var))
-            }
-        };
-
-        // For backward traversal and the binary join index the right side
-        // is materialized up front (the scan/probe source).
-        let right_side = match (method, right_side) {
-            (
-                JoinMethod::BackwardTraversal | JoinMethod::BinaryJoinIndex,
-                RightSide::Class { class, filter, .. },
-            ) => {
-                let start = Instant::now();
-                let before = rec.metrics.snapshot();
-                let mut map: HashMap<Oid, Vec<Row>> = HashMap::new();
-                let mut first_err: Option<SqlError> = None;
-                let mut scratch = Scratch::new(self);
-                let mut bind = |oid, value| {
-                    scratch.next_row();
-                    match right_side_row(&mut scratch, filter, y_var, oid, value) {
-                        Ok(Some(row)) => map.entry(oid).or_default().push(row),
-                        Ok(None) => {}
-                        Err(e) => {
-                            first_err = Some(e);
-                            return false;
-                        }
-                    }
-                    true
-                };
-                self.catalog
-                    .extent_fields_with(class, y_fields, AccessHint::Sequential, &mut bind)?;
-                if let Some(e) = first_err {
-                    return Err(e);
+        let filter = class_side.and_then(|(_, filter)| filter);
+        let mut scratch = Scratch::new(self);
+        let mut bind = |oid, value: Value| -> Result<Option<Row>> {
+            scratch.next_row();
+            if let Some(f) = filter {
+                let view = RowView::Object { var: y_var, oid, value: &value };
+                if !scratch.matches(f, view)? {
+                    return Ok(None);
                 }
+            }
+            Ok(Some(bind_one(y_var, oid, value)))
+        };
+        let fields = pq.reads.of(y_var);
+        let right_side = match class_side {
+            Some((class, _)) if !materializes_class(method) => JoinRight::Class { class, fields },
+            Some((class, _)) => {
+                let (start, before) = (Instant::now(), rec.metrics.snapshot());
+                let members = scan_class(self.catalog, class, fields, &mut bind)?;
                 rec.record(
                     right_nid,
-                    map.values().map(|v| v.len() as u64).sum(),
+                    members.values().map(|v| v.len() as u64).sum(),
                     rec.metrics.snapshot().delta(&before),
                     start.elapsed().as_nanos() as u64,
                 );
-                RightSide::Rows(map)
+                JoinRight::Members(members)
             }
-            (_, rs) => rs,
+            None => {
+                let rows = self.rows_of(right, right_nid, pq, temps, rec)?;
+                JoinRight::Members(members_by_oid(rows, |r| r.get(y_var).and_then(|b| b.oid)))
+            }
         };
-
-        let mut out = Vec::new();
-        let mut scratch = Scratch::new(self);
-        match method {
-            JoinMethod::BinaryJoinIndex => {
-                let RightSide::Rows(map) = &right_side else {
-                    unreachable!()
-                };
-                // Left class from the first bound object (its stored type;
-                // nothing of the value is read).
-                let left_class = left_rows
-                    .iter()
-                    .find_map(|r| r.get(x_var).and_then(|b| b.oid))
-                    .map(|oid| {
-                        let stored = self.catalog.get_object_fields(oid, &FieldSet::NONE);
-                        stored.map(|(c, _)| c)
-                    })
-                    .transpose()?;
-                let Some(left_class) = left_class else {
-                    return Ok(out);
-                };
-                let mut left_by_oid: HashMap<Oid, Vec<&Row>> = HashMap::new();
-                for r in &left_rows {
-                    if let Some(oid) = r.get(x_var).and_then(|b| b.oid) {
-                        left_by_oid.entry(oid).or_default().push(r);
-                    }
-                }
-                let mut keys: Vec<&Oid> = map.keys().collect();
-                keys.sort();
-                for y_oid in keys {
-                    for l_oid in
-                        self.catalog
-                            .index_lookup(&left_class, attr, &Value::Ref(*y_oid))?
-                    {
-                        if let Some(lrows) = left_by_oid.get(&l_oid) {
-                            for l in lrows {
-                                for r in &map[y_oid] {
-                                    let mut merged = (*l).clone();
-                                    merged.extend(r.clone());
-                                    out.push(merged);
-                                }
-                            }
-                        }
-                    }
-                }
-                out.sort_by_key(|r| r.get(x_var).and_then(|b| b.oid));
-            }
-            JoinMethod::HashPartition => {
-                // Partition: group left rows by referenced OID; fetch each
-                // distinct target once.
-                let mut partitions: BTreeMap<Oid, Vec<usize>> = BTreeMap::new();
-                for (i, row) in left_rows.iter().enumerate() {
-                    for oid in self.row_refs(row, x_var, attr)? {
-                        partitions.entry(oid).or_default().push(i);
-                    }
-                }
-                for (oid, members) in partitions {
-                    scratch.next_row();
-                    let matches = right_side.resolve(&mut scratch, oid, y_var)?;
-                    for r in matches {
-                        for &i in &members {
-                            let mut merged = left_rows[i].clone();
-                            merged.extend(r.clone());
-                            out.push(merged);
-                        }
-                    }
-                }
-                out.sort_by_key(|r| r.get(x_var).and_then(|b| b.oid));
-            }
-            JoinMethod::ForwardTraversal | JoinMethod::BackwardTraversal => {
-                // Pipelined probe prefetch applies to forward chases into
-                // the heap; a materialized right side reads no pages here.
-                let prefetch = method == JoinMethod::ForwardTraversal
-                    && matches!(right_side, RightSide::Class { .. });
-                // The probe side runs in batches of `batch_size` left rows
-                // with a per-batch resolution cache, so a reference shared
-                // by many rows of a batch fetches (and filters) its target
-                // once; at batch size 1 every reference pays its own fetch,
-                // the row-at-a-time pattern. Same pairs, same order, at
-                // every batch size.
-                let batch = self.config.execution.batch_size.max(1);
-                let registry = self.catalog.storage().registry();
-                let pool = self.catalog.storage().pool();
-                let mut pages: Vec<(FileId, PageId)> = Vec::new();
-                for chunk in left_rows.chunks(batch) {
-                    scratch.next_batch();
-                    // Collect the chunk's target pages sorted, then, at
-                    // each cache-miss probe, batch-read the consecutive
-                    // run ahead of it (one readahead window at a time —
-                    // see `BufferPool::prefetch_run`). After `CLUSTER` puts
-                    // targets in probe order the chase becomes one batched
-                    // read per window; on scattered heaps runs degenerate
-                    // to single pages and nothing is issued.
-                    if prefetch {
-                        pages.clear();
-                        for row in chunk {
-                            for oid in self.row_refs(row, x_var, attr)? {
-                                pages.push((oid.file, oid.page));
-                            }
-                        }
-                        pages.sort_unstable();
-                        pages.dedup();
-                    }
-                    // Exclusive end of the last prefetched run; probes
-                    // inside it skip the re-issue.
-                    let mut pf_end: Option<(FileId, u32)> = None;
-                    let mut cache: HashMap<Oid, Vec<Row>> = HashMap::new();
-                    for row in chunk {
-                        for oid in self.row_refs(row, x_var, attr)? {
-                            let targets = match cache.entry(oid) {
-                                std::collections::hash_map::Entry::Occupied(e) => e.into_mut(),
-                                std::collections::hash_map::Entry::Vacant(e) => {
-                                    if prefetch
-                                        && pf_end.is_none_or(|(f, end)| {
-                                            f != oid.file || oid.page.0 >= end
-                                        })
-                                    {
-                                        let n = pool.prefetch_run(&pages, (oid.file, oid.page));
-                                        if n > 0 {
-                                            pf_end = Some((oid.file, oid.page.0 + n));
-                                        }
-                                    }
-                                    e.insert(right_side.resolve(&mut scratch, oid, y_var)?)
-                                }
-                            };
-                            for r in targets.iter() {
-                                let mut merged = row.clone();
-                                merged.extend(r.clone());
-                                out.push(merged);
-                            }
-                        }
-                    }
-                    registry.add(Metric::BatchRows, chunk.len() as u64);
-                    registry.add(Metric::BatchCount, 1);
-                }
-            }
-        }
-        return Ok(out);
-
-        fn key_rows_by(rows: &[Row], var: &str) -> HashMap<Oid, Vec<Row>> {
-            let mut map: HashMap<Oid, Vec<Row>> = HashMap::new();
-            for r in rows {
-                if let Some(oid) = r.get(var).and_then(|b| b.oid) {
-                    map.entry(oid).or_default().push(r.clone());
-                }
-            }
-            map
-        }
-    }
-
-    /// The reference OIDs of `row[var].attr`.
-    fn row_refs(&self, row: &Row, var: &str, attr: &str) -> Result<Vec<Oid>> {
-        let Some(bound) = row.get(var) else {
-            return Ok(Vec::new());
+        let bound = |r| match Row::get(r, x_var) {
+            Some(b) => (b.oid, &*b.value),
+            None => (None, &Value::Null),
         };
-        Ok(match bound.value.field(attr) {
-            Some(Value::Ref(oid)) => vec![*oid],
-            Some(Value::Set(items)) | Some(Value::List(items)) => {
-                items.iter().filter_map(|i| i.as_oid()).collect()
-            }
-            _ => Vec::new(),
-        })
+        let left: Vec<LeftObj<'_>> = left_rows.iter().map(bound).collect();
+        let batch = self.config.execution.batch_size;
+        let pairs = join_pairs(self.catalog, &left, attr, right_side, method, batch, &mut bind)?;
+        let merge = |(i, member): (usize, Row)| {
+            let mut merged = left_rows[i].clone();
+            merged.extend(member);
+            merged
+        };
+        Ok(pairs.into_iter().map(merge).collect())
     }
 }
 
@@ -1421,43 +1239,6 @@ impl Sink for Targets<'_> {
     }
 }
 
-/// The two right-side shapes of `exec_join`.
-enum RightSide<'p> {
-    /// Unmaterialized class with an optional residual filter; probes
-    /// decode `fields`, the right variable's read set.
-    Class {
-        class: &'p str,
-        filter: Option<&'p PreparedExpr>,
-        fields: &'p FieldSet,
-    },
-    /// Materialized rows keyed by the right variable's OID.
-    Rows(HashMap<Oid, Vec<Row>>),
-}
-
-impl RightSide<'_> {
-    fn resolve(&self, scratch: &mut Scratch<'_, '_>, oid: Oid, y_var: &str) -> Result<Vec<Row>> {
-        let ex = scratch.executor();
-        match self {
-            RightSide::Rows(map) => Ok(map.get(&oid).cloned().unwrap_or_default()),
-            RightSide::Class {
-                class,
-                filter,
-                fields,
-            } => {
-                // A dangling reference joins nothing: no pair.
-                let Some((obj_class, value)) = ex.fetch_live(oid, fields)? else {
-                    return Ok(Vec::new());
-                };
-                if !ex.catalog.is_subclass(&obj_class, class) {
-                    return Ok(Vec::new());
-                }
-                let row = right_side_row(scratch, *filter, y_var, oid, value)?;
-                Ok(row.into_iter().collect())
-            }
-        }
-    }
-}
-
 /// One batch through a predicate: the objects of `buf`, bound to `var`, that
 /// it rejects are dropped (shared registers, a fresh dereference cache); the
 /// first evaluation error ends the batch.
@@ -1484,24 +1265,6 @@ fn retain_matching(
         })
     });
     failed.map_or(Ok(()), Err)
-}
-
-/// The row binding a join's right-side object to `y_var`, if it passes the
-/// right side's filter.
-fn right_side_row(
-    scratch: &mut Scratch<'_, '_>,
-    filter: Option<&PreparedExpr>,
-    y_var: &str,
-    oid: Oid,
-    value: Value,
-) -> Result<Option<Row>> {
-    if let Some(f) = filter {
-        let value = &value;
-        if !scratch.matches(f, RowView::Object { var: y_var, oid, value })? {
-            return Ok(None);
-        }
-    }
-    Ok(Some(bind_one(y_var, oid, value)))
 }
 
 /// The row binding one stored object to `var`.

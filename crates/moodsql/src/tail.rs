@@ -616,28 +616,26 @@ fn next_sort_record(r: &mut SpillReader) -> Result<Option<SortRec>> {
 // The tail
 // ----------------------------------------------------------------------
 
-/// Set semantics over the union of DNF terms: the tuples of bound OIDs
-/// already let through.
-#[derive(Default)]
+/// Set semantics over the union of DNF terms: the FROM-list bindings
+/// already let through. A term's plan may also bind the optimizer's path
+/// variables, and two terms that reach one object by different paths still
+/// answer it once.
 struct Union {
+    /// The statement's range variables, in FROM order.
     vars: Vec<String>,
-    seen: HashSet<Vec<(usize, Option<Oid>)>>,
+    seen: HashSet<Vec<Option<Oid>>>,
 }
 
 impl Union {
-    fn var_id(&mut self, var: &str) -> usize {
-        self.vars.iter().position(|v| v == var).unwrap_or_else(|| {
-            self.vars.push(var.to_string());
-            self.vars.len() - 1
-        })
+    fn admit(&mut self, row: &Row) -> bool {
+        let key = self.vars.iter().map(|v| row.get(v).and_then(|b| b.oid));
+        self.seen.insert(key.collect())
     }
 
-    fn admit(&mut self, row: &Row) -> bool {
-        let key = row
-            .iter()
-            .map(|(var, b)| (self.var_id(var), b.oid))
-            .collect();
-        self.seen.insert(key)
+    /// [`Union::admit`] for one object bound to `var` alone.
+    fn admit_object(&mut self, var: &str, oid: Oid) -> bool {
+        let key = self.vars.iter().map(|v| (v == var).then_some(oid));
+        self.seen.insert(key.collect())
     }
 }
 
@@ -722,7 +720,10 @@ impl<'e, 'a> Tail<'e, 'a> {
                 spent: Default::default(),
             },
             batch: ex.config.execution.batch_size.max(1),
-            union: (pq.terms.len() > 1).then(Union::default),
+            union: (pq.terms.len() > 1).then(|| Union {
+                vars: stmt.from.iter().map(|item| item.var.clone()).collect(),
+                seen: HashSet::new(),
+            }),
             cols: &pq.cols,
             keys: &pq.order_keys,
             agg,
@@ -892,8 +893,7 @@ impl Sink for Tail<'_, '_> {
     fn push_objects(&mut self, var: &str, items: &mut Vec<(Oid, Value)>) -> Result<()> {
         if let Some(union) = &mut self.union {
             let window = self.clock.start();
-            let id = union.var_id(var);
-            items.retain(|(oid, _)| union.seen.insert(vec![(id, Some(*oid))]));
+            items.retain(|(oid, _)| union.admit_object(var, *oid));
             self.clock.stop("WHERE:UNION", window, items.len() as u64);
         }
         self.consume(Batch::Objects(var, items))?;

@@ -179,19 +179,10 @@ proptest! {
                 let warm = run(&db, &sql);
                 prop_assert_eq!(&cold, &warm, "warm diverged (batch {}, par {})", batch, par);
                 match (&baseline, &cold) {
-                    (Ok(a), Ok(b)) => {
-                        // The engine's union of DNF terms keys on whole
-                        // bindings (ROADMAP item 2d): a vehicle let through
-                        // by a path term and by an immediate term comes out
-                        // twice. Every ORDER BY ends in the unique id, so the
-                        // copies are adjacent.
-                        let mut rows = b.rows.clone();
-                        rows.dedup();
-                        prop_assert_eq!(
-                            a, &rows, "batched != row-at-a-time (batch {}, par {}): {}",
-                            batch, par, sql
-                        )
-                    }
+                    (Ok(a), Ok(b)) => prop_assert_eq!(
+                        a, &b.rows, "batched != row-at-a-time (batch {}, par {}): {}",
+                        batch, par, sql
+                    ),
                     (Err(_), Err(_)) => {}
                     other => prop_assert!(
                         false, "Ok/Err divergence (batch {}, par {}): {:?}", batch, par, other

@@ -159,13 +159,7 @@ proptest! {
             prop_assert_eq!(&cold, &fresh, "uncached diverged (par {})", par);
             match (&cold, &interp) {
                 (Ok(a), Ok(b)) => {
-                    // The engine's union of DNF terms keys on whole bindings
-                    // (ROADMAP item 2d): a vehicle let through by a path term
-                    // and by an immediate term comes out twice. Ids are
-                    // unique and ordered, so the copies are adjacent.
-                    let mut rows = a.rows.clone();
-                    rows.dedup();
-                    prop_assert_eq!(&rows, b, "compiled != interpreted (par {}): {}", par, sql)
+                    prop_assert_eq!(&a.rows, b, "compiled != interpreted (par {}): {}", par, sql)
                 }
                 (Err(_), Err(_)) => {}
                 other => prop_assert!(false, "Ok/Err divergence (par {}): {:?}", par, other),

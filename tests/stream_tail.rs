@@ -224,6 +224,12 @@ const CORPUS: &[(&str, Order)] = &[
         "SELECT DISTINCT p.color, p.grade FROM Part p WHERE p.weight < 720 OR p.grade = 2",
         Order::Any,
     ),
+    // A path term (whose join also binds the optimizer's path variable) or
+    // an immediate term: a part that passes both is one answer.
+    (
+        "SELECT p.id FROM Part p WHERE p.maker.name = 'maker3' OR p.weight > 780 ORDER BY p.id",
+        Order::Exact,
+    ),
     // Joins feed rows.
     (
         "SELECT p.id, p.maker.city FROM Part p WHERE p.maker.name = 'maker3' ORDER BY p.id",
