@@ -35,7 +35,7 @@ pub use collection::{
 pub use error::{AlgebraError, Result};
 pub use join::{
     join, join_pairs, materialize, materializes_class, members_by_oid, pairs_to_collection,
-    scan_class, Bind, JoinMethod, JoinRhs, JoinRight, LeftObj,
+    scan_class, Bind, Emit, JoinMethod, JoinRhs, JoinRight, LeftObj,
 };
 pub use mood_storage::exec::ExecutionConfig;
 pub use ops::{

@@ -746,7 +746,7 @@ impl Session {
                     .zip(
                         values
                             .iter()
-                            .map(lit_to_value)
+                            .map(exec::lit_value)
                             .chain(std::iter::repeat(Value::Null)),
                     )
                     .map(|(a, v)| (a.name.clone(), v))
@@ -796,8 +796,8 @@ impl Session {
                     .with_tracer(self.tracer.clone());
                 let doomed = ex.target_rows(class, var, where_clause.as_ref())?;
                 self.last_trace = ex.trace();
-                for (oid, row) in &doomed {
-                    self.catalog.delete_fetched(*oid, &row[var].value)?;
+                for (oid, value) in &doomed {
+                    self.catalog.delete_fetched(*oid, value)?;
                 }
                 Ok(Answer::Done {
                     affected: doomed.len(),
@@ -833,14 +833,14 @@ impl Session {
                     ex.check_params(nparams)?;
                 }
                 let mut scratch = Scratch::new(&ex);
-                for (oid, row) in &rows {
+                for (oid, old) in &rows {
                     // The last row's write may be what this row's paths
                     // reach: dereferences read the objects as they are now.
                     scratch.next_batch();
-                    let old = &row[var].value;
                     let mut new_value = Value::clone(old);
+                    let view = RowView::Object { var, oid: *oid, value: old };
                     for ((a, _), e) in assignments.iter().zip(&rhs) {
-                        new_value.set_field(a, scratch.eval(e, RowView::Row(row))?);
+                        new_value.set_field(a, scratch.eval(e, view)?);
                     }
                     self.catalog.update_fetched(*oid, old, new_value)?;
                 }
@@ -849,22 +849,6 @@ impl Session {
                 })
             }
         }
-    }
-}
-
-fn lit_to_value(l: &Lit) -> Value {
-    match l {
-        Lit::Int(i) => {
-            if let Ok(v) = i32::try_from(*i) {
-                Value::Integer(v)
-            } else {
-                Value::LongInteger(*i)
-            }
-        }
-        Lit::Float(x) => Value::Float(*x),
-        Lit::Str(s) => Value::String(s.clone()),
-        Lit::Bool(b) => Value::Boolean(*b),
-        Lit::Null => Value::Null,
     }
 }
 

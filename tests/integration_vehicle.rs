@@ -368,6 +368,35 @@ fn all_join_methods_give_same_answer() {
     }
 }
 
+#[path = "support/oracle.rs"]
+mod oracle;
+
+/// An explicit join `v.drivetrain = d` whose variable no path predicate
+/// binds is planned as a join that binds `d` (the optimizer picks its
+/// method), so `d` can be projected; each answer is the oracle's.
+#[test]
+fn an_explicit_join_binds_its_variable() {
+    let (db, _) = build();
+    for sql in [
+        "SELECT v.id FROM Vehicle v, VehicleDriveTrain d WHERE v.drivetrain = d",
+        "SELECT v.id FROM Vehicle v, VehicleDriveTrain d WHERE v.drivetrain = d AND v.id = 3",
+        "SELECT v.id, d.transmission FROM Vehicle v, VehicleDriveTrain d WHERE v.drivetrain = d",
+        "SELECT d.transmission, v.id FROM EVERY Vehicle v, VehicleDriveTrain d \
+         WHERE d = v.drivetrain AND v.weight > 1000",
+    ] {
+        let plan = db.explain(sql).unwrap();
+        assert!(plan.contains("(v.drivetrain = d.self)"), "{sql}\n{plan}");
+        let Answer::Rows(got) = db.execute(sql).unwrap() else {
+            panic!("{sql}: not rows")
+        };
+        let (mut got, mut want) = (got.rows, oracle::oracle(&db, sql));
+        assert!(!want.is_empty(), "{sql}");
+        got.sort_by_key(|row| oracle::row_bytes(row));
+        want.sort_by_key(|row| oracle::row_bytes(row));
+        assert_eq!(got, want, "{sql}");
+    }
+}
+
 #[test]
 fn dynamic_schema_evolution_is_visible_to_queries() {
     let (db, _) = build();

@@ -9,7 +9,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use mood_core::sql::{parse_expr, Row};
+use mood_core::sql::parse_expr;
 use mood_core::storage::Oid;
 use mood_core::{Answer, Mood, OptimizerConfig, Value};
 
@@ -84,7 +84,7 @@ fn build(n: i32, indexes: Indexes) -> Mood {
 
 #[path = "support/oracle.rs"]
 mod support;
-use support::{bound, eval_expr, eval_pred, Env};
+use support::{bound, eval_expr, eval_pred, Env, Row};
 
 type Extent = BTreeMap<Oid, Value>;
 

@@ -30,7 +30,7 @@
 use std::collections::BTreeMap;
 
 use mood_core::datamodel::{encode_value, encode_value_into};
-use mood_core::sql::{parse_expr, Row};
+use mood_core::sql::parse_expr;
 use mood_core::storage::Oid;
 use mood_core::{Answer, DatabaseStats, Mood, OptimizerConfig, TypeDescriptor, Value};
 
@@ -64,6 +64,7 @@ fn build(fixture: Fixture) -> Mood {
         "CREATE CLASS Company TUPLE (name String(32), location String(32))",
         "CREATE CLASS VehicleEngine TUPLE (size Integer, cylinders Integer, pad String(64)) \
          METHODS: power () Integer,",
+        "CREATE CLASS TurboEngine INHERITS FROM VehicleEngine",
         "CREATE CLASS VehicleDriveTrain TUPLE (engine REFERENCE (VehicleEngine), \
          transmission String(32))",
         "CREATE CLASS Vehicle TUPLE (id Integer, weight Integer, color String(16), \
@@ -102,13 +103,29 @@ fn build(fixture: Fixture) -> Mood {
             .unwrap()
         })
         .collect();
+    // Every sixteenth drivetrain's engine is a subclass instance, which
+    // every join method must reach as a `VehicleEngine`.
+    let turbos: Vec<Oid> = (0..8)
+        .map(|i| {
+            c.new_object(
+                "TurboEngine",
+                Value::tuple(vec![
+                    ("size", Value::Integer(2000 + i * 10)),
+                    ("cylinders", Value::Integer(2 + (i % 4) * 2)),
+                    ("pad", Value::string("t".repeat(40))),
+                ]),
+            )
+            .unwrap()
+        })
+        .collect();
     let trains: Vec<Oid> = (0..128)
         .map(|i| {
             let gear = if i % 2 == 0 { "AUTOMATIC" } else { "MANUAL" };
+            let engine = if i % 16 == 15 { turbos[i / 16] } else { engines[i % 64] };
             c.new_object(
                 "VehicleDriveTrain",
                 Value::tuple(vec![
-                    ("engine", Value::Ref(engines[i % 64])),
+                    ("engine", Value::Ref(engine)),
                     ("transmission", Value::string(gear)),
                 ]),
             )
@@ -172,7 +189,7 @@ fn build(fixture: Fixture) -> Mood {
 
 #[path = "support/oracle.rs"]
 mod oracle;
-use oracle::{bound, eval_expr, eval_pred, oracle, row_bytes, select_stmt, Env};
+use oracle::{bound, eval_expr, eval_pred, oracle, row_bytes, select_stmt, Env, Row};
 
 fn same_cell(a: &Value, b: &Value) -> bool {
     match (a, b) {

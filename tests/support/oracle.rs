@@ -18,11 +18,14 @@ use std::sync::Arc;
 use mood_core::datamodel::encode_value_into;
 use mood_core::funcman::OperandDataType;
 use mood_core::sql::ast::AggFunc;
-use mood_core::sql::{parse, BoundObj, Expr, Lit, PathRef, Row, SelectStmt, SqlError, Statement};
+use mood_core::sql::{parse, BoundObj, Expr, Lit, PathRef, SelectStmt, SqlError, Statement};
 use mood_core::storage::Oid;
 use mood_core::{Catalog, FunctionManager, Mood, Value};
 
 type Result<T> = std::result::Result<T, SqlError>;
+
+/// The interpreter's binding row: range variable → bound object.
+pub type Row = BTreeMap<String, BoundObj>;
 
 /// What the interpreter evaluates against: the database and the values
 /// `$1, $2, …` stand for.
