@@ -81,11 +81,6 @@ impl Cursor {
     pub fn rewind(&mut self) {
         self.pos = None;
     }
-
-    /// Consume into the underlying result.
-    pub fn into_result(self) -> QueryResult {
-        self.result
-    }
 }
 
 #[cfg(test)]
