@@ -14,6 +14,8 @@ pub enum AlgebraError {
     Exception(mood_funcman::Exception),
     /// Catalog or storage failure.
     Catalog(mood_catalog::CatalogError),
+    /// A sort's spill file could not be written or read back.
+    Spill(String),
 }
 
 impl fmt::Display for AlgebraError {
@@ -24,6 +26,7 @@ impl fmt::Display for AlgebraError {
             }
             AlgebraError::Exception(e) => write!(f, "exception during evaluation: {e}"),
             AlgebraError::Catalog(e) => write!(f, "{e}"),
+            AlgebraError::Spill(m) => write!(f, "{m}"),
         }
     }
 }

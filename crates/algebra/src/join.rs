@@ -182,21 +182,23 @@ pub fn join_pairs<R: Clone, E: From<CatalogError>>(
     }
 }
 
-/// Fetch the class-side targets among `oids` — those stored in `files`,
-/// each once — as the members `bind` makes of them, appended to `out` in
-/// OID order, the way `INDSEL` fetches: sorted by (page, slot) and read one
-/// readahead window at a time (`prefetch_run`, then one
-/// `fetch_fields_with` over the window's OIDs, one pool access per page).
-/// `bind` runs once the window's pages are released, so a filter that
-/// itself dereferences never runs under a pin. A reference to nothing
-/// joins nothing; any other storage failure — a corrupt page, an I/O
-/// error, a deadlock — is the join's error, never a shorter result.
-fn fetch_targets<R, E: From<CatalogError>>(
+/// Where the ordered fetch ([`crate::ind_sel`], the joins) hands each
+/// readahead window's objects, to be drained: the vector is reused.
+pub type Window<'w, E> = dyn FnMut(&mut Vec<(Oid, Value)>) -> std::result::Result<(), E> + 'w;
+
+/// The one ordered fetch — forward and backward traversal, the hash
+/// partition and [`crate::ind_sel`]: the objects among `oids` stored in
+/// `files`, each once, decoded to `fields`, read in (page, slot) order one
+/// readahead window at a time (`prefetch_run`, then one `fetch_fields_with`,
+/// one pool access per page) and handed to `window` once the window's pages
+/// are released, so a caller that dereferences never runs under a pin. An
+/// OID that points at nothing is skipped; any other storage failure is the
+/// fetch's error, never a shorter result.
+pub(crate) fn fetch_targets<E: From<CatalogError>>(
     catalog: &Catalog,
     (files, fields): (&[FileId], &FieldSet),
     oids: &mut Vec<Oid>,
-    bind: &mut Bind<'_, R, E>,
-    out: &mut Vec<(Oid, R)>,
+    window: &mut Window<'_, E>,
 ) -> std::result::Result<(), E> {
     oids.retain(|oid| files.contains(&oid.file));
     oids.sort_unstable();
@@ -204,26 +206,23 @@ fn fetch_targets<R, E: From<CatalogError>>(
     let mut pages: Vec<(FileId, PageId)> = oids.iter().map(|o| (o.file, o.page)).collect();
     pages.dedup();
     let pool = catalog.storage().pool();
-    let mut window: Vec<(Oid, Value)> = Vec::new();
+    let mut objects: Vec<(Oid, Value)> = Vec::new();
     let mut rest = oids.as_slice();
     while let Some(first) = rest.first() {
         let (file, page) = (first.file, first.page);
         let run = pool.prefetch_run(&pages, (file, page)).max(1);
         let n = rest.partition_point(|o| o.file == file && o.page.0 < page.0 + run);
-        let visit = &mut |oid, value| window.push((oid, value));
+        let visit = &mut |oid, value| objects.push((oid, value));
         catalog.fetch_fields_with(&rest[..n], fields, visit)?;
-        for (oid, value) in window.drain(..) {
-            if let Some(r) = bind(oid, value)? {
-                out.push((oid, r));
-            }
-        }
+        window(&mut objects)?;
+        objects.clear();
         rest = &rest[n..];
     }
     Ok(())
 }
 
 /// The members of `right` that `oid` joins, the class side's from the
-/// targets `fetch_targets` found for this batch.
+/// targets [`fetch_targets`] found for this batch.
 fn targets_of<'r, R>(right: &'r JoinRight<'_, R>, fetched: &'r [(Oid, R)], oid: Oid) -> &'r [R] {
     match right {
         JoinRight::Members(members) => members.get(&oid).map_or(&[], Vec::as_slice),
@@ -232,6 +231,18 @@ fn targets_of<'r, R>(right: &'r JoinRight<'_, R>, fetched: &'r [(Oid, R)], oid: 
             Err(_) => &[],
         },
     }
+}
+
+/// The members `bind` makes of one fetched window, appended to `out`.
+fn bind_window<R, E>(
+    bind: &mut Bind<'_, R, E>,
+    objects: &mut Vec<(Oid, Value)>,
+    out: &mut Vec<(Oid, R)>,
+) -> std::result::Result<(), E> {
+    for (oid, value) in objects.drain(..) {
+        out.extend(bind(oid, value)?.map(|r| (oid, r)));
+    }
+    Ok(())
 }
 
 /// Forward and backward traversal (§6.1, §6.2): the left items in batches of
@@ -262,7 +273,8 @@ fn probe<R: Clone, E: From<CatalogError>>(
             oids.clear();
             oids.extend(chunk.iter().flat_map(|(_, value)| refs_of(value, attr)));
             fetched.clear();
-            fetch_targets(catalog, (&files, fields), &mut oids, bind, &mut fetched)?;
+            let window = &mut |w: &mut _| bind_window(bind, w, &mut fetched);
+            fetch_targets(catalog, (&files, fields), &mut oids, window)?;
         }
         for (i, (_, value)) in chunk.iter().enumerate() {
             let at = b * batch_size + i;
@@ -299,7 +311,8 @@ fn hash_partition<R: Clone, E: From<CatalogError>>(
     if let JoinRight::Class { classes, fields } = right {
         let mut oids: Vec<Oid> = partitions.iter().map(|&(oid, _)| oid).collect();
         let files = catalog.extent_files(classes);
-        fetch_targets(catalog, (&files, fields), &mut oids, bind, &mut fetched)?;
+        let window = &mut |w: &mut _| bind_window(bind, w, &mut fetched);
+        fetch_targets(catalog, (&files, fields), &mut oids, window)?;
     }
     let mut out = Vec::new();
     for (oid, group) in partitions.chunk_by(|a, b| a.0 == b.0).map(|g| (g[0].0, g)) {

@@ -8,18 +8,18 @@
 //! return-type rules of Tables 1–7 enforced and encoded as pure functions
 //! ([`collection`]).
 //!
-//! The four join methods compute identical pairs but with the §6 access
-//! patterns, which the instrumented storage layer exposes for the cost
-//! model benches. [`join_pairs`] is their only implementation: MOODSQL's
-//! executor runs it over binding rows, [`join()`] over collections.
+//! MOODSQL runs the set-at-a-time operators, each implemented once:
+//! [`join_pairs`] (the four §6 join methods, over binding rows or, through
+//! [`join()`], collections), [`ind_sel`] (the B+-tree interval walk and the
+//! page-ordered, windowed fetch the joins use too) and [`Sorter`] (the
+//! budgeted, spilling sort behind ORDER BY and [`sort()`]).
 //!
-//! Every other collection operator with per-element work is one function
-//! of an [`ExecutionConfig`]: the input is cut into `parallelism`
-//! contiguous chunks, the chunks run on scoped worker threads and their
-//! outputs are concatenated in chunk order, so results (and page-access
-//! totals) are the same at every parallelism and `parallelism = 1` is the
-//! plain loop on the caller's thread. Joins, like `union`, ignore the
-//! parallelism.
+//! These run on the caller's thread, as do `Union`, `Partition` and the
+//! conversions. `Select`, `Project`, `DupElim`, `Intersection`,
+//! `Difference` and the dereference of set/list members cut their input
+//! into the [`ExecutionConfig`]'s `parallelism` contiguous chunks, run them
+//! on scoped worker threads and concatenate the outputs in chunk order, so
+//! results and page-access totals are the same at every parallelism.
 
 pub mod collection;
 pub mod error;
@@ -27,6 +27,7 @@ pub mod join;
 pub mod ops;
 pub mod restructure;
 pub mod setops;
+pub mod sort;
 
 pub use collection::{
     as_extent_return, as_set_list_elements, dupelim_return, join_return, select_return,
@@ -35,13 +36,12 @@ pub use collection::{
 pub use error::{AlgebraError, Result};
 pub use join::{
     join, join_pairs, materialize, materializes_class, members_by_oid, pairs_to_collection,
-    scan_class, Bind, Emit, JoinMethod, JoinRhs, JoinRight, LeftObj,
+    scan_class, Bind, Emit, JoinMethod, JoinRhs, JoinRight, LeftObj, Window,
 };
 pub use mood_storage::exec::ExecutionConfig;
 pub use ops::{
-    bind, bind_class, deref, ind_sel, is_a, obj_id, select, type_id, IndexType, Predicate,
+    bind, bind_class, deref, ind_sel, is_a, obj_id, select, type_id, AttrBounds, Predicate,
 };
-pub use restructure::{
-    as_extent, as_list, as_set, flatten, nest, partition, project, sort, unnest,
-};
+pub use restructure::{as_extent, as_list, as_set, flatten, nest, partition, project, unnest};
+pub use sort::{sort, Sorter};
 pub use setops::{difference, dup_elim, intersection, union};

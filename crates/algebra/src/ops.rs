@@ -1,13 +1,17 @@
 //! General and collection operators (Section 3.2): `ObjId`, `TypeId`,
 //! `Deref`, `isA`, `Bind`, `Select`, `IndSel`.
 
-use mood_catalog::{Catalog, TypeId};
-use mood_datamodel::Value;
+use std::cmp::Ordering;
+
+use mood_catalog::{Catalog, CatalogError, TypeId};
+use mood_cost::Theta;
+use mood_datamodel::{FieldSet, Value};
 use mood_storage::exec::{run_chunked, ExecutionConfig};
-use mood_storage::{AccessHint, Oid};
+use mood_storage::{AccessHint, FileId, Oid};
 
 use crate::collection::{Collection, Obj};
 use crate::error::{AlgebraError, Result};
+use crate::join::{fetch_targets, Window};
 
 /// A predicate over one object. `Sync`, because [`select`] evaluates it
 /// from every worker the [`ExecutionConfig`] asks for.
@@ -163,43 +167,81 @@ pub fn select(
     })
 }
 
-/// Index type selector for `IndSel`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum IndexType {
-    BTree,
-    Hash,
-}
+/// An indexed attribute (a dotted path for a path index) and its bounds.
+pub type AttrBounds<'a> = (&'a str, Vec<(Theta, &'a Value)>);
 
-/// `IndSel(arg, index_type, P)` — index-assisted selection on an extent:
-/// returns a *set of object identifiers* (the paper's stated return type).
-/// `P` here is the simple predicate ⟨attribute, θ, constant⟩ an index can
-/// serve: equality for both index types, ranges for B+-trees.
-pub fn ind_sel(
+/// `IndSel(arg, BTREE, P)` on a class: the objects stored in `files` that
+/// the conjunction of `bounds` selects, decoded to `fields` and handed to
+/// `window` in ascending OID order by the joins' ordered fetch, one
+/// readahead window at a time. Each attribute's bounds merge into one
+/// interval (the greatest lower and least upper bound, `=` being both),
+/// walked once; several attributes intersect. A stale index entry is
+/// skipped when its object is gone and fetched when it changed, so a
+/// caller that needs exact answers re-verifies the bounds.
+pub fn ind_sel<E: From<CatalogError> + From<AlgebraError>>(
     catalog: &Catalog,
     class: &str,
-    _index_type: IndexType,
-    attribute: &str,
-    theta: mood_cost::Theta,
-    constant: &Value,
-) -> Result<Collection> {
-    use mood_cost::Theta;
-    // One interval per θ; `=` is `[c, c]`.
-    let (at, below) = (Some((constant, true)), Some((constant, false)));
-    let (lo, hi) = match theta {
-        Theta::Eq => (at, at),
-        Theta::Lt => (None, below),
-        Theta::Le => (None, at),
-        Theta::Gt => (below, None),
-        Theta::Ge => (at, None),
-        Theta::Ne => {
-            return Err(AlgebraError::NotApplicable {
-                operator: "IndSel",
-                detail: "<> cannot use an index".into(),
-            })
+    bounds: &[AttrBounds<'_>],
+    (files, fields): (&[FileId], &FieldSet),
+    window: &mut Window<'_, E>,
+) -> std::result::Result<(), E> {
+    let mut oids: Option<Vec<Oid>> = None;
+    for (attr, ops) in bounds {
+        let hits = interval_oids(catalog, class, attr, ops)?;
+        match &mut oids {
+            None => oids = Some(hits),
+            Some(prev) => prev.retain(|oid| hits.binary_search(oid).is_ok()),
         }
-    };
-    let oids = catalog.index_range(class, attribute, lo, hi)?;
-    Ok(Collection::set_from(oids))
+    }
+    fetch_targets(catalog, (files, fields), &mut oids.unwrap_or_default(), window)
+}
+
+/// The OIDs, ascending and each once, the index on `class.attr` files
+/// under the keys (compared encoded) every bound of `ops` admits.
+fn interval_oids(
+    catalog: &Catalog,
+    class: &str,
+    attr: &str,
+    ops: &[(Theta, &Value)],
+) -> Result<Vec<Oid>> {
+    if ops.iter().any(|&(theta, _)| theta == Theta::Ne) {
+        let detail = "<> cannot use an index".into();
+        return Err(AlgebraError::NotApplicable { operator: "IndSel", detail });
+    }
+    let unknown = || CatalogError::UnknownIndex { class: class.into(), attribute: attr.into() };
+    let info = catalog.index(class, attr).ok_or_else(unknown)?;
+    let keys = ops.iter().map(|(_, v)| Catalog::index_bound(&info, v));
+    let keys: Vec<Vec<u8>> = keys.collect::<std::result::Result<_, _>>()?;
+    type Bound<'k> = Option<(&'k [u8], bool)>;
+    // The tighter of two bounds on one side; on equal keys the exclusive.
+    fn tighten<'k>(side: &mut Bound<'k>, new: (&'k [u8], bool), tighter: Ordering) {
+        let replace = side.is_none_or(|old| match new.0.cmp(old.0) {
+            Ordering::Equal => !new.1,
+            other => other == tighter,
+        });
+        if replace {
+            *side = Some(new);
+        }
+    }
+    let (mut lo, mut hi): (Bound<'_>, Bound<'_>) = (None, None);
+    for (&(theta, _), key) in ops.iter().zip(&keys) {
+        let inclusive = matches!(theta, Theta::Eq | Theta::Ge | Theta::Le);
+        if matches!(theta, Theta::Eq | Theta::Gt | Theta::Ge) {
+            tighten(&mut lo, (key, inclusive), Ordering::Greater);
+        }
+        if matches!(theta, Theta::Eq | Theta::Lt | Theta::Le) {
+            tighten(&mut hi, (key, inclusive), Ordering::Less);
+        }
+    }
+    let mut oids = Vec::new();
+    catalog.index_interval_with(&info, lo, hi, &mut |oid| {
+        oids.push(oid);
+        true
+    })?;
+    // A path index files one object under every value its path reaches.
+    oids.sort_unstable();
+    oids.dedup();
+    Ok(oids)
 }
 
 #[cfg(test)]
@@ -328,44 +370,112 @@ mod tests {
         assert_eq!(cat.named_object("flagship"), Some(oids[2]));
     }
 
+    /// The OIDs `ind_sel` hands over for `bounds` on VehicleEngine, each
+    /// window's in order, and the number of windows.
+    fn ind_sel_oids(cat: &Catalog, bounds: &[AttrBounds<'_>]) -> Result<(Vec<Oid>, usize)> {
+        let files = cat.extent_files(&["VehicleEngine".to_string()]);
+        let (mut oids, mut windows) = (Vec::new(), 0);
+        let mut window = |objects: &mut Vec<(Oid, Value)>| {
+            oids.extend(objects.drain(..).map(|(oid, _)| oid));
+            windows += 1;
+            Ok(())
+        };
+        let right = (files.as_slice(), &FieldSet::All);
+        ind_sel::<AlgebraError>(cat, "VehicleEngine", bounds, right, &mut window)?;
+        Ok((oids, windows))
+    }
+
     #[test]
     fn ind_sel_equality_and_range() {
         let (cat, _) = setup();
         cat.create_index("VehicleEngine", "cylinders", false).unwrap();
-        let eq = ind_sel(
-            &cat,
-            "VehicleEngine",
-            IndexType::BTree,
-            "cylinders",
-            mood_cost::Theta::Eq,
-            &Value::Integer(4),
-        )
-        .unwrap();
-        assert_eq!(eq.kind(), Some(Kind::Set));
+        let cylinders = |o: Oid| match deref(&cat, o).unwrap().value.field("cylinders") {
+            Some(Value::Integer(c)) => *c,
+            other => panic!("{other:?}"),
+        };
+        let four = Value::Integer(4);
+        let (eq, _) = ind_sel_oids(&cat, &[("cylinders", vec![(Theta::Eq, &four)])]).unwrap();
         assert!(eq.len() >= 2);
-        let gt = ind_sel(
-            &cat,
-            "VehicleEngine",
-            IndexType::BTree,
-            "cylinders",
-            mood_cost::Theta::Gt,
-            &Value::Integer(4),
+        assert!(eq.windows(2).all(|w| w[0] < w[1]), "ascending OIDs, each once");
+        assert!(eq.iter().all(|&o| cylinders(o) == 4));
+        let (gt, _) = ind_sel_oids(&cat, &[("cylinders", vec![(Theta::Gt, &four)])]).unwrap();
+        assert!(!gt.is_empty() && gt.iter().all(|&o| cylinders(o) > 4));
+        // Two bounds on one attribute merge into one interval: (2, 8] ∩ [4, 6).
+        let (two, six, eight) = (Value::Integer(2), Value::Integer(6), Value::Integer(8));
+        let ops =
+            vec![(Theta::Gt, &two), (Theta::Le, &eight), (Theta::Ge, &four), (Theta::Lt, &six)];
+        let (range, _) = ind_sel_oids(&cat, &[("cylinders", ops)]).unwrap();
+        assert_eq!(range, eq);
+        // Two attributes intersect.
+        cat.create_index("VehicleEngine", "size", false).unwrap();
+        let big = Value::Integer(1500);
+        let bounds = [("cylinders", vec![(Theta::Eq, &four)]), ("size", vec![(Theta::Ge, &big)])];
+        let (both, _) = ind_sel_oids(&cat, &bounds).unwrap();
+        assert!(!both.is_empty() && both.len() < eq.len(), "{both:?} of {eq:?}");
+        assert!(both.iter().all(|o| eq.contains(o)));
+        // <> cannot use an index.
+        assert!(ind_sel_oids(&cat, &[("cylinders", vec![(Theta::Ne, &four)])]).is_err());
+    }
+
+    /// 300 objects padded to three a heap page — 100 contiguous pages —
+    /// indexed on `id`; the interval `30 <= id < 270` spans 80 of them.
+    fn padded_extent() -> (Arc<Catalog>, u64) {
+        let sm = Arc::new(StorageManager::in_memory());
+        let cat = Arc::new(Catalog::create(sm).unwrap());
+        cat.define_class(
+            ClassBuilder::class("VehicleEngine")
+                .attribute("id", TypeDescriptor::integer())
+                .attribute("pad", TypeDescriptor::string()),
         )
         .unwrap();
-        for oid in gt.oids() {
-            let o = deref(&cat, oid).unwrap();
-            assert!(matches!(o.value.field("cylinders"), Some(Value::Integer(c)) if *c > 4));
+        cat.create_index("VehicleEngine", "id", true).unwrap();
+        let pad = Value::string("x".repeat(1000));
+        let mut pages = std::collections::HashSet::new();
+        for i in 0..300 {
+            let value = Value::tuple(vec![("id", Value::Integer(i)), ("pad", pad.clone())]);
+            let oid = cat.new_object("VehicleEngine", value).unwrap();
+            if (30..270).contains(&i) {
+                pages.insert(oid.page);
+            }
         }
-        // <> cannot use an index.
-        assert!(ind_sel(
-            &cat,
-            "VehicleEngine",
-            IndexType::BTree,
-            "cylinders",
-            mood_cost::Theta::Ne,
-            &Value::Integer(4),
-        )
-        .is_err());
+        (cat, pages.len() as u64)
+    }
+
+    #[test]
+    fn an_ind_sel_interval_reads_each_heap_page_once_a_window_a_call() {
+        let (cat, pages) = padded_extent();
+        assert_eq!(pages, 80, "three objects a page");
+        let (lo, hi) = (Value::Integer(30), Value::Integer(270));
+        let bounds = [("id", vec![(Theta::Ge, &lo), (Theta::Lt, &hi)])];
+        let metrics = cat.storage().metrics();
+        let pool = cat.storage().pool();
+        let k = pool.readahead_window() as u64;
+        assert!(k >= 2 && pages > 2 * k, "window {k}");
+        // The leaf walk alone, its pages resident from here on.
+        let info = cat.index("VehicleEngine", "id").unwrap();
+        let (lo_key, hi_key) = (Catalog::index_bound(&info, &lo), Catalog::index_bound(&info, &hi));
+        let (lo_key, hi_key) = (lo_key.unwrap(), hi_key.unwrap());
+        let before = metrics.snapshot();
+        let walk = &mut |_| true;
+        cat.index_interval_with(&info, Some((&lo_key, true)), Some((&hi_key, false)), walk)
+            .unwrap();
+        let leaf_walk = metrics.snapshot().delta(&before);
+        let leaf_walk = leaf_walk.buffer_hits + leaf_walk.buffer_misses;
+        // Cold heap: one device call per readahead window, every page read.
+        pool.flush_all().unwrap();
+        pool.discard_file(cat.extent_files(&["VehicleEngine".to_string()])[0]);
+        let before = metrics.snapshot();
+        let (oids, windows) = ind_sel_oids(&cat, &bounds).unwrap();
+        let cold = metrics.snapshot().delta(&before);
+        assert_eq!(oids.len(), 240);
+        assert_eq!(windows as u64, pages.div_ceil(k), "{cold:?}");
+        assert_eq!((cold.seq_batches, cold.seq_pages), (pages.div_ceil(k), pages), "{cold:?}");
+        assert_eq!(cold.rnd_pages, 0, "{cold:?}");
+        // Warm: the leaf walk's accesses and one access per heap page.
+        let before = metrics.snapshot();
+        ind_sel_oids(&cat, &bounds).unwrap();
+        let warm = metrics.snapshot().delta(&before);
+        assert_eq!(warm.buffer_hits + warm.buffer_misses, leaf_walk + pages, "{warm:?}");
     }
 
     #[test]

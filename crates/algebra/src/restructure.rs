@@ -1,8 +1,5 @@
-//! Restructuring and conversion operators: `Project`, `Partition`, `Sort`,
-//! `asSet`, `asList`, `asExtent`, `Unnest`, `Nest`, `Flatten`.
-
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+//! Restructuring and conversion operators: `Project`, `Partition`, `asSet`,
+//! `asList`, `asExtent`, `Unnest`, `Nest`, `Flatten`.
 
 use mood_catalog::Catalog;
 use mood_datamodel::{encode_key, Value};
@@ -83,88 +80,13 @@ fn group_key(v: &Value, attributes: &[&str]) -> Result<Vec<u8>> {
     for a in attributes {
         let field = v.field(a).unwrap_or(&Value::Null);
         let enc = encode_key(field).map_err(|_| AlgebraError::NotApplicable {
-            operator: "Partition/Sort",
+            operator: "Partition",
             detail: format!("attribute {a} is not atomic"),
         })?;
         key.extend_from_slice(&enc);
         key.push(0xFF); // field separator
     }
     Ok(key)
-}
-
-/// A sort key: the encoded attribute key plus the element's input position.
-/// The index makes every key distinct, so the order is total — equal
-/// attribute keys keep their input order however the runs were formed.
-type SortKey = (Vec<u8>, usize);
-
-/// Elements per heap-built run.
-const RUN: usize = 1024;
-
-/// `Sort(aTupleCollection, sort_method, attribute_list)` — "the only
-/// supported sort_method for the time being is heap sort with merging",
-/// and that is exactly what this is: runs of at most `RUN` (1 024) elements are
-/// built through a binary heap, then k-way merged. No duplicate
-/// elimination. Sets/lists sort their identifiers by the dereferenced
-/// objects' keys; extents sort the objects.
-///
-/// Run formation (key extraction + heap) is spread over `exec.parallelism`
-/// contiguous chunks of the input; the merge is shared. Keys are distinct,
-/// so where the run boundaries fall cannot change the output.
-pub fn sort(
-    catalog: &Catalog,
-    arg: &Collection,
-    attributes: &[&str],
-    exec: ExecutionConfig,
-) -> Result<Collection> {
-    let objs = materialize(catalog, arg, exec)?;
-    let positions: Vec<usize> = (0..objs.len()).collect();
-    let runs: Vec<Vec<SortKey>> = run_chunked(exec.parallelism, &positions, |_, chunk| {
-        let mut runs = Vec::with_capacity(chunk.len().div_ceil(RUN));
-        for slice in chunk.chunks(RUN) {
-            let mut heap = BinaryHeap::with_capacity(slice.len());
-            for &i in slice {
-                heap.push(Reverse((group_key(&objs[i].value, attributes)?, i)));
-            }
-            let mut run = Vec::with_capacity(heap.len());
-            while let Some(Reverse(key)) = heap.pop() {
-                run.push(key);
-            }
-            runs.push(run);
-        }
-        Ok::<_, AlgebraError>(runs)
-    })?;
-    let mut slots: Vec<Option<Obj>> = objs.into_iter().map(Some).collect();
-    let sorted = merge_runs(runs)
-        .into_iter()
-        .map(|i| slots[i].take().expect("each position is emitted once"));
-    Ok(match arg {
-        Collection::Set(_) | Collection::List(_) => {
-            Collection::List(sorted.filter_map(|o| o.oid).collect())
-        }
-        _ => Collection::Extent(sorted.collect()),
-    })
-}
-
-/// K-way merge of sorted runs through a heap of run heads; yields the input
-/// positions in sorted order.
-fn merge_runs(runs: Vec<Vec<SortKey>>) -> Vec<usize> {
-    let total: usize = runs.iter().map(|r| r.len()).sum();
-    let mut cursors: Vec<std::vec::IntoIter<SortKey>> =
-        runs.into_iter().map(|r| r.into_iter()).collect();
-    let mut heads: BinaryHeap<Reverse<(SortKey, usize)>> = BinaryHeap::new();
-    for (run, c) in cursors.iter_mut().enumerate() {
-        if let Some(key) = c.next() {
-            heads.push(Reverse((key, run)));
-        }
-    }
-    let mut out = Vec::with_capacity(total);
-    while let Some(Reverse(((_, position), run))) = heads.pop() {
-        out.push(position);
-        if let Some(key) = cursors[run].next() {
-            heads.push(Reverse((key, run)));
-        }
-    }
-    out
 }
 
 /// `asSet(arg)` — Table 5: the object identifiers of the argument.
@@ -224,7 +146,7 @@ pub fn unnest(catalog: &Catalog, arg: &Collection, attribute: &str) -> Result<Co
             other => vec![other.clone()],
         };
         for e in elems {
-            let mut new_fields: Vec<(String, Value)> = fields
+            let new_fields: Vec<(String, Value)> = fields
                 .iter()
                 .map(|(n, v)| {
                     if n == attribute {
@@ -234,8 +156,6 @@ pub fn unnest(catalog: &Catalog, arg: &Collection, attribute: &str) -> Result<Co
                     }
                 })
                 .collect();
-            // Keep field order stable.
-            let _ = &mut new_fields;
             out.push(Obj::transient(Value::Tuple(new_fields)));
         }
     }
@@ -323,6 +243,7 @@ pub fn flatten(values: &Value) -> Result<Collection> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sort::sort;
     use mood_catalog::ClassBuilder;
     use mood_datamodel::TypeDescriptor;
     use mood_storage::{FileId, PageId, SlotId, StorageManager};
@@ -435,12 +356,17 @@ mod tests {
     #[test]
     fn heapsort_merging_handles_many_runs() {
         let cat = catalog();
-        // > RUN elements to force multiple runs in phase 1.
+        // A 64-record budget: 3000 elements form 47 spilled runs to merge.
         for i in (0..3000).rev() {
             emp(&cat, &format!("e{i:05}"), i, "x");
         }
         let extent = crate::ops::bind_class(&cat, "Employee", false, &[]).unwrap();
-        let out = sort(&cat, &extent, &["name"], ExecutionConfig::default()).unwrap();
+        let registry = cat.storage().registry();
+        let before = registry.snapshot().batch.spilled_runs;
+        let exec = ExecutionConfig::default().with_sort_budget(64);
+        let out = sort(&cat, &extent, &["name"], exec).unwrap();
+        let runs = registry.snapshot().batch.spilled_runs - before;
+        assert_eq!(runs, 47, "3000 records in runs of 64");
         let Collection::Extent(objs) = &out else {
             panic!()
         };

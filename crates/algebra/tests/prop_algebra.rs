@@ -85,19 +85,22 @@ proptest! {
                 })
                 .collect(),
         );
-        let sorted = sort(&cat, &extent, &["k"], seq()).unwrap();
-        let Collection::Extent(objs) = &sorted else { panic!() };
-        prop_assert_eq!(objs.len(), perm.len(), "no elements lost");
-        let keys: Vec<i32> = objs
-            .iter()
-            .map(|o| match o.value.field("k") {
-                Some(Value::Integer(i)) => *i,
-                _ => unreachable!(),
-            })
-            .collect();
         let mut want: Vec<i32> = perm.iter().map(|&i| i as i32).collect();
         want.sort();
-        prop_assert_eq!(keys, want);
+        // In memory, and spilled in runs of two merged back.
+        for exec in [seq(), seq().with_sort_budget(2)] {
+            let sorted = sort(&cat, &extent, &["k"], exec).unwrap();
+            let Collection::Extent(objs) = &sorted else { panic!() };
+            prop_assert_eq!(objs.len(), perm.len(), "no elements lost");
+            let keys: Vec<i32> = objs
+                .iter()
+                .map(|o| match o.value.field("k") {
+                    Some(Value::Integer(i)) => *i,
+                    _ => unreachable!(),
+                })
+                .collect();
+            prop_assert_eq!(&keys, &want, "{:?}", exec);
+        }
     }
 
     #[test]
@@ -296,6 +299,8 @@ proptest! {
                     sort(&cat, &extent, keys, ExecutionConfig::with_parallelism(p)).unwrap();
                 prop_assert_eq!(&par, &one, "sort {:?} parallelism={}", keys, p);
             }
+            let spilled = sort(&cat, &extent, keys, seq().with_sort_budget(2)).unwrap();
+            prop_assert_eq!(&spilled, &one, "sort {:?} in runs of two", keys);
         }
     }
 

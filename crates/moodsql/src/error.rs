@@ -44,6 +44,17 @@ impl From<mood_catalog::CatalogError> for SqlError {
     }
 }
 
+impl From<mood_algebra::AlgebraError> for SqlError {
+    fn from(e: mood_algebra::AlgebraError) -> Self {
+        use mood_algebra::AlgebraError;
+        match e {
+            AlgebraError::Catalog(e) => SqlError::Catalog(e),
+            AlgebraError::Exception(e) => SqlError::Exception(e),
+            other => SqlError::Exec(other.to_string()),
+        }
+    }
+}
+
 impl From<mood_funcman::Exception> for SqlError {
     fn from(e: mood_funcman::Exception) -> Self {
         SqlError::Exception(e)

@@ -19,20 +19,20 @@
 //! variable. An execution trace records the stages for the conformance
 //! tests.
 
-use std::cmp::Ordering;
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 use std::time::Instant;
 
 use mood_algebra::{
-    join_pairs, materializes_class, members_by_oid, scan_class, JoinRight, LeftObj,
+    ind_sel, join_pairs, materializes_class, members_by_oid, scan_class, JoinRight, LeftObj,
 };
-use mood_catalog::{Catalog, CatalogError};
+use mood_catalog::Catalog;
+use mood_cost::Theta;
 use mood_datamodel::Value;
 use mood_funcman::{Exception, ExceptionKind, FunctionManager, Receiver};
 use mood_optimizer::{estimate_plan_set, optimize, OptimizerConfig, Plan, PlanSet};
 use mood_storage::exec::run_chunked;
-use mood_storage::{AccessHint, DiskMetrics, FileId, Metric, MetricsSnapshot, Oid};
+use mood_storage::{AccessHint, DiskMetrics, Metric, MetricsSnapshot, Oid};
 use mood_trace::Tracer;
 
 use crate::analyze::{
@@ -178,7 +178,7 @@ type IndexBounds = HashMap<String, Vec<AttrBounds>>;
 /// path for a path index), in the order written.
 struct AttrBounds {
     attr: String,
-    ops: Vec<(CmpOp, Operand)>,
+    ops: Vec<(Theta, Operand)>,
 }
 
 /// The constant side of a bound.
@@ -215,11 +215,12 @@ fn attr_bounds(predicate: &Expr) -> Result<Vec<AttrBounds>> {
         }
         // Dotted join handles both plain attributes and whole-path indexes.
         let attr = path.segments.join(".");
+        let bound = (op.to_theta(), operand);
         match out.iter_mut().find(|b| b.attr == attr) {
-            Some(b) => b.ops.push((*op, operand)),
+            Some(b) => b.ops.push(bound),
             None => out.push(AttrBounds {
                 attr,
-                ops: vec![(*op, operand)],
+                ops: vec![bound],
             }),
         }
     }
@@ -867,14 +868,8 @@ impl<'a> Executor<'a> {
                 .get(name)
                 .cloned()
                 .ok_or_else(|| SqlError::Exec(format!("unknown temporary {name}")))?,
-            Plan::IndSel {
-                class,
-                var,
-                index_kind,
-                predicate,
-            } => {
-                let path_index = index_kind == "PATH_INDEX";
-                return self.index_select(class, var, path_index, predicate, pq, sink);
+            Plan::IndSel { class, var, predicate, .. } => {
+                return self.index_select(class, var, predicate, pq, sink);
             }
             Plan::Select { input, predicate } => {
                 let pred = pq.pred(predicate)?;
@@ -974,125 +969,52 @@ impl<'a> Executor<'a> {
         Ok(kept)
     }
 
-    /// `INDSEL(class, var, …, predicate)` streamed into `sink`; the number
-    /// of objects let through, in ascending OID order.
-    ///
-    /// One leaf-chain walk per indexed attribute yields the interval's OIDs
-    /// (several attributes intersect), which are sorted — 16 bytes each, the
-    /// only thing held for the whole interval — so that the fetch visits
-    /// each heap page once and the output order does not depend on the key
-    /// order. They are then fetched, re-verified and pushed `batch_size` at
-    /// a time: an entry may be stale because its object changed or is gone,
-    /// and evaluating the predicate on the fetched object guarantees correct
-    /// answers regardless.
+    /// `INDSEL(class, var, …, predicate)` streamed into `sink` by
+    /// `mood_algebra::ind_sel` in ascending OID order; the number of objects
+    /// let through. An index entry may be stale, so each object is
+    /// re-verified before it is pushed, `batch_size` at a time.
     fn index_select(
         &self,
         class: &str,
         var: &str,
-        path_index: bool,
         predicate: &str,
         pq: &PreparedQuery,
         sink: &mut dyn Sink,
     ) -> Result<u64> {
         self.mark("WHERE:SELECT");
         let prepared = pq.pred(predicate)?;
-        let mut oids: Option<Vec<Oid>> = None;
-        for bounds in pq.bounds(predicate)? {
-            let hits = self.interval_oids(class, bounds)?;
-            match &mut oids {
-                None => oids = Some(hits),
-                Some(prev) => prev.retain(|oid| hits.binary_search(oid).is_ok()),
-            }
-        }
-        let mut oids = oids.unwrap_or_default();
+        let bounds = pq.bounds(predicate)?.iter().map(|b| {
+            let ops = b.ops.iter().map(|(theta, operand)| match operand {
+                Operand::Value(v) => Ok((*theta, v)),
+                Operand::Param(n) => Ok((*theta, self.param(*n)?)),
+            });
+            Ok((b.attr.as_str(), ops.collect::<Result<_>>()?))
+        });
+        let bounds: Vec<_> = bounds.collect::<Result<_>>()?;
         // A path index covers the class and every subclass, which may be
-        // more extents than the FROM item ranges over: only members of the
-        // item's own range are answers. Attribute indexes cover exactly the
-        // own extent and skip the check.
-        if path_index {
-            let root = &pq.lowered.root;
-            let files: Vec<FileId> = if var == root.var && root.every {
-                self.catalog.every_files(class, &root.minus)
-            } else {
-                self.catalog.class(class)?.extent.into_iter().collect()
-            };
-            oids.retain(|oid| files.contains(&oid.file));
-        }
-        let batch = self.config.execution.batch_size.max(1);
-        let fields = pq.reads.of(var);
-        let mut scratch = Scratch::new(self);
-        let mut buf: Vec<(Oid, Value)> = Vec::with_capacity(batch.min(oids.len()));
-        let mut kept = 0u64;
-        for chunk in oids.chunks(batch) {
-            // A stale entry (path indexes are rebuilt on demand) points at
-            // nothing and is skipped; any other storage failure is the
-            // statement's error.
-            self.catalog
-                .fetch_fields_with(chunk, fields, &mut |oid, value| buf.push((oid, value)))?;
-            retain_matching(&mut scratch, prepared, var, &mut buf)?;
+        // more extents than the variable ranges over.
+        let files = self.catalog.extent_files(&self.range_of(pq, var, class));
+        let (batch, mut scratch) = (self.config.execution.batch_size.max(1), Scratch::new(self));
+        let (mut buf, mut kept) = (Vec::new(), 0u64);
+        let mut flush = |buf: &mut Vec<(Oid, Value)>| -> Result<()> {
+            retain_matching(&mut scratch, prepared, var, buf)?;
             kept += buf.len() as u64;
-            sink.push_objects(var, &mut buf)?;
+            sink.push_objects(var, buf)
+        };
+        let right = (files.as_slice(), pq.reads.of(var));
+        ind_sel::<SqlError>(self.catalog, class, &bounds, right, &mut |objects| {
+            for object in objects.drain(..) {
+                buf.push(object);
+                if buf.len() == batch {
+                    flush(&mut buf)?;
+                }
+            }
+            Ok(())
+        })?;
+        if !buf.is_empty() {
+            flush(&mut buf)?;
         }
         Ok(kept)
-    }
-
-    /// The OIDs, ascending, the index on `class.attr` files under the keys
-    /// every bound of `bounds` admits: the bounds merge into one interval —
-    /// the greatest lower and the least upper one, `=` being both, compared
-    /// as encoded keys at run time so `$n` bounds work — walked once. An
-    /// interval that holds nothing finds nothing.
-    fn interval_oids(&self, class: &str, bounds: &AttrBounds) -> Result<Vec<Oid>> {
-        let info = self.catalog.index(class, &bounds.attr);
-        let info = info.ok_or_else(|| CatalogError::UnknownIndex {
-            class: class.to_string(),
-            attribute: bounds.attr.clone(),
-        })?;
-        let encode = |(_, operand): &(CmpOp, Operand)| {
-            let value = match operand {
-                Operand::Value(v) => v,
-                Operand::Param(n) => self.param(*n)?,
-            };
-            Ok(Catalog::index_bound(&info, value)?)
-        };
-        let keys: Vec<Vec<u8>> = bounds.ops.iter().map(encode).collect::<Result<_>>()?;
-        type Bound<'k> = Option<(&'k [u8], bool)>;
-        // The tighter of two bounds on one side; on equal keys the exclusive.
-        fn tighten<'k>(side: &mut Bound<'k>, new: (&'k [u8], bool), tighter: Ordering) {
-            let replace = side.is_none_or(|old| match new.0.cmp(old.0) {
-                Ordering::Equal => !new.1,
-                other => other == tighter,
-            });
-            if replace {
-                *side = Some(new);
-            }
-        }
-        let (mut lo, mut hi): (Bound<'_>, Bound<'_>) = (None, None);
-        for ((op, _), key) in bounds.ops.iter().zip(&keys) {
-            let (lower, upper, inclusive) = match op {
-                CmpOp::Eq => (true, true, true),
-                CmpOp::Gt => (true, false, false),
-                CmpOp::Ge => (true, false, true),
-                CmpOp::Lt => (false, true, false),
-                CmpOp::Le => (false, true, true),
-                CmpOp::Ne => return Err(SqlError::Exec("<> cannot be index-served".into())),
-            };
-            if lower {
-                tighten(&mut lo, (key, inclusive), Ordering::Greater);
-            }
-            if upper {
-                tighten(&mut hi, (key, inclusive), Ordering::Less);
-            }
-        }
-        let mut oids = Vec::new();
-        self.catalog
-            .index_interval_with(&info, lo, hi, &mut |oid| {
-                oids.push(oid);
-                true
-            })?;
-        // A path index files one object under every value its path reaches.
-        oids.sort_unstable();
-        oids.dedup();
-        Ok(oids)
     }
 
     /// Execute one implicit join following the plan's method, pushing the

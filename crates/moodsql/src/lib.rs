@@ -31,7 +31,7 @@ pub use binder::{classify, lower, Lowered, StmtKind};
 pub use cursor::Cursor;
 pub use error::{Result, SqlError};
 pub use exec::{BoundObj, Executor, PreparedQuery, QueryResult, Row};
-pub use parser::{parse, parse_expr};
+pub use parser::{parse, parse_expr, MAX_EXPR_DEPTH};
 
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};

@@ -9,7 +9,7 @@ use crate::token::{lex, Kw, Tok};
 /// Parse one statement (a trailing `;` is allowed).
 pub fn parse(src: &str) -> Result<Statement> {
     let toks = lex(src)?;
-    let mut p = Parser { toks, pos: 0 };
+    let mut p = Parser { toks, pos: 0, levels: 0, folds: 0 };
     let stmt = p.statement()?;
     p.eat_sym(";");
     if p.pos != p.toks.len() {
@@ -22,7 +22,7 @@ pub fn parse(src: &str) -> Result<Statement> {
 /// predicate strings embedded in access plans).
 pub fn parse_expr(src: &str) -> Result<Expr> {
     let toks = lex(src)?;
-    let mut p = Parser { toks, pos: 0 };
+    let mut p = Parser { toks, pos: 0, levels: 0, folds: 0 };
     let e = p.expr()?;
     if p.pos != p.toks.len() {
         return Err(p.err(format!("trailing tokens after expression: {:?}", p.peek())));
@@ -30,9 +30,23 @@ pub fn parse_expr(src: &str) -> Result<Expr> {
     Ok(e)
 }
 
+/// How deep an expression may nest: the parentheses, NOTs, unary minuses
+/// and call arguments around the token being parsed, plus every `+ - * / %`
+/// of the whole expression (a chain folds left, one level a term). Parsing,
+/// binding, optimizing and compiling recurse over an expression; a debug
+/// build overflows a 2 MB thread stack at about 110 levels.
+pub const MAX_EXPR_DEPTH: usize = 64;
+
+/// The parser of the next-tighter precedence level.
+type Operand = fn(&mut Parser) -> Result<Expr>;
+
 struct Parser {
     toks: Vec<Tok>,
     pos: usize,
+    /// Levels around the current token plus arithmetic folds of the current
+    /// top-level expression: at most [`MAX_EXPR_DEPTH`] together.
+    levels: usize,
+    folds: usize,
 }
 
 impl Parser {
@@ -41,6 +55,23 @@ impl Parser {
             position: self.pos,
             message: message.into(),
         }
+    }
+
+    /// Parse with `f` one nesting level down.
+    fn nested<T>(&mut self, f: impl FnOnce(&mut Self) -> Result<T>) -> Result<T> {
+        self.levels += 1;
+        let parsed = self.deeper(0).and_then(|()| f(self));
+        self.levels -= 1;
+        parsed
+    }
+
+    /// Count `folds` more arithmetic folds, then check the nesting.
+    fn deeper(&mut self, folds: usize) -> Result<()> {
+        self.folds += folds;
+        if self.levels + self.folds > MAX_EXPR_DEPTH {
+            return Err(self.err("expression nested too deeply"));
+        }
+        Ok(())
     }
 
     fn peek(&self) -> Option<&Tok> {
@@ -312,36 +343,32 @@ impl Parser {
     // ------------------------------------------------------------------
 
     fn expr(&mut self) -> Result<Expr> {
+        if self.levels == 0 {
+            self.folds = 0;
+        }
         self.or_expr()
     }
 
     fn or_expr(&mut self) -> Result<Expr> {
-        let mut parts = vec![self.and_expr()?];
-        while self.eat_kw(Kw::Or) {
-            parts.push(self.and_expr()?);
-        }
-        Ok(if parts.len() == 1 {
-            parts.pop().expect("one")
-        } else {
-            Expr::Or(parts)
-        })
+        self.connective(Kw::Or, Self::and_expr, Expr::Or)
     }
 
     fn and_expr(&mut self) -> Result<Expr> {
-        let mut parts = vec![self.not_expr()?];
-        while self.eat_kw(Kw::And) {
-            parts.push(self.not_expr()?);
+        self.connective(Kw::And, Self::not_expr, Expr::And)
+    }
+
+    /// `next (kw next)*`, one n-ary node when there are several parts.
+    fn connective(&mut self, kw: Kw, next: Operand, node: fn(Vec<Expr>) -> Expr) -> Result<Expr> {
+        let mut parts = vec![next(self)?];
+        while self.eat_kw(kw) {
+            parts.push(next(self)?);
         }
-        Ok(if parts.len() == 1 {
-            parts.pop().expect("one")
-        } else {
-            Expr::And(parts)
-        })
+        Ok(if parts.len() == 1 { parts.pop().expect("one") } else { node(parts) })
     }
 
     fn not_expr(&mut self) -> Result<Expr> {
         if self.eat_kw(Kw::Not) {
-            Ok(Expr::Not(Box::new(self.not_expr()?)))
+            Ok(Expr::Not(Box::new(self.nested(Self::not_expr)?)))
         } else {
             self.cmp_expr()
         }
@@ -378,48 +405,28 @@ impl Parser {
     }
 
     fn add_expr(&mut self) -> Result<Expr> {
-        let mut left = self.mul_expr()?;
-        loop {
-            let op = if self.eat_sym("+") {
-                '+'
-            } else if self.eat_sym("-") {
-                '-'
-            } else {
-                return Ok(left);
-            };
-            let right = self.mul_expr()?;
-            left = Expr::Arith {
-                op,
-                left: Box::new(left),
-                right: Box::new(right),
-            };
-        }
+        self.arith(&["+", "-"], Self::mul_expr)
     }
 
     fn mul_expr(&mut self) -> Result<Expr> {
-        let mut left = self.unary_expr()?;
-        loop {
-            let op = if self.eat_sym("*") {
-                '*'
-            } else if self.eat_sym("/") {
-                '/'
-            } else if self.eat_sym("%") {
-                '%'
-            } else {
-                return Ok(left);
-            };
-            let right = self.unary_expr()?;
-            left = Expr::Arith {
-                op,
-                left: Box::new(left),
-                right: Box::new(right),
-            };
+        self.arith(&["*", "/", "%"], Self::unary_expr)
+    }
+
+    /// `next (op next)*` folded left: each fold nests the chain one level.
+    fn arith(&mut self, ops: &[&str], next: Operand) -> Result<Expr> {
+        let mut left = next(self)?;
+        while let Some(op) = ops.iter().find(|op| self.eat_sym(op)) {
+            self.deeper(1)?;
+            let right = Box::new(next(self)?);
+            let op = op.chars().next().expect("one-character operator");
+            left = Expr::Arith { op, left: Box::new(left), right };
         }
+        Ok(left)
     }
 
     fn unary_expr(&mut self) -> Result<Expr> {
         if self.eat_sym("-") {
-            let inner = self.unary_expr()?;
+            let inner = self.nested(Self::unary_expr)?;
             return Ok(match inner {
                 Expr::Literal(Lit::Int(i)) => Expr::Literal(Lit::Int(-i)),
                 Expr::Literal(Lit::Float(x)) => Expr::Literal(Lit::Float(-x)),
@@ -434,38 +441,24 @@ impl Parser {
     }
 
     fn primary(&mut self) -> Result<Expr> {
+        let literal = match self.peek() {
+            Some(Tok::Int(i)) => Some(Expr::Literal(Lit::Int(*i))),
+            Some(Tok::Float(x)) => Some(Expr::Literal(Lit::Float(*x))),
+            Some(Tok::Str(s)) => Some(Expr::Literal(Lit::Str(s.clone()))),
+            Some(Tok::Param(n)) => Some(Expr::Param(*n)),
+            Some(Tok::Kw(Kw::True)) => Some(Expr::Literal(Lit::Bool(true))),
+            Some(Tok::Kw(Kw::False)) => Some(Expr::Literal(Lit::Bool(false))),
+            Some(Tok::Kw(Kw::Null)) => Some(Expr::Literal(Lit::Null)),
+            _ => None,
+        };
+        if let Some(e) = literal {
+            self.pos += 1;
+            return Ok(e);
+        }
         match self.peek().cloned() {
-            Some(Tok::Int(i)) => {
-                self.pos += 1;
-                Ok(Expr::Literal(Lit::Int(i)))
-            }
-            Some(Tok::Float(x)) => {
-                self.pos += 1;
-                Ok(Expr::Literal(Lit::Float(x)))
-            }
-            Some(Tok::Str(s)) => {
-                self.pos += 1;
-                Ok(Expr::Literal(Lit::Str(s)))
-            }
-            Some(Tok::Param(n)) => {
-                self.pos += 1;
-                Ok(Expr::Param(n))
-            }
-            Some(Tok::Kw(Kw::True)) => {
-                self.pos += 1;
-                Ok(Expr::Literal(Lit::Bool(true)))
-            }
-            Some(Tok::Kw(Kw::False)) => {
-                self.pos += 1;
-                Ok(Expr::Literal(Lit::Bool(false)))
-            }
-            Some(Tok::Kw(Kw::Null)) => {
-                self.pos += 1;
-                Ok(Expr::Literal(Lit::Null))
-            }
             Some(Tok::Sym("(")) => {
                 self.pos += 1;
-                let e = self.expr()?;
+                let e = self.nested(Self::expr)?;
                 self.expect_sym(")")?;
                 Ok(e)
             }
@@ -479,7 +472,7 @@ impl Parser {
                             self.expect_sym(")")?;
                             return Ok(Expr::Agg { func, arg: None });
                         }
-                        let arg = self.expr()?;
+                        let arg = self.nested(Self::expr)?;
                         self.expect_sym(")")?;
                         return Ok(Expr::Agg {
                             func,
@@ -499,7 +492,7 @@ impl Parser {
                     let mut args = Vec::new();
                     if !self.eat_sym(")") {
                         loop {
-                            args.push(self.expr()?);
+                            args.push(self.nested(Self::expr)?);
                             if self.eat_sym(")") {
                                 break;
                             }

@@ -16,7 +16,8 @@
 //!   records; each file is read once at the end.
 //! * **Sort** — `(input index, keys ++ output row)` records: the projection
 //!   is evaluated while the object is at hand. Every `sort_budget` records
-//!   become one sorted run on disk, k-way merged at the end. Distinct
+//!   become one sorted run on disk, k-way merged at the end: the algebra's
+//!   [`Sorter`], which the collection `Sort` runs too. Distinct
 //!   follows Sort, so a duplicate keeps its first position in sorted order.
 //!
 //! Expressions are evaluated as the rows stream by, so an evaluation error
@@ -33,8 +34,9 @@
 use std::collections::{HashMap, HashSet};
 use std::time::Instant;
 
-use mood_datamodel::{decode_value, encode_value_into, Value};
-use mood_storage::spill::{SpillFile, SpillReader};
+use mood_algebra::sort::{decode_indexed_list, spill_corrupt, spill_err, Sorter};
+use mood_datamodel::{encode_value_into, Value};
+use mood_storage::spill::SpillFile;
 use mood_storage::{DiskMetrics, Metric, MetricsSnapshot, Oid};
 
 use crate::analyze::{StageActual, StageRec};
@@ -328,7 +330,7 @@ impl Aggregator<'_> {
                     Some(f) => f,
                     slot => slot.insert(SpillFile::create().map_err(spill_err)?),
                 };
-                return file.write_record(&self.record).map_err(spill_err);
+                return Ok(file.write_record(&self.record).map_err(spill_err)?);
             }
         };
         for (input, cell) in self.inputs.iter().zip(&mut self.groups[gi]) {
@@ -441,17 +443,6 @@ impl Aggregator<'_> {
     }
 }
 
-/// `[input index u64][Value::List(values)]` — the tail of a group record
-/// and the whole of a sort record.
-fn decode_indexed_list(rec: &[u8]) -> Result<(usize, Vec<Value>)> {
-    let index = rec.get(..8).ok_or_else(spill_corrupt)?;
-    let index = u64::from_le_bytes(index.try_into().expect("8-byte slice")) as usize;
-    match decode_value(&rec[8..]) {
-        Ok(Value::List(values)) => Ok((index, values)),
-        _ => Err(spill_corrupt()),
-    }
-}
-
 /// FNV-1a over a group key: the partition hash. Any stable hash works
 /// (equal keys must land in one partition); FNV keeps it dependency-free
 /// and deterministic across runs.
@@ -462,135 +453,6 @@ fn fnv1a(bytes: &[u8]) -> u64 {
         h = h.wrapping_mul(0x0100_0000_01b3);
     }
     h
-}
-
-fn spill_err(e: std::io::Error) -> SqlError {
-    SqlError::Exec(format!("sort spill i/o: {e}"))
-}
-
-fn spill_corrupt() -> SqlError {
-    SqlError::Exec("sort spill record corrupt".into())
-}
-
-// ----------------------------------------------------------------------
-// Sort
-// ----------------------------------------------------------------------
-
-/// A sort record: input index and `keys ++ output row`.
-type SortRec = (usize, Vec<Value>);
-
-/// Streaming ORDER BY: buffers at most `budget` records; a full buffer is
-/// sorted and spilled as one run (charged to the disk metrics in page
-/// equivalents, counted in the `sort.*` registry counters). The input index
-/// breaks ties, so the order is that of a stable sort whether or not
-/// anything spilled.
-#[derive(Default)]
-struct Sorter {
-    /// Direction per key; its length is the number of leading key values.
-    asc: Vec<bool>,
-    budget: usize,
-    buf: Vec<SortRec>,
-    runs: Vec<SpillReader>,
-    seen: usize,
-    /// Output has begun: the buffer is sorted (back to front, so records
-    /// pop off its end) or, after a spill, `heads` holds the runs' heads.
-    draining: bool,
-    heads: Vec<Option<SortRec>>,
-}
-
-/// Keys compare by value, a NULL before anything else (a NULL that
-/// compared equal to everything would not be an order: the answer would
-/// depend on the sort algorithm and on what spilled).
-fn cmp_records(asc: &[bool], (ia, a): &SortRec, (ib, b): &SortRec) -> std::cmp::Ordering {
-    for (k, asc) in asc.iter().enumerate() {
-        let nulls_first = || b[k].is_null().cmp(&a[k].is_null());
-        let ord = a[k].compare(&b[k]).unwrap_or_else(nulls_first);
-        let ord = if *asc { ord } else { ord.reverse() };
-        if ord.is_ne() {
-            return ord;
-        }
-    }
-    ia.cmp(ib)
-}
-
-impl Sorter {
-    fn push(&mut self, ex: &Executor<'_>, vals: Vec<Value>) -> Result<()> {
-        if self.buf.len() >= self.budget {
-            self.spill_run(ex)?;
-        }
-        self.buf.push((self.seen, vals));
-        self.seen += 1;
-        Ok(())
-    }
-
-    fn spill_run(&mut self, ex: &Executor<'_>) -> Result<()> {
-        self.buf
-            .sort_unstable_by(|a, b| cmp_records(&self.asc, a, b));
-        let sm = ex.catalog.storage();
-        let mut file = SpillFile::create().map_err(spill_err)?;
-        let mut record = Vec::new();
-        for (index, vals) in self.buf.drain(..) {
-            record.clear();
-            record.extend((index as u64).to_le_bytes());
-            encode_value_into(&mut record, &Value::List(vals));
-            file.write_record(&record).map_err(spill_err)?;
-        }
-        sm.registry().add(Metric::SortSpilledRuns, 1);
-        sm.registry().add(Metric::SortSpillBytes, file.bytes());
-        let reader = file.into_reader(Some(sm.metrics())).map_err(spill_err)?;
-        reader.charge_sequential_read(sm.metrics());
-        self.runs.push(reader);
-        Ok(())
-    }
-
-    /// The next `n` output rows (keys stripped) in order; empty when done.
-    fn next_batch(&mut self, ex: &Executor<'_>, n: usize) -> Result<Vec<Vec<Value>>> {
-        if !self.draining {
-            self.draining = true;
-            if self.runs.is_empty() {
-                self.buf
-                    .sort_unstable_by(|a, b| cmp_records(&self.asc, b, a));
-            } else {
-                if !self.buf.is_empty() {
-                    self.spill_run(ex)?;
-                }
-                let heads = self.runs.iter_mut().map(next_sort_record);
-                self.heads = heads.collect::<Result<_>>()?;
-            }
-        }
-        let mut out = Vec::new();
-        while out.len() < n {
-            // K-way merge over the run heads (linear min-scan: the run
-            // count is input/budget, small by construction); a sort that
-            // never spilled has no heads and pops its buffer.
-            let mut best: Option<usize> = None;
-            for (ri, head) in self.heads.iter().enumerate() {
-                let Some(h) = head else { continue };
-                let b = best.and_then(|b| self.heads[b].as_ref());
-                if b.is_none_or(|b| cmp_records(&self.asc, h, b).is_lt()) {
-                    best = Some(ri);
-                }
-            }
-            let next = match best {
-                Some(b) => {
-                    let refill = next_sort_record(&mut self.runs[b])?;
-                    std::mem::replace(&mut self.heads[b], refill)
-                }
-                None => self.buf.pop(),
-            };
-            let Some((_, mut vals)) = next else { break };
-            vals.drain(..self.asc.len());
-            out.push(vals);
-        }
-        Ok(out)
-    }
-}
-
-fn next_sort_record(r: &mut SpillReader) -> Result<Option<SortRec>> {
-    match r.next_record().map_err(spill_err)? {
-        Some(rec) => decode_indexed_list(&rec).map(Some),
-        None => Ok(None),
-    }
 }
 
 // ----------------------------------------------------------------------
@@ -714,11 +576,7 @@ impl<'e, 'a> Tail<'e, 'a> {
             cols: &pq.cols,
             keys: &pq.order_keys,
             agg,
-            sort: (!stmt.order_by.is_empty()).then(|| Sorter {
-                asc,
-                budget,
-                ..Sorter::default()
-            }),
+            sort: (!stmt.order_by.is_empty()).then(|| Sorter::new(asc, budget)),
             distinct: stmt.distinct.then(HashSet::new),
             out: Vec::new(),
         }
@@ -760,7 +618,7 @@ impl<'e, 'a> Tail<'e, 'a> {
         let window = self.clock.start();
         let n = rows.len() as u64;
         for vals in rows {
-            sorter.push(self.ex, vals)?;
+            sorter.push(self.ex.catalog.storage(), vals)?;
         }
         self.clock.stop("ORDER BY", window, n);
         Ok(())
@@ -849,7 +707,7 @@ impl<'e, 'a> Tail<'e, 'a> {
         if let Some(mut sorter) = self.sort.take() {
             loop {
                 let window = self.clock.start();
-                let rows = sorter.next_batch(self.ex, self.batch)?;
+                let rows = sorter.next_batch(self.ex.catalog.storage(), self.batch)?;
                 self.clock.stop("ORDER BY", window, 0);
                 if rows.is_empty() {
                     break;

@@ -767,7 +767,10 @@ fn read_faults_inside_a_readahead_window_are_errors() {
 /// every read of the join's left input. Wherever in them the device dies,
 /// a forward traversal (SQL) and a hash partition (the same join, by
 /// method) fail with the device's error: never a shorter answer, never a
-/// "dangling reference" made of a target that was not read.
+/// "dangling reference" made of a target that was not read. An INDSEL
+/// range fetches through the same windows after its leaf walk (three pages,
+/// a window each behind a pool too small to prefetch) and fails the same
+/// way.
 #[test]
 fn a_read_fault_in_a_later_window_of_a_target_fetch_is_an_error() {
     use mood_core::algebra::{bind_class, join, ExecutionConfig, JoinMethod, JoinRhs};
@@ -789,6 +792,15 @@ fn a_read_fault_in_a_later_window_of_a_target_fetch_is_an_error() {
         pairs.map(|pairs| pairs.len()).map_err(|e| e.to_string())
     };
     let hash_left = |db: &Mood| parts(db).map(|left| left.len());
+    // An INDSEL range over three Part pages, after its leaf walk: a pool
+    // too small to prefetch reads them in 1-page windows.
+    let indsel_sql = "SELECT p.id FROM Part p WHERE p.id >= 105 AND p.id < 125";
+    let indsel = |db: &Mood| rows(db, indsel_sql);
+    let leaf_walk = |db: &Mood| -> Result<usize, String> {
+        let (lo, hi) = (Value::Integer(105), Value::Integer(125));
+        let oids = db.catalog().index_range("Part", "id", Some((&lo, true)), Some((&hi, false)));
+        oids.map(|oids| oids.len()).map_err(|e| e.to_string())
+    };
     {
         let (db, dir) = open_parts_pooled(FaultPlan::disarmed(), POOL);
         assert_eq!(db.storage().pool().readahead_window(), 8);
@@ -798,11 +810,20 @@ fn a_read_fault_in_a_later_window_of_a_target_fetch_is_an_error() {
         assert!(pages.len() > 16, "{} Maker pages", pages.len());
         drop(db);
         let _ = std::fs::remove_dir_all(&dir);
+        let (db, dir) = open_parts_pooled(FaultPlan::disarmed(), TINY_POOL);
+        assert_eq!(db.storage().pool().readahead_window(), 0);
+        let plan = db.explain(indsel_sql).unwrap();
+        assert!(plan.contains("INDSEL("), "{plan}");
+        let range = db.catalog().index_range("Part", "id", None, None).unwrap();
+        let pages: std::collections::HashSet<_> = range[105..125].iter().map(|o| o.page).collect();
+        assert_eq!(pages.len(), 3, "Part pages");
+        drop(db);
+        let _ = std::fs::remove_dir_all(&dir);
     }
     // Device operations after open, and the answer, of one cold read.
-    let dry_run = |read: &dyn Fn(&Mood) -> Result<usize, String>| {
+    let dry_run = |pool: usize, read: &dyn Fn(&Mood) -> Result<usize, String>| {
         let dry = FaultPlan::disarmed();
-        let (db, dir) = open_parts_pooled(dry.clone(), POOL);
+        let (db, dir) = open_parts_pooled(dry.clone(), pool);
         let before = dry.ops();
         let answer = read(&db).expect("clean run");
         let ops = dry.ops() - before;
@@ -811,18 +832,19 @@ fn a_read_fault_in_a_later_window_of_a_target_fetch_is_an_error() {
         (before, ops, answer)
     };
     type Read<'r> = &'r dyn Fn(&Mood) -> Result<usize, String>;
-    let cases: [(&str, Read<'_>, Read<'_>); 2] = [
-        ("forward traversal", &forward, &forward_left),
-        ("hash partition", &hash, &hash_left),
+    let cases: [(&str, usize, Read<'_>, Read<'_>); 3] = [
+        ("forward traversal", POOL, &forward, &forward_left),
+        ("hash partition", POOL, &hash, &hash_left),
+        ("INDSEL range", TINY_POOL, &indsel, &leaf_walk),
     ];
-    for (what, read, left) in cases {
-        let (_, left_ops, _) = dry_run(left);
-        let (before, ops, clean) = dry_run(read);
+    for (what, pool, read, left) in cases {
+        let (_, left_ops, _) = dry_run(pool, left);
+        let (before, ops, clean) = dry_run(pool, read);
         assert!(clean > 0 && ops >= left_ops + 3, "{what}: {left_ops} then {ops} ops");
         // Every device operation of the target fetch: the first window's,
         // then the later ones'.
         for j in left_ops..ops {
-            let (db, dir) = open_parts_pooled(FaultPlan::fail_after(before + j), POOL);
+            let (db, dir) = open_parts_pooled(FaultPlan::fail_after(before + j), pool);
             match read(&db) {
                 Ok(got) => panic!("{what}: fault at op {j} of {ops} answered {got}, clean {clean}"),
                 Err(e) => assert!(e.contains("injected fault"), "{what}, op {j}: {e}"),

@@ -23,7 +23,8 @@
 
 use std::sync::Arc;
 
-use mood_core::{Answer, MethodSig, Mood, OptimizerConfig, TypeDescriptor, Value};
+use mood_core::sql::{SqlError, MAX_EXPR_DEPTH};
+use mood_core::{Answer, MethodSig, Mood, MoodError, OptimizerConfig, TypeDescriptor, Value};
 
 #[path = "support/oracle.rs"]
 mod oracle;
@@ -491,6 +492,42 @@ fn an_expression_too_large_to_compile_is_an_error() {
         args.replace('p', "s")
     );
     assert!(matches!(db.execute(&sql), Ok(Answer::Rows(r)) if r.rows.is_empty()));
+}
+
+/// An expression nested deeper than `MAX_EXPR_DEPTH` — a 10 000-term
+/// chain, which folds left into 10 000 levels, 10 000 parentheses, or a
+/// chain one term past the bound — is a parse error, never a stack
+/// overflow. One at the bound answers what the oracle answers.
+#[test]
+fn an_expression_nested_too_deeply_is_an_error() {
+    let db = build();
+    let chain = vec!["1"; 10_000].join(" + ");
+    let parens = format!("{}1{}", "(".repeat(10_000), ")".repeat(10_000));
+    let one_past = vec!["1"; MAX_EXPR_DEPTH + 2].join(" + ");
+    for deep in [chain, parens, one_past] {
+        let sql = format!("SELECT p.id FROM Part p WHERE p.id = {deep}");
+        for _ in 0..2 {
+            match db.execute(&sql) {
+                Err(MoodError::Sql(SqlError::Parse { message, .. })) => {
+                    assert_eq!(message, "expression nested too deeply")
+                }
+                other => panic!("{}…: {other:?}", &sql[..60]),
+            }
+        }
+    }
+    let at_bound = [
+        vec!["1"; MAX_EXPR_DEPTH + 1].join(" + "),
+        format!("{}7{}", "(".repeat(MAX_EXPR_DEPTH), ")".repeat(MAX_EXPR_DEPTH)),
+    ];
+    for expr in at_bound {
+        let sql = format!("SELECT p.id FROM Part p WHERE p.id < {expr}");
+        let want = oracle(&db, &sql);
+        assert!(!want.is_empty());
+        match db.execute(&sql) {
+            Ok(Answer::Rows(r)) => assert_same(&want, &r.rows, Order::Any, &sql),
+            other => panic!("{sql}: {other:?}"),
+        }
+    }
 }
 
 /// A two-attribute class with `n` objects whose `g` takes `groups` values.
