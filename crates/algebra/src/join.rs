@@ -124,9 +124,7 @@ pub fn scan_class<R, E: From<CatalogError>>(
             false
         }
     };
-    for class in classes {
-        catalog.extent_fields_with(class, fields, AccessHint::Sequential, &mut visit)?;
-    }
+    catalog.extent_fields_with(classes, fields, AccessHint::Sequential, &mut visit)?;
     failed.map_or(Ok(members), Err)
 }
 

@@ -6,7 +6,7 @@
 use mood_catalog::Catalog;
 use mood_datamodel::{decode_value, encode_value_into, Value};
 use mood_storage::exec::ExecutionConfig;
-use mood_storage::spill::{SpillFile, SpillReader};
+use mood_storage::spill::SpillReader;
 use mood_storage::{Metric, StorageManager};
 
 use crate::collection::Collection;
@@ -70,7 +70,7 @@ impl Sorter {
     fn spill_run(&mut self, sm: &StorageManager) -> Result<()> {
         self.buf
             .sort_unstable_by(|a, b| cmp_records(&self.asc, a, b));
-        let mut file = SpillFile::create().map_err(spill_err)?;
+        let mut file = sm.spill_file().map_err(spill_err)?;
         let mut record = Vec::new();
         for (index, vals) in self.buf.drain(..) {
             record.clear();

@@ -34,8 +34,8 @@ use std::sync::Arc;
 use parking_lot::RwLock;
 
 use mood_datamodel::{
-    decode_fields, encode_key, encode_value, encode_value_into, FieldSet, Resolver, TypeDescriptor,
-    Value,
+    decode_fields_into, encode_key, encode_value, encode_value_into, FieldSet, Resolver,
+    TypeDescriptor, Value,
 };
 use mood_storage::{AccessHint, FileId, Oid, StorageManager};
 
@@ -504,14 +504,29 @@ impl Catalog {
     /// Decode the stored record of `oid`, materializing the fields `fields`
     /// names. Bytes that do not decode are an error naming the object.
     fn decode_object(oid: Oid, bytes: &[u8], fields: &FieldSet) -> Result<(TypeId, Value)> {
+        let mut value = Value::Null;
+        let type_id = Self::decode_into(oid, bytes, fields, &mut value)?;
+        Ok((type_id, value))
+    }
+
+    /// Decode the stored record `bytes` of `oid` into `out`, materializing
+    /// the fields `fields` names and reusing what `out` holds
+    /// ([`mood_datamodel::decode_fields_into`]); the record's stored type
+    /// id. Bytes that do not decode are an error naming the object.
+    pub fn decode_into(
+        oid: Oid,
+        bytes: &[u8],
+        fields: &FieldSet,
+        out: &mut Value,
+    ) -> Result<TypeId> {
         let unreadable = |why: &dyn std::fmt::Display| {
             CatalogError::Corrupt(format!("object {oid}: {why}"))
         };
         let Some((type_id, value)) = bytes.split_first_chunk::<4>() else {
             return Err(unreadable(&"record too short"));
         };
-        let value = decode_fields(value, fields).map_err(|e| unreadable(&e))?;
-        Ok((u32::from_le_bytes(*type_id), value))
+        decode_fields_into(value, fields, out).map_err(|e| unreadable(&e))?;
+        Ok(u32::from_le_bytes(*type_id))
     }
 
     /// Create an object in `class`'s extent: the MOODSQL
@@ -681,24 +696,22 @@ impl Catalog {
         hint: AccessHint,
         visit: &mut dyn FnMut(Oid, Value) -> bool,
     ) -> Result<()> {
-        self.extent_fields_with(class, &FieldSet::All, hint, visit)
+        self.extent_fields_with(&[class.to_string()], &FieldSet::All, hint, visit)
     }
 
-    /// [`extent_with`](Self::extent_with) decoding only the fields the
-    /// caller reads. A record that does not decode ends the scan with an
-    /// error: skipping it would silently shorten every answer over the
-    /// extent.
+    /// [`extent_records_with`](Self::extent_records_with) over `classes`,
+    /// each record decoded afresh to the fields the caller reads. A record
+    /// that does not decode ends the scan with an error: skipping it would
+    /// silently shorten every answer over the extent.
     pub fn extent_fields_with(
         &self,
-        class: &str,
+        classes: &[String],
         fields: &FieldSet,
         hint: AccessHint,
         visit: &mut dyn FnMut(Oid, Value) -> bool,
     ) -> Result<()> {
-        let file = self.extent_file(class)?;
-        let heap = self.sm.open_heap(file);
         let mut unreadable = None;
-        heap.scan_hint_with(hint, |oid, bytes| {
+        self.extent_records_with(classes, hint, &mut |oid, bytes| {
             match Self::decode_object(oid, bytes, fields) {
                 Ok((_, v)) => visit(oid, v),
                 Err(e) => {
@@ -708,6 +721,31 @@ impl Catalog {
             }
         })?;
         unreadable.map_or(Ok(()), Err)
+    }
+
+    /// The one heap walk behind every extent scan: the stored records of
+    /// each class's own extent in `classes`, in order, as `(oid, bytes)`
+    /// borrowed from the page ([`decode_into`](Self::decode_into) reads
+    /// one). The visitor returns `false` to stop the whole walk. A class
+    /// without an extent is an error.
+    pub fn extent_records_with(
+        &self,
+        classes: &[String],
+        hint: AccessHint,
+        visit: &mut dyn FnMut(Oid, &[u8]) -> bool,
+    ) -> Result<()> {
+        let mut more = true;
+        for class in classes {
+            if !more {
+                break;
+            }
+            let heap = self.sm.open_heap(self.extent_file(class)?);
+            heap.scan_hint_with(hint, |oid, bytes| {
+                more = visit(oid, bytes);
+                more
+            })?;
+        }
+        Ok(())
     }
 
     /// Scan an extent including subclass extents (`FROM EVERY C`), with an
@@ -761,31 +799,8 @@ impl Catalog {
         hint: AccessHint,
         visit: &mut dyn FnMut(Oid, Value) -> bool,
     ) -> Result<()> {
-        self.extent_every_fields_with(class, minus, &FieldSet::All, hint, visit)
-    }
-
-    /// [`extent_every_with`](Self::extent_every_with) decoding only the
-    /// fields the caller reads.
-    pub fn extent_every_fields_with(
-        &self,
-        class: &str,
-        minus: &[String],
-        fields: &FieldSet,
-        hint: AccessHint,
-        visit: &mut dyn FnMut(Oid, Value) -> bool,
-    ) -> Result<()> {
-        let mut stopped = false;
-        for t in self.every_classes(class, minus) {
-            if stopped {
-                break;
-            }
-            self.extent_fields_with(&t, fields, hint, &mut |oid, v| {
-                let more = visit(oid, v);
-                stopped = !more;
-                more
-            })?;
-        }
-        Ok(())
+        let classes = self.every_classes(class, minus);
+        self.extent_fields_with(&classes, &FieldSet::All, hint, visit)
     }
 
     /// Count of a class's own extent.

@@ -176,13 +176,34 @@ pub fn decode_value(bytes: &[u8]) -> Result<Value, CodecError> {
 }
 
 /// Deserialize a value, materializing only the fields of its top-level
-/// tuple that `fields` names, in stored order. Fields outside the set —
-/// whatever they nest — are stepped over by their encoded length: no
-/// allocation, but every tag and length is still checked, so a damaged
-/// record is an error under any field set. A value that is not a tuple
-/// decodes whole.
+/// tuple that `fields` names: [`decode_fields_into`] a fresh
+/// [`Value::Null`].
 pub fn decode_fields(bytes: &[u8], fields: &FieldSet) -> Result<Value, CodecError> {
-    read_value(&mut Reader { rest: bytes }, fields)
+    let mut value = Value::Null;
+    decode_fields_into(bytes, fields, &mut value)?;
+    Ok(value)
+}
+
+/// The one value reader: decode into `out`, materializing only the fields
+/// of the top-level tuple that `fields` names, in stored order. Fields
+/// outside the set — whatever they nest — are stepped over by their encoded
+/// length: no allocation, but every tag and length is still checked, so a
+/// damaged record is an error under any field set. A value that is not a
+/// tuple decodes whole.
+///
+/// What `out` already holds is reused, not rebuilt: a tuple's field vector
+/// (each name rewritten only where its bytes differ, cut to the fields
+/// decoded so none of the previous value's survives), a string's buffer, a
+/// set's or list's item vector, recursively. A scan that decodes record
+/// after record into the same slots allocates nothing once every slot has
+/// held a record of the extent's shape. The result equals a fresh decode
+/// whatever `out` held; on error `out` holds an unspecified value.
+pub fn decode_fields_into(
+    bytes: &[u8],
+    fields: &FieldSet,
+    out: &mut Value,
+) -> Result<(), CodecError> {
+    read_value(&mut Reader { rest: bytes }, fields, out)
 }
 
 /// A read cursor over borrowed bytes. Every length read from the input is
@@ -228,14 +249,12 @@ impl<'a> Reader<'a> {
     }
 
     fn string(&mut self) -> Result<String, CodecError> {
-        utf8(self.str_bytes()?)
+        Ok(utf8(self.str_bytes()?)?.to_owned())
     }
 }
 
-fn utf8(raw: &[u8]) -> Result<String, CodecError> {
-    std::str::from_utf8(raw)
-        .map(str::to_owned)
-        .map_err(|_| CodecError::BadUtf8)
+fn utf8(raw: &[u8]) -> Result<&str, CodecError> {
+    std::str::from_utf8(raw).map_err(|_| CodecError::BadUtf8)
 }
 
 /// Smallest encodings: a tuple field is a length-prefixed name plus a tag;
@@ -243,13 +262,23 @@ fn utf8(raw: &[u8]) -> Result<String, CodecError> {
 const MIN_FIELD: usize = 5;
 const MIN_ITEM: usize = 1;
 
-fn read_value(r: &mut Reader<'_>, fields: &FieldSet) -> Result<Value, CodecError> {
+fn read_value(r: &mut Reader<'_>, fields: &FieldSet, out: &mut Value) -> Result<(), CodecError> {
     let tag = r.u8()?;
-    Ok(match tag {
+    *out = match tag {
         T_INTEGER => Value::Integer(i32::from_le_bytes(r.array()?)),
         T_FLOAT => Value::Float(f64::from_le_bytes(r.array()?)),
         T_LONG => Value::LongInteger(i64::from_le_bytes(r.array()?)),
-        T_STRING => Value::String(r.string()?),
+        T_STRING => {
+            let s = utf8(r.str_bytes()?)?;
+            match out {
+                Value::String(buf) => {
+                    buf.clear();
+                    buf.push_str(s);
+                    return Ok(());
+                }
+                _ => Value::String(s.to_owned()),
+            }
+        }
         T_CHAR => {
             let c = r.u32()?;
             Value::Char(char::from_u32(c).ok_or(CodecError::BadChar(c))?)
@@ -257,28 +286,48 @@ fn read_value(r: &mut Reader<'_>, fields: &FieldSet) -> Result<Value, CodecError
         T_BOOL => Value::Boolean(r.u8()? != 0),
         T_TUPLE => {
             let (n, fit) = r.count(MIN_FIELD)?;
-            let mut out = Vec::with_capacity(match fields {
-                FieldSet::All => fit,
-                FieldSet::Only(names) => fit.min(names.len()),
-            });
+            let mut kept = match std::mem::replace(out, Value::Null) {
+                Value::Tuple(kept) => kept,
+                _ => Vec::with_capacity(match fields {
+                    FieldSet::All => fit,
+                    FieldSet::Only(names) => fit.min(names.len()),
+                }),
+            };
+            let mut len = 0;
             for _ in 0..n {
                 let name = r.str_bytes()?;
-                if fields.wants(name) {
-                    // The set prunes the object's own fields, not what
-                    // they hold.
-                    out.push((utf8(name)?, read_value(r, &FieldSet::All)?));
-                } else {
+                if !fields.wants(name) {
                     skip_value(r)?;
+                    continue;
                 }
+                if len == kept.len() {
+                    kept.push((utf8(name)?.to_owned(), Value::Null));
+                } else if kept[len].0.as_bytes() != name {
+                    let held = &mut kept[len].0;
+                    held.clear();
+                    held.push_str(utf8(name)?);
+                }
+                // The set prunes the object's own fields, not what they
+                // hold.
+                read_value(r, &FieldSet::All, &mut kept[len].1)?;
+                len += 1;
             }
-            Value::Tuple(out)
+            kept.truncate(len);
+            Value::Tuple(kept)
         }
         T_SET | T_LIST => {
             let (n, fit) = r.count(MIN_ITEM)?;
-            let mut items = Vec::with_capacity(fit);
-            for _ in 0..n {
-                items.push(read_value(r, &FieldSet::All)?);
+            let mut items = match std::mem::replace(out, Value::Null) {
+                Value::Set(items) | Value::List(items) => items,
+                _ => Vec::with_capacity(fit),
+            };
+            for i in 0..n {
+                if i == items.len() {
+                    items.push(Value::Null);
+                }
+                read_value(r, &FieldSet::All, &mut items[i])?;
             }
+            items.truncate(n);
             if tag == T_SET {
                 Value::Set(items)
             } else {
@@ -290,7 +339,8 @@ fn read_value(r: &mut Reader<'_>, fields: &FieldSet) -> Result<Value, CodecError
         }
         T_NULL => Value::Null,
         t => return Err(CodecError::BadTag(t)),
-    })
+    };
+    Ok(())
 }
 
 /// Step over one encoded value without building it.

@@ -19,8 +19,8 @@ pub mod types;
 pub mod value;
 
 pub use codec::{
-    decode_fields, decode_type, decode_value, encode_type, encode_value, encode_value_into,
-    CodecError, FieldSet,
+    decode_fields, decode_fields_into, decode_type, decode_value, encode_type, encode_value,
+    encode_value_into, CodecError, FieldSet,
 };
 pub use deep::{deep_eq, Resolver};
 pub use keys::{encode_key, NotAtomic};

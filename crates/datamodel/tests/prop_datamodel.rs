@@ -1,5 +1,6 @@
 //! Property tests: value codec round-trip for arbitrary value trees, the
-//! field-set reader against the full decode, damaged input, and order
+//! field-set reader against the full decode, decoding into a slot that
+//! holds an earlier value against a fresh decode, damaged input, and order
 //! preservation of the index-key encoding.
 
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -7,7 +8,9 @@ use std::cell::Cell;
 
 use proptest::prelude::*;
 
-use mood_datamodel::{decode_fields, decode_value, encode_key, encode_value, FieldSet, Value};
+use mood_datamodel::{
+    decode_fields, decode_fields_into, decode_value, encode_key, encode_value, FieldSet, Value,
+};
 use mood_storage::{FileId, Oid, PageId, SlotId};
 
 thread_local! {
@@ -116,8 +119,78 @@ fn subset(fields: &[(String, Value)], mask: u8) -> FieldSet {
     set
 }
 
+/// What a scan's slot may hold before the next record lands in it: any
+/// value, or an object of the same names — wider, narrower, in another
+/// order, of other field types, with longer or shorter strings.
+fn arb_slot() -> impl Strategy<Value = Value> {
+    prop_oneof![arb_value(), arb_object().prop_map(Value::Tuple)]
+}
+
+/// `bytes` decoded under `fields` into a slot holding `held` gives what a
+/// fresh decode gives: the same value, or the same error.
+fn same_as_fresh(bytes: &[u8], fields: &FieldSet, held: &Value) {
+    let mut slot = held.clone();
+    let into = decode_fields_into(bytes, fields, &mut slot).map(|()| slot);
+    assert_eq!(into, decode_fields(bytes, fields), "under {fields} into {held:?}");
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
+
+    /// Decoding into a slot is a fresh decode, whatever the slot held:
+    /// no field, string byte or item of the earlier value survives, under
+    /// the whole object, no field, and every subset of its fields.
+    #[test]
+    fn decode_into_a_used_slot_is_a_fresh_decode(
+        fields in arb_object(),
+        held in arb_slot(),
+    ) {
+        let bytes = encode_value(&Value::Tuple(fields.clone()));
+        for mask in 0..=u8::MAX {
+            same_as_fresh(&bytes, &subset(&fields, mask), &held);
+        }
+        same_as_fresh(&bytes, &FieldSet::All, &held);
+        same_as_fresh(&bytes, &FieldSet::NONE, &held);
+        // A slot that held the previous record of a scan.
+        let mut slot = held;
+        for set in [FieldSet::All, FieldSet::NONE, subset(&fields, 0b1010_0101)] {
+            decode_fields_into(&bytes, &set, &mut slot).unwrap();
+            prop_assert_eq!(&slot, &decode_fields(&bytes, &set).unwrap());
+        }
+    }
+
+    /// A non-tuple value decodes into any slot as it decodes afresh.
+    #[test]
+    fn decode_into_a_used_slot_holds_for_any_value(v in arb_value(), held in arb_slot()) {
+        let bytes = encode_value(&v);
+        same_as_fresh(&bytes, &FieldSet::All, &held);
+        same_as_fresh(&bytes, &FieldSet::NONE, &held);
+    }
+
+    /// A truncated or damaged record is the same error into a used slot as
+    /// afresh (and a damaged one that still decodes, the same value).
+    #[test]
+    fn damaged_bytes_into_a_used_slot_match_a_fresh_decode(
+        fields in arb_object(),
+        held in arb_slot(),
+        mask in any::<u8>(),
+        flips in proptest::collection::vec((any::<u16>(), 1u16..256), 1..6),
+    ) {
+        let bytes = encode_value(&Value::Tuple(fields.clone()));
+        let sets = [FieldSet::All, FieldSet::NONE, subset(&fields, mask)];
+        for cut in 0..bytes.len() {
+            for set in &sets {
+                same_as_fresh(&bytes[..cut], set, &held);
+            }
+        }
+        let mut flipped = bytes.clone();
+        for (at, bits) in flips {
+            flipped[at as usize % bytes.len()] ^= bits as u8;
+            for set in &sets {
+                same_as_fresh(&flipped, set, &held);
+            }
+        }
+    }
 
     #[test]
     fn codec_roundtrips_arbitrary_values(v in arb_value()) {

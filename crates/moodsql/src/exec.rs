@@ -20,6 +20,7 @@
 //! tests.
 
 use std::collections::{HashMap, HashSet};
+use std::mem;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -45,7 +46,7 @@ use crate::compiled::{PreparedExpr, RowView, Scratch};
 use crate::error::{Result, SqlError};
 use crate::parser::parse_expr;
 use crate::readset::ReadSets;
-use crate::tail::{group_operands, operand_input, Sink, Tail};
+use crate::tail::{compact, group_operands, operand_input, Sink, Tail};
 
 /// One variable binding set: per range variable, in its slot (its rank
 /// among the statement's read sets), the object bound to it. Merging two
@@ -826,32 +827,6 @@ impl<'a> Executor<'a> {
         Ok(rows.rows)
     }
 
-    /// Stream the extent `BIND(class, var)` ranges over — with its
-    /// subclasses when `var` is an `EVERY` root — into `visit`, each object
-    /// decoded to `var`'s read set.
-    fn scan_extent(
-        &self,
-        class: &str,
-        var: &str,
-        pq: &PreparedQuery,
-        visit: &mut dyn FnMut(Oid, Value) -> bool,
-    ) -> Result<()> {
-        let (root, fields) = (&pq.lowered.root, pq.reads.of(var));
-        if var == root.var && root.every {
-            self.catalog.extent_every_fields_with(
-                class,
-                &root.minus,
-                fields,
-                AccessHint::Sequential,
-                visit,
-            )?;
-        } else {
-            self.catalog
-                .extent_fields_with(class, fields, AccessHint::Sequential, visit)?;
-        }
-        Ok(())
-    }
-
     /// Run one node into `sink`; the number of rows it produced.
     fn exec_plan_node(
         &self,
@@ -932,34 +907,51 @@ impl<'a> Executor<'a> {
         let mut pred_nanos = 0u64;
         let mut scratch = Scratch::new(self);
         // One batch: shared registers, fresh deref cache.
-        let mut flush = |buf: &mut Vec<(Oid, Value)>| -> Result<()> {
-            scanned += buf.len() as u64;
+        let mut flush = |objects: &mut [(Oid, Value)]| -> Result<()> {
+            scanned += objects.len() as u64;
+            let mut n = objects.len();
             if let Some((pred, _)) = filter {
-                registry.add(Metric::BatchRows, buf.len() as u64);
+                registry.add(Metric::BatchRows, n as u64);
                 registry.add(Metric::BatchCount, 1);
                 let (pred_start, pred_before) = (Instant::now(), rec.metrics.snapshot());
-                retain_matching(&mut scratch, pred, var, buf)?;
+                n = keep_matching(&mut scratch, pred, var, objects)?;
                 pred_delta = pred_delta.plus(&rec.metrics.snapshot().delta(&pred_before));
                 pred_nanos += pred_start.elapsed().as_nanos() as u64;
             }
-            kept += buf.len() as u64;
-            sink.push_objects(var, buf)
+            kept += n as u64;
+            sink.push_objects(var, &mut objects[..n])
         };
-        let mut buf: Vec<(Oid, Value)> = Vec::with_capacity(batch);
+        // The batch's slots, kept across batches: a record decodes into
+        // what the slot's previous object left behind.
+        let (mut slab, mut filled) = (Vec::with_capacity(batch), 0);
         let mut first_err: Option<SqlError> = None;
-        self.scan_extent(class, var, pq, &mut |oid, value| {
-            buf.push((oid, value));
-            if buf.len() >= batch {
-                if let Err(e) = flush(&mut buf) {
-                    first_err = Some(e);
-                    return false;
-                }
+        let (root, fields) = (&pq.lowered.root, pq.reads.of(var));
+        let classes = if var == root.var && root.every {
+            self.catalog.every_classes(class, &root.minus)
+        } else {
+            vec![class.to_string()]
+        };
+        self.catalog.extent_records_with(&classes, AccessHint::Sequential, &mut |oid, bytes| {
+            if filled == slab.len() {
+                slab.push((oid, Value::Null));
             }
-            true
+            let slot = &mut slab[filled];
+            slot.0 = oid;
+            let decoded = Catalog::decode_into(oid, bytes, fields, &mut slot.1);
+            filled += 1;
+            let step = match decoded {
+                Err(e) => Err(e.into()),
+                Ok(_) if filled == batch => {
+                    filled = 0;
+                    flush(&mut slab)
+                }
+                Ok(_) => Ok(()),
+            };
+            step.map_err(|e| first_err = Some(e)).is_ok()
         })?;
         first_err.map_or(Ok(()), Err)?;
-        if !buf.is_empty() {
-            flush(&mut buf)?;
+        if filled > 0 {
+            flush(&mut slab[..filled])?;
         }
         if let Some((_, bind_nid)) = filter {
             let (delta, nanos) = window.close(&rec.metrics, sink);
@@ -997,9 +989,11 @@ impl<'a> Executor<'a> {
         let (batch, mut scratch) = (self.config.execution.batch_size.max(1), Scratch::new(self));
         let (mut buf, mut kept) = (Vec::new(), 0u64);
         let mut flush = |buf: &mut Vec<(Oid, Value)>| -> Result<()> {
-            retain_matching(&mut scratch, prepared, var, buf)?;
-            kept += buf.len() as u64;
-            sink.push_objects(var, buf)
+            let n = keep_matching(&mut scratch, prepared, var, buf)?;
+            kept += n as u64;
+            sink.push_objects(var, &mut buf[..n])?;
+            buf.clear();
+            Ok(())
         };
         let right = (files.as_slice(), pq.reads.of(var));
         ind_sel::<SqlError>(self.catalog, class, &bounds, right, &mut |objects| {
@@ -1127,9 +1121,10 @@ struct Bindings<'s> {
 }
 
 impl Sink for Bindings<'_> {
-    fn push_objects(&mut self, var: &str, items: &mut Vec<(Oid, Value)>) -> Result<()> {
+    fn push_objects(&mut self, var: &str, items: &mut [(Oid, Value)]) -> Result<()> {
         let slot = self.slots.slot(var)?;
-        self.rows.extend(items.drain(..).map(|(oid, v)| Row::bound(slot, oid, Arc::new(v))));
+        let taken = items.iter_mut().map(|(oid, v)| (*oid, mem::replace(v, Value::Null)));
+        self.rows.extend(taken.map(|(oid, v)| Row::bound(slot, oid, Arc::new(v))));
         Ok(())
     }
 
@@ -1192,9 +1187,10 @@ impl Targets<'_> {
 }
 
 impl Sink for Targets<'_> {
-    fn push_objects(&mut self, var: &str, items: &mut Vec<(Oid, Value)>) -> Result<()> {
+    fn push_objects(&mut self, var: &str, items: &mut [(Oid, Value)]) -> Result<()> {
         let ours = var == self.var;
-        items.drain(..).try_for_each(|(oid, v)| self.keep(ours.then(|| (oid, Arc::new(v)))))
+        let mut taken = items.iter_mut().map(|(oid, v)| (*oid, mem::replace(v, Value::Null)));
+        taken.try_for_each(|(oid, v)| self.keep(ours.then(|| (oid, Arc::new(v)))))
     }
 
     fn push_rows(&mut self, rows: Vec<Row>) -> Result<()> {
@@ -1204,32 +1200,19 @@ impl Sink for Targets<'_> {
     }
 }
 
-/// One batch through a predicate: the objects of `buf`, bound to `var`, that
-/// it rejects are dropped (shared registers, a fresh dereference cache); the
-/// first evaluation error ends the batch.
-fn retain_matching(
+/// One batch through a predicate: the objects of `items`, bound to `var`,
+/// that it admits move to the front in order (shared registers, a fresh
+/// dereference cache); how many. The first evaluation error ends the batch.
+fn keep_matching(
     scratch: &mut Scratch<'_, '_>,
     pred: &PreparedExpr,
     var: &str,
-    buf: &mut Vec<(Oid, Value)>,
-) -> Result<()> {
+    items: &mut [(Oid, Value)],
+) -> Result<usize> {
     scratch.next_batch();
-    let mut failed = None;
-    buf.retain(|(oid, value)| {
-        if failed.is_some() {
-            return false;
-        }
-        let view = RowView::Object {
-            var,
-            oid: *oid,
-            value,
-        };
-        scratch.matches(pred, view).unwrap_or_else(|e| {
-            failed = Some(e);
-            false
-        })
-    });
-    failed.map_or(Ok(()), Err)
+    compact(items, |(oid, value)| {
+        scratch.matches(pred, RowView::Object { var, oid: *oid, value })
+    })
 }
 
 /// ORDER BY / GROUP BY keys as the expressions they evaluate.

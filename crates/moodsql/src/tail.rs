@@ -37,7 +37,7 @@ use std::time::Instant;
 use mood_algebra::sort::{decode_indexed_list, spill_corrupt, spill_err, Sorter};
 use mood_datamodel::{encode_value_into, Value};
 use mood_storage::spill::SpillFile;
-use mood_storage::{DiskMetrics, Metric, MetricsSnapshot, Oid};
+use mood_storage::{DiskMetrics, Metric, MetricsSnapshot, Oid, StorageManager};
 
 use crate::analyze::{StageActual, StageRec};
 use crate::ast::{Expr, SelectStmt};
@@ -49,9 +49,11 @@ use crate::readset::ReadSets;
 /// Where a plan node's output goes: the statement's tail, a DML target
 /// collector, a join's input, or a plain row vector.
 pub(crate) trait Sink {
-    /// Consume scanned objects bound to `var`, leaving `items` empty for
-    /// the scan to refill.
-    fn push_objects(&mut self, var: &str, items: &mut Vec<(Oid, Value)>) -> Result<()>;
+    /// Consume scanned objects bound to `var`. The slots stay the
+    /// caller's: a sink reads the objects in place, and one that keeps an
+    /// object takes it out (`mem::replace(v, Value::Null)`). A scan decodes
+    /// its next batch into whatever the sink left.
+    fn push_objects(&mut self, var: &str, items: &mut [(Oid, Value)]) -> Result<()>;
     fn push_rows(&mut self, rows: Vec<Row>) -> Result<()>;
     /// Page delta and time the sink has accounted to stages of its own.
     fn spent(&self) -> (MetricsSnapshot, u64) {
@@ -60,6 +62,23 @@ pub(crate) trait Sink {
     /// The nested-loop FROM stage, measured by its driver (the sink's own
     /// windows already subtracted).
     fn record_from(&mut self, _rows: u64, _delta: MetricsSnapshot, _nanos: u64) {}
+}
+
+/// Move the items `keep` admits to the front of `items`, in order, and
+/// return how many there are; the rejected ones stay behind them, for the
+/// caller to reuse. The first error ends the pass.
+pub(crate) fn compact<T>(
+    items: &mut [T],
+    mut keep: impl FnMut(&T) -> Result<bool>,
+) -> Result<usize> {
+    let mut kept = 0;
+    for i in 0..items.len() {
+        if keep(&items[i])? {
+            items.swap(kept, i);
+            kept += 1;
+        }
+    }
+    Ok(kept)
 }
 
 // ----------------------------------------------------------------------
@@ -289,7 +308,12 @@ struct Aggregator<'e> {
 }
 
 impl Aggregator<'_> {
-    fn add(&mut self, ctx: &mut Scratch<'_, '_>, view: RowView<'_>) -> Result<()> {
+    fn add(
+        &mut self,
+        ctx: &mut Scratch<'_, '_>,
+        sm: &StorageManager,
+        view: RowView<'_>,
+    ) -> Result<()> {
         self.key.clear();
         for k in self.keys {
             encode_value_into(&mut self.key, &ctx.eval(k, view)?);
@@ -328,7 +352,7 @@ impl Aggregator<'_> {
                 }
                 let file = match &mut self.parts[fnv1a(&self.key) as usize % AGG_PARTITIONS] {
                     Some(f) => f,
-                    slot => slot.insert(SpillFile::create().map_err(spill_err)?),
+                    slot => slot.insert(sm.spill_file().map_err(spill_err)?),
                 };
                 return Ok(file.write_record(&self.record).map_err(spill_err)?);
             }
@@ -587,7 +611,7 @@ impl<'e, 'a> Tail<'e, 'a> {
         if let Some(agg) = &mut self.agg {
             let window = self.clock.start();
             for view in batch.views() {
-                agg.add(&mut self.scratch, view)?;
+                agg.add(&mut self.scratch, self.ex.catalog.storage(), view)?;
             }
             self.clock.stop("GROUP BY", window, 0);
             return Ok(());
@@ -735,15 +759,14 @@ impl<'e, 'a> Tail<'e, 'a> {
 }
 
 impl Sink for Tail<'_, '_> {
-    fn push_objects(&mut self, var: &str, items: &mut Vec<(Oid, Value)>) -> Result<()> {
+    fn push_objects(&mut self, var: &str, items: &mut [(Oid, Value)]) -> Result<()> {
+        let mut n = items.len();
         if let Some(union) = &mut self.union {
             let window = self.clock.start();
-            items.retain(|(oid, _)| union.admit_object(var, *oid));
-            self.clock.stop("WHERE:UNION", window, items.len() as u64);
+            n = compact(items, |(oid, _)| Ok(union.admit_object(var, *oid)))?;
+            self.clock.stop("WHERE:UNION", window, n as u64);
         }
-        self.consume(Batch::Objects(var, items))?;
-        items.clear();
-        Ok(())
+        self.consume(Batch::Objects(var, &items[..n]))
     }
 
     fn push_rows(&mut self, mut rows: Vec<Row>) -> Result<()> {

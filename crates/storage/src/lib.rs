@@ -85,6 +85,9 @@ pub struct StorageManager {
     /// managers keep only the live-rollback bookkeeping — there is nothing
     /// to recover after a "crash", so they skip the log traffic entirely.
     durable: bool,
+    /// Where sort and aggregation runs spill: a file-backed database's own
+    /// directory, the OS temp directory otherwise.
+    spill_dir: std::path::PathBuf,
 }
 
 impl StorageManager {
@@ -103,15 +106,18 @@ impl StorageManager {
     }
 
     /// A file-backed storage manager rooted at `dir` (pages under
-    /// `dir/pages`, log at `dir/wal.log`). Replays the WAL before serving:
-    /// a process that died after commit but before its pages were flushed
-    /// gets them back here.
+    /// `dir/pages`, log at `dir/wal.log`, spilled runs beside them).
+    /// Replays the WAL before serving: a process that died after commit but
+    /// before its pages were flushed gets them back here, and the runs a
+    /// process that died mid-statement left are deleted.
     pub fn on_disk(dir: impl AsRef<std::path::Path>, frames: usize) -> Result<Self> {
         let dir = dir.as_ref();
         std::fs::create_dir_all(dir)?;
+        spill::sweep(dir)?;
         let disk: Arc<dyn Disk> = Arc::new(FileDisk::open(dir.join("pages"))?);
         let log = Box::new(FileLog::open(dir.join("wal.log"))?);
-        Self::with_parts(disk, log, frames)
+        let sm = Self::with_parts(disk, log, frames)?;
+        Ok(StorageManager { spill_dir: dir.to_path_buf(), ..sm })
     }
 
     /// Assemble a durable manager from caller-supplied parts — how the
@@ -151,7 +157,14 @@ impl StorageManager {
             registry: Arc::new(registry),
             btrees: Mutex::new(HashMap::new()),
             durable,
+            spill_dir: std::env::temp_dir(),
         }
+    }
+
+    /// A fresh run file for a spilling sort or aggregation, in this
+    /// database's spill directory.
+    pub fn spill_file(&self) -> std::io::Result<SpillFile> {
+        SpillFile::create_in(&self.spill_dir)
     }
 
     pub fn pool(&self) -> &Arc<BufferPool> {

@@ -1,7 +1,11 @@
 //! Temp-file spill facility for the external merge sort.
 //!
 //! A [`SpillFile`] is a write-once, read-once run of length-prefixed
-//! records in the OS temp directory. The external sort writes one spill
+//! records in a spill directory: beside a file-backed database's pages,
+//! the OS temp directory for an in-memory one
+//! ([`StorageManager::spill_file`](crate::StorageManager::spill_file)).
+//! A run a dead process left behind is [`sweep`]ed when its database
+//! next opens. The external sort writes one spill
 //! file per sorted run that exceeds its in-memory budget, then opens all
 //! runs as [`SpillReader`]s for the k-way merge. Files are unlinked on
 //! drop (reader or unconsumed writer alike), so an aborted query leaves
@@ -14,7 +18,7 @@
 
 use std::fs::{File, OpenOptions};
 use std::io::{BufReader, BufWriter, Read, Seek, SeekFrom, Write};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::metrics::{AccessKind, DiskMetrics};
@@ -23,9 +27,27 @@ use crate::page::PAGE_SIZE;
 /// Process-unique suffix counter for spill file names.
 static SPILL_SEQ: AtomicU64 = AtomicU64::new(0);
 
-fn spill_path() -> PathBuf {
+/// Every run's file name is `mood-spill-<pid>-<seq>.run`.
+const PREFIX: &str = "mood-spill-";
+const SUFFIX: &str = ".run";
+
+fn spill_path(dir: &Path) -> PathBuf {
     let seq = SPILL_SEQ.fetch_add(1, Ordering::Relaxed);
-    std::env::temp_dir().join(format!("mood-spill-{}-{seq}.run", std::process::id()))
+    dir.join(format!("{PREFIX}{}-{seq}{SUFFIX}", std::process::id()))
+}
+
+/// Delete the runs left in `dir` by a process that died mid-statement (a
+/// run unlinks itself when its statement ends).
+pub fn sweep(dir: &Path) -> std::io::Result<()> {
+    for entry in std::fs::read_dir(dir)? {
+        let entry = entry?;
+        let name = entry.file_name();
+        let name = name.to_string_lossy();
+        if name.starts_with(PREFIX) && name.ends_with(SUFFIX) {
+            std::fs::remove_file(entry.path())?;
+        }
+    }
+    Ok(())
 }
 
 /// Pages needed to hold `bytes` bytes (at least 1 for a non-empty run).
@@ -54,9 +76,9 @@ pub struct SpillFile {
 }
 
 impl SpillFile {
-    /// Create a fresh spill file in the OS temp directory.
-    pub fn create() -> std::io::Result<SpillFile> {
-        let path = spill_path();
+    /// Create a fresh spill file in `dir`.
+    pub fn create_in(dir: &Path) -> std::io::Result<SpillFile> {
+        let path = spill_path(dir);
         let file = OpenOptions::new()
             .create_new(true)
             .read(true)
@@ -169,7 +191,7 @@ mod tests {
 
     #[test]
     fn roundtrip_preserves_records_in_order() {
-        let mut f = SpillFile::create().unwrap();
+        let mut f = SpillFile::create_in(&std::env::temp_dir()).unwrap();
         let recs: Vec<Vec<u8>> = (0..100u32).map(|i| i.to_le_bytes().to_vec()).collect();
         for r in &recs {
             f.write_record(r).unwrap();
@@ -184,14 +206,14 @@ mod tests {
 
     #[test]
     fn files_are_deleted_on_drop() {
-        let mut f = SpillFile::create().unwrap();
+        let mut f = SpillFile::create_in(&std::env::temp_dir()).unwrap();
         f.write_record(b"x").unwrap();
         let path = f._unlink.0.clone();
         assert!(path.exists());
         drop(f);
         assert!(!path.exists(), "writer drop unlinks");
 
-        let mut f = SpillFile::create().unwrap();
+        let mut f = SpillFile::create_in(&std::env::temp_dir()).unwrap();
         f.write_record(b"y").unwrap();
         let r = f.into_reader(None).unwrap();
         let path = r._unlink.0.clone();
@@ -203,7 +225,7 @@ mod tests {
     #[test]
     fn io_is_charged_in_page_equivalents() {
         let m = DiskMetrics::new();
-        let mut f = SpillFile::create().unwrap();
+        let mut f = SpillFile::create_in(&std::env::temp_dir()).unwrap();
         // ~2.5 pages of payload → 3 page-equivalent writes.
         let rec = vec![7u8; PAGE_SIZE];
         for _ in 0..2 {
@@ -221,7 +243,7 @@ mod tests {
 
     #[test]
     fn empty_run_reads_back_empty() {
-        let f = SpillFile::create().unwrap();
+        let f = SpillFile::create_in(&std::env::temp_dir()).unwrap();
         let m = DiskMetrics::new();
         let mut r = f.into_reader(Some(&m)).unwrap();
         assert!(r.next_record().unwrap().is_none());

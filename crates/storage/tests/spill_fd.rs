@@ -29,7 +29,7 @@ fn spill_files() -> usize {
 fn spill_cycles_leak_no_descriptor_and_no_file() {
     let before = open_fds();
     for i in 0..300u32 {
-        let mut f = SpillFile::create().unwrap();
+        let mut f = SpillFile::create_in(&std::env::temp_dir()).unwrap();
         f.write_record(&i.to_le_bytes()).unwrap();
         let mut r = f.into_reader(None).unwrap();
         assert_eq!(
@@ -42,7 +42,7 @@ fn spill_cycles_leak_no_descriptor_and_no_file() {
     assert_eq!(spill_files(), 0, "every run unlinked its file");
 
     // A run that is never read back still cleans up after itself.
-    let mut unread = SpillFile::create().unwrap();
+    let mut unread = SpillFile::create_in(&std::env::temp_dir()).unwrap();
     unread.write_record(b"abandoned").unwrap();
     assert_eq!(spill_files(), 1);
     drop(unread);
@@ -58,7 +58,7 @@ fn spill_cycles_leak_no_descriptor_and_no_file() {
         let slot = &mut partitions[(i * 7) as usize % 64];
         let file = match slot {
             Some(f) => f,
-            None => slot.insert(SpillFile::create().unwrap()),
+            None => slot.insert(SpillFile::create_in(&std::env::temp_dir()).unwrap()),
         };
         file.write_record(&i.to_le_bytes()).unwrap();
     }

@@ -2,10 +2,12 @@
 //! guarantees ("backup and recovery of data", "controlling data access and
 //! concurrency") exercised through the kernel and the raw storage API.
 
+use std::path::Path;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use mood_core::{Mood, Value};
+use mood_core::{Answer, MethodSig, Mood, TypeDescriptor, Value};
 use mood_storage::{
     BufferPool, Disk, DiskMetrics, FaultyDisk, HeapFile, LockManager, LockMode, MemDisk, MemLog,
     PageId, StorageError, Wal,
@@ -38,6 +40,61 @@ fn database_survives_reopen_with_indexes_and_methods() {
         db.execute("CREATE CLASS Audit TUPLE (note String)")
             .unwrap();
         db.execute("new Audit <'reopened fine'>").unwrap();
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// The spilled runs (`mood-spill-<pid>-<seq>.run`) directly in `dir`.
+fn runs_in(dir: &Path) -> usize {
+    let runs = std::fs::read_dir(dir).unwrap().filter_map(|e| e.ok());
+    let names = runs.map(|e| e.file_name().to_string_lossy().into_owned());
+    names.filter(|n| n.starts_with("mood-spill-") && n.ends_with(".run")).count()
+}
+
+#[test]
+fn spilled_runs_live_beside_the_database_and_are_swept_on_open() {
+    let dir = std::env::temp_dir().join(format!("mood-spill-home-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    {
+        let db = Mood::open(&dir).unwrap();
+        db.execute("CREATE CLASS Reading TUPLE (id Integer, k Integer)")
+            .unwrap();
+        for i in 0..40 {
+            db.execute(&format!("new Reading <{i}, {}>", (i * 7) % 40))
+                .unwrap();
+        }
+        // A method in the projection runs while the sort forms its runs
+        // (one object a batch): it notes the most runs it sees beside the
+        // database.
+        let most = Arc::new(AtomicUsize::new(0));
+        let (seen, home) = (most.clone(), dir.clone());
+        let runs = MethodSig::new("runs", TypeDescriptor::integer(), vec![]);
+        db.register_native_method(
+            "Reading",
+            runs,
+            Arc::new(move |_, _, _| {
+                seen.fetch_max(runs_in(&home), Ordering::Relaxed);
+                Ok(Value::Integer(0))
+            }),
+        )
+        .unwrap();
+        db.set_sort_budget(2);
+        db.set_batch_size(1);
+        let sql = "SELECT r.id, r.runs() FROM Reading r ORDER BY r.k";
+        let Answer::Rows(rows) = db.execute(sql).unwrap() else {
+            panic!("{sql}: no rows")
+        };
+        assert_eq!(rows.len(), 40);
+        assert!(db.engine_metrics().batch.spilled_runs > 0, "the sort did not spill");
+        assert!(most.load(Ordering::Relaxed) > 0, "no run under {}", dir.display());
+        assert_eq!(runs_in(&dir), 0, "a finished sort left its runs");
+    }
+    // A run a process that died mid-sort left behind.
+    let stale = dir.join("mood-spill-1-0.run");
+    std::fs::write(&stale, b"stale").unwrap();
+    {
+        let _db = Mood::open(&dir).unwrap();
+        assert!(!stale.exists(), "reopen kept a stale run");
     }
     std::fs::remove_dir_all(&dir).unwrap();
 }

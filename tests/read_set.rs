@@ -953,6 +953,43 @@ fn an_attribute_newer_than_the_record_reads_null() {
     assert_eq!(stored.field("price"), Some(&Value::Integer(3)));
 }
 
+/// A scan decodes each record into a batch slot an earlier object used.
+/// Every third record is rewritten after `price` exists, with a price; the
+/// others are from before it. In one batch a priced record fills a slot
+/// before an older one does (at batch 1 every time, at 7 wherever their
+/// positions meet), and the older one still reads NULL — its slot keeps no
+/// field the record lacks.
+#[test]
+fn a_recycled_slot_never_lends_an_old_record_a_newer_attribute() {
+    let db = build(Fixture::Plain);
+    let c = db.catalog();
+    c.add_attribute("Vehicle", "price", TypeDescriptor::integer())
+        .unwrap();
+    for (i, (oid, mut value)) in c.extent("Vehicle").unwrap().into_iter().enumerate() {
+        if let (0, Value::Tuple(fields)) = (i % 3, &mut value) {
+            fields.push(("price".to_string(), Value::Integer(i as i32 % 5)));
+            c.update_object(oid, value).unwrap();
+        }
+    }
+    let stored = c.extent("Vehicle").unwrap();
+    let priced: Vec<bool> = stored.iter().map(|(_, v)| v.field("price").is_some()).collect();
+    assert!(
+        priced.windows(2).any(|w| w[0] && !w[1]),
+        "no priced record precedes an older one: {priced:?}"
+    );
+    let corpus = [
+        "SELECT v.id, v.price FROM Vehicle v",
+        "SELECT v.id, v.price FROM Vehicle v WHERE v.weight > 0",
+        "SELECT v.id FROM Vehicle v WHERE v.price = 3",
+        "SELECT v.id, v.price FROM Vehicle v WHERE v.price = 3 OR v.weight < 900",
+        "SELECT COUNT(v.price), COUNT(*) FROM Vehicle v",
+        "SELECT v.color, COUNT(v.price) FROM Vehicle v GROUP BY v.color",
+        "SELECT DISTINCT v.price FROM Vehicle v",
+        "SELECT v.id, v.price FROM EVERY Vehicle v ORDER BY v.id",
+    ];
+    check_everywhere(&db, &corpus);
+}
+
 // ----------------------------------------------------------------------
 // A record that does not decode is an error, not a shorter answer
 // ----------------------------------------------------------------------

@@ -2,7 +2,8 @@
 //! the number of rows that flow through it — measured, with a counting
 //! allocator, as the peak of live heap bytes while a statement runs. The
 //! same allocator pins what every statement stands on: a buffer-pool hit
-//! allocates nothing.
+//! allocates nothing, and neither does a scanned object once its batch's
+//! slots have filled.
 //!
 //! The allocator counts per thread and the statements run at parallelism
 //! 1, so tests running beside each other do not see one another.
@@ -17,10 +18,17 @@ thread_local! {
     /// the last reset.
     static LIVE: Cell<isize> = const { Cell::new(0) };
     static PEAK: Cell<isize> = const { Cell::new(0) };
+    /// Allocations (and reallocations) this thread has made.
+    static ALLOCS: Cell<usize> = const { Cell::new(0) };
 }
 
-/// The system allocator, counting live bytes per thread.
+/// The system allocator, counting live bytes and allocations per thread.
 struct CountLive;
+
+fn note_alloc(delta: isize) {
+    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+    note(delta);
+}
 
 fn note(delta: isize) {
     // A thread may allocate while it is being torn down: then there is
@@ -35,7 +43,7 @@ fn note(delta: isize) {
 // `GlobalAlloc` contract; `note` only writes thread-local integers.
 unsafe impl GlobalAlloc for CountLive {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        note(layout.size() as isize);
+        note_alloc(layout.size() as isize);
         // SAFETY: the caller's obligations are passed through as they are.
         unsafe { System.alloc(layout) }
     }
@@ -47,7 +55,7 @@ unsafe impl GlobalAlloc for CountLive {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        note(new_size as isize - layout.size() as isize);
+        note_alloc(new_size as isize - layout.size() as isize);
         // SAFETY: `ptr` came from `System` with this layout.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -135,6 +143,37 @@ fn distinct_holds_a_few_batches_and_its_set() {
             "{execution} execution peaked at {peak} bytes"
         );
     }
+}
+
+/// Allocations of one execution of `sql`, after a first one that prepared
+/// the plan and compiled its programs.
+fn allocations(db: &Mood, sql: &str) -> usize {
+    peak_and_answer(db, sql, 0);
+    let before = ALLOCS.with(Cell::get);
+    peak_and_answer(db, sql, 0);
+    ALLOCS.with(Cell::get) - before
+}
+
+#[test]
+fn a_scanned_object_allocates_nothing() {
+    // Every object is decoded (the read set is {id, k}) and rejected: what
+    // is left is the scan's own cost per object.
+    let sql = "SELECT r.id FROM Reading r WHERE r.k < 0";
+    let n = 8_000;
+    let counts = [n, 2 * n].map(|n| {
+        let db = readings(n);
+        db.set_batch_size(1_024);
+        allocations(&db, sql)
+    });
+    // A batch's slots are reused for the next batch's objects: twice the
+    // extent costs the same. A fresh tuple per object (its vector and one
+    // name per field read) would add 3 allocations per added object.
+    let added = counts[1].saturating_sub(counts[0]);
+    assert!(
+        added < n as usize / 8,
+        "{n} -> {} objects: {counts:?} allocations ({added} added)",
+        2 * n
+    );
 }
 
 #[test]
