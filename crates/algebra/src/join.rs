@@ -17,6 +17,7 @@
 //! worker.
 
 use std::collections::HashMap;
+use std::mem;
 
 use mood_catalog::{Catalog, CatalogError};
 use mood_datamodel::{FieldSet, Value};
@@ -26,6 +27,7 @@ use mood_storage::{AccessHint, FileId, Metric, Oid, PageId, StorageError};
 use crate::collection::{join_return, Collection, Kind, Obj};
 use crate::error::Result;
 use crate::ops::deref;
+use crate::slab::Slab;
 
 pub use mood_cost::JoinMethod;
 
@@ -56,10 +58,11 @@ pub type Emit<'e, R, E> = dyn FnMut(&mut Vec<(usize, R)>) -> std::result::Result
 pub enum JoinRight<'a, R> {
     /// A class left unmaterialized: its members are the objects stored in
     /// the extents of `classes` — a class and its subclasses
-    /// ([`Catalog::every_classes`]), or the range a FROM item names. A
-    /// probe fetches the referenced members decoded to `fields` (the right
-    /// variable's read set) and keeps those the caller's `bind` admits.
-    Class { classes: &'a [String], fields: &'a FieldSet },
+    /// ([`Catalog::every_classes`]), or the range a FROM item names — whose
+    /// extent files are `files`. A probe fetches the referenced members
+    /// decoded to `fields` (the right variable's read set) and keeps those
+    /// the caller's `bind` admits.
+    Class { classes: &'a [String], files: &'a [FileId], fields: &'a FieldSet },
     /// Materialized members keyed by OID (an OID may carry several); a
     /// reference to anything else joins nothing.
     Members(HashMap<Oid, Vec<R>>),
@@ -164,7 +167,7 @@ pub fn join_pairs<R: Clone, E: From<CatalogError>>(
     emit: &mut Emit<'_, R, E>,
 ) -> std::result::Result<(), E> {
     let right = match right {
-        JoinRight::Class { classes, fields } if materializes_class(method) => {
+        JoinRight::Class { classes, fields, .. } if materializes_class(method) => {
             JoinRight::Members(scan_class(catalog, classes, fields, bind)?)
         }
         right => right,
@@ -181,39 +184,50 @@ pub fn join_pairs<R: Clone, E: From<CatalogError>>(
 }
 
 /// Where the ordered fetch ([`crate::ind_sel`], the joins) hands each
-/// readahead window's objects, to be drained: the vector is reused.
-pub type Window<'w, E> = dyn FnMut(&mut Vec<(Oid, Value)>) -> std::result::Result<(), E> + 'w;
+/// readahead window's objects: the slab they were decoded into, behind
+/// whatever the callee left live in it. The callee consumes what it is done
+/// with ([`Slab::consume`]); what it leaves stays ahead of the next window's
+/// objects.
+pub type Window<'w, E> = dyn FnMut(&mut Slab) -> std::result::Result<(), E> + 'w;
 
 /// The one ordered fetch — forward and backward traversal, the hash
 /// partition and [`crate::ind_sel`]: the objects among `oids` stored in
-/// `files`, each once, decoded to `fields`, read in (page, slot) order one
-/// readahead window at a time (`prefetch_run`, then one `fetch_fields_with`,
-/// one pool access per page) and handed to `window` once the window's pages
-/// are released, so a caller that dereferences never runs under a pin. An
-/// OID that points at nothing is skipped; any other storage failure is the
-/// fetch's error, never a shorter result.
+/// `files`, each once, decoded to `fields` into `slab`, read in (page, slot)
+/// order one readahead window at a time (`prefetch_run`, then one
+/// `fetch_records_with`, one pool access per page) and handed to `window`
+/// once the window's pages are released, so a caller that dereferences
+/// never runs under a pin. An OID that points at nothing is skipped; any
+/// other storage failure is the fetch's error, never a shorter result.
 pub(crate) fn fetch_targets<E: From<CatalogError>>(
     catalog: &Catalog,
     (files, fields): (&[FileId], &FieldSet),
     oids: &mut Vec<Oid>,
+    slab: &mut Slab,
     window: &mut Window<'_, E>,
 ) -> std::result::Result<(), E> {
     oids.retain(|oid| files.contains(&oid.file));
     oids.sort_unstable();
     oids.dedup();
-    let mut pages: Vec<(FileId, PageId)> = oids.iter().map(|o| (o.file, o.page)).collect();
-    pages.dedup();
+    // Targets on one page need no page list: a one-page run prefetches
+    // nothing.
+    let mut pages: Vec<(FileId, PageId)> = Vec::new();
+    if oids.first().map(|o| (o.file, o.page)) != oids.last().map(|o| (o.file, o.page)) {
+        pages.extend(oids.iter().map(|o| (o.file, o.page)));
+        pages.dedup();
+    }
     let pool = catalog.storage().pool();
-    let mut objects: Vec<(Oid, Value)> = Vec::new();
     let mut rest = oids.as_slice();
     while let Some(first) = rest.first() {
         let (file, page) = (first.file, first.page);
         let run = pool.prefetch_run(&pages, (file, page)).max(1);
         let n = rest.partition_point(|o| o.file == file && o.page.0 < page.0 + run);
-        let visit = &mut |oid, value| objects.push((oid, value));
-        catalog.fetch_fields_with(&rest[..n], fields, visit)?;
-        window(&mut objects)?;
-        objects.clear();
+        let mut failed = None;
+        catalog.fetch_records_with(&rest[..n], &mut |oid, bytes| {
+            failed = slab.decode(oid, bytes, fields).err();
+            failed.is_none()
+        })?;
+        failed.map_or(Ok(()), Err)?;
+        window(slab)?;
         rest = &rest[n..];
     }
     Ok(())
@@ -231,15 +245,17 @@ fn targets_of<'r, R>(right: &'r JoinRight<'_, R>, fetched: &'r [(Oid, R)], oid: 
     }
 }
 
-/// The members `bind` makes of one fetched window, appended to `out`.
+/// The members `bind` makes of one fetched window, appended to `out`; each
+/// object is bound whole, out of its slot.
 fn bind_window<R, E>(
     bind: &mut Bind<'_, R, E>,
-    objects: &mut Vec<(Oid, Value)>,
+    slab: &mut Slab,
     out: &mut Vec<(Oid, R)>,
 ) -> std::result::Result<(), E> {
-    for (oid, value) in objects.drain(..) {
-        out.extend(bind(oid, value)?.map(|r| (oid, r)));
+    for (oid, value) in slab.objects() {
+        out.extend(bind(*oid, mem::replace(value, Value::Null))?.map(|r| (*oid, r)));
     }
+    slab.consume(slab.len());
     Ok(())
 }
 
@@ -261,18 +277,14 @@ fn probe<R: Clone, E: From<CatalogError>>(
     let batch_size = batch_size.max(1);
     let registry = catalog.storage().registry();
     let mut out = Vec::new();
-    let (mut oids, mut fetched) = (Vec::new(), Vec::new());
-    let files = match right {
-        JoinRight::Class { classes, .. } => catalog.extent_files(classes),
-        JoinRight::Members(_) => Vec::new(),
-    };
+    let (mut oids, mut fetched, mut slab) = (Vec::new(), Vec::new(), Slab::default());
     for (b, chunk) in left.chunks(batch_size).enumerate() {
-        if let JoinRight::Class { fields, .. } = right {
+        if let JoinRight::Class { files, fields, .. } = right {
             oids.clear();
             oids.extend(chunk.iter().flat_map(|(_, value)| refs_of(value, attr)));
             fetched.clear();
             let window = &mut |w: &mut _| bind_window(bind, w, &mut fetched);
-            fetch_targets(catalog, (&files, fields), &mut oids, window)?;
+            fetch_targets(catalog, (files, fields), &mut oids, &mut slab, window)?;
         }
         for (i, (_, value)) in chunk.iter().enumerate() {
             let at = b * batch_size + i;
@@ -306,11 +318,10 @@ fn hash_partition<R: Clone, E: From<CatalogError>>(
     }
     partitions.sort_unstable();
     let mut fetched = Vec::new();
-    if let JoinRight::Class { classes, fields } = right {
+    if let JoinRight::Class { files, fields, .. } = right {
         let mut oids: Vec<Oid> = partitions.iter().map(|&(oid, _)| oid).collect();
-        let files = catalog.extent_files(classes);
         let window = &mut |w: &mut _| bind_window(bind, w, &mut fetched);
-        fetch_targets(catalog, (&files, fields), &mut oids, window)?;
+        fetch_targets(catalog, (files, fields), &mut oids, &mut Slab::default(), window)?;
     }
     let mut out = Vec::new();
     for (oid, group) in partitions.chunk_by(|a, b| a.0 == b.0).map(|g| (g[0].0, g)) {
@@ -374,12 +385,14 @@ pub fn join(
 ) -> Result<Vec<(Obj, Obj)>> {
     let left_objs = materialize(catalog, left, exec)?;
     let all = FieldSet::All;
-    let classes;
+    let (classes, files);
     let right = match rhs {
         JoinRhs::Class(class) => {
             classes = catalog.every_classes(class, &[]);
+            files = catalog.extent_files(&classes);
             JoinRight::Class {
                 classes: &classes,
+                files: &files,
                 fields: &all,
             }
         }

@@ -27,6 +27,7 @@ pub mod join;
 pub mod ops;
 pub mod restructure;
 pub mod setops;
+pub mod slab;
 pub mod sort;
 
 pub use collection::{
@@ -45,3 +46,4 @@ pub use ops::{
 pub use restructure::{as_extent, as_list, as_set, flatten, nest, partition, project, unnest};
 pub use sort::{sort, Sorter};
 pub use setops::{difference, dup_elim, intersection, union};
+pub use slab::Slab;

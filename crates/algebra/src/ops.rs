@@ -12,6 +12,7 @@ use mood_storage::{AccessHint, FileId, Oid};
 use crate::collection::{Collection, Obj};
 use crate::error::{AlgebraError, Result};
 use crate::join::{fetch_targets, Window};
+use crate::slab::Slab;
 
 /// A predicate over one object. `Sync`, because [`select`] evaluates it
 /// from every worker the [`ExecutionConfig`] asks for.
@@ -171,9 +172,9 @@ pub fn select(
 pub type AttrBounds<'a> = (&'a str, Vec<(Theta, &'a Value)>);
 
 /// `IndSel(arg, BTREE, P)` on a class: the objects stored in `files` that
-/// the conjunction of `bounds` selects, decoded to `fields` and handed to
-/// `window` in ascending OID order by the joins' ordered fetch, one
-/// readahead window at a time. Each attribute's bounds merge into one
+/// the conjunction of `bounds` selects, decoded to `fields` into `slab` and
+/// handed to `window` in ascending OID order by the joins' ordered fetch,
+/// one readahead window at a time. Each attribute's bounds merge into one
 /// interval (the greatest lower and least upper bound, `=` being both),
 /// walked once; several attributes intersect. A stale index entry is
 /// skipped when its object is gone and fetched when it changed, so a
@@ -182,7 +183,8 @@ pub fn ind_sel<E: From<CatalogError> + From<AlgebraError>>(
     catalog: &Catalog,
     class: &str,
     bounds: &[AttrBounds<'_>],
-    (files, fields): (&[FileId], &FieldSet),
+    right: (&[FileId], &FieldSet),
+    slab: &mut Slab,
     window: &mut Window<'_, E>,
 ) -> std::result::Result<(), E> {
     let mut oids: Option<Vec<Oid>> = None;
@@ -193,7 +195,7 @@ pub fn ind_sel<E: From<CatalogError> + From<AlgebraError>>(
             Some(prev) => prev.retain(|oid| hits.binary_search(oid).is_ok()),
         }
     }
-    fetch_targets(catalog, (files, fields), &mut oids.unwrap_or_default(), window)
+    fetch_targets(catalog, right, &mut oids.unwrap_or_default(), slab, window)
 }
 
 /// The OIDs, ascending and each once, the index on `class.attr` files
@@ -375,13 +377,15 @@ mod tests {
     fn ind_sel_oids(cat: &Catalog, bounds: &[AttrBounds<'_>]) -> Result<(Vec<Oid>, usize)> {
         let files = cat.extent_files(&["VehicleEngine".to_string()]);
         let (mut oids, mut windows) = (Vec::new(), 0);
-        let mut window = |objects: &mut Vec<(Oid, Value)>| {
-            oids.extend(objects.drain(..).map(|(oid, _)| oid));
+        let mut window = |slab: &mut Slab| {
+            oids.extend(slab.objects().iter().map(|(oid, _)| *oid));
+            slab.consume(slab.len());
             windows += 1;
             Ok(())
         };
         let right = (files.as_slice(), &FieldSet::All);
-        ind_sel::<AlgebraError>(cat, "VehicleEngine", bounds, right, &mut window)?;
+        let slab = &mut Slab::default();
+        ind_sel::<AlgebraError>(cat, "VehicleEngine", bounds, right, slab, &mut window)?;
         Ok((oids, windows))
     }
 

@@ -417,6 +417,7 @@ proptest! {
         let d_oids: Vec<Oid> =
             (0..n_d).map(|i| new(if i % 3 == 2 { "DSub" } else { "D" }, i)).collect();
         let d_classes = cat.every_classes("D", &[]);
+        let d_files = cat.extent_files(&d_classes);
         let dangling = new("D", n_d);
         cat.delete_object(dangling).unwrap();
         let foreign = new("E", 0);
@@ -491,7 +492,11 @@ proptest! {
                                 let members = d_oids.iter().copied().filter(|&d| admits(d));
                                 JoinRight::Members(members_by_oid(members, |&d| Some(d)))
                             }
-                            _ => JoinRight::Class { classes: &d_classes, fields: &all },
+                            _ => JoinRight::Class {
+                                classes: &d_classes,
+                                files: &d_files,
+                                fields: &all,
+                            },
                         };
                         // The filtered side decides on a fresh catalog fetch:
                         // a bind run while a page is pinned would re-enter

@@ -5,11 +5,12 @@
 //! after commit.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use mood_datamodel::{encode_key, FieldSet, Value};
 use mood_storage::{AccessHint, FileId, Metric, Oid};
 
-use crate::{Catalog, CatalogError, IndexInfo, Result, TypeId};
+use crate::{Catalog, CatalogError, IndexInfo, IndexKey, Result, TypeId};
 
 impl Catalog {
     /// Rewrite `class`'s own extent in referencing-traversal order: objects
@@ -224,10 +225,11 @@ impl Catalog {
         let new_file = self.sm.create_btree(info.unique)?.file_id();
         {
             let mut inner = self.inner.write();
+            let key = (info.class.as_str(), info.attribute.as_str());
             let old = inner
                 .indexes
-                .get_mut(&(info.class.clone(), info.attribute.clone()))
-                .map(|i| std::mem::replace(&mut i.file, new_file));
+                .get_mut(&key as &dyn IndexKey)
+                .map(|i| std::mem::replace(&mut Arc::make_mut(i).file, new_file));
             if let Some(old) = old {
                 inner.pending_drops.push(old);
             }
@@ -263,7 +265,7 @@ impl Catalog {
             })?;
         self.rebuild_attr_index(&IndexInfo {
             attribute: dotted.clone(),
-            ..info
+            ..IndexInfo::clone(&info)
         })
         .and_then(|()| {
             // rebuild_attr_index indexed nothing (a dotted attribute never

@@ -27,15 +27,16 @@ pub use persist::{CatalogRoot, CatalogStore};
 pub use schema::{AttributeDef, ClassBuilder, ClassDef, ClassKind, MethodSig, TypeId};
 pub use stats::{AttrStats, ClassStats, DatabaseStats, RefStats};
 
+use std::borrow::Borrow;
 use std::collections::{HashMap, HashSet};
+use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::RwLock;
 
 use mood_datamodel::{
-    decode_fields_into, encode_key, encode_value, encode_value_into, FieldSet, Resolver,
-    TypeDescriptor, Value,
+    decode_fields_into, encode_key, encode_value_into, FieldSet, Resolver, TypeDescriptor, Value,
 };
 use mood_storage::{AccessHint, FileId, Oid, StorageManager};
 
@@ -50,13 +51,53 @@ pub struct IndexInfo {
     pub file: FileId,
 }
 
+/// An index registry key `(class, attribute)`, so a lookup can borrow both
+/// names instead of building the owned pair. `(&str, &str)` hashes and
+/// compares as the `(String, String)` it stands for.
+trait IndexKey {
+    fn names(&self) -> (&str, &str);
+}
+
+impl IndexKey for (String, String) {
+    fn names(&self) -> (&str, &str) {
+        (&self.0, &self.1)
+    }
+}
+
+impl IndexKey for (&str, &str) {
+    fn names(&self) -> (&str, &str) {
+        *self
+    }
+}
+
+impl<'k> Borrow<dyn IndexKey + 'k> for (String, String) {
+    fn borrow(&self) -> &(dyn IndexKey + 'k) {
+        self
+    }
+}
+
+impl Hash for dyn IndexKey + '_ {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.names().hash(state);
+    }
+}
+
+impl PartialEq for dyn IndexKey + '_ {
+    fn eq(&self, other: &Self) -> bool {
+        self.names() == other.names()
+    }
+}
+
+impl Eq for dyn IndexKey + '_ {}
+
 struct Inner {
     classes: hierarchy::ClassMap,
     by_id: HashMap<TypeId, String>,
     extent_class: HashMap<FileId, String>,
     next_type_id: TypeId,
     store: CatalogStore,
-    indexes: HashMap<(String, String), IndexInfo>,
+    /// Shared, so a lookup hands out the registration without copying it.
+    indexes: HashMap<(String, String), Arc<IndexInfo>>,
     stats: DatabaseStats,
     named: HashMap<String, Oid>,
     /// Files replaced by an in-flight reorganization (old extents, old
@@ -574,40 +615,34 @@ impl Catalog {
         Ok((name, value))
     }
 
-    /// Fetch the objects behind `oids`, each decoded to `fields`, in the
-    /// order given. The extent's heap is opened once per run of OIDs of one
+    /// The stored records behind `oids`, in the order given, as `(oid,
+    /// bytes)` borrowed from the page ([`decode_into`](Self::decode_into)
+    /// reads one). The extent's heap is opened once per run of OIDs of one
     /// file and each of its pages accessed once per run of OIDs on it — sort
-    /// the OIDs first ([`mood_storage::HeapFile::get_batch_with`]) — and the
-    /// value is decoded from the page's bytes. An OID that names nothing (a
-    /// deleted object, a reused slot, no extent) is skipped, as index entries
-    /// may be stale; bytes that do not decode, or a storage failure, are the
-    /// call's error.
-    pub fn fetch_fields_with(
+    /// the OIDs first ([`mood_storage::HeapFile::get_batch_with`]). An OID
+    /// that names nothing (a deleted object, a reused slot, no extent) is
+    /// skipped, as index entries may be stale; a storage failure is the
+    /// call's error. The visitor runs on the pinned page and returns `false`
+    /// to stop the whole fetch.
+    pub fn fetch_records_with(
         &self,
         oids: &[Oid],
-        fields: &FieldSet,
-        visit: &mut dyn FnMut(Oid, Value),
+        visit: &mut dyn FnMut(Oid, &[u8]) -> bool,
     ) -> Result<()> {
-        let mut rest = oids;
-        while let Some(first) = rest.first() {
+        let (mut rest, mut more) = (oids, true);
+        while let Some(first) = rest.first().filter(|_| more) {
             let run = rest.iter().take_while(|o| o.file == first.file).count();
             let (same_file, tail) = rest.split_at(run);
             rest = tail;
             if !self.inner.read().extent_class.contains_key(&first.file) {
                 continue;
             }
-            let mut unreadable = None;
             self.sm
                 .open_heap(first.file)
                 .get_batch_with(same_file, |oid, record| {
-                    match record.map(|bytes| Self::decode_object(oid, bytes, fields)) {
-                        Some(Ok((_, value))) => visit(oid, value),
-                        Some(Err(e)) => unreadable = Some(e),
-                        None => {}
-                    }
-                    unreadable.is_none()
+                    more = record.is_none_or(|bytes| visit(oid, bytes));
+                    more
                 })?;
-            unreadable.map_or(Ok(()), Err)?;
         }
         Ok(())
     }
@@ -846,10 +881,7 @@ impl Catalog {
         }
         {
             let inner = self.inner.read();
-            if inner
-                .indexes
-                .contains_key(&(class.to_string(), attribute.to_string()))
-            {
+            if inner.indexes.contains_key(&(class, attribute) as &dyn IndexKey) {
                 return Err(CatalogError::DuplicateIndex {
                     class: class.to_string(),
                     attribute: attribute.to_string(),
@@ -865,7 +897,7 @@ impl Catalog {
         self.inner
             .write()
             .indexes
-            .insert((class.to_string(), attribute.to_string()), info.clone());
+            .insert((class.to_string(), attribute.to_string()), Arc::new(info.clone()));
         // Build from the existing extent (and subclass extents share the
         // attribute, but each class's index covers its own extent only —
         // matching the per-extent indexing ESM provided). Streamed: the
@@ -895,7 +927,7 @@ impl Catalog {
             let mut inner = self.inner.write();
             let info = inner
                 .indexes
-                .remove(&(class.to_string(), attribute.to_string()))
+                .remove(&(class, attribute) as &dyn IndexKey)
                 .ok_or_else(|| CatalogError::UnknownIndex {
                     class: class.to_string(),
                     attribute: attribute.to_string(),
@@ -963,10 +995,7 @@ impl Catalog {
         let dotted = path.join(".");
         {
             let inner = self.inner.read();
-            if inner
-                .indexes
-                .contains_key(&(class.to_string(), dotted.clone()))
-            {
+            if inner.indexes.contains_key(&(class, dotted.as_str()) as &dyn IndexKey) {
                 return Err(CatalogError::DuplicateIndex {
                     class: class.to_string(),
                     attribute: dotted,
@@ -983,7 +1012,7 @@ impl Catalog {
         self.inner
             .write()
             .indexes
-            .insert((class.to_string(), dotted), info.clone());
+            .insert((class.to_string(), dotted), Arc::new(info.clone()));
         self.rebuild_path_index(class, path)?;
         self.bump_epoch();
         Ok(info)
@@ -1004,9 +1033,8 @@ impl Catalog {
         let new_file = fresh.file_id();
         {
             let mut inner = self.inner.write();
-            if let Some(i) = inner.indexes.get_mut(&(class.to_string(), dotted.clone())) {
-                let old = i.file;
-                i.file = new_file;
+            if let Some(i) = inner.indexes.get_mut(&(class, dotted.as_str()) as &dyn IndexKey) {
+                let old = std::mem::replace(&mut Arc::make_mut(i).file, new_file);
                 self.sm.forget_index(old);
                 self.sm.pool().discard_file(old);
                 let _ = self.sm.pool().disk().drop_file(old);
@@ -1075,22 +1103,20 @@ impl Catalog {
         Ok(frontier)
     }
 
-    /// Registered index on (class, attribute), if any.
-    pub fn index(&self, class: &str, attribute: &str) -> Option<IndexInfo> {
-        self.inner
-            .read()
-            .indexes
-            .get(&(class.to_string(), attribute.to_string()))
-            .cloned()
+    /// Registered index on (class, attribute), if any: the registration
+    /// itself, shared, found without building a key.
+    pub fn index(&self, class: &str, attribute: &str) -> Option<Arc<IndexInfo>> {
+        let inner = self.inner.read();
+        inner.indexes.get(&(class, attribute) as &dyn IndexKey).cloned()
     }
 
     /// All registered indexes.
     pub fn indexes(&self) -> Vec<IndexInfo> {
-        self.inner.read().indexes.values().cloned().collect()
+        self.inner.read().indexes.values().map(|i| IndexInfo::clone(i)).collect()
     }
 
     /// The indexes declared on `class` (each covers that class's own extent).
-    fn class_indexes(&self, class: &str) -> Vec<IndexInfo> {
+    fn class_indexes(&self, class: &str) -> Vec<Arc<IndexInfo>> {
         let inner = self.inner.read();
         inner
             .indexes
@@ -1232,12 +1258,30 @@ impl Catalog {
             let def = self.class(class)?;
             let Some(file) = def.extent else { continue };
             let heap = self.sm.open_heap(file);
-            let objects = self.extent(class)?;
-            let cardinality = objects.len() as u64;
-            let total_bytes: u64 = objects
-                .iter()
-                .map(|(_, v)| encode_value(v).len() as u64 + 4)
-                .sum();
+            let attrs = self.effective_attributes(class)?;
+            // One pass over the extent, each object decoded into the slot the
+            // last one left and fed to every attribute's accumulator: the
+            // statistics hold what they count, never the extent.
+            let mut accs: Vec<AttrAcc> = attrs.iter().map(|a| AttrAcc::new(&a.ty)).collect();
+            let (mut cardinality, mut total_bytes) = (0u64, 0u64);
+            let (mut value, mut encoded) = (Value::Null, Vec::new());
+            let mut unreadable = None;
+            let extent = std::slice::from_ref(class);
+            self.extent_records_with(extent, AccessHint::Sequential, &mut |oid, bytes| {
+                if let Err(e) = Self::decode_into(oid, bytes, &FieldSet::All, &mut value) {
+                    unreadable = Some(e);
+                    return false;
+                }
+                cardinality += 1;
+                encoded.clear();
+                encode_value_into(&mut encoded, &value);
+                total_bytes += encoded.len() as u64 + 4;
+                for (attr, acc) in attrs.iter().zip(&mut accs) {
+                    acc.add(value.field(&attr.name));
+                }
+                true
+            })?;
+            unreadable.map_or(Ok(()), Err)?;
             stats.set_class(
                 class,
                 ClassStats {
@@ -1246,93 +1290,8 @@ impl Catalog {
                     size: total_bytes.checked_div(cardinality).unwrap_or(0),
                 },
             );
-            for attr in self.effective_attributes(class)? {
-                match &attr.ty {
-                    TypeDescriptor::Basic(_) => {
-                        let mut distinct: HashSet<Vec<u8>> = HashSet::new();
-                        let mut notnull = 0u64;
-                        let mut min = f64::INFINITY;
-                        let mut max = f64::NEG_INFINITY;
-                        let mut numeric = false;
-                        for (_, v) in &objects {
-                            let Some(f) = v.field(&attr.name) else {
-                                continue;
-                            };
-                            if f.is_null() {
-                                continue;
-                            }
-                            notnull += 1;
-                            if let Ok(k) = encode_key(f) {
-                                distinct.insert(k);
-                            }
-                            if let Some(x) = f.as_f64() {
-                                numeric = true;
-                                min = min.min(x);
-                                max = max.max(x);
-                            }
-                        }
-                        stats.set_attr(
-                            class,
-                            &attr.name,
-                            AttrStats {
-                                notnull: if cardinality == 0 {
-                                    0.0
-                                } else {
-                                    notnull as f64 / cardinality as f64
-                                },
-                                dist: distinct.len() as u64,
-                                max: numeric.then_some(max),
-                                min: numeric.then_some(min),
-                            },
-                        );
-                    }
-                    ty => {
-                        let Some(target) = ty.referenced_class() else {
-                            continue;
-                        };
-                        let mut links = 0u64;
-                        let mut referenced: HashSet<Oid> = HashSet::new();
-                        let mut chased: Vec<Oid> = Vec::new();
-                        for (_, v) in &objects {
-                            let Some(f) = v.field(&attr.name) else {
-                                continue;
-                            };
-                            let oids: Vec<Oid> = match f {
-                                Value::Ref(o) => vec![*o],
-                                Value::Set(items) | Value::List(items) => {
-                                    items.iter().filter_map(|i| i.as_oid()).collect()
-                                }
-                                _ => Vec::new(),
-                            };
-                            links += oids.len() as u64;
-                            chased.extend(oids.iter().copied());
-                            referenced.extend(oids);
-                        }
-                        // Clustering factor: `objects` is in extent order,
-                        // so this measures the locality an actual forward
-                        // chase would see.
-                        if links > 1 {
-                            stats.set_clustering(
-                                class,
-                                &attr.name,
-                                chase_locality(chased.into_iter()),
-                            );
-                        }
-                        stats.set_ref(
-                            class,
-                            &attr.name,
-                            RefStats {
-                                target: target.to_string(),
-                                fan: if cardinality == 0 {
-                                    0.0
-                                } else {
-                                    links as f64 / cardinality as f64
-                                },
-                                totref: referenced.len() as u64,
-                            },
-                        );
-                    }
-                }
+            for (attr, acc) in attrs.iter().zip(accs) {
+                acc.finish(&mut stats, class, &attr.name, cardinality);
             }
         }
         // Table 9: B+-tree index statistics.
@@ -1351,6 +1310,107 @@ impl Catalog {
 }
 
 /// Deep-equality resolution through the catalog's extents.
+/// One attribute's Table 8 statistics, accumulated object by object over
+/// its class's extent ([`Catalog::collect_stats`]).
+enum AttrAcc {
+    /// An atomic attribute: distinct keys, non-null count, numeric range.
+    Basic { distinct: HashSet<Vec<u8>>, notnull: u64, min: f64, max: f64, numeric: bool },
+    /// A reference (or a set/list of them): links, distinct targets, and
+    /// the targets in extent order for the clustering factor.
+    Ref { target: String, links: u64, referenced: HashSet<Oid>, chased: Vec<Oid> },
+    /// Anything else has no statistics.
+    None,
+}
+
+impl AttrAcc {
+    fn new(ty: &TypeDescriptor) -> AttrAcc {
+        match ty {
+            TypeDescriptor::Basic(_) => AttrAcc::Basic {
+                distinct: HashSet::new(),
+                notnull: 0,
+                min: f64::INFINITY,
+                max: f64::NEG_INFINITY,
+                numeric: false,
+            },
+            ty => match ty.referenced_class() {
+                Some(target) => AttrAcc::Ref {
+                    target: target.to_string(),
+                    links: 0,
+                    referenced: HashSet::new(),
+                    chased: Vec::new(),
+                },
+                None => AttrAcc::None,
+            },
+        }
+    }
+
+    /// One object's value of the attribute (`None`: the object has no
+    /// such field).
+    fn add(&mut self, field: Option<&Value>) {
+        let Some(f) = field else { return };
+        match self {
+            AttrAcc::Basic { distinct, notnull, min, max, numeric } => {
+                if f.is_null() {
+                    return;
+                }
+                *notnull += 1;
+                if let Ok(k) = encode_key(f) {
+                    distinct.insert(k);
+                }
+                if let Some(x) = f.as_f64() {
+                    *numeric = true;
+                    *min = min.min(x);
+                    *max = max.max(x);
+                }
+            }
+            AttrAcc::Ref { links, referenced, chased, .. } => {
+                let items: &[Value] = match f {
+                    Value::Ref(_) => std::slice::from_ref(f),
+                    Value::Set(items) | Value::List(items) => items,
+                    _ => &[],
+                };
+                for oid in items.iter().filter_map(Value::as_oid) {
+                    *links += 1;
+                    chased.push(oid);
+                    referenced.insert(oid);
+                }
+            }
+            AttrAcc::None => {}
+        }
+    }
+
+    /// Record the attribute's statistics for `class` of `cardinality`
+    /// objects.
+    fn finish(self, stats: &mut DatabaseStats, class: &str, attr: &str, cardinality: u64) {
+        let per_object = |n: u64| match cardinality {
+            0 => 0.0,
+            c => n as f64 / c as f64,
+        };
+        match self {
+            AttrAcc::Basic { distinct, notnull, min, max, numeric } => stats.set_attr(
+                class,
+                attr,
+                AttrStats {
+                    notnull: per_object(notnull),
+                    dist: distinct.len() as u64,
+                    max: numeric.then_some(max),
+                    min: numeric.then_some(min),
+                },
+            ),
+            AttrAcc::Ref { target, links, referenced, chased } => {
+                // Clustering factor: `chased` is in extent order, so this
+                // measures the locality an actual forward chase would see.
+                if links > 1 {
+                    stats.set_clustering(class, attr, chase_locality(chased.into_iter()));
+                }
+                let totref = referenced.len() as u64;
+                stats.set_ref(class, attr, RefStats { target, fan: per_object(links), totref });
+            }
+            AttrAcc::None => {}
+        }
+    }
+}
+
 impl Resolver for Catalog {
     fn resolve(&self, oid: Oid) -> Option<Value> {
         self.get_object(oid).ok().map(|(_, v)| v)
@@ -1550,8 +1610,13 @@ mod tests {
         asked.sort();
         let only_id = FieldSet::Only(vec!["id".to_string()]);
         let mut got = Vec::new();
-        cat.fetch_fields_with(&asked, &only_id, &mut |oid, v| got.push((oid, v)))
-            .unwrap();
+        cat.fetch_records_with(&asked, &mut |oid, bytes| {
+            let mut value = Value::Null;
+            Catalog::decode_into(oid, bytes, &only_id, &mut value).unwrap();
+            got.push((oid, value));
+            true
+        })
+        .unwrap();
         // In the order asked, across both extents, less the deleted object
         // and the OID of no extent; only `id` decoded.
         let live: Vec<Oid> = asked

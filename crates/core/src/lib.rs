@@ -222,7 +222,8 @@ impl Mood {
 
     /// Stage trace of the last executed SELECT.
     pub fn last_trace(&self) -> Vec<String> {
-        self.session.lock().last_trace().to_vec()
+        let session = self.session.lock();
+        session.last_trace().iter().map(|stage| stage.to_string()).collect()
     }
 
     /// Use a specific optimizer configuration (physical disk parameters,

@@ -16,7 +16,7 @@
 //! adding the coordinator stage windows (PLAN, GROUP BY, …) reproduces the
 //! query's total counter delta component by component.
 
-use std::collections::HashMap;
+use std::cell::RefCell;
 use std::sync::Mutex;
 use std::time::Instant;
 
@@ -38,32 +38,32 @@ pub struct NodeActual {
     pub nanos: u64,
 }
 
-/// Per-node recording sink for one term's execution. Shared by reference
-/// down the plan walk; a `Mutex` keeps `&Executor` usable from worker
-/// threads (windows themselves are opened on the coordinating thread).
+/// Per-node recording sink for one term's execution, one entry per node id
+/// (`None` until the node records). Shared by reference down the plan walk;
+/// windows are opened and recorded on the coordinating thread only.
 pub(crate) struct AnalyzeRec {
     pub(crate) metrics: DiskMetrics,
-    nodes: Mutex<HashMap<usize, NodeActual>>,
+    nodes: RefCell<Vec<Option<NodeActual>>>,
 }
 
 impl AnalyzeRec {
-    pub(crate) fn new(metrics: DiskMetrics) -> Self {
+    pub(crate) fn new(metrics: DiskMetrics, nodes: usize) -> Self {
         AnalyzeRec {
             metrics,
-            nodes: Mutex::new(HashMap::new()),
+            nodes: RefCell::new(vec![None; nodes]),
         }
     }
 
     pub(crate) fn record(&self, nid: usize, rows: u64, inclusive: MetricsSnapshot, nanos: u64) {
-        let mut nodes = self.nodes.lock().expect("analyze lock");
-        let e = nodes.entry(nid).or_default();
+        let mut nodes = self.nodes.borrow_mut();
+        let e = nodes[nid].get_or_insert_with(NodeActual::default);
         e.rows += rows;
         e.inclusive = e.inclusive.plus(&inclusive);
         e.nanos += nanos;
     }
 
-    pub(crate) fn into_nodes(self) -> HashMap<usize, NodeActual> {
-        self.nodes.into_inner().expect("analyze lock")
+    pub(crate) fn into_nodes(self) -> Vec<Option<NodeActual>> {
+        self.nodes.into_inner()
     }
 }
 
@@ -161,7 +161,7 @@ impl TermReport {
     pub(crate) fn build(
         plan: PlanSet,
         est: Vec<NodeEstimate>,
-        actuals: HashMap<usize, NodeActual>,
+        actuals: Vec<Option<NodeActual>>,
     ) -> TermReport {
         let ds = depths(&plan);
         let kids = children_ids(&plan);
@@ -169,7 +169,7 @@ impl TermReport {
             .into_iter()
             .map(|e| NodeReport {
                 depth: ds[e.id],
-                actual: actuals.get(&e.id).copied(),
+                actual: actuals.get(e.id).copied().flatten(),
                 exclusive: exclusive_of(e.id, &kids, &actuals),
                 est: e,
             })
@@ -392,10 +392,10 @@ impl NodeTable {
 pub(crate) fn record_operator_totals(
     registry: &MetricsRegistry,
     nodes: &NodeTable,
-    actuals: &HashMap<usize, NodeActual>,
+    actuals: &[Option<NodeActual>],
 ) {
     for (id, kind) in nodes.kinds.iter().enumerate() {
-        if let Some(a) = actuals.get(&id) {
+        if let Some(a) = actuals.get(id).and_then(Option::as_ref) {
             let ex = exclusive_of(id, &nodes.kids, actuals);
             registry.record_operator(kind, a.rows, pages(&ex), a.nanos);
         }
@@ -446,17 +446,13 @@ pub(crate) fn children_ids(set: &PlanSet) -> Vec<Vec<usize>> {
     out
 }
 
-fn exclusive_of(
-    id: usize,
-    kids: &[Vec<usize>],
-    actuals: &HashMap<usize, NodeActual>,
-) -> MetricsSnapshot {
-    let Some(a) = actuals.get(&id) else {
+fn exclusive_of(id: usize, kids: &[Vec<usize>], actuals: &[Option<NodeActual>]) -> MetricsSnapshot {
+    let Some(a) = actuals.get(id).and_then(Option::as_ref) else {
         return MetricsSnapshot::default();
     };
     let mut ex = a.inclusive;
-    for k in &kids[id] {
-        if let Some(c) = actuals.get(k) {
+    for &k in &kids[id] {
+        if let Some(c) = actuals.get(k).and_then(Option::as_ref) {
             ex = ex.delta(&c.inclusive);
         }
     }
@@ -534,27 +530,21 @@ mod tests {
     fn exclusive_subtracts_direct_children_only() {
         let set = sample_set();
         let kids = children_ids(&set);
-        let mut actuals = HashMap::new();
+        let mut actuals = vec![None; 6];
         let snap = |rnd: u64| MetricsSnapshot {
             rnd_pages: rnd,
             ..Default::default()
         };
-        actuals.insert(
-            0,
-            NodeActual {
-                rows: 10,
-                inclusive: snap(100),
-                nanos: 0,
-            },
-        );
-        actuals.insert(
-            1,
-            NodeActual {
-                rows: 5,
-                inclusive: snap(30),
-                nanos: 0,
-            },
-        );
+        actuals[0] = Some(NodeActual {
+            rows: 10,
+            inclusive: snap(100),
+            nanos: 0,
+        });
+        actuals[1] = Some(NodeActual {
+            rows: 5,
+            inclusive: snap(30),
+            nanos: 0,
+        });
         // Node 2 (SELECT over BIND(B)) was fused — no record; its pages stay
         // in the join's exclusive.
         let ex = exclusive_of(0, &kids, &actuals);

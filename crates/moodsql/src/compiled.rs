@@ -96,6 +96,10 @@ pub(crate) enum RowView<'r> {
 
 impl<'r> RowView<'r> {
     /// The argument slot of `var`.
+    // Inline (as `PreparedExpr::compiled`): both run once per evaluated
+    // object, and left to the codegen-unit split a filtered scan's predicate
+    // share measured ~20 % slower.
+    #[inline]
     fn arg(self, var: &str) -> Arg<'r> {
         match self {
             RowView::Object { var: v, oid, value } if v == var => Arg::Object(oid, value),
@@ -136,6 +140,7 @@ impl PreparedExpr {
 
     /// The program, compiled now if this is its first use; the time goes to
     /// the registry's `compile.ns`.
+    #[inline]
     fn compiled(&self, catalog: &Catalog) -> Result<&RowProg> {
         let compile = || {
             let start = Instant::now();

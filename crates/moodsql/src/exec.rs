@@ -21,11 +21,11 @@
 
 use std::collections::{HashMap, HashSet};
 use std::mem;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
 use mood_algebra::{
-    ind_sel, join_pairs, materializes_class, members_by_oid, scan_class, JoinRight, LeftObj,
+    ind_sel, join_pairs, materializes_class, members_by_oid, scan_class, JoinRight, LeftObj, Slab,
 };
 use mood_catalog::Catalog;
 use mood_cost::Theta;
@@ -33,12 +33,12 @@ use mood_datamodel::Value;
 use mood_funcman::{Exception, ExceptionKind, FunctionManager, Receiver};
 use mood_optimizer::{estimate_plan_set, optimize, OptimizerConfig, Plan, PlanSet};
 use mood_storage::exec::run_chunked;
-use mood_storage::{AccessHint, DiskMetrics, Metric, MetricsSnapshot, Oid};
+use mood_storage::{AccessHint, DiskMetrics, FileId, Metric, MetricsSnapshot, Oid};
 use mood_trace::Tracer;
 
 use crate::analyze::{
-    op_span, record_operator_totals, render_estimates, AnalyzeRec, AnalyzeReport, NodeTable,
-    StageRec, TermReport,
+    op_span, record_operator_totals, render_estimates, AnalyzeRec, AnalyzeReport, NodeActual,
+    NodeTable, StageRec, TermReport,
 };
 use crate::ast::{CmpOp, Expr, Lit, PathRef, SelectStmt};
 use crate::binder::{lower, Lowered};
@@ -124,20 +124,13 @@ pub struct PreparedQuery {
     pub(crate) stmt: SelectStmt,
     /// Parameters the statement reads (`$1..=$nparams`).
     nparams: u16,
-    lowered: Lowered,
     /// One optimized plan per AND-term of the WHERE clause's DNF. Empty when
     /// the FROM list holds an extent the optimizer's single-root model
-    /// cannot absorb (`lowered.unabsorbed`): FROM + WHERE then run as the
+    /// cannot absorb ([`Lowered::unabsorbed`]): FROM + WHERE then run as the
     /// nested-loop product with the WHERE clause as residual filter.
-    pub(crate) terms: Vec<PlanSet>,
+    pub(crate) terms: Vec<Term>,
     /// Catalog epoch at preparation; a mismatch means the plan is stale.
     pub epoch: u64,
-    /// Per term, its nodes' operator kinds and children: what folding an
-    /// execution's actuals into the operator totals reads.
-    nodes: Vec<NodeTable>,
-    /// Plan predicate text → the predicate.
-    preds: HashMap<String, PreparedExpr>,
-    index_bounds: IndexBounds,
     /// The WHERE clause as written: what filters the nested-loop product
     /// of a statement without plans.
     residual: Option<PreparedExpr>,
@@ -152,28 +145,46 @@ pub struct PreparedQuery {
     /// The ORDER BY and GROUP BY keys.
     pub(crate) order_keys: Vec<PreparedExpr>,
     pub(crate) group_keys: Vec<PreparedExpr>,
+    /// The result's column labels, rendered once when no parameter appears
+    /// in the projection; otherwise every execution renders its own.
+    pub(crate) labels: Option<Vec<String>>,
     /// Wall time spent preparing (EXPLAIN ANALYZE's compile/execute split).
     pub compile_nanos: u64,
 }
 
-impl PreparedQuery {
-    /// The prepared form of a plan predicate. `prepare` parses every
-    /// predicate its plans carry, so a miss is a bug in the plan walk.
-    fn pred(&self, text: &str) -> Result<&PreparedExpr> {
-        self.preds
-            .get(text)
-            .ok_or_else(|| SqlError::Exec(format!("plan predicate {text} was not prepared")))
-    }
-
-    /// The bounds of an INDSEL predicate, by indexed attribute.
-    fn bounds(&self, text: &str) -> Result<&[AttrBounds]> {
-        let bounds = self.index_bounds.get(text).map(Vec::as_slice);
-        bounds.ok_or_else(|| SqlError::Exec(format!("INDSEL predicate {text} was not prepared")))
-    }
+/// One AND-term of a prepared statement: its plan, and per node — by the
+/// shared pre-order id — what folding actuals into the operator totals
+/// reads and what running the node reads besides the plan.
+pub(crate) struct Term {
+    pub(crate) plan: PlanSet,
+    table: NodeTable,
+    prep: Vec<NodePrep>,
 }
 
-/// INDSEL predicate text → per indexed attribute, the bounds on it.
-type IndexBounds = HashMap<String, Vec<AttrBounds>>;
+/// What running one plan node reads besides the plan, resolved when the
+/// statement is prepared and valid for its catalog epoch: DDL, `CLUSTER`,
+/// index changes and statistics refreshes all move it.
+enum NodePrep {
+    None,
+    /// A `SELECT`'s predicate.
+    Select(PreparedExpr),
+    /// An `INDSEL`'s predicate (each fetched object is re-verified), the
+    /// bounds it puts on each indexed attribute, and the extent files its
+    /// variable ranges over.
+    IndSel(PreparedExpr, Vec<AttrBounds>, Vec<FileId>),
+    /// A `BIND`'s classes — the extents a scan reads, or that a join's
+    /// right side ranges over — and their files.
+    Bind(Vec<String>, Vec<FileId>),
+}
+
+impl NodePrep {
+    fn pred(&self) -> Option<&PreparedExpr> {
+        match self {
+            NodePrep::Select(pred) | NodePrep::IndSel(pred, ..) => Some(pred),
+            NodePrep::None | NodePrep::Bind(..) => None,
+        }
+    }
+}
 
 /// Every bound an INDSEL predicate puts on one indexed attribute (a dotted
 /// path for a path index), in the order written.
@@ -238,55 +249,26 @@ pub(crate) fn is_grouped(stmt: &SelectStmt) -> bool {
             .any(|e| matches!(e, Expr::Agg { .. }))
 }
 
-/// Collect the predicate texts of every Select/IndSel node in a plan, each
-/// with whether an IndSel carries it.
-fn plan_predicates<'p>(plan: &'p Plan, out: &mut Vec<(&'p str, bool)>) {
-    match plan {
-        Plan::Select { input, predicate } => {
-            out.push((predicate, false));
-            plan_predicates(input, out);
-        }
-        Plan::IndSel { predicate, .. } => out.push((predicate, true)),
-        Plan::Join { left, right, .. } => {
-            plan_predicates(left, out);
-            plan_predicates(right, out);
-        }
-        Plan::Union { inputs } => {
-            for p in inputs {
-                plan_predicates(p, out);
-            }
-        }
-        Plan::Project { input, .. } | Plan::Sort { input, .. } | Plan::Partition { input, .. } => {
-            plan_predicates(input, out)
-        }
-        Plan::Bind { .. } | Plan::Temp { .. } => {}
-    }
+/// A plan predicate, parsed: the only place plan predicate text is read.
+fn parse_pred(text: &str) -> Result<PreparedExpr> {
+    let text = text.strip_prefix("__join__ ").unwrap_or(text);
+    Ok(PreparedExpr::new(parse_expr(text)?))
 }
 
-/// Parse every Select/IndSel predicate the plans carry — the only place
-/// plan predicate text is parsed — and sort each IndSel's into the bounds
-/// it puts on each indexed attribute.
-fn parse_plan_predicates<'p>(
-    plans: impl IntoIterator<Item = &'p PlanSet>,
-) -> Result<(HashMap<String, PreparedExpr>, IndexBounds)> {
-    let mut preds: HashMap<String, PreparedExpr> = HashMap::new();
-    let mut index_bounds = IndexBounds::new();
-    for set in plans {
-        for plan in set.temps.iter().map(|(_, p)| p).chain([&set.root]) {
-            let mut texts = Vec::new();
-            plan_predicates(plan, &mut texts);
-            for (text, indsel) in texts {
-                if !preds.contains_key(text) {
-                    let stripped = text.strip_prefix("__join__ ").unwrap_or(text);
-                    preds.insert(text.to_string(), PreparedExpr::new(parse_expr(stripped)?));
-                }
-                if indsel && !index_bounds.contains_key(text) {
-                    index_bounds.insert(text.to_string(), attr_bounds(&preds[text].expr)?);
-                }
-            }
-        }
+/// The predicates a statement's terms evaluate.
+fn term_preds(terms: &[Term]) -> impl Iterator<Item = &Expr> {
+    terms.iter().flat_map(|t| &t.prep).filter_map(NodePrep::pred).map(|p| &p.expr)
+}
+
+/// A join's right side that the join reads as a class — probing or scanning
+/// its extents itself, never running it as a plan: a `BIND`, or a `SELECT`
+/// directly over one.
+fn is_class_side(right: &Plan) -> bool {
+    match right {
+        Plan::Bind { .. } => true,
+        Plan::Select { input, .. } => matches!(**input, Plan::Bind { .. }),
+        _ => false,
     }
-    Ok((preds, index_bounds))
 }
 
 /// The parts `(x, attr, y)` of a plan join condition `x.attr = y.self`.
@@ -305,7 +287,7 @@ pub(crate) fn join_condition(condition: &str) -> Result<(&str, &str, &str)> {
 
 /// The executor.
 ///
-/// The trace lives behind a `Mutex` (not a `RefCell`) so `&Executor` is
+/// The scaffold lives behind a `Mutex` (not a `RefCell`) so `&Executor` is
 /// `Sync` — parallel operator chunks evaluate predicates through a shared
 /// executor reference on worker threads.
 pub struct Executor<'a> {
@@ -314,8 +296,25 @@ pub struct Executor<'a> {
     pub config: OptimizerConfig,
     /// The values `$1, $2, …` stand for in whatever this executor runs.
     params: &'a [Value],
-    trace: std::sync::Mutex<Vec<String>>,
+    scaffold: Mutex<Scaffold>,
     tracer: Tracer,
+}
+
+/// What an execution needs besides its answer and keeps past it: the stage
+/// trace of the last query, and the slots an index selection decodes into.
+/// A session lends its executors the one the last statement left, so a
+/// cached statement allocates neither.
+#[derive(Default)]
+pub(crate) struct Scaffold {
+    pub(crate) trace: Vec<&'static str>,
+    slab: Slab,
+}
+
+/// The tracer of an executor that was given none: one, shared, that nothing
+/// subscribes to, so building an executor allocates nothing.
+fn untraced() -> Tracer {
+    static UNTRACED: OnceLock<Tracer> = OnceLock::new();
+    UNTRACED.get_or_init(Tracer::new).clone()
 }
 
 impl<'a> Executor<'a> {
@@ -325,8 +324,8 @@ impl<'a> Executor<'a> {
             funcman,
             config: OptimizerConfig::default(),
             params: &[],
-            trace: std::sync::Mutex::new(Vec::new()),
-            tracer: Tracer::new(),
+            scaffold: Mutex::default(),
+            tracer: untraced(),
         }
     }
 
@@ -365,13 +364,20 @@ impl<'a> Executor<'a> {
         self
     }
 
-    /// The stage trace of the last query (Figure 7.1/7.2 conformance).
-    pub fn trace(&self) -> Vec<String> {
-        self.trace.lock().expect("trace lock").clone()
+    /// Run on `scaffold` (a session's, from its last statement).
+    pub(crate) fn with_scaffold(mut self, scaffold: Scaffold) -> Self {
+        self.scaffold = Mutex::new(scaffold);
+        self
     }
 
-    pub(crate) fn mark(&self, stage: &str) {
-        self.trace.lock().expect("trace lock").push(stage.into());
+    /// The scaffold back, holding the stage trace of the last query (Figure
+    /// 7.1/7.2 conformance).
+    pub(crate) fn into_scaffold(self) -> Scaffold {
+        self.scaffold.into_inner().expect("scaffold lock")
+    }
+
+    pub(crate) fn mark(&self, stage: &'static str) {
+        self.scaffold.lock().expect("scaffold lock").trace.push(stage);
     }
 
     /// The bound parameter values.
@@ -469,9 +475,11 @@ impl<'a> Executor<'a> {
             out.push_str(&term.plan.to_string());
             out.push('\n');
         }
-        let plans = || optimized.terms.iter().map(|t| &t.plan);
-        let (preds, _) = parse_plan_predicates(plans())?;
-        out.push_str(&ReadSets::collect(stmt, &lowered, plans(), &preds)?.to_string());
+        let terms = optimized.terms.into_iter().map(|t| self.term(t.plan, stmt, &lowered));
+        let terms: Vec<Term> = terms.collect::<Result<_>>()?;
+        let plans = terms.iter().map(|t| &t.plan);
+        let reads = ReadSets::collect(stmt, &lowered, plans, term_preds(&terms))?;
+        out.push_str(&reads.to_string());
         Ok(out)
     }
 
@@ -483,16 +491,17 @@ impl<'a> Executor<'a> {
     /// driver executes and the session cache can re-execute without touching
     /// the parser or optimizer.
     ///
-    /// Every Select/IndSel predicate in the plan is parsed here and each
-    /// range variable's read set derived from what the driver will evaluate;
-    /// the register program of a predicate or of a tail expression follows
-    /// when it is first evaluated (and is charged to `compile.ns` then, not
+    /// Every Select/IndSel predicate in the plan is parsed here, with each
+    /// INDSEL's bounds and the extent files each node reads, and each range
+    /// variable's read set derived from what the driver will evaluate; the
+    /// register program of a predicate or of a tail expression follows when
+    /// it is first evaluated (and is charged to `compile.ns` then, not
     /// here). A FROM list the optimizer's single-root model cannot absorb
     /// gets no plans and runs as a nested-loop product; its WHERE clause is
     /// its one predicate.
     /// `epoch` is read after any first-use statistics collection (which
-    /// bumps it), so a cached entry stays valid until the next DDL or
-    /// statistics refresh.
+    /// bumps it) and before any extent is resolved, so a cached entry stays
+    /// valid until the next DDL or statistics refresh.
     pub fn prepare_query(&self, stmt: &SelectStmt) -> Result<PreparedQuery> {
         let nparams = stmt.max_param();
         self.check_params(nparams)?;
@@ -502,7 +511,7 @@ impl<'a> Executor<'a> {
             let _span = self.tracer.span("bind", metrics);
             lower(self.catalog, stmt)?
         };
-        let mut terms: Vec<PlanSet> = Vec::new();
+        let mut plans: Vec<PlanSet> = Vec::new();
         if lowered.unabsorbed.is_empty() {
             // Statistics for the root class must exist; first use collects.
             let mut stats = self.catalog.stats();
@@ -511,10 +520,13 @@ impl<'a> Executor<'a> {
             }
             let _span = self.tracer.span("optimize", metrics);
             let optimized = optimize(&lowered.spec, &stats, &self.config);
-            terms = optimized.terms.into_iter().map(|t| t.plan).collect();
+            plans = optimized.terms.into_iter().map(|t| t.plan).collect();
         }
-        let (preds, index_bounds) = parse_plan_predicates(&terms)?;
-        let reads = ReadSets::collect(stmt, &lowered, &terms, &preds)?;
+        let epoch = self.catalog.epoch();
+        let terms = plans.into_iter().map(|plan| self.term(plan, stmt, &lowered));
+        let terms: Vec<Term> = terms.collect::<Result<_>>()?;
+        let plans = terms.iter().map(|t| &t.plan);
+        let reads = ReadSets::collect(stmt, &lowered, plans, term_preds(&terms))?;
         let prepared = |e: &Expr| PreparedExpr::new(e.clone());
         let cols = if is_grouped(stmt) {
             let inputs = group_operands(stmt).into_iter().filter_map(operand_input);
@@ -531,22 +543,76 @@ impl<'a> Executor<'a> {
             .storage()
             .registry()
             .add(Metric::CompileNs, compile_nanos);
+        let labels = stmt.projection.iter().all(|e| e.max_param() == 0);
         Ok(PreparedQuery {
             stmt: stmt.clone(),
             nparams,
-            lowered,
-            nodes: terms.iter().map(NodeTable::of).collect(),
             terms,
-            epoch: self.catalog.epoch(),
-            preds,
-            index_bounds,
+            epoch,
             residual,
             reads,
             cols,
             order_keys: path_exprs(stmt.order_by.iter().map(|(p, _)| p)),
             group_keys: path_exprs(&stmt.group_by),
+            labels: labels.then(|| stmt.projection.iter().map(Expr::render).collect()),
             compile_nanos,
         })
+    }
+
+    /// One AND-term's plan with its nodes resolved (see [`NodePrep`]).
+    fn term(&self, plan: PlanSet, stmt: &SelectStmt, lowered: &Lowered) -> Result<Term> {
+        let mut prep = Vec::new();
+        for p in plan.temps.iter().map(|(_, p)| p).chain([&plan.root]) {
+            self.prep_nodes(p, false, (stmt, lowered), &mut prep)?;
+        }
+        Ok(Term { table: NodeTable::of(&plan), prep, plan })
+    }
+
+    /// Resolve `plan`'s nodes in pre-order into `out`. `probed`: `plan` is
+    /// a join's class side ([`is_class_side`]), whose variable ranges over
+    /// [`Executor::range_of`] it; a scanned `BIND` reads its class's own
+    /// extent, or for the root variable of `FROM EVERY` every extent it
+    /// names.
+    fn prep_nodes(
+        &self,
+        plan: &Plan,
+        probed: bool,
+        (stmt, lowered): (&SelectStmt, &Lowered),
+        out: &mut Vec<NodePrep>,
+    ) -> Result<()> {
+        out.push(match plan {
+            Plan::Select { predicate, .. } => NodePrep::Select(parse_pred(predicate)?),
+            Plan::IndSel { class, var, predicate, .. } => {
+                let pred = parse_pred(predicate)?;
+                let bounds = attr_bounds(&pred.expr)?;
+                // A path index covers the class and every subclass, which
+                // may be more extents than the variable ranges over.
+                let files = self.catalog.extent_files(&self.range_of(stmt, var, class));
+                NodePrep::IndSel(pred, bounds, files)
+            }
+            Plan::Bind { class, var } => {
+                let root = &lowered.root;
+                let classes = if probed {
+                    self.range_of(stmt, var, class)
+                } else if *var == root.var && root.every {
+                    self.catalog.every_classes(class, &root.minus)
+                } else {
+                    vec![class.clone()]
+                };
+                let files = self.catalog.extent_files(&classes);
+                NodePrep::Bind(classes, files)
+            }
+            _ => NodePrep::None,
+        });
+        for (i, child) in plan.children().into_iter().enumerate() {
+            let probed = match plan {
+                Plan::Join { .. } => i == 1 && is_class_side(child),
+                Plan::Select { .. } => probed,
+                _ => false,
+            };
+            self.prep_nodes(child, probed, (stmt, lowered), out)?;
+        }
+        Ok(())
     }
 
     /// [`Executor::prepare_query`]. Always `Some` — every SELECT shape has a
@@ -641,7 +707,7 @@ impl<'a> Executor<'a> {
     /// the stage trace starts empty.
     fn start(&self, pq: &PreparedQuery) -> Result<()> {
         self.check_params(pq.nparams)?;
-        self.trace.lock().expect("trace lock").clear();
+        self.scaffold.lock().expect("scaffold lock").trace.clear();
         Ok(())
     }
 
@@ -687,14 +753,12 @@ impl<'a> Executor<'a> {
         let storage = self.catalog.storage();
         let stats = report.then(|| self.catalog.stats());
         let mut reports: Vec<TermReport> = Vec::new();
-        for (plan, nodes) in pq.terms.iter().zip(&pq.nodes) {
-            let rec = AnalyzeRec::new(storage.metrics().clone());
-            self.exec_term(plan, pq, &rec, sink)?;
-            let actuals = rec.into_nodes();
-            record_operator_totals(storage.registry(), nodes, &actuals);
+        for term in &pq.terms {
+            let actuals = self.exec_term(term, pq, sink)?;
+            record_operator_totals(storage.registry(), &term.table, &actuals);
             if let Some(stats) = &stats {
-                let est = estimate_plan_set(plan, stats, &self.config);
-                reports.push(TermReport::build(plan.clone(), est, actuals));
+                let est = estimate_plan_set(&term.plan, stats, &self.config);
+                reports.push(TermReport::build(term.plan.clone(), est, actuals));
             }
         }
         if pq.terms.len() > 1 {
@@ -704,23 +768,25 @@ impl<'a> Executor<'a> {
     }
 
     /// Execute one term's plan set: temps in creation order, then the root
-    /// into `sink`. Node ids follow the shared pre-order scheme over
-    /// `[temps…, root]`.
+    /// into `sink`; its nodes' actuals. Node ids follow the shared pre-order
+    /// scheme over `[temps…, root]`.
     fn exec_term(
         &self,
-        set: &PlanSet,
+        term: &Term,
         pq: &PreparedQuery,
-        rec: &AnalyzeRec,
         sink: &mut dyn Sink,
-    ) -> Result<()> {
-        let mut temps: HashMap<String, Vec<Row>> = HashMap::new();
+    ) -> Result<Vec<Option<NodeActual>>> {
+        let metrics = self.catalog.storage().metrics().clone();
+        let rec = AnalyzeRec::new(metrics, term.prep.len());
+        let mut run = TermRun { prep: &term.prep, temps: HashMap::new(), rec };
         let mut offset = 0usize;
-        for (name, plan) in &set.temps {
-            let rows = self.rows_of(plan, offset, pq, &temps, rec)?;
+        for (name, plan) in &term.plan.temps {
+            let rows = self.rows_of(plan, offset, pq, &run)?;
             offset += plan.subtree_size();
-            temps.insert(name.clone(), rows);
+            run.temps.insert(name.clone(), rows);
         }
-        self.exec_plan_at(&set.root, offset, pq, &temps, rec, sink)
+        self.exec_plan_at(&term.plan.root, offset, pq, &run, sink)?;
+        Ok(run.rec.into_nodes())
     }
 
     /// FROM + WHERE for a FROM list the optimizer's single-root model cannot
@@ -800,16 +866,16 @@ impl<'a> Executor<'a> {
         plan: &Plan,
         nid: usize,
         pq: &PreparedQuery,
-        temps: &HashMap<String, Vec<Row>>,
-        rec: &AnalyzeRec,
+        run: &TermRun<'_>,
         sink: &mut dyn Sink,
     ) -> Result<()> {
-        let mut span = self.tracer.span(op_span(plan), &rec.metrics);
-        let window = Window::open(&rec.metrics, sink);
-        let rows = self.exec_plan_node(plan, nid, pq, temps, rec, sink)?;
+        let metrics = &run.rec.metrics;
+        let mut span = self.tracer.span(op_span(plan), metrics);
+        let window = Window::open(metrics, sink);
+        let rows = self.exec_plan_node(plan, nid, pq, run, sink)?;
         span.set_rows(rows);
-        let (delta, nanos) = window.close(&rec.metrics, sink);
-        rec.record(nid, rows, delta, nanos);
+        let (delta, nanos) = window.close(metrics, sink);
+        run.rec.record(nid, rows, delta, nanos);
         Ok(())
     }
 
@@ -819,11 +885,10 @@ impl<'a> Executor<'a> {
         plan: &Plan,
         nid: usize,
         pq: &PreparedQuery,
-        temps: &HashMap<String, Vec<Row>>,
-        rec: &AnalyzeRec,
+        run: &TermRun<'_>,
     ) -> Result<Vec<Row>> {
         let mut rows = Bindings { slots: &pq.reads, rows: Vec::new() };
-        self.exec_plan_at(plan, nid, pq, temps, rec, &mut rows)?;
+        self.exec_plan_at(plan, nid, pq, run, &mut rows)?;
         Ok(rows.rows)
     }
 
@@ -833,33 +898,33 @@ impl<'a> Executor<'a> {
         plan: &Plan,
         nid: usize,
         pq: &PreparedQuery,
-        temps: &HashMap<String, Vec<Row>>,
-        rec: &AnalyzeRec,
+        run: &TermRun<'_>,
         sink: &mut dyn Sink,
     ) -> Result<u64> {
         let rows = match plan {
-            Plan::Bind { class, var } => return self.scan(class, var, pq, rec, None, sink),
-            Plan::Temp { name } => temps
+            Plan::Bind { var, .. } => return self.scan(var, nid, None, pq, run, sink),
+            Plan::Temp { name } => run
+                .temps
                 .get(name)
                 .cloned()
                 .ok_or_else(|| SqlError::Exec(format!("unknown temporary {name}")))?,
-            Plan::IndSel { class, var, predicate, .. } => {
-                return self.index_select(class, var, predicate, pq, sink);
+            Plan::IndSel { class, var, .. } => {
+                return self.index_select(class, var, nid, pq, run, sink)
             }
-            Plan::Select { input, predicate } => {
-                let pred = pq.pred(predicate)?;
+            Plan::Select { input, .. } => {
+                let pred = run.pred(nid)?;
                 // Directly over a Bind nothing but the scanned object is
                 // bound: scan and filter run as one batched pass.
-                if let Plan::Bind { class, var } = &**input {
+                if let Plan::Bind { var, .. } = &**input {
                     self.mark("WHERE:SELECT");
-                    return self.scan(class, var, pq, rec, Some((pred, nid + 1)), sink);
+                    return self.scan(var, nid + 1, Some(pred), pq, run, sink);
                 }
-                let rows = self.rows_of(input, nid + 1, pq, temps, rec)?;
+                let rows = self.rows_of(input, nid + 1, pq, run)?;
                 self.mark("WHERE:SELECT");
                 self.filter_rows(rows, pred, &pq.reads)?
             }
             Plan::Join { .. } => {
-                let n = self.exec_join(plan, nid, pq, temps, rec, sink)?;
+                let n = self.exec_join(plan, nid, pq, run, sink)?;
                 self.mark("WHERE:JOIN");
                 return Ok(n);
             }
@@ -875,8 +940,8 @@ impl<'a> Executor<'a> {
         Ok(n)
     }
 
-    /// `BIND(class, var)` — alone, or with the predicate of the `SELECT`
-    /// directly over it — streamed into `sink` in batches of
+    /// `BIND` (node `bind`) of `var` — alone, or with the predicate of the
+    /// `SELECT` directly over it — streamed into `sink` in batches of
     /// `batch_size` objects; the number of objects let through. A predicate
     /// runs per batch with one register file and one per-batch deref cache,
     /// so funcman dispatch, register setup and catalog dereferences amortize
@@ -885,23 +950,23 @@ impl<'a> Executor<'a> {
     /// extent order) at every batch size; at 1 it *is* the row-at-a-time
     /// path.
     ///
-    /// A `Bind` absorbed this way (node `filter.1`) still reports its own
-    /// actuals: the objects the scan produced, and the pages and time of
-    /// this pass less its predicate batches and the sink's stage windows —
-    /// which leaves the enclosing `Select` exactly the work its predicate
-    /// did.
+    /// A `Bind` absorbed this way still reports its own actuals: the
+    /// objects the scan produced, and the pages and time of this pass less
+    /// its predicate batches and the sink's stage windows — which leaves
+    /// the enclosing `Select` exactly the work its predicate did.
     fn scan(
         &self,
-        class: &str,
         var: &str,
+        bind: usize,
+        filter: Option<&PreparedExpr>,
         pq: &PreparedQuery,
-        rec: &AnalyzeRec,
-        filter: Option<(&PreparedExpr, usize)>,
+        run: &TermRun<'_>,
         sink: &mut dyn Sink,
     ) -> Result<u64> {
         let batch = self.config.execution.batch_size.max(1);
         let registry = self.catalog.storage().registry();
-        let window = Window::open(&rec.metrics, sink);
+        let metrics = &run.rec.metrics;
+        let window = Window::open(metrics, sink);
         let (mut scanned, mut kept) = (0u64, 0u64);
         let mut pred_delta = MetricsSnapshot::default();
         let mut pred_nanos = 0u64;
@@ -910,12 +975,12 @@ impl<'a> Executor<'a> {
         let mut flush = |objects: &mut [(Oid, Value)]| -> Result<()> {
             scanned += objects.len() as u64;
             let mut n = objects.len();
-            if let Some((pred, _)) = filter {
+            if let Some(pred) = filter {
                 registry.add(Metric::BatchRows, n as u64);
                 registry.add(Metric::BatchCount, 1);
-                let (pred_start, pred_before) = (Instant::now(), rec.metrics.snapshot());
+                let (pred_start, pred_before) = (Instant::now(), metrics.snapshot());
                 n = keep_matching(&mut scratch, pred, var, objects)?;
-                pred_delta = pred_delta.plus(&rec.metrics.snapshot().delta(&pred_before));
+                pred_delta = pred_delta.plus(&metrics.snapshot().delta(&pred_before));
                 pred_nanos += pred_start.elapsed().as_nanos() as u64;
             }
             kept += n as u64;
@@ -923,59 +988,52 @@ impl<'a> Executor<'a> {
         };
         // The batch's slots, kept across batches: a record decodes into
         // what the slot's previous object left behind.
-        let (mut slab, mut filled) = (Vec::with_capacity(batch), 0);
+        let mut slab = Slab::default();
         let mut first_err: Option<SqlError> = None;
-        let (root, fields) = (&pq.lowered.root, pq.reads.of(var));
-        let classes = if var == root.var && root.every {
-            self.catalog.every_classes(class, &root.minus)
-        } else {
-            vec![class.to_string()]
-        };
-        self.catalog.extent_records_with(&classes, AccessHint::Sequential, &mut |oid, bytes| {
-            if filled == slab.len() {
-                slab.push((oid, Value::Null));
-            }
-            let slot = &mut slab[filled];
-            slot.0 = oid;
-            let decoded = Catalog::decode_into(oid, bytes, fields, &mut slot.1);
-            filled += 1;
-            let step = match decoded {
+        let ((classes, _), fields) = (run.range(bind)?, pq.reads.of(var));
+        self.catalog.extent_records_with(classes, AccessHint::Sequential, &mut |oid, bytes| {
+            let step = match slab.decode(oid, bytes, fields) {
                 Err(e) => Err(e.into()),
-                Ok(_) if filled == batch => {
-                    filled = 0;
-                    flush(&mut slab)
+                Ok(()) if slab.len() == batch => {
+                    let flushed = flush(slab.objects());
+                    slab.consume(batch);
+                    flushed
                 }
-                Ok(_) => Ok(()),
+                Ok(()) => Ok(()),
             };
             step.map_err(|e| first_err = Some(e)).is_ok()
         })?;
         first_err.map_or(Ok(()), Err)?;
-        if filled > 0 {
-            flush(&mut slab[..filled])?;
+        if !slab.is_empty() {
+            flush(slab.objects())?;
         }
-        if let Some((_, bind_nid)) = filter {
-            let (delta, nanos) = window.close(&rec.metrics, sink);
+        if filter.is_some() {
+            let (delta, nanos) = window.close(metrics, sink);
             let nanos = nanos.saturating_sub(pred_nanos);
-            rec.record(bind_nid, scanned, delta.delta(&pred_delta), nanos);
+            run.rec.record(bind, scanned, delta.delta(&pred_delta), nanos);
         }
         Ok(kept)
     }
 
-    /// `INDSEL(class, var, …, predicate)` streamed into `sink` by
+    /// `INDSEL` (node `nid`) of `var` over `class` streamed into `sink` by
     /// `mood_algebra::ind_sel` in ascending OID order; the number of objects
     /// let through. An index entry may be stale, so each object is
-    /// re-verified before it is pushed, `batch_size` at a time.
+    /// re-verified before it is pushed, `batch_size` at a time. The objects
+    /// are decoded into the scaffold's slab.
     fn index_select(
         &self,
         class: &str,
         var: &str,
-        predicate: &str,
+        nid: usize,
         pq: &PreparedQuery,
+        run: &TermRun<'_>,
         sink: &mut dyn Sink,
     ) -> Result<u64> {
         self.mark("WHERE:SELECT");
-        let prepared = pq.pred(predicate)?;
-        let bounds = pq.bounds(predicate)?.iter().map(|b| {
+        let Some(NodePrep::IndSel(pred, bounds, files)) = run.prep.get(nid) else {
+            return Err(unprepared(nid));
+        };
+        let bounds = bounds.iter().map(|b| {
             let ops = b.ops.iter().map(|(theta, operand)| match operand {
                 Operand::Value(v) => Ok((*theta, v)),
                 Operand::Param(n) => Ok((*theta, self.param(*n)?)),
@@ -983,32 +1041,32 @@ impl<'a> Executor<'a> {
             Ok((b.attr.as_str(), ops.collect::<Result<_>>()?))
         });
         let bounds: Vec<_> = bounds.collect::<Result<_>>()?;
-        // A path index covers the class and every subclass, which may be
-        // more extents than the variable ranges over.
-        let files = self.catalog.extent_files(&self.range_of(pq, var, class));
         let (batch, mut scratch) = (self.config.execution.batch_size.max(1), Scratch::new(self));
-        let (mut buf, mut kept) = (Vec::new(), 0u64);
-        let mut flush = |buf: &mut Vec<(Oid, Value)>| -> Result<()> {
-            let n = keep_matching(&mut scratch, prepared, var, buf)?;
+        let mut kept = 0u64;
+        let mut flush = |objects: &mut [(Oid, Value)]| -> Result<()> {
+            let n = keep_matching(&mut scratch, pred, var, objects)?;
             kept += n as u64;
-            sink.push_objects(var, &mut buf[..n])?;
-            buf.clear();
+            sink.push_objects(var, &mut objects[..n])
+        };
+        // Full batches go as soon as a window completes one; the rest wait
+        // in the slab, ahead of the next window's objects. A statement that
+        // failed may have left objects live: they are slots now.
+        let mut slab = mem::take(&mut self.scaffold.lock().expect("scaffold lock").slab);
+        slab.consume(slab.len());
+        let mut window = |slab: &mut Slab| -> Result<()> {
+            while slab.len() >= batch {
+                flush(&mut slab.objects()[..batch])?;
+                slab.consume(batch);
+            }
             Ok(())
         };
         let right = (files.as_slice(), pq.reads.of(var));
-        ind_sel::<SqlError>(self.catalog, class, &bounds, right, &mut |objects| {
-            for object in objects.drain(..) {
-                buf.push(object);
-                if buf.len() == batch {
-                    flush(&mut buf)?;
-                }
-            }
-            Ok(())
-        })?;
-        if !buf.is_empty() {
-            flush(&mut buf)?;
+        let mut done = ind_sel(self.catalog, class, &bounds, right, &mut slab, &mut window);
+        if done.is_ok() && !slab.is_empty() {
+            done = flush(slab.objects());
         }
-        Ok(kept)
+        self.scaffold.lock().expect("scaffold lock").slab = slab;
+        done.map(|()| kept)
     }
 
     /// Execute one implicit join following the plan's method, pushing the
@@ -1032,8 +1090,7 @@ impl<'a> Executor<'a> {
         join: &Plan,
         nid: usize,
         pq: &PreparedQuery,
-        temps: &HashMap<String, Vec<Row>>,
-        rec: &AnalyzeRec,
+        run: &TermRun<'_>,
         sink: &mut dyn Sink,
     ) -> Result<u64> {
         let Plan::Join { left, right, method, condition } = join else {
@@ -1041,12 +1098,12 @@ impl<'a> Executor<'a> {
         };
         let ((x_var, attr, y_var), method) = (join_condition(condition)?, *method);
         let (x_slot, y_slot) = (pq.reads.slot(x_var)?, pq.reads.slot(y_var)?);
-        let input = self.rows_of(left, nid + 1, pq, temps, rec)?;
+        let input = self.rows_of(left, nid + 1, pq, run)?;
         let right_nid = nid + 1 + left.subtree_size();
         let class_side = match &**right {
-            Plan::Bind { class, .. } => Some((class, None)),
-            Plan::Select { input, predicate } => match &**input {
-                Plan::Bind { class, .. } => Some((class, Some(pq.pred(predicate)?))),
+            Plan::Bind { .. } => Some((run.range(right_nid)?, None)),
+            Plan::Select { input, .. } => match &**input {
+                Plan::Bind { .. } => Some((run.range(right_nid + 1)?, Some(run.pred(right_nid)?))),
                 _ => None,
             },
             _ => None,
@@ -1064,22 +1121,23 @@ impl<'a> Executor<'a> {
             Ok(Some(Row::bound(y_slot, oid, Arc::new(value))))
         };
         let fields = pq.reads.of(y_var);
-        let classes = class_side.map(|(class, _)| self.range_of(pq, y_var, class));
-        let right_side = match &classes {
-            Some(classes) if !materializes_class(method) => JoinRight::Class { classes, fields },
-            Some(classes) => {
-                let (start, before) = (Instant::now(), rec.metrics.snapshot());
+        let right_side = match class_side {
+            Some(((classes, files), _)) if !materializes_class(method) => {
+                JoinRight::Class { classes, files, fields }
+            }
+            Some(((classes, _), _)) => {
+                let (start, before) = (Instant::now(), run.rec.metrics.snapshot());
                 let members = scan_class(self.catalog, classes, fields, &mut bind)?;
-                rec.record(
+                run.rec.record(
                     right_nid,
                     members.values().map(|v| v.len() as u64).sum(),
-                    rec.metrics.snapshot().delta(&before),
+                    run.rec.metrics.snapshot().delta(&before),
                     start.elapsed().as_nanos() as u64,
                 );
                 JoinRight::Members(members)
             }
             None => {
-                let rows = self.rows_of(right, right_nid, pq, temps, rec)?;
+                let rows = self.rows_of(right, right_nid, pq, run)?;
                 JoinRight::Members(members_by_oid(rows, |r| r.get(y_slot).and_then(|b| b.oid)))
             }
         };
@@ -1103,13 +1161,45 @@ impl<'a> Executor<'a> {
     /// own extent, or `EVERY` it less the excluded subclasses), and for a
     /// path's target — a variable the optimizer made — whatever the
     /// reference reaches: the class and every subclass.
-    fn range_of(&self, pq: &PreparedQuery, var: &str, class: &str) -> Vec<String> {
-        match pq.stmt.from.iter().find(|item| item.var == var) {
+    fn range_of(&self, stmt: &SelectStmt, var: &str, class: &str) -> Vec<String> {
+        match stmt.from.iter().find(|item| item.var == var) {
             Some(item) if !item.every => vec![class.to_string()],
             Some(item) => self.catalog.every_classes(class, &item.minus),
             None => self.catalog.every_classes(class, &[]),
         }
     }
+}
+
+/// One execution of a term: what prepare resolved for its nodes, the
+/// temporaries built so far, and the nodes' actuals.
+struct TermRun<'p> {
+    prep: &'p [NodePrep],
+    temps: HashMap<String, Vec<Row>>,
+    rec: AnalyzeRec,
+}
+
+impl TermRun<'_> {
+    /// The predicate of the `SELECT` at `nid`.
+    fn pred(&self, nid: usize) -> Result<&PreparedExpr> {
+        match self.prep.get(nid) {
+            Some(NodePrep::Select(pred)) => Ok(pred),
+            _ => Err(unprepared(nid)),
+        }
+    }
+
+    /// The classes and extent files of the `BIND` at `nid`.
+    fn range(&self, nid: usize) -> Result<(&[String], &[FileId])> {
+        match self.prep.get(nid) {
+            Some(NodePrep::Bind(classes, files)) => Ok((classes, files)),
+            _ => Err(unprepared(nid)),
+        }
+    }
+}
+
+/// `prepare` resolves every node the driver reads, so a miss is a bug in the
+/// plan walk.
+fn unprepared(nid: usize) -> SqlError {
+    SqlError::Exec(format!("plan node {nid} was not prepared"))
 }
 
 /// The rows a plan node pushed, in push order: a join's left input, or the

@@ -35,6 +35,7 @@ pub use parser::{parse, parse_expr, MAX_EXPR_DEPTH};
 
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
+use std::mem;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -45,6 +46,7 @@ use mood_optimizer::OptimizerConfig;
 use mood_storage::{Metric, MetricsRegistry};
 
 use compiled::{PreparedExpr, RowView, Scratch};
+use exec::Scaffold;
 use shape::Shape;
 
 /// Plan cache shard count: keeps lock contention low when a session is
@@ -175,7 +177,11 @@ pub struct Session {
     funcman: Arc<FunctionManager>,
     config: OptimizerConfig,
     tracer: mood_trace::Tracer,
-    last_trace: Vec<String>,
+    /// The last statement's stage trace and the index fetch's slots, lent
+    /// to each executor the session builds.
+    scaffold: Scaffold,
+    /// The buffers every statement's text is scanned into.
+    shape: Shape,
     /// The open explicit transaction (`BEGIN` … `COMMIT`/`ROLLBACK`), if
     /// any. Bare DML statements outside one autocommit.
     txn: Option<mood_storage::TxnId>,
@@ -202,7 +208,8 @@ impl Session {
             funcman,
             config: OptimizerConfig::default(),
             tracer: mood_trace::Tracer::new(),
-            last_trace: Vec::new(),
+            scaffold: Scaffold::default(),
+            shape: Shape::default(),
             txn: None,
             plan_cache: PlanCache::new(PLAN_CACHE_CAPACITY),
             plan_cache_enabled: true,
@@ -301,8 +308,8 @@ impl Session {
     }
 
     /// Execution-stage trace of the last SELECT (Figure 7.1/7.2 tests).
-    pub fn last_trace(&self) -> &[String] {
-        &self.last_trace
+    pub fn last_trace(&self) -> &[&'static str] {
+        &self.scaffold.trace
     }
 
     /// The session's query-lifecycle tracer. Attach subscribers (e.g.
@@ -326,16 +333,23 @@ impl Session {
     /// slow-query ring — with the text as written, values included — and
     /// their `EXPLAIN ANALYZE` tree.
     pub fn execute(&mut self, sql: &str) -> Result<Answer> {
-        let shape = Shape::scan(sql)?;
+        let mut shape = mem::take(&mut self.shape);
+        let result = shape.scan(sql).and_then(|()| self.execute_shape(sql, &shape));
+        self.shape = shape;
+        result
+    }
+
+    /// [`Session::execute`] once the text is scanned.
+    fn execute_shape(&mut self, sql: &str, shape: &Shape) -> Result<Answer> {
         // Introspection must not perturb the stats it reports.
         if shape.is_show() {
-            return self.execute_inner(sql, &shape);
+            return self.execute_inner(sql, shape);
         }
         let registry = self.catalog.storage().registry().clone();
         let before = registry.disk_metrics().snapshot();
         self.last_stmt_cached = false;
         let t0 = Instant::now();
-        let result = self.execute_inner(sql, &shape);
+        let result = self.execute_inner(sql, shape);
         let elapsed_ns = t0.elapsed().as_nanos() as u64;
         if let Ok(answer) = &result {
             let after = registry.disk_metrics().snapshot();
@@ -413,7 +427,8 @@ impl Session {
         let ex = Executor::new(&self.catalog, &self.funcman)
             .with_config(self.config.clone())
             .with_tracer(self.tracer.clone())
-            .with_params(&shape.params);
+            .with_params(&shape.params)
+            .with_scaffold(mem::take(&mut self.scaffold));
         let cached = self
             .plan_cache
             .get(&shape.key, self.catalog.epoch(), &registry);
@@ -445,7 +460,7 @@ impl Session {
                 }
             }
         };
-        self.last_trace = ex.trace();
+        self.scaffold = ex.into_scaffold();
         Ok(Some(answer))
     }
 
@@ -620,9 +635,10 @@ impl Session {
             Statement::Select(s) => {
                 let ex = Executor::new(&self.catalog, &self.funcman)
                     .with_config(self.config.clone())
-                    .with_tracer(self.tracer.clone());
+                    .with_tracer(self.tracer.clone())
+                    .with_scaffold(mem::take(&mut self.scaffold));
                 let rows = ex.run_select(s)?;
-                self.last_trace = ex.trace();
+                self.scaffold = ex.into_scaffold();
                 Ok(Answer::Rows(rows))
             }
             Statement::Explain(s) => {
@@ -633,9 +649,10 @@ impl Session {
             Statement::ExplainAnalyze(s) => {
                 let ex = Executor::new(&self.catalog, &self.funcman)
                     .with_config(self.config.clone())
-                    .with_tracer(self.tracer.clone());
+                    .with_tracer(self.tracer.clone())
+                    .with_scaffold(mem::take(&mut self.scaffold));
                 let report = ex.analyze(s)?;
-                self.last_trace = ex.trace();
+                self.scaffold = ex.into_scaffold();
                 Ok(Answer::Plan(report.render()))
             }
             Statement::ShowMetrics(format) => {
@@ -793,9 +810,10 @@ impl Session {
             } => {
                 let ex = Executor::new(&self.catalog, &self.funcman)
                     .with_config(self.config.clone())
-                    .with_tracer(self.tracer.clone());
+                    .with_tracer(self.tracer.clone())
+                    .with_scaffold(mem::take(&mut self.scaffold));
                 let doomed = ex.target_rows(class, var, where_clause.as_ref())?;
-                self.last_trace = ex.trace();
+                self.scaffold = ex.into_scaffold();
                 for (oid, value) in &doomed {
                     self.catalog.delete_fetched(*oid, value)?;
                 }
@@ -820,9 +838,9 @@ impl Session {
                 }
                 let ex = Executor::new(&self.catalog, &self.funcman)
                     .with_config(self.config.clone())
-                    .with_tracer(self.tracer.clone());
+                    .with_tracer(self.tracer.clone())
+                    .with_scaffold(mem::take(&mut self.scaffold));
                 let rows = ex.target_rows(class, var, where_clause.as_ref())?;
-                self.last_trace = ex.trace();
                 // Every right-hand side reads the row as it was selected:
                 // the target set is complete before the first write.
                 let rhs = assignments.iter().map(|(_, e)| PreparedExpr::new(e.clone()));
@@ -844,6 +862,8 @@ impl Session {
                     }
                     self.catalog.update_fetched(*oid, old, new_value)?;
                 }
+                drop(scratch);
+                self.scaffold = ex.into_scaffold();
                 Ok(Answer::Done {
                     affected: rows.len(),
                 })
@@ -1159,7 +1179,7 @@ mod tests {
         )
         .unwrap();
         let trace = s.last_trace().to_vec();
-        let pos = |name: &str| trace.iter().position(|t| t == name);
+        let pos = |name: &str| trace.iter().position(|t| *t == name);
         let from = pos("FROM").expect("FROM");
         let select = pos("WHERE:SELECT").expect("WHERE:SELECT");
         let join = pos("WHERE:JOIN").expect("WHERE:JOIN");
@@ -1187,9 +1207,9 @@ mod tests {
         )
         .unwrap();
         let trace = s.last_trace().to_vec();
-        let union = trace.iter().position(|t| t == "WHERE:UNION").expect("union ran");
-        let last_select = trace.iter().rposition(|t| t == "WHERE:SELECT").expect("selects ran");
-        let last_join = trace.iter().rposition(|t| t == "WHERE:JOIN").expect("joins ran");
+        let union = trace.iter().position(|t| *t == "WHERE:UNION").expect("union ran");
+        let last_select = trace.iter().rposition(|t| *t == "WHERE:SELECT").expect("selects ran");
+        let last_join = trace.iter().rposition(|t| *t == "WHERE:JOIN").expect("joins ran");
         // Figure 7.2: UNION is performed after evaluating the AND-terms.
         assert!(union > last_select, "{trace:?}");
         assert!(union > last_join, "{trace:?}");

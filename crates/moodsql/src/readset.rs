@@ -20,14 +20,13 @@
 //! same-named variables of different DNF terms share one set. A variable's
 //! rank among the sets is its slot in a binding row.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 use mood_datamodel::FieldSet;
 use mood_optimizer::{Plan, PlanSet};
 
 use crate::ast::{Expr, PathRef, SelectStmt};
 use crate::binder::Lowered;
-use crate::compiled::PreparedExpr;
 use crate::error::{Result, SqlError};
 use crate::exec::join_condition;
 
@@ -42,7 +41,7 @@ impl ReadSets {
         stmt: &SelectStmt,
         lowered: &Lowered,
         plans: impl IntoIterator<Item = &'p PlanSet>,
-        preds: &HashMap<String, PreparedExpr>,
+        preds: impl IntoIterator<Item = &'p Expr>,
     ) -> Result<ReadSets> {
         let mut sets = ReadSets::default();
         if !lowered.unabsorbed.is_empty() {
@@ -58,8 +57,8 @@ impl ReadSets {
                 sets.plan(plan)?;
             }
         }
-        for pred in preds.values() {
-            sets.expr(&pred.expr);
+        for pred in preds {
+            sets.expr(pred);
         }
         for e in stmt.projection.iter().chain(&stmt.having) {
             sets.expr(e);

@@ -23,7 +23,10 @@ use crate::ast::Lit;
 use crate::error::{Result, SqlError};
 use crate::exec::lit_value;
 
-/// A scanned statement.
+/// A scanned statement. Its buffers outlive the scan: a session scans every
+/// statement into the one `Shape`, which allocates once it has seen its
+/// longest text.
+#[derive(Default)]
 pub(crate) struct Shape {
     /// Plan-cache and statement-stats key: the shape text, then — when
     /// anything was lifted — ` -- ` and one class letter per parameter
@@ -37,6 +40,8 @@ pub(crate) struct Shape {
     /// The statement was `EXPLAIN ANALYZE …`. The prefix is not part of the
     /// key, so the instrumented and plain forms share one cached plan.
     pub analyze: bool,
+    /// The parameter classes, in text order, before they join the key.
+    tags: String,
 }
 
 impl Shape {
@@ -56,13 +61,16 @@ impl Shape {
         starts_with_word(self.text(), "show")
     }
 
-    /// Scan `sql`. The only error is a `$` outside a string literal:
-    /// parameters are written by this scanner, never typed.
-    pub fn scan(sql: &str) -> Result<Shape> {
+    /// Scan `sql` into this shape, replacing what it held. The only error
+    /// is a `$` outside a string literal: parameters are written by this
+    /// scanner, never typed.
+    pub fn scan(&mut self, sql: &str) -> Result<()> {
         let b = sql.as_bytes();
-        let mut out = String::with_capacity(sql.len() + 8);
-        let mut tags = String::new();
-        let mut params: Vec<Value> = Vec::new();
+        let Shape { key: out, params, tags, .. } = self;
+        out.clear();
+        out.reserve(sql.len() + 8);
+        tags.clear();
+        params.clear();
         let mut pending_space = false;
         // The last token was a bare `=`: a literal here starts its operand.
         let mut after_eq = false;
@@ -155,17 +163,13 @@ impl Shape {
         if analyze {
             out.drain(..ANALYZE.len());
         }
-        let text_len = out.len();
+        self.text_len = out.len();
         if !tags.is_empty() {
             out.push_str(" -- ");
-            out.push_str(&tags);
+            out.push_str(tags);
         }
-        Ok(Shape {
-            key: out,
-            text_len,
-            params,
-            analyze,
-        })
+        self.analyze = analyze;
+        Ok(())
     }
 }
 
@@ -244,7 +248,9 @@ mod tests {
     use crate::parser::parse;
 
     fn scan(sql: &str) -> Shape {
-        Shape::scan(sql).unwrap()
+        let mut shape = Shape::default();
+        shape.scan(sql).unwrap();
+        shape
     }
 
     #[test]
@@ -342,7 +348,7 @@ mod tests {
     #[test]
     fn typed_parameters_and_lexer_rejects_are_left_to_fail() {
         assert!(matches!(
-            Shape::scan("SELECT v FROM V v WHERE v.id = $1"),
+            Shape::default().scan("SELECT v FROM V v WHERE v.id = $1"),
             Err(SqlError::Lex { position: 31, .. })
         ));
         // Out-of-range integer and unterminated string: copied through so

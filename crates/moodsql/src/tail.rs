@@ -510,6 +510,8 @@ impl Union {
 pub(crate) struct Tail<'e, 'a> {
     ex: &'e Executor<'a>,
     stmt: &'e SelectStmt,
+    /// The column labels, when prepare could render them.
+    labels: Option<&'e [String]>,
     /// Registers and a per-batch dereference cache for everything the tail
     /// evaluates: a sub-object shared by many records of a batch is fetched
     /// once.
@@ -526,6 +528,10 @@ pub(crate) struct Tail<'e, 'a> {
     agg: Option<Aggregator<'e>>,
     sort: Option<Sorter>,
     distinct: Option<HashSet<Vec<u8>>>,
+    /// One batch's projected rows on their way to the result, and the
+    /// encoded row DISTINCT looks up: kept from batch to batch.
+    rows: Vec<Vec<Value>>,
+    key: Vec<u8>,
     out: Vec<Vec<Value>>,
 }
 
@@ -583,6 +589,7 @@ impl<'e, 'a> Tail<'e, 'a> {
         Tail {
             ex,
             stmt,
+            labels: pq.labels.as_deref(),
             scratch: Scratch::new(ex),
             clock: Clock {
                 metrics: ex.catalog.storage().metrics().clone(),
@@ -602,6 +609,8 @@ impl<'e, 'a> Tail<'e, 'a> {
             agg,
             sort: (!stmt.order_by.is_empty()).then(|| Sorter::new(asc, budget)),
             distinct: stmt.distinct.then(HashSet::new),
+            rows: Vec::new(),
+            key: Vec::new(),
             out: Vec::new(),
         }
     }
@@ -620,7 +629,8 @@ impl<'e, 'a> Tail<'e, 'a> {
         // both evaluated while the object is at hand.
         let window = self.clock.start();
         let width = self.keys.len() + self.cols.len();
-        let mut rows: Vec<Vec<Value>> = Vec::with_capacity(batch.len());
+        let mut rows = std::mem::take(&mut self.rows);
+        rows.reserve(batch.len());
         for view in batch.views() {
             let mut vals = Vec::with_capacity(width);
             for col in self.keys.iter().chain(self.cols) {
@@ -629,43 +639,47 @@ impl<'e, 'a> Tail<'e, 'a> {
             rows.push(vals);
         }
         self.clock.stop("PROJECT", window, rows.len() as u64);
-        self.after_project(rows)
+        let passed = self.after_project(&mut rows);
+        self.rows = rows;
+        passed
     }
 
     /// Projected rows (behind their sort keys when the statement sorts) go
-    /// to the sorter, or on to DISTINCT and the result.
-    fn after_project(&mut self, rows: Vec<Vec<Value>>) -> Result<()> {
+    /// to the sorter, or on to DISTINCT and the result; `rows` is left
+    /// empty.
+    fn after_project(&mut self, rows: &mut Vec<Vec<Value>>) -> Result<()> {
         let Some(sorter) = &mut self.sort else {
             self.sink(rows);
             return Ok(());
         };
         let window = self.clock.start();
         let n = rows.len() as u64;
-        for vals in rows {
+        for vals in rows.drain(..) {
             sorter.push(self.ex.catalog.storage(), vals)?;
         }
         self.clock.stop("ORDER BY", window, n);
         Ok(())
     }
 
-    /// DISTINCT (first occurrence wins), then the result.
-    fn sink(&mut self, mut rows: Vec<Vec<Value>>) {
+    /// DISTINCT (first occurrence wins), then the result; `rows` is left
+    /// empty.
+    fn sink(&mut self, rows: &mut Vec<Vec<Value>>) {
         if let Some(seen) = &mut self.distinct {
             let window = self.clock.start();
-            let mut key = Vec::new();
+            let key = &mut self.key;
             rows.retain(|row| {
                 key.clear();
                 for v in row {
-                    encode_value_into(&mut key, v);
+                    encode_value_into(key, v);
                 }
-                !seen.contains(&key) && seen.insert(key.clone())
+                !seen.contains(key) && seen.insert(key.clone())
             });
             self.clock.stop("DISTINCT", window, rows.len() as u64);
         }
         if self.out.is_empty() {
-            self.out = rows;
+            std::mem::swap(&mut self.out, rows);
         } else {
-            self.out.append(&mut rows);
+            self.out.append(rows);
         }
     }
 
@@ -709,12 +723,14 @@ impl<'e, 'a> Tail<'e, 'a> {
     /// result — with the stage rows for `stages` when recording.
     pub fn finish(mut self, stages: Option<&StageRec>) -> Result<QueryResult> {
         if let Some(mut agg) = self.agg.take() {
-            let strip = |rows: Vec<(usize, Vec<Value>)>| rows.into_iter().map(|(_, r)| r).collect();
+            let strip = |rows: Vec<(usize, Vec<Value>)>| -> Vec<Vec<Value>> {
+                rows.into_iter().map(|(_, r)| r).collect()
+            };
             let window = self.clock.start();
             let memory = agg.take_memory();
             self.clock.stop("GROUP BY", window, 0);
             let rows = self.finish_groups(&agg, memory)?;
-            self.after_project(strip(rows))?;
+            self.after_project(&mut strip(rows))?;
             // Spilled groups come back partition by partition; first
             // appearance orders them across partitions.
             let mut late = Vec::new();
@@ -726,17 +742,17 @@ impl<'e, 'a> Tail<'e, 'a> {
                 late.extend(self.finish_groups(&agg, groups)?);
             }
             late.sort_unstable_by_key(|(first, _)| *first);
-            self.after_project(strip(late))?;
+            self.after_project(&mut strip(late))?;
         }
         if let Some(mut sorter) = self.sort.take() {
             loop {
                 let window = self.clock.start();
-                let rows = sorter.next_batch(self.ex.catalog.storage(), self.batch)?;
+                let mut rows = sorter.next_batch(self.ex.catalog.storage(), self.batch)?;
                 self.clock.stop("ORDER BY", window, 0);
                 if rows.is_empty() {
                     break;
                 }
-                self.sink(rows);
+                self.sink(&mut rows);
             }
         }
         // The trace lists the clauses in Figure 7.1's order, once each.
@@ -748,13 +764,13 @@ impl<'e, 'a> Tail<'e, 'a> {
         if let Some(stages) = stages {
             stages.extend(self.clock.stages.into_iter().flatten());
         }
-        let columns = self.stmt.projection.iter();
-        Ok(QueryResult {
-            // The projection as written, so a parameter reads as the
-            // literal it stands for.
-            columns: columns.map(|e| e.render_with(self.ex.params())).collect(),
-            rows: self.out,
-        })
+        // The projection as written, so a parameter reads as the literal
+        // it stands for.
+        let columns = match self.labels {
+            Some(labels) => labels.to_vec(),
+            None => self.stmt.projection.iter().map(|e| e.render_with(self.ex.params())).collect(),
+        };
+        Ok(QueryResult { columns, rows: self.out })
     }
 }
 

@@ -131,7 +131,7 @@ impl Node {
                     let key = page.data[off..off + klen].to_vec();
                     off += klen;
                     let oid = Oid::from_bytes(&page.data[off..off + Oid::ENCODED_LEN])
-                        .ok_or(StorageError::Corrupt("bad OID in leaf".into()))?;
+                        .ok_or_else(|| StorageError::Corrupt("bad OID in leaf".into()))?;
                     off += Oid::ENCODED_LEN;
                     entries.push((key, oid));
                 }
@@ -493,7 +493,7 @@ impl BTree {
                         return Ok(Step::Done);
                     }
                     let oid = Oid::from_bytes(&p.data[at..at + Oid::ENCODED_LEN])
-                        .ok_or(StorageError::Corrupt("bad OID in leaf".into()))?;
+                        .ok_or_else(|| StorageError::Corrupt("bad OID in leaf".into()))?;
                     if !visit(k, oid) {
                         return Ok(Step::Done);
                     }

@@ -193,10 +193,12 @@ impl HeapFile {
                     let record = match SlottedPage::get(p, oid.slot, oid.unique) {
                         Ok(SlotContent::Record(bytes)) => bytes.get(1..),
                         Ok(SlotContent::Forward(fwd)) => {
-                            let target = Oid::from_bytes(fwd).ok_or(StorageError::CorruptAt {
-                                file: self.file,
-                                page: oid.page,
-                                detail: "bad forwarding address".into(),
+                            let target = Oid::from_bytes(fwd).ok_or_else(|| {
+                                StorageError::CorruptAt {
+                                    file: self.file,
+                                    page: oid.page,
+                                    detail: "bad forwarding address".into(),
+                                }
                             })?;
                             return Ok(Step::Forward(i, target));
                         }
@@ -262,10 +264,12 @@ impl HeapFile {
                 |p| match SlottedPage::get(p, oid.slot, oid.unique) {
                     Err(_) | Ok(SlotContent::Free) => Err(StorageError::DanglingOid(oid)),
                     Ok(SlotContent::Forward(fwd)) => {
-                        let target = Oid::from_bytes(fwd).ok_or(StorageError::CorruptAt {
-                            file: oid.file,
-                            page: oid.page,
-                            detail: "bad forwarding address".into(),
+                        let target = Oid::from_bytes(fwd).ok_or_else(|| {
+                            StorageError::CorruptAt {
+                                file: oid.file,
+                                page: oid.page,
+                                detail: "bad forwarding address".into(),
+                            }
                         })?;
                         Ok(Outcome::FollowForward(target))
                     }

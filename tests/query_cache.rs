@@ -334,6 +334,70 @@ fn dml_does_not_invalidate_but_is_visible() {
     assert_eq!(after.hits, before.hits + 1, "DML leaves the cached plan valid");
 }
 
+/// What a cached plan resolved per node — predicates, INDSEL bounds, the
+/// extent files each range variable reads — lives no longer than its epoch.
+/// A point SELECT, a path-point SELECT (a join probing a right class side)
+/// and a `FROM EVERY … - …` scan are cached; after each schema change the
+/// next execution re-prepares and answers as the interpreter does over the
+/// changed database: `CLUSTER` gives a class a new extent file, a new
+/// subclass with objects joins `EVERY`, and an index built then dropped
+/// moves the access path twice.
+#[test]
+fn cached_node_state_does_not_outlive_its_epoch() {
+    let db = build(4096);
+    db.execute("CREATE UNIQUE INDEX ON Vehicle(id)").unwrap();
+    db.execute("CREATE CLASS Truck INHERITS FROM Vehicle").unwrap();
+    let add = |class: &str, id: i32| {
+        let fields = vec![
+            ("id", Value::Integer(id)),
+            ("weight", Value::Integer(1600 + id % 7)),
+            ("drivetrain", Value::Null),
+        ];
+        db.catalog().new_object(class, Value::tuple(fields)).unwrap();
+    };
+    (5_000..5_004).for_each(|id| add("Truck", id));
+    db.collect_stats().unwrap();
+    let texts = [
+        "SELECT v.id, v.weight FROM Vehicle v WHERE v.id = 777",
+        "SELECT v.id FROM Vehicle v WHERE v.id = 777 AND v.drivetrain.transmission = 'MANUAL'",
+        "SELECT v.id FROM EVERY Vehicle - Truck v WHERE v.weight > 1500 ORDER BY v.id",
+    ];
+    assert!(db.explain(texts[0]).unwrap().contains("INDSEL("));
+    assert!(db.explain(texts[1]).unwrap().contains("JOIN("));
+    // Each text's answer now, and the run that caches its plan.
+    for sql in texts {
+        assert_eq!(run(&db, sql).unwrap().rows, oracle::oracle(&db, sql), "{sql}");
+        assert_eq!(run(&db, sql).unwrap().rows, oracle::oracle(&db, sql), "{sql}");
+    }
+    assert_eq!(run(&db, texts[1]).unwrap().len(), 1, "vehicle 777's transmission is manual");
+    let check = |change: &str| {
+        let before = db.engine_metrics().plan_cache;
+        for sql in texts {
+            let want = oracle::oracle(&db, sql);
+            assert_eq!(run(&db, sql).unwrap().rows, want, "after {change}: {sql}");
+            assert_eq!(run(&db, sql).unwrap().rows, want, "after {change}, cached: {sql}");
+        }
+        let after = db.engine_metrics().plan_cache;
+        let n = texts.len() as u64;
+        assert_eq!(after.invalidations, before.invalidations + n, "after {change}");
+        assert_eq!(after.misses, before.misses + n, "after {change}: each text re-prepares");
+        assert_eq!(after.hits, before.hits + n, "after {change}: and is cached again");
+    };
+    db.execute("CLUSTER Vehicle BY drivetrain").unwrap();
+    check("CLUSTER Vehicle");
+    db.execute("CLUSTER VehicleDriveTrain BY engine").unwrap();
+    check("CLUSTER VehicleDriveTrain");
+    db.execute("CREATE CLASS Van INHERITS FROM Vehicle").unwrap();
+    (6_000..6_005).for_each(|id| add("Van", id));
+    check("a new subclass with objects");
+    assert!(run(&db, texts[2]).unwrap().rows.contains(&vec![Value::Integer(6_000)]));
+    db.execute("CREATE INDEX ON Vehicle(weight)").unwrap();
+    db.collect_stats().unwrap();
+    check("CREATE INDEX");
+    db.catalog().drop_index("Vehicle", "weight").unwrap();
+    check("drop_index");
+}
+
 // ----------------------------------------------------------------------
 // EXPLAIN ANALYZE: fresh vs cached
 // ----------------------------------------------------------------------
