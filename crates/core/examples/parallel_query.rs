@@ -1,6 +1,10 @@
-//! Demonstrates the chunk-parallel execution path: the same MOODSQL query
-//! at parallelism 1 and 4 returns identical rows with identical page-access
-//! totals (see DESIGN.md §4c).
+//! Demonstrates that the parallelism setting never changes an answer: the
+//! same MOODSQL query at parallelism 1 and 4 returns identical rows with
+//! identical page-access totals (see DESIGN.md §4c). This query's `SELECT`
+//! sits directly over its `BIND`, so it runs as one batched scan on one
+//! thread at either setting; MOODSQL splits rows across workers only where
+//! a `SELECT` filters rows that are not a scan's (over a join, a temporary
+//! or a nested-loop FROM list).
 //!
 //! ```sh
 //! cargo run -p mood-core --example parallel_query

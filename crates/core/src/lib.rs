@@ -234,7 +234,10 @@ impl Mood {
 
     /// Set the worker count for the chunk-parallel execution path (1 =
     /// sequential, the default). Parallel runs produce byte-identical
-    /// results and unchanged page-access totals.
+    /// results and unchanged page-access totals. MOODSQL reads it only where
+    /// a `SELECT` filters rows that are not a scan's (over a join, a
+    /// temporary or a nested-loop FROM list): see
+    /// [`Session::set_parallelism`](mood_sql::Session::set_parallelism).
     pub fn set_parallelism(&self, parallelism: usize) {
         self.session.lock().set_parallelism(parallelism);
     }
@@ -256,8 +259,8 @@ impl Mood {
         self.session.lock().set_plan_cache_enabled(on);
     }
 
-    /// Resize the plan cache (entries across all shards, clamped to ≥ 1),
-    /// dropping every cached plan.
+    /// Resize the plan cache (entries, clamped to ≥ 1), dropping every
+    /// cached plan.
     pub fn set_plan_cache_capacity(&self, capacity: usize) {
         self.session.lock().set_plan_cache_capacity(capacity);
     }

@@ -6,25 +6,27 @@
 //! `Plan::subtree_size`), so estimate `id` N and the measured actuals for
 //! node N describe the same operator.
 //!
-//! Accounting is *exact* for page counters. Each node window records the
-//! **inclusive** global [`DiskMetrics`] delta (the node plus its subtree);
-//! a node's **exclusive** delta is its inclusive delta minus its direct
-//! children's inclusive deltas. Children windows nest disjointly inside
-//! their parent's window — parallel workers only run inside one node's
-//! window at a time — so the subtraction telescopes: the sum of every
-//! node's exclusive delta equals the tree roots' inclusive deltas, and
-//! adding the coordinator stage windows (PLAN, GROUP BY, …) reproduces the
-//! query's total counter delta component by component.
+//! Accounting is *exact*, for pages and for time, because every moment of
+//! an execution has one owner: a plan node, a clause stage (PLAN, FROM,
+//! WHERE:UNION, GROUP BY, HAVING, PROJECT, ORDER BY, DISTINCT) or the
+//! coordinator. The execution's `Ledger` keeps the last clock reading (an
+//! `Instant` and a [`DiskMetrics`] snapshot) and the current owner;
+//! switching owners charges the interval since that reading to the owner
+//! going out. A node's *exclusive* pages and nanos are what it was charged;
+//! its *inclusive* figures are the sums over its subtree. Owners switch on
+//! the coordinating thread only — chunk-parallel workers run, and are
+//! joined, inside whichever owner is current — so Σ node exclusives + Σ
+//! stages + the coordinator's share reproduce the statement's counter delta
+//! and wall time exactly.
 
 use std::cell::RefCell;
-use std::sync::Mutex;
+use std::mem;
 use std::time::Instant;
 
 use mood_optimizer::{NodeEstimate, Plan, PlanSet};
 use mood_storage::{DiskMetrics, MetricsRegistry, MetricsSnapshot};
 
 use crate::ast::Expr;
-use crate::error::Result;
 use crate::exec::QueryResult;
 
 /// Measured actuals for one plan node.
@@ -38,35 +40,6 @@ pub struct NodeActual {
     pub nanos: u64,
 }
 
-/// Per-node recording sink for one term's execution, one entry per node id
-/// (`None` until the node records). Shared by reference down the plan walk;
-/// windows are opened and recorded on the coordinating thread only.
-pub(crate) struct AnalyzeRec {
-    pub(crate) metrics: DiskMetrics,
-    nodes: RefCell<Vec<Option<NodeActual>>>,
-}
-
-impl AnalyzeRec {
-    pub(crate) fn new(metrics: DiskMetrics, nodes: usize) -> Self {
-        AnalyzeRec {
-            metrics,
-            nodes: RefCell::new(vec![None; nodes]),
-        }
-    }
-
-    pub(crate) fn record(&self, nid: usize, rows: u64, inclusive: MetricsSnapshot, nanos: u64) {
-        let mut nodes = self.nodes.borrow_mut();
-        let e = nodes[nid].get_or_insert_with(NodeActual::default);
-        e.rows += rows;
-        e.inclusive = e.inclusive.plus(&inclusive);
-        e.nanos += nanos;
-    }
-
-    pub(crate) fn into_nodes(self) -> Vec<Option<NodeActual>> {
-        self.nodes.into_inner()
-    }
-}
-
 /// Measured actuals for one coordinator stage (PLAN, nested-loop FROM,
 /// WHERE:UNION, GROUP BY, HAVING, PROJECT, ORDER BY, DISTINCT).
 #[derive(Debug, Clone)]
@@ -77,60 +50,169 @@ pub struct StageActual {
     pub nanos: u64,
 }
 
-/// Stage recording sink: every statement-level phase outside the plan walk
-/// is accounted to a stage so the page accounting stays complete — PLAN as
-/// a window here, the clauses after WHERE by the statement's tail, which
-/// accumulates its stage windows across batches and hands them over at the
-/// end. Creating it opens the statement's own window — the total the stages
-/// and plan nodes must sum to.
-pub(crate) struct StageRec {
-    metrics: DiskMetrics,
-    opened: Instant,
-    before: MetricsSnapshot,
-    stages: Mutex<Vec<StageActual>>,
+/// Who an interval of an execution belongs to.
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Owner {
+    Coordinator,
+    /// A plan node, by the shared pre-order id within its term.
+    Node(usize),
+    /// A clause stage, by its report name.
+    Stage(&'static str),
 }
 
-impl StageRec {
-    pub(crate) fn new(metrics: DiskMetrics) -> Self {
-        StageRec {
-            opened: Instant::now(),
-            before: metrics.snapshot(),
-            metrics,
-            stages: Mutex::new(Vec::new()),
+/// What one owner was charged: rows it produced, and the pages and wall
+/// time of every interval it owned.
+#[derive(Default, Clone, Copy)]
+pub(crate) struct Account {
+    rows: u64,
+    delta: MetricsSnapshot,
+    nanos: u64,
+}
+
+/// Every stage name there is, so a statement's stages always fit.
+const STAGES: usize = 8;
+
+type Reading = (Instant, MetricsSnapshot);
+
+/// The one recorder of an execution (see the module docs). A reporting
+/// ledger ([`Ledger::open`]) reads the clock when it is created and charges
+/// every interval up to [`Ledger::close`]; a plain one ([`Ledger::new`])
+/// takes its first reading at its first switch, so an execution that
+/// reports nothing reads the clock only where the per-operator totals need
+/// it.
+pub(crate) struct Ledger<'m> {
+    metrics: &'m DiskMetrics,
+    books: RefCell<Books>,
+}
+
+struct Books {
+    opened: Option<Reading>,
+    last: Option<Reading>,
+    owner: Owner,
+    /// The current term's nodes by id ([`Ledger::begin_term`] sizes it);
+    /// `None` for one never charged.
+    nodes: Vec<Option<Account>>,
+    /// Stages in report order: the order they were listed or first charged.
+    stages: [Option<(&'static str, Account)>; STAGES],
+    coordinator: Account,
+}
+
+impl Books {
+    fn account(&mut self, owner: Owner) -> &mut Account {
+        match owner {
+            Owner::Coordinator => &mut self.coordinator,
+            Owner::Node(id) => self.nodes[id].get_or_insert_with(Account::default),
+            Owner::Stage(name) => {
+                let at = self.stages.iter().position(|s| s.is_none_or(|(n, _)| n == name));
+                let slot = &mut self.stages[at.expect("a slot for every stage name")];
+                &mut slot.get_or_insert((name, Account::default())).1
+            }
         }
     }
 
-    pub(crate) fn window<T>(
-        &self,
-        name: &'static str,
-        rows_of: impl FnOnce(&T) -> u64,
-        f: impl FnOnce() -> Result<T>,
-    ) -> Result<T> {
-        let start = Instant::now();
-        let before = self.metrics.snapshot();
-        let out = f()?;
-        self.stages.lock().expect("stage lock").push(StageActual {
+    /// Read the clock and charge the interval since the last reading to the
+    /// current owner.
+    fn read(&mut self, metrics: &DiskMetrics) {
+        let now = (Instant::now(), metrics.snapshot());
+        if let Some((at, before)) = self.last {
+            let account = self.account(self.owner);
+            account.delta = account.delta.plus(&now.1.delta(&before));
+            account.nanos += (now.0 - at).as_nanos() as u64;
+        }
+        self.last = Some(now);
+    }
+}
+
+impl<'m> Ledger<'m> {
+    /// A ledger for an execution that reports nothing.
+    pub(crate) fn new(metrics: &'m DiskMetrics) -> Ledger<'m> {
+        let books = Books {
+            opened: None,
+            last: None,
+            owner: Owner::Coordinator,
+            nodes: Vec::new(),
+            stages: Default::default(),
+            coordinator: Account::default(),
+        };
+        Ledger { metrics, books: RefCell::new(books) }
+    }
+
+    /// A reporting ledger, its clock read now.
+    pub(crate) fn open(metrics: &'m DiskMetrics) -> Ledger<'m> {
+        let ledger = Ledger::new(metrics);
+        let mut books = ledger.books.borrow_mut();
+        books.read(metrics);
+        books.opened = books.last;
+        drop(books);
+        ledger
+    }
+
+    /// Does this execution report (`EXPLAIN ANALYZE`)?
+    pub(crate) fn reports(&self) -> bool {
+        self.books.borrow().opened.is_some()
+    }
+
+    /// Who owns the moment now.
+    pub(crate) fn owner(&self) -> Owner {
+        self.books.borrow().owner
+    }
+
+    /// Make `to` the owner, charging the interval since the last reading to
+    /// the owner going out; that owner, for the caller to switch back to.
+    pub(crate) fn switch(&self, to: Owner) -> Owner {
+        let mut books = self.books.borrow_mut();
+        if books.owner != to {
+            books.read(self.metrics);
+        }
+        mem::replace(&mut books.owner, to)
+    }
+
+    /// `rows` more produced by `owner`. Counting none lists a stage: it is
+    /// reported, in the order listed, even if it is never charged.
+    pub(crate) fn count(&self, owner: Owner, rows: u64) {
+        self.books.borrow_mut().account(owner).rows += rows;
+    }
+
+    /// The stages listed or charged so far, in report order.
+    pub(crate) fn stages(&self) -> impl Iterator<Item = StageActual> {
+        let stages = self.books.borrow().stages;
+        stages.into_iter().flatten().map(|(name, a)| StageActual {
             name,
-            rows: rows_of(&out),
-            delta: self.metrics.snapshot().delta(&before),
-            nanos: start.elapsed().as_nanos() as u64,
-        });
-        Ok(out)
+            rows: a.rows,
+            delta: a.delta,
+            nanos: a.nanos,
+        })
     }
 
-    /// Append stage rows measured elsewhere (the tail's).
-    pub(crate) fn extend(&self, stages: impl IntoIterator<Item = StageActual>) {
-        self.stages.lock().expect("stage lock").extend(stages);
+    /// Start a term of `nodes` plan nodes, all uncharged (sized once, so a
+    /// term's nodes cost one allocation at most).
+    pub(crate) fn begin_term(&self, nodes: usize) {
+        self.books.borrow_mut().nodes.resize(nodes, None);
     }
 
-    /// Close the statement window: the recorded stages, the counter delta
-    /// and the wall time since creation.
-    pub(crate) fn close(self) -> (Vec<StageActual>, MetricsSnapshot, u64) {
-        (
-            self.stages.into_inner().expect("stage lock"),
-            self.metrics.snapshot().delta(&self.before),
-            self.opened.elapsed().as_nanos() as u64,
-        )
+    /// Hand the finished term's node accounts to `f`, then clear them for
+    /// the next term.
+    pub(crate) fn settle_term<R>(&self, f: impl FnOnce(&[Option<Account>]) -> R) -> R {
+        let mut books = self.books.borrow_mut();
+        let settled = f(&books.nodes);
+        books.nodes.clear();
+        settled
+    }
+
+    /// Read the clock a last time, charging the coordinator: the stages,
+    /// the coordinator's nanos, and the statement's counter delta and wall
+    /// time since [`Ledger::open`].
+    pub(crate) fn close(self) -> (Vec<StageActual>, u64, MetricsSnapshot, u64) {
+        let mut books = self.books.borrow_mut();
+        books.owner = Owner::Coordinator;
+        books.read(self.metrics);
+        let span = |((t0, s0), (t1, s1)): (Reading, Reading)| {
+            (s1.delta(&s0), (t1 - t0).as_nanos() as u64)
+        };
+        let (total, elapsed) = books.opened.zip(books.last).map_or_else(Default::default, span);
+        let coordinator = books.coordinator.nanos;
+        drop(books);
+        (self.stages().collect(), coordinator, total, elapsed)
     }
 }
 
@@ -146,8 +228,10 @@ pub struct NodeReport {
     /// own (unmaterialized right sides of forward/hash joins, fetched per
     /// probe — their pages land in the join's exclusive delta).
     pub actual: Option<NodeActual>,
-    /// Exclusive counter delta: the node's own page work, children removed.
+    /// Exclusive counter delta: the pages of the intervals the node owned.
     pub exclusive: MetricsSnapshot,
+    /// Exclusive wall time: the nanoseconds of those intervals.
+    pub exclusive_nanos: u64,
 }
 
 /// One AND-term's plan with per-node reports (shared pre-order ids).
@@ -161,17 +245,21 @@ impl TermReport {
     pub(crate) fn build(
         plan: PlanSet,
         est: Vec<NodeEstimate>,
-        actuals: Vec<Option<NodeActual>>,
+        table: &NodeTable,
+        accounts: &[Option<Account>],
     ) -> TermReport {
         let ds = depths(&plan);
-        let kids = children_ids(&plan);
         let nodes = est
             .into_iter()
-            .map(|e| NodeReport {
-                depth: ds[e.id],
-                actual: actuals.get(e.id).copied().flatten(),
-                exclusive: exclusive_of(e.id, &kids, &actuals),
-                est: e,
+            .map(|e| {
+                let own = accounts.get(e.id).copied().flatten().unwrap_or_default();
+                NodeReport {
+                    depth: ds[e.id],
+                    actual: table.actual(e.id, accounts),
+                    exclusive: own.delta,
+                    exclusive_nanos: own.nanos,
+                    est: e,
+                }
             })
             .collect();
         TermReport { plan, nodes }
@@ -230,6 +318,10 @@ pub struct AnalyzeReport {
     /// Counter delta over the whole statement.
     pub total: MetricsSnapshot,
     pub elapsed_nanos: u64,
+    /// The coordinator's share of `elapsed_nanos`: what no node and no
+    /// stage owned (starting the execution, between terms, the estimates).
+    /// It reads no page.
+    pub coordinator_nanos: u64,
     /// The plan came from the session plan cache (no bind/optimize ran).
     pub cached: bool,
     /// Catalog epoch the plan was built under.
@@ -243,8 +335,9 @@ pub struct AnalyzeReport {
 }
 
 impl AnalyzeReport {
-    /// Σ per-node exclusive deltas + Σ stage deltas. Equals [`total`] for
-    /// the page/buffer counters — the accounting invariant the tests pin.
+    /// Σ per-node exclusive deltas + Σ stage deltas. Equals [`total`]
+    /// component by component — the accounting invariant the tests pin (the
+    /// coordinator reads no page).
     ///
     /// [`total`]: AnalyzeReport::total
     pub fn accounted(&self) -> MetricsSnapshot {
@@ -369,6 +462,18 @@ pub(crate) struct NodeTable {
 }
 
 impl NodeTable {
+    /// The actuals of node `id` from the term's accounts: its rows, and its
+    /// own pages and nanos plus its subtree's; `None` if it never ran.
+    fn actual(&self, id: usize, accounts: &[Option<Account>]) -> Option<NodeActual> {
+        let own = accounts.get(id).copied().flatten()?;
+        let mut actual = NodeActual { rows: own.rows, inclusive: own.delta, nanos: own.nanos };
+        for kid in self.kids[id].iter().filter_map(|&k| self.actual(k, accounts)) {
+            actual.inclusive = actual.inclusive.plus(&kid.inclusive);
+            actual.nanos += kid.nanos;
+        }
+        Some(actual)
+    }
+
     pub(crate) fn of(set: &PlanSet) -> NodeTable {
         fn walk(p: &Plan, out: &mut Vec<&'static str>) {
             out.push(op_kind(p));
@@ -388,16 +493,17 @@ impl NodeTable {
     }
 }
 
-/// Fold one term's measured nodes into the engine-wide operator totals.
+/// Fold one term's node accounts into the engine-wide operator totals:
+/// rows, exclusive pages, inclusive time.
 pub(crate) fn record_operator_totals(
     registry: &MetricsRegistry,
     nodes: &NodeTable,
-    actuals: &[Option<NodeActual>],
+    accounts: &[Option<Account>],
 ) {
     for (id, kind) in nodes.kinds.iter().enumerate() {
-        if let Some(a) = actuals.get(id).and_then(Option::as_ref) {
-            let ex = exclusive_of(id, &nodes.kids, actuals);
-            registry.record_operator(kind, a.rows, pages(&ex), a.nanos);
+        let own = accounts.get(id).copied().flatten();
+        if let Some((own, a)) = own.zip(nodes.actual(id, accounts)) {
+            registry.record_operator(kind, a.rows, pages(&own.delta), a.nanos);
         }
     }
 }
@@ -444,19 +550,6 @@ pub(crate) fn children_ids(set: &PlanSet) -> Vec<Vec<usize>> {
     }
     walk(&set.root, offset, &mut out);
     out
-}
-
-fn exclusive_of(id: usize, kids: &[Vec<usize>], actuals: &[Option<NodeActual>]) -> MetricsSnapshot {
-    let Some(a) = actuals.get(id).and_then(Option::as_ref) else {
-        return MetricsSnapshot::default();
-    };
-    let mut ex = a.inclusive;
-    for &k in &kids[id] {
-        if let Some(c) = actuals.get(k).and_then(Option::as_ref) {
-            ex = ex.delta(&c.inclusive);
-        }
-    }
-    ex
 }
 
 /// Estimate half of a node line, shared by `EXPLAIN` (est-only) and
@@ -527,29 +620,40 @@ mod tests {
     }
 
     #[test]
-    fn exclusive_subtracts_direct_children_only() {
-        let set = sample_set();
-        let kids = children_ids(&set);
-        let mut actuals = vec![None; 6];
-        let snap = |rnd: u64| MetricsSnapshot {
-            rnd_pages: rnd,
-            ..Default::default()
-        };
-        actuals[0] = Some(NodeActual {
-            rows: 10,
-            inclusive: snap(100),
-            nanos: 0,
+    fn the_ledger_charges_every_interval_to_one_owner() {
+        use mood_storage::AccessKind;
+        let metrics = DiskMetrics::new();
+        let reads = |n: usize| (0..n).for_each(|_| metrics.record_read(AccessKind::Random));
+        let ledger = Ledger::open(&metrics);
+        ledger.begin_term(6);
+        reads(1);
+        let outer = ledger.switch(Owner::Node(0));
+        reads(30);
+        let join = ledger.switch(Owner::Node(1));
+        reads(5);
+        ledger.switch(join);
+        reads(40);
+        ledger.switch(Owner::Stage("PROJECT"));
+        reads(7);
+        ledger.count(Owner::Stage("PROJECT"), 3);
+        ledger.switch(Owner::Node(0));
+        ledger.count(Owner::Node(0), 10);
+        ledger.switch(outer);
+        // Node 2 (SELECT over BIND(B)) never ran: no account, and nothing
+        // of it in the join's inclusive figures.
+        let table = NodeTable::of(&sample_set());
+        let (own, join) = ledger.settle_term(|nodes| {
+            (nodes.to_vec(), table.actual(0, nodes).expect("the join ran"))
         });
-        actuals[1] = Some(NodeActual {
-            rows: 5,
-            inclusive: snap(30),
-            nanos: 0,
-        });
-        // Node 2 (SELECT over BIND(B)) was fused — no record; its pages stay
-        // in the join's exclusive.
-        let ex = exclusive_of(0, &kids, &actuals);
-        assert_eq!(ex.rnd_pages, 70);
-        assert_eq!(exclusive_of(2, &kids, &actuals), MetricsSnapshot::default());
+        let (node0, node1) = (own[0].expect("charged"), own[1].expect("charged"));
+        assert_eq!((node0.delta.rnd_pages, node1.delta.rnd_pages), (70, 5));
+        assert_eq!((join.rows, join.inclusive.rnd_pages), (10, 75));
+        assert_eq!(join.nanos, node0.nanos + node1.nanos);
+        assert!(own[2].is_none() && table.actual(2, &own).is_none());
+        let (stages, coordinator, total, elapsed) = ledger.close();
+        assert_eq!((stages[0].name, stages[0].rows, stages[0].delta.rnd_pages), ("PROJECT", 3, 7));
+        assert_eq!(total.rnd_pages, 83, "the coordinator's first read is in the total");
+        assert_eq!(node0.nanos + node1.nanos + stages[0].nanos + coordinator, elapsed);
     }
 
     #[test]

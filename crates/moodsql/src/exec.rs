@@ -33,12 +33,12 @@ use mood_datamodel::Value;
 use mood_funcman::{Exception, ExceptionKind, FunctionManager, Receiver};
 use mood_optimizer::{estimate_plan_set, optimize, OptimizerConfig, Plan, PlanSet};
 use mood_storage::exec::run_chunked;
-use mood_storage::{AccessHint, DiskMetrics, FileId, Metric, MetricsSnapshot, Oid};
+use mood_storage::{AccessHint, FileId, Metric, Oid};
 use mood_trace::Tracer;
 
 use crate::analyze::{
-    op_span, record_operator_totals, render_estimates, AnalyzeRec, AnalyzeReport, NodeActual,
-    NodeTable, StageRec, TermReport,
+    op_span, record_operator_totals, render_estimates, AnalyzeReport, Ledger, NodeTable, Owner,
+    TermReport,
 };
 use crate::ast::{CmpOp, Expr, Lit, PathRef, SelectStmt};
 use crate::binder::{lower, Lowered};
@@ -630,35 +630,36 @@ impl<'a> Executor<'a> {
     /// Execute a prepared plan with this executor's parameters: no parse,
     /// no bind, no optimize.
     pub fn run_prepared(&self, pq: &PreparedQuery) -> Result<QueryResult> {
-        Ok(self.execute(pq, None)?.0)
+        let ledger = Ledger::new(self.catalog.storage().metrics());
+        Ok(self.execute(pq, &ledger)?.0)
     }
 
     /// Execute with full instrumentation: the `EXPLAIN ANALYZE` statement.
     ///
-    /// Preparation runs inside the `PLAN` stage window, every plan node
-    /// inside a recording window (rows, inclusive counter delta, wall time)
-    /// and every coordinator stage inside a stage window, so the report's
-    /// exclusive deltas plus stage deltas sum exactly to the statement's
-    /// total counter delta.
+    /// The statement's ledger opens first: preparation is the `PLAN`
+    /// stage's, and every moment after it belongs to one plan node, one
+    /// stage or the coordinator, so the report's exclusive figures and
+    /// stage figures sum exactly to the statement's counter delta and, with
+    /// the coordinator's share, to its wall time.
     pub fn analyze(&self, stmt: &SelectStmt) -> Result<AnalyzeReport> {
-        let stages = StageRec::new(self.catalog.storage().metrics().clone());
-        let pq = stages.window("PLAN", |_: &_| 0, || self.prepare_query(stmt))?;
-        self.report(&pq, stages, false)
+        let ledger = Ledger::open(self.catalog.storage().metrics());
+        ledger.switch(Owner::Stage("PLAN"));
+        let pq = self.prepare_query(stmt)?;
+        ledger.switch(Owner::Coordinator);
+        self.report(&pq, ledger, false)
     }
 
     /// Execute a prepared (cached) plan with full instrumentation. The
     /// PLAN stage is absent — bind/optimize already happened at prepare
     /// time — so the report states `cached` and a zero compile cost.
     pub fn analyze_prepared(&self, pq: &PreparedQuery) -> Result<AnalyzeReport> {
-        let stages = StageRec::new(self.catalog.storage().metrics().clone());
-        self.report(pq, stages, true)
+        self.report(pq, Ledger::open(self.catalog.storage().metrics()), true)
     }
 
-    /// Run the driver with recording on and assemble the report over the
-    /// window `stages` has been open for.
-    fn report(&self, pq: &PreparedQuery, stages: StageRec, cached: bool) -> Result<AnalyzeReport> {
-        let (result, terms) = self.execute(pq, Some(&stages))?;
-        let (stages, total, elapsed_nanos) = stages.close();
+    /// Run the driver on a reporting ledger and assemble the report.
+    fn report(&self, pq: &PreparedQuery, ledger: Ledger<'_>, cached: bool) -> Result<AnalyzeReport> {
+        let (result, terms) = self.execute(pq, &ledger)?;
+        let (stages, coordinator_nanos, total, elapsed_nanos) = ledger.close();
         let compile_nanos = stages
             .iter()
             .find(|s| s.name == "PLAN")
@@ -666,6 +667,7 @@ impl<'a> Executor<'a> {
         Ok(AnalyzeReport {
             total,
             elapsed_nanos,
+            coordinator_nanos,
             result,
             terms,
             stages,
@@ -697,7 +699,7 @@ impl<'a> Executor<'a> {
             .span("execute", self.catalog.storage().metrics());
         let slot = pq.reads.slot(var)?;
         let mut targets = Targets { var, slot, seen: HashSet::new(), rows: Vec::new() };
-        self.feed(&pq, false, &mut targets)?;
+        self.feed(&pq, &Ledger::new(self.catalog.storage().metrics()), &mut targets)?;
         exec_span.set_rows(targets.rows.len() as u64);
         Ok(targets.rows)
     }
@@ -713,22 +715,22 @@ impl<'a> Executor<'a> {
 
     /// The SELECT driver — the one path every statement takes: FROM + WHERE
     /// ([`Executor::feed`]) push into the statement's [`Tail`], which
-    /// applies the later clauses to the stream. `stages` turns recording on
-    /// (`EXPLAIN ANALYZE`): the tail's stage rows land there and the plan
-    /// nodes' actuals come back as per-term reports; without it the same
-    /// code runs and the reports are empty.
+    /// applies the later clauses to the stream, every moment charged to
+    /// `ledger`. A reporting ledger (`EXPLAIN ANALYZE`) gets the plan
+    /// nodes' actuals back as per-term reports; otherwise the same code
+    /// runs and the reports are empty.
     fn execute(
         &self,
         pq: &PreparedQuery,
-        stages: Option<&StageRec>,
+        ledger: &Ledger<'_>,
     ) -> Result<(QueryResult, Vec<TermReport>)> {
         self.start(pq)?;
         let mut exec_span = self
             .tracer
             .span("execute", self.catalog.storage().metrics());
-        let mut tail = Tail::new(self, pq);
-        let terms = self.feed(pq, stages.is_some(), &mut tail)?;
-        let result = tail.finish(stages)?;
+        let mut tail = Tail::new(self, pq, ledger);
+        let terms = self.feed(pq, ledger, &mut tail)?;
+        let result = tail.finish()?;
         exec_span.set_rows(result.len() as u64);
         Ok((result, terms))
     }
@@ -736,30 +738,33 @@ impl<'a> Executor<'a> {
     /// FROM + WHERE of a prepared statement, pushed into `sink`: each
     /// AND-term's plan runs in turn and the sink sees their union (Figure
     /// 7.2; a FROM list without plans runs as the nested-loop product).
-    /// Per-node actuals are always recorded — the registry's per-operator
-    /// lifetime totals come from every execution — and, for a `report`,
-    /// paired with the cost model's estimates (computed here, on demand).
+    /// Every term's node accounts are folded into the registry's
+    /// per-operator lifetime totals and, on a reporting ledger, paired with
+    /// the cost model's estimates (computed here, on demand).
     fn feed(
         &self,
         pq: &PreparedQuery,
-        report: bool,
+        ledger: &Ledger<'_>,
         sink: &mut dyn Sink,
     ) -> Result<Vec<TermReport>> {
         self.mark("FROM");
         if pq.terms.is_empty() {
-            self.nested_loop(pq, sink)?;
+            self.nested_loop(pq, ledger, sink)?;
             return Ok(Vec::new());
         }
-        let storage = self.catalog.storage();
-        let stats = report.then(|| self.catalog.stats());
+        let registry = self.catalog.storage().registry();
+        let stats = ledger.reports().then(|| self.catalog.stats());
         let mut reports: Vec<TermReport> = Vec::new();
         for term in &pq.terms {
-            let actuals = self.exec_term(term, pq, sink)?;
-            record_operator_totals(storage.registry(), &term.table, &actuals);
-            if let Some(stats) = &stats {
-                let est = estimate_plan_set(&term.plan, stats, &self.config);
-                reports.push(TermReport::build(term.plan.clone(), est, actuals));
-            }
+            self.exec_term(term, pq, ledger, sink)?;
+            ledger.settle_term(|accounts| {
+                record_operator_totals(registry, &term.table, accounts);
+                if let Some(stats) = &stats {
+                    let est = estimate_plan_set(&term.plan, stats, &self.config);
+                    let plan = term.plan.clone();
+                    reports.push(TermReport::build(plan, est, &term.table, accounts));
+                }
+            });
         }
         if pq.terms.len() > 1 {
             self.mark("WHERE:UNION");
@@ -768,36 +773,39 @@ impl<'a> Executor<'a> {
     }
 
     /// Execute one term's plan set: temps in creation order, then the root
-    /// into `sink`; its nodes' actuals. Node ids follow the shared pre-order
-    /// scheme over `[temps…, root]`.
+    /// into `sink`, each node charging `ledger` under its id in the shared
+    /// pre-order scheme over `[temps…, root]`.
     fn exec_term(
         &self,
         term: &Term,
         pq: &PreparedQuery,
+        ledger: &Ledger<'_>,
         sink: &mut dyn Sink,
-    ) -> Result<Vec<Option<NodeActual>>> {
-        let metrics = self.catalog.storage().metrics().clone();
-        let rec = AnalyzeRec::new(metrics, term.prep.len());
-        let mut run = TermRun { prep: &term.prep, temps: HashMap::new(), rec };
+    ) -> Result<()> {
+        ledger.begin_term(term.prep.len());
+        let mut run = TermRun { prep: &term.prep, temps: HashMap::new(), ledger };
         let mut offset = 0usize;
         for (name, plan) in &term.plan.temps {
             let rows = self.rows_of(plan, offset, pq, &run)?;
             offset += plan.subtree_size();
             run.temps.insert(name.clone(), rows);
         }
-        self.exec_plan_at(&term.plan.root, offset, pq, &run, sink)?;
-        Ok(run.rec.into_nodes())
+        self.exec_plan_at(&term.plan.root, offset, pq, &run, sink)
     }
 
     /// FROM + WHERE for a FROM list the optimizer's single-root model cannot
     /// absorb: the nested-loop product over the FROM extents, formed and
     /// filtered by the WHERE clause `batch_size` rows at a time. There is no
-    /// per-operator plan; the FROM stage window keeps the page accounting
-    /// complete.
-    fn nested_loop(&self, pq: &PreparedQuery, sink: &mut dyn Sink) -> Result<()> {
+    /// per-operator plan: the FROM stage owns the work.
+    fn nested_loop(
+        &self,
+        pq: &PreparedQuery,
+        ledger: &Ledger<'_>,
+        sink: &mut dyn Sink,
+    ) -> Result<()> {
         let (stmt, filter) = (&pq.stmt, &pq.residual);
-        let metrics = self.catalog.storage().metrics();
-        let window = Window::open(metrics, sink);
+        let from = Owner::Stage("FROM");
+        let feeder = ledger.switch(from);
         let extent = |item: &crate::ast::FromItem| -> Result<Vec<(Oid, Arc<Value>)>> {
             let extent = if item.every {
                 self.catalog.extent_every(&item.class, &item.minus)?
@@ -813,6 +821,7 @@ impl<'a> Executor<'a> {
             r
         };
         let Some((last, outer_items)) = stmt.from.split_last() else {
+            ledger.switch(feeder);
             return Ok(());
         };
         let mut outer: Vec<Row> = vec![Row::default()];
@@ -845,8 +854,8 @@ impl<'a> Executor<'a> {
             }
         }
         flush(buf)?;
-        let (delta, nanos) = window.close(metrics, sink);
-        sink.record_from(produced, delta, nanos);
+        ledger.count(from, produced);
+        ledger.switch(feeder);
         Ok(())
     }
 
@@ -854,13 +863,13 @@ impl<'a> Executor<'a> {
     // Plan interpretation
     // ------------------------------------------------------------------
 
-    /// Execute the node at pre-order id `nid` into `sink`, recording its
-    /// rows, inclusive counter delta and wall time — less what the sink
-    /// accounted to stages of its own while the node fed it.
+    /// Execute the node at pre-order id `nid` into `sink`, the node owning
+    /// every moment of it that no child and no stage of the sink owns, and
+    /// count its rows.
     ///
-    /// Snapshots are taken on this (coordinating) thread: chunk-parallel
-    /// operators join their workers before returning, so the window still
-    /// covers every page they touch.
+    /// Owners switch on this (coordinating) thread only: chunk-parallel
+    /// operators join their workers before returning, so the node owns
+    /// every page they touch.
     fn exec_plan_at(
         &self,
         plan: &Plan,
@@ -869,13 +878,12 @@ impl<'a> Executor<'a> {
         run: &TermRun<'_>,
         sink: &mut dyn Sink,
     ) -> Result<()> {
-        let metrics = &run.rec.metrics;
-        let mut span = self.tracer.span(op_span(plan), metrics);
-        let window = Window::open(metrics, sink);
+        let mut span = self.tracer.span(op_span(plan), self.catalog.storage().metrics());
+        let feeder = run.ledger.switch(Owner::Node(nid));
         let rows = self.exec_plan_node(plan, nid, pq, run, sink)?;
         span.set_rows(rows);
-        let (delta, nanos) = window.close(metrics, sink);
-        run.rec.record(nid, rows, delta, nanos);
+        run.ledger.count(Owner::Node(nid), rows);
+        run.ledger.switch(feeder);
         Ok(())
     }
 
@@ -950,10 +958,9 @@ impl<'a> Executor<'a> {
     /// extent order) at every batch size; at 1 it *is* the row-at-a-time
     /// path.
     ///
-    /// A `Bind` absorbed this way still reports its own actuals: the
-    /// objects the scan produced, and the pages and time of this pass less
-    /// its predicate batches and the sink's stage windows — which leaves
-    /// the enclosing `Select` exactly the work its predicate did.
+    /// A `Bind` absorbed this way still reports its own actuals: it counts
+    /// the objects the scan produced and owns the pass, while the enclosing
+    /// `Select` owns the predicate batches.
     fn scan(
         &self,
         var: &str,
@@ -965,11 +972,11 @@ impl<'a> Executor<'a> {
     ) -> Result<u64> {
         let batch = self.config.execution.batch_size.max(1);
         let registry = self.catalog.storage().registry();
-        let metrics = &run.rec.metrics;
-        let window = Window::open(metrics, sink);
         let (mut scanned, mut kept) = (0u64, 0u64);
-        let mut pred_delta = MetricsSnapshot::default();
-        let mut pred_nanos = 0u64;
+        let (scan, ledger) = (Owner::Node(bind), run.ledger);
+        if filter.is_some() {
+            ledger.switch(scan);
+        }
         let mut scratch = Scratch::new(self);
         // One batch: shared registers, fresh deref cache.
         let mut flush = |objects: &mut [(Oid, Value)]| -> Result<()> {
@@ -978,10 +985,10 @@ impl<'a> Executor<'a> {
             if let Some(pred) = filter {
                 registry.add(Metric::BatchRows, n as u64);
                 registry.add(Metric::BatchCount, 1);
-                let (pred_start, pred_before) = (Instant::now(), metrics.snapshot());
+                // The `SELECT` directly over the `BIND`: the id before it.
+                ledger.switch(Owner::Node(bind - 1));
                 n = keep_matching(&mut scratch, pred, var, objects)?;
-                pred_delta = pred_delta.plus(&metrics.snapshot().delta(&pred_before));
-                pred_nanos += pred_start.elapsed().as_nanos() as u64;
+                ledger.switch(scan);
             }
             kept += n as u64;
             sink.push_objects(var, &mut objects[..n])
@@ -1008,9 +1015,7 @@ impl<'a> Executor<'a> {
             flush(slab.objects())?;
         }
         if filter.is_some() {
-            let (delta, nanos) = window.close(metrics, sink);
-            let nanos = nanos.saturating_sub(pred_nanos);
-            run.rec.record(bind, scanned, delta.delta(&pred_delta), nanos);
+            ledger.count(scan, scanned);
         }
         Ok(kept)
     }
@@ -1080,11 +1085,10 @@ impl<'a> Executor<'a> {
     ///
     /// A class right side (optionally filtered, by a program over this
     /// join's registers) ranges over [`Executor::range_of`] its variable.
-    /// One the method probes stays unmaterialized: no actuals are recorded
-    /// for it and its pages land in the join's exclusive delta. One the
-    /// method scans up front (backward traversal, the binary join index)
-    /// gets its own recording window, as does any other right plan, so the
-    /// child still reports rows and pages.
+    /// One the method probes stays unmaterialized: it has no actuals and
+    /// the join owns its pages. One the method scans up front (backward
+    /// traversal, the binary join index) owns that scan, as any other right
+    /// plan owns its run, so the child still reports rows and pages.
     fn exec_join(
         &self,
         join: &Plan,
@@ -1126,14 +1130,11 @@ impl<'a> Executor<'a> {
                 JoinRight::Class { classes, files, fields }
             }
             Some(((classes, _), _)) => {
-                let (start, before) = (Instant::now(), run.rec.metrics.snapshot());
+                let join = run.ledger.switch(Owner::Node(right_nid));
                 let members = scan_class(self.catalog, classes, fields, &mut bind)?;
-                run.rec.record(
-                    right_nid,
-                    members.values().map(|v| v.len() as u64).sum(),
-                    run.rec.metrics.snapshot().delta(&before),
-                    start.elapsed().as_nanos() as u64,
-                );
+                let rows = members.values().map(|v| v.len() as u64).sum();
+                run.ledger.count(Owner::Node(right_nid), rows);
+                run.ledger.switch(join);
                 JoinRight::Members(members)
             }
             None => {
@@ -1171,11 +1172,11 @@ impl<'a> Executor<'a> {
 }
 
 /// One execution of a term: what prepare resolved for its nodes, the
-/// temporaries built so far, and the nodes' actuals.
+/// temporaries built so far, and the ledger its nodes charge.
 struct TermRun<'p> {
     prep: &'p [NodePrep],
     temps: HashMap<String, Vec<Row>>,
-    rec: AnalyzeRec,
+    ledger: &'p Ledger<'p>,
 }
 
 impl TermRun<'_> {
@@ -1221,34 +1222,6 @@ impl Sink for Bindings<'_> {
     fn push_rows(&mut self, mut rows: Vec<Row>) -> Result<()> {
         self.rows.append(&mut rows);
         Ok(())
-    }
-}
-
-/// A recording window over a plan node (or the nested-loop FROM stage)
-/// that feeds a sink: the page delta and time since it opened, less what
-/// the sink accounted to stages of its own meanwhile.
-struct Window {
-    start: Instant,
-    before: MetricsSnapshot,
-    spent: (MetricsSnapshot, u64),
-}
-
-impl Window {
-    fn open(metrics: &DiskMetrics, sink: &dyn Sink) -> Window {
-        Window {
-            start: Instant::now(),
-            before: metrics.snapshot(),
-            spent: sink.spent(),
-        }
-    }
-
-    fn close(&self, metrics: &DiskMetrics, sink: &dyn Sink) -> (MetricsSnapshot, u64) {
-        let (delta, nanos) = sink.spent();
-        let (delta, nanos) = (delta.delta(&self.spent.0), nanos - self.spent.1);
-        (
-            metrics.snapshot().delta(&self.before).delta(&delta),
-            (self.start.elapsed().as_nanos() as u64).saturating_sub(nanos),
-        )
     }
 }
 

@@ -34,9 +34,8 @@ pub use exec::{BoundObj, Executor, PreparedQuery, QueryResult, Row};
 pub use parser::{parse, parse_expr, MAX_EXPR_DEPTH};
 
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
 use std::mem;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use mood_catalog::{Catalog, ClassBuilder, MethodSig};
@@ -49,16 +48,13 @@ use compiled::{PreparedExpr, RowView, Scratch};
 use exec::Scaffold;
 use shape::Shape;
 
-/// Plan cache shard count: keeps lock contention low when a session is
-/// shared behind a facade mutex and queried from many threads in turn.
-const PLAN_CACHE_SHARDS: usize = 8;
-/// Default total cached plans across all shards (see
-/// [`Session::set_plan_cache_capacity`]).
+/// Default number of cached plans (see [`Session::set_plan_cache_capacity`]).
 pub const PLAN_CACHE_CAPACITY: usize = 128;
 
-/// A bounded, sharded LRU of prepared plans keyed by statement shape
+/// A bounded LRU of prepared plans keyed by statement shape
 /// ([`Shape::key`]): statements that differ only in layout or in the
-/// literal operands of `=` share one entry.
+/// literal operands of `=` share one entry. It is a [`Session`] field, so
+/// whatever serialises the session serialises the cache.
 ///
 /// Entries carry the catalog epoch they were built under ([`PreparedQuery::
 /// epoch`]); a lookup under a different epoch removes the entry (counted as
@@ -67,16 +63,10 @@ pub const PLAN_CACHE_CAPACITY: usize = 128;
 /// indexes, never row contents — while DDL, index builds and statistics
 /// refreshes all do.
 struct PlanCache {
-    shards: Vec<Mutex<CacheShard>>,
-    per_shard: usize,
-    capacity: usize,
-}
-
-#[derive(Default)]
-struct CacheShard {
     map: HashMap<String, CacheEntry>,
-    /// Monotonic use counter; entry with the smallest stamp is the LRU.
+    /// Monotonic use counter; the entry with the smallest stamp is the LRU.
     tick: u64,
+    capacity: usize,
 }
 
 struct CacheEntry {
@@ -86,74 +76,48 @@ struct CacheEntry {
 
 impl PlanCache {
     fn new(capacity: usize) -> PlanCache {
-        let capacity = capacity.max(1);
-        PlanCache {
-            shards: (0..PLAN_CACHE_SHARDS)
-                .map(|_| Mutex::new(CacheShard::default()))
-                .collect(),
-            per_shard: capacity.div_ceil(PLAN_CACHE_SHARDS),
-            capacity,
-        }
-    }
-
-    fn shard(&self, key: &str) -> &Mutex<CacheShard> {
-        let mut h = std::collections::hash_map::DefaultHasher::new();
-        key.hash(&mut h);
-        &self.shards[(h.finish() as usize) % self.shards.len()]
+        PlanCache { map: HashMap::new(), tick: 0, capacity: capacity.max(1) }
     }
 
     /// A valid entry under the current epoch, or `None`. A stale entry is
     /// removed here and counted as an invalidation (the caller then counts
     /// the re-prepare as a miss, so invalidations ⊆ misses).
-    fn get(&self, key: &str, epoch: u64, registry: &MetricsRegistry) -> Option<Arc<PreparedQuery>> {
-        let mut shard = self.shard(key).lock().expect("plan cache lock");
-        shard.tick += 1;
-        let tick = shard.tick;
-        let stale = match shard.map.get_mut(key) {
+    fn get(
+        &mut self,
+        key: &str,
+        epoch: u64,
+        registry: &MetricsRegistry,
+    ) -> Option<Arc<PreparedQuery>> {
+        self.tick += 1;
+        match self.map.get_mut(key) {
             Some(entry) if entry.prepared.epoch == epoch => {
-                entry.last_used = tick;
+                entry.last_used = self.tick;
                 registry.add(Metric::PlanCacheHits, 1);
                 return Some(entry.prepared.clone());
             }
-            Some(_) => true,
-            None => false,
-        };
-        if stale {
-            shard.map.remove(key);
-            registry.add(Metric::PlanCacheInvalidations, 1);
+            Some(_) => {
+                self.map.remove(key);
+                registry.add(Metric::PlanCacheInvalidations, 1);
+            }
+            None => {}
         }
         None
     }
 
-    fn insert(&self, key: String, pq: Arc<PreparedQuery>, registry: &MetricsRegistry) {
-        let mut shard = self.shard(&key).lock().expect("plan cache lock");
-        shard.tick += 1;
-        let tick = shard.tick;
-        if shard.map.len() >= self.per_shard && !shard.map.contains_key(&key) {
-            let victim = shard
-                .map
-                .iter()
-                .min_by_key(|(_, e)| e.last_used)
-                .map(|(k, _)| k.clone());
+    fn insert(&mut self, key: String, pq: Arc<PreparedQuery>, registry: &MetricsRegistry) {
+        self.tick += 1;
+        if self.map.len() >= self.capacity && !self.map.contains_key(&key) {
+            let victim = self.map.iter().min_by_key(|(_, e)| e.last_used).map(|(k, _)| k.clone());
             if let Some(victim) = victim {
-                shard.map.remove(&victim);
+                self.map.remove(&victim);
                 registry.add(Metric::PlanCacheEvictions, 1);
             }
         }
-        shard.map.insert(
-            key,
-            CacheEntry {
-                prepared: pq,
-                last_used: tick,
-            },
-        );
+        self.map.insert(key, CacheEntry { prepared: pq, last_used: self.tick });
     }
 
-    fn clear(&self) {
-        for shard in &self.shards {
-            let mut shard = shard.lock().expect("plan cache lock");
-            shard.map.clear();
-        }
+    fn clear(&mut self) {
+        self.map.clear();
     }
 }
 
@@ -246,9 +210,13 @@ impl Session {
 
     /// Set the worker count used by the chunk-parallel execution path.
     ///
-    /// `1` (the default) runs every operator sequentially; values above 1
-    /// split row batches across scoped worker threads. Results are
-    /// byte-identical either way.
+    /// `1` (the default) runs every operator sequentially. In MOODSQL the
+    /// value reaches one operator: the filter of a `SELECT` whose input is
+    /// not a `BIND` (a join's or a temporary's rows), and the WHERE clause
+    /// over a nested-loop FROM list, which split their rows across scoped
+    /// worker threads. Scans (a `SELECT` over a `BIND` included), index
+    /// selections, joins and the clauses after WHERE run on one thread at
+    /// any value. Results are byte-identical either way.
     pub fn set_parallelism(&mut self, parallelism: usize) {
         self.config = self.config.clone().with_parallelism(parallelism);
         self.plan_cache.clear();
@@ -277,8 +245,7 @@ impl Session {
         self.plan_cache.clear();
     }
 
-    /// Resize the plan cache. The cache is rebuilt empty (entries sized
-    /// for the old shards would skew LRU accounting) and the registry's
+    /// Resize the plan cache. The cache is rebuilt empty and the registry's
     /// `plan_cache.capacity` gauge updated.
     pub fn set_plan_cache_capacity(&mut self, capacity: usize) {
         self.plan_cache = PlanCache::new(capacity);
@@ -288,13 +255,13 @@ impl Session {
             .set(Metric::PlanCacheCapacity, self.plan_cache.capacity as u64);
     }
 
-    /// The plan cache's total capacity across shards.
+    /// The plan cache's capacity: how many shapes it holds.
     pub fn plan_cache_capacity(&self) -> usize {
         self.plan_cache.capacity
     }
 
     /// Drop every cached plan (counters untouched).
-    pub fn clear_plan_cache(&self) {
+    pub fn clear_plan_cache(&mut self) {
         self.plan_cache.clear();
     }
 

@@ -25,21 +25,19 @@
 //! its input (`SUM` over a string) waits until that aggregate is read, as
 //! HAVING's short-circuit order requires.
 //!
-//! Every stage's work runs inside a window of the [`Clock`]: rows, page
-//! delta and time accumulate per stage across batches. The windows open
-//! while the feeding plan node is still running, so the node subtracts the
-//! growth of [`Sink::spent`] from its own window — Σ node exclusives + Σ
-//! stage deltas == statement total stays exact.
+//! Every stage owns its work in the execution's [`Ledger`]: a push makes
+//! each stage it reaches the owner in turn and hands the moment back to the
+//! feeding plan node when it returns, so rows, pages and time accumulate per
+//! stage across batches and the node is charged none of them.
 
 use std::collections::{HashMap, HashSet};
-use std::time::Instant;
 
 use mood_algebra::sort::{decode_indexed_list, spill_corrupt, spill_err, Sorter};
 use mood_datamodel::{encode_value_into, Value};
 use mood_storage::spill::SpillFile;
-use mood_storage::{DiskMetrics, Metric, MetricsSnapshot, Oid, StorageManager};
+use mood_storage::{Metric, Oid, StorageManager};
 
-use crate::analyze::{StageActual, StageRec};
+use crate::analyze::{Ledger, Owner};
 use crate::ast::{Expr, SelectStmt};
 use crate::compiled::{PreparedExpr, RowView, Scratch};
 use crate::error::{Result, SqlError};
@@ -55,13 +53,6 @@ pub(crate) trait Sink {
     /// its next batch into whatever the sink left.
     fn push_objects(&mut self, var: &str, items: &mut [(Oid, Value)]) -> Result<()>;
     fn push_rows(&mut self, rows: Vec<Row>) -> Result<()>;
-    /// Page delta and time the sink has accounted to stages of its own.
-    fn spent(&self) -> (MetricsSnapshot, u64) {
-        Default::default()
-    }
-    /// The nested-loop FROM stage, measured by its driver (the sink's own
-    /// windows already subtracted).
-    fn record_from(&mut self, _rows: u64, _delta: MetricsSnapshot, _nanos: u64) {}
 }
 
 /// Move the items `keep` admits to the front of `items`, in order, and
@@ -82,13 +73,13 @@ pub(crate) fn compact<T>(
 }
 
 // ----------------------------------------------------------------------
-// Stage windows
+// Stages
 // ----------------------------------------------------------------------
 
 /// Stage rows in clause order: an ungrouped ORDER BY reads the bound rows,
 /// a grouped one names output columns.
 const UNGROUPED: [&str; 5] = ["FROM", "WHERE:UNION", "ORDER BY", "PROJECT", "DISTINCT"];
-const GROUPED: [&str; MAX_STAGES] = [
+const GROUPED: [&str; 7] = [
     "FROM",
     "WHERE:UNION",
     "GROUP BY",
@@ -97,38 +88,6 @@ const GROUPED: [&str; MAX_STAGES] = [
     "ORDER BY",
     "DISTINCT",
 ];
-
-const MAX_STAGES: usize = 7;
-
-/// Per-stage accumulators (the statement's own stages, in clause order)
-/// plus the running total of every window opened.
-struct Clock {
-    metrics: DiskMetrics,
-    stages: [Option<StageActual>; MAX_STAGES],
-    spent: (MetricsSnapshot, u64),
-}
-
-impl Clock {
-    fn start(&self) -> (Instant, MetricsSnapshot) {
-        (Instant::now(), self.metrics.snapshot())
-    }
-
-    /// Close a window opened by [`Clock::start`]: `rows` more out of `stage`.
-    fn stop(&mut self, stage: &str, (start, before): (Instant, MetricsSnapshot), rows: u64) {
-        let delta = self.metrics.snapshot().delta(&before);
-        let nanos = start.elapsed().as_nanos() as u64;
-        self.add(stage, rows, delta, nanos);
-        self.spent = (self.spent.0.plus(&delta), self.spent.1 + nanos);
-    }
-
-    fn add(&mut self, stage: &str, rows: u64, delta: MetricsSnapshot, nanos: u64) {
-        if let Some(s) = self.stages.iter_mut().flatten().find(|s| s.name == stage) {
-            s.rows += rows;
-            s.delta = s.delta.plus(&delta);
-            s.nanos += nanos;
-        }
-    }
-}
 
 /// One pushed batch: scanned objects of one variable, or binding rows.
 #[derive(Clone, Copy)]
@@ -516,7 +475,7 @@ pub(crate) struct Tail<'e, 'a> {
     /// evaluates: a sub-object shared by many records of a batch is fetched
     /// once.
     scratch: Scratch<'e, 'a>,
-    clock: Clock,
+    ledger: &'e Ledger<'e>,
     batch: usize,
     /// The row slots of the statement's variables.
     slots: &'e ReadSets,
@@ -536,7 +495,11 @@ pub(crate) struct Tail<'e, 'a> {
 }
 
 impl<'e, 'a> Tail<'e, 'a> {
-    pub fn new(ex: &'e Executor<'a>, pq: &'e PreparedQuery) -> Tail<'e, 'a> {
+    pub fn new(
+        ex: &'e Executor<'a>,
+        pq: &'e PreparedQuery,
+        ledger: &'e Ledger<'e>,
+    ) -> Tail<'e, 'a> {
         let stmt = &pq.stmt;
         let budget = ex.config.execution.sort_budget.max(2);
         let mut asc: Vec<bool> = stmt.order_by.iter().map(|(_, asc)| *asc).collect();
@@ -573,29 +536,16 @@ impl<'e, 'a> Tail<'e, 'a> {
             _ => true,
         };
         let order: &[&'static str] = if agg.is_some() { &GROUPED } else { &UNGROUPED };
-        let mut stages: [Option<StageActual>; MAX_STAGES] = Default::default();
-        for (slot, name) in stages
-            .iter_mut()
-            .zip(order.iter().copied().filter(|s| present(s)))
-        {
-            let (rows, delta, nanos) = Default::default();
-            *slot = Some(StageActual {
-                name,
-                rows,
-                delta,
-                nanos,
-            });
+        // Listed in clause order: each is reported even if it never runs.
+        for &stage in order.iter().filter(|s| present(s)) {
+            ledger.count(Owner::Stage(stage), 0);
         }
         Tail {
             ex,
             stmt,
             labels: pq.labels.as_deref(),
             scratch: Scratch::new(ex),
-            clock: Clock {
-                metrics: ex.catalog.storage().metrics().clone(),
-                stages,
-                spent: Default::default(),
-            },
+            ledger,
             batch: ex.config.execution.batch_size.max(1),
             slots: &pq.reads,
             union: (pq.terms.len() > 1).then(|| Union {
@@ -618,16 +568,15 @@ impl<'e, 'a> Tail<'e, 'a> {
     fn consume(&mut self, batch: Batch<'_>) -> Result<()> {
         self.scratch.next_batch();
         if let Some(agg) = &mut self.agg {
-            let window = self.clock.start();
+            self.ledger.switch(Owner::Stage("GROUP BY"));
             for view in batch.views() {
                 agg.add(&mut self.scratch, self.ex.catalog.storage(), view)?;
             }
-            self.clock.stop("GROUP BY", window, 0);
             return Ok(());
         }
         // Each record becomes its sort keys followed by its projected row,
         // both evaluated while the object is at hand.
-        let window = self.clock.start();
+        self.ledger.switch(Owner::Stage("PROJECT"));
         let width = self.keys.len() + self.cols.len();
         let mut rows = std::mem::take(&mut self.rows);
         rows.reserve(batch.len());
@@ -638,7 +587,7 @@ impl<'e, 'a> Tail<'e, 'a> {
             }
             rows.push(vals);
         }
-        self.clock.stop("PROJECT", window, rows.len() as u64);
+        self.ledger.count(Owner::Stage("PROJECT"), rows.len() as u64);
         let passed = self.after_project(&mut rows);
         self.rows = rows;
         passed
@@ -652,12 +601,11 @@ impl<'e, 'a> Tail<'e, 'a> {
             self.sink(rows);
             return Ok(());
         };
-        let window = self.clock.start();
-        let n = rows.len() as u64;
+        self.ledger.switch(Owner::Stage("ORDER BY"));
+        self.ledger.count(Owner::Stage("ORDER BY"), rows.len() as u64);
         for vals in rows.drain(..) {
             sorter.push(self.ex.catalog.storage(), vals)?;
         }
-        self.clock.stop("ORDER BY", window, n);
         Ok(())
     }
 
@@ -665,7 +613,7 @@ impl<'e, 'a> Tail<'e, 'a> {
     /// empty.
     fn sink(&mut self, rows: &mut Vec<Vec<Value>>) {
         if let Some(seen) = &mut self.distinct {
-            let window = self.clock.start();
+            self.ledger.switch(Owner::Stage("DISTINCT"));
             let key = &mut self.key;
             rows.retain(|row| {
                 key.clear();
@@ -674,7 +622,7 @@ impl<'e, 'a> Tail<'e, 'a> {
                 }
                 !seen.contains(key) && seen.insert(key.clone())
             });
-            self.clock.stop("DISTINCT", window, rows.len() as u64);
+            self.ledger.count(Owner::Stage("DISTINCT"), rows.len() as u64);
         }
         if self.out.is_empty() {
             std::mem::swap(&mut self.out, rows);
@@ -690,19 +638,18 @@ impl<'e, 'a> Tail<'e, 'a> {
         agg: &Aggregator<'_>,
         mut groups: Vec<Group>,
     ) -> Result<Vec<(usize, Vec<Value>)>> {
-        self.clock
-            .add("GROUP BY", groups.len() as u64, Default::default(), 0);
+        self.ledger.count(Owner::Stage("GROUP BY"), groups.len() as u64);
         if let Some(h) = &self.stmt.having {
-            let window = self.clock.start();
+            self.ledger.switch(Owner::Stage("HAVING"));
             let mut verdicts = Vec::with_capacity(groups.len());
             for (_, cells) in &groups {
                 verdicts.push(agg.keeps(h, cells)?);
             }
             let mut verdicts = verdicts.into_iter();
             groups.retain(|_| verdicts.next().expect("one verdict per group"));
-            self.clock.stop("HAVING", window, groups.len() as u64);
+            self.ledger.count(Owner::Stage("HAVING"), groups.len() as u64);
         }
-        let window = self.clock.start();
+        self.ledger.switch(Owner::Stage("PROJECT"));
         let ncols = self.stmt.projection.len();
         let mut rows = Vec::with_capacity(groups.len());
         for (rank, cells) in groups {
@@ -715,29 +662,27 @@ impl<'e, 'a> Tail<'e, 'a> {
             vals.extend(row);
             rows.push((rank, vals));
         }
-        self.clock.stop("PROJECT", window, rows.len() as u64);
+        self.ledger.count(Owner::Stage("PROJECT"), rows.len() as u64);
         Ok(rows)
     }
 
     /// End of input: finish the groups, drain the sorter, and hand back the
-    /// result — with the stage rows for `stages` when recording.
-    pub fn finish(mut self, stages: Option<&StageRec>) -> Result<QueryResult> {
+    /// result; the coordinator owns what follows.
+    pub fn finish(mut self) -> Result<QueryResult> {
         if let Some(mut agg) = self.agg.take() {
             let strip = |rows: Vec<(usize, Vec<Value>)>| -> Vec<Vec<Value>> {
                 rows.into_iter().map(|(_, r)| r).collect()
             };
-            let window = self.clock.start();
+            self.ledger.switch(Owner::Stage("GROUP BY"));
             let memory = agg.take_memory();
-            self.clock.stop("GROUP BY", window, 0);
             let rows = self.finish_groups(&agg, memory)?;
             self.after_project(&mut strip(rows))?;
             // Spilled groups come back partition by partition; first
             // appearance orders them across partitions.
             let mut late = Vec::new();
             loop {
-                let window = self.clock.start();
+                self.ledger.switch(Owner::Stage("GROUP BY"));
                 let groups = agg.next_partition(self.ex)?;
-                self.clock.stop("GROUP BY", window, 0);
                 let Some(groups) = groups else { break };
                 late.extend(self.finish_groups(&agg, groups)?);
             }
@@ -746,23 +691,20 @@ impl<'e, 'a> Tail<'e, 'a> {
         }
         if let Some(mut sorter) = self.sort.take() {
             loop {
-                let window = self.clock.start();
+                self.ledger.switch(Owner::Stage("ORDER BY"));
                 let mut rows = sorter.next_batch(self.ex.catalog.storage(), self.batch)?;
-                self.clock.stop("ORDER BY", window, 0);
                 if rows.is_empty() {
                     break;
                 }
                 self.sink(&mut rows);
             }
         }
+        self.ledger.switch(Owner::Coordinator);
         // The trace lists the clauses in Figure 7.1's order, once each.
-        for stage in self.clock.stages.iter().flatten() {
-            if !matches!(stage.name, "FROM" | "WHERE:UNION" | "DISTINCT") {
+        for stage in self.ledger.stages() {
+            if !matches!(stage.name, "PLAN" | "FROM" | "WHERE:UNION" | "DISTINCT") {
                 self.ex.mark(stage.name);
             }
-        }
-        if let Some(stages) = stages {
-            stages.extend(self.clock.stages.into_iter().flatten());
         }
         // The projection as written, so a parameter reads as the literal
         // it stands for.
@@ -776,32 +718,29 @@ impl<'e, 'a> Tail<'e, 'a> {
 
 impl Sink for Tail<'_, '_> {
     fn push_objects(&mut self, var: &str, items: &mut [(Oid, Value)]) -> Result<()> {
+        let feeder = self.ledger.owner();
         let mut n = items.len();
         if let Some(union) = &mut self.union {
-            let window = self.clock.start();
+            self.ledger.switch(Owner::Stage("WHERE:UNION"));
             n = compact(items, |(oid, _)| Ok(union.admit_object(var, *oid)))?;
-            self.clock.stop("WHERE:UNION", window, n as u64);
+            self.ledger.count(Owner::Stage("WHERE:UNION"), n as u64);
         }
-        self.consume(Batch::Objects(var, &items[..n]))
+        self.consume(Batch::Objects(var, &items[..n]))?;
+        self.ledger.switch(feeder);
+        Ok(())
     }
 
     fn push_rows(&mut self, mut rows: Vec<Row>) -> Result<()> {
+        let feeder = self.ledger.owner();
         if let Some(union) = &mut self.union {
-            let window = self.clock.start();
+            self.ledger.switch(Owner::Stage("WHERE:UNION"));
             rows.retain(|row| union.admit(row));
-            self.clock.stop("WHERE:UNION", window, rows.len() as u64);
+            self.ledger.count(Owner::Stage("WHERE:UNION"), rows.len() as u64);
         }
         for chunk in rows.chunks(self.batch) {
             self.consume(Batch::Rows(chunk, self.slots))?;
         }
+        self.ledger.switch(feeder);
         Ok(())
-    }
-
-    fn spent(&self) -> (MetricsSnapshot, u64) {
-        self.clock.spent
-    }
-
-    fn record_from(&mut self, rows: u64, delta: MetricsSnapshot, nanos: u64) {
-        self.clock.add("FROM", rows, delta, nanos);
     }
 }

@@ -20,7 +20,11 @@ pub const DEFAULT_SORT_BUDGET: usize = 64 * 1024;
 /// Knob threaded from `Mood`/`Session` through the optimizer's config down
 /// into the algebra operators. `parallelism = 1` (the default) is the pure
 /// sequential path; higher values split operator inputs into that many
-/// contiguous chunks executed on scoped worker threads.
+/// contiguous chunks executed on scoped worker threads. The algebra's
+/// collection operators read `parallelism`; MOODSQL reads it only to filter
+/// rows that are not a scan's (a `SELECT` over a join or a temporary, the
+/// WHERE clause over a nested-loop FROM list). Its scans, index selections,
+/// joins and tail run on one thread at any value.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ExecutionConfig {
     pub parallelism: usize,

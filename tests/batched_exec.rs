@@ -395,6 +395,18 @@ fn plan_cache_capacity_is_configurable_and_reported() {
         db.engine_metrics().plan_cache.evictions > after.evictions,
         "20 distinct shapes against an 8-plan cache must evict"
     );
+    // A capacity of N holds N shapes: none is evicted before the N+1st.
+    for n in [8usize, 128] {
+        db.set_plan_cache_capacity(n);
+        let before = db.engine_metrics().plan_cache;
+        for i in 0..n {
+            let sql = format!("SELECT v.id FROM EVERY Vehicle v WHERE v.weight < {i}");
+            run(&db, &sql).unwrap();
+        }
+        let after = db.engine_metrics().plan_cache;
+        assert_eq!(after.misses - before.misses, n as u64, "{n} distinct shapes");
+        assert_eq!(after.evictions, before.evictions, "capacity {n} holds {n} shapes");
+    }
 }
 
 // ----------------------------------------------------------------------

@@ -3,13 +3,15 @@
 //! engine metrics registry.
 //!
 //! The central invariant (pinned in `actual_pages_sum_exactly_to_total`):
-//! the per-operator exclusive `DiskMetrics` deltas plus the coordinator
-//! stage deltas sum **exactly** to the statement's total counter delta —
-//! at every parallelism level, because windows open and close on the
-//! coordinating thread and chunk workers join inside one node's window.
+//! the per-operator exclusive `DiskMetrics` deltas plus the stage deltas
+//! sum **exactly** to the statement's total counter delta, and the
+//! exclusive nanos plus the stage nanos plus the coordinator's share to its
+//! wall time — at every parallelism level, because every moment of an
+//! execution has one owner, owners switch on the coordinating thread only,
+//! and chunk workers join inside whichever owner is current.
 
 use mood_core::cost::yao;
-use mood_core::sql::{parse, Executor, Statement};
+use mood_core::sql::{parse, AnalyzeReport, Executor, Statement};
 use mood_core::{Answer, Mood, OptimizerConfig, RingBuffer, Value};
 
 /// The Section 3.1 Vehicle schema with a deterministic population; a small
@@ -97,6 +99,15 @@ fn select_stmt(sql: &str) -> mood_core::sql::SelectStmt {
     }
 }
 
+/// Σ node exclusive nanos + Σ stage nanos + the coordinator's share: the
+/// statement's wall time, to the nanosecond, when every moment of it has
+/// one owner.
+fn accounted_nanos(report: &AnalyzeReport) -> u64 {
+    let nodes = report.terms.iter().flat_map(|t| &t.nodes).map(|n| n.exclusive_nanos);
+    let stages = report.stages.iter().map(|s| s.nanos);
+    nodes.sum::<u64>() + stages.sum::<u64>() + report.coordinator_nanos
+}
+
 // ----------------------------------------------------------------------
 // EXPLAIN ANALYZE report shape (golden-ish: contains-based so estimate
 // numbers can evolve with the cost model)
@@ -181,6 +192,11 @@ fn actual_pages_sum_exactly_to_total_across_parallelism() {
             ),
             "page accounting must telescope exactly at parallelism {parallelism}"
         );
+        assert_eq!(
+            accounted_nanos(&report),
+            report.elapsed_nanos,
+            "time must telescope exactly at parallelism {parallelism}"
+        );
         assert_eq!(report.result.len(), 256);
         assert_eq!(
             report.terms[0].root_actual_rows(),
@@ -213,6 +229,11 @@ fn accounting_invariant_holds_for_every_predicate_constant() {
                     report.total.writes
                 ),
                 "cylinders={cyl} parallelism={parallelism}"
+            );
+            assert_eq!(
+                accounted_nanos(&report),
+                report.elapsed_nanos,
+                "time: cylinders={cyl} parallelism={parallelism}"
             );
             let expected = if cyl == 10 { 0 } else { 256 };
             assert_eq!(report.result.len(), expected, "cylinders={cyl}");
@@ -267,15 +288,21 @@ fn analyze_of_a_warm_plan_runs_the_batched_scan() {
             (total.seq_pages, total.rnd_pages, total.idx_pages, total.writes),
             "page accounting must telescope exactly at parallelism {parallelism}"
         );
+        assert_eq!(
+            accounted_nanos(&report),
+            report.elapsed_nanos,
+            "time must telescope exactly at parallelism {parallelism}"
+        );
     }
 }
 
-/// The clauses after WHERE consume the plan's output as it streams, so
-/// their stage windows open *inside* the feeding node's window — and are
-/// subtracted from it. With a sort that spills runs, an aggregation that
-/// spills partitions, a projection that dereferences (pages of its own)
-/// and DISTINCT, on a plan's first execution and on its next: every
-/// page is still accounted to exactly one node or one stage.
+/// The clauses after WHERE consume the plan's output as it streams: each
+/// stage owns its work while the feeding node (or the nested-loop FROM
+/// stage) waits for it. With a sort that spills runs, an aggregation that
+/// spills partitions, a projection that dereferences (pages of its own),
+/// DISTINCT and a FROM list run as a nested loop, on a plan's first
+/// execution and on its next: every page and every nanosecond is accounted
+/// to exactly one node, one stage or the coordinator.
 #[test]
 fn streamed_stages_telescope_with_spills_and_groups() {
     let db = build_sized(4, 1024);
@@ -297,6 +324,12 @@ fn streamed_stages_telescope_with_spills_and_groups() {
              WHERE v.weight < 1000 OR v.id < 100",
             &["WHERE:UNION", "PROJECT", "DISTINCT"][..],
             4,
+        ),
+        (
+            "SELECT v.id, e.size FROM Vehicle v, VehicleEngine e \
+             WHERE v.weight > 1500 AND e.cylinders = 4 ORDER BY v.id, e.size",
+            &["FROM", "ORDER BY", "PROJECT"][..],
+            1088,
         ),
     ] {
         let stmt = select_stmt(sql);
@@ -323,6 +356,11 @@ fn streamed_stages_telescope_with_spills_and_groups() {
                     (total.seq_pages, total.rnd_pages, total.idx_pages, total.writes),
                     "{ctx}: page accounting must telescope exactly"
                 );
+                assert_eq!(
+                    accounted_nanos(&report),
+                    report.elapsed_nanos,
+                    "{ctx}: time must telescope exactly"
+                );
                 let out = report.stages.last().expect("stages");
                 assert_eq!(out.rows, rows as u64, "{ctx}: the last stage emits the result");
             }
@@ -336,8 +374,8 @@ fn streamed_stages_telescope_with_spills_and_groups() {
 /// An `INDSEL` pushes into the tail while it runs, batch by batch, like a
 /// scan: what the tail's stages read and take (a projection that
 /// dereferences, a sort, an aggregation) is theirs, the leaf walk and the
-/// fetch are the node's, and together they are the statement — exactly for
-/// pages, and for time with nothing counted twice.
+/// fetch are the node's, and together with the coordinator's share they are
+/// the statement — exactly, for pages and for time.
 #[test]
 fn an_index_range_feeding_the_tail_telescopes() {
     let db = build_sized(4, 4096);
@@ -408,6 +446,11 @@ fn an_index_range_feeding_the_tail_telescopes() {
                     "{ctx}: node {} ns + stages {staged} ns exceed the statement's {} ns",
                     actual.nanos,
                     report.elapsed_nanos
+                );
+                assert_eq!(
+                    accounted_nanos(&report),
+                    report.elapsed_nanos,
+                    "{ctx}: time must telescope exactly"
                 );
             }
         }
