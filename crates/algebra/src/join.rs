@@ -11,17 +11,16 @@
 //! side as the objects its items bind to the join's left variable and hands
 //! its caller `(left index, right member)` pairs a probe batch at a time;
 //! MOODSQL's executor pushes rows made of them downstream and [`join`]
-//! collects object pairs. A join runs on the caller's thread whatever the
-//! [`ExecutionConfig`]'s parallelism: its target fetch is per batch, and
-//! splitting a batch across workers would fetch a shared target once per
-//! worker.
+//! collects object pairs. A join runs on the caller's thread: its target
+//! fetch is per batch, and splitting a batch across workers would fetch a
+//! shared target once per worker.
 
 use std::collections::HashMap;
 use std::mem;
 
 use mood_catalog::{Catalog, CatalogError};
 use mood_datamodel::{FieldSet, Value};
-use mood_storage::exec::{run_chunked, ExecutionConfig};
+use mood_storage::exec::ExecutionConfig;
 use mood_storage::{AccessHint, FileId, Metric, Oid, PageId, StorageError};
 
 use crate::collection::{join_return, Collection, Kind, Obj};
@@ -80,16 +79,13 @@ fn refs_of<'v>(value: &'v Value, attr: &str) -> impl Iterator<Item = Oid> + 'v {
     items.iter().filter_map(Value::as_oid)
 }
 
-/// Materialize the objects of any collection. Set/list members are
-/// dereferenced in `exec.parallelism` contiguous chunks concatenated in
-/// input order — each identifier fetched exactly once at any parallelism.
-pub fn materialize(catalog: &Catalog, c: &Collection, exec: ExecutionConfig) -> Result<Vec<Obj>> {
+/// Materialize the objects of any collection: set/list members are
+/// dereferenced in order, each identifier fetched once.
+pub fn materialize(catalog: &Catalog, c: &Collection) -> Result<Vec<Obj>> {
     match c {
         Collection::Extent(objs) => Ok(objs.clone()),
         Collection::Set(oids) | Collection::List(oids) => {
-            run_chunked(exec.parallelism, oids, |_, chunk| {
-                chunk.iter().map(|&oid| deref(catalog, oid)).collect()
-            })
+            oids.iter().map(|&oid| deref(catalog, oid)).collect()
         }
         Collection::NamedObject(o) => Ok(vec![o.clone()]),
         Collection::Empty => Ok(Vec::new()),
@@ -373,8 +369,7 @@ fn indexed<R: Clone, E: From<CatalogError>>(
 /// `Join(left, rhs, method, left.attr = rhs.self)` over collections: the
 /// joined object pairs, ordered as [`join_pairs`] orders them. A class rhs
 /// is decoded whole; a collection rhs is materialized first. The
-/// [`ExecutionConfig`] supplies the probe batch size and the parallelism of
-/// the two materializations; the join itself is sequential.
+/// [`ExecutionConfig`] supplies the probe batch size.
 pub fn join(
     catalog: &Catalog,
     left: &Collection,
@@ -383,7 +378,7 @@ pub fn join(
     method: JoinMethod,
     exec: ExecutionConfig,
 ) -> Result<Vec<(Obj, Obj)>> {
-    let left_objs = materialize(catalog, left, exec)?;
+    let left_objs = materialize(catalog, left)?;
     let all = FieldSet::All;
     let (classes, files);
     let right = match rhs {
@@ -397,7 +392,7 @@ pub fn join(
             }
         }
         JoinRhs::Collection(c) => {
-            JoinRight::Members(members_by_oid(materialize(catalog, c, exec)?, |o| o.oid))
+            JoinRight::Members(members_by_oid(materialize(catalog, c)?, |o| o.oid))
         }
     };
     let probes: Vec<LeftObj<'_>> = left_objs.iter().map(|o| (o.oid, &o.value)).collect();

@@ -14,12 +14,10 @@
 //! page-ordered, windowed fetch the joins use too) and [`Sorter`] (the
 //! budgeted, spilling sort behind ORDER BY and [`sort()`]).
 //!
-//! These run on the caller's thread, as do `Union`, `Partition` and the
-//! conversions. `Select`, `Project`, `DupElim`, `Intersection`,
-//! `Difference` and the dereference of set/list members cut their input
-//! into the [`ExecutionConfig`]'s `parallelism` contiguous chunks, run them
-//! on scoped worker threads and concatenate the outputs in chunk order, so
-//! results and page-access totals are the same at every parallelism.
+//! Every operator is one loop on the caller's thread. `Select` is
+//! [`compact`], the loop MOODSQL's scan, `INDSEL` and WHERE:UNION filter
+//! their batches with; an [`ExecutionConfig`] reaches only [`sort()`] (its
+//! budget) and [`join()`] (its probe batch size).
 
 pub mod collection;
 pub mod error;
@@ -41,7 +39,7 @@ pub use join::{
 };
 pub use mood_storage::exec::ExecutionConfig;
 pub use ops::{
-    bind, bind_class, deref, ind_sel, is_a, obj_id, select, type_id, AttrBounds, Predicate,
+    bind, bind_class, compact, deref, ind_sel, is_a, obj_id, select, type_id, AttrBounds, Predicate,
 };
 pub use restructure::{as_extent, as_list, as_set, flatten, nest, partition, project, unnest};
 pub use sort::{sort, Sorter};

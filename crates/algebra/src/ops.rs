@@ -6,7 +6,6 @@ use std::cmp::Ordering;
 use mood_catalog::{Catalog, CatalogError, TypeId};
 use mood_cost::Theta;
 use mood_datamodel::{FieldSet, Value};
-use mood_storage::exec::{run_chunked, ExecutionConfig};
 use mood_storage::{AccessHint, FileId, Oid};
 
 use crate::collection::{Collection, Obj};
@@ -14,9 +13,8 @@ use crate::error::{AlgebraError, Result};
 use crate::join::{fetch_targets, Window};
 use crate::slab::Slab;
 
-/// A predicate over one object. `Sync`, because [`select`] evaluates it
-/// from every worker the [`ExecutionConfig`] asks for.
-pub type Predicate<'a> = &'a (dyn Fn(&Obj) -> Result<bool> + Sync);
+/// A predicate over one object.
+pub type Predicate<'a> = &'a dyn Fn(&Obj) -> Result<bool>;
 
 /// `ObjId(o)` — the object identifier of `o`.
 pub fn obj_id(o: &Obj) -> Option<Oid> {
@@ -116,45 +114,23 @@ pub fn bind_class(
 
 /// `Select(arg, P)` — keep the elements satisfying `P` (Table 1 return
 /// types). Set/list elements are dereferenced to evaluate the predicate.
-///
-/// The input is split into `exec.parallelism` contiguous chunks filtered on
-/// worker threads and concatenated in chunk order, so survivors appear in
-/// input order at every parallelism; at 1 the single chunk runs inline on
-/// the caller's thread, which is the sequential loop.
-pub fn select(
-    catalog: &Catalog,
-    arg: &Collection,
-    p: Predicate<'_>,
-    exec: ExecutionConfig,
-) -> Result<Collection> {
+/// One [`compact`] pass on the caller's thread: `P` runs once per element,
+/// in input order, and its first error ends the pass.
+pub fn select(catalog: &Catalog, arg: &Collection, p: Predicate<'_>) -> Result<Collection> {
     Ok(match arg {
         Collection::Extent(objs) => {
-            let out = run_chunked(exec.parallelism, objs, |_, chunk| {
-                let mut keep = Vec::new();
-                for o in chunk {
-                    if p(o)? {
-                        keep.push(o.clone());
-                    }
-                }
-                Ok::<_, AlgebraError>(keep)
-            })?;
-            Collection::Extent(out)
+            let mut kept: Vec<&Obj> = objs.iter().collect();
+            let n = compact(&mut kept, |o| p(o))?;
+            Collection::Extent(kept[..n].iter().map(|&o| o.clone()).collect())
         }
         Collection::Set(oids) | Collection::List(oids) => {
-            let out = run_chunked(exec.parallelism, oids, |_, chunk| {
-                let mut keep = Vec::new();
-                for &oid in chunk {
-                    let o = deref(catalog, oid)?;
-                    if p(&o)? {
-                        keep.push(oid);
-                    }
-                }
-                Ok::<_, AlgebraError>(keep)
-            })?;
+            let mut kept = oids.clone();
+            let n = compact(&mut kept, |&oid| p(&deref(catalog, oid)?))?;
+            kept.truncate(n);
             if matches!(arg, Collection::Set(_)) {
-                Collection::set_from(out)
+                Collection::set_from(kept)
             } else {
-                Collection::List(out)
+                Collection::List(kept)
             }
         }
         Collection::NamedObject(obj) => {
@@ -166,6 +142,27 @@ pub fn select(
         }
         Collection::Empty => Collection::Empty,
     })
+}
+
+/// The loop behind every Select: move the items `keep` admits to the front
+/// of `items`, in order, and return how many there are; the rejected ones
+/// stay behind them, for the caller to reuse. `keep` runs once per item, in
+/// order, and its first error ends the pass.
+// Inline: MOODSQL's filtered scan runs it on every batch from another
+// crate, and a codegen-unit split on that path once cost ~20 % (`compiled.rs`).
+#[inline]
+pub fn compact<T, E>(
+    items: &mut [T],
+    mut keep: impl FnMut(&T) -> std::result::Result<bool, E>,
+) -> std::result::Result<usize, E> {
+    let mut kept = 0;
+    for i in 0..items.len() {
+        if keep(&items[i])? {
+            items.swap(kept, i);
+            kept += 1;
+        }
+    }
+    Ok(kept)
 }
 
 /// An indexed attribute (a dotted path for a path index) and its bounds.
@@ -253,6 +250,7 @@ mod tests {
     use mood_catalog::ClassBuilder;
     use mood_datamodel::TypeDescriptor;
     use mood_storage::StorageManager;
+    use std::cell::{Cell, RefCell};
     use std::sync::Arc;
 
     fn setup() -> (Arc<Catalog>, Vec<Oid>) {
@@ -322,33 +320,59 @@ mod tests {
     fn select_on_extent_filters() {
         let (cat, _) = setup();
         let extent = bind_class(&cat, "VehicleEngine", false, &[]).unwrap();
-        let big = select(
-            &cat,
-            &extent,
-            &|o: &Obj| {
-                Ok(o.value
-                    .field("size")
-                    .and_then(|v| v.as_f64())
-                    .unwrap_or(0.0)
-                    >= 1500.0)
-            },
-            ExecutionConfig::default(),
-        )
+        let big = select(&cat, &extent, &|o: &Obj| {
+            Ok(o.value
+                .field("size")
+                .and_then(|v| v.as_f64())
+                .unwrap_or(0.0)
+                >= 1500.0)
+        })
         .unwrap();
         assert_eq!(big.kind(), Some(Kind::Extent));
         assert_eq!(big.len(), 5);
     }
 
     #[test]
+    fn select_calls_its_predicate_once_per_element_in_order() {
+        let (cat, oids) = setup();
+        let extent = bind_class(&cat, "VehicleEngine", false, &[]).unwrap();
+        let list = Collection::List([&oids[5..], &oids[..7]].concat());
+        for arg in [&extent, &list] {
+            let input = arg.oids();
+            let seen = RefCell::new(Vec::new());
+            let p = |o: &Obj| {
+                seen.borrow_mut().push(o.oid.unwrap());
+                Ok(seen.borrow().len() % 2 == 0)
+            };
+            let out = select(&cat, arg, &p).unwrap();
+            assert_eq!(*seen.borrow(), input, "{:?}", arg.kind());
+            let odd = input.iter().skip(1).step_by(2).copied().collect::<Vec<_>>();
+            assert_eq!(out.oids(), odd, "{:?}", arg.kind());
+            // A predicate that fails at element k: that error, after k + 1 calls.
+            for k in [0, 3, input.len() - 1] {
+                let calls = Cell::new(0);
+                let p = |_: &Obj| {
+                    calls.set(calls.get() + 1);
+                    if calls.get() == k + 1 {
+                        let detail = format!("element {k}");
+                        return Err(AlgebraError::NotApplicable { operator: "Select", detail });
+                    }
+                    Ok(true)
+                };
+                let err = select(&cat, arg, &p).unwrap_err();
+                assert!(err.to_string().contains(&format!("element {k}")), "{err}");
+                assert_eq!(calls.get(), k + 1, "{:?} k={k}", arg.kind());
+            }
+        }
+    }
+
+    #[test]
     fn select_on_set_derefs_and_keeps_kind() {
         let (cat, oids) = setup();
         let set = Collection::set_from(oids.clone());
-        let even = select(
-            &cat,
-            &set,
-            &|o: &Obj| Ok(matches!(o.value.field("cylinders"), Some(Value::Integer(c)) if *c == 4)),
-            ExecutionConfig::default(),
-        )
+        let even = select(&cat, &set, &|o: &Obj| {
+            Ok(matches!(o.value.field("cylinders"), Some(Value::Integer(c)) if *c == 4))
+        })
         .unwrap();
         assert_eq!(even.kind(), Some(Kind::Set));
         assert!(!even.is_empty());
@@ -358,9 +382,9 @@ mod tests {
     fn select_on_named_object() {
         let (cat, oids) = setup();
         let named = Collection::NamedObject(deref(&cat, oids[0]).unwrap());
-        let kept = select(&cat, &named, &|_| Ok(true), ExecutionConfig::default()).unwrap();
+        let kept = select(&cat, &named, &|_| Ok(true)).unwrap();
         assert_eq!(kept.kind(), Some(Kind::NamedObject));
-        let dropped = select(&cat, &named, &|_| Ok(false), ExecutionConfig::default()).unwrap();
+        let dropped = select(&cat, &named, &|_| Ok(false)).unwrap();
         assert_eq!(dropped, Collection::Empty);
     }
 

@@ -3,7 +3,6 @@
 
 use mood_catalog::Catalog;
 use mood_datamodel::{encode_key, Value};
-use mood_storage::exec::{run_chunked, ExecutionConfig};
 use mood_storage::Oid;
 
 use crate::collection::{Collection, Obj};
@@ -13,22 +12,12 @@ use crate::join::materialize;
 /// `Project(aTupleCollection, attribute_list)` — relational-style projection
 /// over an extent / set / list of tuple-type objects (set/list elements are
 /// dereferenced, per the paper). The result is an *extent of tuple values*
-/// (transient objects; MOOD could later make them a dynamic class).
-///
-/// Elements are independent: they are projected in `exec.parallelism`
-/// contiguous chunks concatenated in input order, and the first non-tuple
-/// element (in input order) wins as the reported error.
-pub fn project(
-    catalog: &Catalog,
-    arg: &Collection,
-    attributes: &[&str],
-    exec: ExecutionConfig,
-) -> Result<Collection> {
-    let objs = materialize(catalog, arg, exec)?;
-    let out = run_chunked(exec.parallelism, &objs, |_, chunk| {
-        chunk.iter().map(|o| project_one(o, attributes)).collect()
-    })?;
-    Ok(Collection::Extent(out))
+/// (transient objects; MOOD could later make them a dynamic class). The
+/// first non-tuple element is the reported error.
+pub fn project(catalog: &Catalog, arg: &Collection, attributes: &[&str]) -> Result<Collection> {
+    let objs = materialize(catalog, arg)?;
+    let out = objs.iter().map(|o| project_one(o, attributes));
+    Ok(Collection::Extent(out.collect::<Result<_>>()?))
 }
 
 /// Project a single tuple object (the per-element body of [`project`]).
@@ -59,7 +48,7 @@ pub fn partition(
     arg: &Collection,
     attributes: &[&str],
 ) -> Result<Vec<Collection>> {
-    let objs = materialize(catalog, arg, ExecutionConfig::default())?;
+    let objs = materialize(catalog, arg)?;
     let mut keys: Vec<Vec<u8>> = Vec::new();
     let mut groups: Vec<Vec<Obj>> = Vec::new();
     for o in objs {
@@ -102,11 +91,9 @@ pub fn as_list(arg: &Collection) -> Collection {
 /// `asExtent(arg)` — Table 6: dereference a set or list into an extent.
 pub fn as_extent(catalog: &Catalog, arg: &Collection) -> Result<Collection> {
     match arg {
-        Collection::Set(_) | Collection::List(_) => Ok(Collection::Extent(materialize(
-            catalog,
-            arg,
-            ExecutionConfig::default(),
-        )?)),
+        Collection::Set(_) | Collection::List(_) => {
+            Ok(Collection::Extent(materialize(catalog, arg)?))
+        }
         other => Err(AlgebraError::NotApplicable {
             operator: "asExtent",
             detail: format!(
@@ -122,10 +109,7 @@ pub fn as_extent(catalog: &Catalog, arg: &Collection) -> Result<Collection> {
 /// `{<o1,{o2,o3}>, <o4,{o5}>}` ⇒ `{<o1,o2>, <o1,o3>, <o4,o5>}`.
 /// All argument kinds of Table 7 are accepted; the result is an extent.
 pub fn unnest(catalog: &Catalog, arg: &Collection, attribute: &str) -> Result<Collection> {
-    let objs = match arg {
-        Collection::NamedObject(o) => vec![o.clone()],
-        other => materialize(catalog, other, ExecutionConfig::default())?,
-    };
+    let objs = materialize(catalog, arg)?;
     let mut out = Vec::new();
     for o in objs {
         let Value::Tuple(fields) = &o.value else {
@@ -165,7 +149,7 @@ pub fn unnest(catalog: &Catalog, arg: &Collection, attribute: &str) -> Result<Co
 /// `Nest(aTupleCollection)` — the inverse of `Unnest`: group on all fields
 /// but `attribute` and collect that field's values into a set.
 pub fn nest(catalog: &Catalog, arg: &Collection, attribute: &str) -> Result<Collection> {
-    let objs = materialize(catalog, arg, ExecutionConfig::default())?;
+    let objs = materialize(catalog, arg)?;
     let mut keys: Vec<Value> = Vec::new();
     let mut groups: Vec<Vec<Value>> = Vec::new();
     let mut shapes: Vec<Vec<(String, Value)>> = Vec::new();
@@ -246,7 +230,7 @@ mod tests {
     use crate::sort::sort;
     use mood_catalog::ClassBuilder;
     use mood_datamodel::TypeDescriptor;
-    use mood_storage::{FileId, PageId, SlotId, StorageManager};
+    use mood_storage::{ExecutionConfig, FileId, PageId, SlotId, StorageManager};
     use std::sync::Arc;
 
     fn catalog() -> Arc<Catalog> {
@@ -280,7 +264,7 @@ mod tests {
         emp(&cat, "ali", 30, "db");
         emp(&cat, "veli", 40, "os");
         let extent = crate::ops::bind_class(&cat, "Employee", false, &[]).unwrap();
-        let out = project(&cat, &extent, &["name", "age"], ExecutionConfig::default()).unwrap();
+        let out = project(&cat, &extent, &["name", "age"]).unwrap();
         let Collection::Extent(objs) = &out else {
             panic!()
         };
@@ -298,13 +282,7 @@ mod tests {
     fn project_over_set_derefs() {
         let cat = catalog();
         let a = emp(&cat, "ali", 30, "db");
-        let out = project(
-            &cat,
-            &Collection::set_from(vec![a]),
-            &["dept"],
-            ExecutionConfig::default(),
-        )
-        .unwrap();
+        let out = project(&cat, &Collection::set_from(vec![a]), &["dept"]).unwrap();
         let Collection::Extent(objs) = &out else {
             panic!()
         };

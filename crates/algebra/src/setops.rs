@@ -5,53 +5,30 @@ use std::collections::HashSet;
 
 use mood_catalog::Catalog;
 use mood_datamodel::deep_eq;
-use mood_storage::exec::{run_chunked, ExecutionConfig};
 use mood_storage::Oid;
 
 use crate::collection::{Collection, Obj};
 use crate::error::{AlgebraError, Result};
 
 /// `DupElim(arg)` — Table 3:
-/// * Set → not applicable (a set has no duplicates);
+/// * Set, named object → not applicable (neither has duplicates);
 /// * List → list of ordered distinct object identifiers;
-/// * Extent → extent of distinct objects *by deep equality*.
-///
-/// Chunks of the input (`exec.parallelism` of them) are deduplicated
-/// locally, then the survivors once more across chunk boundaries:
-/// * List: each chunk is sorted and deduplicated, the runs concatenated,
-///   sorted and deduplicated — the same sorted distinct list.
-/// * Extent: each chunk keeps its first occurrences; with more than one
-///   worker a second pass over the survivors, in input order, removes the
-///   duplicates that span chunks. First occurrences are decided in input
-///   order in both passes, so the result does not depend on the chunking.
-pub fn dup_elim(catalog: &Catalog, arg: &Collection, exec: ExecutionConfig) -> Result<Collection> {
+/// * Extent → extent of distinct objects *by deep equality*, each kept at
+///   its first occurrence.
+pub fn dup_elim(catalog: &Catalog, arg: &Collection) -> Result<Collection> {
     match arg {
-        Collection::Set(_) => Err(AlgebraError::NotApplicable {
+        Collection::Set(_) | Collection::NamedObject(_) => Err(AlgebraError::NotApplicable {
             operator: "DupElim",
-            detail: "sets have no duplicates (Table 3: not applicable)".into(),
+            detail: "sets and named objects have no duplicates (Table 3: not applicable)".into(),
         }),
         Collection::List(oids) => {
-            let mut merged: Vec<Oid> = run_chunked(exec.parallelism, oids, |_, chunk| {
-                let mut sorted = chunk.to_vec();
-                sorted.sort();
-                sorted.dedup();
-                Ok::<_, AlgebraError>(sorted)
-            })?;
-            merged.sort();
-            merged.dedup();
-            Ok(Collection::List(merged))
+            let mut sorted = oids.clone();
+            sorted.sort();
+            sorted.dedup();
+            Ok(Collection::List(sorted))
         }
-        Collection::Extent(objs) => {
-            let survivors = run_chunked(exec.parallelism, objs, |_, chunk| {
-                Ok::<_, AlgebraError>(first_occurrences(catalog, chunk))
-            })?;
-            Ok(Collection::Extent(if exec.is_parallel() {
-                first_occurrences(catalog, &survivors)
-            } else {
-                survivors
-            }))
-        }
-        Collection::NamedObject(_) | Collection::Empty => Ok(arg.clone()),
+        Collection::Extent(objs) => Ok(Collection::Extent(first_occurrences(catalog, objs))),
+        Collection::Empty => Ok(Collection::Empty),
     }
 }
 
@@ -97,10 +74,8 @@ fn both_lists(a: &Collection, b: &Collection) -> bool {
 
 /// `Union(arg1, arg2)` — Table 4. Two lists concatenate ("union
 /// corresponds to array concatenation"); any set operand makes the result a
-/// set. Pure concatenation — there is no per-element work to spread over
-/// workers; the config is accepted so the three Table 4 operators share one
-/// signature.
-pub fn union(a: &Collection, b: &Collection, _exec: ExecutionConfig) -> Result<Collection> {
+/// set.
+pub fn union(a: &Collection, b: &Collection) -> Result<Collection> {
     let (xa, xb) = (oids_of(a, "Union")?, oids_of(b, "Union")?);
     if both_lists(a, b) {
         let mut out = xa;
@@ -114,10 +89,9 @@ pub fn union(a: &Collection, b: &Collection, _exec: ExecutionConfig) -> Result<C
 }
 
 /// `Intersection(arg1, arg2)` — Table 4. The right operand's membership
-/// set is built once; the left operand is filtered in `exec.parallelism`
-/// contiguous chunks concatenated in input order.
-pub fn intersection(a: &Collection, b: &Collection, exec: ExecutionConfig) -> Result<Collection> {
-    let common = filter_by_membership(a, b, "Intersection", true, exec)?;
+/// set is built once and the left operand filtered through it, in order.
+pub fn intersection(a: &Collection, b: &Collection) -> Result<Collection> {
+    let common = filter_by_membership(a, b, "Intersection", true)?;
     if both_lists(a, b) {
         // List ∩ List keeps the left list's order, deduplicated.
         let mut seen = HashSet::new();
@@ -131,8 +105,8 @@ pub fn intersection(a: &Collection, b: &Collection, exec: ExecutionConfig) -> Re
 
 /// `Difference(arg1, arg2)` — Table 4: objects in `arg1` but not `arg2`
 /// ([`intersection`]'s strategy with the membership test negated).
-pub fn difference(a: &Collection, b: &Collection, exec: ExecutionConfig) -> Result<Collection> {
-    let rest = filter_by_membership(a, b, "Difference", false, exec)?;
+pub fn difference(a: &Collection, b: &Collection) -> Result<Collection> {
+    let rest = filter_by_membership(a, b, "Difference", false)?;
     if both_lists(a, b) {
         Ok(Collection::List(rest))
     } else {
@@ -146,17 +120,11 @@ fn filter_by_membership(
     b: &Collection,
     operator: &'static str,
     keep: bool,
-    exec: ExecutionConfig,
 ) -> Result<Vec<Oid>> {
-    let (xa, xb) = (oids_of(a, operator)?, oids_of(b, operator)?);
+    let (mut xa, xb) = (oids_of(a, operator)?, oids_of(b, operator)?);
     let set_b: HashSet<Oid> = xb.into_iter().collect();
-    run_chunked(exec.parallelism, &xa, |_, chunk| {
-        Ok(chunk
-            .iter()
-            .copied()
-            .filter(|o| set_b.contains(o) == keep)
-            .collect())
-    })
+    xa.retain(|o| set_b.contains(o) == keep);
+    Ok(xa)
 }
 
 #[cfg(test)]
@@ -190,7 +158,7 @@ mod tests {
     #[test]
     fn dupelim_rejects_sets() {
         let cat = catalog();
-        let err = dup_elim(&cat, &Collection::Set(vec![]), ExecutionConfig::default()).unwrap_err();
+        let err = dup_elim(&cat, &Collection::Set(vec![])).unwrap_err();
         assert!(matches!(err, AlgebraError::NotApplicable { .. }));
     }
 
@@ -199,7 +167,7 @@ mod tests {
         let cat = catalog();
         let (a, b) = (pt(&cat, 1, 1), pt(&cat, 2, 2));
         let list = Collection::List(vec![b, a, b, a, b]);
-        let out = dup_elim(&cat, &list, ExecutionConfig::default()).unwrap();
+        let out = dup_elim(&cat, &list).unwrap();
         assert_eq!(out, Collection::List(vec![a, b]), "ordered distinct oids");
     }
 
@@ -215,7 +183,7 @@ mod tests {
             crate::ops::deref(&cat, b).unwrap(),
             crate::ops::deref(&cat, c).unwrap(),
         ]);
-        let out = dup_elim(&cat, &extent, ExecutionConfig::default()).unwrap();
+        let out = dup_elim(&cat, &extent).unwrap();
         assert_eq!(out.len(), 2, "deep-equal objects collapse");
     }
 
@@ -225,7 +193,7 @@ mod tests {
         let (a, b, c) = (pt(&cat, 1, 0), pt(&cat, 2, 0), pt(&cat, 3, 0));
         let s = Collection::set_from(vec![a, b]);
         let l = Collection::List(vec![b, c]);
-        let out = union(&s, &l, ExecutionConfig::default()).unwrap();
+        let out = union(&s, &l).unwrap();
         assert_eq!(out, Collection::set_from(vec![a, b, c]));
     }
 
@@ -235,7 +203,7 @@ mod tests {
         let (a, b) = (pt(&cat, 1, 0), pt(&cat, 2, 0));
         let l1 = Collection::List(vec![a, b]);
         let l2 = Collection::List(vec![b, a]);
-        let out = union(&l1, &l2, ExecutionConfig::default()).unwrap();
+        let out = union(&l1, &l2).unwrap();
         assert_eq!(
             out,
             Collection::List(vec![a, b, b, a]),
@@ -246,48 +214,36 @@ mod tests {
     #[test]
     fn intersection_and_difference() {
         let cat = catalog();
-        let exec = ExecutionConfig::default();
         let (a, b, c) = (pt(&cat, 1, 0), pt(&cat, 2, 0), pt(&cat, 3, 0));
         let s1 = Collection::set_from(vec![a, b]);
         let s2 = Collection::set_from(vec![b, c]);
         assert_eq!(
-            intersection(&s1, &s2, exec).unwrap(),
+            intersection(&s1, &s2).unwrap(),
             Collection::set_from(vec![b])
         );
-        assert_eq!(
-            difference(&s1, &s2, exec).unwrap(),
-            Collection::set_from(vec![a])
-        );
-        assert_eq!(
-            difference(&s2, &s1, exec).unwrap(),
-            Collection::set_from(vec![c])
-        );
+        assert_eq!(difference(&s1, &s2).unwrap(), Collection::set_from(vec![a]));
+        assert_eq!(difference(&s2, &s1).unwrap(), Collection::set_from(vec![c]));
     }
 
     #[test]
     fn list_list_ops_stay_lists() {
         let cat = catalog();
-        let exec = ExecutionConfig::default();
         let (a, b, c) = (pt(&cat, 1, 0), pt(&cat, 2, 0), pt(&cat, 3, 0));
         let l1 = Collection::List(vec![c, a, b]);
         let l2 = Collection::List(vec![b, c]);
         assert_eq!(
-            intersection(&l1, &l2, exec).unwrap(),
+            intersection(&l1, &l2).unwrap(),
             Collection::List(vec![c, b])
         );
-        assert_eq!(
-            difference(&l1, &l2, exec).unwrap(),
-            Collection::List(vec![a])
-        );
+        assert_eq!(difference(&l1, &l2).unwrap(), Collection::List(vec![a]));
     }
 
     #[test]
     fn extent_operands_rejected() {
-        let exec = ExecutionConfig::default();
         let e = Collection::Extent(vec![]);
         let s = Collection::Set(vec![]);
-        assert!(union(&e, &s, exec).is_err());
-        assert!(intersection(&s, &e, exec).is_err());
-        assert!(difference(&e, &e, exec).is_err());
+        assert!(union(&e, &s).is_err());
+        assert!(intersection(&s, &e).is_err());
+        assert!(difference(&e, &e).is_err());
     }
 }

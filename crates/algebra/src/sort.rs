@@ -169,7 +169,7 @@ pub fn sort(
     attributes: &[&str],
     exec: ExecutionConfig,
 ) -> Result<Collection> {
-    let objs = materialize(catalog, arg, exec)?;
+    let objs = materialize(catalog, arg)?;
     let sm = catalog.storage();
     let mut sorter = Sorter::new(vec![true; attributes.len()], exec.sort_budget);
     for (i, o) in objs.iter().enumerate() {

@@ -9,7 +9,7 @@ use std::sync::Arc;
 use mood_algebra::{
     as_extent_return, as_set_list_elements, difference, dup_elim, dupelim_return, intersection,
     join, join_return, select, select_return, setop_return, union, unnest, unnest_accepts,
-    Collection, ExecutionConfig, JoinMethod, JoinRhs, Kind, Obj,
+    AlgebraError, Collection, ExecutionConfig, JoinMethod, JoinRhs, Kind, Obj,
 };
 use mood_catalog::{Catalog, ClassBuilder};
 use mood_datamodel::{TypeDescriptor, Value};
@@ -74,7 +74,6 @@ fn table_1_select_return_rule() {
 
 #[test]
 fn table_1_select_behavior_matches_rule() {
-    let exec = ExecutionConfig::default();
     let (cat, c_oids, _) = fixture();
     let inputs = [
         extent_of(&cat, &c_oids),
@@ -82,7 +81,7 @@ fn table_1_select_behavior_matches_rule() {
         Collection::List(c_oids.clone()),
     ];
     for arg in &inputs {
-        let out = select(&cat, arg, &|_| Ok(true), exec).unwrap();
+        let out = select(&cat, arg, &|_| Ok(true)).unwrap();
         assert_eq!(
             out.kind(),
             arg.kind(),
@@ -155,19 +154,24 @@ fn table_3_dupelim_rule() {
 
 #[test]
 fn table_3_dupelim_behavior_matches_rule() {
-    let exec = ExecutionConfig::default();
     let (cat, c_oids, _) = fixture();
-    // Set: not applicable.
-    assert!(dup_elim(&cat, &Collection::set_from(c_oids.clone()), exec).is_err());
+    // Set and named object: not applicable.
+    assert!(dup_elim(&cat, &Collection::set_from(c_oids.clone())).is_err());
+    let (_, value) = cat.get_object(c_oids[0]).unwrap();
+    let named = Collection::NamedObject(Obj::stored(c_oids[0], value));
+    assert!(matches!(
+        dup_elim(&cat, &named),
+        Err(AlgebraError::NotApplicable { .. })
+    ));
     // List: ordered distinct OIDs.
     let dupes = vec![c_oids[2], c_oids[0], c_oids[2], c_oids[1], c_oids[0]];
-    let out = dup_elim(&cat, &Collection::List(dupes), exec).unwrap();
+    let out = dup_elim(&cat, &Collection::List(dupes)).unwrap();
     let mut want = vec![c_oids[0], c_oids[1], c_oids[2]];
     want.sort();
     assert_eq!(out, Collection::List(want));
     // Extent: deep equality collapses distinct objects with equal state.
     let twice = [&c_oids[..], &c_oids[..]].concat();
-    let out = dup_elim(&cat, &extent_of(&cat, &twice), exec).unwrap();
+    let out = dup_elim(&cat, &extent_of(&cat, &twice)).unwrap();
     assert_eq!(out.kind(), Some(Kind::Extent));
     assert_eq!(out.len(), c_oids.len(), "duplicate OIDs collapse");
 }
@@ -196,29 +200,16 @@ fn table_4_setop_return_grid() {
 
 #[test]
 fn table_4_setop_behavior_matches_rule() {
-    let exec = ExecutionConfig::default();
     let (_cat, c_oids, _) = fixture();
     let s = Collection::set_from(c_oids[..4].to_vec());
     let l = Collection::List(c_oids[2..].to_vec());
     for op in [union, intersection, difference] {
-        assert_eq!(
-            op(&s, &s, exec).unwrap().kind(),
-            Some(Kind::Set),
-            "Set op Set"
-        );
-        assert_eq!(
-            op(&s, &l, exec).unwrap().kind(),
-            Some(Kind::Set),
-            "Set op List"
-        );
-        assert_eq!(
-            op(&l, &s, exec).unwrap().kind(),
-            Some(Kind::Set),
-            "List op Set"
-        );
+        assert_eq!(op(&s, &s).unwrap().kind(), Some(Kind::Set), "Set op Set");
+        assert_eq!(op(&s, &l).unwrap().kind(), Some(Kind::Set), "Set op List");
+        assert_eq!(op(&l, &s).unwrap().kind(), Some(Kind::Set), "List op Set");
     }
     // List ∪ List is concatenation (array semantics), staying a list.
-    let u = union(&l, &l, exec).unwrap();
+    let u = union(&l, &l).unwrap();
     assert_eq!(u.kind(), Some(Kind::List));
     assert_eq!(u.len(), 2 * l.len(), "list union concatenates");
 }

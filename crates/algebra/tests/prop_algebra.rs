@@ -1,8 +1,8 @@
 //! Property tests for the algebra's laws: set operators form a Boolean
 //! algebra over OID sets, Sort orders without losing elements, DupElim is
-//! idempotent, Nest inverts Unnest, every chunked operator is the same at
-//! every parallelism, and the four join methods agree with each other and
-//! with a model on randomized databases at every probe batch size.
+//! idempotent and a spilled sort equals an in-memory one, Nest inverts
+//! Unnest, and the four join methods agree with each other and with a model
+//! on randomized databases at every probe batch size.
 
 use std::collections::HashSet;
 use std::sync::Arc;
@@ -10,18 +10,12 @@ use std::sync::Arc;
 use proptest::prelude::*;
 
 use mood_algebra::{
-    difference, dup_elim, intersection, join, join_pairs, members_by_oid, nest, project, select,
-    sort, union, unnest, Collection, ExecutionConfig, JoinMethod, JoinRhs, JoinRight, LeftObj,
-    Obj,
+    difference, dup_elim, intersection, join, join_pairs, members_by_oid, nest, sort, union,
+    unnest, Collection, ExecutionConfig, JoinMethod, JoinRhs, JoinRight, LeftObj, Obj,
 };
 use mood_catalog::{Catalog, ClassBuilder};
 use mood_datamodel::{FieldSet, TypeDescriptor, Value};
 use mood_storage::{Oid, StorageManager};
-
-/// Parallelism 1: every chunked step is the plain loop on this thread.
-fn seq() -> ExecutionConfig {
-    ExecutionConfig::with_parallelism(1)
-}
 
 fn catalog_with_items(n: usize) -> (Arc<Catalog>, Vec<Oid>) {
     let sm = Arc::new(StorageManager::in_memory());
@@ -61,13 +55,13 @@ proptest! {
         let sa: HashSet<Oid> = a.oids().into_iter().collect();
         let sb: HashSet<Oid> = b.oids().into_iter().collect();
 
-        let u: HashSet<Oid> = union(&a, &b, seq()).unwrap().oids().into_iter().collect();
+        let u: HashSet<Oid> = union(&a, &b).unwrap().oids().into_iter().collect();
         prop_assert_eq!(&u, &sa.union(&sb).copied().collect::<HashSet<_>>());
 
-        let i: HashSet<Oid> = intersection(&a, &b, seq()).unwrap().oids().into_iter().collect();
+        let i: HashSet<Oid> = intersection(&a, &b).unwrap().oids().into_iter().collect();
         prop_assert_eq!(&i, &sa.intersection(&sb).copied().collect::<HashSet<_>>());
 
-        let d: HashSet<Oid> = difference(&a, &b, seq()).unwrap().oids().into_iter().collect();
+        let d: HashSet<Oid> = difference(&a, &b).unwrap().oids().into_iter().collect();
         prop_assert_eq!(&d, &sa.difference(&sb).copied().collect::<HashSet<_>>());
 
         // De Morgan-ish sanity: |A∪B| = |A| + |B| − |A∩B|.
@@ -88,7 +82,8 @@ proptest! {
         let mut want: Vec<i32> = perm.iter().map(|&i| i as i32).collect();
         want.sort();
         // In memory, and spilled in runs of two merged back.
-        for exec in [seq(), seq().with_sort_budget(2)] {
+        let exec = ExecutionConfig::default();
+        for exec in [exec, exec.with_sort_budget(2)] {
             let sorted = sort(&cat, &extent, &["k"], exec).unwrap();
             let Collection::Extent(objs) = &sorted else { panic!() };
             prop_assert_eq!(objs.len(), perm.len(), "no elements lost");
@@ -107,8 +102,8 @@ proptest! {
     fn dup_elim_is_idempotent_on_lists(items in proptest::collection::vec(0usize..10, 0..25)) {
         let (cat, oids) = catalog_with_items(10);
         let list = Collection::List(items.iter().map(|&i| oids[i]).collect());
-        let once = dup_elim(&cat, &list, seq()).unwrap();
-        let twice = dup_elim(&cat, &once, seq()).unwrap();
+        let once = dup_elim(&cat, &list).unwrap();
+        let twice = dup_elim(&cat, &once).unwrap();
         prop_assert_eq!(&once, &twice);
         // Distinct count matches the model.
         let distinct: HashSet<usize> = items.into_iter().collect();
@@ -206,7 +201,7 @@ proptest! {
         let mut outcomes: Vec<Vec<(Oid, Oid)>> = Vec::new();
         for method in JoinMethod::ALL {
             let mut pairs: Vec<(Oid, Oid)> =
-                join(&cat, &left, "d", JoinRhs::Class("D"), method, seq())
+                join(&cat, &left, "d", JoinRhs::Class("D"), method, ExecutionConfig::default())
                     .unwrap()
                     .into_iter()
                     .map(|(l, r)| (l.oid.unwrap(), r.oid.unwrap()))
@@ -221,66 +216,11 @@ proptest! {
     }
 }
 
-// ----------------------------------------------------------------------
-// Parallelism is not observable: at every parallelism in {2, 4, 8} an
-// operator must return a result identical (including element order) to
-// what it returns at parallelism 1, where each chunked step runs as one
-// loop on the calling thread.
-// ----------------------------------------------------------------------
-
-const PAR_LEVELS: [usize; 3] = [2, 4, 8];
-
 proptest! {
     #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
 
     #[test]
-    fn select_is_parallelism_invariant(
-        perm in proptest::collection::vec(0usize..30, 0..40),
-        modulus in 2i32..5,
-    ) {
-        let (cat, oids) = catalog_with_items(30);
-        let extent = Collection::Extent(
-            perm.iter()
-                .map(|&i| {
-                    let (_, v) = cat.get_object(oids[i]).unwrap();
-                    Obj::stored(oids[i], v)
-                })
-                .collect(),
-        );
-        let list = Collection::List(perm.iter().map(|&i| oids[i]).collect());
-        let pred = |o: &Obj| -> mood_algebra::Result<bool> {
-            Ok(matches!(o.value.field("k"), Some(Value::Integer(k)) if k % modulus == 0))
-        };
-        for arg in [&extent, &list] {
-            let one = select(&cat, arg, &pred, seq()).unwrap();
-            for p in PAR_LEVELS {
-                let par = select(&cat, arg, &pred, ExecutionConfig::with_parallelism(p)).unwrap();
-                prop_assert_eq!(&par, &one, "select parallelism={}", p);
-            }
-        }
-    }
-
-    #[test]
-    fn project_is_parallelism_invariant(perm in proptest::collection::vec(0usize..30, 0..40)) {
-        let (cat, oids) = catalog_with_items(30);
-        let extent = Collection::Extent(
-            perm.iter()
-                .map(|&i| {
-                    let (_, v) = cat.get_object(oids[i]).unwrap();
-                    Obj::stored(oids[i], v)
-                })
-                .collect(),
-        );
-        let one = project(&cat, &extent, &["grp"], seq()).unwrap();
-        for p in PAR_LEVELS {
-            let par =
-                project(&cat, &extent, &["grp"], ExecutionConfig::with_parallelism(p)).unwrap();
-            prop_assert_eq!(&par, &one, "project parallelism={}", p);
-        }
-    }
-
-    #[test]
-    fn sort_is_parallelism_invariant(perm in proptest::collection::vec(0usize..30, 0..60)) {
+    fn sort_in_runs_of_two_equals_one_run(perm in proptest::collection::vec(0usize..30, 0..60)) {
         let (cat, oids) = catalog_with_items(30);
         // Duplicates in `perm` exercise the stability tiebreak: `grp` has
         // only three distinct values, so equal-key runs are long.
@@ -293,64 +233,10 @@ proptest! {
                 .collect(),
         );
         for keys in [&["k"][..], &["grp"][..], &["grp", "k"][..]] {
-            let one = sort(&cat, &extent, keys, seq()).unwrap();
-            for p in PAR_LEVELS {
-                let par =
-                    sort(&cat, &extent, keys, ExecutionConfig::with_parallelism(p)).unwrap();
-                prop_assert_eq!(&par, &one, "sort {:?} parallelism={}", keys, p);
-            }
-            let spilled = sort(&cat, &extent, keys, seq().with_sort_budget(2)).unwrap();
+            let exec = ExecutionConfig::default();
+            let one = sort(&cat, &extent, keys, exec).unwrap();
+            let spilled = sort(&cat, &extent, keys, exec.with_sort_budget(2)).unwrap();
             prop_assert_eq!(&spilled, &one, "sort {:?} in runs of two", keys);
-        }
-    }
-
-    #[test]
-    fn dup_elim_is_parallelism_invariant(items in proptest::collection::vec(0usize..10, 0..40)) {
-        let (cat, oids) = catalog_with_items(10);
-        let list = Collection::List(items.iter().map(|&i| oids[i]).collect());
-        let extent = Collection::Extent(
-            items
-                .iter()
-                .map(|&i| {
-                    let (_, v) = cat.get_object(oids[i]).unwrap();
-                    Obj::stored(oids[i], v)
-                })
-                .collect(),
-        );
-        for arg in [&list, &extent] {
-            let one = dup_elim(&cat, arg, seq()).unwrap();
-            for p in PAR_LEVELS {
-                let par = dup_elim(&cat, arg, ExecutionConfig::with_parallelism(p)).unwrap();
-                prop_assert_eq!(&par, &one, "dup_elim parallelism={}", p);
-            }
-        }
-    }
-
-    #[test]
-    fn set_ops_are_parallelism_invariant(
-        xs in proptest::collection::vec(0usize..20, 0..25),
-        ys in proptest::collection::vec(0usize..20, 0..25),
-    ) {
-        let (_cat, oids) = catalog_with_items(20);
-        let a = Collection::set_from(xs.iter().map(|&i| oids[i]).collect());
-        let b = Collection::set_from(ys.iter().map(|&i| oids[i]).collect());
-        let la = Collection::List(xs.iter().map(|&i| oids[i]).collect());
-        let lb = Collection::List(ys.iter().map(|&i| oids[i]).collect());
-        for (x, y) in [(&a, &b), (&la, &lb)] {
-            let one_u = union(x, y, seq()).unwrap();
-            let one_i = intersection(x, y, seq()).unwrap();
-            let one_d = difference(x, y, seq()).unwrap();
-            for p in PAR_LEVELS {
-                let exec = ExecutionConfig::with_parallelism(p);
-                prop_assert_eq!(&union(x, y, exec).unwrap(), &one_u, "union p={}", p);
-                prop_assert_eq!(
-                    &intersection(x, y, exec).unwrap(),
-                    &one_i,
-                    "intersection p={}",
-                    p
-                );
-                prop_assert_eq!(&difference(x, y, exec).unwrap(), &one_d, "difference p={}", p);
-            }
         }
     }
 }

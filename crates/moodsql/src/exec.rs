@@ -25,7 +25,8 @@ use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
 use mood_algebra::{
-    ind_sel, join_pairs, materializes_class, members_by_oid, scan_class, JoinRight, LeftObj, Slab,
+    compact, ind_sel, join_pairs, materializes_class, members_by_oid, scan_class, JoinRight,
+    LeftObj, Slab,
 };
 use mood_catalog::Catalog;
 use mood_cost::Theta;
@@ -46,7 +47,7 @@ use crate::compiled::{PreparedExpr, RowView, Scratch};
 use crate::error::{Result, SqlError};
 use crate::parser::parse_expr;
 use crate::readset::ReadSets;
-use crate::tail::{compact, group_operands, operand_input, Sink, Tail};
+use crate::tail::{group_operands, operand_input, Sink, Tail};
 
 /// One variable binding set: per range variable, in its slot (its rank
 /// among the statement's read sets), the object bound to it. Merging two
@@ -288,7 +289,7 @@ pub(crate) fn join_condition(condition: &str) -> Result<(&str, &str, &str)> {
 /// The executor.
 ///
 /// The scaffold lives behind a `Mutex` (not a `RefCell`) so `&Executor` is
-/// `Sync` — parallel operator chunks evaluate predicates through a shared
+/// `Sync` — the row filter's chunks evaluate predicates through a shared
 /// executor reference on worker threads.
 pub struct Executor<'a> {
     pub catalog: &'a Catalog,

@@ -32,6 +32,7 @@
 
 use std::collections::{HashMap, HashSet};
 
+use mood_algebra::compact;
 use mood_algebra::sort::{decode_indexed_list, spill_corrupt, spill_err, Sorter};
 use mood_datamodel::{encode_value_into, Value};
 use mood_storage::spill::SpillFile;
@@ -53,23 +54,6 @@ pub(crate) trait Sink {
     /// its next batch into whatever the sink left.
     fn push_objects(&mut self, var: &str, items: &mut [(Oid, Value)]) -> Result<()>;
     fn push_rows(&mut self, rows: Vec<Row>) -> Result<()>;
-}
-
-/// Move the items `keep` admits to the front of `items`, in order, and
-/// return how many there are; the rejected ones stay behind them, for the
-/// caller to reuse. The first error ends the pass.
-pub(crate) fn compact<T>(
-    items: &mut [T],
-    mut keep: impl FnMut(&T) -> Result<bool>,
-) -> Result<usize> {
-    let mut kept = 0;
-    for i in 0..items.len() {
-        if keep(&items[i])? {
-            items.swap(kept, i);
-            kept += 1;
-        }
-    }
-    Ok(kept)
 }
 
 // ----------------------------------------------------------------------
@@ -722,7 +706,9 @@ impl Sink for Tail<'_, '_> {
         let mut n = items.len();
         if let Some(union) = &mut self.union {
             self.ledger.switch(Owner::Stage("WHERE:UNION"));
-            n = compact(items, |(oid, _)| Ok(union.admit_object(var, *oid)))?;
+            n = compact(items, |(oid, _)| {
+                Ok::<_, SqlError>(union.admit_object(var, *oid))
+            })?;
             self.ledger.count(Owner::Stage("WHERE:UNION"), n as u64);
         }
         self.consume(Batch::Objects(var, &items[..n]))?;

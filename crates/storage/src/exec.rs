@@ -1,14 +1,13 @@
-//! Execution configuration and the chunked worker pool the collection
-//! operators run on.
+//! Execution configuration and a chunked worker pool.
 //!
 //! The pool is deliberately small: scoped threads over contiguous input
-//! chunks, results concatenated in chunk order. Chunk-then-concat is what
-//! makes parallel operators *byte-identical* to their sequential versions —
-//! every element keeps its input position, so a parallel Select/Project/Join
-//! emission differs from the sequential loop only in wall-clock time, never
-//! in output. Errors are deterministic too: the error surfaced is the one
-//! from the lowest-indexed failing chunk, i.e. the same error a sequential
-//! left-to-right scan would have hit first.
+//! chunks, results concatenated in chunk order. Chunk-then-concat keeps
+//! every element at its input position, so a chunked pass differs from the
+//! sequential loop only in wall-clock time, never in output. Errors are
+//! deterministic too: the error surfaced is the one from the lowest-indexed
+//! failing chunk, i.e. the same error a sequential left-to-right scan would
+//! have hit first. MOODSQL's row filter (`Executor::filter_rows`) is its one
+//! caller.
 
 /// Default rows per operator batch: large enough to amortize program
 /// dispatch and register setup, small enough to stay cache-resident.
@@ -17,14 +16,14 @@ pub const DEFAULT_BATCH_SIZE: usize = 1024;
 /// Default in-memory sort budget (rows per run before spilling to disk).
 pub const DEFAULT_SORT_BUDGET: usize = 64 * 1024;
 
-/// Knob threaded from `Mood`/`Session` through the optimizer's config down
-/// into the algebra operators. `parallelism = 1` (the default) is the pure
-/// sequential path; higher values split operator inputs into that many
-/// contiguous chunks executed on scoped worker threads. The algebra's
-/// collection operators read `parallelism`; MOODSQL reads it only to filter
-/// rows that are not a scan's (a `SELECT` over a join or a temporary, the
-/// WHERE clause over a nested-loop FROM list). Its scans, index selections,
-/// joins and tail run on one thread at any value.
+/// Knobs threaded from `Mood`/`Session` through the optimizer's config to
+/// the operators. `parallelism = 1` (the default) is the pure sequential
+/// path; higher values split one operator's input into that many contiguous
+/// chunks executed on scoped worker threads: MOODSQL's filter of rows that
+/// are not a scan's (a `SELECT` over a join or a temporary, the WHERE
+/// clause over a nested-loop FROM list), its only reader. Scans, index
+/// selections, joins, the tail and every mood-algebra operator run on one
+/// thread at any value.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ExecutionConfig {
     pub parallelism: usize,
@@ -58,10 +57,6 @@ impl ExecutionConfig {
         self.sort_budget = sort_budget.max(2);
         self
     }
-
-    pub fn is_parallel(&self) -> bool {
-        self.parallelism > 1
-    }
 }
 
 impl Default for ExecutionConfig {
@@ -77,7 +72,7 @@ impl Default for ExecutionConfig {
 /// Split `len` items into at most `parts` contiguous chunks of near-equal
 /// size (first `len % parts` chunks get one extra element). Empty ranges are
 /// not produced.
-pub fn chunk_ranges(len: usize, parts: usize) -> Vec<std::ops::Range<usize>> {
+fn chunk_ranges(len: usize, parts: usize) -> Vec<std::ops::Range<usize>> {
     let parts = parts.max(1).min(len.max(1));
     let base = len / parts;
     let extra = len % parts;

@@ -41,7 +41,7 @@ pub use btree::{BTree, BTreeStats};
 pub use buffer::{BufferPool, PageRepairer, PoolHealth, READAHEAD_WINDOW};
 pub use disk::{Disk, FaultyDisk, FileDisk, MemDisk, RetryDisk, RetryStats};
 pub use error::{Result, StorageError};
-pub use exec::{chunk_ranges, run_chunked, ExecutionConfig};
+pub use exec::{run_chunked, ExecutionConfig};
 pub use fault::{Fault, FaultPlan, FaultyLog};
 pub use heap::HeapFile;
 pub use lock::{LockManager, LockMode, OwnerId};
