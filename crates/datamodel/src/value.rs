@@ -11,7 +11,7 @@ use crate::types::{BasicType, TypeDescriptor};
 ///
 /// `Ref` holds a physical OID; equality on `Ref` is identity (same object).
 /// Deep (value) equality, which dereferences, lives in [`crate::deep`].
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, PartialEq)]
 pub enum Value {
     Integer(i32),
     Float(f64),
@@ -30,6 +30,47 @@ pub enum Value {
     Ref(Oid),
     /// Null (the cost model's `notnull(A,C)` is about exactly these).
     Null,
+}
+
+impl Clone for Value {
+    fn clone(&self) -> Value {
+        match self {
+            Value::Integer(i) => Value::Integer(*i),
+            Value::Float(x) => Value::Float(*x),
+            Value::LongInteger(i) => Value::LongInteger(*i),
+            Value::String(s) => Value::String(s.clone()),
+            Value::Char(c) => Value::Char(*c),
+            Value::Boolean(b) => Value::Boolean(*b),
+            Value::Tuple(fields) => Value::Tuple(fields.clone()),
+            Value::Set(items) => Value::Set(items.clone()),
+            Value::List(items) => Value::List(items.clone()),
+            Value::Ref(oid) => Value::Ref(*oid),
+            Value::Null => Value::Null,
+        }
+    }
+
+    /// Copy `source` into what `self` already holds: a string's buffer and
+    /// a collection's item vector are reused (items recursively), so a
+    /// register or slot overwritten value after value of one shape
+    /// allocates nothing once it has held the longest.
+    fn clone_from(&mut self, source: &Value) {
+        match (self, source) {
+            (Value::String(to), Value::String(from)) => to.clone_from(from),
+            (Value::Set(to), Value::Set(from)) | (Value::List(to), Value::List(from)) => {
+                to.clone_from(from)
+            }
+            (Value::Tuple(to), Value::Tuple(from)) => {
+                to.truncate(from.len());
+                let held = to.len();
+                for ((name, value), (from_name, from_value)) in to.iter_mut().zip(from) {
+                    name.clone_from(from_name);
+                    value.clone_from(from_value);
+                }
+                to.extend_from_slice(&from[held..]);
+            }
+            (to, from) => *to = from.clone(),
+        }
+    }
 }
 
 impl Value {
@@ -222,6 +263,34 @@ mod tests {
 
     fn oid(n: u32) -> Oid {
         Oid::new(FileId(1), PageId(n), SlotId(0), 1)
+    }
+
+    #[test]
+    fn clone_from_reuses_what_it_overwrites() {
+        let values = [
+            Value::string("a longer string than the next"),
+            Value::string("short"),
+            Value::tuple(vec![("a", Value::Integer(1)), ("b", Value::string("x"))]),
+            Value::tuple(vec![("a", Value::string("yy"))]),
+            Value::List(vec![Value::string("p"), Value::Null]),
+            Value::Set(vec![Value::Ref(oid(3))]),
+            Value::Float(-0.0),
+            Value::Null,
+        ];
+        for to in &values {
+            for from in &values {
+                let mut held = to.clone();
+                held.clone_from(from);
+                assert_eq!(held, *from, "{to} <- {from}");
+            }
+        }
+        // A string overwritten by a shorter one keeps its buffer.
+        let mut held = values[0].clone();
+        let Value::String(buf) = &held else { unreachable!() };
+        let at = buf.as_ptr();
+        held.clone_from(&values[1]);
+        let Value::String(buf) = &held else { unreachable!() };
+        assert_eq!(buf.as_ptr(), at);
     }
 
     #[test]

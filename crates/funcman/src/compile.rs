@@ -293,9 +293,14 @@ impl<'p> Registers<'p> {
         }
     }
 
-    fn prepare(&mut self, n: u16) {
-        if self.slots.len() < n as usize {
-            self.slots.resize(n as usize, Value::Null);
+    /// Registers held: the end of the highest window a program has run in.
+    pub fn held(&self) -> usize {
+        self.slots.len()
+    }
+
+    fn prepare(&mut self, n: usize) {
+        if self.slots.len() < n {
+            self.slots.resize(n, Value::Null);
         }
     }
 }
@@ -332,17 +337,38 @@ impl Program {
         self.consts.len()
     }
 
-    fn value<'v>(&'v self, s: Src, regs: &'v Registers<'_>) -> &'v Value {
+    fn value<'v>(&'v self, s: Src, slots: &'v [Value], params: &'v [Value]) -> &'v Value {
         match s {
-            Src::Reg(i) => &regs.slots[i as usize],
+            Src::Reg(i) => &slots[i as usize],
             Src::Const(i) => &self.consts[i as usize],
             // In range: `run` checked `nparams` against the bound slice.
-            Src::Param(i) => &regs.params[i as usize],
+            Src::Param(i) => &params[i as usize],
         }
     }
 
-    /// Execute against a context, reusing `regs` as scratch.
-    pub fn run(&self, regs: &mut Registers<'_>, ctx: &EvalCtx<'_>) -> Result<Value, Exception> {
+    /// Execute against a context, reusing `regs` as scratch. The result is
+    /// lent: it lives in a register or the constant pool until the next
+    /// run, and a caller that keeps it clones it. A path overwrites its
+    /// register in place, reusing the string or vector the register held,
+    /// so a program run over objects of one shape allocates nothing for
+    /// the values it reads.
+    pub fn run<'r>(
+        &'r self,
+        regs: &'r mut Registers<'_>,
+        ctx: &EvalCtx<'_>,
+    ) -> Result<&'r Value, Exception> {
+        self.run_at(regs, 0, ctx)
+    }
+
+    /// [`Program::run`] in the registers `base..base + register_count()` of
+    /// `regs`: programs given windows of their own in one register file
+    /// each find there what they left, whatever ran in between.
+    pub fn run_at<'r>(
+        &'r self,
+        regs: &'r mut Registers<'_>,
+        base: usize,
+        ctx: &EvalCtx<'_>,
+    ) -> Result<&'r Value, Exception> {
         if regs.params.len() < self.nparams as usize {
             return Err(query_err(format!(
                 "unbound parameter ${} ({} bound)",
@@ -350,25 +376,34 @@ impl Program {
                 regs.params.len()
             )));
         }
-        regs.prepare(self.nregs);
+        let end = base + self.nregs as usize;
+        regs.prepare(end);
+        let params = regs.params;
+        let slots = &mut regs.slots[base..end];
         let mut pc = 0usize;
         while pc < self.insts.len() {
             match &self.insts[pc] {
                 Inst::Path { dst, plan } => {
-                    let v = self.navigate(&self.paths[*plan as usize], ctx)?;
-                    regs.slots[*dst as usize] = v;
+                    self.navigate(&self.paths[*plan as usize], ctx, &mut slots[*dst as usize])?;
                 }
                 Inst::Set { dst, src } => {
-                    let v = self.value(*src, regs).clone();
-                    regs.slots[*dst as usize] = v;
+                    let to = *dst as usize;
+                    match *src {
+                        Src::Reg(i) => {
+                            let v = slots[i as usize].clone();
+                            slots[to] = v;
+                        }
+                        Src::Const(i) => slots[to].clone_from(&self.consts[i as usize]),
+                        Src::Param(i) => slots[to].clone_from(&params[i as usize]),
+                    }
                 }
                 Inst::Atomic { src } => {
-                    Op::ensure_atomic(self.value(*src, regs))?;
+                    Op::ensure_atomic(self.value(*src, slots, params))?;
                 }
                 Inst::CmpSql { dst, kind, lhs, rhs } => {
                     let out = {
-                        let l = self.value(*lhs, regs);
-                        let r = self.value(*rhs, regs);
+                        let l = self.value(*lhs, slots, params);
+                        let r = self.value(*rhs, slots, params);
                         if l.is_null() || r.is_null() {
                             Value::Null
                         } else {
@@ -380,18 +415,18 @@ impl Program {
                             }
                         }
                     };
-                    regs.slots[*dst as usize] = out;
+                    slots[*dst as usize] = out;
                 }
                 Inst::CmpBody { dst, kind, lhs, rhs } => {
                     let out =
-                        Op::cmp_op_values(kind.symbol(), self.value(*lhs, regs), self.value(*rhs, regs))?;
-                    regs.slots[*dst as usize] = out;
+                        Op::cmp_op_values(kind.symbol(), self.value(*lhs, slots, params), self.value(*rhs, slots, params))?;
+                    slots[*dst as usize] = out;
                 }
                 Inst::BetweenSql { dst, v, lo, hi } => {
                     let out = {
-                        let v = self.value(*v, regs);
-                        let lo = self.value(*lo, regs);
-                        let hi = self.value(*hi, regs);
+                        let v = self.value(*v, slots, params);
+                        let lo = self.value(*lo, slots, params);
+                        let hi = self.value(*hi, slots, params);
                         if v.is_null() || lo.is_null() || hi.is_null() {
                             Value::Null
                         } else {
@@ -405,13 +440,13 @@ impl Program {
                             }
                         }
                     };
-                    regs.slots[*dst as usize] = out;
+                    slots[*dst as usize] = out;
                 }
                 Inst::BetweenBody { dst, v, lo, hi } => {
                     let out = {
-                        let v = self.value(*v, regs);
-                        let lo = self.value(*lo, regs);
-                        let hi = self.value(*hi, regs);
+                        let v = self.value(*v, slots, params);
+                        let lo = self.value(*lo, slots, params);
+                        let hi = self.value(*hi, slots, params);
                         if v.is_null() || lo.is_null() || hi.is_null() {
                             Value::Null
                         } else {
@@ -427,12 +462,12 @@ impl Program {
                             }
                         }
                     };
-                    regs.slots[*dst as usize] = out;
+                    slots[*dst as usize] = out;
                 }
                 Inst::Arith { dst, op, lhs, rhs } => {
                     let out = {
-                        let l = Op::from_value(self.value(*lhs, regs))?;
-                        let r = Op::from_value(self.value(*rhs, regs))?;
+                        let l = Op::from_value(self.value(*lhs, slots, params))?;
+                        let r = Op::from_value(self.value(*rhs, slots, params))?;
                         match op {
                             '+' => l.add(&r)?,
                             '-' => l.sub(&r)?,
@@ -443,27 +478,27 @@ impl Program {
                         }
                         .into_value()
                     };
-                    regs.slots[*dst as usize] = out;
+                    slots[*dst as usize] = out;
                 }
                 Inst::Neg { dst, src } => {
-                    let out = Op::from_value(self.value(*src, regs))?.neg()?.into_value();
-                    regs.slots[*dst as usize] = out;
+                    let out = Op::from_value(self.value(*src, slots, params))?.neg()?.into_value();
+                    slots[*dst as usize] = out;
                 }
                 Inst::NotSql { dst, src } => {
-                    let out = match self.value(*src, regs) {
+                    let out = match self.value(*src, slots, params) {
                         Value::Boolean(b) => Value::Boolean(!b),
                         Value::Null => Value::Null,
                         other => return Err(query_err(format!("NOT over non-Boolean {other}"))),
                     };
-                    regs.slots[*dst as usize] = out;
+                    slots[*dst as usize] = out;
                 }
                 Inst::NotBody { dst, src } => {
-                    let out = Op::from_value(self.value(*src, regs))?.not()?.into_value();
-                    regs.slots[*dst as usize] = out;
+                    let out = Op::from_value(self.value(*src, slots, params))?.not()?.into_value();
+                    slots[*dst as usize] = out;
                 }
                 Inst::AndStep { acc, src, end } => {
                     // 0 = short-circuit false, 1 = keep, 2 = mark Null.
-                    let act = match self.value(*src, regs) {
+                    let act = match self.value(*src, slots, params) {
                         Value::Boolean(false) => 0u8,
                         Value::Boolean(true) => 1,
                         Value::Null => 2,
@@ -473,16 +508,16 @@ impl Program {
                     };
                     match act {
                         0 => {
-                            regs.slots[*acc as usize] = Value::Boolean(false);
+                            slots[*acc as usize] = Value::Boolean(false);
                             pc = *end as usize;
                             continue;
                         }
-                        2 => regs.slots[*acc as usize] = Value::Null,
+                        2 => slots[*acc as usize] = Value::Null,
                         _ => {}
                     }
                 }
                 Inst::OrStep { acc, src, end } => {
-                    let act = match self.value(*src, regs) {
+                    let act = match self.value(*src, slots, params) {
                         Value::Boolean(true) => 0u8,
                         Value::Boolean(false) => 1,
                         Value::Null => 2,
@@ -490,30 +525,30 @@ impl Program {
                     };
                     match act {
                         0 => {
-                            regs.slots[*acc as usize] = Value::Boolean(true);
+                            slots[*acc as usize] = Value::Boolean(true);
                             pc = *end as usize;
                             continue;
                         }
-                        2 => regs.slots[*acc as usize] = Value::Null,
+                        2 => slots[*acc as usize] = Value::Null,
                         _ => {}
                     }
                 }
                 Inst::AndBody { acc, rhs } => {
-                    let out = and_body(&regs.slots[*acc as usize], self.value(*rhs, regs))?;
-                    regs.slots[*acc as usize] = out;
+                    let out = and_body(&slots[*acc as usize], self.value(*rhs, slots, params))?;
+                    slots[*acc as usize] = out;
                 }
                 Inst::OrBody { acc, rhs } => {
-                    let out = or_body(&regs.slots[*acc as usize], self.value(*rhs, regs))?;
-                    regs.slots[*acc as usize] = out;
+                    let out = or_body(&slots[*acc as usize], self.value(*rhs, slots, params))?;
+                    slots[*acc as usize] = out;
                 }
                 Inst::JumpIfFalse { src, target } => {
-                    if matches!(self.value(*src, regs), Value::Boolean(false)) {
+                    if matches!(self.value(*src, slots, params), Value::Boolean(false)) {
                         pc = *target as usize;
                         continue;
                     }
                 }
                 Inst::JumpIfTrue { src, target } => {
-                    if matches!(self.value(*src, regs), Value::Boolean(true)) {
+                    if matches!(self.value(*src, slots, params), Value::Boolean(true)) {
                         pc = *target as usize;
                         continue;
                     }
@@ -541,7 +576,7 @@ impl Program {
                             }
                             _ => None,
                         },
-                        CallOn::Ref(src) => self.value(*src, regs).as_oid().map(Receiver::Ref),
+                        CallOn::Ref(src) => self.value(*src, slots, params).as_oid().map(Receiver::Ref),
                     };
                     let receiver = receiver.ok_or_else(|| {
                         query_err(format!(
@@ -549,9 +584,9 @@ impl Program {
                         ))
                     })?;
                     let vals: Vec<Value> =
-                        args.iter().map(|a| self.value(*a, regs).clone()).collect();
+                        args.iter().map(|a| self.value(*a, slots, params).clone()).collect();
                     let out = dispatcher(receiver, name, &vals)?;
-                    regs.slots[*dst as usize] = out;
+                    slots[*dst as usize] = out;
                 }
                 Inst::Raise { message } => {
                     let Value::String(text) = &self.consts[*message as usize] else {
@@ -562,13 +597,13 @@ impl Program {
             }
             pc += 1;
         }
-        Ok(self.value(self.ret, regs).clone())
+        Ok(self.value(self.ret, slots, params))
     }
 
-    /// Walk a pre-resolved path. Values stay borrowed until a reference
-    /// dereference or the terminal clone; owned tuples move their field out
-    /// instead of cloning.
-    fn navigate(&self, plan: &PathPlan, ctx: &EvalCtx<'_>) -> Result<Value, Exception> {
+    /// Walk a pre-resolved path into `out`. Values stay borrowed until a
+    /// reference dereference or the terminal copy, which reuses what `out`
+    /// holds; owned tuples move their field out instead of cloning.
+    fn navigate(&self, plan: &PathPlan, ctx: &EvalCtx<'_>, out: &mut Value) -> Result<(), Exception> {
         enum Cur<'c> {
             B(&'c Value),
             O(Value),
@@ -586,7 +621,10 @@ impl Program {
             PathRoot::Arg(i) => match ctx.args.get(i as usize) {
                 Some(Arg::Value(v)) => Cur::B(v),
                 // A stored object read whole is its reference.
-                Some(Arg::Object(oid, _)) if plan.segs.is_empty() => return Ok(Value::Ref(*oid)),
+                Some(Arg::Object(oid, _)) if plan.segs.is_empty() => {
+                    *out = Value::Ref(*oid);
+                    return Ok(());
+                }
                 Some(Arg::Object(_, v)) => Cur::B(v),
                 Some(Arg::Unbound) | None => {
                     return Err(match self.mode {
@@ -606,7 +644,10 @@ impl Program {
             loop {
                 let oid = match cur.as_ref() {
                     Value::Ref(oid) => *oid,
-                    Value::Null => return Ok(Value::Null),
+                    Value::Null => {
+                        *out = Value::Null;
+                        return Ok(());
+                    }
                     _ => break,
                 };
                 let resolver = ctx.resolver.ok_or_else(|| {
@@ -621,23 +662,30 @@ impl Program {
                 Cur::B(v) => match v {
                     Value::Tuple(fields) => match seg.find(fields) {
                         Some(at) => Cur::B(&fields[at].1),
-                        None => return self.missing_field(plan, i),
+                        None => {
+                            *out = self.missing_field(plan, i)?;
+                            return Ok(());
+                        }
                     },
-                    other => return self.not_navigable(plan, i, other),
+                    other => return Err(self.not_navigable(plan, i, other)),
                 },
                 Cur::O(v) => match v {
                     Value::Tuple(mut fields) => match seg.find(&fields) {
                         Some(at) => Cur::O(fields.swap_remove(at).1),
-                        None => return self.missing_field(plan, i),
+                        None => {
+                            *out = self.missing_field(plan, i)?;
+                            return Ok(());
+                        }
                     },
-                    other => return self.not_navigable(plan, i, &other),
+                    other => return Err(self.not_navigable(plan, i, &other)),
                 },
             };
         }
-        Ok(match cur {
-            Cur::B(v) => v.clone(),
-            Cur::O(v) => v,
-        })
+        match cur {
+            Cur::B(v) => out.clone_from(v),
+            Cur::O(v) => *out = v,
+        }
+        Ok(())
     }
 
     /// Tuple has no such field. Sql: reads as Null (schema evolution: an
@@ -658,25 +706,23 @@ impl Program {
     }
 
     /// Field access on a non-tuple, non-reference value.
-    fn not_navigable(&self, plan: &PathPlan, seg_i: usize, value: &Value) -> Result<Value, Exception> {
+    fn not_navigable(&self, plan: &PathPlan, seg_i: usize, value: &Value) -> Exception {
         let seg = &plan.segs[seg_i].name;
         match self.mode {
-            Mode::Sql => Err(query_err(format!(
+            Mode::Sql => query_err(format!(
                 "no attribute {seg} on {} (path {}, value {value})",
                 plan.label, plan.rendered
-            ))),
+            )),
             Mode::Body => {
                 if seg_i == 0 && plan.root_ident {
                     // A bare identifier that is no attribute of `self` —
                     // whatever `self` is — is an unknown identifier.
-                    Err(Exception::new(
+                    Exception::new(
                         ExceptionKind::UnknownIdentifier,
                         format!("unknown identifier {}", plan.root_name),
-                    ))
+                    )
                 } else {
-                    Err(Exception::type_error(format!(
-                        "cannot navigate into {value} with .{seg}"
-                    )))
+                    Exception::type_error(format!("cannot navigate into {value} with .{seg}"))
                 }
             }
         }
@@ -1077,7 +1123,7 @@ mod tests {
         let prog = compile_program(&expr, &CompileOpts::body(&names)).unwrap();
         let slots: Vec<Arg<'_>> = args.iter().map(|(_, v)| Arg::Value(v)).collect();
         let c = ctx(v, &slots);
-        let compiled = prog.run(&mut Registers::default(), &c);
+        let compiled = prog.run(&mut Registers::default(), &c).cloned();
         assert_eq!(compiled, eval(&expr, &names, &c), "divergence on {src}");
     }
 
@@ -1128,7 +1174,7 @@ mod tests {
             let expr = compile(src).unwrap();
             let prog = compile_program(&expr, &CompileOpts::body(&[])).unwrap();
             assert!(
-                prog.run(&mut Registers::default(), &ctx(&v, &[])).is_err(),
+                prog.run(&mut Registers::default(), &ctx(&v, &[])).cloned().is_err(),
                 "on {src}"
             );
         }
@@ -1147,6 +1193,7 @@ mod tests {
         let prog = compile_program(&expr, &CompileOpts::body(&names)).unwrap();
         let e = prog
             .run(&mut Registers::default(), &ctx(&v, &[]))
+            .cloned()
             .unwrap_err();
         assert_eq!(e.kind, ExceptionKind::UnknownIdentifier);
     }
@@ -1183,12 +1230,13 @@ mod tests {
         let v = Value::tuple(vec![("n", Value::Integer(5))]);
         let e = prog
             .run(&mut Registers::default(), &ctx(&v, &[]))
+            .cloned()
             .unwrap_err();
         assert_eq!(e.kind, ExceptionKind::Query);
         assert_eq!(e.message, "cannot compare 5 with 'abc'");
         // A NULL never reaches the comparison.
         let v = Value::tuple(vec![("n", Value::Null)]);
-        let out = prog.run(&mut Registers::default(), &ctx(&v, &[]));
+        let out = prog.run(&mut Registers::default(), &ctx(&v, &[])).cloned();
         assert_eq!(out.unwrap(), Value::Null);
     }
 
@@ -1209,7 +1257,7 @@ mod tests {
         let v = Value::tuple(vec![("present", Value::Integer(1))]);
         let c = ctx(&v, &[]);
         let mut regs = Registers::default();
-        assert_eq!(prog.run(&mut regs, &c).unwrap(), Value::Null);
+        assert_eq!(prog.run(&mut regs, &c).cloned().unwrap(), Value::Null);
         let pred = CompiledPredicate::new(prog);
         assert!(!pred.matches(&mut regs, &c).unwrap());
     }
@@ -1225,7 +1273,7 @@ mod tests {
         let v = Value::tuple(vec![("n", Value::Integer(3))]);
         let c = ctx(&v, &[]);
         let mut regs = Registers::default();
-        let e = prog.run(&mut regs, &c).unwrap_err();
+        let e = prog.run(&mut regs, &c).cloned().unwrap_err();
         assert_eq!(e.kind, ExceptionKind::Query);
         assert_eq!(e.message, "AND over non-Boolean 3");
     }
@@ -1244,7 +1292,7 @@ mod tests {
         let v = Value::tuple(vec![("s", Value::string("zz"))]);
         let c = ctx(&v, &[]);
         let mut regs = Registers::default();
-        let e = prog.run(&mut regs, &c).unwrap_err();
+        let e = prog.run(&mut regs, &c).cloned().unwrap_err();
         assert_eq!(e.message, "BETWEEN on incomparable values");
         // In range when the bound is comparable.
         let expr = Expr::Between(
@@ -1255,7 +1303,7 @@ mod tests {
         let prog = compile_program(&expr, &CompileOpts::sql("x")).unwrap();
         let v = Value::tuple(vec![("n", Value::Integer(5))]);
         let c = ctx(&v, &[]);
-        assert_eq!(prog.run(&mut regs, &c).unwrap(), Value::Boolean(true));
+        assert_eq!(prog.run(&mut regs, &c).cloned().unwrap(), Value::Boolean(true));
     }
 
     #[test]
@@ -1269,7 +1317,7 @@ mod tests {
             vec![("b", Value::Integer(2))],
         ] {
             let v = Value::tuple(fields);
-            let out = prog.run(&mut regs, &ctx(&v, &[]));
+            let out = prog.run(&mut regs, &ctx(&v, &[])).cloned();
             assert_eq!(out.unwrap(), Value::Boolean(true));
         }
     }
@@ -1289,10 +1337,10 @@ mod tests {
         ];
         for fields in shapes {
             let v = Value::tuple(fields);
-            assert_eq!(prog.run(&mut regs, &ctx(&v, &[])), Ok(Value::Boolean(true)), "on {v}");
+            assert_eq!(prog.run(&mut regs, &ctx(&v, &[])).cloned(), Ok(Value::Boolean(true)), "on {v}");
         }
         let v = Value::tuple(vec![("a", Value::Integer(2)), ("c", Value::Integer(2))]);
-        assert!(prog.run(&mut regs, &ctx(&v, &[])).is_err(), "b is nowhere in {v}");
+        assert!(prog.run(&mut regs, &ctx(&v, &[])).cloned().is_err(), "b is nowhere in {v}");
     }
 
     #[test]
@@ -1315,8 +1363,8 @@ mod tests {
             dispatcher: None,
         };
         let mut regs = Registers::default();
-        assert_eq!(prog.run(&mut regs, &c).unwrap(), Value::Integer(12));
-        assert_eq!(prog.run(&mut regs, &c), eval(&expr, &[], &c));
+        assert_eq!(prog.run(&mut regs, &c).cloned().unwrap(), Value::Integer(12));
+        assert_eq!(prog.run(&mut regs, &c).cloned(), eval(&expr, &[], &c));
     }
 
     #[test]
@@ -1336,7 +1384,7 @@ mod tests {
         };
         for opts in [CompileOpts::body(&[]), CompileOpts::sql("x")] {
             let prog = compile_program(&expr, &opts).unwrap();
-            let out = prog.run(&mut Registers::default(), &c);
+            let out = prog.run(&mut Registers::default(), &c).cloned();
             assert_eq!(out.unwrap(), Value::Integer(221));
         }
     }
@@ -1371,7 +1419,7 @@ mod tests {
             };
             compile_program(e, &opts)
                 .unwrap()
-                .run(&mut Registers::default(), &c)
+                .run(&mut Registers::default(), &c).cloned()
         };
         let (v, w) = (
             Value::tuple(vec![("id", Value::Integer(1))]),
@@ -1443,7 +1491,7 @@ mod tests {
             );
             compile_program(&e, &CompileOpts::sql("x"))
                 .unwrap()
-                .run(&mut Registers::default(), &ctx(&Value::Null, &[]))
+                .run(&mut Registers::default(), &ctx(&Value::Null, &[])).cloned()
         };
         assert_eq!(guarded(false).unwrap(), Value::Boolean(false));
         let e = guarded(true).unwrap_err();
@@ -1467,12 +1515,13 @@ mod tests {
         for (bound, expect) in [(600, true), (601, false)] {
             let params = [Value::Integer(bound)];
             let mut regs = Registers::with_params(&params);
-            let out = prog.run(&mut regs, &ctx(&v, &[])).unwrap();
+            let out = prog.run(&mut regs, &ctx(&v, &[])).cloned().unwrap();
             assert_eq!(out, Value::Boolean(expect));
         }
         // Nothing bound is an exception, not an index panic.
         let err = prog
             .run(&mut Registers::default(), &ctx(&v, &[]))
+            .cloned()
             .unwrap_err();
         assert_eq!(err.kind, ExceptionKind::Query);
     }
@@ -1492,13 +1541,38 @@ mod tests {
     }
 
     #[test]
+    fn a_path_result_is_lent_from_a_register_it_reuses() {
+        let expr = Expr::Path(vec!["self".into(), "color".into()]);
+        let prog = compile_program(&expr, &CompileOpts::sql("v")).unwrap();
+        let weight = Expr::Path(vec!["self".into(), "weight".into()]);
+        let other = compile_program(&weight, &CompileOpts::sql("v")).unwrap();
+        let mut regs = Registers::default();
+        let mut buffer = None;
+        for color in ["yellow", "red", "blue", "white"] {
+            let v = Value::tuple(vec![("color", Value::string(color)), ("weight", Value::Integer(9))]);
+            let Value::String(out) = prog.run(&mut regs, &ctx(&v, &[])).unwrap() else {
+                panic!("a string path yields a string");
+            };
+            assert_eq!(out, color);
+            // The first, longest value sized the register's buffer; every
+            // later one is copied into it.
+            assert_eq!(*buffer.get_or_insert(out.as_ptr()), out.as_ptr(), "{color}");
+            // Another program in a window of its own leaves it alone.
+            let base = prog.register_count() as usize;
+            let out = other.run_at(&mut regs, base, &ctx(&v, &[])).unwrap();
+            assert_eq!(*out, Value::Integer(9));
+            assert_eq!(regs.held(), base + other.register_count() as usize);
+        }
+    }
+
+    #[test]
     fn register_scratch_is_reused_across_rows() {
         let expr = compile("weight > 500").unwrap();
         let prog = compile_program(&expr, &CompileOpts::body(&[])).unwrap();
         let mut regs = Registers::default();
         for w in [100, 600, 1000, 400] {
             let v = Value::tuple(vec![("weight", Value::Integer(w))]);
-            let out = prog.run(&mut regs, &ctx(&v, &[])).unwrap();
+            let out = prog.run(&mut regs, &ctx(&v, &[])).cloned().unwrap();
             assert_eq!(out, Value::Boolean(w > 500));
         }
     }

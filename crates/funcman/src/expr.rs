@@ -636,7 +636,7 @@ mod tests {
         let body = compile(src).unwrap();
         let names: Vec<String> = params.iter().map(|(n, _)| n.to_string()).collect();
         let program = compile_program(&body, &CompileOpts::body(&names)).unwrap();
-        let out = program.run(&mut Registers::default(), ctx);
+        let out = program.run(&mut Registers::default(), ctx).cloned();
         assert_eq!(
             out,
             eval(&body, &names, ctx),

@@ -272,7 +272,7 @@ impl FunctionManager {
                     resolver: Some(self.catalog.as_ref() as &dyn Resolver),
                     dispatcher: Some(&dispatcher),
                 };
-                let run = || program.run(&mut Registers::default(), &ctx);
+                let run = || program.run(&mut Registers::default(), &ctx).cloned();
                 let result = catch(AssertUnwindSafe(run))?;
                 if !result.matches(&sig.return_type) {
                     return Err(Exception::type_error(format!(

@@ -15,7 +15,7 @@
 use std::collections::HashMap;
 
 use mood_catalog::Catalog;
-use mood_optimizer::{BoolExpr, Const, PredSpec, QuerySpec};
+use mood_optimizer::{BoolExpr, Const, PredSpec, QuerySpec, MAX_DNF_TERMS};
 
 use crate::ast::{CmpOp, Expr, FromItem, Lit, PathRef, SelectStmt, Statement};
 use crate::error::{Result, SqlError};
@@ -155,28 +155,42 @@ pub fn lower(catalog: &Catalog, stmt: &SelectStmt) -> Result<Lowered> {
         collect_var_joins(catalog, w, &root, &other_vars, &mut rewritten);
     }
 
-    // Validate variable and attribute references before lowering.
-    if let Some(w) = &stmt.where_clause {
-        validate_refs(catalog, w, stmt)?;
-    }
-    for e in &stmt.projection {
+    // Validate variable and attribute references before lowering: every
+    // clause's, so an unknown attribute is the same error wherever it is.
+    let clauses = stmt.where_clause.iter().chain(&stmt.projection).chain(&stmt.having);
+    for e in clauses {
         validate_refs(catalog, e, stmt)?;
     }
+    for p in stmt.order_by.iter().map(|(p, _)| p).chain(&stmt.group_by) {
+        validate_path(catalog, p, stmt)?;
+    }
 
-    // Build the Boolean tree of PredSpec leaves.
+    // Build the Boolean tree of PredSpec leaves and expand it, unless its
+    // DNF would be past the bound: then the clause as written is the one
+    // term's one predicate, and any other FROM item is bound by the
+    // nested loop it filters.
     let tree = match &stmt.where_clause {
         Some(w) => Some(to_bool_expr(catalog, w, &root, &rewritten)?),
         None => None,
     };
-    let terms: Vec<Vec<PredSpec>> = match tree {
-        Some(t) => t.to_dnf(),
-        None => vec![Vec::new()],
+    let mut unexpanded = None;
+    let terms: Vec<Vec<PredSpec>> = match (tree, &stmt.where_clause) {
+        (Some(t), Some(w)) => match t.dnf_len() {
+            n if n > MAX_DNF_TERMS => {
+                unexpanded = Some(n);
+                rewritten.clear();
+                vec![vec![PredSpec::Other { text: w.render() }]]
+            }
+            _ => t.to_dnf(),
+        },
+        _ => vec![Vec::new()],
     };
 
     let mut spec = QuerySpec::new(&root.var, &root.class);
     spec.every = root.every;
     spec.minus = root.minus.clone();
     spec.terms = terms;
+    spec.unexpanded = unexpanded;
     spec.projection = stmt.projection.iter().map(Expr::render).collect();
     spec.group_by = stmt.group_by.iter().map(PathRef::render).collect();
     spec.having = stmt.having.as_ref().map(Expr::render);
@@ -198,27 +212,29 @@ pub fn lower(catalog: &Catalog, stmt: &SelectStmt) -> Result<Lowered> {
     })
 }
 
-/// Walk an expression validating that every path's range variable is in
-/// scope and its first attribute exists on the variable's class (deeper
-/// segments are checked at execution, where dynamic types are known).
-fn validate_refs(catalog: &Catalog, e: &Expr, stmt: &SelectStmt) -> Result<()> {
-    let check_path = |p: &PathRef| -> Result<()> {
-        let Some(item) = stmt.from.iter().find(|f| f.var == p.var) else {
-            return Err(SqlError::Bind(format!("unknown range variable {}", p.var)));
-        };
-        if let Some(first) = p.segments.first() {
-            let attrs = catalog.effective_attributes(&item.class)?;
-            if !attrs.iter().any(|a| &a.name == first) {
-                return Err(SqlError::Bind(format!(
-                    "class {} has no attribute {first}",
-                    item.class
-                )));
-            }
-        }
-        Ok(())
+/// Check that a path's range variable is in scope and its first attribute
+/// exists on the variable's class (deeper segments are checked at
+/// execution, where dynamic types are known).
+fn validate_path(catalog: &Catalog, p: &PathRef, stmt: &SelectStmt) -> Result<()> {
+    let Some(item) = stmt.from.iter().find(|f| f.var == p.var) else {
+        return Err(SqlError::Bind(format!("unknown range variable {}", p.var)));
     };
+    if let Some(first) = p.segments.first() {
+        let attrs = catalog.effective_attributes(&item.class)?;
+        if !attrs.iter().any(|a| &a.name == first) {
+            return Err(SqlError::Bind(format!(
+                "class {} has no attribute {first}",
+                item.class
+            )));
+        }
+    }
+    Ok(())
+}
+
+/// Walk an expression validating every path in it ([`validate_path`]).
+fn validate_refs(catalog: &Catalog, e: &Expr, stmt: &SelectStmt) -> Result<()> {
     match e {
-        Expr::Path(p) => check_path(p)?,
+        Expr::Path(p) => validate_path(catalog, p, stmt)?,
         Expr::MethodCall { base, args, .. } => {
             // Only the variable scope is checkable (the method may be
             // late-bound on a subclass).

@@ -156,11 +156,20 @@ impl PreparedExpr {
     }
 }
 
+/// Programs that get a register window of their own in a [`Scratch`]; any
+/// further one shares the last window.
+const WINDOWS: usize = 8;
+
 /// What a run of evaluations shares: the executor (catalog, Function
 /// Manager, bound parameters), one register file, one dereference cache.
 pub(crate) struct Scratch<'e, 'a> {
     ex: &'e Executor<'a>,
     regs: Registers<'a>,
+    /// Each program's window of `regs` (its address, its first register):
+    /// a projection column's string register keeps its buffer while a
+    /// group key's program runs beside it.
+    windows: [(usize, usize); WINDOWS],
+    used: usize,
     resolver: CachingResolver<'e>,
     /// Rows since the cache was last cleared, for [`Scratch::next_row`].
     rows: usize,
@@ -171,6 +180,8 @@ impl<'e, 'a> Scratch<'e, 'a> {
         Scratch {
             ex,
             regs: Registers::with_params(ex.params()),
+            windows: [(0, 0); WINDOWS],
+            used: 0,
             resolver: CachingResolver {
                 catalog: ex.catalog,
                 cache: RefCell::default(),
@@ -196,8 +207,12 @@ impl<'e, 'a> Scratch<'e, 'a> {
         self.rows += 1;
     }
 
-    pub fn eval(&mut self, e: &PreparedExpr, view: RowView<'_>) -> Result<Value> {
+    /// The value of `e` on `view`, lent from this scratch's registers or
+    /// the program's constants until the next evaluation: a caller that
+    /// keeps it clones it.
+    pub fn eval<'s>(&'s mut self, e: &'s PreparedExpr, view: RowView<'_>) -> Result<&'s Value> {
         let RowProg { vars, prog } = e.compiled(self.ex.catalog)?;
+        let base = self.window(prog);
         let (one, many);
         let args: &[Arg<'_>] = match vars.as_slice() {
             [] => &[],
@@ -219,7 +234,7 @@ impl<'e, 'a> Scratch<'e, 'a> {
             resolver: Some(&self.resolver),
             dispatcher: Some(&dispatch),
         };
-        prog.run(&mut self.regs, &ctx).map_err(|e| {
+        prog.run_at(&mut self.regs, base, &ctx).map_err(|e| {
             // A storage failure under a dereference outranks what the
             // program made of the missing object.
             match self.resolver.fault.take() {
@@ -227,6 +242,24 @@ impl<'e, 'a> Scratch<'e, 'a> {
                 None => sql_err(e),
             }
         })
+    }
+
+    /// The first register of `prog`'s window, laid out after the windows
+    /// of the programs that ran here before it.
+    #[inline]
+    fn window(&mut self, prog: &Program) -> usize {
+        let at = prog as *const Program as usize;
+        let held = &self.windows[..self.used];
+        if let Some(&(_, base)) = held.iter().find(|(p, _)| *p == at) {
+            return base;
+        }
+        if self.used == WINDOWS {
+            return self.windows[WINDOWS - 1].1;
+        }
+        let base = self.regs.held();
+        self.windows[self.used] = (at, base);
+        self.used += 1;
+        base
     }
 
     /// Predicate evaluation: Null (unknown) filters out, per SQL.

@@ -32,7 +32,9 @@ use mood_catalog::Catalog;
 use mood_cost::Theta;
 use mood_datamodel::Value;
 use mood_funcman::{Exception, ExceptionKind, FunctionManager, Receiver};
-use mood_optimizer::{estimate_plan_set, optimize, OptimizerConfig, Plan, PlanSet};
+use mood_optimizer::{
+    estimate_plan_set, optimize, Dnf, OptimizerConfig, Plan, PlanSet, MAX_DNF_TERMS,
+};
 use mood_storage::exec::run_chunked;
 use mood_storage::{AccessHint, FileId, Metric, Oid};
 use mood_trace::Tracer;
@@ -442,7 +444,17 @@ impl<'a> Executor<'a> {
         let lowered = lower(self.catalog, stmt)?;
         let stats = self.catalog.stats();
         let optimized = optimize(&lowered.spec, &stats, &self.config);
-        let mut out = String::new();
+        let mut out = match optimized.dnf {
+            Dnf::Terms => String::new(),
+            Dnf::Fused { terms, selectivity } => format!(
+                "-- DNF: {terms} scan-only AND-terms fused into one scan \
+                 (selectivity 1 - prod(1 - s_i) = {selectivity:.3e})\n"
+            ),
+            Dnf::Unexpanded { terms } => format!(
+                "-- DNF: not expanded ({terms} AND-terms > {MAX_DNF_TERMS}): one scan filtered \
+                 by the WHERE clause as written\n"
+            ),
+        };
         for term in &optimized.terms {
             if !term.imm_sel_info.is_empty() {
                 out.push_str("-- ImmSelInfo (predicate, selectivity, indexed cost, sequential cost, access):\n");

@@ -825,7 +825,7 @@ impl Session {
                     let mut new_value = Value::clone(old);
                     let view = RowView::Object { var, oid: *oid, value: old };
                     for ((a, _), e) in assignments.iter().zip(&rhs) {
-                        new_value.set_field(a, scratch.eval(e, view)?);
+                        new_value.set_field(a, scratch.eval(e, view)?.clone());
                     }
                     self.catalog.update_fetched(*oid, old, new_value)?;
                 }

@@ -257,24 +257,33 @@ impl Aggregator<'_> {
         sm: &StorageManager,
         view: RowView<'_>,
     ) -> Result<()> {
-        self.key.clear();
-        for k in self.keys {
-            encode_value_into(&mut self.key, &ctx.eval(k, view)?);
-            self.key.push(0xFE);
-        }
         self.seen += 1;
-        let gi = match self.index.get(self.key.as_slice()) {
-            Some(&gi) => gi,
+        // Without GROUP BY there is one group: no key, no lookup.
+        let found = match self.keys {
+            [] => (!self.groups.is_empty()).then_some(0),
+            keys => {
+                self.key.clear();
+                for k in keys {
+                    encode_value_into(&mut self.key, ctx.eval(k, view)?);
+                    self.key.push(0xFE);
+                }
+                self.index.get(self.key.as_slice()).copied()
+            }
+        };
+        let gi = match found {
+            Some(gi) => gi,
             None if self.groups.len() < self.budget => {
                 let mut cells = Vec::with_capacity(self.operands.len());
                 for (operand, input) in self.operands.iter().zip(&self.inputs) {
                     cells.push(match (empty_cell(operand), input) {
-                        (Cell::First(_), Some(e)) => Cell::First(ctx.eval(e, view)?),
+                        (Cell::First(_), Some(e)) => Cell::First(ctx.eval(e, view)?.clone()),
                         (cell, _) => cell,
                     });
                 }
                 self.groups.push(cells);
-                self.index.insert(self.key.clone(), self.groups.len() - 1);
+                if !self.keys.is_empty() {
+                    self.index.insert(self.key.clone(), self.groups.len() - 1);
+                }
                 self.groups.len() - 1
             }
             None => {
@@ -283,7 +292,7 @@ impl Aggregator<'_> {
                 // `[key len u32][key][input index u64][List(inputs)]`.
                 let mut inputs = Vec::with_capacity(self.inputs.len());
                 for input in self.inputs.iter().flatten() {
-                    inputs.push(ctx.eval(input, view)?);
+                    inputs.push(ctx.eval(input, view)?.clone());
                 }
                 self.record.clear();
                 self.record.extend((self.key.len() as u32).to_le_bytes());
@@ -304,7 +313,7 @@ impl Aggregator<'_> {
             if let Cell::Acc(acc) = cell {
                 match input {
                     None => acc.count += 1,
-                    Some(e) => acc.add(&ctx.eval(e, view)?),
+                    Some(e) => acc.add(ctx.eval(e, view)?),
                 }
             }
         }
@@ -471,10 +480,12 @@ pub(crate) struct Tail<'e, 'a> {
     agg: Option<Aggregator<'e>>,
     sort: Option<Sorter>,
     distinct: Option<HashSet<Vec<u8>>>,
-    /// One batch's projected rows on their way to the result, and the
-    /// encoded row DISTINCT looks up: kept from batch to batch.
+    /// One batch's projected rows on their way to the result, the encoded
+    /// row DISTINCT looks up, and the row a binding projects to before
+    /// DISTINCT has seen it: kept from batch to batch.
     rows: Vec<Vec<Value>>,
     key: Vec<u8>,
+    candidate: Vec<Value>,
     out: Vec<Vec<Value>>,
 }
 
@@ -545,6 +556,7 @@ impl<'e, 'a> Tail<'e, 'a> {
             distinct: stmt.distinct.then(HashSet::new),
             rows: Vec::new(),
             key: Vec::new(),
+            candidate: Vec::new(),
             out: Vec::new(),
         }
     }
@@ -558,6 +570,12 @@ impl<'e, 'a> Tail<'e, 'a> {
             }
             return Ok(());
         }
+        let unsorted = self.sort.is_none();
+        if let Some(mut seen) = self.distinct.take_if(|_| unsorted) {
+            let done = self.project_distinct(&mut seen, batch);
+            self.distinct = Some(seen);
+            return done;
+        }
         // Each record becomes its sort keys followed by its projected row,
         // both evaluated while the object is at hand.
         self.ledger.switch(Owner::Stage("PROJECT"));
@@ -567,7 +585,7 @@ impl<'e, 'a> Tail<'e, 'a> {
         for view in batch.views() {
             let mut vals = Vec::with_capacity(width);
             for col in self.keys.iter().chain(self.cols) {
-                vals.push(self.scratch.eval(col, view)?);
+                vals.push(self.scratch.eval(col, view)?.clone());
             }
             rows.push(vals);
         }
@@ -575,6 +593,34 @@ impl<'e, 'a> Tail<'e, 'a> {
         let passed = self.after_project(&mut rows);
         self.rows = rows;
         passed
+    }
+
+    /// Ungrouped DISTINCT with no ORDER BY before it: each binding's
+    /// projection is encoded into the DISTINCT key from the values its
+    /// programs lend, and copied into the one candidate row kept from
+    /// binding to binding; only a first occurrence becomes a row of the
+    /// result. The lookups share the projection's loop, so PROJECT owns
+    /// them; DISTINCT counts the rows it lets through.
+    fn project_distinct(&mut self, seen: &mut HashSet<Vec<u8>>, batch: Batch<'_>) -> Result<()> {
+        let Tail { scratch, ledger, cols, candidate, key, out, .. } = self;
+        ledger.switch(Owner::Stage("PROJECT"));
+        candidate.resize(cols.len(), Value::Null);
+        let kept = out.len();
+        for view in batch.views() {
+            key.clear();
+            for (col, cell) in cols.iter().zip(candidate.iter_mut()) {
+                let value = scratch.eval(col, view)?;
+                encode_value_into(key, value);
+                cell.clone_from(value);
+            }
+            if !seen.contains(key.as_slice()) {
+                seen.insert(key.clone());
+                out.push(candidate.clone());
+            }
+        }
+        ledger.count(Owner::Stage("PROJECT"), batch.len() as u64);
+        ledger.count(Owner::Stage("DISTINCT"), (out.len() - kept) as u64);
+        Ok(())
     }
 
     /// Projected rows (behind their sort keys when the statement sorts) go

@@ -8,6 +8,11 @@
 //! predicates) and tests (booleans) can reuse it. `NOT` is pushed to the
 //! leaves (De Morgan) through the [`Negate`] trait.
 
+/// The most AND-terms a WHERE clause is expanded into. A conjunction of n
+/// two-way disjunctions has 2^n terms: past this many the clause is not
+/// expanded, and the statement filters one scan with it as written.
+pub const MAX_DNF_TERMS: usize = 64;
+
 /// A Boolean expression tree over leaf predicates `L`.
 #[derive(Debug, Clone, PartialEq)]
 pub enum BoolExpr<L> {
@@ -51,6 +56,27 @@ impl<L: Clone + Negate> BoolExpr<L> {
                 }
             }
         }
+    }
+
+    /// The number of AND-terms [`BoolExpr::to_dnf`] would produce, counted
+    /// without producing them (saturating at `usize::MAX`).
+    pub fn dnf_len(&self) -> usize {
+        fn count<L>(e: &BoolExpr<L>, negated: bool) -> usize {
+            let (sum, parts) = match e {
+                BoolExpr::Leaf(_) => return 1,
+                BoolExpr::Not(inner) => return count(inner, !negated),
+                // De Morgan swaps the connectives under a NOT.
+                BoolExpr::Or(parts) => (!negated, parts),
+                BoolExpr::And(parts) => (negated, parts),
+            };
+            let counts = parts.iter().map(|p| count(p, negated));
+            if sum {
+                counts.fold(0, usize::saturating_add)
+            } else {
+                counts.fold(1, usize::saturating_mul)
+            }
+        }
+        count(self, false)
     }
 
     /// Transform into DNF: a disjunction (outer Vec) of AND-terms (inner
@@ -121,6 +147,7 @@ mod tests {
 
     fn assert_equivalent(e: &BoolExpr<V>, nvars: usize) {
         let dnf = e.to_dnf();
+        assert_eq!(e.dnf_len(), dnf.len(), "{e:?}");
         for mask in 0..(1u32 << nvars) {
             let assign: Vec<bool> = (0..nvars).map(|i| mask & (1 << i) != 0).collect();
             assert_eq!(
@@ -179,6 +206,21 @@ mod tests {
             ]),
         ]);
         assert_equivalent(&e, 4);
+    }
+
+    #[test]
+    fn term_count_is_known_before_expansion() {
+        // (x0 OR y0) AND … AND (x17 OR y17): 2^18 terms, counted in 36 steps.
+        let pairs = |n: usize| {
+            let pair = |i| BoolExpr::Or(vec![leaf(2 * i), leaf(2 * i + 1)]);
+            BoolExpr::And((0..n).map(pair).collect())
+        };
+        assert_eq!(pairs(18).dnf_len(), 1 << 18);
+        assert_eq!(pairs(6).dnf_len(), MAX_DNF_TERMS);
+        // Under NOT each pair becomes one conjunction and the conjunction
+        // a disjunction of them: 18 terms.
+        assert_eq!(BoolExpr::Not(Box::new(pairs(18))).dnf_len(), 18);
+        assert_eq!(pairs(200).dnf_len(), usize::MAX);
     }
 
     #[test]

@@ -27,6 +27,32 @@ use mood_storage::READAHEAD_WINDOW;
 use crate::optimizer::{OptimizerConfig, StatsView};
 use crate::plan::{Plan, PlanSet};
 
+/// The terms of a fused DNF predicate `(t1) OR (t2) OR …`: its top-level
+/// ` OR `s (outside parentheses and string literals) split it into at least
+/// two parts, each parenthesized whole.
+fn fused_terms(predicate: &str) -> Option<Vec<&str>> {
+    let (mut depth, mut quoted, mut start) = (0i32, false, 0);
+    let mut parts = Vec::new();
+    for (i, ch) in predicate.char_indices() {
+        match ch {
+            '\'' => quoted = !quoted,
+            '(' if !quoted => depth += 1,
+            ')' if !quoted => depth -= 1,
+            ' ' if !quoted && depth == 0 && predicate[i..].starts_with(" OR ") => {
+                parts.push(&predicate[start..i]);
+                start = i + " OR ".len();
+            }
+            _ => {}
+        }
+    }
+    parts.push(&predicate[start..]);
+    let whole = |p: &&str| p.starts_with('(') && p.ends_with(')');
+    if parts.len() < 2 || !parts.iter().all(whole) {
+        return None;
+    }
+    Some(parts.into_iter().map(|p| &p[1..p.len() - 1]).collect())
+}
+
 /// Fallback objects-per-page density when a subtree has no extent to
 /// derive one from (matches the paper example's 20 000 rows / 2 000 pages).
 const DEFAULT_ROWS_PER_PAGE: f64 = 10.0;
@@ -263,8 +289,13 @@ impl Estimator<'_> {
     /// Selectivity of a rendered predicate: conjuncts joined by ` AND `,
     /// each `var.attr θ const` (atomic) or `var.a1…am θ const` (path).
     /// Unparseable conjuncts (method calls, OtherSelInfo text) fall back to
-    /// the optimizer's default ½.
+    /// the optimizer's default ½. A fused DNF's `(t1) OR (t2) OR …` is
+    /// 1 − Π(1 − sᵢ) over its terms.
     fn predicate_selectivity(&self, predicate: &str) -> f64 {
+        if let Some(terms) = fused_terms(predicate) {
+            let rejected: f64 = terms.iter().map(|t| 1.0 - self.predicate_selectivity(t)).product();
+            return 1.0 - rejected;
+        }
         predicate
             .split(" AND ")
             .map(|c| self.conjunct_selectivity(c))
@@ -557,6 +588,28 @@ mod tests {
         // 10000 engines × 1/16 = 625.
         assert!((sel.rows - 625.0).abs() < 1.0, "{}", sel.rows);
         assert!((sel.selectivity.unwrap() - 1.0 / 16.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn a_fused_select_estimates_one_minus_the_product_of_rejections() {
+        let stats = mood_catalog::DatabaseStats::paper_example();
+        let mut q = QuerySpec::new("e", "VehicleEngine");
+        let cyl = |n: f64| PredSpec::Immediate {
+            attribute: "cylinders".into(),
+            theta: Theta::Eq,
+            constant: Const::Num(n),
+        };
+        q.terms = vec![vec![cyl(2.0)], vec![cyl(8.0)], vec![cyl(12.0)]];
+        let out = optimize(&q, &stats, &cfg());
+        let est = estimate_plan_set(&out.terms[0].plan, &stats, &cfg());
+        let sel = est[0].selectivity.expect("the fused SELECT has one");
+        // Three terms of 1/16 each.
+        let want = 1.0 - (1.0 - 1.0 / 16.0_f64).powi(3);
+        assert!((sel - want).abs() < 1e-12, "{sel} vs {want}");
+        assert!((est[0].rows - 10_000.0 * want).abs() < 1e-6);
+        assert_eq!(fused_terms("(a = 1) OR (b = 'x) OR (')"), Some(vec!["a = 1", "b = 'x) OR ('"]));
+        assert_eq!(fused_terms("(a = 1 OR b = 2)"), None);
+        assert_eq!(fused_terms("(a = 1) AND (b = 2)"), None);
     }
 
     #[test]

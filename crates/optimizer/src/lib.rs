@@ -24,10 +24,10 @@ pub mod path_order;
 pub mod plan;
 
 pub use atomic::{expected_evaluations, plan_atomic_selections, AtomicPlan, AtomicPredicate};
-pub use dnf::{BoolExpr, Negate};
+pub use dnf::{BoolExpr, Negate, MAX_DNF_TERMS};
 pub use estimate::{estimate_plan_set, NodeEstimate};
 pub use optimizer::{
-    optimize, short_var, Const, ImmSelRow, OptimizedQuery, OptimizerConfig, OtherSelRow,
+    optimize, short_var, Const, Dnf, ImmSelRow, OptimizedQuery, OptimizerConfig, OtherSelRow,
     PathSelRow, PredSpec, QuerySpec, TermPlan,
 };
 pub use path_order::{objective, optimal_order_exhaustive, order_paths, PathCost};

@@ -154,6 +154,10 @@ pub struct QuerySpec {
     pub minus: Vec<String>,
     /// DNF: OR of AND-terms.
     pub terms: Vec<Vec<PredSpec>>,
+    /// The WHERE clause's term count when it was past
+    /// [`crate::dnf::MAX_DNF_TERMS`] and not expanded: `terms` is then one
+    /// term, the whole clause as written.
+    pub unexpanded: Option<usize>,
     pub projection: Vec<String>,
     pub order_by: Vec<String>,
     pub group_by: Vec<String>,
@@ -168,6 +172,7 @@ impl QuerySpec {
             every: false,
             minus: Vec::new(),
             terms: vec![Vec::new()],
+            unexpanded: None,
             projection: Vec::new(),
             order_by: Vec::new(),
             group_by: Vec::new(),
@@ -219,10 +224,26 @@ pub struct TermPlan {
     pub plan: PlanSet,
 }
 
+/// How the WHERE clause's DNF reached the plan.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Dnf {
+    /// One plan per AND-term, unioned (Figure 7.2).
+    Terms,
+    /// `terms` AND-terms, every one a sequential `SELECT(BIND(root))`,
+    /// fused into one scan filtered by their disjunction: one `SEQCOST`
+    /// where the union pays one per term, at selectivity 1 − Π(1 − sᵢ).
+    Fused { terms: usize, selectivity: f64 },
+    /// Past [`crate::dnf::MAX_DNF_TERMS`]: `terms` AND-terms were not
+    /// expanded, and one scan is filtered by the clause as written.
+    Unexpanded { terms: usize },
+}
+
 /// The complete optimization result.
 #[derive(Debug, Clone)]
 pub struct OptimizedQuery {
+    /// The plans that run: one per AND-term, or the one fused term.
     pub terms: Vec<TermPlan>,
+    pub dnf: Dnf,
     /// The final plan (UNION of terms, then PROJECT/PARTITION/SORT per
     /// Figure 7.1/7.2).
     pub root: Plan,
@@ -507,13 +528,17 @@ impl ChainState<'_> {
 /// Optimize a query against the statistics.
 pub fn optimize(spec: &QuerySpec, stats: &DatabaseStats, cfg: &OptimizerConfig) -> OptimizedQuery {
     let view = StatsView { stats };
-    let mut term_plans = Vec::new();
-    let mut total_cost = 0.0;
-    for term in &spec.terms {
-        let tp = optimize_term(spec, term, &view, cfg);
-        total_cost += tp.plan.estimated_cost;
-        term_plans.push(tp);
+    let mut term_plans: Vec<TermPlan> =
+        spec.terms.iter().map(|term| optimize_term(spec, term, &view, cfg)).collect();
+    let mut dnf = match spec.unexpanded {
+        Some(terms) => Dnf::Unexpanded { terms },
+        None => Dnf::Terms,
+    };
+    if let Some((fused, selectivity)) = fuse_scans(spec, &term_plans, &view, cfg) {
+        dnf = Dnf::Fused { terms: term_plans.len(), selectivity };
+        term_plans = vec![fused];
     }
+    let total_cost = term_plans.iter().map(|t| t.plan.estimated_cost).sum();
     // UNION of the AND-term subplans (Figure 7.2: UNION is outermost in
     // the WHERE processing), then GROUP BY/HAVING, projection, ORDER BY
     // (Figure 7.1 clause order).
@@ -545,9 +570,70 @@ pub fn optimize(spec: &QuerySpec, stats: &DatabaseStats, cfg: &OptimizerConfig) 
     }
     OptimizedQuery {
         terms: term_plans,
+        dnf,
         root,
         estimated_cost: total_cost,
     }
+}
+
+/// One scan for a DNF whose AND-terms all scan the root extent (a stated
+/// deviation from Figure 7.2): when every term's plan is a chain of
+/// `SELECT`s over `BIND(root)` — no index, no path, no join — the terms
+/// become one `SELECT(BIND(root), (t1) OR (t2) OR …)`, each term's
+/// predicates in the order its own plan applied them. Returns that term —
+/// costed at one `SEQCOST`, carrying every term's ImmSelInfo and
+/// OtherSelInfo rows — and its selectivity 1 − Π(1 − sᵢ). Evaluating the disjunction per object
+/// keeps the evaluator's short-circuit rule: a term is not evaluated on an
+/// object an earlier term admitted. A single term, or any term with an
+/// index or a path, keeps the union.
+fn fuse_scans(
+    spec: &QuerySpec,
+    terms: &[TermPlan],
+    view: &StatsView<'_>,
+    cfg: &OptimizerConfig,
+) -> Option<(TermPlan, f64)> {
+    if terms.len() < 2 {
+        return None;
+    }
+    let mut disjuncts = Vec::with_capacity(terms.len());
+    let mut rejected = 1.0;
+    for term in terms {
+        if !term.plan.temps.is_empty() || !term.path_sel_info.is_empty() {
+            return None;
+        }
+        // The chain's predicates, outermost first.
+        let mut preds = Vec::new();
+        let mut node = &term.plan.root;
+        while let Plan::Select { input, predicate } = node {
+            preds.push(predicate.as_str());
+            node = input;
+        }
+        match node {
+            Plan::Bind { class, var } if *class == spec.root_class && *var == spec.root_var => {}
+            _ => return None,
+        }
+        if preds.is_empty() {
+            return None;
+        }
+        preds.reverse();
+        disjuncts.push(format!("({})", preds.join(" AND ")));
+        let imm = term.imm_sel_info.iter().map(|r| r.selectivity);
+        let selectivity: f64 = imm.chain(term.other_sel_info.iter().map(|r| r.selectivity)).product();
+        rejected *= 1.0 - selectivity;
+    }
+    let root = Plan::select(Plan::bind(&spec.root_class, &spec.root_var), disjuncts.join(" OR "));
+    let info = view.class_info(&spec.root_class);
+    let fused = TermPlan {
+        imm_sel_info: terms.iter().flat_map(|t| t.imm_sel_info.iter().cloned()).collect(),
+        path_sel_info: Vec::new(),
+        other_sel_info: terms.iter().flat_map(|t| t.other_sel_info.iter().cloned()).collect(),
+        plan: PlanSet {
+            temps: Vec::new(),
+            root,
+            estimated_cost: seqcost(&cfg.params, info.nbpages),
+        },
+    };
+    Some((fused, 1.0 - rejected))
 }
 
 fn render_path_pred(var: &str, path: &[String], theta: Theta, c: &Const) -> String {
@@ -1259,24 +1345,121 @@ mod tests {
         );
     }
 
+    fn engine_pred(attribute: &str, constant: f64) -> PredSpec {
+        PredSpec::Immediate {
+            attribute: attribute.into(),
+            theta: Theta::Eq,
+            constant: Const::Num(constant),
+        }
+    }
+
+    /// The paper's statistics with a selective indexed `serial` on
+    /// VehicleEngine.
+    fn indexed_serial() -> DatabaseStats {
+        let mut stats = DatabaseStats::paper_example();
+        let serial = mood_catalog::AttrStats {
+            notnull: 1.0,
+            dist: 1_000,
+            max: Some(1_000.0),
+            min: Some(1.0),
+        };
+        stats.set_attr("VehicleEngine", "serial", serial);
+        let btree = mood_storage::BTreeStats {
+            levels: 3,
+            leaves: 500,
+            keysize: 9,
+            unique: false,
+            entries: 10_000,
+            order: 100,
+        };
+        stats.set_index("VehicleEngine", "serial", btree);
+        stats
+    }
+
     #[test]
     fn multiple_terms_union() {
+        // A term served by an index keeps its own plan, and the terms are
+        // unioned (Figure 7.2).
+        let mut q = QuerySpec::new("e", "VehicleEngine");
+        q.terms = vec![
+            vec![engine_pred("serial", 42.0)],
+            vec![engine_pred("cylinders", 8.0)],
+        ];
+        let out = optimize(&q, &indexed_serial(), &cfg());
+        assert_eq!(out.terms.len(), 2);
+        assert_eq!(out.dnf, Dnf::Terms);
+        assert!(out.root.to_string().contains("UNION("));
+        assert!(out.terms[0].plan.root.to_string().contains("INDSEL("));
+    }
+
+    #[test]
+    fn scan_only_terms_fuse_into_one_scan() {
         let stats = DatabaseStats::paper_example();
         let mut q = QuerySpec::new("e", "VehicleEngine");
         q.terms = vec![
-            vec![PredSpec::Immediate {
-                attribute: "cylinders".into(),
-                theta: Theta::Eq,
-                constant: Const::Num(2.0),
+            vec![engine_pred("cylinders", 2.0)],
+            vec![engine_pred("cylinders", 8.0), engine_pred("size", 3.0)],
+            vec![PredSpec::Other {
+                text: "e.rating() > 3".into(),
             }],
+        ];
+        let union: Vec<TermPlan> = {
+            let view = StatsView { stats: &stats };
+            q.terms.iter().map(|t| optimize_term(&q, t, &view, &cfg())).collect()
+        };
+        let out = optimize(&q, &stats, &cfg());
+        assert_eq!(out.terms.len(), 1);
+        let fused = &out.terms[0];
+        assert_eq!(
+            fused.plan.root.to_string(),
+            "SELECT(BIND(VehicleEngine, e), (e.cylinders = 2) OR \
+             (e.cylinders = 8 AND e.size = 3) OR (e.rating() > 3))"
+        );
+        assert!(!out.root.to_string().contains("UNION("));
+        // Every term's dictionary rows, in term order.
+        let rows = |t: &TermPlan| -> Vec<String> {
+            t.imm_sel_info.iter().map(|r| r.predicate.clone()).collect()
+        };
+        let all: Vec<String> = union.iter().flat_map(rows).collect();
+        assert_eq!(rows(fused), all);
+        assert_eq!(fused.other_sel_info.len(), 1);
+        // One SEQCOST where the union paid one per scanning term.
+        let pages = StatsView { stats: &stats }.class_info("VehicleEngine").nbpages;
+        let seq = seqcost(&cfg().params, pages);
+        assert_eq!(fused.plan.estimated_cost, seq);
+        assert!(union.iter().map(|t| t.plan.estimated_cost).sum::<f64>() > seq);
+        // Selectivity 1 − Π(1 − sᵢ) over the terms' own selectivities.
+        let term_sel = |t: &TermPlan| -> f64 {
+            let imm = t.imm_sel_info.iter().map(|r| r.selectivity);
+            imm.chain(t.other_sel_info.iter().map(|r| r.selectivity)).product()
+        };
+        let want = 1.0 - union.iter().map(|t| 1.0 - term_sel(t)).product::<f64>();
+        let Dnf::Fused { terms: 3, selectivity } = out.dnf else {
+            panic!("{:?}", out.dnf);
+        };
+        assert!((selectivity - want).abs() < 1e-12, "{selectivity} vs {want}");
+    }
+
+    #[test]
+    fn a_path_term_keeps_the_union() {
+        let stats = DatabaseStats::paper_example();
+        let mut q = QuerySpec::new("v", "Vehicle");
+        q.terms = vec![
             vec![PredSpec::Immediate {
-                attribute: "cylinders".into(),
+                attribute: "weight".into(),
+                theta: Theta::Gt,
+                constant: Const::Num(1500.0),
+            }],
+            vec![PredSpec::Path {
+                path: vec!["company".into(), "name".into()],
                 theta: Theta::Eq,
-                constant: Const::Num(8.0),
+                constant: Const::Str("BMW".into()),
+                terminal_var: None,
             }],
         ];
         let out = optimize(&q, &stats, &cfg());
         assert_eq!(out.terms.len(), 2);
+        assert_eq!(out.dnf, Dnf::Terms);
         assert!(out.root.to_string().contains("UNION("));
     }
 

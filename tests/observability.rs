@@ -319,9 +319,17 @@ fn streamed_stages_telescope_with_spills_and_groups() {
             &["GROUP BY", "HAVING", "PROJECT", "ORDER BY"][..],
             1024,
         ),
+        // Two scan-only terms: one scan, no union stage.
         (
             "SELECT DISTINCT v.drivetrain.engine.cylinders FROM EVERY Vehicle v \
              WHERE v.weight < 1000 OR v.id < 100",
+            &["PROJECT", "DISTINCT"][..],
+            4,
+        ),
+        // A path term keeps the union of the terms' plans.
+        (
+            "SELECT DISTINCT v.drivetrain.engine.cylinders FROM EVERY Vehicle v \
+             WHERE v.weight < 1000 OR v.drivetrain.transmission = 'AUTOMATIC'",
             &["WHERE:UNION", "PROJECT", "DISTINCT"][..],
             4,
         ),

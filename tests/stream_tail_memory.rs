@@ -146,13 +146,45 @@ fn distinct_holds_a_few_batches_and_its_set() {
     }
 }
 
-/// Allocations of one execution of `sql`, after a first one that prepared
-/// the plan and compiled its programs.
-fn allocations(db: &Mood, sql: &str) -> usize {
-    peak_and_answer(db, sql, 0);
+/// Allocations of one execution of `sql`, which answers `rows` rows, after
+/// a first one that prepared the plan and compiled its programs.
+fn allocations_of(db: &Mood, sql: &str, rows: usize) -> usize {
+    peak_and_answer(db, sql, rows);
     let before = ALLOCS.with(Cell::get);
-    peak_and_answer(db, sql, 0);
+    peak_and_answer(db, sql, rows);
     ALLOCS.with(Cell::get) - before
+}
+
+/// [`allocations_of`] a statement that answers nothing.
+fn allocations(db: &Mood, sql: &str) -> usize {
+    allocations_of(db, sql, 0)
+}
+
+#[test]
+fn distinct_and_group_by_allocate_by_keys_not_by_objects() {
+    // Eight tags over N and 2N objects: the keys are read where the
+    // programs lend them, so only a first occurrence (a row, a group)
+    // allocates. A projected row per object would add two allocations
+    // per added object; a group key copied per object, one.
+    let n = 8_000;
+    for (sql, rows) in [
+        ("SELECT DISTINCT r.tag FROM Reading r", 8),
+        ("SELECT DISTINCT r.tag, r.k % 3 FROM Reading r WHERE r.tag <> 'tag9'", 24),
+        ("SELECT r.tag, COUNT(*), MAX(r.k) FROM Reading r GROUP BY r.tag", 8),
+        ("SELECT COUNT(*), AVG(r.k) FROM Reading r WHERE r.id >= 0", 1),
+    ] {
+        let counts = [n, 2 * n].map(|n| {
+            let db = readings(n);
+            db.set_batch_size(1_024);
+            allocations_of(&db, sql, rows)
+        });
+        let added = counts[1].saturating_sub(counts[0]);
+        assert!(
+            added <= 32,
+            "{sql}: {n} -> {} objects: {counts:?} allocations ({added} added)",
+            2 * n
+        );
+    }
 }
 
 #[test]
