@@ -72,6 +72,10 @@ pub(crate) struct Account {
 /// Every stage name there is, so a statement's stages always fit.
 const STAGES: usize = 8;
 
+/// What `EXPLAIN` and `EXPLAIN ANALYZE` print for a FROM list that runs as
+/// the nested loop instead of a plan.
+pub(crate) const NESTED_LOOP: &str = "-- nested-loop fallback (no per-operator plan)\n";
+
 type Reading = (Instant, MetricsSnapshot);
 
 /// The one recorder of an execution (see the module docs). A reporting
@@ -369,7 +373,7 @@ impl AnalyzeReport {
             term.render_into(&mut out);
         }
         if self.terms.is_empty() {
-            out.push_str("-- nested-loop fallback (no per-operator plan)\n");
+            out.push_str(NESTED_LOOP);
         }
         // Compile-vs-execute split. `-- plan: ` has its own prefix: `--   `
         // belongs to PathSelInfo/stage rows and `-- * ` to estimate rows,

@@ -41,7 +41,7 @@ use mood_trace::Tracer;
 
 use crate::analyze::{
     op_span, record_operator_totals, render_estimates, AnalyzeReport, Ledger, NodeTable, Owner,
-    TermReport,
+    TermReport, NESTED_LOOP,
 };
 use crate::ast::{CmpOp, Expr, Lit, PathRef, SelectStmt};
 use crate::binder::{lower, Lowered};
@@ -442,7 +442,13 @@ impl<'a> Executor<'a> {
     /// cost model's per-node estimates in a comment block.
     pub fn explain(&self, stmt: &SelectStmt) -> Result<String> {
         let lowered = lower(self.catalog, stmt)?;
+        if !lowered.unabsorbed.is_empty() {
+            // The FROM list runs as the nested loop: there is no plan to show.
+            let reads = ReadSets::collect(stmt, &lowered, [], [])?;
+            return Ok(format!("{NESTED_LOOP}{reads}"));
+        }
         let stats = self.catalog.stats();
+        let every = self.every_scans(stmt);
         let optimized = optimize(&lowered.spec, &stats, &self.config);
         let mut out = match optimized.dnf {
             Dnf::Terms => String::new(),
@@ -483,7 +489,7 @@ impl<'a> Executor<'a> {
                     ));
                 }
             }
-            let est = estimate_plan_set(&term.plan, &stats, &self.config);
+            let est = estimate_plan_set(&term.plan, &stats, &self.config, &every);
             out.push_str(&render_estimates(&term.plan, &est));
             out.push_str(&term.plan.to_string());
             out.push('\n');
@@ -766,14 +772,14 @@ impl<'a> Executor<'a> {
             return Ok(Vec::new());
         }
         let registry = self.catalog.storage().registry();
-        let stats = ledger.reports().then(|| self.catalog.stats());
+        let stats = ledger.reports().then(|| (self.catalog.stats(), self.every_scans(&pq.stmt)));
         let mut reports: Vec<TermReport> = Vec::new();
         for term in &pq.terms {
             self.exec_term(term, pq, ledger, sink)?;
             ledger.settle_term(|accounts| {
                 record_operator_totals(registry, &term.table, accounts);
-                if let Some(stats) = &stats {
-                    let est = estimate_plan_set(&term.plan, stats, &self.config);
+                if let Some((stats, every)) = &stats {
+                    let est = estimate_plan_set(&term.plan, stats, &self.config, every);
                     let plan = term.plan.clone();
                     reports.push(TermReport::build(plan, est, &term.table, accounts));
                 }
@@ -1168,6 +1174,13 @@ impl<'a> Executor<'a> {
         let (right, bind) = (right_side, &mut bind);
         join_pairs(self.catalog, &left_objs, attr, right, method, batch, bind, &mut emit)?;
         Ok(pushed)
+    }
+
+    /// Per `FROM EVERY` variable, the classes whose extents its scan reads:
+    /// what the cost model sums a `BIND` of it over.
+    fn every_scans(&self, stmt: &SelectStmt) -> Vec<(String, Vec<String>)> {
+        let every = stmt.from.iter().filter(|item| item.every);
+        every.map(|i| (i.var.clone(), self.catalog.every_classes(&i.class, &i.minus))).collect()
     }
 
     /// The classes whose objects a join's right variable `var`, bound over

@@ -20,7 +20,7 @@ use mood_catalog::DatabaseStats;
 use mood_cost::{
     atomic_selectivity, bounds_selectivity, fref, indcost, join_cost, join_pages, o_overlap,
     rndcost, rngxcost,
-    seqcost_batched, IndexParams, JoinInputs, PathHop, PathPredicate, Theta,
+    seqcost_batched, ClassInfo, IndexParams, JoinInputs, PathHop, PathPredicate, Theta,
 };
 use mood_storage::READAHEAD_WINDOW;
 
@@ -83,15 +83,22 @@ pub struct NodeEstimate {
 }
 
 /// Estimate every node of a [`PlanSet`] in the shared pre-order walk.
+///
+/// `every` names, for each range variable of a `FROM EVERY C - D…` item,
+/// the classes whose extents its scan reads (`C` and its subclasses less
+/// the `D`s and theirs); a `BIND` of such a variable scans their objects
+/// and pages together, any other `BIND` its own class's extent.
 pub fn estimate_plan_set(
     set: &PlanSet,
     stats: &DatabaseStats,
     cfg: &OptimizerConfig,
+    every: &[(String, Vec<String>)],
 ) -> Vec<NodeEstimate> {
     let view = StatsView { stats };
     let mut est = Estimator {
         view,
         cfg,
+        every,
         var_class: Vec::new(),
         temp_rows: Vec::new(),
         out: Vec::new(),
@@ -112,6 +119,8 @@ pub fn estimate_plan_set(
 struct Estimator<'a> {
     view: StatsView<'a>,
     cfg: &'a OptimizerConfig,
+    /// Range variable → the classes its `FROM EVERY` scan reads.
+    every: &'a [(String, Vec<String>)],
     /// Range variable → class, from every BIND/INDSEL in the plan set.
     var_class: Vec<(String, String)>,
     /// Temp name → estimated output rows, filled as temps are walked.
@@ -133,6 +142,18 @@ impl Estimator<'_> {
         for c in plan.children() {
             self.collect_vars(c);
         }
+    }
+
+    /// The objects and pages a `BIND` of `var` over `class` scans.
+    fn scan_info(&self, class: &str, var: &str) -> ClassInfo {
+        let Some((_, classes)) = self.every.iter().find(|(v, _)| v == var) else {
+            return self.view.class_info(class);
+        };
+        let infos = classes.iter().map(|c| self.view.class_info(c));
+        infos.fold(ClassInfo { cardinality: 0.0, nbpages: 0.0 }, |sum, c| ClassInfo {
+            cardinality: sum.cardinality + c.cardinality,
+            nbpages: sum.nbpages + c.nbpages,
+        })
     }
 
     fn class_of(&self, var: &str) -> Option<&str> {
@@ -160,7 +181,7 @@ impl Estimator<'_> {
         let mut clustering = None;
         let (label, rows, selectivity, cost, pages) = match plan {
             Plan::Bind { class, var } => {
-                let info = self.view.class_info(class);
+                let info = self.scan_info(class, var);
                 // Batched model: the scan positions once per readahead
                 // window of pages (one device call each, the pool's
                 // `READAHEAD_WINDOW`), so the cost amortizes seek+rotation
@@ -393,11 +414,15 @@ impl Estimator<'_> {
         (sel, probe)
     }
 
-    /// Objects-per-page density of the first extent under `plan`, used to
+    /// Objects-per-page density of the first scan under `plan`, used to
     /// translate estimated rows into spill pages for SORT/PARTITION.
     fn subtree_density(&self, plan: &Plan) -> Option<f64> {
-        if let Plan::Bind { class, .. } | Plan::IndSel { class, .. } = plan {
-            let info = self.view.class_info(class);
+        let info = match plan {
+            Plan::Bind { class, var } => Some(self.scan_info(class, var)),
+            Plan::IndSel { class, .. } => Some(self.view.class_info(class)),
+            _ => None,
+        };
+        if let Some(info) = info {
             if info.nbpages > 0.0 {
                 return Some(info.cardinality / info.nbpages);
             }
@@ -543,12 +568,38 @@ mod tests {
         q
     }
 
+    /// A `BIND` of a `FROM EVERY` variable scans every extent it names:
+    /// its rows and pages are their sums, and a sort over it spills once
+    /// the sum outgrows the sort budget, which the root class alone does
+    /// not.
+    #[test]
+    fn a_bind_under_every_sums_its_extents_and_its_sort_spills() {
+        let mut stats = mood_catalog::DatabaseStats::new();
+        let classes = [("Vehicle", 8_000), ("Automobile", 30_000), ("JapaneseAuto", 30_000)];
+        for (class, n) in classes {
+            let c = mood_catalog::ClassStats { cardinality: n, nbpages: n / 40, size: 100 };
+            stats.set_class(class, c);
+        }
+        let bind = Plan::Bind { class: "Vehicle".into(), var: "v".into() };
+        let sort = Plan::Sort { input: Box::new(bind), attributes: vec!["v.weight".into()] };
+        let set = PlanSet { temps: Vec::new(), root: sort, estimated_cost: 0.0 };
+        let cfg = OptimizerConfig { execution: cfg().execution.with_sort_budget(65_536), ..cfg() };
+        let every = [("v".to_string(), classes.map(|(c, _)| c.to_string()).to_vec())];
+        // Pre-order: [0] the SORT, [1] its BIND.
+        let own = estimate_plan_set(&set, &stats, &cfg, &[]);
+        assert_eq!((own[1].rows, own[1].pages, own[0].pages), (8_000.0, 200.0, 0.0));
+        let all = estimate_plan_set(&set, &stats, &cfg, &every);
+        assert_eq!((all[1].rows, all[1].pages), (68_000.0, 1_700.0));
+        assert!(all[1].cost > own[1].cost, "{all:?}");
+        assert_eq!(all[0].pages, 2.0 * 1_700.0, "one run written and read back");
+    }
+
     #[test]
     fn ids_are_preorder_and_cover_every_node() {
         let stats = mood_catalog::DatabaseStats::paper_example();
         let out = optimize(&example_8_2(), &stats, &cfg());
         let set = &out.terms[0].plan;
-        let est = estimate_plan_set(set, &stats, &cfg());
+        let est = estimate_plan_set(set, &stats, &cfg(), &[]);
         let total: usize = set
             .temps
             .iter()
@@ -566,7 +617,7 @@ mod tests {
     fn bind_estimates_match_class_stats() {
         let stats = mood_catalog::DatabaseStats::paper_example();
         let out = optimize(&example_8_2(), &stats, &cfg());
-        let est = estimate_plan_set(&out.terms[0].plan, &stats, &cfg());
+        let est = estimate_plan_set(&out.terms[0].plan, &stats, &cfg(), &[]);
         let bind = est
             .iter()
             .find(|e| e.label == "BIND(Vehicle, v)")
@@ -580,7 +631,7 @@ mod tests {
     fn select_applies_terminal_selectivity() {
         let stats = mood_catalog::DatabaseStats::paper_example();
         let out = optimize(&example_8_2(), &stats, &cfg());
-        let est = estimate_plan_set(&out.terms[0].plan, &stats, &cfg());
+        let est = estimate_plan_set(&out.terms[0].plan, &stats, &cfg(), &[]);
         let sel = est
             .iter()
             .find(|e| e.label.starts_with("SELECT(e.cylinders"))
@@ -601,7 +652,7 @@ mod tests {
         };
         q.terms = vec![vec![cyl(2.0)], vec![cyl(8.0)], vec![cyl(12.0)]];
         let out = optimize(&q, &stats, &cfg());
-        let est = estimate_plan_set(&out.terms[0].plan, &stats, &cfg());
+        let est = estimate_plan_set(&out.terms[0].plan, &stats, &cfg(), &[]);
         let sel = est[0].selectivity.expect("the fused SELECT has one");
         // Three terms of 1/16 each.
         let want = 1.0 - (1.0 - 1.0 / 16.0_f64).powi(3);
@@ -616,7 +667,7 @@ mod tests {
     fn join_nodes_carry_cost_and_selectivity() {
         let stats = mood_catalog::DatabaseStats::paper_example();
         let out = optimize(&example_8_2(), &stats, &cfg());
-        let est = estimate_plan_set(&out.terms[0].plan, &stats, &cfg());
+        let est = estimate_plan_set(&out.terms[0].plan, &stats, &cfg(), &[]);
         let methods = [
             "FORWARD_TRAVERSAL(",
             "BACKWARD_TRAVERSAL(",

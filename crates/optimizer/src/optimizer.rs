@@ -1315,7 +1315,7 @@ mod tests {
         assert!(root.contains(indsel), "{root}");
         assert_eq!(root.matches("INDSEL(").count(), 1, "{root}");
         // The estimate prices the same interval, once.
-        let est = crate::estimate_plan_set(&out.terms[0].plan, &stats, &cfg());
+        let est = crate::estimate_plan_set(&out.terms[0].plan, &stats, &cfg(), &[]);
         let node = est.iter().find(|e| e.label.starts_with("INDSEL(")).unwrap();
         assert!((node.selectivity.unwrap() - 0.002).abs() < 1e-9, "{node:?}");
         // Under FROM EVERY no attribute index is offered: two rows, a scan.

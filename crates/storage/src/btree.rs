@@ -8,26 +8,32 @@
 //! Deletion is lazy (no rebalancing), which ESM-era storage managers
 //! also did; the tree never loses search correctness, only space.
 //!
-//! Readers — [`BTree::lookup`] is the interval `[k, k]` of the one walk,
-//! [`BTree::range_scan`] — search every node in place on its pinned page;
-//! only writers decode a node (`Node::read`) to rebuild it.
+//! Every node is searched and edited in place on its pinned page; nothing
+//! decodes one. A writer moves a node's tail to open or close an entry's
+//! bytes; a split copies the upper half's bytes to a new page and cuts the
+//! old one. Bytes past a node's last entry are always zero. A leaf is a
+//! 16-byte header (`tag | count:u16 | next:u32`) and `klen:u16 | key | oid`
+//! entries; an internal node the header, `count + 1` child page numbers
+//! (`u32`) and `count` separators (`klen:u16 | key`).
 //!
 //! Page 0 of the index file is a metadata page carrying the root pointer and
 //! the statistics the cost model's Table 9 needs: `level(I)`, `leaves(I)`,
 //! `keysize(I)`, `unique(I)` and the derived order `v(I)`.
 
+use std::cmp::Ordering;
 use std::sync::Arc;
 
 use crate::buffer::BufferPool;
 use crate::error::{Result, StorageError};
 use crate::metrics::AccessKind;
 use crate::oid::{FileId, Oid, PageId};
-use crate::page::{Page, PAGE_SIZE, PAGE_USABLE};
+use crate::page::{PAGE_SIZE, PAGE_USABLE};
 
 const TAG_META: u8 = 0;
 const TAG_LEAF: u8 = 1;
 const TAG_INTERNAL: u8 = 2;
 const NO_PAGE: u32 = u32::MAX;
+const OID_LEN: usize = Oid::ENCODED_LEN;
 
 /// Header bytes reserved in every node page.
 const NODE_HEADER: usize = 16;
@@ -49,117 +55,6 @@ pub struct BTreeStats {
     pub order: u32,
 }
 
-#[derive(Debug, Clone)]
-enum Node {
-    Leaf {
-        entries: Vec<(Vec<u8>, Oid)>,
-        next: Option<PageId>,
-    },
-    Internal {
-        keys: Vec<Vec<u8>>,
-        children: Vec<PageId>,
-    },
-}
-
-impl Node {
-    fn serialized_size(&self) -> usize {
-        match self {
-            Node::Leaf { entries, .. } => {
-                NODE_HEADER
-                    + entries
-                        .iter()
-                        .map(|(k, _)| 2 + k.len() + Oid::ENCODED_LEN)
-                        .sum::<usize>()
-            }
-            Node::Internal { keys, children } => {
-                NODE_HEADER + children.len() * 4 + keys.iter().map(|k| 2 + k.len()).sum::<usize>()
-            }
-        }
-    }
-
-    fn write(&self, page: &mut Page) {
-        page.data.fill(0);
-        match self {
-            Node::Leaf { entries, next } => {
-                page.data[0] = TAG_LEAF;
-                page.data[1..3].copy_from_slice(&(entries.len() as u16).to_le_bytes());
-                page.data[3..7]
-                    .copy_from_slice(&next.map(|p| p.0).unwrap_or(NO_PAGE).to_le_bytes());
-                let mut off = NODE_HEADER;
-                for (k, oid) in entries {
-                    page.data[off..off + 2].copy_from_slice(&(k.len() as u16).to_le_bytes());
-                    off += 2;
-                    page.data[off..off + k.len()].copy_from_slice(k);
-                    off += k.len();
-                    page.data[off..off + Oid::ENCODED_LEN].copy_from_slice(&oid.to_bytes());
-                    off += Oid::ENCODED_LEN;
-                }
-            }
-            Node::Internal { keys, children } => {
-                page.data[0] = TAG_INTERNAL;
-                page.data[1..3].copy_from_slice(&(keys.len() as u16).to_le_bytes());
-                let mut off = NODE_HEADER;
-                for c in children {
-                    page.data[off..off + 4].copy_from_slice(&c.0.to_le_bytes());
-                    off += 4;
-                }
-                for k in keys {
-                    page.data[off..off + 2].copy_from_slice(&(k.len() as u16).to_le_bytes());
-                    off += 2;
-                    page.data[off..off + k.len()].copy_from_slice(k);
-                    off += k.len();
-                }
-            }
-        }
-    }
-
-    fn read(page: &Page) -> Result<Node> {
-        let count = u16::from_le_bytes([page.data[1], page.data[2]]) as usize;
-        match page.data[0] {
-            TAG_LEAF => {
-                let next_raw = u32::from_le_bytes(page.data[3..7].try_into().unwrap());
-                let next = if next_raw == NO_PAGE {
-                    None
-                } else {
-                    Some(PageId(next_raw))
-                };
-                let mut entries = Vec::with_capacity(count);
-                let mut off = NODE_HEADER;
-                for _ in 0..count {
-                    let klen = u16::from_le_bytes([page.data[off], page.data[off + 1]]) as usize;
-                    off += 2;
-                    let key = page.data[off..off + klen].to_vec();
-                    off += klen;
-                    let oid = Oid::from_bytes(&page.data[off..off + Oid::ENCODED_LEN])
-                        .ok_or_else(|| StorageError::Corrupt("bad OID in leaf".into()))?;
-                    off += Oid::ENCODED_LEN;
-                    entries.push((key, oid));
-                }
-                Ok(Node::Leaf { entries, next })
-            }
-            TAG_INTERNAL => {
-                let mut off = NODE_HEADER;
-                let mut children = Vec::with_capacity(count + 1);
-                for _ in 0..count + 1 {
-                    children.push(PageId(u32::from_le_bytes(
-                        page.data[off..off + 4].try_into().unwrap(),
-                    )));
-                    off += 4;
-                }
-                let mut keys = Vec::with_capacity(count);
-                for _ in 0..count {
-                    let klen = u16::from_le_bytes([page.data[off], page.data[off + 1]]) as usize;
-                    off += 2;
-                    keys.push(page.data[off..off + klen].to_vec());
-                    off += klen;
-                }
-                Ok(Node::Internal { keys, children })
-            }
-            t => Err(StorageError::Corrupt(format!("unexpected node tag {t}"))),
-        }
-    }
-}
-
 #[derive(Debug, Clone, Copy)]
 struct Meta {
     root: PageId,
@@ -171,55 +66,143 @@ struct Meta {
 }
 
 impl Meta {
-    fn write(&self, page: &mut Page) {
-        page.data.fill(0);
-        page.data[0] = TAG_META;
-        page.data[4..8].copy_from_slice(&self.root.0.to_le_bytes());
-        page.data[8..12].copy_from_slice(&self.levels.to_le_bytes());
-        page.data[12..20].copy_from_slice(&self.entries.to_le_bytes());
-        page.data[20..24].copy_from_slice(&self.leaves.to_le_bytes());
-        page.data[24] = self.unique as u8;
-        page.data[25..33].copy_from_slice(&self.key_bytes.to_le_bytes());
+    /// Write the fields over their own bytes (the rest of the page is zero).
+    fn write(&self, d: &mut [u8]) {
+        d[0] = TAG_META;
+        d[4..8].copy_from_slice(&self.root.0.to_le_bytes());
+        d[8..12].copy_from_slice(&self.levels.to_le_bytes());
+        d[12..20].copy_from_slice(&self.entries.to_le_bytes());
+        d[20..24].copy_from_slice(&self.leaves.to_le_bytes());
+        d[24] = self.unique as u8;
+        d[25..33].copy_from_slice(&self.key_bytes.to_le_bytes());
     }
 
-    fn read(page: &Page) -> Result<Meta> {
-        if page.data[0] != TAG_META {
+    fn read(d: &[u8]) -> Result<Meta> {
+        if d[0] != TAG_META {
             return Err(StorageError::Corrupt("missing B+-tree meta page".into()));
         }
         Ok(Meta {
-            root: PageId(u32::from_le_bytes(page.data[4..8].try_into().unwrap())),
-            levels: u32::from_le_bytes(page.data[8..12].try_into().unwrap()),
-            entries: u64::from_le_bytes(page.data[12..20].try_into().unwrap()),
-            leaves: u32::from_le_bytes(page.data[20..24].try_into().unwrap()),
-            unique: page.data[24] != 0,
-            key_bytes: u64::from_le_bytes(page.data[25..33].try_into().unwrap()),
+            root: PageId(u32_at(d, 4)),
+            levels: u32_at(d, 8),
+            entries: u64::from_le_bytes(d[12..20].try_into().unwrap()),
+            leaves: u32_at(d, 20),
+            unique: d[24] != 0,
+            key_bytes: u64::from_le_bytes(d[25..33].try_into().unwrap()),
         })
     }
 }
 
-/// The child an internal node (on `p`) routes `key` to: the first whose
-/// separator is not below it — the leftmost subtree that can hold the key —
-/// or the leftmost child for no key at all. Searched in place:
-/// `children[0..=count]` come first on the page, then the keys.
-fn route(p: &Page, key: Option<&[u8]>) -> PageId {
-    let count = u16::from_le_bytes([p.data[1], p.data[2]]) as usize;
-    let mut idx = 0;
-    if let Some(key) = key {
-        let mut off = NODE_HEADER + (count + 1) * 4;
-        idx = count;
-        for i in 0..count {
-            let klen = u16::from_le_bytes([p.data[off], p.data[off + 1]]) as usize;
-            off += 2;
-            if &p.data[off..off + klen] >= key {
-                idx = i;
-                break;
-            }
-            off += klen;
+fn u16_at(d: &[u8], at: usize) -> usize {
+    u16::from_le_bytes([d[at], d[at + 1]]) as usize
+}
+
+fn u32_at(d: &[u8], at: usize) -> u32 {
+    u32::from_le_bytes(d[at..at + 4].try_into().unwrap())
+}
+
+fn put_u16(d: &mut [u8], at: usize, v: usize) {
+    d[at..at + 2].copy_from_slice(&(v as u16).to_le_bytes());
+}
+
+fn put_u32(d: &mut [u8], at: usize, v: u32) {
+    d[at..at + 4].copy_from_slice(&v.to_le_bytes());
+}
+
+fn oid_at(d: &[u8], at: usize) -> Oid {
+    Oid::from_bytes(&d[at..at + OID_LEN]).expect("an OID is its encoded bytes")
+}
+
+/// The key of the leaf entry at `off`, and where the next entry starts (the
+/// entry's OID is the `OID_LEN` bytes before it).
+fn entry_at(d: &[u8], off: usize) -> (&[u8], usize) {
+    let k = &d[off + 2..off + 2 + u16_at(d, off)];
+    (k, off + 2 + k.len() + OID_LEN)
+}
+
+/// The offset `n` length-prefixed keys past `off`, each followed by `tail`
+/// bytes (`OID_LEN` in a leaf, none in an internal node).
+fn skip(d: &[u8], mut off: usize, n: usize, tail: usize) -> usize {
+    for _ in 0..n {
+        off += 2 + u16_at(d, off) + tail;
+    }
+    off
+}
+
+/// Where an internal node's separators start.
+fn keys_start(d: &[u8]) -> usize {
+    NODE_HEADER + (u16_at(d, 1) + 1) * 4
+}
+
+/// The index of the child an internal node routes `key` to. A reader takes
+/// the first child whose separator is not below the key — the leftmost
+/// subtree that can hold it, since a run of duplicates may straddle a
+/// separator equal to the key; a writer (`past_equal`) the first whose
+/// separator is above it, so a new entry lands right of its equals. No key:
+/// the leftmost child.
+fn route(d: &[u8], key: Option<&[u8]>, past_equal: bool) -> usize {
+    let (count, mut off) = (u16_at(d, 1), keys_start(d));
+    let Some(key) = key else { return 0 };
+    for i in 0..count {
+        let sep = &d[off + 2..off + 2 + u16_at(d, off)];
+        match sep.cmp(key) {
+            Ordering::Greater => return i,
+            Ordering::Equal if !past_equal => return i,
+            _ => off += 2 + sep.len(),
         }
     }
-    let at = NODE_HEADER + idx * 4;
-    PageId(u32::from_le_bytes(p.data[at..at + 4].try_into().unwrap()))
+    count
 }
+
+fn child(d: &[u8], idx: usize) -> PageId {
+    PageId(u32_at(d, NODE_HEADER + idx * 4))
+}
+
+/// A leaf's right sibling.
+fn next_leaf(d: &[u8]) -> Option<PageId> {
+    Some(PageId(u32_at(d, 3))).filter(|p| p.0 != NO_PAGE)
+}
+
+fn bad_tag(t: u8) -> StorageError {
+    StorageError::Corrupt(format!("unexpected node tag {t}"))
+}
+
+/// Open an entry's bytes at `at` in a leaf image whose entries end at
+/// `end`, and write `(key, oid)` there.
+fn put_entry(d: &mut [u8], at: usize, end: usize, key: &[u8], oid: Oid) {
+    let len = 2 + key.len() + OID_LEN;
+    d.copy_within(at..end, at + len);
+    put_u16(d, at, key.len());
+    d[at + 2..at + len - OID_LEN].copy_from_slice(key);
+    d[at + len - OID_LEN..at + len].copy_from_slice(&oid.to_bytes());
+    put_u16(d, 1, u16_at(d, 1) + 1);
+}
+
+/// Make `sep` separator `idx` and `right` child `idx + 1` of an internal
+/// node image whose separators end at `end`.
+fn put_separator(d: &mut [u8], idx: usize, end: usize, sep: &[u8], right: PageId) {
+    let count = u16_at(d, 1);
+    let at = skip(d, keys_start(d), idx, 0);
+    let c = NODE_HEADER + (idx + 1) * 4;
+    // Separators idx.. move past the new child and separator; children
+    // idx+1.. and separators ..idx past the new child.
+    d.copy_within(at..end, at + 6 + sep.len());
+    d.copy_within(c..at, c + 4);
+    put_u32(d, c, right.0);
+    put_u16(d, at + 4, sep.len());
+    d[at + 6..at + 6 + sep.len()].copy_from_slice(sep);
+    put_u16(d, 1, count + 1);
+}
+
+/// Lay a node onto a new page: the header, then `body`.
+fn fresh(d: &mut [u8], tag: u8, count: usize, body: &[u8]) {
+    d.fill(0);
+    d[0] = tag;
+    put_u16(d, 1, count);
+    d[NODE_HEADER..NODE_HEADER + body.len()].copy_from_slice(body);
+}
+
+/// A split node's separator and new right sibling, for its parent.
+type Split = Option<(Vec<u8>, PageId)>;
 
 /// A B+-tree index over byte-encoded keys.
 ///
@@ -238,90 +221,65 @@ impl BTree {
         let file = pool.disk().create_file()?;
         let meta_pid = pool.disk().allocate_page(file)?;
         debug_assert_eq!(meta_pid, PageId(0));
-        let root_pid = pool.disk().allocate_page(file)?;
-        let tree = BTree {
-            file,
-            pool,
-            write_lock: parking_lot::Mutex::new(()),
-        };
-        tree.store_node(
-            root_pid,
-            &Node::Leaf {
-                entries: Vec::new(),
-                next: None,
-            },
-        )?;
-        tree.store_meta(&Meta {
-            root: root_pid,
-            levels: 1,
-            entries: 0,
-            leaves: 1,
-            unique,
-            key_bytes: 0,
+        let root = pool.disk().allocate_page(file)?;
+        let tree = BTree::open(pool, file);
+        tree.write(root, |d| {
+            fresh(d, TAG_LEAF, 0, &[]);
+            put_u32(d, 3, NO_PAGE);
         })?;
+        let meta = Meta { root, levels: 1, entries: 0, leaves: 1, unique, key_bytes: 0 };
+        tree.write(PageId(0), |d| meta.write(d))?;
         Ok(tree)
     }
 
     /// Re-open an existing index file.
     pub fn open(pool: Arc<BufferPool>, file: FileId) -> BTree {
-        BTree {
-            file,
-            pool,
-            write_lock: parking_lot::Mutex::new(()),
-        }
+        BTree { file, pool, write_lock: parking_lot::Mutex::new(()) }
     }
 
     pub fn file_id(&self) -> FileId {
         self.file
     }
 
-    fn load_meta(&self) -> Result<Meta> {
+    /// Read access to a page's usable bytes.
+    fn read<R>(&self, pid: PageId, f: impl FnOnce(&[u8]) -> Result<R>) -> Result<R> {
         self.pool
-            .with_page(self.file, PageId(0), AccessKind::Index, Meta::read)?
-            .map_err(|e| e.locate(self.file, PageId(0)))
-    }
-
-    fn store_meta(&self, meta: &Meta) -> Result<()> {
-        self.pool
-            .with_page_mut(self.file, PageId(0), AccessKind::Index, |p| meta.write(p))
-    }
-
-    fn load_node(&self, pid: PageId) -> Result<Node> {
-        self.pool
-            .with_page(self.file, pid, AccessKind::Index, Node::read)?
+            .with_page(self.file, pid, AccessKind::Index, |p| f(&p.data[..PAGE_USABLE]))?
             .map_err(|e| e.locate(self.file, pid))
     }
 
-    fn store_node(&self, pid: PageId, node: &Node) -> Result<()> {
-        debug_assert!(node.serialized_size() <= PAGE_USABLE);
+    /// Write access to a page's usable bytes.
+    fn write<R>(&self, pid: PageId, f: impl FnOnce(&mut [u8]) -> R) -> Result<R> {
         self.pool
-            .with_page_mut(self.file, pid, AccessKind::Index, |p| node.write(p))
+            .with_page_mut(self.file, pid, AccessKind::Index, |p| f(&mut p.data[..PAGE_USABLE]))
     }
 
-    fn alloc_node(&self, node: &Node) -> Result<PageId> {
-        let pid = self.pool.disk().allocate_page(self.file)?;
-        self.store_node(pid, node)?;
-        Ok(pid)
+    fn load_meta(&self) -> Result<Meta> {
+        self.read(PageId(0), Meta::read)
+    }
+
+    /// Write the meta page's fields in place.
+    fn store_meta(&self, meta: &Meta) -> Result<()> {
+        self.write(PageId(0), |d| meta.write(d))
     }
 
     /// Insert (key, oid). Fails with [`StorageError::DuplicateKey`] on a
     /// unique index when the key already exists.
     pub fn insert(&self, key: &[u8], oid: Oid) -> Result<()> {
         let _guard = self.write_lock.lock();
-        if key.len() + 2 + Oid::ENCODED_LEN > PAGE_SIZE / 4 {
-            return Err(StorageError::RecordTooLarge {
-                size: key.len(),
-                max: PAGE_SIZE / 4 - 2 - Oid::ENCODED_LEN,
-            });
+        let max = PAGE_SIZE / 4 - 2 - OID_LEN;
+        if key.len() > max {
+            return Err(StorageError::RecordTooLarge { size: key.len(), max });
         }
         let mut meta = self.load_meta()?;
-        let split = self.insert_rec(meta.root, key, oid, &mut meta)?;
-        if let Some((sep, right)) = split {
-            let new_root = self.alloc_node(&Node::Internal {
-                keys: vec![sep],
-                children: vec![meta.root, right],
+        if let Some((sep, right)) = self.insert_into(meta.root, meta.levels, key, oid, &mut meta)? {
+            // A new root: the old one as its only child, then the split.
+            let root = self.pool.disk().allocate_page(self.file)?;
+            self.write(root, |d| {
+                fresh(d, TAG_INTERNAL, 0, &meta.root.0.to_le_bytes());
+                put_separator(d, 0, NODE_HEADER + 4, &sep, right);
             })?;
-            meta.root = new_root;
+            meta.root = root;
             meta.levels += 1;
         }
         meta.entries += 1;
@@ -329,106 +287,125 @@ impl BTree {
         self.store_meta(&meta)
     }
 
-    /// Recursive insert; returns the (separator, right-page) of a split.
-    fn insert_rec(
+    /// Insert below `pid`, a node `height` levels tall (1: a leaf), counting
+    /// a leaf split into `meta`; returns the node's split, if it split.
+    ///
+    /// A leaf is edited in the one write access that searches it: a refused
+    /// key leaves its bytes as they were, and a statement that fails is
+    /// rolled back page by page anyway.
+    fn insert_into(
         &self,
         pid: PageId,
+        height: u32,
         key: &[u8],
         oid: Oid,
         meta: &mut Meta,
-    ) -> Result<Option<(Vec<u8>, PageId)>> {
-        match self.load_node(pid)? {
-            Node::Leaf { mut entries, next } => {
-                if meta.unique && entries.iter().any(|(k, _)| k.as_slice() == key) {
-                    return Err(StorageError::DuplicateKey);
+    ) -> Result<Split> {
+        if height > 1 {
+            let (idx, child) = self.read(pid, |d| match d[0] {
+                TAG_INTERNAL => {
+                    let idx = route(d, Some(key), true);
+                    Ok((idx, child(d, idx)))
                 }
-                let pos = entries.partition_point(|(k, o)| (k.as_slice(), *o) < (key, oid));
-                entries.insert(pos, (key.to_vec(), oid));
-                let node = Node::Leaf { entries, next };
-                if node.serialized_size() <= PAGE_USABLE {
-                    self.store_node(pid, &node)?;
-                    return Ok(None);
-                }
-                // Split the leaf.
-                let Node::Leaf { mut entries, next } = node else {
-                    unreachable!()
-                };
-                let mid = entries.len() / 2;
-                let right_entries = entries.split_off(mid);
-                let sep = right_entries[0].0.clone();
-                let right = self.alloc_node(&Node::Leaf {
-                    entries: right_entries,
-                    next,
-                })?;
-                self.store_node(
-                    pid,
-                    &Node::Leaf {
-                        entries,
-                        next: Some(right),
-                    },
-                )?;
-                meta.leaves += 1;
-                Ok(Some((sep, right)))
-            }
-            Node::Internal {
-                mut keys,
-                mut children,
-            } => {
-                let idx = keys.partition_point(|k| k.as_slice() <= key);
-                let split = self.insert_rec(children[idx], key, oid, meta)?;
-                let Some((sep, right)) = split else {
-                    return Ok(None);
-                };
-                keys.insert(idx, sep);
-                children.insert(idx + 1, right);
-                let node = Node::Internal { keys, children };
-                if node.serialized_size() <= PAGE_USABLE {
-                    self.store_node(pid, &node)?;
-                    return Ok(None);
-                }
-                let Node::Internal {
-                    mut keys,
-                    mut children,
-                } = node
-                else {
-                    unreachable!()
-                };
-                let mid = keys.len() / 2;
-                let promoted = keys[mid].clone();
-                let right_keys = keys.split_off(mid + 1);
-                keys.pop(); // the promoted key moves up, not right
-                let right_children = children.split_off(mid + 1);
-                let right = self.alloc_node(&Node::Internal {
-                    keys: right_keys,
-                    children: right_children,
-                })?;
-                self.store_node(pid, &Node::Internal { keys, children })?;
-                Ok(Some((promoted, right)))
-            }
+                t => Err(bad_tag(t)),
+            })?;
+            return match self.insert_into(child, height - 1, key, oid, meta)? {
+                Some((sep, right)) => self.add_separator(pid, idx, &sep, right),
+                None => Ok(None),
+            };
         }
+        let unique = meta.unique;
+        let merged = self.write(pid, |d| {
+            if d[0] != TAG_LEAF {
+                return Err(bad_tag(d[0]));
+            }
+            // Entries are sorted by (key, oid): the new one goes before the
+            // first that is not below it.
+            let (mut off, mut at, mut dup) = (NODE_HEADER, None, false);
+            for _ in 0..u16_at(d, 1) {
+                let (k, next) = entry_at(d, off);
+                let ord = k.cmp(key);
+                dup |= ord == Ordering::Equal;
+                if at.is_none() && ord.then_with(|| oid_at(d, next - OID_LEN).cmp(&oid)).is_ge() {
+                    at = Some(off);
+                }
+                off = next;
+            }
+            if unique && dup {
+                return Err(StorageError::DuplicateKey);
+            }
+            let (at, end) = (at.unwrap_or(off), off);
+            let grown = end + 2 + key.len() + OID_LEN;
+            if grown <= PAGE_USABLE {
+                put_entry(d, at, end, key, oid);
+                return Ok(None);
+            }
+            let mut img = vec![0; grown];
+            img[..end].copy_from_slice(&d[..end]);
+            put_entry(&mut img, at, end, key, oid);
+            Ok(Some(img))
+        })?;
+        let Some(img) = merged.map_err(|e| e.locate(self.file, pid))? else {
+            return Ok(None);
+        };
+        meta.leaves += 1;
+        self.split_leaf(pid, &img).map(Some)
     }
 
-    /// Find the *leftmost* leaf that could contain `key`.
-    ///
-    /// Routing takes the `< key` branch (not `<= key`): a run of duplicate
-    /// keys may straddle a split whose separator equals the key, so readers
-    /// must start at the left sibling and walk `next` pointers.
-    fn descend_left(&self, key: &[u8]) -> Result<PageId> {
-        let mut pid = self.load_meta()?.root;
-        loop {
-            let child = self
-                .pool
-                .with_page(self.file, pid, AccessKind::Index, |p| match p.data[0] {
-                    TAG_INTERNAL => Ok(Some(route(p, Some(key)))),
-                    TAG_LEAF => Ok(None),
-                    t => Err(StorageError::Corrupt(format!("unexpected node tag {t}"))),
-                })?
-                .map_err(|e| e.locate(self.file, pid))?;
-            match child {
-                Some(c) => pid = c,
-                None => return Ok(pid),
+    /// Split a leaf whose entries, the new one among them, are `img`: the
+    /// upper half moves to a new right sibling, written before the leaf is
+    /// cut so that a reader following `next` finds it whole.
+    fn split_leaf(&self, pid: PageId, img: &[u8]) -> Result<(Vec<u8>, PageId)> {
+        let (n, next) = (u16_at(img, 1), u32_at(img, 3));
+        let cut = skip(img, NODE_HEADER, n / 2, OID_LEN);
+        let sep = img[cut + 2..cut + 2 + u16_at(img, cut)].to_vec();
+        let right = self.pool.disk().allocate_page(self.file)?;
+        self.write(right, |d| {
+            fresh(d, TAG_LEAF, n - n / 2, &img[cut..]);
+            put_u32(d, 3, next);
+        })?;
+        self.write(pid, |d| {
+            d[..cut].copy_from_slice(&img[..cut]);
+            d[cut..].fill(0);
+            put_u16(d, 1, n / 2);
+            put_u32(d, 3, right.0);
+        })?;
+        Ok((sep, right))
+    }
+
+    /// Add a child's split to internal node `pid` (the child was child
+    /// `idx`), splitting the node in turn when it overflows: its upper
+    /// half's children and separators move to a new right sibling and the
+    /// middle separator moves up.
+    fn add_separator(&self, pid: PageId, idx: usize, sep: &[u8], right: PageId) -> Result<Split> {
+        let upper = self.write(pid, |d| {
+            let count = u16_at(d, 1);
+            let end = skip(d, keys_start(d), count, 0);
+            if end + 6 + sep.len() <= PAGE_USABLE {
+                put_separator(d, idx, end, sep, right);
+                return None;
             }
-        }
+            let mut img = vec![0; end + 6 + sep.len()];
+            img[..end].copy_from_slice(&d[..end]);
+            put_separator(&mut img, idx, end, sep, right);
+            // The left keeps separators ..mid and children ..=mid.
+            let (n, mid) = (count + 1, count.div_ceil(2));
+            let (keys, kids) = (keys_start(&img), NODE_HEADER + (mid + 1) * 4);
+            let at = skip(&img, keys, mid, 0);
+            let up = at + 2 + u16_at(&img, at);
+            d[..kids].copy_from_slice(&img[..kids]);
+            d[kids..kids + at - keys].copy_from_slice(&img[keys..at]);
+            d[kids + at - keys..].fill(0);
+            put_u16(d, 1, mid);
+            let body = [&img[kids..keys], &img[up..]].concat();
+            Some((img[at + 2..up].to_vec(), n - mid - 1, body))
+        })?;
+        let Some((promoted, count, body)) = upper else {
+            return Ok(None);
+        };
+        let right = self.pool.disk().allocate_page(self.file)?;
+        self.write(right, |d| fresh(d, TAG_INTERNAL, count, &body))?;
+        Ok(Some((promoted, right)))
     }
 
     /// All OIDs stored under exactly `key`: the interval `[key, key]`.
@@ -465,100 +442,109 @@ impl BTree {
         hi_inclusive: bool,
         mut visit: impl FnMut(&[u8], Oid) -> bool,
     ) -> Result<()> {
-        enum Step {
-            Page(PageId),
-            Done,
-        }
         let mut pid = self.load_meta()?.root;
         loop {
-            let on_page = |p: &Page| -> Result<Step> {
-                let count = u16::from_le_bytes([p.data[1], p.data[2]]) as usize;
-                match p.data[0] {
-                    TAG_INTERNAL => return Ok(Step::Page(route(p, lo))),
+            let step = self.read(pid, |d| {
+                match d[0] {
+                    TAG_INTERNAL => return Ok(Some(child(d, route(d, lo, false)))),
                     TAG_LEAF => {}
-                    t => return Err(StorageError::Corrupt(format!("unexpected node tag {t}"))),
+                    t => return Err(bad_tag(t)),
                 }
                 let mut off = NODE_HEADER;
-                for _ in 0..count {
-                    let klen = u16::from_le_bytes([p.data[off], p.data[off + 1]]) as usize;
-                    off += 2;
-                    let k = &p.data[off..off + klen];
-                    off += klen;
-                    let at = off;
-                    off += Oid::ENCODED_LEN;
+                for _ in 0..u16_at(d, 1) {
+                    let (k, next) = entry_at(d, off);
+                    off = next;
                     if lo.is_some_and(|lo| if lo_inclusive { k < lo } else { k <= lo }) {
                         continue;
                     }
                     if hi.is_some_and(|hi| if hi_inclusive { k > hi } else { k >= hi }) {
-                        return Ok(Step::Done);
+                        return Ok(None);
                     }
-                    let oid = Oid::from_bytes(&p.data[at..at + Oid::ENCODED_LEN])
-                        .ok_or_else(|| StorageError::Corrupt("bad OID in leaf".into()))?;
-                    if !visit(k, oid) {
-                        return Ok(Step::Done);
+                    if !visit(k, oid_at(d, next - OID_LEN)) {
+                        return Ok(None);
                     }
                 }
                 // The interval may continue on the right sibling.
-                let next = u32::from_le_bytes(p.data[3..7].try_into().unwrap());
-                Ok(if next == NO_PAGE {
-                    Step::Done
-                } else {
-                    Step::Page(PageId(next))
-                })
-            };
-            let step = self
-                .pool
-                .with_page(self.file, pid, AccessKind::Index, on_page)?
-                .map_err(|e| e.locate(self.file, pid))?;
+                Ok(next_leaf(d))
+            })?;
             match step {
-                Step::Page(next) => pid = next,
-                Step::Done => return Ok(()),
+                Some(next) => pid = next,
+                None => return Ok(()),
             }
         }
     }
 
     /// Remove one (key, oid) entry. Returns whether an entry was removed.
     pub fn delete(&self, key: &[u8], oid: Oid) -> Result<bool> {
+        enum Found {
+            Here,
+            Next(PageId),
+            Absent,
+        }
         let _guard = self.write_lock.lock();
-        // A duplicate run may span several leaves; walk right until the
-        // entry is found or the keys pass the target.
-        let mut pid = self.descend_left(key)?;
+        let oid = oid.to_bytes();
+        let is_it = |d: &[u8], k: &[u8], next: usize| k == key && d[next - OID_LEN..next] == oid;
+        // A duplicate run may span several leaves: start at the leftmost
+        // leaf that can hold the key, as readers do, and walk right until
+        // the entry is found or the keys pass it.
+        let mut meta = self.load_meta()?;
+        let mut pid = meta.root;
+        for _ in 1..meta.levels {
+            pid = self.read(pid, |d| match d[0] {
+                TAG_INTERNAL => Ok(child(d, route(d, Some(key), false))),
+                t => Err(bad_tag(t)),
+            })?;
+        }
         loop {
-            let Node::Leaf { mut entries, next } = self.load_node(pid)? else {
-                return Err(StorageError::CorruptAt {
-                    file: self.file,
-                    page: pid,
-                    detail: "descend ended on internal node".into(),
-                });
-            };
-            if entries.first().is_some_and(|(k, _)| k.as_slice() > key) {
-                return Ok(false);
-            }
-            let before = entries.len();
-            entries.retain(|(k, o)| !(k.as_slice() == key && *o == oid));
-            if entries.len() < before {
-                self.store_node(pid, &Node::Leaf { entries, next })?;
-                let mut meta = self.load_meta()?;
-                meta.entries = meta.entries.saturating_sub(1);
-                meta.key_bytes = meta.key_bytes.saturating_sub(key.len() as u64);
-                self.store_meta(&meta)?;
-                return Ok(true);
-            }
-            if entries.last().is_some_and(|(k, _)| k.as_slice() > key) {
-                return Ok(false);
-            }
-            match next {
-                Some(n) => pid = n,
-                None => return Ok(false),
+            let found = self.read(pid, |d| {
+                if d[0] != TAG_LEAF {
+                    return Err(bad_tag(d[0]));
+                }
+                let mut off = NODE_HEADER;
+                for _ in 0..u16_at(d, 1) {
+                    let (k, next) = entry_at(d, off);
+                    if is_it(d, k, next) {
+                        return Ok(Found::Here);
+                    }
+                    if k > key {
+                        return Ok(Found::Absent);
+                    }
+                    off = next;
+                }
+                Ok(next_leaf(d).map_or(Found::Absent, Found::Next))
+            })?;
+            match found {
+                Found::Here => break,
+                Found::Next(next) => pid = next,
+                Found::Absent => return Ok(false),
             }
         }
+        // Close the gap of every matching entry and zero the freed tail.
+        self.write(pid, |d| {
+            let (mut kept, mut w, mut r) = (0, NODE_HEADER, NODE_HEADER);
+            for _ in 0..u16_at(d, 1) {
+                let (k, next) = entry_at(d, r);
+                if !is_it(d, k, next) {
+                    d.copy_within(r..next, w);
+                    w += next - r;
+                    kept += 1;
+                }
+                r = next;
+            }
+            d[w..r].fill(0);
+            put_u16(d, 1, kept);
+        })?;
+        meta.entries = meta.entries.saturating_sub(1);
+        meta.key_bytes = meta.key_bytes.saturating_sub(key.len() as u64);
+        self.store_meta(&meta)?;
+        Ok(true)
     }
 
     /// Table 9 statistics.
     pub fn stats(&self) -> Result<BTreeStats> {
         let meta = self.load_meta()?;
         let keysize = meta.key_bytes.checked_div(meta.entries).unwrap_or(0) as u32;
-        let entry = 2 + keysize as usize + Oid::ENCODED_LEN;
+        let entry = 2 + keysize as usize + OID_LEN;
         let fanout = ((PAGE_USABLE - NODE_HEADER) / entry.max(1)).max(2) as u32;
         Ok(BTreeStats {
             levels: meta.levels,
@@ -765,6 +751,33 @@ mod tests {
             t.insert(&vec![0u8; PAGE_SIZE], oid(1)),
             Err(StorageError::RecordTooLarge { .. })
         ));
+    }
+
+    /// An insert that splits nothing reads the meta page and each internal
+    /// node on its path once, edits its leaf in one access and writes the
+    /// meta page: `levels + 2` page accesses; a delete makes `levels + 3`,
+    /// since it reads its leaf before it edits it.
+    #[test]
+    fn an_insert_touches_each_node_on_its_path_once() {
+        let disk = Arc::new(MemDisk::new());
+        let metrics = DiskMetrics::new();
+        let pool = Arc::new(BufferPool::new(disk, 256, metrics.clone()));
+        let t = BTree::create(pool, true).unwrap();
+        for i in 0..3000u32 {
+            t.insert(&key(i * 2), oid(i)).unwrap();
+        }
+        let levels = t.stats().unwrap().levels as u64;
+        assert_eq!(levels, 2);
+        let accesses = |f: &dyn Fn()| {
+            let before = metrics.snapshot();
+            f();
+            let d = metrics.snapshot().delta(&before);
+            d.buffer_hits + d.buffer_misses
+        };
+        let leaves = t.stats().unwrap().leaves;
+        assert_eq!(accesses(&|| t.insert(&key(2001), oid(1)).unwrap()), levels + 2);
+        assert_eq!(t.stats().unwrap().leaves, leaves, "no split");
+        assert_eq!(accesses(&|| assert!(t.delete(&key(2001), oid(1)).unwrap())), levels + 3);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! checked against an in-memory model under randomized operation sequences.
 
 use std::collections::BTreeMap;
-use std::ops::Bound;
+use std::ops::{Bound, RangeBounds};
 use std::sync::{Arc, Barrier};
 
 use proptest::prelude::*;
@@ -299,6 +299,565 @@ fn a_walk_under_concurrent_splits_sees_every_old_key_once() {
     }
     writer.join().unwrap();
     assert_eq!(tree.len().unwrap(), 8000);
+}
+
+// ---------------------------------------------------------------------
+// B+-tree vs the node-rebuilding writer it replaced, byte for byte
+// ---------------------------------------------------------------------
+
+/// The B+-tree writer the in-place one replaced, kept as its oracle. It
+/// decodes a node into a [`Node`](rebuild::Node) (one `Vec` per key),
+/// edits that, and writes the whole page again, zeros after the last
+/// entry; the meta page is zero-filled and rewritten on every change. The
+/// in-place writer must leave every page of its file byte-identical to
+/// what this one leaves, so the page layout, the split points and the
+/// placement of duplicate runs are defined here.
+mod rebuild {
+    use std::sync::Arc;
+
+    use mood_storage::{
+        AccessKind, BufferPool, FileId, Oid, Page, PageId, Result, StorageError, PAGE_SIZE,
+        PAGE_USABLE,
+    };
+
+    const TAG_META: u8 = 0;
+    const TAG_LEAF: u8 = 1;
+    const TAG_INTERNAL: u8 = 2;
+    const NO_PAGE: u32 = u32::MAX;
+    const NODE_HEADER: usize = 16;
+
+    #[derive(Debug, Clone)]
+    pub enum Node {
+        Leaf {
+            entries: Vec<(Vec<u8>, Oid)>,
+            next: Option<PageId>,
+        },
+        Internal {
+            keys: Vec<Vec<u8>>,
+            children: Vec<PageId>,
+        },
+    }
+
+    impl Node {
+        fn serialized_size(&self) -> usize {
+            match self {
+                Node::Leaf { entries, .. } => {
+                    NODE_HEADER
+                        + entries
+                            .iter()
+                            .map(|(k, _)| 2 + k.len() + Oid::ENCODED_LEN)
+                            .sum::<usize>()
+                }
+                Node::Internal { keys, children } => {
+                    NODE_HEADER
+                        + children.len() * 4
+                        + keys.iter().map(|k| 2 + k.len()).sum::<usize>()
+                }
+            }
+        }
+
+        fn write(&self, page: &mut Page) {
+            page.data.fill(0);
+            match self {
+                Node::Leaf { entries, next } => {
+                    page.data[0] = TAG_LEAF;
+                    page.data[1..3].copy_from_slice(&(entries.len() as u16).to_le_bytes());
+                    page.data[3..7]
+                        .copy_from_slice(&next.map(|p| p.0).unwrap_or(NO_PAGE).to_le_bytes());
+                    let mut off = NODE_HEADER;
+                    for (k, oid) in entries {
+                        page.data[off..off + 2].copy_from_slice(&(k.len() as u16).to_le_bytes());
+                        off += 2;
+                        page.data[off..off + k.len()].copy_from_slice(k);
+                        off += k.len();
+                        page.data[off..off + Oid::ENCODED_LEN].copy_from_slice(&oid.to_bytes());
+                        off += Oid::ENCODED_LEN;
+                    }
+                }
+                Node::Internal { keys, children } => {
+                    page.data[0] = TAG_INTERNAL;
+                    page.data[1..3].copy_from_slice(&(keys.len() as u16).to_le_bytes());
+                    let mut off = NODE_HEADER;
+                    for c in children {
+                        page.data[off..off + 4].copy_from_slice(&c.0.to_le_bytes());
+                        off += 4;
+                    }
+                    for k in keys {
+                        page.data[off..off + 2].copy_from_slice(&(k.len() as u16).to_le_bytes());
+                        off += 2;
+                        page.data[off..off + k.len()].copy_from_slice(k);
+                        off += k.len();
+                    }
+                }
+            }
+        }
+
+        fn read(page: &Page) -> Result<Node> {
+            let count = u16::from_le_bytes([page.data[1], page.data[2]]) as usize;
+            let u16_at = |off: usize| u16::from_le_bytes([page.data[off], page.data[off + 1]]);
+            let u32_at = |at: usize| u32::from_le_bytes(page.data[at..at + 4].try_into().unwrap());
+            match page.data[0] {
+                TAG_LEAF => {
+                    let next = Some(PageId(u32_at(3))).filter(|p| p.0 != NO_PAGE);
+                    let mut entries = Vec::with_capacity(count);
+                    let mut off = NODE_HEADER;
+                    for _ in 0..count {
+                        let klen = u16_at(off) as usize;
+                        off += 2;
+                        let key = page.data[off..off + klen].to_vec();
+                        off += klen;
+                        let oid = Oid::from_bytes(&page.data[off..off + Oid::ENCODED_LEN]).unwrap();
+                        off += Oid::ENCODED_LEN;
+                        entries.push((key, oid));
+                    }
+                    Ok(Node::Leaf { entries, next })
+                }
+                TAG_INTERNAL => {
+                    let children = (0..=count).map(|i| PageId(u32_at(NODE_HEADER + i * 4)));
+                    let children: Vec<PageId> = children.collect();
+                    let mut off = NODE_HEADER + (count + 1) * 4;
+                    let mut keys = Vec::with_capacity(count);
+                    for _ in 0..count {
+                        let klen = u16_at(off) as usize;
+                        keys.push(page.data[off + 2..off + 2 + klen].to_vec());
+                        off += 2 + klen;
+                    }
+                    Ok(Node::Internal { keys, children })
+                }
+                t => Err(StorageError::Corrupt(format!("unexpected node tag {t}"))),
+            }
+        }
+    }
+
+    #[derive(Debug, Clone, Copy)]
+    pub struct Meta {
+        pub root: PageId,
+        pub levels: u32,
+        pub entries: u64,
+        pub leaves: u32,
+        pub unique: bool,
+        pub key_bytes: u64,
+    }
+
+    impl Meta {
+        fn write(&self, page: &mut Page) {
+            page.data.fill(0);
+            page.data[0] = TAG_META;
+            page.data[4..8].copy_from_slice(&self.root.0.to_le_bytes());
+            page.data[8..12].copy_from_slice(&self.levels.to_le_bytes());
+            page.data[12..20].copy_from_slice(&self.entries.to_le_bytes());
+            page.data[20..24].copy_from_slice(&self.leaves.to_le_bytes());
+            page.data[24] = self.unique as u8;
+            page.data[25..33].copy_from_slice(&self.key_bytes.to_le_bytes());
+        }
+
+        fn read(page: &Page) -> Meta {
+            let u32_at = |at: usize| u32::from_le_bytes(page.data[at..at + 4].try_into().unwrap());
+            let u64_at = |at: usize| u64::from_le_bytes(page.data[at..at + 8].try_into().unwrap());
+            assert_eq!(page.data[0], TAG_META);
+            Meta {
+                root: PageId(u32_at(4)),
+                levels: u32_at(8),
+                entries: u64_at(12),
+                leaves: u32_at(20),
+                unique: page.data[24] != 0,
+                key_bytes: u64_at(25),
+            }
+        }
+    }
+
+    pub struct Tree {
+        pub file: FileId,
+        pool: Arc<BufferPool>,
+    }
+
+    impl Tree {
+        pub fn create(pool: Arc<BufferPool>, unique: bool) -> Result<Tree> {
+            let file = pool.disk().create_file()?;
+            assert_eq!(pool.disk().allocate_page(file)?, PageId(0));
+            let root = pool.disk().allocate_page(file)?;
+            let tree = Tree { file, pool };
+            tree.store_node(root, &Node::Leaf { entries: Vec::new(), next: None })?;
+            let meta = Meta { root, levels: 1, entries: 0, leaves: 1, unique, key_bytes: 0 };
+            tree.store_meta(&meta)?;
+            Ok(tree)
+        }
+
+        pub fn meta(&self) -> Result<Meta> {
+            self.pool.with_page(self.file, PageId(0), AccessKind::Index, Meta::read)
+        }
+
+        fn store_meta(&self, meta: &Meta) -> Result<()> {
+            self.pool
+                .with_page_mut(self.file, PageId(0), AccessKind::Index, |p| meta.write(p))
+        }
+
+        fn load_node(&self, pid: PageId) -> Result<Node> {
+            self.pool.with_page(self.file, pid, AccessKind::Index, Node::read)?
+        }
+
+        fn store_node(&self, pid: PageId, node: &Node) -> Result<()> {
+            assert!(node.serialized_size() <= PAGE_USABLE);
+            self.pool
+                .with_page_mut(self.file, pid, AccessKind::Index, |p| node.write(p))
+        }
+
+        fn alloc_node(&self, node: &Node) -> Result<PageId> {
+            let pid = self.pool.disk().allocate_page(self.file)?;
+            self.store_node(pid, node)?;
+            Ok(pid)
+        }
+
+        pub fn insert(&self, key: &[u8], oid: Oid) -> Result<()> {
+            if key.len() + 2 + Oid::ENCODED_LEN > PAGE_SIZE / 4 {
+                return Err(StorageError::RecordTooLarge {
+                    size: key.len(),
+                    max: PAGE_SIZE / 4 - 2 - Oid::ENCODED_LEN,
+                });
+            }
+            let mut meta = self.meta()?;
+            if let Some((sep, right)) = self.insert_rec(meta.root, key, oid, &mut meta)? {
+                let root = Node::Internal { keys: vec![sep], children: vec![meta.root, right] };
+                meta.root = self.alloc_node(&root)?;
+                meta.levels += 1;
+            }
+            meta.entries += 1;
+            meta.key_bytes += key.len() as u64;
+            self.store_meta(&meta)
+        }
+
+        /// Recursive insert; returns the (separator, right-page) of a split.
+        fn insert_rec(
+            &self,
+            pid: PageId,
+            key: &[u8],
+            oid: Oid,
+            meta: &mut Meta,
+        ) -> Result<Option<(Vec<u8>, PageId)>> {
+            match self.load_node(pid)? {
+                Node::Leaf { mut entries, next } => {
+                    if meta.unique && entries.iter().any(|(k, _)| k.as_slice() == key) {
+                        return Err(StorageError::DuplicateKey);
+                    }
+                    let pos = entries.partition_point(|(k, o)| (k.as_slice(), *o) < (key, oid));
+                    entries.insert(pos, (key.to_vec(), oid));
+                    let node = Node::Leaf { entries, next };
+                    if node.serialized_size() <= PAGE_USABLE {
+                        self.store_node(pid, &node)?;
+                        return Ok(None);
+                    }
+                    let Node::Leaf { mut entries, next } = node else { unreachable!() };
+                    let right_entries = entries.split_off(entries.len() / 2);
+                    let sep = right_entries[0].0.clone();
+                    let right = self.alloc_node(&Node::Leaf { entries: right_entries, next })?;
+                    self.store_node(pid, &Node::Leaf { entries, next: Some(right) })?;
+                    meta.leaves += 1;
+                    Ok(Some((sep, right)))
+                }
+                Node::Internal { mut keys, mut children } => {
+                    let idx = keys.partition_point(|k| k.as_slice() <= key);
+                    let Some((sep, right)) = self.insert_rec(children[idx], key, oid, meta)? else {
+                        return Ok(None);
+                    };
+                    keys.insert(idx, sep);
+                    children.insert(idx + 1, right);
+                    let node = Node::Internal { keys, children };
+                    if node.serialized_size() <= PAGE_USABLE {
+                        self.store_node(pid, &node)?;
+                        return Ok(None);
+                    }
+                    let Node::Internal { mut keys, mut children } = node else { unreachable!() };
+                    let mid = keys.len() / 2;
+                    let promoted = keys[mid].clone();
+                    let right_keys = keys.split_off(mid + 1);
+                    keys.pop(); // the promoted key moves up, not right
+                    let right_children = children.split_off(mid + 1);
+                    let right = self.alloc_node(&Node::Internal {
+                        keys: right_keys,
+                        children: right_children,
+                    })?;
+                    self.store_node(pid, &Node::Internal { keys, children })?;
+                    Ok(Some((promoted, right)))
+                }
+            }
+        }
+
+        /// Remove every (key, oid) entry of the first leaf that holds one.
+        pub fn delete(&self, key: &[u8], oid: Oid) -> Result<bool> {
+            let mut pid = self.meta()?.root;
+            while let Node::Internal { keys, children } = self.load_node(pid)? {
+                pid = children[keys.partition_point(|k| k.as_slice() < key)];
+            }
+            loop {
+                let Node::Leaf { mut entries, next } = self.load_node(pid)? else {
+                    panic!("a leaf's next is a leaf");
+                };
+                if entries.first().is_some_and(|(k, _)| k.as_slice() > key) {
+                    return Ok(false);
+                }
+                let before = entries.len();
+                entries.retain(|(k, o)| !(k.as_slice() == key && *o == oid));
+                if entries.len() < before {
+                    self.store_node(pid, &Node::Leaf { entries, next })?;
+                    let mut meta = self.meta()?;
+                    meta.entries = meta.entries.saturating_sub(1);
+                    meta.key_bytes = meta.key_bytes.saturating_sub(key.len() as u64);
+                    self.store_meta(&meta)?;
+                    return Ok(true);
+                }
+                if entries.last().is_some_and(|(k, _)| k.as_slice() > key) {
+                    return Ok(false);
+                }
+                match next {
+                    Some(n) => pid = n,
+                    None => return Ok(false),
+                }
+            }
+        }
+    }
+}
+
+/// The usable bytes of every page of `file`.
+fn pages_of(pool: &BufferPool, file: mood_storage::FileId) -> Vec<Vec<u8>> {
+    let n = pool.disk().page_count(file).unwrap();
+    let read = |pid| {
+        let page = |p: &mood_storage::Page| p.data[..PAGE_USABLE].to_vec();
+        pool.with_page(file, mood_storage::PageId(pid), mood_storage::AccessKind::Index, page)
+    };
+    (0..n).map(|pid| read(pid).unwrap()).collect()
+}
+
+/// The tree under test and its oracle, each on a pool of its own.
+struct Twins {
+    pool: Arc<BufferPool>,
+    tree: BTree,
+    old_pool: Arc<BufferPool>,
+    old: rebuild::Tree,
+}
+
+impl Twins {
+    fn new(unique: bool, frames: usize) -> Twins {
+        let (pool, old_pool) = (pool(frames), pool(frames));
+        let tree = BTree::create(pool.clone(), unique).unwrap();
+        let old = rebuild::Tree::create(old_pool.clone(), unique).unwrap();
+        Twins { pool, tree, old_pool, old }
+    }
+
+    fn insert(&self, key: &[u8], oid: Oid) -> mood_storage::Result<()> {
+        let got = self.tree.insert(key, oid);
+        assert_eq!(got, self.old.insert(key, oid), "insert {} bytes", key.len());
+        got
+    }
+
+    fn delete(&self, key: &[u8], oid: Oid) -> bool {
+        let got = self.tree.delete(key, oid).unwrap();
+        assert_eq!(got, self.old.delete(key, oid).unwrap(), "delete {} bytes", key.len());
+        got
+    }
+
+    /// Every page of the two files, byte for byte, and the statistics.
+    fn pages(&self) -> Vec<Vec<u8>> {
+        let (new, old) = (
+            pages_of(&self.pool, self.tree.file_id()),
+            pages_of(&self.old_pool, self.old.file),
+        );
+        assert_eq!(new.len(), old.len(), "page count");
+        for (pid, (a, b)) in new.iter().zip(&old).enumerate() {
+            if let Some(at) = (0..PAGE_USABLE).find(|&i| a[i] != b[i]) {
+                panic!("page {pid} differs first at byte {at}: {} vs {}", a[at], b[at]);
+            }
+        }
+        let (meta, stats) = (self.old.meta().unwrap(), self.tree.stats().unwrap());
+        assert_eq!(
+            (stats.levels, stats.leaves, stats.entries, stats.unique),
+            (meta.levels, meta.leaves, meta.entries, meta.unique)
+        );
+        new
+    }
+}
+
+/// A key from its shape: a leading byte (few values, so runs repeat) and a
+/// length that reaches the longest key a node takes, `PAGE_SIZE / 4` bytes
+/// with its length prefix and OID.
+fn shaped_key(lead: u8, len: usize) -> Vec<u8> {
+    let len = len.clamp(1, PAGE_SIZE / 4 - 2 - Oid::ENCODED_LEN);
+    (0..len).map(|i| if i == 0 { lead } else { (i as u8).wrapping_mul(lead) }).collect()
+}
+
+#[derive(Debug, Clone)]
+enum TwinOp {
+    Insert(u8, usize, u16),
+    /// Delete the `n`-th live entry (modulo their number), or a pair never
+    /// inserted when there is none.
+    Delete(usize),
+    Range(Interval),
+}
+
+fn twin_op(long: bool) -> impl Strategy<Value = TwinOp> {
+    let len = if long { 1..1010usize } else { 1..12usize };
+    let insert = (0u8..6, len, 0u16..40).prop_map(|(l, n, o)| TwinOp::Insert(l, n, o));
+    // Inserts twice as often as deletes, so the trees grow.
+    prop_oneof![
+        insert.clone(),
+        insert,
+        any::<usize>().prop_map(TwinOp::Delete),
+        interval().prop_map(TwinOp::Range),
+    ]
+}
+
+/// Run `ops` against the twins and a model (a sorted set of entries),
+/// checking the pages after every write, the walk against the model.
+fn run_twins(unique: bool, ops: &[TwinOp]) {
+    let twins = Twins::new(unique, 64);
+    let mut model: std::collections::BTreeSet<(Vec<u8>, Oid)> = Default::default();
+    let oid = |o: u16| {
+        let (file, page) = (mood_storage::FileId(3), mood_storage::PageId(o as u32));
+        Oid::new(file, page, mood_storage::SlotId(o), 1)
+    };
+    for op in ops {
+        match op {
+            TwinOp::Insert(lead, len, o) => {
+                let key = shaped_key(*lead, *len);
+                let entry = (key.clone(), oid(*o));
+                if model.contains(&entry) {
+                    continue;
+                }
+                let before = twins.pages();
+                match twins.insert(&key, entry.1) {
+                    Ok(()) => prop_assert!(model.insert(entry)),
+                    Err(mood_storage::StorageError::DuplicateKey) => {
+                        prop_assert!(unique && model.iter().any(|(k, _)| *k == key));
+                        prop_assert_eq!(twins.pages(), before, "a refused insert changes nothing");
+                    }
+                    Err(e) => panic!("{e}"),
+                }
+            }
+            TwinOp::Delete(n) => {
+                let entry = match model.iter().nth(n % model.len().max(1)) {
+                    Some(e) => e.clone(),
+                    None => (shaped_key(7, 3), oid(0)),
+                };
+                prop_assert_eq!(twins.delete(&entry.0, entry.1), model.remove(&entry));
+            }
+            TwinOp::Range(iv) => {
+                // Bounds are one- or two-byte keys: between and around the runs.
+                let bound =
+                    |b: Bound<u16>| b.map(|k| vec![(k % 8) as u8; 1 + (k as usize / 8) % 2]);
+                let (lo, hi) = (bound(iv.lo), bound(iv.hi));
+                let mut got = Vec::new();
+                let inclusive = |b: &Bound<Vec<u8>>| !matches!(b, Bound::Excluded(_));
+                let key = |b: &Bound<Vec<u8>>| match b {
+                    Bound::Unbounded => None,
+                    Bound::Included(k) | Bound::Excluded(k) => Some(k.clone()),
+                };
+                let (lo_key, hi_key) = (key(&lo), key(&hi));
+                let (lo_in, hi_in) = (inclusive(&lo), inclusive(&hi));
+                let visit = |k: &[u8], o| {
+                    got.push((k.to_vec(), o));
+                    true
+                };
+                let (lo_key, hi_key) = (lo_key.as_deref(), hi_key.as_deref());
+                twins.tree.range_scan(lo_key, lo_in, hi_key, hi_in, visit).unwrap();
+                prop_assert!(got.windows(2).all(|w| w[0].0 <= w[1].0), "keys ascend");
+                got.sort();
+                let range = (lo, hi);
+                let want: Vec<_> =
+                    model.iter().filter(|(k, _)| range.contains(k)).cloned().collect();
+                prop_assert_eq!(got, want);
+            }
+        }
+        twins.pages();
+    }
+    let stats = twins.tree.stats().unwrap();
+    let key_bytes: usize = model.iter().map(|(k, _)| k.len()).sum();
+    prop_assert_eq!(stats.entries, model.len() as u64);
+    prop_assert_eq!(stats.keysize as usize, key_bytes.checked_div(model.len()).unwrap_or(0));
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
+
+    /// Short keys from six runs: duplicate runs straddle leaves, separators
+    /// equal run keys, deletes empty leaves.
+    #[test]
+    fn in_place_writer_matches_the_rebuilding_one_on_short_keys(
+        unique in any::<bool>(),
+        ops in proptest::collection::vec(twin_op(false), 1..400),
+    ) {
+        run_twins(unique, &ops);
+    }
+
+    /// Keys up to the longest a node takes: three or four to a leaf and to
+    /// an internal node, so roots and internal nodes split within a few
+    /// dozen inserts.
+    #[test]
+    fn in_place_writer_matches_the_rebuilding_one_on_long_keys(
+        unique in any::<bool>(),
+        ops in proptest::collection::vec(twin_op(true), 1..200),
+    ) {
+        run_twins(unique, &ops);
+    }
+}
+
+/// Twelve whole-tree shapes — ascending, descending and hashed arrival ×
+/// unique and non-unique × fixed and variable key length — built, then
+/// thinned by deletes until some leaves are empty: the pages agree at both
+/// points.
+#[test]
+fn in_place_writer_matches_the_rebuilding_one_in_twelve_shapes() {
+    for order in 0..3u32 {
+        for unique in [true, false] {
+            for variable in [false, true] {
+                let twins = Twins::new(unique, 256);
+                let n = 3000u32;
+                let at = |i: u32| match order {
+                    0 => i,
+                    1 => n - 1 - i,
+                    _ => i * 1871 % n,
+                };
+                let key = |i: u32| {
+                    // Non-unique trees get runs of 50 equal keys.
+                    let k = if unique { i } else { i / 50 };
+                    let mut key = k.to_be_bytes().to_vec();
+                    if variable {
+                        key.resize(4 + (k as usize * 37) % 300, b'x');
+                    }
+                    key
+                };
+                let oid = |i: u32| {
+                    let (file, page) = (mood_storage::FileId(5), mood_storage::PageId(i));
+                    Oid::new(file, page, mood_storage::SlotId(0), 1)
+                };
+                for i in 0..n {
+                    twins.insert(&key(at(i)), oid(at(i))).unwrap();
+                }
+                let shape = format!("order {order}, unique {unique}, variable {variable}");
+                twins.pages();
+                assert!(twins.tree.stats().unwrap().levels >= 2, "{shape}");
+                // Every third entry, then a whole stretch: leaves empty out.
+                for i in (0..n).filter(|i| i % 3 == 0 || (1000..1600).contains(i)) {
+                    assert!(twins.delete(&key(i), oid(i)), "{shape}: {i}");
+                }
+                twins.pages();
+            }
+        }
+    }
+}
+
+/// A non-unique tree may hold one (key, oid) pair twice; a delete removes
+/// every copy in the leaf it finds and counts one entry, as the rebuilding
+/// writer's `retain` did.
+#[test]
+fn a_delete_removes_every_copy_of_its_pair_in_the_leaf() {
+    let twins = Twins::new(false, 16);
+    let o = oid_for(1, 1);
+    for k in [3u16, 1, 1, 2] {
+        twins.insert(&k.to_be_bytes(), o).unwrap();
+    }
+    assert!(twins.delete(&1u16.to_be_bytes(), o));
+    twins.pages();
+    assert!(twins.tree.lookup(&1u16.to_be_bytes()).unwrap().is_empty());
+    assert_eq!(twins.tree.len().unwrap(), 3);
 }
 
 // ---------------------------------------------------------------------

@@ -148,6 +148,82 @@ fn explain_gains_per_node_estimates() {
     assert!(plan.contains("BIND(Vehicle, v)"), "{plan}");
 }
 
+/// A FROM list the single-root optimizer cannot absorb runs as the nested
+/// loop, and `EXPLAIN` says so as `EXPLAIN ANALYZE` does, rather than print
+/// the plan of its first variable, a plan that never runs.
+#[test]
+fn explain_of_a_nested_loop_from_list_prints_the_fallback() {
+    let db = Mood::in_memory_with_pool(256);
+    db.execute("CREATE CLASS V TUPLE (id Integer, weight Integer)").unwrap();
+    db.execute("CREATE CLASS E TUPLE (size Integer, cylinders Integer)").unwrap();
+    for i in 0..20 {
+        db.execute(&format!("new V <{i}, {}>", 1000 + i * 50)).unwrap();
+        db.execute(&format!("new E <{}, {}>", 1000 + i * 100, 2 + (i % 4) * 2)).unwrap();
+    }
+    let sql = "SELECT v.id, e.size FROM V v, E e WHERE v.weight > 1500 AND e.cylinders = 2";
+    let Answer::Rows(rows) = db.execute(sql).unwrap() else { panic!("rows") };
+    assert_eq!(rows.len(), 45, "9 heavy V x 5 two-cylinder E");
+    let fallback = "-- nested-loop fallback (no per-operator plan)\n";
+    let analyzed = db.explain_analyze(sql).unwrap();
+    assert!(analyzed.contains(fallback), "{analyzed}");
+    let plan = db.explain(sql).unwrap();
+    assert!(plan.starts_with(fallback), "{plan}");
+    for operator in ["BIND(", "SELECT(", "-- Node estimates"] {
+        assert!(!plan.contains(operator), "no plan runs, none is shown:\n{plan}");
+    }
+    // The read sets are still shown: the loop binds whole objects.
+    assert!(plan.contains("-- Reads: e *") && plan.contains("-- Reads: v *"), "{plan}");
+}
+
+/// A scan of `FROM EVERY C [- D …]` reads every extent the hierarchy names,
+/// and its `BIND` is estimated over all of them: rows and pages are the sum
+/// over the extents the scan reads, not `C`'s own, and a sort over that
+/// input is estimated to spill when the sum outgrows the sort budget.
+#[test]
+fn a_bind_under_from_every_is_estimated_over_the_extents_it_reads() {
+    let db = Mood::in_memory_with_pool(1024);
+    for ddl in [
+        "CREATE CLASS Vehicle TUPLE (id Integer, weight Integer)",
+        "CREATE CLASS Automobile INHERITS FROM Vehicle",
+        "CREATE CLASS JapaneseAuto INHERITS FROM Automobile",
+    ] {
+        db.execute(ddl).unwrap();
+    }
+    // 80 + 300 + 300: EVERY Vehicle is 8.5 times Vehicle's own extent, and
+    // less JapaneseAuto 4.75 times.
+    for (class, n) in [("Vehicle", 80), ("Automobile", 300), ("JapaneseAuto", 300)] {
+        for i in 0..n {
+            db.execute(&format!("new {class} <{i}, {}>", 1000 + (i * 37) % 900)).unwrap();
+        }
+    }
+    db.collect_stats().unwrap();
+    let config = OptimizerConfig::paper();
+    let config = OptimizerConfig {
+        execution: config.execution.with_sort_budget(200),
+        ..config
+    };
+    let ex = Executor::new(db.catalog(), db.funcman()).with_config(config);
+    let off = |est: f64, act: u64| (est / act as f64).max(act as f64 / est);
+    for (sql, rows) in [
+        ("SELECT v.id FROM EVERY Vehicle v", 680),
+        ("SELECT v.id FROM EVERY Vehicle - JapaneseAuto v", 380),
+        ("SELECT v.id FROM EVERY Vehicle v ORDER BY v.weight, v.id", 680),
+    ] {
+        let report = ex.analyze(&select_stmt(sql)).unwrap();
+        assert_eq!(report.result.rows.len(), rows, "{sql}");
+        let nodes = &report.terms[0].nodes;
+        let bind = nodes.iter().find(|n| n.est.label.starts_with("BIND(")).expect("a BIND");
+        let act = bind.actual.expect("the scan reports actuals").rows;
+        assert_eq!(act, rows as u64, "{sql}");
+        assert!(off(bind.est.rows, act) <= 1.1, "{sql}: {:?} vs {act}", bind.est);
+        // The hierarchy outgrows the 200-row budget: the sort spills.
+        if sql.contains("ORDER BY") {
+            let sort = report.stages.iter().find(|s| s.name == "ORDER BY").expect("ORDER BY");
+            assert!(sort.delta.writes > 0, "{sql}: {:?}", sort.delta);
+        }
+    }
+}
+
 #[test]
 fn explain_analyze_through_sql_statement() {
     let db = build(1024);
