@@ -104,11 +104,11 @@ pub fn bind_class(
         objs.push(Obj::stored(oid, v));
         true
     };
-    if every {
-        catalog.extent_every_with(class, minus, AccessHint::Sequential, &mut push)?;
-    } else {
-        catalog.extent_with(class, AccessHint::Sequential, &mut push)?;
-    }
+    let classes = match every {
+        true => catalog.every_classes(class, minus),
+        false => vec![class.to_string()],
+    };
+    catalog.extent_fields_with(&classes, &FieldSet::All, AccessHint::Sequential, &mut push)?;
     Ok(Collection::Extent(objs))
 }
 

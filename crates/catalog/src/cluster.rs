@@ -1,16 +1,15 @@
 //! Adaptive clustering (Darmont-style heap reorganization): `CLUSTER`
 //! rewrites a class's extent in the order a forward chase over one of its
 //! reference attributes visits the targets, remaps every reference and
-//! index onto the moved OIDs, and defers dropping the replaced files to
-//! after commit.
+//! index onto the moved OIDs, and retires the replaced files like any DDL
+//! (dropped after commit).
 
 use std::collections::HashMap;
-use std::sync::Arc;
 
-use mood_datamodel::{encode_key, FieldSet, Value};
+use mood_datamodel::{FieldSet, Value};
 use mood_storage::{AccessHint, FileId, Metric, Oid};
 
-use crate::{Catalog, CatalogError, IndexInfo, IndexKey, Result, TypeId};
+use crate::{Catalog, CatalogError, Result, TypeId};
 
 impl Catalog {
     /// Rewrite `class`'s own extent in referencing-traversal order: objects
@@ -151,19 +150,17 @@ impl Catalog {
         }
 
         // 5. Swap the extent pointer (persisted), fix the reverse map and
-        // named objects, queue the old file for post-commit dropping.
+        // named objects, retire the old file.
         {
             let mut inner = self.inner.write();
-            let mut def = inner
+            let def = inner
                 .classes
-                .get(class)
-                .cloned()
+                .get_mut(class)
                 .ok_or_else(|| CatalogError::UnknownClass(class.to_string()))?;
             def.extent = Some(new_file);
-            inner.classes.insert(class.to_string(), def.clone());
             inner.extent_class.remove(&old_file);
             inner.extent_class.insert(new_file, class.to_string());
-            inner.store.save_class(&def)?;
+            inner.save(class)?;
             for oid in inner.named.values_mut() {
                 if let Some(n) = map.get(oid) {
                     *oid = *n;
@@ -188,15 +185,8 @@ impl Catalog {
                             .map(|x| !x.ty.is_atomic())
                     })
                     .unwrap_or(false);
-            if info.class != class && !is_path && !ref_keyed {
-                continue;
-            }
-            if is_path {
-                let segs: Vec<String> =
-                    info.attribute.split('.').map(String::from).collect();
-                self.rebuild_path_index_deferred(&info.class, &segs)?;
-            } else {
-                self.rebuild_attr_index(&info)?;
+            if info.class == class || is_path || ref_keyed {
+                self.build_index(&info.class, &info.attribute, info.unique)?;
             }
         }
 
@@ -217,124 +207,6 @@ impl Catalog {
             moved,
             factor,
         })
-    }
-
-    /// Rebuild an attribute index into a fresh file, deferring the old
-    /// file's physical drop to [`Catalog::reap_pending_drops`].
-    fn rebuild_attr_index(&self, info: &IndexInfo) -> Result<()> {
-        let new_file = self.sm.create_btree(info.unique)?.file_id();
-        {
-            let mut inner = self.inner.write();
-            let key = (info.class.as_str(), info.attribute.as_str());
-            let old = inner
-                .indexes
-                .get_mut(&key as &dyn IndexKey)
-                .map(|i| std::mem::replace(&mut Arc::make_mut(i).file, new_file));
-            if let Some(old) = old {
-                inner.pending_drops.push(old);
-            }
-        }
-        let mut rebuilt = info.clone();
-        rebuilt.file = new_file;
-        let mut first_err: Option<CatalogError> = None;
-        self.extent_with(&info.class, AccessHint::Sequential, &mut |oid, value| {
-            match self.index_insert_one(&rebuilt, &value, oid) {
-                Ok(()) => true,
-                Err(e) => {
-                    first_err = Some(e);
-                    false
-                }
-            }
-        })?;
-        if let Some(e) = first_err {
-            return Err(e);
-        }
-        Ok(())
-    }
-
-    /// [`Catalog::rebuild_path_index`] variant that defers the old file's
-    /// drop (used inside the clustering transaction, where an eager drop
-    /// would not survive a rollback).
-    fn rebuild_path_index_deferred(&self, class: &str, path: &[String]) -> Result<()> {
-        let dotted = path.join(".");
-        let info = self
-            .index(class, &dotted)
-            .ok_or_else(|| CatalogError::UnknownIndex {
-                class: class.to_string(),
-                attribute: dotted.clone(),
-            })?;
-        self.rebuild_attr_index(&IndexInfo {
-            attribute: dotted.clone(),
-            ..IndexInfo::clone(&info)
-        })
-        .and_then(|()| {
-            // rebuild_attr_index indexed nothing (a dotted attribute never
-            // matches a tuple field); traverse the path into the new file.
-            let fresh = self
-                .index(class, &dotted)
-                .ok_or_else(|| CatalogError::UnknownIndex {
-                    class: class.to_string(),
-                    attribute: dotted.clone(),
-                })?;
-            let tree = self.sm.open_btree(fresh.file);
-            let mut first_err: Option<CatalogError> = None;
-            self.extent_every_with(class, &[], AccessHint::Sequential, &mut |root, value| {
-                let res = (|| -> Result<()> {
-                    for terminal in self.traverse_path(&value, path)? {
-                        if terminal.is_null() {
-                            continue;
-                        }
-                        let key =
-                            encode_key(&terminal).map_err(|_| CatalogError::NotAtomic {
-                                class: class.to_string(),
-                                attribute: dotted.clone(),
-                            })?;
-                        tree.insert(&key, root)?;
-                    }
-                    Ok(())
-                })();
-                match res {
-                    Ok(()) => true,
-                    Err(e) => {
-                        first_err = Some(e);
-                        false
-                    }
-                }
-            })?;
-            match first_err {
-                Some(e) => Err(e),
-                None => Ok(()),
-            }
-        })
-    }
-
-    /// Physically drop the files replaced by a committed reorganization.
-    /// Call after the surrounding transaction commits; a no-op otherwise.
-    ///
-    /// The WAL may still carry committed page images for the files about
-    /// to disappear, and recovery cannot replay onto a dropped file id —
-    /// so the log is checkpointed (flushed and truncated) first. If the
-    /// checkpoint fails the files stay queued for a later reap: an
-    /// unreclaimed extent is a leak, an unrecoverable log is corruption.
-    pub fn reap_pending_drops(&self) {
-        let files: Vec<FileId> = std::mem::take(&mut self.inner.write().pending_drops);
-        if files.is_empty() {
-            return;
-        }
-        if self.sm.checkpoint().is_err() {
-            self.inner.write().pending_drops.extend(files);
-            return;
-        }
-        for f in files {
-            self.sm.forget_index(f);
-            self.sm.pool().discard_file(f);
-            let _ = self.sm.pool().disk().drop_file(f);
-        }
-    }
-
-    /// Files currently queued for post-commit dropping (tests/telemetry).
-    pub fn pending_drop_count(&self) -> usize {
-        self.inner.read().pending_drops.len()
     }
 }
 

@@ -13,6 +13,15 @@
 //! * secondary B+-tree indexes with automatic maintenance;
 //! * the statistics of Table 8/9, collectable by scan or injectable for the
 //!   paper's worked examples ([`stats`]).
+//!
+//! One rule governs files. The catalog's pages ([`persist`]) are the only
+//! record of which file serves what — extents and index registrations
+//! alike — and every DDL rewrites them inside its own transaction, so a
+//! rolled-back DDL is undone by the page rollback and one loader
+//! ([`Catalog::reload_schema`]). A file a DDL stops using (a dropped
+//! class's extent and indexes, a dropped index, a rebuilt index's or a
+//! reorganized extent's old file) is retired: queued, and dropped only by
+//! [`Catalog::reap_pending_drops`] after the transaction commits.
 
 mod cluster;
 pub mod error;
@@ -42,8 +51,9 @@ use mood_storage::{AccessHint, FileId, Oid, StorageManager};
 
 use cluster::chase_locality;
 
-/// A registered secondary index on (class, attribute): a B+-tree.
-#[derive(Debug, Clone)]
+/// A registered secondary index on (class, attribute): a B+-tree. A
+/// dotted attribute is a path index.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct IndexInfo {
     pub class: String,
     pub attribute: String,
@@ -100,13 +110,52 @@ struct Inner {
     indexes: HashMap<(String, String), Arc<IndexInfo>>,
     stats: DatabaseStats,
     named: HashMap<String, Oid>,
-    /// Files replaced by an in-flight reorganization (old extents, old
-    /// index files). They must survive until the surrounding transaction
-    /// commits — recovery after a crash, or a rollback, still needs their
-    /// bytes — so the physical drop is deferred to
-    /// [`Catalog::reap_pending_drops`] and cancelled by
-    /// [`Catalog::reload_schema`].
+    /// Files a DDL retired (extents, index files). They must survive until
+    /// the transaction that retired them commits — a rollback, or recovery
+    /// after a crash, still needs their bytes — so the physical drop waits
+    /// for [`Catalog::reap_pending_drops`]; a reload cancels the drop of
+    /// every file the pages reference again.
     pending_drops: Vec<FileId>,
+}
+
+impl Inner {
+    /// The one loader: rebuild the classes, type ids, extent map and index
+    /// registry from the catalog's pages. `next_type_id` never moves back,
+    /// so an id a rolled-back DDL consumed is never reissued; statistics
+    /// and named objects are advisory and stay.
+    fn load(&mut self) -> Result<()> {
+        let (defs, indexes) = self.store.load_all()?;
+        self.classes.clear();
+        self.by_id.clear();
+        self.extent_class.clear();
+        for def in defs {
+            self.next_type_id = self.next_type_id.max(def.type_id + 1);
+            self.by_id.insert(def.type_id, def.name.clone());
+            if let Some(f) = def.extent {
+                self.extent_class.insert(f, def.name.clone());
+            }
+            self.classes.insert(def.name.clone(), def);
+        }
+        let key = |i: &IndexInfo| (i.class.clone(), i.attribute.clone());
+        self.indexes = indexes.into_iter().map(|i| (key(&i), Arc::new(i))).collect();
+        let (extents, indexes) = (&self.extent_class, &self.indexes);
+        self.pending_drops
+            .retain(|f| !extents.contains_key(f) && !indexes.values().any(|i| i.file == *f));
+        Ok(())
+    }
+
+    /// Persist `class`'s records — its definition and the indexes declared
+    /// on it — inside the caller's transaction.
+    fn save(&mut self, class: &str) -> Result<()> {
+        let def = self
+            .classes
+            .get(class)
+            .ok_or_else(|| CatalogError::UnknownClass(class.to_string()))?;
+        let mut indexes: Vec<&IndexInfo> =
+            self.indexes.values().filter(|i| i.class == class).map(|i| &**i).collect();
+        indexes.sort_by(|a, b| a.attribute.cmp(&b.attribute));
+        self.store.save_class(def, &indexes)
+    }
 }
 
 /// The MOOD catalog: symbol table + extents + indexes + statistics.
@@ -125,7 +174,20 @@ impl Catalog {
     /// Create a fresh catalog on `sm`.
     pub fn create(sm: Arc<StorageManager>) -> Result<Catalog> {
         let store = CatalogStore::create(&sm)?;
-        Ok(Catalog {
+        Ok(Self::over(sm, store))
+    }
+
+    /// Reopen a catalog persisted at `root`.
+    pub fn open(sm: Arc<StorageManager>, root: CatalogRoot) -> Result<Catalog> {
+        let store = CatalogStore::open(&sm, root);
+        let catalog = Self::over(sm, store);
+        catalog.inner.write().load()?;
+        Ok(catalog)
+    }
+
+    /// An empty catalog over `store`'s files.
+    fn over(sm: Arc<StorageManager>, store: CatalogStore) -> Catalog {
+        Catalog {
             sm,
             inner: RwLock::new(Inner {
                 classes: hierarchy::ClassMap::new(),
@@ -139,40 +201,7 @@ impl Catalog {
                 pending_drops: Vec::new(),
             }),
             epoch: AtomicU64::new(0),
-        })
-    }
-
-    /// Reopen a catalog persisted at `root`.
-    pub fn open(sm: Arc<StorageManager>, root: CatalogRoot) -> Result<Catalog> {
-        let mut store = CatalogStore::open(&sm, root);
-        let defs = store.load_all()?;
-        let mut classes = hierarchy::ClassMap::new();
-        let mut by_id = HashMap::new();
-        let mut extent_class = HashMap::new();
-        let mut next = 1;
-        for def in defs {
-            next = next.max(def.type_id + 1);
-            by_id.insert(def.type_id, def.name.clone());
-            if let Some(f) = def.extent {
-                extent_class.insert(f, def.name.clone());
-            }
-            classes.insert(def.name.clone(), def);
         }
-        Ok(Catalog {
-            sm,
-            inner: RwLock::new(Inner {
-                classes,
-                by_id,
-                extent_class,
-                next_type_id: next,
-                store,
-                indexes: HashMap::new(),
-                stats: DatabaseStats::new(),
-                named: HashMap::new(),
-                pending_drops: Vec::new(),
-            }),
-            epoch: AtomicU64::new(0),
-        })
     }
 
     pub fn storage(&self) -> &Arc<StorageManager> {
@@ -194,40 +223,47 @@ impl Catalog {
         self.inner.read().store.root()
     }
 
-    /// Rebuild the in-memory schema maps from the persisted catalog pages.
+    /// Rebuild the in-memory schema — classes, type ids, extent map, index
+    /// registry — from the persisted catalog pages.
     ///
     /// Called after a rolled-back DDL autocommit: the pages are back to
-    /// their pre-statement contents, but the maps may have partially moved.
-    /// The index registry is pruned of classes that no longer exist;
-    /// statistics and the naming map survive (both are advisory).
-    /// `next_type_id` stays monotonic so an id consumed by the failed DDL
-    /// is never reissued.
+    /// their pre-statement contents, but the maps may have moved. A file
+    /// the DDL retired is referenced by the pages again and no longer
+    /// queued for dropping; one it created is referenced by nothing.
     pub fn reload_schema(&self) -> Result<()> {
-        let mut inner = self.inner.write();
-        let defs = inner.store.load_all()?;
-        let mut classes = hierarchy::ClassMap::new();
-        let mut by_id = HashMap::new();
-        let mut extent_class = HashMap::new();
-        let mut next = inner.next_type_id;
-        for def in defs {
-            next = next.max(def.type_id + 1);
-            by_id.insert(def.type_id, def.name.clone());
-            if let Some(f) = def.extent {
-                extent_class.insert(f, def.name.clone());
-            }
-            classes.insert(def.name.clone(), def);
-        }
-        inner.indexes.retain(|(class, _), _| classes.contains_key(class));
-        // A rolled-back reorganization restored the old extents: the files
-        // queued for dropping are live again.
-        inner.pending_drops.clear();
-        inner.classes = classes;
-        inner.by_id = by_id;
-        inner.extent_class = extent_class;
-        inner.next_type_id = next;
-        drop(inner);
+        self.inner.write().load()?;
         self.bump_epoch();
         Ok(())
+    }
+
+    /// Physically drop the files retired by committed DDL. Call after the
+    /// transaction commits: a file is never dropped on rollback, since
+    /// after an ambiguous commit recovery may still replay it.
+    ///
+    /// The WAL may still carry committed page images for the files about
+    /// to disappear, and recovery cannot replay onto a dropped file id —
+    /// so the log is checkpointed (flushed and truncated) first. If the
+    /// checkpoint fails the files stay queued for a later reap: an
+    /// unreclaimed file is a leak, an unrecoverable log is corruption.
+    pub fn reap_pending_drops(&self) {
+        let files: Vec<FileId> = std::mem::take(&mut self.inner.write().pending_drops);
+        if files.is_empty() {
+            return;
+        }
+        if self.sm.checkpoint().is_err() {
+            self.inner.write().pending_drops.extend(files);
+            return;
+        }
+        for f in files {
+            self.sm.forget_index(f);
+            self.sm.pool().discard_file(f);
+            let _ = self.sm.pool().disk().drop_file(f);
+        }
+    }
+
+    /// Files currently queued for post-commit dropping (tests/telemetry).
+    pub fn pending_drop_count(&self) -> usize {
+        self.inner.read().pending_drops.len()
     }
 
     // ------------------------------------------------------------------
@@ -264,15 +300,17 @@ impl Catalog {
         if let Some(f) = extent {
             inner.extent_class.insert(f, name.clone());
         }
-        inner.store.save_class(&def)?;
+        inner.save(&name)?;
         drop(inner);
         self.bump_epoch();
         Ok(def)
     }
 
-    /// Drop a class. Refuses while subclasses exist.
+    /// Drop a class. Refuses while subclasses exist. Its extent and index
+    /// files are retired, dropped after commit.
     pub fn drop_class(&self, name: &str) -> Result<()> {
-        let mut inner = self.inner.write();
+        let mut guard = self.inner.write();
+        let inner = &mut *guard;
         if !inner.classes.contains_key(name) {
             return Err(CatalogError::UnknownClass(name.to_string()));
         }
@@ -285,20 +323,18 @@ impl Catalog {
         inner.by_id.remove(&def.type_id);
         if let Some(f) = def.extent {
             inner.extent_class.remove(&f);
-            self.sm.pool().discard_file(f);
-            let _ = self.sm.pool().disk().drop_file(f);
+            inner.pending_drops.push(f);
         }
+        let retired = &mut inner.pending_drops;
         inner.indexes.retain(|(c, _), info| {
-            if c == name {
-                self.sm.forget_index(info.file);
-                let _ = self.sm.pool().disk().drop_file(info.file);
-                false
-            } else {
-                true
+            let keep = c != name;
+            if !keep {
+                retired.push(info.file);
             }
+            keep
         });
         inner.store.delete_class(name)?;
-        drop(inner);
+        drop(guard);
         self.bump_epoch();
         Ok(())
     }
@@ -311,7 +347,7 @@ impl Catalog {
             .cloned()
             .ok_or_else(|| CatalogError::UnknownClass(name.to_string()))?;
         f(&mut def)?;
-        inner.classes.insert(name.to_string(), def.clone());
+        let orig = inner.classes.insert(name.to_string(), def).expect("cloned above");
         // Re-validate inheritance for the whole affected subtree.
         let mut to_check: Vec<String> = vec![name.to_string()];
         to_check.extend(
@@ -321,13 +357,11 @@ impl Catalog {
         );
         for c in &to_check {
             if let Err(e) = hierarchy::effective_attributes(&inner.classes, c) {
-                // Roll back.
-                let orig = inner.store.load_all()?;
-                inner.classes = orig.into_iter().map(|d| (d.name.clone(), d)).collect();
+                inner.classes.insert(name.to_string(), orig);
                 return Err(e);
             }
         }
-        inner.store.save_class(&def)?;
+        inner.save(name)?;
         drop(inner);
         self.bump_epoch();
         Ok(())
@@ -593,12 +627,6 @@ impl Catalog {
     /// name (from the stored type id, so subclass instances report their
     /// *dynamic* type — late binding needs this) and the value.
     pub fn get_object(&self, oid: Oid) -> Result<(String, Value)> {
-        self.get_object_fields(oid, &FieldSet::All)
-    }
-
-    /// [`get_object`](Self::get_object) decoding only the fields the caller
-    /// reads: the same heap access, a smaller value.
-    pub fn get_object_fields(&self, oid: Oid, fields: &FieldSet) -> Result<(String, Value)> {
         let class = self
             .inner
             .read()
@@ -609,7 +637,7 @@ impl Catalog {
                 mood_storage::StorageError::DanglingOid(oid),
             ))?;
         let heap = self.sm.open_heap(oid.file);
-        let (type_id, value) = Self::decode_object(oid, &heap.get(oid)?, fields)?;
+        let (type_id, value) = Self::decode_object(oid, &heap.get(oid)?, &FieldSet::All)?;
         // Prefer the stored (dynamic) type name when it resolves.
         let name = self.type_name(type_id).unwrap_or(class);
         Ok((name, value))
@@ -788,7 +816,8 @@ impl Catalog {
     /// operator).
     pub fn extent_every(&self, class: &str, minus: &[String]) -> Result<Vec<(Oid, Value)>> {
         let mut out = Vec::new();
-        self.extent_every_with(class, minus, AccessHint::Sequential, &mut |oid, v| {
+        let classes = self.every_classes(class, minus);
+        self.extent_fields_with(&classes, &FieldSet::All, AccessHint::Sequential, &mut |oid, v| {
             out.push((oid, v));
             true
         })?;
@@ -822,20 +851,6 @@ impl Catalog {
     pub fn extent_files(&self, classes: &[String]) -> Vec<FileId> {
         let inner = self.inner.read();
         classes.iter().filter_map(|c| inner.classes.get(c)?.extent).collect()
-    }
-
-    /// Streaming form of [`extent_every`](Self::extent_every): visits the
-    /// class's own extent, then each (non-excluded) subclass extent, in
-    /// order, without materializing a combined vector.
-    pub fn extent_every_with(
-        &self,
-        class: &str,
-        minus: &[String],
-        hint: AccessHint,
-        visit: &mut dyn FnMut(Oid, Value) -> bool,
-    ) -> Result<()> {
-        let classes = self.every_classes(class, minus);
-        self.extent_fields_with(&classes, &FieldSet::All, hint, visit)
     }
 
     /// Count of a class's own extent.
@@ -879,67 +894,85 @@ impl Catalog {
                 attribute: attribute.to_string(),
             });
         }
-        {
-            let inner = self.inner.read();
-            if inner.indexes.contains_key(&(class, attribute) as &dyn IndexKey) {
-                return Err(CatalogError::DuplicateIndex {
-                    class: class.to_string(),
-                    attribute: attribute.to_string(),
-                });
-            }
+        self.check_unindexed(class, attribute)?;
+        self.build_index(class, attribute, unique)
+    }
+
+    /// Refuse a second index on (class, attribute).
+    fn check_unindexed(&self, class: &str, attribute: &str) -> Result<()> {
+        match self.index(class, attribute) {
+            Some(_) => Err(CatalogError::DuplicateIndex {
+                class: class.to_string(),
+                attribute: attribute.to_string(),
+            }),
+            None => Ok(()),
         }
+    }
+
+    /// Drop an index; its file is retired, dropped after commit. The
+    /// statistics forget it in the same call: a plan built before the next
+    /// `collect_stats` must not probe a file that is gone.
+    pub fn drop_index(&self, class: &str, attribute: &str) -> Result<()> {
+        let mut inner = self.inner.write();
+        let info = inner
+            .indexes
+            .remove(&(class, attribute) as &dyn IndexKey)
+            .ok_or_else(|| CatalogError::UnknownIndex {
+                class: class.to_string(),
+                attribute: attribute.to_string(),
+            })?;
+        inner.stats.remove_index(class, attribute);
+        inner.pending_drops.push(info.file);
+        inner.save(class)?;
+        drop(inner);
+        self.bump_epoch();
+        Ok(())
+    }
+
+    /// The one index builder: fill a fresh B+-tree from the extents, then
+    /// register it — persisted in the class's catalog record — in place of
+    /// any earlier file for (class, attribute), which is retired. An
+    /// attribute indexes its class's own extent (the per-extent indexing
+    /// ESM provided); a dotted path indexes the class and its subclasses,
+    /// whose instances share the inherited path, under each root OID.
+    /// Streamed: one object in memory at a time, decoded to the path's
+    /// first attribute. A build that fails registers nothing.
+    fn build_index(&self, class: &str, attribute: &str, unique: bool) -> Result<IndexInfo> {
+        let tree = self.sm.create_btree(unique)?;
         let info = IndexInfo {
             class: class.to_string(),
             attribute: attribute.to_string(),
             unique,
-            file: self.sm.create_btree(unique)?.file_id(),
+            file: tree.file_id(),
         };
-        self.inner
-            .write()
-            .indexes
-            .insert((class.to_string(), attribute.to_string()), Arc::new(info.clone()));
-        // Build from the existing extent (and subclass extents share the
-        // attribute, but each class's index covers its own extent only —
-        // matching the per-extent indexing ESM provided). Streamed: the
-        // build never holds more than one object in memory.
-        let mut first_err: Option<CatalogError> = None;
-        self.extent_with(class, AccessHint::Sequential, &mut |oid, value| {
-            match self.index_insert_one(&info, &value, oid) {
-                Ok(()) => true,
-                Err(e) => {
-                    first_err = Some(e);
-                    false
+        let path: Vec<String> = attribute.split('.').map(str::to_string).collect();
+        let classes = match path.len() {
+            1 => vec![class.to_string()],
+            _ => self.every_classes(class, &[]),
+        };
+        let (fields, mut value) = (FieldSet::Only(vec![path[0].clone()]), Value::Null);
+        let mut failed = None;
+        self.extent_records_with(&classes, AccessHint::Sequential, &mut |oid, bytes| {
+            let indexed = Self::decode_into(oid, bytes, &fields, &mut value).and_then(|_| {
+                let terminals = self.traverse_path(&value, &path);
+                for terminal in terminals.iter().filter(|t| !t.is_null()) {
+                    tree.insert(&Self::index_bound(&info, terminal)?, oid)?;
                 }
-            }
+                Ok(())
+            });
+            failed = indexed.err();
+            failed.is_none()
         })?;
-        if let Some(e) = first_err {
-            return Err(e);
+        failed.map_or(Ok(()), Err)?;
+        let mut inner = self.inner.write();
+        let key = (info.class.clone(), info.attribute.clone());
+        if let Some(old) = inner.indexes.insert(key, Arc::new(info.clone())) {
+            inner.pending_drops.push(old.file);
         }
+        inner.save(class)?;
+        drop(inner);
         self.bump_epoch();
         Ok(info)
-    }
-
-    /// Drop an index. The statistics forget it in the same call: a plan
-    /// built before the next `collect_stats` must not probe a file that is
-    /// gone.
-    pub fn drop_index(&self, class: &str, attribute: &str) -> Result<()> {
-        let info = {
-            let mut inner = self.inner.write();
-            let info = inner
-                .indexes
-                .remove(&(class, attribute) as &dyn IndexKey)
-                .ok_or_else(|| CatalogError::UnknownIndex {
-                    class: class.to_string(),
-                    attribute: attribute.to_string(),
-                })?;
-            inner.stats.remove_index(class, attribute);
-            info
-        };
-        self.sm.forget_index(info.file);
-        self.sm.pool().discard_file(info.file);
-        let _ = self.sm.pool().disk().drop_file(info.file);
-        self.bump_epoch();
-        Ok(())
     }
 
     // ------------------------------------------------------------------
@@ -993,33 +1026,12 @@ impl Catalog {
             }
         }
         let dotted = path.join(".");
-        {
-            let inner = self.inner.read();
-            if inner.indexes.contains_key(&(class, dotted.as_str()) as &dyn IndexKey) {
-                return Err(CatalogError::DuplicateIndex {
-                    class: class.to_string(),
-                    attribute: dotted,
-                });
-            }
-        }
-        let tree = self.sm.create_btree(false)?;
-        let info = IndexInfo {
-            class: class.to_string(),
-            attribute: dotted.clone(),
-            unique: false,
-            file: tree.file_id(),
-        };
-        self.inner
-            .write()
-            .indexes
-            .insert((class.to_string(), dotted), Arc::new(info.clone()));
-        self.rebuild_path_index(class, path)?;
-        self.bump_epoch();
-        Ok(info)
+        self.check_unindexed(class, &dotted)?;
+        self.build_index(class, &dotted, false)
     }
 
-    /// Rebuild a path index from the current extents: clear and re-traverse
-    /// every root object forward along the path.
+    /// Rebuild a path index from the current extents into a fresh file,
+    /// re-traversing every root object forward along the path.
     pub fn rebuild_path_index(&self, class: &str, path: &[String]) -> Result<()> {
         let dotted = path.join(".");
         let info = self
@@ -1028,79 +1040,29 @@ impl Catalog {
                 class: class.to_string(),
                 attribute: dotted.clone(),
             })?;
-        // Recreate the tree file (cheapest "clear").
-        let fresh = self.sm.create_btree(false)?;
-        let new_file = fresh.file_id();
-        {
-            let mut inner = self.inner.write();
-            if let Some(i) = inner.indexes.get_mut(&(class, dotted.as_str()) as &dyn IndexKey) {
-                let old = std::mem::replace(&mut Arc::make_mut(i).file, new_file);
-                self.sm.forget_index(old);
-                self.sm.pool().discard_file(old);
-                let _ = self.sm.pool().disk().drop_file(old);
-            }
-        }
-        let tree = self.sm.open_btree(new_file);
-        // `every`: subclass instances share inherited paths. Streamed, one
-        // root object at a time.
-        let mut first_err: Option<CatalogError> = None;
-        self.extent_every_with(class, &[], AccessHint::Sequential, &mut |root_oid, value| {
-            let res = (|| -> Result<()> {
-                for terminal in self.traverse_path(&value, path)? {
-                    if terminal.is_null() {
-                        continue;
-                    }
-                    let key = encode_key(&terminal).map_err(|_| CatalogError::NotAtomic {
-                        class: class.to_string(),
-                        attribute: dotted.clone(),
-                    })?;
-                    tree.insert(&key, root_oid)?;
-                }
-                Ok(())
-            })();
-            match res {
-                Ok(()) => true,
-                Err(e) => {
-                    first_err = Some(e);
-                    false
-                }
-            }
-        })?;
-        if let Some(e) = first_err {
-            return Err(e);
-        }
-        let _ = info;
-        Ok(())
+        self.build_index(class, &dotted, info.unique).map(drop)
     }
 
-    /// Forward-traverse `path` from `value`, fanning out through set/list
-    /// reference attributes; returns the terminal values reached.
-    fn traverse_path(&self, value: &Value, path: &[String]) -> Result<Vec<Value>> {
-        let mut frontier = vec![value.clone()];
-        for (i, seg) in path.iter().enumerate() {
+    /// The values `path` reaches from `value`: each hop dereferences a
+    /// reference, fanning out through set/list reference attributes.
+    fn traverse_path(&self, value: &Value, path: &[String]) -> Vec<Value> {
+        let mut frontier: Vec<Value> = value.field(&path[0]).cloned().into_iter().collect();
+        for seg in &path[1..] {
             let mut next = Vec::new();
-            for v in frontier {
-                let Some(field) = v.field(seg) else { continue };
-                if i + 1 == path.len() {
-                    next.push(field.clone());
-                    continue;
-                }
-                let oids: Vec<Oid> = match field {
-                    Value::Ref(o) => vec![*o],
-                    Value::Set(items) | Value::List(items) => {
-                        items.iter().filter_map(|x| x.as_oid()).collect()
-                    }
-                    _ => Vec::new(),
+            for v in &frontier {
+                let refs = match v {
+                    Value::Set(items) | Value::List(items) => items.as_slice(),
+                    v => std::slice::from_ref(v),
                 };
-                for oid in oids {
+                for oid in refs.iter().filter_map(Value::as_oid) {
                     if let Ok((_, target)) = self.get_object(oid) {
-                        next.push(target);
+                        next.extend(target.field(seg).cloned());
                     }
                 }
             }
             frontier = next;
         }
-        Ok(frontier)
+        frontier
     }
 
     /// Registered index on (class, attribute), if any: the registration
@@ -1130,31 +1092,17 @@ impl Catalog {
     /// indexed there: nulls are not indexed, and path indexes (dotted
     /// attribute) are rebuilt, not maintained per object.
     fn index_key(info: &IndexInfo, value: &Value) -> Result<Option<Vec<u8>>> {
-        match value.field(&info.attribute) {
-            Some(field) if !field.is_null() => {
-                encode_key(field)
-                    .map(Some)
-                    .map_err(|_| CatalogError::NotAtomic {
-                        class: info.class.clone(),
-                        attribute: info.attribute.clone(),
-                    })
-            }
-            _ => Ok(None),
-        }
+        let field = value.field(&info.attribute).filter(|f| !f.is_null());
+        field.map(|f| Self::index_bound(info, f)).transpose()
     }
 
     fn index_insert(&self, class: &str, value: &Value, oid: Oid) -> Result<()> {
         for info in self.class_indexes(class) {
-            self.index_insert_one(&info, value, oid)?;
+            if let Some(key) = Self::index_key(&info, value)? {
+                self.index_insert_key(&info, &key, oid)?;
+            }
         }
         Ok(())
-    }
-
-    fn index_insert_one(&self, info: &IndexInfo, value: &Value, oid: Oid) -> Result<()> {
-        match Self::index_key(info, value)? {
-            Some(key) => self.index_insert_key(info, &key, oid),
-            None => Ok(()),
-        }
     }
 
     fn index_insert_key(&self, info: &IndexInfo, key: &[u8], oid: Oid) -> Result<()> {
@@ -1629,7 +1577,6 @@ mod tests {
             let (_, whole) = cat.get_object(*oid).unwrap();
             assert_eq!(value.field("id"), whole.field("id"));
             assert_eq!(value.field("weight"), None);
-            assert_eq!(cat.get_object_fields(*oid, &only_id).unwrap().1, *value);
         }
     }
 

@@ -4,8 +4,14 @@
 //! class/type), one of `MoodsAttribute` records (one per attribute), one of
 //! `MoodsFunction` records (one per method signature). Attribute and
 //! function records carry their class's name, mirroring the OID cross-links
-//! in the paper's figure. On open, the three files are scanned and the
-//! in-memory symbol table rebuilt.
+//! in the paper's figure. A `MoodsType` record ends with the indexes
+//! declared on its class, each `(attribute, unique, file)`; a record
+//! without them (written before indexes were persisted) has none.
+//!
+//! These pages are the only record of which file serves what: every DDL
+//! rewrites its class's records inside its own transaction, and the catalog
+//! is rebuilt by scanning the three files — on open, and after a DDL rolls
+//! back ([`Catalog::reload_schema`](crate::Catalog::reload_schema)).
 
 use std::collections::HashMap;
 
@@ -15,6 +21,7 @@ use mood_storage::{AccessHint, FileId, HeapFile, Oid, StorageManager};
 
 use crate::error::{CatalogError, Result};
 use crate::schema::{AttributeDef, ClassDef, ClassKind, MethodSig};
+use crate::IndexInfo;
 
 const NO_FILE: u32 = u32::MAX;
 
@@ -73,8 +80,9 @@ fn get_type(buf: &mut Bytes) -> Result<TypeDescriptor> {
     Ok(decode_type(&buf.split_to(len))?)
 }
 
-/// Encode a `MoodsType` record (everything but attributes/methods).
-fn encode_moods_type(def: &ClassDef) -> Vec<u8> {
+/// Encode a `MoodsType` record: everything but attributes/methods, then
+/// the class's indexes.
+fn encode_moods_type(def: &ClassDef, indexes: &[&IndexInfo]) -> Vec<u8> {
     let mut buf = BytesMut::new();
     put_str(&mut buf, &def.name);
     buf.put_u32_le(def.type_id);
@@ -87,10 +95,16 @@ fn encode_moods_type(def: &ClassDef) -> Vec<u8> {
         put_str(&mut buf, s);
     }
     buf.put_u32_le(def.extent.map(|f| f.0).unwrap_or(NO_FILE));
+    buf.put_u32_le(indexes.len() as u32);
+    for index in indexes {
+        put_str(&mut buf, &index.attribute);
+        buf.put_u8(index.unique as u8);
+        buf.put_u32_le(index.file.0);
+    }
     buf.to_vec()
 }
 
-fn decode_moods_type(bytes: &[u8]) -> Result<ClassDef> {
+fn decode_moods_type(bytes: &[u8]) -> Result<(ClassDef, Vec<IndexInfo>)> {
     let mut buf = Bytes::copy_from_slice(bytes);
     let name = get_str(&mut buf)?;
     if buf.remaining() < 9 {
@@ -116,7 +130,23 @@ fn decode_moods_type(bytes: &[u8]) -> Result<ClassDef> {
     } else {
         Some(FileId(raw))
     };
-    Ok(ClassDef {
+    // A record written before indexes were persisted ends at the extent.
+    let nindexes = match buf.remaining() {
+        0 => 0,
+        1..=3 => return Err(CatalogError::Corrupt("truncated index count".into())),
+        _ => buf.get_u32_le() as usize,
+    };
+    let mut indexes = Vec::with_capacity(nindexes.min(64));
+    for _ in 0..nindexes {
+        let attribute = get_str(&mut buf)?;
+        if buf.remaining() < 5 {
+            return Err(CatalogError::Corrupt("truncated index entry".into()));
+        }
+        let unique = buf.get_u8() != 0;
+        let file = FileId(buf.get_u32_le());
+        indexes.push(IndexInfo { class: name.clone(), attribute, unique, file });
+    }
+    let def = ClassDef {
         name,
         type_id,
         kind,
@@ -124,7 +154,8 @@ fn decode_moods_type(bytes: &[u8]) -> Result<ClassDef> {
         superclasses,
         methods: Vec::new(),
         extent,
-    })
+    };
+    Ok((def, indexes))
 }
 
 /// Encode a `MoodsAttribute` record. `position` preserves declaration order.
@@ -266,11 +297,12 @@ impl CatalogStore {
         }
     }
 
-    /// Persist (or re-persist) one class definition.
-    pub fn save_class(&mut self, def: &ClassDef) -> Result<()> {
+    /// Persist (or re-persist) one class definition and the indexes
+    /// declared on it.
+    pub fn save_class(&mut self, def: &ClassDef, indexes: &[&IndexInfo]) -> Result<()> {
         self.delete_class(&def.name)?;
         let mut saved = SavedClass {
-            type_rec: Some(self.types.insert(&encode_moods_type(def))?),
+            type_rec: Some(self.types.insert(&encode_moods_type(def, indexes))?),
             ..SavedClass::default()
         };
         for (i, attr) in def.attributes.iter().enumerate() {
@@ -305,19 +337,22 @@ impl CatalogStore {
         Ok(())
     }
 
-    /// Scan the catalog files and rebuild all class definitions.
+    /// Scan the catalog files and rebuild all class definitions and the
+    /// index registrations.
     ///
     /// The scans stream (no intermediate record vectors) with a `Random`
     /// hint: catalog pages load into the buffer pool's hot set, since the
     /// symbol table keeps consulting them point-wise after bootstrap.
-    pub fn load_all(&mut self) -> Result<Vec<ClassDef>> {
+    pub fn load_all(&mut self) -> Result<(Vec<ClassDef>, Vec<IndexInfo>)> {
         self.saved.clear();
         let mut defs: HashMap<String, ClassDef> = HashMap::new();
+        let mut indexes = Vec::new();
         let saved = &mut self.saved;
         stream_heap(&self.types, |oid, bytes| {
-            let def = decode_moods_type(bytes)?;
+            let (def, declared) = decode_moods_type(bytes)?;
             saved.entry(def.name.clone()).or_default().type_rec = Some(oid);
             defs.insert(def.name.clone(), def);
+            indexes.extend(declared);
             Ok(())
         })?;
         let mut attrs: HashMap<String, Vec<(u32, AttributeDef, Oid)>> = HashMap::new();
@@ -358,7 +393,7 @@ impl CatalogStore {
                 }
             }
         }
-        Ok(defs.into_values().collect())
+        Ok((defs.into_values().collect(), indexes))
     }
 }
 
@@ -385,14 +420,27 @@ mod tests {
             .build(7, Some(FileId(42)))
     }
 
+    fn id_index() -> IndexInfo {
+        IndexInfo { class: "Vehicle".into(), attribute: "id".into(), unique: true, file: FileId(43) }
+    }
+
     #[test]
     fn record_codecs_roundtrip() {
         let def = vehicle_def();
-        let t = decode_moods_type(&encode_moods_type(&def)).unwrap();
+        let index = id_index();
+        let encoded = encode_moods_type(&def, &[&index]);
+        let (t, indexes) = decode_moods_type(&encoded).unwrap();
         assert_eq!(t.name, "Vehicle");
         assert_eq!(t.type_id, 7);
         assert_eq!(t.superclasses, vec!["Thing"]);
         assert_eq!(t.extent, Some(FileId(42)));
+        assert_eq!(indexes, vec![index]);
+        // A record that ends at the extent (no index fields) has no
+        // indexes; one cut inside them is corrupt.
+        let bare = encode_moods_type(&def, &[]);
+        let (old, none) = decode_moods_type(&bare[..bare.len() - 4]).unwrap();
+        assert_eq!((old.name.as_str(), none.len()), ("Vehicle", 0));
+        assert!(decode_moods_type(&encoded[..encoded.len() - 2]).is_err());
 
         let (class, pos, attr) =
             decode_moods_attribute(&encode_moods_attribute("Vehicle", 1, &def.attributes[1]))
@@ -411,10 +459,11 @@ mod tests {
         let sm = StorageManager::in_memory();
         let mut store = CatalogStore::create(&sm).unwrap();
         let def = vehicle_def();
-        store.save_class(&def).unwrap();
-        let loaded = store.load_all().unwrap();
+        store.save_class(&def, &[&id_index()]).unwrap();
+        let (loaded, indexes) = store.load_all().unwrap();
         assert_eq!(loaded.len(), 1);
         assert_eq!(loaded[0], def);
+        assert_eq!(indexes, vec![id_index()]);
     }
 
     #[test]
@@ -422,13 +471,14 @@ mod tests {
         let sm = StorageManager::in_memory();
         let mut store = CatalogStore::create(&sm).unwrap();
         let mut def = vehicle_def();
-        store.save_class(&def).unwrap();
+        store.save_class(&def, &[&id_index()]).unwrap();
         def.attributes
             .push(AttributeDef::new("color", TypeDescriptor::string()));
-        store.save_class(&def).unwrap();
-        let loaded = store.load_all().unwrap();
+        store.save_class(&def, &[]).unwrap();
+        let (loaded, indexes) = store.load_all().unwrap();
         assert_eq!(loaded.len(), 1);
         assert_eq!(loaded[0].attributes.len(), 3);
+        assert!(indexes.is_empty());
     }
 
     #[test]
@@ -437,17 +487,17 @@ mod tests {
         let root;
         {
             let mut store = CatalogStore::create(&sm).unwrap();
-            store.save_class(&vehicle_def()).unwrap();
+            store.save_class(&vehicle_def(), &[]).unwrap();
             root = store.root();
         }
         let mut again = CatalogStore::open(&sm, root);
-        let loaded = again.load_all().unwrap();
+        let (loaded, _) = again.load_all().unwrap();
         assert_eq!(loaded.len(), 1);
         assert_eq!(loaded[0].name, "Vehicle");
         assert_eq!(loaded[0].methods.len(), 2);
         // Loaded bookkeeping supports deletion.
         again.delete_class("Vehicle").unwrap();
-        assert!(again.load_all().unwrap().is_empty());
+        assert!(again.load_all().unwrap().0.is_empty());
     }
 
     #[test]
@@ -458,8 +508,8 @@ mod tests {
         for i in 0..40 {
             builder = builder.attribute(format!("a{i:02}"), TypeDescriptor::integer());
         }
-        store.save_class(&builder.build(1, None)).unwrap();
-        let loaded = store.load_all().unwrap();
+        store.save_class(&builder.build(1, None), &[]).unwrap();
+        let (loaded, _) = store.load_all().unwrap();
         let names: Vec<_> = loaded[0]
             .attributes
             .iter()

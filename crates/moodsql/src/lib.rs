@@ -527,11 +527,11 @@ impl Session {
                         {
                             Ok(a) => match sm.txn_commit(txn) {
                                 Ok(()) => {
-                                    // Files a reorganization replaced are
-                                    // only dropped once the new layout is
-                                    // durably committed — dropping earlier
-                                    // would break old-or-new crash
-                                    // atomicity (drops are not WAL-logged).
+                                    // Files a DDL retired are only dropped
+                                    // once the statement is durably
+                                    // committed — dropping earlier would
+                                    // break old-or-new crash atomicity
+                                    // (drops are not WAL-logged).
                                     if kind == StmtKind::Ddl {
                                         self.catalog.reap_pending_drops();
                                     }
@@ -585,7 +585,7 @@ impl Session {
 
     /// After a rolled-back DDL autocommit, the pages are back to their old
     /// contents but the catalog's in-memory maps may have moved: rebuild
-    /// them from storage.
+    /// them — index registry and retired files included — from storage.
     fn resync_catalog(&self, kind: StmtKind) {
         if kind == StmtKind::Ddl {
             let _ = self.catalog.reload_schema();

@@ -16,7 +16,11 @@
 //!   may not have reached the log);
 //! * rolled-back transactions never surface;
 //! * catalog, extents and indexes agree with the heap, and the
-//!   recovered database accepts new DDL, DML and a further reopen.
+//!   recovered database accepts new DDL, DML and a further reopen;
+//! * DDL that retires files (a class with a unique index and rows,
+//!   dropped, then a new class) leaves each of its classes either absent
+//!   or present with exactly its committed rows and index — never a
+//!   catalog naming a dropped file, nor a log recovery cannot replay.
 //!
 //! The gating tests sweep a sample of fault points with pinned seeds;
 //! `#[ignore]`d extended sweeps cover every fault point (run in CI as a
@@ -35,6 +39,10 @@ use mood_storage::{
 /// Committed ledger contents: account id -> balance.
 type Ledger = BTreeMap<i32, i32>;
 
+/// The DDL units' classes as a reopen shows them: each present class with
+/// its keys, sorted, and whether its `k` is indexed.
+type Shelf = BTreeMap<&'static str, (Vec<i32>, bool)>;
+
 /// What the workload knows it made durable before the crash.
 struct Outcome {
     /// The last state known committed. `None` means the `Account` class
@@ -45,6 +53,9 @@ struct Outcome {
     ambiguous: Option<Option<Ledger>>,
     /// Whether any statement failed (i.e. the fault plan fired).
     crashed: bool,
+    /// The shelves a reopen may show: the last committed one and, when
+    /// the crash hit a DDL unit's commit point, the one after it.
+    shelves: Vec<Shelf>,
 }
 
 impl Outcome {
@@ -53,6 +64,7 @@ impl Outcome {
             committed: Some(led),
             ambiguous: None,
             crashed: true,
+            shelves: vec![Shelf::new()],
         }
     }
 }
@@ -145,6 +157,30 @@ fn units() -> Vec<Unit> {
     u
 }
 
+/// The DDL units, run after the ledger's, each one autocommitted
+/// statement with the shelf it leaves: a class with a unique index and
+/// rows is created and dropped (retiring its extent and index files),
+/// then a new class allocates a file and takes a row.
+fn ddl_units() -> Vec<(String, Shelf)> {
+    let mut units = Vec::new();
+    let mut shelf = Shelf::new();
+    shelf.insert("Scratch", (Vec::new(), false));
+    units.push(("CREATE CLASS Scratch TUPLE (k Integer)".to_string(), shelf.clone()));
+    shelf.get_mut("Scratch").unwrap().1 = true;
+    units.push(("CREATE UNIQUE BTREE INDEX ON Scratch(k)".to_string(), shelf.clone()));
+    for k in 1..=3 {
+        shelf.get_mut("Scratch").unwrap().0.push(k);
+        units.push((format!("new Scratch <{k}>"), shelf.clone()));
+    }
+    shelf.remove("Scratch");
+    units.push(("DROP CLASS Scratch".to_string(), shelf.clone()));
+    shelf.insert("Scratch2", (Vec::new(), false));
+    units.push(("CREATE CLASS Scratch2 TUPLE (k Integer)".to_string(), shelf.clone()));
+    shelf.get_mut("Scratch2").unwrap().0.push(1);
+    units.push(("new Scratch2 <1>".to_string(), shelf.clone()));
+    units
+}
+
 /// Run the workload, stopping at the first failed statement (the fault
 /// plan latches, so the device is dead from then on — the caller drops
 /// the database right after, which is the "crash").
@@ -159,6 +195,7 @@ fn run_workload(db: &Mood) -> Outcome {
             committed: None,
             ambiguous: Some(Some(Ledger::new())),
             crashed: true,
+            shelves: vec![Shelf::new()],
         };
     }
     let mut led = Ledger::new();
@@ -171,6 +208,7 @@ fn run_workload(db: &Mood) -> Outcome {
             committed: Some(led.clone()),
             ambiguous: Some(Some(led)),
             crashed: true,
+            shelves: vec![Shelf::new()],
         };
     }
 
@@ -188,6 +226,7 @@ fn run_workload(db: &Mood) -> Outcome {
                             committed: Some(led),
                             ambiguous: Some(Some(next)),
                             crashed: true,
+                            shelves: vec![Shelf::new()],
                         }
                     }
                 }
@@ -212,6 +251,7 @@ fn run_workload(db: &Mood) -> Outcome {
                             committed: Some(led),
                             ambiguous: Some(Some(next)),
                             crashed: true,
+                            shelves: vec![Shelf::new()],
                         }
                     }
                 }
@@ -234,10 +274,24 @@ fn run_workload(db: &Mood) -> Outcome {
             }
         }
     }
+    let mut shelf = Shelf::new();
+    for (sql, after) in ddl_units() {
+        if db.execute(&sql).is_err() {
+            // As for the ledger's autocommits: either shelf is legal.
+            return Outcome {
+                committed: Some(led),
+                ambiguous: None,
+                crashed: true,
+                shelves: vec![shelf, after],
+            };
+        }
+        shelf = after;
+    }
     Outcome {
         committed: Some(led),
         ambiguous: None,
         crashed: false,
+        shelves: vec![shelf],
     }
 }
 
@@ -264,6 +318,7 @@ fn faulted_run(dir: &Path, disk_plan: Arc<FaultPlan>, log_plan: Arc<FaultPlan>) 
             committed: None,
             ambiguous: None,
             crashed: true,
+            shelves: vec![Shelf::new()],
         },
     }
 }
@@ -319,6 +374,27 @@ fn scan_ledger(db: &Mood) -> Ledger {
     led
 }
 
+/// The DDL units' classes as `db` shows them.
+fn observe_shelf(db: &Mood) -> Shelf {
+    let mut shelf = Shelf::new();
+    for class in ["Scratch", "Scratch2"] {
+        if db.catalog().class(class).is_err() {
+            continue;
+        }
+        let mut cur = db.query(&format!("SELECT s.k FROM {class} s")).unwrap();
+        let mut keys = Vec::new();
+        while let Some(row) = cur.next() {
+            let Value::Integer(k) = row[0] else {
+                panic!("non-integer {class} row: {row:?}");
+            };
+            keys.push(k);
+        }
+        keys.sort();
+        shelf.insert(class, (keys, db.catalog().index(class, "k").is_some()));
+    }
+    shelf
+}
+
 /// Phase 3: reopen on clean devices and check every invariant.
 fn verify_reopen(dir: &Path, out: &Outcome) {
     let db = Mood::open(dir).expect("clean reopen after a crash must succeed");
@@ -345,7 +421,20 @@ fn verify_reopen(dir: &Path, out: &Outcome) {
             model.len(),
             "extent count disagrees with the heap scan"
         );
-        // Indexed point lookups agree with the scan, row by row.
+        // The recovered unique index names each row's object (every row
+        // was inserted after the index committed)...
+        if !model.is_empty() {
+            let index = db.catalog().index("Account", "id");
+            assert!(index.is_some_and(|i| i.unique), "recovery lost Account's unique index");
+        }
+        for (id, bal) in model {
+            let hits = db.catalog().index_lookup("Account", "id", &Value::Integer(*id)).unwrap();
+            assert_eq!(hits.len(), 1, "the recovered index lost id {id}");
+            let (_, row) = db.get_object(hits[0]).unwrap();
+            let balance = row.field("balance");
+            assert_eq!(balance, Some(&Value::Integer(*bal)), "index/heap disagree on id {id}");
+        }
+        // ...and point queries agree with the scan, row by row.
         for (id, bal) in model {
             let mut cur = db
                 .query(&format!(
@@ -359,7 +448,33 @@ fn verify_reopen(dir: &Path, out: &Outcome) {
         let mut cur = db
             .query("SELECT a.id FROM Account a WHERE a.id = 99")
             .unwrap();
-        assert!(cur.next().is_none(), "rolled-back insert found via index");
+        assert!(cur.next().is_none(), "rolled-back insert found by a point query");
+        if let Some(index) = db.catalog().index("Account", "id") {
+            let hits = db.catalog().index_lookup("Account", "id", &Value::Integer(99)).unwrap();
+            assert!(hits.is_empty(), "rolled-back insert found via {index:?}");
+        }
+    }
+
+    // Each DDL unit's class is absent or present with exactly its
+    // committed rows and index; a recovered index answers every key and
+    // still refuses a duplicate.
+    let shelf = observe_shelf(&db);
+    assert!(
+        out.shelves.contains(&shelf),
+        "recovered DDL state mismatch in {dir:?}:\n  observed:   {shelf:?}\n  acceptable: {:?}",
+        out.shelves
+    );
+    for (class, (keys, indexed)) in &shelf {
+        if !indexed {
+            continue;
+        }
+        for k in keys {
+            let hits = db.catalog().index_lookup(class, "k", &Value::Integer(*k)).unwrap();
+            assert_eq!(hits.len(), 1, "{class} index lost key {k}");
+        }
+        if let Some(k) = keys.first() {
+            assert!(db.execute(&format!("new {class} <{k}>")).is_err(), "{class} lost uniqueness");
+        }
     }
 
     // The recovered catalog accepts new DDL and DML...
@@ -419,6 +534,8 @@ fn clean_run_round_trips_begin_commit_rollback() {
     assert_eq!(model[&3], 100, "rolled-back update leaked");
     assert!(!model.contains_key(&99), "rolled-back insert leaked");
     assert_eq!(model[&9], 505, "txn insert+update lost");
+    let scratch2 = Shelf::from([("Scratch2", (vec![1], false))]);
+    assert_eq!(out.shelves, vec![scratch2], "DDL units must end with Scratch dropped");
     check_recovery_idempotent(&dir);
     verify_reopen(&dir, &out);
     let _ = std::fs::remove_dir_all(&dir);
