@@ -446,9 +446,10 @@ mod tests {
     }
 
     /// 300 objects padded to three a heap page — 100 contiguous pages —
-    /// indexed on `id`; the interval `30 <= id < 270` spans 80 of them.
+    /// indexed on `id`; the interval `30 <= id < 270` spans 80 of them. A
+    /// 64-frame pool reads 32-page windows, so the interval takes three.
     fn padded_extent() -> (Arc<Catalog>, u64) {
-        let sm = Arc::new(StorageManager::in_memory());
+        let sm = Arc::new(StorageManager::in_memory_with_pool(64));
         let cat = Arc::new(Catalog::create(sm).unwrap());
         cat.define_class(
             ClassBuilder::class("VehicleEngine")

@@ -8,7 +8,7 @@
 
 use std::collections::{HashMap, HashSet};
 use std::fs::{File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::io::{self, IoSliceMut, Read, Seek, SeekFrom, Write};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -297,13 +297,24 @@ impl Disk for FileDisk {
                 pages,
             });
         }
-        // One seek, one contiguous read of the whole batch.
-        let mut raw = vec![0u8; bufs.len() * PAGE_SIZE];
+        // One seek, then vectored reads straight into the pages' own
+        // buffers until the whole span has arrived (a read may stop short).
         f.seek(SeekFrom::Start(start.0 as u64 * PAGE_SIZE as u64))?;
-        f.read_exact(&mut raw)?;
-        for (i, buf) in bufs.iter_mut().enumerate() {
-            buf.data
-                .copy_from_slice(&raw[i * PAGE_SIZE..(i + 1) * PAGE_SIZE]);
+        let (mut page, mut off) = (0, 0);
+        while let Some((head, rest)) = bufs[page..].split_first_mut() {
+            let first = IoSliceMut::new(&mut head.data[off..]);
+            let rest = rest.iter_mut().map(|buf| IoSliceMut::new(&mut buf.data[..]));
+            let mut iov: Vec<IoSliceMut<'_>> = std::iter::once(first).chain(rest).collect();
+            let read = match f.read_vectored(&mut iov) {
+                Ok(0) => {
+                    let eof = "failed to fill whole buffer";
+                    return Err(io::Error::new(io::ErrorKind::UnexpectedEof, eof).into());
+                }
+                Ok(n) => off + n,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                Err(e) => return Err(e.into()),
+            };
+            (page, off) = (page + read / PAGE_SIZE, read % PAGE_SIZE);
         }
         Ok(())
     }
@@ -618,9 +629,37 @@ mod tests {
         ));
     }
 
+    /// A span read fills each page with its own bytes: more pages than one
+    /// vectored read takes (1 024 buffers on Linux), so a file-backed read
+    /// comes back short and resumes. A span past the end is out of range.
+    fn exercise_spans(disk: &dyn Disk) {
+        const PAGES: u32 = 1030;
+        let f = disk.create_file().unwrap();
+        let mut page = Page::new();
+        for p in 0..PAGES {
+            disk.allocate_page(f).unwrap();
+            page.data.fill(p as u8);
+            page.data[..4].copy_from_slice(&p.to_le_bytes());
+            disk.write_page(f, PageId(p), &page).unwrap();
+        }
+        let mut bufs: Vec<Page> = (0..PAGES - 3).map(|_| Page::new()).collect();
+        disk.read_pages(f, PageId(3), &mut bufs).unwrap();
+        for (p, buf) in (3..).zip(&bufs) {
+            assert_eq!(buf.data[..4], u32::to_le_bytes(p), "page {p}");
+            assert!(buf.data[4..].iter().all(|&b| b == p as u8), "page {p}");
+        }
+        let mut past = vec![Page::new(), Page::new()];
+        assert!(matches!(
+            disk.read_pages(f, PageId(PAGES - 1), &mut past),
+            Err(StorageError::PageOutOfRange { page: PageId(PAGES), pages: PAGES, .. })
+        ));
+        disk.drop_file(f).unwrap();
+    }
+
     #[test]
     fn memdisk_basics() {
         exercise(&MemDisk::new());
+        exercise_spans(&MemDisk::new());
     }
 
     #[test]
@@ -628,6 +667,7 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("mood-disk-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         exercise(&FileDisk::open(&dir).unwrap());
+        exercise_spans(&FileDisk::open(&dir).unwrap());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -252,16 +252,75 @@ impl LogStore for FileLog {
 }
 
 /// Rolling checksum shared by log-record framing and the page trailer
-/// ([`Page::stamp_checksum`]) so both layers agree on one polynomial.
-pub(crate) fn checksum(bytes: &[u8]) -> u32 {
-    // Fletcher-ish rolling sum: cheap, catches torn tails.
-    let mut a: u32 = 1;
-    let mut b: u32 = 0;
-    for &x in bytes {
+/// ([`Page::stamp_checksum`]) so both layers agree on one polynomial: a
+/// Fletcher-like sum, cheap, and it catches torn tails. From `a = 1, b = 0`
+/// each byte `x` does `a += x; b += a` (mod 2³²); the sum is
+/// `b << 16 | a & 0xFFFF`.
+///
+/// Computed by 128-byte blocks rather than byte by byte, with the same
+/// result for every input: over a block of `n` bytes the byte loop amounts
+/// to `a += Σxᵢ` and `b += n·a + Σ(n−i)·xᵢ`, and both sums come from 16-bit
+/// lane sums over 8-byte words.
+pub fn checksum(bytes: &[u8]) -> u32 {
+    let (mut a, mut b) = (1u32, 0u32);
+    let mut blocks = bytes.chunks_exact(SUM_BLOCK);
+    for block in &mut blocks {
+        (a, b) = fold_words(a, b, block);
+    }
+    let rest = blocks.remainder();
+    let (words, tail) = rest.split_at(rest.len() / 8 * 8);
+    (a, b) = fold_words(a, b, words);
+    for &x in tail {
         a = a.wrapping_add(x as u32);
         b = b.wrapping_add(a);
     }
     (b << 16) | (a & 0xFFFF)
+}
+
+/// Bytes per checksum block: 16 words, the most whose lane sums of running
+/// sums stay below 2¹⁶ (255 · (1 + … + 16) = 34 680).
+const SUM_BLOCK: usize = 128;
+
+/// One byte in each 16-bit lane of a word.
+const LANE_BYTES: u64 = 0x00FF_00FF_00FF_00FF;
+
+/// `(a, b)` after the checksum loop has run over `words`: a whole number of
+/// 8-byte words, at most [`SUM_BLOCK`] bytes.
+///
+/// The even bytes of each little-endian word sit in the four 16-bit lanes of
+/// `w & LANE_BYTES`, the odd bytes in those of `w >> 8 & LANE_BYTES`. Per
+/// lane, `r` sums the lane's bytes and `t` sums `r` after every word, which
+/// counts word `k` of `m` `m − k` times. Byte `i = 8k + 2j + o` (lane `j`,
+/// odd `o`) weighs `n − i = 8(m − k) − 2j − o`, so
+/// `Σ(n−i)·xᵢ = 8·Σt − 2·Σj·r − Σr_odd`.
+fn fold_words(a: u32, b: u32, words: &[u8]) -> (u32, u32) {
+    debug_assert!(words.len().is_multiple_of(8) && words.len() <= SUM_BLOCK);
+    let (mut r_even, mut r_odd, mut t_even, mut t_odd) = (0u64, 0u64, 0u64, 0u64);
+    for word in words.chunks_exact(8) {
+        let w = u64::from_le_bytes(word.try_into().expect("an 8-byte chunk"));
+        r_even += w & LANE_BYTES;
+        r_odd += (w >> 8) & LANE_BYTES;
+        t_even += r_even;
+        t_odd += r_odd;
+    }
+    // Horizontal sums by multiplication: lane 3 of `v · Σ cₖ·2¹⁶ᵏ` is
+    // `Σⱼ vⱼ·c₃₋ⱼ`, exact while no partial lane sum reaches 2¹⁶. Lanes of
+    // `r` stay below 2 · 16 · 255 = 8 160, so `Σv` and `Σj·v` are exact;
+    // `t`'s lanes (below 34 680) are first widened to 32-bit lanes.
+    let lane3 = |v: u64, c: u64| (v.wrapping_mul(c) >> 48) as u32;
+    let r = r_even + r_odd;
+    let total = lane3(r, 0x0001_0001_0001_0001);
+    let by_lane = lane3(r, 0x0000_0001_0002_0003);
+    let odd = lane3(r_odd, 0x0001_0001_0001_0001);
+    let widen = |v: u64| (v & 0x0000_FFFF_0000_FFFF) + ((v >> 16) & 0x0000_FFFF_0000_FFFF);
+    let t = widen(t_even) + widen(t_odd);
+    let t = (t as u32).wrapping_add((t >> 32) as u32);
+    let weighted = (8 * t).wrapping_sub(2 * by_lane + odd);
+    let n = words.len() as u32;
+    (
+        a.wrapping_add(total),
+        b.wrapping_add(n.wrapping_mul(a)).wrapping_add(weighted),
+    )
 }
 
 // ----------------------------------------------------------------------

@@ -1391,3 +1391,53 @@ proptest! {
         run_schedule(&schedule, cut);
     }
 }
+
+// ---------------------------------------------------------------------
+// The block-wise checksum vs the byte loop
+// ---------------------------------------------------------------------
+
+/// The checksum as its definition states it, one byte at a time: the
+/// oracle the block-wise `wal::checksum` must equal on every input.
+fn checksum_by_bytes(bytes: &[u8]) -> u32 {
+    let (mut a, mut b) = (1u32, 0u32);
+    for &x in bytes {
+        a = a.wrapping_add(x as u32);
+        b = b.wrapping_add(a);
+    }
+    (b << 16) | (a & 0xFFFF)
+}
+
+#[test]
+fn the_block_checksum_equals_the_byte_loop_at_every_length() {
+    use mood_storage::wal::checksum;
+    let mut seed = 0x9E37_79B9_7F4A_7C15u64;
+    let noise: Vec<u8> = (0..9_001)
+        .map(|_| {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            seed as u8
+        })
+        .collect();
+    // All 0xFF bytes make the largest lane sums a block can hold.
+    let ones = vec![0xFFu8; 9_001];
+    for n in 0..=9_000 {
+        assert_eq!(checksum(&noise[..n]), checksum_by_bytes(&noise[..n]), "noise, {n} bytes");
+        assert_eq!(checksum(&ones[..n]), checksum_by_bytes(&ones[..n]), "0xFF, {n} bytes");
+        // The same lengths from an odd start.
+        assert_eq!(checksum(&noise[1..=n]), checksum_by_bytes(&noise[1..=n]), "offset 1, {n}");
+    }
+    let mib = vec![0xFFu8; 1 << 20];
+    assert_eq!(checksum(&mib), checksum_by_bytes(&mib), "1 MiB of 0xFF");
+    let mib: Vec<u8> = noise.iter().copied().cycle().take(1 << 20).collect();
+    assert_eq!(checksum(&mib), checksum_by_bytes(&mib), "1 MiB of noise");
+}
+
+proptest! {
+    #[test]
+    fn the_block_checksum_equals_the_byte_loop(
+        bytes in proptest::collection::vec(any::<u8>(), 0..9_000),
+    ) {
+        prop_assert_eq!(mood_storage::wal::checksum(&bytes), checksum_by_bytes(&bytes));
+    }
+}

@@ -701,7 +701,7 @@ fn read_faults_under_joins_and_index_fetches_are_errors() {
     });
 }
 
-/// The same guarantee where reads come in whole windows: a 256-frame pool
+/// The same guarantee where reads come in whole windows: a 64-frame pool
 /// (32-page windows) read cold, so an extent scan, a backward traversal's
 /// materialised extent and a forward chase each read through
 /// `prefetch_sequential`, one device call per window. A device error inside
@@ -709,7 +709,7 @@ fn read_faults_under_joins_and_index_fetches_are_errors() {
 /// statement's error or a WAL repair — never a shorter answer.
 #[test]
 fn read_faults_inside_a_readahead_window_are_errors() {
-    const POOL: usize = 256;
+    const POOL: usize = 64;
     let ids = |db: &Mood, sql: &str| -> Result<Vec<Value>, String> {
         match db.execute(sql).map_err(|e| e.to_string())? {
             Answer::Rows(r) => Ok(r.rows.into_iter().map(|mut row| row.remove(0)).collect()),
@@ -762,7 +762,7 @@ fn read_faults_inside_a_readahead_window_are_errors() {
 }
 
 /// A read fault inside one batch's target fetch, after its first window:
-/// a 64-frame pool reads in 8-page windows and the targets of one batch
+/// a 16-frame pool reads in 8-page windows and the targets of one batch
 /// span 22 Maker pages, so the fetch reads at least three windows, after
 /// every read of the join's left input. Wherever in them the device dies,
 /// a forward traversal (SQL) and a hash partition (the same join, by
@@ -774,7 +774,7 @@ fn read_faults_inside_a_readahead_window_are_errors() {
 #[test]
 fn a_read_fault_in_a_later_window_of_a_target_fetch_is_an_error() {
     use mood_core::algebra::{bind_class, join, ExecutionConfig, JoinMethod, JoinRhs};
-    const POOL: usize = 64;
+    const POOL: usize = 16;
     let rows = |db: &Mood, sql: &str| -> Result<usize, String> {
         match db.execute(sql).map_err(|e| e.to_string())? {
             Answer::Rows(r) => Ok(r.rows.len()),

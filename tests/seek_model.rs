@@ -70,9 +70,9 @@ impl Disk for CountingDisk {
     }
 }
 
-/// Objects of ~1.5 KB: two to a page, so `OBJECTS` fill 100 pages — three
-/// full windows and a partial one.
-const OBJECTS: i32 = 200;
+/// Objects of ~1.5 KB: two to a page, so `OBJECTS` fill 450 pages — three
+/// full 128-page windows and a partial one.
+const OBJECTS: i32 = 900;
 
 struct Fixture {
     db: Mood,
@@ -173,7 +173,7 @@ fn resident_gaps_of_at_most_the_bridge_keep_one_call_per_window() {
     let fx = fixture("bridge");
     // Hot pages inside windows 0, 1 and 2: one alone, a run of `bridge`,
     // two apart.
-    let hot: Vec<u32> = [3].into_iter().chain(40..40 + bridge).chain([70, 72]).collect();
+    let hot: Vec<u32> = [3].into_iter().chain(160..160 + bridge).chain([300, 302]).collect();
     fx.cold_but(hot.iter().copied());
     let (delta, _, est_pages) = fx.bind();
     let b = est_pages as u64;
@@ -190,9 +190,10 @@ fn a_longer_gap_splits_the_window_and_a_resident_window_makes_no_call() {
     let b = est_pages as u64;
     assert_eq!(delta.seq_batches, windows(b) + 1);
     assert_eq!(delta.seq_pages, b - (bridge as u64 + 1));
-    // Window 1 ([32, 64)) wholly resident: one call fewer.
-    fx.cold_but(32..64);
+    // Window 1 ([k, 2k)) wholly resident: one call fewer.
+    let k = READAHEAD_WINDOW;
+    fx.cold_but(k..2 * k);
     let (delta, _, _) = fx.bind();
     assert_eq!(delta.seq_batches, windows(b) - 1);
-    assert_eq!(delta.seq_pages, b - 32);
+    assert_eq!(delta.seq_pages, b - k as u64);
 }
