@@ -407,9 +407,10 @@ impl HeapFile {
     /// Pages `[start, end)` in order; `end` is at most [`pages`](Self::pages)
     /// (readahead windows are not clamped to the file again). Sequential
     /// scans are read with readahead: at each window boundary the pool
-    /// prefetches the next `READAHEAD_WINDOW` pages in one device call
-    /// (`record_sequential_batch`), which is the physical behavior
-    /// SEQCOST's one-seek-per-run term models.
+    /// prefetches the next window ([`BufferPool::scan_window`]: the
+    /// readahead window, or a share of it while other scans run) in one
+    /// device call (`record_sequential_batch`), which is the physical
+    /// behavior SEQCOST's one-seek-per-run term models.
     fn scan_pages(
         &self,
         start: u32,
@@ -418,19 +419,22 @@ impl HeapFile {
         visit: &mut dyn FnMut(Oid, &[u8]) -> bool,
     ) -> Result<()> {
         let kind = hint.kind();
-        let window = match hint {
-            AccessHint::Sequential => self.pool.readahead_window(),
-            AccessHint::Random => 0,
-        };
+        let sequential = matches!(hint, AccessHint::Sequential) && self.pool.readahead_window() > 0;
+        let slot = sequential.then(|| self.pool.begin_scan());
+        // The first page past the window read last.
+        let mut next_window = start;
         // One page-sized buffer for the whole scan.
         let mut copy = Page::new();
         'pages: for pnum in start..end {
             let pid = PageId(pnum);
-            if window > 0 && (pnum - start).is_multiple_of(window) {
-                let span = window.min(end - pnum);
+            if slot.is_some() && pnum == next_window {
+                let span = self.pool.scan_window().min(end - pnum);
                 // Advisory: a failed readahead just means the pages are
                 // fetched on demand below, where real errors surface.
-                self.pool.prefetch_sequential(self.file, pid, span);
+                if span > 0 {
+                    self.pool.prefetch_sequential(self.file, pid, span);
+                }
+                next_window = pnum + span.max(1);
             }
             // Copy the page's used bytes out once, then visit its records
             // — and resolve forwards — outside the page callback, so the
@@ -617,6 +621,31 @@ mod tests {
             snap.seq_batches
         );
         assert_eq!(snap.rnd_pages, 0);
+    }
+
+    #[test]
+    fn a_scan_beside_another_reads_half_windows() {
+        let disk = Arc::new(MemDisk::new());
+        let metrics = DiskMetrics::new();
+        // 64 frames: four 16-frame shards, 32-page windows alone.
+        let pool = Arc::new(BufferPool::new(disk, 64, metrics.clone()));
+        assert_eq!(pool.readahead_window(), 32);
+        let h = HeapFile::create(pool.clone()).unwrap();
+        while h.pages().unwrap() < 64 {
+            h.insert(&[7u8; 900]).unwrap();
+        }
+        let calls = |other_scans: usize| {
+            let _others: Vec<_> = (0..other_scans).map(|_| pool.begin_scan()).collect();
+            h.pool.discard_file(h.file_id());
+            metrics.reset();
+            h.scan_range_with(0, 64, |_, _| true).unwrap();
+            let snap = metrics.snapshot();
+            assert_eq!(snap.seq_pages, 64, "every page read exactly once");
+            snap.seq_batches
+        };
+        assert_eq!(calls(0), 2, "two 32-page windows");
+        assert_eq!(calls(1), 4, "two scans share the budget: 16-page windows");
+        assert_eq!(calls(8), 0, "nine scans: under a page a shard, every page on demand");
     }
 
     #[test]
