@@ -236,7 +236,7 @@ impl Mood {
     /// sequential, the default). Parallel runs produce byte-identical
     /// results and unchanged page-access totals. MOODSQL reads it only where
     /// a `SELECT` filters rows that are not a scan's (over a join, a
-    /// temporary or a nested-loop FROM list): see
+    /// temporary or a combination of FROM components): see
     /// [`Session::set_parallelism`](mood_sql::Session::set_parallelism).
     pub fn set_parallelism(&self, parallelism: usize) {
         self.session.lock().set_parallelism(parallelism);

@@ -369,6 +369,30 @@ impl Expr {
         }
     }
 
+    /// Hand `f` every path the expression reads, in order, each with
+    /// whether it is a method's receiver; the first error ends the walk.
+    pub fn paths<E>(
+        &self,
+        f: &mut impl FnMut(&PathRef, bool) -> std::result::Result<(), E>,
+    ) -> std::result::Result<(), E> {
+        match self {
+            Expr::Path(p) => f(p, false),
+            Expr::MethodCall { base, args, .. } => {
+                f(base, true)?;
+                args.iter().try_for_each(|a| a.paths(f))
+            }
+            Expr::Agg { arg, .. } => arg.iter().try_for_each(|a| a.paths(f)),
+            Expr::Literal(_) | Expr::Param(_) => Ok(()),
+            Expr::Compare { left, right, .. } | Expr::Arith { left, right, .. } => {
+                left.paths(f)?;
+                right.paths(f)
+            }
+            Expr::Between { expr, lo, hi } => [expr, lo, hi].iter().try_for_each(|e| e.paths(f)),
+            Expr::And(parts) | Expr::Or(parts) => parts.iter().try_for_each(|p| p.paths(f)),
+            Expr::Not(inner) => inner.paths(f),
+        }
+    }
+
     /// The highest parameter number the expression mentions (0 = none).
     pub fn max_param(&self) -> u16 {
         let of = |es: &[Expr]| es.iter().map(Expr::max_param).max().unwrap_or(0);

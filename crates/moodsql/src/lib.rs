@@ -42,7 +42,7 @@ use mood_catalog::{Catalog, ClassBuilder, MethodSig};
 use mood_datamodel::Value;
 use mood_funcman::FunctionManager;
 use mood_optimizer::OptimizerConfig;
-use mood_storage::{Metric, MetricsRegistry};
+use mood_storage::{Metric, MetricsRegistry, StatementStat, WaitSnapshot};
 
 use compiled::{PreparedExpr, RowView, Scratch};
 use exec::Scaffold;
@@ -119,6 +119,17 @@ impl PlanCache {
     fn clear(&mut self) {
         self.map.clear();
     }
+}
+
+/// A result table: the space-separated `columns` labels over `rows`.
+fn table(columns: &str, rows: Vec<Vec<Value>>) -> Answer {
+    Answer::Rows(QueryResult { columns: columns.split(' ').map(str::to_string).collect(), rows })
+}
+
+/// A result row: a label, then counts.
+fn counted(label: String, counts: &[u64]) -> Vec<Value> {
+    let counts = counts.iter().map(|&n| Value::LongInteger(n as i64));
+    std::iter::once(Value::String(label)).chain(counts).collect()
 }
 
 /// What a statement produced.
@@ -212,11 +223,11 @@ impl Session {
     ///
     /// `1` (the default) runs every operator sequentially. In MOODSQL the
     /// value reaches one operator: the filter of a `SELECT` whose input is
-    /// not a `BIND` (a join's or a temporary's rows), and the WHERE clause
-    /// over a nested-loop FROM list, which split their rows across scoped
-    /// worker threads. Scans (a `SELECT` over a `BIND` included), index
-    /// selections, joins and the clauses after WHERE run on one thread at
-    /// any value. Results are byte-identical either way.
+    /// not a `BIND` (a join's, a temporary's or a combination's rows),
+    /// which splits its rows across scoped worker threads. Scans (a
+    /// `SELECT` over a `BIND` included), index selections, joins and the
+    /// clauses after WHERE run on one thread at any value. Results are
+    /// byte-identical either way.
     pub fn set_parallelism(&mut self, parallelism: usize) {
         self.config = self.config.clone().with_parallelism(parallelism);
         self.plan_cache.clear();
@@ -625,66 +636,28 @@ impl Session {
             Statement::ShowMetrics(format) => {
                 let snap = self.catalog.storage().registry().snapshot();
                 match format {
-                    ShowFormat::Table => Ok(Answer::Rows(QueryResult {
-                        columns: vec!["metric".into(), "value".into()],
-                        rows: snap
-                            .rows()
-                            .into_iter()
-                            .map(|(k, v)| vec![Value::String(k), Value::String(v)])
-                            .collect(),
-                    })),
+                    ShowFormat::Table => {
+                        let row = |(k, v)| vec![Value::String(k), Value::String(v)];
+                        Ok(table("metric value", snap.rows().into_iter().map(row).collect()))
+                    }
                     ShowFormat::Json => Ok(Answer::Plan(snap.to_json())),
                     ShowFormat::Prometheus => Ok(Answer::Plan(snap.to_prometheus())),
                 }
             }
             Statement::ShowWaits => {
                 let snap = self.catalog.storage().registry().snapshot();
-                Ok(Answer::Rows(QueryResult {
-                    columns: vec!["event".into(), "count".into(), "time_ns".into()],
-                    rows: snap
-                        .waits
-                        .iter()
-                        .map(|w| {
-                            vec![
-                                Value::String(w.event.to_string()),
-                                Value::LongInteger(w.count as i64),
-                                Value::LongInteger(w.total_ns as i64),
-                            ]
-                        })
-                        .collect(),
-                }))
+                let row = |w: &WaitSnapshot| counted(w.event.to_string(), &[w.count, w.total_ns]);
+                Ok(table("event count time_ns", snap.waits.iter().map(row).collect()))
             }
             Statement::ShowStatements => {
                 let stats = self.catalog.storage().registry().statements();
-                Ok(Answer::Rows(QueryResult {
-                    columns: vec![
-                        "statement".into(),
-                        "calls".into(),
-                        "total_ns".into(),
-                        "min_ns".into(),
-                        "max_ns".into(),
-                        "p99_ns".into(),
-                        "rows".into(),
-                        "pages".into(),
-                        "cache_hits".into(),
-                    ],
-                    rows: stats
-                        .iter()
-                        .map(|s| {
-                            vec![
-                                Value::String(s.sql.clone()),
-                                Value::LongInteger(s.calls as i64),
-                                Value::LongInteger(s.total_ns as i64),
-                                Value::LongInteger(s.min_ns as i64),
-                                Value::LongInteger(s.max_ns as i64),
-                                Value::LongInteger(s.p99_ns as i64),
-                                Value::LongInteger(s.rows as i64),
-                                Value::LongInteger(s.pages as i64),
-                                Value::LongInteger(s.cache_hits as i64),
-                            ]
-                        })
-                        .collect(),
-                }))
+                let row = |s: &StatementStat| {
+                    let latency = [s.total_ns, s.min_ns, s.max_ns, s.p99_ns];
+                    let work = [s.rows, s.pages, s.cache_hits];
+                    counted(s.sql.clone(), &[&[s.calls][..], &latency, &work].concat())
+                };
+                let columns = "statement calls total_ns min_ns max_ns p99_ns rows pages cache_hits";
+                Ok(table(columns, stats.iter().map(row).collect()))
             }
             Statement::CreateClass(c) => {
                 let mut builder = ClassBuilder::class(&c.name);

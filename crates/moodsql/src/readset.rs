@@ -14,8 +14,8 @@
 //! evaluates — the parsed plan predicates, the join conditions, and the
 //! statement's projection, GROUP BY, HAVING and ORDER BY — with an
 //! exhaustive match over [`Expr`], and whatever cannot be enumerated as
-//! attribute reads (a bare variable, a method invoked on the variable, a
-//! FROM list run as a nested loop) widens the variable to
+//! attribute reads (a bare variable, a method invoked on the variable)
+//! widens the variable to
 //! [`FieldSet::All`]. Evaluators key variables by name, and so do the sets:
 //! same-named variables of different DNF terms share one set. A variable's
 //! rank among the sets is its slot in a binding row.
@@ -26,7 +26,6 @@ use mood_datamodel::FieldSet;
 use mood_optimizer::{Plan, PlanSet};
 
 use crate::ast::{Expr, PathRef, SelectStmt};
-use crate::binder::Lowered;
 use crate::error::{Result, SqlError};
 use crate::exec::join_condition;
 
@@ -39,19 +38,10 @@ impl ReadSets {
     /// whose predicates parsed to `preds`.
     pub fn collect<'p>(
         stmt: &SelectStmt,
-        lowered: &Lowered,
         plans: impl IntoIterator<Item = &'p PlanSet>,
         preds: impl IntoIterator<Item = &'p Expr>,
     ) -> Result<ReadSets> {
         let mut sets = ReadSets::default();
-        if !lowered.unabsorbed.is_empty() {
-            // The nested loop binds whole objects and filters them with the
-            // WHERE clause as written.
-            for item in &stmt.from {
-                sets.widen(&item.var);
-            }
-            return Ok(sets);
-        }
         for set in plans {
             for plan in set.temps.iter().map(|(_, p)| p).chain([&set.root]) {
                 sets.plan(plan)?;
@@ -111,29 +101,13 @@ impl ReadSets {
             Plan::Bind { var, .. } | Plan::IndSel { var, .. } => {
                 self.0.entry(var.clone()).or_insert(FieldSet::NONE);
             }
-            Plan::Join {
-                left,
-                right,
-                condition,
-                ..
-            } => {
+            Plan::Join { condition, .. } => {
                 let (x_var, attr, _) = join_condition(condition)?;
                 self.read(x_var, attr);
-                self.plan(left)?;
-                self.plan(right)?;
             }
-            Plan::Union { inputs } => {
-                for p in inputs {
-                    self.plan(p)?;
-                }
-            }
-            Plan::Select { input, .. }
-            | Plan::Project { input, .. }
-            | Plan::Sort { input, .. }
-            | Plan::Partition { input, .. } => self.plan(input)?,
-            Plan::Temp { .. } => {}
+            _ => {}
         }
-        Ok(())
+        plan.children().into_iter().try_for_each(|child| self.plan(child))
     }
 
     /// A path reads its first attribute off the bound object (the rest is
@@ -146,40 +120,11 @@ impl ReadSets {
         }
     }
 
+    /// A method body reads whatever it likes of its receiver: the variable
+    /// itself must be whole; a receiver reached through a path is fetched
+    /// whole by the call.
     fn expr(&mut self, e: &Expr) {
-        match e {
-            Expr::Path(p) => self.path(p),
-            // A method body reads whatever it likes of its receiver: the
-            // variable itself must be whole; a receiver reached through a
-            // path is fetched whole by the call.
-            Expr::MethodCall { base, args, .. } => {
-                self.path(base);
-                for a in args {
-                    self.expr(a);
-                }
-            }
-            Expr::Agg { arg, .. } => {
-                if let Some(a) = arg {
-                    self.expr(a);
-                }
-            }
-            Expr::Literal(_) | Expr::Param(_) => {}
-            Expr::Compare { left, right, .. } | Expr::Arith { left, right, .. } => {
-                self.expr(left);
-                self.expr(right);
-            }
-            Expr::Between { expr, lo, hi } => {
-                self.expr(expr);
-                self.expr(lo);
-                self.expr(hi);
-            }
-            Expr::And(parts) | Expr::Or(parts) => {
-                for p in parts {
-                    self.expr(p);
-                }
-            }
-            Expr::Not(inner) => self.expr(inner),
-        }
+        let _ = e.paths(&mut |p, _| { self.path(p); Ok::<_, ()>(()) });
     }
 }
 

@@ -62,9 +62,8 @@ pub(crate) trait Sink {
 
 /// Stage rows in clause order: an ungrouped ORDER BY reads the bound rows,
 /// a grouped one names output columns.
-const UNGROUPED: [&str; 5] = ["FROM", "WHERE:UNION", "ORDER BY", "PROJECT", "DISTINCT"];
-const GROUPED: [&str; 7] = [
-    "FROM",
+const UNGROUPED: [&str; 4] = ["WHERE:UNION", "ORDER BY", "PROJECT", "DISTINCT"];
+const GROUPED: [&str; 6] = [
     "WHERE:UNION",
     "GROUP BY",
     "HAVING",
@@ -523,7 +522,6 @@ impl<'e, 'a> Tail<'e, 'a> {
             }
         });
         let present = |stage: &&str| match *stage {
-            "FROM" => pq.terms.is_empty(),
             "WHERE:UNION" => pq.terms.len() > 1,
             "HAVING" => stmt.having.is_some(),
             "ORDER BY" => !stmt.order_by.is_empty(),
@@ -732,7 +730,7 @@ impl<'e, 'a> Tail<'e, 'a> {
         self.ledger.switch(Owner::Coordinator);
         // The trace lists the clauses in Figure 7.1's order, once each.
         for stage in self.ledger.stages() {
-            if !matches!(stage.name, "PLAN" | "FROM" | "WHERE:UNION" | "DISTINCT") {
+            if !matches!(stage.name, "PLAN" | "WHERE:UNION" | "DISTINCT") {
                 self.ex.mark(stage.name);
             }
         }

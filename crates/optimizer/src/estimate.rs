@@ -258,6 +258,17 @@ impl Estimator<'_> {
                     jpages,
                 )
             }
+            Plan::Combine { left, right, on } => {
+                let rows = self.walk(left) * self.walk(right);
+                // Every left row meets every right row; an equi-join keeps
+                // `1/max(dist)` of the pairs. Both sides are in memory.
+                let sel = on.as_deref().map(|on| self.equi_selectivity(on));
+                let label = match on {
+                    Some(on) => format!("VALUE_HASH({on})"),
+                    None => "PRODUCT".to_string(),
+                };
+                (label, rows * sel.unwrap_or(1.0), sel, 0.0, 0.0)
+            }
             Plan::Project { input, attributes } => {
                 let rows = self.walk(input);
                 (
@@ -364,6 +375,16 @@ impl Estimator<'_> {
             terminal_selectivity: term_sel,
             hitprb_last,
         })
+    }
+
+    /// Selectivity of an equi-join `x.a = y.b` on atomic attributes:
+    /// `1/max(dist(a), dist(b))`, the uniform-domain rule of §5.
+    fn equi_selectivity(&self, on: &str) -> f64 {
+        let dist = |side: &str| {
+            let (var, attr) = side.split_once('.')?;
+            Some(self.view.domain(self.class_of(var)?, attr).dist)
+        };
+        1.0 / on.split(" = ").filter_map(dist).fold(1.0, f64::max)
     }
 
     /// Selectivity and probe cost (seconds) of an INDSEL node.

@@ -162,6 +162,9 @@ pub struct QuerySpec {
     pub order_by: Vec<String>,
     pub group_by: Vec<String>,
     pub having: Option<String>,
+    /// Range variables the plan must not bind: those of the statement's
+    /// other FROM components, which no path variable may be named after.
+    pub reserved: Vec<String>,
 }
 
 impl QuerySpec {
@@ -177,6 +180,7 @@ impl QuerySpec {
             order_by: Vec::new(),
             group_by: Vec::new(),
             having: None,
+            reserved: Vec::new(),
         }
     }
 }
@@ -878,6 +882,7 @@ fn optimize_term(
         accessed: root_in_memory,
     };
     let mut taken_vars = vec![spec.root_var.clone()];
+    taken_vars.extend_from_slice(&spec.reserved);
     for (step, &pi) in order.iter().enumerate() {
         let d = &path_data[pi];
         // The terminal comparison (`None` for an explicit join) and the

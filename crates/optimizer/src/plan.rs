@@ -30,6 +30,14 @@ pub enum Plan {
         method: JoinMethod,
         condition: String,
     },
+    /// `JOIN(left, right, VALUE_HASH, x.a = y.b)`: two FROM components
+    /// joined on equal atomic values, the right side hashed; with no
+    /// condition, `JOIN(left, right, PRODUCT, TRUE)`: their product.
+    Combine {
+        left: Box<Plan>,
+        right: Box<Plan>,
+        on: Option<String>,
+    },
     /// `PROJECT(input, attrs)`.
     Project {
         input: Box<Plan>,
@@ -87,7 +95,9 @@ impl Plan {
             | Plan::Project { input, .. }
             | Plan::Sort { input, .. }
             | Plan::Partition { input, .. } => vec![input],
-            Plan::Join { left, right, .. } => vec![left, right],
+            Plan::Join { left, right, .. } | Plan::Combine { left, right, .. } => {
+                vec![left, right]
+            }
             Plan::Union { inputs } => inputs.iter().collect(),
             Plan::Bind { .. } | Plan::Temp { .. } | Plan::IndSel { .. } => Vec::new(),
         }
@@ -107,7 +117,9 @@ impl Plan {
     /// Number of JOIN nodes (diagnostics, tests).
     pub fn join_count(&self) -> usize {
         match self {
-            Plan::Join { left, right, .. } => 1 + left.join_count() + right.join_count(),
+            Plan::Join { left, right, .. } | Plan::Combine { left, right, .. } => {
+                1 + left.join_count() + right.join_count()
+            }
             Plan::Select { input, .. }
             | Plan::Project { input, .. }
             | Plan::Sort { input, .. }
@@ -132,6 +144,10 @@ impl Plan {
                     walk(left, out);
                     walk(right, out);
                     out.push(*method);
+                }
+                Plan::Combine { left, right, .. } => {
+                    walk(left, out);
+                    walk(right, out);
                 }
                 Plan::Select { input, .. }
                 | Plan::Project { input, .. }
@@ -172,18 +188,19 @@ impl Plan {
             } => {
                 write!(f, "{pad}INDSEL({class}, {var}, {index_kind}, {predicate})")
             }
-            Plan::Join {
-                left,
-                right,
-                method,
-                condition,
-            } => {
+            Plan::Join { left, right, .. } | Plan::Combine { left, right, .. } => {
                 writeln!(f, "{pad}JOIN(")?;
                 left.fmt_indent(f, indent + 1)?;
                 writeln!(f, ",")?;
                 right.fmt_indent(f, indent + 1)?;
                 writeln!(f, ",")?;
-                write!(f, "{pad}  {}, {condition})", method.plan_name())
+                match self {
+                    Plan::Join { method, condition, .. } => {
+                        write!(f, "{pad}  {}, {condition})", method.plan_name())
+                    }
+                    Plan::Combine { on: Some(on), .. } => write!(f, "{pad}  VALUE_HASH, {on})"),
+                    _ => write!(f, "{pad}  PRODUCT, TRUE)"),
+                }
             }
             Plan::Project { input, attributes } => {
                 writeln!(f, "{pad}PROJECT(")?;

@@ -148,11 +148,11 @@ fn explain_gains_per_node_estimates() {
     assert!(plan.contains("BIND(Vehicle, v)"), "{plan}");
 }
 
-/// A FROM list the single-root optimizer cannot absorb runs as the nested
-/// loop, and `EXPLAIN` says so as `EXPLAIN ANALYZE` does, rather than print
-/// the plan of its first variable, a plan that never runs.
+/// A FROM list no path links is one plan per variable — each variable's
+/// own `BIND`/`SELECT` — combined by a `JOIN`, and `EXPLAIN` shows that
+/// plan with per-node estimates and read sets narrowed to what it reads.
 #[test]
-fn explain_of_a_nested_loop_from_list_prints_the_fallback() {
+fn explain_of_a_multi_variable_from_list_plans_each_variable() {
     let db = Mood::in_memory_with_pool(256);
     db.execute("CREATE CLASS V TUPLE (id Integer, weight Integer)").unwrap();
     db.execute("CREATE CLASS E TUPLE (size Integer, cylinders Integer)").unwrap();
@@ -163,16 +163,19 @@ fn explain_of_a_nested_loop_from_list_prints_the_fallback() {
     let sql = "SELECT v.id, e.size FROM V v, E e WHERE v.weight > 1500 AND e.cylinders = 2";
     let Answer::Rows(rows) = db.execute(sql).unwrap() else { panic!("rows") };
     assert_eq!(rows.len(), 45, "9 heavy V x 5 two-cylinder E");
-    let fallback = "-- nested-loop fallback (no per-operator plan)\n";
-    let analyzed = db.explain_analyze(sql).unwrap();
-    assert!(analyzed.contains(fallback), "{analyzed}");
     let plan = db.explain(sql).unwrap();
-    assert!(plan.starts_with(fallback), "{plan}");
-    for operator in ["BIND(", "SELECT(", "-- Node estimates"] {
-        assert!(!plan.contains(operator), "no plan runs, none is shown:\n{plan}");
+    for node in [
+        "SELECT(BIND(V, v), v.weight > 1500)",
+        "SELECT(BIND(E, e), e.cylinders = 2)",
+        "PRODUCT, TRUE)",
+        "-- * PRODUCT: rows=",
+        "-- Reads: e {cylinders, size}\n-- Reads: v {id, weight}\n",
+    ] {
+        assert!(plan.contains(node), "{node}:\n{plan}");
     }
-    // The read sets are still shown: the loop binds whole objects.
-    assert!(plan.contains("-- Reads: e *") && plan.contains("-- Reads: v *"), "{plan}");
+    assert_eq!(plan.matches("JOIN(").count(), 1, "{plan}");
+    let analyzed = db.explain_analyze(sql).unwrap();
+    assert!(analyzed.contains("PRODUCT\n") && analyzed.contains("act: rows=45 "), "{analyzed}");
 }
 
 /// A scan of `FROM EVERY C [- D …]` reads every extent the hierarchy names,
@@ -373,12 +376,12 @@ fn analyze_of_a_warm_plan_runs_the_batched_scan() {
 }
 
 /// The clauses after WHERE consume the plan's output as it streams: each
-/// stage owns its work while the feeding node (or the nested-loop FROM
-/// stage) waits for it. With a sort that spills runs, an aggregation that
-/// spills partitions, a projection that dereferences (pages of its own),
-/// DISTINCT and a FROM list run as a nested loop, on a plan's first
-/// execution and on its next: every page and every nanosecond is accounted
-/// to exactly one node, one stage or the coordinator.
+/// stage owns its work while the feeding node waits for it. With a sort
+/// that spills runs, an aggregation that spills partitions, a projection
+/// that dereferences (pages of its own), DISTINCT and FROM lists of two and
+/// three components, on a plan's first execution and on its next: every
+/// page and every nanosecond is accounted to exactly one node, one stage or
+/// the coordinator.
 #[test]
 fn streamed_stages_telescope_with_spills_and_groups() {
     let db = build_sized(4, 1024);
@@ -412,8 +415,15 @@ fn streamed_stages_telescope_with_spills_and_groups() {
         (
             "SELECT v.id, e.size FROM Vehicle v, VehicleEngine e \
              WHERE v.weight > 1500 AND e.cylinders = 4 ORDER BY v.id, e.size",
-            &["FROM", "ORDER BY", "PROJECT"][..],
+            &["ORDER BY", "PROJECT"][..],
             1088,
+        ),
+        // Three variables: a product, then a hash join on `e.size = d.weight`.
+        (
+            "SELECT v.id, d.id, e.size FROM Vehicle v, VehicleEngine e, Vehicle d \
+             WHERE v.weight > 1780 AND e.cylinders = 4 AND d.weight = e.size ORDER BY v.id, d.id",
+            &["ORDER BY", "PROJECT"][..],
+            68 * 136,
         ),
     ] {
         let stmt = select_stmt(sql);

@@ -699,6 +699,41 @@ fn first_dml_on_an_unanalysed_database_collects_stats_once() {
     assert!(plan.contains("INDSEL(Vehicle, v"), "{plan}");
 }
 
+/// A SELECT of two variables plans each FROM class as a root of its own:
+/// the first on an unanalysed database collects statistics, once, for
+/// every class, and §8.1 prices the index of the second variable.
+#[test]
+fn first_two_variable_select_collects_stats_once_and_prices_the_second_index() {
+    let db = Mood::in_memory_with_pool(1024);
+    db.execute("CREATE CLASS Company TUPLE (name String(32))").unwrap();
+    db.execute("CREATE CLASS Vehicle TUPLE (id Integer, weight Integer)").unwrap();
+    let cat = db.catalog();
+    for i in 0..4 {
+        let name = Value::string(format!("maker{i}"));
+        cat.new_object("Company", Value::tuple(vec![("name", name)])).unwrap();
+    }
+    for i in 0..6000 {
+        let fields = vec![("id", Value::Integer(i)), ("weight", Value::Integer(700 + i % 90))];
+        cat.new_object("Vehicle", Value::tuple(fields)).unwrap();
+    }
+    db.execute("CREATE UNIQUE INDEX ON Vehicle(id)").unwrap();
+    assert!(cat.stats().class("Vehicle").is_none() && cat.stats().class("Company").is_none());
+    let epoch = cat.epoch();
+    let sql =
+        |id: i32| format!("SELECT c.name, v.weight FROM Company c, Vehicle v WHERE v.id = {id}");
+    for id in [300, 301] {
+        let Answer::Rows(rows) = db.execute(&sql(id)).unwrap() else { panic!("rows") };
+        assert_eq!(rows.len(), 4, "{}", sql(id));
+        assert_eq!(cat.epoch(), epoch + 1, "collected once");
+    }
+    assert_eq!(cat.stats().class("Vehicle").map(|c| c.cardinality), Some(6000));
+    assert_eq!(cat.stats().class("Company").map(|c| c.cardinality), Some(4));
+    let plan = db.explain(&sql(300)).unwrap();
+    assert!(plan.contains("v.id = 300 | 1.667e-4 |") && plan.contains("| Indexed"), "{plan}");
+    assert!(plan.contains("INDSEL(Vehicle, v, BTREE, v.id = 300)"), "{plan}");
+    assert_eq!(cat.epoch(), epoch + 1, "EXPLAIN collects nothing");
+}
+
 #[test]
 fn stricter_binding_rejects_unknown_names_before_touching_rows() {
     let db = build(100, Indexes::None);

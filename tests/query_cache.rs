@@ -443,13 +443,14 @@ fn cached_run_preserves_trace_and_answers() {
 }
 
 // ----------------------------------------------------------------------
-// A FROM list the optimizer cannot absorb is a plan like any other
+// A FROM list no path links is a plan like any other
 // ----------------------------------------------------------------------
 
-/// Two extents with no reference between them run as a nested-loop product:
-/// prepared, cached, analyzed and accounted like every other SELECT.
+/// Two extents with no reference between them are planned one by one and
+/// combined by a product: prepared, cached, analyzed and accounted like
+/// every other SELECT.
 #[test]
-fn nested_loop_from_lists_are_cached_and_analyzed_like_any_select() {
+fn multi_variable_from_lists_are_cached_and_analyzed_like_any_select() {
     let db = build(24);
     // One shape (the `=` operand is a parameter), three keys.
     let q = |cyl: i32| {
@@ -483,7 +484,7 @@ fn nested_loop_from_lists_are_cached_and_analyzed_like_any_select() {
     assert_eq!(analyzed.result, reference, "instrumented run");
     let report = db.explain_analyze(&q(4)).unwrap();
     assert!(report.contains("plan: cached (epoch"), "{report}");
-    assert!(report.contains("--   FROM: rows=12"), "{report}");
+    assert!(report.contains("PRODUCT\n  est: rows=13 pages=0.0 | act: rows=12 "), "{report}");
     assert!(report.contains("-- total: rows=12"), "{report}");
 
     let Answer::Rows(stats) = db.execute("SHOW STATEMENTS").unwrap() else {
@@ -493,7 +494,7 @@ fn nested_loop_from_lists_are_cached_and_analyzed_like_any_select() {
         .rows
         .iter()
         .find(|row| row[0].to_string().contains("FROM Vehicle v, VehicleEngine e"))
-        .expect("the nested-loop shape has a SHOW STATEMENTS row");
+        .expect("the two-variable shape has a SHOW STATEMENTS row");
     assert_eq!(row[1], Value::LongInteger(5), "calls: 1 uncached + 3 + EXPLAIN ANALYZE");
     assert_eq!(row[8], Value::LongInteger(3), "cache_hits");
 }

@@ -4,7 +4,8 @@
 //! * **Differential** — a corpus covering every way the driver binds an
 //!   object (scan, batched scan+select, index fetch with re-verification,
 //!   the four join methods — each with a filter on its right side —
-//!   backward materialisation, the nested loop, DML targets) and every
+//!   backward materialisation, FROM lists of several components, DML
+//!   targets) and every
 //!   shape of expression (methods, bare variables, several variables) runs
 //!   against a naive oracle that walks *whole* objects
 //!   from `catalog.extent()` through its tree-walking `eval_expr`; cached
@@ -12,8 +13,8 @@
 //!   attribute would not fail loudly — a name absent from a tuple reads as
 //!   NULL — so this suite is what checks completeness.
 //! * **Exact sets** — `EXPLAIN`'s `-- Reads:` lines for each statement,
-//!   and the widening rules (bare variable, DML target, unabsorbed FROM
-//!   list, method on the variable itself → `*`).
+//!   and the widening rules (bare variable, DML target, method on the
+//!   variable itself → `*`).
 //! * **Schema evolution** — an attribute inside the read set but absent
 //!   from an older stored record still reads NULL.
 //! * **Damaged records** — a record that does not decode is the
@@ -367,11 +368,23 @@ const PLAIN: &[(&str, &[&str])] = &[
          AND e.cylinders > 4",
         &["d {engine}", "e *", "v {drivetrain, id}"],
     ),
-    // Widening: a FROM list the optimizer cannot absorb is a nested loop.
+    // A FROM list no path links: each variable's plan reads its own.
     (
         "SELECT v.id, c.name FROM Vehicle v, Company c WHERE v.weight > 1500 AND \
          c.name = 'maker1'",
-        &["c *", "v *"],
+        &["c {name}", "v {id, weight}"],
+    ),
+    // `EVERY X - Y` on a later item; a later item absorbing another by its
+    // path, and a reference comparison across the components.
+    (
+        "SELECT c.name, v.id FROM Company c, EVERY Vehicle - JapaneseAuto v WHERE \
+         c.location = 'Aichi' AND v.weight > 1500",
+        &["c {location, name}", "v {id, weight}"],
+    ),
+    (
+        "SELECT c.name, v.id, e.size FROM Company c, Vehicle v, VehicleEngine e WHERE \
+         v.drivetrain.engine = e AND c.name = 'maker1' AND v.company = c AND e.cylinders = 4",
+        &["c *", "d {engine}", "e *", "v {company, drivetrain, id}"],
     ),
     // Widening: a method on the variable reads what its body likes.
     (
@@ -403,12 +416,12 @@ const PLAIN: &[(&str, &[&str])] = &[
          e.cylinders > 4 AND v.weight > e.size + 200 ORDER BY v.id",
         &["d {engine}", "e *", "v *"],
     ),
-    // The same shapes in the nested loop: `k` is not absorbed, so
-    // `v.company = c` is a comparison of two references.
+    // The same shapes over two components: `k` is a component of its own,
+    // `c.location = k.location` its hash key; `k` is read bare.
     (
         "SELECT v.id, c.name, k FROM Vehicle v, Company c, Company k WHERE v.company = c AND \
          k.name = 'maker1' AND c.location = k.location AND v.id < 30 ORDER BY v.id, c.name",
-        &["c *", "k *", "v *"],
+        &["c {location, name}", "k *", "v {company, id}"],
     ),
 ];
 
@@ -508,7 +521,18 @@ fn index_fetches_reverify_on_the_pruned_object() {
         by_path,
         "SELECT v.id, v.weight FROM EVERY Vehicle v WHERE v.drivetrain.engine.size = 1050 \
          ORDER BY v.id",
+        // Two variables, the index on either side; three, a String hash
+        // key with duplicates and a residual across them.
+        "SELECT v.id, e.size FROM Vehicle v, VehicleEngine e WHERE v.id = 10 \
+         AND v.weight = e.size",
+        "SELECT e.size, v.id FROM VehicleEngine e, Vehicle v WHERE e.cylinders = 2 \
+         AND v.weight = 1440 AND e.size = v.weight",
+        "SELECT c.name, e.size, k.name FROM Company c, VehicleEngine e, Company k WHERE \
+         c.location = k.location AND e.cylinders = 8 AND e.size < 1100 AND c.name <> k.name",
     ];
+    for sql in &corpus[7..9] {
+        assert!(db.explain(sql).unwrap().contains("INDSEL(Vehicle, v, BTREE"), "{sql}");
+    }
     check_everywhere(&db, &corpus);
 
     // Make the path index stale (it is rebuilt on demand, not on update):

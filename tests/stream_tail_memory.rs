@@ -146,6 +146,37 @@ fn distinct_holds_a_few_batches_and_its_set() {
     }
 }
 
+/// `readings(n)` and a `Tally` of `tallies` objects, none with a negative
+/// `k`.
+fn readings_and_tallies(n: i32, tallies: i32) -> Mood {
+    let db = readings(n);
+    db.execute("CREATE CLASS Tally TUPLE (id Integer, k Integer)").unwrap();
+    for i in 0..tallies {
+        let fields = vec![("id", Value::Integer(i)), ("k", Value::Integer(i % 100))];
+        db.catalog().new_object("Tally", Value::tuple(fields)).unwrap();
+    }
+    db.collect_stats().unwrap();
+    db
+}
+
+#[test]
+fn a_product_of_three_variables_holds_its_inputs_not_the_product() {
+    // 200 x 200 readings meet no tally: the 40 000 pairs stream through
+    // the last combination batch by batch, and doubling the tallies (which
+    // match nothing) leaves the peak where it was. Holding the pairs at
+    // once would be several megabytes.
+    let sql = "SELECT r.id, s.id, t.id FROM Reading r, Reading s, Tally t \
+               WHERE r.id < 200 AND s.id < 200 AND t.k < 0";
+    let peaks = [4_000, 8_000].map(|tallies| {
+        let db = readings_and_tallies(2_000, tallies);
+        assert!(db.explain(sql).unwrap().contains("PRODUCT"));
+        let first = peak_and_answer(&db, sql, 0).0;
+        first.max(peak_and_answer(&db, sql, 0).0)
+    });
+    assert!(peaks[1] < 1_000_000, "peaked at {peaks:?} bytes");
+    assert!(peaks[1] - peaks[0] < 16_384, "4 000 -> 8 000 tallies: {peaks:?} bytes");
+}
+
 /// Allocations of one execution of `sql`, which answers `rows` rows, after
 /// a first one that prepared the plan and compiled its programs.
 fn allocations_of(db: &Mood, sql: &str, rows: usize) -> usize {
