@@ -211,7 +211,7 @@ pub(crate) fn fetch_targets<E: From<CatalogError>>(
         pages.extend(oids.iter().map(|o| (o.file, o.page)));
         pages.dedup();
     }
-    let pool = catalog.storage().pool();
+    let (pool, mut reader) = (catalog.storage().pool(), catalog.reader(fields));
     let mut rest = oids.as_slice();
     while let Some(first) = rest.first() {
         let (file, page) = (first.file, first.page);
@@ -219,7 +219,7 @@ pub(crate) fn fetch_targets<E: From<CatalogError>>(
         let n = rest.partition_point(|o| o.file == file && o.page.0 < page.0 + run);
         let mut failed = None;
         catalog.fetch_records_with(&rest[..n], &mut |oid, bytes| {
-            failed = slab.decode(oid, bytes, fields).err();
+            failed = slab.decode(&mut reader, oid, bytes).err();
             failed.is_none()
         })?;
         failed.map_or(Ok(()), Err)?;

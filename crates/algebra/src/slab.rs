@@ -1,13 +1,13 @@
 //! Recycled decode slots: how a scan and the ordered fetch hold the objects
 //! they decode (DESIGN.md §4m).
 
-use mood_catalog::{Catalog, CatalogError};
-use mood_datamodel::{FieldSet, Value};
+use mood_catalog::{CatalogError, ObjectReader};
+use mood_datamodel::Value;
 use mood_storage::Oid;
 
 /// Decoded objects in slots kept from batch to batch. `slots[..filled]` are
 /// the live objects; the slots behind them hold what earlier objects left,
-/// and the next decode reuses it ([`Catalog::decode_into`]), so an object
+/// and the next decode reuses it ([`ObjectReader::decode_into`]), so an object
 /// costs no allocation once the slab has grown to its working size. A
 /// consumer reads the live objects in place; one that keeps an object takes
 /// it out (`mem::replace(v, Value::Null)`), and that slot decodes afresh.
@@ -18,20 +18,20 @@ pub struct Slab {
 }
 
 impl Slab {
-    /// Decode the stored record `bytes` of `oid` to `fields` into the next
+    /// Decode the stored record `bytes` of `oid` by `reader` into the next
     /// slot, which becomes live.
     pub fn decode(
         &mut self,
+        reader: &mut ObjectReader<'_>,
         oid: Oid,
         bytes: &[u8],
-        fields: &FieldSet,
     ) -> Result<(), CatalogError> {
         if self.filled == self.slots.len() {
             self.slots.push((oid, Value::Null));
         }
         let slot = &mut self.slots[self.filled];
         slot.0 = oid;
-        Catalog::decode_into(oid, bytes, fields, &mut slot.1)?;
+        reader.decode_into(oid, bytes, &mut slot.1)?;
         self.filled += 1;
         Ok(())
     }

@@ -13,6 +13,8 @@ pub struct RefDbSpec {
     /// |D| — referenced objects.
     pub n_d: usize,
     /// Padding bytes per object (controls objects/page, hence nbpages).
+    /// The defaults make a stored C 176 bytes and a D 236 — the Table 8
+    /// instance `reproduce` prints (8 000 Ds on 500 pages in X1).
     pub pad_c: usize,
     pub pad_d: usize,
     /// Buffer-pool frames (small pools reproduce the worst-case model).
@@ -28,8 +30,8 @@ impl Default for RefDbSpec {
         RefDbSpec {
             n_c: 2000,
             n_d: 500,
-            pad_c: 120,
-            pad_d: 200,
+            pad_c: 144,
+            pad_d: 219,
             pool_frames: 8,
             join_index: false,
             seed: 42,
@@ -141,7 +143,7 @@ pub fn build_vehicle_db(spec: &VehicleDbSpec) -> Mood {
                             "cylinders",
                             Value::Integer(2 + 2 * (rng.gen_range(0..spec.cylinder_values))),
                         ),
-                        ("pad", Value::string("e".repeat(400))),
+                        ("pad", Value::string("e".repeat(430))),
                     ]),
                 )
                 .unwrap(),
@@ -192,7 +194,7 @@ pub fn build_vehicle_db(spec: &VehicleDbSpec) -> Mood {
                         "company",
                         Value::Ref(companies[rng.gen_range(0..manufacturer_pool)]),
                     ),
-                    ("pad", Value::string("v".repeat(150))),
+                    ("pad", Value::string("v".repeat(200))),
                 ]),
             )
             .unwrap();

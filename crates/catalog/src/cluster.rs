@@ -78,9 +78,10 @@ impl Catalog {
             records.push((oid, bytes.to_vec()));
             true
         })?;
+        let mut reader = self.reader(&FieldSet::All);
         let decoded: Vec<(TypeId, Value)> = records
             .iter()
-            .map(|(oid, bytes)| Self::decode_object(*oid, bytes, &FieldSet::All))
+            .map(|(oid, bytes)| reader.decode(*oid, bytes))
             .collect::<Result<_>>()?;
 
         // 2. Order by chased target OID — physical OIDs order by
@@ -113,7 +114,7 @@ impl Catalog {
             let mut unreadable = None;
             let h = self.sm.open_heap(file);
             h.scan_hint_with(AccessHint::Sequential, |oid, bytes| {
-                match Self::decode_object(oid, bytes, &FieldSet::All) {
+                match reader.decode(oid, bytes) {
                     Ok((tid, v)) if refers_into(&v, old_file) => {
                         referrers.push((file, oid, tid, v))
                     }
@@ -126,7 +127,9 @@ impl Catalog {
         }
 
         // 4. Copy into a fresh heap in clustered order, building the
-        // old-OID → new-OID map.
+        // old-OID → new-OID map. A record is copied as stored, under the
+        // schema version it was written in; only one whose references are
+        // rewritten below is written anew, under the current version.
         let new_heap = self.sm.create_heap()?;
         let new_file = new_heap.file_id();
         let mut map: HashMap<Oid, Oid> = HashMap::with_capacity(records.len());
@@ -144,7 +147,7 @@ impl Catalog {
         let own = own.map(|((old_oid, _), (tid, v))| (new_file, map[old_oid], tid, v));
         for (file, oid, tid, v) in own.chain(referrers) {
             if let Some(nv) = remap_refs(&v, old_file, &map) {
-                let bytes = Self::encode_object(tid, &nv);
+                let bytes = self.encode_object(tid, &nv)?;
                 self.sm.open_heap(file).update(oid, &bytes)?;
             }
         }

@@ -168,7 +168,7 @@ fn cluster_fails_on_an_undecodable_record_before_writing_anything() {
         cat.create_index("Vehicle", "id", false).unwrap();
         let file = |class: &str| cat.class(class).unwrap().extent.unwrap();
         let mut record = cat.type_id(damaged_class).unwrap().to_le_bytes().to_vec();
-        record.extend([200, 1, 2, 3]); // no such value tag
+        record.extend([200, 1, 2, 3]); // schema version 456: the class has no such version
         let bad = cat.storage().open_heap(file(damaged_class)).insert(&record).unwrap();
         let old_file = file("Vehicle");
         let index_file = cat.index("Vehicle", "id").unwrap().file;
@@ -192,10 +192,10 @@ fn cluster_fails_on_an_undecodable_record_before_writing_anything() {
             assert_eq!(hits.unwrap(), vec![*oid]);
         }
         let heap = cat.storage().open_heap(file("Garage"));
-        let mut parked = Vec::new();
+        let (mut parked, mut reader) = (Vec::new(), cat.reader(&FieldSet::All));
         heap.scan_with(|oid, bytes| {
             if oid != bad {
-                let (_, g) = Catalog::decode_object(oid, bytes, &FieldSet::All).unwrap();
+                let (_, g) = reader.decode(oid, bytes).unwrap();
                 parked.push(g.field("parked").unwrap().as_oid().unwrap());
             }
             true

@@ -31,11 +31,11 @@ pub enum CatalogError {
     DuplicateIndex { class: String, attribute: String },
     /// No index on this (class, attribute).
     UnknownIndex { class: String, attribute: String },
-    /// The attribute cannot be renamed while an index reads it: stored
-    /// objects keep the old field name, so the index would be keyed on
-    /// values no object has under the new one. `index` names the index as
-    /// `Class(path)`.
-    IndexedAttribute { class: String, attribute: String, index: String },
+    /// The database was written in an on-disk format this build does not
+    /// read (`found`; this build reads `supported`).
+    UnsupportedFormat { found: u32, supported: u32 },
+    /// A class has as many schema versions as a record can name.
+    TooManyVersions(String),
     /// Underlying storage failure.
     Storage(mood_storage::StorageError),
     /// Stored catalog bytes were unreadable.
@@ -78,10 +78,13 @@ impl fmt::Display for CatalogError {
             CatalogError::UnknownIndex { class, attribute } => {
                 write!(f, "no index on {class}.{attribute}")
             }
-            CatalogError::IndexedAttribute { class, attribute, index } => write!(
+            CatalogError::UnsupportedFormat { found, supported } => write!(
                 f,
-                "attribute {class}.{attribute} is indexed by {index}; drop the index first"
+                "database format {found} is not supported (this build reads format {supported})"
             ),
+            CatalogError::TooManyVersions(c) => {
+                write!(f, "class {c} has run out of schema versions")
+            }
             CatalogError::Storage(e) => write!(f, "storage error: {e}"),
             CatalogError::Corrupt(msg) => write!(f, "catalog corruption: {msg}"),
         }

@@ -9,7 +9,9 @@
 //! * the class hierarchy (multiple inheritance DAG) with effective-attribute
 //!   computation and late-binding method resolution ([`hierarchy`]);
 //! * class extents: object CRUD with type checking and OID stability
-//!   ([`Catalog::new_object`] etc.);
+//!   ([`Catalog::new_object`] etc.), each object stored as a positional
+//!   record of its class's schema version and read back by
+//!   [`ObjectReader`];
 //! * secondary B+-tree indexes with automatic maintenance;
 //! * the statistics of Table 8/9, collectable by scan or injectable for the
 //!   paper's worked examples ([`stats`]).
@@ -26,14 +28,18 @@
 mod cluster;
 pub mod error;
 pub mod hierarchy;
+mod layout;
 pub mod persist;
 pub mod schema;
 pub mod stats;
 
 pub use cluster::ClusterReport;
 pub use error::{CatalogError, Result};
-pub use persist::{CatalogRoot, CatalogStore};
-pub use schema::{AttributeDef, ClassBuilder, ClassDef, ClassKind, MethodSig, TypeId};
+pub use layout::ObjectReader;
+pub use persist::{CatalogRoot, CatalogStore, FORMAT_VERSION};
+pub use schema::{
+    AttrId, AttributeDef, ClassBuilder, ClassDef, ClassKind, MethodSig, TypeId, Version,
+};
 pub use stats::{AttrStats, ClassStats, DatabaseStats, RefStats};
 
 use std::borrow::Borrow;
@@ -44,12 +50,11 @@ use std::sync::Arc;
 
 use parking_lot::RwLock;
 
-use mood_datamodel::{
-    decode_fields_into, encode_key, encode_value_into, FieldSet, Resolver, TypeDescriptor, Value,
-};
+use mood_datamodel::{encode_key, FieldSet, Resolver, TypeDescriptor, Value};
 use mood_storage::{AccessHint, FileId, Oid, StorageManager};
 
 use cluster::chase_locality;
+use layout::Layouts;
 
 /// A registered secondary index on (class, attribute): a B+-tree. A
 /// dotted attribute is a path index.
@@ -100,11 +105,20 @@ impl PartialEq for dyn IndexKey + '_ {
 
 impl Eq for dyn IndexKey + '_ {}
 
+/// A class's effective attributes as `(id, name)`, in slot order.
+type AttributeList = Vec<(AttrId, String)>;
+
 struct Inner {
     classes: hierarchy::ClassMap,
     by_id: HashMap<TypeId, String>,
     extent_class: HashMap<FileId, String>,
     next_type_id: TypeId,
+    /// Like type ids, attribute ids never move back: one a dropped
+    /// attribute or a rolled-back DDL took is never reissued.
+    next_attr_id: AttrId,
+    /// What stored objects are read and written by, rebuilt from
+    /// `classes` by every schema change ([`Inner::relayout`]).
+    layouts: Arc<Layouts>,
     store: CatalogStore,
     /// Shared, so a lookup hands out the registration without copying it.
     indexes: HashMap<(String, String), Arc<IndexInfo>>,
@@ -130,6 +144,9 @@ impl Inner {
         self.extent_class.clear();
         for def in defs {
             self.next_type_id = self.next_type_id.max(def.type_id + 1);
+            let slots = def.versions.iter().flatten().copied();
+            let ids = def.attributes.iter().map(|a| a.id).chain(slots);
+            self.next_attr_id = self.next_attr_id.max(ids.max().map_or(0, |id| id + 1));
             self.by_id.insert(def.type_id, def.name.clone());
             if let Some(f) = def.extent {
                 self.extent_class.insert(f, def.name.clone());
@@ -141,7 +158,55 @@ impl Inner {
         let (extents, indexes) = (&self.extent_class, &self.indexes);
         self.pending_drops
             .retain(|f| !extents.contains_key(f) && !indexes.values().any(|i| i.file == *f));
+        self.relayout();
         Ok(())
+    }
+
+    /// Rebuild the layouts from the classes: after anything that changes
+    /// which classes exist or what attributes they have.
+    fn relayout(&mut self) {
+        self.layouts = Arc::new(Layouts::of(&self.classes));
+    }
+
+    /// Give `class` and each subclass whose effective attributes — ids or
+    /// names — differ from `before` (each class's `(id, name)` list) a new
+    /// schema version; the classes that got one. An inheritance conflict
+    /// anywhere changes nothing.
+    fn bump_versions(
+        &mut self,
+        before: &[(String, AttributeList)],
+    ) -> Result<Vec<String>> {
+        let mut bumps = Vec::new();
+        for (class, was) in before {
+            let now = hierarchy::effective_attributes(&self.classes, class)?;
+            if now.iter().map(|a| (a.id, &a.name)).eq(was.iter().map(|(id, n)| (*id, n))) {
+                continue;
+            }
+            if self.classes[class].versions.len() > usize::from(Version::MAX) {
+                return Err(CatalogError::TooManyVersions(class.clone()));
+            }
+            bumps.push((class.clone(), now.iter().map(|a| a.id).collect::<Vec<_>>()));
+        }
+        // Nothing changes until every class has validated.
+        for (class, slots) in &bumps {
+            self.classes.get_mut(class).expect("listed from the map").versions.push(slots.clone());
+        }
+        Ok(bumps.into_iter().map(|(class, _)| class).collect())
+    }
+
+    /// `class` and its subclasses, each with its effective attributes as
+    /// `(id, name)`: what [`bump_versions`](Self::bump_versions) compares.
+    fn attribute_lists(&self, class: &str) -> Result<Vec<(String, AttributeList)>> {
+        let mut classes = vec![class.to_string()];
+        let subclasses = hierarchy::all_subclasses(&self.classes, class);
+        classes.extend(subclasses.iter().map(|d| d.name.clone()));
+        classes
+            .into_iter()
+            .map(|c| {
+                let attrs = hierarchy::effective_attributes(&self.classes, &c)?;
+                Ok((c, attrs.into_iter().map(|a| (a.id, a.name)).collect()))
+            })
+            .collect()
     }
 
     /// Retire every index whose attribute path no longer resolves against
@@ -184,23 +249,46 @@ impl Inner {
         true
     }
 
-    /// The first index (as `Class(path)`) that reads `class`'s attribute
-    /// `attribute`: on `class`, on a subclass, or on a path through it.
-    fn index_reading(&self, class: &str, attribute: &str) -> Option<String> {
-        let mut keys: Vec<&(String, String)> = self.indexes.keys().collect();
-        keys.sort();
-        keys.into_iter().find_map(|(root, path)| {
-            let mut hop = root.clone();
+    /// Re-key every index that reads `class`'s attribute renamed `old` →
+    /// `new` — on `class`, on a subclass, or on a path through it — to the
+    /// new name, with its statistics; run after the rename, the paths are
+    /// resolved against the renamed schema. Returns the classes whose
+    /// index records changed.
+    fn rename_in_indexes(&mut self, class: &str, old: &str, new: &str) -> Vec<String> {
+        let mut renamed: Vec<((String, String), String)> = Vec::new();
+        for (root, path) in self.indexes.keys() {
+            let (mut hop, mut segments) = (root.clone(), Vec::new());
             for segment in path.split('.') {
-                if segment == attribute && hierarchy::is_subclass_of(&self.classes, &hop, class) {
-                    return Some(format!("{root}({path})"));
+                let inherited =
+                    segment == old && hierarchy::is_subclass_of(&self.classes, &hop, class);
+                let segment = if inherited { new } else { segment };
+                segments.push(segment);
+                let Ok(attrs) = hierarchy::effective_attributes(&self.classes, &hop) else { break };
+                let next = attrs.iter().find(|a| a.name == segment);
+                match next.and_then(|a| a.ty.referenced_class()) {
+                    Some(target) => hop = target.to_string(),
+                    None => break,
                 }
-                let attrs = hierarchy::effective_attributes(&self.classes, &hop).ok()?;
-                let attr = attrs.iter().find(|a| a.name == segment)?;
-                hop = attr.ty.referenced_class()?.to_string();
             }
-            None
-        })
+            let renamed_path = segments.join(".");
+            if segments.len() == path.split('.').count() && renamed_path != *path {
+                renamed.push(((root.clone(), path.clone()), renamed_path));
+            }
+        }
+        let mut changed = Vec::new();
+        for (key, path) in renamed {
+            let info = self.indexes.remove(&key).expect("listed above");
+            if let Some(stats) = self.stats.index(&key.0, &key.1).cloned() {
+                self.stats.remove_index(&key.0, &key.1);
+                self.stats.set_index(&key.0, &path, stats);
+            }
+            let info = IndexInfo { attribute: path.clone(), ..IndexInfo::clone(&info) };
+            self.indexes.insert((key.0.clone(), path), Arc::new(info));
+            changed.push(key.0);
+        }
+        changed.sort();
+        changed.dedup();
+        changed
     }
 
     /// Persist `class`'s records — its definition and the indexes declared
@@ -253,6 +341,8 @@ impl Catalog {
                 by_id: HashMap::new(),
                 extent_class: HashMap::new(),
                 next_type_id: 1,
+                next_attr_id: 1,
+                layouts: Arc::default(),
                 store,
                 indexes: HashMap::new(),
                 stats: DatabaseStats::new(),
@@ -348,17 +438,27 @@ impl Catalog {
         };
         let type_id = inner.next_type_id;
         inner.next_type_id += 1;
-        let def = builder.build(type_id, extent);
-        // Validate the effective attribute set (inheritance conflicts).
-        inner.classes.insert(name.clone(), def.clone());
-        if let Err(e) = hierarchy::effective_attributes(&inner.classes, &name) {
-            inner.classes.remove(&name);
-            return Err(e);
+        let mut def = builder.build(type_id, extent);
+        for attr in &mut def.attributes {
+            attr.id = inner.next_attr_id;
+            inner.next_attr_id += 1;
         }
+        // Validate the effective attribute set (inheritance conflicts); it
+        // is version 0's slot list.
+        inner.classes.insert(name.clone(), def.clone());
+        match hierarchy::effective_attributes(&inner.classes, &name) {
+            Ok(attrs) => def.versions = vec![attrs.iter().map(|a| a.id).collect()],
+            Err(e) => {
+                inner.classes.remove(&name);
+                return Err(e);
+            }
+        }
+        inner.classes.insert(name.clone(), def.clone());
         inner.by_id.insert(type_id, name.clone());
         if let Some(f) = extent {
             inner.extent_class.insert(f, name.clone());
         }
+        inner.relayout();
         inner.save(&name)?;
         drop(inner);
         self.bump_epoch();
@@ -393,134 +493,151 @@ impl Catalog {
             keep
         });
         inner.store.delete_class(name)?;
+        inner.relayout();
         drop(guard);
         self.bump_epoch();
         Ok(())
     }
 
-    /// Change `name`'s definition by `f`; an index on an attribute `f`
-    /// removed is retired in the same DDL ([`Inner::retire_stale_indexes`]).
-    fn mutate_class(&self, name: &str, f: impl FnOnce(&mut ClassDef) -> Result<()>) -> Result<()> {
+    /// Change `name`'s definition by `f`, then let `indexes` follow the
+    /// change (it returns the classes whose index records it changed). The
+    /// class and each subclass whose effective attributes moved get a new
+    /// schema version; an index on an attribute `f` removed is retired in
+    /// the same DDL ([`Inner::retire_stale_indexes`]).
+    fn mutate_class(
+        &self,
+        name: &str,
+        f: impl FnOnce(&mut ClassDef) -> Result<()>,
+        indexes: impl FnOnce(&mut Inner) -> Vec<String>,
+    ) -> Result<()> {
         let mut inner = self.inner.write();
         let mut def = inner
             .classes
             .get(name)
             .cloned()
             .ok_or_else(|| CatalogError::UnknownClass(name.to_string()))?;
+        let before = inner.attribute_lists(name)?;
         f(&mut def)?;
         let orig = inner.classes.insert(name.to_string(), def).expect("cloned above");
-        // Re-validate inheritance for the whole affected subtree.
-        let mut to_check: Vec<String> = vec![name.to_string()];
-        to_check.extend(
-            hierarchy::all_subclasses(&inner.classes, name)
-                .iter()
-                .map(|d| d.name.clone()),
-        );
-        for c in &to_check {
-            if let Err(e) = hierarchy::effective_attributes(&inner.classes, c) {
+        // Re-validate inheritance for the whole affected subtree, and
+        // version every class whose attributes moved.
+        let bumped = match inner.bump_versions(&before) {
+            Ok(bumped) => bumped,
+            Err(e) => {
                 inner.classes.insert(name.to_string(), orig);
                 return Err(e);
             }
+        };
+        let mut changed = indexes(&mut inner);
+        changed.extend(inner.retire_stale_indexes());
+        changed.extend(bumped);
+        changed.push(name.to_string());
+        changed.sort();
+        changed.dedup();
+        inner.relayout();
+        for class in &changed {
+            inner.save(class)?;
         }
-        for class in inner.retire_stale_indexes() {
-            if class != name {
-                inner.save(&class)?;
-            }
-        }
-        inner.save(name)?;
         drop(inner);
         self.bump_epoch();
         Ok(())
     }
 
-    /// Add an attribute to a class (schema evolution). Existing objects
-    /// read the new attribute as `Null`.
+    /// Add an attribute to a class (schema evolution): a new attribute id,
+    /// so existing objects — and any stored under an earlier attribute of
+    /// the same name — read it as `Null`.
     pub fn add_attribute(&self, class: &str, name: &str, ty: TypeDescriptor) -> Result<()> {
         self.check_new_attribute(class, name)?;
-        self.mutate_class(class, |def| {
-            def.attributes.push(AttributeDef::new(name, ty));
-            Ok(())
-        })
+        let id = {
+            let mut inner = self.inner.write();
+            inner.next_attr_id += 1;
+            inner.next_attr_id - 1
+        };
+        self.mutate_class(
+            class,
+            |def| {
+                def.attributes.push(AttributeDef { id, ..AttributeDef::new(name, ty) });
+                Ok(())
+            },
+            |_| Vec::new(),
+        )
     }
 
-    /// Refuse a name `class` already has an attribute by.
+    /// Refuse a name `class` or one of its subclasses already has an
+    /// attribute by.
     fn check_new_attribute(&self, class: &str, name: &str) -> Result<()> {
         let inner = self.inner.read();
-        if hierarchy::effective_attributes(&inner.classes, class)?
-            .iter()
-            .any(|a| a.name == name)
-        {
-            return Err(CatalogError::DuplicateAttribute {
-                class: class.to_string(),
-                attribute: name.to_string(),
-            });
+        let mut classes = vec![class.to_string()];
+        let subclasses = hierarchy::all_subclasses(&inner.classes, class);
+        classes.extend(subclasses.iter().map(|d| d.name.clone()));
+        for c in classes {
+            if hierarchy::effective_attributes(&inner.classes, &c)?.iter().any(|a| a.name == name) {
+                return Err(CatalogError::DuplicateAttribute {
+                    class: c,
+                    attribute: name.to_string(),
+                });
+            }
         }
         Ok(())
     }
 
-    /// Drop an own attribute. Every index on it — on the class, on a
-    /// subclass, or a path through it — is retired in the same DDL.
+    /// Drop an own attribute. Its id is retired: stored objects keep the
+    /// bytes, but nothing reads them again. Every index on it — on the
+    /// class, on a subclass, or a path through it — is retired in the same
+    /// DDL.
     pub fn drop_attribute(&self, class: &str, name: &str) -> Result<()> {
-        self.mutate_class(class, |def| {
-            let before = def.attributes.len();
-            def.attributes.retain(|a| a.name != name);
-            if def.attributes.len() == before {
-                return Err(CatalogError::UnknownAttribute {
-                    class: class.to_string(),
-                    attribute: name.to_string(),
-                });
-            }
-            Ok(())
-        })
+        self.mutate_class(
+            class,
+            |def| {
+                let before = def.attributes.len();
+                def.attributes.retain(|a| a.name != name);
+                if def.attributes.len() == before {
+                    return Err(CatalogError::UnknownAttribute {
+                        class: class.to_string(),
+                        attribute: name.to_string(),
+                    });
+                }
+                Ok(())
+            },
+            |_| Vec::new(),
+        )
     }
 
-    /// Rename an own attribute. Stored objects keep the old field name, so
-    /// an attribute an index reads — on the class, on a subclass, or on a
-    /// path through it — is refused ([`CatalogError::IndexedAttribute`]):
-    /// drop the index first.
+    /// Rename an own attribute. Only the name changes — the id, and so
+    /// every stored value, stays — and every index that reads the
+    /// attribute, on the class, on a subclass or on a path through it,
+    /// follows under the new name.
     pub fn rename_attribute(&self, class: &str, old: &str, new: &str) -> Result<()> {
         self.check_new_attribute(class, new)?;
-        {
-            let inner = self.inner.read();
-            let def = inner
-                .classes
-                .get(class)
-                .ok_or_else(|| CatalogError::UnknownClass(class.to_string()))?;
-            let own = def.attributes.iter().any(|a| a.name == old);
-            if let Some(index) = inner.index_reading(class, old).filter(|_| own) {
-                return Err(CatalogError::IndexedAttribute {
-                    class: class.to_string(),
-                    attribute: old.to_string(),
-                    index,
-                });
-            }
-        }
-        self.mutate_class(class, |def| {
-            let attr = def
-                .attributes
-                .iter_mut()
-                .find(|a| a.name == old)
-                .ok_or_else(|| CatalogError::UnknownAttribute {
-                    class: class.to_string(),
-                    attribute: old.to_string(),
+        self.mutate_class(
+            class,
+            |def| {
+                let attr = def.attributes.iter_mut().find(|a| a.name == old).ok_or_else(|| {
+                    CatalogError::UnknownAttribute {
+                        class: class.to_string(),
+                        attribute: old.to_string(),
+                    }
                 })?;
-            attr.name = new.to_string();
-            Ok(())
-        })
+                attr.name = new.to_string();
+                Ok(())
+            },
+            |inner| inner.rename_in_indexes(class, old, new),
+        )
     }
 
     /// Register a method signature (the body goes to the Function Manager).
     pub fn add_method(&self, class: &str, sig: MethodSig) -> Result<()> {
-        self.mutate_class(class, |def| {
+        let f = |def: &mut ClassDef| {
             def.methods.retain(|m| m.name != sig.name);
             def.methods.push(sig);
             Ok(())
-        })
+        };
+        self.mutate_class(class, f, |_| Vec::new())
     }
 
     /// Remove a method signature.
     pub fn drop_method(&self, class: &str, method: &str) -> Result<()> {
-        self.mutate_class(class, |def| {
+        let f = |def: &mut ClassDef| {
             let before = def.methods.len();
             def.methods.retain(|m| m.name != method);
             if def.methods.len() == before {
@@ -530,7 +647,8 @@ impl Catalog {
                 });
             }
             Ok(())
-        })
+        };
+        self.mutate_class(class, f, |_| Vec::new())
     }
 
     // ------------------------------------------------------------------
@@ -547,9 +665,12 @@ impl Catalog {
             .ok_or_else(|| CatalogError::UnknownClass(name.to_string()))
     }
 
-    /// The paper's `typeId(char *typeName)`.
+    /// The paper's `typeId(char *typeName)`, without copying the
+    /// definition.
     pub fn type_id(&self, name: &str) -> Result<TypeId> {
-        Ok(self.class(name)?.type_id)
+        let inner = self.inner.read();
+        let def = inner.classes.get(name);
+        def.map(|d| d.type_id).ok_or_else(|| CatalogError::UnknownClass(name.to_string()))
     }
 
     /// The paper's `typeName(int typeId)`.
@@ -660,38 +781,18 @@ impl Catalog {
         Ok(Value::Tuple(fields))
     }
 
-    fn encode_object(type_id: TypeId, value: &Value) -> Vec<u8> {
-        let mut bytes = type_id.to_le_bytes().to_vec();
-        encode_value_into(&mut bytes, value);
-        bytes
+    /// The stored record of `value`, normalized for the class of type
+    /// `type_id`, under that class's current schema version.
+    fn encode_object(&self, type_id: TypeId, value: &Value) -> Result<Vec<u8>> {
+        self.inner.read().layouts.encode(type_id, value)
     }
 
-    /// Decode the stored record of `oid`, materializing the fields `fields`
-    /// names. Bytes that do not decode are an error naming the object.
-    fn decode_object(oid: Oid, bytes: &[u8], fields: &FieldSet) -> Result<(TypeId, Value)> {
-        let mut value = Value::Null;
-        let type_id = Self::decode_into(oid, bytes, fields, &mut value)?;
-        Ok((type_id, value))
-    }
-
-    /// Decode the stored record `bytes` of `oid` into `out`, materializing
-    /// the fields `fields` names and reusing what `out` holds
-    /// ([`mood_datamodel::decode_fields_into`]); the record's stored type
-    /// id. Bytes that do not decode are an error naming the object.
-    pub fn decode_into(
-        oid: Oid,
-        bytes: &[u8],
-        fields: &FieldSet,
-        out: &mut Value,
-    ) -> Result<TypeId> {
-        let unreadable = |why: &dyn std::fmt::Display| {
-            CatalogError::Corrupt(format!("object {oid}: {why}"))
-        };
-        let Some((type_id, value)) = bytes.split_first_chunk::<4>() else {
-            return Err(unreadable(&"record too short"));
-        };
-        decode_fields_into(value, fields, out).map_err(|e| unreadable(&e))?;
-        Ok(u32::from_le_bytes(*type_id))
+    /// A reader of stored objects that materializes the attributes
+    /// `fields` names, under the schema as it is now
+    /// ([`ObjectReader::decode_into`]): one per scan or fetch, so each
+    /// (type, version) it meets is resolved to slot positions once.
+    pub fn reader<'f>(&self, fields: &'f FieldSet) -> ObjectReader<'f> {
+        ObjectReader::new(self.inner.read().layouts.clone(), fields)
     }
 
     /// Create an object in `class`'s extent: the MOODSQL
@@ -699,9 +800,8 @@ impl Catalog {
     pub fn new_object(&self, class: &str, value: Value) -> Result<Oid> {
         let value = self.normalize(class, value)?;
         let file = self.extent_file(class)?;
-        let type_id = self.type_id(class)?;
-        let heap = self.sm.open_heap(file);
-        let oid = heap.insert(&Self::encode_object(type_id, &value))?;
+        let record = self.encode_object(self.type_id(class)?, &value)?;
+        let oid = self.sm.open_heap(file).insert(&record)?;
         self.index_insert(class, &value, oid)?;
         Ok(oid)
     }
@@ -717,25 +817,24 @@ impl Catalog {
     /// name (from the stored type id, so subclass instances report their
     /// *dynamic* type — late binding needs this) and the value.
     pub fn get_object(&self, oid: Oid) -> Result<(String, Value)> {
-        let class = self
-            .inner
-            .read()
-            .extent_class
-            .get(&oid.file)
-            .cloned()
-            .ok_or(CatalogError::Storage(
-                mood_storage::StorageError::DanglingOid(oid),
-            ))?;
+        let (class, layouts) = {
+            let inner = self.inner.read();
+            let class = inner.extent_class.get(&oid.file).cloned();
+            (class, inner.layouts.clone())
+        };
+        let dangling = CatalogError::Storage(mood_storage::StorageError::DanglingOid(oid));
+        let class = class.ok_or(dangling)?;
         let heap = self.sm.open_heap(oid.file);
-        let (type_id, value) = Self::decode_object(oid, &heap.get(oid)?, &FieldSet::All)?;
+        let mut reader = ObjectReader::new(layouts, &FieldSet::All);
+        let (type_id, value) = reader.decode(oid, &heap.get(oid)?)?;
         // Prefer the stored (dynamic) type name when it resolves.
         let name = self.type_name(type_id).unwrap_or(class);
         Ok((name, value))
     }
 
     /// The stored records behind `oids`, in the order given, as `(oid,
-    /// bytes)` borrowed from the page ([`decode_into`](Self::decode_into)
-    /// reads one). The extent's heap is opened once per run of OIDs of one
+    /// bytes)` borrowed from the page (a [`reader`](Self::reader) decodes
+    /// one). The extent's heap is opened once per run of OIDs of one
     /// file and each of its pages accessed once per run of OIDs on it — sort
     /// the OIDs first ([`mood_storage::HeapFile::get_batch_with`]). An OID
     /// that names nothing (a deleted object, a reused slot, no extent) is
@@ -778,9 +877,8 @@ impl Catalog {
     pub fn update_fetched(&self, oid: Oid, old: &Value, value: Value) -> Result<()> {
         let class = self.extent_class_of(oid)?;
         let value = self.normalize(&class, value)?;
-        let type_id = self.type_id(&class)?;
-        let heap = self.sm.open_heap(oid.file);
-        heap.update(oid, &Self::encode_object(type_id, &value))?;
+        let record = self.encode_object(self.type_id(&class)?, &value)?;
+        self.sm.open_heap(oid.file).update(oid, &record)?;
         for info in self.class_indexes(&class) {
             let (old_key, new_key) = (
                 Self::index_key(&info, old)?,
@@ -863,9 +961,9 @@ impl Catalog {
         hint: AccessHint,
         visit: &mut dyn FnMut(Oid, Value) -> bool,
     ) -> Result<()> {
-        let mut unreadable = None;
+        let (mut unreadable, mut reader) = (None, self.reader(fields));
         self.extent_records_with(classes, hint, &mut |oid, bytes| {
-            match Self::decode_object(oid, bytes, fields) {
+            match reader.decode(oid, bytes) {
                 Ok((_, v)) => visit(oid, v),
                 Err(e) => {
                     unreadable = Some(e);
@@ -878,8 +976,8 @@ impl Catalog {
 
     /// The one heap walk behind every extent scan: the stored records of
     /// each class's own extent in `classes`, in order, as `(oid, bytes)`
-    /// borrowed from the page ([`decode_into`](Self::decode_into) reads
-    /// one). The visitor returns `false` to stop the whole walk. A class
+    /// borrowed from the page (a [`reader`](Self::reader) decodes one). The
+    /// visitor returns `false` to stop the whole walk. A class
     /// without an extent is an error.
     pub fn extent_records_with(
         &self,
@@ -1041,9 +1139,9 @@ impl Catalog {
             _ => self.every_classes(class, &[]),
         };
         let (fields, mut value) = (FieldSet::Only(vec![path[0].clone()]), Value::Null);
-        let mut failed = None;
+        let (mut failed, mut reader) = (None, self.reader(&fields));
         self.extent_records_with(&classes, AccessHint::Sequential, &mut |oid, bytes| {
-            let indexed = Self::decode_into(oid, bytes, &fields, &mut value).and_then(|_| {
+            let indexed = reader.decode_into(oid, bytes, &mut value).and_then(|_| {
                 let terminals = self.traverse_path(&value, &path);
                 for terminal in terminals.iter().filter(|t| !t.is_null()) {
                     tree.insert(&Self::index_bound(&info, terminal)?, oid)?;
@@ -1302,18 +1400,16 @@ impl Catalog {
             // statistics hold what they count, never the extent.
             let mut accs: Vec<AttrAcc> = attrs.iter().map(|a| AttrAcc::new(&a.ty)).collect();
             let (mut cardinality, mut total_bytes) = (0u64, 0u64);
-            let (mut value, mut encoded) = (Value::Null, Vec::new());
+            let (mut value, mut reader) = (Value::Null, self.reader(&FieldSet::All));
             let mut unreadable = None;
             let extent = std::slice::from_ref(class);
             self.extent_records_with(extent, AccessHint::Sequential, &mut |oid, bytes| {
-                if let Err(e) = Self::decode_into(oid, bytes, &FieldSet::All, &mut value) {
+                if let Err(e) = reader.decode_into(oid, bytes, &mut value) {
                     unreadable = Some(e);
                     return false;
                 }
                 cardinality += 1;
-                encoded.clear();
-                encode_value_into(&mut encoded, &value);
-                total_bytes += encoded.len() as u64 + 4;
+                total_bytes += bytes.len() as u64;
                 for (attr, acc) in attrs.iter().zip(&mut accs) {
                     acc.add(value.field(&attr.name));
                 }
@@ -1647,11 +1743,9 @@ mod tests {
         asked.push(nowhere);
         asked.sort();
         let only_id = FieldSet::Only(vec!["id".to_string()]);
-        let mut got = Vec::new();
+        let (mut got, mut reader) = (Vec::new(), cat.reader(&only_id));
         cat.fetch_records_with(&asked, &mut |oid, bytes| {
-            let mut value = Value::Null;
-            Catalog::decode_into(oid, bytes, &only_id, &mut value).unwrap();
-            got.push((oid, value));
+            got.push((oid, reader.decode(oid, bytes).unwrap().1));
             true
         })
         .unwrap();
@@ -1720,15 +1814,11 @@ mod tests {
             .unwrap();
         cat.add_attribute("Vehicle", "color", TypeDescriptor::string())
             .unwrap();
-        // Existing object reads the new attribute as Null.
+        // Existing object reads the new attribute as Null: its record
+        // predates the attribute.
         let (_, v) = cat.get_object(oid).unwrap();
-        assert_eq!(
-            v.field("color"),
-            None,
-            "stored value predates the attribute"
-        );
-        let norm = cat.normalize("Vehicle", v).unwrap();
-        assert_eq!(norm.field("color"), Some(&Value::Null));
+        assert_eq!(v.field("color"), Some(&Value::Null));
+        assert_eq!(cat.normalize("Vehicle", v.clone()).unwrap(), v);
         // Subclasses see it too.
         assert!(cat
             .effective_attributes("JapaneseAuto")

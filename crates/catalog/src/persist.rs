@@ -4,9 +4,12 @@
 //! class/type), one of `MoodsAttribute` records (one per attribute), one of
 //! `MoodsFunction` records (one per method signature). Attribute and
 //! function records carry their class's name, mirroring the OID cross-links
-//! in the paper's figure. A `MoodsType` record ends with the indexes
-//! declared on its class, each `(attribute, unique, file)`; a record
-//! without them (written before indexes were persisted) has none.
+//! in the paper's figure. A `MoodsAttribute` record carries the
+//! attribute's id, the identity stored objects know it by; the same file
+//! holds one row per schema version of each class, its slot list
+//! (attribute ids) — what an object stored under that version is read by
+//! ([`mood_datamodel::record`]). A `MoodsType` record carries the indexes
+//! declared on its class, each `(attribute, unique, file)`.
 //!
 //! These pages are the only record of which file serves what: every DDL
 //! rewrites its class's records inside its own transaction, and the catalog
@@ -20,10 +23,15 @@ use mood_datamodel::{decode_type, encode_type, TypeDescriptor};
 use mood_storage::{AccessHint, FileId, HeapFile, Oid, StorageManager};
 
 use crate::error::{CatalogError, Result};
-use crate::schema::{AttributeDef, ClassDef, ClassKind, MethodSig};
+use crate::schema::{AttrId, AttributeDef, ClassDef, ClassKind, MethodSig};
 use crate::IndexInfo;
 
 const NO_FILE: u32 = u32::MAX;
+
+/// The on-disk format [`CatalogRoot`] records: 2 stores objects as
+/// positional records of a schema version. Format 1 (a 12-byte root, no
+/// version) stored each attribute's name in every object and is refused.
+pub const FORMAT_VERSION: u32 = 2;
 
 /// Stream a metadata heap record-by-record, stopping at (and surfacing)
 /// the first decode error instead of materializing the whole file.
@@ -104,6 +112,14 @@ fn encode_moods_type(def: &ClassDef, indexes: &[&IndexInfo]) -> Vec<u8> {
     buf.to_vec()
 }
 
+/// A `u32` the record must still hold.
+fn get_u32(buf: &mut Bytes, what: &str) -> Result<u32> {
+    if buf.remaining() < 4 {
+        return Err(CatalogError::Corrupt(format!("truncated {what}")));
+    }
+    Ok(buf.get_u32_le())
+}
+
 fn decode_moods_type(bytes: &[u8]) -> Result<(ClassDef, Vec<IndexInfo>)> {
     let mut buf = Bytes::copy_from_slice(bytes);
     let name = get_str(&mut buf)?;
@@ -130,12 +146,7 @@ fn decode_moods_type(bytes: &[u8]) -> Result<(ClassDef, Vec<IndexInfo>)> {
     } else {
         Some(FileId(raw))
     };
-    // A record written before indexes were persisted ends at the extent.
-    let nindexes = match buf.remaining() {
-        0 => 0,
-        1..=3 => return Err(CatalogError::Corrupt("truncated index count".into())),
-        _ => buf.get_u32_le() as usize,
-    };
+    let nindexes = get_u32(&mut buf, "index count")? as usize;
     let mut indexes = Vec::with_capacity(nindexes.min(64));
     for _ in 0..nindexes {
         let attribute = get_str(&mut buf)?;
@@ -154,30 +165,76 @@ fn decode_moods_type(bytes: &[u8]) -> Result<(ClassDef, Vec<IndexInfo>)> {
         superclasses,
         methods: Vec::new(),
         extent,
+        versions: Vec::new(),
     };
     Ok((def, indexes))
 }
 
+/// A row of the `MoodsAttribute` file: one of a class's attributes at its
+/// declaration position, or the slot list of one of its schema versions.
+/// A row each, so a class's versions are not bounded by what one record
+/// holds.
+#[derive(Debug, PartialEq)]
+enum AttributeRow {
+    Attribute(u32, AttributeDef),
+    Version(u32, Vec<AttrId>),
+}
+
+const ROW_ATTRIBUTE: u8 = 0;
+const ROW_VERSION: u8 = 1;
+
 /// Encode a `MoodsAttribute` record. `position` preserves declaration order.
 fn encode_moods_attribute(class: &str, position: u32, attr: &AttributeDef) -> Vec<u8> {
     let mut buf = BytesMut::new();
+    buf.put_u8(ROW_ATTRIBUTE);
     put_str(&mut buf, class);
     buf.put_u32_le(position);
+    buf.put_u32_le(attr.id);
     put_str(&mut buf, &attr.name);
     put_type(&mut buf, &attr.ty);
     buf.to_vec()
 }
 
-fn decode_moods_attribute(bytes: &[u8]) -> Result<(String, u32, AttributeDef)> {
-    let mut buf = Bytes::copy_from_slice(bytes);
-    let class = get_str(&mut buf)?;
-    if buf.remaining() < 4 {
-        return Err(CatalogError::Corrupt("truncated attribute position".into()));
+/// Encode the slot list of `class`'s schema `version`.
+fn encode_moods_version(class: &str, version: u32, slots: &[AttrId]) -> Vec<u8> {
+    let mut buf = BytesMut::new();
+    buf.put_u8(ROW_VERSION);
+    put_str(&mut buf, class);
+    buf.put_u32_le(version);
+    buf.put_u32_le(slots.len() as u32);
+    for id in slots {
+        buf.put_u32_le(*id);
     }
-    let pos = buf.get_u32_le();
-    let name = get_str(&mut buf)?;
-    let ty = get_type(&mut buf)?;
-    Ok((class, pos, AttributeDef { name, ty }))
+    buf.to_vec()
+}
+
+fn decode_moods_attribute(bytes: &[u8]) -> Result<(String, AttributeRow)> {
+    let mut buf = Bytes::copy_from_slice(bytes);
+    if buf.remaining() == 0 {
+        return Err(CatalogError::Corrupt("empty MoodsAttribute row".into()));
+    }
+    let kind = buf.get_u8();
+    let class = get_str(&mut buf)?;
+    let row = match kind {
+        ROW_ATTRIBUTE => {
+            let pos = get_u32(&mut buf, "attribute position")?;
+            let id = get_u32(&mut buf, "attribute id")?;
+            let name = get_str(&mut buf)?;
+            let ty = get_type(&mut buf)?;
+            AttributeRow::Attribute(pos, AttributeDef { name, ty, id })
+        }
+        ROW_VERSION => {
+            let version = get_u32(&mut buf, "schema version")?;
+            let nslots = get_u32(&mut buf, "slot count")? as usize;
+            let mut slots = Vec::with_capacity(nslots.min(buf.remaining() / 4));
+            for _ in 0..nslots {
+                slots.push(get_u32(&mut buf, "slot list")?);
+            }
+            AttributeRow::Version(version, slots)
+        }
+        k => return Err(CatalogError::Corrupt(format!("bad MoodsAttribute row kind {k}"))),
+    };
+    Ok((class, row))
 }
 
 /// Encode a `MoodsFunction` record.
@@ -250,21 +307,40 @@ pub struct CatalogRoot {
 }
 
 impl CatalogRoot {
-    /// The root as stored: the three file ids, little-endian.
-    pub fn to_bytes(&self) -> [u8; 12] {
-        let mut out = [0; 12];
+    /// The stored root's length: the format version, then the three file
+    /// ids, little-endian.
+    pub const LEN: usize = 16;
+
+    /// The root as stored, under [`FORMAT_VERSION`].
+    pub fn to_bytes(&self) -> [u8; Self::LEN] {
+        let mut out = [0; Self::LEN];
+        out[..4].copy_from_slice(&FORMAT_VERSION.to_le_bytes());
         for (i, f) in [self.types, self.attrs, self.funcs].iter().enumerate() {
-            out[4 * i..4 * i + 4].copy_from_slice(&f.0.to_le_bytes());
+            out[4 * i + 4..4 * i + 8].copy_from_slice(&f.0.to_le_bytes());
         }
         out
     }
 
-    /// The root [`to_bytes`](Self::to_bytes) wrote, or `None` when `bytes`
-    /// are not 12 long.
-    pub fn from_bytes(bytes: &[u8]) -> Option<CatalogRoot> {
-        let b: &[u8; 12] = bytes.try_into().ok()?;
-        let file = |i: usize| FileId(u32::from_le_bytes([b[i], b[i + 1], b[i + 2], b[i + 3]]));
-        Some(CatalogRoot { types: file(0), attrs: file(4), funcs: file(8) })
+    /// The root [`to_bytes`](Self::to_bytes) wrote. A root of another
+    /// format — a 12-byte one is format 1 — is
+    /// [`CatalogError::UnsupportedFormat`]; bytes of any other length are
+    /// [`CatalogError::Corrupt`].
+    pub fn from_bytes(bytes: &[u8]) -> Result<CatalogRoot> {
+        let unsupported =
+            |found| CatalogError::UnsupportedFormat { found, supported: FORMAT_VERSION };
+        let word = |i: usize| {
+            u32::from_le_bytes([bytes[i], bytes[i + 1], bytes[i + 2], bytes[i + 3]])
+        };
+        match bytes.len() {
+            12 => Err(unsupported(1)),
+            Self::LEN if word(0) != FORMAT_VERSION => Err(unsupported(word(0))),
+            Self::LEN => Ok(CatalogRoot {
+                types: FileId(word(4)),
+                attrs: FileId(word(8)),
+                funcs: FileId(word(12)),
+            }),
+            len => Err(CatalogError::Corrupt(format!("a catalog root of {len} bytes"))),
+        }
     }
 }
 
@@ -311,6 +387,10 @@ impl CatalogStore {
                     .insert(&encode_moods_attribute(&def.name, i as u32, attr))?,
             );
         }
+        for (v, slots) in def.versions.iter().enumerate() {
+            let row = encode_moods_version(&def.name, v as u32, slots);
+            saved.attr_recs.push(self.attrs.insert(&row)?);
+        }
         for (i, sig) in def.methods.iter().enumerate() {
             saved.func_recs.push(
                 self.funcs
@@ -356,9 +436,16 @@ impl CatalogStore {
             Ok(())
         })?;
         let mut attrs: HashMap<String, Vec<(u32, AttributeDef, Oid)>> = HashMap::new();
+        let mut versions: HashMap<String, Vec<(u32, Vec<AttrId>, Oid)>> = HashMap::new();
         stream_heap(&self.attrs, |oid, bytes| {
-            let (class, pos, attr) = decode_moods_attribute(bytes)?;
-            attrs.entry(class).or_default().push((pos, attr, oid));
+            match decode_moods_attribute(bytes)? {
+                (class, AttributeRow::Attribute(pos, attr)) => {
+                    attrs.entry(class).or_default().push((pos, attr, oid))
+                }
+                (class, AttributeRow::Version(v, slots)) => {
+                    versions.entry(class).or_default().push((v, slots, oid))
+                }
+            }
             Ok(())
         })?;
         let mut funcs: HashMap<String, Vec<(u32, MethodSig, Oid)>> = HashMap::new();
@@ -377,6 +464,15 @@ impl CatalogStore {
                         .or_default()
                         .attr_recs
                         .push(oid);
+                }
+            }
+        }
+        for (class, mut list) in versions {
+            list.sort_by_key(|(v, _, _)| *v);
+            if let Some(def) = defs.get_mut(&class) {
+                for (_, slots, oid) in list {
+                    def.versions.push(slots);
+                    self.saved.entry(class.clone()).or_default().attr_recs.push(oid);
                 }
             }
         }
@@ -403,7 +499,7 @@ mod tests {
     use crate::schema::ClassBuilder;
 
     fn vehicle_def() -> ClassDef {
-        ClassBuilder::class("Vehicle")
+        let mut def = ClassBuilder::class("Vehicle")
             .attribute("id", TypeDescriptor::integer())
             .attribute("drivetrain", TypeDescriptor::reference("VehicleDriveTrain"))
             .inherits("Thing")
@@ -417,7 +513,11 @@ mod tests {
                 TypeDescriptor::boolean(),
                 vec![("color", TypeDescriptor::string())],
             ))
-            .build(7, Some(FileId(42)))
+            .build(7, Some(FileId(42)));
+        def.attributes[0].id = 4;
+        def.attributes[1].id = 9;
+        def.versions = vec![vec![4], vec![4, 5], vec![4, 9]];
+        def
     }
 
     fn id_index() -> IndexInfo {
@@ -435,18 +535,21 @@ mod tests {
         assert_eq!(t.superclasses, vec!["Thing"]);
         assert_eq!(t.extent, Some(FileId(42)));
         assert_eq!(indexes, vec![index]);
-        // A record that ends at the extent (no index fields) has no
-        // indexes; one cut inside them is corrupt.
-        let bare = encode_moods_type(&def, &[]);
-        let (old, none) = decode_moods_type(&bare[..bare.len() - 4]).unwrap();
-        assert_eq!((old.name.as_str(), none.len()), ("Vehicle", 0));
-        assert!(decode_moods_type(&encoded[..encoded.len() - 2]).is_err());
+        // A record cut anywhere is corrupt, not shorter.
+        for cut in 0..encoded.len() {
+            assert!(decode_moods_type(&encoded[..cut]).is_err(), "cut at {cut}");
+        }
 
-        let (class, pos, attr) =
+        let (class, row) =
             decode_moods_attribute(&encode_moods_attribute("Vehicle", 1, &def.attributes[1]))
                 .unwrap();
-        assert_eq!((class.as_str(), pos), ("Vehicle", 1));
-        assert_eq!(attr, def.attributes[1]);
+        assert_eq!(class, "Vehicle");
+        assert_eq!(row, AttributeRow::Attribute(1, def.attributes[1].clone()));
+        // A version's slot list — the retired id 5 included — is a row of
+        // its own.
+        let (class, row) =
+            decode_moods_attribute(&encode_moods_version("Vehicle", 1, &def.versions[1])).unwrap();
+        assert_eq!((class.as_str(), row), ("Vehicle", AttributeRow::Version(1, vec![4, 5])));
 
         let (class, pos, sig) =
             decode_moods_function(&encode_moods_function("Vehicle", 0, &def.methods[1])).unwrap();

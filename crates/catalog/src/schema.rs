@@ -14,6 +14,15 @@ use mood_storage::FileId;
 /// pair works over these.
 pub type TypeId = u32;
 
+/// An attribute's identity in stored records: assigned when the attribute
+/// is declared and never reused, so a rename keeps it and a drop retires
+/// it.
+pub type AttrId = u32;
+
+/// A class's schema version: the index of its slot list in
+/// [`ClassDef::versions`].
+pub type Version = u16;
+
 /// Whether a definition is a *class* (has an extent, identity semantics,
 /// participates in the hierarchy) or a *type* (copy semantics, no extent) —
 /// the distinction Section 2 draws.
@@ -28,6 +37,9 @@ pub enum ClassKind {
 pub struct AttributeDef {
     pub name: String,
     pub ty: TypeDescriptor,
+    /// The slot identity; the catalog assigns it when the attribute is
+    /// defined (0 until then).
+    pub id: AttrId,
 }
 
 impl AttributeDef {
@@ -35,6 +47,7 @@ impl AttributeDef {
         AttributeDef {
             name: name.into(),
             ty,
+            id: 0,
         }
     }
 }
@@ -106,9 +119,20 @@ pub struct ClassDef {
     pub methods: Vec<MethodSig>,
     /// The default extent's heap file (classes only).
     pub extent: Option<FileId>,
+    /// The slot list — effective attribute ids in slot order — of every
+    /// schema version, oldest first; the last is the current one, the
+    /// order of [`effective_attributes`](crate::hierarchy::effective_attributes).
+    /// Adding, dropping or renaming an attribute of the class or of a
+    /// superclass appends one.
+    pub versions: Vec<Vec<AttrId>>,
 }
 
 impl ClassDef {
+    /// The current schema version: what a record written now carries.
+    pub fn version(&self) -> Version {
+        self.versions.len().saturating_sub(1) as Version
+    }
+
     /// The tuple type formed by this class's *own* attributes.
     pub fn own_tuple_type(&self) -> TypeDescriptor {
         TypeDescriptor::Tuple(
@@ -179,6 +203,7 @@ impl ClassBuilder {
             superclasses: self.superclasses,
             methods: self.methods,
             extent,
+            versions: Vec::new(),
         }
     }
 

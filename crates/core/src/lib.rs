@@ -50,9 +50,13 @@ pub enum MoodError {
     Storage(mood_storage::StorageError),
     Exception(Exception),
     Io(String),
-    /// `catalog.root` is not 12 bytes: opening refuses to bootstrap a new
-    /// catalog over the classes the real root names.
+    /// `catalog.root` is not a root of any format: opening refuses to
+    /// bootstrap a new catalog over the classes the real root names.
     CorruptRoot { path: std::path::PathBuf, len: usize },
+    /// `catalog.root` names a database of another on-disk format (format 1
+    /// stored every attribute's name in every object); this build reads
+    /// only [`mood_catalog::FORMAT_VERSION`] and refuses to open it.
+    UnsupportedFormat { path: std::path::PathBuf, found: u32, supported: u32 },
 }
 
 impl std::fmt::Display for MoodError {
@@ -64,8 +68,13 @@ impl std::fmt::Display for MoodError {
             MoodError::Exception(e) => write!(f, "{e}"),
             MoodError::Io(m) => write!(f, "I/O: {m}"),
             MoodError::CorruptRoot { path, len } => {
-                write!(f, "{}: {len} bytes, a catalog root is 12", path.display())
+                write!(f, "{}: {len} bytes, a catalog root is {}", path.display(), CatalogRoot::LEN)
             }
+            MoodError::UnsupportedFormat { path, found, supported } => write!(
+                f,
+                "{}: database format {found}, this build reads format {supported}",
+                path.display()
+            ),
         }
     }
 }
@@ -131,8 +140,9 @@ impl Mood {
     /// disk/log wrappers while the real bytes live underneath.
     ///
     /// Only a missing `catalog.root` means a new database: one that cannot
-    /// be read is [`MoodError::Io`], one of the wrong length
-    /// [`MoodError::CorruptRoot`] — both before anything is written.
+    /// be read is [`MoodError::Io`], one of another on-disk format
+    /// [`MoodError::UnsupportedFormat`], one of no format
+    /// [`MoodError::CorruptRoot`] — all before anything is written.
     pub fn open_with_storage(
         sm: Arc<StorageManager>,
         dir: impl AsRef<std::path::Path>,
@@ -141,8 +151,11 @@ impl Mood {
         let root_file = dir.join("catalog.root");
         let root = match std::fs::read(&root_file) {
             Ok(b) => match CatalogRoot::from_bytes(&b) {
-                Some(root) => Some(root),
-                None => return Err(MoodError::CorruptRoot { path: root_file, len: b.len() }),
+                Ok(root) => Some(root),
+                Err(mood_catalog::CatalogError::UnsupportedFormat { found, supported }) => {
+                    return Err(MoodError::UnsupportedFormat { path: root_file, found, supported })
+                }
+                Err(_) => return Err(MoodError::CorruptRoot { path: root_file, len: b.len() }),
             },
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => None,
             Err(e) => return Err(MoodError::Io(format!("{}: {e}", root_file.display()))),
@@ -491,7 +504,7 @@ mod tests {
         }
         let root_file = dir.join("catalog.root");
         let root = std::fs::read(&root_file).unwrap();
-        assert_eq!(root.len(), 12);
+        assert_eq!(root.len(), CatalogRoot::LEN);
         std::fs::write(&root_file, &root[..5]).unwrap();
         let err = Mood::open(&dir).err().expect("a 5-byte root must not open");
         assert!(matches!(err, MoodError::CorruptRoot { len: 5, .. }), "{err}");
@@ -501,6 +514,33 @@ mod tests {
         let db = Mood::open(&dir).unwrap();
         assert_eq!(db.query("SELECT p.id FROM Part p").unwrap().len(), 10);
         drop(db);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A database of the format that stored every attribute's name in every
+    /// object — its root is the three file ids, 12 bytes — or of a format
+    /// newer than this build is refused with the typed error, and its root
+    /// is left as found.
+    #[test]
+    fn a_database_of_another_format_is_refused_and_left_as_found() {
+        let dir = std::env::temp_dir().join(format!("mood-core-format-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        drop(Mood::open(&dir).unwrap());
+        let root_file = dir.join("catalog.root");
+        let root = std::fs::read(&root_file).unwrap();
+        let mut newer = root.clone();
+        newer[..4].copy_from_slice(&(mood_catalog::FORMAT_VERSION + 1).to_le_bytes());
+        for (bytes, format) in [(&root[4..], 1), (&newer[..], mood_catalog::FORMAT_VERSION + 1)] {
+            std::fs::write(&root_file, bytes).unwrap();
+            let err = Mood::open(&dir).err().expect("another format must not open");
+            let supported = mood_catalog::FORMAT_VERSION;
+            assert!(
+                matches!(err, MoodError::UnsupportedFormat { found, supported: s, .. }
+                    if found == format && s == supported),
+                "{err}"
+            );
+            assert_eq!(std::fs::read(&root_file).unwrap(), bytes, "root left as found");
+        }
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -1,10 +1,13 @@
 //! Binary (de)serialization of values and type descriptors.
 //!
-//! This is the stored representation of MOOD objects on ESM pages and of
-//! catalog records. The format is self-describing (tag per node), so the
-//! kernel's cursor mechanism can reconstruct name/type/value triplets for
-//! MoodView without consulting the schema first — exactly the buffer-area
-//! protocol Section 9.4 describes.
+//! A value is stored self-describing: a tag per node, a tuple's field
+//! names beside its values. That is the form of a stored object's
+//! attribute values (nested tuples included), of sort and aggregation
+//! spill records and of catalog type descriptors. A stored object itself
+//! is not: its top level is a positional record ([`crate::record`]) that
+//! names no attribute, and the catalog supplies the names from the
+//! record's schema version. So MoodView's Section 9.4 cursor reconstructs
+//! name/type/value triplets through the catalog, not from the bytes alone.
 
 use bytes::{BufMut, BytesMut};
 use mood_storage::Oid;
@@ -56,9 +59,11 @@ const D_SET: u8 = 22;
 const D_LIST: u8 = 23;
 const D_REFERENCE: u8 = 24;
 
-/// Which fields of a stored object's top-level tuple a reader
-/// materializes. A statement that reads `v.id` and `v.weight` decodes
-/// those two and steps over the rest by their encoded length.
+/// Which attributes of a stored object a reader materializes. A statement
+/// that reads `v.id` and `v.weight` decodes those two and steps over the
+/// rest of the record by their encoded length; the catalog resolves the
+/// set to slot positions once per schema version
+/// ([`crate::record::SlotMap`]).
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub enum FieldSet {
     /// Every field: the whole object.
@@ -82,10 +87,11 @@ impl FieldSet {
         }
     }
 
-    fn wants(&self, name: &[u8]) -> bool {
+    /// Whether the set holds `name`.
+    pub fn contains(&self, name: &str) -> bool {
         match self {
             FieldSet::All => true,
-            FieldSet::Only(names) => names.iter().any(|n| n.as_bytes() == name),
+            FieldSet::Only(names) => names.iter().any(|n| n == name),
         }
     }
 }
@@ -172,48 +178,19 @@ fn write_str(buf: &mut impl BufMut, s: &str) {
 /// Deserialize a value from bytes (must consume them exactly to round-trip;
 /// trailing bytes are tolerated for embedded use).
 pub fn decode_value(bytes: &[u8]) -> Result<Value, CodecError> {
-    decode_fields(bytes, &FieldSet::All)
-}
-
-/// Deserialize a value, materializing only the fields of its top-level
-/// tuple that `fields` names: [`decode_fields_into`] a fresh
-/// [`Value::Null`].
-pub fn decode_fields(bytes: &[u8], fields: &FieldSet) -> Result<Value, CodecError> {
     let mut value = Value::Null;
-    decode_fields_into(bytes, fields, &mut value)?;
+    read_value(&mut Reader { rest: bytes }, &mut value)?;
     Ok(value)
-}
-
-/// The one value reader: decode into `out`, materializing only the fields
-/// of the top-level tuple that `fields` names, in stored order. Fields
-/// outside the set — whatever they nest — are stepped over by their encoded
-/// length: no allocation, but every tag and length is still checked, so a
-/// damaged record is an error under any field set. A value that is not a
-/// tuple decodes whole.
-///
-/// What `out` already holds is reused, not rebuilt: a tuple's field vector
-/// (each name rewritten only where its bytes differ, cut to the fields
-/// decoded so none of the previous value's survives), a string's buffer, a
-/// set's or list's item vector, recursively. A scan that decodes record
-/// after record into the same slots allocates nothing once every slot has
-/// held a record of the extent's shape. The result equals a fresh decode
-/// whatever `out` held; on error `out` holds an unspecified value.
-pub fn decode_fields_into(
-    bytes: &[u8],
-    fields: &FieldSet,
-    out: &mut Value,
-) -> Result<(), CodecError> {
-    read_value(&mut Reader { rest: bytes }, fields, out)
 }
 
 /// A read cursor over borrowed bytes. Every length read from the input is
 /// checked against what is left before anything is sliced or allocated.
-struct Reader<'a> {
-    rest: &'a [u8],
+pub(crate) struct Reader<'a> {
+    pub(crate) rest: &'a [u8],
 }
 
 impl<'a> Reader<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], CodecError> {
+    pub(crate) fn take(&mut self, n: usize) -> Result<&'a [u8], CodecError> {
         if n > self.rest.len() {
             return Err(CodecError::Truncated);
         }
@@ -262,7 +239,12 @@ fn utf8(raw: &[u8]) -> Result<&str, CodecError> {
 const MIN_FIELD: usize = 5;
 const MIN_ITEM: usize = 1;
 
-fn read_value(r: &mut Reader<'_>, fields: &FieldSet, out: &mut Value) -> Result<(), CodecError> {
+/// Decode one value into `out`, reusing what it already holds: a tuple's
+/// field vector (each name rewritten where it differs, cut to the fields
+/// decoded so none of the previous value's survives), a string's buffer, a
+/// set's or list's item vector, recursively. The result equals a fresh decode whatever
+/// `out` held; on error `out` holds an unspecified value.
+pub(crate) fn read_value(r: &mut Reader<'_>, out: &mut Value) -> Result<(), CodecError> {
     let tag = r.u8()?;
     *out = match tag {
         T_INTEGER => Value::Integer(i32::from_le_bytes(r.array()?)),
@@ -288,31 +270,20 @@ fn read_value(r: &mut Reader<'_>, fields: &FieldSet, out: &mut Value) -> Result<
             let (n, fit) = r.count(MIN_FIELD)?;
             let mut kept = match std::mem::replace(out, Value::Null) {
                 Value::Tuple(kept) => kept,
-                _ => Vec::with_capacity(match fields {
-                    FieldSet::All => fit,
-                    FieldSet::Only(names) => fit.min(names.len()),
-                }),
+                _ => Vec::with_capacity(fit),
             };
-            let mut len = 0;
-            for _ in 0..n {
-                let name = r.str_bytes()?;
-                if !fields.wants(name) {
-                    skip_value(r)?;
-                    continue;
-                }
-                if len == kept.len() {
-                    kept.push((utf8(name)?.to_owned(), Value::Null));
-                } else if kept[len].0.as_bytes() != name {
-                    let held = &mut kept[len].0;
+            for i in 0..n {
+                let name = utf8(r.str_bytes()?)?;
+                if i == kept.len() {
+                    kept.push((name.to_owned(), Value::Null));
+                } else if kept[i].0 != name {
+                    let held = &mut kept[i].0;
                     held.clear();
-                    held.push_str(utf8(name)?);
+                    held.push_str(name);
                 }
-                // The set prunes the object's own fields, not what they
-                // hold.
-                read_value(r, &FieldSet::All, &mut kept[len].1)?;
-                len += 1;
+                read_value(r, &mut kept[i].1)?;
             }
-            kept.truncate(len);
+            kept.truncate(n);
             Value::Tuple(kept)
         }
         T_SET | T_LIST => {
@@ -325,7 +296,7 @@ fn read_value(r: &mut Reader<'_>, fields: &FieldSet, out: &mut Value) -> Result<
                 if i == items.len() {
                     items.push(Value::Null);
                 }
-                read_value(r, &FieldSet::All, &mut items[i])?;
+                read_value(r, &mut items[i])?;
             }
             items.truncate(n);
             if tag == T_SET {
@@ -343,8 +314,9 @@ fn read_value(r: &mut Reader<'_>, fields: &FieldSet, out: &mut Value) -> Result<
     Ok(())
 }
 
-/// Step over one encoded value without building it.
-fn skip_value(r: &mut Reader<'_>) -> Result<(), CodecError> {
+/// Step over one encoded value without building it; every tag and length
+/// is still checked.
+pub(crate) fn skip_value(r: &mut Reader<'_>) -> Result<(), CodecError> {
     let tag = r.u8()?;
     match tag {
         T_INTEGER | T_CHAR => r.take(4).map(drop),

@@ -1,6 +1,7 @@
 //! Property tests: value codec round-trip for arbitrary value trees, the
-//! field-set reader against the full decode, decoding into a slot that
-//! holds an earlier value against a fresh decode, damaged input, and order
+//! positional record reader against the named tuple it stands for (fields
+//! picked, fields newer than the record, decoding into a slot that holds
+//! an earlier value against a fresh decode), damaged input, and order
 //! preservation of the index-key encoding.
 
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -9,7 +10,8 @@ use std::cell::Cell;
 use proptest::prelude::*;
 
 use mood_datamodel::{
-    decode_fields, decode_fields_into, decode_value, encode_key, encode_value, FieldSet, Value,
+    decode_record_into, decode_value, encode_key, encode_record, encode_value, CodecError,
+    SlotMap, Value,
 };
 use mood_storage::{FileId, Oid, PageId, SlotId};
 
@@ -52,17 +54,17 @@ unsafe impl GlobalAlloc for NoteLargest {
 #[global_allocator]
 static ALLOCATOR: NoteLargest = NoteLargest;
 
-/// Decode damaged bytes under `fields`: any outcome but a panic is fine, and
+/// Decode damaged bytes by `reading`: any outcome but a panic is fine, and
 /// no allocation may be sized by a length field alone — at most one element
 /// slot per input byte, however large a count the bytes claim.
-fn decode_damaged(bytes: &[u8], fields: &FieldSet) {
+fn decode_damaged(bytes: &[u8], reading: &Reading) {
     LARGEST.with(|l| l.set(0));
-    let _ = decode_fields(bytes, fields);
+    let _ = reading.fresh(bytes);
     let largest = LARGEST.with(Cell::get);
     let bound = bytes.len().max(1) * std::mem::size_of::<(String, Value)>();
     assert!(
         largest <= bound,
-        "a {}-byte input caused a {largest}-byte allocation under {fields}",
+        "a {}-byte input caused a {largest}-byte allocation under {reading:?}",
         bytes.len()
     );
 }
@@ -102,21 +104,79 @@ fn arb_value() -> impl Strategy<Value = Value> {
 }
 
 /// A stored object: a tuple whose fields hold arbitrary value trees
-/// (names may repeat; the reader must not care).
+/// (names may repeat; the record stores none of them). Slot `i` holds
+/// attribute id `i`.
 fn arb_object() -> impl Strategy<Value = Vec<(String, Value)>> {
     proptest::collection::vec(("[a-e]{1,2}", arb_value()), 0..7)
 }
 
-/// The field set naming the fields `mask` picks, plus one no object has.
-fn subset(fields: &[(String, Value)], mask: u8) -> FieldSet {
-    let mut set = FieldSet::NONE;
-    set.insert("absent");
-    for (i, (name, _)) in fields.iter().enumerate() {
-        if mask >> (i % 8) & 1 == 1 {
-            set.insert(name);
+/// The record of `fields`: type 1, version 0.
+fn record(fields: &[(String, Value)]) -> Vec<u8> {
+    let mut bytes = Vec::new();
+    encode_record(&mut bytes, 1, 0, fields.iter().map(|(_, v)| v));
+    bytes
+}
+
+/// An attribute id no record holds: one added after the record was
+/// written.
+const NEWER: u32 = 100;
+
+/// A reader's view of one object: the fields it wants as `(id, name)`, in
+/// the order it wants them, and the values the object holds by id.
+#[derive(Debug)]
+struct Reading {
+    wanted: Vec<(u32, String)>,
+    map: SlotMap,
+}
+
+impl Reading {
+    /// Read the object `fields`' slots that `mask` picks, newest first
+    /// when `reversed`, then an attribute newer than the record when
+    /// `newer`.
+    fn new(fields: &[(String, Value)], mask: u8, reversed: bool, newer: bool) -> Reading {
+        let mut wanted: Vec<(u32, String)> = fields
+            .iter()
+            .enumerate()
+            .filter(|(i, _)| mask >> (i % 8) & 1 == 1)
+            .map(|(i, (name, _))| (i as u32, name.clone()))
+            .collect();
+        if reversed {
+            wanted.reverse();
         }
+        if newer {
+            wanted.push((NEWER, "newer".into()));
+        }
+        let mut map = SlotMap::default();
+        let stored: Vec<u32> = (0..fields.len() as u32).collect();
+        map.plan(&stored, wanted.iter().enumerate().map(|(tag, (id, _))| (*id, tag as u32)));
+        Reading { wanted, map }
     }
-    set
+
+    /// Every field, in slot order.
+    fn all(fields: &[(String, Value)]) -> Reading {
+        Reading::new(fields, u8::MAX, false, false)
+    }
+
+    /// No field at all: the record is still walked.
+    fn none(fields: &[(String, Value)]) -> Reading {
+        Reading::new(fields, 0, false, false)
+    }
+
+    fn decode_into(&self, bytes: &[u8], out: &mut Value) -> Result<(), CodecError> {
+        decode_record_into(bytes, &self.map, |tag| &self.wanted[tag as usize].1, out)
+    }
+
+    fn fresh(&self, bytes: &[u8]) -> Result<Value, CodecError> {
+        let mut out = Value::Null;
+        self.decode_into(bytes, &mut out).map(|()| out)
+    }
+
+    /// The oracle: the named tuple of the wanted fields, NULL for an id the
+    /// object does not hold.
+    fn expected(&self, fields: &[(String, Value)]) -> Value {
+        let value = |id: u32| fields.get(id as usize).map_or(Value::Null, |(_, v)| v.clone());
+        Value::Tuple(self.wanted.iter().map(|(id, name)| (name.clone(), value(*id))).collect())
+    }
 }
 
 /// What a scan's slot may hold before the next record lands in it: any
@@ -126,12 +186,12 @@ fn arb_slot() -> impl Strategy<Value = Value> {
     prop_oneof![arb_value(), arb_object().prop_map(Value::Tuple)]
 }
 
-/// `bytes` decoded under `fields` into a slot holding `held` gives what a
+/// `bytes` decoded by `reading` into a slot holding `held` gives what a
 /// fresh decode gives: the same value, or the same error.
-fn same_as_fresh(bytes: &[u8], fields: &FieldSet, held: &Value) {
+fn same_as_fresh(bytes: &[u8], reading: &Reading, held: &Value) {
     let mut slot = held.clone();
-    let into = decode_fields_into(bytes, fields, &mut slot).map(|()| slot);
-    assert_eq!(into, decode_fields(bytes, fields), "under {fields} into {held:?}");
+    let into = reading.decode_into(bytes, &mut slot).map(|()| slot);
+    assert_eq!(into, reading.fresh(bytes), "by {reading:?} into {held:?}");
 }
 
 proptest! {
@@ -145,26 +205,34 @@ proptest! {
         fields in arb_object(),
         held in arb_slot(),
     ) {
-        let bytes = encode_value(&Value::Tuple(fields.clone()));
+        let bytes = record(&fields);
         for mask in 0..=u8::MAX {
-            same_as_fresh(&bytes, &subset(&fields, mask), &held);
+            let reading = Reading::new(&fields, mask, mask % 2 == 1, mask % 3 == 0);
+            same_as_fresh(&bytes, &reading, &held);
         }
-        same_as_fresh(&bytes, &FieldSet::All, &held);
-        same_as_fresh(&bytes, &FieldSet::NONE, &held);
+        same_as_fresh(&bytes, &Reading::all(&fields), &held);
+        same_as_fresh(&bytes, &Reading::none(&fields), &held);
         // A slot that held the previous record of a scan.
         let mut slot = held;
-        for set in [FieldSet::All, FieldSet::NONE, subset(&fields, 0b1010_0101)] {
-            decode_fields_into(&bytes, &set, &mut slot).unwrap();
-            prop_assert_eq!(&slot, &decode_fields(&bytes, &set).unwrap());
+        for reading in [
+            Reading::all(&fields),
+            Reading::none(&fields),
+            Reading::new(&fields, 0b1010_0101, true, true),
+        ] {
+            reading.decode_into(&bytes, &mut slot).unwrap();
+            prop_assert_eq!(&slot, &reading.fresh(&bytes).unwrap());
         }
     }
 
-    /// A non-tuple value decodes into any slot as it decodes afresh.
+    /// A record of any one value decodes into any slot as it decodes
+    /// afresh.
     #[test]
     fn decode_into_a_used_slot_holds_for_any_value(v in arb_value(), held in arb_slot()) {
-        let bytes = encode_value(&v);
-        same_as_fresh(&bytes, &FieldSet::All, &held);
-        same_as_fresh(&bytes, &FieldSet::NONE, &held);
+        let fields = [("v".to_string(), v)];
+        let bytes = record(&fields);
+        same_as_fresh(&bytes, &Reading::all(&fields), &held);
+        same_as_fresh(&bytes, &Reading::none(&fields), &held);
+        same_as_fresh(&bytes, &Reading::new(&fields, 1, false, true), &held);
     }
 
     /// A truncated or damaged record is the same error into a used slot as
@@ -176,18 +244,19 @@ proptest! {
         mask in any::<u8>(),
         flips in proptest::collection::vec((any::<u16>(), 1u16..256), 1..6),
     ) {
-        let bytes = encode_value(&Value::Tuple(fields.clone()));
-        let sets = [FieldSet::All, FieldSet::NONE, subset(&fields, mask)];
+        let bytes = record(&fields);
+        let pruned = Reading::new(&fields, mask, true, true);
+        let readings = [Reading::all(&fields), Reading::none(&fields), pruned];
         for cut in 0..bytes.len() {
-            for set in &sets {
-                same_as_fresh(&bytes[..cut], set, &held);
+            for reading in &readings {
+                same_as_fresh(&bytes[..cut], reading, &held);
             }
         }
         let mut flipped = bytes.clone();
         for (at, bits) in flips {
             flipped[at as usize % bytes.len()] ^= bits as u8;
-            for set in &sets {
-                same_as_fresh(&flipped, set, &held);
+            for reading in &readings {
+                same_as_fresh(&flipped, reading, &held);
             }
         }
     }
@@ -197,26 +266,29 @@ proptest! {
         let bytes = encode_value(&v);
         let back = decode_value(&bytes).unwrap();
         prop_assert_eq!(&back, &v);
-        // The whole-object field set is that same decode; a set of names
-        // prunes tuples only, so any other value comes back whole.
-        prop_assert_eq!(decode_fields(&bytes, &FieldSet::All).unwrap(), back);
-        if !matches!(v, Value::Tuple(_)) {
-            prop_assert_eq!(decode_fields(&bytes, &FieldSet::NONE).unwrap(), v);
-        }
+        // A value stored in a record slot comes back as the same value.
+        let fields = [("v".to_string(), v)];
+        let whole = Reading::all(&fields).fresh(&record(&fields)).unwrap();
+        prop_assert_eq!(whole, Value::Tuple(fields.to_vec()));
     }
 
-    /// Pruned decode == the full tuple filtered to the set, in stored
-    /// order; whatever a skipped field nests (tuples, sets, lists, refs) is
-    /// stepped over whole, so the fields after it still line up.
+    /// A positional decode is the named tuple it stands for: the fields
+    /// the reader wants, in the reader's order, NULL for an attribute
+    /// newer than the record; whatever a skipped slot nests (tuples, sets,
+    /// lists, refs) is stepped over whole, so the slots after it still
+    /// line up.
     #[test]
-    fn pruned_decode_is_the_filtered_tuple(fields in arb_object(), mask in any::<u8>()) {
-        let bytes = encode_value(&Value::Tuple(fields.clone()));
-        let set = subset(&fields, mask);
-        let FieldSet::Only(names) = &set else { unreachable!() };
-        let kept: Vec<(String, Value)> =
-            fields.into_iter().filter(|(n, _)| names.contains(n)).collect();
-        prop_assert_eq!(decode_fields(&bytes, &set).unwrap(), Value::Tuple(kept));
-        prop_assert_eq!(decode_fields(&bytes, &FieldSet::NONE).unwrap(), Value::Tuple(vec![]));
+    fn pruned_decode_is_the_filtered_tuple(
+        fields in arb_object(),
+        mask in any::<u8>(),
+        reversed in any::<bool>(),
+        newer in any::<bool>(),
+    ) {
+        let bytes = record(&fields);
+        let reading = Reading::new(&fields, mask, reversed, newer);
+        prop_assert_eq!(reading.fresh(&bytes).unwrap(), reading.expected(&fields));
+        prop_assert_eq!(Reading::all(&fields).fresh(&bytes).unwrap(), Value::Tuple(fields.clone()));
+        prop_assert_eq!(Reading::none(&fields).fresh(&bytes).unwrap(), Value::Tuple(vec![]));
     }
 
     /// Every prefix truncation and a handful of byte flips, decoded whole
@@ -228,20 +300,21 @@ proptest! {
         mask in any::<u8>(),
         flips in proptest::collection::vec((any::<u16>(), 1u16..256), 1..6),
     ) {
-        let bytes = encode_value(&Value::Tuple(fields.clone()));
-        let sets = [FieldSet::All, FieldSet::NONE, subset(&fields, mask)];
+        let bytes = record(&fields);
+        let pruned = Reading::new(&fields, mask, false, true);
+        let readings = [Reading::all(&fields), Reading::none(&fields), pruned];
         for cut in 0..bytes.len() {
-            for set in &sets {
-                decode_damaged(&bytes[..cut], set);
-                // A tuple cut short is never mistaken for a whole one.
-                prop_assert!(decode_fields(&bytes[..cut], set).is_err());
+            for reading in &readings {
+                decode_damaged(&bytes[..cut], reading);
+                // A record cut short is never mistaken for a whole one.
+                prop_assert!(reading.fresh(&bytes[..cut]).is_err());
             }
         }
         let mut flipped = bytes.clone();
         for (at, bits) in flips {
             flipped[at as usize % bytes.len()] ^= bits as u8;
-            for set in &sets {
-                decode_damaged(&flipped, set);
+            for reading in &readings {
+                decode_damaged(&flipped, reading);
             }
         }
     }

@@ -16,7 +16,9 @@ use std::collections::HashMap;
 
 use mood_catalog::Catalog;
 use mood_datamodel::{BasicType, TypeDescriptor};
-use mood_optimizer::{BoolExpr, Const, Negate, PredSpec, QuerySpec, MAX_DNF_TERMS};
+use mood_optimizer::{
+    BoolExpr, Const, Negate, PredSpec, QuerySpec, JOIN_MARKER, MAX_DNF_TERMS,
+};
 
 use crate::ast::{CmpOp, Expr, FromItem, Lit, PathRef, SelectStmt, Statement};
 use crate::error::{Result, SqlError};
@@ -478,7 +480,7 @@ fn classify_leaf(
             _ => None,
         };
         if let Some((p, v)) = join {
-            let text = format!("__join__ {}", e.render());
+            let text = format!("{JOIN_MARKER}{}", e.render());
             if rewritten.get(&v.var) == Some(&p.segments) && op == CmpOp::Eq {
                 return PredSpec::Join { path: p.segments.clone(), var: v.var.clone(), text };
             }

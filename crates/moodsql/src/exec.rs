@@ -35,7 +35,8 @@ use mood_cost::Theta;
 use mood_datamodel::{encode_value_into, Value};
 use mood_funcman::{Exception, ExceptionKind, FunctionManager, Receiver};
 use mood_optimizer::{
-    estimate_plan_set, optimize, Dnf, OptimizerConfig, Plan, PlanSet, TermPlan, MAX_DNF_TERMS,
+    estimate_plan_set, optimize, Dnf, OptimizerConfig, Plan, PlanSet, TermPlan, JOIN_MARKER,
+    MAX_DNF_TERMS,
 };
 use mood_storage::exec::run_chunked;
 use mood_storage::{AccessHint, FileId, Metric, Oid};
@@ -240,7 +241,7 @@ pub(crate) fn is_grouped(stmt: &SelectStmt) -> bool {
 
 /// A plan predicate, parsed: the only place plan predicate text is read.
 fn parse_pred(text: &str) -> Result<PreparedExpr> {
-    let text = text.strip_prefix("__join__ ").unwrap_or(text);
+    let text = text.strip_prefix(JOIN_MARKER).unwrap_or(text);
     Ok(PreparedExpr::new(parse_expr(text)?))
 }
 
@@ -950,8 +951,9 @@ impl<'a> Executor<'a> {
         let mut slab = Slab::default();
         let mut first_err: Option<SqlError> = None;
         let ((classes, _), fields) = (run.range(bind)?, pq.reads.of(var));
+        let mut reader = self.catalog.reader(fields);
         self.catalog.extent_records_with(classes, AccessHint::Sequential, &mut |oid, bytes| {
-            let step = match slab.decode(oid, bytes, fields) {
+            let step = match slab.decode(&mut reader, oid, bytes) {
                 Err(e) => Err(e.into()),
                 Ok(()) if slab.len() == batch => {
                     let flushed = flush(slab.objects());

@@ -28,7 +28,7 @@ pub use dnf::{BoolExpr, Negate, MAX_DNF_TERMS};
 pub use estimate::{estimate_plan_set, NodeEstimate};
 pub use optimizer::{
     optimize, short_var, Const, Dnf, ImmSelRow, OptimizedQuery, OptimizerConfig, OtherSelRow,
-    PathSelRow, PredSpec, QuerySpec, TermPlan,
+    PathSelRow, PredSpec, QuerySpec, TermPlan, JOIN_MARKER,
 };
 pub use path_order::{objective, optimal_order_exhaustive, order_paths, PathCost};
 pub use plan::{Plan, PlanSet};

@@ -102,6 +102,11 @@ pub enum PredSpec {
     Other { text: String },
 }
 
+/// What an explicit join's predicate text starts with ([`PredSpec::Join`],
+/// and the residual [`PredSpec::Other`] of a rewritten one): the text after
+/// it is the join as written.
+pub const JOIN_MARKER: &str = "__join__ ";
+
 impl crate::dnf::Negate for PredSpec {
     fn negate(&self) -> Self {
         fn flip(t: Theta) -> Theta {
@@ -136,7 +141,7 @@ impl crate::dnf::Negate for PredSpec {
                 terminal_var: terminal_var.clone(),
             },
             PredSpec::Join { text, .. } | PredSpec::Other { text } => PredSpec::Other {
-                text: format!("NOT ({text})"),
+                text: format!("NOT ({})", text.strip_prefix(JOIN_MARKER).unwrap_or(text)),
             },
         }
     }

@@ -32,8 +32,9 @@ use oracle::{oracle, try_oracle};
 const COLORS: [&str; 4] = ["red", "green", "blue", "white"];
 
 /// 120 parts: every fifth grade is NULL, `k` is 0 exactly for ids below 10,
-/// every eleventh maker reference is NULL. `Twin` holds 1 200 parts made
-/// the same way, under an index on `id`.
+/// every eleventh maker reference is NULL. `Twin` holds 2 400 parts made
+/// the same way, under an index on `id`: extent pages enough for §8.1 to
+/// prefer the index on a point term.
 fn build() -> Mood {
     let db = Mood::in_memory_with_pool(1024);
     db.set_optimizer_config(OptimizerConfig::paper());
@@ -54,7 +55,7 @@ fn build() -> Mood {
             c.new_object("Maker", Value::tuple(fields)).unwrap()
         })
         .collect();
-    for (class, n) in [("Part", 120), ("Twin", 1200)] {
+    for (class, n) in [("Part", 120), ("Twin", 2400)] {
         for i in 0..n {
             let grade = if i % 5 == 2 { Value::Null } else { Value::Integer(i % 4) };
             let maker = match i % 11 {

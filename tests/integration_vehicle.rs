@@ -528,15 +528,17 @@ fn path_index_rejects_bad_paths() {
 // ---------------------------------------------------------------------
 
 /// 2 000 objects in each of Vehicle / Automobile / JapaneseAuto carrying
-/// the same ids, so every key has one instance per class — enough objects
-/// that §8.1 picks the index whenever it is offered one.
+/// the same ids, so every key has one instance per class — enough pages
+/// that §8.1 picks the index whenever it is offered one (a 29-byte `pad`
+/// nobody reads makes a record as long as one that stored its attribute
+/// names).
 fn build_hierarchy_with_shared_ids() -> Mood {
     let db = Mood::in_memory_with_pool(4096);
     db.set_optimizer_config(OptimizerConfig::paper());
     for ddl in [
         "CREATE CLASS Company TUPLE (name String(32), location String(32))",
         "CREATE CLASS Vehicle TUPLE (id Integer, weight Integer, \
-         manufacturer REFERENCE (Company))",
+         manufacturer REFERENCE (Company), pad String)",
         "CREATE CLASS Automobile INHERITS FROM Vehicle",
         "CREATE CLASS JapaneseAuto INHERITS FROM Automobile",
     ] {
@@ -565,6 +567,7 @@ fn build_hierarchy_with_shared_ids() -> Mood {
                         ("id", Value::Integer(i)),
                         ("weight", Value::Integer(700 + i % 900)),
                         ("manufacturer", Value::Ref(companies[i as usize % 200])),
+                        ("pad", Value::string("p".repeat(29))),
                     ]),
                 )
                 .unwrap();

@@ -472,7 +472,8 @@ fn streamed_stages_telescope_with_spills_and_groups() {
 /// the statement — exactly, for pages and for time.
 #[test]
 fn an_index_range_feeding_the_tail_telescopes() {
-    let db = build_sized(4, 4096);
+    // Extent pages enough for §8.1 to prefer the index on a 10-key range.
+    let db = build_sized(4, 8192);
     db.execute("CREATE INDEX ON Vehicle(id)").unwrap();
     db.collect_stats().unwrap();
     for (sql, stages, rows) in [

@@ -30,7 +30,6 @@
 
 use std::collections::BTreeMap;
 
-use mood_core::datamodel::{encode_value, encode_value_into};
 use mood_core::sql::parse_expr;
 use mood_core::storage::Oid;
 use mood_core::{Answer, DatabaseStats, Mood, OptimizerConfig, TypeDescriptor, Value};
@@ -57,7 +56,10 @@ enum Fixture {
 
 /// The §3.1 hierarchy: `N` objects in `Vehicle`'s own extent (`N_INDEXED`
 /// under `Indexed`) and a quarter as many in each subclass extent, a
-/// 100-byte `pad` nobody reads, every eleventh drivetrain reference NULL.
+/// 159-byte `pad` nobody reads, every eleventh drivetrain reference NULL.
+/// The pad makes a record as long as it was when records stored their
+/// attribute names, so the extent has the pages §8.1 weighs an index
+/// against.
 fn build(fixture: Fixture) -> Mood {
     let db = Mood::in_memory_with_pool(4096);
     db.set_optimizer_config(OptimizerConfig::paper());
@@ -155,7 +157,7 @@ fn build(fixture: Fixture) -> Mood {
                     ("id", Value::Integer(base + i)),
                     ("weight", Value::Integer(700 + (i * 37) % 900)),
                     ("color", Value::string(COLORS[(i % 4) as usize])),
-                    ("pad", Value::string("p".repeat(100))),
+                    ("pad", Value::string("p".repeat(159))),
                     ("drivetrain", train),
                     ("company", Value::Ref(companies[(i % 5) as usize])),
                 ]),
@@ -984,8 +986,8 @@ fn an_attribute_newer_than_the_record_reads_null() {
 /// Every third record is rewritten after `price` exists, with a price; the
 /// others are from before it. In one batch a priced record fills a slot
 /// before an older one does (at batch 1 every time, at 7 wherever their
-/// positions meet), and the older one still reads NULL — its slot keeps no
-/// field the record lacks.
+/// positions meet), and the older one still reads NULL — its version has
+/// no slot for `price`, and its slot keeps no value an earlier record left.
 #[test]
 fn a_recycled_slot_never_lends_an_old_record_a_newer_attribute() {
     let db = build(Fixture::Plain);
@@ -999,7 +1001,8 @@ fn a_recycled_slot_never_lends_an_old_record_a_newer_attribute() {
         }
     }
     let stored = c.extent("Vehicle").unwrap();
-    let priced: Vec<bool> = stored.iter().map(|(_, v)| v.field("price").is_some()).collect();
+    let priced: Vec<bool> =
+        stored.iter().map(|(_, v)| v.field("price").is_some_and(|p| !p.is_null())).collect();
     assert!(
         priced.windows(2).any(|w| w[0] && !w[1]),
         "no priced record precedes an older one: {priced:?}"
@@ -1026,17 +1029,26 @@ enum Damage {
     /// The last field is `company`, a reference (tag byte + 14 OID bytes):
     /// its tag becomes one no value has.
     BadTag,
-    /// Cut inside the 100-byte `pad` string: its length runs off the end.
+    /// Cut inside the 159-byte `pad` string: its length runs off the end.
     CutOff,
+}
+
+/// The stored records of `class`'s own extent, as the heap holds them.
+fn stored_records(db: &Mood, class: &str) -> Vec<Vec<u8>> {
+    let file = db.catalog().class(class).unwrap().extent.unwrap();
+    let mut records = Vec::new();
+    db.storage().open_heap(file).scan_with(|_, bytes| {
+        records.push(bytes.to_vec());
+        true
+    })
+    .unwrap();
+    records
 }
 
 /// Append a copy of a `Vehicle` record, damaged, to the extent behind the
 /// catalog's back.
 fn plant(db: &Mood, damage: Damage) {
-    let catalog = db.catalog();
-    let mut record = catalog.type_id("Vehicle").unwrap().to_le_bytes().to_vec();
-    let (_, sample) = catalog.extent("Vehicle").unwrap().swap_remove(0);
-    encode_value_into(&mut record, &sample);
+    let mut record = stored_records(db, "Vehicle").swap_remove(0);
     match damage {
         Damage::BadTag => {
             let at = record.len() - 15;
@@ -1044,7 +1056,7 @@ fn plant(db: &Mood, damage: Damage) {
         }
         Damage::CutOff => record.truncate(record.len() - 60),
     }
-    let file = catalog.class("Vehicle").unwrap().extent.unwrap();
+    let file = db.catalog().class("Vehicle").unwrap().extent.unwrap();
     db.storage().open_heap(file).insert(&record).unwrap();
 }
 
@@ -1083,11 +1095,9 @@ fn an_undecodable_record_fails_the_statement() {
 #[test]
 fn a_spilled_row_is_narrower_than_a_stored_one() {
     let db = build(Fixture::Plain);
-    let everyone = db.catalog().extent_every("Vehicle", &[]).unwrap();
-    let stored: usize = everyone
-        .iter()
-        .map(|(_, v)| encode_value(v).len() + 4)
-        .sum();
+    let classes = ["Vehicle", "Automobile", "JapaneseAuto"];
+    let everyone: Vec<Vec<u8>> = classes.iter().flat_map(|c| stored_records(&db, c)).collect();
+    let stored: usize = everyone.iter().map(Vec::len).sum();
     let rows = everyone.len() as u64;
     let sql = "SELECT v.id FROM EVERY Vehicle v ORDER BY v.weight, v.id";
     let in_memory = run(&db, sql);

@@ -341,6 +341,13 @@ const CORPUS: &[(&str, Order)] = &[
          AND m.city = n.city AND n.name = 'maker1' GROUP BY m.city",
         Order::Exact,
     ),
+    // A negated explicit join: the negation of the join as written, a
+    // filter over the product — beside the join itself, and alone.
+    (
+        "SELECT p.id, m.name FROM Part p, Maker m WHERE p.maker = m AND NOT (p.maker = m)",
+        Order::Exact,
+    ),
+    ("SELECT p.id, m.name FROM Part p, Maker m WHERE NOT (p.maker = m)", Order::Exact),
 ];
 
 fn assert_same(want: &[Vec<Value>], got: &[Vec<Value>], order: Order, ctx: &str) {
@@ -366,7 +373,8 @@ fn the_tail_answers_what_the_oracle_answers_under_every_setting() {
     let db = build();
     let expected: Vec<_> = CORPUS.iter().map(|(sql, _)| oracle(&db, sql)).collect();
     // The corpus is not vacuous where it matters.
-    for (i, rows) in [(2, 190), (6, 4), (14, 150), (16, 1), (17, 0)] {
+    let last = CORPUS.len() - 1;
+    for (i, rows) in [(2, 190), (6, 4), (14, 150), (16, 1), (17, 0), (last - 1, 0), (last, 1112)] {
         assert_eq!(expected[i].len(), rows, "{}", CORPUS[i].0);
     }
     let before = db.engine_metrics();

@@ -116,7 +116,7 @@ fn a_failed_statement_returns_its_error_and_leaves_no_spill_behind() {
     // reaches it.
     let catalog = db.catalog();
     let mut record = catalog.type_id("Part").unwrap().to_le_bytes().to_vec();
-    record.extend([200, 1, 2, 3]); // no such value tag
+    record.extend([200, 1, 2, 3]); // schema version 456: the class has no such version
     let file = catalog.class("Part").unwrap().extent.unwrap();
     let bad = db.storage().open_heap(file).insert(&record).unwrap();
     for sql in [
