@@ -48,7 +48,7 @@ fn bench(c: &mut Criterion) {
     spec.terms = vec![vec![PredSpec::Path {
         path: vec!["drivetrain".into(), "engine".into(), "cylinders".into()],
         theta: mood_core::cost::Theta::Eq,
-        constant: mood_core::optimizer::Const::Num(2.0),
+        constant: mood_core::optimizer::Const::Value(mood_core::Value::Integer(2)),
         terminal_var: None,
     }]];
     let mut group = c.benchmark_group("join_ordering");

@@ -544,18 +544,25 @@ mod tests {
     use mood_cost::JoinMethod;
 
     fn sample_set() -> PlanSet {
+        use mood_datamodel::Value;
+        use mood_optimizer::{Atom, Const, JoinOn, Pred};
+        let eq = |var: &str, attr: &str, n: i32| {
+            let c = Const::Value(Value::Integer(n));
+            Pred::Atom(Atom::new(var, &[attr.to_string()], mood_cost::Theta::Eq, &c))
+        };
+        let on = JoinOn { var: "a".into(), attr: "r".into(), target: "b".into() };
         // T1 : JOIN(BIND(A, a), SELECT(BIND(B, b), p), FT, cond); root uses T1.
         PlanSet {
             temps: vec![(
                 "T1".to_string(),
                 Plan::join(
                     Plan::bind("A", "a"),
-                    Plan::select(Plan::bind("B", "b"), "b.x = 1"),
+                    Plan::select(Plan::bind("B", "b"), eq("b", "x", 1)),
                     JoinMethod::ForwardTraversal,
-                    "a.r = b.self",
+                    on,
                 ),
             )],
-            root: Plan::select(Plan::temp("T1"), "a.y = 2"),
+            root: Plan::select(Plan::temp("T1"), eq("a", "y", 2)),
             estimated_cost: 0.0,
         }
     }

@@ -11,17 +11,22 @@
 //!   join the optimizer handles;
 //! * everything else (method calls, arithmetic, cross-variable
 //!   comparisons) → *other selection*, evaluated last.
+//!
+//! An other selection, or an explicit join's residual, is a [`Conjunct`]:
+//! an index into [`Lowered::conjuncts`], the table of the statement's own
+//! expressions that the executor evaluates it from.
 
 use std::collections::HashMap;
 
 use mood_catalog::Catalog;
 use mood_datamodel::{BasicType, TypeDescriptor};
 use mood_optimizer::{
-    BoolExpr, Const, Negate, PredSpec, QuerySpec, JOIN_MARKER, MAX_DNF_TERMS,
+    AttrPath, BoolExpr, Conjunct, Const, Negate, PredSpec, Pred, QuerySpec, MAX_DNF_TERMS,
 };
 
 use crate::ast::{CmpOp, Expr, FromItem, Lit, PathRef, SelectStmt, Statement};
 use crate::error::{Result, SqlError};
+use crate::exec::lit_value;
 
 /// How a statement interacts with the transaction machinery — the
 /// binder-level classification the session dispatches on.
@@ -78,6 +83,9 @@ pub struct Lowered {
     /// clause: each component's part of it, in FROM order. Empty when the
     /// spec covers the FROM list.
     pub components: Vec<Vec<Component>>,
+    /// The conjunct table: the expression each [`Conjunct`] of the spec and
+    /// the components names, by its `id`.
+    pub conjuncts: Vec<Expr>,
 }
 
 /// A component of one AND-term: a FROM item no earlier item's path
@@ -89,10 +97,10 @@ pub struct Component {
     pub spec: QuerySpec,
     /// `x.a = y.b` over atomic attributes of the same kind, `x` in an
     /// earlier component and `y` in this one: the combination's hash key.
-    pub on: Option<String>,
+    pub on: Option<(AttrPath, AttrPath)>,
     /// The term's other conjuncts whose last component is this one: they
     /// filter the combination.
-    pub filter: Vec<String>,
+    pub filter: Vec<Pred>,
 }
 
 /// A negated conjunct of a FROM list of several components is `NOT` it as
@@ -152,13 +160,17 @@ enum PathShape {
 /// The optimizer constant a comparison operand stands for, if it is one.
 fn operand_const(e: &Expr) -> Option<Const> {
     Some(match e {
-        Expr::Literal(Lit::Int(i)) => Const::Num(*i as f64),
-        Expr::Literal(Lit::Float(x)) => Const::Num(*x),
-        Expr::Literal(Lit::Str(s)) => Const::Str(s.clone()),
-        Expr::Literal(Lit::Bool(b)) => Const::Bool(*b),
+        Expr::Literal(Lit::Null) => return None,
+        Expr::Literal(lit) => Const::Value(lit_value(lit)),
         Expr::Param(n) => Const::Param(*n),
         _ => return None,
     })
+}
+
+/// `e` as an opaque conjunct: appended to the conjunct `table`.
+fn conjunct(table: &mut Vec<Expr>, e: &Expr) -> Conjunct {
+    table.push(e.clone());
+    Conjunct { id: table.len() - 1, negations: 0, text: e.render() }
 }
 
 /// Lower a SELECT into a [`QuerySpec`] rooted at its first FROM item, and
@@ -189,8 +201,9 @@ pub fn lower(catalog: &Catalog, stmt: &SelectStmt) -> Result<Lowered> {
     // Build the Boolean tree of PredSpec leaves and expand it, unless its
     // DNF would be past the bound: then the clause as written is the one
     // term's one predicate, and every FROM item is a component of its own.
+    let mut table = Vec::new();
     let tree = stmt.where_clause.as_ref().map(|w| {
-        to_bool_expr(w, true, &mut |e| classify_leaf(catalog, e, root, &rewritten))
+        to_bool_expr(w, true, &mut |e| classify_leaf(catalog, e, root, &rewritten, &mut table))
     });
     let mut unexpanded = None;
     let terms: Vec<Vec<PredSpec>> = match (tree, &stmt.where_clause) {
@@ -198,7 +211,8 @@ pub fn lower(catalog: &Catalog, stmt: &SelectStmt) -> Result<Lowered> {
             n if n > MAX_DNF_TERMS => {
                 unexpanded = Some(n);
                 rewritten.clear();
-                vec![vec![PredSpec::Other { text: w.render() }]]
+                table.clear();
+                vec![vec![PredSpec::Other(conjunct(&mut table, w))]]
             }
             _ => t.to_dnf(),
         },
@@ -217,9 +231,9 @@ pub fn lower(catalog: &Catalog, stmt: &SelectStmt) -> Result<Lowered> {
 
     let components = match stmt.from[1..].iter().all(|f| rewritten.contains_key(&f.var)) {
         true => Vec::new(),
-        false => split(catalog, stmt, &rewritten, unexpanded.is_some()),
+        false => split(catalog, stmt, &rewritten, unexpanded.is_some(), &mut table),
     };
-    Ok(Lowered { spec, rewritten_vars: rewritten, components })
+    Ok(Lowered { spec, rewritten_vars: rewritten, components, conjuncts: table })
 }
 
 /// A FROM list of several components, per AND-term: each FROM item no
@@ -232,6 +246,7 @@ fn split(
     stmt: &SelectStmt,
     rewritten: &HashMap<String, Vec<String>>,
     unexpanded: bool,
+    table: &mut Vec<Expr>,
 ) -> Vec<Vec<Component>> {
     let mut roots = vec![(&stmt.from[0], rewritten.clone())];
     for (i, item) in stmt.from.iter().enumerate().skip(1) {
@@ -267,13 +282,13 @@ fn split(
             let (first, last) = (read.iter().min(), read.iter().max().copied().unwrap_or(0));
             if first.is_none_or(|&c| c == last) {
                 let (r, rw) = &roots[last];
-                parts[last].spec.terms[0].push(classify_leaf(catalog, &e, r, rw));
+                parts[last].spec.terms[0].push(classify_leaf(catalog, &e, r, rw, table));
             } else if let (None, Some(on)) =
                 (&parts[last].on, equi_key(catalog, stmt, &e, &of, last))
             {
                 parts[last].on = Some(on);
             } else {
-                parts[last].filter.push(e.render());
+                parts[last].filter.push(Pred::Conjunct(conjunct(table, &e)));
             }
         }
         parts
@@ -292,7 +307,7 @@ fn equi_key(
     e: &Expr,
     of: &dyn Fn(&str) -> Option<usize>,
     at: usize,
-) -> Option<String> {
+) -> Option<(AttrPath, AttrPath)> {
     let Expr::Compare { op: CmpOp::Eq, left, right } = e else { return None };
     let (Expr::Path(l), Expr::Path(r)) = (&**left, &**right) else { return None };
     let kind = |p: &PathRef| {
@@ -310,7 +325,8 @@ fn equi_key(
         (cl, cr) if cr < at && cl == at => (r, l),
         _ => return None,
     };
-    (kind(x)? == kind(y)?).then(|| format!("{} = {}", x.render(), y.render()))
+    let attr = |p: &PathRef| AttrPath { var: p.var.clone(), path: p.segments.clone() };
+    (kind(x)? == kind(y)?).then(|| (attr(x), attr(y)))
 }
 
 /// Check that a path's range variable is in scope and, unless the path is
@@ -412,6 +428,7 @@ fn classify_leaf(
     e: &Expr,
     root: &FromItem,
     rewritten: &HashMap<String, Vec<String>>,
+    table: &mut Vec<Expr>,
 ) -> PredSpec {
     if let Expr::Compare { op, left, right } = e {
         // Normalize constant-on-the-left: `c θ path` ⇒ `path θ' c`.
@@ -471,8 +488,8 @@ fn classify_leaf(
             }
         }
         // An explicit join `path = var` that was rewritten: absorbed into
-        // the rewritten paths, it still holds as a predicate (the original
-        // text); the optimizer plans it as a join of its own when no path
+        // the rewritten paths, it still holds as a predicate (as written);
+        // the optimizer plans it as a join of its own when no path
         // predicate of the term binds `var`.
         let join = match (&**left, &**right) {
             (Expr::Path(p), Expr::Path(v)) | (Expr::Path(v), Expr::Path(p))
@@ -480,16 +497,13 @@ fn classify_leaf(
             _ => None,
         };
         if let Some((p, v)) = join {
-            let text = format!("{JOIN_MARKER}{}", e.render());
             if rewritten.get(&v.var) == Some(&p.segments) && op == CmpOp::Eq {
-                return PredSpec::Join { path: p.segments.clone(), var: v.var.clone(), text };
-            }
-            if rewritten.contains_key(&v.var) {
-                return PredSpec::Other { text };
+                let (path, var) = (p.segments.clone(), v.var.clone());
+                return PredSpec::Join { path, var, residual: conjunct(table, e) };
             }
         }
     }
-    PredSpec::Other { text: e.render() }
+    PredSpec::Other(conjunct(table, e))
 }
 
 #[cfg(test)]
@@ -651,7 +665,7 @@ mod tests {
         let l = lower_sql(&cat, "SELECT v FROM Vehicle v WHERE v.lbweight() > 2000");
         assert!(matches!(
             &l.spec.terms[0][0],
-            PredSpec::Other { text } if text == "v.lbweight() > 2000"
+            PredSpec::Other(c) if c.text == "v.lbweight() > 2000"
         ));
     }
 
@@ -711,7 +725,8 @@ mod tests {
         assert!(matches!(name, PredSpec::Immediate { attribute, .. } if attribute == "name"));
         assert_eq!(term[1].spec.reserved, ["v", "d", "e"]);
         // `e.size = v.id` reads `d`'s component and `v`'s: the hash key.
-        assert_eq!(term[2].on.as_deref(), Some("v.id = e.size"));
+        let on = term[2].on.as_ref().map(|(x, y)| format!("{x} = {y}"));
+        assert_eq!(on.as_deref(), Some("v.id = e.size"));
         assert!(term.iter().all(|c| c.filter.is_empty()));
     }
 }

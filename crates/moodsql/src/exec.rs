@@ -35,8 +35,8 @@ use mood_cost::Theta;
 use mood_datamodel::{encode_value_into, Value};
 use mood_funcman::{Exception, ExceptionKind, FunctionManager, Receiver};
 use mood_optimizer::{
-    estimate_plan_set, optimize, Dnf, OptimizerConfig, Plan, PlanSet, TermPlan, JOIN_MARKER,
-    MAX_DNF_TERMS,
+    estimate_plan_set, optimize, AttrPath, Const, Dnf, OptimizerConfig, Plan, PlanSet, Pred,
+    TermPlan, MAX_DNF_TERMS,
 };
 use mood_storage::exec::run_chunked;
 use mood_storage::{AccessHint, FileId, Metric, Oid};
@@ -50,7 +50,6 @@ use crate::ast::{CmpOp, Expr, Lit, PathRef, SelectStmt};
 use crate::binder::{lower, Component, Lowered};
 use crate::compiled::{PreparedExpr, RowView, Scratch};
 use crate::error::{Result, SqlError};
-use crate::parser::parse_expr;
 use crate::readset::ReadSets;
 use crate::tail::{group_operands, operand_input, Sink, Tail};
 
@@ -117,8 +116,8 @@ impl QueryResult {
     }
 }
 
-/// A SELECT prepared once — bound, optimized, its predicates parsed, every
-/// expression it evaluates ready to compile at first use — and
+/// A SELECT prepared once — bound, optimized, every expression it evaluates
+/// built from its plan and ready to compile at first use — and
 /// re-executable any number of times. It is the only thing the executor
 /// runs: an uncached statement, `EXPLAIN ANALYZE` and a DML target are
 /// prepared and executed in one call. The session's plan cache stores these
@@ -194,39 +193,54 @@ impl NodePrep {
 /// path for a path index), in the order written.
 struct AttrBounds {
     attr: String,
-    ops: Vec<(Theta, Operand)>,
+    ops: Vec<(Theta, Const)>,
 }
 
-/// The constant side of a bound.
-enum Operand {
-    Value(Value),
-    Param(u16),
-}
-
-/// Group an INDSEL predicate's conjuncts `var.attr θ constant` by attribute.
-fn attr_bounds(predicate: &Expr) -> Result<Vec<AttrBounds>> {
+/// Group an INDSEL predicate's atoms `var.a1…am θ constant` by attribute.
+fn attr_bounds(predicate: &Pred) -> Result<Vec<AttrBounds>> {
     let mut out: Vec<AttrBounds> = Vec::new();
-    for p in flatten_and(predicate) {
-        let shape = || SqlError::Exec(format!("INDSEL predicate cannot be index-served: {p:?}"));
-        let Expr::Compare { op, left, right } = p else { return Err(shape()) };
-        let operand = match &**right {
-            Expr::Literal(lit) => Operand::Value(lit_value(lit)),
-            Expr::Param(n) => Operand::Param(*n),
-            _ => return Err(shape()),
+    for p in predicate.conjuncts() {
+        let Pred::Atom(atom) = p else {
+            return Err(SqlError::Exec(format!("INDSEL predicate cannot be index-served: {p}")));
         };
-        let Expr::Path(path) = &**left else { return Err(shape()) };
-        if path.segments.is_empty() || *op == CmpOp::Ne {
-            return Err(shape());
-        }
-        // Dotted join handles both plain attributes and whole-path indexes.
-        let attr = path.segments.join(".");
-        let bound = (op.to_theta(), operand);
+        let attr = atom.lhs.path.join(".");
+        let bound = (atom.theta, atom.constant.clone());
         match out.iter_mut().find(|b| b.attr == attr) {
             Some(b) => b.ops.push(bound),
             None => out.push(AttrBounds { attr, ops: vec![bound] }),
         }
     }
     Ok(out)
+}
+
+/// The expression a plan predicate evaluates: an atom the comparison it
+/// stands for, an opaque conjunct its entry of the statement's conjunct
+/// table under its NOTs, a conjunction or a disjunction of those.
+fn pred_expr(pred: &Pred, conjuncts: &[Expr]) -> Result<Expr> {
+    let all = |parts: &[Pred]| -> Result<Vec<Expr>> {
+        parts.iter().map(|p| pred_expr(p, conjuncts)).collect()
+    };
+    Ok(match pred {
+        Pred::Atom(atom) => Expr::Compare {
+            op: CmpOp::of_theta(atom.theta),
+            left: Box::new(path_expr(&atom.lhs)),
+            right: Box::new(match &atom.constant {
+                Const::Value(v) => Expr::Literal(value_lit(v)),
+                Const::Param(n) => Expr::Param(*n),
+            }),
+        },
+        Pred::Conjunct(c) => {
+            let missing = || SqlError::Exec(format!("no conjunct {} in the statement", c.id));
+            let e = conjuncts.get(c.id).cloned().ok_or_else(missing)?;
+            (0..c.negations).fold(e, |e, _| Expr::Not(Box::new(e)))
+        }
+        Pred::And(parts) => Expr::And(all(parts)?),
+        Pred::Or(parts) => Expr::Or(all(parts)?),
+    })
+}
+
+fn path_expr(p: &AttrPath) -> Expr {
+    Expr::Path(PathRef { var: p.var.clone(), segments: p.path.clone() })
 }
 
 /// Does the statement aggregate (GROUP BY or an aggregate in the
@@ -237,12 +251,6 @@ pub(crate) fn is_grouped(stmt: &SelectStmt) -> bool {
             .projection
             .iter()
             .any(|e| matches!(e, Expr::Agg { .. }))
-}
-
-/// A plan predicate, parsed: the only place plan predicate text is read.
-fn parse_pred(text: &str) -> Result<PreparedExpr> {
-    let text = text.strip_prefix(JOIN_MARKER).unwrap_or(text);
-    Ok(PreparedExpr::new(parse_expr(text)?))
 }
 
 /// The predicates and keys a statement's terms evaluate.
@@ -259,20 +267,6 @@ fn is_class_side(right: &Plan) -> bool {
         Plan::Select { input, .. } => matches!(**input, Plan::Bind { .. }),
         _ => false,
     }
-}
-
-/// The parts `(x, attr, y)` of a plan join condition `x.attr = y.self`.
-pub(crate) fn join_condition(condition: &str) -> Result<(&str, &str, &str)> {
-    let (lhs, rhs) = condition
-        .split_once(" = ")
-        .ok_or_else(|| SqlError::Exec(format!("unsupported join condition: {condition}")))?;
-    let (x_var, attr) = lhs
-        .split_once('.')
-        .ok_or_else(|| SqlError::Exec(format!("bad join lhs: {lhs}")))?;
-    let y_var = rhs
-        .strip_suffix(".self")
-        .ok_or_else(|| SqlError::Exec(format!("bad join rhs: {rhs}")))?;
-    Ok((x_var, attr, y_var))
 }
 
 /// The executor.
@@ -450,10 +444,10 @@ impl<'a> Executor<'a> {
             out.push_str(&term.plan.to_string());
             out.push('\n');
         }
-        let terms = planned.into_iter().map(|t| self.term(t.plan, stmt));
+        let terms = planned.into_iter().map(|t| self.term(t.plan, stmt, &lowered.conjuncts));
         let terms: Vec<Term> = terms.collect::<Result<_>>()?;
         let plans = terms.iter().map(|t| &t.plan);
-        let reads = ReadSets::collect(stmt, plans, term_preds(&terms))?;
+        let reads = ReadSets::collect(stmt, plans, term_preds(&terms));
         out.push_str(&reads.to_string());
         Ok(out)
     }
@@ -492,7 +486,7 @@ impl<'a> Executor<'a> {
             let (left, right) = (Box::new(acc.plan.root), Box::new(next.plan.root));
             acc.plan.root = Plan::Combine { left, right, on: part.on.clone() };
             if !part.filter.is_empty() {
-                acc.plan.root = Plan::select(acc.plan.root, part.filter.join(" AND "));
+                acc.plan.root = Plan::select(acc.plan.root, Pred::and(part.filter.clone()));
             }
             acc.plan.estimated_cost += next.plan.estimated_cost;
             acc.imm_sel_info.append(&mut next.imm_sel_info);
@@ -506,12 +500,13 @@ impl<'a> Executor<'a> {
     // SELECT execution: prepare, then the one driver
     // ------------------------------------------------------------------
 
-    /// Bind, optimize and pre-parse a SELECT once, producing the plan the
+    /// Bind, optimize and prepare a SELECT once, producing the plan the
     /// driver executes and the session cache can re-execute without touching
     /// the parser or optimizer.
     ///
-    /// Every Select/IndSel predicate in the plan is parsed here, with each
-    /// INDSEL's bounds and the extent files each node reads, and each range
+    /// Every Select/IndSel predicate in the plan becomes the expression it
+    /// evaluates here, with each INDSEL's bounds, each hash key and the
+    /// extent files each node reads, and each range
     /// variable's read set derived from what the driver will evaluate; the
     /// register program of a predicate or of a tail expression follows when
     /// it is first evaluated (and is charged to `compile.ns` then, not
@@ -538,10 +533,10 @@ impl<'a> Executor<'a> {
             self.plan_terms(&lowered, &stats).1
         };
         let epoch = self.catalog.epoch();
-        let terms = planned.into_iter().map(|t| self.term(t.plan, stmt));
+        let terms = planned.into_iter().map(|t| self.term(t.plan, stmt, &lowered.conjuncts));
         let terms: Vec<Term> = terms.collect::<Result<_>>()?;
         let plans = terms.iter().map(|t| &t.plan);
-        let reads = ReadSets::collect(stmt, plans, term_preds(&terms))?;
+        let reads = ReadSets::collect(stmt, plans, term_preds(&terms));
         let prepared = |e: &Expr| PreparedExpr::new(e.clone());
         let cols = if is_grouped(stmt) {
             let inputs = group_operands(stmt).into_iter().filter_map(operand_input);
@@ -569,11 +564,12 @@ impl<'a> Executor<'a> {
         })
     }
 
-    /// One AND-term's plan with its nodes resolved (see [`NodePrep`]).
-    fn term(&self, plan: PlanSet, stmt: &SelectStmt) -> Result<Term> {
+    /// One AND-term's plan with its nodes resolved (see [`NodePrep`]); its
+    /// opaque conjuncts are entries of `conjuncts`.
+    fn term(&self, plan: PlanSet, stmt: &SelectStmt, conjuncts: &[Expr]) -> Result<Term> {
         let mut prep = Vec::new();
         for p in plan.temps.iter().map(|(_, p)| p).chain([&plan.root]) {
-            self.prep_nodes(p, false, stmt, &mut prep)?;
+            self.prep_nodes(p, false, stmt, conjuncts, &mut prep)?;
         }
         Ok(Term { table: NodeTable::of(&plan), prep, plan })
     }
@@ -587,13 +583,14 @@ impl<'a> Executor<'a> {
         plan: &Plan,
         probed: bool,
         stmt: &SelectStmt,
+        conjuncts: &[Expr],
         out: &mut Vec<NodePrep>,
     ) -> Result<()> {
+        let prepared = |pred| Ok::<_, SqlError>(PreparedExpr::new(pred_expr(pred, conjuncts)?));
         out.push(match plan {
-            Plan::Select { predicate, .. } => NodePrep::Select(parse_pred(predicate)?),
+            Plan::Select { predicate, .. } => NodePrep::Select(prepared(predicate)?),
             Plan::IndSel { class, var, predicate, .. } => {
-                let pred = parse_pred(predicate)?;
-                let bounds = attr_bounds(&pred.expr)?;
+                let (pred, bounds) = (prepared(predicate)?, attr_bounds(predicate)?);
                 // A path index covers the class and every subclass, which
                 // may be more extents than the variable ranges over.
                 let files = self.catalog.extent_files(&self.range_of(stmt, var, class));
@@ -608,12 +605,9 @@ impl<'a> Executor<'a> {
                 let files = self.catalog.extent_files(&classes);
                 NodePrep::Bind(classes, files)
             }
-            Plan::Combine { on: Some(on), .. } => match parse_expr(on)? {
-                Expr::Compare { left, right, .. } => {
-                    NodePrep::Keys([PreparedExpr::new(*left), PreparedExpr::new(*right)])
-                }
-                _ => return Err(SqlError::Exec(format!("unsupported hash key: {on}"))),
-            },
+            Plan::Combine { on: Some((x, y)), .. } => {
+                NodePrep::Keys([x, y].map(|key| PreparedExpr::new(path_expr(key))))
+            }
             _ => NodePrep::None,
         });
         for (i, child) in plan.children().into_iter().enumerate() {
@@ -622,7 +616,7 @@ impl<'a> Executor<'a> {
                 Plan::Select { .. } => probed,
                 _ => false,
             };
-            self.prep_nodes(child, probed, stmt, out)?;
+            self.prep_nodes(child, probed, stmt, conjuncts, out)?;
         }
         Ok(())
     }
@@ -993,9 +987,9 @@ impl<'a> Executor<'a> {
             return Err(unprepared(nid));
         };
         let bounds = bounds.iter().map(|b| {
-            let ops = b.ops.iter().map(|(theta, operand)| match operand {
-                Operand::Value(v) => Ok((*theta, v)),
-                Operand::Param(n) => Ok((*theta, self.param(*n)?)),
+            let ops = b.ops.iter().map(|(theta, constant)| match constant {
+                Const::Value(v) => Ok((*theta, v)),
+                Const::Param(n) => Ok((*theta, self.param(*n)?)),
             });
             Ok((b.attr.as_str(), ops.collect::<Result<_>>()?))
         });
@@ -1054,7 +1048,8 @@ impl<'a> Executor<'a> {
         let Plan::Join { left, right, method, condition } = join else {
             return Err(SqlError::Exec(format!("not a join: {join:?}")));
         };
-        let ((x_var, attr, y_var), method) = (join_condition(condition)?, *method);
+        let (x_var, attr, y_var) = (&condition.var, &condition.attr, &condition.target);
+        let method = *method;
         let (x_slot, y_slot) = (pq.reads.slot(x_var)?, pq.reads.slot(y_var)?);
         let input = self.rows_of(left, nid + 1, pq, run)?;
         let right_nid = nid + 1 + left.subtree_size();
@@ -1372,6 +1367,18 @@ fn unbound_param(n: u16, bound: usize) -> SqlError {
     SqlError::Bind(format!("unbound parameter ${n} ({bound} bound)"))
 }
 
+/// The literal a constant's value was made of ([`lit_value`] undone).
+fn value_lit(v: &Value) -> Lit {
+    match v {
+        Value::Integer(i) => Lit::Int((*i).into()),
+        Value::LongInteger(i) => Lit::Int(*i),
+        Value::Float(x) => Lit::Float(*x),
+        Value::String(s) => Lit::Str(s.clone()),
+        Value::Boolean(b) => Lit::Bool(*b),
+        _ => Lit::Null,
+    }
+}
+
 pub(crate) fn lit_value(l: &Lit) -> Value {
     match l {
         Lit::Int(i) => {
@@ -1385,12 +1392,5 @@ pub(crate) fn lit_value(l: &Lit) -> Value {
         Lit::Str(s) => Value::String(s.clone()),
         Lit::Bool(b) => Value::Boolean(*b),
         Lit::Null => Value::Null,
-    }
-}
-
-fn flatten_and(e: &Expr) -> Vec<&Expr> {
-    match e {
-        Expr::And(parts) => parts.iter().flat_map(flatten_and).collect(),
-        other => vec![other],
     }
 }

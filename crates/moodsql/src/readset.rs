@@ -11,7 +11,7 @@
 //! incomplete set would be a silently wrong answer, not an error.
 //! Completeness is therefore by
 //! construction: the collector walks the very expressions the driver
-//! evaluates — the parsed plan predicates, the join conditions, and the
+//! evaluates — the plan predicates' expressions, the join conditions, and the
 //! statement's projection, GROUP BY, HAVING and ORDER BY — with an
 //! exhaustive match over [`Expr`], and whatever cannot be enumerated as
 //! attribute reads (a bare variable, a method invoked on the variable)
@@ -27,7 +27,6 @@ use mood_optimizer::{Plan, PlanSet};
 
 use crate::ast::{Expr, PathRef, SelectStmt};
 use crate::error::{Result, SqlError};
-use crate::exec::join_condition;
 
 /// Range variable → the fields of its object the statement reads.
 #[derive(Debug, Default)]
@@ -35,16 +34,16 @@ pub(crate) struct ReadSets(BTreeMap<String, FieldSet>);
 
 impl ReadSets {
     /// The read sets of `stmt` executed through `plans` (one per AND-term)
-    /// whose predicates parsed to `preds`.
+    /// whose predicates and keys evaluate `preds`.
     pub fn collect<'p>(
         stmt: &SelectStmt,
         plans: impl IntoIterator<Item = &'p PlanSet>,
         preds: impl IntoIterator<Item = &'p Expr>,
-    ) -> Result<ReadSets> {
+    ) -> ReadSets {
         let mut sets = ReadSets::default();
         for set in plans {
             for plan in set.temps.iter().map(|(_, p)| p).chain([&set.root]) {
-                sets.plan(plan)?;
+                sets.plan(plan);
             }
         }
         for pred in preds {
@@ -57,7 +56,7 @@ impl ReadSets {
         for p in stmt.group_by.iter().chain(order_keys) {
             sets.path(p);
         }
-        Ok(sets)
+        sets
     }
 
     /// The slot of `var` in a [`Row`](crate::Row): its rank among the
@@ -96,18 +95,15 @@ impl ReadSets {
     /// The variables a plan binds, and what its joins read of them: the
     /// chased attribute of the referencing side (the referenced side joins
     /// on its OID, which is no field).
-    fn plan(&mut self, plan: &Plan) -> Result<()> {
+    fn plan(&mut self, plan: &Plan) {
         match plan {
             Plan::Bind { var, .. } | Plan::IndSel { var, .. } => {
                 self.0.entry(var.clone()).or_insert(FieldSet::NONE);
             }
-            Plan::Join { condition, .. } => {
-                let (x_var, attr, _) = join_condition(condition)?;
-                self.read(x_var, attr);
-            }
+            Plan::Join { condition, .. } => self.read(&condition.var, &condition.attr),
             _ => {}
         }
-        plan.children().into_iter().try_for_each(|child| self.plan(child))
+        plan.children().into_iter().for_each(|child| self.plan(child))
     }
 
     /// A path reads its first attribute off the bound object (the rest is

@@ -20,12 +20,15 @@
 use mood_cost::{rndcost, rngxcost, seqcost, IndexParams, Theta};
 use mood_storage::PhysicalParams;
 
+use crate::plan::Pred;
+
 /// One immediate selection predicate with its statistics — an ImmSelInfo
 /// row (Table 11) before cost computation.
 #[derive(Debug, Clone)]
 pub struct AtomicPredicate {
-    /// Rendering of the predicate (for dictionaries and plans).
-    pub text: String,
+    /// The predicate: an atom, or the atoms of the bounds one interval
+    /// merges.
+    pub pred: Pred,
     /// Estimated selectivity `f_s(P_i)`.
     pub selectivity: f64,
     /// θ (equality predicates probe; others range-scan).
@@ -143,7 +146,7 @@ mod tests {
 
     fn eq_pred(sel: f64, ix: Option<IndexParams>) -> AtomicPredicate {
         AtomicPredicate {
-            text: format!("A = c (sel {sel})"),
+            pred: Pred::And(Vec::new()),
             selectivity: sel,
             theta: Theta::Eq,
             index: ix,
@@ -199,7 +202,7 @@ mod tests {
         let preds = [
             eq_pred(1e-5, Some(index(5_000.0))),
             AtomicPredicate {
-                text: "B > tiny".into(),
+                pred: Pred::And(Vec::new()),
                 selectivity: 0.99,
                 theta: Theta::Gt,
                 index: Some(index(50_000.0)),
@@ -244,7 +247,7 @@ mod tests {
     fn inequality_predicates_use_range_cost() {
         let p = disk();
         let pred = AtomicPredicate {
-            text: "A > c".into(),
+            pred: Pred::And(Vec::new()),
             selectivity: 0.001,
             theta: Theta::Gt,
             index: Some(index(10_000.0)),

@@ -20,45 +20,19 @@ use mood_catalog::DatabaseStats;
 use mood_cost::{
     atomic_selectivity, bounds_selectivity, fref, indcost, join_cost, join_pages, o_overlap,
     rndcost, rngxcost,
-    seqcost_batched, ClassInfo, IndexParams, JoinInputs, PathHop, PathPredicate, Theta,
+    seqcost_batched, ClassInfo, JoinInputs, PathHop, PathPredicate, Theta,
 };
 use mood_storage::READAHEAD_WINDOW;
 
-use crate::optimizer::{OptimizerConfig, StatsView};
-use crate::plan::{Plan, PlanSet};
-
-/// The terms of a fused DNF predicate `(t1) OR (t2) OR …`: its top-level
-/// ` OR `s (outside parentheses and string literals) split it into at least
-/// two parts, each parenthesized whole.
-fn fused_terms(predicate: &str) -> Option<Vec<&str>> {
-    let (mut depth, mut quoted, mut start) = (0i32, false, 0);
-    let mut parts = Vec::new();
-    for (i, ch) in predicate.char_indices() {
-        match ch {
-            '\'' => quoted = !quoted,
-            '(' if !quoted => depth += 1,
-            ')' if !quoted => depth -= 1,
-            ' ' if !quoted && depth == 0 && predicate[i..].starts_with(" OR ") => {
-                parts.push(&predicate[start..i]);
-                start = i + " OR ".len();
-            }
-            _ => {}
-        }
-    }
-    parts.push(&predicate[start..]);
-    let whole = |p: &&str| p.starts_with('(') && p.ends_with(')');
-    if parts.len() < 2 || !parts.iter().all(whole) {
-        return None;
-    }
-    Some(parts.into_iter().map(|p| &p[1..p.len() - 1]).collect())
-}
+use crate::optimizer::{OptimizerConfig, StatsView, OTHER_SELECTIVITY};
+use crate::plan::{Atom, AttrPath, JoinOn, Plan, PlanSet, Pred};
 
 /// Fallback objects-per-page density when a subtree has no extent to
 /// derive one from (matches the paper example's 20 000 rows / 2 000 pages).
 const DEFAULT_ROWS_PER_PAGE: f64 = 10.0;
 
 /// The cost model's prediction for one plan node.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct NodeEstimate {
     /// Pre-order id over `[temps…, root]` (see module docs).
     pub id: usize,
@@ -169,15 +143,7 @@ impl Estimator<'_> {
         let id = self.next_id;
         self.next_id += 1;
         // Reserve the slot so children append after their parent.
-        self.out.push(NodeEstimate {
-            id,
-            label: String::new(),
-            rows: 0.0,
-            selectivity: None,
-            pages: 0.0,
-            cost: 0.0,
-            clustering: None,
-        });
+        self.out.push(NodeEstimate { id, ..NodeEstimate::default() });
         let mut clustering = None;
         let (label, rows, selectivity, cost, pages) = match plan {
             Plan::Bind { class, var } => {
@@ -187,59 +153,27 @@ impl Estimator<'_> {
                 // `READAHEAD_WINDOW`), so the cost amortizes seek+rotation
                 // across each window. Pages stay `nbpages` — batching
                 // changes when pages are fetched, not how many.
-                (
-                    format!("BIND({class}, {var})"),
-                    info.cardinality,
-                    None,
-                    seqcost_batched(&self.cfg.params, info.nbpages, READAHEAD_WINDOW),
-                    info.nbpages,
-                )
+                let cost = seqcost_batched(&self.cfg.params, info.nbpages, READAHEAD_WINDOW);
+                (format!("BIND({class}, {var})"), info.cardinality, None, cost, info.nbpages)
             }
             Plan::Temp { name } => {
-                let rows = self
-                    .temp_rows
-                    .iter()
-                    .find(|(n, _)| n == name)
-                    .map(|(_, r)| *r)
-                    .unwrap_or(0.0);
-                (name.clone(), rows, None, 0.0, 0.0)
+                let rows = self.temp_rows.iter().find(|(n, _)| n == name).map(|(_, r)| *r);
+                (name.clone(), rows.unwrap_or(0.0), None, 0.0, 0.0)
             }
-            Plan::IndSel {
-                class,
-                var,
-                index_kind,
-                predicate,
-            } => {
+            Plan::IndSel { class, var, index_kind, predicate } => {
                 let info = self.view.class_info(class);
-                let (sel, probe_cost) = self.indsel_estimate(class, index_kind, predicate);
+                let (sel, probe_cost) = self.indsel_estimate(class, predicate);
                 let rows = info.cardinality * sel;
-                let fetch = rndcost(&self.cfg.params, rows);
-                let cost = probe_cost + fetch;
-                (
-                    format!("INDSEL({class}, {var}, {index_kind})"),
-                    rows,
-                    Some(sel),
-                    cost,
-                    cost / self.cfg.params.random_page(),
-                )
+                let cost = probe_cost + rndcost(&self.cfg.params, rows);
+                let pages = cost / self.cfg.params.random_page();
+                (format!("INDSEL({class}, {var}, {index_kind})"), rows, Some(sel), cost, pages)
             }
             Plan::Select { input, predicate } => {
                 let in_rows = self.walk(input);
                 let sel = self.predicate_selectivity(predicate);
-                (
-                    format!("SELECT({predicate})"),
-                    in_rows * sel,
-                    Some(sel),
-                    0.0,
-                    0.0,
-                )
+                (format!("SELECT({predicate})"), in_rows * sel, Some(sel), 0.0, 0.0)
             }
-            Plan::Join {
-                left,
-                right,
-                method,
-                condition,
-            } => {
+            Plan::Join { left, right, method, condition } => {
                 let left_rows = self.walk(left);
                 let right_rows = self.walk(right);
                 let (rows, js, cost, jpages, cf) =
@@ -250,98 +184,59 @@ impl Estimator<'_> {
                 // Labelled by method, not `JOIN(…)`: estimate blocks are
                 // appended to EXPLAIN output, whose conformance tests count
                 // joins by the `JOIN(` token.
-                (
-                    format!("{}({condition})", method.plan_name()),
-                    rows,
-                    js,
-                    cost,
-                    jpages,
-                )
+                (format!("{}({condition})", method.plan_name()), rows, js, cost, jpages)
             }
             Plan::Combine { left, right, on } => {
                 let rows = self.walk(left) * self.walk(right);
                 // Every left row meets every right row; an equi-join keeps
                 // `1/max(dist)` of the pairs. Both sides are in memory.
-                let sel = on.as_deref().map(|on| self.equi_selectivity(on));
+                let sel = on.as_ref().map(|(x, y)| self.equi_selectivity(x, y));
                 let label = match on {
-                    Some(on) => format!("VALUE_HASH({on})"),
+                    Some((x, y)) => format!("VALUE_HASH({x} = {y})"),
                     None => "PRODUCT".to_string(),
                 };
                 (label, rows * sel.unwrap_or(1.0), sel, 0.0, 0.0)
             }
             Plan::Project { input, attributes } => {
                 let rows = self.walk(input);
-                (
-                    format!("PROJECT([{}])", attributes.join(", ")),
-                    rows,
-                    None,
-                    0.0,
-                    0.0,
-                )
+                (format!("PROJECT([{}])", attributes.join(", ")), rows, None, 0.0, 0.0)
             }
-            Plan::Sort { input, attributes } => {
+            Plan::Sort { input, attributes } | Plan::Partition { input, attributes, .. } => {
                 let rows = self.walk(input);
                 let (cost, pages) = self.spill_estimate(input, rows);
-                (
-                    format!("SORT([{}])", attributes.join(", ")),
-                    rows,
-                    None,
-                    cost,
-                    pages,
-                )
-            }
-            Plan::Partition {
-                input, attributes, ..
-            } => {
-                let rows = self.walk(input);
-                let (cost, pages) = self.spill_estimate(input, rows);
-                (
-                    format!("PARTITION([{}])", attributes.join(", ")),
-                    rows,
-                    None,
-                    cost,
-                    pages,
-                )
+                let op = if matches!(plan, Plan::Sort { .. }) { "SORT" } else { "PARTITION" };
+                (format!("{op}([{}])", attributes.join(", ")), rows, None, cost, pages)
             }
             Plan::Union { inputs } => {
                 let rows = inputs.iter().map(|i| self.walk(i)).sum();
                 ("UNION".to_string(), rows, None, 0.0, 0.0)
             }
         };
-        let slot = &mut self.out[id];
-        slot.label = label;
-        slot.rows = rows;
-        slot.selectivity = selectivity;
-        slot.cost = cost;
-        slot.pages = pages;
-        slot.clustering = clustering;
+        self.out[id] = NodeEstimate { id, label, rows, selectivity, pages, cost, clustering };
         rows
     }
 
-    /// Selectivity of a rendered predicate: conjuncts joined by ` AND `,
-    /// each `var.attr θ const` (atomic) or `var.a1…am θ const` (path).
-    /// Unparseable conjuncts (method calls, OtherSelInfo text) fall back to
-    /// the optimizer's default ½. A fused DNF's `(t1) OR (t2) OR …` is
-    /// 1 − Π(1 − sᵢ) over its terms.
-    fn predicate_selectivity(&self, predicate: &str) -> f64 {
-        if let Some(terms) = fused_terms(predicate) {
-            let rejected: f64 = terms.iter().map(|t| 1.0 - self.predicate_selectivity(t)).product();
-            return 1.0 - rejected;
+    /// Selectivity of a plan predicate: the product over a conjunction; a
+    /// fused DNF's `(t1) OR (t2) OR …` is 1 − Π(1 − sᵢ) over its terms; an
+    /// atom `var.a1…am θ const` is atomic (m = 1) or a path's; an opaque
+    /// conjunct the optimizer's OtherSelInfo default.
+    fn predicate_selectivity(&self, pred: &Pred) -> f64 {
+        match pred {
+            Pred::Atom(atom) => self.atom_selectivity(atom),
+            Pred::Conjunct(_) => OTHER_SELECTIVITY,
+            Pred::And(parts) => parts.iter().map(|p| self.predicate_selectivity(p)).product(),
+            Pred::Or(terms) => {
+                let rejected = terms.iter().map(|t| 1.0 - self.predicate_selectivity(t));
+                1.0 - rejected.product::<f64>()
+            }
         }
-        predicate
-            .split(" AND ")
-            .map(|c| self.conjunct_selectivity(c))
-            .product()
     }
 
-    fn conjunct_selectivity(&self, conjunct: &str) -> f64 {
-        let Some(p) = parse_conjunct(conjunct) else {
-            return 0.5;
+    fn atom_selectivity(&self, atom: &Atom) -> f64 {
+        let Some(root_class) = self.class_of(&atom.lhs.var) else {
+            return OTHER_SELECTIVITY;
         };
-        let Some(root_class) = self.class_of(&p.var).map(str::to_string) else {
-            return 0.5;
-        };
-        self.path_pred_selectivity(&root_class, &p.path, p.theta, p.constant)
+        self.path_pred_selectivity(root_class, &atom.lhs.path, atom.theta, atom.constant.as_num())
     }
 
     /// Selectivity of `C.a1…am θ c` from class `C` — atomic when m = 1,
@@ -379,54 +274,47 @@ impl Estimator<'_> {
 
     /// Selectivity of an equi-join `x.a = y.b` on atomic attributes:
     /// `1/max(dist(a), dist(b))`, the uniform-domain rule of §5.
-    fn equi_selectivity(&self, on: &str) -> f64 {
-        let dist = |side: &str| {
-            let (var, attr) = side.split_once('.')?;
-            Some(self.view.domain(self.class_of(var)?, attr).dist)
+    fn equi_selectivity(&self, x: &AttrPath, y: &AttrPath) -> f64 {
+        let dist = |side: &AttrPath| {
+            Some(self.view.domain(self.class_of(&side.var)?, &side.path.join(".")).dist)
         };
-        1.0 / on.split(" = ").filter_map(dist).fold(1.0, f64::max)
+        1.0 / [x, y].into_iter().filter_map(dist).fold(1.0, f64::max)
     }
 
-    /// Selectivity and probe cost (seconds) of an INDSEL node.
-    fn indsel_estimate(&self, class: &str, index_kind: &str, predicate: &str) -> (f64, f64) {
+    /// Selectivity and probe cost (seconds) of an INDSEL node: its
+    /// conjuncts are atoms on indexed attributes, or on an indexed path.
+    fn indsel_estimate(&self, class: &str, predicate: &Pred) -> (f64, f64) {
         let mut sel = 1.0;
         let mut probe = 0.0;
         // The range bounds on one attribute are one interval: the row the
         // optimizer made of them, one selectivity and one leaf-chain walk.
-        let bound =
-            |p: &ParsedConjunct| p.path.len() == 1 && !matches!(p.theta, Theta::Eq | Theta::Ne);
-        let mut groups: Vec<Vec<ParsedConjunct>> = Vec::new();
-        for conjunct in predicate.split(" AND ") {
-            let Some(p) = parse_conjunct(conjunct) else {
-                sel *= 0.5;
+        let bound = |a: &Atom| a.lhs.path.len() == 1 && !matches!(a.theta, Theta::Eq | Theta::Ne);
+        let mut groups: Vec<Vec<&Atom>> = Vec::new();
+        for conjunct in predicate.conjuncts() {
+            let Pred::Atom(a) = conjunct else {
+                sel *= self.predicate_selectivity(conjunct);
                 continue;
             };
-            let interval = |g: &&mut Vec<ParsedConjunct>| {
-                bound(&p) && bound(&g[0]) && g[0].path == p.path
-            };
+            let interval =
+                |g: &&mut Vec<&Atom>| bound(a) && bound(g[0]) && g[0].lhs.path == a.lhs.path;
             match groups.iter_mut().find(interval) {
-                Some(g) => g.push(p),
-                None => groups.push(vec![p]),
+                Some(g) => g.push(a),
+                None => groups.push(vec![a]),
             }
         }
         for group in &groups {
-            let p = &group[0];
+            let a = group[0];
+            let path = &a.lhs.path;
             let s = if group.len() > 1 {
-                let bounds: Vec<_> = group.iter().map(|q| (q.theta, q.constant)).collect();
-                let dom = self.view.domain(class, &p.path[0]);
+                let bounds: Vec<_> = group.iter().map(|q| (q.theta, q.constant.as_num())).collect();
+                let dom = self.view.domain(class, &path[0]);
                 bounds_selectivity(&bounds, &dom, self.view.class_info(class).cardinality)
             } else {
-                self.path_pred_selectivity(class, &p.path, p.theta, p.constant)
+                self.path_pred_selectivity(class, path, a.theta, a.constant.as_num())
             };
             sel *= s;
-            let key = p.path.join(".");
-            let ix = if index_kind == "PATH_INDEX" {
-                self.view.stats.index(class, &key).map(IndexParams::from_stats)
-            } else {
-                self.view.index(class, &key)
-            };
-            if let Some(ix) = ix {
-                probe += match p.theta {
+            if let Some(ix) = self.view.index(class, &path.join(".")) {
+                probe += match a.theta {
                     Theta::Eq => indcost(&self.cfg.params, &ix, 1.0),
                     _ => rngxcost(&self.cfg.params, &ix, s),
                 };
@@ -478,21 +366,17 @@ impl Estimator<'_> {
         left: &Plan,
         right: &Plan,
         method: mood_cost::JoinMethod,
-        condition: &str,
+        condition: &JoinOn,
         left_rows: f64,
         right_rows: f64,
     ) -> (f64, Option<f64>, f64, f64, f64) {
-        // Condition shape: `x.attr = y.self`.
-        let parsed = condition.split_once(" = ").and_then(|(lhs, _)| {
-            let (var, attr) = lhs.split_once('.')?;
-            let class = self.class_of(var)?;
-            let (hop, target, hitprb) = self.view.hop(class, attr)?;
-            Some((class.to_string(), attr.to_string(), hop, target, hitprb))
-        });
-        let Some((from_class, attr, hop, target, hitprb)) = parsed else {
+        let attr = &condition.attr;
+        let from_class = self.class_of(&condition.var);
+        let hop = from_class.and_then(|class| Some((class, self.view.hop(class, attr)?)));
+        let Some((from_class, (hop, target, hitprb))) = hop else {
             return (left_rows * right_rows, None, 0.0, 0.0, 0.0);
         };
-        let c = self.view.class_info(&from_class);
+        let c = self.view.class_info(from_class);
         let d = self.view.class_info(&target);
         let d_frac = if d.cardinality > 0.0 {
             (right_rows / d.cardinality).clamp(0.0, 1.0)
@@ -515,11 +399,11 @@ impl Estimator<'_> {
             d,
             fan: hop.fan,
             totref: hop.totref,
-            index: self.view.index(&from_class, &attr),
+            index: self.view.index(from_class, attr),
             d_already_accessed: false,
             c_in_memory: !matches!(left, Plan::Bind { .. }),
             d_in_memory: matches!(right, Plan::Temp { .. }),
-            clustering: self.view.stats.clustering(&from_class, &attr),
+            clustering: self.view.stats.clustering(from_class, attr),
         };
         let cf = j.clustering;
         let cost = join_cost(&self.cfg.params, method, &j).unwrap_or(0.0);
@@ -528,50 +412,12 @@ impl Estimator<'_> {
     }
 }
 
-struct ParsedConjunct {
-    var: String,
-    path: Vec<String>,
-    theta: Theta,
-    constant: Option<f64>,
-}
-
-/// Parse one rendered conjunct `var.a1…am θ const`. Returns `None` for
-/// anything else (method calls, BETWEEN, join residues).
-fn parse_conjunct(conjunct: &str) -> Option<ParsedConjunct> {
-    // Two-character operators first so `<=` does not parse as `<`.
-    let (lhs, theta, rhs) = [" <= ", " >= ", " <> ", " = ", " < ", " > "]
-        .iter()
-        .find_map(|op| {
-            let (l, r) = conjunct.split_once(op)?;
-            Some((l.trim(), Theta::parse(op.trim())?, r.trim()))
-        })?;
-    let mut segs = lhs.split('.').map(str::to_string);
-    let var = segs.next()?;
-    let path: Vec<String> = segs.collect();
-    if path.is_empty() || path.iter().any(|s| s.contains('(')) {
-        return None;
-    }
-    let constant = if let Ok(n) = rhs.parse::<f64>() {
-        Some(n)
-    } else if rhs == "TRUE" {
-        Some(1.0)
-    } else if rhs == "FALSE" {
-        Some(0.0)
-    } else {
-        None // strings: equality falls back to 1/dist inside atomic_selectivity
-    };
-    Some(ParsedConjunct {
-        var,
-        path,
-        theta,
-        constant,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::optimizer::{optimize, Const, PredSpec, QuerySpec};
+    use crate::optimizer::{optimize, PredSpec, QuerySpec};
+    use crate::plan::{Conjunct, Const};
+    use mood_datamodel::Value;
 
     fn cfg() -> OptimizerConfig {
         OptimizerConfig::paper()
@@ -583,7 +429,7 @@ mod tests {
         q.terms = vec![vec![PredSpec::Path {
             path: vec!["drivetrain".into(), "engine".into(), "cylinders".into()],
             theta: Theta::Eq,
-            constant: Const::Num(2.0),
+            constant: Const::Value(Value::Integer(2)),
             terminal_var: None,
         }]];
         q
@@ -666,12 +512,12 @@ mod tests {
     fn a_fused_select_estimates_one_minus_the_product_of_rejections() {
         let stats = mood_catalog::DatabaseStats::paper_example();
         let mut q = QuerySpec::new("e", "VehicleEngine");
-        let cyl = |n: f64| PredSpec::Immediate {
+        let cyl = |n: i32| PredSpec::Immediate {
             attribute: "cylinders".into(),
             theta: Theta::Eq,
-            constant: Const::Num(n),
+            constant: Const::Value(Value::Integer(n)),
         };
-        q.terms = vec![vec![cyl(2.0)], vec![cyl(8.0)], vec![cyl(12.0)]];
+        q.terms = vec![vec![cyl(2)], vec![cyl(8)], vec![cyl(12)]];
         let out = optimize(&q, &stats, &cfg());
         let est = estimate_plan_set(&out.terms[0].plan, &stats, &cfg(), &[]);
         let sel = est[0].selectivity.expect("the fused SELECT has one");
@@ -679,9 +525,6 @@ mod tests {
         let want = 1.0 - (1.0 - 1.0 / 16.0_f64).powi(3);
         assert!((sel - want).abs() < 1e-12, "{sel} vs {want}");
         assert!((est[0].rows - 10_000.0 * want).abs() < 1e-6);
-        assert_eq!(fused_terms("(a = 1) OR (b = 'x) OR (')"), Some(vec!["a = 1", "b = 'x) OR ('"]));
-        assert_eq!(fused_terms("(a = 1 OR b = 2)"), None);
-        assert_eq!(fused_terms("(a = 1) AND (b = 2)"), None);
     }
 
     #[test]
@@ -707,14 +550,21 @@ mod tests {
         }
     }
 
+    /// An atom is priced by its attribute whatever its constant reads
+    /// like, and an opaque conjunct at the OtherSelInfo default whatever
+    /// its text reads like.
     #[test]
-    fn unparseable_conjuncts_fall_back_to_half() {
-        assert!(parse_conjunct("v.lbweight() > 3000").is_none());
-        assert!(parse_conjunct("plain text").is_none());
-        let p = parse_conjunct("v.weight >= 1500").unwrap();
-        assert_eq!(p.var, "v");
-        assert_eq!(p.path, vec!["weight".to_string()]);
-        assert_eq!(p.theta, Theta::Ge);
-        assert_eq!(p.constant, Some(1500.0));
+    fn atoms_are_priced_by_their_attribute_and_conjuncts_at_half() {
+        let stats = mood_catalog::DatabaseStats::paper_example();
+        let string = Const::Value(Value::string("4 AND e.size = 2"));
+        let atom = Pred::Atom(Atom::new("e", &["cylinders".into()], Theta::Eq, &string));
+        let text = "e.cylinders = 4 AND e.size = 2".to_string();
+        let other = Pred::Conjunct(Conjunct { id: 0, negations: 0, text });
+        let bind = Plan::Bind { class: "VehicleEngine".into(), var: "e".into() };
+        let root = Plan::select(Plan::select(bind, other), atom);
+        let set = PlanSet { temps: Vec::new(), root, estimated_cost: 0.0 };
+        let est = estimate_plan_set(&set, &stats, &cfg(), &[]);
+        let sel: Vec<f64> = est.iter().filter_map(|e| e.selectivity).collect();
+        assert_eq!(sel, [1.0 / 16.0, 0.5], "{est:?}");
     }
 }

@@ -13,7 +13,8 @@
 //!   PathSelInfo / OtherSelInfo dictionaries, Algorithm 8.2 (greedy
 //!   implicit-join ordering by `jc/(1−js)` over the four join methods),
 //!   and access-plan generation;
-//! * [`plan`] — plans rendered in the paper's
+//! * [`plan`] — plans as values (typed predicates, join conditions and
+//!   keys), rendered in the paper's
 //!   `JOIN(BIND(...), SELECT(...), HASH_PARTITION, ...)` notation.
 
 pub mod atomic;
@@ -27,8 +28,8 @@ pub use atomic::{expected_evaluations, plan_atomic_selections, AtomicPlan, Atomi
 pub use dnf::{BoolExpr, Negate, MAX_DNF_TERMS};
 pub use estimate::{estimate_plan_set, NodeEstimate};
 pub use optimizer::{
-    optimize, short_var, Const, Dnf, ImmSelRow, OptimizedQuery, OptimizerConfig, OtherSelRow,
-    PathSelRow, PredSpec, QuerySpec, TermPlan, JOIN_MARKER,
+    optimize, short_var, Dnf, ImmSelRow, OptimizedQuery, OptimizerConfig, OtherSelRow, PathSelRow,
+    PredSpec, QuerySpec, TermPlan,
 };
 pub use path_order::{objective, optimal_order_exhaustive, order_paths, PathCost};
-pub use plan::{Plan, PlanSet};
+pub use plan::{Atom, AttrPath, Conjunct, Const, IndexKind, JoinOn, Plan, PlanSet, Pred};

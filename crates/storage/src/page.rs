@@ -167,9 +167,9 @@ impl SlottedPage {
     }
 
     /// Space physically occupied by a slot's record. Every record is
-    /// allocated at least [`Oid::ENCODED_LEN`] bytes so that it can always
-    /// be replaced in place by a forwarding stub (`make_forward` relies on
-    /// this invariant).
+    /// allocated at least [`Oid::ENCODED_LEN`](crate::oid::Oid::ENCODED_LEN)
+    /// bytes so that it can always be replaced in place by a forwarding stub
+    /// (`make_forward` relies on this invariant).
     fn stored_len(len: u16) -> usize {
         if len == LEN_FORWARD {
             crate::oid::Oid::ENCODED_LEN

@@ -776,3 +776,35 @@ fn operator_totals_accumulate_across_statements() {
         calls(&second)
     );
 }
+
+/// A SELECT node's estimated selectivity is the product of the ImmSelInfo
+/// rows its atoms are, whatever a string constant reads like:
+/// `t.s = 'a AND b'` is one atom, alone and beside `t.id > 3`.
+#[test]
+fn a_select_estimate_is_the_product_of_its_imm_sel_rows() {
+    use mood_core::optimizer::{estimate_plan_set, optimize};
+    use mood_core::sql::binder::lower;
+    let db = Mood::in_memory();
+    db.execute("CREATE CLASS T TUPLE (id Integer, w Float, s String(16), b Boolean)")
+        .unwrap();
+    for i in 0..8 {
+        let b = if i % 2 == 0 { "TRUE" } else { "FALSE" };
+        db.execute(&format!("new T <{i}, {i}.5, 'x{i}', {b}>")).unwrap();
+    }
+    db.collect_stats().unwrap();
+    let (stats, config) = (db.catalog().stats(), OptimizerConfig::paper());
+    for sql in [
+        "SELECT t.id FROM T t WHERE t.s = 'a AND b'",
+        "SELECT t.id FROM T t WHERE t.s = 'a AND b' AND t.id > 3",
+    ] {
+        let lowered = lower(db.catalog(), &select_stmt(sql)).unwrap();
+        let optimized = optimize(&lowered.spec, &stats, &config);
+        let [term] = optimized.terms.as_slice() else { panic!("{sql}: one AND-term") };
+        let rows: f64 = term.imm_sel_info.iter().map(|r| r.selectivity).product();
+        let est = estimate_plan_set(&term.plan, &stats, &config, &[]);
+        let select = est.iter().find(|e| e.label.starts_with("SELECT(")).expect("a SELECT");
+        let sel = select.selectivity.expect("a SELECT's selectivity");
+        assert!((sel - rows).abs() <= 1e-12 * rows, "{sql}: SELECT {sel} vs rows {rows}");
+        assert_eq!(term.imm_sel_info.len(), sql.matches(" AND ").count(), "{sql}");
+    }
+}

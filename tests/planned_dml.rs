@@ -834,3 +834,43 @@ fn update_of_unindexed_attribute_dirties_only_the_heap() {
     assert!(dirty > 0);
     db.execute("ROLLBACK").unwrap();
 }
+
+/// `<i, i.5, 'xi', i is even>` for `i` in `0..8`.
+fn build_t(plan_cache: bool) -> Mood {
+    let db = Mood::in_memory();
+    db.set_plan_cache_enabled(plan_cache);
+    db.execute("CREATE CLASS T TUPLE (id Integer, w Float, s String(16), b Boolean)")
+        .unwrap();
+    for i in 0..8 {
+        let fields = vec![
+            ("id", Value::Integer(i)),
+            ("w", Value::Float(i as f64 + 0.5)),
+            ("s", Value::string(format!("x{i}"))),
+            ("b", Value::Boolean(i % 2 == 0)),
+        ];
+        db.catalog().new_object("T", Value::tuple(fields)).unwrap();
+    }
+    db.collect_stats().unwrap();
+    db
+}
+
+/// A float literal is the float written: `t.id / 2.0 = 2.5` divides as
+/// floats, and an UPDATE and a DELETE act on object 5 alone, with the plan
+/// cache on and off.
+#[test]
+fn a_float_literal_targets_what_it_says() {
+    for plan_cache in [true, false] {
+        let db = build_t(plan_cache);
+        let ids = |db: &Mood, s: Option<&str>| -> Vec<i32> {
+            let objects = extent(db, "T").into_values();
+            let wanted = |v: &Value| s.is_none_or(|s| v.field("s") == Some(&Value::string(s)));
+            objects.filter(wanted).map(|v| int(&v, "id")).collect()
+        };
+        let update = "UPDATE T t SET s = 'hit' WHERE t.id / 2.0 = 2.5";
+        assert_eq!(affected(db.execute(update).unwrap()), 1, "cache {plan_cache}");
+        assert_eq!(ids(&db, Some("hit")), [5], "cache {plan_cache}");
+        let delete = "DELETE FROM T t WHERE t.id / 2.0 = 2.5";
+        assert_eq!(affected(db.execute(delete).unwrap()), 1, "cache {plan_cache}");
+        assert_eq!(ids(&db, None), [0, 1, 2, 3, 4, 6, 7], "cache {plan_cache}");
+    }
+}

@@ -1,7 +1,7 @@
 //! The naive oracle the differential suites compare the engine against:
 //! whole objects from `catalog.extent()`, the nested-loop product of the
-//! FROM list, a tree-walking interpreter for every expression, every clause
-//! holding its whole input.
+//! FROM list filtered by WHERE as it is walked, a tree-walking interpreter
+//! for every expression, every later clause holding its whole input.
 //!
 //! The interpreter ([`eval_expr`], [`eval_path`], [`eval_pred`]) is the one
 //! the engine itself ran before every expression became a register program
@@ -302,27 +302,46 @@ fn cmp_keys(a: &[Value], b: &[Value], asc: &[bool]) -> std::cmp::Ordering {
     std::cmp::Ordering::Equal
 }
 
-/// The nested-loop product of a FROM list, whole objects.
-pub fn product(catalog: &Catalog, stmt: &SelectStmt) -> Vec<Row> {
-    let mut rows = vec![Row::new()];
-    for item in &stmt.from {
-        let extent = if item.every {
-            catalog.extent_every(&item.class, &item.minus)
-        } else {
-            catalog.extent(&item.class)
-        }
-        .unwrap();
-        let mut next = Vec::new();
-        for row in &rows {
-            for (oid, value) in &extent {
-                let mut r = row.clone();
-                r.insert(item.var.clone(), bound(*oid, value));
-                next.push(r);
-            }
-        }
-        rows = next;
+/// The combinations of a FROM list's objects, whole, that `keep` admits,
+/// in nested-loop order (the last item varies fastest). The extents are
+/// walked like an odometer and a combination is held only once `keep`
+/// admits it, so the memory is the extents' and the answer's, never the
+/// product's. The first error `keep` raises ends the walk.
+pub fn product(
+    catalog: &Catalog,
+    stmt: &SelectStmt,
+    mut keep: impl FnMut(&Row) -> Result<bool>,
+) -> Result<Vec<Row>> {
+    let extents: Vec<Vec<BoundObj>> = stmt
+        .from
+        .iter()
+        .map(|item| {
+            let extent = match item.every {
+                true => catalog.extent_every(&item.class, &item.minus),
+                false => catalog.extent(&item.class),
+            };
+            extent.unwrap().iter().map(|(oid, value)| bound(*oid, value)).collect()
+        })
+        .collect();
+    let mut rows = Vec::new();
+    if extents.iter().any(Vec::is_empty) {
+        return Ok(rows);
     }
-    rows
+    let mut at = vec![0; extents.len()];
+    loop {
+        let objects = stmt.from.iter().zip(&extents).zip(&at);
+        let row: Row = objects.map(|((f, ext), &i)| (f.var.clone(), ext[i].clone())).collect();
+        if keep(&row)? {
+            rows.push(row);
+        }
+        // The next combination: the last digit that has not run through its
+        // extent moves on, every digit after it starts over.
+        let Some(d) = (0..at.len()).rev().find(|&d| at[d] + 1 < extents[d].len()) else {
+            return Ok(rows);
+        };
+        at[d] += 1;
+        at[d + 1..].fill(0);
+    }
 }
 
 /// Evaluate a SELECT the slow, obvious way.
@@ -335,16 +354,10 @@ pub fn oracle(db: &Mood, sql: &str) -> Vec<Vec<Value>> {
 pub fn try_oracle(db: &Mood, sql: &str) -> Result<Vec<Vec<Value>>> {
     let stmt = select_stmt(sql);
     let env = Env::of(db);
-    let mut rows = Vec::new();
-    for row in product(env.catalog, &stmt) {
-        let keep = match &stmt.where_clause {
-            Some(w) => eval_pred(env, w, &row)?,
-            None => true,
-        };
-        if keep {
-            rows.push(row);
-        }
-    }
+    let rows = product(env.catalog, &stmt, |row| match &stmt.where_clause {
+        Some(w) => eval_pred(env, w, row),
+        None => Ok(true),
+    })?;
     let asc: Vec<bool> = stmt.order_by.iter().map(|(_, asc)| *asc).collect();
     let grouped = !stmt.group_by.is_empty() || stmt.projection.iter().any(is_agg);
     let mut out: Vec<Vec<Value>> = if grouped {
